@@ -1,0 +1,16 @@
+//! Records the compiler version for the host fingerprint printed beside
+//! every set of numbers.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "rustc unknown".to_owned(), |v| v.trim().to_owned());
+    println!("cargo:rustc-env=BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
