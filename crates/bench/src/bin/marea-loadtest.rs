@@ -12,8 +12,9 @@
 //!
 //! Without flags a workload runs at its checked-in baseline
 //! parameters, so `marea-loadtest all --out-dir .` regenerates every
-//! `BENCH_loadtest_<workload>.json` byte for byte; `compare` is the CI
-//! perf-regression gate over two such documents.
+//! `BENCH_loadtest_<workload>.json` byte for byte (CI diffs them);
+//! `compare` gates two documents that are meant to differ — other
+//! parameters, another commit — on gross drift.
 
 use std::process::ExitCode;
 

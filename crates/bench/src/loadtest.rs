@@ -9,27 +9,22 @@
 //! `(workload, config, seed)` tuple reproduces the report — and its
 //! JSON rendering — byte for byte. The checked-in
 //! `BENCH_loadtest_<workload>.json` files are exactly these reports;
-//! CI regenerates them and fails on drift (see
-//! [`compare_overall`]).
+//! CI regenerates them and fails on any byte of drift.
 //!
 //! [`MetricsSampler`]: marea_core::metrics::MetricsSampler
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
-
-use bytes::Bytes;
 
 use marea_core::metrics::{LatencySummary, MetricsConfig};
 use marea_core::trace::LatencyHistogram;
 use marea_core::{
-    ContainerConfig, EventPort, EventQos, FileEvent, FnPort, NodeId, ProtoDuration, Service,
-    ServiceContext, ServiceDescriptor, SimHarness, TimerId, TraceConfig, VarPort, VarQos,
+    ContainerConfig, EventPort, FnPort, NodeId, ProtoDuration, Service, SimHarness, TraceConfig,
+    VarPort,
 };
 use marea_netsim::NetConfig;
-use marea_presentation::{Name, Value};
 
-use super::payload_of;
+use crate::fixtures::{Echo, Emit, PublishLog, ReceiptLog, Sink, Source};
 
 /// Container tick cadence every loadtest run uses (µs).
 pub const TICK_US: u64 = 500;
@@ -192,169 +187,15 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Workload services (rate-controlled, never-ending variants of the
-// bench scenario services)
-// ---------------------------------------------------------------------------
-
-struct LoadVarPub {
-    port: VarPort<Vec<u8>>,
-    payload: usize,
-    period: ProtoDuration,
-}
-
-impl Service for LoadVarPub {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-varpub")
-            .provides_var(&self.port, VarQos::periodic(self.period, self.period.saturating_mul(8)))
-            .build()
-    }
-    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
-        ctx.set_timer(self.period, Some(self.period));
-    }
-    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
-        ctx.publish_to(&self.port, payload_of(self.payload));
-    }
-}
-
-struct LoadVarSink {
-    channel: String,
-}
-
-impl Service for LoadVarSink {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-varsink")
-            .subscribe_variable(&self.channel, VarQos::default())
-            .build()
-    }
-}
-
-struct LoadEventPub {
-    port: EventPort<Vec<u8>>,
-    payload: usize,
-    period: ProtoDuration,
-}
-
-impl Service for LoadEventPub {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-evpub").provides_event(&self.port).build()
-    }
-    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
-        ctx.set_timer(self.period, Some(self.period));
-    }
-    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
-        ctx.emit_to(&self.port, payload_of(self.payload));
-    }
-}
-
-struct LoadEventSink {
-    channel: String,
-}
-
-impl Service for LoadEventSink {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-evsink")
-            .subscribe_event(&self.channel, EventQos::default())
-            .build()
-    }
-}
-
-struct LoadCaller {
-    echo: FnPort<(Vec<u8>,), Vec<u8>>,
-    payload: usize,
-    period: ProtoDuration,
-}
-
-impl Service for LoadCaller {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-caller").requires_fn(&self.echo).build()
-    }
-    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
-        ctx.set_timer(self.period, Some(self.period));
-    }
-    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
-        // Open loop at the target rate: the RTT histogram is recorded by
-        // the container when the reply lands, so no reply tracking here.
-        let _ = ctx.call_fn(&self.echo, (payload_of(self.payload),));
-    }
-}
-
-struct LoadEcho {
-    port: FnPort<(Vec<u8>,), Vec<u8>>,
-}
-
-impl Service for LoadEcho {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-echo").provides_fn(&self.port).build()
-    }
-    fn on_call(
-        &mut self,
-        _ctx: &mut ServiceContext<'_>,
-        _f: &Name,
-        args: &[Value],
-    ) -> Result<Value, String> {
-        let (data,) = self.port.decode_args(args).map_err(|e| e.to_string())?;
-        Ok(self.port.encode_ret(data))
-    }
-}
-
-/// Shared publish-time probe: `published_at[revision - 1]` is the
-/// virtual µs revision `revision` was published at (file revisions are
-/// minted 1-based and sequentially).
-type FileProbe = Arc<Mutex<Vec<u64>>>;
-
-/// Per-node completion-latency histograms recorded by the file sinks.
-type FileLatencies = Arc<Mutex<BTreeMap<u32, LatencyHistogram>>>;
-
-struct LoadFilePub {
-    resource: String,
-    size: usize,
-    period: ProtoDuration,
-    published_at: FileProbe,
-}
-
-impl Service for LoadFilePub {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-filepub").file_resource(&self.resource).build()
-    }
-    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
-        ctx.set_timer(self.period, Some(self.period));
-    }
-    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
-        self.published_at.lock().unwrap().push(ctx.now().as_micros());
-        ctx.publish_file(&self.resource, Bytes::from(payload_of(self.size)));
-    }
-}
-
-struct LoadFileSink {
-    resource: String,
-    published_at: FileProbe,
-    latencies: FileLatencies,
-}
-
-impl Service for LoadFileSink {
-    fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("load-filesink").subscribe_file(&self.resource).build()
-    }
-    fn on_file_event(&mut self, ctx: &mut ServiceContext<'_>, ev: &FileEvent) {
-        if let FileEvent::Received { revision, .. } = ev {
-            let stamp = self.published_at.lock().unwrap().get(*revision as usize - 1).copied();
-            if let Some(at) = stamp {
-                let us = ctx.now().as_micros().saturating_sub(at);
-                self.latencies.lock().unwrap().entry(ctx.local_node().0).or_default().record(us);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fleet assembly and the measurement loop
 // ---------------------------------------------------------------------------
 
 struct Fleet {
     h: SimHarness,
-    publishers: Vec<NodeId>,
-    subscribers: Vec<NodeId>,
-    file_latencies: Option<FileLatencies>,
+    /// Publish and completion logs of the file workload (empty in the
+    /// others).
+    published_at: PublishLog,
+    received: ReceiptLog,
 }
 
 fn load_container(name: &str, node: NodeId) -> ContainerConfig {
@@ -363,144 +204,94 @@ fn load_container(name: &str, node: NodeId) -> ContainerConfig {
     cfg
 }
 
+/// A never-ending source at the configured rate and payload.
+fn source(service: &'static str, emit: Emit, cfg: &LoadtestConfig) -> Source {
+    Source::new(service, emit, cfg.payload_bytes, Some(cfg.source_period()), None)
+}
+
+fn var_source(channel: &str, cfg: &LoadtestConfig) -> Source {
+    let emit = Emit::Var(VarPort::new(channel), cfg.source_period().saturating_mul(8));
+    source("load-varpub", emit, cfg)
+}
+
+fn var_sink(channel: &str) -> Sink {
+    Sink { service: "load-varsink", vars: vec![channel.to_string()], ..Sink::default() }
+}
+
 fn build_fleet(cfg: &LoadtestConfig) -> Fleet {
     let mut h = SimHarness::new(NetConfig::default().with_seed(cfg.seed));
     h.set_tick_us(TICK_US);
-    let period = cfg.source_period();
-    let mut publishers = Vec::new();
-    let mut subscribers = Vec::new();
-    let mut file_latencies = None;
+    let (published_at, received) = (PublishLog::default(), ReceiptLog::default());
     match cfg.workload {
-        Workload::VarFanout => {
+        // One source on node 1 fanning out to `pairs` subscriber nodes.
+        Workload::VarFanout | Workload::FileMulticast => {
+            let files = cfg.workload == Workload::FileMulticast;
+            let source = if files {
+                source(
+                    "load-filepub",
+                    Emit::File("load/file".to_string(), published_at.clone()),
+                    cfg,
+                )
+            } else {
+                var_source("load/var", cfg)
+            };
             h.add_container(load_container("load-pub", NodeId(1)));
-            h.add_service(
-                NodeId(1),
-                Box::new(LoadVarPub {
-                    port: VarPort::new("load/var"),
-                    payload: cfg.payload_bytes,
-                    period,
-                }),
-            );
-            publishers.push(NodeId(1));
+            h.add_service(NodeId(1), Box::new(source));
             for i in 0..cfg.pairs {
-                let node = NodeId(101 + i);
-                h.add_container(load_container("load-sub", node));
-                h.add_service(node, Box::new(LoadVarSink { channel: "load/var".to_string() }));
-                subscribers.push(node);
+                let sink = if files {
+                    Sink {
+                        service: "load-filesink",
+                        files: vec!["load/file".to_string()],
+                        received: received.clone(),
+                        ..Sink::default()
+                    }
+                } else {
+                    var_sink("load/var")
+                };
+                h.add_container(load_container("load-sub", NodeId(101 + i)));
+                h.add_service(NodeId(101 + i), Box::new(sink));
             }
         }
-        Workload::EventFlood => {
+        Workload::EventFlood | Workload::RpcEcho | Workload::MixedMission => {
+            let (pub_name, sub_name) = match cfg.workload {
+                Workload::RpcEcho => ("load-caller", "load-echo"),
+                _ => ("load-pub", "load-sub"),
+            };
             for i in 0..cfg.pairs {
-                let (pn, sn) = (NodeId(1 + i), NodeId(101 + i));
-                let channel = format!("load/ev{i}");
-                h.add_container(load_container("load-pub", pn));
-                h.add_service(
-                    pn,
-                    Box::new(LoadEventPub {
-                        port: EventPort::new(&channel),
-                        payload: cfg.payload_bytes,
-                        period,
-                    }),
-                );
-                h.add_container(load_container("load-sub", sn));
-                h.add_service(sn, Box::new(LoadEventSink { channel }));
-                publishers.push(pn);
-                subscribers.push(sn);
-            }
-        }
-        Workload::RpcEcho => {
-            for i in 0..cfg.pairs {
-                let (cn, en) = (NodeId(1 + i), NodeId(101 + i));
-                let function = format!("load/echo{i}");
-                h.add_container(load_container("load-caller", cn));
-                h.add_service(
-                    cn,
-                    Box::new(LoadCaller {
-                        echo: FnPort::new(&function),
-                        payload: cfg.payload_bytes,
-                        period,
-                    }),
-                );
-                h.add_container(load_container("load-echo", en));
-                h.add_service(en, Box::new(LoadEcho { port: FnPort::new(&function) }));
-                publishers.push(cn);
-                subscribers.push(en);
-            }
-        }
-        Workload::FileMulticast => {
-            let published_at: FileProbe = Arc::new(Mutex::new(Vec::new()));
-            let latencies: FileLatencies = Arc::new(Mutex::new(BTreeMap::new()));
-            h.add_container(load_container("load-pub", NodeId(1)));
-            h.add_service(
-                NodeId(1),
-                Box::new(LoadFilePub {
-                    resource: "load/file".to_string(),
-                    size: cfg.payload_bytes,
-                    period,
-                    published_at: published_at.clone(),
-                }),
-            );
-            publishers.push(NodeId(1));
-            for i in 0..cfg.pairs {
-                let node = NodeId(101 + i);
-                h.add_container(load_container("load-sub", node));
-                h.add_service(
-                    node,
-                    Box::new(LoadFileSink {
-                        resource: "load/file".to_string(),
-                        published_at: published_at.clone(),
-                        latencies: latencies.clone(),
-                    }),
-                );
-                subscribers.push(node);
-            }
-            file_latencies = Some(latencies);
-        }
-        Workload::MixedMission => {
-            for i in 0..cfg.pairs {
-                let (pn, sn) = (NodeId(1 + i), NodeId(101 + i));
-                h.add_container(load_container("load-pub", pn));
-                h.add_container(load_container("load-sub", sn));
-                match i % 3 {
+                let pair = (NodeId(1 + i), NodeId(101 + i));
+                h.add_container(load_container(pub_name, pair.0));
+                h.add_container(load_container(sub_name, pair.1));
+                // The mixed mission rotates the three pair kinds; the
+                // single-kind workloads pin one.
+                let kind = match cfg.workload {
+                    Workload::EventFlood => 1,
+                    Workload::RpcEcho => 2,
+                    _ => i % 3,
+                };
+                let (source, sink): (Source, Box<dyn Service>) = match kind {
                     0 => {
                         let channel = format!("load/var{i}");
-                        h.add_service(
-                            pn,
-                            Box::new(LoadVarPub {
-                                port: VarPort::new(&channel),
-                                payload: cfg.payload_bytes,
-                                period,
-                            }),
-                        );
-                        h.add_service(sn, Box::new(LoadVarSink { channel }));
+                        (var_source(&channel, cfg), Box::new(var_sink(&channel)))
                     }
                     1 => {
                         let channel = format!("load/ev{i}");
-                        h.add_service(
-                            pn,
-                            Box::new(LoadEventPub {
-                                port: EventPort::new(&channel),
-                                payload: cfg.payload_bytes,
-                                period,
-                            }),
-                        );
-                        h.add_service(sn, Box::new(LoadEventSink { channel }));
+                        let emit = Emit::Event(EventPort::new(&channel));
+                        let events = vec![channel];
+                        (
+                            source("load-evpub", emit, cfg),
+                            Box::new(Sink { service: "load-evsink", events, ..Sink::default() }),
+                        )
                     }
                     _ => {
-                        let function = format!("load/echo{i}");
-                        h.add_service(
-                            pn,
-                            Box::new(LoadCaller {
-                                echo: FnPort::new(&function),
-                                payload: cfg.payload_bytes,
-                                period,
-                            }),
-                        );
-                        h.add_service(sn, Box::new(LoadEcho { port: FnPort::new(&function) }));
+                        let echo = || FnPort::new(&format!("load/echo{i}"));
+                        (
+                            source("load-caller", Emit::Call(echo(), None), cfg),
+                            Box::new(Echo { service: "load-echo", port: echo() }),
+                        )
                     }
-                }
-                publishers.push(pn);
-                subscribers.push(sn);
+                };
+                h.add_service(pair.0, Box::new(source));
+                h.add_service(pair.1, sink);
             }
         }
     }
@@ -511,7 +302,7 @@ fn build_fleet(cfg: &LoadtestConfig) -> Fleet {
         });
     }
     h.start_all();
-    Fleet { h, publishers, subscribers, file_latencies }
+    Fleet { h, published_at, received }
 }
 
 /// Cumulative counters at one instant; windows are snapshot deltas.
@@ -522,64 +313,30 @@ struct Snap {
     hist: LatencyHistogram,
 }
 
-fn stats_of(fleet: &Fleet, node: NodeId) -> marea_core::ContainerStats {
-    fleet.h.container(node).map(|c| c.stats()).unwrap_or_default()
-}
-
-fn snap(fleet: &Fleet, workload: Workload) -> Snap {
+/// Fleet-wide cumulative counters over all four primitives; a workload
+/// moves only the ones it exercises.
+fn snap(fleet: &Fleet) -> Snap {
     let mut s = Snap::default();
-    match workload {
-        Workload::VarFanout => {
-            for &n in &fleet.publishers {
-                s.offered += stats_of(fleet, n).vars_published;
-            }
-            for &n in &fleet.subscribers {
-                let st = stats_of(fleet, n);
-                s.delivered += st.var_samples_delivered;
-                s.hist.merge(&st.publish_to_deliver);
-            }
-        }
-        Workload::EventFlood => {
-            for &n in &fleet.publishers {
-                s.offered += stats_of(fleet, n).events_published;
-            }
-            for &n in &fleet.subscribers {
-                let st = stats_of(fleet, n);
-                s.delivered += st.events_delivered;
-                s.hist.merge(&st.event_to_deliver);
-            }
-        }
-        Workload::RpcEcho => {
-            for &n in &fleet.publishers {
-                let st = stats_of(fleet, n);
-                s.offered += st.calls_made;
-                s.delivered += st.call_rtt.count();
-                s.hist.merge(&st.call_rtt);
-            }
-        }
-        Workload::FileMulticast => {
-            for &n in &fleet.publishers {
-                s.offered += stats_of(fleet, n).files_published;
-            }
-            for &n in &fleet.subscribers {
-                s.delivered += stats_of(fleet, n).files_received;
-            }
-            if let Some(lat) = &fleet.file_latencies {
-                let map = lat.lock().unwrap();
-                s.hist = merge_node_histograms(map.values());
-            }
-        }
-        Workload::MixedMission => {
-            for &n in fleet.publishers.iter().chain(&fleet.subscribers) {
-                let st = stats_of(fleet, n);
-                s.offered += st.vars_published + st.events_published + st.calls_made;
-                s.delivered += st.var_samples_delivered + st.events_delivered + st.call_rtt.count();
-                s.hist.merge(&st.publish_to_deliver);
-                s.hist.merge(&st.event_to_deliver);
-                s.hist.merge(&st.call_rtt);
-            }
+    for st in fleet.h.nodes().iter().filter_map(|&n| fleet.h.container(n)).map(|c| c.stats()) {
+        s.offered += st.vars_published + st.events_published + st.calls_made + st.files_published;
+        s.delivered += st.var_samples_delivered
+            + st.events_delivered
+            + st.call_rtt.count()
+            + st.files_received;
+        s.hist.merge(&st.publish_to_deliver);
+        s.hist.merge(&st.event_to_deliver);
+        s.hist.merge(&st.call_rtt);
+    }
+    // File completions have no container histogram: their latency is
+    // completion time minus the logged publish time of that revision.
+    let published_at = fleet.published_at.lock().unwrap();
+    let mut per_node: BTreeMap<u32, LatencyHistogram> = BTreeMap::new();
+    for r in fleet.received.lock().unwrap().iter() {
+        if let Some(&at) = published_at.get(r.revision as usize - 1) {
+            per_node.entry(r.node).or_default().record(r.at.as_micros().saturating_sub(at));
         }
     }
+    s.hist.merge(&merge_node_histograms(per_node.values()));
     s
 }
 
@@ -615,11 +372,11 @@ fn window_report(
 pub fn run_loadtest(cfg: &LoadtestConfig) -> LoadtestReport {
     let mut fleet = build_fleet(cfg);
     fleet.h.run_for_millis(cfg.warmup_ms);
-    let mut snaps = vec![snap(&fleet, cfg.workload)];
+    let mut snaps = vec![snap(&fleet)];
     let mut marks = vec![fleet.h.now().as_micros()];
     for _ in 0..cfg.windows {
         fleet.h.run_for_millis(cfg.window_ms);
-        snaps.push(snap(&fleet, cfg.workload));
+        snaps.push(snap(&fleet));
         marks.push(fleet.h.now().as_micros());
     }
     let windows: Vec<WindowReport> = (1..snaps.len())
@@ -744,8 +501,9 @@ pub fn overall_metric(doc: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The perf-regression gate: compares a fresh report against the
-/// checked-in baseline and fails on gross drift — overall p99 rising
+/// The drift gate for runs that are meant to differ (other parameters,
+/// another commit): compares a fresh report against a baseline and
+/// fails on gross drift — overall p99 rising
 /// more than `p99_rise_pct` percent, or overall goodput dropping more
 /// than `goodput_drop_pct` percent. A metric *presence* mismatch in
 /// either direction (baseline has it, fresh doesn't, or vice versa)
@@ -1003,33 +761,14 @@ mod tests {
             sample_period_ms: if sampled { 2 } else { 0 },
             seed: 900 + rep,
         };
-        let time_once = |sampled: bool, rep: u64| {
-            // marea-lint: allow(D2): wall-clock gate — measuring the real cost of sampling is the point
-            let t0 = std::time::Instant::now();
-            let _ = run_loadtest(&run_cfg(sampled, rep));
-            t0.elapsed()
-        };
-        // Warm-up, then adjacent off/on pairs; gate on the cleanest
-        // pair (ambient noise only inflates ratios at random, a real
-        // regression inflates every pair).
-        let _ = (time_once(false, 0), time_once(true, 0));
-        let mut pairs = Vec::new();
-        for rep in 1..=8 {
-            let off = time_once(false, rep);
-            let on = time_once(true, rep);
-            pairs.push((on.as_secs_f64() / off.as_secs_f64().max(1e-9), on, off));
-        }
-        let (ratio, on, off) =
-            pairs.iter().cloned().min_by(|a, b| a.0.total_cmp(&b.0)).expect("8 pairs");
-        let overhead = ratio - 1.0;
-        println!(
-            "metrics gate: best-pair sampling overhead {:.2}% (sampled {on:?}, unsampled {off:?})",
-            overhead * 100.0
-        );
-        assert!(
-            overhead <= 0.05,
-            "metrics gate: sampling overhead {:.2}% exceeds 5% in every pair",
-            overhead * 100.0
+        crate::tests::assert_overhead_within_five_percent(
+            "metrics gate (sampling)",
+            |sampled, rep| {
+                // marea-lint: allow(D2): wall-clock gate — measuring the real cost of sampling is the point
+                let t0 = std::time::Instant::now();
+                let _ = run_loadtest(&run_cfg(sampled, rep));
+                t0.elapsed()
+            },
         );
     }
 }

@@ -20,7 +20,7 @@
 //! would frame them over TCP.
 //!
 //! Endpoints are poll-driven with explicit time, like every other MAREA
-//! state machine, so they run over [`SimNet`](crate::SimNet) datagrams
+//! state machine, so they run over [`SimNet`](marea_netsim::SimNet) datagrams
 //! (each segment = one datagram, dropped/delayed by the same link model
 //! that carries the middleware's own traffic).
 
@@ -148,18 +148,14 @@ impl TcpishEndpoint {
         }
     }
 
-    /// Connection state.
-    pub fn state(&self) -> TcpishState {
-        self.state
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> TcpishStats {
         self.stats
     }
 
     /// Bytes accepted for sending but not yet acknowledged end-to-end.
-    pub fn unacked_len(&self) -> usize {
+    #[cfg(test)]
+    fn unacked_len(&self) -> usize {
         self.pending_stream.len() + (self.snd_nxt - self.snd_una) as usize
     }
 
@@ -413,8 +409,8 @@ mod tests {
         let (outs, _) = s.on_segment(&syn, 0);
         let (outs2, _) = c.on_segment(&outs[0], 0);
         let _ = s.on_segment(&outs2[0], 0);
-        assert_eq!(c.state(), TcpishState::Established);
-        assert_eq!(s.state(), TcpishState::Established);
+        assert_eq!(c.state, TcpishState::Established);
+        assert_eq!(s.state, TcpishState::Established);
 
         c.send_message(b"event-1");
         c.send_message(b"event-2");

@@ -1170,8 +1170,8 @@ impl ServiceContainer {
             Ok(p) => p,
             Err(e) => {
                 // The caller's arguments disagree with the provider's
-                // declared signature — impossible through a typed FnPort,
-                // counted when the dynamic compat `call` is used.
+                // declared signature: the two sides hold `FnPort`s of the
+                // same name but different argument types.
                 self.rpc.type_mismatches += 1;
                 self.stats.call_errors += 1;
                 self.push_task(

@@ -2,20 +2,22 @@
 //! provisions and subscriptions.
 //!
 //! The paper's container promises that services interact only through a
-//! validated API surface (§3). The dynamic [`ServiceContext::publish`]
-//! string API validates at *runtime*; ports move that check to *compile
-//! time*: a port is created from (or together with) the descriptor
-//! declaration, carries the provision's [`Name`] and its Rust payload
-//! type, and is the only thing the typed context methods accept. A service
-//! holding a `VarPort<u64>` cannot publish an `f64` — the program does not
-//! compile.
+//! validated API surface (§3). Ports make that validation a
+//! *compile-time* check: a port is created from (or together with) the
+//! descriptor declaration, carries the provision's [`Name`] and its Rust
+//! payload type, and is the only thing the [`ServiceContext`] methods
+//! accept. A service holding a `VarPort<u64>` cannot publish an `f64` —
+//! the program does not compile. (Two ports of the same name built with
+//! different types can still disagree; the container's runtime schema
+//! check catches that and counts it in
+//! [`ContainerStats::type_mismatches`](crate::ContainerStats).)
 //!
 //! Ports are plain data (name + phantom type): cheap to clone, freely
 //! shareable between the producer and consumer sides of a contract (see
 //! `marea-services`' `names` module for a shared mission vocabulary built
 //! this way).
 //!
-//! [`ServiceContext::publish`]: crate::ServiceContext::publish
+//! [`ServiceContext`]: crate::ServiceContext
 
 use std::fmt;
 use std::marker::PhantomData;

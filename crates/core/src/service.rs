@@ -23,8 +23,8 @@ use std::fmt;
 
 use bytes::Bytes;
 
-use marea_presentation::{ArgsCodec, DataType, EventPayload, FnRet, Name, Value, ValueCodec};
-use marea_protocol::messages::{FunctionSig, Provision};
+use marea_presentation::{ArgsCodec, EventPayload, FnRet, Name, Value, ValueCodec};
+use marea_protocol::messages::Provision;
 use marea_protocol::{Micros, NodeId, ProtoDuration, RequestId};
 
 use crate::engines::vars::SubscribedVar;
@@ -200,7 +200,7 @@ impl ServiceDescriptor {
 
 /// Builder for [`ServiceDescriptor`].
 ///
-/// The primary API is **typed**: [`variable`](Self::variable),
+/// Declarations are **typed**: [`variable`](Self::variable),
 /// [`event`](Self::event) and [`function`](Self::function) derive the wire
 /// schema from a Rust type and hand back a port
 /// ([`VarPort`]/[`EventPort`]/[`FnPort`]) the service stores and later
@@ -211,11 +211,6 @@ impl ServiceDescriptor {
 /// event declaration takes its QoS contract as a typed profile
 /// ([`VarQos`] / [`EventQos`]); `Default` profiles reproduce the
 /// historical behaviour.
-///
-/// The `*_dynamic` methods keep the old stringly-typed declarations
-/// compiling; they skip the compile-time check, so a value/descriptor
-/// disagreement is only caught at runtime (and counted in
-/// [`ContainerStats::type_mismatches`](crate::ContainerStats)).
 ///
 /// # Panics
 ///
@@ -247,7 +242,7 @@ impl ServiceDescriptorBuilder {
         qos
     }
 
-    // ---- typed declarations (the primary API) ---------------------------
+    // ---- typed declarations ---------------------------------------------
 
     /// Declares a published variable whose schema derives from `T`,
     /// returning the typed port to publish through.
@@ -343,75 +338,6 @@ impl ServiceDescriptorBuilder {
     /// callable somewhere in the network.
     pub fn requires_fn<A: ArgsCodec, R: FnRet>(&mut self, port: &FnPort<A, R>) -> &mut Self {
         self.inner.required_functions.push(port.name().clone());
-        self
-    }
-
-    // ---- dynamic compatibility layer ------------------------------------
-
-    /// Declares a published variable from an explicit [`DataType`].
-    ///
-    /// The dynamic declaration cannot check at compile time that published
-    /// values match `ty`; mismatches surface only at runtime as counted
-    /// [`type_mismatches`](crate::ContainerStats::type_mismatches).
-    /// Migration:
-    ///
-    /// ```text
-    /// // before                                        // after
-    /// .variable_dynamic("beacon/count",                let count = b.variable::<u64>(
-    ///     DataType::U64, period, validity)                 "beacon/count", VarQos::periodic(period, validity));
-    /// ctx.publish("beacon/count", 7u64);               ctx.publish_to(&count, 7u64);
-    /// ```
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `variable::<T>` (or `provides_var` with a shared port) and a `VarQos` profile"
-    )]
-    pub fn variable_dynamic(
-        &mut self,
-        name: &str,
-        ty: DataType,
-        period: ProtoDuration,
-        validity: ProtoDuration,
-    ) -> &mut Self {
-        self.inner.provides.push(Provision::Variable {
-            name: Self::name(name),
-            ty,
-            period_us: period.as_micros(),
-            validity_us: validity.as_micros(),
-        });
-        self
-    }
-
-    /// Declares a published event channel from an explicit payload type.
-    ///
-    /// See [`variable_dynamic`](Self::variable_dynamic) for the migration
-    /// pattern.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `event::<P>` (or `provides_event` with a shared port)"
-    )]
-    pub fn event_dynamic(&mut self, name: &str, ty: Option<DataType>) -> &mut Self {
-        self.inner.provides.push(Provision::Event { name: Self::name(name), ty });
-        self
-    }
-
-    /// Declares a callable function from an explicit signature.
-    ///
-    /// See [`variable_dynamic`](Self::variable_dynamic) for the migration
-    /// pattern.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `function::<A, R>` (or `provides_fn` with a shared port)"
-    )]
-    pub fn function_dynamic(
-        &mut self,
-        name: &str,
-        params: Vec<DataType>,
-        returns: Option<DataType>,
-    ) -> &mut Self {
-        self.inner.provides.push(Provision::Function {
-            name: Self::name(name),
-            sig: FunctionSig { params, returns },
-        });
         self
     }
 
@@ -594,98 +520,6 @@ impl<'a> ServiceContext<'a> {
         TypedCallHandle::new(handle)
     }
 
-    /// [`call_fn`](Self::call_fn) with an explicit provider policy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `call_fn_with` with `CallOptions::default().with_policy(policy)`"
-    )]
-    pub fn call_fn_with_policy<A: ArgsCodec, R: FnRet>(
-        &mut self,
-        port: &FnPort<A, R>,
-        args: A,
-        policy: CallPolicy,
-    ) -> TypedCallHandle<R> {
-        self.call_fn_with(port, args, CallOptions::default().with_policy(policy))
-    }
-
-    /// Publishes a sample of a declared variable by name (best-effort,
-    /// §4.1).
-    ///
-    /// This compat method cannot check the value against the descriptor at
-    /// compile time; a disagreement is dropped at runtime and counted in
-    /// [`ContainerStats::type_mismatches`](crate::ContainerStats).
-    /// Migration:
-    ///
-    /// ```text
-    /// // before                               // after (port from the builder)
-    /// ctx.publish("beacon/count", count);     ctx.publish_to(&self.count_port, count);
-    /// ```
-    #[deprecated(since = "0.2.0", note = "use `publish_to` with a typed `VarPort`")]
-    pub fn publish(&mut self, name: &str, value: impl Into<Value>) {
-        if let Ok(name) = Name::new(name) {
-            self.effects.push(Effect::Publish { name, value: value.into() });
-        }
-    }
-
-    /// Emits an event on a declared channel by name (reliable, §4.2).
-    ///
-    /// See [`publish`](Self::publish) for the migration pattern.
-    #[deprecated(since = "0.2.0", note = "use `emit_to` with a typed `EventPort`")]
-    pub fn emit(&mut self, name: &str, value: Option<Value>) {
-        if let Ok(name) = Name::new(name) {
-            self.effects.push(Effect::Emit { name, value });
-        }
-    }
-
-    fn call_dynamic(&mut self, function: &str, args: Vec<Value>, policy: CallPolicy) -> CallHandle {
-        *self.next_request_id += 1;
-        let handle = CallHandle(RequestId(*self.next_request_id));
-        let options = CallOptions::default().with_policy(policy);
-        match Name::new(function) {
-            Ok(function) => {
-                self.effects.push(Effect::Call { handle, function, args, options });
-            }
-            Err(_) => {
-                // Invalid name: surface as an immediate NoProvider reply.
-                self.effects.push(Effect::Log {
-                    line: format!("call to invalid function name {function:?}"),
-                });
-                self.effects.push(Effect::Call {
-                    handle,
-                    function: Name::new("invalid").expect("literal"),
-                    args,
-                    options,
-                });
-            }
-        }
-        handle
-    }
-
-    /// Starts a remote invocation by name; the outcome arrives via
-    /// [`Service::on_reply`] with the returned handle.
-    ///
-    /// The typed [`call_fn`](Self::call_fn) marshals arguments from a
-    /// tuple checked against the port's signature and decodes the reply
-    /// through [`TypedCallHandle::decode`].
-    #[deprecated(since = "0.2.0", note = "use `call_fn` with a typed `FnPort`")]
-    pub fn call(&mut self, function: &str, args: Vec<Value>) -> CallHandle {
-        self.call_dynamic(function, args, CallPolicy::Dynamic)
-    }
-
-    /// [`call`](Self::call) with an explicit provider policy.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `call_fn_with` with a typed `FnPort` and `CallOptions`"
-    )]
-    pub fn call_with_policy(
-        &mut self,
-        function: &str,
-        args: Vec<Value>,
-        policy: CallPolicy,
-    ) -> CallHandle {
-        self.call_dynamic(function, args, policy)
-    }
-
     /// Publishes (or revises) a declared file resource to all interested
     /// nodes (§4.4). Repeated publication bumps the revision.
     pub fn publish_file(&mut self, resource: &str, data: Bytes) {
@@ -817,6 +651,7 @@ impl fmt::Debug for dyn Service {
 mod tests {
     use super::*;
     use crate::qos::DropPolicy;
+    use marea_presentation::DataType;
 
     fn test_ctx<'a>(
         effects: &'a mut Vec<Effect>,
@@ -874,24 +709,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn typed_and_dynamic_declarations_agree() {
-        let mut typed = ServiceDescriptor::builder("a");
-        typed.variable::<u64>(
-            "v",
-            VarQos::periodic(ProtoDuration::from_millis(10), ProtoDuration::from_millis(50)),
-        );
-        let mut dynamic = ServiceDescriptor::builder("a");
-        dynamic.variable_dynamic(
-            "v",
-            DataType::U64,
-            ProtoDuration::from_millis(10),
-            ProtoDuration::from_millis(50),
-        );
-        assert_eq!(typed.build().provides(), dynamic.build().provides());
-    }
-
-    #[test]
     fn shared_ports_wire_both_sides() {
         let position = VarPort::<f64>::new("gps/position");
         let alert = EventPort::<u32>::new("mc/alert");
@@ -934,7 +751,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn context_queues_effects() {
         let name = Name::new("svc").unwrap();
         let mut effects = Vec::new();
@@ -945,12 +761,6 @@ mod tests {
         assert_eq!(ctx.local_node(), NodeId(1));
         assert_eq!(ctx.service_seq(), 3);
         assert_eq!(ctx.service_name(), "svc");
-        ctx.publish("v", 1u8);
-        ctx.emit("e", None);
-        let h = ctx.call("f", vec![Value::Bool(true)]);
-        assert_eq!(h.0, RequestId(1));
-        let h2 = ctx.call("f", vec![]);
-        assert_eq!(h2.0, RequestId(2));
         ctx.publish_file("r", Bytes::from_static(b"x"));
         ctx.subscribe_file("r");
         let t = ctx.set_timer(ProtoDuration::from_millis(10), None);
@@ -958,7 +768,7 @@ mod tests {
         ctx.log("hello");
         ctx.set_degraded(true);
         ctx.stop_self();
-        assert_eq!(effects.len(), 11);
+        assert_eq!(effects.len(), 7);
     }
 
     #[test]

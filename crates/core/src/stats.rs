@@ -55,10 +55,11 @@ pub struct ContainerStats {
     pub services_failed: u64,
     /// Typed-contract violations detected by the four engines.
     ///
-    /// The typed port API makes these unrepresentable at compile time; a
-    /// non-zero counter means a service is still using the dynamic compat
-    /// methods with a value that disagrees with its descriptor, or a peer
-    /// node announced one schema and sent another.
+    /// A port shared by both sides of a contract makes these
+    /// unrepresentable at compile time; a non-zero counter means a
+    /// service used a port whose type disagrees with the declaration of
+    /// the same name, or a peer node announced one schema and sent
+    /// another.
     pub type_mismatches: TypeMismatchStats,
     /// QoS-contract enforcement actions, aggregated over every
     /// subscription and call (per-subscription breakdowns are read through

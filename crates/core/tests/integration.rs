@@ -10,7 +10,7 @@ use marea_core::{
     ProtoDuration, SchedulerKind, ServiceDescriptor, SimHarness, VarDistribution, VarPort, VarQos,
 };
 use marea_netsim::{LinkConfig, NetConfig};
-use marea_presentation::{DataType, Value};
+use marea_presentation::Value;
 
 fn lan(seed: u64) -> NetConfig {
     NetConfig::default().with_seed(seed)
@@ -1219,30 +1219,24 @@ mod typed {
     }
 
     #[test]
-    // marea-lint: allow(Q1): compat test exercises the deprecated dynamic layer on purpose
-    #[allow(deprecated)]
     fn compat_publish_type_mismatch_is_counted() {
         let mut h = SimHarness::new(lan(42));
         h.add_container(ContainerConfig::new("pub", NodeId(1)));
         h.add_container(ContainerConfig::new("sub", NodeId(2)));
 
-        // Descriptor declares U64; the dynamic compat publish sends F64.
-        let mut publisher = Scripted::new(
-            ServiceDescriptor::builder("badpub")
-                // marea-lint: allow(Q1): compat test declares through the deprecated string API
-                .variable_dynamic(
-                    "bad/value",
-                    DataType::U64,
-                    ProtoDuration::from_millis(10),
-                    ProtoDuration::from_millis(100),
-                )
-                .build(),
+        // The descriptor declares `bad/value` as U64; the service then
+        // publishes through a port of the same name typed F64.
+        let mut b = ServiceDescriptor::builder("badpub");
+        b.variable::<u64>(
+            "bad/value",
+            VarQos::periodic(ProtoDuration::from_millis(10), ProtoDuration::from_millis(100)),
         );
+        let mut publisher = Scripted::new(b.build());
         publisher.on_start = Some(Box::new(|ctx| {
             ctx.set_timer(ProtoDuration::from_millis(10), Some(ProtoDuration::from_millis(10)));
         }));
-        // marea-lint: allow(Q1): compat test publishes through the deprecated string API
-        publisher.on_timer = Some(Box::new(|ctx, _| ctx.publish("bad/value", 1.5f64)));
+        let mistyped = VarPort::<f64>::new("bad/value");
+        publisher.on_timer = Some(Box::new(move |ctx, _| ctx.publish_to(&mistyped, 1.5)));
         h.add_service(NodeId(1), Box::new(publisher));
 
         let log = obs_log();
@@ -1272,41 +1266,32 @@ mod typed {
     }
 
     #[test]
-    // marea-lint: allow(Q1): compat test exercises the deprecated dynamic layer on purpose
-    #[allow(deprecated)]
     fn compat_event_and_call_mismatches_are_counted() {
         let mut h = SimHarness::new(lan(43));
         h.add_container(ContainerConfig::new("a", NodeId(1)));
         h.add_container(ContainerConfig::new("b", NodeId(2)));
 
         // Provider: event channel declared U32, function (U32) -> U32.
-        let provider = Scripted::new(
-            ServiceDescriptor::builder("provider")
-                // marea-lint: allow(Q1): compat test declares through the deprecated string API
-                .event_dynamic("p/ev", Some(DataType::U32))
-                // marea-lint: allow(Q1): compat test declares through the deprecated string API
-                .function_dynamic("p/fn", vec![DataType::U32], Some(DataType::U32))
-                .build(),
-        );
-        h.add_service(NodeId(2), Box::new(provider));
+        let mut b = ServiceDescriptor::builder("provider");
+        b.event::<u32>("p/ev");
+        b.function::<(u32,), u32>("p/fn");
+        h.add_service(NodeId(2), Box::new(Scripted::new(b.build())));
 
-        // Abuser: emits a Str on its own U32 channel, calls with a Bool
-        // argument, and publishes an undeclared file resource.
-        let mut abuser = Scripted::new(
-            ServiceDescriptor::builder("abuser")
-                // marea-lint: allow(Q1): compat test declares through the deprecated string API
-                .event_dynamic("a/ev", Some(DataType::U32))
-                .requires_function("p/fn")
-                .build(),
-        );
+        // Abuser: emits a Str on its own U32 channel and calls with a
+        // Bool argument — both through ports of the declared names but
+        // the wrong types — and publishes an undeclared file resource.
+        let mut b = ServiceDescriptor::builder("abuser");
+        b.event::<u32>("a/ev");
+        b.requires_function("p/fn");
+        let mut abuser = Scripted::new(b.build());
         abuser.on_start = Some(Box::new(|ctx| {
             ctx.set_timer(ProtoDuration::from_millis(50), None);
         }));
-        abuser.on_timer = Some(Box::new(|ctx, _| {
-            // marea-lint: allow(Q1): compat test abuses the deprecated emit/call paths on purpose
-            ctx.emit("a/ev", Some(Value::Str("wrong".into())));
-            // marea-lint: allow(Q1): compat test abuses the deprecated call path on purpose
-            ctx.call("p/fn", vec![Value::Bool(true)]);
+        let mistyped_ev = EventPort::<String>::new("a/ev");
+        let mistyped_fn = FnPort::<(bool,), u32>::new("p/fn");
+        abuser.on_timer = Some(Box::new(move |ctx, _| {
+            ctx.emit_to(&mistyped_ev, "wrong".to_string());
+            ctx.call_fn(&mistyped_fn, (true,));
             ctx.publish_file("a/undeclared", Bytes::from_static(b"x"));
         }));
         let log = obs_log();

@@ -2,9 +2,8 @@
 //!
 //! The MAREA codebase carries guarantees that `rustc` cannot see:
 //! bit-identical replay requires every wire-send sweep to walk sorted
-//! keys, the sim must never read the wall clock, the deprecated dynamic
-//! string API must not creep back in, and protocol/container hot paths
-//! must not panic. This crate turns those conventions into machine
+//! keys, the sim must never read the wall clock, and protocol/container
+//! hot paths must not panic. This crate turns those conventions into machine
 //! checks: a dependency-free lexer (no `syn`) scrubs each `.rs` file,
 //! tokenizes it, and runs the rule set in [`rules`] with span-accurate
 //! diagnostics.
@@ -192,7 +191,7 @@ fn json_str(s: &str) -> String {
 
 // ---- waiver / pragma parsing -------------------------------------------
 
-const VALID_RULES: &[&str] = &["D1", "D2", "Q1", "R1", "O1"];
+const VALID_RULES: &[&str] = &["D1", "D2", "R1", "O1"];
 
 enum Directive {
     Allow { rules: Vec<String>, reason: String },
@@ -442,10 +441,11 @@ mod tests {
             parse_directive("// marea-lint: allow(D1):   "),
             Some(Directive::Malformed { .. })
         ));
-        assert!(matches!(
-            parse_directive("// marea-lint: allow(Z9): nope"),
-            Some(Directive::Malformed { .. })
-        ));
+        // Unknown ids — never defined (Z9) or retired (Q1) — are malformed,
+        // not silent waivers.
+        for unknown in ["// marea-lint: allow(Z9): nope", "// marea-lint: allow(Q1): nope"] {
+            assert!(matches!(parse_directive(unknown), Some(Directive::Malformed { .. })));
+        }
     }
 
     #[test]

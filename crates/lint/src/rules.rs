@@ -1,6 +1,6 @@
 //! The rule set and its token-level matchers.
 //!
-//! Five rules, each scoped to the paths where its property is
+//! Four rules, each scoped to the paths where its property is
 //! load-bearing (fixtures opt in via a `// marea-lint: scope(...)`
 //! pragma so the corpus can live outside the real trees):
 //!
@@ -12,9 +12,6 @@
 //! * **D2** — no ambient nondeterminism (`Instant::now`,
 //!   `SystemTime::now`, `thread::sleep`, `thread_rng`) outside the
 //!   real-time transport boundary.
-//! * **Q1** — no calls into the `#[deprecated]` dynamic string API and
-//!   no blanket `#[allow(deprecated)]` outside the compat layer itself;
-//!   compat tests must carry an explicit waiver.
 //! * **R1** — no `unwrap`/`expect`/`panic!` in `crates/protocol` or the
 //!   container hot paths.
 //! * **O1** — no string allocation (`format!`, `.to_string()`,
@@ -52,12 +49,6 @@ pub const RULES: &[RuleInfo] = &[
         title: "ambient nondeterminism outside the real-time boundary",
         hint: "use the sim clock (`Micros` timestamps threaded from the harness); only the \
                real-time transport layer may touch the wall clock",
-    },
-    RuleInfo {
-        id: "Q1",
-        title: "deprecated dynamic string API outside the compat layer",
-        hint: "migrate to typed ports (VarPort/EventPort/FnPort) and QoS profiles; compat \
-               tests must carry an explicit waiver",
     },
     RuleInfo {
         id: "R1",
@@ -151,12 +142,6 @@ fn d2_in_scope(cx: &FileCx) -> bool {
     }
     let p = cx.path;
     !(p.contains("crates/transport/src/") || p.contains("support/"))
-}
-
-/// Everywhere except the module that *defines* the compat layer (its
-/// declarations and unit tests are the layer's home).
-fn q1_in_scope(cx: &FileCx) -> bool {
-    cx.has_pragma("q1") || !cx.path.ends_with("crates/core/src/service.rs")
 }
 
 /// Protocol crate + container hot paths.
@@ -322,17 +307,6 @@ pub fn collect_hash_idents(toks: &[Tok], into: &mut BTreeSet<String>) {
 
 const ITER_METHODS: &[&str] = &["iter", "iter_mut", "keys", "values", "values_mut", "drain"];
 
-const DEPRECATED_METHODS: &[&str] = &[
-    "variable_dynamic",
-    "event_dynamic",
-    "function_dynamic",
-    "publish",
-    "emit",
-    "call",
-    "call_with_policy",
-    "call_fn_with_policy",
-];
-
 /// Runs every enabled rule over one file.
 pub fn detect(cx: &FileCx, disabled: &BTreeSet<String>) -> Vec<RawFinding> {
     let mut out = Vec::new();
@@ -342,9 +316,6 @@ pub fn detect(cx: &FileCx, disabled: &BTreeSet<String>) -> Vec<RawFinding> {
     }
     if on("D2") && d2_in_scope(cx) {
         detect_d2(cx, &mut out);
-    }
-    if on("Q1") && q1_in_scope(cx) {
-        detect_q1(cx, &mut out);
     }
     if on("R1") && r1_in_scope(cx) {
         detect_r1(cx, &mut out);
@@ -495,42 +466,6 @@ fn detect_d2(cx: &FileCx, out: &mut Vec<RawFinding>) {
         };
         if let Some((line, col, message)) = finding {
             out.push(RawFinding { rule: "D2", line, col, message });
-        }
-    }
-}
-
-fn detect_q1(cx: &FileCx, out: &mut Vec<RawFinding>) {
-    let toks = cx.toks;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        // `.publish(` and friends — method calls into the compat API.
-        if t.kind == TokKind::Ident
-            && DEPRECATED_METHODS.contains(&t.text.as_str())
-            && i >= 1
-            && toks[i - 1].is('.')
-            && i + 1 < toks.len()
-            && toks[i + 1].is('(')
-        {
-            out.push(RawFinding {
-                rule: "Q1",
-                line: t.line,
-                col: t.col,
-                message: format!("call into deprecated dynamic string API `.{}(…)`", t.text),
-            });
-        }
-        // `#[allow(deprecated)]` — blanket opt-outs hide regressions.
-        if t.is_ident("allow")
-            && i + 3 < toks.len()
-            && toks[i + 1].is('(')
-            && toks[i + 2].is_ident("deprecated")
-            && toks[i + 3].is(')')
-        {
-            out.push(RawFinding {
-                rule: "Q1",
-                line: t.line,
-                col: t.col,
-                message: "blanket `allow(deprecated)` outside the compat layer".to_string(),
-            });
         }
     }
 }

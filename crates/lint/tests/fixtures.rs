@@ -48,15 +48,6 @@ fn d2_fires_on_exact_lines_and_dies_when_disabled() {
 }
 
 #[test]
-fn q1_fires_on_exact_lines_and_dies_when_disabled() {
-    let on = lint_fixture("violations/q1.rs", &[]);
-    assert_eq!(lines_of(&on, "Q1"), vec![3, 7, 9, 10], "findings: {:?}", on.findings);
-    assert_eq!(on.findings.len(), 4, "only Q1 should fire: {:?}", on.findings);
-    let off = lint_fixture("violations/q1.rs", &["Q1"]);
-    assert!(off.findings.is_empty(), "disabled rule must go silent: {:?}", off.findings);
-}
-
-#[test]
 fn r1_fires_on_exact_lines_and_dies_when_disabled() {
     let on = lint_fixture("violations/r1.rs", &[]);
     assert_eq!(lines_of(&on, "R1"), vec![5, 6, 8], "findings: {:?}", on.findings);
@@ -152,7 +143,6 @@ fn every_finding_carries_a_span_and_a_hint() {
     for name in [
         "violations/d1.rs",
         "violations/d2.rs",
-        "violations/q1.rs",
         "violations/r1.rs",
         "violations/o1.rs",
         "violations/metrics_o1.rs",

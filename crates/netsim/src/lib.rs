@@ -13,10 +13,7 @@
 //!   ([`SimNet::step`]) or explicitly ([`SimNet::advance_to`]);
 //! * per-packet accounting ([`NetStats`]) — the bandwidth experiments (C2,
 //!   C4) read these counters;
-//! * network fault injection: partitions and runtime-adjustable links;
-//! * [`tcpish`] — a simulated TCP-like byte stream (handshake, cumulative
-//!   ACKs, 200 ms minimum RTO, fast retransmit) used as the baseline the
-//!   paper compares its application-layer ARQ against (§4.2, experiment C3).
+//! * network fault injection: partitions and runtime-adjustable links.
 //!
 //! Determinism: all randomness (loss, jitter) comes from one seeded PRNG,
 //! and simultaneous deliveries are tie-broken by enqueue order, so a given
@@ -44,7 +41,6 @@
 mod config;
 mod sim;
 mod stats;
-pub mod tcpish;
 
 pub use config::{LinkConfig, NetConfig};
 pub use sim::{Destination, SendError, SimNet, SimSocket};
