@@ -89,10 +89,15 @@ fn bench_frame(c: &mut Criterion) {
     group.bench_function("decode_256B", |b| {
         b.iter(|| Frame::decode(std::hint::black_box(&wire)).unwrap())
     });
-    group.bench_function("crc32_1500B", |b| {
-        let data = vec![0xC3u8; 1500];
-        b.iter(|| crc32(std::hint::black_box(&data)))
-    });
+    // A control frame, an MTU-sized datagram and a reassembled variable:
+    // tail handling, the steady state and the cache-resident bulk rate.
+    for (label, len) in [("crc32_64B", 64), ("crc32_1500B", 1500), ("crc32_16KiB", 16 * 1024)] {
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(label, |b| {
+            let data = vec![0xC3u8; len];
+            b.iter(|| crc32(std::hint::black_box(&data)))
+        });
+    }
     group.finish();
 }
 

@@ -27,11 +27,12 @@ use marea_encoding::{CodecId, CodecRegistry, SelfDescribingCodec};
 use marea_presentation::{Name, Value};
 use marea_protocol::arq::ArqConfig;
 use marea_protocol::fec::{FecConfig, FecRate, PARITY_INDEX_BIT};
-use marea_protocol::fragment::{fragment_payload, Reassembler};
+use marea_protocol::fragment::{fragment_shared, Reassembler};
 use marea_protocol::messages::{AnnounceEntry, CallStatus, Provision, ServiceState};
 use marea_protocol::mftp::{AnnounceOutcome, FileReceiver, FileSender, RevisionPolicy};
 use marea_protocol::{
-    Frame, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId, TransferId,
+    Encoded, Frame, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
+    TransferId,
 };
 use marea_transport::{Transport, TransportDestination};
 
@@ -1350,30 +1351,26 @@ impl ServiceContainer {
     }
 
     fn send_message(&mut self, dest: TransportDestination, msg: &Message) {
-        let payload = msg.encode_payload();
         let mtu = self.transport.mtu();
-        if payload.len() + marea_protocol::FRAME_HEADER_LEN <= mtu {
-            let frame = Frame::new(self.config.node, msg.kind(), payload);
-            let wire = frame.encode();
-            self.stats.frames_out += 1;
-            self.stats.bytes_out += wire.len() as u64;
-            let _ = self.transport.send(dest, wire);
-        } else {
-            // Fragment the tagged encoding.
-            self.next_msg_id += 1;
-            let tagged = msg.encode_tagged();
-            let budget = mtu.saturating_sub(96).max(128);
-            let Ok(frags) = fragment_payload(self.next_msg_id, &tagged, budget) else {
-                return;
-            };
-            for frag in frags {
-                let frame = Frame::new(self.config.node, frag.kind(), frag.encode_payload());
-                let wire = frame.encode();
-                self.stats.frames_out += 1;
-                self.stats.bytes_out += wire.len() as u64;
-                let _ = self.transport.send(dest, wire);
+        match msg.encode_within(self.config.node, mtu) {
+            Encoded::Frame(wire) => self.send_wire(dest, wire),
+            Encoded::Oversize(tagged) => {
+                self.next_msg_id += 1;
+                let budget = mtu.saturating_sub(96).max(128);
+                let Ok(frags) = fragment_shared(self.next_msg_id, &tagged, budget) else {
+                    return;
+                };
+                for frag in frags {
+                    self.send_wire(dest, frag.encode_frame(self.config.node));
+                }
             }
         }
+    }
+
+    fn send_wire(&mut self, dest: TransportDestination, wire: Bytes) {
+        self.stats.frames_out += 1;
+        self.stats.bytes_out += wire.len() as u64;
+        let _ = self.transport.send(dest, wire);
     }
 
     fn log_line(&mut self, now: Micros, line: String) {

@@ -11,7 +11,7 @@ impl ServiceContainer {
     pub(super) fn pump_transport(&mut self, now: Micros) {
         while let Some((_, frame_bytes)) = self.transport.recv() {
             self.stats.frames_in += 1;
-            let Ok(frame) = Frame::decode(&frame_bytes) else {
+            let Ok(frame) = Frame::decode_shared(&frame_bytes) else {
                 continue; // corrupt frames are dropped (CRC)
             };
             let src = frame.header().src;
@@ -162,7 +162,7 @@ impl ServiceContainer {
                 }
                 self.active_links.insert(src);
                 for inner in deliverables {
-                    if let Ok(inner_msg) = Message::decode_tagged(&inner) {
+                    if let Ok(inner_msg) = Message::decode_tagged_shared(&inner) {
                         self.handle_message(src, inner_msg, now);
                     }
                 }
@@ -215,7 +215,7 @@ impl ServiceContainer {
                     );
                 }
                 for inner in recovered {
-                    if let Ok(inner_msg) = Message::decode_tagged(&inner) {
+                    if let Ok(inner_msg) = Message::decode_tagged_shared(&inner) {
                         self.handle_message(src, inner_msg, now);
                     }
                 }
@@ -297,7 +297,7 @@ impl ServiceContainer {
                 if let Ok(Some(full)) =
                     self.reassembler.offer(src, msg_id, index, count, payload, now)
                 {
-                    if let Ok(inner) = Message::decode_tagged(&full) {
+                    if let Ok(inner) = Message::decode_tagged_shared(&full) {
                         self.handle_message(src, inner, now);
                     }
                 }

@@ -9,6 +9,7 @@
 //! memory on a low-resource node.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 
@@ -23,7 +24,8 @@ pub const MAX_FRAGMENTS: u32 = 64 * 1024;
 /// Upper bound on concurrently reassembling messages per source.
 const MAX_PENDING_PER_SOURCE: usize = 64;
 
-/// Splits `payload` into fragment messages of at most `max_chunk` bytes.
+/// Splits `payload` into fragment messages of at most `max_chunk` bytes,
+/// copying each piece out of the slice.
 ///
 /// Returns a single-element vector when the payload already fits — callers
 /// can treat the fragmentation path uniformly.
@@ -37,26 +39,48 @@ pub fn fragment_payload(
     payload: &[u8],
     max_chunk: usize,
 ) -> Result<Vec<Message>, ProtocolError> {
+    fragments(msg_id, payload.len(), max_chunk, |piece| Bytes::copy_from_slice(&payload[piece]))
+}
+
+/// [`fragment_payload`] for a payload already held as [`Bytes`]: the same
+/// split, but every piece is an O(1) window onto `payload`.
+///
+/// # Errors
+///
+/// Exactly those of [`fragment_payload`].
+pub fn fragment_shared(
+    msg_id: u64,
+    payload: &Bytes,
+    max_chunk: usize,
+) -> Result<Vec<Message>, ProtocolError> {
+    fragments(msg_id, payload.len(), max_chunk, |piece| payload.slice(piece))
+}
+
+fn fragments(
+    msg_id: u64,
+    len: usize,
+    max_chunk: usize,
+    piece: impl Fn(Range<usize>) -> Bytes,
+) -> Result<Vec<Message>, ProtocolError> {
     if max_chunk == 0 {
         return Err(ProtocolError::BadFragment("fragment size of zero"));
     }
-    let count = payload.len().div_ceil(max_chunk).max(1);
+    // An empty payload still travels, as one empty fragment.
+    let count = len.div_ceil(max_chunk).max(1);
     if count > MAX_FRAGMENTS as usize {
         return Err(ProtocolError::BadFragment("payload needs too many fragments"));
     }
-    let mut out = Vec::with_capacity(count);
-    for (index, chunk) in payload.chunks(max_chunk).enumerate() {
-        out.push(Message::Fragment {
-            msg_id,
-            index: index as u32,
-            count: count as u32,
-            payload: Bytes::copy_from_slice(chunk),
-        });
-    }
-    if payload.is_empty() {
-        out.push(Message::Fragment { msg_id, index: 0, count: 1, payload: Bytes::new() });
-    }
-    Ok(out)
+    Ok((0..count)
+        .map(|index| {
+            let start = index * max_chunk;
+            Message::Fragment {
+                msg_id,
+                index: index as u32,
+                count: count as u32,
+                payload: piece(start..usize::min(start + max_chunk, len)),
+            }
+        })
+        .collect())
 }
 
 #[derive(Debug)]
@@ -141,9 +165,10 @@ impl Reassembler {
         }
         if entry.received == count {
             let Some(entry) = self.pending.remove(&key) else { return Ok(None) };
-            let mut full = BytesMut::new();
             // `received == count` means every slot is filled; `flatten`
             // states that without a panic path.
+            let total = entry.parts.iter().flatten().map(Bytes::len).sum();
+            let mut full = BytesMut::with_capacity(total);
             for part in entry.parts.into_iter().flatten() {
                 full.extend_from_slice(&part);
             }

@@ -30,6 +30,12 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// Size of the fixed header (including CRC) in bytes.
 pub const FRAME_HEADER_LEN: usize = 16;
 
+/// Offset of the payload-length field in the header.
+const LEN_OFFSET: usize = 8;
+
+/// Offset of the CRC field in the header.
+const CRC_OFFSET: usize = 12;
+
 /// Maximum accepted payload size. Larger application payloads must be
 /// fragmented (see [`crate::fragment`]).
 pub const MAX_FRAME_PAYLOAD: usize = 4 * 1024 * 1024;
@@ -114,64 +120,113 @@ impl Frame {
     /// Serializes the frame.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u16_le(FRAME_MAGIC);
-        buf.put_u8(self.header.version);
-        buf.put_u8(self.header.kind.wire_tag());
-        buf.put_u32_le(self.header.src.0);
-        buf.put_u32_le(self.header.payload_len);
-        let crc = {
-            let state = crc32_update(0xFFFF_FFFF, &buf);
-            crc32_update(state, &self.payload) ^ 0xFFFF_FFFF
-        };
-        buf.put_u32_le(crc);
+        begin_wire(&mut buf, self.header.src, self.header.kind);
         buf.put_slice(&self.payload);
-        buf.freeze()
+        finish_wire(buf)
     }
 
     /// Parses a frame from raw bytes, verifying magic, version, kind, length
-    /// and CRC.
+    /// and CRC. The payload is copied out of `input`; a caller that holds
+    /// the datagram as [`Bytes`] uses [`Frame::decode_shared`] instead.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`] describing the first malformed element.
     pub fn decode(input: &[u8]) -> Result<Frame, FrameError> {
-        if input.len() < FRAME_HEADER_LEN {
-            return Err(FrameError::TooShort { len: input.len() });
-        }
-        let magic = u16::from_le_bytes([input[0], input[1]]);
-        if magic != FRAME_MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-        let version = input[2];
-        if version != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(version));
-        }
-        let kind = MessageKind::from_wire_tag(input[3]).ok_or(FrameError::BadKind(input[3]))?;
-        let src = NodeId(u32::from_le_bytes([input[4], input[5], input[6], input[7]]));
-        let payload_len = u32::from_le_bytes([input[8], input[9], input[10], input[11]]);
-        if payload_len as usize > MAX_FRAME_PAYLOAD {
-            return Err(FrameError::PayloadTooLarge(payload_len));
-        }
-        let stored_crc = u32::from_le_bytes([input[12], input[13], input[14], input[15]]);
-        let payload = &input[FRAME_HEADER_LEN..];
-        if payload.len() != payload_len as usize {
-            return Err(FrameError::LengthMismatch {
-                declared: payload_len,
-                actual: payload.len(),
-            });
-        }
-        let computed = {
-            let state = crc32_update(0xFFFF_FFFF, &input[..12]);
-            crc32_update(state, payload) ^ 0xFFFF_FFFF
-        };
-        if computed != stored_crc {
-            return Err(FrameError::BadCrc { stored: stored_crc, computed });
-        }
-        Ok(Frame {
-            header: FrameHeader { version, kind, src, payload_len },
-            payload: Bytes::copy_from_slice(payload),
-        })
+        let header = verify(input)?;
+        Ok(Frame { header, payload: Bytes::copy_from_slice(&input[FRAME_HEADER_LEN..]) })
     }
+
+    /// [`Frame::decode`] for a datagram already held as [`Bytes`]: the same
+    /// checks, but the payload is an O(1) window onto `datagram` instead of
+    /// a copy (and so are the blob fields [`Message::from_frame`] reads out
+    /// of it).
+    ///
+    /// [`Message::from_frame`]: crate::Message::from_frame
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Frame::decode`].
+    pub fn decode_shared(datagram: &Bytes) -> Result<Frame, FrameError> {
+        let header = verify(datagram)?;
+        Ok(Frame { header, payload: datagram.slice(FRAME_HEADER_LEN..) })
+    }
+
+    /// The payload as shared storage (what [`Frame::payload`] borrows).
+    pub(crate) fn payload_bytes(&self) -> &Bytes {
+        &self.payload
+    }
+}
+
+/// CRC over header bytes 0..12 and the payload, skipping the CRC field
+/// itself (bytes 12..16) that sits between them on the wire.
+fn wire_crc(wire: &[u8]) -> u32 {
+    let state = crc32_update(0xFFFF_FFFF, &wire[..CRC_OFFSET]);
+    crc32_update(state, &wire[FRAME_HEADER_LEN..]) ^ 0xFFFF_FFFF
+}
+
+/// Starts a wire frame in `buf` (which must be empty): the 16 header
+/// bytes, with length and CRC left zero until [`finish_wire`]. The caller
+/// appends the payload in between — the one writer behind both
+/// [`Frame::encode`] and [`Message::encode_frame`](crate::Message::encode_frame).
+pub(crate) fn begin_wire(buf: &mut BytesMut, src: NodeId, kind: MessageKind) {
+    debug_assert!(buf.is_empty(), "a frame starts its buffer");
+    buf.put_u16_le(FRAME_MAGIC);
+    buf.put_u8(PROTOCOL_VERSION);
+    buf.put_u8(kind.wire_tag());
+    buf.put_u32_le(src.0);
+    buf.put_u32_le(0); // payload length, patched by `finish_wire`
+    buf.put_u32_le(0); // crc, patched by `finish_wire`
+}
+
+/// Completes a frame started with [`begin_wire`]: patches the payload
+/// length, checksums the buffer in place and patches the CRC.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`] (see [`Frame::new`]).
+pub(crate) fn finish_wire(mut buf: BytesMut) -> Bytes {
+    let payload_len = buf.len() - FRAME_HEADER_LEN;
+    assert!(
+        payload_len <= MAX_FRAME_PAYLOAD,
+        "payload of {payload_len} bytes must be fragmented before framing"
+    );
+    buf[LEN_OFFSET..CRC_OFFSET].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = wire_crc(&buf);
+    buf[CRC_OFFSET..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    buf.freeze()
+}
+
+/// The one frame validator: magic, version, kind, length, CRC — in that
+/// order, so the first malformed element names the error.
+fn verify(input: &[u8]) -> Result<FrameHeader, FrameError> {
+    if input.len() < FRAME_HEADER_LEN {
+        return Err(FrameError::TooShort { len: input.len() });
+    }
+    let magic = u16::from_le_bytes([input[0], input[1]]);
+    if magic != FRAME_MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    let version = input[2];
+    if version != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(version));
+    }
+    let kind = MessageKind::from_wire_tag(input[3]).ok_or(FrameError::BadKind(input[3]))?;
+    let src = NodeId(u32::from_le_bytes([input[4], input[5], input[6], input[7]]));
+    let payload_len = u32::from_le_bytes([input[8], input[9], input[10], input[11]]);
+    if payload_len as usize > MAX_FRAME_PAYLOAD {
+        return Err(FrameError::PayloadTooLarge(payload_len));
+    }
+    let stored = u32::from_le_bytes([input[12], input[13], input[14], input[15]]);
+    let actual = input.len() - FRAME_HEADER_LEN;
+    if actual != payload_len as usize {
+        return Err(FrameError::LengthMismatch { declared: payload_len, actual });
+    }
+    let computed = wire_crc(input);
+    if computed != stored {
+        return Err(FrameError::BadCrc { stored, computed });
+    }
+    Ok(FrameHeader { version, kind, src, payload_len })
 }
 
 #[cfg(test)]
@@ -245,6 +300,39 @@ mod tests {
             let mut w = wire.clone();
             w[i] ^= 0x01;
             assert!(Frame::decode(&w).is_err(), "corruption at byte {i} undetected");
+        }
+    }
+
+    /// An MTU-sized frame (the bulk-transfer case: 1 400 chunk bytes under
+    /// a 16-byte header) refuses every single-bit flip, and where the flip
+    /// leaves the structure intact it is the CRC that refuses it, reporting
+    /// the field as read and the checksum of the bytes as received.
+    #[test]
+    fn mtu_sized_frame_rejects_every_single_bit_flip() {
+        let payload: Vec<u8> = (0..1400u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
+        let wire = Frame::new(NodeId(0x0102_0304), MessageKind::FileChunk, Bytes::from(payload))
+            .encode()
+            .to_vec();
+        assert_eq!(wire.len(), 1416);
+        let good_crc = u32::from_le_bytes([wire[12], wire[13], wire[14], wire[15]]);
+        for bit in 0..wire.len() * 8 {
+            let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+            let mut w = wire.clone();
+            w[byte] ^= mask;
+            let err = Frame::decode(&w).expect_err("flipped frame accepted");
+            assert_eq!(Frame::decode_shared(&Bytes::from(w.clone())), Err(err.clone()));
+            // Source id, CRC field and payload carry no structure of
+            // their own; only the checksum guards them.
+            if !(4..8).contains(&byte) && byte < 12 {
+                continue;
+            }
+            let stored = u32::from_le_bytes([w[12], w[13], w[14], w[15]]);
+            let computed = crate::crc32(&[&w[..12], &w[16..]].concat());
+            assert_eq!(err, FrameError::BadCrc { stored, computed }, "flip at {byte}:{mask:#x}");
+            // A flip inside the CRC field leaves the content's checksum
+            // alone; a flip anywhere else leaves the stored field alone.
+            assert_eq!(computed == good_crc, (12..16).contains(&byte));
+            assert_eq!(stored == good_crc, !(12..16).contains(&byte));
         }
     }
 

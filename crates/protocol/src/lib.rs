@@ -46,5 +46,5 @@ pub use error::{FrameError, ProtocolError};
 pub use fec::{FecConfig, FecRate};
 pub use frame::{Frame, FrameHeader, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION};
 pub use ids::{GroupId, NodeId, RequestId, ServiceId, TransferId};
-pub use messages::{Message, MessageKind};
+pub use messages::{Encoded, Message, MessageKind};
 pub use time::{Micros, ProtoDuration};

@@ -10,7 +10,7 @@ use bytes::{Bytes, BytesMut};
 use marea_encoding::{typedesc, DecodeError, WireReader, WireWriter};
 use marea_presentation::{DataType, Name};
 
-use crate::frame::Frame;
+use crate::frame::{self, Frame, FRAME_HEADER_LEN};
 use crate::ids::{GroupId, NodeId, RequestId, TransferId};
 
 /// Maximum bytes accepted for any embedded blob while decoding messages.
@@ -563,6 +563,16 @@ pub enum Message {
     AnnounceRequest,
 }
 
+/// What [`Message::encode_within`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Encoded {
+    /// The message fits one datagram: a complete wire frame.
+    Frame(Bytes),
+    /// It does not: the [`Message::encode_tagged`] bytes, to be split with
+    /// [`fragment_shared`](crate::fragment::fragment_shared).
+    Oversize(Bytes),
+}
+
 impl Message {
     /// The wire kind of this message.
     pub fn kind(&self) -> MessageKind {
@@ -598,36 +608,81 @@ impl Message {
 
     /// Serializes the message body (without frame header).
     pub fn encode_payload(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        let mut w = WireWriter::new(&mut buf);
-        self.write_body(&mut w);
+        let mut buf = BytesMut::with_capacity(self.encoded_len_hint());
+        self.write_body(&mut WireWriter::new(&mut buf));
         buf.freeze()
     }
 
     /// Serializes the message *with* a leading kind byte — the format used
     /// inside [`Message::RelData`] envelopes and fragments.
     pub fn encode_tagged(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(1 + self.encoded_len_hint());
         buf.extend_from_slice(&[self.kind().wire_tag()]);
-        let mut w = WireWriter::new(&mut buf);
-        self.write_body(&mut w);
+        self.write_body(&mut WireWriter::new(&mut buf));
         buf.freeze()
     }
 
-    /// Inverse of [`Message::encode_tagged`].
+    /// Serializes the message as one complete wire frame from `src` —
+    /// byte for byte `self.clone().into_frame(src).encode()`, but header
+    /// and body go into a single buffer that is checksummed in place, so
+    /// the body is written once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body exceeds
+    /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD), like [`Frame::new`].
+    pub fn encode_frame(&self, src: NodeId) -> Bytes {
+        frame::finish_wire(self.write_frame(src))
+    }
+
+    /// Encodes the message once for a transport whose datagrams hold `mtu`
+    /// bytes: a complete frame when it fits, otherwise its
+    /// [`Message::encode_tagged`] form for the sender to fragment. Only
+    /// the encoded size tells the two apart, so both are cut from the one
+    /// buffer — the body sits behind a 16-byte header either way, and the
+    /// tagged form is that buffer from the header's last byte on, with the
+    /// kind byte dropped there.
+    ///
+    /// # Panics
+    ///
+    /// As [`Message::encode_frame`], when the body fits `mtu`.
+    pub fn encode_within(&self, src: NodeId, mtu: usize) -> Encoded {
+        let mut buf = self.write_frame(src);
+        if buf.len() <= mtu {
+            return Encoded::Frame(frame::finish_wire(buf));
+        }
+        let tag_at = FRAME_HEADER_LEN - 1;
+        buf[tag_at] = self.kind().wire_tag();
+        Encoded::Oversize(buf.freeze().slice(tag_at..))
+    }
+
+    /// Header (length and CRC still blank) plus body, in one buffer.
+    fn write_frame(&self, src: NodeId) -> BytesMut {
+        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + self.encoded_len_hint());
+        frame::begin_wire(&mut buf, src, self.kind());
+        self.write_body(&mut WireWriter::new(&mut buf));
+        buf
+    }
+
+    /// Inverse of [`Message::encode_tagged`]. Blob fields are copied out
+    /// of `bytes`; see [`Message::decode_tagged_shared`].
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on malformed input.
     pub fn decode_tagged(bytes: &[u8]) -> Result<Message, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let tag = r.get_u8()?;
-        let kind = MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-        let msg = Self::read_body(kind, &mut r)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(msg)
+        Self::read_tagged(bytes, None)
+    }
+
+    /// [`Message::decode_tagged`] for input already held as [`Bytes`]: the
+    /// same parse, but blob fields come back as O(1) windows onto `bytes`
+    /// instead of copies.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Message::decode_tagged`].
+    pub fn decode_tagged_shared(bytes: &Bytes) -> Result<Message, DecodeError> {
+        Self::read_tagged(bytes, Some(bytes))
     }
 
     /// Deserializes a message of known `kind` from a frame payload.
@@ -636,12 +691,7 @@ impl Message {
     ///
     /// [`DecodeError`] on malformed or trailing input.
     pub fn decode_payload(kind: MessageKind, bytes: &[u8]) -> Result<Message, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let msg = Self::read_body(kind, &mut r)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(msg)
+        Self::read_to_end(kind, WireReader::new(bytes), None)
     }
 
     /// Wraps the message in a [`Frame`] from `src`.
@@ -649,13 +699,60 @@ impl Message {
         Frame::new(src, self.kind(), self.encode_payload())
     }
 
-    /// Extracts the message from a decoded [`Frame`].
+    /// Extracts the message from a decoded [`Frame`]. Blob fields share
+    /// the frame's payload storage (no copy).
     ///
     /// # Errors
     ///
     /// [`DecodeError`] if the payload does not parse as the header's kind.
     pub fn from_frame(frame: &Frame) -> Result<Message, DecodeError> {
-        Self::decode_payload(frame.header().kind, frame.payload())
+        let payload = frame.payload_bytes();
+        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload))
+    }
+
+    /// `backing`, when given, is the storage `bytes` borrows from.
+    fn read_tagged(bytes: &[u8], backing: Option<&Bytes>) -> Result<Message, DecodeError> {
+        let mut r = WireReader::new(bytes);
+        let tag = r.get_u8()?;
+        let kind = MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
+        Self::read_to_end(kind, r, backing)
+    }
+
+    /// Reads one `kind` body and insists that it is all `r` had left.
+    /// `backing`, when given, is the storage `r` reads from.
+    fn read_to_end(
+        kind: MessageKind,
+        mut r: WireReader<'_>,
+        backing: Option<&Bytes>,
+    ) -> Result<Message, DecodeError> {
+        let msg = Self::read_body(kind, &mut r, backing)?;
+        if !r.is_empty() {
+            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
+        }
+        Ok(msg)
+    }
+
+    /// Capacity to reserve for [`Message::write_body`]: the blob and name
+    /// lengths plus a bound on the fixed fields, so the blob-carrying
+    /// messages encode without growing their buffer. (A catalogue
+    /// `Announce` still grows; it is rare and has no cheap bound.)
+    fn encoded_len_hint(&self) -> usize {
+        // Four varints at their everyday widths, codec id, length prefixes.
+        const FIXED: usize = 32;
+        FIXED
+            + match self {
+                Message::VarSample { name, payload, .. }
+                | Message::EventData { name, payload, .. }
+                | Message::CallRequest { function: name, payload, .. } => {
+                    name.as_str().len() + payload.len()
+                }
+                Message::CallReply { payload, .. }
+                | Message::FileChunk { payload, .. }
+                | Message::Fragment { payload, .. }
+                | Message::RelData { payload, .. }
+                | Message::FecShard { payload, .. } => payload.len(),
+                _ => FIXED,
+            }
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {
@@ -800,7 +897,13 @@ impl Message {
         }
     }
 
-    fn read_body(kind: MessageKind, r: &mut WireReader<'_>) -> Result<Message, DecodeError> {
+    /// `backing`, when given, is the storage `r` reads from: blob fields
+    /// are then cut out of it instead of copied.
+    fn read_body(
+        kind: MessageKind,
+        r: &mut WireReader<'_>,
+        backing: Option<&Bytes>,
+    ) -> Result<Message, DecodeError> {
         Ok(match kind {
             MessageKind::Hello => Message::Hello {
                 container: read_name(r)?,
@@ -883,7 +986,7 @@ impl Message {
                 validity_us: r.get_varint()?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::EventData => Message::EventData {
                 name: read_name(r)?,
@@ -891,7 +994,7 @@ impl Message {
                 stamp_us: r.get_varint()?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::CallRequest => Message::CallRequest {
                 request: RequestId(r.get_varint()?),
@@ -899,7 +1002,7 @@ impl Message {
                 target_seq: read_u32(r)?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::CallReply => {
                 let request = RequestId(r.get_varint()?);
@@ -910,7 +1013,7 @@ impl Message {
                     status,
                     trace: r.get_varint()?,
                     codec: r.get_u8()?,
-                    payload: read_blob(r)?,
+                    payload: read_blob(r, backing)?,
                 }
             }
             MessageKind::FileAnnounce => Message::FileAnnounce {
@@ -929,7 +1032,7 @@ impl Message {
                 transfer: TransferId(r.get_varint()?),
                 revision: read_u32(r)?,
                 index: read_u32(r)?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::FileQuery => {
                 Message::FileQuery { transfer: TransferId(r.get_varint()?), revision: read_u32(r)? }
@@ -957,12 +1060,12 @@ impl Message {
                 msg_id: r.get_varint()?,
                 index: read_u32(r)?,
                 count: read_u32(r)?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::RelData => Message::RelData {
                 channel: r.get_u16_le()?,
                 seq: r.get_varint()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::RelAck => Message::RelAck {
                 channel: r.get_u16_le()?,
@@ -983,7 +1086,7 @@ impl Message {
                 index: r.get_u8()?,
                 k: r.get_u8()?,
                 r: r.get_u8()?,
-                payload: read_blob(r)?,
+                payload: read_blob(r, backing)?,
             },
             MessageKind::AnnounceDigest => Message::AnnounceDigest {
                 incarnation: r.get_varint()?,
@@ -1073,8 +1176,15 @@ fn read_name(r: &mut WireReader<'_>) -> Result<Name, DecodeError> {
     Name::new(s).map_err(|_| DecodeError::InvalidName)
 }
 
-fn read_blob(r: &mut WireReader<'_>) -> Result<Bytes, DecodeError> {
-    Ok(Bytes::copy_from_slice(r.get_len_prefixed(MAX_EMBEDDED)?))
+/// Reads a length-prefixed blob. The reader validates the prefix against
+/// [`MAX_EMBEDDED`] and the remaining input *before* anything is cut, so
+/// the shared window below is always in bounds.
+fn read_blob(r: &mut WireReader<'_>, backing: Option<&Bytes>) -> Result<Bytes, DecodeError> {
+    let blob = r.get_len_prefixed(MAX_EMBEDDED)?;
+    Ok(match backing {
+        Some(b) => b.slice(r.position() - blob.len()..r.position()),
+        None => Bytes::copy_from_slice(blob),
+    })
 }
 
 fn read_u32(r: &mut WireReader<'_>) -> Result<u32, DecodeError> {

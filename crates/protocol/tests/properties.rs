@@ -8,12 +8,17 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use marea_presentation::Name;
+use marea_encoding::DecodeError;
+use marea_presentation::{DataType, Name};
 use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender};
 use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
-use marea_protocol::fragment::{fragment_payload, Reassembler};
+use marea_protocol::fragment::{fragment_payload, fragment_shared, Reassembler};
+use marea_protocol::messages::{AnnounceEntry, CallStatus, FunctionSig, Provision, ServiceState};
 use marea_protocol::mftp::{FileReceiver, FileSender, RevisionPolicy};
-use marea_protocol::{Frame, GroupId, Message, Micros, NodeId, ProtoDuration, TransferId};
+use marea_protocol::{
+    Encoded, Frame, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
+    TransferId,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -470,5 +475,350 @@ proptest! {
         let i = byte.index(wire.len());
         wire[i] ^= 1 << bit;
         prop_assert!(Frame::decode(&wire).is_err(), "bit flip at {}:{} accepted", i, bit);
+    }
+}
+
+// ---- zero-copy decode: equivalence, hostile lengths, wire golden ----------
+
+fn name(s: String) -> Name {
+    Name::new(s).expect("generated names are valid")
+}
+
+/// One instance of `kind`, every field derived from `seed` and `blob`.
+fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
+    let small = (seed % 251) as u32;
+    let payload = Bytes::copy_from_slice(blob);
+    let item = name(format!("svc{}/item{}", seed % 7, small));
+    let node = NodeId(small + 1);
+    let transfer = TransferId(seed >> 3);
+    match kind {
+        MessageKind::Hello => Message::Hello {
+            container: name(format!("node{small}")),
+            incarnation: seed,
+            fec_cap: (seed % 5) as u8,
+        },
+        MessageKind::Heartbeat => Message::Heartbeat {
+            incarnation: seed,
+            uptime_us: seed.rotate_left(17),
+            load_permille: (seed % 1001) as u16,
+            fec_cap: (seed % 5) as u8,
+        },
+        MessageKind::Bye => Message::Bye,
+        MessageKind::Announce => Message::Announce {
+            incarnation: seed,
+            entries: vec![AnnounceEntry {
+                service_seq: small,
+                name: name(format!("svc{}", seed % 7)),
+                state: ServiceState::Running,
+                provides: vec![
+                    Provision::Variable {
+                        name: item.clone(),
+                        ty: DataType::F64,
+                        period_us: seed % 100_000,
+                        validity_us: seed % 1_000_000,
+                    },
+                    Provision::Event { name: item.clone(), ty: Some(DataType::U8) },
+                    Provision::Event { name: item.clone(), ty: None },
+                    Provision::Function {
+                        name: item.clone(),
+                        sig: FunctionSig {
+                            params: vec![DataType::U32, DataType::Bytes],
+                            returns: Some(DataType::Bool),
+                        },
+                    },
+                    Provision::FileResource { name: item },
+                ],
+            }],
+        },
+        MessageKind::ServiceStatus => {
+            Message::ServiceStatus { service_seq: small, name: item, state: ServiceState::Degraded }
+        }
+        MessageKind::SubscribeVar => {
+            Message::SubscribeVar { name: item, subscriber: node, need_initial: seed & 1 == 0 }
+        }
+        MessageKind::UnsubscribeVar => Message::UnsubscribeVar { name: item, subscriber: node },
+        MessageKind::VarSample => Message::VarSample {
+            name: item,
+            seq: seed,
+            stamp_us: seed >> 7,
+            validity_us: seed % 1_000_000,
+            trace: seed % 300,
+            codec: (seed % 2) as u8,
+            payload,
+        },
+        MessageKind::EventData => Message::EventData {
+            name: item,
+            seq: seed,
+            stamp_us: seed >> 7,
+            trace: seed % 300,
+            codec: (seed % 2) as u8,
+            payload,
+        },
+        MessageKind::CallRequest => Message::CallRequest {
+            request: RequestId(seed),
+            function: item,
+            target_seq: small,
+            trace: seed % 300,
+            codec: (seed % 2) as u8,
+            payload,
+        },
+        MessageKind::CallReply => Message::CallReply {
+            request: RequestId(seed),
+            status: CallStatus::AppError,
+            trace: seed % 300,
+            codec: (seed % 2) as u8,
+            payload,
+        },
+        MessageKind::FileAnnounce => Message::FileAnnounce {
+            transfer,
+            resource: item,
+            revision: small,
+            size: seed >> 20,
+            chunk_size: 1 + small,
+            group: GroupId(small),
+        },
+        MessageKind::FileSubscribe => Message::FileSubscribe { transfer, subscriber: node },
+        MessageKind::FileChunk => {
+            Message::FileChunk { transfer, revision: small, index: small * 3, payload }
+        }
+        MessageKind::FileQuery => Message::FileQuery { transfer, revision: small },
+        MessageKind::FileAck => Message::FileAck { transfer, revision: small, subscriber: node },
+        MessageKind::FileNack => Message::FileNack {
+            transfer,
+            revision: small,
+            subscriber: node,
+            runs: vec![(0, 1 + small), (small * 2 + 9, 4)],
+        },
+        MessageKind::FileCancel => Message::FileCancel { transfer },
+        MessageKind::Fragment => {
+            Message::Fragment { msg_id: seed, index: small, count: small + 1, payload }
+        }
+        MessageKind::RelData => Message::RelData { channel: small as u16, seq: seed, payload },
+        MessageKind::RelAck => Message::RelAck {
+            channel: small as u16,
+            cumulative: seed,
+            sack: seed.rotate_left(9),
+            loss_permille: (seed % 1001) as u16,
+        },
+        MessageKind::SubscribeEvent => Message::SubscribeEvent { name: item, subscriber: node },
+        MessageKind::UnsubscribeEvent => Message::UnsubscribeEvent { name: item, subscriber: node },
+        MessageKind::FecShard => Message::FecShard {
+            channel: small as u16,
+            group: seed,
+            index: (seed % 200) as u8,
+            k: 4,
+            r: 1,
+            payload,
+        },
+        MessageKind::AnnounceDigest => Message::AnnounceDigest {
+            incarnation: seed,
+            entry_count: small,
+            catalogue_hash: (seed >> 11) as u32,
+        },
+        MessageKind::AnnounceRequest => Message::AnnounceRequest,
+    }
+}
+
+/// The kinds whose last field is a length-prefixed blob.
+const BLOB_KINDS: [MessageKind; 8] = [
+    MessageKind::VarSample,
+    MessageKind::EventData,
+    MessageKind::CallRequest,
+    MessageKind::CallReply,
+    MessageKind::FileChunk,
+    MessageKind::Fragment,
+    MessageKind::RelData,
+    MessageKind::FecShard,
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For every `Message` variant: decode-from-`Bytes` == decode-from-
+    /// `&[u8]` == the original, on the frame path and on the tagged path;
+    /// the one-buffer writers emit exactly the two-step writers' bytes.
+    #[test]
+    fn shared_decode_equals_copying_decode_for_every_variant(
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        for &kind in MessageKind::ALL {
+            let msg = instance(kind, seed, &blob);
+            prop_assert_eq!(msg.kind(), kind);
+            let src = NodeId((seed % 1000) as u32);
+
+            let wire = msg.clone().into_frame(src).encode();
+            prop_assert_eq!(&msg.encode_frame(src), &wire, "encode-once writer, {:?}", kind);
+            let copied = Frame::decode(&wire).unwrap();
+            let shared = Frame::decode_shared(&wire).unwrap();
+            prop_assert_eq!(&shared, &copied);
+            prop_assert_eq!(Message::from_frame(&shared).unwrap(), msg.clone());
+            prop_assert_eq!(Message::from_frame(&copied).unwrap(), msg.clone());
+            prop_assert_eq!(Message::decode_payload(kind, copied.payload()).unwrap(), msg.clone());
+
+            let tagged = msg.encode_tagged();
+            prop_assert_eq!(Message::decode_tagged(&tagged).unwrap(), msg.clone());
+            prop_assert_eq!(Message::decode_tagged_shared(&tagged).unwrap(), msg.clone());
+
+            // A message encoded for an MTU is its frame when that fits and
+            // its tagged form when it does not.
+            prop_assert_eq!(msg.encode_within(src, wire.len()), Encoded::Frame(wire.clone()));
+            if !wire.is_empty() {
+                prop_assert_eq!(msg.encode_within(src, wire.len() - 1), Encoded::Oversize(tagged));
+            }
+        }
+    }
+
+    /// Arbitrary bytes meet the same verdict from both frame decoders and
+    /// both tagged-message decoders — the shared entries have no validator
+    /// of their own.
+    #[test]
+    fn shared_and_copying_decoders_agree_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let shared = Bytes::from(bytes.clone());
+        prop_assert_eq!(Frame::decode_shared(&shared), Frame::decode(&bytes));
+        prop_assert_eq!(Message::decode_tagged_shared(&shared), Message::decode_tagged(&bytes));
+    }
+
+    /// Shared fragments are the copied fragments.
+    #[test]
+    fn shared_fragments_equal_copied_fragments(
+        payload in proptest::collection::vec(any::<u8>(), 0..6000),
+        chunk in 0usize..999,
+    ) {
+        let shared = fragment_shared(9, &Bytes::from(payload.clone()), chunk);
+        prop_assert_eq!(shared, fragment_payload(9, &payload, chunk));
+    }
+}
+
+/// A blob length prefix that runs past the input, past `MAX_FRAME_PAYLOAD`
+/// or past `usize` arithmetic is refused with the same `DecodeError` by
+/// the shared and the copying decoders (and, being refused before anything
+/// is cut, never slices out of bounds).
+#[test]
+fn hostile_blob_lengths_fail_identically_on_both_paths() {
+    fn varint(mut v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return out;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+    let max = marea_protocol::MAX_FRAME_PAYLOAD as u64;
+    let eof = |needed| DecodeError::UnexpectedEof { needed };
+    let over = |declared| DecodeError::LengthOverflow { declared, limit: max as usize };
+    // (declared length, bytes actually present, expected error)
+    let cases = [
+        (1, 0, eof(1)),
+        (100, 99, eof(1)),
+        (max, 5, eof(max as usize - 5)),
+        (max + 1, 5, over(max + 1)),
+        (u64::from(u32::MAX) + 1, 0, over(u64::from(u32::MAX) + 1)),
+        (usize::MAX as u64, 3, over(usize::MAX as u64)),
+        (u64::MAX, 0, over(u64::MAX)),
+    ];
+    for kind in BLOB_KINDS {
+        // An empty blob is the last field: its encoding ends in the
+        // one-byte length prefix 0, which is swapped for a hostile one.
+        let body = instance(kind, 0xC0FFEE, b"").encode_payload();
+        let (&prefix, head) = body.split_last().unwrap();
+        assert_eq!(prefix, 0, "{kind:?} ends in its blob's length prefix");
+        for (declared, present, expected) in &cases {
+            let mut hostile = head.to_vec();
+            hostile.extend(varint(*declared));
+            hostile.resize(hostile.len() + *present, 0xEE);
+
+            let copying = Message::decode_payload(kind, &hostile);
+            let frame = Frame::new(NodeId(1), kind, Bytes::from(hostile.clone()));
+            assert_eq!(copying, Err(expected.clone()), "{kind:?} declares {declared}");
+            assert_eq!(Message::from_frame(&frame), copying, "{kind:?} declares {declared}");
+
+            let mut tagged = vec![kind.wire_tag()];
+            tagged.extend(&hostile);
+            assert_eq!(Message::decode_tagged(&tagged), copying);
+            assert_eq!(Message::decode_tagged_shared(&Bytes::from(tagged)), copying);
+        }
+    }
+    // An empty tagged input has no kind byte to read, on either path.
+    assert_eq!(Message::decode_tagged(&[]), Err(eof(1)));
+    assert_eq!(Message::decode_tagged_shared(&Bytes::new()), Err(eof(1)));
+}
+
+/// Decoded blobs are windows onto the datagram, not copies: the receive
+/// path's "no copy before the handler" is a property of the pointers.
+#[test]
+fn shared_decode_cuts_blobs_out_of_the_datagram() {
+    let blob: Vec<u8> = (0..1400u32).map(|i| (i * 7) as u8).collect();
+    for kind in BLOB_KINDS {
+        let datagram = instance(kind, 42, &blob).encode_frame(NodeId(3));
+        let range = datagram.as_ptr_range();
+        let frame = Frame::decode_shared(&datagram).unwrap();
+        let inside = |b: &Bytes| range.contains(&b.as_ptr()) && b.as_ref() == blob.as_slice();
+        let msg = Message::from_frame(&frame).unwrap();
+        let (Message::VarSample { payload, .. }
+        | Message::EventData { payload, .. }
+        | Message::CallRequest { payload, .. }
+        | Message::CallReply { payload, .. }
+        | Message::FileChunk { payload, .. }
+        | Message::Fragment { payload, .. }
+        | Message::RelData { payload, .. }
+        | Message::FecShard { payload, .. }) = msg
+        else {
+            panic!("{kind:?} carries a blob");
+        };
+        assert!(inside(&payload), "{kind:?} blob was copied");
+    }
+}
+
+/// Wire golden: the bytes of one fixed message per `MessageKind`, framed
+/// from node 7, as they were before the encode-once writer existed. Both
+/// writers must keep producing them — the BENCH files pin byte *counts*,
+/// this pins the bytes.
+#[test]
+fn wire_golden_pins_every_kind() {
+    const GOLDEN: &[(MessageKind, &str)] = &[
+        (MessageKind::Hello, "4d410100070000000e00000074848e94076e6f646531393787a2b4f70500"),
+        (MessageKind::Heartbeat, "4d410101070000000f0000003270b64a87a2b4f7058080b890a2bb2fb40200"),
+        (MessageKind::Bye, "4d4101020700000000000000fffc2e09"),
+        (MessageKind::Announce, "4d41010307000000690000002a5bde1287a2b4f70501c50104737663360105000c737663362f6974656d313937010ae7e30587a624010c737663362f6974656d313937010105010c737663362f6974656d31393700020c737663362f6974656d313937020107010d010100030c737663362f6974656d313937"),
+        (MessageKind::ServiceStatus, "4d41010407000000100000008b04a1b3c5010c737663362f6974656d31393702"),
+        (MessageKind::SubscribeVar, "4d4101050700000012000000a3e4d7f00c737663362f6974656d313937c600000000"),
+        (MessageKind::UnsubscribeVar, "4d4101060700000011000000adf8545e0c737663362f6974656d313937c6000000"),
+        (MessageKind::VarSample, "4d4101070700000021000000a01c8a030c737663362f6974656d31393787a2b4f705a2b4f70587a624a70201040001feff"),
+        (MessageKind::EventData, "4d410108070000001e000000bfc28b700c737663362f6974656d31393787a2b4f705a2b4f705a70201040001feff"),
+        (MessageKind::CallRequest, "4d410109070000001c000000b8b1cd0787a2b4f7050c737663362f6974656d313937c501a70201040001feff"),
+        (MessageKind::CallReply, "4d41010a070000000e0000009a844ee187a2b4f70501a70201040001feff"),
+        (MessageKind::FileAnnounce, "4d41010b070000001b0000005225cacba0c4f65e0c737663362f6974656d313937c501ee0bc601c5000000"),
+        (MessageKind::FileSubscribe, "4d41010c07000000080000001d67f812a0c4f65ec6000000"),
+        (MessageKind::FileChunk, "4d41010d070000000d00000005cf9adfa0c4f65ec501cf04040001feff"),
+        (MessageKind::FileQuery, "4d41010e0700000006000000bb8b39dea0c4f65ec501"),
+        (MessageKind::FileAck, "4d41010f070000000a000000203089c7a0c4f65ec501c6000000"),
+        (MessageKind::FileNack, "4d4101100700000011000000cc8b14a9a0c4f65ec501c60000000200c601930304"),
+        (MessageKind::FileCancel, "4d41011107000000040000006e3b3ba9a0c4f65e"),
+        (MessageKind::Fragment, "4d410112070000000e0000002746de5187a2b4f705c501c601040001feff"),
+        (MessageKind::RelData, "4d410113070000000c000000c13065b6c50087a2b4f705040001feff"),
+        (MessageKind::RelAck, "4d4101140700000014000000b855e14ec5000711ed5e00000000000e22dabd000000b402"),
+        (MessageKind::SubscribeEvent, "4d41011507000000110000002d4e51060c737663362f6974656d313937c6000000"),
+        (MessageKind::UnsubscribeEvent, "4d4101160700000011000000d5a306f40c737663362f6974656d313937c6000000"),
+        (MessageKind::FecShard, "4d410117070000000f00000006529fc1c50087a2b4f7055f0401040001feff"),
+        (MessageKind::AnnounceDigest, "4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00"),
+        (MessageKind::AnnounceRequest, "4d41011907000000000000005320bb27"),
+    ];
+    assert_eq!(GOLDEN.len(), MessageKind::ALL.len(), "one golden per kind");
+    for (&kind, (golden_kind, golden)) in MessageKind::ALL.iter().zip(GOLDEN) {
+        assert_eq!(kind, *golden_kind);
+        let msg = instance(kind, 0x5EED_1107, b"\x00\x01\xfe\xff");
+        assert_eq!(hex(&msg.clone().into_frame(NodeId(7)).encode()), *golden, "{kind:?}");
+        assert_eq!(hex(&msg.encode_frame(NodeId(7))), *golden, "{kind:?} (encode_frame)");
     }
 }

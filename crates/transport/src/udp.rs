@@ -115,20 +115,18 @@ impl Transport for UdpTransport {
         if frame.len() > self.mtu {
             return Err(TransportError::PayloadTooLarge { size: frame.len(), mtu: self.mtu });
         }
-        let targets: Vec<SocketAddr> = match dest {
+        let socket = &self.socket;
+        let send_to = |addr: &SocketAddr| {
+            socket.send_to(&frame, addr).map(drop).map_err(|e| TransportError::Io(e.to_string()))
+        };
+        match dest {
             TransportDestination::Node(n) => {
-                let addr =
-                    self.peers.get(&n).copied().ok_or(TransportError::UnknownDestination(n))?;
-                vec![addr]
+                send_to(self.peers.get(&n).ok_or(TransportError::UnknownDestination(n))?)
             }
             TransportDestination::Group(_) | TransportDestination::Broadcast => {
-                self.peers.values().copied().collect()
+                self.peers.values().try_for_each(send_to)
             }
-        };
-        for addr in targets {
-            self.socket.send_to(&frame, addr).map_err(|e| TransportError::Io(e.to_string()))?;
         }
-        Ok(())
     }
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {

@@ -3,38 +3,51 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the small API subset MAREA actually uses: a cheaply-clonable
 //! immutable byte buffer ([`Bytes`]), an append-only builder
-//! ([`BytesMut`]) and the [`BufMut`] writer trait. Semantics match the
-//! real crate for this subset; swap the path dependency for the upstream
-//! crate when networked builds are available.
+//! ([`BytesMut`]) and the [`BufMut`] writer trait. The observable
+//! behaviour of this subset matches the real crate, and so do the costs
+//! the middleware relies on: `clone`/`slice` are O(1) and share storage,
+//! [`BytesMut::freeze`] and `Bytes::from(Vec<u8>)` take the vector over
+//! without copying it, and [`Bytes::new`]/[`Bytes::from_static`] do not
+//! allocate. What differs is the representation (an `Arc<Vec<u8>>`, one
+//! pointer hop more than upstream's vtable design — no `unsafe` here) and
+//! that a frozen buffer keeps its spare capacity. Swap the path
+//! dependency for the upstream crate when networked builds are available.
 
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable contiguous slice of memory.
 ///
-/// Internally a reference-counted vector plus a window, so `clone` and
-/// `slice` are O(1).
+/// Internally a window onto either a static slice or a reference-counted
+/// vector, so `clone` and `slice` are O(1) and taking over a `Vec<u8>`
+/// moves it instead of copying it.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
+#[derive(Clone)]
+enum Storage {
+    Static(&'static [u8]),
+    Shared(Arc<Vec<u8>>),
+}
+
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+    /// Creates an empty `Bytes` (no allocation).
+    pub const fn new() -> Self {
+        Bytes::from_static(&[])
     }
 
-    /// Creates `Bytes` from a static slice.
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
+    /// Creates `Bytes` from a static slice (no allocation, no copy).
+    pub const fn from_static(bytes: &'static [u8]) -> Self {
+        Bytes { data: Storage::Static(bytes), start: 0, end: bytes.len() }
     }
 
     /// Creates `Bytes` by copying `data`.
@@ -71,7 +84,7 @@ impl Bytes {
             Bound::Unbounded => len,
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
-        Bytes { data: Arc::clone(&self.data), start: self.start + begin, end: self.start + end }
+        Bytes { data: self.data.clone(), start: self.start + begin, end: self.start + end }
     }
 
     /// Copies self into a new `Vec`.
@@ -90,7 +103,11 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all = match &self.data {
+            Storage::Static(s) => s,
+            Storage::Shared(v) => v.as_slice(),
+        };
+        &all[self.start..self.end]
     }
 }
 
@@ -107,21 +124,24 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// O(1): the vector is moved behind the reference count, not copied.
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(v);
-        Bytes { start: 0, end: data.len(), data }
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        Bytes { start: 0, end: v.len(), data: Storage::Shared(Arc::new(v)) }
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes::from(v.to_vec())
+        Bytes::from_static(v)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Bytes::from(v.as_bytes().to_vec())
+        Bytes::from_static(v.as_bytes())
     }
 }
 
@@ -243,7 +263,7 @@ impl BytesMut {
         self.data.extend_from_slice(extend);
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] (O(1), the buffer is moved).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -254,6 +274,12 @@ impl Deref for BytesMut {
 
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -328,6 +354,65 @@ mod tests {
         assert_eq!(s.as_ref(), &[2, 3, 4]);
         assert_eq!(s.slice(1..).as_ref(), &[3, 4]);
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn freeze_and_from_vec_keep_the_data_pointer() {
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"0123456789");
+        let before = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), before, "freeze must not copy");
+        let v = vec![7u8; 4096];
+        let before = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), before, "From<Vec<u8>> must not copy");
+    }
+
+    #[test]
+    fn slice_and_clone_share_storage() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let base = b.as_ptr();
+        assert_eq!(b.clone().as_ptr(), base);
+        let s = b.slice(2..);
+        assert_eq!(s.as_ptr(), base.wrapping_add(2));
+        assert_eq!(s.slice(1..2).as_ptr(), base.wrapping_add(3));
+        // The window outlives the handle it was cut from.
+        drop(b);
+        assert_eq!(s.as_ref(), &[3, 4, 5]);
+    }
+
+    #[test]
+    fn empty_and_static_do_not_allocate() {
+        // A `const fn` cannot allocate: evaluating both at compile time is
+        // the proof.
+        const EMPTY: Bytes = Bytes::new();
+        const HELLO: Bytes = Bytes::from_static(b"hello");
+        assert!(EMPTY.is_empty());
+        assert_eq!(HELLO.slice(1..3).as_ref(), b"el");
+        static SRC: [u8; 3] = [1, 2, 3];
+        assert_eq!(Bytes::from_static(&SRC).as_ptr(), SRC.as_ptr());
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slice_past_the_end_panics() {
+        let _ = Bytes::from(vec![1, 2, 3]).slice(1..3).slice(..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slice_with_inverted_range_panics() {
+        #[allow(clippy::reversed_empty_ranges)]
+        let _ = Bytes::from(vec![1, 2, 3]).slice(2..1);
+    }
+
+    #[test]
+    fn bytes_mut_is_patchable_in_place() {
+        let mut m = BytesMut::new();
+        m.put_u32_le(0);
+        m.put_u8(9);
+        m[..4].copy_from_slice(&0xAABB_CCDDu32.to_le_bytes());
+        assert_eq!(m.freeze().as_ref(), &[0xDD, 0xCC, 0xBB, 0xAA, 9]);
     }
 
     #[test]
