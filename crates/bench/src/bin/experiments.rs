@@ -293,8 +293,8 @@ fn documents() -> [Document; 4] {
                  \"window_ms\": {SWARM_WINDOW_MS}, \"seed\": {C11_SEED}}}"
             )),
             wall_clock_gate: Some(
-                "swarm_ticks_per_sec_floor_at_256_nodes: \
-                 >= 250k container ticks/sec at 256 nodes, release mode",
+                "swarm_virt_s_per_host_s_floor_at_256_nodes: \
+                 >= 1.0 simulated s per host s at 256 nodes, release mode",
             ),
         },
     ]
@@ -682,7 +682,7 @@ fn c11_swarm_scale() -> Outcome {
         })
         .collect();
     outcome.notes =
-        vec!["wall-clock gate: tests::swarm_ticks_per_sec_floor_at_256_nodes (release, >=250k)"
+        vec!["wall-clock gate: tests::swarm_virt_s_per_host_s_floor_at_256_nodes (release, >=1.0 sim s/host s)"
             .into()];
     outcome
 }

@@ -1082,12 +1082,14 @@ pub const SWARM_NODE_COUNTS: [u32; 4] = [16, 64, 256, 1024];
 /// after discovery settles. Every field is virtual-time/counter-valued,
 /// so the same `(nodes, seed)` pair reproduces the row byte for byte;
 /// the *wall-clock* cost of the identical run is what
-/// [`bench_swarm_ticks_per_sec`] measures.
+/// [`bench_swarm_virt_s_per_host_s`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwarmScaleRow {
     /// Fleet size.
     pub nodes: u32,
-    /// Container ticks executed inside the window (steps × nodes).
+    /// Grid slots inside the window (steps × nodes): the ticks an
+    /// every-node sweep would run. Arithmetic, not a counter — the
+    /// harness ticks only the nodes that have work.
     pub ticks: u64,
     /// Window length in virtual ms.
     pub virtual_ms: u64,
@@ -1182,19 +1184,19 @@ pub fn bench_swarm_scale(seed: u64) -> Vec<SwarmScaleRow> {
     SWARM_NODE_COUNTS.iter().map(|&n| bench_swarm_scale_row(n, seed)).collect()
 }
 
-/// Wall-clock throughput of the identical [`bench_swarm_scale_row`]
-/// run: container ticks executed per host second inside the window.
-/// Machine-dependent by construction — the `--ignored` release floor
-/// test gates it in CI; `benchmark/README.md` covers host-time numbers.
-pub fn bench_swarm_ticks_per_sec(nodes: u32, seed: u64) -> f64 {
+/// Wall-clock speed of the identical [`bench_swarm_scale_row`] run:
+/// simulated seconds per host second inside the window. Machine-
+/// dependent by construction — the `--ignored` release floor test gates
+/// it in CI; `benchmark/README.md` covers host-time numbers.
+pub fn bench_swarm_virt_s_per_host_s(nodes: u32, seed: u64) -> f64 {
     let mut h = swarm_fleet(nodes, seed);
     h.start_all();
     h.run_for_millis(SWARM_SETTLE_MS);
-    // marea-lint: allow(D2): wall-clock bench — host ticks/sec is the quantity measured
+    // marea-lint: allow(D2): wall-clock bench — simulated s per host s is the quantity measured
     let t0 = std::time::Instant::now();
     h.run_for_millis(SWARM_WINDOW_MS);
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    (SWARM_WINDOW_MS * 1_000 / SWARM_TICK_US * u64::from(nodes)) as f64 / elapsed
+    SWARM_WINDOW_MS as f64 / 1_000.0 / elapsed
 }
 
 // ---------------------------------------------------------------------------
@@ -1426,18 +1428,24 @@ mod tests {
         assert_eq!(a.ticks, 2_000 * 64, "{a:?}");
     }
 
-    /// C11 wall-clock gate: the 256-node fleet must tick fast enough
-    /// that swarm scenarios stay affordable. Wall-clock, so ignored by
-    /// default; CI runs it in release. The floor sits several times
-    /// under what the due-date core measures so CI noise can't trip it,
-    /// while a return of the per-tick full-map sweeps (≈12× slower)
-    /// would. Host-time numbers: `benchmark/README.md`.
+    /// C11 wall-clock gate: the 256-node fleet must simulate fast enough
+    /// that swarm scenarios stay affordable. Simulated seconds per host
+    /// second, not ticks: the harness skips idle nodes, so a tick rate
+    /// would reward exactly the work that is no longer done. Wall-clock,
+    /// so ignored by default; CI runs it in release. The floor sits ≈4×
+    /// under what this core measures (4.3 simulated s per host s on the
+    /// reference host; the every-node sweep before it ran 2.3) so CI
+    /// noise can't trip it, while a return of the per-tick full-map
+    /// sweeps (≈0.2) would. It is a tripwire, not the measurement: a
+    /// before/after claim is a row of `benchmark/` (`swarm_sparse` is
+    /// this fleet), see `benchmark/README.md`.
     #[test]
     #[ignore = "wall-clock measurement; CI runs it in release"]
-    fn swarm_ticks_per_sec_floor_at_256_nodes() {
-        let best = (0..3).map(|rep| bench_swarm_ticks_per_sec(256, 21 + rep)).fold(0f64, f64::max);
-        println!("C11 gate: best 256-node throughput {best:.0} ticks/sec");
-        assert!(best >= 250_000.0, "C11 gate: {best:.0} ticks/sec under the 250k floor");
+    fn swarm_virt_s_per_host_s_floor_at_256_nodes() {
+        let best =
+            (0..3).map(|rep| bench_swarm_virt_s_per_host_s(256, 21 + rep)).fold(0f64, f64::max);
+        println!("C11 gate: best 256-node speed {best:.2} simulated s per host s");
+        assert!(best >= 1.0, "C11 gate: {best:.2} simulated s per host s under the 1.0 floor");
     }
 
     /// The shared wall-clock gate: `time_once(on, rep)` times one leg

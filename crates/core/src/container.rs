@@ -51,7 +51,9 @@ use crate::service::{
     CallHandle, CallPolicy, Effect, FileEvent, ProviderNotice, Service, ServiceContext,
     ServiceDescriptor, TimerId,
 };
-use crate::stats::{ContainerStats, EventSubscriptionStats, QosStats, VarSubscriptionStats};
+use crate::stats::{
+    ContainerStats, EventSubscriptionStats, Occupancy, QosStats, VarSubscriptionStats,
+};
 use crate::sweep::{sorted_keys, sorted_keys_into};
 use crate::trace::{TraceConfig, TraceId, TraceKind, TraceRing, Tracer};
 
@@ -213,6 +215,12 @@ pub struct ServiceContainer {
     /// Peers whose reliable link may still produce poll output. Ordered
     /// so the poll sweep walks peers in node order (determinism).
     active_links: BTreeSet<NodeId>,
+    /// A frame arrived or a peer died since the `negotiated_rate_max`
+    /// gauge was last derived (see `poll_links`).
+    links_changed: bool,
+    /// The scheduler load last written into this node's own directory
+    /// record (the record `resolve_function` balances on).
+    advertised_load: u16,
     /// Scratch for the poll sweep (allocation reuse across ticks).
     link_scratch: Vec<NodeId>,
     /// Scratch for sorted map walks in the maintenance and file pumps.
@@ -233,7 +241,7 @@ impl ServiceContainer {
             codecs,
             transport,
             slots: Vec::new(),
-            directory: Directory::new(),
+            directory: Directory::for_node(config.node),
             links: HashMap::new(),
             vars: VarEngine::default(),
             events: EventEngine::default(),
@@ -257,6 +265,8 @@ impl ServiceContainer {
             subs_dirty: true,
             last_interest_retry: None,
             active_links: BTreeSet::new(),
+            links_changed: false,
+            advertised_load: 0,
             link_scratch: Vec::new(),
             sweep_scratch: Vec::new(),
             stats: ContainerStats::default(),
@@ -316,6 +326,25 @@ impl ServiceContainer {
         stats.call_rtt = self.tracer.call_rtt;
         stats.rto_recovery = self.tracer.rto_recovery;
         stats
+    }
+
+    /// Gauge snapshot: how full each bounded table is right now.
+    pub fn occupancy(&self) -> Occupancy {
+        Occupancy {
+            directory_nodes: self.directory.nodes().len(),
+            directory_provisions: self.directory.provision_count(),
+            links: self.links.len(),
+            active_links: self.active_links.len(),
+            vars_bound: self.vars.bound_count(),
+            remote_subscribers: self.vars.remote_subscriber_count()
+                + self.events.remote_subscriber_count(),
+            pending_calls: self.rpc.pending.len(),
+            files_sending: self.files.sending_count(),
+            files_receiving: self.files.receiving_count(),
+            reassembling: self.reassembler.pending_count(),
+            timers: self.timers.len(),
+            queued_tasks: self.scheduler.len(),
+        }
     }
 
     /// The flight-recorder ring of this life (oldest first; see
@@ -611,13 +640,20 @@ impl ServiceContainer {
             return;
         }
         self.stats.ticks += 1;
-        self.directory.apply_heartbeat(
-            self.config.node,
-            self.incarnation,
-            self.load_permille(),
-            self.config.fec.advertised_cap().wire_tag(),
-            now,
-        );
+        // This node's own directory record only ever changes in its load
+        // figure (it is exempt from expiry), so it is rewritten when that
+        // figure moves instead of on every tick.
+        let load = self.load_permille();
+        if load != self.advertised_load {
+            self.advertised_load = load;
+            self.directory.apply_heartbeat(
+                self.config.node,
+                self.incarnation,
+                load,
+                self.config.fec.advertised_cap().wire_tag(),
+                now,
+            );
+        }
 
         self.pump_transport(now);
         self.detect_failures(now);
@@ -648,6 +684,58 @@ impl ServiceContainer {
             self.stats.queue_peak = len;
         }
         self.reassembler.expire(now);
+    }
+
+    /// The earliest instant (on this container's clock) at which
+    /// [`tick`](Self::tick) has work that does not arrive through the
+    /// transport; `None` when only a datagram can give it any. A driver
+    /// that delivers datagrams itself may skip every tick before this
+    /// instant for as long as the inbox stays empty: such a tick would
+    /// change nothing but [`ContainerStats::ticks`].
+    ///
+    /// The answer is the minimum over every due date the tick phases
+    /// compare `now` against (timers, directory expiry, variable and call
+    /// deadlines, reassembly expiry, the heartbeat / announce / interest-
+    /// retry cadences, file completion queries, each active link's next
+    /// retransmission or FEC flush). State whose next step is not one
+    /// date — a dirty subscription table, queued handler invocations, an
+    /// acknowledgement owed, file chunks waiting for their burst —
+    /// answers *now* ([`Micros::ZERO`]): early is always sound,
+    /// because the tick it causes is one an every-tick driver runs anyway.
+    /// Valid until the next `tick` or other `&mut self` call; `tick` itself
+    /// never consults it.
+    pub fn next_due(&self) -> Option<Micros> {
+        if !self.running {
+            return None;
+        }
+        if self.subs_dirty || !self.scheduler.is_empty() {
+            return Some(Micros::ZERO);
+        }
+        // An active link without a table entry is one the poll sweep is
+        // about to drop: at once, too.
+        let links = self.active_links.iter().map(|peer| {
+            self.links.get(peer).map_or(Some(Micros::ZERO), ReliableLink::next_poll_due)
+        });
+        let cadence = |last: Option<Micros>, period: ProtoDuration| match last {
+            Some(t) => t + period,
+            None => Micros::ZERO,
+        };
+        let config = &self.config;
+        let dated = [
+            self.timers.peek().map(|&Reverse((due, _))| due),
+            self.directory.next_expiry(config.node_timeout),
+            self.vars.next_deadline(),
+            self.rpc.next_deadline(),
+            self.reassembler.next_expiry(),
+            self.files.next_pump_due(config.file_query_interval),
+            Some(cadence(self.last_heartbeat, config.heartbeat_period)),
+            Some(cadence(self.last_announce, config.announce_period)),
+            self.reannounce_pending
+                .then(|| cadence(self.last_forced_reannounce, config.announce_period)),
+            (!self.files.interests.is_empty())
+                .then(|| cadence(self.last_interest_retry, config.file_query_interval)),
+        ];
+        dated.into_iter().chain(links).flatten().min()
     }
 
     fn load_permille(&self) -> u16 {

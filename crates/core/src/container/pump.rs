@@ -11,6 +11,8 @@ impl ServiceContainer {
     pub(super) fn pump_transport(&mut self, now: Micros) {
         while let Some((_, frame_bytes)) = self.transport.recv() {
             self.stats.frames_in += 1;
+            // Any frame may create, feed or renegotiate a link.
+            self.links_changed = true;
             let Ok(frame) = Frame::decode_shared(&frame_bytes) else {
                 continue; // corrupt frames are dropped (CRC)
             };
@@ -776,6 +778,7 @@ impl ServiceContainer {
         let mut polled = std::mem::take(&mut self.link_scratch);
         polled.clear();
         polled.extend(self.active_links.iter().copied());
+        let polled_any = !polled.is_empty();
         for peer in polled.drain(..) {
             let Some(link) = self.links.get_mut(&peer) else {
                 self.active_links.remove(&peer);
@@ -805,8 +808,15 @@ impl ServiceContainer {
             }
         }
         self.link_scratch = polled;
-        // Links die with their peers, so the max is re-derived each sweep
-        // rather than tracked incrementally. This gauge walk sends nothing.
+        // Links die with their peers, so the max is re-derived rather than
+        // tracked incrementally — but only on a tick in which some link
+        // could have changed its rate: one was polled above (a reliable
+        // send makes its link active, hence polled), or a frame or a peer
+        // death touched the table since the last walk. Otherwise the gauge
+        // already holds what the walk would find. This walk sends nothing.
+        if !std::mem::take(&mut self.links_changed) && !polled_any {
+            return;
+        }
         let mut rate_max = 0u8;
         // marea-lint: allow(D1): max over link gauges is order-independent; nothing sends here
         for link in self.links.values() {

@@ -9,17 +9,8 @@ impl ServiceContainer {
 
     pub(super) fn detect_failures(&mut self, now: Micros) {
         let dead = self.directory.expire(now, self.config.node_timeout);
+        // Never this node itself: the directory exempts its owner.
         for node in dead {
-            if node == self.config.node {
-                self.directory.apply_heartbeat(
-                    self.config.node,
-                    self.incarnation,
-                    self.load_permille(),
-                    self.config.fec.advertised_cap().wire_tag(),
-                    now,
-                );
-                continue;
-            }
             self.handle_node_death(node, now);
         }
     }
@@ -28,6 +19,7 @@ impl ServiceContainer {
         self.log_line(now, format!("node {node} declared dead; purging name cache"));
         self.subs_dirty = true;
         if self.links.remove(&node).is_some() {
+            self.links_changed = true;
             self.active_links.remove(&node);
             self.tracer.record(now, TraceKind::LinkDown, TraceId::NONE, Some(node), 0, None);
         }

@@ -74,12 +74,22 @@ pub struct Directory {
     /// entry instead of sorting every known node.
     expiry: BinaryHeap<Reverse<(Micros, NodeId)>>,
     expiry_scheduled: HashSet<NodeId>,
+    /// The owning container's node. It is never queued for expiry — a
+    /// container does not time itself out — so its own liveness needs no
+    /// per-tick refresh.
+    local: Option<NodeId>,
 }
 
 impl Directory {
     /// Creates an empty directory.
     pub fn new() -> Self {
         Directory::default()
+    }
+
+    /// Creates the directory of the container on `local`: that node's own
+    /// record is exempt from heartbeat-timeout expiry.
+    pub fn for_node(local: NodeId) -> Self {
+        Directory { local: Some(local), ..Directory::default() }
     }
 
     /// Records a node `Hello` (new or rebooted container).
@@ -261,6 +271,15 @@ impl Directory {
         dead
     }
 
+    /// The earliest instant at which [`expire`](Self::expire) can have
+    /// work under `timeout`: the head of the expiry heap. The head may
+    /// belong to a node refreshed since it was queued (the sweep then just
+    /// re-arms it), so this can be early — never late. `None` while no
+    /// remote node is tracked.
+    pub fn next_expiry(&self, timeout: ProtoDuration) -> Option<Micros> {
+        self.expiry.peek().map(|&Reverse((seen, _))| seen + timeout)
+    }
+
     fn purge_node(&mut self, node: NodeId) {
         self.nodes.remove(&node);
         self.purge_node_providers(node);
@@ -282,7 +301,7 @@ impl Directory {
     /// heap holds at most one entry per node; refreshes are absorbed by
     /// the re-arm-on-pop in [`Directory::expire`].
     fn schedule_expiry(&mut self, node: NodeId, last_seen: Micros) {
-        if self.expiry_scheduled.insert(node) {
+        if self.local != Some(node) && self.expiry_scheduled.insert(node) {
             self.expiry.push(Reverse((last_seen, node)));
         }
     }
@@ -475,6 +494,26 @@ mod tests {
         let remaining = d.providers("storage/store");
         assert_eq!(remaining.len(), 1);
         assert_eq!(remaining[0].service.node, NodeId(2));
+    }
+
+    #[test]
+    fn local_node_never_expires_and_next_expiry_tracks_the_heap_head() {
+        let mut d = Directory::for_node(NodeId(1));
+        d.apply_hello(NodeId(1), name("n1"), 1, 4, Micros(0));
+        let timeout = ProtoDuration::from_secs(2);
+        assert_eq!(d.next_expiry(timeout), None, "only the local node known");
+        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros::from_millis(300));
+        assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
+        // Refreshed peers leave a stale head: the bound is early, and the
+        // sweep at that instant re-arms instead of expiring.
+        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(1000));
+        assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
+        assert!(d.expire(Micros::from_millis(2300), timeout).is_empty());
+        assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(3000)));
+        // Long silence: the peer dies, the local record stays.
+        assert_eq!(d.expire(Micros::from_secs(60), timeout), vec![NodeId(2)]);
+        assert!(d.node_alive(NodeId(1)));
+        assert_eq!(d.next_expiry(timeout), None);
     }
 
     #[test]

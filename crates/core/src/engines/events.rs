@@ -111,6 +111,11 @@ impl EventEngine {
     pub fn total_queue_drops(&self) -> u64 {
         self.subscribed.values().map(|s| s.total_drops()).sum()
     }
+
+    /// Remote subscribers over every published event.
+    pub fn remote_subscriber_count(&self) -> usize {
+        self.published.values().map(|p| p.remote_subscribers.len()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use marea_presentation::Name;
 use marea_protocol::mftp::{FileReceiver, FileSender};
-use marea_protocol::{Message, Micros, NodeId, TransferId};
+use marea_protocol::{Message, Micros, NodeId, ProtoDuration, TransferId};
 
 /// Publisher-side transfer session state.
 #[derive(Debug)]
@@ -58,6 +58,31 @@ impl FileEngine {
     pub fn alloc_transfer(&mut self) -> TransferId {
         self.next_transfer += 1;
         TransferId(self.next_transfer)
+    }
+
+    /// When the file pump next has output: at once while any unfinished
+    /// transfer still has chunks queued, else at the earliest completion
+    /// query (`query_interval` after the transfer's last one). `None`
+    /// while every outgoing transfer is complete.
+    pub fn next_pump_due(&self, query_interval: ProtoDuration) -> Option<Micros> {
+        self.outgoing
+            .values()
+            .filter(|out| !out.sender.is_complete())
+            .map(|out| match out.last_query_at {
+                Some(last) if !out.sender.has_pending_chunks() => last + query_interval,
+                _ => Micros::ZERO,
+            })
+            .min()
+    }
+
+    /// Outgoing transfers with subscribers still to serve.
+    pub fn sending_count(&self) -> usize {
+        self.outgoing.values().filter(|out| !out.sender.is_complete()).count()
+    }
+
+    /// Interests with a receiver in progress.
+    pub fn receiving_count(&self) -> usize {
+        self.interests.values().filter(|i| i.receiver.is_some()).count()
     }
 
     /// Resource name for a transfer id, if known.

@@ -103,6 +103,13 @@ impl RpcEngine {
         self.pending.insert(id, call);
     }
 
+    /// The earliest instant at which [`expired`](Self::expired) can have
+    /// work: the head of the due-date heap (possibly stale, hence early —
+    /// never late).
+    pub fn next_deadline(&self) -> Option<Micros> {
+        self.deadline_heap.peek().map(|&Reverse((deadline, _))| deadline)
+    }
+
     /// Pending calls whose deadline has passed at `now`.
     pub fn expired(&mut self, now: Micros) -> Vec<RequestId> {
         let mut out: Vec<RequestId> = Vec::new();

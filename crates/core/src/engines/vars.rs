@@ -245,6 +245,13 @@ impl VarEngine {
         }
     }
 
+    /// The earliest instant at which [`sweep_deadlines`](Self::sweep_deadlines)
+    /// can have work: the head of the due-date heap (possibly stale, hence
+    /// early — never late).
+    pub fn next_deadline(&self) -> Option<Micros> {
+        self.deadline_heap.peek().map(|Reverse((due, _))| *due)
+    }
+
     /// Variables whose deadline has been missed at `now` (marks them
     /// warned and counts the miss against the subscription's contract).
     pub fn sweep_deadlines(&mut self, now: Micros) -> Vec<Name> {
@@ -269,6 +276,16 @@ impl VarEngine {
         }
         out.sort();
         out
+    }
+
+    /// Subscribed channels currently bound to a provider.
+    pub fn bound_count(&self) -> usize {
+        self.subscribed.values().filter(|s| s.provider.is_some()).count()
+    }
+
+    /// Remote subscribers over every published variable.
+    pub fn remote_subscriber_count(&self) -> usize {
+        self.published.values().map(|p| p.remote_subscribers.len()).sum()
     }
 
     /// Total stale drops over every subscription.

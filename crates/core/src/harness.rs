@@ -1,6 +1,6 @@
 //! Drivers: the deterministic simulation harness and the wall-clock driver.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use marea_netsim::{NetConfig, SimNet};
@@ -73,9 +73,12 @@ impl Skew {
 
 /// Drives a fleet of containers over a simulated LAN on virtual time.
 ///
-/// Every container is ticked at a fixed cadence while the network delivers
+/// Virtual time advances on a fixed tick grid while the network delivers
 /// datagrams in between — the same seed always reproduces the same run,
-/// which is what makes the integration tests and benches exact.
+/// which is what makes the integration tests and benches exact. On each
+/// grid step only the containers that have something to do are ticked
+/// (next-event time advance, see [`step`](Self::step)); the outcome is the
+/// one ticking every container on every step would produce.
 ///
 /// # Examples
 ///
@@ -93,8 +96,20 @@ impl Skew {
 /// ```
 pub struct SimHarness {
     net: SimNet,
-    containers: HashMap<NodeId, ServiceContainer>,
-    order: Vec<NodeId>,
+    /// Live containers in tick order: registration order, a restarted
+    /// node re-registering at the back.
+    slots: Vec<ServiceContainer>,
+    /// Wake-time column, parallel to `slots`: the local-clock instant from
+    /// which the container must be ticked — its
+    /// [`next_due`](ServiceContainer::next_due) as of its last tick
+    /// (`u64::MAX` for "only a datagram"), or 0 once anything outside a
+    /// tick may have changed that answer (a datagram arrived, the
+    /// container was handed out mutably, restarted, re-clocked). The step
+    /// loop scans this dense column and touches a container only to tick
+    /// it.
+    wake: Vec<u64>,
+    /// Node id → position in `slots`, in id order.
+    index: BTreeMap<NodeId, usize>,
     /// Restart blueprints: the config every container was created with.
     configs: HashMap<NodeId, ContainerConfig>,
     /// Restart blueprints: service factories per node (only services added
@@ -112,14 +127,19 @@ pub struct SimHarness {
     metrics: Option<MetricsSampler>,
     tick_us: u64,
     now_us: u64,
+    /// Scratch for the network's wake-up list (allocation reuse).
+    woken: Vec<u32>,
+    slots_visited: u64,
+    ticks_run: u64,
 }
 
 impl fmt::Debug for SimHarness {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let order: Vec<NodeId> = self.slots.iter().map(ServiceContainer::node).collect();
         f.debug_struct("SimHarness")
             .field("now_us", &self.now_us)
             .field("tick_us", &self.tick_us)
-            .field("nodes", &self.order)
+            .field("nodes", &order)
             .finish_non_exhaustive()
     }
 }
@@ -129,8 +149,9 @@ impl SimHarness {
     pub fn new(net_config: NetConfig) -> Self {
         SimHarness {
             net: SimNet::new(net_config),
-            containers: HashMap::new(),
-            order: Vec::new(),
+            slots: Vec::new(),
+            wake: Vec::new(),
+            index: BTreeMap::new(),
             configs: HashMap::new(),
             factories: HashMap::new(),
             incarnations: HashMap::new(),
@@ -139,7 +160,27 @@ impl SimHarness {
             metrics: None,
             tick_us: 1_000,
             now_us: 0,
+            woken: Vec::new(),
+            slots_visited: 0,
+            ticks_run: 0,
         }
+    }
+
+    /// Appends a live container to the tick order, due at once.
+    fn register(&mut self, node: NodeId, container: ServiceContainer) {
+        self.index.insert(node, self.slots.len());
+        self.slots.push(container);
+        self.wake.push(0);
+    }
+
+    /// Takes a live container out of the tick order.
+    fn unregister(&mut self, node: NodeId) -> Option<ServiceContainer> {
+        let at = self.index.remove(&node)?;
+        for later in self.index.values_mut().filter(|i| **i > at) {
+            *later -= 1;
+        }
+        self.wake.remove(at);
+        Some(self.slots.remove(at))
     }
 
     /// Changes the container tick cadence (default 1 ms).
@@ -166,8 +207,7 @@ impl SimHarness {
         let container = ServiceContainer::new(config.clone(), Box::new(transport));
         self.configs.insert(node, config);
         self.incarnations.entry(node).or_insert(1);
-        self.containers.insert(node, container);
-        self.order.push(node);
+        self.register(node, container);
         node
     }
 
@@ -178,8 +218,7 @@ impl SimHarness {
     /// Panics if the node is unknown or the service collides with an
     /// existing one — harness wiring errors are programming errors.
     pub fn add_service(&mut self, node: NodeId, service: Box<dyn Service>) {
-        self.containers
-            .get_mut(&node)
+        self.container_mut(node)
             .expect("node registered with add_container")
             .add_service(service)
             .expect("service registration");
@@ -203,18 +242,16 @@ impl SimHarness {
 
     /// Starts every container at the current virtual time.
     pub fn start_all(&mut self) {
-        for i in 0..self.order.len() {
-            let node = self.order[i];
-            let now = Micros(self.local_time(node));
-            self.containers.get_mut(&node).expect("present").start(now);
+        for i in 0..self.slots.len() {
+            let now = Micros(self.local_time(self.slots[i].node()));
+            self.slots[i].start(now);
+            self.wake[i] = 0;
         }
     }
 
     /// Live container nodes, in id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.containers.keys().copied().collect();
-        v.sort();
-        v
+        self.index.keys().copied().collect()
     }
 
     /// Installs (or changes) a clock skew on `node`: its container is
@@ -224,6 +261,10 @@ impl SimHarness {
     pub fn set_clock_skew_ppm(&mut self, node: NodeId, ppm: i64) {
         let base_local = self.local_time(node);
         self.skews.insert(node, Skew { base_real: self.now_us, base_local, ppm });
+        // The wake time was judged against the old clock.
+        if let Some(&i) = self.index.get(&node) {
+            self.wake[i] = 0;
+        }
     }
 
     /// The local (possibly skewed) clock of `node` at the current virtual
@@ -237,13 +278,13 @@ impl SimHarness {
 
     /// Immutable access to a container.
     pub fn container(&self, node: NodeId) -> Option<&ServiceContainer> {
-        self.containers.get(&node)
+        self.index.get(&node).map(|&i| &self.slots[i])
     }
 
     /// The flight-recorder ring of `node`: the live container's, or the
     /// stashed black box if the node is currently crashed.
     pub fn trace_ring(&self, node: NodeId) -> Option<&TraceRing> {
-        match self.containers.get(&node) {
+        match self.container(node) {
             Some(c) => Some(c.trace_ring()),
             None => self.stashed_rings.get(&node),
         }
@@ -263,9 +304,13 @@ impl SimHarness {
         crate::trace::assemble_chain(&self.trace_rings(), trace)
     }
 
-    /// Mutable access to a container.
+    /// Mutable access to a container. Whatever the caller does with it
+    /// may give the container work, so the node is ticked on the next
+    /// step regardless of what it had scheduled.
     pub fn container_mut(&mut self, node: NodeId) -> Option<&mut ServiceContainer> {
-        self.containers.get_mut(&node)
+        let &i = self.index.get(&node)?;
+        self.wake[i] = 0;
+        Some(&mut self.slots[i])
     }
 
     /// Crashes a node: the container disappears without a `Bye` and its
@@ -274,7 +319,7 @@ impl SimHarness {
     /// restart blueprint survives, so [`restart_node`](Self::restart_node)
     /// can bring the node back later.
     pub fn crash_node(&mut self, node: NodeId) {
-        if let Some(mut container) = self.containers.remove(&node) {
+        if let Some(mut container) = self.unregister(node) {
             if self.configs.get(&node).is_some_and(|c| c.trace.enabled) {
                 let incarnation = container.incarnation();
                 let mut ring = container.take_trace_ring();
@@ -293,7 +338,6 @@ impl SimHarness {
                 self.stashed_rings.insert(node, ring);
             }
         }
-        self.order.retain(|n| *n != node);
         self.net.remove_node(node.0);
     }
 
@@ -309,7 +353,7 @@ impl SimHarness {
         let Some(config) = self.configs.get(&node).cloned() else {
             return false;
         };
-        if self.containers.contains_key(&node) {
+        if self.index.contains_key(&node) {
             self.crash_node(node);
         }
         let incarnation = {
@@ -348,8 +392,7 @@ impl SimHarness {
             }
         }
         container.start(restart_at);
-        self.containers.insert(node, container);
-        self.order.push(node);
+        self.register(node, container);
         true
     }
 
@@ -357,7 +400,7 @@ impl SimHarness {
     /// network — a stopped box must not keep accumulating datagrams.
     pub fn stop_node(&mut self, node: NodeId) {
         let now = Micros(self.local_time(node));
-        if let Some(c) = self.containers.get_mut(&node) {
+        if let Some(c) = self.container_mut(node) {
             c.stop(now);
             self.net.remove_node(node.0);
         }
@@ -386,24 +429,57 @@ impl SimHarness {
     }
 
     /// Advances virtual time by one tick: delivers due datagrams, then
-    /// ticks every container in registration order (each at its own —
-    /// possibly skewed — local clock), then samples the metrics
-    /// timeline if one is enabled and due.
+    /// ticks — in registration order, each at its own (possibly skewed)
+    /// local clock — every container that has work, then samples the
+    /// metrics timeline if one is enabled and due.
+    ///
+    /// A container has work when a datagram just arrived for it or its
+    /// [`next_due`](ServiceContainer::next_due) has come. The others are
+    /// skipped: their tick would change nothing but
+    /// [`ContainerStats::ticks`](crate::ContainerStats::ticks), so the run
+    /// is the one an every-container sweep produces, for host time in
+    /// proportion to events instead of nodes × steps
+    /// ([`slots_visited`](Self::slots_visited) vs
+    /// [`ticks_run`](Self::ticks_run)).
     pub fn step(&mut self) {
         self.now_us += self.tick_us;
         self.net.advance_to(self.now_us);
-        for i in 0..self.order.len() {
-            let node = self.order[i];
-            let now = Micros(self.local_time(node));
-            if let Some(c) = self.containers.get_mut(&node) {
-                c.tick(now);
+        self.net.drain_woken(&mut self.woken);
+        for id in self.woken.drain(..) {
+            if let Some(&i) = self.index.get(&NodeId(id)) {
+                self.wake[i] = 0;
             }
         }
+        let skewed = !self.skews.is_empty();
+        for i in 0..self.slots.len() {
+            let local = if skewed { self.local_time(self.slots[i].node()) } else { self.now_us };
+            if self.wake[i] <= local {
+                let container = &mut self.slots[i];
+                container.tick(Micros(local));
+                self.wake[i] = container.next_due().map_or(u64::MAX, |due| due.as_micros());
+                self.ticks_run += 1;
+            }
+        }
+        self.slots_visited += self.slots.len() as u64;
         if let Some(sampler) = self.metrics.as_mut() {
             if sampler.due(Micros(self.now_us)) {
-                sampler.sample_fleet(Micros(self.now_us), &self.containers, &self.net);
+                let fleet = self.index.values().map(|&i| &self.slots[i]);
+                sampler.sample_fleet(Micros(self.now_us), fleet, &self.net);
             }
         }
+    }
+
+    /// Container slots the step loop has looked at so far: grid steps ×
+    /// live containers, i.e. the ticks an every-container sweep would
+    /// have run.
+    pub fn slots_visited(&self) -> u64 {
+        self.slots_visited
+    }
+
+    /// Container ticks actually run. `1 − ticks_run / slots_visited` is
+    /// the share of the grid the fleet sat idle.
+    pub fn ticks_run(&self) -> u64 {
+        self.ticks_run
     }
 
     /// Runs until virtual time `t_us`.

@@ -117,8 +117,8 @@ pub use service::{
     ServiceDescriptor, ServiceDescriptorBuilder, TimerId, VarSubscription,
 };
 pub use stats::{
-    ContainerStats, EventSubscriptionStats, FecStats, QosStats, TypeMismatchStats, VarChannelView,
-    VarSubscriptionStats,
+    ContainerStats, EventSubscriptionStats, FecStats, Occupancy, QosStats, TypeMismatchStats,
+    VarChannelView, VarSubscriptionStats,
 };
 pub use trace::{LatencyHistogram, TraceConfig, TraceEvent, TraceId, TraceKind, TraceRing};
 

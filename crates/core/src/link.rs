@@ -259,6 +259,19 @@ impl ReliableLink {
         !self.is_quiescent() || self.fec.group_opened_at.is_some()
     }
 
+    /// The earliest instant at which [`ReliableLink::poll`] has output:
+    /// at once ([`Micros::ZERO`]) with an ack owed or a backlog the window
+    /// has room for, else the earlier of the next retransmission deadline
+    /// and the open FEC group's age flush. `None` exactly when
+    /// [`needs_poll`](Self::needs_poll) is false.
+    pub fn next_poll_due(&self) -> Option<Micros> {
+        if self.ack_due || (!self.backlog.is_empty() && self.tx.can_send()) {
+            return Some(Micros::ZERO);
+        }
+        let flush = self.fec.group_opened_at.map(|opened| opened + FEC_FLUSH_AFTER);
+        [self.tx.next_deadline(), flush].into_iter().flatten().min()
+    }
+
     /// Drains the ARQ seqs retransmitted since the last call (the
     /// container turns these into `rel_retransmit` trace events).
     pub fn take_retransmits(&mut self) -> Vec<u64> {
@@ -334,9 +347,24 @@ mod tests {
         l.on_ack(1, 0, 0, Micros(1));
         assert!(l.is_quiescent(), "nothing queued or in flight");
         assert!(l.needs_poll(), "open partial FEC group still needs the age flush");
+        assert_eq!(l.next_poll_due(), Some(Micros(5_000)), "the flush is the only work left");
         let (out, _) = l.poll(Micros(10_000));
         assert!(out.iter().any(|m| matches!(m, Message::FecShard { .. })));
         assert!(!l.needs_poll(), "flushed: the link may leave the poll sweep");
+        assert_eq!(l.next_poll_due(), None);
+    }
+
+    #[test]
+    fn next_poll_due_follows_acks_and_retransmit_deadlines() {
+        let mut l = link(2);
+        assert_eq!(l.next_poll_due(), None, "fresh link: nothing to poll");
+        l.send(Bytes::from_static(b"x"), Micros(1_000));
+        assert_eq!(l.next_poll_due(), Some(Micros(11_000)), "10 ms initial RTO");
+        let (out, _) = l.poll(Micros(11_000));
+        assert_eq!(out.len(), 1, "retransmitted exactly when due");
+        assert_eq!(l.next_poll_due(), Some(Micros(31_000)), "backed-off RTO");
+        l.on_data(0, Bytes::from_static(b"y"));
+        assert_eq!(l.next_poll_due(), Some(Micros::ZERO), "an ack is owed at once");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! [`to_json`]: MetricsSampler::to_json
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use marea_netsim::SimNet;
@@ -192,7 +192,6 @@ pub struct MetricsSampler {
     evicted_links: u64,
     last: BTreeMap<NodeId, ContainerStats>,
     last_links: BTreeMap<(u32, u32), (u64, u64)>,
-    scratch_nodes: Vec<NodeId>,
 }
 
 impl MetricsSampler {
@@ -211,7 +210,6 @@ impl MetricsSampler {
             evicted_links: 0,
             last: BTreeMap::new(),
             last_links: BTreeMap::new(),
-            scratch_nodes: Vec::with_capacity(64),
         }
     }
 
@@ -225,34 +223,27 @@ impl MetricsSampler {
         self.period_us
     }
 
-    /// Samples every container and every active link once.
+    /// Samples every container (handed over in ascending node order) and
+    /// every active link once.
     ///
     /// This is the hot path the O1 lint rule guards: no string
     /// allocation, no wall-clock reads, integer math only. The only
     /// heap activity is amortized growth of the pre-sized frame
     /// buffers and the per-node last-snapshot map (first sample of a
     /// node only).
-    pub fn sample_fleet(
+    pub fn sample_fleet<'a>(
         &mut self,
         at: Micros,
-        containers: &HashMap<NodeId, ServiceContainer>,
+        containers: impl Iterator<Item = &'a ServiceContainer>,
         net: &SimNet,
     ) {
         self.sample += 1;
         while self.next_due_us <= at.0 {
             self.next_due_us += self.period_us;
         }
-        let mut nodes = std::mem::take(&mut self.scratch_nodes);
-        nodes.clear();
-        nodes.extend(containers.keys().copied());
-        nodes.sort_unstable();
-        for &node in &nodes {
-            if let Some(container) = containers.get(&node) {
-                let stats = container.stats();
-                self.sample_node(at, node, &stats);
-            }
+        for container in containers {
+            self.sample_node(at, container.node(), &container.stats());
         }
-        self.scratch_nodes = nodes;
         let sample = self.sample;
         net.with_stats(|s| {
             for (&(src, dst), observed) in &s.per_link {

@@ -191,6 +191,19 @@ impl ScenarioRunner {
     /// Executes the scenario: injects due faults, advances ramps, steps
     /// the harness and evaluates every invariant on the check cadence.
     pub fn run(&mut self, scenario: &Scenario) -> ScenarioReport {
+        self.run_with(scenario, |_| {})
+    }
+
+    /// [`run`](Self::run), calling `before_step` with the harness ahead of
+    /// every grid step (after that instant's faults and invariant checks):
+    /// the place for a custom probe or an unscripted fault. The
+    /// driver-equivalence test uses it to hand every container out
+    /// mutably, which makes the harness tick the whole fleet every step.
+    pub fn run_with(
+        &mut self,
+        scenario: &Scenario,
+        mut before_step: impl FnMut(&mut SimHarness),
+    ) -> ScenarioReport {
         let start = self.harness.now();
         let end = Micros(start.as_micros() + scenario.duration.as_micros());
         let mut cursor = 0usize;
@@ -320,6 +333,7 @@ impl ScenarioRunner {
             if now >= end {
                 break;
             }
+            before_step(&mut self.harness);
             self.harness.step();
         }
 

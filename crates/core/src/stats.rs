@@ -2,10 +2,45 @@
 
 use crate::trace::LatencyHistogram;
 
+/// How full each of a container's tables is right now — a gauge per
+/// structure, where [`ContainerStats`] counts events. Read through
+/// [`ServiceContainer::occupancy`](crate::ServiceContainer::occupancy).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Nodes in the directory (this one included).
+    pub directory_nodes: usize,
+    /// Distinct provision names in the directory.
+    pub directory_provisions: usize,
+    /// Reliable links to peers.
+    pub links: usize,
+    /// Links with traffic queued, in flight or unacknowledged.
+    pub active_links: usize,
+    /// Subscribed variable channels bound to a provider.
+    pub vars_bound: usize,
+    /// Remote subscribers over all published variables and events.
+    pub remote_subscribers: usize,
+    /// Outgoing calls awaiting a reply.
+    pub pending_calls: usize,
+    /// Outgoing file transfers with subscribers still to serve.
+    pub files_sending: usize,
+    /// File interests with a receiver in progress.
+    pub files_receiving: usize,
+    /// Partially reassembled fragmented messages.
+    pub reassembling: usize,
+    /// Armed timers (cancelled ones included until they come due).
+    pub timers: usize,
+    /// Handler invocations queued in the scheduler.
+    pub queued_tasks: usize,
+}
+
 /// Cumulative counters of one service container.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContainerStats {
-    /// `tick` invocations.
+    /// Ticks *executed*: `tick` invocations on the running container.
+    /// Under [`SimHarness`](crate::SimHarness) that is the ticks the
+    /// node had work for, not grid steps elapsed — the harness skips a
+    /// node whose inbox is empty and whose
+    /// [`next_due`](crate::ServiceContainer::next_due) lies ahead.
     pub ticks: u64,
     /// Frames received from the transport.
     pub frames_in: u64,

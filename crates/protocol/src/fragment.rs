@@ -95,12 +95,23 @@ struct Pending {
 pub struct Reassembler {
     pending: HashMap<(NodeId, u64), Pending>,
     timeout: ProtoDuration,
+    /// Lower bound on the oldest `first_seen` in `pending` (`None` when
+    /// nothing is pending; exact again after every [`expire`](Self::expire)
+    /// sweep). Lets the sweep — and a driver asking when it is next
+    /// needed — skip the walk while nothing can be old enough.
+    oldest: Option<Micros>,
 }
 
 impl Reassembler {
     /// Creates a reassembler that drops incomplete messages after `timeout`.
     pub fn new(timeout: ProtoDuration) -> Self {
-        Reassembler { pending: HashMap::new(), timeout }
+        Reassembler { pending: HashMap::new(), timeout, oldest: None }
+    }
+
+    /// No incomplete set can expire before this instant (`None` when
+    /// nothing is pending). May be early, never late.
+    pub fn next_expiry(&self) -> Option<Micros> {
+        self.oldest.map(|t| t + self.timeout)
     }
 
     /// Number of partially reassembled messages currently buffered.
@@ -147,6 +158,7 @@ impl Reassembler {
             if per_source >= MAX_PENDING_PER_SOURCE {
                 return Err(ProtocolError::BadFragment("too many pending messages from source"));
             }
+            self.oldest = Some(self.oldest.map_or(now, |t| t.min(now)));
         }
         let entry = self.pending.entry(key).or_insert_with(|| Pending {
             parts: vec![None; count as usize],
@@ -155,7 +167,7 @@ impl Reassembler {
         });
         if entry.parts.len() != count as usize {
             // A mismatched count means the stream is corrupt; drop the set.
-            self.pending.remove(&key);
+            self.remove(&key);
             return Err(ProtocolError::BadFragment("fragment count changed mid-stream"));
         }
         let slot = &mut entry.parts[index as usize];
@@ -164,7 +176,7 @@ impl Reassembler {
             entry.received += 1;
         }
         if entry.received == count {
-            let Some(entry) = self.pending.remove(&key) else { return Ok(None) };
+            let Some(entry) = self.remove(&key) else { return Ok(None) };
             // `received == count` means every slot is filled; `flatten`
             // states that without a panic path.
             let total = entry.parts.iter().flatten().map(Bytes::len).sum();
@@ -177,12 +189,31 @@ impl Reassembler {
         Ok(None)
     }
 
+    fn remove(&mut self, key: &(NodeId, u64)) -> Option<Pending> {
+        let entry = self.pending.remove(key);
+        if self.pending.is_empty() {
+            self.oldest = None;
+        }
+        entry
+    }
+
     /// Drops incomplete sets older than the timeout; returns how many were
     /// evicted.
     pub fn expire(&mut self, now: Micros) -> usize {
         let timeout = self.timeout;
+        if self.oldest.is_none_or(|t| now.saturating_since(t) < timeout) {
+            return 0;
+        }
         let before = self.pending.len();
-        self.pending.retain(|_, p| now.saturating_since(p.first_seen) < timeout);
+        let mut oldest: Option<Micros> = None;
+        self.pending.retain(|_, p| {
+            let keep = now.saturating_since(p.first_seen) < timeout;
+            if keep {
+                oldest = Some(oldest.map_or(p.first_seen, |t| t.min(p.first_seen)));
+            }
+            keep
+        });
+        self.oldest = oldest;
         before - self.pending.len()
     }
 }
@@ -278,6 +309,25 @@ mod tests {
         assert_eq!(r.expire(Micros::from_millis(50)), 0);
         assert_eq!(r.expire(Micros::from_millis(150)), 1);
         assert_eq!(r.pending_count(), 0);
+    }
+
+    #[test]
+    fn next_expiry_bounds_the_oldest_incomplete_set() {
+        let frags = parts_of(&fragment_payload(5, &[0u8; 4000], 1000).unwrap());
+        let mut r = Reassembler::new(ProtoDuration::from_millis(100));
+        assert_eq!(r.next_expiry(), None);
+        let (id, idx, cnt, bytes) = frags[0].clone();
+        r.offer(NodeId(1), id, idx, cnt, bytes.clone(), Micros::from_millis(10)).unwrap();
+        r.offer(NodeId(2), id, idx, cnt, bytes, Micros::from_millis(40)).unwrap();
+        assert_eq!(r.next_expiry(), Some(Micros::from_millis(110)));
+        assert_eq!(r.expire(Micros::from_millis(109)), 0);
+        assert_eq!(r.expire(Micros::from_millis(110)), 1);
+        assert_eq!(r.next_expiry(), Some(Micros::from_millis(140)), "exact after a sweep");
+        // Completing the last pending set clears the bound.
+        for (id, idx, cnt, bytes) in frags {
+            r.offer(NodeId(2), id, idx, cnt, bytes, Micros::from_millis(50)).unwrap();
+        }
+        assert_eq!((r.pending_count(), r.next_expiry()), (0, None));
     }
 
     #[test]
