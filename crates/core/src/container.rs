@@ -14,55 +14,59 @@
 //! 7. executes queued handler invocations through the pluggable scheduler,
 //!    bounded by a per-tick budget, applying the effects services queue.
 //!
+//! The container itself is wiring. State lives in owned components — the
+//! [`Directory`], the link table, the gossip cadences, the timers and one
+//! engine per primitive — each of which decides over its own fields and
+//! answers `next_due()` from them. What is left here is what crosses
+//! components: frame dispatch, scheduler pushes, transport sends, tracer
+//! records and the service slots.
+//!
 //! Services never see any of this machinery — only their
 //! [`ServiceContext`](crate::ServiceContext).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bytes::Bytes;
 
-use marea_encoding::{CodecId, CodecRegistry, SelfDescribingCodec};
+use marea_encoding::{CodecId, CodecRegistry};
 use marea_presentation::{Name, Value};
-use marea_protocol::arq::ArqConfig;
-use marea_protocol::fec::{FecConfig, FecRate, PARITY_INDEX_BIT};
+use marea_protocol::fec::FecConfig;
 use marea_protocol::fragment::{fragment_shared, Reassembler};
-use marea_protocol::messages::{AnnounceEntry, CallStatus, Provision, ServiceState};
-use marea_protocol::mftp::{AnnounceOutcome, FileReceiver, FileSender, RevisionPolicy};
+use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, Provision, ServiceState};
 use marea_protocol::{
     Encoded, Frame, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
-    TransferId,
 };
 use marea_transport::{Transport, TransportDestination};
 
 use crate::directory::Directory;
-use crate::engines::events::{EventEngine, EventSubscriber, PublishedEvent, SubscribedEvent};
-use crate::engines::files::{FileEngine, OutgoingFile};
-use crate::engines::rpc::{
-    decode_args, decode_result, encode_args, encode_result, LocalFunction, PendingCall, RpcEngine,
-};
-use crate::engines::vars::{PublishedVar, SubscribedVar, VarEngine};
+use crate::engines::events::{Admission, EventEngine};
+use crate::engines::files::{file_group, FileEngine, Heard};
+use crate::engines::rpc::{PendingCall, RpcEngine};
+use crate::engines::vars::{var_group, SampleDrop, VarEngine};
+use crate::engines::Rebind;
 use crate::error::{CallError, ContainerError};
-use crate::link::ReliableLink;
-use crate::qos::{CallOptions, DropPolicy};
+use crate::gossip::{AnnounceSlot, Gossip};
+use crate::link::{LinkTable, Received};
+use crate::qos::CallOptions;
 use crate::scheduler::{Priority, Scheduler, SchedulerKind, Task, TaskPayload};
 use crate::service::{
-    CallHandle, CallPolicy, Effect, FileEvent, ProviderNotice, Service, ServiceContext,
-    ServiceDescriptor, TimerId,
+    CallHandle, Effect, FileEvent, ProviderNotice, Service, ServiceContext, ServiceDescriptor,
 };
-use crate::stats::{
-    ContainerStats, EventSubscriptionStats, Occupancy, QosStats, VarSubscriptionStats,
-};
-use crate::sweep::{sorted_keys, sorted_keys_into};
+use crate::stats::{ContainerStats, EventSubscriptionStats, Occupancy, VarSubscriptionStats};
+use crate::timers::Timers;
 use crate::trace::{TraceConfig, TraceId, TraceKind, TraceRing, Tracer};
 
-mod gossip;
-mod pump;
-mod subscriptions;
+/// Container log ring capacity.
+const LOG_CAPACITY: usize = 1024;
 
-/// Upper bound for one marshalled call argument.
-pub(crate) const MAX_ARG_BYTES: usize = 4 * 1024 * 1024;
+/// Providers tried before a call fails, unless the caller's
+/// [`CallOptions::retry_budget`] says otherwise.
+const DEFAULT_CALL_ATTEMPTS: u32 = 3;
+
+/// Where discovery, liveness and lifecycle traffic goes.
+const CONTROL: TransportDestination = TransportDestination::Group(GroupId::CONTROL.0);
 
 /// How variable samples reach remote subscribers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,28 +98,18 @@ pub struct ContainerConfig {
     pub scheduler: SchedulerKind,
     /// Maximum handler invocations per tick (soft real-time budget).
     pub tick_budget: usize,
-    /// Reliable-channel tuning.
-    pub arq: ArqConfig,
     /// Forward-error-correction layer below the reliable channel
     /// (enabled by default; each link runs the weaker of the two ends'
     /// advertised capabilities).
     pub fec: FecConfig,
     /// Remote invocation reply deadline per attempt.
     pub call_timeout: ProtoDuration,
-    /// Providers tried before a call fails.
-    pub max_call_attempts: u32,
-    /// File transfer chunk size in bytes.
-    pub chunk_size: u32,
-    /// File chunks pumped per tick per transfer.
-    pub file_burst: usize,
     /// Gap between completion queries of an idle transfer.
     pub file_query_interval: ProtoDuration,
     /// Variable sample distribution mode.
     pub var_distribution: VarDistribution,
     /// Payload codec for application data.
     pub codec: CodecId,
-    /// Container log ring capacity.
-    pub log_capacity: usize,
     /// Flight-recorder switch and ring sizing (DESIGN.md §8).
     pub trace: TraceConfig,
 }
@@ -136,16 +130,11 @@ impl ContainerConfig {
             node_timeout: ProtoDuration::from_secs(2),
             scheduler: SchedulerKind::Priority,
             tick_budget: 256,
-            arq: ArqConfig::default(),
             fec: FecConfig::default(),
             call_timeout: ProtoDuration::from_millis(800),
-            max_call_attempts: 3,
-            chunk_size: 1024,
-            file_burst: 32,
             file_query_interval: ProtoDuration::from_millis(100),
             var_distribution: VarDistribution::Multicast,
             codec: CodecId::COMPACT,
-            log_capacity: 1024,
             trace: TraceConfig::default(),
         }
     }
@@ -159,11 +148,58 @@ struct ServiceSlot {
     state: ServiceState,
 }
 
+impl ServiceSlot {
+    /// The service can be handed work: available, or still starting (its
+    /// `on_start` is queued ahead of anything admitted now).
+    fn accepts_work(&self) -> bool {
+        self.state.is_available() || self.state == ServiceState::Starting
+    }
+}
+
+/// The handler queue: the pluggable scheduler plus the admission counter
+/// that keeps it FIFO within a priority.
 #[derive(Debug)]
-struct TimerInfo {
-    service_seq: u32,
-    period: Option<ProtoDuration>,
-    cancelled: bool,
+struct TaskQueue {
+    scheduler: Box<dyn Scheduler>,
+    next_seq: u64,
+}
+
+impl TaskQueue {
+    fn push(&mut self, priority: Priority, service_seq: u32, payload: TaskPayload) {
+        self.next_seq += 1;
+        self.scheduler.push(Task { priority, enqueued_seq: self.next_seq, service_seq, payload });
+    }
+
+    /// Queues one `payload()` per service, in the order given.
+    fn fan_out(
+        &mut self,
+        priority: Priority,
+        services: impl IntoIterator<Item = impl Borrow<u32>>,
+        mut payload: impl FnMut() -> TaskPayload,
+    ) {
+        for svc in services {
+            self.push(priority, *svc.borrow(), payload());
+        }
+    }
+}
+
+/// Which pub/sub primitive a subscription-maintenance pass re-resolves.
+#[derive(Debug, Clone, Copy)]
+enum Channel {
+    Variable,
+    Event,
+}
+
+impl Channel {
+    fn notice(self, name: &Name, available: bool) -> ProviderNotice {
+        let name = name.clone();
+        match (self, available) {
+            (Channel::Variable, true) => ProviderNotice::VariableAvailable(name),
+            (Channel::Variable, false) => ProviderNotice::VariableUnavailable(name),
+            (Channel::Event, true) => ProviderNotice::EventAvailable(name),
+            (Channel::Event, false) => ProviderNotice::EventUnavailable(name),
+        }
+    }
 }
 
 /// The per-node service container (paper §3).
@@ -177,54 +213,28 @@ pub struct ServiceContainer {
     codecs: CodecRegistry,
     slots: Vec<ServiceSlot>,
     directory: Directory,
-    scheduler: Box<dyn Scheduler>,
-    links: HashMap<NodeId, ReliableLink>,
+    tasks: TaskQueue,
+    links: LinkTable,
+    gossip: Gossip,
+    timers: Timers,
     vars: VarEngine,
     events: EventEngine,
     rpc: RpcEngine,
     files: FileEngine,
     reassembler: Reassembler,
-    timers: BinaryHeap<Reverse<(Micros, u64)>>,
-    timer_info: HashMap<u64, TimerInfo>,
-    next_timer_id: u64,
     next_request_id: u64,
     next_msg_id: u64,
-    next_task_seq: u64,
     incarnation: u64,
     running: bool,
     started_at: Micros,
-    last_heartbeat: Option<Micros>,
-    last_announce: Option<Micros>,
-    /// Digest `(hash, entry_count)` of the last full catalogue broadcast.
-    /// While the catalogue is unchanged, the periodic announce slot sends
-    /// a compact `AnnounceDigest` instead of re-flooding the catalogue.
-    last_announce_digest: Option<(u32, u32)>,
-    /// When the last forced (out-of-cadence) full re-announce went out.
-    last_forced_reannounce: Option<Micros>,
-    /// A forced re-announce arrived inside the debounce window and waits
-    /// for the next announce-period boundary.
-    reannounce_pending: bool,
     /// Directory or subscription state changed since the last maintenance
     /// sweep. Plain heartbeats do not set this — a liveness refresh
     /// changes no name resolution — which keeps the sweep off the
     /// per-tick path at fleet scale.
     subs_dirty: bool,
-    /// Last file-interest retry sweep (cadence fallback that keeps
-    /// waiting interests re-trying seen announces without a dirty flag).
-    last_interest_retry: Option<Micros>,
-    /// Peers whose reliable link may still produce poll output. Ordered
-    /// so the poll sweep walks peers in node order (determinism).
-    active_links: BTreeSet<NodeId>,
-    /// A frame arrived or a peer died since the `negotiated_rate_max`
-    /// gauge was last derived (see `poll_links`).
-    links_changed: bool,
     /// The scheduler load last written into this node's own directory
     /// record (the record `resolve_function` balances on).
     advertised_load: u16,
-    /// Scratch for the poll sweep (allocation reuse across ticks).
-    link_scratch: Vec<NodeId>,
-    /// Scratch for sorted map walks in the maintenance and file pumps.
-    sweep_scratch: Vec<Name>,
     stats: ContainerStats,
     log: VecDeque<(Micros, String)>,
     tracer: Tracer,
@@ -237,38 +247,26 @@ impl ServiceContainer {
         let mut codecs = CodecRegistry::new();
         codecs.set_default(config.codec);
         ServiceContainer {
-            scheduler: config.scheduler.build(),
+            tasks: TaskQueue { scheduler: config.scheduler.build(), next_seq: 0 },
             codecs,
             transport,
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
-            links: HashMap::new(),
+            links: LinkTable::new(config.fec.advertised_cap()),
+            gossip: Gossip::new(config.heartbeat_period, config.announce_period),
+            timers: Timers::default(),
             vars: VarEngine::default(),
             events: EventEngine::default(),
             rpc: RpcEngine::default(),
-            files: FileEngine::default(),
+            files: FileEngine::new(config.node, config.file_query_interval),
             reassembler: Reassembler::new(ProtoDuration::from_secs(5)),
-            timers: BinaryHeap::new(),
-            timer_info: HashMap::new(),
-            next_timer_id: 0,
             next_request_id: 0,
             next_msg_id: 0,
-            next_task_seq: 0,
             incarnation: 1,
             running: false,
             started_at: Micros::ZERO,
-            last_heartbeat: None,
-            last_announce: None,
-            last_announce_digest: None,
-            last_forced_reannounce: None,
-            reannounce_pending: false,
             subs_dirty: true,
-            last_interest_retry: None,
-            active_links: BTreeSet::new(),
-            links_changed: false,
             advertised_load: 0,
-            link_scratch: Vec::new(),
-            sweep_scratch: Vec::new(),
             stats: ContainerStats::default(),
             log: VecDeque::new(),
             tracer: Tracer::new(config.node, config.trace),
@@ -306,21 +304,16 @@ impl ServiceContainer {
         self.tracer.set_incarnation(incarnation);
     }
 
-    /// Counter snapshot (merges the per-engine mismatch and QoS counters).
+    /// Counter snapshot: the container's own counters plus the ones each
+    /// component keeps for itself (mismatches and QoS on the engines, FEC
+    /// on the link table, latency histograms on the tracer).
     pub fn stats(&self) -> ContainerStats {
         let mut stats = self.stats;
-        stats.type_mismatches = crate::stats::TypeMismatchStats {
-            vars: self.vars.type_mismatches,
-            events: self.events.type_mismatches,
-            calls: self.rpc.type_mismatches,
-            files: self.files.type_mismatches,
-        };
-        stats.qos = QosStats {
-            deadline_misses: self.vars.total_deadline_misses(),
-            stale_drops: self.vars.total_stale_drops(),
-            queue_drops: self.events.total_queue_drops(),
-            retries: self.rpc.retries,
-        };
+        self.vars.fill_stats(&mut stats);
+        self.events.fill_stats(&mut stats);
+        self.rpc.fill_stats(&mut stats);
+        self.files.fill_stats(&mut stats);
+        stats.fec = self.links.fec_stats();
         stats.publish_to_deliver = self.tracer.publish_to_deliver;
         stats.event_to_deliver = self.tracer.event_to_deliver;
         stats.call_rtt = self.tracer.call_rtt;
@@ -330,21 +323,21 @@ impl ServiceContainer {
 
     /// Gauge snapshot: how full each bounded table is right now.
     pub fn occupancy(&self) -> Occupancy {
-        Occupancy {
+        let mut occupancy = Occupancy {
             directory_nodes: self.directory.nodes().len(),
             directory_provisions: self.directory.provision_count(),
             links: self.links.len(),
-            active_links: self.active_links.len(),
-            vars_bound: self.vars.bound_count(),
-            remote_subscribers: self.vars.remote_subscriber_count()
-                + self.events.remote_subscriber_count(),
-            pending_calls: self.rpc.pending.len(),
-            files_sending: self.files.sending_count(),
-            files_receiving: self.files.receiving_count(),
+            active_links: self.links.active_len(),
+            pending_calls: self.rpc.pending_count(),
             reassembling: self.reassembler.pending_count(),
             timers: self.timers.len(),
-            queued_tasks: self.scheduler.len(),
-        }
+            queued_tasks: self.tasks.scheduler.len(),
+            ..Occupancy::default()
+        };
+        self.vars.fill_occupancy(&mut occupancy);
+        self.events.fill_occupancy(&mut occupancy);
+        self.files.fill_occupancy(&mut occupancy);
+        occupancy
     }
 
     /// The flight-recorder ring of this life (oldest first; see
@@ -369,27 +362,18 @@ impl ServiceContainer {
     /// QoS counters of a subscribed variable (the channel state shared by
     /// this container's local subscribers of that name).
     pub fn var_qos_stats(&self, name: &str) -> Option<VarSubscriptionStats> {
-        let name = Name::new(name).ok()?;
-        self.vars.subscribed.get(&name).map(|s| VarSubscriptionStats {
-            deadline_misses: s.deadline_misses,
-            stale_drops: s.stale_drops,
-            history_len: s.history.len(),
-        })
+        self.vars.qos_stats(&Name::new(name).ok()?)
     }
 
     /// QoS counters of a subscribed event channel (summed over this
     /// container's local subscribers of that name).
     pub fn event_qos_stats(&self, name: &str) -> Option<EventSubscriptionStats> {
-        let name = Name::new(name).ok()?;
-        self.events.subscribed.get(&name).map(|s| EventSubscriptionStats {
-            queue_drops: s.total_drops(),
-            inbox_peak: s.inbox_peak(),
-        })
+        self.events.qos_stats(&Name::new(name).ok()?)
     }
 
     /// Transparent re-dispatches performed for calls to `name`.
     pub fn fn_retries(&self, name: &str) -> u64 {
-        Name::new(name).ok().and_then(|n| self.rpc.retry_counts.get(&n)).copied().unwrap_or(0)
+        Name::new(name).map_or(0, |n| self.rpc.retries_of(&n))
     }
 
     /// Freshness snapshot of every subscribed variable channel, in name
@@ -397,22 +381,7 @@ impl ServiceContainer {
     /// (a bound channel must either deliver within its validity window or
     /// raise the timeout warning; silent staleness is a middleware bug).
     pub fn var_channels(&self) -> Vec<(Name, crate::stats::VarChannelView)> {
-        sorted_keys(&self.vars.subscribed)
-            .into_iter()
-            .map(|name| {
-                let s = &self.vars.subscribed[&name];
-                let view = crate::stats::VarChannelView {
-                    bound: s.provider.is_some(),
-                    period_us: s.period_us,
-                    validity_us: s.validity_us,
-                    deadline_us: s.deadline_us(),
-                    last_rx: s.last_rx,
-                    last_stamp: s.history.back().map(|(stamp, _)| *stamp),
-                    timed_out: s.timed_out,
-                };
-                (name, view)
-            })
-            .collect()
+        self.vars.channels()
     }
 
     /// The name directory (read access for tests/tools).
@@ -422,7 +391,7 @@ impl ServiceContainer {
 
     /// Queued handler invocations.
     pub fn scheduler_len(&self) -> usize {
-        self.scheduler.len()
+        self.tasks.scheduler.len()
     }
 
     /// `true` between `start` and `stop`.
@@ -432,17 +401,7 @@ impl ServiceContainer {
 
     /// Aggregated ARQ statistics over all reliable links.
     pub fn arq_stats(&self) -> marea_protocol::arq::ArqStats {
-        let mut total = marea_protocol::arq::ArqStats::default();
-        // marea-lint: allow(D1): commutative counter sums; no sends, order cannot reach the wire
-        for link in self.links.values() {
-            let s = link.stats();
-            total.sent += s.sent;
-            total.retransmitted += s.retransmitted;
-            total.acked += s.acked;
-            total.failed += s.failed;
-            total.payload_bytes += s.payload_bytes;
-        }
-        total
+        self.links.arq_stats()
     }
 
     /// Aggregated FEC statistics over all *live* reliable links.
@@ -453,23 +412,7 @@ impl ServiceContainer {
     pub fn fec_link_stats(
         &self,
     ) -> (marea_protocol::fec::FecTxStats, marea_protocol::fec::FecRxStats) {
-        let mut tx = marea_protocol::fec::FecTxStats::default();
-        let mut rx = marea_protocol::fec::FecRxStats::default();
-        // marea-lint: allow(D1): commutative counter sums; no sends, order cannot reach the wire
-        for link in self.links.values() {
-            let t = link.fec_tx_stats();
-            tx.data_shards += t.data_shards;
-            tx.parity_shards += t.parity_shards;
-            tx.bypassed += t.bypassed;
-            tx.groups += t.groups;
-            let r = link.fec_rx_stats();
-            rx.data_shards += r.data_shards;
-            rx.parity_shards += r.parity_shards;
-            rx.recovered += r.recovered;
-            rx.unrecoverable_groups += r.unrecoverable_groups;
-            rx.discarded += r.discarded;
-        }
-        (tx, rx)
+        self.links.fec_link_stats()
     }
 
     /// Recent container log lines (oldest first).
@@ -502,80 +445,24 @@ impl ServiceContainer {
             }
         }
         let seq = self.slots.len() as u32 + 1;
-
-        for p in descriptor.provides() {
-            match p {
-                Provision::Variable { name, ty, validity_us, .. } => {
-                    self.vars.published.insert(
-                        name.clone(),
-                        PublishedVar {
-                            owner_seq: seq,
-                            ty: ty.clone(),
-                            validity_us: *validity_us,
-                            seq: 0,
-                            last: None,
-                            remote_subscribers: Default::default(),
-                        },
-                    );
-                }
-                Provision::Event { name, ty } => {
-                    self.events.published.insert(
-                        name.clone(),
-                        PublishedEvent {
-                            owner_seq: seq,
-                            ty: ty.clone(),
-                            seq: 0,
-                            remote_subscribers: Default::default(),
-                        },
-                    );
-                }
-                Provision::Function { name, sig } => {
-                    self.rpc
-                        .functions
-                        .insert(name.clone(), LocalFunction { owner_seq: seq, sig: sig.clone() });
-                }
-                Provision::FileResource { .. } => {}
-            }
-        }
-        for sub in descriptor.var_subscriptions() {
-            let entry = self
-                .vars
-                .subscribed
-                .entry(sub.name.clone())
-                .or_insert_with(|| SubscribedVar::new(&sub.qos));
-            entry.services.push(seq);
-            entry.merge_qos(&sub.qos);
-        }
-        for sub in descriptor.event_subscriptions() {
-            self.events
-                .subscribed
-                .entry(sub.name.clone())
-                .or_insert_with(SubscribedEvent::new)
-                .subscribers
-                .push(EventSubscriber::new(seq, sub.qos));
-        }
-        for name in descriptor.file_interests() {
-            self.files.interests.entry(name.clone()).or_default().services.push(seq);
-        }
-        for name in descriptor.required_functions() {
-            self.rpc.required.entry(name.clone()).or_default().services.push(seq);
-        }
-
+        self.vars.register(seq, &descriptor);
+        self.events.register(seq, &descriptor);
+        self.rpc.register(seq, &descriptor);
+        self.files.register(seq, &descriptor);
         self.slots.push(ServiceSlot {
             seq,
             service: Some(service),
             descriptor,
             state: ServiceState::Starting,
         });
-        let id = ServiceId::new(self.config.node, seq);
         if self.running {
-            self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Start);
-            // Force the next announce slot: the catalogue changed, so the
-            // digest check in emit_periodics sends the full catalogue.
-            self.last_announce = None;
+            self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Start);
+            // The catalogue changed: the announce slot is due at once, and
+            // its digest check sends the full catalogue.
+            self.gossip.catalogue_changed();
             self.subs_dirty = true;
         }
-        Ok(id)
+        Ok(ServiceId::new(self.config.node, seq))
     }
 
     /// Starts the container: joins the control group, announces itself and
@@ -596,21 +483,11 @@ impl ServiceContainer {
             self.config.fec.advertised_cap().wire_tag(),
             now,
         );
-        let entries = self.announce_entries();
-        self.directory.apply_announce(self.config.node, &entries, now);
-        self.send_message(
-            TransportDestination::Group(GroupId::CONTROL.0),
-            &Message::Hello {
-                container: self.config.name.clone(),
-                incarnation: self.incarnation,
-                fec_cap: self.config.fec.advertised_cap().wire_tag(),
-            },
-        );
-        self.broadcast_announce(now);
-        let seqs: Vec<u32> = self.slots.iter().map(|s| s.seq).collect();
-        for seq in seqs {
-            self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Start);
-        }
+        let hello = self.hello();
+        self.send_message(CONTROL, &hello);
+        self.broadcast_announce(self.announce_entries(), now);
+        self.tasks
+            .fan_out(Priority::LIFECYCLE, self.slots.iter().map(|s| s.seq), || TaskPayload::Start);
     }
 
     /// Stops the container: runs every `on_stop`, says `Bye`.
@@ -618,19 +495,12 @@ impl ServiceContainer {
         if !self.running {
             return;
         }
-        let seqs: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.state.is_available() || s.state == ServiceState::Starting)
-            .map(|s| s.seq)
-            .collect();
-        for seq in seqs {
-            self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Stop);
-        }
-        while let Some(task) = self.scheduler.pop() {
+        let stopping = self.slots.iter().filter(|s| s.accepts_work()).map(|s| s.seq);
+        self.tasks.fan_out(Priority::LIFECYCLE, stopping, || TaskPayload::Stop);
+        while let Some(task) = self.tasks.scheduler.pop() {
             self.execute_task(task, now);
         }
-        self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &Message::Bye);
+        self.send_message(CONTROL, &Message::Bye);
         self.running = false;
     }
 
@@ -655,34 +525,50 @@ impl ServiceContainer {
             );
         }
 
-        self.pump_transport(now);
-        self.detect_failures(now);
-        // Maintenance only runs when something that feeds name resolution
-        // actually changed (`subs_dirty`), plus a cadence fallback that
-        // keeps waiting file interests re-trying their seen announces.
-        let interests_due = !self.files.interests.is_empty()
-            && self
-                .last_interest_retry
-                .map(|t| now.saturating_since(t) >= self.config.file_query_interval)
-                .unwrap_or(true);
-        if self.subs_dirty || interests_due {
-            self.subs_dirty = false;
-            if interests_due {
-                self.last_interest_retry = Some(now);
+        while let Some((_, frame_bytes)) = self.transport.recv() {
+            self.stats.frames_in += 1;
+            // Corrupt frames are dropped (CRC), as are this node's own.
+            let Ok(frame) = Frame::decode_shared(&frame_bytes) else { continue };
+            let src = frame.header().src;
+            if src == self.config.node {
+                continue;
             }
+            if let Ok(msg) = Message::from_frame(&frame) {
+                self.handle_message(src, msg, now);
+            }
+        }
+        for node in self.directory.expire(now, self.config.node_timeout) {
+            // Never this node itself: the directory exempts its owner.
+            self.handle_node_death(node, now);
+        }
+        // Maintenance only runs when something that feeds name resolution
+        // actually changed (`subs_dirty`), plus the files' cadence fallback
+        // that keeps waiting interests re-trying their seen announces.
+        let retry = self.files.retry_due(now);
+        if std::mem::take(&mut self.subs_dirty) || retry {
             self.maintain_subscriptions(now);
         }
-        self.fire_timers(now);
-        self.sweep_variable_deadlines(now);
-        self.sweep_call_timeouts(now);
+        while let Some((seq, id)) = self.timers.pop_due(now) {
+            self.tasks.push(Priority::TIMER, seq, TaskPayload::Timer { id });
+        }
+        for name in self.vars.sweep_deadlines(now) {
+            self.stats.var_timeouts += 1;
+            self.tracer.record(now, TraceKind::VarTimeout, TraceId::NONE, None, 0, Some(&name));
+            self.tasks.fan_out(Priority::VARIABLE, self.vars.subscribers(&name), || {
+                TaskPayload::VariableTimeout { name: name.clone() }
+            });
+        }
+        for id in self.rpc.expired(now) {
+            self.failover_call(id, now);
+        }
         self.poll_links(now);
         self.pump_files(now);
         self.emit_periodics(now);
-        self.run_tasks(now);
-        let len = self.scheduler.len();
-        if len > self.stats.queue_peak {
-            self.stats.queue_peak = len;
+        for _ in 0..self.config.tick_budget {
+            let Some(task) = self.tasks.scheduler.pop() else { break };
+            self.execute_task(task, now);
         }
+        self.stats.queue_peak = self.stats.queue_peak.max(self.tasks.scheduler.len());
         self.reassembler.expire(now);
     }
 
@@ -693,11 +579,12 @@ impl ServiceContainer {
     /// instant for as long as the inbox stays empty: such a tick would
     /// change nothing but [`ContainerStats::ticks`].
     ///
-    /// The answer is the minimum over every due date the tick phases
-    /// compare `now` against (timers, directory expiry, variable and call
-    /// deadlines, reassembly expiry, the heartbeat / announce / interest-
-    /// retry cadences, file completion queries, each active link's next
-    /// retransmission or FEC flush). State whose next step is not one
+    /// The answer is the minimum over the components' own `next_due()`,
+    /// each read from the very field its tick phase compares `now`
+    /// against: timers, directory expiry, variable and call deadlines,
+    /// reassembly expiry, file completion queries and interest retries,
+    /// the heartbeat / announce cadences, each active link's next
+    /// retransmission or FEC flush. State whose next step is not one
     /// date — a dirty subscription table, queued handler invocations, an
     /// acknowledgement owed, file chunks waiting for their burst —
     /// answers *now* ([`Micros::ZERO`]): early is always sound,
@@ -708,259 +595,589 @@ impl ServiceContainer {
         if !self.running {
             return None;
         }
-        if self.subs_dirty || !self.scheduler.is_empty() {
+        if self.subs_dirty || !self.tasks.scheduler.is_empty() {
             return Some(Micros::ZERO);
         }
-        // An active link without a table entry is one the poll sweep is
-        // about to drop: at once, too.
-        let links = self.active_links.iter().map(|peer| {
-            self.links.get(peer).map_or(Some(Micros::ZERO), ReliableLink::next_poll_due)
-        });
-        let cadence = |last: Option<Micros>, period: ProtoDuration| match last {
-            Some(t) => t + period,
-            None => Micros::ZERO,
-        };
-        let config = &self.config;
-        let dated = [
-            self.timers.peek().map(|&Reverse((due, _))| due),
-            self.directory.next_expiry(config.node_timeout),
-            self.vars.next_deadline(),
-            self.rpc.next_deadline(),
+        [
+            self.timers.next_due(),
+            self.directory.next_expiry(self.config.node_timeout),
+            self.vars.next_due(),
+            self.rpc.next_due(),
             self.reassembler.next_expiry(),
-            self.files.next_pump_due(config.file_query_interval),
-            Some(cadence(self.last_heartbeat, config.heartbeat_period)),
-            Some(cadence(self.last_announce, config.announce_period)),
-            self.reannounce_pending
-                .then(|| cadence(self.last_forced_reannounce, config.announce_period)),
-            (!self.files.interests.is_empty())
-                .then(|| cadence(self.last_interest_retry, config.file_query_interval)),
-        ];
-        dated.into_iter().chain(links).flatten().min()
+            self.files.next_due(),
+            Some(self.gossip.next_due()),
+            self.links.next_due(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     fn load_permille(&self) -> u16 {
         let budget = self.config.tick_budget.max(1);
-        ((self.scheduler.len().min(budget) * 1000) / budget) as u16
+        ((self.tasks.scheduler.len().min(budget) * 1000) / budget) as u16
     }
 
-    // ---- timers -------------------------------------------------------------
+    // ---- frame input -----------------------------------------------------
 
-    fn fire_timers(&mut self, now: Micros) {
-        while let Some(&Reverse((due, tid))) = self.timers.peek() {
-            if due > now {
-                break;
+    fn handle_message(&mut self, src: NodeId, msg: Message, now: Micros) {
+        match msg {
+            Message::Hello { container, incarnation, fec_cap } => {
+                self.directory.apply_hello(src, container, incarnation, fec_cap, now);
+                let cap = self.peer_cap(src);
+                self.links.renegotiate(src, cap);
+                self.subs_dirty = true;
+                if self.gossip.request_reannounce(now) {
+                    self.broadcast_announce(self.announce_entries(), now);
+                }
             }
-            self.timers.pop();
-            let Some(info) = self.timer_info.get(&tid) else { continue };
-            if info.cancelled {
-                self.timer_info.remove(&tid);
-                continue;
+            Message::Heartbeat { incarnation, load_permille, fec_cap, .. } => {
+                let prior = self.directory.node(src).map(|n| n.incarnation);
+                self.directory.apply_heartbeat(src, incarnation, load_permille, fec_cap, now);
+                let cap = self.peer_cap(src);
+                self.links.renegotiate(src, cap);
+                if prior != Some(incarnation) {
+                    // Unknown node or incarnation change: availability may
+                    // have shifted; plain refresh heartbeats don't re-plan.
+                    self.subs_dirty = true;
+                }
+                if prior.is_none() {
+                    // A node we have no catalogue for (its Hello/Announce was
+                    // lost): introduce ourselves unicast — which makes it
+                    // reply with its catalogue — and hand it ours the same
+                    // way. Both legs are unicast so a partition heal cannot
+                    // storm the control group with full-catalogue broadcasts.
+                    let hello = self.hello();
+                    self.send_message(TransportDestination::Node(src.0), &hello);
+                    self.send_catalogue_to(src);
+                }
             }
-            let seq = info.service_seq;
-            let period = info.period;
-            self.push_task(Priority::TIMER, seq, TaskPayload::Timer { id: TimerId(tid) });
-            match period {
-                Some(p) => self.timers.push(Reverse((due + p, tid))),
-                None => {
-                    self.timer_info.remove(&tid);
+            Message::Bye => {
+                self.directory.apply_bye(src);
+                self.handle_node_death(src, now);
+            }
+            Message::Announce { incarnation, entries } => {
+                self.trace_link(now, TraceKind::DirAnnounce, src, entries.len() as u64);
+                self.directory.apply_announce(src, &entries, now);
+                let hash = announce_hash(incarnation, &entries);
+                self.directory.set_catalogue_digest(src, hash, entries.len() as u32);
+                self.subs_dirty = true;
+            }
+            Message::AnnounceDigest { incarnation, entry_count, catalogue_hash } => {
+                if self.directory.catalogue_matches(src, incarnation, entry_count, catalogue_hash) {
+                    self.directory.touch(src, now);
+                } else {
+                    // Our copy of the peer's catalogue disagrees (or we never
+                    // applied one): pull the full catalogue unicast.
+                    self.send_message(TransportDestination::Node(src.0), &Message::AnnounceRequest);
+                }
+            }
+            Message::AnnounceRequest => self.send_catalogue_to(src),
+            Message::ServiceStatus { service_seq, state, .. } => {
+                self.directory.apply_status(src, service_seq, state);
+                self.subs_dirty = true;
+                if !state.is_available() {
+                    let failed = ServiceId::new(src, service_seq);
+                    for id in self.rpc.sorted_targeting(|target| target == failed) {
+                        self.failover_call(id, now);
+                    }
+                }
+            }
+            Message::SubscribeVar { name, subscriber, need_initial } => {
+                let Some((sample, stamp)) =
+                    self.vars.on_subscribe(&name, subscriber, need_initial, now)
+                else {
+                    return;
+                };
+                // The resend gets a fresh causal id: it is this container
+                // re-publishing the retained sample towards one subscriber.
+                let trace = self.tracer.mint();
+                let seq = sample.seq;
+                self.tracer.record(
+                    now,
+                    TraceKind::VarPublish,
+                    trace,
+                    Some(subscriber),
+                    seq,
+                    Some(&name),
+                );
+                let msg = Message::VarSample {
+                    name,
+                    seq,
+                    stamp_us: stamp.as_micros(),
+                    validity_us: sample.validity_us,
+                    trace: trace.wire(),
+                    codec: self.codecs.default_id().0,
+                    payload: sample.payload,
+                };
+                // The initial exact value is *guaranteed* (§4.1), so unlike the
+                // periodic samples it travels on the reliable channel.
+                self.send_reliable(subscriber, &msg, now);
+            }
+            Message::UnsubscribeVar { name, subscriber } => {
+                self.vars.on_unsubscribe(&name, subscriber);
+            }
+            Message::SubscribeEvent { name, subscriber } => {
+                self.events.set_remote_subscriber(&name, subscriber, true);
+            }
+            Message::UnsubscribeEvent { name, subscriber } => {
+                self.events.set_remote_subscriber(&name, subscriber, false);
+            }
+            Message::VarSample { name, seq, stamp_us, validity_us, trace, codec, payload } => {
+                let trace = TraceId::from_wire(src, trace);
+                let peer = (!trace.is_none()).then(|| trace.origin());
+                let (stamp, codecs) = (Micros(stamp_us), &self.codecs);
+                let sample = self.vars.on_sample(
+                    &name,
+                    seq,
+                    stamp,
+                    validity_us,
+                    codec,
+                    &payload,
+                    codecs,
+                    now,
+                );
+                let dropped = match sample {
+                    Ok((value, services)) => {
+                        let deliver = || TaskPayload::DeliverVariable {
+                            name: name.clone(),
+                            value: value.clone(),
+                            stamp,
+                            seq,
+                            trace,
+                        };
+                        return self.tasks.fan_out(Priority::VARIABLE, services, deliver);
+                    }
+                    Err(SampleDrop::Unsubscribed) => return,
+                    Err(SampleDrop::Mismatch) => {
+                        let line = format!("sample of `{name}` violates announced schema; dropped");
+                        return self.log_line(now, line);
+                    }
+                    Err(SampleDrop::Stale) => {
+                        self.stats.stale_samples_dropped += 1;
+                        TraceKind::VarStaleDrop
+                    }
+                    Err(SampleDrop::Old) => {
+                        self.stats.old_samples_dropped += 1;
+                        TraceKind::VarOldDrop
+                    }
+                };
+                self.tracer.record(now, dropped, trace, peer, seq, Some(&name));
+            }
+            Message::RelData { seq, payload, .. } => {
+                let cap = self.peer_cap(src);
+                let received = self.links.on_data(src, cap, seq, payload);
+                self.deliver_inner(src, received, now);
+            }
+            Message::FecShard { group, index, k, r, payload, .. } => {
+                let cap = self.peer_cap(src);
+                let received = self.links.on_shard(src, cap, group, index, k, r, &payload);
+                self.deliver_inner(src, received, now);
+            }
+            Message::RelAck { cumulative, sack, loss_permille, .. } => {
+                let (out, recovered) = self.links.on_ack(src, cumulative, sack, loss_permille, now);
+                for us in recovered {
+                    self.tracer.record_rto_recovery(us);
+                }
+                self.send_all(TransportDestination::Node(src.0), &out);
+            }
+            Message::EventData { name, seq, stamp_us, trace, codec, payload } => {
+                let Some((value, violates)) =
+                    self.events.on_data(&name, codec, &payload, &self.codecs)
+                else {
+                    return;
+                };
+                if violates {
+                    self.log_line(now, format!("event `{name}` payload violates announced schema"));
+                }
+                let trace = TraceId::from_wire(src, trace);
+                self.deliver_event(&name, value, seq, Micros(stamp_us), trace, now);
+            }
+            Message::CallRequest { request, function, target_seq, trace, codec, payload } => {
+                let trace = TraceId::from_wire(src, trace);
+                let available = self
+                    .slots
+                    .get((target_seq as usize).wrapping_sub(1))
+                    .is_some_and(ServiceSlot::accepts_work);
+                let admitted = self.rpc.admit_request(
+                    &function,
+                    target_seq,
+                    available,
+                    codec,
+                    &payload,
+                    &self.codecs,
+                );
+                match admitted {
+                    Ok(args) => self.tasks.push(
+                        Priority::CALL,
+                        target_seq,
+                        TaskPayload::ExecuteCall { request, caller: src, function, args, trace },
+                    ),
+                    Err(status) => {
+                        let refusal = Message::CallReply {
+                            request,
+                            status,
+                            trace: trace.wire(),
+                            codec,
+                            payload: Bytes::new(),
+                        };
+                        self.send_reliable(src, &refusal, now);
+                    }
+                }
+            }
+            Message::CallReply { request, status, trace, codec, payload } => {
+                // A reply's trace was minted by the caller — us — so the
+                // implied origin is this node, not the frame's src.
+                let trace = TraceId::from_wire(self.config.node, trace);
+                let Some(call) = self.rpc.take(request) else { return };
+                let result = match status {
+                    CallStatus::Ok => {
+                        self.rpc.unmarshal_reply(&call, codec, &payload, &self.codecs)
+                    }
+                    CallStatus::AppError => {
+                        Err(CallError::App(String::from_utf8_lossy(&payload).into_owned()))
+                    }
+                    CallStatus::NoSuchFunction => Err(CallError::NoSuchFunction),
+                    CallStatus::ServiceUnavailable | CallStatus::Timeout => {
+                        // Provider-side refusal: try another provider before
+                        // giving up (degraded-mode continuation, §4.3).
+                        self.rpc.track(request, call);
+                        return self.failover_call(request, now);
+                    }
+                };
+                // Prefer the wire echo; calls issued before tracing was
+                // enabled fall back to the locally stored id.
+                let trace = if trace.is_none() { call.trace } else { trace };
+                let peer = Some(call.target.node);
+                self.complete_call(request, call, result, trace, peer, now);
+            }
+            Message::FileAnnounce { .. } => {
+                self.subs_dirty = true;
+                self.on_file_announce(src, &msg, now);
+            }
+            Message::FileChunk { transfer, revision, index, payload } => {
+                let Some((resource, data, services, publisher)) =
+                    self.files.on_chunk(src, transfer, revision, index, &payload)
+                else {
+                    return;
+                };
+                self.stats.files_received += 1;
+                self.tasks.fan_out(Priority::FILE, services, || {
+                    let (resource, data) = (resource.clone(), data.clone());
+                    TaskPayload::File(FileEvent::Received { resource, revision, data })
+                });
+                if let Some(publisher) = publisher {
+                    let ack = Message::FileAck { transfer, revision, subscriber: self.config.node };
+                    self.send_reliable(publisher, &ack, now);
+                }
+            }
+            Message::FileQuery { transfer, revision } => {
+                if let Some(response) = self.files.on_query(src, transfer, revision) {
+                    self.send_reliable(src, &response, now);
+                }
+            }
+            Message::FileSubscribe { .. } | Message::FileAck { .. } | Message::FileNack { .. } => {
+                if let Some((owner, done)) = self.files.on_subscriber_message(&msg) {
+                    self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
+                }
+            }
+            Message::FileCancel { transfer } => {
+                self.subs_dirty |= self.files.on_cancel(src, transfer);
+            }
+            Message::Fragment { msg_id, index, count, payload } => {
+                if let Ok(Some(full)) =
+                    self.reassembler.offer(src, msg_id, index, count, payload, now)
+                {
+                    if let Ok(inner) = Message::decode_tagged_shared(&full) {
+                        self.handle_message(src, inner, now);
+                    }
                 }
             }
         }
     }
 
-    // ---- task execution -------------------------------------------------------
+    /// Traces what a reliable-channel frame did to its link, then
+    /// dispatches the inner messages it released.
+    fn deliver_inner(&mut self, src: NodeId, received: Received, now: Micros) {
+        if received.fresh {
+            self.trace_link(now, TraceKind::LinkUp, src, 0);
+        }
+        if received.repaired > 0 {
+            self.trace_link(now, TraceKind::FecRecover, src, received.repaired);
+        }
+        for inner in received.inner {
+            if let Ok(inner_msg) = Message::decode_tagged_shared(&inner) {
+                self.handle_message(src, inner_msg, now);
+            }
+        }
+    }
 
-    fn push_task(&mut self, priority: Priority, service_seq: u32, payload: TaskPayload) {
-        self.next_task_seq += 1;
-        self.scheduler.push(Task {
-            priority,
-            enqueued_seq: self.next_task_seq,
-            service_seq,
-            payload,
+    /// Fans one event out to the local subscribers under their declared
+    /// [`EventQos`](crate::EventQos) contracts: each subscription's
+    /// deliveries ride its own priority lane, and bounded inboxes apply
+    /// their drop policy when full.
+    fn deliver_event(
+        &mut self,
+        name: &Name,
+        value: Option<Value>,
+        seq: u64,
+        stamp: Micros,
+        trace: TraceId,
+        now: Micros,
+    ) {
+        self.events.admit(name, |svc, priority, admission| {
+            if admission != Admission::Push {
+                self.tracer.record(now, TraceKind::EventDrop, trace, None, seq, Some(name));
+            }
+            match admission {
+                Admission::Refuse => return,
+                Admission::ReplaceOldest => {
+                    // Retract this subscription's stalest queued delivery to
+                    // admit the fresh one; the inbox depth is unchanged
+                    // (one out, one in). If nothing was queued despite the
+                    // accounting (cannot happen: inboxes are decremented
+                    // exactly when deliveries leave the queue), the push
+                    // below still keeps the depth within one of the bound.
+                    let _ = self.tasks.scheduler.remove_matching(&mut |t| {
+                        t.service_seq == svc
+                            && matches!(&t.payload,
+                                TaskPayload::DeliverEvent { name: n, .. } if n == name)
+                    });
+                }
+                Admission::Push => {}
+            }
+            self.tasks.push(
+                priority,
+                svc,
+                TaskPayload::DeliverEvent {
+                    name: name.clone(),
+                    value: value.clone(),
+                    seq,
+                    stamp,
+                    trace,
+                },
+            );
         });
     }
 
-    fn run_tasks(&mut self, now: Micros) {
-        for _ in 0..self.config.tick_budget {
-            let Some(task) = self.scheduler.pop() else { break };
-            self.execute_task(task, now);
-        }
-    }
-
-    fn execute_task(&mut self, task: Task, now: Micros) {
-        self.stats.tasks_executed += 1;
-        // A DeliverEvent leaving the queue frees its subscription's inbox
-        // slot — even when the target service turns out to be unavailable
-        // below, so the bound accounting can never leak.
-        if let TaskPayload::DeliverEvent { name, .. } = &task.payload {
-            if let Some(sub) = self.events.subscribed.get_mut(name) {
-                sub.dec_inbox(task.service_seq);
-            }
-        }
-        let idx = (task.service_seq as usize).wrapping_sub(1);
-        let payload = task.payload;
-        let lifecycle = matches!(payload, TaskPayload::Start | TaskPayload::Stop);
-
-        // Phase 1: extract the service from its slot.
-        let (mut service, service_name, seq) = {
-            let Some(slot) = self.slots.get_mut(idx) else { return };
-            if !lifecycle && !slot.state.is_available() && slot.state != ServiceState::Starting {
-                return;
-            }
-            let Some(service) = slot.service.take() else { return };
-            (service, slot.descriptor.name().clone(), slot.seq)
-        };
-
-        // Phase 2: run the handler with a fresh context.
-        let mut effects: Vec<Effect> = Vec::new();
-        let mut next_request_id = self.next_request_id;
-        let mut next_timer_id = self.next_timer_id;
-        let node = self.config.node;
-        let mut call_outcome: Option<(RequestId, NodeId, Name, Result<Value, String>)> = None;
-
-        let panicked = {
-            let mut ctx = ServiceContext {
-                now,
-                node,
-                service_name: &service_name,
-                service_seq: seq,
-                effects: &mut effects,
-                next_request_id: &mut next_request_id,
-                next_timer_id: &mut next_timer_id,
-                var_state: Some(&self.vars.subscribed),
-            };
-            let unwind = catch_unwind(AssertUnwindSafe(|| match &payload {
-                TaskPayload::Start => {
-                    service.on_start(&mut ctx);
-                    None
-                }
-                TaskPayload::Stop => {
-                    service.on_stop(&mut ctx);
-                    None
-                }
-                TaskPayload::DeliverVariable { name, value, stamp, .. } => {
-                    service.on_variable(&mut ctx, name, value, *stamp);
-                    None
-                }
-                TaskPayload::VariableTimeout { name } => {
-                    service.on_variable_timeout(&mut ctx, name);
-                    None
-                }
-                TaskPayload::DeliverEvent { name, value, stamp, .. } => {
-                    service.on_event(&mut ctx, name, value.as_ref(), *stamp);
-                    None
-                }
-                TaskPayload::ExecuteCall { request, caller, function, args, .. } => {
-                    let result = service.on_call(&mut ctx, function, args);
-                    Some((*request, *caller, function.clone(), result))
-                }
-                TaskPayload::DeliverReply { request, result } => {
-                    service.on_reply(&mut ctx, CallHandle(*request), result.clone());
-                    None
-                }
-                TaskPayload::File(ev) => {
-                    service.on_file_event(&mut ctx, ev);
-                    None
-                }
-                TaskPayload::FileBypass { resource, revision, data } => {
-                    service.on_file_event(
-                        &mut ctx,
-                        &FileEvent::Received {
-                            resource: resource.clone(),
-                            revision: *revision,
-                            data: data.clone(),
-                        },
-                    );
-                    None
-                }
-                TaskPayload::Provider(notice) => {
-                    service.on_provider_change(&mut ctx, notice);
-                    None
-                }
-                TaskPayload::Timer { id } => {
-                    service.on_timer(&mut ctx, *id);
-                    None
-                }
-            }));
-            match unwind {
-                Ok(outcome) => {
-                    call_outcome = outcome;
-                    false
-                }
-                Err(_) => true,
-            }
-        };
-
-        self.next_request_id = next_request_id;
-        self.next_timer_id = next_timer_id;
-
-        // Phase 3: restore the service.
-        if let Some(slot) = self.slots.get_mut(idx) {
-            slot.service = Some(service);
-        }
-
-        // Phase 4: accounting and follow-up.
-        if panicked {
-            // Watchdog: a panicking service is marked failed and the fleet
-            // is told (§3: the container watches "for their correct
-            // operation and notif[ies] the rest of containers").
-            self.stats.services_failed += 1;
-            self.log_line(now, format!("service `{service_name}` panicked; marked failed"));
-            self.set_service_state(seq, ServiceState::Failed, now);
+    fn on_file_announce(&mut self, src: NodeId, announce: &Message, now: Micros) {
+        let Message::FileAnnounce { transfer, resource, revision, size, .. } = announce else {
             return;
-        }
-        match &payload {
-            TaskPayload::Start => {
-                let starting =
-                    self.slots.get(idx).map(|s| s.state == ServiceState::Starting).unwrap_or(false);
-                if starting {
-                    self.set_service_state(seq, ServiceState::Running, now);
-                }
-            }
-            TaskPayload::Stop => self.set_service_state(seq, ServiceState::Stopped, now),
-            TaskPayload::DeliverVariable { name, stamp, seq: sample_seq, trace, .. } => {
-                self.stats.var_samples_delivered += 1;
-                self.tracer.record_var_latency(now.saturating_since(*stamp).as_micros());
-                self.tracer.record(
-                    now,
-                    TraceKind::VarDeliver,
-                    *trace,
-                    None,
-                    *sample_seq,
-                    Some(name),
-                );
-            }
-            TaskPayload::DeliverEvent { name, stamp, seq: event_seq, trace, .. } => {
-                self.stats.events_delivered += 1;
-                let latency = now.saturating_since(*stamp).as_micros();
-                self.stats.event_latency_sum_us += latency;
-                if latency > self.stats.event_latency_max_us {
-                    self.stats.event_latency_max_us = latency;
-                }
-                self.tracer.record_event_latency(latency);
-                self.tracer.record(
-                    now,
-                    TraceKind::EventDeliver,
-                    *trace,
-                    None,
-                    *event_seq,
-                    Some(name),
-                );
-            }
-            TaskPayload::ExecuteCall { .. } => self.stats.calls_served += 1,
-            TaskPayload::FileBypass { .. } => self.stats.file_bypass_deliveries += 1,
-            _ => {}
-        }
-        let call_trace = match &payload {
-            TaskPayload::ExecuteCall { trace, .. } => *trace,
-            _ => TraceId::NONE,
         };
-        if let Some((request, caller, function, result)) = call_outcome {
-            self.finish_call(request, caller, &function, result, call_trace, now);
+        match self.files.on_announce(src, announce) {
+            Heard::Ignored => {}
+            Heard::Conflict => self.log_line(
+                now,
+                format!("remote announce for locally published resource `{resource}` ignored"),
+            ),
+            Heard::Subscribe { join, services } => {
+                if join {
+                    self.transport.join(file_group(resource).0);
+                }
+                let subscribe =
+                    Message::FileSubscribe { transfer: *transfer, subscriber: self.config.node };
+                self.send_reliable(src, &subscribe, now);
+                self.tasks.fan_out(Priority::FILE, services, || {
+                    TaskPayload::File(FileEvent::Announced {
+                        resource: resource.clone(),
+                        revision: *revision,
+                        size: *size,
+                    })
+                });
+            }
         }
-        self.apply_effects(seq, effects, now);
     }
 
+    // ---- failure detection & maintenance ----------------------------------
+
+    fn handle_node_death(&mut self, node: NodeId, now: Micros) {
+        self.log_line(now, format!("node {node} declared dead; purging name cache"));
+        self.subs_dirty = true;
+        if self.links.drop_peer(node) {
+            self.trace_link(now, TraceKind::LinkDown, node, 0);
+        }
+        self.trace_link(now, TraceKind::DirExpire, node, 0);
+        // Variable/event subscriptions bound to the dead node are *not*
+        // unbound here: the directory purge makes their resolution fail,
+        // and maintain_subscriptions turns that into the unbind + the
+        // "provider lost" notice (one transition, one notification).
+        for id in self.rpc.sorted_targeting(|target| target.node == node) {
+            self.failover_call(id, now);
+        }
+        self.files.drop_peer(node);
+    }
+
+    /// Name management (§3): re-resolves everything local services
+    /// consume against the directory. Every pass handles its names in
+    /// ascending order, because it may send subscription wiring or queue
+    /// notices and send order must be seed-reproducible.
+    fn maintain_subscriptions(&mut self, now: Micros) {
+        self.rebind_channels(Channel::Variable, now);
+        self.rebind_channels(Channel::Event, now);
+        for (name, available) in self.rpc.recheck_required(&self.directory) {
+            let notice = if available {
+                ProviderNotice::FunctionAvailable(name.clone())
+            } else {
+                self.log_line(now, format!("required function `{name}` has no provider"));
+                ProviderNotice::FunctionUnavailable(name.clone())
+            };
+            let payload = || TaskPayload::Provider(notice.clone());
+            self.tasks.fan_out(Priority::CALL, self.rpc.requirers(&name), payload);
+        }
+        // File interests that heard an announce before subscribing.
+        for (src, announce) in self.files.waiting_announces() {
+            if self.directory.node_alive(src) {
+                self.on_file_announce(src, &announce, now);
+            }
+        }
+    }
+
+    /// Re-resolves every subscribed variable or event channel: wires this
+    /// node in at the provider the directory resolves (over the reliable
+    /// channel, so a lost datagram cannot silently orphan the
+    /// subscription) and tells the subscribers when a channel gains or
+    /// loses its provider.
+    fn rebind_channels(&mut self, channel: Channel, now: Micros) {
+        let rebinds = match channel {
+            Channel::Variable => self.vars.rebind_all(&self.directory, now),
+            Channel::Event => self.events.rebind_all(&self.directory),
+        };
+        for (name, rebind) in rebinds {
+            let subscriber = self.config.node;
+            match (rebind, channel) {
+                (Rebind::Bound { provider, .. }, _) if provider.node == subscriber => {}
+                (Rebind::Bound { provider, .. }, Channel::Variable) => {
+                    if self.config.var_distribution == VarDistribution::Multicast {
+                        self.transport.join(var_group(&name).0);
+                    }
+                    let need_initial = self.vars.need_initial(&name);
+                    let msg =
+                        Message::SubscribeVar { name: name.clone(), subscriber, need_initial };
+                    self.send_reliable(provider.node, &msg, now);
+                }
+                (Rebind::Bound { provider, .. }, Channel::Event) => {
+                    let msg = Message::SubscribeEvent { name: name.clone(), subscriber };
+                    self.send_reliable(provider.node, &msg, now);
+                }
+                (Rebind::Lost, _) => {}
+            }
+            let notice = match rebind {
+                Rebind::Bound { fresh: false, .. } => continue,
+                Rebind::Bound { fresh: true, .. } => channel.notice(&name, true),
+                Rebind::Lost => channel.notice(&name, false),
+            };
+            let payload = || TaskPayload::Provider(notice.clone());
+            match channel {
+                Channel::Variable => {
+                    self.tasks.fan_out(Priority::CALL, self.vars.subscribers(&name), payload)
+                }
+                Channel::Event => {
+                    self.tasks.fan_out(Priority::CALL, self.events.subscribers(&name), payload)
+                }
+            }
+        }
+    }
+
+    // ---- remote invocation ------------------------------------------------
+
+    /// Re-resolves a pending call to a redundant provider, or fails it.
+    ///
+    /// Paper §4.3: "Upon service failure, if another service is
+    /// implementing the same functionality, the middleware will detect the
+    /// situation and redirect requests to the redundant service."
+    fn failover_call(&mut self, id: RequestId, now: Micros) {
+        let Some(mut call) = self.rpc.take(id) else { return };
+        if call.attempts >= call.max_attempts {
+            // The caller's retry budget is exhausted (CallOptions
+            // contract; container default when unspecified).
+            return self.deliver_reply(call.caller_seq, id, Err(CallError::Timeout));
+        }
+        let next = self
+            .directory
+            .resolve_function(call.function.as_str(), call.policy, Some(call.target))
+            .map(|p| (p.service, p.provision.clone()));
+        let Some((target, Provision::Function { sig, .. })) = next else {
+            // "If no service provides the requested function the
+            // middleware will warn the system."
+            self.log_line(now, format!("call {id} failed: no remaining provider"));
+            return self.deliver_reply(call.caller_seq, id, Err(CallError::ServiceUnavailable));
+        };
+        self.rpc.redirect(&mut call, target, sig.returns.clone(), now);
+        self.stats.call_failovers += 1;
+        self.tracer.record(
+            now,
+            TraceKind::CallRetry,
+            call.trace,
+            Some(target.node),
+            id.0,
+            Some(&call.function),
+        );
+        match self.rpc.marshal(&call.args, &sig, self.codecs.default_codec().as_ref()) {
+            Ok(payload) => {
+                self.log_line(now, format!("call {id} redirected to redundant provider {target}"));
+                self.dispatch_call(id, &call, payload, now);
+                self.rpc.track(id, call);
+            }
+            Err(e) => self.deliver_reply(call.caller_seq, id, Err(e)),
+        }
+    }
+
+    fn dispatch_call(&mut self, id: RequestId, call: &PendingCall, payload: Bytes, now: Micros) {
+        if call.target.node == self.config.node {
+            // In-container invocation: no network, straight to the
+            // scheduler (Fig. 2 local path).
+            self.tasks.push(
+                Priority::CALL,
+                call.target.seq,
+                TaskPayload::ExecuteCall {
+                    request: id,
+                    caller: self.config.node,
+                    function: call.function.clone(),
+                    args: call.args.clone(),
+                    trace: call.trace,
+                },
+            );
+        } else {
+            let msg = Message::CallRequest {
+                request: id,
+                function: call.function.clone(),
+                target_seq: call.target.seq,
+                trace: call.trace.wire(),
+                codec: self.codecs.default_id().0,
+                payload,
+            };
+            self.send_reliable(call.target.node, &msg, now);
+        }
+    }
+
+    /// Hands the caller the outcome of a call that got its reply.
+    fn complete_call(
+        &mut self,
+        request: RequestId,
+        call: PendingCall,
+        result: Result<Value, CallError>,
+        trace: TraceId,
+        peer: Option<NodeId>,
+        now: Micros,
+    ) {
+        self.tracer.record_call_rtt(now.saturating_since(call.started_at).as_micros());
+        self.tracer.record(now, TraceKind::CallReply, trace, peer, request.0, Some(&call.function));
+        self.deliver_reply(call.caller_seq, request, result);
+    }
+
+    /// Queues `on_reply` for the calling service (`Err` straight from the
+    /// middleware when it gave up on the call).
+    fn deliver_reply(
+        &mut self,
+        caller_seq: u32,
+        request: RequestId,
+        result: Result<Value, CallError>,
+    ) {
+        self.stats.call_errors += u64::from(result.is_err());
+        self.tasks.push(Priority::CALL, caller_seq, TaskPayload::DeliverReply { request, result });
+    }
+
+    /// A local service's handler returned from `on_call`.
     fn finish_call(
         &mut self,
         request: RequestId,
@@ -972,63 +1189,249 @@ impl ServiceContainer {
     ) {
         if caller == self.config.node {
             // Local caller: translate directly into a reply task.
-            let Some(call) = self.rpc.pending.remove(&request) else { return };
-            let result = result.map_err(CallError::App);
-            if result.is_err() {
-                self.stats.call_errors += 1;
-            }
-            self.tracer.record_call_rtt(now.saturating_since(call.started_at).as_micros());
-            self.tracer.record(
-                now,
-                TraceKind::CallReply,
-                call.trace,
-                None,
-                request.0,
-                Some(function),
-            );
-            self.push_task(
-                Priority::CALL,
-                call.caller_seq,
-                TaskPayload::DeliverReply { request, result },
-            );
+            let Some(call) = self.rpc.take(request) else { return };
+            let trace = call.trace;
+            self.complete_call(request, call, result.map_err(CallError::App), trace, None, now);
         } else {
-            let codec = self.codecs.default_codec().clone();
-            let returns = self.rpc.functions.get(function).and_then(|f| f.sig.returns.clone());
-            let msg = match result {
-                Ok(value) => match encode_result(&value, &returns, codec.as_ref()) {
-                    Ok(payload) => Message::CallReply {
-                        request,
-                        status: CallStatus::Ok,
-                        trace: trace.wire(),
-                        codec: codec.id().0,
-                        payload,
-                    },
-                    Err(e) => {
-                        // The provider returned a value that violates its
-                        // own declared return schema.
-                        self.rpc.type_mismatches += 1;
-                        Message::CallReply {
-                            request,
-                            status: CallStatus::AppError,
-                            trace: trace.wire(),
-                            codec: codec.id().0,
-                            payload: Bytes::from(e.to_string().into_bytes()),
-                        }
-                    }
-                },
-                Err(e) => Message::CallReply {
-                    request,
-                    status: CallStatus::AppError,
-                    trace: trace.wire(),
-                    codec: codec.id().0,
-                    payload: Bytes::from(e.into_bytes()),
-                },
+            let codec = self.codecs.default_codec();
+            let (status, payload) = self.rpc.marshal_reply(function, result, codec.as_ref());
+            let reply = Message::CallReply {
+                request,
+                status,
+                trace: trace.wire(),
+                codec: codec.id().0,
+                payload,
             };
-            self.send_reliable(caller, &msg, now);
+            self.send_reliable(caller, &reply, now);
         }
     }
 
-    fn set_service_state(&mut self, seq: u32, state: ServiceState, now: Micros) {
+    // ---- per-tick pumps ---------------------------------------------------
+
+    fn poll_links(&mut self, now: Micros) {
+        let mut swept = None;
+        while let Some((peer, out, retransmits, abandoned)) = self.links.poll_after(swept, now) {
+            swept = Some(peer);
+            for seq in retransmits {
+                self.trace_link(now, TraceKind::RelRetransmit, peer, seq);
+            }
+            self.send_all(TransportDestination::Node(peer.0), &out);
+            if abandoned > 0 {
+                let n = abandoned;
+                self.log_line(
+                    now,
+                    format!("reliable delivery to {peer} abandoned for {n} messages"),
+                );
+            }
+        }
+    }
+
+    fn pump_files(&mut self, now: Micros) {
+        let mut swept: Option<Name> = None;
+        while let Some(pumped) = self.files.pump_after(swept.as_ref(), now) {
+            if let Some(announce) = &pumped.control {
+                self.send_message(CONTROL, announce);
+            }
+            self.send_all(
+                TransportDestination::Group(file_group(&pumped.resource).0),
+                &pumped.group,
+            );
+            if let Some((owner, done)) = pumped.done {
+                self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
+            }
+            swept = Some(pumped.resource);
+        }
+    }
+
+    fn emit_periodics(&mut self, now: Micros) {
+        if self.gossip.heartbeat_due(now) {
+            let msg = Message::Heartbeat {
+                incarnation: self.incarnation,
+                uptime_us: now.saturating_since(self.started_at).as_micros(),
+                load_permille: self.load_permille(),
+                fec_cap: self.config.fec.advertised_cap().wire_tag(),
+            };
+            self.send_message(CONTROL, &msg);
+        }
+        match self.gossip.announce_slot(now) {
+            AnnounceSlot::Idle => {}
+            AnnounceSlot::Forced => self.broadcast_announce(self.announce_entries(), now),
+            AnnounceSlot::Periodic => {
+                // The full catalogue when it changed since the last
+                // broadcast, otherwise the compact digest. Receivers whose
+                // stored digest disagrees pull the full catalogue unicast
+                // with `AnnounceRequest` (delta-on-mismatch), so the
+                // steady-state control plane carries digests, not catalogues.
+                let entries = self.announce_entries();
+                let digest = self.catalogue_digest(&entries);
+                if self.gossip.digest_unchanged(now, digest) {
+                    let msg = Message::AnnounceDigest {
+                        incarnation: self.incarnation,
+                        entry_count: digest.1,
+                        catalogue_hash: digest.0,
+                    };
+                    self.send_message(CONTROL, &msg);
+                } else {
+                    self.broadcast_announce(entries, now);
+                }
+            }
+        }
+    }
+
+    fn catalogue_digest(&self, entries: &[AnnounceEntry]) -> (u32, u32) {
+        (announce_hash(self.incarnation, entries), entries.len() as u32)
+    }
+
+    fn broadcast_announce(&mut self, entries: Vec<AnnounceEntry>, now: Micros) {
+        self.directory.apply_announce(self.config.node, &entries, now);
+        let digest = self.catalogue_digest(&entries);
+        self.directory.set_catalogue_digest(self.config.node, digest.0, digest.1);
+        self.gossip.broadcast(now, digest);
+        let msg = Message::Announce { incarnation: self.incarnation, entries };
+        self.send_message(CONTROL, &msg);
+    }
+
+    fn send_catalogue_to(&mut self, peer: NodeId) {
+        let msg =
+            Message::Announce { incarnation: self.incarnation, entries: self.announce_entries() };
+        self.send_message(TransportDestination::Node(peer.0), &msg);
+    }
+
+    fn hello(&self) -> Message {
+        Message::Hello {
+            container: self.config.name.clone(),
+            incarnation: self.incarnation,
+            fec_cap: self.config.fec.advertised_cap().wire_tag(),
+        }
+    }
+
+    fn announce_entries(&self) -> Vec<AnnounceEntry> {
+        self.slots
+            .iter()
+            .map(|s| AnnounceEntry {
+                service_seq: s.seq,
+                name: s.descriptor.name().clone(),
+                state: s.state,
+                provides: s.descriptor.provides().to_vec(),
+            })
+            .collect()
+    }
+
+    // ---- task execution -------------------------------------------------------
+
+    fn execute_task(&mut self, task: Task, now: Micros) {
+        self.stats.tasks_executed += 1;
+        // A DeliverEvent leaving the queue frees its subscription's inbox
+        // slot — even when the target service turns out to be unavailable
+        // below, so the bound accounting can never leak.
+        if let TaskPayload::DeliverEvent { name, .. } = &task.payload {
+            self.events.delivery_left_queue(name, task.service_seq);
+        }
+        let idx = (task.service_seq as usize).wrapping_sub(1);
+        let payload = task.payload;
+        let lifecycle = matches!(payload, TaskPayload::Start | TaskPayload::Stop);
+
+        // Phase 1: extract the service from its slot.
+        let (mut service, service_name, seq) = {
+            let Some(slot) = self.slots.get_mut(idx) else { return };
+            if !lifecycle && !slot.accepts_work() {
+                return;
+            }
+            let Some(service) = slot.service.take() else { return };
+            (service, slot.descriptor.name().clone(), slot.seq)
+        };
+
+        // Phase 2: run the handler with a fresh context; only `on_call`
+        // yields something (the result to reply with).
+        let mut effects: Vec<Effect> = Vec::new();
+        let mut ctx = ServiceContext {
+            now,
+            node: self.config.node,
+            service_name: &service_name,
+            service_seq: seq,
+            effects: &mut effects,
+            next_request_id: &mut self.next_request_id,
+            next_timer_id: self.timers.ids(),
+            var_state: Some(&self.vars),
+        };
+        let unwind = catch_unwind(AssertUnwindSafe(|| {
+            match &payload {
+                TaskPayload::Start => service.on_start(&mut ctx),
+                TaskPayload::Stop => service.on_stop(&mut ctx),
+                TaskPayload::DeliverVariable { name, value, stamp, .. } => {
+                    service.on_variable(&mut ctx, name, value, *stamp)
+                }
+                TaskPayload::VariableTimeout { name } => {
+                    service.on_variable_timeout(&mut ctx, name)
+                }
+                TaskPayload::DeliverEvent { name, value, stamp, .. } => {
+                    service.on_event(&mut ctx, name, value.as_ref(), *stamp)
+                }
+                TaskPayload::ExecuteCall { function, args, .. } => {
+                    return Some(service.on_call(&mut ctx, function, args));
+                }
+                TaskPayload::DeliverReply { request, result } => {
+                    service.on_reply(&mut ctx, CallHandle(*request), result.clone())
+                }
+                TaskPayload::File(ev) => service.on_file_event(&mut ctx, ev),
+                TaskPayload::FileBypass { resource, revision, data } => {
+                    let (resource, revision, data) = (resource.clone(), *revision, data.clone());
+                    let received = FileEvent::Received { resource, revision, data };
+                    service.on_file_event(&mut ctx, &received)
+                }
+                TaskPayload::Provider(notice) => service.on_provider_change(&mut ctx, notice),
+                TaskPayload::Timer { id } => service.on_timer(&mut ctx, *id),
+            }
+            None
+        }));
+
+        // Phase 3: restore the service.
+        if let Some(slot) = self.slots.get_mut(idx) {
+            slot.service = Some(service);
+        }
+
+        // Phase 4: accounting and follow-up.
+        let Ok(call_result) = unwind else {
+            // Watchdog: a panicking service is marked failed and the fleet
+            // is told (§3: the container watches "for their correct
+            // operation and notif[ies] the rest of containers").
+            self.stats.services_failed += 1;
+            self.log_line(now, format!("service `{service_name}` panicked; marked failed"));
+            return self.set_service_state(seq, ServiceState::Failed);
+        };
+        match &payload {
+            TaskPayload::Start
+                if self.slots.get(idx).is_some_and(|s| s.state == ServiceState::Starting) =>
+            {
+                self.set_service_state(seq, ServiceState::Running);
+            }
+            TaskPayload::Stop => self.set_service_state(seq, ServiceState::Stopped),
+            TaskPayload::DeliverVariable { name, stamp, seq: n, trace, .. } => {
+                self.stats.var_samples_delivered += 1;
+                self.tracer.record_var_latency(now.saturating_since(*stamp).as_micros());
+                self.tracer.record(now, TraceKind::VarDeliver, *trace, None, *n, Some(name));
+            }
+            TaskPayload::DeliverEvent { name, stamp, seq: n, trace, .. } => {
+                self.stats.events_delivered += 1;
+                let latency = now.saturating_since(*stamp).as_micros();
+                self.stats.event_latency_sum_us += latency;
+                self.stats.event_latency_max_us = self.stats.event_latency_max_us.max(latency);
+                self.tracer.record_event_latency(latency);
+                self.tracer.record(now, TraceKind::EventDeliver, *trace, None, *n, Some(name));
+            }
+            TaskPayload::ExecuteCall { request, caller, function, trace, .. } => {
+                self.stats.calls_served += 1;
+                if let Some(result) = call_result {
+                    self.finish_call(*request, *caller, function, result, *trace, now);
+                }
+            }
+            TaskPayload::FileBypass { .. } => self.stats.file_bypass_deliveries += 1,
+            _ => {}
+        }
+        self.apply_effects(seq, effects, now);
+    }
+
+    fn set_service_state(&mut self, seq: u32, state: ServiceState) {
         let name = {
             let Some(slot) = self.slots.iter_mut().find(|s| s.seq == seq) else { return };
             if slot.state == state {
@@ -1040,8 +1443,7 @@ impl ServiceContainer {
         self.directory.apply_status(self.config.node, seq, state);
         self.subs_dirty = true;
         let msg = Message::ServiceStatus { service_seq: seq, name, state };
-        self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &msg);
-        let _ = now;
+        self.send_message(CONTROL, &msg);
     }
 
     // ---- effects ---------------------------------------------------------------
@@ -1055,117 +1457,73 @@ impl ServiceContainer {
                     self.effect_call(seq, handle, function, args, options, now)
                 }
                 Effect::PublishFile { resource, data } => {
-                    self.effect_publish_file(seq, resource, data, now)
+                    match self.files.publish(seq, &resource, data) {
+                        Ok(announce) => {
+                            self.stats.files_published += 1;
+                            self.send_message(CONTROL, &announce);
+                            self.local_file_bypass(&resource);
+                        }
+                        Err(line) => self.log_line(now, line),
+                    }
                 }
                 Effect::SubscribeFile { resource } => {
-                    let interest = self.files.interests.entry(resource.clone()).or_default();
-                    if !interest.services.contains(&seq) {
-                        interest.services.push(seq);
-                    }
+                    self.files.add_interest(&resource, seq);
                     self.subs_dirty = true;
-                    self.try_local_file_bypass(&resource);
+                    self.local_file_bypass(&resource);
                 }
                 Effect::SetTimer { id, after, period } => {
-                    self.timer_info
-                        .insert(id.0, TimerInfo { service_seq: seq, period, cancelled: false });
-                    self.timers.push(Reverse((now + after, id.0)));
+                    self.timers.set(id, seq, now + after, period);
                 }
-                Effect::CancelTimer { id } => {
-                    if let Some(info) = self.timer_info.get_mut(&id.0) {
-                        info.cancelled = true;
-                    }
-                }
+                Effect::CancelTimer { id } => self.timers.cancel(id),
                 Effect::Log { line } => self.log_line(now, line),
                 Effect::SetDegraded { degraded } => {
                     let state =
                         if degraded { ServiceState::Degraded } else { ServiceState::Running };
-                    self.set_service_state(seq, state, now);
+                    self.set_service_state(seq, state);
                 }
-                Effect::StopSelf => {
-                    self.push_task(Priority::LIFECYCLE, seq, TaskPayload::Stop);
-                }
+                Effect::StopSelf => self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Stop),
             }
         }
     }
 
     fn effect_publish(&mut self, seq: u32, name: Name, value: Value, now: Micros) {
-        let codec = self.codecs.default_codec().clone();
-        let prepared = {
-            let Some(pv) = self.vars.published.get_mut(&name) else {
-                self.log_line(now, format!("publish to undeclared variable `{name}` dropped"));
-                return;
-            };
-            if pv.owner_seq != seq {
-                self.log_line(now, format!("publish to foreign variable `{name}` dropped"));
-                return;
-            }
-            if let Err(e) = value.conforms_to(&pv.ty) {
-                self.vars.type_mismatches += 1;
-                self.log_line(now, format!("publish to `{name}` violates schema: {e}"));
-                return;
-            }
-            let Ok(payload) = codec.encode_to_vec(&value, &pv.ty) else { return };
-            let payload = Bytes::from(payload);
-            pv.seq += 1;
-            pv.last = Some((payload.clone(), now));
-            (
-                payload,
-                pv.seq,
-                pv.validity_us,
-                pv.remote_subscribers.iter().copied().collect::<Vec<NodeId>>(),
-            )
+        let codec = self.codecs.default_codec();
+        let sample = match self.vars.publish(seq, &name, &value, codec.as_ref(), now) {
+            Ok(sample) => sample,
+            Err(line) => return self.log_line(now, line),
         };
-        let (payload, sample_seq, validity_us, remote_subscribers) = prepared;
+        let codec = codec.id().0;
         self.stats.vars_published += 1;
         let trace = self.tracer.mint();
-        self.tracer.record(now, TraceKind::VarPublish, trace, None, sample_seq, Some(&name));
+        self.tracer.record(now, TraceKind::VarPublish, trace, None, sample.seq, Some(&name));
 
         // Local delivery (Fig. 2 in-container path).
-        let local = {
-            match self.vars.subscribed.get_mut(&name) {
-                Some(sub) => {
-                    if sub.accept(sample_seq, now) {
-                        sub.record(now, value.clone());
-                        Some(sub.services.clone())
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            }
-        };
-        if let Some(services) = local {
-            self.vars.arm_deadline(&name);
-            for svc in services {
-                self.push_task(
-                    Priority::VARIABLE,
-                    svc,
-                    TaskPayload::DeliverVariable {
-                        name: name.clone(),
-                        value: value.clone(),
-                        stamp: now,
-                        seq: sample_seq,
-                        trace,
-                    },
-                );
-            }
+        if let Some(services) = self.vars.accept_local(&name, sample.seq, &value, now) {
+            self.tasks.fan_out(Priority::VARIABLE, services, || TaskPayload::DeliverVariable {
+                name: name.clone(),
+                value: value.clone(),
+                stamp: now,
+                seq: sample.seq,
+                trace,
+            });
         }
 
         let msg = Message::VarSample {
             name: name.clone(),
-            seq: sample_seq,
+            seq: sample.seq,
             stamp_us: now.as_micros(),
-            validity_us,
+            validity_us: sample.validity_us,
             trace: trace.wire(),
-            codec: codec.id().0,
-            payload,
+            codec,
+            payload: sample.payload,
         };
         match self.config.var_distribution {
             VarDistribution::Multicast => {
                 self.send_message(TransportDestination::Group(var_group(&name).0), &msg);
             }
             VarDistribution::UnicastFanout => {
-                for node in remote_subscribers {
+                let remote: Vec<NodeId> = self.vars.remote_subscribers(&name).collect();
+                for node in remote {
                     self.send_message(TransportDestination::Node(node.0), &msg);
                 }
             }
@@ -1173,52 +1531,33 @@ impl ServiceContainer {
     }
 
     fn effect_emit(&mut self, seq: u32, name: Name, value: Option<Value>, now: Micros) {
-        let codec = self.codecs.default_codec().clone();
-        let info = {
-            let Some(pe) = self.events.published.get(&name) else {
-                self.log_line(now, format!("emit on undeclared event `{name}` dropped"));
-                return;
-            };
-            if pe.owner_seq != seq {
-                self.log_line(now, format!("emit on foreign event `{name}` dropped"));
-                return;
-            }
-            pe.ty.clone()
+        let codec = self.codecs.default_codec();
+        let emitted = match self.events.emit(seq, &name, value.as_ref(), codec.as_ref()) {
+            Ok(emitted) => emitted,
+            Err(line) => return self.log_line(now, line),
         };
-        let payload = match (&info, &value) {
-            (Some(ty), Some(v)) => match codec.encode_to_vec(v, ty) {
-                Ok(b) => Bytes::from(b),
-                Err(e) => {
-                    self.events.type_mismatches += 1;
-                    self.log_line(now, format!("event `{name}` payload violates schema: {e}"));
-                    return;
-                }
-            },
-            (None, Some(_)) => {
-                self.events.type_mismatches += 1;
-                self.log_line(now, format!("event `{name}` declared bare; payload dropped"));
-                Bytes::new()
-            }
-            _ => Bytes::new(),
-        };
-        let Some(pe) = self.events.published.get_mut(&name) else { return };
-        pe.seq += 1;
-        let (event_seq, remote) =
-            (pe.seq, pe.remote_subscribers.iter().copied().collect::<Vec<NodeId>>());
+        let codec = codec.id().0;
+        if emitted.payload_dropped {
+            self.log_line(now, format!("event `{name}` declared bare; payload dropped"));
+        }
         self.stats.events_published += 1;
         let trace = self.tracer.mint();
-        self.tracer.record(now, TraceKind::EventEmit, trace, None, event_seq, Some(&name));
+        self.tracer.record(now, TraceKind::EventEmit, trace, None, emitted.seq, Some(&name));
 
-        // Local delivery, under each subscriber's declared contract.
-        self.push_event_deliveries(&name, value.clone(), event_seq, now, trace, now);
+        // Local delivery, under each subscriber's declared contract — of
+        // exactly what remote subscribers get: a dropped payload is
+        // dropped here too.
+        let local = value.filter(|_| !emitted.payload_dropped);
+        self.deliver_event(&name, local, emitted.seq, now, trace, now);
         // Remote delivery over the reliable links.
+        let remote: Vec<NodeId> = self.events.remote_subscribers(&name).collect();
         let msg = Message::EventData {
             name,
-            seq: event_seq,
+            seq: emitted.seq,
             stamp_us: now.as_micros(),
             trace: trace.wire(),
-            codec: codec.id().0,
-            payload,
+            codec,
+            payload: emitted.payload,
         };
         for node in remote {
             self.send_reliable(node, &msg, now);
@@ -1235,41 +1574,17 @@ impl ServiceContainer {
         now: Micros,
     ) {
         self.stats.calls_made += 1;
-        // Resolve the caller's contract against the container defaults:
-        // the per-attempt deadline and the retry budget travel with the
-        // pending call from here on.
-        let attempt_timeout = options.deadline.unwrap_or(self.config.call_timeout);
-        let max_attempts = options.retry_budget.unwrap_or(self.config.max_call_attempts).max(1);
-        let policy = options.policy;
         let resolution = self
             .directory
-            .resolve_function(function.as_str(), policy, None)
+            .resolve_function(function.as_str(), options.policy, None)
             .map(|p| (p.service, p.provision.clone()));
         let Some((target, Provision::Function { sig, .. })) = resolution else {
-            self.stats.call_errors += 1;
-            self.push_task(
-                Priority::CALL,
-                seq,
-                TaskPayload::DeliverReply { request: handle.0, result: Err(CallError::NoProvider) },
-            );
-            return;
+            return self.deliver_reply(seq, handle.0, Err(CallError::NoProvider));
         };
-        let codec = self.codecs.default_codec().clone();
-        let payload = match encode_args(&args, &sig, codec.as_ref()) {
-            Ok(p) => p,
-            Err(e) => {
-                // The caller's arguments disagree with the provider's
-                // declared signature: the two sides hold `FnPort`s of the
-                // same name but different argument types.
-                self.rpc.type_mismatches += 1;
-                self.stats.call_errors += 1;
-                self.push_task(
-                    Priority::CALL,
-                    seq,
-                    TaskPayload::DeliverReply { request: handle.0, result: Err(e) },
-                );
-                return;
-            }
+        let codec = self.codecs.default_codec();
+        let payload = match self.rpc.marshal(&args, &sig, codec.as_ref()) {
+            Ok(payload) => payload,
+            Err(e) => return self.deliver_reply(seq, handle.0, Err(e)),
         };
         let trace = self.tracer.mint();
         self.tracer.record(
@@ -1280,17 +1595,20 @@ impl ServiceContainer {
             (handle.0).0,
             Some(&function),
         );
+        // The caller's contract, resolved against the container defaults,
+        // travels with the pending call from here on.
+        let attempt_timeout = options.deadline.unwrap_or(self.config.call_timeout);
         let call = PendingCall {
             caller_seq: seq,
             function,
             args,
             target,
-            returns: sig.returns.clone(),
+            returns: sig.returns,
             deadline: now + attempt_timeout,
             attempt_timeout,
             attempts: 1,
-            max_attempts,
-            policy,
+            max_attempts: options.retry_budget.unwrap_or(DEFAULT_CALL_ATTEMPTS).max(1),
+            policy: options.policy,
             started_at: now,
             trace,
         };
@@ -1298,143 +1616,40 @@ impl ServiceContainer {
         self.rpc.track(handle.0, call);
     }
 
-    fn effect_publish_file(&mut self, seq: u32, resource: Name, data: Bytes, now: Micros) {
-        let declared = self
-            .slots
-            .iter()
-            .find(|s| s.seq == seq)
-            .map(|s| {
-                s.descriptor
-                    .provides()
-                    .iter()
-                    .any(|p| matches!(p, Provision::FileResource { name } if name == &resource))
-            })
-            .unwrap_or(false);
-        if !declared {
-            self.files.type_mismatches += 1;
-            self.log_line(now, format!("publish of undeclared file resource `{resource}` dropped"));
-            return;
-        }
-        self.stats.files_published += 1;
-        let announce = {
-            match self.files.outgoing.get_mut(&resource) {
-                Some(existing) => {
-                    let Ok(announce) = existing.sender.bump_revision(data.clone()) else {
-                        return;
-                    };
-                    existing.complete_notified = false;
-                    existing.last_query_at = None;
-                    announce
-                }
-                None => {
-                    let transfer = self.files.alloc_transfer();
-                    let Ok(sender) = FileSender::new(
-                        transfer,
-                        resource.clone(),
-                        1,
-                        data.clone(),
-                        self.config.chunk_size,
-                        file_group(&resource),
-                    ) else {
-                        return;
-                    };
-                    let announce = sender.announce();
-                    self.files.transfer_index.insert(transfer, resource.clone());
-                    self.files.outgoing.insert(
-                        resource.clone(),
-                        OutgoingFile {
-                            sender,
-                            owner_seq: seq,
-                            last_query_at: None,
-                            complete_notified: false,
-                        },
-                    );
-                    announce
-                }
-            }
-        };
-        self.send_message(TransportDestination::Group(GroupId::CONTROL.0), &announce);
-        self.try_local_file_bypass(&resource);
-    }
-
-    /// Same-node bypass (§4.4): interested local services get the data
-    /// directly, no transfer ("the transfer is bypassed by the container as
-    /// direct access to the resource").
-    fn try_local_file_bypass(&mut self, resource: &Name) {
-        let prepared = {
-            let Some(out) = self.files.outgoing.get(resource) else { return };
-            let revision = out.sender.revision();
-            let data = out.sender.data();
-            let Some(interest) = self.files.interests.get_mut(resource) else { return };
-            if interest.completed_revision == Some(revision) || interest.services.is_empty() {
-                return;
-            }
-            interest.completed_revision = Some(revision);
-            (revision, data, interest.services.clone())
-        };
-        let (revision, data, services) = prepared;
-        for svc in services {
-            self.push_task(
-                Priority::FILE,
-                svc,
-                TaskPayload::FileBypass {
-                    resource: resource.clone(),
-                    revision,
-                    data: data.clone(),
-                },
-            );
-        }
+    fn local_file_bypass(&mut self, resource: &Name) {
+        let Some((revision, data, services)) = self.files.local_bypass(resource) else { return };
+        self.tasks.fan_out(Priority::FILE, services, || TaskPayload::FileBypass {
+            resource: resource.clone(),
+            revision,
+            data: data.clone(),
+        });
     }
 
     // ---- output helpers -----------------------------------------------------
 
+    /// Records a link- or directory-level event about `peer`.
+    fn trace_link(&mut self, now: Micros, kind: TraceKind, peer: NodeId, aux: u64) {
+        self.tracer.record(now, kind, TraceId::NONE, Some(peer), aux, None);
+    }
+
+    /// The FEC capability tag `peer` advertised, if its `Hello` or a
+    /// heartbeat was heard.
+    fn peer_cap(&self, peer: NodeId) -> Option<u8> {
+        self.directory.node(peer).map(|n| n.fec_cap)
+    }
+
     fn send_reliable(&mut self, peer: NodeId, msg: &Message, now: Micros) {
-        let tagged = msg.encode_tagged();
-        let fec = self.fec_cap_for(peer);
-        let fresh_link = !self.links.contains_key(&peer);
-        let out = {
-            let link = self.links.entry(peer).or_insert_with(|| {
-                let mut l = ReliableLink::new(peer, self.config.arq);
-                l.negotiate_fec(fec);
-                l
-            });
-            link.send(tagged, now)
-        };
-        if fresh_link {
-            self.tracer.record(now, TraceKind::LinkUp, TraceId::NONE, Some(peer), 0, None);
+        let cap = self.peer_cap(peer);
+        let (out, fresh) = self.links.send(peer, cap, msg.encode_tagged(), now);
+        if fresh {
+            self.trace_link(now, TraceKind::LinkUp, peer, 0);
         }
-        self.active_links.insert(peer);
-        self.send_link_messages(peer, out);
+        self.send_all(TransportDestination::Node(peer.0), &out);
     }
 
-    /// The code rate a link to `peer` should run: the weaker of our
-    /// configured capability and what the peer advertised in its `Hello`.
-    fn fec_cap_for(&self, peer: NodeId) -> FecRate {
-        if !self.config.fec.enabled {
-            return FecRate::Off;
-        }
-        let theirs = self
-            .directory
-            .node(peer)
-            .map(|n| FecRate::from_wire_tag(n.fec_cap))
-            .unwrap_or(FecRate::Off);
-        self.config.fec.advertised_cap().negotiate(theirs)
-    }
-
-    /// Sends link wire messages to `peer`, counting outgoing FEC shards.
-    ///
-    /// Counted per event rather than recomputed from links because links
-    /// are dropped when their peer dies and the counters must survive that.
-    fn send_link_messages(&mut self, peer: NodeId, msgs: Vec<Message>) {
+    fn send_all(&mut self, dest: TransportDestination, msgs: &[Message]) {
         for m in msgs {
-            if let Message::FecShard { index, .. } = m {
-                if index & PARITY_INDEX_BIT != 0 {
-                    self.stats.fec.parity_shards_out += 1;
-                } else {
-                    self.stats.fec.data_shards_out += 1;
-                }
-            }
-            self.send_message(TransportDestination::Node(peer.0), &m);
+            self.send_message(dest, m);
         }
     }
 
@@ -1462,28 +1677,9 @@ impl ServiceContainer {
     }
 
     fn log_line(&mut self, now: Micros, line: String) {
-        if self.log.len() >= self.config.log_capacity {
+        if self.log.len() >= LOG_CAPACITY {
             self.log.pop_front();
         }
         self.log.push_back((now, line));
     }
-}
-
-/// Stable group id for a variable's multicast group.
-pub(crate) fn var_group(name: &Name) -> GroupId {
-    GroupId(1 + (fnv1a(name.as_str().as_bytes()) & 0x3FFF_FFFE))
-}
-
-/// Stable group id for a file resource's multicast group.
-pub(crate) fn file_group(name: &Name) -> GroupId {
-    GroupId(0x4000_0000 | (fnv1a(name.as_str().as_bytes()) & 0x3FFF_FFFF))
-}
-
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }

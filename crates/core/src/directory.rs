@@ -167,10 +167,11 @@ impl Directory {
             None => {
                 // Heartbeat before Hello (lost datagram): create a minimal
                 // record so liveness tracking works; Announce will fill it.
+                let Ok(container) = Name::new("unknown") else { return };
                 self.nodes.insert(
                     node,
                     NodeInfo {
-                        container: Name::new("unknown").expect("literal"),
+                        container,
                         incarnation,
                         last_seen: now,
                         load_permille,

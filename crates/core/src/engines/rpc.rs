@@ -1,26 +1,31 @@
 //! Remote invocation bookkeeping and argument marshalling (paper §4.3).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use bytes::{Bytes, BytesMut};
 
-use marea_encoding::{Codec, WireReader, WireWriter};
-use marea_presentation::{Name, Value};
-use marea_protocol::messages::FunctionSig;
+use marea_encoding::{Codec, CodecId, CodecRegistry, WireReader, WireWriter};
+use marea_presentation::{DataType, Name, Value};
+use marea_protocol::messages::{CallStatus, FunctionSig, Provision};
 use marea_protocol::{Micros, ProtoDuration, RequestId, ServiceId};
 
+use crate::directory::Directory;
 use crate::error::CallError;
-use crate::service::CallPolicy;
+use crate::service::{CallPolicy, ServiceDescriptor};
+use crate::stats::ContainerStats;
 use crate::trace::TraceId;
+
+/// Upper bound for one marshalled call argument.
+const MAX_ARG_BYTES: usize = 4 * 1024 * 1024;
 
 /// A function a local service exposes.
 #[derive(Debug)]
-pub(crate) struct LocalFunction {
+struct LocalFunction {
     /// Owning local service.
-    pub owner_seq: u32,
+    owner_seq: u32,
     /// Declared signature.
-    pub sig: FunctionSig,
+    sig: FunctionSig,
 }
 
 /// An in-flight outgoing call, carrying its resolved
@@ -36,7 +41,7 @@ pub(crate) struct PendingCall {
     /// Current target instance.
     pub target: ServiceId,
     /// Expected return type (from the provider's signature).
-    pub returns: Option<marea_presentation::DataType>,
+    pub returns: Option<DataType>,
     /// Reply deadline of the current attempt.
     pub deadline: Micros,
     /// Per-attempt reply deadline from the caller's contract (container
@@ -58,30 +63,30 @@ pub(crate) struct PendingCall {
 /// A required-function watch (paper §4.3: checked at initialization,
 /// re-checked as the directory changes).
 #[derive(Debug, Default)]
-pub(crate) struct RequiredFn {
+struct RequiredFn {
     /// Local services that declared the requirement.
-    pub services: Vec<u32>,
+    services: Vec<u32>,
     /// Whether a provider is currently known.
-    pub available: bool,
+    available: bool,
     /// A first resolution check has been performed.
-    pub checked: bool,
+    checked: bool,
 }
 
 /// All invocation state of one container.
 #[derive(Debug, Default)]
 pub(crate) struct RpcEngine {
-    pub functions: HashMap<Name, LocalFunction>,
-    pub pending: HashMap<RequestId, PendingCall>,
-    pub required: HashMap<Name, RequiredFn>,
+    functions: HashMap<Name, LocalFunction>,
+    pending: HashMap<RequestId, PendingCall>,
+    required: BTreeMap<Name, RequiredFn>,
     /// Marshalling failures against declared signatures (see
     /// [`TypeMismatchStats::calls`](crate::stats::TypeMismatchStats)).
-    pub type_mismatches: u64,
+    type_mismatches: u64,
     /// Transparent re-dispatches performed, total (feeds
     /// [`QosStats::retries`](crate::QosStats::retries)).
-    pub retries: u64,
+    retries: u64,
     /// Re-dispatches per function name (the per-subscription breakdown
     /// behind [`ServiceContainer::fn_retries`](crate::ServiceContainer::fn_retries)).
-    pub retry_counts: HashMap<Name, u64>,
+    retry_counts: HashMap<Name, u64>,
     /// Due-date heap over `(deadline, request)`: the per-tick timeout
     /// sweep peeks the earliest entry instead of walking every pending
     /// call. Entries go stale when a failover re-arms the call with a
@@ -90,23 +95,62 @@ pub(crate) struct RpcEngine {
 }
 
 impl RpcEngine {
-    /// Counts one transparent re-dispatch of `function`.
-    pub fn count_retry(&mut self, function: &Name) {
-        self.retries += 1;
-        *self.retry_counts.entry(function.clone()).or_default() += 1;
+    /// Takes in the functions `descriptor` provides and requires, on
+    /// behalf of local service `seq`.
+    pub fn register(&mut self, seq: u32, descriptor: &ServiceDescriptor) {
+        for p in descriptor.provides() {
+            if let Provision::Function { name, sig } = p {
+                self.functions
+                    .insert(name.clone(), LocalFunction { owner_seq: seq, sig: sig.clone() });
+            }
+        }
+        for name in descriptor.required_functions() {
+            self.required.entry(name.clone()).or_default().services.push(seq);
+        }
     }
 
-    /// Registers (or, after a failover, re-registers) a pending call and
-    /// queues its reply deadline on the due-date heap.
+    /// Marshals `args` against the provider's `sig`; a failure (the two
+    /// sides' `FnPort`s disagree on argument types) counts as a mismatch.
+    pub fn marshal(
+        &mut self,
+        args: &[Value],
+        sig: &FunctionSig,
+        codec: &dyn Codec,
+    ) -> Result<Bytes, CallError> {
+        encode_args(args, sig, codec).inspect_err(|_| self.type_mismatches += 1)
+    }
+
+    /// (Re-)registers a pending call and queues its reply deadline.
     pub fn track(&mut self, id: RequestId, call: PendingCall) {
         self.deadline_heap.push(Reverse((call.deadline, id)));
         self.pending.insert(id, call);
     }
 
-    /// The earliest instant at which [`expired`](Self::expired) can have
-    /// work: the head of the due-date heap (possibly stale, hence early —
-    /// never late).
-    pub fn next_deadline(&self) -> Option<Micros> {
+    /// Takes a pending call out: its reply landed, or it is about to be
+    /// failed over (and [`track`](Self::track)ed again) or failed.
+    pub fn take(&mut self, id: RequestId) -> Option<PendingCall> {
+        self.pending.remove(&id)
+    }
+
+    /// Re-aims `call` at a redundant provider and counts the re-dispatch.
+    pub fn redirect(
+        &mut self,
+        call: &mut PendingCall,
+        target: ServiceId,
+        returns: Option<DataType>,
+        now: Micros,
+    ) {
+        call.attempts += 1;
+        call.target = target;
+        call.returns = returns;
+        call.deadline = now + call.attempt_timeout;
+        self.retries += 1;
+        *self.retry_counts.entry(call.function.clone()).or_default() += 1;
+    }
+
+    /// The earliest instant [`expired`](Self::expired) can have work: the
+    /// heap head (possibly stale, hence early — never late).
+    pub fn next_due(&self) -> Option<Micros> {
         self.deadline_heap.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
@@ -133,13 +177,114 @@ impl RpcEngine {
         out
     }
 
-    /// Pending calls currently targeting `node` (for immediate failover on
-    /// node death).
-    pub fn targeting_node(&self, node: marea_protocol::NodeId) -> Vec<RequestId> {
-        let mut v: Vec<RequestId> =
-            self.pending.iter().filter(|(_, c)| c.target.node == node).map(|(id, _)| *id).collect();
-        v.sort();
-        v
+    /// Pending calls whose target satisfies `hit`, in request order: the
+    /// ones to fail over at once when a node or service goes away.
+    pub fn sorted_targeting(&self, hit: impl Fn(ServiceId) -> bool) -> Vec<RequestId> {
+        let mut ids: Vec<RequestId> =
+            self.pending.iter().filter(|(_, c)| hit(c.target)).map(|(id, _)| *id).collect();
+        ids.sort();
+        ids
+    }
+
+    /// Provider side of a `CallRequest`: the decoded arguments when local
+    /// service `target_seq` owns `function`, is `available`, and the
+    /// payload matches the signature — else the status to refuse with.
+    pub fn admit_request(
+        &mut self,
+        function: &Name,
+        target_seq: u32,
+        available: bool,
+        codec: u8,
+        payload: &[u8],
+        codecs: &CodecRegistry,
+    ) -> Result<Vec<Value>, CallStatus> {
+        let func = self.functions.get(function).ok_or(CallStatus::NoSuchFunction)?;
+        if func.owner_seq != target_seq || !available {
+            return Err(CallStatus::ServiceUnavailable);
+        }
+        let codec = codecs.get(CodecId(codec)).ok_or(CallStatus::AppError)?;
+        decode_args(payload, &func.sig, codec.as_ref()).map_err(|_| {
+            self.type_mismatches += 1;
+            CallStatus::AppError
+        })
+    }
+
+    /// Provider side of a finished call: the reply status and payload for
+    /// what `function`'s handler returned. A value violating its own
+    /// declared return schema counts as a mismatch and an `AppError`.
+    pub fn marshal_reply(
+        &mut self,
+        function: &Name,
+        result: Result<Value, String>,
+        codec: &dyn Codec,
+    ) -> (CallStatus, Bytes) {
+        let returns = self.functions.get(function).and_then(|f| f.sig.returns.clone());
+        let refused = match result {
+            Ok(value) => match encode_result(&value, &returns, codec) {
+                Ok(payload) => return (CallStatus::Ok, payload),
+                Err(e) => {
+                    self.type_mismatches += 1;
+                    e.to_string()
+                }
+            },
+            Err(e) => e,
+        };
+        (CallStatus::AppError, Bytes::from(refused.into_bytes()))
+    }
+
+    /// Caller side of an `Ok` reply, decoded against the return type the
+    /// provider of `call` announced.
+    pub fn unmarshal_reply(
+        &mut self,
+        call: &PendingCall,
+        codec: u8,
+        payload: &[u8],
+        codecs: &CodecRegistry,
+    ) -> Result<Value, CallError> {
+        let Some(codec) = codecs.get(CodecId(codec)) else {
+            return Err(CallError::BadArguments("unknown codec".into()));
+        };
+        decode_result(payload, &call.returns, codec.as_ref())
+            .inspect_err(|_| self.type_mismatches += 1)
+    }
+
+    /// Re-checks every required function against `directory`; answers
+    /// `(name, available)`, in name order, wherever that is news — a
+    /// change, or a first check finding no provider (§4.3: "the services
+    /// check that all the functions they need ... are provided").
+    pub fn recheck_required(&mut self, directory: &Directory) -> Vec<(Name, bool)> {
+        let mut news = Vec::new();
+        for (name, req) in &mut self.required {
+            let available =
+                directory.resolve_function(name.as_str(), CallPolicy::Dynamic, None).is_some();
+            let first_check = !std::mem::replace(&mut req.checked, true);
+            if available != req.available || (first_check && !available) {
+                req.available = available;
+                news.push((name.clone(), available));
+            }
+        }
+        news
+    }
+
+    /// Local services that declared they need `function`.
+    pub fn requirers(&self, function: &Name) -> &[u32] {
+        self.required.get(function).map_or(&[], |req| &req.services)
+    }
+
+    /// Writes the counters this engine owns.
+    pub fn fill_stats(&self, stats: &mut ContainerStats) {
+        stats.type_mismatches.calls = self.type_mismatches;
+        stats.qos.retries = self.retries;
+    }
+
+    /// Transparent re-dispatches performed for calls to `function`.
+    pub fn retries_of(&self, function: &Name) -> u64 {
+        self.retry_counts.get(function).copied().unwrap_or(0)
+    }
+
+    /// Calls awaiting a reply.
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
     }
 }
 
@@ -148,11 +293,7 @@ impl RpcEngine {
 /// Each argument is encoded with `codec` against its declared parameter
 /// type and length-prefixed, so the callee can re-slice without knowing
 /// value sizes.
-pub(crate) fn encode_args(
-    args: &[Value],
-    sig: &FunctionSig,
-    codec: &dyn Codec,
-) -> Result<Bytes, CallError> {
+fn encode_args(args: &[Value], sig: &FunctionSig, codec: &dyn Codec) -> Result<Bytes, CallError> {
     if args.len() != sig.params.len() {
         return Err(CallError::BadArguments(format!(
             "expected {} arguments, got {}",
@@ -171,7 +312,7 @@ pub(crate) fn encode_args(
 }
 
 /// Inverse of [`encode_args`].
-pub(crate) fn decode_args(
+fn decode_args(
     payload: &[u8],
     sig: &FunctionSig,
     codec: &dyn Codec,
@@ -180,7 +321,7 @@ pub(crate) fn decode_args(
     let mut args = Vec::with_capacity(sig.params.len());
     for ty in &sig.params {
         let bytes = r
-            .get_len_prefixed(crate::container::MAX_ARG_BYTES)
+            .get_len_prefixed(MAX_ARG_BYTES)
             .map_err(|e| CallError::BadArguments(e.to_string()))?;
         let v = codec.decode(bytes, ty).map_err(|e| CallError::BadArguments(e.to_string()))?;
         args.push(v);
@@ -192,9 +333,9 @@ pub(crate) fn decode_args(
 }
 
 /// Marshals a return value (`None` return type ⇒ empty payload).
-pub(crate) fn encode_result(
+fn encode_result(
     value: &Value,
-    returns: &Option<marea_presentation::DataType>,
+    returns: &Option<DataType>,
     codec: &dyn Codec,
 ) -> Result<Bytes, CallError> {
     match returns {
@@ -207,9 +348,9 @@ pub(crate) fn encode_result(
 }
 
 /// Inverse of [`encode_result`]; void functions yield `Value::Bool(true)`.
-pub(crate) fn decode_result(
+fn decode_result(
     payload: &[u8],
-    returns: &Option<marea_presentation::DataType>,
+    returns: &Option<DataType>,
     codec: &dyn Codec,
 ) -> Result<Value, CallError> {
     match returns {
@@ -309,7 +450,7 @@ mod tests {
             },
         );
         assert_eq!(e.expired(Micros(200)), vec![RequestId(1)]);
-        assert_eq!(e.targeting_node(NodeId(3)), vec![RequestId(2)]);
+        assert_eq!(e.sorted_targeting(|t| t.node == NodeId(3)), vec![RequestId(2)]);
         // A failover re-tracks the call with a later deadline: the stale
         // heap entry must not expire it early.
         let mut call = e.pending.remove(&RequestId(2)).unwrap();

@@ -1,38 +1,49 @@
 //! Variable primitive bookkeeping (paper §4.1).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 
+use marea_encoding::{Codec, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
-use marea_protocol::{Micros, NodeId, ServiceId};
+use marea_protocol::messages::Provision;
+use marea_protocol::{GroupId, Micros, NodeId, ServiceId};
 
+use super::{decode_payload, fnv1a, Rebind};
+use crate::directory::Directory;
 use crate::qos::VarQos;
+use crate::service::ServiceDescriptor;
+use crate::stats::{ContainerStats, Occupancy, VarChannelView, VarSubscriptionStats};
+
+/// Stable group id for a variable's multicast group.
+pub(crate) fn var_group(name: &Name) -> GroupId {
+    GroupId(1 + (fnv1a(name.as_str().as_bytes()) & 0x3FFF_FFFE))
+}
 
 /// Publisher-side state of one declared variable.
 #[derive(Debug)]
-pub(crate) struct PublishedVar {
+struct PublishedVar {
     /// Declaring local service (per-node sequence).
-    pub owner_seq: u32,
+    owner_seq: u32,
     /// Declared schema.
-    pub ty: DataType,
+    ty: DataType,
     /// Validity window in µs.
-    pub validity_us: u64,
+    validity_us: u64,
     /// Next sample sequence number.
-    pub seq: u64,
+    seq: u64,
     /// Last published sample (encoded payload, production stamp) — served
     /// to new subscribers as the guaranteed initial value while still
     /// valid.
-    pub last: Option<(Bytes, Micros)>,
+    last: Option<(Bytes, Micros)>,
     /// Remote nodes that subscribed (bookkeeping/diagnostics only; samples
     /// go to the multicast group regardless).
-    pub remote_subscribers: BTreeSet<NodeId>,
+    remote_subscribers: BTreeSet<NodeId>,
 }
 
 impl PublishedVar {
     /// `true` while the last sample is within its validity window.
-    pub fn last_is_valid(&self, now: Micros) -> bool {
+    fn last_is_valid(&self, now: Micros) -> bool {
         match &self.last {
             Some((_, stamp)) => now.saturating_since(*stamp).as_micros() <= self.validity_us,
             None => false,
@@ -43,48 +54,48 @@ impl PublishedVar {
 /// Subscriber-side state of one variable, shaped by the merged
 /// [`VarQos`] contracts of every local subscriber.
 #[derive(Debug)]
-pub(crate) struct SubscribedVar {
+struct SubscribedVar {
     /// Local services subscribed (service sequences).
-    pub services: Vec<u32>,
+    services: Vec<u32>,
     /// Whether any subscriber asked for the guaranteed initial value.
-    pub need_initial: bool,
+    need_initial: bool,
     /// Loss deadline in nominal periods (tightest contract wins).
-    pub deadline_periods: u32,
+    deadline_periods: u32,
     /// History-ring capacity (deepest contract wins).
-    pub history_cap: usize,
+    history_cap: usize,
     /// The retained samples, oldest first (production stamp, decoded
     /// value) — read through
     /// [`ServiceContext::history`](crate::ServiceContext::history).
-    pub history: VecDeque<(Micros, Value)>,
+    history: VecDeque<(Micros, Value)>,
     /// Loss deadlines missed on this subscription.
-    pub deadline_misses: u64,
+    deadline_misses: u64,
     /// Stale samples dropped on this subscription.
-    pub stale_drops: u64,
+    stale_drops: u64,
     /// Resolved provider, if discovery succeeded.
-    pub provider: Option<ServiceId>,
+    provider: Option<ServiceId>,
     /// Expected period learned from the provider's announcement (µs).
-    pub period_us: u64,
+    period_us: u64,
     /// Validity window learned from the announcement (µs).
-    pub validity_us: u64,
+    validity_us: u64,
     /// Sample schema learned from the announcement.
-    pub ty: Option<DataType>,
+    ty: Option<DataType>,
     /// Last sample receive time.
-    pub last_rx: Option<Micros>,
+    last_rx: Option<Micros>,
     /// Time the subscription was wired (deadline baseline before the first
     /// sample).
-    pub since: Option<Micros>,
+    since: Option<Micros>,
     /// Highest sample sequence seen.
-    pub last_seq: Option<u64>,
+    last_seq: Option<u64>,
     /// A timeout warning has been raised and no sample seen since.
-    pub timed_out: bool,
+    timed_out: bool,
     /// SubscribeVar was sent to the current provider.
-    pub subscribe_sent: bool,
+    subscribe_sent: bool,
     /// This channel has a live entry on the engine's deadline heap.
-    pub deadline_armed: bool,
+    deadline_armed: bool,
 }
 
 impl SubscribedVar {
-    pub fn new(qos: &VarQos) -> Self {
+    fn new(qos: &VarQos) -> Self {
         SubscribedVar {
             services: Vec::new(),
             need_initial: qos.need_initial,
@@ -109,7 +120,7 @@ impl SubscribedVar {
     /// Merges another subscriber's contract into the channel state: any
     /// initial-value request sticks, the tightest loss deadline wins, the
     /// deepest history wins.
-    pub fn merge_qos(&mut self, qos: &VarQos) {
+    fn merge_qos(&mut self, qos: &VarQos) {
         self.need_initial |= qos.need_initial;
         self.deadline_periods = self.deadline_periods.min(qos.deadline_periods.max(1));
         self.history_cap = self.history_cap.max(qos.history);
@@ -118,7 +129,7 @@ impl SubscribedVar {
     /// Deadline used for the loss warning: `deadline_periods` nominal
     /// periods without a sample ("the service container will warn of this
     /// timeout circumstance to the affected services", §4.1).
-    pub fn deadline_us(&self) -> Option<u64> {
+    fn deadline_us(&self) -> Option<u64> {
         if self.period_us == 0 {
             None // aperiodic variables have no deadline
         } else {
@@ -126,11 +137,11 @@ impl SubscribedVar {
         }
     }
 
-    /// The earliest instant at which [`SubscribedVar::deadline_missed`]
-    /// can turn true (the comparison there is strict, hence the +1µs), or
-    /// `None` while no deadline applies — unbound, already warned, or
-    /// aperiodic.
-    pub fn deadline_due(&self) -> Option<Micros> {
+    /// The first instant the deadline counts as missed: strictly more
+    /// than [`deadline_us`](Self::deadline_us) after the last sample (or
+    /// the bind, before any), hence the +1µs. `None` while no deadline
+    /// applies — unbound, already warned, or aperiodic.
+    fn deadline_due(&self) -> Option<Micros> {
         if self.timed_out || self.provider.is_none() {
             return None;
         }
@@ -144,22 +155,13 @@ impl SubscribedVar {
     }
 
     /// Checks whether the deadline has been missed at `now`.
-    pub fn deadline_missed(&self, now: Micros) -> bool {
-        if self.timed_out || self.provider.is_none() {
-            return false;
-        }
-        let Some(deadline) = self.deadline_us() else { return false };
-        let anchor = match (self.last_rx, self.since) {
-            (Some(rx), _) => rx,
-            (None, Some(s)) => s,
-            (None, None) => return false,
-        };
-        now.saturating_since(anchor).as_micros() > deadline
+    fn deadline_missed(&self, now: Micros) -> bool {
+        self.deadline_due().is_some_and(|due| due <= now)
     }
 
     /// Records a sample arrival; returns `false` when the sample must be
     /// dropped as old (sequence regression / duplicate).
-    pub fn accept(&mut self, seq: u64, now: Micros) -> bool {
+    fn accept(&mut self, seq: u64, now: Micros) -> bool {
         if let Some(last) = self.last_seq {
             if seq <= last {
                 return false;
@@ -173,7 +175,7 @@ impl SubscribedVar {
 
     /// Retains an accepted sample in the history ring (oldest evicted at
     /// capacity).
-    pub fn record(&mut self, stamp: Micros, value: Value) {
+    fn record(&mut self, stamp: Micros, value: Value) {
         while self.history.len() >= self.history_cap {
             self.history.pop_front();
         }
@@ -182,7 +184,7 @@ impl SubscribedVar {
 
     /// Resets provider binding (provider lost); subscription will be
     /// re-resolved against the directory.
-    pub fn unbind(&mut self) {
+    fn unbind(&mut self) {
         self.provider = None;
         self.subscribe_sent = false;
         self.ty = None;
@@ -193,7 +195,7 @@ impl SubscribedVar {
     }
 
     /// Binds to a (new) provider.
-    pub fn bind(
+    fn bind(
         &mut self,
         provider: ServiceId,
         period_us: u64,
@@ -214,14 +216,36 @@ impl SubscribedVar {
     }
 }
 
+/// A sample the publisher side accepted, ready for the wire.
+#[derive(Debug)]
+pub(crate) struct Sample {
+    pub payload: Bytes,
+    pub seq: u64,
+    pub validity_us: u64,
+}
+
+/// Why the subscriber side dropped a received sample.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum SampleDrop {
+    /// No local service subscribes to the variable.
+    Unsubscribed,
+    /// Past its validity window (paper §4.1); counted on the subscription.
+    Stale,
+    /// Sequence regression or duplicate.
+    Old,
+    /// Does not decode against the announced schema: a publisher/subscriber
+    /// contract violation, counted as a mismatch.
+    Mismatch,
+}
+
 /// All variable state of one container.
 #[derive(Debug, Default)]
 pub(crate) struct VarEngine {
-    pub published: HashMap<Name, PublishedVar>,
-    pub subscribed: HashMap<Name, SubscribedVar>,
+    published: BTreeMap<Name, PublishedVar>,
+    subscribed: BTreeMap<Name, SubscribedVar>,
     /// Samples whose value disagreed with the declared schema (see
     /// [`TypeMismatchStats::vars`](crate::stats::TypeMismatchStats)).
-    pub type_mismatches: u64,
+    type_mismatches: u64,
     /// Due-date heap over `(deadline_due, name)`: the per-tick deadline
     /// sweep peeks the earliest entry instead of walking every channel.
     /// At most one live entry per channel ([`SubscribedVar::deadline_armed`]);
@@ -231,24 +255,206 @@ pub(crate) struct VarEngine {
 }
 
 impl VarEngine {
-    /// Ensures `name`'s loss deadline is queued on the due-date heap.
-    /// Call after any event that (re)starts the deadline clock: a bind or
-    /// an accepted sample. Idempotent while already armed.
-    pub fn arm_deadline(&mut self, name: &Name) {
-        let Some(sub) = self.subscribed.get_mut(name) else { return };
+    /// Takes in what `descriptor` provides and subscribes to, on behalf of
+    /// local service `seq`.
+    pub fn register(&mut self, seq: u32, descriptor: &ServiceDescriptor) {
+        for p in descriptor.provides() {
+            let Provision::Variable { name, ty, validity_us, .. } = p else { continue };
+            let var = PublishedVar {
+                owner_seq: seq,
+                ty: ty.clone(),
+                validity_us: *validity_us,
+                seq: 0,
+                last: None,
+                remote_subscribers: BTreeSet::new(),
+            };
+            self.published.insert(name.clone(), var);
+        }
+        for sub in descriptor.var_subscriptions() {
+            let entry = self
+                .subscribed
+                .entry(sub.name.clone())
+                .or_insert_with(|| SubscribedVar::new(&sub.qos));
+            entry.services.push(seq);
+            entry.merge_qos(&sub.qos);
+        }
+    }
+
+    /// Publisher side of a `publish`: checks ownership and schema, numbers
+    /// the sample and retains it as the initial value for late subscribers.
+    /// The error is the log line saying why it was dropped.
+    pub fn publish(
+        &mut self,
+        owner_seq: u32,
+        name: &Name,
+        value: &Value,
+        codec: &dyn Codec,
+        now: Micros,
+    ) -> Result<Sample, String> {
+        let Some(pv) = self.published.get_mut(name) else {
+            return Err(format!("publish to undeclared variable `{name}` dropped"));
+        };
+        if pv.owner_seq != owner_seq {
+            return Err(format!("publish to foreign variable `{name}` dropped"));
+        }
+        if let Err(e) = value.conforms_to(&pv.ty) {
+            self.type_mismatches += 1;
+            return Err(format!("publish to `{name}` violates schema: {e}"));
+        }
+        let payload = codec
+            .encode_to_vec(value, &pv.ty)
+            .map_err(|e| format!("publish to `{name}` does not encode: {e}"))?;
+        let payload = Bytes::from(payload);
+        pv.seq += 1;
+        pv.last = Some((payload.clone(), now));
+        Ok(Sample { payload, seq: pv.seq, validity_us: pv.validity_us })
+    }
+
+    /// Subscriber side of a same-container publish (Fig. 2 in-container
+    /// path): the services to deliver `value` to, if the sample is fresh.
+    pub fn accept_local(
+        &mut self,
+        name: &Name,
+        seq: u64,
+        value: &Value,
+        now: Micros,
+    ) -> Option<&[u32]> {
+        let sub = self.subscribed.get_mut(name)?;
+        if !sub.accept(seq, now) {
+            return None;
+        }
+        sub.record(now, value.clone());
+        Self::arm(&mut self.deadline_heap, name, sub);
+        Some(&sub.services)
+    }
+
+    /// Subscriber side of a received `VarSample`: validity and sequence
+    /// filtering, decode, history, deadline. Answers the value and the
+    /// services to deliver it to.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_sample(
+        &mut self,
+        name: &Name,
+        seq: u64,
+        stamp: Micros,
+        validity_us: u64,
+        codec: u8,
+        payload: &[u8],
+        codecs: &CodecRegistry,
+        now: Micros,
+    ) -> Result<(Value, &[u32]), SampleDrop> {
+        let sub = self.subscribed.get_mut(name).ok_or(SampleDrop::Unsubscribed)?;
+        if validity_us > 0 && now.saturating_since(stamp).as_micros() > validity_us {
+            sub.stale_drops += 1;
+            return Err(SampleDrop::Stale);
+        }
+        if !sub.accept(seq, now) {
+            return Err(SampleDrop::Old);
+        }
+        let Some(value) = decode_payload(codecs, sub.ty.as_ref(), codec, payload) else {
+            self.type_mismatches += 1;
+            return Err(SampleDrop::Mismatch);
+        };
+        sub.record(stamp, value.clone());
+        Self::arm(&mut self.deadline_heap, name, sub);
+        Ok((value, &sub.services))
+    }
+
+    /// Registers a remote subscriber; answers the retained sample and its
+    /// production stamp if it asked for the initial value and that is
+    /// still valid.
+    pub fn on_subscribe(
+        &mut self,
+        name: &Name,
+        subscriber: NodeId,
+        need_initial: bool,
+        now: Micros,
+    ) -> Option<(Sample, Micros)> {
+        let pv = self.published.get_mut(name)?;
+        pv.remote_subscribers.insert(subscriber);
+        if !(need_initial && pv.last_is_valid(now)) {
+            return None;
+        }
+        let (payload, stamp) = pv.last.clone()?;
+        Some((Sample { payload, seq: pv.seq, validity_us: pv.validity_us }, stamp))
+    }
+
+    /// Forgets a remote subscriber.
+    pub fn on_unsubscribe(&mut self, name: &Name, subscriber: NodeId) {
+        if let Some(pv) = self.published.get_mut(name) {
+            pv.remote_subscribers.remove(&subscriber);
+        }
+    }
+
+    /// Remote subscriber nodes of a published variable, in node order.
+    pub fn remote_subscribers(&self, name: &Name) -> impl Iterator<Item = NodeId> + '_ {
+        self.published.get(name).into_iter().flat_map(|pv| pv.remote_subscribers.iter().copied())
+    }
+
+    /// Re-resolves every subscription against `directory`; answers the
+    /// bindings that changed, in name order.
+    pub fn rebind_all(&mut self, directory: &Directory, now: Micros) -> Vec<(Name, Rebind)> {
+        let mut changed = Vec::new();
+        for (name, sub) in &mut self.subscribed {
+            let announced =
+                directory.resolve_variable(name.as_str()).and_then(|p| match &p.provision {
+                    Provision::Variable { period_us, validity_us, ty, .. } => {
+                        Some((p.service, *period_us, *validity_us, ty))
+                    }
+                    _ => None,
+                });
+            let rebind = match announced {
+                Some((provider, period_us, validity_us, ty))
+                    if sub.provider != Some(provider) || !sub.subscribe_sent =>
+                {
+                    let fresh = sub.provider.is_none();
+                    sub.bind(provider, period_us, validity_us, ty.clone(), now);
+                    sub.subscribe_sent = true;
+                    Self::arm(&mut self.deadline_heap, name, sub);
+                    Rebind::Bound { provider, fresh }
+                }
+                None if sub.subscribe_sent || sub.provider.is_some() => {
+                    sub.unbind();
+                    Rebind::Lost
+                }
+                _ => continue,
+            };
+            changed.push((name.clone(), rebind));
+        }
+        changed
+    }
+
+    /// Whether any local subscriber of `name` asked for the guaranteed
+    /// initial value.
+    pub fn need_initial(&self, name: &Name) -> bool {
+        self.subscribed.get(name).is_some_and(|s| s.need_initial)
+    }
+
+    /// Local services subscribed to `name`.
+    pub fn subscribers(&self, name: &Name) -> &[u32] {
+        self.subscribed.get(name).map_or(&[], |s| &s.services)
+    }
+
+    /// The retained samples of a subscribed variable, oldest first.
+    pub fn history(&self, name: &Name) -> impl Iterator<Item = &(Micros, Value)> {
+        self.subscribed.get(name).into_iter().flat_map(|s| s.history.iter())
+    }
+
+    /// Queues `sub`'s loss deadline after an event that (re)started its
+    /// clock: a bind or an accepted sample. Idempotent while armed.
+    fn arm(heap: &mut BinaryHeap<Reverse<(Micros, Name)>>, name: &Name, sub: &mut SubscribedVar) {
         if sub.deadline_armed {
             return;
         }
         if let Some(due) = sub.deadline_due() {
             sub.deadline_armed = true;
-            self.deadline_heap.push(Reverse((due, name.clone())));
+            heap.push(Reverse((due, name.clone())));
         }
     }
 
-    /// The earliest instant at which [`sweep_deadlines`](Self::sweep_deadlines)
-    /// can have work: the head of the due-date heap (possibly stale, hence
-    /// early — never late).
-    pub fn next_deadline(&self) -> Option<Micros> {
+    /// The earliest instant [`sweep_deadlines`](Self::sweep_deadlines) can
+    /// have work: the heap head (possibly stale, hence early — never late).
+    pub fn next_due(&self) -> Option<Micros> {
         self.deadline_heap.peek().map(|Reverse((due, _))| *due)
     }
 
@@ -267,41 +473,62 @@ impl VarEngine {
                 sub.timed_out = true;
                 sub.deadline_misses += 1;
                 out.push(name);
-            } else if let Some(due) = sub.deadline_due() {
+            } else {
                 // A sample (or rebind) moved the anchor since this entry
                 // was queued: re-arm at the pushed-back deadline.
-                sub.deadline_armed = true;
-                self.deadline_heap.push(Reverse((due, name)));
+                Self::arm(&mut self.deadline_heap, &name, sub);
             }
         }
         out.sort();
         out
     }
 
-    /// Subscribed channels currently bound to a provider.
-    pub fn bound_count(&self) -> usize {
-        self.subscribed.values().filter(|s| s.provider.is_some()).count()
+    /// Writes the counters this engine owns.
+    pub fn fill_stats(&self, stats: &mut ContainerStats) {
+        stats.type_mismatches.vars = self.type_mismatches;
+        stats.qos.deadline_misses = self.subscribed.values().map(|s| s.deadline_misses).sum();
+        stats.qos.stale_drops = self.subscribed.values().map(|s| s.stale_drops).sum();
     }
 
-    /// Remote subscribers over every published variable.
-    pub fn remote_subscriber_count(&self) -> usize {
-        self.published.values().map(|p| p.remote_subscribers.len()).sum()
+    /// Writes the gauges this engine owns.
+    pub fn fill_occupancy(&self, occupancy: &mut Occupancy) {
+        occupancy.vars_bound = self.subscribed.values().filter(|s| s.provider.is_some()).count();
+        occupancy.remote_subscribers +=
+            self.published.values().map(|p| p.remote_subscribers.len()).sum::<usize>();
     }
 
-    /// Total stale drops over every subscription.
-    pub fn total_stale_drops(&self) -> u64 {
-        self.subscribed.values().map(|s| s.stale_drops).sum()
+    /// QoS counters of one subscribed variable.
+    pub fn qos_stats(&self, name: &Name) -> Option<VarSubscriptionStats> {
+        self.subscribed.get(name).map(|s| VarSubscriptionStats {
+            deadline_misses: s.deadline_misses,
+            stale_drops: s.stale_drops,
+            history_len: s.history.len(),
+        })
     }
 
-    /// Total deadline misses over every subscription.
-    pub fn total_deadline_misses(&self) -> u64 {
-        self.subscribed.values().map(|s| s.deadline_misses).sum()
+    /// Freshness snapshot of every subscribed channel, in name order.
+    pub fn channels(&self) -> Vec<(Name, VarChannelView)> {
+        let view = |s: &SubscribedVar| VarChannelView {
+            bound: s.provider.is_some(),
+            period_us: s.period_us,
+            validity_us: s.validity_us,
+            deadline_us: s.deadline_us(),
+            last_rx: s.last_rx,
+            last_stamp: s.history.back().map(|(stamp, _)| *stamp),
+            timed_out: s.timed_out,
+        };
+        self.subscribed.iter().map(|(name, s)| (name.clone(), view(s))).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test stand-in for the arming every bind / accepted sample does.
+    fn arm_deadline(e: &mut VarEngine, name: &Name) {
+        VarEngine::arm(&mut e.deadline_heap, name, e.subscribed.get_mut(name).unwrap());
+    }
 
     fn sub() -> SubscribedVar {
         let mut s = SubscribedVar::new(&VarQos::default().with_initial());
@@ -402,13 +629,15 @@ mod tests {
         b.since = Some(Micros::ZERO);
         e.subscribed.insert(Name::new("zvar").unwrap(), a);
         e.subscribed.insert(Name::new("avar").unwrap(), b);
-        e.arm_deadline(&Name::new("zvar").unwrap());
-        e.arm_deadline(&Name::new("avar").unwrap());
+        arm_deadline(&mut e, &Name::new("zvar").unwrap());
+        arm_deadline(&mut e, &Name::new("avar").unwrap());
         let warned = e.sweep_deadlines(Micros::from_secs(1));
         assert_eq!(warned.len(), 2);
         assert!(warned[0] < warned[1]);
         assert!(e.sweep_deadlines(Micros::from_secs(2)).is_empty(), "warn once");
-        assert_eq!(e.total_deadline_misses(), 2, "misses counted per subscription");
+        let mut stats = ContainerStats::default();
+        e.fill_stats(&mut stats);
+        assert_eq!(stats.qos.deadline_misses, 2, "misses counted per subscription");
     }
 
     #[test]
@@ -418,7 +647,7 @@ mod tests {
         a.since = Some(Micros::ZERO);
         let n = Name::new("v").unwrap();
         e.subscribed.insert(n.clone(), a);
-        e.arm_deadline(&n);
+        arm_deadline(&mut e, &n);
         assert!(e.subscribed[&n].deadline_armed);
         // A sample at 90ms makes the t=0 heap entry (due ~150ms: 3 nominal
         // periods of 50ms) stale.

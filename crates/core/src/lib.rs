@@ -88,6 +88,7 @@ mod container;
 mod directory;
 mod engines;
 mod error;
+mod gossip;
 mod harness;
 mod link;
 pub mod metrics;
@@ -98,6 +99,7 @@ mod scheduler;
 mod service;
 mod stats;
 pub mod sweep;
+mod timers;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, SystemClock};

@@ -6,15 +6,21 @@
 //! messages while the window is full, and batches acknowledgements (one ack
 //! per tick with new data, mirroring how the paper's "specific
 //! retransmission mechanism in the application layer" avoids per-packet ack
-//! overhead).
+//! overhead). The container's `LinkTable` creates links on first use,
+//! negotiates their code rate and knows which ones a poll sweep must visit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 use bytes::Bytes;
 
 use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, ArqStats};
-use marea_protocol::fec::{FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats};
+use marea_protocol::fec::{
+    FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats, PARITY_INDEX_BIT,
+};
 use marea_protocol::{Message, Micros, NodeId, ProtoDuration};
+
+use crate::stats::FecStats;
 
 /// Partial FEC groups older than this are flushed (parity emitted) so
 /// sparse reliable traffic still gets repair shards with bounded delay.
@@ -117,7 +123,8 @@ impl ReliableLink {
         let mut out = Vec::new();
         while self.tx.can_send() {
             let Some(p) = self.backlog.pop_front() else { break };
-            out.push(self.tx.send(p, now).expect("can_send checked"));
+            let Ok(wire) = self.tx.send(p, now) else { break }; // cannot fail: can_send checked
+            out.push(wire);
         }
         out
     }
@@ -282,6 +289,262 @@ impl ReliableLink {
     /// (the container feeds these to the RTO-recovery histogram).
     pub fn take_recoveries(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.recovery_log)
+    }
+}
+
+/// What an incoming `RelData` or `FecShard` released: the tagged inner
+/// messages now deliverable, whether the frame opened the link, and how
+/// many messages parity recovery rebuilt.
+#[derive(Debug)]
+pub(crate) struct Received {
+    pub inner: Vec<Bytes>,
+    pub fresh: bool,
+    pub repaired: u64,
+}
+
+/// One link's share of a poll sweep: the peer, the wire messages for it
+/// (retransmissions, freed backlog, the FEC age flush, at most one ack),
+/// the ARQ seqs retransmitted, and how many messages were abandoned.
+pub(crate) type Polled = (NodeId, Vec<Message>, Vec<u64>, usize);
+
+/// Every reliable link of one container, by peer.
+///
+/// `active` holds exactly the peers whose link
+/// [`needs_poll`](ReliableLink::needs_poll), after every operation
+/// ([`LinkTable::on`] is the one place that keeps it so). The poll sweep
+/// and [`next_due`](Self::next_due) read that set: a quiescent link costs
+/// nothing per tick, and no link with output pending can be forgotten.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTable {
+    /// This node's advertised FEC capability (`Off` when disabled); each
+    /// link runs the weaker of it and what its peer advertised.
+    local_cap: FecRate,
+    /// Ordered, like `active`: sweeps walk peers in node order, which
+    /// decides how the netsim RNG stream maps onto datagrams. Boxed: a
+    /// link is ~0.5 KiB, and a B-tree node reserves room for eleven.
+    by_peer: BTreeMap<NodeId, Box<ReliableLink>>,
+    active: BTreeSet<NodeId>,
+    /// Some link was touched since `negotiated_rate_max` was last derived.
+    changed: bool,
+    /// Shard counters — per event, because links die with their peers and
+    /// the counters must survive that — and the rate gauge.
+    fec: FecStats,
+}
+
+impl LinkTable {
+    pub fn new(local_cap: FecRate) -> Self {
+        LinkTable { local_cap, ..Default::default() }
+    }
+
+    /// The code rate towards a peer that advertised tag `peer_cap`.
+    fn negotiated(&self, peer_cap: Option<u8>) -> FecRate {
+        self.local_cap.negotiate(peer_cap.map_or(FecRate::Off, FecRate::from_wire_tag))
+    }
+
+    /// Creates the link to `peer` unless it exists — on the first reliable
+    /// send, or the first `RelData`/`FecShard` heard (with FEC on, a
+    /// conversation's first message arrives as a shard). `true` if created.
+    fn open(&mut self, peer: NodeId, peer_cap: Option<u8>) -> bool {
+        if self.by_peer.contains_key(&peer) {
+            return false;
+        }
+        let mut link = ReliableLink::new(peer, ArqConfig::default());
+        link.negotiate_fec(self.negotiated(peer_cap));
+        self.by_peer.insert(peer, Box::new(link));
+        true
+    }
+
+    /// Runs `op` on the link to `peer`, if any, then re-files the link
+    /// under `active` by what `op` left behind.
+    fn on<R>(&mut self, peer: NodeId, op: impl FnOnce(&mut ReliableLink) -> R) -> Option<R> {
+        let link = self.by_peer.get_mut(&peer)?;
+        let result = op(link);
+        self.changed = true;
+        if link.needs_poll() {
+            self.active.insert(peer);
+        } else {
+            self.active.remove(&peer);
+        }
+        Some(result)
+    }
+
+    /// Counts the FEC shards among outgoing wire messages.
+    fn count_out(&mut self, msgs: &[Message]) {
+        for m in msgs {
+            match m {
+                Message::FecShard { index, .. } if index & PARITY_INDEX_BIT != 0 => {
+                    self.fec.parity_shards_out += 1;
+                }
+                Message::FecShard { .. } => self.fec.data_shards_out += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// The peer's capability was (re)heard: an established link follows —
+    /// upgrading one opened before the peer's `Hello` was seen (late
+    /// attach, lossy bring-up).
+    pub fn renegotiate(&mut self, peer: NodeId, peer_cap: Option<u8>) {
+        let cap = self.negotiated(peer_cap);
+        self.on(peer, |link| link.negotiate_fec(cap));
+    }
+
+    /// Queues a tagged message for `peer`; answers the wire messages to
+    /// send now and whether this opened the link.
+    pub fn send(
+        &mut self,
+        peer: NodeId,
+        peer_cap: Option<u8>,
+        payload: Bytes,
+        now: Micros,
+    ) -> (Vec<Message>, bool) {
+        let fresh = self.open(peer, peer_cap);
+        let out = self.on(peer, |link| link.send(payload, now)).unwrap_or_default();
+        self.count_out(&out);
+        (out, fresh)
+    }
+
+    /// An incoming `RelData` from `peer`.
+    pub fn on_data(
+        &mut self,
+        peer: NodeId,
+        peer_cap: Option<u8>,
+        seq: u64,
+        payload: Bytes,
+    ) -> Received {
+        let fresh = self.open(peer, peer_cap);
+        let inner = self.on(peer, |link| link.on_data(seq, payload)).unwrap_or_default();
+        Received { inner, fresh, repaired: 0 }
+    }
+
+    /// An incoming `FecShard` from `peer`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_shard(
+        &mut self,
+        peer: NodeId,
+        peer_cap: Option<u8>,
+        group: u64,
+        index: u8,
+        k: u8,
+        r: u8,
+        payload: &Bytes,
+    ) -> Received {
+        let fresh = self.open(peer, peer_cap);
+        let shard = |link: &mut ReliableLink| {
+            let before = link.fec_rx_stats().recovered;
+            let inner = link.on_fec_shard(group, index, k, r, payload);
+            (inner, link.fec_rx_stats().recovered - before)
+        };
+        let (inner, repaired) = self.on(peer, shard).unwrap_or_default();
+        self.fec.shards_in += 1;
+        self.fec.recovered += repaired;
+        Received { inner, fresh, repaired }
+    }
+
+    /// An incoming `RelAck` (ignored without a link: the peer was declared
+    /// dead); answers the wire messages the opened window released and
+    /// the first-retransmit→ACK recovery times (µs) it closed.
+    pub fn on_ack(
+        &mut self,
+        peer: NodeId,
+        cumulative: u64,
+        sack: u64,
+        loss_permille: u16,
+        now: Micros,
+    ) -> (Vec<Message>, Vec<u64>) {
+        let ack = |link: &mut ReliableLink| {
+            (link.on_ack(cumulative, sack, loss_permille, now), link.take_recoveries())
+        };
+        let (out, recovered) = self.on(peer, ack).unwrap_or_default();
+        self.count_out(&out);
+        (out, recovered)
+    }
+
+    /// One step of the per-tick poll sweep: polls the first active link
+    /// after peer `after`, in node order (a quiescent link's poll is a
+    /// no-op, so skipping those is output-equivalent). `None` ends the
+    /// sweep, re-deriving the `negotiated_rate_max` gauge if any link could
+    /// have changed its rate — links die with their peers, so the maximum
+    /// cannot be kept incrementally.
+    pub fn poll_after(&mut self, after: Option<NodeId>, now: Micros) -> Option<Polled> {
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let peer = self.active.range((lower, Bound::Unbounded)).next().copied();
+        let poll = |link: &mut ReliableLink| {
+            let (out, failed) = link.poll(now);
+            (out, link.take_retransmits(), failed.len())
+        };
+        let polled = peer.and_then(|peer| {
+            let (out, retransmits, abandoned) = self.on(peer, poll)?;
+            Some((peer, out, retransmits, abandoned))
+        });
+        match &polled {
+            Some((_, out, ..)) => self.count_out(out),
+            None if std::mem::take(&mut self.changed) => {
+                let rates = self.by_peer.values().map(|l| l.fec_rate().wire_tag());
+                self.fec.negotiated_rate_max = rates.max().unwrap_or(0);
+            }
+            None => {}
+        }
+        polled
+    }
+
+    /// `peer` died: its link goes with it. `true` if there was one.
+    pub fn drop_peer(&mut self, peer: NodeId) -> bool {
+        self.changed = true;
+        self.active.remove(&peer);
+        self.by_peer.remove(&peer).is_some()
+    }
+
+    /// The earliest [`next_poll_due`](ReliableLink::next_poll_due) of an
+    /// active link.
+    pub fn next_due(&self) -> Option<Micros> {
+        self.active.iter().filter_map(|peer| self.by_peer.get(peer)?.next_poll_due()).min()
+    }
+
+    pub fn len(&self) -> usize {
+        self.by_peer.len()
+    }
+
+    pub fn active_len(&self) -> usize {
+        self.active.len()
+    }
+
+    pub fn fec_stats(&self) -> FecStats {
+        self.fec
+    }
+
+    /// ARQ sender counters summed over the live links.
+    pub fn arq_stats(&self) -> ArqStats {
+        let mut total = ArqStats::default();
+        for link in self.by_peer.values() {
+            let s = link.stats();
+            total.sent += s.sent;
+            total.retransmitted += s.retransmitted;
+            total.acked += s.acked;
+            total.failed += s.failed;
+            total.payload_bytes += s.payload_bytes;
+        }
+        total
+    }
+
+    /// FEC endpoint counters summed over the live links.
+    pub fn fec_link_stats(&self) -> (FecTxStats, FecRxStats) {
+        let mut tx = FecTxStats::default();
+        let mut rx = FecRxStats::default();
+        for link in self.by_peer.values() {
+            let t = link.fec_tx_stats();
+            tx.data_shards += t.data_shards;
+            tx.parity_shards += t.parity_shards;
+            tx.bypassed += t.bypassed;
+            tx.groups += t.groups;
+            let r = link.fec_rx_stats();
+            rx.data_shards += r.data_shards;
+            rx.parity_shards += r.parity_shards;
+            rx.recovered += r.recovered;
+            rx.unrecoverable_groups += r.unrecoverable_groups;
+            rx.discarded += r.discarded;
+        }
+        (tx, rx)
     }
 }
 
@@ -484,5 +747,137 @@ mod tests {
             matches!(ack, Some(Message::RelAck { loss_permille: 0, .. })),
             "clean link reports 0 loss: {ack:?}"
         );
+    }
+
+    /// Random traffic between a [`LinkTable`] and four simulated peers
+    /// (each a bare [`ReliableLink`] behind a lossy pipe): after every
+    /// operation the active set is exactly the links that need polling,
+    /// and no poll sweep produces output before `next_due()` said so.
+    #[test]
+    fn link_table_keeps_its_active_set_and_due_date_exact_under_random_ops() {
+        const PEERS: u32 = 4;
+        fn check(table: &LinkTable) {
+            let needs_poll: BTreeSet<NodeId> =
+                table.by_peer.iter().filter(|(_, l)| l.needs_poll()).map(|(p, _)| *p).collect();
+            assert_eq!(table.active, needs_poll);
+        }
+        for seed in 1..=6u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut table = LinkTable::new(FecRate::Max);
+            let mut peers: Vec<ReliableLink> = (0..PEERS).map(|_| link(1)).collect();
+            for peer in &mut peers {
+                peer.negotiate_fec(FecRate::Medium);
+            }
+            // In-flight wire messages: [towards the table, towards the peer].
+            let mut pipes: Vec<[VecDeque<Message>; 2]> =
+                (0..PEERS).map(|_| Default::default()).collect();
+            let mut now = Micros::ZERO;
+            for step in 0..4_000u32 {
+                let i = draw(u64::from(PEERS)) as usize;
+                let (peer, cap) = (NodeId(i as u32 + 2), Some(draw(5) as u8));
+                let lossy = |msgs: Vec<Message>, pipe: &mut VecDeque<Message>, roll: u64| {
+                    pipe.extend(
+                        msgs.into_iter()
+                            .enumerate()
+                            .filter(|(k, _)| (roll >> k) & 7 != 0)
+                            .map(|(_, m)| m),
+                    );
+                };
+                match draw(9) {
+                    0 => now += ProtoDuration::from_micros(draw(4_000)),
+                    1 => {
+                        let (out, _) =
+                            table.send(peer, cap, Bytes::from(vec![step as u8; 40]), now);
+                        lossy(out, &mut pipes[i][1], draw(u64::MAX));
+                    }
+                    2 => lossy(
+                        peers[i].send(Bytes::from(vec![step as u8; 40]), now),
+                        &mut pipes[i][0],
+                        draw(u64::MAX),
+                    ),
+                    3 => lossy(peers[i].poll(now).0, &mut pipes[i][0], draw(u64::MAX)),
+                    4 => table.renegotiate(peer, cap),
+                    5 if draw(40) == 0 => {
+                        table.drop_peer(peer);
+                    }
+                    5 | 6 => {
+                        // The table hears the next message from this peer.
+                        let mut inner = Vec::new();
+                        match pipes[i][0].pop_front() {
+                            Some(Message::RelData { seq, payload, .. }) => {
+                                table.on_data(peer, cap, seq, payload);
+                            }
+                            Some(Message::FecShard { group, index, k, r, payload, .. }) => {
+                                inner =
+                                    table.on_shard(peer, cap, group, index, k, r, &payload).inner;
+                            }
+                            Some(Message::RelAck { cumulative, sack, loss_permille, .. }) => {
+                                let (out, _) =
+                                    table.on_ack(peer, cumulative, sack, loss_permille, now);
+                                lossy(out, &mut pipes[i][1], draw(u64::MAX));
+                            }
+                            _ => {}
+                        }
+                        for tagged in inner {
+                            if let Ok(Message::RelData { seq, payload, .. }) =
+                                Message::decode_tagged(&tagged)
+                            {
+                                table.on_data(peer, cap, seq, payload);
+                            }
+                        }
+                    }
+                    7 => match pipes[i][1].pop_front() {
+                        // The peer hears the next message from the table.
+                        Some(Message::RelData { seq, payload, .. }) => {
+                            drop(peers[i].on_data(seq, payload))
+                        }
+                        Some(Message::FecShard { group, index, k, r, payload, .. }) => {
+                            for tagged in peers[i].on_fec_shard(group, index, k, r, &payload) {
+                                if let Ok(Message::RelData { seq, payload, .. }) =
+                                    Message::decode_tagged(&tagged)
+                                {
+                                    drop(peers[i].on_data(seq, payload));
+                                }
+                            }
+                        }
+                        Some(Message::RelAck { cumulative, sack, loss_permille, .. }) => {
+                            lossy(
+                                peers[i].on_ack(cumulative, sack, loss_permille, now),
+                                &mut pipes[i][0],
+                                draw(u64::MAX),
+                            );
+                        }
+                        _ => {}
+                    },
+                    _ => {
+                        let due = table.next_due();
+                        let mut swept = None;
+                        while let Some((polled, out, ..)) = table.poll_after(swept, now) {
+                            swept = Some(polled);
+                            check(&table);
+                            if !out.is_empty() {
+                                assert!(
+                                    due.is_some_and(|d| d <= now),
+                                    "seed {seed} step {step}: output at {now}, next_due {due:?}"
+                                );
+                            }
+                            lossy(out, &mut pipes[(polled.0 - 2) as usize][1], draw(u64::MAX));
+                        }
+                    }
+                }
+                check(&table);
+            }
+            let moved = table.arq_stats();
+            assert!(
+                moved.acked > 30 && moved.retransmitted > 0,
+                "seed {seed}: the run must move traffic: {moved:?}"
+            );
+        }
     }
 }

@@ -282,7 +282,7 @@ impl EventQos {
 /// deadline, how many providers to try, and how the provider is chosen.
 ///
 /// `None` fields fall back to the container-wide defaults
-/// ([`ContainerConfig::call_timeout`] / [`max_call_attempts`]), so
+/// ([`ContainerConfig::call_timeout`]; three providers tried), so
 /// `CallOptions::default()` reproduces the pre-profile behaviour exactly.
 ///
 /// ```
@@ -296,7 +296,6 @@ impl EventQos {
 /// ```
 ///
 /// [`ContainerConfig::call_timeout`]: crate::ContainerConfig::call_timeout
-/// [`max_call_attempts`]: crate::ContainerConfig::max_call_attempts
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CallOptions {
     /// Reply deadline per attempt; a missed deadline triggers failover to

@@ -18,7 +18,6 @@
 //! engines and the scheduler enforce below (see the [`qos`](crate::qos)
 //! module docs).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
@@ -27,7 +26,7 @@ use marea_presentation::{ArgsCodec, EventPayload, FnRet, Name, Value, ValueCodec
 use marea_protocol::messages::Provision;
 use marea_protocol::{Micros, NodeId, ProtoDuration, RequestId};
 
-use crate::engines::vars::SubscribedVar;
+use crate::engines::vars::VarEngine;
 use crate::error::CallError;
 use crate::ports::{EventPort, FnPort, TypedCallHandle, VarPort};
 use crate::qos::{CallOptions, EventQos, VarQos};
@@ -420,7 +419,7 @@ pub struct ServiceContext<'a> {
     pub(crate) next_timer_id: &'a mut u64,
     /// Subscribed-variable state, for [`history`](Self::history) reads
     /// (`None` in contexts built outside a container tick).
-    pub(crate) var_state: Option<&'a HashMap<Name, SubscribedVar>>,
+    pub(crate) var_state: Option<&'a VarEngine>,
 }
 
 impl<'a> ServiceContext<'a> {
@@ -469,14 +468,11 @@ impl<'a> ServiceContext<'a> {
     /// container — or for a variable this service never subscribed to —
     /// the history is empty.
     pub fn history<T: ValueCodec>(&self, port: &VarPort<T>) -> Vec<(Micros, T)> {
-        match self.var_state.and_then(|vars| vars.get(port.name())) {
-            Some(sub) => sub
-                .history
-                .iter()
-                .filter_map(|(stamp, v)| port.decode(v).ok().map(|x| (*stamp, x)))
-                .collect(),
-            None => Vec::new(),
-        }
+        self.var_state
+            .into_iter()
+            .flat_map(|vars| vars.history(port.name()))
+            .filter_map(|(stamp, v)| port.decode(v).ok().map(|x| (*stamp, x)))
+            .collect()
     }
 
     /// Starts a remote invocation through a typed port under the default

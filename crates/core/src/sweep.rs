@@ -21,18 +21,6 @@ pub fn sorted_keys<K: Ord + Clone, V>(map: &HashMap<K, V>) -> Vec<K> {
     keys
 }
 
-/// Scratch-buffer variant of [`sorted_keys`]: fills `scratch` with the
-/// keys of `map`, ascending, reusing its allocation. Per-tick sweeps
-/// that keep a scratch `Vec` on the owning struct pay the sort but not
-/// a fresh allocation every tick; the borrow rules are the same as
-/// [`sorted_keys`] (the buffer is detached from the map, so the caller
-/// may mutate the map while walking).
-pub fn sorted_keys_into<K: Ord + Clone, V>(map: &HashMap<K, V>, scratch: &mut Vec<K>) {
-    scratch.clear();
-    scratch.extend(map.keys().cloned());
-    scratch.sort();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,21 +38,5 @@ mod tests {
     fn empty_map_yields_empty_vec() {
         let m: HashMap<u8, ()> = HashMap::new();
         assert!(sorted_keys(&m).is_empty());
-    }
-
-    #[test]
-    fn scratch_variant_matches_and_reuses_the_buffer() {
-        let mut m = HashMap::new();
-        for k in [9u32, 3, 7, 1, 8] {
-            m.insert(k, ());
-        }
-        let mut scratch = Vec::with_capacity(8);
-        sorted_keys_into(&m, &mut scratch);
-        assert_eq!(scratch, sorted_keys(&m));
-        let cap = scratch.capacity();
-        m.remove(&9);
-        sorted_keys_into(&m, &mut scratch);
-        assert_eq!(scratch, vec![1, 3, 7, 8]);
-        assert_eq!(scratch.capacity(), cap, "refill must reuse the allocation");
     }
 }

@@ -6,8 +6,9 @@ mod common;
 use bytes::Bytes;
 use common::{obs_log, observations, Obs, Recorder, Scripted};
 use marea_core::{
-    CallOptions, CallPolicy, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId,
-    ProtoDuration, SchedulerKind, ServiceDescriptor, SimHarness, VarDistribution, VarPort, VarQos,
+    CallOptions, CallPolicy, ContainerConfig, EventPort, EventQos, FileEvent, FnPort, Micros,
+    NodeId, ProtoDuration, SchedulerKind, ServiceDescriptor, SimHarness, VarDistribution, VarPort,
+    VarQos,
 };
 use marea_netsim::{LinkConfig, NetConfig};
 use marea_presentation::Value;
@@ -673,6 +674,72 @@ fn file_distribution_to_multiple_nodes_is_bit_exact() {
     }
 }
 
+/// Transfer ids are unique per publishing node only: both publishers'
+/// first transfers are `TransferId(1)`, and node 1 is publisher and
+/// subscriber at once, so every index keyed by the bare id misroutes.
+#[test]
+fn two_file_publishers_do_not_cross_route() {
+    let mut h = SimHarness::new(lan(15));
+    for n in 1..=3 {
+        h.add_container(ContainerConfig::new("node", NodeId(n)));
+    }
+    let image = |n: u32| -> Vec<u8> { (0..60_000u32).map(|i| (i % 251) as u8 ^ n as u8).collect() };
+    let completions = obs_log();
+    for n in [1u32, 2] {
+        let resource = format!("n{n}/img");
+        let mut b = ServiceDescriptor::builder("publisher");
+        b.file_resource(&resource);
+        let mut publisher = Scripted::new(b.build());
+        let data = Bytes::from(image(n));
+        publisher.on_start = Some(Box::new(move |ctx| ctx.publish_file(&resource, data.clone())));
+        let log = completions.clone();
+        publisher.on_file_event = Some(Box::new(move |ctx, event| {
+            if let FileEvent::DistributionComplete { resource, subscribers, .. } = event {
+                log.lock()
+                    .unwrap()
+                    .push((ctx.now(), Obs::File(format!("{resource}:{subscribers}"))));
+            }
+        }));
+        h.add_service(NodeId(n), Box::new(publisher));
+    }
+    // Node 3 wants both resources, node 1 (a publisher itself) node 2's.
+    let wants: [(u32, &[u32]); 2] = [(3, &[1, 2]), (1, &[2])];
+    let logs = wants.map(|(node, publishers)| {
+        let mut b = ServiceDescriptor::builder("subscriber");
+        for p in publishers {
+            b.subscribe_file(&format!("n{p}/img"));
+        }
+        let log = obs_log();
+        h.add_service(NodeId(node), Box::new(Recorder::new(b.build(), log.clone())));
+        log
+    });
+    h.start_all();
+    h.run_for_millis(10_000);
+
+    for ((node, publishers), log) in wants.iter().zip(&logs) {
+        let mut got: Vec<(String, Bytes)> = observations(log)
+            .into_iter()
+            .filter_map(|(_, o)| match o {
+                Obs::FileData(name, _rev, data) => Some((name, data)),
+                _ => None,
+            })
+            .collect();
+        got.sort();
+        let want: Vec<(String, Bytes)> =
+            publishers.iter().map(|p| (format!("n{p}/img"), Bytes::from(image(*p)))).collect();
+        assert_eq!(got, want, "node {node}: each resource exactly once, bit-exact");
+        let received = h.container(NodeId(*node)).unwrap().stats().files_received;
+        assert_eq!(received, publishers.len() as u64, "node {node}");
+    }
+    let mut completed: Vec<Obs> = observations(&completions).into_iter().map(|(_, o)| o).collect();
+    completed.sort_by_key(|o| format!("{o:?}"));
+    assert_eq!(
+        completed,
+        vec![Obs::File("n1/img:1".into()), Obs::File("n2/img:2".into())],
+        "each publisher sees its own distribution complete"
+    );
+}
+
 #[test]
 fn same_node_file_subscription_bypasses_the_network() {
     let mut h = SimHarness::new(lan(13));
@@ -1277,11 +1344,13 @@ mod typed {
         b.function::<(u32,), u32>("p/fn");
         h.add_service(NodeId(2), Box::new(Scripted::new(b.build())));
 
-        // Abuser: emits a Str on its own U32 channel and calls with a
-        // Bool argument — both through ports of the declared names but
-        // the wrong types — and publishes an undeclared file resource.
+        // Abuser: emits a Str on its own U32 channel, a U32 on its own bare
+        // channel and calls with a Bool argument — all through ports of
+        // the declared names but the wrong types — and publishes an
+        // undeclared file resource.
         let mut b = ServiceDescriptor::builder("abuser");
         b.event::<u32>("a/ev");
+        b.event::<()>("a/bare");
         b.requires_function("p/fn");
         let mut abuser = Scripted::new(b.build());
         abuser.on_start = Some(Box::new(|ctx| {
@@ -1289,8 +1358,10 @@ mod typed {
         }));
         let mistyped_ev = EventPort::<String>::new("a/ev");
         let mistyped_fn = FnPort::<(bool,), u32>::new("p/fn");
+        let mistyped_bare = EventPort::<u32>::new("a/bare");
         abuser.on_timer = Some(Box::new(move |ctx, _| {
             ctx.emit_to(&mistyped_ev, "wrong".to_string());
+            ctx.emit_to(&mistyped_bare, 7);
             ctx.call_fn(&mistyped_fn, (true,));
             ctx.publish_file("a/undeclared", Bytes::from_static(b"x"));
         }));
@@ -1303,12 +1374,32 @@ mod typed {
                 .push((Micros(0), Obs::Reply(0, result.map_err(|e| e.to_string()))));
         }));
         h.add_service(NodeId(1), Box::new(abuser));
+        // One subscriber of the bare channel beside the abuser, one remote.
+        let bare_logs = [NodeId(1), NodeId(2)].map(|node| {
+            let mut b = ServiceDescriptor::builder("bare-watcher");
+            b.subscribe_event("a/bare", EventQos::default());
+            let log = obs_log();
+            h.add_service(node, Box::new(Recorder::new(b.build(), log.clone())));
+            log
+        });
 
         h.start_all();
         h.run_for_millis(300);
 
         let stats = h.container(NodeId(1)).unwrap().stats();
-        assert!(stats.type_mismatches.events >= 1, "event payload mismatch counted: {stats:?}");
+        assert!(stats.type_mismatches.events >= 2, "event payload mismatches counted: {stats:?}");
+        // The payload a bare channel cannot carry is dropped for everyone:
+        // the same-node subscriber sees what the remote one sees.
+        for log in &bare_logs {
+            let bare: Vec<_> = observations(log)
+                .into_iter()
+                .filter_map(|(_, o)| match o {
+                    Obs::Event(name, value) => Some((name, value)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(bare, vec![("a/bare".to_string(), None)]);
+        }
         assert!(stats.type_mismatches.calls >= 1, "argument mismatch counted: {stats:?}");
         assert!(stats.type_mismatches.files >= 1, "undeclared file counted: {stats:?}");
         // The caller observed the failure as a structured error.

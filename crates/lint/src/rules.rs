@@ -117,8 +117,27 @@ impl<'a> FileCx<'a> {
 
 // ---- scoping ------------------------------------------------------------
 
-/// Wire-send paths: the container sweep fns, the directory, and the
-/// whole netsim + protocol crates.
+/// The core tick path: the container and every component it wires —
+/// the link table, the four engines, the gossip and timer components,
+/// the directory. Whatever a tick sends, decides or records lives in one
+/// of these, so D1, R1 and O1 all cover them.
+const CORE_TICK_PATH: &[&str] = &[
+    "crates/core/src/container.rs",
+    "crates/core/src/link.rs",
+    "crates/core/src/engines/",
+    "crates/core/src/gossip.rs",
+    "crates/core/src/timers.rs",
+    "crates/core/src/directory.rs",
+];
+
+fn on_core_tick_path(path: &str) -> bool {
+    CORE_TICK_PATH
+        .iter()
+        .any(|p| if p.ends_with('/') { path.contains(p) } else { path.ends_with(p) })
+}
+
+/// Wire-send paths: the core tick path and the whole netsim + protocol
+/// crates.
 fn d1_in_scope(cx: &FileCx) -> bool {
     if cx.has_pragma("d1") {
         return true;
@@ -127,11 +146,7 @@ fn d1_in_scope(cx: &FileCx) -> bool {
         return false;
     }
     let p = cx.path;
-    p.ends_with("crates/core/src/container.rs")
-        || p.contains("crates/core/src/container/")
-        || p.ends_with("crates/core/src/directory.rs")
-        || p.contains("crates/netsim/src/")
-        || p.contains("crates/protocol/src/")
+    on_core_tick_path(p) || p.contains("crates/netsim/src/") || p.contains("crates/protocol/src/")
 }
 
 /// Everywhere except the real-time transport layer and the vendored
@@ -144,7 +159,7 @@ fn d2_in_scope(cx: &FileCx) -> bool {
     !(p.contains("crates/transport/src/") || p.contains("support/"))
 }
 
-/// Protocol crate + container hot paths.
+/// Protocol crate + the core tick path.
 fn r1_in_scope(cx: &FileCx) -> bool {
     if cx.has_pragma("r1") {
         return true;
@@ -153,17 +168,13 @@ fn r1_in_scope(cx: &FileCx) -> bool {
         return false;
     }
     let p = cx.path;
-    p.contains("crates/protocol/src/")
-        || p.ends_with("crates/core/src/container.rs")
-        || p.contains("crates/core/src/container/")
-        || p.contains("crates/core/src/engines/")
+    p.contains("crates/protocol/src/") || on_core_tick_path(p)
 }
 
-/// The flight-recorder record path — the trace module itself plus the
-/// two files that construct [`TraceEvent`]s or call `.record(…)` per
-/// message (the container's engine handlers and the harness
-/// crash/restart markers) — and the metrics sampler, whose `sample_*`
-/// fns run on every sampling period.
+/// The flight-recorder record path — the trace module itself plus what
+/// constructs [`TraceEvent`]s or calls `.record(…)` per message (the
+/// core tick path and the harness crash/restart markers) — and the
+/// metrics sampler, whose `sample_*` fns run on every sampling period.
 fn o1_in_scope(cx: &FileCx) -> bool {
     if cx.has_pragma("o1") {
         return true;
@@ -173,8 +184,7 @@ fn o1_in_scope(cx: &FileCx) -> bool {
     }
     let p = cx.path;
     p.ends_with("crates/core/src/trace.rs")
-        || p.ends_with("crates/core/src/container.rs")
-        || p.contains("crates/core/src/container/")
+        || on_core_tick_path(p)
         || p.ends_with("crates/core/src/harness.rs")
         || p.ends_with("crates/core/src/metrics.rs")
 }

@@ -17,7 +17,7 @@ fn send_all(map: &HashMap<u32, u32>) -> Vec<u32> {
     out
 }
 
-// The scratch-buffer shape hot sweeps use (`sweep::sorted_keys_into`):
+// The scratch-buffer shape a hot sweep over a hash map can use:
 // the hash walk lives in a `sorted_*` helper, the caller drains an
 // owned, already-sorted scratch Vec — no raw hash iteration on the
 // send path, no per-tick allocation.
