@@ -27,6 +27,7 @@
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -179,6 +180,41 @@ impl TaskQueue {
     ) {
         for svc in services {
             self.push(priority, *svc.borrow(), payload());
+        }
+    }
+}
+
+/// What `execute_task` still needs of a payload once its handler has
+/// consumed it: the variant, and the scalars its accounting records.
+enum Ran {
+    Start,
+    Stop,
+    Variable { name: Name, stamp: Micros, seq: u64, trace: TraceId },
+    Event { name: Name, stamp: Micros, seq: u64, trace: TraceId },
+    Call { request: RequestId, caller: NodeId, function: Name, trace: TraceId },
+    FileBypass,
+    Other,
+}
+
+impl Ran {
+    fn of(payload: &TaskPayload) -> Self {
+        match payload {
+            TaskPayload::Start => Ran::Start,
+            TaskPayload::Stop => Ran::Stop,
+            TaskPayload::DeliverVariable { name, stamp, seq, trace, .. } => {
+                Ran::Variable { name: name.clone(), stamp: *stamp, seq: *seq, trace: *trace }
+            }
+            TaskPayload::DeliverEvent { name, stamp, seq, trace, .. } => {
+                Ran::Event { name: name.clone(), stamp: *stamp, seq: *seq, trace: *trace }
+            }
+            TaskPayload::ExecuteCall { request, caller, function, trace, .. } => Ran::Call {
+                request: *request,
+                caller: *caller,
+                function: function.clone(),
+                trace: *trace,
+            },
+            TaskPayload::FileBypass { .. } => Ran::FileBypass,
+            _ => Ran::Other,
         }
     }
 }
@@ -741,7 +777,7 @@ impl ServiceContainer {
                     Ok((value, services)) => {
                         let deliver = || TaskPayload::DeliverVariable {
                             name: name.clone(),
-                            value: value.clone(),
+                            value: Arc::clone(&value),
                             stamp,
                             seq,
                             trace,
@@ -1329,20 +1365,21 @@ impl ServiceContainer {
         }
         let idx = (task.service_seq as usize).wrapping_sub(1);
         let payload = task.payload;
-        let lifecycle = matches!(payload, TaskPayload::Start | TaskPayload::Stop);
+        let ran = Ran::of(&payload);
 
         // Phase 1: extract the service from its slot.
         let (mut service, service_name, seq) = {
             let Some(slot) = self.slots.get_mut(idx) else { return };
-            if !lifecycle && !slot.accepts_work() {
+            if !matches!(ran, Ran::Start | Ran::Stop) && !slot.accepts_work() {
                 return;
             }
             let Some(service) = slot.service.take() else { return };
             (service, slot.descriptor.name().clone(), slot.seq)
         };
 
-        // Phase 2: run the handler with a fresh context; only `on_call`
-        // yields something (the result to reply with).
+        // Phase 2: run the handler with a fresh context. It consumes the
+        // payload — a reply's value moves into `on_reply`, never copied;
+        // only `on_call` yields something (the result to reply with).
         let mut effects: Vec<Effect> = Vec::new();
         let mut ctx = ServiceContext {
             now,
@@ -1355,32 +1392,31 @@ impl ServiceContainer {
             var_state: Some(&self.vars),
         };
         let unwind = catch_unwind(AssertUnwindSafe(|| {
-            match &payload {
+            match payload {
                 TaskPayload::Start => service.on_start(&mut ctx),
                 TaskPayload::Stop => service.on_stop(&mut ctx),
                 TaskPayload::DeliverVariable { name, value, stamp, .. } => {
-                    service.on_variable(&mut ctx, name, value, *stamp)
+                    service.on_variable(&mut ctx, &name, &value, stamp)
                 }
                 TaskPayload::VariableTimeout { name } => {
-                    service.on_variable_timeout(&mut ctx, name)
+                    service.on_variable_timeout(&mut ctx, &name)
                 }
                 TaskPayload::DeliverEvent { name, value, stamp, .. } => {
-                    service.on_event(&mut ctx, name, value.as_ref(), *stamp)
+                    service.on_event(&mut ctx, &name, value.as_ref(), stamp)
                 }
                 TaskPayload::ExecuteCall { function, args, .. } => {
-                    return Some(service.on_call(&mut ctx, function, args));
+                    return Some(service.on_call(&mut ctx, &function, &args));
                 }
                 TaskPayload::DeliverReply { request, result } => {
-                    service.on_reply(&mut ctx, CallHandle(*request), result.clone())
+                    service.on_reply(&mut ctx, CallHandle(request), result)
                 }
-                TaskPayload::File(ev) => service.on_file_event(&mut ctx, ev),
+                TaskPayload::File(ev) => service.on_file_event(&mut ctx, &ev),
                 TaskPayload::FileBypass { resource, revision, data } => {
-                    let (resource, revision, data) = (resource.clone(), *revision, data.clone());
                     let received = FileEvent::Received { resource, revision, data };
                     service.on_file_event(&mut ctx, &received)
                 }
-                TaskPayload::Provider(notice) => service.on_provider_change(&mut ctx, notice),
-                TaskPayload::Timer { id } => service.on_timer(&mut ctx, *id),
+                TaskPayload::Provider(notice) => service.on_provider_change(&mut ctx, &notice),
+                TaskPayload::Timer { id } => service.on_timer(&mut ctx, id),
             }
             None
         }));
@@ -1399,34 +1435,34 @@ impl ServiceContainer {
             self.log_line(now, format!("service `{service_name}` panicked; marked failed"));
             return self.set_service_state(seq, ServiceState::Failed);
         };
-        match &payload {
-            TaskPayload::Start
+        match ran {
+            Ran::Start
                 if self.slots.get(idx).is_some_and(|s| s.state == ServiceState::Starting) =>
             {
                 self.set_service_state(seq, ServiceState::Running);
             }
-            TaskPayload::Stop => self.set_service_state(seq, ServiceState::Stopped),
-            TaskPayload::DeliverVariable { name, stamp, seq: n, trace, .. } => {
+            Ran::Stop => self.set_service_state(seq, ServiceState::Stopped),
+            Ran::Variable { name, stamp, seq: n, trace } => {
                 self.stats.var_samples_delivered += 1;
-                self.tracer.record_var_latency(now.saturating_since(*stamp).as_micros());
-                self.tracer.record(now, TraceKind::VarDeliver, *trace, None, *n, Some(name));
+                self.tracer.record_var_latency(now.saturating_since(stamp).as_micros());
+                self.tracer.record(now, TraceKind::VarDeliver, trace, None, n, Some(&name));
             }
-            TaskPayload::DeliverEvent { name, stamp, seq: n, trace, .. } => {
+            Ran::Event { name, stamp, seq: n, trace } => {
                 self.stats.events_delivered += 1;
-                let latency = now.saturating_since(*stamp).as_micros();
+                let latency = now.saturating_since(stamp).as_micros();
                 self.stats.event_latency_sum_us += latency;
                 self.stats.event_latency_max_us = self.stats.event_latency_max_us.max(latency);
                 self.tracer.record_event_latency(latency);
-                self.tracer.record(now, TraceKind::EventDeliver, *trace, None, *n, Some(name));
+                self.tracer.record(now, TraceKind::EventDeliver, trace, None, n, Some(&name));
             }
-            TaskPayload::ExecuteCall { request, caller, function, trace, .. } => {
+            Ran::Call { request, caller, function, trace } => {
                 self.stats.calls_served += 1;
                 if let Some(result) = call_result {
-                    self.finish_call(*request, *caller, function, result, *trace, now);
+                    self.finish_call(request, caller, &function, result, trace, now);
                 }
             }
-            TaskPayload::FileBypass { .. } => self.stats.file_bypass_deliveries += 1,
-            _ => {}
+            Ran::FileBypass => self.stats.file_bypass_deliveries += 1,
+            Ran::Start | Ran::Other => {}
         }
         self.apply_effects(seq, effects, now);
     }
@@ -1498,10 +1534,10 @@ impl ServiceContainer {
         self.tracer.record(now, TraceKind::VarPublish, trace, None, sample.seq, Some(&name));
 
         // Local delivery (Fig. 2 in-container path).
-        if let Some(services) = self.vars.accept_local(&name, sample.seq, &value, now) {
+        if let Some((value, services)) = self.vars.accept_local(&name, sample.seq, value, now) {
             self.tasks.fan_out(Priority::VARIABLE, services, || TaskPayload::DeliverVariable {
                 name: name.clone(),
-                value: value.clone(),
+                value: Arc::clone(&value),
                 stamp: now,
                 seq: sample.seq,
                 trace,

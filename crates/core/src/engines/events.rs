@@ -9,7 +9,7 @@ use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::{NodeId, ServiceId};
 
-use super::{decode_payload, Rebind};
+use super::{decode_payload, encode_payload, Rebind};
 use crate::directory::Directory;
 use crate::qos::{DropPolicy, EventQos};
 use crate::scheduler::Priority;
@@ -168,8 +168,8 @@ impl EventEngine {
             return Err(format!("emit on foreign event `{name}` dropped"));
         }
         let (payload, payload_dropped) = match (&pe.ty, value) {
-            (Some(ty), Some(v)) => match codec.encode_to_vec(v, ty) {
-                Ok(b) => (Bytes::from(b), false),
+            (Some(ty), Some(v)) => match encode_payload(codec, v, ty) {
+                Ok(payload) => (payload, false),
                 Err(e) => {
                     self.type_mismatches += 1;
                     return Err(format!("event `{name}` payload violates schema: {e}"));

@@ -8,7 +8,9 @@
 //! touch the transport, the scheduler or the tracer, which keeps them
 //! unit-testable in isolation.
 
-use marea_encoding::{CodecId, CodecRegistry, SelfDescribingCodec};
+use bytes::{Bytes, BytesMut};
+
+use marea_encoding::{Codec, CodecId, CodecRegistry, EncodeError, SelfDescribingCodec};
 use marea_presentation::{DataType, Value};
 use marea_protocol::ServiceId;
 
@@ -26,6 +28,15 @@ pub(crate) enum Rebind {
     Bound { provider: ServiceId, fresh: bool },
     /// No provider resolves any more.
     Lost,
+}
+
+/// Encodes a published value into the buffer that goes on the wire: one
+/// `BytesMut` sized from the value, frozen in place — the payload is
+/// written once and never copied on its way to the frame.
+fn encode_payload(codec: &dyn Codec, value: &Value, ty: &DataType) -> Result<Bytes, EncodeError> {
+    let mut buf = BytesMut::with_capacity(value.size_hint());
+    codec.encode(value, ty, &mut buf)?;
+    Ok(buf.freeze())
 }
 
 /// Decodes a sample or event payload against the schema its subscription

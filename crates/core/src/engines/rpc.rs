@@ -10,6 +10,7 @@ use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::{CallStatus, FunctionSig, Provision};
 use marea_protocol::{Micros, ProtoDuration, RequestId, ServiceId};
 
+use super::encode_payload;
 use crate::directory::Directory;
 use crate::error::CallError;
 use crate::service::{CallPolicy, ServiceDescriptor};
@@ -301,12 +302,15 @@ fn encode_args(args: &[Value], sig: &FunctionSig, codec: &dyn Codec) -> Result<B
             args.len()
         )));
     }
-    let mut buf = BytesMut::new();
+    // Each argument is encoded into `one` to learn its length, then
+    // length-prefixed into `buf`, which is frozen in place.
+    let mut buf = BytesMut::with_capacity(args.iter().map(|a| a.size_hint() + 4).sum());
+    let mut one = BytesMut::new();
     for (arg, ty) in args.iter().zip(&sig.params) {
-        let encoded =
-            codec.encode_to_vec(arg, ty).map_err(|e| CallError::BadArguments(e.to_string()))?;
-        let mut w = WireWriter::new(&mut buf);
-        w.put_len_prefixed(&encoded);
+        one.clear();
+        one.reserve(arg.size_hint());
+        codec.encode(arg, ty, &mut one).map_err(|e| CallError::BadArguments(e.to_string()))?;
+        WireWriter::new(&mut buf).put_len_prefixed(&one);
     }
     Ok(buf.freeze())
 }
@@ -340,10 +344,9 @@ fn encode_result(
 ) -> Result<Bytes, CallError> {
     match returns {
         None => Ok(Bytes::new()),
-        Some(ty) => codec
-            .encode_to_vec(value, ty)
-            .map(Bytes::from)
-            .map_err(|e| CallError::BadArguments(e.to_string())),
+        Some(ty) => {
+            encode_payload(codec, value, ty).map_err(|e| CallError::BadArguments(e.to_string()))
+        }
     }
 }
 

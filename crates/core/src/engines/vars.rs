@@ -2,6 +2,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -10,7 +11,7 @@ use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::{GroupId, Micros, NodeId, ServiceId};
 
-use super::{decode_payload, fnv1a, Rebind};
+use super::{decode_payload, encode_payload, fnv1a, Rebind};
 use crate::directory::Directory;
 use crate::qos::VarQos;
 use crate::service::ServiceDescriptor;
@@ -65,8 +66,10 @@ struct SubscribedVar {
     history_cap: usize,
     /// The retained samples, oldest first (production stamp, decoded
     /// value) — read through
-    /// [`ServiceContext::history`](crate::ServiceContext::history).
-    history: VecDeque<(Micros, Value)>,
+    /// [`ServiceContext::history`](crate::ServiceContext::history). Each
+    /// value is the allocation its deliveries hold: a sample is decoded
+    /// once and shared, never copied.
+    history: VecDeque<(Micros, Arc<Value>)>,
     /// Loss deadlines missed on this subscription.
     deadline_misses: u64,
     /// Stale samples dropped on this subscription.
@@ -175,7 +178,7 @@ impl SubscribedVar {
 
     /// Retains an accepted sample in the history ring (oldest evicted at
     /// capacity).
-    fn record(&mut self, stamp: Micros, value: Value) {
+    fn record(&mut self, stamp: Micros, value: Arc<Value>) {
         while self.history.len() >= self.history_cap {
             self.history.pop_front();
         }
@@ -301,36 +304,37 @@ impl VarEngine {
             self.type_mismatches += 1;
             return Err(format!("publish to `{name}` violates schema: {e}"));
         }
-        let payload = codec
-            .encode_to_vec(value, &pv.ty)
+        let payload = encode_payload(codec, value, &pv.ty)
             .map_err(|e| format!("publish to `{name}` does not encode: {e}"))?;
-        let payload = Bytes::from(payload);
         pv.seq += 1;
         pv.last = Some((payload.clone(), now));
         Ok(Sample { payload, seq: pv.seq, validity_us: pv.validity_us })
     }
 
     /// Subscriber side of a same-container publish (Fig. 2 in-container
-    /// path): the services to deliver `value` to, if the sample is fresh.
+    /// path): the shared value and the services to deliver it to, if the
+    /// sample is fresh.
     pub fn accept_local(
         &mut self,
         name: &Name,
         seq: u64,
-        value: &Value,
+        value: Value,
         now: Micros,
-    ) -> Option<&[u32]> {
+    ) -> Option<(Arc<Value>, &[u32])> {
         let sub = self.subscribed.get_mut(name)?;
         if !sub.accept(seq, now) {
             return None;
         }
-        sub.record(now, value.clone());
+        let value = Arc::new(value);
+        sub.record(now, Arc::clone(&value));
         Self::arm(&mut self.deadline_heap, name, sub);
-        Some(&sub.services)
+        Some((value, &sub.services))
     }
 
     /// Subscriber side of a received `VarSample`: validity and sequence
-    /// filtering, decode, history, deadline. Answers the value and the
-    /// services to deliver it to.
+    /// filtering, decode, history, deadline. Answers the value — decoded
+    /// once, shared with the history ring — and the services to deliver it
+    /// to.
     #[allow(clippy::too_many_arguments)]
     pub fn on_sample(
         &mut self,
@@ -342,7 +346,7 @@ impl VarEngine {
         payload: &[u8],
         codecs: &CodecRegistry,
         now: Micros,
-    ) -> Result<(Value, &[u32]), SampleDrop> {
+    ) -> Result<(Arc<Value>, &[u32]), SampleDrop> {
         let sub = self.subscribed.get_mut(name).ok_or(SampleDrop::Unsubscribed)?;
         if validity_us > 0 && now.saturating_since(stamp).as_micros() > validity_us {
             sub.stale_drops += 1;
@@ -355,7 +359,8 @@ impl VarEngine {
             self.type_mismatches += 1;
             return Err(SampleDrop::Mismatch);
         };
-        sub.record(stamp, value.clone());
+        let value = Arc::new(value);
+        sub.record(stamp, Arc::clone(&value));
         Self::arm(&mut self.deadline_heap, name, sub);
         Ok((value, &sub.services))
     }
@@ -436,8 +441,9 @@ impl VarEngine {
     }
 
     /// The retained samples of a subscribed variable, oldest first.
-    pub fn history(&self, name: &Name) -> impl Iterator<Item = &(Micros, Value)> {
-        self.subscribed.get(name).into_iter().flat_map(|s| s.history.iter())
+    pub fn history(&self, name: &Name) -> impl Iterator<Item = (Micros, &Value)> {
+        let ring = self.subscribed.get(name).into_iter().flat_map(|s| s.history.iter());
+        ring.map(|(stamp, value)| (*stamp, &**value))
     }
 
     /// Queues `sub`'s loss deadline after an event that (re)started its
@@ -588,11 +594,68 @@ mod tests {
     fn history_ring_evicts_oldest() {
         let mut s = SubscribedVar::new(&VarQos::default().with_history(3));
         for i in 0..5u64 {
-            s.record(Micros(i), Value::U64(i));
+            s.record(Micros(i), Arc::new(Value::U64(i)));
         }
         let kept: Vec<u64> = s.history.iter().filter_map(|(_, v)| v.as_u64()).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest evicted, order preserved");
         assert_eq!(s.history.len(), 3);
+    }
+
+    /// Two local subscribers (history 1 and 3) on one channel, bound to a
+    /// `u64` publisher: every sample is decoded once, and the allocation
+    /// `on_sample` hands to the fan-out is the one the history ring keeps.
+    #[test]
+    fn sample_is_decoded_once_and_shared_with_the_history_ring() {
+        use crate::ports::VarPort;
+        use crate::service::{ServiceContext, ServiceDescriptor};
+
+        let port = VarPort::<u64>::new("v");
+        let descriptor = |name: &str, qos: VarQos| {
+            let mut b = ServiceDescriptor::builder(name);
+            b.subscribe_to_var(&port, qos);
+            b.build()
+        };
+        let mut e = VarEngine::default();
+        e.register(1, &descriptor("one", VarQos::default()));
+        e.register(2, &descriptor("two", VarQos::default().with_history(3)));
+        let name = port.name().clone();
+        let provider = ServiceId::new(NodeId(2), 1);
+        e.subscribed.get_mut(&name).unwrap().bind(provider, 0, 0, DataType::U64, Micros::ZERO);
+
+        let codecs = CodecRegistry::new();
+        for seq in 1..=5u64 {
+            let payload =
+                codecs.default_codec().encode_to_vec(&Value::U64(seq * 10), &DataType::U64);
+            let stamp = Micros(seq);
+            let (value, services) = e
+                .on_sample(&name, seq, stamp, 0, 0, &payload.unwrap(), &codecs, Micros(seq))
+                .unwrap();
+            assert_eq!(*value, Value::U64(seq * 10));
+            assert_eq!(services, [1, 2], "both subscribers get every sample");
+            let (kept_stamp, kept) = e.subscribed[&name].history.back().unwrap();
+            assert_eq!(*kept_stamp, stamp);
+            assert!(Arc::ptr_eq(&value, kept), "the ring holds the delivered allocation");
+        }
+
+        // The same-container path shares the same way.
+        let (value, services) = e.accept_local(&name, 6, Value::U64(60), Micros(6)).unwrap();
+        assert_eq!(services, [1, 2]);
+        assert!(Arc::ptr_eq(&value, &e.subscribed[&name].history.back().unwrap().1));
+
+        // Handlers read the ring as before: the deepest contract's depth,
+        // oldest first, decoded through the port.
+        let (svc, mut effects, mut req, mut tim) = (Name::new("two").unwrap(), Vec::new(), 0, 0);
+        let ctx = ServiceContext {
+            now: Micros(6),
+            node: NodeId(1),
+            service_name: &svc,
+            service_seq: 2,
+            effects: &mut effects,
+            next_request_id: &mut req,
+            next_timer_id: &mut tim,
+            var_state: Some(&e),
+        };
+        assert_eq!(ctx.history(&port), [(Micros(4), 40), (Micros(5), 50), (Micros(6), 60)]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -73,8 +74,9 @@ pub enum TaskPayload {
     DeliverVariable {
         /// Variable name.
         name: Name,
-        /// Decoded sample.
-        value: Value,
+        /// Decoded sample — the one allocation the subscription's history
+        /// ring and every other delivery of this sample hold.
+        value: Arc<Value>,
         /// Publisher's production stamp.
         stamp: Micros,
         /// Sample sequence number.

@@ -471,7 +471,7 @@ impl<'a> ServiceContext<'a> {
         self.var_state
             .into_iter()
             .flat_map(|vars| vars.history(port.name()))
-            .filter_map(|(stamp, v)| port.decode(v).ok().map(|x| (*stamp, x)))
+            .filter_map(|(stamp, v)| port.decode(v).ok().map(|x| (stamp, x)))
             .collect()
     }
 

@@ -3,7 +3,7 @@
 use bytes::BytesMut;
 
 use marea_presentation::{
-    DataType, StructBuilder, TypeError, TypeErrorKind, UnionValue, Value, VectorValue,
+    DataType, StructValue, TypeError, TypeErrorKind, UnionValue, Value, VectorValue,
 };
 
 use crate::codec::{Codec, CodecId};
@@ -156,25 +156,25 @@ impl CompactCodec {
                 )
             }
             DataType::Struct(st) => {
-                let mut b = StructBuilder::anonymous();
-                for def in st.fields() {
-                    let v = Self::decode_from(r, def.ty(), depth + 1)?;
-                    b = b.field(def.name().as_str(), v);
+                // Field names are the schema's; the first field that fails
+                // to decode ends the value list and is reported below.
+                let mut failed = None;
+                let values = st.fields().iter().map_while(|def| {
+                    Self::decode_from(r, def.ty(), depth + 1).map_err(|e| failed = Some(e)).ok()
+                });
+                let decoded = StructValue::for_type(st, values);
+                match failed {
+                    Some(e) => return Err(e),
+                    None => Value::Struct(decoded),
                 }
-                b.build().expect("schema field names are valid")
             }
             DataType::Union(ut) => {
                 let disc = r.get_varint()?;
                 let disc = u32::try_from(disc).map_err(|_| DecodeError::VarintOverflow)?;
-                let alt = ut
-                    .alternatives()
-                    .get(disc as usize)
-                    .ok_or(DecodeError::InvalidDiscriminant(disc))?;
+                let invalid = DecodeError::InvalidDiscriminant(disc);
+                let Some(alt) = ut.alternatives().get(disc as usize) else { return Err(invalid) };
                 let v = Self::decode_from(r, alt.ty(), depth + 1)?;
-                Value::Union(
-                    UnionValue::new(disc, alt.name().as_str(), v)
-                        .expect("schema alternative names are valid"),
-                )
+                Value::Union(UnionValue::for_discriminant(ut, disc, v).ok_or(invalid)?)
             }
         })
     }
@@ -316,6 +316,106 @@ mod tests {
         // discriminant 9 with payload byte
         let bytes = [9u8, 0u8];
         assert_eq!(codec().decode(&bytes, &ty), Err(DecodeError::InvalidDiscriminant(9)));
+    }
+
+    /// `Track { id, fixes: vector<Fix { lat, tag: Alarm }> }`: a struct in a
+    /// vector in a struct, with a union at the bottom.
+    fn track_ty() -> DataType {
+        let alarm = UnionType::new("Alarm")
+            .with_alternative("engine", DataType::U8)
+            .unwrap()
+            .with_alternative("msg", DataType::Str)
+            .unwrap();
+        let fix = StructType::new("Fix")
+            .with_field("lat", DataType::F64)
+            .unwrap()
+            .with_field("tag", DataType::Union(alarm))
+            .unwrap();
+        DataType::Struct(
+            StructType::new("Track")
+                .with_field("id", DataType::U16)
+                .unwrap()
+                .with_field("fixes", DataType::Vector(VectorType::of(DataType::Struct(fix))))
+                .unwrap(),
+        )
+    }
+
+    fn track_val() -> Value {
+        let DataType::Struct(track) = track_ty() else { unreachable!() };
+        let DataType::Vector(fixes) = track.fields()[1].ty().clone() else { unreachable!() };
+        let DataType::Struct(fix) = fixes.elem().clone() else { unreachable!() };
+        let DataType::Union(alarm) = fix.fields()[1].ty().clone() else { unreachable!() };
+        let fix_val = |lat: f64, tag: UnionValue| {
+            Value::Struct(StructValue::for_type(&fix, [lat.into(), tag.into()]))
+        };
+        let items = vec![
+            fix_val(1.5, UnionValue::for_type(&alarm, "engine", 9u8).unwrap()),
+            fix_val(-2.5, UnionValue::for_type(&alarm, "msg", "low fuel").unwrap()),
+        ];
+        let fixes = VectorValue::new(fixes.elem().clone(), items).unwrap();
+        Value::Struct(StructValue::for_type(&track, [7u16.into(), fixes.into()]))
+    }
+
+    #[test]
+    fn struct_in_vector_in_struct_roundtrips() {
+        let (ty, v) = (track_ty(), track_val());
+        let bytes = codec().encode_to_vec(&v, &ty).unwrap();
+        // id, count, (lat, discriminant, payload) twice.
+        assert_eq!(bytes.len(), 1 + 1 + (8 + 1 + 1) + (8 + 1 + 9));
+        let back = codec().decode(&bytes, &ty).unwrap();
+        assert_eq!(back, v);
+        back.conforms_to(&ty).unwrap();
+        let selfdesc = crate::SelfDescribingCodec;
+        let bytes = selfdesc.encode_to_vec(&v, &ty).unwrap();
+        assert_eq!(selfdesc.decode(&bytes, &ty).unwrap(), v);
+    }
+
+    #[test]
+    fn decoded_names_are_the_schema_s() {
+        let (ty, v) = (track_ty(), track_val());
+        let DataType::Struct(st) = &ty else { unreachable!() };
+        let bytes = codec().encode_to_vec(&v, &ty).unwrap();
+        let back = codec().decode(&bytes, &ty).unwrap();
+        let sv = back.as_struct().unwrap();
+        assert_eq!(sv.type_name(), st.name());
+        for ((name, _), def) in sv.fields().iter().zip(st.fields()) {
+            assert_eq!(name, def.name());
+        }
+    }
+
+    /// Hostile input deep inside a composite fails with the error the
+    /// field-by-field decoder always gave, not with a half-built value.
+    #[test]
+    fn hostile_nested_input_errors_are_pinned() {
+        let (ty, v) = (track_ty(), track_val());
+        let bytes = codec().encode_to_vec(&v, &ty).unwrap();
+
+        // Truncated inside the string at the bottom of the second element.
+        let cut = &bytes[..bytes.len() - 3];
+        assert_eq!(codec().decode(cut, &ty), Err(DecodeError::UnexpectedEof { needed: 3 }));
+
+        let mut trailing = bytes.clone();
+        trailing.push(0xAA);
+        assert_eq!(
+            codec().decode(&trailing, &ty),
+            Err(DecodeError::TrailingBytes { remaining: 1 })
+        );
+
+        // The first element's union discriminant (after id, count, lat).
+        let mut bad = bytes.clone();
+        bad[1 + 1 + 8] = 2;
+        assert_eq!(codec().decode(&bad, &ty), Err(DecodeError::InvalidDiscriminant(2)));
+
+        // 33 levels of one-field structs around a u8: one level too many,
+        // refused on both sides before the payload is touched.
+        let deep = (0..33).fold(DataType::U8, |inner, _| {
+            DataType::Struct(StructType::anonymous().with_field("f", inner).unwrap())
+        });
+        assert_eq!(codec().decode(&[1], &deep), Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
+        let ok = (0..32).fold(DataType::U8, |inner, _| {
+            DataType::Struct(StructType::anonymous().with_field("f", inner).unwrap())
+        });
+        assert!(codec().decode(&[1], &ok).is_ok());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`FnRet`] — function return values: any codec type or `()` for void.
 //!
 //! All scalar Rust types with a `DataType` mapping implement the codec
-//! traits; composite application records (structs over the wire) implement
-//! them manually — see `marea-services`' `names` module for examples.
+//! traits; composite application records (structs over the wire) get them
+//! from [`record!`](crate::record) — see `marea-services`' `names` module.
 
 use std::error::Error;
 use std::fmt;

@@ -40,6 +40,10 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! Services do not write that by hand: [`record!`] turns a plain struct
+//! declaration into the schema and both conversions, with field names
+//! taken from the schema rather than parsed per sample.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +52,7 @@ mod convert;
 mod error;
 mod name;
 mod path;
+mod record;
 mod schema;
 #[cfg(feature = "testkit")]
 pub mod testkit;
@@ -61,6 +66,8 @@ pub use convert::{
 pub use error::{InvalidNameError, PathError, TypeError, TypeErrorKind};
 pub use name::Name;
 pub use path::{PathSegment, ValuePath};
+#[doc(hidden)]
+pub use record::RecordFields as __RecordFields;
 pub use schema::{Schema, SchemaRegistry};
 pub use types::{DataType, FieldDef, StructType, TypeKind, UnionType, VectorType};
 pub use value::{StructBuilder, StructValue, UnionValue, Value, VectorValue};

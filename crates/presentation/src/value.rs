@@ -106,6 +106,24 @@ impl StructValue {
         StructValue::default()
     }
 
+    /// Creates the struct value of `ty` from its field values in
+    /// declaration order.
+    ///
+    /// Field names (and the documentation type name) are the schema's own
+    /// [`Name`]s, cloned — a reference-count bump each, nothing to validate
+    /// or allocate, since [`StructType::with_field`] already guarantees
+    /// them valid and unique. One allocation: the field vector.
+    ///
+    /// Values are paired with fields up to the shorter of the two; the
+    /// values themselves are not checked here. [`Value::conforms_to`]
+    /// reports a short list as a missing field and a wrong value as a kind
+    /// mismatch, as for any other struct value.
+    pub fn for_type(ty: &StructType, values: impl IntoIterator<Item = Value>) -> Self {
+        let mut fields = Vec::with_capacity(ty.fields().len());
+        fields.extend(ty.fields().iter().zip(values).map(|(def, v)| (def.name().clone(), v)));
+        StructValue { type_name: ty.name().cloned(), fields }
+    }
+
     /// Documentation type name attached at construction, if any.
     pub fn type_name(&self) -> Option<&Name> {
         self.type_name.as_ref()
@@ -201,6 +219,24 @@ impl UnionValue {
             discriminant: disc,
             alternative: alt.name().clone(),
             value: Box::new(value),
+        })
+    }
+
+    /// Creates a union value selecting the alternative `ty` declares at
+    /// index `discriminant` — the decoder's constructor: the alternative's
+    /// name is the schema's own [`Name`], cloned. The payload is not
+    /// checked against the alternative's type. `None` when `ty` declares no
+    /// such alternative.
+    pub fn for_discriminant(
+        ty: &UnionType,
+        discriminant: u32,
+        value: impl Into<Value>,
+    ) -> Option<Self> {
+        let alt = ty.alternatives().get(discriminant as usize)?;
+        Some(UnionValue {
+            discriminant,
+            alternative: alt.name().clone(),
+            value: Box::new(value.into()),
         })
     }
 
@@ -306,6 +342,12 @@ impl Value {
 
     /// Checks this value against `ty`, locating the first mismatch.
     ///
+    /// A struct value whose field names equal the schema's, index by index
+    /// — every value built by [`StructValue::for_type`], a decoder or
+    /// [`record!`](crate::record) — is checked in one pass over the field
+    /// types. Any other arrangement takes the diagnostic path, which names
+    /// the duplicate, missing, unknown or out-of-order field.
+    ///
     /// # Errors
     ///
     /// Returns a [`TypeError`] describing the first place where the value
@@ -313,16 +355,39 @@ impl Value {
     /// struct fields, wrong fixed-vector lengths, or unknown union
     /// alternatives.
     pub fn conforms_to(&self, ty: &DataType) -> Result<(), TypeError> {
+        self.conforms(ty, true)
+    }
+
+    /// [`conforms_to`](Self::conforms_to); `positional: false` runs the
+    /// diagnostic struct check alone at every level — the reference the
+    /// fast path is tested against.
+    fn conforms(&self, ty: &DataType, positional: bool) -> Result<(), TypeError> {
         match (ty, self) {
-            (DataType::Vector(vt), Value::Vector(vv)) => Self::check_vector(vt, vv),
-            (DataType::Struct(st), Value::Struct(sv)) => Self::check_struct(st, sv),
-            (DataType::Union(ut), Value::Union(uv)) => Self::check_union(ut, uv),
+            (DataType::Vector(vt), Value::Vector(vv)) => Self::check_vector(vt, vv, positional),
+            (DataType::Struct(st), Value::Struct(sv)) => {
+                if positional && Self::names_match(st, sv) {
+                    return st.fields().iter().zip(sv.fields()).try_for_each(|(def, (_, v))| {
+                        v.conforms(def.ty(), true).map_err(|e| e.in_field(def.name().as_str()))
+                    });
+                }
+                Self::check_struct(st, sv, positional)
+            }
+            (DataType::Union(ut), Value::Union(uv)) => Self::check_union(ut, uv, positional),
             (expected, found) if expected.kind() == found.kind() => Ok(()),
             (expected, found) => Err(expected.kind_mismatch(found.kind())),
         }
     }
 
-    fn check_vector(vt: &VectorType, vv: &VectorValue) -> Result<(), TypeError> {
+    /// `true` when `sv` carries exactly `st`'s field names in declaration
+    /// order. Schema names are unique, so such a value has no duplicate,
+    /// missing, unknown or misplaced field: only the field values are
+    /// left to check.
+    fn names_match(st: &StructType, sv: &StructValue) -> bool {
+        st.fields().len() == sv.len()
+            && st.fields().iter().zip(sv.fields()).all(|(def, (name, _))| def.name() == name)
+    }
+
+    fn check_vector(vt: &VectorType, vv: &VectorValue, positional: bool) -> Result<(), TypeError> {
         if let Some(required) = vt.fixed_len() {
             if vv.len() != required {
                 return Err(TypeError::new(TypeErrorKind::VectorLength {
@@ -338,12 +403,12 @@ impl Value {
             }));
         }
         for (i, item) in vv.iter().enumerate() {
-            item.conforms_to(vt.elem()).map_err(|e| e.at_index(i))?;
+            item.conforms(vt.elem(), positional).map_err(|e| e.at_index(i))?;
         }
         Ok(())
     }
 
-    fn check_struct(st: &StructType, sv: &StructValue) -> Result<(), TypeError> {
+    fn check_struct(st: &StructType, sv: &StructValue, positional: bool) -> Result<(), TypeError> {
         // Detect duplicates first so the error is precise.
         for (i, (name, _)) in sv.fields().iter().enumerate() {
             if sv.fields()[..i].iter().any(|(n, _)| n == name) {
@@ -354,7 +419,9 @@ impl Value {
         }
         for def in st.fields() {
             match sv.get(def.name().as_str()) {
-                Some(v) => v.conforms_to(def.ty()).map_err(|e| e.in_field(def.name().as_str()))?,
+                Some(v) => {
+                    v.conforms(def.ty(), positional).map_err(|e| e.in_field(def.name().as_str()))?
+                }
                 None => {
                     return Err(TypeError::new(TypeErrorKind::MissingField {
                         field: def.name().to_string(),
@@ -378,7 +445,7 @@ impl Value {
         Ok(())
     }
 
-    fn check_union(ut: &UnionType, uv: &UnionValue) -> Result<(), TypeError> {
+    fn check_union(ut: &UnionType, uv: &UnionValue, positional: bool) -> Result<(), TypeError> {
         let alt = ut.alternative(uv.alternative().as_str()).ok_or_else(|| {
             TypeError::new(TypeErrorKind::UnknownAlternative {
                 alternative: uv.alternative().to_string(),
@@ -391,11 +458,19 @@ impl Value {
                 expected,
             }));
         }
-        uv.value().conforms_to(alt.ty()).map_err(|e| e.in_field(uv.alternative().as_str()))
+        uv.value().conforms(alt.ty(), positional).map_err(|e| e.in_field(uv.alternative().as_str()))
     }
 
     /// Navigates into the value along a textual path such as
     /// `waypoints[2].lat`. Returns `None` when the path does not resolve.
+    ///
+    /// This is a parser, not an accessor: every call parses `path` into a
+    /// fresh [`ValuePath`] (a vector of segments and a string per field
+    /// name) before walking it. It is meant for ad-hoc inspection — a
+    /// ground-station display, a test. For one field of a struct use
+    /// [`StructValue::get`]; in a loop parse the [`ValuePath`] once and use
+    /// [`Value::at_path`]; for a whole typed record use
+    /// [`record!`](crate::record), whose `FromValue` allocates nothing.
     pub fn at(&self, path: &str) -> Option<&Value> {
         let parsed = ValuePath::parse(path).ok()?;
         self.at_path(&parsed)
@@ -876,10 +951,114 @@ mod tests {
     }
 
     #[test]
+    fn for_type_takes_names_from_the_schema() {
+        let DataType::Struct(st) = position_ty() else { unreachable!() };
+        let built = StructValue::for_type(&st, [41.3.into(), 2.1.into(), 120.0f32.into()]);
+        assert_eq!(Value::Struct(built.clone()), position_val());
+        assert_eq!(built.type_name(), st.name());
+        Value::Struct(built).conforms_to(&position_ty()).unwrap();
+
+        // Too few values: a struct `conforms_to` reports as incomplete.
+        let short = Value::Struct(StructValue::for_type(&st, [41.3.into()]));
+        let err = short.conforms_to(&position_ty()).unwrap_err();
+        assert_eq!(err.kind(), &TypeErrorKind::MissingField { field: "lon".into() });
+    }
+
+    #[test]
+    fn for_discriminant_takes_the_alternative_from_the_schema() {
+        let ty = UnionType::new("Alarm")
+            .with_alternative("engine", DataType::U8)
+            .unwrap()
+            .with_alternative("link_loss", DataType::U16)
+            .unwrap();
+        let built = UnionValue::for_discriminant(&ty, 1, 7u16).unwrap();
+        assert_eq!(built, UnionValue::for_type(&ty, "link_loss", 7u16).unwrap());
+        assert!(UnionValue::for_discriminant(&ty, 2, 7u16).is_none());
+    }
+
+    #[test]
     fn display_renders_compactly() {
         let v = position_val();
         let s = v.to_string();
         assert!(s.contains("lat: 41.3"), "{s}");
         assert_eq!(Value::Bytes(vec![1, 2, 3]).to_string(), "bytes[3]");
+    }
+
+    /// The positional fast path of `conforms_to` against the diagnostic
+    /// path run alone: same verdict, same `TypeError`, on conforming values
+    /// and on every kind of violation, at any depth.
+    #[cfg(feature = "testkit")]
+    mod fast_path {
+        use proptest::prelude::*;
+
+        use super::super::*;
+        use crate::testkit::arb_typed_value;
+
+        fn other_kind(v: &Value) -> Value {
+            if matches!(v, Value::Bool(_)) {
+                Value::U8(0)
+            } else {
+                Value::Bool(true)
+            }
+        }
+
+        /// Rewrites `v` somewhere along a `dice`-steered descent: a
+        /// duplicate, missing, unknown, renamed or reordered field, a value
+        /// of the wrong kind, a vector of another length or element type,
+        /// a wrong discriminant or an unknown alternative.
+        fn mutate(v: &mut Value, dice: &mut impl Iterator<Item = usize>) {
+            let (Some(choice), Some(pick)) = (dice.next(), dice.next()) else { return };
+            match v {
+                Value::Struct(sv) if !sv.fields.is_empty() => {
+                    let n = sv.fields.len();
+                    let i = pick % n;
+                    match choice % 7 {
+                        0 => mutate(&mut sv.fields[i].1, dice),
+                        1 => sv.fields.push(sv.fields[i].clone()),
+                        2 => drop(sv.fields.remove(i)),
+                        3 => sv.fields.push((Name::new("zz-unknown").unwrap(), Value::U8(1))),
+                        4 => sv.fields.swap(i, (i + 1) % n),
+                        5 => sv.fields[i].1 = other_kind(&sv.fields[i].1),
+                        _ => sv.fields[i].0 = Name::new("zz-renamed").unwrap(),
+                    }
+                }
+                Value::Vector(vv) => match choice % 5 {
+                    0 if !vv.items.is_empty() => {
+                        let i = pick % vv.items.len();
+                        mutate(&mut vv.items[i], dice)
+                    }
+                    1 if !vv.items.is_empty() => vv.items.push(vv.items[0].clone()),
+                    2 => drop(vv.items.pop()),
+                    3 if !vv.items.is_empty() => {
+                        let i = pick % vv.items.len();
+                        vv.items[i] = other_kind(&vv.items[i]);
+                    }
+                    _ => vv.elem_ty = DataType::Char,
+                },
+                Value::Union(uv) => match choice % 3 {
+                    0 => mutate(&mut uv.value, dice),
+                    1 => uv.discriminant += 1,
+                    _ => uv.alternative = Name::new("zz-unknown").unwrap(),
+                },
+                other => *other = other_kind(other),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn agrees_with_the_diagnostic_path(
+                (ty, value) in arb_typed_value(3),
+                dice in proptest::collection::vec(0usize..64, 0..10),
+            ) {
+                prop_assert_eq!(value.conforms(&ty, true), Ok(()));
+                prop_assert_eq!(value.conforms(&ty, false), Ok(()));
+
+                let mut mutated = value;
+                mutate(&mut mutated, &mut dice.into_iter());
+                prop_assert_eq!(mutated.conforms(&ty, true), mutated.conforms(&ty, false));
+            }
+        }
     }
 }

@@ -10,9 +10,7 @@
 //! type error in every service it affects.
 
 use marea_core::{EventPort, FnPort, VarPort};
-use marea_presentation::{
-    DataType, FromValue, HasDataType, IntoValue, StructType, TypeMismatch, Value,
-};
+use marea_presentation::{record, DataType, FromValue, HasDataType, IntoValue, Value};
 
 /// `gps/position` — the high-rate position variable (paper §5).
 pub const VAR_POSITION: &str = "gps/position";
@@ -46,168 +44,45 @@ pub const VAR_TELEMETRY: &str = "telemetry/fg";
 
 // ---- typed records ------------------------------------------------------
 
-/// A GPS fix: the payload of [`VAR_POSITION`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Position {
-    /// Latitude in degrees.
-    pub lat: f64,
-    /// Longitude in degrees.
-    pub lon: f64,
-    /// Altitude in metres.
-    pub alt: f64,
-    /// Course over ground in radians.
-    pub heading: f64,
-    /// Ground speed in m/s.
-    pub speed: f64,
-}
-
-impl HasDataType for Position {
-    fn data_type() -> DataType {
-        DataType::Struct(
-            StructType::new("Position")
-                .with_field("lat", DataType::F64)
-                .expect("literal")
-                .with_field("lon", DataType::F64)
-                .expect("literal")
-                .with_field("alt", DataType::F64)
-                .expect("literal")
-                .with_field("heading", DataType::F64)
-                .expect("literal")
-                .with_field("speed", DataType::F64)
-                .expect("literal"),
-        )
+record! {
+    /// A GPS fix: the payload of [`VAR_POSITION`].
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct Position {
+        /// Latitude in degrees.
+        pub lat: f64,
+        /// Longitude in degrees.
+        pub lon: f64,
+        /// Altitude in metres.
+        pub alt: f64,
+        /// Course over ground in radians.
+        pub heading: f64,
+        /// Ground speed in m/s.
+        pub speed: f64,
     }
 }
 
-impl IntoValue for Position {
-    fn into_value(self) -> Value {
-        Value::struct_of("Position")
-            .field("lat", self.lat)
-            .field("lon", self.lon)
-            .field("alt", self.alt)
-            .field("heading", self.heading)
-            .field("speed", self.speed)
-            .build()
-            .expect("literal field names")
+record! {
+    /// A detection report: the payload of [`EVT_TARGET_DETECTED`] and
+    /// [`EVT_TARGET_ALERT`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct Detection {
+        /// Photo revision the detection ran on.
+        pub revision: u32,
+        /// Number of targets found.
+        pub count: u32,
     }
 }
 
-impl FromValue for Position {
-    fn from_value(value: &Value) -> Result<Self, TypeMismatch> {
-        let field = |name: &str| -> Result<f64, TypeMismatch> {
-            value.at(name).and_then(Value::as_f64).ok_or_else(|| {
-                TypeMismatch::new(Self::data_type(), value.kind())
-                    .with_detail(format!("field `{name}`"))
-            })
-        };
-        Ok(Position {
-            lat: field("lat")?,
-            lon: field("lon")?,
-            alt: field("alt")?,
-            heading: field("heading")?,
-            speed: field("speed")?,
-        })
-    }
-}
-
-/// A detection report: the payload of [`EVT_TARGET_DETECTED`] and
-/// [`EVT_TARGET_ALERT`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Detection {
-    /// Photo revision the detection ran on.
-    pub revision: u32,
-    /// Number of targets found.
-    pub count: u32,
-}
-
-impl HasDataType for Detection {
-    fn data_type() -> DataType {
-        DataType::Struct(
-            StructType::new("Detection")
-                .with_field("revision", DataType::U32)
-                .expect("literal")
-                .with_field("count", DataType::U32)
-                .expect("literal"),
-        )
-    }
-}
-
-impl IntoValue for Detection {
-    fn into_value(self) -> Value {
-        Value::struct_of("Detection")
-            .field("revision", self.revision)
-            .field("count", self.count)
-            .build()
-            .expect("literal field names")
-    }
-}
-
-impl FromValue for Detection {
-    fn from_value(value: &Value) -> Result<Self, TypeMismatch> {
-        let field = |name: &str| -> Result<u32, TypeMismatch> {
-            match value.at(name) {
-                Some(Value::U32(v)) => Ok(*v),
-                _ => Err(TypeMismatch::new(Self::data_type(), value.kind())
-                    .with_detail(format!("field `{name}`"))),
-            }
-        };
-        Ok(Detection { revision: field("revision")?, count: field("count")? })
-    }
-}
-
-/// Mission progress: the payload of [`VAR_MC_STATUS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct McStatus {
-    /// Index of the next waypoint to reach.
-    pub next_waypoint: u32,
-    /// Photos requested so far.
-    pub photos: u32,
-    /// The plan is exhausted.
-    pub complete: bool,
-}
-
-impl HasDataType for McStatus {
-    fn data_type() -> DataType {
-        DataType::Struct(
-            StructType::new("McStatus")
-                .with_field("next_waypoint", DataType::U32)
-                .expect("literal")
-                .with_field("photos", DataType::U32)
-                .expect("literal")
-                .with_field("complete", DataType::Bool)
-                .expect("literal"),
-        )
-    }
-}
-
-impl IntoValue for McStatus {
-    fn into_value(self) -> Value {
-        Value::struct_of("McStatus")
-            .field("next_waypoint", self.next_waypoint)
-            .field("photos", self.photos)
-            .field("complete", self.complete)
-            .build()
-            .expect("literal field names")
-    }
-}
-
-impl FromValue for McStatus {
-    fn from_value(value: &Value) -> Result<Self, TypeMismatch> {
-        let mismatch = |detail: &str| {
-            TypeMismatch::new(Self::data_type(), value.kind()).with_detail(detail.to_owned())
-        };
-        let u32_field = |name: &str| match value.at(name) {
-            Some(Value::U32(v)) => Ok(*v),
-            _ => Err(mismatch(&format!("field `{name}`"))),
-        };
-        Ok(McStatus {
-            next_waypoint: u32_field("next_waypoint")?,
-            photos: u32_field("photos")?,
-            complete: value
-                .at("complete")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| mismatch("field `complete`"))?,
-        })
+record! {
+    /// Mission progress: the payload of [`VAR_MC_STATUS`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct McStatus {
+        /// Index of the next waypoint to reach.
+        pub next_waypoint: u32,
+        /// Photos requested so far.
+        pub photos: u32,
+        /// The plan is exhausted.
+        pub complete: bool,
     }
 }
 

@@ -13,41 +13,15 @@ use marea::core::{
 use marea::encoding::CodecId;
 use marea::netsim::{NetConfig, SimNet};
 use marea::prelude::*;
-use marea::presentation::{FromValue, HasDataType, IntoValue, StructType, TypeMismatch};
+use marea::presentation::record;
 use marea::transport::{InProcHub, SimLanTransport, Transport};
 
-/// The test vocabulary: a struct record moved through a typed port.
-#[derive(Debug, Clone, PartialEq)]
-struct Sample {
-    n: u64,
-    label: String,
-}
-
-impl HasDataType for Sample {
-    fn data_type() -> DataType {
-        DataType::Struct(
-            StructType::new("Sample")
-                .with_field("n", DataType::U64)
-                .unwrap()
-                .with_field("label", DataType::Str)
-                .unwrap(),
-        )
-    }
-}
-
-impl IntoValue for Sample {
-    fn into_value(self) -> Value {
-        Value::struct_of("Sample").field("n", self.n).field("label", self.label).build().unwrap()
-    }
-}
-
-impl FromValue for Sample {
-    fn from_value(value: &Value) -> Result<Self, TypeMismatch> {
-        let mismatch = || TypeMismatch::new(Self::data_type(), value.kind());
-        Ok(Sample {
-            n: value.at("n").and_then(Value::as_u64).ok_or_else(mismatch)?,
-            label: value.at("label").and_then(Value::as_str).ok_or_else(mismatch)?.to_owned(),
-        })
+record! {
+    /// The test vocabulary: a struct record moved through a typed port.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Sample {
+        n: u64,
+        label: String,
     }
 }
 
