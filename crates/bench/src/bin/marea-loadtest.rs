@@ -6,29 +6,23 @@
 //! marea-loadtest <workload|all> [--pairs N] [--rate HZ] [--payload BYTES]
 //!     [--warmup-ms N] [--window-ms N] [--windows N] [--sample-period-ms N]
 //!     [--seed N] [--json PATH] [--out-dir DIR]
-//! marea-loadtest compare <baseline.json> <fresh.json>
-//!     [--p99-pct N] [--goodput-pct N]
 //! ```
 //!
 //! Without flags a workload runs at its checked-in baseline
 //! parameters, so `marea-loadtest all --out-dir .` regenerates every
-//! `BENCH_loadtest_<workload>.json` byte for byte (CI diffs them);
-//! `compare` gates two documents that are meant to differ — other
-//! parameters, another commit — on gross drift.
+//! `BENCH_loadtest_<workload>.json` byte for byte (CI diffs them).
+//! Two runs with the same parameters are compared with `diff`; host
+//! time is `benchmark/`'s to measure.
 
 use std::process::ExitCode;
 
-use marea_bench::loadtest::{
-    compare_overall, report_json, run_loadtest, LoadtestConfig, LoadtestReport, Workload,
-    GOODPUT_DROP_PCT, P99_RISE_PCT,
-};
+use marea_bench::loadtest::{report_json, run_loadtest, LoadtestConfig, LoadtestReport, Workload};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: marea-loadtest list\n       marea-loadtest <workload|all> [--pairs N] [--rate HZ] \
          [--payload BYTES]\n           [--warmup-ms N] [--window-ms N] [--windows N] \
-         [--sample-period-ms N]\n           [--seed N] [--json PATH] [--out-dir DIR]\n       \
-         marea-loadtest compare <baseline.json> <fresh.json> [--p99-pct N] [--goodput-pct N]\n\
+         [--sample-period-ms N]\n           [--seed N] [--json PATH] [--out-dir DIR]\n\
          workloads: {}",
         Workload::ALL.map(Workload::name).join(" ")
     );
@@ -131,32 +125,6 @@ fn run(
     Ok(())
 }
 
-fn compare(args: &[String]) -> Result<(), String> {
-    let mut paths = Vec::new();
-    let mut p99_pct = P99_RISE_PCT;
-    let mut goodput_pct = GOODPUT_DROP_PCT;
-    let mut it = args.iter().cloned();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--p99-pct" => p99_pct = parse_u64("--p99-pct", it.next())?,
-            "--goodput-pct" => goodput_pct = parse_u64("--goodput-pct", it.next())?,
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline, fresh] = paths.as_slice() else {
-        return Err("compare needs exactly two report paths".into());
-    };
-    let base = std::fs::read_to_string(baseline).map_err(|e| format!("{baseline}: {e}"))?;
-    let new = std::fs::read_to_string(fresh).map_err(|e| format!("{fresh}: {e}"))?;
-    match compare_overall(&base, &new, p99_pct, goodput_pct) {
-        Ok(summary) => {
-            println!("{fresh}: {summary}");
-            Ok(())
-        }
-        Err(violations) => Err(format!("{fresh}: REGRESSION\n  {}", violations.join("\n  "))),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -176,7 +144,6 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "compare" => compare(&args[1..]),
         name => {
             let workloads: Vec<Workload> = if name == "all" {
                 Workload::ALL.to_vec()

@@ -5,13 +5,10 @@
 //! simulated LAN and returns the quantities the paper argues about:
 //! virtual-time latencies, wire bytes, datagram counts, repair rounds.
 //!
-//! Two consumers use this library:
-//!
-//! * the `experiments` binary prints paper-style tables (deterministic,
-//!   seed-driven — these are the numbers DESIGN.md §4 records);
-//! * the Criterion benches in `benches/` measure the *wall-clock* cost of
-//!   the same scenarios (how expensive the middleware implementation is on
-//!   the host CPU).
+//! The `experiments` binary prints them as paper-style tables
+//! (deterministic, seed-driven — these are the numbers DESIGN.md §4
+//! records). What the same code costs on the host CPU is measured by the
+//! out-of-workspace `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -1471,8 +1468,35 @@ mod tests {
         assert!(overhead <= 5.0, "{gate}: overhead {overhead:.2}% exceeds 5% in every pair");
     }
 
+    /// Every row of the host-time trajectory (DESIGN.md §4) is one JSON
+    /// object carrying the keys a reader joins on, for one of the
+    /// benchmark's five workloads.
+    #[test]
+    fn host_trajectory_parses() {
+        const WORKLOADS: [&str; 5] = [
+            "telemetry_fanout",
+            "command_lossy",
+            "payload_bulk",
+            "swarm_sparse",
+            "udp_rpc_loopback",
+        ];
+        let rows = include_str!("../../../BENCH_host_trajectory.jsonl");
+        assert!(rows.lines().count() > 0, "empty trajectory");
+        for (i, row) in rows.lines().enumerate() {
+            let n = i + 1;
+            assert!(row.starts_with('{') && row.ends_with('}'), "line {n}: not an object");
+            assert_eq!(row.matches('{').count(), row.matches('}').count(), "line {n}: braces");
+            assert_eq!(row.matches('"').count() % 2, 0, "line {n}: quotes");
+            for key in ["pr", "commit", "host", "workload", "seed", "metric", "parent", "change"] {
+                assert!(row.contains(&format!("\"{key}\": ")), "line {n}: no `{key}`");
+            }
+            let workload = row.split("\"workload\": \"").nth(1).and_then(|w| w.split('"').next());
+            assert!(workload.is_some_and(|w| WORKLOADS.contains(&w)), "line {n}: {workload:?}");
+        }
+    }
+
     /// C10 wall-clock gate: tracing the loaded flood must cost ≤5% in
-    /// ticks/sec. Wall-clock, so ignored by default; CI runs it in
+    /// host time. Wall-clock, so ignored by default; CI runs it in
     /// release (`cargo test --release -- --ignored trace_overhead`).
     #[test]
     #[ignore = "wall-clock measurement; CI runs it in release"]

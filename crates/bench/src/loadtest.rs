@@ -29,12 +29,6 @@ use crate::fixtures::{Echo, Emit, PublishLog, ReceiptLog, Sink, Source};
 /// Container tick cadence every loadtest run uses (µs).
 pub const TICK_US: u64 = 500;
 
-/// Default regression threshold: overall p99 may rise at most 25%.
-pub const P99_RISE_PCT: u64 = 25;
-
-/// Default regression threshold: overall goodput may drop at most 10%.
-pub const GOODPUT_DROP_PCT: u64 = 10;
-
 /// The workload shapes `marea-loadtest` can generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -486,89 +480,6 @@ pub fn report_json(r: &LoadtestReport) -> String {
     out
 }
 
-/// Extracts the overall section's value of `key` from a report document
-/// (the overall object is the last place the window keys appear, so a
-/// reverse search finds it without a JSON parser). `None` for `null`
-/// or a missing key.
-pub fn overall_metric(doc: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = doc.rfind(&tag)?;
-    let rest = &doc[at + tag.len()..];
-    if rest.starts_with("null") {
-        return None;
-    }
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// The drift gate for runs that are meant to differ (other parameters,
-/// another commit): compares a fresh report against a baseline and
-/// fails on gross drift — overall p99 rising
-/// more than `p99_rise_pct` percent, or overall goodput dropping more
-/// than `goodput_drop_pct` percent. A metric *presence* mismatch in
-/// either direction (baseline has it, fresh doesn't, or vice versa)
-/// is always a failure: a gate that compares an absent number against
-/// a present one has nothing to gate on, and silently passing is how
-/// regressions hide. Only `(None, None)` — the metric absent on both
-/// sides — is ungated. Returns a human-readable summary on pass, the
-/// list of violations on fail.
-pub fn compare_overall(
-    baseline: &str,
-    fresh: &str,
-    p99_rise_pct: u64,
-    goodput_drop_pct: u64,
-) -> Result<String, Vec<String>> {
-    let mut failures = Vec::new();
-    let base_good = overall_metric(baseline, "goodput_bps");
-    let fresh_good = overall_metric(fresh, "goodput_bps");
-    match (base_good, fresh_good) {
-        (Some(b), Some(f)) if b > 0 && f * 100 < b * (100 - goodput_drop_pct.min(100)) => {
-            failures.push(format!(
-                "goodput dropped more than {goodput_drop_pct}%: baseline {b} bps, fresh {f} bps"
-            ));
-        }
-        (Some(b), None) => {
-            failures.push(format!("goodput vanished: baseline {b} bps, fresh report has none"));
-        }
-        (None, Some(f)) => {
-            failures.push(format!(
-                "goodput appeared: baseline has none, fresh reports {f} bps — \
-                 baselines must be regenerated, not grown in place"
-            ));
-        }
-        _ => {}
-    }
-    let base_p99 = overall_metric(baseline, "p99_us");
-    let fresh_p99 = overall_metric(fresh, "p99_us");
-    match (base_p99, fresh_p99) {
-        (Some(b), Some(f)) if b > 0 && f * 100 > b * (100 + p99_rise_pct) => {
-            failures
-                .push(format!("p99 rose more than {p99_rise_pct}%: baseline {b}µs, fresh {f}µs"));
-        }
-        (Some(b), None) => {
-            failures.push(format!("latency samples vanished: baseline p99 {b}µs, fresh has none"));
-        }
-        (None, Some(f)) => {
-            failures.push(format!(
-                "latency samples appeared: baseline p99 has none, fresh reports {f}µs — \
-                 baselines must be regenerated, not grown in place"
-            ));
-        }
-        _ => {}
-    }
-    if failures.is_empty() {
-        Ok(format!(
-            "goodput {} -> {} bps, p99 {} -> {} µs within thresholds (p99 +{p99_rise_pct}%, goodput -{goodput_drop_pct}%)",
-            base_good.unwrap_or(0),
-            fresh_good.unwrap_or(0),
-            base_p99.map(|v| v.to_string()).unwrap_or_else(|| "-".into()),
-            fresh_p99.map(|v| v.to_string()).unwrap_or_else(|| "-".into()),
-        ))
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,78 +580,6 @@ mod tests {
             let min_p50 = per_node.iter().filter_map(LatencyHistogram::p50_us).min().unwrap();
             assert!(p50 >= min_p50, "round {round}: merged p50 {p50} < min node {min_p50}");
         }
-    }
-
-    #[test]
-    fn regression_gate_trips_on_gross_drift_only() {
-        let doc = |goodput: u64, p99: u64| {
-            format!(
-                "{{\n  \"overall\": {{\"goodput_bps\": {goodput}, \"count\": 5, \"p99_us\": {p99}}}\n}}\n"
-            )
-        };
-        // Identical: pass.
-        assert!(compare_overall(&doc(100_000, 2047), &doc(100_000, 2047), 25, 10).is_ok());
-        // 5% goodput dip, p99 flat: pass.
-        assert!(compare_overall(&doc(100_000, 2047), &doc(95_000, 2047), 25, 10).is_ok());
-        // 20% goodput dip: fail.
-        let err = compare_overall(&doc(100_000, 2047), &doc(80_000, 2047), 25, 10).unwrap_err();
-        assert!(err[0].contains("goodput"), "{err:?}");
-        // p99 doubled: fail.
-        let err = compare_overall(&doc(100_000, 2047), &doc(100_000, 4095), 25, 10).unwrap_err();
-        assert!(err[0].contains("p99"), "{err:?}");
-        // Latency vanished: fail.
-        let gone =
-            "{\n  \"overall\": {\"goodput_bps\": 100000, \"count\": 0, \"p99_us\": null}\n}\n";
-        let err = compare_overall(&doc(100_000, 2047), gone, 25, 10).unwrap_err();
-        assert!(err[0].contains("vanished"), "{err:?}");
-        // Null baseline p99: only goodput is gated.
-        assert!(compare_overall(gone, gone, 25, 10).is_ok());
-    }
-
-    #[test]
-    fn regression_gate_fails_on_metric_presence_mismatch() {
-        // A report where both metrics exist, one where both are null,
-        // and one where only goodput exists (p99 null).
-        let full =
-            "{\n  \"overall\": {\"goodput_bps\": 100000, \"count\": 5, \"p99_us\": 2047}\n}\n";
-        let empty =
-            "{\n  \"overall\": {\"goodput_bps\": null, \"count\": 0, \"p99_us\": null}\n}\n";
-        let good_only =
-            "{\n  \"overall\": {\"goodput_bps\": 100000, \"count\": 0, \"p99_us\": null}\n}\n";
-        // Baseline has both, fresh has neither: both metrics vanished.
-        let err = compare_overall(full, empty, 25, 10).unwrap_err();
-        assert_eq!(err.len(), 2, "{err:?}");
-        assert!(err[0].contains("goodput vanished"), "{err:?}");
-        assert!(err[1].contains("latency samples vanished"), "{err:?}");
-        // Baseline has neither, fresh has both: both metrics appeared.
-        let err = compare_overall(empty, full, 25, 10).unwrap_err();
-        assert_eq!(err.len(), 2, "{err:?}");
-        assert!(err[0].contains("goodput appeared"), "{err:?}");
-        assert!(err[1].contains("latency samples appeared"), "{err:?}");
-        // One-sided presence in one metric only.
-        let err = compare_overall(good_only, full, 25, 10).unwrap_err();
-        assert_eq!(err.len(), 1, "{err:?}");
-        assert!(err[0].contains("latency samples appeared"), "{err:?}");
-        let err = compare_overall(full, good_only, 25, 10).unwrap_err();
-        assert_eq!(err.len(), 1, "{err:?}");
-        assert!(err[0].contains("latency samples vanished"), "{err:?}");
-        // Zero baseline goodput vanishing is still a presence mismatch.
-        let zero_good =
-            "{\n  \"overall\": {\"goodput_bps\": 0, \"count\": 0, \"p99_us\": null}\n}\n";
-        let err = compare_overall(zero_good, empty, 25, 10).unwrap_err();
-        assert_eq!(err.len(), 1, "{err:?}");
-        assert!(err[0].contains("goodput vanished"), "{err:?}");
-        // Absent on both sides stays ungated.
-        assert!(compare_overall(empty, empty, 25, 10).is_ok());
-    }
-
-    #[test]
-    fn overall_metric_reads_the_last_occurrence() {
-        let doc = "{\n  \"windows\": [\n    {\"goodput_bps\": 1, \"p99_us\": 10}\n  ],\n  \
-                   \"overall\": {\"goodput_bps\": 7, \"p99_us\": null}\n}\n";
-        assert_eq!(overall_metric(doc, "goodput_bps"), Some(7));
-        assert_eq!(overall_metric(doc, "p99_us"), None);
-        assert_eq!(overall_metric(doc, "missing"), None);
     }
 
     /// Metrics-sampler wall-clock gate, C10-style: sampling at an

@@ -360,7 +360,7 @@ impl ServiceContainer {
     /// Gauge snapshot: how full each bounded table is right now.
     pub fn occupancy(&self) -> Occupancy {
         let mut occupancy = Occupancy {
-            directory_nodes: self.directory.nodes().len(),
+            directory_nodes: self.directory.node_count(),
             directory_provisions: self.directory.provision_count(),
             links: self.links.len(),
             active_links: self.links.active_len(),

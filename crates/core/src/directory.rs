@@ -23,7 +23,6 @@ use marea_protocol::messages::{AnnounceEntry, Provision, ServiceState};
 use marea_protocol::{Micros, NodeId, ProtoDuration, ServiceId};
 
 use crate::service::CallPolicy;
-use crate::sweep::sorted_keys;
 
 /// One provider of a named provision.
 #[derive(Debug, Clone)]
@@ -62,7 +61,9 @@ pub struct NodeInfo {
 #[derive(Debug, Default)]
 pub struct Directory {
     providers: BTreeMap<Name, Vec<ProviderInfo>>,
-    nodes: HashMap<NodeId, NodeInfo>,
+    /// Ordered: [`Directory::nodes`] hands the ids to callers that send
+    /// per node, so the walk order must not depend on a hasher.
+    nodes: BTreeMap<NodeId, NodeInfo>,
     /// Provision names each node currently offers — the purge index that
     /// keeps announce application O(own catalogue) instead of a walk over
     /// every name known fleet-wide.
@@ -351,7 +352,12 @@ impl Directory {
 
     /// All known nodes in id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        sorted_keys(&self.nodes)
+        self.nodes.keys().copied().collect()
+    }
+
+    /// Number of known nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Every *available* provider of `name` (any provision kind), in
@@ -602,6 +608,26 @@ mod tests {
         d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
+    }
+
+    #[test]
+    fn nodes_come_back_ascending_whatever_the_learning_order() {
+        let mut d = Directory::new();
+        assert!(d.nodes().is_empty());
+        for id in [9u32, 3, 7, 1, 8] {
+            d.apply_hello(NodeId(id), name("n"), 1, 4, Micros(0));
+        }
+        let ascending = [1u32, 3, 7, 8, 9].map(NodeId).to_vec();
+        assert_eq!(d.nodes(), ascending);
+        assert_eq!(d.node_count(), 5);
+        // Node 7 alone stays silent, expires, and rejoins last.
+        for id in [9u32, 3, 1, 8] {
+            d.apply_heartbeat(NodeId(id), 1, 0, 4, Micros::from_secs(2));
+        }
+        assert_eq!(d.expire(Micros::from_secs(3), ProtoDuration::from_secs(2)), vec![NodeId(7)]);
+        assert_eq!(d.nodes(), [1u32, 3, 8, 9].map(NodeId).to_vec());
+        d.apply_hello(NodeId(7), name("n"), 2, 4, Micros::from_secs(3));
+        assert_eq!(d.nodes(), ascending);
     }
 
     #[test]

@@ -564,11 +564,15 @@ impl RealtimeDriver {
 
     /// Runs the tick loop for `duration`, sleeping between ticks.
     pub fn run_for(&mut self, duration: std::time::Duration) {
-        // marea-lint: allow(D2): RealtimeDriver is the wall-clock driver; sim paths never run this
-        let deadline = std::time::Instant::now() + duration;
-        // marea-lint: allow(D2): RealtimeDriver is the wall-clock driver; sim paths never run this
-        while std::time::Instant::now() < deadline {
-            self.container.tick(self.clock.now());
+        // The driver's own clock is the wall-clock boundary: the loop reads
+        // time through it, once per tick.
+        let start = self.clock.now();
+        loop {
+            let now = self.clock.now();
+            if u128::from(now.saturating_since(start).as_micros()) >= duration.as_micros() {
+                break;
+            }
+            self.container.tick(now);
             // marea-lint: allow(D2): paces the wall-clock tick loop of the real-time driver
             std::thread::sleep(self.tick);
         }

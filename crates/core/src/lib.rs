@@ -98,7 +98,6 @@ pub mod scenario;
 mod scheduler;
 mod service;
 mod stats;
-pub mod sweep;
 mod timers;
 pub mod trace;
 

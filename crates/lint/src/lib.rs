@@ -1,8 +1,8 @@
 //! `marea-lint`: a repo-aware static analysis pass.
 //!
 //! The MAREA codebase carries guarantees that `rustc` cannot see:
-//! bit-identical replay requires every wire-send sweep to walk sorted
-//! keys, the sim must never read the wall clock, and protocol/container
+//! bit-identical replay requires every wire-send sweep to walk in a stable
+//! order, the sim must never read the wall clock, and protocol/container
 //! hot paths must not panic. This crate turns those conventions into machine
 //! checks: a dependency-free lexer (no `syn`) scrubs each `.rs` file,
 //! tokenizes it, and runs the rule set in [`rules`] with span-accurate
@@ -23,7 +23,7 @@ pub mod rules;
 pub mod scrub;
 pub mod tokens;
 
-use rules::{collect_hash_idents, detect, rule_hint, sorted_fn_regions, test_regions, FileCx};
+use rules::{collect_hash_idents, detect, rule_hint, test_regions, FileCx};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
@@ -377,11 +377,8 @@ pub fn lint_files(root: &Path, files: &[PathBuf], opts: &Options) -> io::Result<
             toks: &prep.toks,
             hash_idents: &hash_idents,
             test_lines: test_regions(&prep.toks),
-            sorted_fn_lines: sorted_fn_regions(&prep.toks),
             pragma_scopes,
-            is_test_file: prep.rel.contains("/tests/")
-                || prep.rel.starts_with("tests/")
-                || prep.rel.contains("/benches/"),
+            is_test_file: prep.rel.contains("/tests/") || prep.rel.starts_with("tests/"),
         };
         for raw in detect(&cx, &opts.disabled) {
             // A waiver covers its own line and the line directly below.

@@ -7,8 +7,9 @@
 //! * **D1** — no raw `HashMap`/`HashSet` iteration on wire-send paths.
 //!   Send order decides how the deterministic netsim RNG stream maps
 //!   onto datagrams, so hash-order iteration silently breaks
-//!   bit-identical replay. Iteration must go through a `sorted_*`
-//!   helper (whose body is the one sanctioned place for the raw walk).
+//!   bit-identical replay. Keep swept state in an ordered map; a walk
+//!   whose order provably cannot reach the wire takes a waiver that
+//!   says why.
 //! * **D2** — no ambient nondeterminism (`Instant::now`,
 //!   `SystemTime::now`, `thread::sleep`, `thread_rng`) outside the
 //!   real-time transport boundary.
@@ -41,8 +42,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D1",
         title: "raw hash-map iteration on a wire-send path",
-        hint: "route the walk through a `sorted_*` helper (e.g. marea_core::sweep::sorted_keys) \
-               or waive with why iteration order cannot reach the wire",
+        hint: "keep the swept state in a `BTreeMap`/`BTreeSet`, or waive with why iteration \
+               order cannot reach the wire",
     },
     RuleInfo {
         id: "D2",
@@ -80,11 +81,9 @@ pub struct FileCx<'a> {
     pub hash_idents: &'a BTreeSet<String>,
     /// Inclusive line ranges of `#[cfg(test)] mod … { … }` regions.
     pub test_lines: Vec<(usize, usize)>,
-    /// Inclusive line ranges of `fn sorted_*` bodies (D1-sanctioned).
-    pub sorted_fn_lines: Vec<(usize, usize)>,
     /// Lowercased rule ids force-scoped in via a file pragma.
     pub pragma_scopes: BTreeSet<String>,
-    /// True for files under `tests/` or `benches/` directories.
+    /// True for files under `tests/` directories.
     pub is_test_file: bool,
 }
 
@@ -98,16 +97,8 @@ pub struct RawFinding {
 }
 
 impl<'a> FileCx<'a> {
-    fn in_ranges(ranges: &[(usize, usize)], line: usize) -> bool {
-        ranges.iter().any(|(a, b)| (*a..=*b).contains(&line))
-    }
-
     fn in_test_region(&self, line: usize) -> bool {
-        Self::in_ranges(&self.test_lines, line)
-    }
-
-    fn in_sorted_helper(&self, line: usize) -> bool {
-        Self::in_ranges(&self.sorted_fn_lines, line)
+        self.test_lines.iter().any(|(a, b)| (*a..=*b).contains(&line))
     }
 
     fn has_pragma(&self, rule: &str) -> bool {
@@ -241,24 +232,6 @@ pub fn test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Finds `fn sorted_*` body line ranges — the sanctioned raw-walk sites.
-pub fn sorted_fn_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("fn") && toks[i + 1].text.starts_with("sorted_") {
-            if let Some(open) = toks[i..].iter().position(|t| t.is('{')) {
-                let close = matching_brace(toks, i + open);
-                out.push((toks[i].line, toks[close].line));
-                i = close;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Collects identifiers declared with a `HashMap`/`HashSet` type or
 /// initializer: `name: HashMap<..>`, `name: &HashSet<..>`,
 /// `let [mut] name = HashMap::new()` / `::with_capacity(..)` /
@@ -339,7 +312,6 @@ pub fn detect(cx: &FileCx, disabled: &BTreeSet<String>) -> Vec<RawFinding> {
 
 fn detect_d1(cx: &FileCx, out: &mut Vec<RawFinding>) {
     let toks = cx.toks;
-    let skip = |line: usize| cx.in_test_region(line) || cx.in_sorted_helper(line);
     // `map.iter()` / `.keys()` / … method form.
     for i in 2..toks.len() {
         let t = &toks[i];
@@ -350,7 +322,10 @@ fn detect_d1(cx: &FileCx, out: &mut Vec<RawFinding>) {
             continue;
         }
         let recv = &toks[i - 2];
-        if recv.kind == TokKind::Ident && cx.hash_idents.contains(&recv.text) && !skip(t.line) {
+        if recv.kind == TokKind::Ident
+            && cx.hash_idents.contains(&recv.text)
+            && !cx.in_test_region(t.line)
+        {
             out.push(RawFinding {
                 rule: "D1",
                 line: t.line,
@@ -419,7 +394,7 @@ fn detect_d1(cx: &FileCx, out: &mut Vec<RawFinding>) {
             }
             _ => false,
         };
-        if flagged && !skip(toks[i].line) {
+        if flagged && !cx.in_test_region(toks[i].line) {
             let last = expr.last().unwrap();
             out.push(RawFinding {
                 rule: "D1",
