@@ -37,7 +37,7 @@ use marea_protocol::fec::FecConfig;
 use marea_protocol::fragment::{fragment_shared, Reassembler};
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, Provision, ServiceState};
 use marea_protocol::{
-    Encoded, Frame, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
+    frames, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
 };
 use marea_transport::{Transport, TransportDestination};
 
@@ -50,6 +50,7 @@ use crate::engines::Rebind;
 use crate::error::{CallError, ContainerError};
 use crate::gossip::{AnnounceSlot, Gossip};
 use crate::link::{LinkTable, Received};
+use crate::outbox::Outbox;
 use crate::qos::CallOptions;
 use crate::scheduler::{Priority, Scheduler, SchedulerKind, Task, TaskPayload};
 use crate::service::{
@@ -246,6 +247,9 @@ impl Channel {
 pub struct ServiceContainer {
     config: ContainerConfig,
     transport: Box<dyn Transport>,
+    /// Frames staged since the last [`flush`](Self::flush); empty between
+    /// the public `&mut self` calls.
+    outbox: Outbox,
     codecs: CodecRegistry,
     slots: Vec<ServiceSlot>,
     directory: Directory,
@@ -286,6 +290,7 @@ impl ServiceContainer {
             tasks: TaskQueue { scheduler: config.scheduler.build(), next_seq: 0 },
             codecs,
             transport,
+            outbox: Outbox::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
             links: LinkTable::new(config.fec.advertised_cap()),
@@ -524,6 +529,7 @@ impl ServiceContainer {
         self.broadcast_announce(self.announce_entries(), now);
         self.tasks
             .fan_out(Priority::LIFECYCLE, self.slots.iter().map(|s| s.seq), || TaskPayload::Start);
+        self.flush();
     }
 
     /// Stops the container: runs every `on_stop`, says `Bye`.
@@ -537,6 +543,7 @@ impl ServiceContainer {
             self.execute_task(task, now);
         }
         self.send_message(CONTROL, &Message::Bye);
+        self.flush();
         self.running = false;
     }
 
@@ -561,16 +568,24 @@ impl ServiceContainer {
             );
         }
 
-        while let Some((_, frame_bytes)) = self.transport.recv() {
-            self.stats.frames_in += 1;
-            // Corrupt frames are dropped (CRC), as are this node's own.
-            let Ok(frame) = Frame::decode_shared(&frame_bytes) else { continue };
-            let src = frame.header().src;
-            if src == self.config.node {
-                continue;
-            }
-            if let Ok(msg) = Message::from_frame(&frame) {
-                self.handle_message(src, msg, now);
+        while let Some((_, datagram)) = self.transport.recv() {
+            self.stats.datagrams_in += 1;
+            for frame in frames(&datagram) {
+                self.stats.frames_in += 1;
+                // A corrupt frame (CRC) is dropped with whatever followed
+                // it in its datagram: the walk ends there.
+                let Ok(frame) = frame else {
+                    self.stats.frames_rejected += 1;
+                    break;
+                };
+                let src = frame.header().src;
+                if src == self.config.node {
+                    continue;
+                }
+                match Message::from_frame(&frame) {
+                    Ok(msg) => self.handle_message(src, msg, now),
+                    Err(_) => self.stats.frames_rejected += 1,
+                }
             }
         }
         for node in self.directory.expire(now, self.config.node_timeout) {
@@ -606,6 +621,7 @@ impl ServiceContainer {
         }
         self.stats.queue_peak = self.stats.queue_peak.max(self.tasks.scheduler.len());
         self.reassembler.expire(now);
+        self.flush();
     }
 
     /// The earliest instant (on this container's clock) at which
@@ -628,6 +644,7 @@ impl ServiceContainer {
     /// Valid until the next `tick` or other `&mut self` call; `tick` itself
     /// never consults it.
     pub fn next_due(&self) -> Option<Micros> {
+        debug_assert!(self.outbox.is_empty(), "nothing stays staged across a tick");
         if !self.running {
             return None;
         }
@@ -1689,27 +1706,42 @@ impl ServiceContainer {
         }
     }
 
+    /// Stages `msg` for `dest`: it leaves with this tick's [`flush`], in
+    /// the datagram it shares with the other frames bound there. A message
+    /// no datagram can hold goes as fragments.
+    ///
+    /// [`flush`]: Self::flush
     fn send_message(&mut self, dest: TransportDestination, msg: &Message) {
-        let mtu = self.transport.mtu();
-        match msg.encode_within(self.config.node, mtu) {
-            Encoded::Frame(wire) => self.send_wire(dest, wire),
-            Encoded::Oversize(tagged) => {
-                self.next_msg_id += 1;
-                let budget = mtu.saturating_sub(96).max(128);
-                let Ok(frags) = fragment_shared(self.next_msg_id, &tagged, budget) else {
-                    return;
-                };
-                for frag in frags {
-                    self.send_wire(dest, frag.encode_frame(self.config.node));
-                }
-            }
+        let Err(tagged) = self.stage(dest, msg) else { return };
+        self.next_msg_id += 1;
+        let budget = self.transport.mtu().saturating_sub(96).max(128);
+        let Ok(frags) = fragment_shared(self.next_msg_id, &tagged, budget) else {
+            return;
+        };
+        for frag in &frags {
+            // Only under an MTU below the 128-byte fragment floor can a
+            // fragment fit no datagram; no transport could carry it.
+            let _ = self.stage(dest, frag);
         }
     }
 
-    fn send_wire(&mut self, dest: TransportDestination, wire: Bytes) {
+    /// Stages `msg` as one frame and counts it; `Err` hands back the tagged
+    /// bytes of a message that fits no datagram.
+    fn stage(&mut self, dest: TransportDestination, msg: &Message) -> Result<(), Bytes> {
+        let mtu = self.transport.mtu();
+        let frame_len = self.outbox.stage(dest, self.config.node, msg, mtu)?;
         self.stats.frames_out += 1;
-        self.stats.bytes_out += wire.len() as u64;
-        let _ = self.transport.send(dest, wire);
+        self.stats.bytes_out += frame_len as u64;
+        Ok(())
+    }
+
+    /// Hands every staged datagram to the transport — the one place the
+    /// container sends. Ends `tick`, `start` and `stop`.
+    fn flush(&mut self) {
+        for (dest, datagram) in self.outbox.drain() {
+            self.stats.datagrams_out += 1;
+            let _ = self.transport.send(dest, datagram);
+        }
     }
 
     fn log_line(&mut self, now: Micros, line: String) {

@@ -92,6 +92,7 @@ mod gossip;
 mod harness;
 mod link;
 pub mod metrics;
+mod outbox;
 mod ports;
 pub mod qos;
 pub mod scenario;

@@ -6,8 +6,13 @@
 //! messages while the window is full, and batches acknowledgements (one ack
 //! per tick with new data, mirroring how the paper's "specific
 //! retransmission mechanism in the application layer" avoids per-packet ack
-//! overhead). The container's `LinkTable` creates links on first use,
-//! negotiates their code rate and knows which ones a poll sweep must visit.
+//! overhead). That ack is a frame, not a datagram: the container stages it
+//! like everything else it sends, so it leaves in the datagram of whatever
+//! data is bound for the same peer that tick — an RPC reply travels with
+//! the ack of its request, the next request with the ack of that reply —
+//! and costs a `Transport::send` of its own only when nothing else is.
+//! The container's `LinkTable` creates links on first use, negotiates their
+//! code rate and knows which ones a poll sweep must visit.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;

@@ -108,9 +108,16 @@ pub struct MetricsFrame {
     pub sample: u64,
     /// Node the frame describes.
     pub node: NodeId,
-    /// Frames received from the transport.
+    /// Datagrams received from the transport.
+    pub datagrams_in: u64,
+    /// Frames read out of them, valid or not.
     pub frames_in: u64,
-    /// Frames handed to the transport.
+    /// Received frames discarded unread (bad length or CRC, with the rest
+    /// of their datagram; or a body that does not parse).
+    pub frames_rejected: u64,
+    /// Datagrams handed to the transport.
+    pub datagrams_out: u64,
+    /// Frames handed to the transport, inside those datagrams.
     pub frames_out: u64,
     /// Frame bytes handed to the transport.
     pub bytes_out: u64,
@@ -272,7 +279,10 @@ impl MetricsSampler {
             at,
             sample: self.sample,
             node,
+            datagrams_in: d(stats.datagrams_in, prev.datagrams_in),
             frames_in: d(stats.frames_in, prev.frames_in),
+            frames_rejected: d(stats.frames_rejected, prev.frames_rejected),
+            datagrams_out: d(stats.datagrams_out, prev.datagrams_out),
             frames_out: d(stats.frames_out, prev.frames_out),
             bytes_out: d(stats.bytes_out, prev.bytes_out),
             tasks_executed: d(stats.tasks_executed, prev.tasks_executed),
@@ -414,7 +424,8 @@ fn frame_json(out: &mut String, f: &MetricsFrame) {
     let _ = write!(
         out,
         "{{\"kind\":\"node\",\"at_us\":{},\"sample\":{},\"node\":{},\
-         \"frames_in\":{},\"frames_out\":{},\"bytes_out\":{},\"tasks_executed\":{},\
+         \"datagrams_in\":{},\"frames_in\":{},\"frames_rejected\":{},\
+         \"datagrams_out\":{},\"frames_out\":{},\"bytes_out\":{},\"tasks_executed\":{},\
          \"vars_published\":{},\"var_samples_delivered\":{},\
          \"events_published\":{},\"events_delivered\":{},\
          \"calls_made\":{},\"calls_served\":{},\
@@ -424,7 +435,10 @@ fn frame_json(out: &mut String, f: &MetricsFrame) {
         f.at.0,
         f.sample,
         f.node.0,
+        f.datagrams_in,
         f.frames_in,
+        f.frames_rejected,
+        f.datagrams_out,
         f.frames_out,
         f.bytes_out,
         f.tasks_executed,
@@ -470,7 +484,10 @@ mod tests {
             at: Micros(sample * 1000),
             sample,
             node: NodeId(node),
+            datagrams_in: 1,
             frames_in: 1,
+            frames_rejected: 0,
+            datagrams_out: 1,
             frames_out: 2,
             bytes_out: 3,
             tasks_executed: 4,

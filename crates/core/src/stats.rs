@@ -42,9 +42,19 @@ pub struct ContainerStats {
     /// node whose inbox is empty and whose
     /// [`next_due`](crate::ServiceContainer::next_due) lies ahead.
     pub ticks: u64,
-    /// Frames received from the transport.
+    /// Datagrams received from the transport (each one or more frames).
+    pub datagrams_in: u64,
+    /// Frames read out of received datagrams, valid or not.
     pub frames_in: u64,
-    /// Frames handed to the transport.
+    /// Received frames discarded unread: one bump for a frame that fails
+    /// its length or CRC check — together with whatever followed it in
+    /// its datagram, where the walk ends — and one for a frame whose
+    /// body does not parse as its header's kind.
+    pub frames_rejected: u64,
+    /// Datagrams handed to the transport: at most one per destination per
+    /// MTU per tick, however many frames were bound there.
+    pub datagrams_out: u64,
+    /// Frames handed to the transport, inside those datagrams.
     pub frames_out: u64,
     /// Frame bytes handed to the transport.
     pub bytes_out: u64,

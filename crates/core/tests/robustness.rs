@@ -500,7 +500,7 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     use marea_core::ServiceContainer;
     use marea_presentation::Name;
     use marea_protocol::messages::Message;
-    use marea_protocol::{Frame, GroupId, Micros, NodeId};
+    use marea_protocol::{frames, GroupId, Micros, NodeId};
     use marea_transport::{InProcHub, Transport, TransportDestination};
 
     let hub = InProcHub::new();
@@ -523,10 +523,11 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
         c.tick(Micros(1_000 * (i + 1)));
     }
     let mut in_burst = 0usize;
-    while let Some((_, bytes)) = probe.recv() {
-        let frame = Frame::decode(&bytes).unwrap();
-        if matches!(Message::from_frame(&frame), Ok(Message::Announce { .. })) {
-            in_burst += 1;
+    while let Some((_, datagram)) = probe.recv() {
+        for frame in frames(&datagram) {
+            if matches!(Message::from_frame(&frame.unwrap()), Ok(Message::Announce { .. })) {
+                in_burst += 1;
+            }
         }
     }
     assert_eq!(in_burst, 1, "only the first Hello forces an immediate re-announce");
@@ -537,12 +538,13 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
         c.tick(Micros(ms * 1_000));
     }
     let (mut full, mut digests) = (0usize, 0usize);
-    while let Some((_, bytes)) = probe.recv() {
-        let frame = Frame::decode(&bytes).unwrap();
-        match Message::from_frame(&frame) {
-            Ok(Message::Announce { .. }) => full += 1,
-            Ok(Message::AnnounceDigest { .. }) => digests += 1,
-            _ => {}
+    while let Some((_, datagram)) = probe.recv() {
+        for frame in frames(&datagram) {
+            match Message::from_frame(&frame.unwrap()) {
+                Ok(Message::Announce { .. }) => full += 1,
+                Ok(Message::AnnounceDigest { .. }) => digests += 1,
+                _ => {}
+            }
         }
     }
     assert_eq!(full, 1, "repeats collapse into one pending flush");

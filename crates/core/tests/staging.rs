@@ -1,0 +1,352 @@
+//! The staging rules, seen from the transport: what a container hands to
+//! `Transport::send` over a seeded mixed script — variables, events, calls,
+//! fragmented blobs and files, to the same and to different peers, FEC on —
+//! is one datagram per destination per MTU per tick, and obeys the rules of
+//! DESIGN.md §3.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
+use marea_core::{
+    ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration, Service,
+    ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort, VarQos,
+};
+use marea_netsim::{LinkConfig, NetConfig, SimNet};
+use marea_presentation::{Name, Value};
+use marea_protocol::fec::PARITY_INDEX_BIT;
+use marea_protocol::{frames, Message};
+use marea_transport::{SimLanTransport, Transport, TransportDestination, TransportError};
+
+const TICK_US: u64 = 500;
+const NODES: u32 = 3;
+
+/// One `Transport::send` call, as the transport saw it.
+#[derive(Debug, Clone, PartialEq)]
+struct Sent {
+    at_us: u64,
+    node: u32,
+    dest: TransportDestination,
+    datagram: Bytes,
+}
+
+/// A `SimLanTransport` that writes down every datagram it is handed,
+/// stamped with the driver's clock.
+#[derive(Debug)]
+struct Recording {
+    inner: SimLanTransport,
+    clock: Arc<AtomicU64>,
+    sent: Arc<Mutex<Vec<Sent>>>,
+}
+
+impl Transport for Recording {
+    fn local_node(&self) -> u32 {
+        self.inner.local_node()
+    }
+    fn mtu(&self) -> usize {
+        self.inner.mtu()
+    }
+    fn send(&mut self, dest: TransportDestination, datagram: Bytes) -> Result<(), TransportError> {
+        let (at_us, node) = (self.clock.load(Relaxed), self.local_node());
+        self.sent.lock().unwrap().push(Sent { at_us, node, dest, datagram: datagram.clone() });
+        self.inner.send(dest, datagram)
+    }
+    fn recv(&mut self) -> Option<(u32, Bytes)> {
+        self.inner.recv()
+    }
+    fn join(&mut self, group: u32) {
+        self.inner.join(group);
+    }
+    fn leave(&mut self, group: u32) {
+        self.inner.leave(group);
+    }
+}
+
+fn var_port(node: u32) -> VarPort<u64> {
+    VarPort::new(&format!("n{node}/v"))
+}
+fn blob_port(node: u32) -> VarPort<Vec<u8>> {
+    VarPort::new(&format!("n{node}/blob"))
+}
+fn event_port(node: u32) -> EventPort<u64> {
+    EventPort::new(&format!("n{node}/e"))
+}
+fn fn_port(node: u32) -> FnPort<(u64,), u64> {
+    FnPort::new(&format!("n{node}/f"))
+}
+fn file_name(node: u32) -> String {
+    format!("n{node}/file")
+}
+
+/// Provides one of everything, consumes every other node's, and every 2 ms
+/// does whatever its seeded generator draws — often several things at
+/// once, so frames for one peer pile up inside a tick.
+struct Actor {
+    node: u32,
+    rng: u64,
+}
+
+impl Actor {
+    fn draw(&mut self) -> u64 {
+        // xorshift64*: the script is a function of the seed alone.
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 16
+    }
+}
+
+impl Service for Actor {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder(&format!("actor{}", self.node));
+        b.provides_var(&var_port(self.node), VarQos::default());
+        b.provides_var(&blob_port(self.node), VarQos::default());
+        b.provides_event(&event_port(self.node));
+        b.provides_fn(&fn_port(self.node));
+        b.file_resource(&file_name(self.node));
+        for other in (1..=NODES).filter(|n| *n != self.node) {
+            b.subscribe_to_var(&var_port(other), VarQos::default());
+            b.subscribe_to_var(&blob_port(other), VarQos::default());
+            b.subscribe_to_event(&event_port(other), EventQos::default());
+            b.requires_fn(&fn_port(other));
+            b.subscribe_file(&file_name(other));
+        }
+        b.build()
+    }
+
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_millis(2), Some(ProtoDuration::from_millis(2)));
+    }
+
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        let draw = self.draw();
+        let peer = (1..=NODES).filter(|n| *n != self.node).nth((draw % 2) as usize).unwrap();
+        if draw & 0x10 != 0 {
+            ctx.publish_to(&var_port(self.node), draw);
+        }
+        for i in 0..(draw >> 8) % 4 {
+            ctx.emit_to(&event_port(self.node), draw + i);
+        }
+        if draw & 0x20 != 0 {
+            ctx.call_fn(&fn_port(peer), (draw,));
+        }
+        match (draw >> 16) % 64 {
+            0 => ctx.publish_to(&blob_port(self.node), vec![self.node as u8; 4000]),
+            1 => ctx.publish_file(&file_name(self.node), Bytes::from(vec![self.node as u8; 6000])),
+            _ => {}
+        }
+    }
+
+    fn on_call(
+        &mut self,
+        _ctx: &mut ServiceContext<'_>,
+        _function: &Name,
+        args: &[Value],
+    ) -> Result<Value, String> {
+        let (v,) = fn_port(self.node).decode_args(args).map_err(|e| e.to_string())?;
+        Ok(fn_port(self.node).encode_ret(v.wrapping_mul(3)))
+    }
+}
+
+/// Runs the three-node script for `run_ms` on a loss-free LAN, ticking
+/// every container on every grid step; answers every send, in order, and
+/// the containers as they ended.
+fn run(seed: u64, run_ms: u64) -> (Vec<Sent>, Vec<ServiceContainer>) {
+    let net = SimNet::new(NetConfig::default().with_seed(seed));
+    let clock = Arc::new(AtomicU64::new(0));
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let mut nodes: Vec<ServiceContainer> = (1..=NODES)
+        .map(|n| {
+            let transport = Recording {
+                inner: SimLanTransport::attach(&net, n),
+                clock: clock.clone(),
+                sent: sent.clone(),
+            };
+            let config = ContainerConfig::new("actor", NodeId(n));
+            let mut c = ServiceContainer::new(config, Box::new(transport));
+            let rng = seed ^ u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            c.add_service(Box::new(Actor { node: n, rng })).unwrap();
+            c.start(Micros::ZERO);
+            c
+        })
+        .collect();
+    for step in 1..=run_ms * 1000 / TICK_US {
+        let now_us = step * TICK_US;
+        clock.store(now_us, Relaxed);
+        net.advance_to(now_us);
+        for c in &mut nodes {
+            c.tick(Micros(now_us));
+            // Asserts (debug builds) that the tick left nothing staged.
+            let _ = c.next_due();
+        }
+    }
+    let sent = std::mem::take(&mut *sent.lock().unwrap());
+    (sent, nodes)
+}
+
+/// The messages of one datagram; panics on a frame its receiver would
+/// reject — the container never sends one.
+fn messages(datagram: &Bytes) -> Vec<Message> {
+    frames(datagram)
+        .map(|frame| Message::from_frame(&frame.expect("sent frame is valid")).expect("and parses"))
+        .collect()
+}
+
+#[test]
+fn every_datagram_obeys_the_staging_rules() {
+    let (sent, nodes) = run(0x5EED_1107, 600);
+    let mtu = 1500;
+
+    let mut frame_count = 0usize;
+    let mut coalesced = 0usize;
+    let mut shards = 0usize;
+    // Per (sender, destination): the last reliable seq, sample seq per
+    // variable and fragment position seen — each only ever moves forward
+    // in staging order, so it must in wire order.
+    let mut arq_seq: BTreeMap<(u32, String), u64> = BTreeMap::new();
+    let mut var_seq: BTreeMap<(u32, String), u64> = BTreeMap::new();
+    let mut frag_pos: BTreeMap<(u32, String), (u64, u32)> = BTreeMap::new();
+    let mut sends_per_tick: BTreeMap<(u64, u32, String), usize> = BTreeMap::new();
+
+    for s in &sent {
+        assert!(s.datagram.len() <= mtu, "{} bytes to {:?}", s.datagram.len(), s.dest);
+        let msgs = messages(&s.datagram);
+        assert!(!msgs.is_empty(), "empty datagram to {:?}", s.dest);
+        frame_count += msgs.len();
+        coalesced += usize::from(msgs.len() > 1);
+        let dest = format!("{:?}", s.dest);
+        *sends_per_tick.entry((s.at_us, s.node, dest.clone())).or_default() += 1;
+
+        let in_datagram: Vec<(u64, bool)> = msgs
+            .iter()
+            .filter_map(|m| match m {
+                Message::FecShard { group, index, .. } => {
+                    Some((*group, index & PARITY_INDEX_BIT != 0))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(in_datagram.len() <= 1, "{in_datagram:?} share a datagram to {:?}", s.dest);
+        for (group, parity) in &in_datagram {
+            let rides_with_its_data = *parity && in_datagram.iter().any(|(g, p)| g == group && !p);
+            assert!(!rides_with_its_data, "parity of group {group} rides with its data");
+        }
+        shards += in_datagram.len();
+
+        for m in &msgs {
+            match m {
+                // Nothing is staged across a tick: what a tick stamps
+                // leaves during that tick.
+                Message::Heartbeat { uptime_us, .. } => assert_eq!(*uptime_us, s.at_us),
+                Message::VarSample { name, seq, stamp_us, .. } => {
+                    assert_eq!(*stamp_us, s.at_us, "sample of {name} left late");
+                    let last = var_seq.insert((s.node, name.to_string()), *seq);
+                    assert!(last < Some(*seq), "{name}: seq {seq} behind {last:?}");
+                }
+                Message::FecShard { index, payload, .. } if index & PARITY_INDEX_BIT == 0 => {
+                    let inner = Message::decode_tagged_shared(payload).expect("data shard");
+                    let Message::RelData { seq, .. } = inner else {
+                        panic!("a data shard wraps RelData, not {inner:?}")
+                    };
+                    // Loss-free LAN: no retransmission ever reorders these.
+                    let last = arq_seq.insert((s.node, dest.clone()), seq);
+                    assert!(last < Some(seq), "to {dest}: reliable seq {seq} behind {last:?}");
+                }
+                Message::Fragment { msg_id, index, .. } => {
+                    let last = frag_pos.insert((s.node, dest.clone()), (*msg_id, *index));
+                    assert!(last < Some((*msg_id, *index)), "to {dest}: fragment out of order");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    // One datagram per destination per tick unless a rule closed one: the
+    // script does fill MTUs (blobs, files) and does stage several shards
+    // for one peer (event bursts), so both must have happened — and most
+    // ticks must still have needed a single send.
+    assert!(coalesced > 100, "{coalesced} of {} datagrams coalesced", sent.len());
+    assert!(shards > 100, "the script exercised FEC: {shards} shards");
+    assert!(sends_per_tick.values().any(|n| *n > 1), "no tick ever closed a datagram");
+    let single = sends_per_tick.values().filter(|n| **n == 1).count();
+    assert!(single * 2 > sends_per_tick.len(), "{single} of {} single", sends_per_tick.len());
+
+    // The counters say what the transport saw.
+    let stats: Vec<_> = nodes.iter().map(ServiceContainer::stats).collect();
+    assert_eq!(stats.iter().map(|s| s.datagrams_out).sum::<u64>(), sent.len() as u64);
+    assert_eq!(stats.iter().map(|s| s.frames_out).sum::<u64>(), frame_count as u64);
+    let bytes: usize = sent.iter().map(|s| s.datagram.len()).sum();
+    assert_eq!(stats.iter().map(|s| s.bytes_out).sum::<u64>(), bytes as u64);
+    assert!(stats.iter().all(|s| s.frames_rejected == 0 && s.datagrams_in > 0));
+    assert!(
+        stats.iter().all(|s| s.frames_in > s.datagrams_in),
+        "nobody received a coalesced datagram"
+    );
+    assert!(stats.iter().all(|s| s.calls_made > 0 && s.events_delivered > 0), "{stats:?}");
+}
+
+#[test]
+fn same_seed_sends_the_same_datagrams() {
+    let (first, _) = run(0x5EED_2903, 300);
+    let (second, _) = run(0x5EED_2903, 300);
+    assert!(first.len() > 500, "{} datagrams", first.len());
+    assert_eq!(first, second);
+    let (other, _) = run(0x5EED_2904, 300);
+    assert_ne!(first, other, "the seed does not reach the script");
+}
+
+/// Emits a burst of events every 5 ms: several data shards for the one
+/// peer per tick, the shape in which parity riding with its own group's
+/// data would be lost together with it.
+struct Burster(EventPort<u64>);
+
+impl Service for Burster {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::builder("burster").provides_event(&self.0).build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_millis(5), Some(ProtoDuration::from_millis(5)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        for i in 0..3 {
+            ctx.emit_to(&self.0, ctx.now().as_micros() + i);
+        }
+    }
+}
+
+struct Listener(EventPort<u64>);
+
+impl Service for Listener {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::builder("listener")
+            .subscribe_to_event(&self.0, EventQos::default())
+            .build()
+    }
+}
+
+#[test]
+fn fec_still_repairs_a_lossy_link_and_arq_abandons_nothing() {
+    let link = LinkConfig::default().with_loss(0.10);
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107).with_default_link(link));
+    for n in [1, 2] {
+        let mut config = ContainerConfig::new("node", NodeId(n));
+        // Loss must not also cost the directory its peer (ROADMAP item 1).
+        config.node_timeout = ProtoDuration::from_secs(30);
+        h.add_container(config);
+    }
+    h.add_service(NodeId(1), Box::new(Burster(EventPort::new("burst/e"))));
+    h.add_service(NodeId(2), Box::new(Listener(EventPort::new("burst/e"))));
+    h.start_all();
+    h.run_for(ProtoDuration::from_secs(10));
+
+    let (tx, rx) = (h.container(NodeId(1)).unwrap(), h.container(NodeId(2)).unwrap());
+    let published = tx.stats().events_published;
+    assert!(published > 5_000, "{published} events published");
+    assert!(rx.stats().events_delivered + 100 > published, "{:?}", rx.stats());
+    assert!(rx.stats().fec.recovered > 0, "parity repaired nothing: {:?}", rx.stats().fec);
+    assert_eq!(tx.arq_stats().failed + rx.arq_stats().failed, 0, "reliable delivery abandoned");
+    // Datagrams were lost, whole; none arrived damaged.
+    assert!(h.network().stats().dropped_loss > 0);
+    assert_eq!(tx.stats().frames_rejected + rx.stats().frames_rejected, 0);
+}

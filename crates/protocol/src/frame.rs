@@ -1,4 +1,5 @@
-//! Frame layout: fixed 16-byte header + payload, CRC32-protected.
+//! Frame layout: fixed 16-byte header + payload, CRC32-protected — and
+//! the datagram layout above it: one or more whole frames, back to back.
 //!
 //! ```text
 //! offset  size  field
@@ -13,6 +14,21 @@
 //!
 //! The CRC covers header fields and payload so that a corrupted kind or
 //! source id is rejected, not just corrupted payload bytes.
+//!
+//! # Datagrams
+//!
+//! A datagram is **1..n whole frames concatenated**, nothing between or
+//! around them: every frame keeps its own header, length and CRC, so the
+//! length field of one frame is what finds the next. A sender stages the
+//! frames of one tick per destination and coalesces them in staging order,
+//! closing a datagram when the next frame would pass the transport's MTU
+//! (DESIGN.md §3 has the rules, including "at most one `FecShard` per
+//! datagram" — the datagram is FEC's erasure unit). A receiver walks the
+//! datagram with [`frames`]: each frame goes through the same validator a
+//! lone frame does, and the walk **stops at the first invalid frame** —
+//! once a length field cannot be trusted, neither can anything behind it.
+//! [`Frame::decode`] and [`Frame::decode_shared`] stay strict: exactly one
+//! frame, a trailing byte is a [`FrameError::LengthMismatch`].
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -122,7 +138,8 @@ impl Frame {
         let mut buf = BytesMut::with_capacity(self.wire_len());
         begin_wire(&mut buf, self.header.src, self.header.kind);
         buf.put_slice(&self.payload);
-        finish_wire(buf)
+        finish_wire(&mut buf, 0);
+        buf.freeze()
     }
 
     /// Parses a frame from raw bytes, verifying magic, version, kind, length
@@ -133,7 +150,7 @@ impl Frame {
     ///
     /// Any [`FrameError`] describing the first malformed element.
     pub fn decode(input: &[u8]) -> Result<Frame, FrameError> {
-        let header = verify(input)?;
+        let header = verify(input, Extent::Whole)?;
         Ok(Frame { header, payload: Bytes::copy_from_slice(&input[FRAME_HEADER_LEN..]) })
     }
 
@@ -148,13 +165,67 @@ impl Frame {
     ///
     /// Exactly those of [`Frame::decode`].
     pub fn decode_shared(datagram: &Bytes) -> Result<Frame, FrameError> {
-        let header = verify(datagram)?;
+        let header = verify(datagram, Extent::Whole)?;
         Ok(Frame { header, payload: datagram.slice(FRAME_HEADER_LEN..) })
     }
 
     /// The payload as shared storage (what [`Frame::payload`] borrows).
     pub(crate) fn payload_bytes(&self) -> &Bytes {
         &self.payload
+    }
+}
+
+/// Walks a datagram of one or more whole frames, front to back.
+///
+/// Every frame passes the checks of [`Frame::decode_shared`] (magic,
+/// version, kind, length, CRC) and its payload is an O(1) window onto
+/// `datagram`. The first frame that fails them is yielded as its error and
+/// ends the walk: nothing behind a frame whose length field cannot be
+/// trusted is looked at. An empty datagram yields nothing.
+///
+/// # Examples
+///
+/// ```
+/// use marea_protocol::{frames, Frame, MessageKind, NodeId};
+///
+/// let beat = Frame::new(NodeId(3), MessageKind::Heartbeat, b"beat".as_ref().into());
+/// let bye = Frame::new(NodeId(3), MessageKind::Bye, bytes::Bytes::new());
+/// let datagram: bytes::Bytes = [beat.encode(), bye.encode()].concat().into();
+/// let walked: Vec<Frame> = frames(&datagram).collect::<Result<_, _>>().unwrap();
+/// assert_eq!(walked, [beat, bye]);
+/// assert!(Frame::decode_shared(&datagram).is_err(), "strict decode takes one frame");
+/// ```
+pub fn frames(datagram: &Bytes) -> Frames<'_> {
+    Frames { datagram, at: 0 }
+}
+
+/// The iterator behind [`frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    datagram: &'a Bytes,
+    /// Where the next frame starts; the datagram's end once the walk is
+    /// over, which the first invalid frame makes it.
+    at: usize,
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<Frame, FrameError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.at == self.datagram.len() {
+            return None;
+        }
+        let start = self.at + FRAME_HEADER_LEN;
+        match verify(&self.datagram[self.at..], Extent::Prefix) {
+            Ok(header) => {
+                self.at = start + header.payload_len as usize;
+                Some(Ok(Frame { header, payload: self.datagram.slice(start..self.at) }))
+            }
+            Err(e) => {
+                self.at = self.datagram.len();
+                Some(Err(e))
+            }
+        }
     }
 }
 
@@ -165,12 +236,12 @@ fn wire_crc(wire: &[u8]) -> u32 {
     crc32_update(state, &wire[FRAME_HEADER_LEN..]) ^ 0xFFFF_FFFF
 }
 
-/// Starts a wire frame in `buf` (which must be empty): the 16 header
-/// bytes, with length and CRC left zero until [`finish_wire`]. The caller
-/// appends the payload in between — the one writer behind both
-/// [`Frame::encode`] and [`Message::encode_frame`](crate::Message::encode_frame).
+/// Starts a wire frame at the tail of `buf`, behind whatever whole frames
+/// it already holds: the 16 header bytes, with length and CRC left zero
+/// until [`finish_wire`]. The caller appends the payload in between — the
+/// one writer behind both [`Frame::encode`] and
+/// [`Message::append_frame`](crate::Message::append_frame).
 pub(crate) fn begin_wire(buf: &mut BytesMut, src: NodeId, kind: MessageKind) {
-    debug_assert!(buf.is_empty(), "a frame starts its buffer");
     buf.put_u16_le(FRAME_MAGIC);
     buf.put_u8(PROTOCOL_VERSION);
     buf.put_u8(kind.wire_tag());
@@ -179,27 +250,39 @@ pub(crate) fn begin_wire(buf: &mut BytesMut, src: NodeId, kind: MessageKind) {
     buf.put_u32_le(0); // crc, patched by `finish_wire`
 }
 
-/// Completes a frame started with [`begin_wire`]: patches the payload
-/// length, checksums the buffer in place and patches the CRC.
+/// Completes the frame [`begin_wire`] started at offset `start` of `buf`
+/// and that runs to its end: patches the payload length, checksums the
+/// frame in place and patches the CRC.
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`] (see [`Frame::new`]).
-pub(crate) fn finish_wire(mut buf: BytesMut) -> Bytes {
-    let payload_len = buf.len() - FRAME_HEADER_LEN;
+pub(crate) fn finish_wire(buf: &mut BytesMut, start: usize) {
+    let wire = &mut buf[start..];
+    let payload_len = wire.len() - FRAME_HEADER_LEN;
     assert!(
         payload_len <= MAX_FRAME_PAYLOAD,
         "payload of {payload_len} bytes must be fragmented before framing"
     );
-    buf[LEN_OFFSET..CRC_OFFSET].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    let crc = wire_crc(&buf);
-    buf[CRC_OFFSET..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-    buf.freeze()
+    wire[LEN_OFFSET..CRC_OFFSET].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = wire_crc(wire);
+    wire[CRC_OFFSET..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// How much of its input [`verify`] takes for the frame.
+#[derive(Clone, Copy, PartialEq)]
+enum Extent {
+    /// All of it: bytes behind the declared payload are a length mismatch.
+    Whole,
+    /// Its front: the frame ends where its length field says, and what
+    /// follows is the next frame's business.
+    Prefix,
 }
 
 /// The one frame validator: magic, version, kind, length, CRC — in that
-/// order, so the first malformed element names the error.
-fn verify(input: &[u8]) -> Result<FrameHeader, FrameError> {
+/// order, so the first malformed element names the error. The frame it
+/// accepts is `input[..FRAME_HEADER_LEN + payload_len]`.
+fn verify(input: &[u8], extent: Extent) -> Result<FrameHeader, FrameError> {
     if input.len() < FRAME_HEADER_LEN {
         return Err(FrameError::TooShort { len: input.len() });
     }
@@ -219,10 +302,14 @@ fn verify(input: &[u8]) -> Result<FrameHeader, FrameError> {
     }
     let stored = u32::from_le_bytes([input[12], input[13], input[14], input[15]]);
     let actual = input.len() - FRAME_HEADER_LEN;
-    if actual != payload_len as usize {
+    let fits = match extent {
+        Extent::Whole => actual == payload_len as usize,
+        Extent::Prefix => actual >= payload_len as usize,
+    };
+    if !fits {
         return Err(FrameError::LengthMismatch { declared: payload_len, actual });
     }
-    let computed = wire_crc(input);
+    let computed = wire_crc(&input[..FRAME_HEADER_LEN + payload_len as usize]);
     if computed != stored {
         return Err(FrameError::BadCrc { stored, computed });
     }

@@ -44,7 +44,9 @@ mod time;
 pub use crc::crc32;
 pub use error::{FrameError, ProtocolError};
 pub use fec::{FecConfig, FecRate};
-pub use frame::{Frame, FrameHeader, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION};
+pub use frame::{
+    frames, Frame, FrameHeader, Frames, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
+};
 pub use ids::{GroupId, NodeId, RequestId, ServiceId, TransferId};
-pub use messages::{Encoded, Message, MessageKind};
+pub use messages::{Appended, Message, MessageKind};
 pub use time::{Micros, ProtoDuration};

@@ -563,13 +563,17 @@ pub enum Message {
     AnnounceRequest,
 }
 
-/// What [`Message::encode_within`] produced.
+/// What [`Message::append_frame`] did with a message. Only `Frame`
+/// changes the datagram; after the other two it is as it was.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Encoded {
-    /// The message fits one datagram: a complete wire frame.
-    Frame(Bytes),
-    /// It does not: the [`Message::encode_tagged`] bytes, to be split with
-    /// [`fragment_shared`](crate::fragment::fragment_shared).
+pub enum Appended {
+    /// The datagram grew by one complete wire frame of this many bytes.
+    Frame(usize),
+    /// The frame fits a datagram but not the room left in this one: here
+    /// it is, complete, as the start of the next datagram.
+    Spilled(BytesMut),
+    /// The message fits no datagram: its [`Message::encode_tagged`] bytes,
+    /// to be split with [`fragment_shared`](crate::fragment::fragment_shared).
     Oversize(Bytes),
 }
 
@@ -632,36 +636,69 @@ impl Message {
     /// Panics if the body exceeds
     /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD), like [`Frame::new`].
     pub fn encode_frame(&self, src: NodeId) -> Bytes {
-        frame::finish_wire(self.write_frame(src))
+        let mut buf = BytesMut::new();
+        self.write_frame(src, &mut buf);
+        frame::finish_wire(&mut buf, 0);
+        buf.freeze()
     }
 
-    /// Encodes the message once for a transport whose datagrams hold `mtu`
-    /// bytes: a complete frame when it fits, otherwise its
-    /// [`Message::encode_tagged`] form for the sender to fragment. Only
-    /// the encoded size tells the two apart, so both are cut from the one
-    /// buffer — the body sits behind a 16-byte header either way, and the
-    /// tagged form is that buffer from the header's last byte on, with the
-    /// kind byte dropped there.
+    /// Encodes the message as the next frame of `datagram` — a buffer of
+    /// zero or more whole frames bound for a transport whose datagrams hold
+    /// `mtu` bytes. The frame is written straight behind the ones already
+    /// there (no buffer of its own) and checksummed in place. Only the
+    /// encoded size tells the three outcomes apart:
+    ///
+    /// * it fits the room left: [`Appended::Frame`];
+    /// * it fits `mtu` but not the room left: `datagram` keeps what it held
+    ///   and the frame comes back in a buffer of its own,
+    ///   [`Appended::Spilled`]. A message whose names and blobs alone
+    ///   overrun the room is encoded there directly; one that only shows
+    ///   the overrun once encoded is encoded a second time, never copied;
+    /// * it does not fit `mtu` at all: [`Appended::Oversize`] carries its
+    ///   [`Message::encode_tagged`] form for the sender to fragment — cut
+    ///   from the same bytes, because the body sits behind a 16-byte
+    ///   header either way and the tagged form is those bytes from the
+    ///   header's last byte on, with the kind byte dropped there.
     ///
     /// # Panics
     ///
     /// As [`Message::encode_frame`], when the body fits `mtu`.
-    pub fn encode_within(&self, src: NodeId, mtu: usize) -> Encoded {
-        let mut buf = self.write_frame(src);
-        if buf.len() <= mtu {
-            return Encoded::Frame(frame::finish_wire(buf));
+    pub fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
+        let start = datagram.len();
+        if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
+            return self.frame_alone(src, mtu);
         }
-        let tag_at = FRAME_HEADER_LEN - 1;
-        buf[tag_at] = self.kind().wire_tag();
-        Encoded::Oversize(buf.freeze().slice(tag_at..))
+        self.write_frame(src, datagram);
+        if start > 0 && datagram.len() > mtu {
+            datagram.truncate(start);
+            return self.frame_alone(src, mtu);
+        }
+        let len = datagram.len() - start;
+        if len > mtu {
+            let tag_at = FRAME_HEADER_LEN - 1;
+            datagram[tag_at] = self.kind().wire_tag();
+            return Appended::Oversize(std::mem::take(datagram).freeze().slice(tag_at..));
+        }
+        frame::finish_wire(datagram, start);
+        Appended::Frame(len)
     }
 
-    /// Header (length and CRC still blank) plus body, in one buffer.
-    fn write_frame(&self, src: NodeId) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + self.encoded_len_hint());
-        frame::begin_wire(&mut buf, src, self.kind());
-        self.write_body(&mut WireWriter::new(&mut buf));
-        buf
+    /// [`Message::append_frame`] for a message that overruns the room left
+    /// in its datagram: the frame in a buffer of its own, or its tagged
+    /// form when that overruns `mtu` too.
+    fn frame_alone(&self, src: NodeId, mtu: usize) -> Appended {
+        let mut alone = BytesMut::new();
+        match self.append_frame(src, &mut alone, mtu) {
+            Appended::Frame(_) => Appended::Spilled(alone),
+            oversize => oversize,
+        }
+    }
+
+    /// Header (length and CRC still blank) plus body, at the tail of `buf`.
+    fn write_frame(&self, src: NodeId, buf: &mut BytesMut) {
+        buf.reserve(FRAME_HEADER_LEN + self.encoded_len_hint());
+        frame::begin_wire(buf, src, self.kind());
+        self.write_body(&mut WireWriter::new(buf));
     }
 
     /// Inverse of [`Message::encode_tagged`]. Blob fields are copied out
@@ -739,20 +776,29 @@ impl Message {
     fn encoded_len_hint(&self) -> usize {
         // Four varints at their everyday widths, codec id, length prefixes.
         const FIXED: usize = 32;
-        FIXED
-            + match self {
-                Message::VarSample { name, payload, .. }
-                | Message::EventData { name, payload, .. }
-                | Message::CallRequest { function: name, payload, .. } => {
-                    name.as_str().len() + payload.len()
-                }
-                Message::CallReply { payload, .. }
-                | Message::FileChunk { payload, .. }
-                | Message::Fragment { payload, .. }
-                | Message::RelData { payload, .. }
-                | Message::FecShard { payload, .. } => payload.len(),
-                _ => FIXED,
+        match self.verbatim_len() {
+            0 => 2 * FIXED,
+            verbatim => FIXED + verbatim,
+        }
+    }
+
+    /// Bytes of the body that are a name or blob copied as it is — a
+    /// floor on the body's encoded size that costs no encoding (zero for
+    /// the messages that carry neither).
+    fn verbatim_len(&self) -> usize {
+        match self {
+            Message::VarSample { name, payload, .. }
+            | Message::EventData { name, payload, .. }
+            | Message::CallRequest { function: name, payload, .. } => {
+                name.as_str().len() + payload.len()
             }
+            Message::CallReply { payload, .. }
+            | Message::FileChunk { payload, .. }
+            | Message::Fragment { payload, .. }
+            | Message::RelData { payload, .. }
+            | Message::FecShard { payload, .. } => payload.len(),
+            _ => 0,
+        }
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {

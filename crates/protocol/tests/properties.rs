@@ -5,7 +5,7 @@
 //! exactly-once in-order delivery for the reliable channel, and bit-exact
 //! file reconstruction for the bulk transfer protocol.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 use marea_encoding::DecodeError;
@@ -16,8 +16,8 @@ use marea_protocol::fragment::{fragment_payload, fragment_shared, Reassembler};
 use marea_protocol::messages::{AnnounceEntry, CallStatus, FunctionSig, Provision, ServiceState};
 use marea_protocol::mftp::{FileReceiver, FileSender, RevisionPolicy};
 use marea_protocol::{
-    Encoded, Frame, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
-    TransferId,
+    frames, Appended, Frame, FrameError, GroupId, Message, MessageKind, Micros, NodeId,
+    ProtoDuration, RequestId, TransferId, FRAME_HEADER_LEN,
 };
 
 proptest! {
@@ -664,11 +664,34 @@ proptest! {
             prop_assert_eq!(Message::decode_tagged(&tagged).unwrap(), msg.clone());
             prop_assert_eq!(Message::decode_tagged_shared(&tagged).unwrap(), msg.clone());
 
-            // A message encoded for an MTU is its frame when that fits and
-            // its tagged form when it does not.
-            prop_assert_eq!(msg.encode_within(src, wire.len()), Encoded::Frame(wire.clone()));
-            if !wire.is_empty() {
-                prop_assert_eq!(msg.encode_within(src, wire.len() - 1), Encoded::Oversize(tagged));
+            // A message appended to a datagram is its frame behind what the
+            // datagram held when that fits, its frame alone when only the
+            // room left is short, its tagged form when no datagram holds it
+            // — and the datagram keeps what it held in every case.
+            for held in [Bytes::new(), Message::Bye.encode_frame(src)] {
+                let both = held.len() + wire.len();
+                let mut datagram = BytesMut::from(held.to_vec());
+                prop_assert_eq!(
+                    msg.append_frame(src, &mut datagram, both),
+                    Appended::Frame(wire.len())
+                );
+                prop_assert_eq!(&datagram[..], &[held.as_ref(), wire.as_ref()].concat()[..]);
+
+                let mut datagram = BytesMut::from(held.to_vec());
+                let short = msg.append_frame(src, &mut datagram, both - 1);
+                if held.is_empty() {
+                    prop_assert_eq!(short, Appended::Oversize(tagged.clone()));
+                } else {
+                    prop_assert_eq!(short, Appended::Spilled(BytesMut::from(wire.to_vec())));
+                }
+                prop_assert_eq!(&datagram[..], held.as_ref());
+
+                let mut datagram = BytesMut::from(held.to_vec());
+                prop_assert_eq!(
+                    msg.append_frame(src, &mut datagram, wire.len() - 1),
+                    Appended::Oversize(tagged.clone())
+                );
+                prop_assert_eq!(&datagram[..], held.as_ref());
             }
         }
     }
@@ -693,6 +716,181 @@ proptest! {
     ) {
         let shared = fragment_shared(9, &Bytes::from(payload.clone()), chunk);
         prop_assert_eq!(shared, fragment_payload(9, &payload, chunk));
+    }
+}
+
+/// `n` valid frames of mixed kinds — kind, source and blob size all drawn
+/// from `seed` — and the datagram that carries them back to back.
+fn datagram_of(n: usize, seed: u64, blob: &[u8]) -> (Vec<Frame>, Bytes) {
+    let sent: Vec<Frame> = (0..n as u64)
+        .map(|i| {
+            let pick = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let kind = MessageKind::ALL[(pick >> 7) as usize % MessageKind::ALL.len()];
+            let cut = (pick >> 17) as usize % (blob.len() + 1);
+            instance(kind, pick, &blob[..cut]).into_frame(NodeId((pick % 1000) as u32))
+        })
+        .collect();
+    let datagram = sent.iter().flat_map(|f| f.encode().to_vec()).collect::<Vec<u8>>();
+    (sent, Bytes::from(datagram))
+}
+
+/// How many of `sent`'s frames, laid back to back, end within the first
+/// `len` bytes.
+fn whole_frames_within(sent: &[Frame], len: usize) -> usize {
+    let ends = sent.iter().scan(0, |end, f| {
+        *end += f.wire_len();
+        Some(*end)
+    });
+    ends.take_while(|end| *end <= len).count()
+}
+
+/// Walks `damaged`, a datagram whose first `intact` bytes are those of
+/// `sent`'s datagram: never panics, yields every frame that ends inside
+/// the intact part, yields nothing that fails the strict single-frame
+/// decode of its own bytes, and at most one error, last.
+fn walk_damaged(sent: &[Frame], damaged: &[u8], intact: usize) -> Result<(), TestCaseError> {
+    let damaged = Bytes::copy_from_slice(damaged);
+    let walked: Vec<_> = frames(&damaged).collect();
+    let valid = walked.iter().take_while(|f| f.is_ok()).count();
+    prop_assert!(walked.len() - valid <= 1, "the walk goes on past an invalid frame");
+    let mut at = 0;
+    for (i, frame) in walked.iter().take(valid).enumerate() {
+        let frame = frame.as_ref().unwrap();
+        let end = at + frame.wire_len();
+        prop_assert_eq!(&Frame::decode(&damaged[at..end]), &Ok(frame.clone()), "frame {}", i);
+        if end <= intact {
+            prop_assert_eq!(frame, &sent[i], "frame {} precedes the damage", i);
+        }
+        at = end;
+    }
+    let before_damage = whole_frames_within(sent, intact);
+    prop_assert!(valid >= before_damage, "{} of {} intact frames walked", valid, before_damage);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A datagram of n whole frames of mixed kinds splits back into exactly
+    /// those n frames, each payload a window onto the datagram; the strict
+    /// decoders take one frame and refuse a second behind it.
+    #[test]
+    fn datagram_walk_yields_exactly_the_frames_staged(
+        n in 1usize..9,
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let (sent, datagram) = datagram_of(n, seed, &blob);
+        let walked: Vec<Frame> = frames(&datagram).collect::<Result<_, _>>().unwrap();
+        prop_assert_eq!(&walked, &sent);
+        let range = datagram.as_ptr_range();
+        for (frame, sent) in walked.iter().zip(&sent) {
+            let payload = frame.clone().into_payload();
+            prop_assert!(payload.is_empty() || range.contains(&payload.as_ptr()), "payload copied");
+            prop_assert_eq!(Message::from_frame(frame), Message::from_frame(sent));
+        }
+        prop_assert_eq!(frames(&Bytes::new()).count(), 0);
+        let strict = Frame::decode_shared(&datagram);
+        prop_assert_eq!(&strict, &Frame::decode(&datagram));
+        if n == 1 {
+            prop_assert_eq!(strict.as_ref(), Ok(&sent[0]));
+            let mut trailing = datagram.to_vec();
+            trailing.push(0);
+            prop_assert!(
+                matches!(Frame::decode(&trailing), Err(FrameError::LengthMismatch { .. })),
+                "strict decode accepted a trailing byte"
+            );
+        } else {
+            prop_assert!(
+                matches!(strict, Err(FrameError::LengthMismatch { .. })),
+                "strict decode accepted {} frames", n
+            );
+        }
+    }
+
+    /// Truncation at every offset: the frames that end before the cut are
+    /// all yielded, then one error (unless the cut falls on a boundary).
+    #[test]
+    fn datagram_walk_survives_truncation_at_every_offset(
+        n in 1usize..6,
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let (sent, datagram) = datagram_of(n, seed, &blob);
+        for cut in 0..datagram.len() {
+            walk_damaged(&sent, &datagram[..cut], cut)?;
+            let walked: Vec<_> = frames(&datagram.slice(..cut)).collect();
+            let whole = walked.iter().filter(|f| f.is_ok()).count();
+            let on_boundary = sent.iter().take(whole).map(Frame::wire_len).sum::<usize>() == cut;
+            prop_assert_eq!(walked.len(), whole + usize::from(!on_boundary), "cut at {}", cut);
+        }
+    }
+
+    /// Every single-bit flip: frames before the flipped one are yielded,
+    /// the flipped one is refused, nothing after it is looked at.
+    #[test]
+    fn datagram_walk_stops_at_every_single_bit_flip(
+        n in 1usize..5,
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let (sent, datagram) = datagram_of(n, seed, &blob);
+        for bit in 0..datagram.len() * 8 {
+            let mut damaged = datagram.to_vec();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            walk_damaged(&sent, &damaged, bit / 8)?;
+            let hit = whole_frames_within(&sent, bit / 8);
+            let walked: Vec<_> = frames(&Bytes::from(damaged)).collect();
+            prop_assert_eq!(walked.len(), hit + 1, "flip at bit {}", bit);
+            prop_assert!(walked[hit].is_err(), "flipped frame {} accepted (bit {})", hit, bit);
+        }
+    }
+
+    /// Garbage behind the last frame — shorter than a header, or longer —
+    /// costs nothing that came before it.
+    #[test]
+    fn datagram_walk_keeps_every_frame_before_appended_garbage(
+        n in 1usize..6,
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..48),
+        garbage in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let (sent, datagram) = datagram_of(n, seed, &blob);
+        for len in [garbage.len().min(FRAME_HEADER_LEN - 1), garbage.len()] {
+            let damaged = [datagram.as_ref(), &garbage[..len]].concat();
+            walk_damaged(&sent, &damaged, datagram.len())?;
+            let walked: Vec<_> = frames(&Bytes::from(damaged)).collect();
+            prop_assert!(walked.len() > n, "garbage of {} bytes went unnoticed", len);
+            prop_assert!(walked[..n].iter().all(|f| f.is_ok()));
+            if len < FRAME_HEADER_LEN {
+                prop_assert_eq!(&walked[n], &Err(FrameError::TooShort { len }));
+            }
+        }
+    }
+
+    /// A middle frame whose length field lies — longer or shorter than its
+    /// payload — is refused where it stands; the frames before it are kept
+    /// and nothing behind it is taken for a frame.
+    #[test]
+    fn datagram_walk_stops_at_an_inflated_or_deflated_length_field(
+        n in 3usize..7,
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 1..48),
+        delta in 1u32..2000,
+    ) {
+        let (sent, datagram) = datagram_of(n, seed, &blob);
+        let middle = n / 2;
+        let at: usize = sent[..middle].iter().map(Frame::wire_len).sum();
+        let declared = sent[middle].header().payload_len;
+        for lie in [declared.checked_add(delta), declared.checked_sub(delta), Some(0), Some(u32::MAX)] {
+            let Some(lie) = lie.filter(|lie| *lie != declared) else { continue };
+            let mut damaged = datagram.to_vec();
+            damaged[at + 8..at + 12].copy_from_slice(&lie.to_le_bytes());
+            walk_damaged(&sent, &damaged, at + 8)?;
+            let walked: Vec<_> = frames(&Bytes::from(damaged)).collect();
+            prop_assert_eq!(walked.len(), middle + 1, "length {} -> {}", declared, lie);
+            prop_assert!(walked[middle].is_err());
+        }
     }
 }
 

@@ -51,27 +51,34 @@ impl fmt::Display for TransportError {
 
 impl Error for TransportError {}
 
-/// A pluggable frame mover (PEPt *Transport* subsystem).
+/// A pluggable datagram mover (PEPt *Transport* subsystem).
 ///
 /// Implementations are polled by the container's tick loop: `recv` never
-/// blocks. Frames are opaque byte blobs at this layer — integrity and
-/// interpretation belong to the protocol layer above.
+/// blocks. Datagrams are opaque byte blobs at this layer — that one holds
+/// one or more whole protocol frames, their integrity and their
+/// interpretation all belong to the protocol layer above.
 pub trait Transport: Send + fmt::Debug {
     /// The node id this endpoint represents.
     fn local_node(&self) -> u32;
 
-    /// Largest payload `send` accepts.
+    /// Largest datagram `send` accepts. The container fills datagrams up
+    /// to this size, so it should be what the link carries unfragmented.
     fn mtu(&self) -> usize;
 
-    /// Sends one datagram.
+    /// Sends one datagram: everything the container has for `dest` this
+    /// tick, coalesced (one or more whole frames, at most `mtu` bytes). It
+    /// arrives whole or not at all — the unit of loss on the link is the
+    /// unit FEC counts erasures in. To a group or to everyone, every
+    /// reachable member is attempted even when one of them fails.
     ///
     /// # Errors
     ///
-    /// [`TransportError::PayloadTooLarge`] for oversized frames, plus
-    /// implementation-specific failures.
-    fn send(&mut self, dest: TransportDestination, frame: Bytes) -> Result<(), TransportError>;
+    /// [`TransportError::PayloadTooLarge`] for an oversized datagram, plus
+    /// implementation-specific failures (for a fan-out, the first one).
+    fn send(&mut self, dest: TransportDestination, datagram: Bytes) -> Result<(), TransportError>;
 
-    /// Pops the next received datagram (`(source_node, frame)`), if any.
+    /// Pops the next received datagram (`(source_node, datagram)`), if any,
+    /// exactly as it was handed to the sender's `send`.
     fn recv(&mut self) -> Option<(u32, Bytes)>;
 
     /// Joins a multicast group.

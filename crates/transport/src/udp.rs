@@ -11,7 +11,7 @@
 //! fallback preserves semantics at a measurable bandwidth cost (experiment
 //! C2 quantifies precisely the saving real multicast buys back).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 
@@ -27,7 +27,7 @@ pub struct UdpTransportConfig {
     /// Address to bind (e.g. `127.0.0.1:0`).
     pub bind: SocketAddr,
     /// Known peers: node id → address.
-    pub peers: HashMap<u32, SocketAddr>,
+    pub peers: BTreeMap<u32, SocketAddr>,
     /// Advertised MTU (UDP datagrams up to this size are sent unfragmented).
     pub mtu: usize,
 }
@@ -42,7 +42,7 @@ impl UdpTransportConfig {
         UdpTransportConfig {
             node,
             bind: bind.parse().expect("valid bind address"),
-            peers: HashMap::new(),
+            peers: BTreeMap::new(),
             mtu: 1400,
         }
     }
@@ -60,7 +60,9 @@ impl UdpTransportConfig {
 pub struct UdpTransport {
     node: u32,
     socket: UdpSocket,
-    peers: HashMap<u32, SocketAddr>,
+    /// Ordered: a group or broadcast send walks the peers in node order,
+    /// the same from run to run.
+    peers: BTreeMap<u32, SocketAddr>,
     addr_to_node: HashMap<SocketAddr, u32>,
     mtu: usize,
     buf: Vec<u8>,
@@ -111,20 +113,23 @@ impl Transport for UdpTransport {
         self.mtu
     }
 
-    fn send(&mut self, dest: TransportDestination, frame: Bytes) -> Result<(), TransportError> {
-        if frame.len() > self.mtu {
-            return Err(TransportError::PayloadTooLarge { size: frame.len(), mtu: self.mtu });
+    fn send(&mut self, dest: TransportDestination, datagram: Bytes) -> Result<(), TransportError> {
+        if datagram.len() > self.mtu {
+            return Err(TransportError::PayloadTooLarge { size: datagram.len(), mtu: self.mtu });
         }
         let socket = &self.socket;
         let send_to = |addr: &SocketAddr| {
-            socket.send_to(&frame, addr).map(drop).map_err(|e| TransportError::Io(e.to_string()))
+            socket.send_to(&datagram, addr).map(drop).map_err(|e| TransportError::Io(e.to_string()))
         };
         match dest {
             TransportDestination::Node(n) => {
                 send_to(self.peers.get(&n).ok_or(TransportError::UnknownDestination(n))?)
             }
+            // Every peer is attempted, in node order: one unsendable peer
+            // must not starve the ones behind it. The first error is still
+            // the caller's to see.
             TransportDestination::Group(_) | TransportDestination::Broadcast => {
-                self.peers.values().try_for_each(send_to)
+                self.peers.values().map(send_to).fold(Ok(()), Result::and)
             }
         }
     }
@@ -191,6 +196,23 @@ mod tests {
         a.send(TransportDestination::Broadcast, Bytes::from_static(b"all")).unwrap();
         assert!(recv_within(&mut b, Duration::from_secs(2)).is_some());
         assert!(recv_within(&mut c, Duration::from_secs(2)).is_some());
+    }
+
+    /// A peer the socket cannot send to — an IPv6 address in an IPv4
+    /// socket's table — ordered before a live one: the live one still gets
+    /// the datagram, and the caller still gets the error.
+    #[test]
+    fn broadcast_reaches_every_peer_behind_an_unsendable_one() {
+        let mut a = UdpTransport::bind(UdpTransportConfig::new(1, "127.0.0.1:0")).unwrap();
+        let mut live = UdpTransport::bind(UdpTransportConfig::new(3, "127.0.0.1:0")).unwrap();
+        a.add_peer(2, "[::1]:9".parse().unwrap());
+        a.add_peer(3, live.local_addr().unwrap());
+        for dest in [TransportDestination::Broadcast, TransportDestination::Group(4)] {
+            let sent = a.send(dest, Bytes::from_static(b"all"));
+            assert!(matches!(sent, Err(TransportError::Io(_))), "{dest:?}: {sent:?}");
+            let (_, payload) = recv_within(&mut live, Duration::from_secs(2)).expect("delivery");
+            assert_eq!(payload.as_ref(), b"all", "{dest:?}");
+        }
     }
 
     #[test]

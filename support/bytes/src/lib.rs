@@ -253,6 +253,12 @@ impl BytesMut {
         self.data.clear();
     }
 
+    /// Shortens the buffer to `len` bytes, keeping capacity (no effect
+    /// when it is already that short).
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(len);
+    }
+
     /// Reserves capacity for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
