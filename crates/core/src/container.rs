@@ -496,11 +496,12 @@ impl ServiceContainer {
             descriptor,
             state: ServiceState::Starting,
         });
+        self.gossip.catalogue_changed();
         if self.running {
             self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Start);
-            // The catalogue changed: the announce slot is due at once, and
-            // its digest check sends the full catalogue.
-            self.gossip.catalogue_changed();
+            // The announce slot is due at once, and its digest check sends
+            // the full catalogue.
+            self.gossip.announce_at_once();
             self.subs_dirty = true;
         }
         Ok(ServiceId::new(self.config.node, seq))
@@ -1314,21 +1315,29 @@ impl ServiceContainer {
                 // broadcast, otherwise the compact digest. Receivers whose
                 // stored digest disagrees pull the full catalogue unicast
                 // with `AnnounceRequest` (delta-on-mismatch), so the
-                // steady-state control plane carries digests, not catalogues.
-                let entries = self.announce_entries();
-                let digest = self.catalogue_digest(&entries);
-                if self.gossip.digest_unchanged(now, digest) {
-                    let msg = Message::AnnounceDigest {
-                        incarnation: self.incarnation,
-                        entry_count: digest.1,
-                        catalogue_hash: digest.0,
-                    };
-                    self.send_message(CONTROL, &msg);
+                // steady-state control plane carries digests, not catalogues
+                // — and costs no rebuild of the catalogue to learn that
+                // nothing touched it.
+                if let Some(digest) = self.gossip.current_digest(now) {
+                    debug_assert_eq!(digest, self.catalogue_digest(&self.announce_entries()));
+                    self.send_digest(digest);
                 } else {
-                    self.broadcast_announce(entries, now);
+                    let entries = self.announce_entries();
+                    let digest = self.catalogue_digest(&entries);
+                    if self.gossip.digest_unchanged(now, digest) {
+                        self.send_digest(digest);
+                    } else {
+                        self.broadcast_announce(entries, now);
+                    }
                 }
             }
         }
+    }
+
+    fn send_digest(&mut self, (catalogue_hash, entry_count): (u32, u32)) {
+        let msg =
+            Message::AnnounceDigest { incarnation: self.incarnation, entry_count, catalogue_hash };
+        self.send_message(CONTROL, &msg);
     }
 
     fn catalogue_digest(&self, entries: &[AnnounceEntry]) -> (u32, u32) {
@@ -1493,6 +1502,7 @@ impl ServiceContainer {
             slot.state = state;
             slot.descriptor.name().clone()
         };
+        self.gossip.catalogue_changed();
         self.directory.apply_status(self.config.node, seq, state);
         self.subs_dirty = true;
         let msg = Message::ServiceStatus { service_seq: seq, name, state };
@@ -1749,5 +1759,72 @@ impl ServiceContainer {
             self.log.pop_front();
         }
         self.log.push_back((now, line));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::SimHarness;
+    use crate::TimerId;
+    use marea_netsim::NetConfig;
+
+    /// Degrades itself on its first timer and panics on its second.
+    struct Fragile {
+        timers_seen: u32,
+    }
+
+    impl Service for Fragile {
+        fn descriptor(&self) -> ServiceDescriptor {
+            let mut b = ServiceDescriptor::builder("fragile");
+            b.function::<(), ()>("fragile/f");
+            b.build()
+        }
+
+        fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+            let every = ProtoDuration::from_secs(6);
+            ctx.set_timer(every, Some(every));
+        }
+
+        fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+            self.timers_seen += 1;
+            assert!(self.timers_seen < 2, "deliberate test panic");
+            ctx.set_degraded(true);
+        }
+    }
+
+    /// The digest a node gossips is kept, not recomputed, so every way the
+    /// catalogue can change must reach it: two announce periods after each
+    /// one, what the node last told the fleet — and what its peer holds —
+    /// is the hash of the catalogue as it stands.
+    #[test]
+    fn gossiped_digest_follows_every_catalogue_change() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        let mut h = SimHarness::new(NetConfig::default());
+        h.add_container(ContainerConfig::new("a", a));
+        h.add_container(ContainerConfig::new("b", b));
+        h.start_all();
+
+        let settle_and_check = |h: &mut SimHarness, state: Option<ServiceState>, what: &str| {
+            h.run_for(ProtoDuration::from_secs(4));
+            let c = h.container(a).expect("node a");
+            assert_eq!(c.service_state("fragile"), state, "{what}");
+            let fresh = c.catalogue_digest(&c.announce_entries());
+            let told = c.directory.node(a).and_then(|n| n.catalogue_digest);
+            assert_eq!(told, Some(fresh), "{what}: node a's last broadcast");
+            let held = h.container(b).and_then(|c| c.directory.node(a)?.catalogue_digest);
+            assert_eq!(held, Some(fresh), "{what}: node b's copy");
+        };
+
+        settle_and_check(&mut h, None, "empty catalogue");
+        h.add_service(a, Box::new(Fragile { timers_seen: 0 }));
+        settle_and_check(&mut h, Some(ServiceState::Running), "service added while running");
+        h.run_for(ProtoDuration::from_secs(3));
+        settle_and_check(&mut h, Some(ServiceState::Degraded), "SetDegraded");
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        h.run_for(ProtoDuration::from_secs(2));
+        std::panic::set_hook(hook);
+        settle_and_check(&mut h, Some(ServiceState::Failed), "panicking service marked Failed");
     }
 }

@@ -147,6 +147,8 @@ impl Directory {
                 info.last_seen = now;
                 info.load_permille = load_permille;
                 info.fec_cap = fec_cap;
+                debug_assert!(self.expiry_queued(node));
+                return;
             }
             Some(info) if info.incarnation < incarnation => {
                 // Missed the Hello of a reboot: resync.
@@ -182,17 +184,16 @@ impl Directory {
                 );
             }
         }
+        // Both arms that get here created the record.
         self.schedule_expiry(node, now);
     }
 
     /// Replaces everything known about `node`'s services with an announce.
     pub fn apply_announce(&mut self, node: NodeId, entries: &[AnnounceEntry], now: Micros) {
         self.purge_node_providers(node);
-        if self.nodes.contains_key(&node) {
-            if let Some(info) = self.nodes.get_mut(&node) {
-                info.last_seen = now;
-            }
-            self.schedule_expiry(node, now);
+        if let Some(info) = self.nodes.get_mut(&node) {
+            info.last_seen = now;
+            debug_assert!(self.expiry_queued(node));
         }
         let mut names: Vec<Name> = Vec::new();
         for entry in entries {
@@ -299,13 +300,24 @@ impl Directory {
         }
     }
 
-    /// Queues `node` on the expiry heap if it is not already there. The
-    /// heap holds at most one entry per node; refreshes are absorbed by
-    /// the re-arm-on-pop in [`Directory::expire`].
+    /// Queues `node` on the expiry heap if it is not already there (a
+    /// `Bye` leaves the entry behind, and a rejoin reuses it). Called
+    /// wherever a [`NodeInfo`] is created and nowhere else: the heap holds
+    /// at most one entry per node, and a refresh of `last_seen` is absorbed
+    /// by the re-arm-on-pop in [`Directory::expire`], so it has nothing to
+    /// queue — see [`Directory::expiry_queued`].
     fn schedule_expiry(&mut self, node: NodeId, last_seen: Micros) {
         if self.local != Some(node) && self.expiry_scheduled.insert(node) {
             self.expiry.push(Reverse((last_seen, node)));
         }
+    }
+
+    /// The invariant the refresh paths lean on: every tracked remote node
+    /// has its heap entry. A node leaves `expiry_scheduled` only when
+    /// [`Directory::expire`] finds it gone from (or removes it from)
+    /// `nodes`.
+    fn expiry_queued(&self, node: NodeId) -> bool {
+        self.local == Some(node) || self.expiry_scheduled.contains(&node)
     }
 
     /// Refreshes `node`'s liveness without touching its catalogue — a
@@ -313,7 +325,7 @@ impl Directory {
     pub fn touch(&mut self, node: NodeId, now: Micros) {
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
-            self.schedule_expiry(node, now);
+            debug_assert!(self.expiry_queued(node));
         }
     }
 
@@ -433,6 +445,7 @@ mod tests {
     use super::*;
     use marea_presentation::DataType;
     use marea_protocol::messages::FunctionSig;
+    use proptest::prelude::*;
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
@@ -608,6 +621,69 @@ mod tests {
         d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Only record creation queues a node for expiry. Over random
+        /// control traffic, every tracked remote node keeps its heap entry
+        /// and `expire` names exactly the nodes a plain `last_seen` table
+        /// — which needs no queue to keep — says have been silent too long.
+        #[test]
+        fn refreshes_never_need_to_requeue(
+            ops in proptest::collection::vec((0u8..6, 1u32..6, 1u64..4, 0u64..900), 1..200),
+        ) {
+            let local = NodeId(1);
+            let timeout = ProtoDuration::from_millis(2_000);
+            let mut d = Directory::for_node(local);
+            // node -> (incarnation, last_seen)
+            let mut model: BTreeMap<NodeId, (u64, Micros)> = BTreeMap::new();
+            let mut now = Micros::ZERO;
+            for (op, node, incarnation, dt_ms) in ops {
+                now += ProtoDuration::from_millis(dt_ms);
+                let node = NodeId(node);
+                match op {
+                    0 => {
+                        d.apply_hello(node, name("n"), incarnation, 4, now);
+                        model.insert(node, (incarnation, now));
+                    }
+                    1 => {
+                        d.apply_heartbeat(node, incarnation, 0, 4, now);
+                        if model.get(&node).is_none_or(|&(known, _)| known <= incarnation) {
+                            model.insert(node, (incarnation, now));
+                        }
+                    }
+                    2 => {
+                        d.apply_announce(node, &[announce_storage(1)], now);
+                        model.entry(node).and_modify(|e| e.1 = now);
+                    }
+                    3 => {
+                        d.touch(node, now);
+                        model.entry(node).and_modify(|e| e.1 = now);
+                    }
+                    4 => {
+                        d.apply_bye(node);
+                        model.remove(&node);
+                    }
+                    _ => {
+                        let silent = |seen: Micros| now.saturating_since(seen) >= timeout;
+                        let dead: Vec<NodeId> = model
+                            .iter()
+                            .filter(|&(&n, &(_, seen))| n != local && silent(seen))
+                            .map(|(&n, _)| n)
+                            .collect();
+                        model.retain(|n, _| !dead.contains(n));
+                        prop_assert_eq!(d.expire(now, timeout), dead, "expire at {:?}", now);
+                    }
+                }
+                prop_assert_eq!(d.nodes(), model.keys().copied().collect::<Vec<_>>());
+                for n in d.nodes() {
+                    prop_assert!(d.expiry_queued(n), "{:?} tracked but not queued", n);
+                    prop_assert_eq!(d.node(n).map(|i| i.last_seen), model.get(&n).map(|e| e.1));
+                }
+            }
+        }
     }
 
     #[test]

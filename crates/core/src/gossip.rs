@@ -15,7 +15,8 @@ pub(crate) enum AnnounceSlot {
     /// A forced re-announce the debounce held back: the full catalogue.
     Forced,
     /// The announce period elapsed: the full catalogue if it changed since
-    /// the last broadcast ([`Gossip::digest_unchanged`]), else its digest.
+    /// the last broadcast ([`Gossip::current_digest`], then
+    /// [`Gossip::digest_unchanged`]), else its digest.
     Periodic,
 }
 
@@ -34,6 +35,11 @@ pub(crate) struct Gossip {
     /// While the catalogue still hashes to it, the periodic slot sends an
     /// `AnnounceDigest` instead of re-flooding the catalogue.
     digest: Option<(u32, u32)>,
+    /// The catalogue was touched since `digest` was last compared with
+    /// it: the next periodic slot must rebuild and rehash it. While this
+    /// is clear, `digest` *is* the catalogue's digest and nothing needs
+    /// recomputing to learn that it did not change.
+    stale: bool,
 }
 
 impl Gossip {
@@ -44,6 +50,7 @@ impl Gossip {
             forced: Cadence::every(announce_period),
             pending: false,
             digest: None,
+            stale: false,
         }
     }
 
@@ -77,12 +84,26 @@ impl Gossip {
         allowed
     }
 
-    /// `true` (and the periodic slot is taken) when the catalogue still
-    /// hashes to what the fleet was last told, so the digest suffices.
+    /// The digest to gossip in the periodic slot at `now` (which is then
+    /// taken), when nothing touched the catalogue since the fleet was last
+    /// told. `None`: the catalogue must be rehashed and put to
+    /// [`digest_unchanged`](Self::digest_unchanged).
+    pub fn current_digest(&mut self, now: Micros) -> Option<(u32, u32)> {
+        let digest = self.digest.filter(|_| !self.stale);
+        if digest.is_some() {
+            self.announce.mark(now);
+        }
+        digest
+    }
+
+    /// `true` (and the periodic slot is taken) when the catalogue, just
+    /// rehashed to `digest`, still hashes to what the fleet was last told,
+    /// so the digest suffices.
     pub fn digest_unchanged(&mut self, now: Micros, digest: (u32, u32)) -> bool {
         let unchanged = self.digest == Some(digest);
         if unchanged {
             self.announce.mark(now);
+            self.stale = false;
         }
         unchanged
     }
@@ -91,11 +112,19 @@ impl Gossip {
     pub fn broadcast(&mut self, now: Micros, digest: (u32, u32)) {
         self.announce.mark(now);
         self.digest = Some(digest);
+        self.stale = false;
+    }
+
+    /// A service was added or changed state: the last broadcast digest may
+    /// no longer hold. (The incarnation it also covers is fixed between
+    /// `start` and `stop`, and `start` always broadcasts.)
+    pub fn catalogue_changed(&mut self) {
+        self.stale = true;
     }
 
     /// The catalogue changed out of cadence (a service joined a running
     /// container): the announce slot is due at once.
-    pub fn catalogue_changed(&mut self) {
+    pub fn announce_at_once(&mut self) {
         self.announce.reset();
     }
 
@@ -129,11 +158,17 @@ mod tests {
         assert!(g.heartbeat_due(Micros(51_000)));
         assert_eq!(g.announce_slot(Micros(200_999)), AnnounceSlot::Idle);
         assert_eq!(g.announce_slot(Micros(201_000)), AnnounceSlot::Periodic);
-        assert!(g.digest_unchanged(Micros(201_000), (7, 2)), "same catalogue: digest only");
+        assert_eq!(g.current_digest(Micros(201_000)), Some((7, 2)), "untouched: digest only");
         assert_eq!(g.announce_slot(Micros(201_000)), AnnounceSlot::Idle, "slot taken");
-        assert!(!g.digest_unchanged(Micros(401_000), (8, 3)), "changed: full catalogue");
         g.catalogue_changed();
-        assert_eq!(g.announce_slot(Micros(300_000)), AnnounceSlot::Periodic);
+        assert_eq!(g.current_digest(Micros(401_000)), None, "touched: rehash");
+        assert_eq!(g.announce_slot(Micros(401_000)), AnnounceSlot::Periodic, "slot not taken");
+        assert!(g.digest_unchanged(Micros(401_000), (7, 2)), "changed and changed back");
+        assert_eq!(g.current_digest(Micros(601_000)), Some((7, 2)), "compared: trusted again");
+        g.catalogue_changed();
+        assert!(!g.digest_unchanged(Micros(801_000), (8, 3)), "changed: full catalogue");
+        g.announce_at_once();
+        assert_eq!(g.announce_slot(Micros(700_000)), AnnounceSlot::Periodic);
     }
 
     #[test]

@@ -138,7 +138,9 @@ impl ReliableLink {
     /// `RelData` (first transmissions *and* retransmissions) become data
     /// shards, everything else passes through bare.
     fn code_out(&mut self, msgs: Vec<Message>, now: Micros) -> Vec<Message> {
-        if self.fec.tx.rate() == FecRate::Off {
+        // `poll` and `on_ack` mostly have nothing to send; pass their empty
+        // (unallocated) vector through rather than allocating another.
+        if msgs.is_empty() || self.fec.tx.rate() == FecRate::Off {
             return msgs;
         }
         let mut out = Vec::with_capacity(msgs.len() + 1);
