@@ -1102,8 +1102,8 @@ pub struct SwarmScaleRow {
 
 /// Ring beacon: node `i` publishes `swarm/b<i>` and subscribes to its
 /// predecessor's beacon, so data-plane traffic grows linearly with the
-/// fleet while the control plane (heartbeats, announcements) carries
-/// the quadratic part the digest gossip exists to flatten.
+/// fleet while the control plane (one `Message::Beacon` frame per node
+/// per period, heard by every node) carries the quadratic part.
 struct SwarmBeacon {
     port: EventPort<u64>,
     watches: String,
@@ -1133,16 +1133,13 @@ impl Service for SwarmBeacon {
     }
 }
 
-/// Builds the C11 fleet: `nodes` containers in a beacon ring with an
-/// announce cadence short enough that the window exercises the digest
-/// path, not just heartbeats.
+/// Builds the C11 fleet: `nodes` containers in a beacon ring, on the
+/// container's default control-plane timings.
 fn swarm_fleet(nodes: u32, seed: u64) -> SimHarness {
     let mut h = SimHarness::new(NetConfig::default().with_seed(seed));
     h.set_tick_us(SWARM_TICK_US);
     for i in 1..=nodes {
-        let mut cfg = ContainerConfig::new("swarm", NodeId(i));
-        cfg.announce_period = ProtoDuration::from_millis(400);
-        h.add_container(cfg);
+        h.add_container(ContainerConfig::new("swarm", NodeId(i)));
         let prev = if i == 1 { nodes } else { i - 1 };
         h.add_service(NodeId(i), Box::new(SwarmBeacon::new(i, prev)));
     }

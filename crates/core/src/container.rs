@@ -5,12 +5,12 @@
 //!
 //! 1. pumps the transport and interprets every frame (discovery, samples,
 //!    reliable-channel envelopes, file transfer traffic);
-//! 2. runs failure detection (heartbeat timeouts ⇒ purge the name cache,
+//! 2. runs failure detection (silence timeouts ⇒ purge the name cache,
 //!    re-resolve subscriptions, fail over pending calls);
 //! 3. maintains subscriptions against the directory (name management);
 //! 4. fires timers and variable-loss deadlines;
 //! 5. polls the reliable links (retransmissions) and pumps file transfers;
-//! 6. emits heartbeats/announcements;
+//! 6. emits the beacon, behind any announcement it owes;
 //! 7. executes queued handler invocations through the pluggable scheduler,
 //!    bounded by a per-tick budget, applying the effects services queue.
 //!
@@ -37,18 +37,18 @@ use marea_protocol::fec::FecConfig;
 use marea_protocol::fragment::{fragment_shared, Reassembler};
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, Provision, ServiceState};
 use marea_protocol::{
-    frames, GroupId, Message, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
+    frames, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
 };
 use marea_transport::{Transport, TransportDestination};
 
-use crate::directory::Directory;
+use crate::directory::{BeaconOutcome, Directory};
 use crate::engines::events::{Admission, EventEngine};
 use crate::engines::files::{file_group, FileEngine, Heard};
 use crate::engines::rpc::{PendingCall, RpcEngine};
 use crate::engines::vars::{var_group, SampleDrop, VarEngine};
 use crate::engines::Rebind;
 use crate::error::{CallError, ContainerError};
-use crate::gossip::{AnnounceSlot, Gossip};
+use crate::gossip::Gossip;
 use crate::link::{LinkTable, Received};
 use crate::outbox::Outbox;
 use crate::qos::CallOptions;
@@ -90,9 +90,13 @@ pub struct ContainerConfig {
     pub name: Name,
     /// This node's id.
     pub node: NodeId,
-    /// Heartbeat emission period.
+    /// Beacon period, the only periodic control cadence: alive, load, FEC
+    /// capability and catalogue digest in one frame, behind the full
+    /// catalogue when that changed since the last beacon.
     pub heartbeat_period: ProtoDuration,
-    /// Full catalogue re-announcement period.
+    /// Debounce window of forced full-catalogue re-announcements: a burst
+    /// of `Hello`s draws one `Announce` at once and one more when it
+    /// closes. Nothing is announced *every* such period.
     pub announce_period: ProtoDuration,
     /// Silence after which a peer node is declared dead.
     pub node_timeout: ProtoDuration,
@@ -266,9 +270,8 @@ pub struct ServiceContainer {
     next_msg_id: u64,
     incarnation: u64,
     running: bool,
-    started_at: Micros,
     /// Directory or subscription state changed since the last maintenance
-    /// sweep. Plain heartbeats do not set this — a liveness refresh
+    /// sweep. Plain beacons do not set this — a liveness refresh
     /// changes no name resolution — which keeps the sweep off the
     /// per-tick path at fleet scale.
     subs_dirty: bool,
@@ -305,7 +308,6 @@ impl ServiceContainer {
             next_msg_id: 0,
             incarnation: 1,
             running: false,
-            started_at: Micros::ZERO,
             subs_dirty: true,
             advertised_load: 0,
             stats: ContainerStats::default(),
@@ -326,7 +328,7 @@ impl ServiceContainer {
     }
 
     /// This container's incarnation (restart counter carried in `Hello`
-    /// and heartbeats; peers purge cached provisions from older lives).
+    /// and beacons; peers purge cached provisions from older lives).
     pub fn incarnation(&self) -> u64 {
         self.incarnation
     }
@@ -499,8 +501,8 @@ impl ServiceContainer {
         self.gossip.catalogue_changed();
         if self.running {
             self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Start);
-            // The announce slot is due at once, and its digest check sends
-            // the full catalogue.
+            // The beacon slot is due at once, and its digest check sends
+            // the full catalogue ahead of the beacon.
             self.gossip.announce_at_once();
             self.subs_dirty = true;
         }
@@ -514,7 +516,6 @@ impl ServiceContainer {
             return;
         }
         self.running = true;
-        self.started_at = now;
         self.subs_dirty = true;
         self.tracer.record(now, TraceKind::NodeStart, TraceId::NONE, None, self.incarnation, None);
         self.transport.join(GroupId::CONTROL.0);
@@ -560,13 +561,7 @@ impl ServiceContainer {
         let load = self.load_permille();
         if load != self.advertised_load {
             self.advertised_load = load;
-            self.directory.apply_heartbeat(
-                self.config.node,
-                self.incarnation,
-                load,
-                self.config.fec.advertised_cap().wire_tag(),
-                now,
-            );
+            self.directory.set_load(self.config.node, load);
         }
 
         while let Some((_, datagram)) = self.transport.recv() {
@@ -582,6 +577,11 @@ impl ServiceContainer {
                 let src = frame.header().src;
                 if src == self.config.node {
                     continue;
+                }
+                // Any CRC-valid frame of a known node is proof of life; a
+                // beacon says so itself, in the lookup it makes anyway.
+                if frame.header().kind != MessageKind::Beacon {
+                    self.directory.touch(src, now);
                 }
                 match Message::from_frame(&frame) {
                     Ok(msg) => self.handle_message(src, msg, now),
@@ -636,7 +636,7 @@ impl ServiceContainer {
     /// each read from the very field its tick phase compares `now`
     /// against: timers, directory expiry, variable and call deadlines,
     /// reassembly expiry, file completion queries and interest retries,
-    /// the heartbeat / announce cadences, each active link's next
+    /// the beacon cadence and the re-announce debounce, each active link's next
     /// retransmission or FEC flush. State whose next step is not one
     /// date — a dirty subscription table, queued handler invocations, an
     /// acknowledgement owed, file chunks waiting for their burst —
@@ -685,25 +685,51 @@ impl ServiceContainer {
                     self.broadcast_announce(self.announce_entries(), now);
                 }
             }
-            Message::Heartbeat { incarnation, load_permille, fec_cap, .. } => {
-                let prior = self.directory.node(src).map(|n| n.incarnation);
-                self.directory.apply_heartbeat(src, incarnation, load_permille, fec_cap, now);
-                let cap = self.peer_cap(src);
-                self.links.renegotiate(src, cap);
-                if prior != Some(incarnation) {
-                    // Unknown node or incarnation change: availability may
-                    // have shifted; plain refresh heartbeats don't re-plan.
-                    self.subs_dirty = true;
+            Message::Beacon {
+                incarnation,
+                load_permille,
+                fec_cap,
+                entry_count,
+                catalogue_hash,
+            } => {
+                let digest = (catalogue_hash, entry_count);
+                let outcome = self.directory.apply_beacon(
+                    src,
+                    incarnation,
+                    load_permille,
+                    fec_cap,
+                    digest,
+                    now,
+                );
+                let (relink, pull) = match outcome {
+                    // The steady state ends here, one directory lookup in.
+                    BeaconOutcome::Refreshed | BeaconOutcome::OlderLife => return,
+                    BeaconOutcome::Differs { cap, digest } => (cap, digest),
+                    BeaconOutcome::NewLife => (true, true),
+                    BeaconOutcome::Unknown => {
+                        // A node we have no catalogue for (its Hello/Announce was
+                        // lost): introduce ourselves unicast — which makes it
+                        // reply with its catalogue — and hand it ours the same
+                        // way. Both legs are unicast so a partition heal cannot
+                        // storm the control group with full-catalogue broadcasts.
+                        let hello = self.hello();
+                        self.send_message(TransportDestination::Node(src.0), &hello);
+                        self.send_catalogue_to(src);
+                        (true, false)
+                    }
+                };
+                if relink {
+                    self.links.renegotiate(src, Some(fec_cap));
                 }
-                if prior.is_none() {
-                    // A node we have no catalogue for (its Hello/Announce was
-                    // lost): introduce ourselves unicast — which makes it
-                    // reply with its catalogue — and hand it ours the same
-                    // way. Both legs are unicast so a partition heal cannot
-                    // storm the control group with full-catalogue broadcasts.
-                    let hello = self.hello();
-                    self.send_message(TransportDestination::Node(src.0), &hello);
-                    self.send_catalogue_to(src);
+                // A node or a life not seen before: availability may have
+                // shifted. A cap or digest difference alone re-plans nothing.
+                self.subs_dirty |= !matches!(outcome, BeaconOutcome::Differs { .. });
+                if pull {
+                    // Our copy of the peer's catalogue disagrees (or we never
+                    // applied one): pull the full catalogue unicast. A lost
+                    // pull is repeated by the next beacon.
+                    self.stats.catalogue_pulls += 1;
+                    self.send_message(TransportDestination::Node(src.0), &Message::AnnounceRequest);
                 }
             }
             Message::Bye => {
@@ -712,19 +738,8 @@ impl ServiceContainer {
             }
             Message::Announce { incarnation, entries } => {
                 self.trace_link(now, TraceKind::DirAnnounce, src, entries.len() as u64);
-                self.directory.apply_announce(src, &entries, now);
-                let hash = announce_hash(incarnation, &entries);
-                self.directory.set_catalogue_digest(src, hash, entries.len() as u32);
+                self.directory.apply_announce(src, incarnation, &entries, now);
                 self.subs_dirty = true;
-            }
-            Message::AnnounceDigest { incarnation, entry_count, catalogue_hash } => {
-                if self.directory.catalogue_matches(src, incarnation, entry_count, catalogue_hash) {
-                    self.directory.touch(src, now);
-                } else {
-                    // Our copy of the peer's catalogue disagrees (or we never
-                    // applied one): pull the full catalogue unicast.
-                    self.send_message(TransportDestination::Node(src.0), &Message::AnnounceRequest);
-                }
             }
             Message::AnnounceRequest => self.send_catalogue_to(src),
             Message::ServiceStatus { service_seq, state, .. } => {
@@ -1298,45 +1313,41 @@ impl ServiceContainer {
     }
 
     fn emit_periodics(&mut self, now: Micros) {
-        if self.gossip.heartbeat_due(now) {
-            let msg = Message::Heartbeat {
-                incarnation: self.incarnation,
-                uptime_us: now.saturating_since(self.started_at).as_micros(),
-                load_permille: self.load_permille(),
-                fec_cap: self.config.fec.advertised_cap().wire_tag(),
-            };
-            self.send_message(CONTROL, &msg);
+        if self.gossip.reannounce_due(now) {
+            self.broadcast_announce(self.announce_entries(), now);
         }
-        match self.gossip.announce_slot(now) {
-            AnnounceSlot::Idle => {}
-            AnnounceSlot::Forced => self.broadcast_announce(self.announce_entries(), now),
-            AnnounceSlot::Periodic => {
-                // The full catalogue when it changed since the last
-                // broadcast, otherwise the compact digest. Receivers whose
-                // stored digest disagrees pull the full catalogue unicast
-                // with `AnnounceRequest` (delta-on-mismatch), so the
-                // steady-state control plane carries digests, not catalogues
-                // — and costs no rebuild of the catalogue to learn that
-                // nothing touched it.
-                if let Some(digest) = self.gossip.current_digest(now) {
-                    debug_assert_eq!(digest, self.catalogue_digest(&self.announce_entries()));
-                    self.send_digest(digest);
-                } else {
-                    let entries = self.announce_entries();
-                    let digest = self.catalogue_digest(&entries);
-                    if self.gossip.digest_unchanged(now, digest) {
-                        self.send_digest(digest);
-                    } else {
-                        self.broadcast_announce(entries, now);
-                    }
-                }
+        if !self.gossip.beacon_due(now) {
+            return;
+        }
+        // The beacon carries the digest of the catalogue as it stands, so
+        // it agrees with every catalogue this node hands out, unicast
+        // replies included. One that changed since the last beacon is
+        // rehashed here and flooded in full ahead of it; receivers whose
+        // copy still disagrees (that flood was lost) pull it unicast with
+        // `AnnounceRequest`. The steady-state control plane carries
+        // digests, not catalogues — and costs no rebuild of the catalogue
+        // to learn that nothing touched it.
+        let (catalogue_hash, entry_count) = match self.gossip.digest() {
+            Some(digest) => {
+                debug_assert_eq!(digest, self.catalogue_digest(&self.announce_entries()));
+                digest
             }
-        }
-    }
-
-    fn send_digest(&mut self, (catalogue_hash, entry_count): (u32, u32)) {
-        let msg =
-            Message::AnnounceDigest { incarnation: self.incarnation, entry_count, catalogue_hash };
+            None => {
+                let entries = self.announce_entries();
+                let digest = self.catalogue_digest(&entries);
+                if !self.gossip.digest_unchanged(digest) {
+                    self.broadcast_announce(entries, now);
+                }
+                digest
+            }
+        };
+        let msg = Message::Beacon {
+            incarnation: self.incarnation,
+            load_permille: self.load_permille(),
+            fec_cap: self.config.fec.advertised_cap().wire_tag(),
+            entry_count,
+            catalogue_hash,
+        };
         self.send_message(CONTROL, &msg);
     }
 
@@ -1345,10 +1356,9 @@ impl ServiceContainer {
     }
 
     fn broadcast_announce(&mut self, entries: Vec<AnnounceEntry>, now: Micros) {
-        self.directory.apply_announce(self.config.node, &entries, now);
-        let digest = self.catalogue_digest(&entries);
-        self.directory.set_catalogue_digest(self.config.node, digest.0, digest.1);
-        self.gossip.broadcast(now, digest);
+        let digest =
+            self.directory.apply_announce(self.config.node, self.incarnation, &entries, now);
+        self.gossip.broadcast(digest);
         let msg = Message::Announce { incarnation: self.incarnation, entries };
         self.send_message(CONTROL, &msg);
     }
@@ -1696,7 +1706,7 @@ impl ServiceContainer {
     }
 
     /// The FEC capability tag `peer` advertised, if its `Hello` or a
-    /// heartbeat was heard.
+    /// beacon was heard.
     fn peer_cap(&self, peer: NodeId) -> Option<u8> {
         self.directory.node(peer).map(|n| n.fec_cap)
     }
@@ -1793,16 +1803,19 @@ mod tests {
         }
     }
 
-    /// The digest a node gossips is kept, not recomputed, so every way the
-    /// catalogue can change must reach it: two announce periods after each
-    /// one, what the node last told the fleet — and what its peer holds —
-    /// is the hash of the catalogue as it stands.
+    /// The digest a node's beacon carries is kept, not recomputed, so every
+    /// way the catalogue can change must reach it: a few beacon periods
+    /// after each one, what the node's last beacon said — and what its peer
+    /// holds — is the hash of the catalogue as it stands.
     #[test]
     fn gossiped_digest_follows_every_catalogue_change() {
         let (a, b) = (NodeId(1), NodeId(2));
         let mut h = SimHarness::new(NetConfig::default());
         h.add_container(ContainerConfig::new("a", a));
         h.add_container(ContainerConfig::new("b", b));
+        // A silent listener on the control group, for node a's beacons.
+        let probe = h.network().socket(99);
+        probe.join(GroupId::CONTROL.0);
         h.start_all();
 
         let settle_and_check = |h: &mut SimHarness, state: Option<ServiceState>, what: &str| {
@@ -1810,10 +1823,20 @@ mod tests {
             let c = h.container(a).expect("node a");
             assert_eq!(c.service_state("fragile"), state, "{what}");
             let fresh = c.catalogue_digest(&c.announce_entries());
-            let told = c.directory.node(a).and_then(|n| n.catalogue_digest);
-            assert_eq!(told, Some(fresh), "{what}: node a's last broadcast");
+            let heard = std::iter::from_fn(|| probe.recv())
+                .flat_map(|(_, datagram)| frames(&datagram).collect::<Vec<_>>())
+                .filter_map(|frame| frame.ok().filter(|f| f.header().src == a))
+                .filter_map(|frame| match Message::from_frame(&frame) {
+                    Ok(Message::Beacon { entry_count, catalogue_hash, .. }) => {
+                        Some((catalogue_hash, entry_count))
+                    }
+                    _ => None,
+                })
+                .last();
+            assert_eq!(heard, Some(fresh), "{what}: the last beacon on the wire");
             let held = h.container(b).and_then(|c| c.directory.node(a)?.catalogue_digest);
             assert_eq!(held, Some(fresh), "{what}: node b's copy");
+            assert_eq!(h.container(b).map(|c| c.stats.catalogue_pulls), Some(0), "{what}");
         };
 
         settle_and_check(&mut h, None, "empty catalogue");

@@ -10,8 +10,8 @@
 //! contains."*
 //!
 //! Every container owns a [`Directory`] fed by `Hello`/`Announce`/
-//! `ServiceStatus`/`Heartbeat`/`Bye` traffic. Lookups resolve provision
-//! names to live providers; node death (heartbeat timeout or `Bye`) purges
+//! `ServiceStatus`/`Beacon`/`Bye` traffic. Lookups resolve provision
+//! names to live providers; node death (silence timeout or `Bye`) purges
 //! everything learned from that node — the cache invalidation the paper
 //! describes.
 
@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use marea_presentation::Name;
-use marea_protocol::messages::{AnnounceEntry, Provision, ServiceState};
+use marea_protocol::messages::{announce_hash, AnnounceEntry, Provision, ServiceState};
 use marea_protocol::{Micros, NodeId, ProtoDuration, ServiceId};
 
 use crate::service::CallPolicy;
@@ -44,7 +44,7 @@ pub struct NodeInfo {
     pub container: Name,
     /// Restart counter.
     pub incarnation: u64,
-    /// Last heartbeat (or any control message) receive time.
+    /// Receive time of the node's last CRC-valid frame of any kind.
     pub last_seen: Micros,
     /// Advertised scheduler load (permille).
     pub load_permille: u16,
@@ -52,9 +52,33 @@ pub struct NodeInfo {
     pub fec_cap: u8,
     /// Digest of the node's last applied full catalogue announce:
     /// `(announce_hash, entry_count)`. `None` until an announce is seen —
-    /// a digest received in that state always mismatches, which is the
-    /// unknown-node recovery trigger.
+    /// a beacon received in that state always mismatches, which is what
+    /// pulls the catalogue.
     pub catalogue_digest: Option<(u32, u32)>,
+}
+
+/// What a beacon changed, beyond refreshing its sender's liveness and
+/// load ([`Directory::apply_beacon`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BeaconOutcome {
+    /// Same life, same FEC capability, same catalogue digest: the steady
+    /// state, nothing else to do.
+    Refreshed,
+    /// From a life older than the one known: ignored.
+    OlderLife,
+    /// No record of the node (its `Hello` was lost): a minimal one was
+    /// created, with no catalogue.
+    Unknown,
+    /// A newer life (its `Hello` was lost): the record was reset and
+    /// everything cached from the old life dropped.
+    NewLife,
+    /// Same life, but what is held differs (no catalogue differs from any).
+    Differs {
+        /// The FEC capability changed; the record now holds the new one.
+        cap: bool,
+        /// The catalogue held is not the one the node has.
+        digest: bool,
+    },
 }
 
 /// The per-container name directory / proxy cache.
@@ -130,69 +154,91 @@ impl Directory {
         self.schedule_expiry(node, now);
     }
 
-    /// Records a heartbeat. Heartbeats refresh the FEC capability too
-    /// (they carry the same claim as `Hello`), so a node that missed the
-    /// peer's `Hello` — attached late, lossy bring-up — converges on the
-    /// advertised cap within one heartbeat period.
-    pub fn apply_heartbeat(
+    /// Records a beacon. The steady state — same life, same capability,
+    /// same digest: nothing but `last_seen` and the load moves — is
+    /// answered from the one lookup. A beacon refreshes the FEC capability
+    /// too (it carries the same claim as `Hello`), so a node that missed
+    /// the peer's `Hello` — attached late, lossy bring-up — converges on
+    /// the advertised cap within one beacon period.
+    pub fn apply_beacon(
         &mut self,
         node: NodeId,
         incarnation: u64,
         load_permille: u16,
         fec_cap: u8,
+        digest: (u32, u32),
         now: Micros,
-    ) {
-        match self.nodes.get_mut(&node) {
+    ) -> BeaconOutcome {
+        let previous = match self.nodes.get_mut(&node) {
             Some(info) if info.incarnation == incarnation => {
                 info.last_seen = now;
                 info.load_permille = load_permille;
-                info.fec_cap = fec_cap;
+                let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
+                let digest = info.catalogue_digest != Some(digest);
                 debug_assert!(self.expiry_queued(node));
-                return;
+                return if cap || digest {
+                    BeaconOutcome::Differs { cap, digest }
+                } else {
+                    BeaconOutcome::Refreshed
+                };
             }
-            Some(info) if info.incarnation < incarnation => {
-                // Missed the Hello of a reboot: resync.
-                let container = info.container.clone();
-                self.purge_node(node);
-                self.nodes.insert(
-                    node,
-                    NodeInfo {
-                        container,
-                        incarnation,
-                        last_seen: now,
-                        load_permille,
-                        fec_cap,
-                        catalogue_digest: None,
-                    },
-                );
-            }
-            Some(_) => return, // stale heartbeat from an old incarnation
-            None => {
-                // Heartbeat before Hello (lost datagram): create a minimal
-                // record so liveness tracking works; Announce will fill it.
-                let Ok(container) = Name::new("unknown") else { return };
-                self.nodes.insert(
-                    node,
-                    NodeInfo {
-                        container,
-                        incarnation,
-                        last_seen: now,
-                        load_permille,
-                        fec_cap,
-                        catalogue_digest: None,
-                    },
-                );
-            }
-        }
-        // Both arms that get here created the record.
+            Some(info) if info.incarnation > incarnation => return BeaconOutcome::OlderLife,
+            // Missed the Hello of a reboot: resync, under the name known.
+            Some(info) => Some(info.container.clone()),
+            // Beacon before Hello (lost datagram): a minimal record so
+            // liveness tracking works; an Announce will fill it.
+            None => None,
+        };
+        let outcome =
+            if previous.is_some() { BeaconOutcome::NewLife } else { BeaconOutcome::Unknown };
+        let Ok(container) = previous.map_or_else(|| Name::new("unknown"), Ok) else {
+            return outcome;
+        };
+        self.purge_node(node);
+        self.nodes.insert(
+            node,
+            NodeInfo {
+                container,
+                incarnation,
+                last_seen: now,
+                load_permille,
+                fec_cap,
+                catalogue_digest: None,
+            },
+        );
         self.schedule_expiry(node, now);
+        outcome
     }
 
-    /// Replaces everything known about `node`'s services with an announce.
-    pub fn apply_announce(&mut self, node: NodeId, entries: &[AnnounceEntry], now: Micros) {
+    /// The owning container's load figure moved (its own record takes no
+    /// beacons).
+    pub fn set_load(&mut self, node: NodeId, load_permille: u16) {
+        if let Some(info) = self.nodes.get_mut(&node) {
+            info.load_permille = load_permille;
+        }
+    }
+
+    /// Replaces everything known about `node`'s services with the announce
+    /// of its life `incarnation`, and answers the digest now held for it.
+    pub fn apply_announce(
+        &mut self,
+        node: NodeId,
+        incarnation: u64,
+        entries: &[AnnounceEntry],
+        now: Micros,
+    ) -> (u32, u32) {
+        if !self.nodes.contains_key(&node) {
+            // Announce before Hello (lost datagram): the record a beacon
+            // from an unknown node creates — no load, FEC off until a real
+            // one says what the node can do — so that the catalogue has a
+            // digest to be filed under and a lifetime.
+            self.apply_beacon(node, incarnation, 0, 0, (0, 0), now);
+        }
         self.purge_node_providers(node);
+        let digest = (announce_hash(incarnation, entries), entries.len() as u32);
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
+            info.catalogue_digest = Some(digest);
             debug_assert!(self.expiry_queued(node));
         }
         let mut names: Vec<Name> = Vec::new();
@@ -221,13 +267,15 @@ impl Directory {
         } else {
             self.node_provides.insert(node, names);
         }
+        digest
     }
 
-    /// Applies a single service state change.
+    /// Applies a single service state change: under the names `node`
+    /// provides, not under every name known fleet-wide.
     pub fn apply_status(&mut self, node: NodeId, service_seq: u32, state: ServiceState) {
         let id = ServiceId::new(node, service_seq);
-        for list in self.providers.values_mut() {
-            for p in list.iter_mut() {
+        for name in self.node_provides.get(&node).into_iter().flatten() {
+            for p in self.providers.get_mut(name).into_iter().flatten() {
                 if p.service == id {
                     p.state = state;
                 }
@@ -320,36 +368,13 @@ impl Directory {
         self.local == Some(node) || self.expiry_scheduled.contains(&node)
     }
 
-    /// Refreshes `node`'s liveness without touching its catalogue — a
-    /// digest receipt counts as proof of life just like a full announce.
+    /// Refreshes a known `node`'s liveness: any CRC-valid frame from it
+    /// is proof of life. An unknown node stays unknown.
     pub fn touch(&mut self, node: NodeId, now: Micros) {
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
             debug_assert!(self.expiry_queued(node));
         }
-    }
-
-    /// Records the digest of the catalogue just applied from `node`.
-    pub fn set_catalogue_digest(&mut self, node: NodeId, hash: u32, entry_count: u32) {
-        if let Some(info) = self.nodes.get_mut(&node) {
-            info.catalogue_digest = Some((hash, entry_count));
-        }
-    }
-
-    /// `true` when a received digest matches the catalogue last applied
-    /// from `node` — same incarnation, same entry count, same hash. Any
-    /// unknown node (or a known node with no announce applied yet) is a
-    /// mismatch, which is what triggers catalogue recovery.
-    pub fn catalogue_matches(
-        &self,
-        node: NodeId,
-        incarnation: u64,
-        entry_count: u32,
-        hash: u32,
-    ) -> bool {
-        self.nodes.get(&node).is_some_and(|info| {
-            info.incarnation == incarnation && info.catalogue_digest == Some((hash, entry_count))
-        })
     }
 
     /// `true` while the node is considered alive.
@@ -451,6 +476,12 @@ mod tests {
         Name::new(s).unwrap()
     }
 
+    /// A beacon for its liveness half: what it says of the catalogue is
+    /// beside the point of the test.
+    fn beat(d: &mut Directory, node: NodeId, incarnation: u64, load: u16, cap: u8, now: Micros) {
+        d.apply_beacon(node, incarnation, load, cap, (0, 0), now);
+    }
+
     fn announce_storage(seq: u32) -> AnnounceEntry {
         AnnounceEntry {
             service_seq: seq,
@@ -467,16 +498,16 @@ mod tests {
         let mut d = Directory::new();
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
         d.apply_hello(NodeId(3), name("n3"), 1, 4, Micros(0));
-        d.apply_announce(NodeId(2), &[announce_storage(1)], Micros(0));
-        d.apply_announce(NodeId(3), &[announce_storage(1)], Micros(0));
+        d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
+        d.apply_announce(NodeId(3), 1, &[announce_storage(1)], Micros(0));
         d
     }
 
     #[test]
     fn resolve_prefers_low_load() {
         let mut d = dir_with_two_storages();
-        d.apply_heartbeat(NodeId(2), 1, 800, 4, Micros(1));
-        d.apply_heartbeat(NodeId(3), 1, 100, 4, Micros(1));
+        beat(&mut d, NodeId(2), 1, 800, 4, Micros(1));
+        beat(&mut d, NodeId(3), 1, 100, 4, Micros(1));
         let p = d.resolve_function("storage/store", CallPolicy::Dynamic, None).unwrap();
         assert_eq!(p.service.node, NodeId(3), "lower load wins");
     }
@@ -506,7 +537,7 @@ mod tests {
     #[test]
     fn heartbeat_timeout_purges_cache() {
         let mut d = dir_with_two_storages();
-        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(900));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(900));
         // Node 3 silent since t=0; node 2 heartbeated at 900ms.
         let dead = d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
@@ -526,7 +557,7 @@ mod tests {
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         // Refreshed peers leave a stale head: the bound is early, and the
         // sweep at that instant re-arms instead of expiring.
-        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(1000));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(1000));
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         assert!(d.expire(Micros::from_millis(2300), timeout).is_empty());
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(3000)));
@@ -569,7 +600,7 @@ mod tests {
     #[test]
     fn heartbeat_before_hello_creates_record() {
         let mut d = Directory::new();
-        d.apply_heartbeat(NodeId(9), 1, 250, 3, Micros(5));
+        beat(&mut d, NodeId(9), 1, 250, 3, Micros(5));
         assert!(d.node_alive(NodeId(9)));
         assert_eq!(d.node(NodeId(9)).unwrap().load_permille, 250);
         // The heartbeat carries the FEC capability, so a missed Hello
@@ -581,9 +612,9 @@ mod tests {
     fn heartbeat_refreshes_fec_cap() {
         let mut d = Directory::new();
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
-        d.apply_heartbeat(NodeId(2), 1, 0, 2, Micros(1));
+        beat(&mut d, NodeId(2), 1, 0, 2, Micros(1));
         assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 2, "heartbeat downgrades");
-        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros(2));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(2));
         assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 4, "heartbeat upgrades");
     }
 
@@ -591,8 +622,8 @@ mod tests {
     fn re_announce_replaces_not_duplicates() {
         let mut d = Directory::new();
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
-        d.apply_announce(NodeId(2), &[announce_storage(1)], Micros(0));
-        d.apply_announce(NodeId(2), &[announce_storage(1)], Micros(1));
+        d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
+        d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(1));
         assert_eq!(d.providers("storage/store").len(), 1);
     }
 
@@ -600,13 +631,13 @@ mod tests {
     fn expire_rearms_refreshed_nodes_and_catches_them_later() {
         let mut d = dir_with_two_storages();
         // Both nodes refresh; their original heap entries are stale.
-        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(1500));
-        d.apply_heartbeat(NodeId(3), 1, 0, 4, Micros::from_millis(1800));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(1500));
+        beat(&mut d, NodeId(3), 1, 0, 4, Micros::from_millis(1800));
         // At 2.1s with a 2s timeout the t=0 entries pop but re-arm.
         assert!(d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2)).is_empty());
         assert!(d.node_alive(NodeId(2)) && d.node_alive(NodeId(3)));
         // Node 2 goes silent after 1.5s; the re-armed entry catches it.
-        d.apply_heartbeat(NodeId(3), 1, 0, 4, Micros::from_millis(3000));
+        beat(&mut d, NodeId(3), 1, 0, 4, Micros::from_millis(3000));
         let dead = d.expire(Micros::from_millis(3600), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(2)]);
         assert!(d.providers("storage/store").len() == 1);
@@ -618,7 +649,7 @@ mod tests {
         d.apply_bye(NodeId(3));
         d.apply_hello(NodeId(3), name("n3"), 2, 4, Micros::from_millis(100));
         // Silent after the rejoin: must still expire.
-        d.apply_heartbeat(NodeId(2), 1, 0, 4, Micros::from_millis(2200));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
     }
@@ -632,7 +663,7 @@ mod tests {
         /// — which needs no queue to keep — says have been silent too long.
         #[test]
         fn refreshes_never_need_to_requeue(
-            ops in proptest::collection::vec((0u8..6, 1u32..6, 1u64..4, 0u64..900), 1..200),
+            ops in proptest::collection::vec((0u8..7, 1u32..6, 1u64..4, 0u64..900), 1..200),
         ) {
             let local = NodeId(1);
             let timeout = ProtoDuration::from_millis(2_000);
@@ -649,14 +680,14 @@ mod tests {
                         model.insert(node, (incarnation, now));
                     }
                     1 => {
-                        d.apply_heartbeat(node, incarnation, 0, 4, now);
+                        beat(&mut d, node, incarnation, 0, 4, now);
                         if model.get(&node).is_none_or(|&(known, _)| known <= incarnation) {
                             model.insert(node, (incarnation, now));
                         }
                     }
                     2 => {
-                        d.apply_announce(node, &[announce_storage(1)], now);
-                        model.entry(node).and_modify(|e| e.1 = now);
+                        d.apply_announce(node, incarnation, &[announce_storage(1)], now);
+                        model.entry(node).and_modify(|e| e.1 = now).or_insert((incarnation, now));
                     }
                     3 => {
                         d.touch(node, now);
@@ -665,6 +696,14 @@ mod tests {
                     4 => {
                         d.apply_bye(node);
                         model.remove(&node);
+                    }
+                    5 => {
+                        // Same liveness rule as the heartbeat half it
+                        // wraps, whatever the digest says.
+                        d.apply_beacon(node, incarnation, 0, 4, (dt_ms as u32 % 2, 1), now);
+                        if model.get(&node).is_none_or(|&(known, _)| known <= incarnation) {
+                            model.insert(node, (incarnation, now));
+                        }
                     }
                     _ => {
                         let silent = |seen: Micros| now.saturating_since(seen) >= timeout;
@@ -698,7 +737,7 @@ mod tests {
         assert_eq!(d.node_count(), 5);
         // Node 7 alone stays silent, expires, and rejoins last.
         for id in [9u32, 3, 1, 8] {
-            d.apply_heartbeat(NodeId(id), 1, 0, 4, Micros::from_secs(2));
+            beat(&mut d, NodeId(id), 1, 0, 4, Micros::from_secs(2));
         }
         assert_eq!(d.expire(Micros::from_secs(3), ProtoDuration::from_secs(2)), vec![NodeId(7)]);
         assert_eq!(d.nodes(), [1u32, 3, 8, 9].map(NodeId).to_vec());
@@ -708,23 +747,130 @@ mod tests {
 
     #[test]
     fn catalogue_digest_matches_only_applied_catalogue() {
+        use BeaconOutcome::{Differs, Refreshed};
+        let pull = Differs { cap: false, digest: true };
         let mut d = Directory::new();
-        assert!(!d.catalogue_matches(NodeId(2), 1, 1, 0xAB), "unknown node mismatches");
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
-        assert!(!d.catalogue_matches(NodeId(2), 1, 1, 0xAB), "no announce applied yet");
-        d.apply_announce(NodeId(2), &[announce_storage(1)], Micros(0));
-        d.set_catalogue_digest(NodeId(2), 0xAB, 1);
-        assert!(d.catalogue_matches(NodeId(2), 1, 1, 0xAB));
-        assert!(!d.catalogue_matches(NodeId(2), 1, 1, 0xAC), "hash mismatch");
-        assert!(!d.catalogue_matches(NodeId(2), 2, 1, 0xAB), "incarnation mismatch");
+        let beacon = |d: &mut Directory, life, digest| {
+            d.apply_beacon(NodeId(2), life, 0, 4, digest, Micros(80))
+        };
+        assert_eq!(beacon(&mut d, 1, (0xAB, 1)), pull, "no announce applied yet");
+        let (hash, count) = d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
+        assert_eq!((hash, count), (announce_hash(1, &[announce_storage(1)]), 1));
+        assert_eq!(beacon(&mut d, 1, (hash, 1)), Refreshed);
+        assert_eq!(beacon(&mut d, 1, (hash ^ 1, 1)), pull, "hash mismatch");
+        assert_eq!(beacon(&mut d, 1, (hash, 2)), pull, "entry count mismatch");
         // A reboot wipes the digest along with the catalogue.
         d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(50));
-        assert!(!d.catalogue_matches(NodeId(2), 2, 1, 0xAB));
+        assert_eq!(beacon(&mut d, 2, (hash, 1)), pull);
         // A re-Hello at the same incarnation keeps it.
-        d.apply_announce(NodeId(2), &[announce_storage(1)], Micros(60));
-        d.set_catalogue_digest(NodeId(2), 0xCD, 1);
+        let held = d.apply_announce(NodeId(2), 2, &[announce_storage(1)], Micros(60));
+        assert_ne!(held, (hash, 1), "the digest covers the incarnation");
         d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(70));
-        assert!(d.catalogue_matches(NodeId(2), 2, 1, 0xCD));
+        assert_eq!(beacon(&mut d, 2, held), Refreshed);
+    }
+
+    #[test]
+    fn announce_before_hello_creates_the_record_its_digest_is_filed_under() {
+        let mut d = Directory::for_node(NodeId(1));
+        let digest = d.apply_announce(NodeId(2), 3, &[announce_storage(1)], Micros(5));
+        let info = d.node(NodeId(2)).expect("known from its announce");
+        assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (3, Micros(5), 0));
+        assert_eq!(info.catalogue_digest, Some(digest));
+        assert_eq!(d.providers("storage/store").len(), 1, "and its catalogue resolves");
+        // The beacon behind it has only the capability to add.
+        let cap_only = BeaconOutcome::Differs { cap: true, digest: false };
+        assert_eq!(d.apply_beacon(NodeId(2), 3, 0, 4, digest, Micros(6)), cap_only);
+        // Such a record has a lifetime like any other.
+        let timeout = ProtoDuration::from_secs(2);
+        assert_eq!(d.expire(Micros(6) + timeout, timeout), vec![NodeId(2)]);
+        assert_eq!(d.provision_count(), 0);
+    }
+
+    #[test]
+    fn every_beacon_outcome_leaves_the_record_it_names() {
+        use BeaconOutcome::*;
+        let n2 = NodeId(2);
+        let mut d = dir_with_two_storages();
+        let digest = d.node(n2).unwrap().catalogue_digest.unwrap();
+
+        // The steady state: liveness and load move, nothing else.
+        assert_eq!(d.apply_beacon(n2, 1, 300, 4, digest, Micros(10)), Refreshed);
+        let info = d.node(n2).unwrap();
+        assert_eq!((info.last_seen, info.load_permille, info.fec_cap), (Micros(10), 300, 4));
+        assert_eq!(d.providers("storage/store").len(), 2);
+
+        // An older life is ignored outright: not even proof of life.
+        d.apply_hello(n2, name("n2"), 5, 4, Micros(20));
+        let digest = d.apply_announce(n2, 5, &[announce_storage(1)], Micros(20));
+        assert_eq!(d.apply_beacon(n2, 4, 999, 1, (0, 0), Micros(30)), OlderLife);
+        let info = d.node(n2).unwrap();
+        assert_eq!((info.incarnation, info.last_seen, info.load_permille), (5, Micros(20), 0));
+        assert_eq!((info.fec_cap, info.catalogue_digest), (4, Some(digest)));
+
+        // A cap change is applied and reported, with and without a
+        // digest mismatch riding along.
+        let cap_only = Differs { cap: true, digest: false };
+        assert_eq!(d.apply_beacon(n2, 5, 0, 2, digest, Micros(40)), cap_only);
+        assert_eq!(d.node(n2).unwrap().fec_cap, 2);
+        let both = Differs { cap: true, digest: true };
+        assert_eq!(d.apply_beacon(n2, 5, 0, 3, (digest.0 ^ 1, 1), Micros(41)), both);
+        assert_eq!(d.node(n2).unwrap().fec_cap, 3);
+        // A mismatch leaves the held catalogue alone: the pull replaces it.
+        assert_eq!(d.node(n2).unwrap().catalogue_digest, Some(digest));
+        assert_eq!(d.node(n2).unwrap().last_seen, Micros(41));
+        assert_eq!(d.providers("storage/store").len(), 2);
+
+        // A newer life drops everything cached from the old one.
+        assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), NewLife);
+        let info = d.node(n2).unwrap();
+        assert_eq!((info.incarnation, info.last_seen, info.load_permille), (6, Micros(50), 70));
+        assert_eq!((&info.container, info.catalogue_digest), (&name("n2"), None));
+        assert_eq!(d.providers("storage/store").len(), 1, "node 3's only");
+
+        // An unknown node gets a minimal record, queued for expiry.
+        assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), Unknown);
+        let info = d.node(NodeId(9)).unwrap();
+        assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest), (250, 3, None));
+        let later = Micros(60) + ProtoDuration::from_secs(2);
+        assert!(d.expire(later, ProtoDuration::from_secs(2)).contains(&NodeId(9)));
+    }
+
+    #[test]
+    fn status_reaches_exactly_one_service_under_every_name_it_provides() {
+        let two_names = |seq| AnnounceEntry {
+            provides: vec![
+                announce_storage(seq).provides[0].clone(),
+                Provision::Event { name: name("storage/full"), ty: None },
+            ],
+            ..announce_storage(seq)
+        };
+        let mut d = Directory::new();
+        for node in [NodeId(2), NodeId(3)] {
+            d.apply_hello(node, name("n"), 1, 4, Micros(0));
+            d.apply_announce(node, 1, &[two_names(1), announce_storage(2)], Micros(0));
+        }
+        let states = |d: &Directory| -> Vec<(Name, ServiceId, ServiceState)> {
+            let listed = d.providers.iter();
+            listed.flat_map(|(n, l)| l.iter().map(|p| (n.clone(), p.service, p.state))).collect()
+        };
+        let before = states(&d);
+        assert_eq!(before.len(), 6, "two nodes x (seq 1 under two names + seq 2 under one)");
+
+        d.apply_status(NodeId(2), 1, ServiceState::Failed);
+        let target = ServiceId::new(NodeId(2), 1);
+        for (after, before) in states(&d).iter().zip(&before) {
+            let expected = if after.1 == target { ServiceState::Failed } else { before.2 };
+            assert_eq!(*after, (before.0.clone(), before.1, expected));
+        }
+        assert_eq!(states(&d).iter().filter(|s| s.2 == ServiceState::Failed).count(), 2);
+
+        // A node with no catalogue provides nothing a status could change.
+        let before = states(&d);
+        d.apply_hello(NodeId(4), name("n4"), 1, 4, Micros(0));
+        d.apply_status(NodeId(4), 1, ServiceState::Failed);
+        d.apply_status(NodeId(7), 1, ServiceState::Failed);
+        assert_eq!(states(&d), before);
     }
 
     #[test]
@@ -733,6 +879,7 @@ mod tests {
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
         d.apply_announce(
             NodeId(2),
+            1,
             &[AnnounceEntry {
                 service_seq: 1,
                 name: name("gps"),

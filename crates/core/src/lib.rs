@@ -104,7 +104,7 @@ pub mod trace;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use container::{ContainerConfig, ServiceContainer, VarDistribution};
-pub use directory::{Directory, NodeInfo, ProviderInfo};
+pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
 pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};
 pub use link::ReliableLink;

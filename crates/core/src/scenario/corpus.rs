@@ -515,9 +515,9 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             // rest bare fleet members. A mid-fleet node crashes and
             // rejoins; every directory must re-converge on 1024 peers.
             // Control-plane periods are stretched to swarm scale — the
-            // O(n²) heartbeat fan-out dominates, and the digest gossip
-            // keeps the steady-state announce traffic to one compact
-            // summary per node per period. The profile's quick timings
+            // O(n²) beacon fan-out dominates, and the digest each beacon
+            // carries keeps the steady-state catalogue traffic to
+            // nothing at all. The profile's quick timings
             // would melt a 1024-node control group, so this entry pins
             // its own (the seed still comes from the profile).
             let mut swarm = *cfg;

@@ -58,6 +58,11 @@ pub struct ContainerStats {
     pub frames_out: u64,
     /// Frame bytes handed to the transport.
     pub bytes_out: u64,
+    /// Catalogue pulls: `AnnounceRequest`s sent because a peer's beacon
+    /// disagreed with the catalogue held for it (or none was held). Zero
+    /// on a clean link — a beacon always agrees with the last catalogue
+    /// its node handed out.
+    pub catalogue_pulls: u64,
     /// Handler invocations executed.
     pub tasks_executed: u64,
     /// Peak scheduler queue length observed.

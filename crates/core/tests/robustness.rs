@@ -160,7 +160,7 @@ fn partition_heals_and_traffic_resumes() {
         observations(&log).iter().filter(|(_, o)| matches!(o, Obs::VarTimeout(_))).count();
     assert_eq!(timeouts, 1, "subscriber warned exactly once about the silent variable");
 
-    // Heal: rediscovery through heartbeats + periodic announces, then the
+    // Heal: rediscovery through beacons (unicast introductions), then the
     // subscription re-wires itself and samples flow again.
     h.network().set_partition(1, 2, false);
     h.run_for_millis(5_000);
@@ -303,9 +303,14 @@ fn node_crash_mid_file_transfer_leaves_receiver_consistent() {
         )),
     );
     h.start_all();
-    h.run_for_millis(1_000); // transfer under way
+    // The publisher bursts 32 chunks a tick into the slow link's queue and
+    // is through the file in 65 ms: at 30 ms about half of it is out.
+    h.run_for_millis(30);
     h.crash_node(NodeId(1));
-    h.run_for_millis(5_000);
+    // What it had put on the wire before it died — some 4 s of chunks —
+    // still arrives, and every frame of it is proof of (past) life: the
+    // failure detector counts its timeout from the last one.
+    h.run_for_millis(8_000);
 
     // No completed file must ever surface from a dead transfer.
     let received =
@@ -496,10 +501,10 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     // radio, partition heal) forced one full-catalogue broadcast *per
     // frame*. The forced re-announce is now debounced to at most one
     // immediate broadcast plus one pending flush per announce period, and
-    // the steady-state periodic slot carries a digest, not the catalogue.
+    // the one periodic frame, the beacon, carries a digest, not the catalogue.
     use marea_core::ServiceContainer;
     use marea_presentation::Name;
-    use marea_protocol::messages::Message;
+    use marea_protocol::messages::{announce_hash, Message};
     use marea_protocol::{frames, GroupId, Micros, NodeId};
     use marea_transport::{InProcHub, Transport, TransportDestination};
 
@@ -533,20 +538,189 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     assert_eq!(in_burst, 1, "only the first Hello forces an immediate re-announce");
 
     // The collapsed repeats flush as exactly one more full announce once
-    // the period elapses; afterwards the periodic slot is digest-only.
-    for ms in (10..=600).step_by(10) {
+    // the window closes. Afterwards, while nothing changes, no catalogue
+    // frame of any kind is sent: every beacon carries that announce's
+    // digest, and that is all the fleet is told.
+    for ms in (10..=2_600).step_by(10) {
         c.tick(Micros(ms * 1_000));
     }
-    let (mut full, mut digests) = (0usize, 0usize);
+    let (mut flushed, mut beacons) = (Vec::new(), Vec::new());
     while let Some((_, datagram)) = probe.recv() {
         for frame in frames(&datagram) {
-            match Message::from_frame(&frame.unwrap()) {
-                Ok(Message::Announce { .. }) => full += 1,
-                Ok(Message::AnnounceDigest { .. }) => digests += 1,
-                _ => {}
+            match Message::from_frame(&frame.unwrap()).unwrap() {
+                Message::Announce { incarnation, entries } => {
+                    assert!(beacons.is_empty(), "a catalogue frame after the flush");
+                    flushed.push((entries.len() as u32, announce_hash(incarnation, &entries)));
+                }
+                Message::Beacon { entry_count, catalogue_hash, .. } => {
+                    beacons.push((entry_count, catalogue_hash));
+                }
+                other => panic!("an idle node sends beacons only, not {other:?}"),
             }
         }
     }
-    assert_eq!(full, 1, "repeats collapse into one pending flush");
-    assert!(digests >= 1, "steady-state announce slot is digest gossip");
+    assert_eq!(flushed.len(), 1, "repeats collapse into one pending flush");
+    assert_eq!(beacons, vec![flushed[0]; 5], "one beacon per 500 ms, each with that digest");
+}
+
+#[test]
+fn any_valid_frame_from_a_known_node_is_proof_of_life() {
+    // A peer whose beacons are all lost but whose data keeps arriving is
+    // alive. Probe transport, explicit clock: nothing here is random.
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::Message;
+    use marea_protocol::{GroupId, Micros};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    probe.join(GroupId::CONTROL.0);
+    let cfg = ContainerConfig::new("uav", NodeId(1));
+    let timeout = cfg.node_timeout.as_micros();
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    c.start(Micros(0));
+
+    let name = Name::new("gps/position").unwrap();
+    let sample = |seq| Message::VarSample {
+        name: name.clone(),
+        seq,
+        stamp_us: 0,
+        validity_us: 0,
+        trace: 0,
+        codec: 0,
+        payload: Bytes::from_static(b"\x01"),
+    };
+    let reliable = |seq| Message::RelData {
+        channel: 0,
+        seq,
+        payload: Message::UnsubscribeEvent { name: name.clone(), subscriber: NodeId(2) }
+            .encode_tagged(),
+    };
+    let mut send = |from: u32, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
+    };
+
+    let hello =
+        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
+    send(2, hello);
+    c.tick(Micros(0));
+    assert!(c.directory().node_alive(NodeId(2)));
+
+    // Three timeouts of data frames only, one every quarter timeout, from
+    // the known peer — and from a stranger, who stays one.
+    let step = timeout / 4;
+    let last = 12 * step;
+    for (seq, at) in (step..=last).step_by(step as usize).enumerate() {
+        let seq = seq as u64 + 1;
+        send(2, if seq.is_multiple_of(2) { sample(seq) } else { reliable(seq / 2) });
+        send(3, sample(seq));
+        c.tick(Micros(at));
+        assert!(c.directory().node_alive(NodeId(2)), "expired at {at} with its data arriving");
+        assert!(!c.directory().node_alive(NodeId(3)), "a data frame introduced a stranger");
+    }
+    assert_eq!(c.directory().node(NodeId(2)).unwrap().last_seen, Micros(last));
+
+    // The frames stop: one timeout later, and no sooner, the peer is gone.
+    c.tick(Micros(last + timeout - 1));
+    assert!(c.directory().node_alive(NodeId(2)));
+    c.tick(Micros(last + timeout));
+    assert!(!c.directory().node_alive(NodeId(2)));
+}
+
+#[test]
+fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
+    // The beacon carries the digest of the catalogue as it stands, and a
+    // changed catalogue is re-flooded in the slot of the beacon that first
+    // says so. On a clean link nobody therefore ever pulls; a pull is the
+    // repair of a lost re-flood, and one beacon period is its retry.
+    use marea_protocol::messages::ServiceState;
+
+    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
+    let mut h = SimHarness::new(lan(31));
+    for id in 1..=3 {
+        h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
+    }
+    // Node 1's service degrades at 1.2 s and recovers at 3.2 s, both
+    // between two beacon slots (which fall on multiples of 500 ms).
+    let mut b = ServiceDescriptor::builder("fragile");
+    b.provides_event(&EventPort::<u8>::new("fragile/e"));
+    let mut fragile = Scripted::new(b.build());
+    fragile.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(1_200), Some(ProtoDuration::from_secs(2)));
+    }));
+    let mut degraded = false;
+    fragile.on_timer = Some(Box::new(move |ctx, _| {
+        degraded = !degraded;
+        ctx.set_degraded(degraded);
+    }));
+    h.add_service(NodeId(1), Box::new(fragile));
+    h.start_all();
+
+    let pulls = |h: &SimHarness| -> Vec<u64> {
+        h.nodes().iter().map(|n| h.container(*n).unwrap().stats().catalogue_pulls).collect()
+    };
+    // Every node holds node 1's catalogue as node 1 itself last hashed it,
+    // and resolves the service in `state`.
+    let converged = |h: &SimHarness, state: ServiceState| {
+        let own = h.container(NodeId(1)).unwrap().directory().node(NodeId(1)).unwrap();
+        h.nodes().iter().all(|n| {
+            let d = h.container(*n).unwrap().directory();
+            d.node(NodeId(1)).is_some_and(|i| i.catalogue_digest == own.catalogue_digest)
+                && d.resolve_event("fragile/e").is_some_and(|p| p.state == state)
+        })
+    };
+
+    // Discovery. `start_all` starts the nodes one after another, so node 3
+    // joins the control group after node 2's `Hello` and start-up
+    // `Announce` went out, and first hears of node 2 through the `Announce`
+    // node 2 re-broadcasts for node 3's own `Hello`: that announce creates
+    // the record its digest is filed under, so node 2's beacons agree.
+    h.run_until_us(1_100_000);
+    assert!(converged(&h, ServiceState::Running));
+    assert_eq!(pulls(&h), [0, 0, 0]);
+    let settled = h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap().clone();
+
+    // SetDegraded on a running service: the next beacon slot re-floods.
+    h.run_until_us(1_400_000);
+    let held = h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap();
+    assert_eq!(held.catalogue_digest, settled.catalogue_digest, "not before its slot");
+    h.run_until_us(1_200_000 + beacon.as_micros());
+    assert!(converged(&h, ServiceState::Degraded), "within one beacon period of the change");
+    assert_eq!(pulls(&h), [0, 0, 0], "a re-flood that arrives leaves nothing to pull");
+
+    // A late joiner whose Hello and Announce are lost is found by its
+    // beacon and served unicast (Hello + catalogue, both ways); what it was
+    // handed is what every later beacon says, so it never pulls.
+    h.add_container(ContainerConfig::new("n4", NodeId(4)));
+    for peer in 1..=3 {
+        h.network().set_partition(4, peer, true);
+    }
+    h.start_all();
+    h.run_until_us(2_100_000);
+    assert!(!h.container(NodeId(1)).unwrap().directory().node_alive(NodeId(4)));
+    for peer in 1..=3 {
+        h.network().set_partition(4, peer, false);
+    }
+    h.run_until_us(3_100_000);
+    assert!(converged(&h, ServiceState::Degraded), "the joiner included");
+    let four = h.container(NodeId(4)).unwrap();
+    assert_eq!(four.directory().node_count(), 4);
+    assert_eq!(pulls(&h), [0, 0, 0, 0]);
+
+    // The recovery's re-flood (beacon slot 3.5 s) is lost towards node 3
+    // alone: it pulls exactly once, at the following beacon, and holds the
+    // catalogue within two beacon periods of the change.
+    h.run_until_us(3_400_000);
+    h.network().set_partition(1, 3, true);
+    h.run_until_us(3_600_000);
+    h.network().set_partition(1, 3, false);
+    h.run_until_us(3_990_000);
+    assert!(!converged(&h, ServiceState::Running), "node 3 missed the re-flood");
+    assert_eq!(pulls(&h), [0, 0, 0, 0], "and cannot know before the next beacon");
+    h.run_until_us(3_200_000 + 2 * beacon.as_micros());
+    assert!(converged(&h, ServiceState::Running));
+    assert_eq!(pulls(&h), [0, 0, 1, 0]);
+    h.run_for(ProtoDuration::from_secs(3));
+    assert_eq!(pulls(&h), [0, 0, 1, 0], "one pull repaired it for good");
 }

@@ -76,7 +76,7 @@ pub struct FrameHeader {
 /// ```
 /// use marea_protocol::{Frame, MessageKind, NodeId};
 ///
-/// let f = Frame::new(NodeId(3), MessageKind::Heartbeat, b"beat".as_ref().into());
+/// let f = Frame::new(NodeId(3), MessageKind::Beacon, b"beat".as_ref().into());
 /// let wire = f.encode();
 /// let back = Frame::decode(&wire).unwrap();
 /// assert_eq!(back.header().src, NodeId(3));
@@ -188,7 +188,7 @@ impl Frame {
 /// ```
 /// use marea_protocol::{frames, Frame, MessageKind, NodeId};
 ///
-/// let beat = Frame::new(NodeId(3), MessageKind::Heartbeat, b"beat".as_ref().into());
+/// let beat = Frame::new(NodeId(3), MessageKind::Beacon, b"beat".as_ref().into());
 /// let bye = Frame::new(NodeId(3), MessageKind::Bye, bytes::Bytes::new());
 /// let datagram: bytes::Bytes = [beat.encode(), bye.encode()].concat().into();
 /// let walked: Vec<Frame> = frames(&datagram).collect::<Result<_, _>>().unwrap();

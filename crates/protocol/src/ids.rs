@@ -75,7 +75,7 @@ pub struct GroupId(pub u32);
 
 impl GroupId {
     /// The all-containers group every node joins at start-up; discovery and
-    /// heartbeats travel here.
+    /// the periodic beacons travel here.
     pub const CONTROL: GroupId = GroupId(0);
 }
 

@@ -11,7 +11,7 @@
 //!
 //! * [`frame`](Frame) — the 16-byte frame header (magic, version, kind,
 //!   source node, length) plus a CRC32 trailer over header and payload;
-//! * [`messages`] — the typed vocabulary: discovery and heartbeats, variable
+//! * [`messages`] — the typed vocabulary: discovery and the beacon, variable
 //!   samples, events, remote invocation, and MFTP-like file transfer;
 //! * [`fragment`] — fragmentation/reassembly for payloads above the
 //!   transport MTU;

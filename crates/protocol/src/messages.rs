@@ -2,8 +2,9 @@
 //!
 //! Every frame payload is one [`Message`]. The vocabulary covers the four
 //! communication primitives of the paper (§4) plus the container-to-container
-//! control plane (§3): discovery, announcements, heartbeats and service
-//! status notifications.
+//! control plane (§3): discovery, announcements, service status
+//! notifications and the one periodic frame, the [`Message::Beacon`]
+//! (liveness, load, FEC capability and catalogue digest).
 
 use bytes::{Bytes, BytesMut};
 
@@ -51,8 +52,8 @@ macro_rules! message_kinds {
 message_kinds! {
     /// Container start-up announcement (control group).
     Hello = 0,
-    /// Periodic liveness beacon (control group).
-    Heartbeat = 1,
+    /// Periodic liveness-and-catalogue beacon (control group).
+    Beacon = 1,
     /// Graceful shutdown notice (control group).
     Bye = 2,
     /// Full catalogue of services and provisions hosted by a node.
@@ -97,11 +98,10 @@ message_kinds! {
     UnsubscribeEvent = 22,
     /// FEC shard: a coded slice of the reliable channel (below ARQ).
     FecShard = 23,
-    /// Periodic catalogue summary (control group): replaces the full
-    /// `Announce` flood while the catalogue is unchanged.
-    AnnounceDigest = 24,
-    /// Unicast request for a full catalogue `Announce` (digest mismatch
-    /// or unknown-node recovery).
+    // 24 was the separate catalogue-digest frame, folded into `Beacon`:
+    // retired, never reused.
+    /// Unicast request for a full catalogue `Announce` (a beacon's digest
+    /// disagrees with the catalogue held).
     AnnounceRequest = 25,
 }
 
@@ -290,20 +290,26 @@ pub enum Message {
         /// Each link runs the weaker of the two ends' capabilities.
         fec_cap: u8,
     },
-    /// Periodic liveness beacon.
-    Heartbeat {
-        /// Restart counter matching the last `Hello`.
+    /// The one periodic control frame: proof of life, load, FEC capability
+    /// and the digest of the sender's catalogue as it stands. A receiver
+    /// holding the same digest does nothing more; one that does not pulls
+    /// the catalogue with a unicast [`Message::AnnounceRequest`], so the
+    /// steady-state control plane is O(nodes), not O(nodes × catalogue).
+    Beacon {
+        /// Restart counter matching the last `Hello`/`Announce`.
         incarnation: u64,
-        /// Microseconds since container start.
-        uptime_us: u64,
         /// Scheduler load in permille (0-1000), used for dynamic remote
         /// invocation load balancing (paper §4.3).
         load_permille: u16,
         /// FEC capability refresh (same encoding as `Hello::fec_cap`): a
         /// node that missed the peer's `Hello` — attached late, lossy
         /// bring-up — still converges on the advertised cap within one
-        /// heartbeat period instead of running uncoded forever.
+        /// beacon period instead of running uncoded forever.
         fec_cap: u8,
+        /// Number of catalogue entries the digest summarizes.
+        entry_count: u32,
+        /// [`announce_hash`] over the full announce body.
+        catalogue_hash: u32,
     },
     /// Graceful shutdown notice.
     Bye,
@@ -544,22 +550,9 @@ pub enum Message {
         /// Tagged inner message (data) or XOR lane payload (parity).
         payload: Bytes,
     },
-    /// Periodic catalogue summary: the digest-gossip stand-in for a full
-    /// [`Message::Announce`]. Receivers that hold a matching digest do
-    /// nothing; a mismatch (or an unknown sender) triggers a unicast
-    /// [`Message::AnnounceRequest`], so steady-state control traffic is
-    /// O(nodes) instead of O(nodes × catalogue).
-    AnnounceDigest {
-        /// Restart counter matching the last `Hello`/`Announce`.
-        incarnation: u64,
-        /// Number of catalogue entries the digest summarizes.
-        entry_count: u32,
-        /// [`announce_hash`] over the full announce body.
-        catalogue_hash: u32,
-    },
     /// Unicast request that the receiver re-send its full catalogue
-    /// (sent on digest mismatch or when a digest arrives from a node we
-    /// have no catalogue for).
+    /// (sent when a beacon's digest disagrees with the catalogue held, or
+    /// none is held).
     AnnounceRequest,
 }
 
@@ -582,7 +575,7 @@ impl Message {
     pub fn kind(&self) -> MessageKind {
         match self {
             Message::Hello { .. } => MessageKind::Hello,
-            Message::Heartbeat { .. } => MessageKind::Heartbeat,
+            Message::Beacon { .. } => MessageKind::Beacon,
             Message::Bye => MessageKind::Bye,
             Message::Announce { .. } => MessageKind::Announce,
             Message::ServiceStatus { .. } => MessageKind::ServiceStatus,
@@ -605,7 +598,6 @@ impl Message {
             Message::SubscribeEvent { .. } => MessageKind::SubscribeEvent,
             Message::UnsubscribeEvent { .. } => MessageKind::UnsubscribeEvent,
             Message::FecShard { .. } => MessageKind::FecShard,
-            Message::AnnounceDigest { .. } => MessageKind::AnnounceDigest,
             Message::AnnounceRequest => MessageKind::AnnounceRequest,
         }
     }
@@ -808,11 +800,18 @@ impl Message {
                 w.put_varint(*incarnation);
                 w.put_u8(*fec_cap);
             }
-            Message::Heartbeat { incarnation, uptime_us, load_permille, fec_cap } => {
+            Message::Beacon {
+                incarnation,
+                load_permille,
+                fec_cap,
+                entry_count,
+                catalogue_hash,
+            } => {
                 w.put_varint(*incarnation);
-                w.put_varint(*uptime_us);
                 w.put_u16_le(*load_permille);
                 w.put_u8(*fec_cap);
+                w.put_varint(u64::from(*entry_count));
+                w.put_u32_le(*catalogue_hash);
             }
             Message::Bye => {}
             Message::Announce { incarnation, entries } => {
@@ -934,11 +933,6 @@ impl Message {
                 w.put_u8(*r);
                 w.put_len_prefixed(payload);
             }
-            Message::AnnounceDigest { incarnation, entry_count, catalogue_hash } => {
-                w.put_varint(*incarnation);
-                w.put_varint(u64::from(*entry_count));
-                w.put_u32_le(*catalogue_hash);
-            }
             Message::AnnounceRequest => {}
         }
     }
@@ -956,11 +950,12 @@ impl Message {
                 incarnation: r.get_varint()?,
                 fec_cap: r.get_u8()?,
             },
-            MessageKind::Heartbeat => Message::Heartbeat {
+            MessageKind::Beacon => Message::Beacon {
                 incarnation: r.get_varint()?,
-                uptime_us: r.get_varint()?,
                 load_permille: r.get_u16_le()?,
                 fec_cap: r.get_u8()?,
+                entry_count: read_u32(r)?,
+                catalogue_hash: r.get_u32_le()?,
             },
             MessageKind::Bye => Message::Bye,
             MessageKind::Announce => {
@@ -1134,11 +1129,6 @@ impl Message {
                 r: r.get_u8()?,
                 payload: read_blob(r, backing)?,
             },
-            MessageKind::AnnounceDigest => Message::AnnounceDigest {
-                incarnation: r.get_varint()?,
-                entry_count: read_u32(r)?,
-                catalogue_hash: r.get_u32_le()?,
-            },
             MessageKind::AnnounceRequest => Message::AnnounceRequest,
         })
     }
@@ -1190,11 +1180,10 @@ fn write_announce_body(w: &mut WireWriter<'_>, incarnation: u64, entries: &[Anno
 /// Canonical digest of a full catalogue announce: FNV-1a over the exact
 /// `Announce` body encoding of `(incarnation, entries)`.
 ///
-/// Both ends of the digest-gossip protocol hash through this function —
-/// the announcer before broadcasting (stored alongside `last_announce`
-/// state), the receiver over the decoded entries it applied — so equal
-/// catalogues always hash equal regardless of which side computed it
-/// (the wire encoding is canonical).
+/// Both ends hash through this function — the announcer for the digest
+/// its beacons carry, the receiver over the decoded entries it applied —
+/// so equal catalogues always hash equal regardless of which side
+/// computed it (the wire encoding is canonical).
 pub fn announce_hash(incarnation: u64, entries: &[AnnounceEntry]) -> u32 {
     let mut buf = BytesMut::new();
     let mut w = WireWriter::new(&mut buf);
@@ -1263,11 +1252,12 @@ mod tests {
         );
         vec![
             Message::Hello { container: name("fcs-node"), incarnation: 3, fec_cap: 4 },
-            Message::Heartbeat {
+            Message::Beacon {
                 incarnation: 3,
-                uptime_us: 1_000_000,
                 load_permille: 250,
                 fec_cap: 4,
+                entry_count: 1,
+                catalogue_hash: 0xDEAD_BEEF,
             },
             Message::Bye,
             Message::Announce {
@@ -1385,7 +1375,6 @@ mod tests {
                 r: 1,
                 payload: Bytes::from_static(b"xor-lane"),
             },
-            Message::AnnounceDigest { incarnation: 3, entry_count: 1, catalogue_hash: 0xDEAD_BEEF },
             Message::AnnounceRequest,
         ]
     }

@@ -497,11 +497,12 @@ fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
             incarnation: seed,
             fec_cap: (seed % 5) as u8,
         },
-        MessageKind::Heartbeat => Message::Heartbeat {
+        MessageKind::Beacon => Message::Beacon {
             incarnation: seed,
-            uptime_us: seed.rotate_left(17),
             load_permille: (seed % 1001) as u16,
             fec_cap: (seed % 5) as u8,
+            entry_count: small,
+            catalogue_hash: (seed >> 11) as u32,
         },
         MessageKind::Bye => Message::Bye,
         MessageKind::Announce => Message::Announce {
@@ -610,11 +611,6 @@ fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
             r: 1,
             payload,
         },
-        MessageKind::AnnounceDigest => Message::AnnounceDigest {
-            incarnation: seed,
-            entry_count: small,
-            catalogue_hash: (seed >> 11) as u32,
-        },
         MessageKind::AnnounceRequest => Message::AnnounceRequest,
     }
 }
@@ -633,6 +629,13 @@ const BLOB_KINDS: [MessageKind; 8] = [
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(digits: &str) -> Vec<u8> {
+    (0..digits.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).unwrap())
+        .collect()
 }
 
 proptest! {
@@ -950,6 +953,23 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
     // An empty tagged input has no kind byte to read, on either path.
     assert_eq!(Message::decode_tagged(&[]), Err(eof(1)));
     assert_eq!(Message::decode_tagged_shared(&Bytes::new()), Err(eof(1)));
+    // Tag 24 carried the catalogue digest until it moved into the beacon.
+    // It is retired: a CRC-valid frame of that kind (the old golden) is an
+    // unknown kind, and its body behind a tag byte an unknown tag, on
+    // every decoder — not a panic, and not a `Beacon`.
+    assert_eq!(MessageKind::from_wire_tag(24), None);
+    let retired = unhex("4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00");
+    assert_eq!(Frame::decode(&retired), Err(FrameError::BadKind(24)));
+    assert_eq!(Frame::decode_shared(&Bytes::from(retired.clone())), Err(FrameError::BadKind(24)));
+    let walked: Vec<_> = frames(&Bytes::from(retired.clone())).collect();
+    assert_eq!(walked, vec![Err(FrameError::BadKind(24))]);
+    let mut tagged = vec![24u8];
+    tagged.extend(&retired[16..]);
+    assert_eq!(Message::decode_tagged(&tagged), Err(DecodeError::InvalidTag(24)));
+    assert_eq!(
+        Message::decode_tagged_shared(&Bytes::from(tagged)),
+        Err(DecodeError::InvalidTag(24))
+    );
 }
 
 /// Decoded blobs are windows onto the datagram, not copies: the receive
@@ -986,7 +1006,7 @@ fn shared_decode_cuts_blobs_out_of_the_datagram() {
 fn wire_golden_pins_every_kind() {
     const GOLDEN: &[(MessageKind, &str)] = &[
         (MessageKind::Hello, "4d410100070000000e00000074848e94076e6f646531393787a2b4f70500"),
-        (MessageKind::Heartbeat, "4d410101070000000f0000003270b64a87a2b4f7058080b890a2bb2fb40200"),
+        (MessageKind::Beacon, "4d410101070000000e000000efb7728587a2b4f705b40200c501a2dd0b00"),
         (MessageKind::Bye, "4d4101020700000000000000fffc2e09"),
         (MessageKind::Announce, "4d41010307000000690000002a5bde1287a2b4f70501c50104737663360105000c737663362f6974656d313937010ae7e30587a624010c737663362f6974656d313937010105010c737663362f6974656d31393700020c737663362f6974656d313937020107010d010100030c737663362f6974656d313937"),
         (MessageKind::ServiceStatus, "4d41010407000000100000008b04a1b3c5010c737663362f6974656d31393702"),
@@ -1009,7 +1029,6 @@ fn wire_golden_pins_every_kind() {
         (MessageKind::SubscribeEvent, "4d41011507000000110000002d4e51060c737663362f6974656d313937c6000000"),
         (MessageKind::UnsubscribeEvent, "4d4101160700000011000000d5a306f40c737663362f6974656d313937c6000000"),
         (MessageKind::FecShard, "4d410117070000000f00000006529fc1c50087a2b4f7055f0401040001feff"),
-        (MessageKind::AnnounceDigest, "4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00"),
         (MessageKind::AnnounceRequest, "4d41011907000000000000005320bb27"),
     ];
     assert_eq!(GOLDEN.len(), MessageKind::ALL.len(), "one golden per kind");
