@@ -28,7 +28,7 @@ use marea_core::{
 };
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
 use marea_presentation::{Name, Value};
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender};
+use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, Envelope};
 use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
 use marea_protocol::Message;
 
@@ -258,14 +258,14 @@ pub fn bench_arq_under_loss(
             v[0] = sent as u8;
             send_times.push(now_us);
             sent += 1;
-            let msg = tx.send(Bytes::from(v), Micros(now_us)).unwrap();
-            let _ = a.send(Destination::Unicast(2), msg.encode_tagged());
+            let envelope = tx.admit(&v, Micros(now_us)).unwrap();
+            let _ = a.send(Destination::Unicast(2), envelope.tagged().clone());
         }
-        let (retransmits, _failed) = tx.poll(Micros(now_us));
-        retx += retransmits.len() as u64;
-        for m in retransmits {
-            let _ = a.send(Destination::Unicast(2), m.encode_tagged());
-        }
+        let retransmit = |envelope: Envelope| {
+            retx += 1;
+            let _ = a.send(Destination::Unicast(2), envelope.tagged().clone());
+        };
+        tx.poll(Micros(now_us), retransmit, &mut Vec::new());
         net.advance_to(now_us);
         let mut got_any = false;
         while let Some((_, frame)) = b.recv() {
@@ -333,14 +333,14 @@ pub fn bench_arq_fec_under_loss(
             v[0] = sent as u8;
             send_times.push(now_us);
             sent += 1;
-            let msg = tx.send(Bytes::from(v), Micros(now_us)).unwrap();
-            fec_tx.wrap(msg, &mut wire);
+            let envelope = tx.admit(&v, Micros(now_us)).unwrap();
+            fec_tx.wrap_envelope(envelope, &mut wire);
         }
-        let (retransmits, _failed) = tx.poll(Micros(now_us));
-        retx += retransmits.len() as u64;
-        for m in retransmits {
-            fec_tx.wrap(m, &mut wire);
-        }
+        let retransmit = |envelope: Envelope| {
+            retx += 1;
+            fec_tx.wrap_envelope(envelope, &mut wire);
+        };
+        tx.poll(Micros(now_us), retransmit, &mut Vec::new());
         // Age out a partial group so sporadic traffic still gets repair
         // shards within a bounded window.
         if fec_tx.has_open_group() {

@@ -29,13 +29,13 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use marea_encoding::{CodecId, CodecRegistry};
 use marea_presentation::{Name, Value};
 use marea_protocol::fec::FecConfig;
-use marea_protocol::fragment::{fragment_shared, Reassembler};
-use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, Provision, ServiceState};
+use marea_protocol::fragment::Reassembler;
+use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
     frames, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
 };
@@ -49,7 +49,7 @@ use crate::engines::vars::{var_group, SampleDrop, VarEngine};
 use crate::engines::Rebind;
 use crate::error::{CallError, ContainerError};
 use crate::gossip::Gossip;
-use crate::link::{LinkTable, Received};
+use crate::link::{LinkEvents, LinkTable, Received};
 use crate::outbox::Outbox;
 use crate::qos::CallOptions;
 use crate::scheduler::{Priority, Scheduler, SchedulerKind, Task, TaskPayload};
@@ -66,6 +66,17 @@ const LOG_CAPACITY: usize = 1024;
 /// Providers tried before a call fails, unless the caller's
 /// [`CallOptions::retry_budget`] says otherwise.
 const DEFAULT_CALL_ATTEMPTS: u32 = 3;
+
+/// Most bytes each scratch vector keeps between uses, and the tagged-encode
+/// buffer keeps of its own: what a one-off burst or large message grew past
+/// that is given back, so a container retains at most
+/// [`SCRATCH_CAP_BYTES`] of scratch.
+const SCRATCH_KEEP_BYTES: usize = 384;
+const TAGGED_KEEP_BYTES: usize = 1024;
+
+/// Bound on [`Occupancy::scratch_bytes`] whenever the container is not
+/// inside a call: eight vectors and the tagged-encode buffer.
+pub const SCRATCH_CAP_BYTES: usize = 8 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
 
 /// Where discovery, liveness and lifecycle traffic goes.
 const CONTROL: TransportDestination = TransportDestination::Group(GroupId::CONTROL.0);
@@ -189,6 +200,54 @@ impl TaskQueue {
     }
 }
 
+/// Buffers the tick path fills and empties again, kept across ticks so
+/// the steady state allocates none of them. Each is taken (or borrowed)
+/// where it is filled and handed back through [`recycle`].
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Tagged encoding of the reliable message being sent.
+    tagged: BytesMut,
+    /// Effects of the handler that just ran.
+    effects: Vec<Effect>,
+    /// Remote subscribers of the event or variable being published.
+    remote: Vec<NodeId>,
+    /// Tagged messages one `FecShard` carried or rebuilt. Not the buffer
+    /// below: a shard releases a `RelData` that releases inner messages,
+    /// so the two are in use at once.
+    shard_inner: Vec<Bytes>,
+    /// Inner messages one `RelData` released, in order.
+    released: Vec<Bytes>,
+    /// What the link operation under way observed.
+    link_events: LinkEvents,
+}
+
+impl Scratch {
+    fn retained_bytes(&self) -> usize {
+        fn of<T>(buf: &Vec<T>) -> usize {
+            buf.capacity() * std::mem::size_of::<T>()
+        }
+        let events = &self.link_events;
+        self.tagged.capacity()
+            + of(&self.effects)
+            + of(&self.remote)
+            + of(&self.shard_inner)
+            + of(&self.released)
+            + of(&events.retransmitted)
+            + of(&events.abandoned)
+            + of(&events.recovered_us)
+    }
+}
+
+/// Empties a scratch vector for its next use, giving back what it grew
+/// past [`SCRATCH_KEEP_BYTES`].
+fn recycle<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    let keep = SCRATCH_KEEP_BYTES / std::mem::size_of::<T>().max(1);
+    if buf.capacity() > keep {
+        buf.shrink_to(keep);
+    }
+}
+
 /// What `execute_task` still needs of a payload once its handler has
 /// consumed it: the variant, and the scalars its accounting records.
 enum Ran {
@@ -254,6 +313,7 @@ pub struct ServiceContainer {
     /// Frames staged since the last [`flush`](Self::flush); empty between
     /// the public `&mut self` calls.
     outbox: Outbox,
+    scratch: Scratch,
     codecs: CodecRegistry,
     slots: Vec<ServiceSlot>,
     directory: Directory,
@@ -267,7 +327,6 @@ pub struct ServiceContainer {
     files: FileEngine,
     reassembler: Reassembler,
     next_request_id: u64,
-    next_msg_id: u64,
     incarnation: u64,
     running: bool,
     /// Directory or subscription state changed since the last maintenance
@@ -293,7 +352,8 @@ impl ServiceContainer {
             tasks: TaskQueue { scheduler: config.scheduler.build(), next_seq: 0 },
             codecs,
             transport,
-            outbox: Outbox::default(),
+            outbox: Outbox::new(config.node),
+            scratch: Scratch::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
             links: LinkTable::new(config.fec.advertised_cap()),
@@ -305,7 +365,6 @@ impl ServiceContainer {
             files: FileEngine::new(config.node, config.file_query_interval),
             reassembler: Reassembler::new(ProtoDuration::from_secs(5)),
             next_request_id: 0,
-            next_msg_id: 0,
             incarnation: 1,
             running: false,
             subs_dirty: true,
@@ -356,6 +415,7 @@ impl ServiceContainer {
         self.events.fill_stats(&mut stats);
         self.rpc.fill_stats(&mut stats);
         self.files.fill_stats(&mut stats);
+        self.outbox.fill_stats(&mut stats);
         stats.fec = self.links.fec_stats();
         stats.publish_to_deliver = self.tracer.publish_to_deliver;
         stats.event_to_deliver = self.tracer.event_to_deliver;
@@ -375,6 +435,7 @@ impl ServiceContainer {
             reassembling: self.reassembler.pending_count(),
             timers: self.timers.len(),
             queued_tasks: self.tasks.scheduler.len(),
+            scratch_bytes: self.scratch.retained_bytes(),
             ..Occupancy::default()
         };
         self.vars.fill_occupancy(&mut occupancy);
@@ -583,7 +644,7 @@ impl ServiceContainer {
                 if frame.header().kind != MessageKind::Beacon {
                     self.directory.touch(src, now);
                 }
-                match Message::from_frame(&frame) {
+                match Message::from_frame_interned(&frame, &|s| self.held_name(s)) {
                     Ok(msg) => self.handle_message(src, msg, now),
                     Err(_) => self.stats.frames_rejected += 1,
                 }
@@ -835,20 +896,28 @@ impl ServiceContainer {
             }
             Message::RelData { seq, payload, .. } => {
                 let cap = self.peer_cap(src);
-                let received = self.links.on_data(src, cap, seq, payload);
-                self.deliver_inner(src, received, now);
+                let mut released = std::mem::take(&mut self.scratch.released);
+                let received = self.links.on_data(src, cap, seq, payload, &mut released);
+                self.deliver_inner(src, received, &mut released, now);
+                self.scratch.released = released;
             }
             Message::FecShard { group, index, k, r, payload, .. } => {
                 let cap = self.peer_cap(src);
-                let received = self.links.on_shard(src, cap, group, index, k, r, &payload);
-                self.deliver_inner(src, received, now);
+                let mut inner = std::mem::take(&mut self.scratch.shard_inner);
+                let received =
+                    self.links.on_shard(src, cap, group, index, k, r, &payload, &mut inner);
+                self.deliver_inner(src, received, &mut inner, now);
+                self.scratch.shard_inner = inner;
             }
             Message::RelAck { cumulative, sack, loss_permille, .. } => {
-                let (out, recovered) = self.links.on_ack(src, cumulative, sack, loss_permille, now);
-                for us in recovered {
+                let mut sink =
+                    self.outbox.to(TransportDestination::Node(src.0), self.transport.mtu());
+                let events = &mut self.scratch.link_events;
+                self.links.on_ack(src, cumulative, sack, loss_permille, now, &mut sink, events);
+                for us in events.recovered_us.drain(..) {
                     self.tracer.record_rto_recovery(us);
                 }
-                self.send_all(TransportDestination::Node(src.0), &out);
+                recycle(&mut events.recovered_us);
             }
             Message::EventData { name, seq, stamp_us, trace, codec, payload } => {
                 let Some((value, violates)) =
@@ -957,7 +1026,9 @@ impl ServiceContainer {
                 if let Ok(Some(full)) =
                     self.reassembler.offer(src, msg_id, index, count, payload, now)
                 {
-                    if let Ok(inner) = Message::decode_tagged_shared(&full) {
+                    if let Ok(inner) =
+                        Message::decode_tagged_interned(&full, &|s| self.held_name(s))
+                    {
                         self.handle_message(src, inner, now);
                     }
                 }
@@ -966,19 +1037,35 @@ impl ServiceContainer {
     }
 
     /// Traces what a reliable-channel frame did to its link, then
-    /// dispatches the inner messages it released.
-    fn deliver_inner(&mut self, src: NodeId, received: Received, now: Micros) {
+    /// dispatches the inner messages it released, leaving `inner` empty.
+    fn deliver_inner(
+        &mut self,
+        src: NodeId,
+        received: Received,
+        inner: &mut Vec<Bytes>,
+        now: Micros,
+    ) {
         if received.fresh {
             self.trace_link(now, TraceKind::LinkUp, src, 0);
         }
         if received.repaired > 0 {
             self.trace_link(now, TraceKind::FecRecover, src, received.repaired);
         }
-        for inner in received.inner {
-            if let Ok(inner_msg) = Message::decode_tagged_shared(&inner) {
-                self.handle_message(src, inner_msg, now);
+        for tagged in inner.drain(..) {
+            if let Ok(msg) = Message::decode_tagged_interned(&tagged, &|s| self.held_name(s)) {
+                self.handle_message(src, msg, now);
             }
         }
+        recycle(inner);
+    }
+
+    /// The name this container's engines hold for `s`, if any: what a
+    /// received frame's names are shared with instead of allocated anew.
+    fn held_name(&self, s: &str) -> Option<Name> {
+        self.vars
+            .held_name(s)
+            .or_else(|| self.events.held_name(s))
+            .or_else(|| self.rpc.held_name(s))
     }
 
     /// Fans one event out to the local subscribers under their declared
@@ -994,7 +1081,8 @@ impl ServiceContainer {
         trace: TraceId,
         now: Micros,
     ) {
-        self.events.admit(name, |svc, priority, admission| {
+        let mut value = value;
+        self.events.admit(name, |svc, priority, admission, last_taker| {
             if admission != Admission::Push {
                 self.tracer.record(now, TraceKind::EventDrop, trace, None, seq, Some(name));
             }
@@ -1020,7 +1108,7 @@ impl ServiceContainer {
                 svc,
                 TaskPayload::DeliverEvent {
                     name: name.clone(),
-                    value: value.clone(),
+                    value: if last_taker { value.take() } else { value.clone() },
                     seq,
                     stamp,
                     trace,
@@ -1164,14 +1252,17 @@ impl ServiceContainer {
         let next = self
             .directory
             .resolve_function(call.function.as_str(), call.policy, Some(call.target))
-            .map(|p| (p.service, p.provision.clone()));
-        let Some((target, Provision::Function { sig, .. })) = next else {
+            .and_then(|p| Some((p.service, p.function_sig()?)));
+        let Some((target, sig)) = next else {
             // "If no service provides the requested function the
             // middleware will warn the system."
             self.log_line(now, format!("call {id} failed: no remaining provider"));
             return self.deliver_reply(call.caller_seq, id, Err(CallError::ServiceUnavailable));
         };
-        self.rpc.redirect(&mut call, target, sig.returns.clone(), now);
+        let codec = self.codecs.default_codec();
+        let marshalled = self.rpc.marshal(&call.args, sig, codec.as_ref());
+        let returns = sig.returns.clone();
+        self.rpc.redirect(&mut call, target, returns, now);
         self.stats.call_failovers += 1;
         self.tracer.record(
             now,
@@ -1181,7 +1272,7 @@ impl ServiceContainer {
             id.0,
             Some(&call.function),
         );
-        match self.rpc.marshal(&call.args, &sig, self.codecs.default_codec().as_ref()) {
+        match marshalled {
             Ok(payload) => {
                 self.log_line(now, format!("call {id} redirected to redundant provider {target}"));
                 self.dispatch_call(id, &call, payload, now);
@@ -1278,15 +1369,21 @@ impl ServiceContainer {
     // ---- per-tick pumps ---------------------------------------------------
 
     fn poll_links(&mut self, now: Micros) {
+        let mtu = self.transport.mtu();
         let mut swept = None;
-        while let Some((peer, out, retransmits, abandoned)) = self.links.poll_after(swept, now) {
+        while let Some(peer) = self.links.next_active(swept) {
             swept = Some(peer);
-            for seq in retransmits {
-                self.trace_link(now, TraceKind::RelRetransmit, peer, seq);
+            let mut sink = self.outbox.to(TransportDestination::Node(peer.0), mtu);
+            let events = &mut self.scratch.link_events;
+            self.links.poll(peer, now, &mut sink, events);
+            for seq in events.retransmitted.drain(..) {
+                let kind = TraceKind::RelRetransmit;
+                self.tracer.record(now, kind, TraceId::NONE, Some(peer), seq, None);
             }
-            self.send_all(TransportDestination::Node(peer.0), &out);
-            if abandoned > 0 {
-                let n = abandoned;
+            let n = events.abandoned.len();
+            recycle(&mut events.retransmitted);
+            recycle(&mut events.abandoned);
+            if n > 0 {
                 self.log_line(
                     now,
                     format!("reliable delivery to {peer} abandoned for {n} messages"),
@@ -1301,10 +1398,10 @@ impl ServiceContainer {
             if let Some(announce) = &pumped.control {
                 self.send_message(CONTROL, announce);
             }
-            self.send_all(
-                TransportDestination::Group(file_group(&pumped.resource).0),
-                &pumped.group,
-            );
+            let group = TransportDestination::Group(file_group(&pumped.resource).0);
+            for chunk in &pumped.group {
+                self.send_message(group, chunk);
+            }
             if let Some((owner, done)) = pumped.done {
                 self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
             }
@@ -1416,7 +1513,7 @@ impl ServiceContainer {
         // Phase 2: run the handler with a fresh context. It consumes the
         // payload — a reply's value moves into `on_reply`, never copied;
         // only `on_call` yields something (the result to reply with).
-        let mut effects: Vec<Effect> = Vec::new();
+        let mut effects = std::mem::take(&mut self.scratch.effects);
         let mut ctx = ServiceContext {
             now,
             node: self.config.node,
@@ -1500,7 +1597,8 @@ impl ServiceContainer {
             Ran::FileBypass => self.stats.file_bypass_deliveries += 1,
             Ran::Start | Ran::Other => {}
         }
-        self.apply_effects(seq, effects, now);
+        self.apply_effects(seq, &mut effects, now);
+        self.scratch.effects = effects;
     }
 
     fn set_service_state(&mut self, seq: u32, state: ServiceState) {
@@ -1521,8 +1619,9 @@ impl ServiceContainer {
 
     // ---- effects ---------------------------------------------------------------
 
-    fn apply_effects(&mut self, seq: u32, effects: Vec<Effect>, now: Micros) {
-        for effect in effects {
+    /// Applies what a handler queued, leaving `effects` empty.
+    fn apply_effects(&mut self, seq: u32, effects: &mut Vec<Effect>, now: Micros) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Publish { name, value } => self.effect_publish(seq, name, value, now),
                 Effect::Emit { name, value } => self.effect_emit(seq, name, value, now),
@@ -1557,6 +1656,7 @@ impl ServiceContainer {
                 Effect::StopSelf => self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Stop),
             }
         }
+        recycle(effects);
     }
 
     fn effect_publish(&mut self, seq: u32, name: Name, value: Value, now: Micros) {
@@ -1595,10 +1695,13 @@ impl ServiceContainer {
                 self.send_message(TransportDestination::Group(var_group(&name).0), &msg);
             }
             VarDistribution::UnicastFanout => {
-                let remote: Vec<NodeId> = self.vars.remote_subscribers(&name).collect();
-                for node in remote {
+                let mut remote = std::mem::take(&mut self.scratch.remote);
+                remote.extend(self.vars.remote_subscribers(&name));
+                for node in &remote {
                     self.send_message(TransportDestination::Node(node.0), &msg);
                 }
+                recycle(&mut remote);
+                self.scratch.remote = remote;
             }
         }
     }
@@ -1623,7 +1726,8 @@ impl ServiceContainer {
         let local = value.filter(|_| !emitted.payload_dropped);
         self.deliver_event(&name, local, emitted.seq, now, trace, now);
         // Remote delivery over the reliable links.
-        let remote: Vec<NodeId> = self.events.remote_subscribers(&name).collect();
+        let mut remote = std::mem::take(&mut self.scratch.remote);
+        remote.extend(self.events.remote_subscribers(&name));
         let msg = Message::EventData {
             name,
             seq: emitted.seq,
@@ -1632,9 +1736,11 @@ impl ServiceContainer {
             codec,
             payload: emitted.payload,
         };
-        for node in remote {
-            self.send_reliable(node, &msg, now);
+        for node in &remote {
+            self.send_reliable(*node, &msg, now);
         }
+        recycle(&mut remote);
+        self.scratch.remote = remote;
     }
 
     fn effect_call(
@@ -1650,12 +1756,16 @@ impl ServiceContainer {
         let resolution = self
             .directory
             .resolve_function(function.as_str(), options.policy, None)
-            .map(|p| (p.service, p.provision.clone()));
-        let Some((target, Provision::Function { sig, .. })) = resolution else {
+            .and_then(|p| Some((p.service, p.function_sig()?)));
+        let Some((target, sig)) = resolution else {
             return self.deliver_reply(seq, handle.0, Err(CallError::NoProvider));
         };
+        // Marshalled against the directory's own copy of the signature;
+        // only the return type outlives this call.
         let codec = self.codecs.default_codec();
-        let payload = match self.rpc.marshal(&args, &sig, codec.as_ref()) {
+        let marshalled = self.rpc.marshal(&args, sig, codec.as_ref());
+        let returns = sig.returns.clone();
+        let payload = match marshalled {
             Ok(payload) => payload,
             Err(e) => return self.deliver_reply(seq, handle.0, Err(e)),
         };
@@ -1676,7 +1786,7 @@ impl ServiceContainer {
             function,
             args,
             target,
-            returns: sig.returns,
+            returns,
             deadline: now + attempt_timeout,
             attempt_timeout,
             attempts: 1,
@@ -1711,18 +1821,20 @@ impl ServiceContainer {
         self.directory.node(peer).map(|n| n.fec_cap)
     }
 
+    /// Sends `msg` to `peer` over the reliable link: encoded once, into
+    /// the scratch buffer; what the link releases now is staged at once.
     fn send_reliable(&mut self, peer: NodeId, msg: &Message, now: Micros) {
         let cap = self.peer_cap(peer);
-        let (out, fresh) = self.links.send(peer, cap, msg.encode_tagged(), now);
+        let tagged = &mut self.scratch.tagged;
+        tagged.clear();
+        msg.encode_tagged_into(tagged);
+        let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
+        let fresh = self.links.send(peer, cap, tagged, now, &mut sink);
+        if tagged.capacity() > TAGGED_KEEP_BYTES {
+            *tagged = BytesMut::new();
+        }
         if fresh {
             self.trace_link(now, TraceKind::LinkUp, peer, 0);
-        }
-        self.send_all(TransportDestination::Node(peer.0), &out);
-    }
-
-    fn send_all(&mut self, dest: TransportDestination, msgs: &[Message]) {
-        for m in msgs {
-            self.send_message(dest, m);
         }
     }
 
@@ -1732,27 +1844,7 @@ impl ServiceContainer {
     ///
     /// [`flush`]: Self::flush
     fn send_message(&mut self, dest: TransportDestination, msg: &Message) {
-        let Err(tagged) = self.stage(dest, msg) else { return };
-        self.next_msg_id += 1;
-        let budget = self.transport.mtu().saturating_sub(96).max(128);
-        let Ok(frags) = fragment_shared(self.next_msg_id, &tagged, budget) else {
-            return;
-        };
-        for frag in &frags {
-            // Only under an MTU below the 128-byte fragment floor can a
-            // fragment fit no datagram; no transport could carry it.
-            let _ = self.stage(dest, frag);
-        }
-    }
-
-    /// Stages `msg` as one frame and counts it; `Err` hands back the tagged
-    /// bytes of a message that fits no datagram.
-    fn stage(&mut self, dest: TransportDestination, msg: &Message) -> Result<(), Bytes> {
-        let mtu = self.transport.mtu();
-        let frame_len = self.outbox.stage(dest, self.config.node, msg, mtu)?;
-        self.stats.frames_out += 1;
-        self.stats.bytes_out += frame_len as u64;
-        Ok(())
+        self.outbox.send(dest, msg, self.transport.mtu());
     }
 
     /// Hands every staged datagram to the transport — the one place the
@@ -1800,6 +1892,113 @@ mod tests {
             self.timers_seen += 1;
             assert!(self.timers_seen < 2, "deliberate test panic");
             ctx.set_degraded(true);
+        }
+    }
+
+    fn burst_port() -> crate::EventPort<Vec<u8>> {
+        crate::EventPort::new("burst/e")
+    }
+
+    /// Emits three events from one handler run, so a bounded inbox fills
+    /// before any delivery executes.
+    struct Burst;
+
+    impl Service for Burst {
+        fn descriptor(&self) -> ServiceDescriptor {
+            let mut b = ServiceDescriptor::builder("burst");
+            b.provides_event(&burst_port());
+            b.build()
+        }
+
+        fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+            ctx.set_timer(ProtoDuration::from_secs(3), None);
+        }
+
+        fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+            for i in 0..3u8 {
+                ctx.emit_to(&burst_port(), vec![i; 64]);
+            }
+        }
+    }
+
+    /// Writes down the first byte of every payload it is delivered (`None`
+    /// for one that arrived bare or of the wrong length).
+    struct Listener {
+        name: String,
+        qos: crate::EventQos,
+        got: Arc<std::sync::Mutex<Vec<Option<u8>>>>,
+    }
+
+    impl Service for Listener {
+        fn descriptor(&self) -> ServiceDescriptor {
+            let mut b = ServiceDescriptor::builder(&self.name);
+            b.subscribe_to_event(&burst_port(), self.qos);
+            b.build()
+        }
+
+        fn on_event(
+            &mut self,
+            _ctx: &mut ServiceContext<'_>,
+            _name: &Name,
+            value: Option<&Value>,
+            _stamp: Micros,
+        ) {
+            let payload = burst_port().decode(value).ok().filter(|p| p.len() == 64);
+            let first = payload.and_then(|p| p.iter().all(|b| *b == p[0]).then_some(p[0]));
+            self.got.lock().unwrap().push(first);
+        }
+    }
+
+    /// The payload moves into the last subscriber that takes the event and
+    /// is cloned for the others: whoever is admitted gets an equal value,
+    /// wherever a refusing subscriber stands — alone, last, or first — and
+    /// whether the event was emitted here or arrived over the reliable link.
+    #[test]
+    fn every_admitted_event_subscriber_gets_the_payload() {
+        use crate::{DropPolicy, EventQos};
+        let push = EventQos::default();
+        let replace =
+            EventQos::default().with_queue_bound(1).with_drop_policy(DropPolicy::DropOldest);
+        let refuse =
+            EventQos::default().with_queue_bound(1).with_drop_policy(DropPolicy::DropNewest);
+        // What each contract lets through of a burst of three: all, the
+        // freshest, the first.
+        let expected = |qos: &EventQos| match (qos.queue_bound, qos.drop_policy) {
+            (1, DropPolicy::DropOldest) => vec![Some(2)],
+            (1, DropPolicy::DropNewest) => vec![Some(0)],
+            _ => vec![Some(0), Some(1), Some(2)],
+        };
+        let line_ups: [&[EventQos]; 6] = [
+            &[push],
+            &[replace],
+            &[refuse],
+            &[push, replace, refuse],
+            &[refuse, replace, push],
+            &[replace, refuse, refuse],
+        ];
+        for remote in [false, true] {
+            for line_up in line_ups {
+                let (emitter, listener) = (NodeId(1), NodeId(if remote { 2 } else { 1 }));
+                let mut h = SimHarness::new(NetConfig::default());
+                h.add_container(ContainerConfig::new("a", emitter));
+                if remote {
+                    h.add_container(ContainerConfig::new("b", listener));
+                }
+                h.add_service(emitter, Box::new(Burst));
+                let mut heard = Vec::new();
+                for (i, qos) in line_up.iter().enumerate() {
+                    let got = Arc::default();
+                    heard.push(Arc::clone(&got));
+                    let name = format!("listener{i}");
+                    h.add_service(listener, Box::new(Listener { name, qos: *qos, got }));
+                }
+                h.start_all();
+                h.run_for(ProtoDuration::from_secs(5));
+                for (qos, got) in line_up.iter().zip(&heard) {
+                    let got = got.lock().unwrap().clone();
+                    assert_eq!(got, expected(qos), "remote {remote}, {line_up:?}: {qos:?}");
+                }
+            }
         }
     }
 

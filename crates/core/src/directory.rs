@@ -19,7 +19,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use marea_presentation::Name;
-use marea_protocol::messages::{announce_hash, AnnounceEntry, Provision, ServiceState};
+use marea_protocol::messages::{
+    announce_hash, AnnounceEntry, FunctionSig, Provision, ServiceState,
+};
 use marea_protocol::{Micros, NodeId, ProtoDuration, ServiceId};
 
 use crate::service::CallPolicy;
@@ -35,6 +37,16 @@ pub struct ProviderInfo {
     pub state: ServiceState,
     /// The provision as announced (schema, QoS, signature).
     pub provision: Provision,
+}
+
+impl ProviderInfo {
+    /// The call signature, when the provision is a function.
+    pub fn function_sig(&self) -> Option<&FunctionSig> {
+        match &self.provision {
+            Provision::Function { sig, .. } => Some(sig),
+            _ => None,
+        }
+    }
 }
 
 /// Liveness record of a remote (or the local) node.
@@ -399,15 +411,9 @@ impl Directory {
 
     /// Every *available* provider of `name` (any provision kind), in
     /// deterministic order.
-    pub fn providers(&self, name: &str) -> Vec<&ProviderInfo> {
-        self.providers
-            .get(name)
-            .map(|list| {
-                list.iter()
-                    .filter(|p| p.state.is_available() && self.node_alive(p.service.node))
-                    .collect()
-            })
-            .unwrap_or_default()
+    pub fn providers<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a ProviderInfo> {
+        let listed = self.providers.get(name).into_iter().flatten();
+        listed.filter(|p| p.state.is_available() && self.node_alive(p.service.node))
     }
 
     /// Resolves a *function* provider under a call policy.
@@ -422,21 +428,17 @@ impl Directory {
         policy: CallPolicy,
         exclude: Option<ServiceId>,
     ) -> Option<&ProviderInfo> {
-        let candidates: Vec<&ProviderInfo> = self
-            .providers(name)
-            .into_iter()
-            .filter(|p| matches!(p.provision, Provision::Function { .. }))
-            .filter(|p| Some(p.service) != exclude)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
+        let candidates = || {
+            self.providers(name)
+                .filter(|p| p.function_sig().is_some())
+                .filter(|p| Some(p.service) != exclude)
+        };
         if let CallPolicy::PreferNode(node) = policy {
-            if let Some(p) = candidates.iter().find(|p| p.service.node == node) {
+            if let Some(p) = candidates().find(|p| p.service.node == node) {
                 return Some(p);
             }
         }
-        candidates.into_iter().min_by_key(|p| {
+        candidates().min_by_key(|p| {
             let load = self.nodes.get(&p.service.node).map(|n| n.load_permille).unwrap_or(0);
             (load, p.service.node, p.service.seq)
         })
@@ -444,19 +446,17 @@ impl Directory {
 
     /// Resolves the provider of a *variable*, returning its announced QoS.
     pub fn resolve_variable(&self, name: &str) -> Option<&ProviderInfo> {
-        self.providers(name).into_iter().find(|p| matches!(p.provision, Provision::Variable { .. }))
+        self.providers(name).find(|p| matches!(p.provision, Provision::Variable { .. }))
     }
 
     /// Resolves the provider of an *event channel*.
     pub fn resolve_event(&self, name: &str) -> Option<&ProviderInfo> {
-        self.providers(name).into_iter().find(|p| matches!(p.provision, Provision::Event { .. }))
+        self.providers(name).find(|p| matches!(p.provision, Provision::Event { .. }))
     }
 
     /// Resolves the provider of a *file resource*.
     pub fn resolve_file(&self, name: &str) -> Option<&ProviderInfo> {
-        self.providers(name)
-            .into_iter()
-            .find(|p| matches!(p.provision, Provision::FileResource { .. }))
+        self.providers(name).find(|p| matches!(p.provision, Provision::FileResource { .. }))
     }
 
     /// Number of distinct provision names known.
@@ -534,6 +534,78 @@ mod tests {
         assert_ne!(first.service, second.service);
     }
 
+    /// `providers` hands out an iterator and `resolve_function` walks it
+    /// twice instead of collecting it: the order and the provider chosen
+    /// are what the collected list gave, under every policy.
+    #[test]
+    fn resolution_order_and_choice_match_the_collected_list() {
+        let mut d = dir_with_two_storages();
+        d.apply_hello(NodeId(4), name("n4"), 1, 4, Micros(0));
+        d.apply_hello(NodeId(5), name("n5"), 1, 4, Micros(0));
+        // Node 4 offers the name twice, once as a variable; node 5's
+        // service is stopped.
+        let variable = Provision::Variable {
+            name: name("storage/store"),
+            ty: DataType::Bool,
+            period_us: 0,
+            validity_us: 0,
+        };
+        let mut twice = announce_storage(2);
+        twice.provides.insert(0, variable);
+        d.apply_announce(NodeId(4), 1, &[twice], Micros(0));
+        d.apply_announce(NodeId(5), 1, &[announce_storage(1)], Micros(0));
+        d.apply_status(NodeId(5), 1, ServiceState::Stopped);
+        beat(&mut d, NodeId(2), 1, 300, 4, Micros(1));
+        beat(&mut d, NodeId(3), 1, 300, 4, Micros(1));
+        beat(&mut d, NodeId(4), 1, 100, 4, Micros(1));
+
+        let listed: Vec<&ProviderInfo> = d.providers("storage/store").collect();
+        let ids: Vec<(u32, u32)> =
+            listed.iter().map(|p| (p.service.node.0, p.service.seq)).collect();
+        assert_eq!(ids, [(2, 1), (3, 1), (4, 2), (4, 2)], "announce order, available only");
+
+        // The resolution as it was written over the collected list.
+        let reference = |policy: CallPolicy, exclude: Option<ServiceId>| {
+            let candidates: Vec<&&ProviderInfo> = listed
+                .iter()
+                .filter(|p| matches!(p.provision, Provision::Function { .. }))
+                .filter(|p| Some(p.service) != exclude)
+                .collect();
+            if let CallPolicy::PreferNode(node) = policy {
+                if let Some(p) = candidates.iter().find(|p| p.service.node == node) {
+                    return Some(p.service);
+                }
+            }
+            let load = |p: &ProviderInfo| d.node(p.service.node).map_or(0, |n| n.load_permille);
+            let key = |p: &&&ProviderInfo| (load(p), p.service.node, p.service.seq);
+            candidates.into_iter().min_by_key(key).map(|p| p.service)
+        };
+        let least_loaded = ServiceId::new(NodeId(4), 2);
+        let policies = [
+            CallPolicy::Dynamic,
+            CallPolicy::PreferNode(NodeId(3)),
+            CallPolicy::PreferNode(NodeId(5)),
+            CallPolicy::PreferNode(NodeId(9)),
+        ];
+        for policy in policies {
+            for exclude in [None, Some(least_loaded), Some(ServiceId::new(NodeId(3), 1))] {
+                let chosen = d.resolve_function("storage/store", policy, exclude);
+                assert_eq!(
+                    chosen.map(|p| p.service),
+                    reference(policy, exclude),
+                    "{policy:?} excluding {exclude:?}"
+                );
+                assert!(chosen.is_some_and(|p| p.function_sig().is_some()));
+            }
+        }
+        let dynamic = d.resolve_function("storage/store", CallPolicy::Dynamic, None);
+        assert_eq!(dynamic.map(|p| p.service), Some(least_loaded));
+        let after = d.resolve_function("storage/store", CallPolicy::Dynamic, Some(least_loaded));
+        assert_eq!(after.map(|p| p.service), Some(ServiceId::new(NodeId(2), 1)), "tie: lower node");
+        let pinned = d.resolve_function("storage/store", CallPolicy::PreferNode(NodeId(3)), None);
+        assert_eq!(pinned.map(|p| p.service.node), Some(NodeId(3)));
+    }
+
     #[test]
     fn heartbeat_timeout_purges_cache() {
         let mut d = dir_with_two_storages();
@@ -542,7 +614,7 @@ mod tests {
         let dead = d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
         assert!(!d.node_alive(NodeId(3)));
-        let remaining = d.providers("storage/store");
+        let remaining: Vec<_> = d.providers("storage/store").collect();
         assert_eq!(remaining.len(), 1);
         assert_eq!(remaining[0].service.node, NodeId(2));
     }
@@ -572,28 +644,28 @@ mod tests {
         let mut d = dir_with_two_storages();
         d.apply_bye(NodeId(2));
         assert!(!d.node_alive(NodeId(2)));
-        assert_eq!(d.providers("storage/store").len(), 1);
+        assert_eq!(d.providers("storage/store").count(), 1);
     }
 
     #[test]
     fn status_change_hides_provider() {
         let mut d = dir_with_two_storages();
         d.apply_status(NodeId(2), 1, ServiceState::Failed);
-        let ps = d.providers("storage/store");
+        let ps: Vec<_> = d.providers("storage/store").collect();
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].service.node, NodeId(3));
         // Degraded still counts as available (degraded mode, §4.3).
         d.apply_status(NodeId(3), 1, ServiceState::Degraded);
-        assert_eq!(d.providers("storage/store").len(), 1);
+        assert_eq!(d.providers("storage/store").count(), 1);
     }
 
     #[test]
     fn reboot_wipes_previous_incarnation() {
         let mut d = dir_with_two_storages();
-        assert_eq!(d.providers("storage/store").len(), 2);
+        assert_eq!(d.providers("storage/store").count(), 2);
         // Node 2 reboots with incarnation 2 and announces nothing yet.
         d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(100));
-        assert_eq!(d.providers("storage/store").len(), 1);
+        assert_eq!(d.providers("storage/store").count(), 1);
         assert!(d.node_alive(NodeId(2)));
     }
 
@@ -624,7 +696,7 @@ mod tests {
         d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(1));
-        assert_eq!(d.providers("storage/store").len(), 1);
+        assert_eq!(d.providers("storage/store").count(), 1);
     }
 
     #[test]
@@ -640,7 +712,7 @@ mod tests {
         beat(&mut d, NodeId(3), 1, 0, 4, Micros::from_millis(3000));
         let dead = d.expire(Micros::from_millis(3600), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(2)]);
-        assert!(d.providers("storage/store").len() == 1);
+        assert!(d.providers("storage/store").count() == 1);
     }
 
     #[test]
@@ -777,7 +849,7 @@ mod tests {
         let info = d.node(NodeId(2)).expect("known from its announce");
         assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (3, Micros(5), 0));
         assert_eq!(info.catalogue_digest, Some(digest));
-        assert_eq!(d.providers("storage/store").len(), 1, "and its catalogue resolves");
+        assert_eq!(d.providers("storage/store").count(), 1, "and its catalogue resolves");
         // The beacon behind it has only the capability to add.
         let cap_only = BeaconOutcome::Differs { cap: true, digest: false };
         assert_eq!(d.apply_beacon(NodeId(2), 3, 0, 4, digest, Micros(6)), cap_only);
@@ -798,7 +870,7 @@ mod tests {
         assert_eq!(d.apply_beacon(n2, 1, 300, 4, digest, Micros(10)), Refreshed);
         let info = d.node(n2).unwrap();
         assert_eq!((info.last_seen, info.load_permille, info.fec_cap), (Micros(10), 300, 4));
-        assert_eq!(d.providers("storage/store").len(), 2);
+        assert_eq!(d.providers("storage/store").count(), 2);
 
         // An older life is ignored outright: not even proof of life.
         d.apply_hello(n2, name("n2"), 5, 4, Micros(20));
@@ -819,14 +891,14 @@ mod tests {
         // A mismatch leaves the held catalogue alone: the pull replaces it.
         assert_eq!(d.node(n2).unwrap().catalogue_digest, Some(digest));
         assert_eq!(d.node(n2).unwrap().last_seen, Micros(41));
-        assert_eq!(d.providers("storage/store").len(), 2);
+        assert_eq!(d.providers("storage/store").count(), 2);
 
         // A newer life drops everything cached from the old one.
         assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), NewLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (6, Micros(50), 70));
         assert_eq!((&info.container, info.catalogue_digest), (&name("n2"), None));
-        assert_eq!(d.providers("storage/store").len(), 1, "node 3's only");
+        assert_eq!(d.providers("storage/store").count(), 1, "node 3's only");
 
         // An unknown node gets a minimal record, queued for expiry.
         assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), Unknown);

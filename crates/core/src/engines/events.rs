@@ -151,6 +151,12 @@ impl EventEngine {
         }
     }
 
+    /// The [`Name`] held for a channel called `s`, subscribed or published.
+    pub fn held_name(&self, s: &str) -> Option<Name> {
+        let held = self.subscribed.get_key_value(s).map(|(name, _)| name);
+        held.or_else(|| self.published.get_key_value(s).map(|(name, _)| name)).cloned()
+    }
+
     /// Publisher side of an `emit`: checks ownership and the payload
     /// against the declaration, numbers the event. The error is the log
     /// line saying why it was dropped.
@@ -208,12 +214,20 @@ impl EventEngine {
 
     /// Offers one event to every local subscriber of `name` under its
     /// [`EventQos`] contract: `sink` hears, in subscription order, which
-    /// service gets it on which priority lane and what its bounded inbox
-    /// decided. [`delivery_left_queue`](Self::delivery_left_queue) is the
-    /// other half of the inbox accounting.
-    pub fn admit(&mut self, name: &Name, mut sink: impl FnMut(u32, Priority, Admission)) {
+    /// service gets it on which priority lane, what its bounded inbox
+    /// decided, and whether it is the last one that takes the event (so the
+    /// caller can move the payload there instead of cloning it).
+    /// [`delivery_left_queue`](Self::delivery_left_queue) is the other half
+    /// of the inbox accounting.
+    pub fn admit(&mut self, name: &Name, mut sink: impl FnMut(u32, Priority, Admission, bool)) {
         let Some(sub) = self.subscribed.get_mut(name) else { return };
-        for entry in &mut sub.subscribers {
+        // Each inbox decides from its own depth alone, so who refuses is
+        // known before anyone is told.
+        let refuses = |e: &EventSubscriber| {
+            e.inbox >= e.qos.queue_bound && e.qos.drop_policy == DropPolicy::DropNewest
+        };
+        let last_taker = sub.subscribers.iter().rposition(|e| !refuses(e));
+        for (i, entry) in sub.subscribers.iter_mut().enumerate() {
             let admission = if entry.inbox >= entry.qos.queue_bound {
                 entry.drops += 1;
                 match entry.qos.drop_policy {
@@ -225,7 +239,7 @@ impl EventEngine {
                 entry.inbox_peak = entry.inbox_peak.max(entry.inbox);
                 Admission::Push
             };
-            sink(entry.seq, entry.qos.priority, admission);
+            sink(entry.seq, entry.qos.priority, admission, Some(i) == last_taker);
         }
     }
 

@@ -110,6 +110,11 @@ impl RpcEngine {
         }
     }
 
+    /// The [`Name`] held for a local function called `s`.
+    pub fn held_name(&self, s: &str) -> Option<Name> {
+        self.functions.get_key_value(s).map(|(name, _)| name.clone())
+    }
+
     /// Marshals `args` against the provider's `sig`; a failure (the two
     /// sides' `FnPort`s disagree on argument types) counts as a mismatch.
     pub fn marshal(

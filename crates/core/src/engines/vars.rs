@@ -258,6 +258,12 @@ pub(crate) struct VarEngine {
 }
 
 impl VarEngine {
+    /// The [`Name`] held for a variable called `s`, subscribed or published.
+    pub fn held_name(&self, s: &str) -> Option<Name> {
+        let held = self.subscribed.get_key_value(s).map(|(name, _)| name);
+        held.or_else(|| self.published.get_key_value(s).map(|(name, _)| name)).cloned()
+    }
+
     /// Takes in what `descriptor` provides and subscribes to, on behalf of
     /// local service `seq`.
     pub fn register(&mut self, seq: u32, descriptor: &ServiceDescriptor) {

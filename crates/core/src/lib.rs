@@ -103,11 +103,11 @@ mod timers;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use container::{ContainerConfig, ServiceContainer, VarDistribution};
+pub use container::{ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES};
 pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
 pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};
-pub use link::ReliableLink;
+pub use link::{LinkEvents, ReliableLink};
 pub use metrics::{LatencySummary, LinkFrame, MetricsConfig, MetricsFrame, MetricsSampler};
 pub use ports::{EventPort, FnPort, TypedCallHandle, VarPort};
 pub use qos::{CallOptions, DropPolicy, EventQos, QosError, VarQos};

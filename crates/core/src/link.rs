@@ -13,17 +13,30 @@
 //! and costs a `Transport::send` of its own only when nothing else is.
 //! The container's `LinkTable` creates links on first use, negotiates their
 //! code rate and knows which ones a poll sweep must visit.
+//!
+//! A link stores a message once — the ARQ sender's envelope, or a copy in
+//! the backlog while the window is full — and returns no buffers. Every
+//! operation appends to ones its caller owns: wire messages go to a
+//! [`WireSink`] (the container's outbox frames them on the spot), released
+//! inner messages to a `Vec<Bytes>`, what the flight recorder wants to know
+//! to a [`LinkEvents`]. [`ReliableLink::send`], [`on_ack`], [`poll`],
+//! [`on_data`] and [`on_fec_shard`] are those same operations run against
+//! fresh vectors, for callers outside the tick path (the ledger probes of
+//! `benchmark/`, tests): one implementation, two ways to receive its output.
+//!
+//! [`on_ack`]: ReliableLink::on_ack
+//! [`poll`]: ReliableLink::poll
+//! [`on_data`]: ReliableLink::on_data
+//! [`on_fec_shard`]: ReliableLink::on_fec_shard
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 
 use bytes::Bytes;
 
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, ArqStats};
-use marea_protocol::fec::{
-    FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats, PARITY_INDEX_BIT,
-};
-use marea_protocol::{Message, Micros, NodeId, ProtoDuration};
+use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, ArqStats, Envelope};
+use marea_protocol::fec::{FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats};
+use marea_protocol::{Message, Micros, NodeId, ProtoDuration, WireSink};
 
 use crate::stats::FecStats;
 
@@ -43,24 +56,46 @@ struct LinkFec {
     group_opened_at: Option<Micros>,
 }
 
+impl LinkFec {
+    /// Sends one envelope — a first transmission or a retransmission —
+    /// through the FEC sender: a data shard (and the parity of a group it
+    /// fills) on a coded link, the bare `RelData` otherwise.
+    fn wrap(&mut self, envelope: Envelope, now: Micros, sink: &mut impl WireSink) {
+        let had_open = self.tx.has_open_group();
+        self.tx.wrap_envelope(envelope, sink);
+        if !had_open && self.tx.has_open_group() {
+            self.group_opened_at = Some(now);
+        } else if !self.tx.has_open_group() {
+            self.group_opened_at = None;
+        }
+    }
+}
+
+/// What link operations observed, for the flight recorder and the log.
+/// Operations append; the caller that owns the buffers reads and clears.
+#[derive(Debug, Default)]
+pub struct LinkEvents {
+    /// ARQ seqs retransmitted.
+    pub retransmitted: Vec<u64>,
+    /// ARQ seqs abandoned after their retry budget.
+    pub abandoned: Vec<u64>,
+    /// Completed first-retransmit→ACK recovery durations (µs).
+    pub recovered_us: Vec<u64>,
+}
+
 /// Reliable, ordered, exactly-once message channel to one peer node.
 #[derive(Debug)]
 pub struct ReliableLink {
     peer: NodeId,
     tx: ArqSender,
     rx: ArqReceiver,
+    /// Tagged messages waiting for a window slot.
     backlog: VecDeque<Bytes>,
     ack_due: bool,
     fec: LinkFec,
-    /// ARQ seqs retransmitted since the last [`ReliableLink::take_retransmits`]
-    /// drain (flight-recorder observation, not protocol state).
-    retx_log: Vec<u64>,
     /// First-retransmission time per still-unacked ARQ seq; ordered map so
     /// the ack sweep below is deterministic.
     retx_pending: BTreeMap<u64, Micros>,
-    /// Completed first-retransmit→ACK recovery durations (µs) since the
-    /// last [`ReliableLink::take_recoveries`] drain.
-    recovery_log: Vec<u64>,
 }
 
 impl ReliableLink {
@@ -78,9 +113,7 @@ impl ReliableLink {
                 rx: FecReceiver::new(),
                 group_opened_at: None,
             },
-            retx_log: Vec::new(),
             retx_pending: BTreeMap::new(),
-            recovery_log: Vec::new(),
         }
     }
 
@@ -116,54 +149,50 @@ impl ReliableLink {
         self.fec.rx.stats()
     }
 
-    /// Queues a tagged message payload for reliable delivery; returns wire
-    /// messages ready to send now (possibly none if the window is full).
-    pub fn send(&mut self, payload: Bytes, now: Micros) -> Vec<Message> {
-        self.backlog.push_back(payload);
-        let out = self.drain_backlog(now);
-        self.code_out(out, now)
-    }
-
-    fn drain_backlog(&mut self, now: Micros) -> Vec<Message> {
-        let mut out = Vec::new();
-        while self.tx.can_send() {
-            let Some(p) = self.backlog.pop_front() else { break };
-            let Ok(wire) = self.tx.send(p, now) else { break }; // cannot fail: can_send checked
-            out.push(wire);
-        }
-        out
-    }
-
-    /// Routes freshly produced ARQ wire messages through the FEC sender:
-    /// `RelData` (first transmissions *and* retransmissions) become data
-    /// shards, everything else passes through bare.
-    fn code_out(&mut self, msgs: Vec<Message>, now: Micros) -> Vec<Message> {
-        // `poll` and `on_ack` mostly have nothing to send; pass their empty
-        // (unallocated) vector through rather than allocating another.
-        if msgs.is_empty() || self.fec.tx.rate() == FecRate::Off {
-            return msgs;
-        }
-        let mut out = Vec::with_capacity(msgs.len() + 1);
-        for m in msgs {
-            match m {
-                data @ Message::RelData { .. } => {
-                    let had_open = self.fec.tx.has_open_group();
-                    self.fec.tx.wrap(data, &mut out);
-                    if !had_open && self.fec.tx.has_open_group() {
-                        self.fec.group_opened_at = Some(now);
-                    } else if !self.fec.tx.has_open_group() {
-                        self.fec.group_opened_at = None;
-                    }
-                }
-                other => out.push(other),
+    /// Queues the tagged message `inner` for reliable delivery; `sink`
+    /// gets the wire messages ready to send now (none if the window is
+    /// full: the message then waits, copied, in the backlog).
+    pub fn send_into(&mut self, inner: &[u8], now: Micros, sink: &mut impl WireSink) {
+        if self.backlog.is_empty() {
+            if let Ok(envelope) = self.tx.admit(inner, now) {
+                return self.fec.wrap(envelope, now, sink);
             }
         }
+        self.backlog.push_back(Bytes::copy_from_slice(inner));
+        self.drain_backlog(now, sink);
+    }
+
+    /// [`ReliableLink::send_into`] a vector of its own.
+    pub fn send(&mut self, payload: Bytes, now: Micros) -> Vec<Message> {
+        let mut out = Vec::new();
+        self.send_into(&payload, now, &mut out);
         out
     }
 
-    /// Processes an incoming `FecShard`; returns the tagged inner wire
-    /// messages now available — the shard's own payload when it is a
-    /// fresh data shard, plus anything parity recovery rebuilt.
+    fn drain_backlog(&mut self, now: Micros, sink: &mut impl WireSink) {
+        while self.tx.can_send() {
+            let Some(inner) = self.backlog.pop_front() else { break };
+            let Ok(envelope) = self.tx.admit(&inner, now) else { break }; // cannot fail: can_send checked
+            self.fec.wrap(envelope, now, sink);
+        }
+    }
+
+    /// Processes an incoming `FecShard`; appends to `inner` the tagged
+    /// inner wire messages now available — the shard's own payload when it
+    /// is a fresh data shard, plus anything parity recovery rebuilt.
+    pub fn on_fec_shard_into(
+        &mut self,
+        group: u64,
+        index: u8,
+        k: u8,
+        r: u8,
+        payload: &Bytes,
+        inner: &mut Vec<Bytes>,
+    ) {
+        self.fec.rx.on_shard(group, index, k, r, payload, inner);
+    }
+
+    /// [`ReliableLink::on_fec_shard_into`] a vector of its own.
     pub fn on_fec_shard(
         &mut self,
         group: u64,
@@ -173,19 +202,52 @@ impl ReliableLink {
         payload: &Bytes,
     ) -> Vec<Bytes> {
         let mut inner = Vec::new();
-        self.fec.rx.on_shard(group, index, k, r, payload, &mut inner);
+        self.on_fec_shard_into(group, index, k, r, payload, &mut inner);
         inner
     }
 
-    /// Processes an incoming `RelData`; returns payloads now deliverable in
-    /// order.
-    pub fn on_data(&mut self, seq: u64, payload: Bytes) -> Vec<Bytes> {
+    /// Processes an incoming `RelData`; appends to `released` the payloads
+    /// now deliverable in order.
+    pub fn on_data_into(&mut self, seq: u64, payload: Bytes, released: &mut Vec<Bytes>) {
         self.ack_due = true;
-        self.rx.on_data(seq, payload)
+        self.rx.on_data_into(seq, payload, released);
+    }
+
+    /// [`ReliableLink::on_data_into`] a vector of its own.
+    pub fn on_data(&mut self, seq: u64, payload: Bytes) -> Vec<Bytes> {
+        let mut released = Vec::new();
+        self.on_data_into(seq, payload, &mut released);
+        released
     }
 
     /// Processes an incoming `RelAck` (with its piggybacked FEC loss
-    /// report, which drives the adaptive code-rate controller).
+    /// report, which drives the adaptive code-rate controller); `sink`
+    /// gets the backlog the opened window released.
+    pub fn on_ack_into(
+        &mut self,
+        cumulative: u64,
+        sack: u64,
+        loss_permille: u16,
+        now: Micros,
+        sink: &mut impl WireSink,
+        events: &mut LinkEvents,
+    ) {
+        self.fec.tx.on_loss_report(loss_permille);
+        self.tx.on_ack(cumulative, sack);
+        // Retransmitted seqs the cumulative ack just covered have
+        // recovered: close their first-retransmit→ACK timing.
+        while let Some(oldest) = self.retx_pending.first_entry() {
+            if *oldest.key() >= cumulative {
+                break;
+            }
+            events.recovered_us.push(now.saturating_since(oldest.remove()).as_micros());
+        }
+        // Window may have opened.
+        self.drain_backlog(now, sink);
+    }
+
+    /// [`ReliableLink::on_ack_into`] a vector of its own, observations
+    /// discarded.
     pub fn on_ack(
         &mut self,
         cumulative: u64,
@@ -193,54 +255,55 @@ impl ReliableLink {
         loss_permille: u16,
         now: Micros,
     ) -> Vec<Message> {
-        self.fec.tx.on_loss_report(loss_permille);
-        self.tx.on_ack(cumulative, sack);
-        // Retransmitted seqs the cumulative ack just covered have
-        // recovered: close their first-retransmit→ACK timing.
-        let acked: Vec<u64> = self.retx_pending.range(..cumulative).map(|(s, _)| *s).collect();
-        for seq in acked {
-            if let Some(first) = self.retx_pending.remove(&seq) {
-                self.recovery_log.push(now.saturating_since(first).as_micros());
-            }
-        }
-        // Window may have opened.
-        let out = self.drain_backlog(now);
-        self.code_out(out, now)
+        let mut out = Vec::new();
+        self.on_ack_into(
+            cumulative,
+            sack,
+            loss_permille,
+            now,
+            &mut out,
+            &mut LinkEvents::default(),
+        );
+        out
     }
 
     /// Tick: retransmissions due, failures, at most one pending ack, and
-    /// the FEC flush of any partial group past its age budget.
-    ///
-    /// Returns `(wire_messages, failed_payload_count)`.
-    pub fn poll(&mut self, now: Micros) -> (Vec<Message>, Vec<u64>) {
-        let (fresh, failed) = self.tx.poll(now);
-        // Everything the ARQ sender re-emits from poll is a retransmission
-        // (first transmissions leave through `send`): log them for the
-        // flight recorder and start the recovery clock on first retransmit.
-        for m in &fresh {
-            if let Message::RelData { seq, .. } = m {
-                self.retx_log.push(*seq);
-                self.retx_pending.entry(*seq).or_insert(now);
-            }
-        }
-        for seq in &failed {
+    /// the FEC flush of any partial group past its age budget, all to
+    /// `sink`. Everything the ARQ sender re-emits here is a retransmission
+    /// (first transmissions leave through `send`): each is noted in
+    /// `events` and starts its recovery clock.
+    pub fn poll_into(&mut self, now: Micros, sink: &mut impl WireSink, events: &mut LinkEvents) {
+        let abandoned_from = events.abandoned.len();
+        let (fec, retx_pending, retransmitted) =
+            (&mut self.fec, &mut self.retx_pending, &mut events.retransmitted);
+        let retransmit = |envelope: Envelope| {
+            retransmitted.push(envelope.seq());
+            retx_pending.entry(envelope.seq()).or_insert(now);
+            fec.wrap(envelope, now, sink);
+        };
+        self.tx.poll(now, retransmit, &mut events.abandoned);
+        for seq in &events.abandoned[abandoned_from..] {
             self.retx_pending.remove(seq);
         }
-        let mut out = Vec::new();
-        out.extend(self.code_out(fresh, now));
-        let drained = self.drain_backlog(now);
-        out.extend(self.code_out(drained, now));
+        self.drain_backlog(now, sink);
         if let Some(opened) = self.fec.group_opened_at {
             if now.saturating_since(opened) >= FEC_FLUSH_AFTER {
-                self.fec.tx.flush(&mut out);
+                self.fec.tx.flush(sink);
                 self.fec.group_opened_at = None;
             }
         }
         if self.ack_due {
             self.ack_due = false;
-            out.push(self.rx.make_ack_with_loss(self.fec.rx.loss_permille()));
+            sink.message(self.rx.make_ack_with_loss(self.fec.rx.loss_permille()));
         }
-        (out, failed)
+    }
+
+    /// [`ReliableLink::poll_into`] vectors of its own: the wire messages
+    /// and the abandoned seqs.
+    pub fn poll(&mut self, now: Micros) -> (Vec<Message>, Vec<u64>) {
+        let (mut out, mut events) = (Vec::new(), LinkEvents::default());
+        self.poll_into(now, &mut out, &mut events);
+        (out, events.abandoned)
     }
 
     /// Sender counters (for the C1/C3 benches).
@@ -285,34 +348,16 @@ impl ReliableLink {
         let flush = self.fec.group_opened_at.map(|opened| opened + FEC_FLUSH_AFTER);
         [self.tx.next_deadline(), flush].into_iter().flatten().min()
     }
-
-    /// Drains the ARQ seqs retransmitted since the last call (the
-    /// container turns these into `rel_retransmit` trace events).
-    pub fn take_retransmits(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.retx_log)
-    }
-
-    /// Drains completed first-retransmit→ACK recovery durations in µs
-    /// (the container feeds these to the RTO-recovery histogram).
-    pub fn take_recoveries(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.recovery_log)
-    }
 }
 
-/// What an incoming `RelData` or `FecShard` released: the tagged inner
-/// messages now deliverable, whether the frame opened the link, and how
+/// What an incoming `RelData` or `FecShard` did to its link, beside the
+/// inner messages it released: whether the frame opened the link, and how
 /// many messages parity recovery rebuilt.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Received {
-    pub inner: Vec<Bytes>,
     pub fresh: bool,
     pub repaired: u64,
 }
-
-/// One link's share of a poll sweep: the peer, the wire messages for it
-/// (retransmissions, freed backlog, the FEC age flush, at most one ack),
-/// the ARQ seqs retransmitted, and how many messages were abandoned.
-pub(crate) type Polled = (NodeId, Vec<Message>, Vec<u64>, usize);
 
 /// Every reliable link of one container, by peer.
 ///
@@ -361,11 +406,15 @@ impl LinkTable {
         true
     }
 
-    /// Runs `op` on the link to `peer`, if any, then re-files the link
-    /// under `active` by what `op` left behind.
+    /// Runs `op` on the link to `peer`, if any, counts the FEC shards it
+    /// sent, then re-files the link under `active` by what `op` left behind.
     fn on<R>(&mut self, peer: NodeId, op: impl FnOnce(&mut ReliableLink) -> R) -> Option<R> {
         let link = self.by_peer.get_mut(&peer)?;
+        let before = link.fec_tx_stats();
         let result = op(link);
+        let after = link.fec_tx_stats();
+        self.fec.data_shards_out += after.data_shards - before.data_shards;
+        self.fec.parity_shards_out += after.parity_shards - before.parity_shards;
         self.changed = true;
         if link.needs_poll() {
             self.active.insert(peer);
@@ -373,19 +422,6 @@ impl LinkTable {
             self.active.remove(&peer);
         }
         Some(result)
-    }
-
-    /// Counts the FEC shards among outgoing wire messages.
-    fn count_out(&mut self, msgs: &[Message]) {
-        for m in msgs {
-            match m {
-                Message::FecShard { index, .. } if index & PARITY_INDEX_BIT != 0 => {
-                    self.fec.parity_shards_out += 1;
-                }
-                Message::FecShard { .. } => self.fec.data_shards_out += 1,
-                _ => {}
-            }
-        }
     }
 
     /// The peer's capability was (re)heard: an established link follows —
@@ -396,35 +432,38 @@ impl LinkTable {
         self.on(peer, |link| link.negotiate_fec(cap));
     }
 
-    /// Queues a tagged message for `peer`; answers the wire messages to
-    /// send now and whether this opened the link.
+    /// Queues the tagged message `inner` for `peer`; `sink` gets the wire
+    /// messages to send now. `true` if this opened the link.
     pub fn send(
         &mut self,
         peer: NodeId,
         peer_cap: Option<u8>,
-        payload: Bytes,
+        inner: &[u8],
         now: Micros,
-    ) -> (Vec<Message>, bool) {
+        sink: &mut impl WireSink,
+    ) -> bool {
         let fresh = self.open(peer, peer_cap);
-        let out = self.on(peer, |link| link.send(payload, now)).unwrap_or_default();
-        self.count_out(&out);
-        (out, fresh)
+        self.on(peer, |link| link.send_into(inner, now, sink));
+        fresh
     }
 
-    /// An incoming `RelData` from `peer`.
+    /// An incoming `RelData` from `peer`; `released` gets the inner
+    /// messages now deliverable in order.
     pub fn on_data(
         &mut self,
         peer: NodeId,
         peer_cap: Option<u8>,
         seq: u64,
         payload: Bytes,
+        released: &mut Vec<Bytes>,
     ) -> Received {
         let fresh = self.open(peer, peer_cap);
-        let inner = self.on(peer, |link| link.on_data(seq, payload)).unwrap_or_default();
-        Received { inner, fresh, repaired: 0 }
+        self.on(peer, |link| link.on_data_into(seq, payload, released));
+        Received { fresh, repaired: 0 }
     }
 
-    /// An incoming `FecShard` from `peer`.
+    /// An incoming `FecShard` from `peer`; `inner` gets the tagged
+    /// messages it carried or rebuilt.
     #[allow(clippy::too_many_arguments)]
     pub fn on_shard(
         &mut self,
@@ -435,22 +474,24 @@ impl LinkTable {
         k: u8,
         r: u8,
         payload: &Bytes,
+        inner: &mut Vec<Bytes>,
     ) -> Received {
         let fresh = self.open(peer, peer_cap);
         let shard = |link: &mut ReliableLink| {
             let before = link.fec_rx_stats().recovered;
-            let inner = link.on_fec_shard(group, index, k, r, payload);
-            (inner, link.fec_rx_stats().recovered - before)
+            link.on_fec_shard_into(group, index, k, r, payload, inner);
+            link.fec_rx_stats().recovered - before
         };
-        let (inner, repaired) = self.on(peer, shard).unwrap_or_default();
+        let repaired = self.on(peer, shard).unwrap_or_default();
         self.fec.shards_in += 1;
         self.fec.recovered += repaired;
-        Received { inner, fresh, repaired }
+        Received { fresh, repaired }
     }
 
     /// An incoming `RelAck` (ignored without a link: the peer was declared
-    /// dead); answers the wire messages the opened window released and
-    /// the first-retransmit→ACK recovery times (µs) it closed.
+    /// dead); `sink` gets the wire messages the opened window released,
+    /// `events` the first-retransmit→ACK recovery times it closed.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_ack(
         &mut self,
         peer: NodeId,
@@ -458,41 +499,39 @@ impl LinkTable {
         sack: u64,
         loss_permille: u16,
         now: Micros,
-    ) -> (Vec<Message>, Vec<u64>) {
-        let ack = |link: &mut ReliableLink| {
-            (link.on_ack(cumulative, sack, loss_permille, now), link.take_recoveries())
-        };
-        let (out, recovered) = self.on(peer, ack).unwrap_or_default();
-        self.count_out(&out);
-        (out, recovered)
+        sink: &mut impl WireSink,
+        events: &mut LinkEvents,
+    ) {
+        self.on(peer, |link| link.on_ack_into(cumulative, sack, loss_permille, now, sink, events));
     }
 
-    /// One step of the per-tick poll sweep: polls the first active link
+    /// The next stop of the per-tick poll sweep: the first active link
     /// after peer `after`, in node order (a quiescent link's poll is a
     /// no-op, so skipping those is output-equivalent). `None` ends the
     /// sweep, re-deriving the `negotiated_rate_max` gauge if any link could
     /// have changed its rate — links die with their peers, so the maximum
     /// cannot be kept incrementally.
-    pub fn poll_after(&mut self, after: Option<NodeId>, now: Micros) -> Option<Polled> {
+    pub fn next_active(&mut self, after: Option<NodeId>) -> Option<NodeId> {
         let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
         let peer = self.active.range((lower, Bound::Unbounded)).next().copied();
-        let poll = |link: &mut ReliableLink| {
-            let (out, failed) = link.poll(now);
-            (out, link.take_retransmits(), failed.len())
-        };
-        let polled = peer.and_then(|peer| {
-            let (out, retransmits, abandoned) = self.on(peer, poll)?;
-            Some((peer, out, retransmits, abandoned))
-        });
-        match &polled {
-            Some((_, out, ..)) => self.count_out(out),
-            None if std::mem::take(&mut self.changed) => {
-                let rates = self.by_peer.values().map(|l| l.fec_rate().wire_tag());
-                self.fec.negotiated_rate_max = rates.max().unwrap_or(0);
-            }
-            None => {}
+        if peer.is_none() && std::mem::take(&mut self.changed) {
+            let rates = self.by_peer.values().map(|l| l.fec_rate().wire_tag());
+            self.fec.negotiated_rate_max = rates.max().unwrap_or(0);
         }
-        polled
+        peer
+    }
+
+    /// Polls the link to `peer`: `sink` gets its wire messages
+    /// (retransmissions, freed backlog, the FEC age flush, at most one
+    /// ack), `events` the seqs retransmitted and abandoned.
+    pub fn poll(
+        &mut self,
+        peer: NodeId,
+        now: Micros,
+        sink: &mut impl WireSink,
+        events: &mut LinkEvents,
+    ) {
+        self.on(peer, |link| link.poll_into(now, sink, events));
     }
 
     /// `peer` died: its link goes with it. `true` if there was one.
@@ -729,17 +768,67 @@ mod tests {
     #[test]
     fn retransmits_are_observed_and_recovery_timed() {
         let mut l = link(2);
-        l.send(Bytes::from_static(b"x"), Micros::ZERO);
-        assert!(l.take_retransmits().is_empty(), "first transmission is not a retransmit");
-        // Past the 10 ms RTO the frame is retransmitted.
-        let (out, _) = l.poll(Micros(20_000));
-        assert!(out.iter().any(|m| matches!(m, Message::RelData { .. })));
-        assert_eq!(l.take_retransmits(), vec![0]);
-        assert!(l.take_recoveries().is_empty(), "not yet acked");
-        // The ack closes the first-retransmit→ACK recovery timing.
-        l.on_ack(1, 0, 0, Micros(25_000));
-        assert_eq!(l.take_recoveries(), vec![5_000]);
-        assert!(l.take_recoveries().is_empty(), "drained");
+        let (mut out, mut events) = (Vec::new(), LinkEvents::default());
+        l.send_into(b"x", Micros::ZERO, &mut out);
+        l.poll_into(Micros(1_000), &mut out, &mut events);
+        assert!(events.retransmitted.is_empty(), "first transmission is not a retransmit");
+        // Past the 10 ms RTO the frame is retransmitted: the same bytes.
+        l.poll_into(Micros(20_000), &mut out, &mut events);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0], out[1]);
+        assert_eq!(events.retransmitted, vec![0]);
+        assert!(events.recovered_us.is_empty(), "not yet acked");
+        // The ack closes the first-retransmit→ACK recovery timing, once.
+        l.on_ack_into(1, 0, 0, Micros(25_000), &mut out, &mut events);
+        l.on_ack_into(1, 0, 0, Micros(26_000), &mut out, &mut events);
+        assert_eq!(events.recovered_us, vec![5_000]);
+        assert!(events.abandoned.is_empty());
+    }
+
+    /// One frame, three messages: a parity shard rebuilds the `RelData`
+    /// whose loss was holding two later ones back. The shard's buffer and
+    /// the released-messages buffer are in use at the same time — why the
+    /// container keeps one of each.
+    #[test]
+    fn recovered_shard_closes_the_arq_gap_it_left() {
+        let mut a = link(2);
+        let mut b = link(1);
+        a.negotiate_fec(FecRate::Medium);
+        b.negotiate_fec(FecRate::Medium);
+        a.on_ack(0, 0, 50, Micros::ZERO); // tighten Light → Medium (4,1)
+        let mut wire = Vec::new();
+        for i in 0..4u8 {
+            a.send_into(&[i; 3], Micros::ZERO, &mut wire);
+        }
+        assert_eq!(wire.len(), 5, "four data shards and their parity");
+        let (mut inner, mut released) = (Vec::new(), Vec::new());
+        let mut delivered_by_frame = Vec::new();
+        for (i, m) in wire.iter().enumerate() {
+            if i == 1 {
+                continue; // seq 1 is lost
+            }
+            let Message::FecShard { group, index, k, r, payload, .. } = m else {
+                panic!("coded wire expected: {m:?}");
+            };
+            b.on_fec_shard_into(*group, *index, *k, *r, payload, &mut inner);
+            for tagged in inner.drain(..) {
+                let Ok(Message::RelData { seq, payload, .. }) =
+                    Message::decode_tagged_shared(&tagged)
+                else {
+                    panic!("inner must be RelData");
+                };
+                b.on_data_into(seq, payload, &mut released);
+            }
+            delivered_by_frame.push(released.clone());
+            released.clear();
+        }
+        let counts: Vec<usize> = delivered_by_frame.iter().map(Vec::len).collect();
+        assert_eq!(counts, [1, 0, 0, 3], "the parity frame releases seqs 1, 2 and 3");
+        let flat: Vec<&Bytes> = delivered_by_frame.iter().flatten().collect();
+        for (i, p) in flat.iter().enumerate() {
+            assert_eq!(p.as_ref(), &[i as u8; 3]);
+        }
+        assert_eq!(b.fec_rx_stats().recovered, 1);
     }
 
     #[test]
@@ -760,6 +849,9 @@ mod tests {
     /// (each a bare [`ReliableLink`] behind a lossy pipe): after every
     /// operation the active set is exactly the links that need polling,
     /// and no poll sweep produces output before `next_due()` said so.
+    /// The table runs the buffer-taking operations; a shadow link per peer
+    /// is fed the same inputs through the vector-returning ones and must
+    /// answer the same messages — they are one path.
     #[test]
     fn link_table_keeps_its_active_set_and_due_date_exact_under_random_ops() {
         const PEERS: u32 = 4;
@@ -777,6 +869,8 @@ mod tests {
                 rng % n
             };
             let mut table = LinkTable::new(FecRate::Max);
+            let mut shadows: Vec<Option<ReliableLink>> = (0..PEERS).map(|_| None).collect();
+            let mut events = LinkEvents::default();
             let mut peers: Vec<ReliableLink> = (0..PEERS).map(|_| link(1)).collect();
             for peer in &mut peers {
                 peer.negotiate_fec(FecRate::Medium);
@@ -788,6 +882,15 @@ mod tests {
             for step in 0..4_000u32 {
                 let i = draw(u64::from(PEERS)) as usize;
                 let (peer, cap) = (NodeId(i as u32 + 2), Some(draw(5) as u8));
+                // The shadow of the table's link to this peer, opened as the
+                // table opens its own: at the first send or frame heard.
+                let opened = |shadow: &mut Option<ReliableLink>, table: &LinkTable| {
+                    shadow.get_or_insert_with(|| {
+                        let mut l = ReliableLink::new(peer, ArqConfig::default());
+                        l.negotiate_fec(table.negotiated(cap));
+                        l
+                    });
+                };
                 let lossy = |msgs: Vec<Message>, pipe: &mut VecDeque<Message>, roll: u64| {
                     pipe.extend(
                         msgs.into_iter()
@@ -799,8 +902,11 @@ mod tests {
                 match draw(9) {
                     0 => now += ProtoDuration::from_micros(draw(4_000)),
                     1 => {
-                        let (out, _) =
-                            table.send(peer, cap, Bytes::from(vec![step as u8; 40]), now);
+                        let (payload, mut out) = (vec![step as u8; 40], Vec::new());
+                        opened(&mut shadows[i], &table);
+                        table.send(peer, cap, &payload, now, &mut out);
+                        let shadow = shadows[i].as_mut().expect("opened");
+                        assert_eq!(out, shadow.send(Bytes::from(payload), now));
                         lossy(out, &mut pipes[i][1], draw(u64::MAX));
                     }
                     2 => lossy(
@@ -809,34 +915,61 @@ mod tests {
                         draw(u64::MAX),
                     ),
                     3 => lossy(peers[i].poll(now).0, &mut pipes[i][0], draw(u64::MAX)),
-                    4 => table.renegotiate(peer, cap),
+                    4 => {
+                        table.renegotiate(peer, cap);
+                        if let Some(shadow) = &mut shadows[i] {
+                            shadow.negotiate_fec(table.negotiated(cap));
+                        }
+                    }
                     5 if draw(40) == 0 => {
                         table.drop_peer(peer);
+                        shadows[i] = None;
                     }
                     5 | 6 => {
                         // The table hears the next message from this peer.
-                        let mut inner = Vec::new();
+                        let (mut inner, mut released) = (Vec::new(), Vec::new());
                         match pipes[i][0].pop_front() {
                             Some(Message::RelData { seq, payload, .. }) => {
-                                table.on_data(peer, cap, seq, payload);
+                                inner.push(Message::RelData { channel: 0, seq, payload });
                             }
                             Some(Message::FecShard { group, index, k, r, payload, .. }) => {
-                                inner =
-                                    table.on_shard(peer, cap, group, index, k, r, &payload).inner;
+                                let mut tagged = Vec::new();
+                                opened(&mut shadows[i], &table);
+                                table.on_shard(
+                                    peer,
+                                    cap,
+                                    group,
+                                    index,
+                                    k,
+                                    r,
+                                    &payload,
+                                    &mut tagged,
+                                );
+                                let shadow = shadows[i].as_mut().expect("opened");
+                                assert_eq!(
+                                    tagged,
+                                    shadow.on_fec_shard(group, index, k, r, &payload)
+                                );
+                                inner.extend(tagged.iter().flat_map(Message::decode_tagged_shared));
                             }
                             Some(Message::RelAck { cumulative, sack, loss_permille, .. }) => {
-                                let (out, _) =
-                                    table.on_ack(peer, cumulative, sack, loss_permille, now);
+                                let mut out = Vec::new();
+                                let (c, s, l) = (cumulative, sack, loss_permille);
+                                table.on_ack(peer, c, s, l, now, &mut out, &mut events);
+                                if let Some(shadow) = &mut shadows[i] {
+                                    assert_eq!(out, shadow.on_ack(c, s, l, now));
+                                }
                                 lossy(out, &mut pipes[i][1], draw(u64::MAX));
                             }
                             _ => {}
                         }
-                        for tagged in inner {
-                            if let Ok(Message::RelData { seq, payload, .. }) =
-                                Message::decode_tagged(&tagged)
-                            {
-                                table.on_data(peer, cap, seq, payload);
-                            }
+                        for msg in inner {
+                            let Message::RelData { seq, payload, .. } = msg else { continue };
+                            opened(&mut shadows[i], &table);
+                            table.on_data(peer, cap, seq, payload.clone(), &mut released);
+                            let shadow = shadows[i].as_mut().expect("opened");
+                            assert_eq!(released, shadow.on_data(seq, payload));
+                            released.clear();
                         }
                     }
                     7 => match pipes[i][1].pop_front() {
@@ -865,8 +998,14 @@ mod tests {
                     _ => {
                         let due = table.next_due();
                         let mut swept = None;
-                        while let Some((polled, out, ..)) = table.poll_after(swept, now) {
+                        while let Some(polled) = table.next_active(swept) {
                             swept = Some(polled);
+                            let mut out = Vec::new();
+                            events.abandoned.clear();
+                            table.poll(polled, now, &mut out, &mut events);
+                            let shadow = shadows[(polled.0 - 2) as usize].as_mut();
+                            let (shadow_out, shadow_abandoned) = shadow.expect("polled").poll(now);
+                            assert_eq!((&out, &events.abandoned), (&shadow_out, &shadow_abandoned));
                             check(&table);
                             if !out.is_empty() {
                                 assert!(
@@ -885,6 +1024,9 @@ mod tests {
                 moved.acked > 30 && moved.retransmitted > 0,
                 "seed {seed}: the run must move traffic: {moved:?}"
             );
+            // (Counters die with a dropped link; what the sweeps reported does not.)
+            assert!(moved.retransmitted <= events.retransmitted.len() as u64);
+            assert!(!events.recovered_us.is_empty(), "seed {seed}: some retransmit was acked");
         }
     }
 }

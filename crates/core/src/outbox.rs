@@ -16,11 +16,18 @@
 //!   erasure unit, and a parity shard lost together with a data shard of
 //!   its group repairs nothing;
 //! * nothing stays staged across a tick.
+//!
+//! The datagram is the only storage a frame gets here. The reliable links
+//! write into it through [`Outbox::to`], a [`WireSink`]: a message is framed
+//! and dropped, a parity shard is framed from the FEC encoder's own lane.
 
 use bytes::{Bytes, BytesMut};
 
-use marea_protocol::{Appended, Message, MessageKind, NodeId};
+use marea_protocol::fragment::fragment_shared;
+use marea_protocol::{Appended, FrameBody, Message, MessageKind, NodeId, ShardRef, WireSink};
 use marea_transport::TransportDestination;
+
+use crate::stats::ContainerStats;
 
 /// One datagram being filled: whole frames, back to back.
 #[derive(Debug)]
@@ -32,24 +39,62 @@ struct Datagram {
 
 /// Datagrams staged since the last drain, in order of their first frame.
 /// The last one for a destination is its open one; earlier ones are closed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Outbox {
+    /// The node every frame is from.
+    src: NodeId,
     datagrams: Vec<Datagram>,
+    /// Id of the last message sent as fragments.
+    last_msg_id: u64,
+    frames_out: u64,
+    bytes_out: u64,
 }
 
 impl Outbox {
-    /// Stages `msg` from `src` for `dest` as one frame, for a transport
-    /// whose datagrams hold `mtu` bytes; answers the frame's size. A
-    /// message that fits no datagram is not staged: its tagged bytes come
+    pub fn new(src: NodeId) -> Self {
+        Outbox { src, datagrams: Vec::new(), last_msg_id: 0, frames_out: 0, bytes_out: 0 }
+    }
+
+    /// Stages `body` for `dest`, for a transport whose datagrams hold `mtu`
+    /// bytes: as one frame, in the datagram it shares with the other frames
+    /// bound there, or — a message no datagram can hold — as fragments.
+    pub fn send(&mut self, dest: TransportDestination, body: &impl FrameBody, mtu: usize) {
+        let Err(tagged) = self.stage(dest, body, mtu) else { return };
+        self.last_msg_id += 1;
+        let budget = mtu.saturating_sub(96).max(128);
+        let Ok(frags) = fragment_shared(self.last_msg_id, &tagged, budget) else {
+            return;
+        };
+        for frag in &frags {
+            // Only under an MTU below the 128-byte fragment floor can a
+            // fragment fit no datagram; no transport could carry it.
+            let _ = self.stage(dest, frag, mtu);
+        }
+    }
+
+    /// Stages `body` as one frame and counts it; answers the frame's size.
+    /// A message that fits no datagram is not staged: its tagged bytes come
     /// back as the error, for the caller to fragment and stage in pieces.
     pub fn stage(
         &mut self,
         dest: TransportDestination,
-        src: NodeId,
-        msg: &Message,
+        body: &impl FrameBody,
         mtu: usize,
     ) -> Result<usize, Bytes> {
-        let shard = msg.kind() == MessageKind::FecShard;
+        let len = self.place(dest, body, mtu)?;
+        self.frames_out += 1;
+        self.bytes_out += len as u64;
+        Ok(len)
+    }
+
+    /// Frames `body` into `dest`'s open datagram, or into the one it opens.
+    fn place(
+        &mut self,
+        dest: TransportDestination,
+        body: &impl FrameBody,
+        mtu: usize,
+    ) -> Result<usize, Bytes> {
+        let shard = body.kind() == MessageKind::FecShard;
         let open = self
             .datagrams
             .iter_mut()
@@ -58,14 +103,14 @@ impl Outbox {
             .filter(|d| !(shard && d.has_shard));
         let mut fresh = BytesMut::new();
         let appended = match open {
-            Some(open) => match msg.append_frame(src, &mut open.wire, mtu) {
+            Some(open) => match body.append_frame(self.src, &mut open.wire, mtu) {
                 Appended::Frame(len) => {
                     open.has_shard |= shard;
                     return Ok(len);
                 }
                 no_room => no_room,
             },
-            None => msg.append_frame(src, &mut fresh, mtu),
+            None => body.append_frame(self.src, &mut fresh, mtu),
         };
         // Whatever did not join an open datagram opens the next one.
         let wire = match appended {
@@ -78,6 +123,11 @@ impl Outbox {
         Ok(len)
     }
 
+    /// The sink that [`send`](Self::send)s everything it is given to `dest`.
+    pub fn to(&mut self, dest: TransportDestination, mtu: usize) -> Staging<'_> {
+        Staging { outbox: self, dest, mtu }
+    }
+
     /// `true` when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.datagrams.is_empty()
@@ -87,6 +137,30 @@ impl Outbox {
     /// outbox empty (its table keeps its capacity for the next tick).
     pub fn drain(&mut self) -> impl Iterator<Item = (TransportDestination, Bytes)> + '_ {
         self.datagrams.drain(..).map(|d| (d.dest, d.wire.freeze()))
+    }
+
+    /// Writes the counters the outbox owns.
+    pub fn fill_stats(&self, stats: &mut ContainerStats) {
+        stats.frames_out = self.frames_out;
+        stats.bytes_out = self.bytes_out;
+    }
+}
+
+/// The outbox as the [`WireSink`] of one destination.
+#[derive(Debug)]
+pub(crate) struct Staging<'a> {
+    outbox: &'a mut Outbox,
+    dest: TransportDestination,
+    mtu: usize,
+}
+
+impl WireSink for Staging<'_> {
+    fn message(&mut self, msg: Message) {
+        self.outbox.send(self.dest, &msg, self.mtu);
+    }
+
+    fn shard(&mut self, shard: ShardRef<'_>) {
+        self.outbox.send(self.dest, &shard, self.mtu);
     }
 }
 
@@ -114,12 +188,12 @@ mod tests {
 
     #[test]
     fn frames_for_one_destination_share_a_datagram_in_staging_order() {
-        let mut outbox = Outbox::default();
+        let mut outbox = Outbox::new(NodeId(1));
         let mut staged = 0;
         for msg in [ack(1), shard(0, 40), Message::Bye] {
-            staged += outbox.stage(A, NodeId(1), &msg, MTU).expect("fits");
+            staged += outbox.stage(A, &msg, MTU).expect("fits");
         }
-        outbox.stage(B, NodeId(1), &Message::Bye, MTU).expect("fits");
+        outbox.stage(B, &Message::Bye, MTU).expect("fits");
         let sent: Vec<_> = outbox.drain().collect();
         assert!(outbox.is_empty());
         assert_eq!(sent.len(), 2, "a node and a group of the same number are two destinations");
@@ -134,9 +208,9 @@ mod tests {
 
     #[test]
     fn second_shard_opens_the_next_datagram_and_later_frames_follow_it() {
-        let mut outbox = Outbox::default();
+        let mut outbox = Outbox::new(NodeId(1));
         for msg in [shard(0, 20), ack(1), shard(1, 20), ack(2)] {
-            outbox.stage(A, NodeId(1), &msg, MTU).expect("fits");
+            outbox.stage(A, &msg, MTU).expect("fits");
         }
         let sent: Vec<_> = outbox.drain().map(|(_, wire)| kinds(&wire)).collect();
         assert_eq!(
@@ -160,9 +234,9 @@ mod tests {
 
     #[test]
     fn datagram_closes_at_the_mtu_whether_the_overrun_shows_before_or_after_encoding() {
-        let mut outbox = Outbox::default();
-        outbox.stage(A, NodeId(1), &reply(120), MTU).expect("fits");
-        outbox.stage(A, NodeId(1), &ack(1), MTU).expect("fits");
+        let mut outbox = Outbox::new(NodeId(1));
+        outbox.stage(A, &reply(120), MTU).expect("fits");
+        outbox.stage(A, &ack(1), MTU).expect("fits");
         // A Hello carries no blob, so only encoding it shows that it overruns
         // the room left; the reply behind it overruns by its payload alone.
         let hello = Message::Hello {
@@ -170,9 +244,9 @@ mod tests {
             incarnation: 1,
             fec_cap: 0,
         };
-        outbox.stage(A, NodeId(1), &hello, MTU).expect("fits a datagram of its own");
-        outbox.stage(A, NodeId(1), &reply(140), MTU).expect("fits a datagram of its own");
-        outbox.stage(A, NodeId(1), &ack(2), MTU).expect("fits");
+        outbox.stage(A, &hello, MTU).expect("fits a datagram of its own");
+        outbox.stage(A, &reply(140), MTU).expect("fits a datagram of its own");
+        outbox.stage(A, &ack(2), MTU).expect("fits");
         let sent: Vec<_> = outbox.drain().map(|(_, wire)| wire).collect();
         assert!(sent.iter().all(|wire| wire.len() <= MTU));
         let sent: Vec<_> = sent.iter().map(kinds).collect();
@@ -188,10 +262,10 @@ mod tests {
 
     #[test]
     fn oversize_message_is_handed_back_and_leaves_the_open_datagram_alone() {
-        let mut outbox = Outbox::default();
-        outbox.stage(A, NodeId(1), &ack(1), MTU).expect("fits");
+        let mut outbox = Outbox::new(NodeId(1));
+        outbox.stage(A, &ack(1), MTU).expect("fits");
         let big = reply(3 * MTU);
-        let tagged = outbox.stage(A, NodeId(1), &big, MTU).expect_err("fits no datagram");
+        let tagged = outbox.stage(A, &big, MTU).expect_err("fits no datagram");
         assert_eq!(tagged, big.encode_tagged());
         let sent: Vec<_> = outbox.drain().map(|(_, wire)| kinds(&wire)).collect();
         assert_eq!(sent, [vec![MessageKind::RelAck]]);

@@ -31,6 +31,11 @@ pub struct Occupancy {
     pub timers: usize,
     /// Handler invocations queued in the scheduler.
     pub queued_tasks: usize,
+    /// Bytes of scratch storage the container keeps between calls for its
+    /// reliable path (tagged-encode buffer, effect, subscriber, released-
+    /// message and link-event vectors): capacity, not contents. At most
+    /// [`SCRATCH_CAP_BYTES`](crate::SCRATCH_CAP_BYTES).
+    pub scratch_bytes: usize,
 }
 
 /// Cumulative counters of one service container.

@@ -12,11 +12,13 @@ use bytes::Bytes;
 use marea_core::{
     ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration, Service,
     ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort, VarQos,
+    SCRATCH_CAP_BYTES,
 };
-use marea_netsim::{LinkConfig, NetConfig, SimNet};
+use marea_encoding::WireWriter;
+use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
 use marea_presentation::{Name, Value};
 use marea_protocol::fec::PARITY_INDEX_BIT;
-use marea_protocol::{frames, Message};
+use marea_protocol::{frames, Frame, Message, MessageKind};
 use marea_transport::{SimLanTransport, Transport, TransportDestination, TransportError};
 
 const TICK_US: u64 = 500;
@@ -348,4 +350,136 @@ fn fec_still_repairs_a_lossy_link_and_arq_abandons_nothing() {
     // Datagrams were lost, whole; none arrived damaged.
     assert!(h.network().stats().dropped_loss > 0);
     assert_eq!(tx.stats().frames_rejected + rx.stats().frames_rejected, 0);
+}
+
+/// One of two hundred: a service whose only job is to be a catalogue entry.
+struct Filler(u32);
+
+impl Service for Filler {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let port = EventPort::<u64>::new(&format!("filler{}/e", self.0));
+        ServiceDescriptor::builder(&format!("filler{}", self.0)).provides_event(&port).build()
+    }
+}
+
+fn big_port() -> EventPort<Vec<u8>> {
+    EventPort::new("heavy/big")
+}
+fn small_port() -> EventPort<u64> {
+    EventPort::new("heavy/small")
+}
+
+/// First timer: one 64 KiB event. Second: a thousand small ones, from one
+/// handler run.
+struct Heavy {
+    timers_seen: u32,
+}
+
+impl Service for Heavy {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder("heavy");
+        b.provides_event(&big_port()).provides_event(&small_port());
+        b.build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_secs(3), Some(ProtoDuration::from_secs(1)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        self.timers_seen += 1;
+        match self.timers_seen {
+            1 => ctx.emit_to(&big_port(), vec![7u8; 64 * 1024]),
+            2 => (0..1_000).for_each(|i| ctx.emit_to(&small_port(), i)),
+            _ => {}
+        }
+    }
+}
+
+struct HeavyListener;
+
+impl Service for HeavyListener {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder("heavy-listener");
+        b.subscribe_to_event(&big_port(), EventQos::default());
+        b.subscribe_to_event(&small_port(), EventQos::default());
+        b.build()
+    }
+}
+
+/// The scratch buffers the reliable path keeps across ticks are bounded:
+/// what a 64 KiB message, a 200-entry catalogue and a thousand-effect
+/// handler run grew them to is given back as soon as it has been used.
+#[test]
+fn retained_scratch_returns_under_its_cap_after_large_messages() {
+    let mut h = SimHarness::new(NetConfig::default());
+    h.add_container(ContainerConfig::new("a", NodeId(1)));
+    h.add_container(ContainerConfig::new("b", NodeId(2)));
+    for i in 0..200 {
+        h.add_service(NodeId(1), Box::new(Filler(i)));
+    }
+    h.add_service(NodeId(1), Box::new(Heavy { timers_seen: 0 }));
+    h.add_service(NodeId(2), Box::new(HeavyListener));
+    h.start_all();
+
+    let scratch = |h: &SimHarness, node: u32| {
+        h.container(NodeId(node)).expect("container").occupancy().scratch_bytes
+    };
+    let mut peak = 0;
+    // After set-up and the catalogue, after the 64 KiB event, after the burst.
+    for (until_ms, delivered) in [(2_900, 0), (3_900, 1), (6_000, 1_001)] {
+        while h.now().as_micros() < until_ms * 1_000 {
+            h.run_for(ProtoDuration::from_millis(1));
+            for node in [1, 2] {
+                let kept = scratch(&h, node);
+                assert!(kept <= SCRATCH_CAP_BYTES, "node {node} keeps {kept} bytes of scratch");
+                peak = peak.max(kept);
+            }
+        }
+        let listener = h.container(NodeId(2)).expect("listener");
+        assert_eq!(listener.stats().events_delivered, delivered, "by {until_ms} ms");
+    }
+    assert!(peak > 0, "the gauge never saw a buffer in use");
+    let sender = h.container(NodeId(1)).expect("sender");
+    assert_eq!(sender.directory().provision_count(), 202, "the catalogue is the large one");
+    assert!(sender.stats().frames_out > 1_000 + 64 * 1024 / 1_500);
+}
+
+/// Names in received frames are shared with the ones the engines hold, and
+/// that changes nothing about what is accepted: a name nobody here holds
+/// still decodes (and the frame is simply not for us), an invalid one is
+/// still a rejected frame.
+#[test]
+fn interning_keeps_unknown_names_decodable_and_invalid_names_rejected() {
+    let mut h = SimHarness::new(NetConfig::default());
+    h.add_container(ContainerConfig::new("a", NodeId(1)));
+    h.add_container(ContainerConfig::new("b", NodeId(2)));
+    h.add_service(NodeId(1), Box::new(Burster(EventPort::new("burst/e"))));
+    h.add_service(NodeId(2), Box::new(Listener(EventPort::new("burst/e"))));
+    h.start_all();
+    h.run_for(ProtoDuration::from_secs(1));
+    let listener = |h: &SimHarness| h.container(NodeId(2)).expect("listener").stats();
+    let before = listener(&h);
+    assert!(before.events_delivered > 100 && before.frames_rejected == 0, "{before:?}");
+
+    let event_named = |name: &str| {
+        let mut body = bytes::BytesMut::new();
+        let mut w = WireWriter::new(&mut body);
+        w.put_str(name);
+        (0..3).for_each(|_| w.put_varint(1)); // seq, stamp, trace
+        w.put_u8(0);
+        w.put_len_prefixed(&[]);
+        Frame::new(NodeId(1), MessageKind::EventData, body.freeze())
+    };
+    let unknown = event_named("nobody/holds-this");
+    assert!(matches!(Message::from_frame(&unknown), Ok(Message::EventData { .. })));
+    let invalid = event_named("not a name");
+    assert!(Message::from_frame(&invalid).is_err());
+
+    let probe = h.network().socket(99);
+    for frame in [&unknown, &invalid, &unknown] {
+        probe.send(Destination::Unicast(2), frame.encode()).expect("sent");
+    }
+    h.run_for(ProtoDuration::from_millis(100));
+    let after = listener(&h);
+    assert_eq!(after.frames_rejected, 1, "only the invalid name is rejected: {after:?}");
+    assert!(after.events_delivered > before.events_delivered, "held names keep flowing");
 }

@@ -16,6 +16,16 @@
 //! cumulative` delivered) plus a bitmap covering `cumulative+1 ..=
 //! cumulative+64` (bit `i` set means `cumulative + 1 + i` was received out
 //! of order).
+//!
+//! Who owns which bytes: the sender copies a message once, into the tagged
+//! `RelData` [`Envelope`] it builds when the window admits it, and keeps
+//! that in flight; the first transmission and every retransmission — bare,
+//! or as the payload of an FEC data shard — are windows onto those bytes.
+//! The receiver's out-of-order buffer holds windows onto the datagrams the
+//! messages arrived in. Operations that produce several things append them
+//! to a buffer their caller owns; [`ArqSender::send`] and
+//! [`ArqReceiver::on_data`] are the same operations for a caller that has
+//! a `Bytes` and wants a fresh value back.
 
 use std::collections::BTreeMap;
 
@@ -64,9 +74,40 @@ pub struct ArqStats {
     pub payload_bytes: u64,
 }
 
+/// One reliable message as it travels: its tagged `RelData` encoding
+/// (`tag ‖ channel ‖ varint seq ‖ varint len ‖ inner`), built once when the
+/// window admitted it. Every transmission of the message is these bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Envelope {
+    pub(crate) channel: u16,
+    pub(crate) seq: u64,
+    pub(crate) tagged: Bytes,
+    /// Where the inner message starts in `tagged`.
+    pub(crate) body: usize,
+}
+
+impl Envelope {
+    /// The message's sequence number on its channel.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The whole envelope: what `Message::RelData { .. }.encode_tagged()`
+    /// would produce, and the payload of the message's FEC data shard.
+    pub fn tagged(&self) -> &Bytes {
+        &self.tagged
+    }
+
+    /// The bare wire message; its payload is a window onto the envelope.
+    pub fn into_message(self) -> Message {
+        let Envelope { channel, seq, tagged, body } = self;
+        Message::RelData { channel, seq, payload: tagged.slice(body..) }
+    }
+}
+
 #[derive(Debug)]
 struct InFlight {
-    payload: Bytes,
+    envelope: Envelope,
     attempts: u32,
     rto: ProtoDuration,
     next_retx: Micros,
@@ -114,31 +155,44 @@ impl ArqSender {
         self.stats
     }
 
-    /// Accepts `payload` into the window and returns the wire message for
-    /// its first transmission.
+    /// Accepts the tagged message `inner` into the window: builds its
+    /// envelope, keeps it in flight and returns it for the first
+    /// transmission.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::WindowFull`] when the window has no room; the caller
     /// queues and retries after the next acknowledgement.
-    pub fn send(&mut self, payload: Bytes, now: Micros) -> Result<Message, ProtocolError> {
+    pub fn admit(&mut self, inner: &[u8], now: Micros) -> Result<Envelope, ProtocolError> {
         if !self.can_send() {
             return Err(ProtocolError::WindowFull { window: self.config.window });
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
-        self.stats.payload_bytes += payload.len() as u64;
+        self.stats.payload_bytes += inner.len() as u64;
+        let (tagged, body) = Message::rel_data_envelope(self.channel, seq, inner);
+        let envelope = Envelope { channel: self.channel, seq, tagged, body };
         self.inflight.insert(
             seq,
             InFlight {
-                payload: payload.clone(),
+                envelope: envelope.clone(),
                 attempts: 1,
                 rto: self.config.initial_rto,
                 next_retx: now + self.config.initial_rto,
             },
         );
-        Ok(Message::RelData { channel: self.channel, seq, payload })
+        Ok(envelope)
+    }
+
+    /// [`ArqSender::admit`] for a caller that holds the message as `Bytes`
+    /// and wants the bare wire message.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ArqSender::admit`].
+    pub fn send(&mut self, payload: Bytes, now: Micros) -> Result<Message, ProtocolError> {
+        self.admit(&payload, now).map(Envelope::into_message)
     }
 
     /// Processes an acknowledgement; returns how many messages left the
@@ -162,38 +216,39 @@ impl ArqSender {
         acked
     }
 
-    /// Produces due retransmissions and expired failures.
+    /// Hands every due retransmission to `retransmit`, in sequence order,
+    /// and appends the sequences abandoned after their retry budget to
+    /// `failed`.
     ///
     /// Call once per container tick. Abandoned sequences are reported so
     /// the container can raise the programmed emergency procedure (paper
     /// §4.3: "the middleware will warn the system").
-    pub fn poll(&mut self, now: Micros) -> (Vec<Message>, Vec<u64>) {
-        let mut retransmits = Vec::new();
-        let mut failures = Vec::new();
+    pub fn poll(
+        &mut self,
+        now: Micros,
+        mut retransmit: impl FnMut(Envelope),
+        failed: &mut Vec<u64>,
+    ) {
+        let abandoned_from = failed.len();
         for (&seq, entry) in self.inflight.iter_mut() {
             if entry.next_retx > now {
                 continue;
             }
             if entry.attempts >= self.config.max_attempts {
-                failures.push(seq);
+                failed.push(seq);
                 continue;
             }
             entry.attempts += 1;
             entry.rto = ProtoDuration(entry.rto.0.saturating_mul(2)).min(self.config.max_rto);
             entry.next_retx = now + entry.rto;
             self.stats.retransmitted += 1;
-            self.stats.payload_bytes += entry.payload.len() as u64;
-            retransmits.push(Message::RelData {
-                channel: self.channel,
-                seq,
-                payload: entry.payload.clone(),
-            });
+            self.stats.payload_bytes += (entry.envelope.tagged.len() - entry.envelope.body) as u64;
+            retransmit(entry.envelope.clone());
         }
-        for seq in &failures {
+        for seq in &failed[abandoned_from..] {
             self.inflight.remove(seq);
             self.stats.failed += 1;
         }
-        (retransmits, failures)
     }
 
     /// Earliest pending retransmission deadline, for tick scheduling.
@@ -240,12 +295,13 @@ impl ArqReceiver {
         self.duplicates
     }
 
-    /// Processes incoming data; returns the payloads that became deliverable
-    /// *in order* (possibly none, possibly several when a gap closes).
-    pub fn on_data(&mut self, seq: u64, payload: Bytes) -> Vec<Bytes> {
+    /// Processes incoming data; appends to `out` the payloads that became
+    /// deliverable *in order* (possibly none, possibly several when a gap
+    /// closes).
+    pub fn on_data_into(&mut self, seq: u64, payload: Bytes, out: &mut Vec<Bytes>) {
         if seq < self.next_expected || self.buffered.contains_key(&seq) {
             self.duplicates += 1;
-            return Vec::new();
+            return;
         }
         if seq != self.next_expected {
             // Out of order: buffer if within bounds, else drop (the sender
@@ -253,14 +309,20 @@ impl ArqReceiver {
             if self.buffered.len() < self.max_buffer {
                 self.buffered.insert(seq, payload);
             }
-            return Vec::new();
+            return;
         }
-        let mut out = vec![payload];
+        out.push(payload);
         self.next_expected += 1;
         while let Some(p) = self.buffered.remove(&self.next_expected) {
             out.push(p);
             self.next_expected += 1;
         }
+    }
+
+    /// [`ArqReceiver::on_data_into`] with a buffer of its own.
+    pub fn on_data(&mut self, seq: u64, payload: Bytes) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        self.on_data_into(seq, payload, &mut out);
         out
     }
 
@@ -310,6 +372,13 @@ mod tests {
             max_rto: ProtoDuration::from_millis(80),
             max_attempts: 4,
         }
+    }
+
+    /// The retransmissions due at `now`, as bare messages, and the failures.
+    fn poll(tx: &mut ArqSender, now: Micros) -> (Vec<Message>, Vec<u64>) {
+        let (mut retx, mut failed) = (Vec::new(), Vec::new());
+        tx.poll(now, |env| retx.push(env.into_message()), &mut failed);
+        (retx, failed)
     }
 
     fn seq_of(m: &Message) -> u64 {
@@ -406,7 +475,7 @@ mod tests {
         // Drive time forward far enough for all attempts to expire.
         for _ in 0..64 {
             now += ProtoDuration::from_millis(10);
-            let (retx, fail) = tx.poll(now);
+            let (retx, fail) = poll(&mut tx, now);
             retx_count += retx.len();
             failed.extend(fail);
             if !failed.is_empty() {
@@ -423,7 +492,7 @@ mod tests {
     fn retransmits_carry_same_payload_and_seq() {
         let mut tx = ArqSender::new(3, cfg());
         let first = tx.send(payload(7), Micros::ZERO).unwrap();
-        let (retx, _) = tx.poll(Micros::from_millis(11));
+        let (retx, _) = poll(&mut tx, Micros::from_millis(11));
         assert_eq!(retx.len(), 1);
         assert_eq!(seq_of(&retx[0]), seq_of(&first));
         if let (Message::RelData { payload: a, .. }, Message::RelData { payload: b, .. }) =
@@ -437,9 +506,9 @@ mod tests {
     fn ack_after_retransmit_cleans_window() {
         let mut tx = ArqSender::new(1, cfg());
         tx.send(payload(0), Micros::ZERO).unwrap();
-        tx.poll(Micros::from_millis(11));
+        poll(&mut tx, Micros::from_millis(11));
         assert_eq!(tx.on_ack(1, 0), 1);
-        let (retx, fail) = tx.poll(Micros::from_secs(10));
+        let (retx, fail) = poll(&mut tx, Micros::from_secs(10));
         assert!(retx.is_empty() && fail.is_empty());
     }
 

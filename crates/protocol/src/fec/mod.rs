@@ -24,6 +24,14 @@
 //! latency; FEC only ever *adds* recovery opportunities, so every ARQ
 //! invariant (exactly-once, in-order, RTO backstop) is preserved even if
 //! the whole FEC layer is starved or confused.
+//!
+//! Who owns which bytes: a data shard's payload *is* the ARQ sender's
+//! [`Envelope`] (shared, not re-encoded — [`FecSender::wrap`] alone still
+//! encodes, for callers that hold a `Message`); a parity shard's payload is
+//! lent to the [`WireSink`] as a [`ShardRef`] onto the encoder's lane, so a
+//! sink that frames on the spot never copies it; a data shard received is
+//! a window onto its datagram, and only a shard rebuilt from parity gets
+//! storage of its own.
 
 pub mod adapt;
 pub mod block;
@@ -31,7 +39,8 @@ pub mod rate;
 
 use bytes::Bytes;
 
-use crate::messages::Message;
+use crate::arq::Envelope;
+use crate::messages::{Message, ShardRef, WireSink};
 
 pub use adapt::{LossEstimator, RateController};
 pub use block::{Absorb, GroupDecoder, GroupEncoder, MAX_GROUP_DATA, PARITY_INDEX_BIT};
@@ -166,19 +175,35 @@ impl FecSender {
         self.open.is_some()
     }
 
-    /// Wraps one tagged inner message; pushes the resulting wire messages
-    /// (the data shard now, plus the group's parity when it fills) onto
-    /// `out`. Messages that cannot be coded are pushed through unchanged.
+    /// Wraps one reliable message; hands `sink` the resulting wire
+    /// messages: the data shard around the envelope now, plus the group's
+    /// parity when it fills. A message that cannot be coded goes bare.
+    pub fn wrap_envelope(&mut self, envelope: Envelope, sink: &mut impl WireSink) {
+        let Envelope { channel, seq, tagged, body } = envelope;
+        let bare = move |tagged| Envelope { channel, seq, tagged, body }.into_message();
+        self.wrap_tagged(tagged, bare, sink);
+    }
+
+    /// [`FecSender::wrap_envelope`] for a caller that holds the inner
+    /// message decoded: it is encoded here to become the shard.
     pub fn wrap(&mut self, inner: Message, out: &mut Vec<Message>) {
+        self.wrap_tagged(inner.encode_tagged(), |_| inner, out);
+    }
+
+    /// Codes `tagged` as the open group's next data shard, or sends
+    /// `bare(tagged)` — the same message, uncoded — when it cannot be.
+    fn wrap_tagged(
+        &mut self,
+        tagged: Bytes,
+        bare: impl FnOnce(Bytes) -> Message,
+        sink: &mut impl WireSink,
+    ) {
         if self.controller.rate() == FecRate::Off {
-            out.push(inner);
-            return;
+            return sink.message(bare(tagged));
         }
-        let tagged = inner.encode_tagged();
         if tagged.len() > self.encoder.max_shard() {
             self.stats.bypassed += 1;
-            out.push(inner);
-            return;
+            return sink.message(bare(tagged));
         }
         let (k, r) = match self.open {
             Some(geom) => geom,
@@ -194,11 +219,10 @@ impl FecSender {
             // non-full group and a size-checked payload — but never
             // silently drop reliable traffic on a defensive branch).
             self.stats.bypassed += 1;
-            out.push(inner);
-            return;
+            return sink.message(bare(tagged));
         };
         self.stats.data_shards += 1;
-        out.push(Message::FecShard {
+        sink.message(Message::FecShard {
             channel: self.channel,
             group: self.next_group,
             index,
@@ -207,32 +231,32 @@ impl FecSender {
             payload: tagged,
         });
         if self.encoder.is_full() {
-            self.close_group(out);
+            self.close_group(sink);
         }
     }
 
     /// Closes the open group if any shards are pending, emitting its
     /// parity. Called by the link on tick boundaries so sparse traffic
     /// still gets repair shards with bounded delay.
-    pub fn flush(&mut self, out: &mut Vec<Message>) {
+    pub fn flush(&mut self, sink: &mut impl WireSink) {
         if self.open.is_some() && self.encoder.pushed() > 0 {
-            self.close_group(out);
+            self.close_group(sink);
         } else {
             self.open = None;
         }
     }
 
-    fn close_group(&mut self, out: &mut Vec<Message>) {
+    fn close_group(&mut self, sink: &mut impl WireSink) {
         let Some((_, r)) = self.open.take() else { return };
         let k_actual = self.encoder.pushed();
         for lane in 0..self.encoder.parity_lanes() {
-            out.push(Message::FecShard {
+            sink.shard(ShardRef {
                 channel: self.channel,
                 group: self.next_group,
                 index: PARITY_INDEX_BIT | lane,
                 k: k_actual,
                 r,
-                payload: Bytes::copy_from_slice(self.encoder.parity(lane)),
+                payload: self.encoder.parity(lane),
             });
             self.stats.parity_shards += 1;
         }

@@ -240,7 +240,7 @@ fn wire_crc(wire: &[u8]) -> u32 {
 /// it already holds: the 16 header bytes, with length and CRC left zero
 /// until [`finish_wire`]. The caller appends the payload in between — the
 /// one writer behind both [`Frame::encode`] and
-/// [`Message::append_frame`](crate::Message::append_frame).
+/// [`FrameBody::append_frame`](crate::FrameBody::append_frame).
 pub(crate) fn begin_wire(buf: &mut BytesMut, src: NodeId, kind: MessageKind) {
     buf.put_u16_le(FRAME_MAGIC);
     buf.put_u8(PROTOCOL_VERSION);

@@ -48,5 +48,5 @@ pub use frame::{
     frames, Frame, FrameHeader, Frames, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use ids::{GroupId, NodeId, RequestId, ServiceId, TransferId};
-pub use messages::{Appended, Message, MessageKind};
+pub use messages::{Appended, FrameBody, Message, MessageKind, NameLookup, ShardRef, WireSink};
 pub use time::{Micros, ProtoDuration};

@@ -556,7 +556,7 @@ pub enum Message {
     AnnounceRequest,
 }
 
-/// What [`Message::append_frame`] did with a message. Only `Frame`
+/// What [`FrameBody::append_frame`] did with a message. Only `Frame`
 /// changes the datagram; after the other two it is as it was.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Appended {
@@ -568,6 +568,189 @@ pub enum Appended {
     /// The message fits no datagram: its [`Message::encode_tagged`] bytes,
     /// to be split with [`fragment_shared`](crate::fragment::fragment_shared).
     Oversize(Bytes),
+}
+
+/// What encodes as the body of one frame: a [`Message`], or an `FecShard`
+/// whose payload is still borrowed ([`ShardRef`]). One framing path,
+/// [`FrameBody::append_frame`], serves both.
+pub trait FrameBody {
+    /// The wire kind of the frame.
+    fn kind(&self) -> MessageKind;
+
+    /// Bytes of the body that are a name or blob copied as it is — a
+    /// floor on the body's encoded size that costs no encoding (zero for
+    /// the messages that carry neither).
+    fn verbatim_len(&self) -> usize;
+
+    /// Serializes the body (no kind byte, no frame header).
+    fn write_body(&self, w: &mut WireWriter<'_>);
+
+    /// Encodes the body as the next frame of `datagram` — a buffer of
+    /// zero or more whole frames bound for a transport whose datagrams hold
+    /// `mtu` bytes. The frame is written straight behind the ones already
+    /// there (no buffer of its own) and checksummed in place. Only the
+    /// encoded size tells the three outcomes apart:
+    ///
+    /// * it fits the room left: [`Appended::Frame`];
+    /// * it fits `mtu` but not the room left: `datagram` keeps what it held
+    ///   and the frame comes back in a buffer of its own,
+    ///   [`Appended::Spilled`]. A message whose names and blobs alone
+    ///   overrun the room is encoded there directly; one that only shows
+    ///   the overrun once encoded is encoded a second time, never copied;
+    /// * it does not fit `mtu` at all: [`Appended::Oversize`] carries its
+    ///   [`Message::encode_tagged`] form for the sender to fragment — cut
+    ///   from the same bytes, because the body sits behind a 16-byte
+    ///   header either way and the tagged form is those bytes from the
+    ///   header's last byte on, with the kind byte dropped there.
+    ///
+    /// # Panics
+    ///
+    /// As [`Message::encode_frame`], when the body fits `mtu`.
+    fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
+        let start = datagram.len();
+        if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
+            return frame_alone(self, src, mtu);
+        }
+        write_frame(self, src, datagram);
+        if start > 0 && datagram.len() > mtu {
+            datagram.truncate(start);
+            return frame_alone(self, src, mtu);
+        }
+        let len = datagram.len() - start;
+        if len > mtu {
+            let tag_at = FRAME_HEADER_LEN - 1;
+            datagram[tag_at] = self.kind().wire_tag();
+            return Appended::Oversize(std::mem::take(datagram).freeze().slice(tag_at..));
+        }
+        frame::finish_wire(datagram, start);
+        Appended::Frame(len)
+    }
+}
+
+/// [`FrameBody::append_frame`] for a body that overruns the room left in
+/// its datagram: the frame in a buffer of its own, or its tagged form when
+/// that overruns `mtu` too.
+fn frame_alone<B: FrameBody + ?Sized>(body: &B, src: NodeId, mtu: usize) -> Appended {
+    let mut alone = BytesMut::new();
+    match body.append_frame(src, &mut alone, mtu) {
+        Appended::Frame(_) => Appended::Spilled(alone),
+        oversize => oversize,
+    }
+}
+
+/// Header (length and CRC still blank) plus body, at the tail of `buf`.
+fn write_frame<B: FrameBody + ?Sized>(body: &B, src: NodeId, buf: &mut BytesMut) {
+    buf.reserve(FRAME_HEADER_LEN + encoded_len_hint(body.verbatim_len()));
+    frame::begin_wire(buf, src, body.kind());
+    body.write_body(&mut WireWriter::new(buf));
+}
+
+/// Capacity to reserve for a body with `verbatim` bytes of names and
+/// blobs: those plus a bound on the fixed fields, so the blob-carrying
+/// messages encode without growing their buffer. (A catalogue `Announce`
+/// still grows; it is rare and has no cheap bound.)
+fn encoded_len_hint(verbatim: usize) -> usize {
+    // Four varints at their everyday widths, codec id, length prefixes.
+    const FIXED: usize = 32;
+    match verbatim {
+        0 => 2 * FIXED,
+        verbatim => FIXED + verbatim,
+    }
+}
+
+/// A [`Message::FecShard`] whose payload is borrowed: how a parity shard
+/// is framed straight from the encoder's lane, with no buffer of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardRef<'a> {
+    /// Reliable-channel id the group belongs to.
+    pub channel: u16,
+    /// Group id.
+    pub group: u64,
+    /// Shard index (see [`Message::FecShard`]).
+    pub index: u8,
+    /// Data-shard count.
+    pub k: u8,
+    /// Parity lane count.
+    pub r: u8,
+    /// Tagged inner message (data) or XOR lane payload (parity).
+    pub payload: &'a [u8],
+}
+
+impl ShardRef<'_> {
+    /// The owned message: the payload is copied.
+    pub fn to_message(&self) -> Message {
+        let ShardRef { channel, group, index, k, r, payload } = *self;
+        Message::FecShard { channel, group, index, k, r, payload: Bytes::copy_from_slice(payload) }
+    }
+}
+
+impl FrameBody for ShardRef<'_> {
+    fn kind(&self) -> MessageKind {
+        MessageKind::FecShard
+    }
+
+    fn verbatim_len(&self) -> usize {
+        self.payload.len()
+    }
+
+    fn write_body(&self, w: &mut WireWriter<'_>) {
+        w.put_u16_le(self.channel);
+        w.put_varint(self.group);
+        w.put_u8(self.index);
+        w.put_u8(self.k);
+        w.put_u8(self.r);
+        w.put_len_prefixed(self.payload);
+    }
+}
+
+/// Where a reliable-channel operation puts the wire messages it produces:
+/// a buffer its caller owns. A `Vec<Message>` collects them; the
+/// container's outbox frames each one on the spot.
+pub trait WireSink {
+    /// Takes one wire message.
+    fn message(&mut self, msg: Message);
+
+    /// Takes one FEC shard whose payload is still borrowed.
+    fn shard(&mut self, shard: ShardRef<'_>) {
+        self.message(shard.to_message());
+    }
+}
+
+impl WireSink for Vec<Message> {
+    fn message(&mut self, msg: Message) {
+        self.push(msg);
+    }
+}
+
+/// Answers the [`Name`] a receiver already holds for a string read off the
+/// wire (`None`: it holds none), so that decoding shares it — one
+/// reference-count bump — instead of validating and allocating another.
+pub type NameLookup<'a> = &'a dyn Fn(&str) -> Option<Name>;
+
+impl FrameBody for Message {
+    fn kind(&self) -> MessageKind {
+        Message::kind(self)
+    }
+
+    fn verbatim_len(&self) -> usize {
+        match self {
+            Message::VarSample { name, payload, .. }
+            | Message::EventData { name, payload, .. }
+            | Message::CallRequest { function: name, payload, .. } => {
+                name.as_str().len() + payload.len()
+            }
+            Message::CallReply { payload, .. }
+            | Message::FileChunk { payload, .. }
+            | Message::Fragment { payload, .. }
+            | Message::RelData { payload, .. }
+            | Message::FecShard { payload, .. } => payload.len(),
+            _ => 0,
+        }
+    }
+
+    fn write_body(&self, w: &mut WireWriter<'_>) {
+        Message::write_body(self, w);
+    }
 }
 
 impl Message {
@@ -604,7 +787,7 @@ impl Message {
 
     /// Serializes the message body (without frame header).
     pub fn encode_payload(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len_hint());
+        let mut buf = BytesMut::with_capacity(encoded_len_hint(self.verbatim_len()));
         self.write_body(&mut WireWriter::new(&mut buf));
         buf.freeze()
     }
@@ -612,10 +795,30 @@ impl Message {
     /// Serializes the message *with* a leading kind byte — the format used
     /// inside [`Message::RelData`] envelopes and fragments.
     pub fn encode_tagged(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + self.encoded_len_hint());
-        buf.extend_from_slice(&[self.kind().wire_tag()]);
-        self.write_body(&mut WireWriter::new(&mut buf));
+        let mut buf = BytesMut::new();
+        self.encode_tagged_into(&mut buf);
         buf.freeze()
+    }
+
+    /// [`Message::encode_tagged`] appended to `buf` — for a sender that
+    /// encodes every message into one buffer it keeps.
+    pub fn encode_tagged_into(&self, buf: &mut BytesMut) {
+        buf.reserve(1 + encoded_len_hint(self.verbatim_len()));
+        buf.extend_from_slice(&[self.kind().wire_tag()]);
+        self.write_body(&mut WireWriter::new(buf));
+    }
+
+    /// The [`Message::encode_tagged`] form of `RelData { channel, seq,
+    /// payload: inner }`, written once around `inner`, and the offset at
+    /// which `inner` sits in it: the envelope a reliable message travels
+    /// in, bare or as an FEC data shard, on every transmission.
+    pub fn rel_data_envelope(channel: u16, seq: u64, inner: &[u8]) -> (Bytes, usize) {
+        // Kind byte, channel, and both varints at their widest.
+        let mut buf = BytesMut::with_capacity(1 + 2 + 10 + 5 + inner.len());
+        buf.extend_from_slice(&[MessageKind::RelData.wire_tag()]);
+        write_rel_data(&mut WireWriter::new(&mut buf), channel, seq, inner);
+        let body = buf.len() - inner.len();
+        (buf.freeze(), body)
     }
 
     /// Serializes the message as one complete wire frame from `src` —
@@ -629,68 +832,9 @@ impl Message {
     /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD), like [`Frame::new`].
     pub fn encode_frame(&self, src: NodeId) -> Bytes {
         let mut buf = BytesMut::new();
-        self.write_frame(src, &mut buf);
+        write_frame(self, src, &mut buf);
         frame::finish_wire(&mut buf, 0);
         buf.freeze()
-    }
-
-    /// Encodes the message as the next frame of `datagram` — a buffer of
-    /// zero or more whole frames bound for a transport whose datagrams hold
-    /// `mtu` bytes. The frame is written straight behind the ones already
-    /// there (no buffer of its own) and checksummed in place. Only the
-    /// encoded size tells the three outcomes apart:
-    ///
-    /// * it fits the room left: [`Appended::Frame`];
-    /// * it fits `mtu` but not the room left: `datagram` keeps what it held
-    ///   and the frame comes back in a buffer of its own,
-    ///   [`Appended::Spilled`]. A message whose names and blobs alone
-    ///   overrun the room is encoded there directly; one that only shows
-    ///   the overrun once encoded is encoded a second time, never copied;
-    /// * it does not fit `mtu` at all: [`Appended::Oversize`] carries its
-    ///   [`Message::encode_tagged`] form for the sender to fragment — cut
-    ///   from the same bytes, because the body sits behind a 16-byte
-    ///   header either way and the tagged form is those bytes from the
-    ///   header's last byte on, with the kind byte dropped there.
-    ///
-    /// # Panics
-    ///
-    /// As [`Message::encode_frame`], when the body fits `mtu`.
-    pub fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
-        let start = datagram.len();
-        if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
-            return self.frame_alone(src, mtu);
-        }
-        self.write_frame(src, datagram);
-        if start > 0 && datagram.len() > mtu {
-            datagram.truncate(start);
-            return self.frame_alone(src, mtu);
-        }
-        let len = datagram.len() - start;
-        if len > mtu {
-            let tag_at = FRAME_HEADER_LEN - 1;
-            datagram[tag_at] = self.kind().wire_tag();
-            return Appended::Oversize(std::mem::take(datagram).freeze().slice(tag_at..));
-        }
-        frame::finish_wire(datagram, start);
-        Appended::Frame(len)
-    }
-
-    /// [`Message::append_frame`] for a message that overruns the room left
-    /// in its datagram: the frame in a buffer of its own, or its tagged
-    /// form when that overruns `mtu` too.
-    fn frame_alone(&self, src: NodeId, mtu: usize) -> Appended {
-        let mut alone = BytesMut::new();
-        match self.append_frame(src, &mut alone, mtu) {
-            Appended::Frame(_) => Appended::Spilled(alone),
-            oversize => oversize,
-        }
-    }
-
-    /// Header (length and CRC still blank) plus body, at the tail of `buf`.
-    fn write_frame(&self, src: NodeId, buf: &mut BytesMut) {
-        buf.reserve(FRAME_HEADER_LEN + self.encoded_len_hint());
-        frame::begin_wire(buf, src, self.kind());
-        self.write_body(&mut WireWriter::new(buf));
     }
 
     /// Inverse of [`Message::encode_tagged`]. Blob fields are copied out
@@ -700,7 +844,7 @@ impl Message {
     ///
     /// [`DecodeError`] on malformed input.
     pub fn decode_tagged(bytes: &[u8]) -> Result<Message, DecodeError> {
-        Self::read_tagged(bytes, None)
+        Self::read_tagged(bytes, None, None)
     }
 
     /// [`Message::decode_tagged`] for input already held as [`Bytes`]: the
@@ -711,7 +855,21 @@ impl Message {
     ///
     /// Exactly those of [`Message::decode_tagged`].
     pub fn decode_tagged_shared(bytes: &Bytes) -> Result<Message, DecodeError> {
-        Self::read_tagged(bytes, Some(bytes))
+        Self::read_tagged(bytes, Some(bytes), None)
+    }
+
+    /// [`Message::decode_tagged_shared`] that asks `names` for every name
+    /// it reads; one `names` does not hold is validated and allocated as
+    /// ever, so the result is equal either way.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Message::decode_tagged`].
+    pub fn decode_tagged_interned(
+        bytes: &Bytes,
+        names: NameLookup<'_>,
+    ) -> Result<Message, DecodeError> {
+        Self::read_tagged(bytes, Some(bytes), Some(names))
     }
 
     /// Deserializes a message of known `kind` from a frame payload.
@@ -720,7 +878,7 @@ impl Message {
     ///
     /// [`DecodeError`] on malformed or trailing input.
     pub fn decode_payload(kind: MessageKind, bytes: &[u8]) -> Result<Message, DecodeError> {
-        Self::read_to_end(kind, WireReader::new(bytes), None)
+        Self::read_to_end(kind, WireReader::new(bytes), None, None)
     }
 
     /// Wraps the message in a [`Frame`] from `src`.
@@ -736,15 +894,33 @@ impl Message {
     /// [`DecodeError`] if the payload does not parse as the header's kind.
     pub fn from_frame(frame: &Frame) -> Result<Message, DecodeError> {
         let payload = frame.payload_bytes();
-        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload))
+        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload), None)
+    }
+
+    /// [`Message::from_frame`] that asks `names` for every name it reads
+    /// (see [`Message::decode_tagged_interned`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Message::from_frame`].
+    pub fn from_frame_interned(
+        frame: &Frame,
+        names: NameLookup<'_>,
+    ) -> Result<Message, DecodeError> {
+        let payload = frame.payload_bytes();
+        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload), Some(names))
     }
 
     /// `backing`, when given, is the storage `bytes` borrows from.
-    fn read_tagged(bytes: &[u8], backing: Option<&Bytes>) -> Result<Message, DecodeError> {
+    fn read_tagged(
+        bytes: &[u8],
+        backing: Option<&Bytes>,
+        names: Option<NameLookup<'_>>,
+    ) -> Result<Message, DecodeError> {
         let mut r = WireReader::new(bytes);
         let tag = r.get_u8()?;
         let kind = MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-        Self::read_to_end(kind, r, backing)
+        Self::read_to_end(kind, r, backing, names)
     }
 
     /// Reads one `kind` body and insists that it is all `r` had left.
@@ -753,44 +929,13 @@ impl Message {
         kind: MessageKind,
         mut r: WireReader<'_>,
         backing: Option<&Bytes>,
+        names: Option<NameLookup<'_>>,
     ) -> Result<Message, DecodeError> {
-        let msg = Self::read_body(kind, &mut r, backing)?;
+        let msg = Self::read_body(kind, &mut r, backing, names)?;
         if !r.is_empty() {
             return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
         }
         Ok(msg)
-    }
-
-    /// Capacity to reserve for [`Message::write_body`]: the blob and name
-    /// lengths plus a bound on the fixed fields, so the blob-carrying
-    /// messages encode without growing their buffer. (A catalogue
-    /// `Announce` still grows; it is rare and has no cheap bound.)
-    fn encoded_len_hint(&self) -> usize {
-        // Four varints at their everyday widths, codec id, length prefixes.
-        const FIXED: usize = 32;
-        match self.verbatim_len() {
-            0 => 2 * FIXED,
-            verbatim => FIXED + verbatim,
-        }
-    }
-
-    /// Bytes of the body that are a name or blob copied as it is — a
-    /// floor on the body's encoded size that costs no encoding (zero for
-    /// the messages that carry neither).
-    fn verbatim_len(&self) -> usize {
-        match self {
-            Message::VarSample { name, payload, .. }
-            | Message::EventData { name, payload, .. }
-            | Message::CallRequest { function: name, payload, .. } => {
-                name.as_str().len() + payload.len()
-            }
-            Message::CallReply { payload, .. }
-            | Message::FileChunk { payload, .. }
-            | Message::Fragment { payload, .. }
-            | Message::RelData { payload, .. }
-            | Message::FecShard { payload, .. } => payload.len(),
-            _ => 0,
-        }
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {
@@ -910,9 +1055,7 @@ impl Message {
                 w.put_len_prefixed(payload);
             }
             Message::RelData { channel, seq, payload } => {
-                w.put_u16_le(*channel);
-                w.put_varint(*seq);
-                w.put_len_prefixed(payload);
+                write_rel_data(w, *channel, *seq, payload)
             }
             Message::RelAck { channel, cumulative, sack, loss_permille } => {
                 w.put_u16_le(*channel);
@@ -926,27 +1069,25 @@ impl Message {
                 w.put_u32_le(subscriber.0);
             }
             Message::FecShard { channel, group, index, k, r, payload } => {
-                w.put_u16_le(*channel);
-                w.put_varint(*group);
-                w.put_u8(*index);
-                w.put_u8(*k);
-                w.put_u8(*r);
-                w.put_len_prefixed(payload);
+                let (channel, group, index, k, r) = (*channel, *group, *index, *k, *r);
+                ShardRef { channel, group, index, k, r, payload }.write_body(w);
             }
             Message::AnnounceRequest => {}
         }
     }
 
     /// `backing`, when given, is the storage `r` reads from: blob fields
-    /// are then cut out of it instead of copied.
+    /// are then cut out of it instead of copied. `names`, when given, is
+    /// asked for every name before one is made.
     fn read_body(
         kind: MessageKind,
         r: &mut WireReader<'_>,
         backing: Option<&Bytes>,
+        names: Option<NameLookup<'_>>,
     ) -> Result<Message, DecodeError> {
         Ok(match kind {
             MessageKind::Hello => Message::Hello {
-                container: read_name(r)?,
+                container: read_name(r, names)?,
                 incarnation: r.get_varint()?,
                 fec_cap: r.get_u8()?,
             },
@@ -964,7 +1105,7 @@ impl Message {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let service_seq = read_u32(r)?;
-                    let name = read_name(r)?;
+                    let name = read_name(r, names)?;
                     let state_tag = r.get_u8()?;
                     let state = ServiceState::from_wire_tag(state_tag)
                         .ok_or(DecodeError::InvalidTag(state_tag))?;
@@ -972,7 +1113,7 @@ impl Message {
                     let mut provides = Vec::with_capacity(np);
                     for _ in 0..np {
                         let ptag = r.get_u8()?;
-                        let pname = read_name(r)?;
+                        let pname = read_name(r, names)?;
                         provides.push(match ptag {
                             0 => Provision::Variable {
                                 name: pname,
@@ -1007,21 +1148,22 @@ impl Message {
             }
             MessageKind::ServiceStatus => {
                 let service_seq = read_u32(r)?;
-                let name = read_name(r)?;
+                let name = read_name(r, names)?;
                 let tag = r.get_u8()?;
                 let state = ServiceState::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
                 Message::ServiceStatus { service_seq, name, state }
             }
             MessageKind::SubscribeVar => Message::SubscribeVar {
-                name: read_name(r)?,
+                name: read_name(r, names)?,
                 subscriber: NodeId(r.get_u32_le()?),
                 need_initial: r.get_bool()?,
             },
-            MessageKind::UnsubscribeVar => {
-                Message::UnsubscribeVar { name: read_name(r)?, subscriber: NodeId(r.get_u32_le()?) }
-            }
+            MessageKind::UnsubscribeVar => Message::UnsubscribeVar {
+                name: read_name(r, names)?,
+                subscriber: NodeId(r.get_u32_le()?),
+            },
             MessageKind::VarSample => Message::VarSample {
-                name: read_name(r)?,
+                name: read_name(r, names)?,
                 seq: r.get_varint()?,
                 stamp_us: r.get_varint()?,
                 validity_us: r.get_varint()?,
@@ -1030,7 +1172,7 @@ impl Message {
                 payload: read_blob(r, backing)?,
             },
             MessageKind::EventData => Message::EventData {
-                name: read_name(r)?,
+                name: read_name(r, names)?,
                 seq: r.get_varint()?,
                 stamp_us: r.get_varint()?,
                 trace: r.get_varint()?,
@@ -1039,7 +1181,7 @@ impl Message {
             },
             MessageKind::CallRequest => Message::CallRequest {
                 request: RequestId(r.get_varint()?),
-                function: read_name(r)?,
+                function: read_name(r, names)?,
                 target_seq: read_u32(r)?,
                 trace: r.get_varint()?,
                 codec: r.get_u8()?,
@@ -1059,7 +1201,7 @@ impl Message {
             }
             MessageKind::FileAnnounce => Message::FileAnnounce {
                 transfer: TransferId(r.get_varint()?),
-                resource: read_name(r)?,
+                resource: read_name(r, names)?,
                 revision: read_u32(r)?,
                 size: r.get_varint()?,
                 chunk_size: read_u32(r)?,
@@ -1114,11 +1256,12 @@ impl Message {
                 sack: r.get_u64_le()?,
                 loss_permille: r.get_u16_le()?,
             },
-            MessageKind::SubscribeEvent => {
-                Message::SubscribeEvent { name: read_name(r)?, subscriber: NodeId(r.get_u32_le()?) }
-            }
+            MessageKind::SubscribeEvent => Message::SubscribeEvent {
+                name: read_name(r, names)?,
+                subscriber: NodeId(r.get_u32_le()?),
+            },
             MessageKind::UnsubscribeEvent => Message::UnsubscribeEvent {
-                name: read_name(r)?,
+                name: read_name(r, names)?,
                 subscriber: NodeId(r.get_u32_le()?),
             },
             MessageKind::FecShard => Message::FecShard {
@@ -1132,6 +1275,14 @@ impl Message {
             MessageKind::AnnounceRequest => Message::AnnounceRequest,
         })
     }
+}
+
+/// The `RelData` body — the one layout behind [`Message::write_body`]
+/// and [`Message::rel_data_envelope`].
+fn write_rel_data(w: &mut WireWriter<'_>, channel: u16, seq: u64, payload: &[u8]) {
+    w.put_u16_le(channel);
+    w.put_varint(seq);
+    w.put_len_prefixed(payload);
 }
 
 fn write_announce_body(w: &mut WireWriter<'_>, incarnation: u64, entries: &[AnnounceEntry]) {
@@ -1206,9 +1357,12 @@ fn read_typedesc(r: &mut WireReader<'_>) -> Result<DataType, DecodeError> {
     typedesc::decode_type_from_slice(bytes)
 }
 
-fn read_name(r: &mut WireReader<'_>) -> Result<Name, DecodeError> {
+fn read_name(r: &mut WireReader<'_>, names: Option<NameLookup<'_>>) -> Result<Name, DecodeError> {
     let s = r.get_str(256)?;
-    Name::new(s).map_err(|_| DecodeError::InvalidName)
+    match names.and_then(|held| held(s)) {
+        Some(name) => Ok(name),
+        None => Name::new(s).map_err(|_| DecodeError::InvalidName),
+    }
 }
 
 /// Reads a length-prefixed blob. The reader validates the prefix against

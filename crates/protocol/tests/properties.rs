@@ -10,13 +10,13 @@ use proptest::prelude::*;
 
 use marea_encoding::DecodeError;
 use marea_presentation::{DataType, Name};
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender};
+use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, Envelope};
 use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
 use marea_protocol::fragment::{fragment_payload, fragment_shared, Reassembler};
 use marea_protocol::messages::{AnnounceEntry, CallStatus, FunctionSig, Provision, ServiceState};
 use marea_protocol::mftp::{FileReceiver, FileSender, RevisionPolicy};
 use marea_protocol::{
-    frames, Appended, Frame, FrameError, GroupId, Message, MessageKind, Micros, NodeId,
+    frames, Appended, Frame, FrameBody, FrameError, GroupId, Message, MessageKind, Micros, NodeId,
     ProtoDuration, RequestId, TransferId, FRAME_HEADER_LEN,
 };
 
@@ -66,11 +66,11 @@ proptest! {
                 }
             }
             // Retransmissions (lossy too).
-            let (retx, failed) = tx.poll(now);
+            let (retx, failed) = poll(&mut tx, now);
             prop_assert!(failed.is_empty(), "retry budget must suffice at this loss rate");
-            for msg in retx {
+            for envelope in retx {
                 if chance() >= loss_permille {
-                    if let Message::RelData { seq, payload, .. } = msg {
+                    if let Message::RelData { seq, payload, .. } = envelope.into_message() {
                         delivered.extend(rx.on_data(seq, payload));
                     }
                 }
@@ -91,9 +91,9 @@ proptest! {
             prop_assert_eq!(p.as_ref(), expected.as_slice());
         }
         // Exactly-once: nothing extra arrives later.
-        let (retx, _) = tx.poll(now + ProtoDuration::from_secs(10));
-        for msg in retx {
-            if let Message::RelData { seq, payload, .. } = msg {
+        let (retx, _) = poll(&mut tx, now + ProtoDuration::from_secs(10));
+        for envelope in retx {
+            if let Message::RelData { seq, payload, .. } = envelope.into_message() {
                 prop_assert!(rx.on_data(seq, payload).is_empty());
             }
         }
@@ -369,10 +369,12 @@ proptest! {
                 let Some(p) = to_send.pop() else { break };
                 fec_tx.wrap(arq_tx.send(p, now).unwrap(), &mut wire);
             }
-            let (retx, failed) = arq_tx.poll(now);
+            // First transmissions as decoded messages, retransmissions as
+            // envelopes: both routes into the coder, one stream out of it.
+            let (retx, failed) = poll(&mut arq_tx, now);
             prop_assert!(failed.is_empty(), "retry budget must suffice");
-            for m in retx {
-                fec_tx.wrap(m, &mut wire);
+            for envelope in retx {
+                fec_tx.wrap_envelope(envelope, &mut wire);
             }
             fec_tx.flush(&mut wire); // tick boundary: close the partial group
             // Adversarial channel: seeded loss, rotation, one duplicate.
@@ -476,6 +478,13 @@ proptest! {
         wire[i] ^= 1 << bit;
         prop_assert!(Frame::decode(&wire).is_err(), "bit flip at {}:{} accepted", i, bit);
     }
+}
+
+/// The retransmissions due at `now`, and the seqs abandoned.
+fn poll(tx: &mut ArqSender, now: Micros) -> (Vec<Envelope>, Vec<u64>) {
+    let (mut retx, mut failed) = (Vec::new(), Vec::new());
+    tx.poll(now, |envelope| retx.push(envelope), &mut failed);
+    (retx, failed)
 }
 
 // ---- zero-copy decode: equivalence, hostile lengths, wire golden ----------
@@ -995,6 +1004,113 @@ fn shared_decode_cuts_blobs_out_of_the_datagram() {
             panic!("{kind:?} carries a blob");
         };
         assert!(inside(&payload), "{kind:?} blob was copied");
+    }
+}
+
+/// Decoding with a name lookup yields the same message either way; a name
+/// the lookup holds comes back as that very allocation, one it does not
+/// hold is made as ever, and an invalid one is still refused.
+#[test]
+fn interned_decode_shares_held_names_and_falls_back_for_the_rest() {
+    let held = name("held/name".into());
+    let lookup = |s: &str| (s == held.as_str()).then(|| held.clone());
+    let event = |name: Name| Message::EventData {
+        name,
+        seq: 1,
+        stamp_us: 2,
+        trace: 3,
+        codec: 0,
+        payload: Bytes::from_static(b"x"),
+    };
+    for (sent, shared) in [(name("held/name".into()), true), (name("other/name".into()), false)] {
+        let msg = event(sent);
+        let tagged = msg.encode_tagged();
+        let frame = Frame::decode_shared(&msg.encode_frame(NodeId(3))).unwrap();
+        let decoded = [
+            Message::decode_tagged_interned(&tagged, &lookup).unwrap(),
+            Message::from_frame_interned(&frame, &lookup).unwrap(),
+        ];
+        for got in decoded {
+            assert_eq!(got, msg);
+            let Message::EventData { name, .. } = got else { unreachable!() };
+            assert_eq!(name.as_str().as_ptr() == held.as_str().as_ptr(), shared, "{name}");
+        }
+    }
+    let mut invalid = event(name("held/name".into())).encode_tagged().to_vec();
+    invalid[2] = b' '; // tag, length prefix, then the name's first byte
+    assert_eq!(
+        Message::decode_tagged_interned(&Bytes::from(invalid), &lookup),
+        Err(DecodeError::InvalidName)
+    );
+}
+
+/// The reliable channel stores a message once. The envelope the ARQ sender
+/// builds is `RelData`'s tagged encoding byte for byte, on both sides of
+/// every varint boundary of its two varints; decoding it yields the inner
+/// message as a window onto it; and the first transmission, the
+/// retransmission and the FEC data shard are all that same storage.
+#[test]
+fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
+    const EDGES: [u64; 6] = [0, 127, 128, 16_383, 16_384, 1 << 32];
+    let around = |edges: &[u64]| -> Vec<u64> {
+        let mut all: Vec<u64> =
+            edges.iter().flat_map(|e| [e.saturating_sub(1), *e, e + 1]).collect();
+        all.dedup();
+        all
+    };
+    let inner_of = |len: u64| -> Vec<u8> { (0..len).map(|i| (i * 31) as u8).collect() };
+    let lens = around(&EDGES[..5]); // a 4 GiB message is not a test input
+
+    for seq in around(&EDGES) {
+        for &len in &lens {
+            let inner = inner_of(len);
+            let (envelope, body) = Message::rel_data_envelope(9, seq, &inner);
+            let msg = Message::RelData { channel: 9, seq, payload: Bytes::from(inner.clone()) };
+            assert_eq!(envelope, msg.encode_tagged(), "seq {seq} len {len}");
+            assert_eq!(&envelope[body..], inner.as_slice(), "seq {seq} len {len}");
+            let decoded = Message::decode_tagged_shared(&envelope).unwrap();
+            assert_eq!(decoded, msg);
+            let Message::RelData { payload, .. } = decoded else { unreachable!() };
+            assert_eq!(payload.as_ptr(), envelope[body..].as_ptr(), "payload was copied");
+        }
+    }
+
+    let cfg = ArqConfig {
+        window: 64,
+        initial_rto: ProtoDuration::from_millis(10),
+        ..ArqConfig::default()
+    };
+    let mut tx = ArqSender::new(9, cfg);
+    let mut fec_tx = FecSender::new(9, FecRate::Medium);
+    let first: Vec<Envelope> =
+        lens.iter().map(|&len| tx.admit(&inner_of(len), Micros::ZERO).unwrap()).collect();
+    for (seq, (envelope, &len)) in first.iter().zip(&lens).enumerate() {
+        let msg =
+            Message::RelData { channel: 9, seq: seq as u64, payload: Bytes::from(inner_of(len)) };
+        assert_eq!(envelope.tagged(), &msg.encode_tagged(), "seq {seq} len {len}");
+        assert_eq!(envelope.clone().into_message(), msg);
+    }
+    let (again, failed) = poll(&mut tx, Micros::from_millis(11));
+    assert!(failed.is_empty());
+    assert_eq!(again, first, "every message is retransmitted as it was first sent");
+    for (sent, resent) in first.iter().zip(again) {
+        let storage = sent.tagged().as_ptr_range();
+        assert_eq!(resent.tagged().as_ptr(), storage.start, "retransmission re-encoded");
+        let mut wire = Vec::new();
+        fec_tx.wrap_envelope(resent, &mut wire);
+        match &wire[0] {
+            // Small enough to code: the data shard's payload is the envelope.
+            Message::FecShard { payload, .. } => {
+                assert_eq!((payload.as_ptr(), payload.len()), (storage.start, sent.tagged().len()));
+            }
+            // Too big for a shard: bare, its payload a window onto the envelope.
+            Message::RelData { payload, .. } => {
+                assert!(sent.tagged().len() > marea_protocol::fec::MAX_SHARD_LEN);
+                assert_eq!(payload.as_ptr_range().end, storage.end);
+                assert!(payload.is_empty() || storage.contains(&payload.as_ptr()));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }
 

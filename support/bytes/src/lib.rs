@@ -248,6 +248,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Removes all bytes, keeping capacity.
     pub fn clear(&mut self) {
         self.data.clear();
