@@ -999,7 +999,7 @@ pub fn bench_failover(seed: u64) -> FailoverResult {
     FailoverResult {
         blackout_ms: first_backup.saturating_sub(crash_at),
         errors: outcomes.iter().filter(|(_, r)| r.is_err()).count() as u32,
-        failovers: h.container(NodeId(1)).unwrap().stats().call_failovers,
+        failovers: h.container(NodeId(1)).unwrap().stats().qos.retries,
     }
 }
 

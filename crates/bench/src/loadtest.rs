@@ -16,11 +16,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use marea_core::metrics::{LatencySummary, MetricsConfig};
+use marea_core::metrics::MetricsConfig;
 use marea_core::trace::LatencyHistogram;
 use marea_core::{
-    ContainerConfig, EventPort, FnPort, NodeId, ProtoDuration, Service, SimHarness, TraceConfig,
-    VarPort,
+    ContainerConfig, EventPort, FnPort, LatencySummary, NodeId, ProtoDuration, Service, SimHarness,
+    TraceConfig, VarPort,
 };
 use marea_netsim::NetConfig;
 
@@ -410,34 +410,14 @@ pub fn run_loadtest(cfg: &LoadtestConfig) -> LoadtestReport {
 // Reporting and the regression gate
 // ---------------------------------------------------------------------------
 
-fn opt_json(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "{x}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
 fn window_json(out: &mut String, w: &WindowReport) {
     let _ = write!(
         out,
         "{{\"index\": {}, \"start_us\": {}, \"end_us\": {}, \"offered\": {}, \"delivered\": {}, \
-         \"achieved_hz\": {}, \"goodput_bps\": {}, \"count\": {}, \"p50_us\": ",
-        w.index,
-        w.start_us,
-        w.end_us,
-        w.offered,
-        w.delivered,
-        w.achieved_hz,
-        w.goodput_bps,
-        w.latency.count,
+         \"achieved_hz\": {}, \"goodput_bps\": {}, ",
+        w.index, w.start_us, w.end_us, w.offered, w.delivered, w.achieved_hz, w.goodput_bps,
     );
-    opt_json(out, w.latency.p50_us);
-    out.push_str(", \"p99_us\": ");
-    opt_json(out, w.latency.p99_us);
-    out.push_str(", \"p999_us\": ");
-    opt_json(out, w.latency.p999_us);
+    w.latency.write_json(out, "", true);
     out.push('}');
 }
 

@@ -503,20 +503,10 @@ impl ServiceContainer {
         self.running
     }
 
-    /// Aggregated ARQ statistics over all reliable links.
+    /// Aggregated ARQ statistics over all reliable links, alive or dropped
+    /// with their peer: monotone over the container's life.
     pub fn arq_stats(&self) -> marea_protocol::arq::ArqStats {
         self.links.arq_stats()
-    }
-
-    /// Aggregated FEC statistics over all *live* reliable links.
-    ///
-    /// Unlike [`ServiceContainer::stats`] (whose FEC counters accumulate per event
-    /// and survive link teardown), this sums the current links' endpoint
-    /// counters — useful for inspecting a single link's behaviour in tests.
-    pub fn fec_link_stats(
-        &self,
-    ) -> (marea_protocol::fec::FecTxStats, marea_protocol::fec::FecRxStats) {
-        self.links.fec_link_stats()
     }
 
     /// Recent container log lines (oldest first).
@@ -665,7 +655,6 @@ impl ServiceContainer {
             self.tasks.push(Priority::TIMER, seq, TaskPayload::Timer { id });
         }
         for name in self.vars.sweep_deadlines(now) {
-            self.stats.var_timeouts += 1;
             self.tracer.record(now, TraceKind::VarTimeout, TraceId::NONE, None, 0, Some(&name));
             self.tasks.fan_out(Priority::VARIABLE, self.vars.subscribers(&name), || {
                 TaskPayload::VariableTimeout { name: name.clone() }
@@ -883,10 +872,7 @@ impl ServiceContainer {
                         let line = format!("sample of `{name}` violates announced schema; dropped");
                         return self.log_line(now, line);
                     }
-                    Err(SampleDrop::Stale) => {
-                        self.stats.stale_samples_dropped += 1;
-                        TraceKind::VarStaleDrop
-                    }
+                    Err(SampleDrop::Stale) => TraceKind::VarStaleDrop,
                     Err(SampleDrop::Old) => {
                         self.stats.old_samples_dropped += 1;
                         TraceKind::VarOldDrop
@@ -1161,6 +1147,10 @@ impl ServiceContainer {
         for id in self.rpc.sorted_targeting(|target| target.node == node) {
             self.failover_call(id, now);
         }
+        // Nothing more is published towards the dead node: a reliable send
+        // would re-open the link just dropped and retransmit into the void.
+        self.vars.drop_peer(node);
+        self.events.drop_peer(node);
         self.files.drop_peer(node);
     }
 
@@ -1263,7 +1253,6 @@ impl ServiceContainer {
         let marshalled = self.rpc.marshal(&call.args, sig, codec.as_ref());
         let returns = sig.returns.clone();
         self.rpc.redirect(&mut call, target, returns, now);
-        self.stats.call_failovers += 1;
         self.tracer.record(
             now,
             TraceKind::CallRetry,

@@ -261,6 +261,14 @@ impl EventEngine {
         }
     }
 
+    /// `node` died: it subscribes to nothing any more (a restarted node
+    /// subscribes afresh when it binds).
+    pub fn drop_peer(&mut self, node: NodeId) {
+        for pe in self.published.values_mut() {
+            pe.remote_subscribers.remove(&node);
+        }
+    }
+
     /// Remote subscriber nodes of a published channel, in node order;
     /// each gets a reliable copy of every event.
     pub fn remote_subscribers(&self, name: &Name) -> impl Iterator<Item = NodeId> + '_ {

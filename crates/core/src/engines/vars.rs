@@ -397,6 +397,14 @@ impl VarEngine {
         }
     }
 
+    /// `node` died: it subscribes to nothing any more (a restarted node
+    /// subscribes afresh when it binds).
+    pub fn drop_peer(&mut self, node: NodeId) {
+        for pv in self.published.values_mut() {
+            pv.remote_subscribers.remove(&node);
+        }
+    }
+
     /// Remote subscriber nodes of a published variable, in node order.
     pub fn remote_subscribers(&self, name: &Name) -> impl Iterator<Item = NodeId> + '_ {
         self.published.get(name).into_iter().flat_map(|pv| pv.remote_subscribers.iter().copied())

@@ -423,11 +423,6 @@ impl SimHarness {
         self.metrics.as_ref()
     }
 
-    /// Stops sampling and takes the timeline out of the harness.
-    pub fn take_metrics(&mut self) -> Option<MetricsSampler> {
-        self.metrics.take()
-    }
-
     /// Advances virtual time by one tick: delivers due datagrams, then
     /// ticks — in registration order, each at its own (possibly skewed)
     /// local clock — every container that has work, then samples the

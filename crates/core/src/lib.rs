@@ -108,7 +108,7 @@ pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
 pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};
 pub use link::{LinkEvents, ReliableLink};
-pub use metrics::{LatencySummary, LinkFrame, MetricsConfig, MetricsFrame, MetricsSampler};
+pub use metrics::{LinkFrame, MetricsConfig, MetricsFrame, MetricsSampler};
 pub use ports::{EventPort, FnPort, TypedCallHandle, VarPort};
 pub use qos::{CallOptions, DropPolicy, EventQos, QosError, VarQos};
 pub use scheduler::{
@@ -119,8 +119,8 @@ pub use service::{
     ServiceDescriptor, ServiceDescriptorBuilder, TimerId, VarSubscription,
 };
 pub use stats::{
-    ContainerStats, EventSubscriptionStats, FecStats, Occupancy, QosStats, TypeMismatchStats,
-    VarChannelView, VarSubscriptionStats,
+    ContainerStats, EventSubscriptionStats, FecStats, LatencySummary, Occupancy, QosStats, Stat,
+    TypeMismatchStats, VarChannelView, VarSubscriptionStats,
 };
 pub use trace::{LatencyHistogram, TraceConfig, TraceEvent, TraceId, TraceKind, TraceRing};
 

@@ -350,6 +350,14 @@ impl ReliableLink {
     }
 }
 
+fn fold_arq(total: &mut ArqStats, link: ArqStats) {
+    total.sent += link.sent;
+    total.retransmitted += link.retransmitted;
+    total.acked += link.acked;
+    total.failed += link.failed;
+    total.payload_bytes += link.payload_bytes;
+}
+
 /// What an incoming `RelData` or `FecShard` did to its link, beside the
 /// inner messages it released: whether the frame opened the link, and how
 /// many messages parity recovery rebuilt.
@@ -381,6 +389,9 @@ pub(crate) struct LinkTable {
     /// Shard counters — per event, because links die with their peers and
     /// the counters must survive that — and the rate gauge.
     fec: FecStats,
+    /// ARQ sender counters of the links dropped so far: what
+    /// [`arq_stats`](Self::arq_stats) reports never runs backwards.
+    retired: ArqStats,
 }
 
 impl LinkTable {
@@ -538,7 +549,9 @@ impl LinkTable {
     pub fn drop_peer(&mut self, peer: NodeId) -> bool {
         self.changed = true;
         self.active.remove(&peer);
-        self.by_peer.remove(&peer).is_some()
+        let Some(link) = self.by_peer.remove(&peer) else { return false };
+        fold_arq(&mut self.retired, link.stats());
+        true
     }
 
     /// The earliest [`next_poll_due`](ReliableLink::next_poll_due) of an
@@ -559,38 +572,13 @@ impl LinkTable {
         self.fec
     }
 
-    /// ARQ sender counters summed over the live links.
+    /// ARQ sender counters summed over every link, alive or dropped.
     pub fn arq_stats(&self) -> ArqStats {
-        let mut total = ArqStats::default();
+        let mut total = self.retired;
         for link in self.by_peer.values() {
-            let s = link.stats();
-            total.sent += s.sent;
-            total.retransmitted += s.retransmitted;
-            total.acked += s.acked;
-            total.failed += s.failed;
-            total.payload_bytes += s.payload_bytes;
+            fold_arq(&mut total, link.stats());
         }
         total
-    }
-
-    /// FEC endpoint counters summed over the live links.
-    pub fn fec_link_stats(&self) -> (FecTxStats, FecRxStats) {
-        let mut tx = FecTxStats::default();
-        let mut rx = FecRxStats::default();
-        for link in self.by_peer.values() {
-            let t = link.fec_tx_stats();
-            tx.data_shards += t.data_shards;
-            tx.parity_shards += t.parity_shards;
-            tx.bypassed += t.bypassed;
-            tx.groups += t.groups;
-            let r = link.fec_rx_stats();
-            rx.data_shards += r.data_shards;
-            rx.parity_shards += r.parity_shards;
-            rx.recovered += r.recovered;
-            rx.unrecoverable_groups += r.unrecoverable_groups;
-            rx.discarded += r.discarded;
-        }
-        (tx, rx)
     }
 }
 
@@ -1024,9 +1012,42 @@ mod tests {
                 moved.acked > 30 && moved.retransmitted > 0,
                 "seed {seed}: the run must move traffic: {moved:?}"
             );
-            // (Counters die with a dropped link; what the sweeps reported does not.)
-            assert!(moved.retransmitted <= events.retransmitted.len() as u64);
+            // Dropped links included: every retransmission a sweep reported is counted.
+            assert_eq!(moved.retransmitted, events.retransmitted.len() as u64);
             assert!(!events.recovered_us.is_empty(), "seed {seed}: some retransmit was acked");
+        }
+    }
+
+    #[test]
+    fn link_table_arq_stats_survive_a_dropped_link() {
+        let mut table = LinkTable::new(FecRate::Off);
+        let (peer, mut out, mut events) = (NodeId(2), Vec::new(), LinkEvents::default());
+        let mut now = Micros::ZERO;
+        // One message acknowledged, one retransmitted until abandoned.
+        table.send(peer, None, b"first", now, &mut out);
+        table.on_ack(peer, 1, 0, 0, now, &mut out, &mut events);
+        table.send(peer, None, b"second", now, &mut out);
+        let mut snapshots = vec![table.arq_stats()];
+        while events.abandoned.is_empty() {
+            now += ProtoDuration::from_millis(500);
+            table.poll(peer, now, &mut out, &mut events);
+            snapshots.push(table.arq_stats());
+        }
+        let live = table.arq_stats();
+        assert!(live.sent == 2 && live.acked == 1 && live.failed == 1 && live.retransmitted > 0);
+        assert!(table.drop_peer(peer));
+        assert_eq!(table.arq_stats(), live, "the dropped link's counters are kept");
+        table.send(peer, None, b"third", now, &mut out);
+        snapshots.push(table.arq_stats());
+        assert_eq!(table.arq_stats().sent, 3);
+        for pair in snapshots.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let monotone = a.sent <= b.sent
+                && a.retransmitted <= b.retransmitted
+                && a.acked <= b.acked
+                && a.failed <= b.failed
+                && a.payload_bytes <= b.payload_bytes;
+            assert!(monotone, "{a:?} then {b:?}");
         }
     }
 }

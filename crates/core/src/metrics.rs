@@ -24,12 +24,15 @@
 //! * rendering ([`MetricsSampler::to_jsonl`] / [`to_json`]) happens at
 //!   dump time, never at sample time, and formats integers only.
 //!
-//! Each frame carries **deltas** since the previous sample of the same
-//! node (counters restart from zero after a node restart: deltas
-//! saturate at zero rather than underflow) and the p50/p99/p999 bounds
-//! of the latency observed **within the sample window** (bucket-wise
-//! histogram difference). The timeline is bounded: once `capacity`
-//! frames are held, the oldest are evicted and counted.
+//! A frame is `{at, sample, node}` plus [`ContainerStats::since`] the
+//! node's previous sample — the counter list in `stats.rs` is the frame
+//! schema, and this file names no counter. Cumulative counters appear
+//! as **deltas** (counters restart from zero after a node restart:
+//! deltas saturate at zero rather than underflow), high-water marks are
+//! carried as they stand, and each histogram as the count and
+//! p50/p99/p999 bounds of the latency observed **within the sample
+//! window** (bucket-wise difference). The timeline is bounded: once
+//! `capacity` frames are held, the oldest are evicted and counted.
 //!
 //! [`to_json`]: MetricsSampler::to_json
 
@@ -40,8 +43,7 @@ use marea_netsim::SimNet;
 use marea_protocol::{Micros, NodeId, ProtoDuration};
 
 use crate::container::ServiceContainer;
-use crate::stats::ContainerStats;
-use crate::trace::LatencyHistogram;
+use crate::stats::{ContainerStats, LatencySummary, Stat};
 
 /// Configuration of the [`MetricsSampler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,39 +68,7 @@ impl MetricsConfig {
     }
 }
 
-/// Count and log2-bucket quantile bounds of the latency observed in one
-/// sample window (`None` quantiles when the window saw no samples).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Samples recorded in the window.
-    pub count: u64,
-    /// Upper bound of the window's 50th percentile, µs.
-    pub p50_us: Option<u64>,
-    /// Upper bound of the window's 99th percentile, µs.
-    pub p99_us: Option<u64>,
-    /// Upper bound of the window's 99.9th percentile, µs.
-    pub p999_us: Option<u64>,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram (typically a window delta).
-    pub fn of(h: &LatencyHistogram) -> Self {
-        LatencySummary {
-            count: h.count(),
-            p50_us: h.p50_us(),
-            p99_us: h.p99_us(),
-            p999_us: h.p999_us(),
-        }
-    }
-
-    /// Summarizes the samples recorded between two cumulative snapshots.
-    pub fn of_window(now: &LatencyHistogram, prev: &LatencyHistogram) -> Self {
-        Self::of(&now.saturating_diff(prev))
-    }
-}
-
-/// One node's activity in one sample window: counter deltas since the
-/// node's previous sample plus windowed latency quantiles.
+/// One node's activity in one sample window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsFrame {
     /// Virtual time of the sample (global harness clock).
@@ -108,59 +78,9 @@ pub struct MetricsFrame {
     pub sample: u64,
     /// Node the frame describes.
     pub node: NodeId,
-    /// Datagrams received from the transport.
-    pub datagrams_in: u64,
-    /// Frames read out of them, valid or not.
-    pub frames_in: u64,
-    /// Received frames discarded unread (bad length or CRC, with the rest
-    /// of their datagram; or a body that does not parse).
-    pub frames_rejected: u64,
-    /// Datagrams handed to the transport.
-    pub datagrams_out: u64,
-    /// Frames handed to the transport, inside those datagrams.
-    pub frames_out: u64,
-    /// Frame bytes handed to the transport.
-    pub bytes_out: u64,
-    /// Handler invocations executed.
-    pub tasks_executed: u64,
-    /// Variable samples published.
-    pub vars_published: u64,
-    /// Variable samples delivered to local handlers.
-    pub var_samples_delivered: u64,
-    /// Events published.
-    pub events_published: u64,
-    /// Events delivered to local handlers.
-    pub events_delivered: u64,
-    /// Remote invocations started.
-    pub calls_made: u64,
-    /// Invocations executed on behalf of callers.
-    pub calls_served: u64,
-    /// File publications (including revisions).
-    pub files_published: u64,
-    /// File receptions completed over the network.
-    pub files_received: u64,
-    /// QoS: variable loss deadlines missed.
-    pub deadline_misses: u64,
-    /// QoS: stale variable samples dropped.
-    pub stale_drops: u64,
-    /// QoS: event deliveries dropped by bounded inboxes.
-    pub queue_drops: u64,
-    /// QoS: invocations re-dispatched to another provider.
-    pub retries: u64,
-    /// FEC: data shards sent.
-    pub fec_data_shards_out: u64,
-    /// FEC: parity shards sent.
-    pub fec_parity_shards_out: u64,
-    /// FEC: shards received.
-    pub fec_shards_in: u64,
-    /// FEC: erased frames rebuilt from parity.
-    pub fec_recovered: u64,
-    /// Publish→deliver latency observed in this window.
-    pub var_latency: LatencySummary,
-    /// Event production→handler latency observed in this window.
-    pub event_latency: LatencySummary,
-    /// Call round-trip latency observed in this window.
-    pub call_rtt: LatencySummary,
+    /// Every [`ContainerStats`] counter over the window, as
+    /// [`ContainerStats::since`] the node's previous sample gives it.
+    pub delta: ContainerStats<LatencySummary>,
 }
 
 /// One link's delivery activity in one sample window (emitted only for
@@ -273,51 +193,14 @@ impl MetricsSampler {
 
     /// Folds one node's cumulative stats into a delta frame.
     fn sample_node(&mut self, at: Micros, node: NodeId, stats: &ContainerStats) {
-        let prev = self.last.get(&node).copied().unwrap_or_default();
-        let d = |now: u64, before: u64| now.saturating_sub(before);
-        let frame = MetricsFrame {
-            at,
-            sample: self.sample,
-            node,
-            datagrams_in: d(stats.datagrams_in, prev.datagrams_in),
-            frames_in: d(stats.frames_in, prev.frames_in),
-            frames_rejected: d(stats.frames_rejected, prev.frames_rejected),
-            datagrams_out: d(stats.datagrams_out, prev.datagrams_out),
-            frames_out: d(stats.frames_out, prev.frames_out),
-            bytes_out: d(stats.bytes_out, prev.bytes_out),
-            tasks_executed: d(stats.tasks_executed, prev.tasks_executed),
-            vars_published: d(stats.vars_published, prev.vars_published),
-            var_samples_delivered: d(stats.var_samples_delivered, prev.var_samples_delivered),
-            events_published: d(stats.events_published, prev.events_published),
-            events_delivered: d(stats.events_delivered, prev.events_delivered),
-            calls_made: d(stats.calls_made, prev.calls_made),
-            calls_served: d(stats.calls_served, prev.calls_served),
-            files_published: d(stats.files_published, prev.files_published),
-            files_received: d(stats.files_received, prev.files_received),
-            deadline_misses: d(stats.qos.deadline_misses, prev.qos.deadline_misses),
-            stale_drops: d(stats.qos.stale_drops, prev.qos.stale_drops),
-            queue_drops: d(stats.qos.queue_drops, prev.qos.queue_drops),
-            retries: d(stats.qos.retries, prev.qos.retries),
-            fec_data_shards_out: d(stats.fec.data_shards_out, prev.fec.data_shards_out),
-            fec_parity_shards_out: d(stats.fec.parity_shards_out, prev.fec.parity_shards_out),
-            fec_shards_in: d(stats.fec.shards_in, prev.fec.shards_in),
-            fec_recovered: d(stats.fec.recovered, prev.fec.recovered),
-            var_latency: LatencySummary::of_window(
-                &stats.publish_to_deliver,
-                &prev.publish_to_deliver,
-            ),
-            event_latency: LatencySummary::of_window(
-                &stats.event_to_deliver,
-                &prev.event_to_deliver,
-            ),
-            call_rtt: LatencySummary::of_window(&stats.call_rtt, &prev.call_rtt),
-        };
+        let prev = self.last.entry(node).or_default();
+        let frame = MetricsFrame { at, sample: self.sample, node, delta: stats.since(prev) };
+        *prev = *stats;
         if self.frames.len() >= self.capacity {
             self.frames.pop_front();
             self.evicted_frames += 1;
         }
         self.frames.push_back(frame);
-        self.last.insert(node, *stats);
     }
 
     /// Samples taken so far.
@@ -402,68 +285,24 @@ impl MetricsSampler {
     }
 }
 
-fn opt_json(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "{x}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
-fn summary_json(out: &mut String, key: &str, s: &LatencySummary) {
-    let _ = write!(out, "\"{key}_count\":{},\"{key}_p50_us\":", s.count);
-    opt_json(out, s.p50_us);
-    let _ = write!(out, ",\"{key}_p99_us\":");
-    opt_json(out, s.p99_us);
-    let _ = write!(out, ",\"{key}_p999_us\":");
-    opt_json(out, s.p999_us);
-}
-
+/// One member per counter the [`ContainerStats`] schema walks, keyed
+/// `name` or `group.name`; a histogram is its four `name.count` /
+/// `name.p50_us` / … members.
 fn frame_json(out: &mut String, f: &MetricsFrame) {
     let _ = write!(
         out,
-        "{{\"kind\":\"node\",\"at_us\":{},\"sample\":{},\"node\":{},\
-         \"datagrams_in\":{},\"frames_in\":{},\"frames_rejected\":{},\
-         \"datagrams_out\":{},\"frames_out\":{},\"bytes_out\":{},\"tasks_executed\":{},\
-         \"vars_published\":{},\"var_samples_delivered\":{},\
-         \"events_published\":{},\"events_delivered\":{},\
-         \"calls_made\":{},\"calls_served\":{},\
-         \"files_published\":{},\"files_received\":{},\
-         \"deadline_misses\":{},\"stale_drops\":{},\"queue_drops\":{},\"retries\":{},\
-         \"fec_data_shards_out\":{},\"fec_parity_shards_out\":{},\"fec_shards_in\":{},\"fec_recovered\":{},",
-        f.at.0,
-        f.sample,
-        f.node.0,
-        f.datagrams_in,
-        f.frames_in,
-        f.frames_rejected,
-        f.datagrams_out,
-        f.frames_out,
-        f.bytes_out,
-        f.tasks_executed,
-        f.vars_published,
-        f.var_samples_delivered,
-        f.events_published,
-        f.events_delivered,
-        f.calls_made,
-        f.calls_served,
-        f.files_published,
-        f.files_received,
-        f.deadline_misses,
-        f.stale_drops,
-        f.queue_drops,
-        f.retries,
-        f.fec_data_shards_out,
-        f.fec_parity_shards_out,
-        f.fec_shards_in,
-        f.fec_recovered,
+        "{{\"kind\":\"node\",\"at_us\":{},\"sample\":{},\"node\":{}",
+        f.at.0, f.sample, f.node.0,
     );
-    summary_json(out, "var", &f.var_latency);
-    out.push(',');
-    summary_json(out, "event", &f.event_latency);
-    out.push(',');
-    summary_json(out, "call", &f.call_rtt);
+    f.delta.walk("", &mut |prefix, name, value| {
+        out.push(',');
+        match value {
+            Stat::Scalar(v) => {
+                let _ = write!(out, "\"{prefix}{name}\":{v}");
+            }
+            Stat::Latency(window) => window.write_json(out, format_args!("{prefix}{name}."), false),
+        }
+    });
     out.push('}');
 }
 
@@ -478,51 +317,19 @@ fn link_json(out: &mut String, l: &LinkFrame) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::LatencyHistogram;
 
-    fn frame_at(sample: u64, node: u32) -> MetricsFrame {
-        MetricsFrame {
-            at: Micros(sample * 1000),
-            sample,
-            node: NodeId(node),
-            datagrams_in: 1,
-            frames_in: 1,
-            frames_rejected: 0,
-            datagrams_out: 1,
-            frames_out: 2,
-            bytes_out: 3,
-            tasks_executed: 4,
-            vars_published: 5,
-            var_samples_delivered: 6,
-            events_published: 7,
-            events_delivered: 8,
-            calls_made: 9,
-            calls_served: 10,
-            files_published: 0,
-            files_received: 0,
-            deadline_misses: 0,
-            stale_drops: 0,
-            queue_drops: 0,
-            retries: 0,
-            fec_data_shards_out: 0,
-            fec_parity_shards_out: 0,
-            fec_shards_in: 0,
-            fec_recovered: 0,
-            var_latency: LatencySummary::default(),
-            event_latency: LatencySummary::default(),
-            call_rtt: LatencySummary::default(),
-        }
+    fn sampler(period_ms: u64, capacity: usize) -> MetricsSampler {
+        let cfg = MetricsConfig { period: ProtoDuration::from_millis(period_ms), capacity };
+        MetricsSampler::new(cfg, Micros(0))
     }
 
     #[test]
     fn capacity_bound_evicts_oldest() {
-        let cfg = MetricsConfig { period: ProtoDuration::from_millis(1), capacity: 3 };
-        let mut s = MetricsSampler::new(cfg, Micros(0));
+        let mut s = sampler(1, 3);
         for i in 1..=5 {
-            if s.frames.len() >= s.capacity {
-                s.frames.pop_front();
-                s.evicted_frames += 1;
-            }
-            s.frames.push_back(frame_at(i, 1));
+            s.sample = i;
+            s.sample_node(Micros(i * 1000), NodeId(1), &ContainerStats::default());
         }
         assert_eq!(s.frames.len(), 3);
         assert_eq!(s.evicted_frames(), 2);
@@ -536,6 +343,23 @@ mod tests {
         assert!(!s.due(Micros(5_000)));
         assert!(!s.due(Micros(14_999)));
         assert!(s.due(Micros(15_000)));
+    }
+
+    #[test]
+    fn a_frame_is_the_window_since_the_nodes_previous_sample() {
+        let mut s = sampler(100, 8);
+        let mut stats = ContainerStats { ticks: 10, queue_peak: 4, ..Default::default() };
+        s.sample_node(Micros(1000), NodeId(7), &stats);
+        (stats.ticks, stats.queue_peak) = (25, 6);
+        s.sample_node(Micros(2000), NodeId(7), &stats);
+        // Another node's first sample is measured from zero, not from node 7.
+        s.sample_node(Micros(2000), NodeId(8), &stats);
+        // A restarted node counts from zero again: an empty window, no underflow.
+        s.sample_node(Micros(3000), NodeId(7), &ContainerStats::default());
+        let ticks: Vec<_> = s.frames().map(|f| (f.node.0, f.delta.ticks)).collect();
+        assert_eq!(ticks, [(7, 10), (7, 15), (8, 25), (7, 0)]);
+        let peaks: Vec<_> = s.frames().map(|f| f.delta.queue_peak).collect();
+        assert_eq!(peaks, [4, 6, 6, 0], "high-water marks are carried, not subtracted");
     }
 
     #[test]
@@ -559,9 +383,9 @@ mod tests {
 
     #[test]
     fn jsonl_is_deterministic_and_carries_all_quantile_fields() {
-        let cfg = MetricsConfig::default();
-        let mut s = MetricsSampler::new(cfg, Micros(0));
-        s.frames.push_back(frame_at(1, 7));
+        let mut s = sampler(100, 8);
+        s.sample = 1;
+        s.sample_node(Micros(1000), NodeId(7), &ContainerStats { ticks: 3, ..Default::default() });
         s.links.push_back(LinkFrame {
             at: Micros(1000),
             sample: 1,
@@ -570,11 +394,15 @@ mod tests {
             attempts: 9,
             lost: 1,
         });
-        s.sample = 1;
         let a = s.to_jsonl();
         let b = s.to_jsonl();
         assert_eq!(a, b);
-        assert!(a.contains("\"var_p999_us\":null"));
+        assert!(
+            a.starts_with("{\"kind\":\"node\",\"at_us\":1000,\"sample\":1,\"node\":7,\"ticks\":3,")
+        );
+        assert!(a.contains("\"qos.retries\":0"));
+        assert!(a.contains("\"rto_recovery.count\":0,\"rto_recovery.p50_us\":null"));
+        assert!(a.contains("\"call_rtt.p999_us\":null"));
         assert!(a.contains("\"kind\":\"link\""));
         assert!(a.ends_with("\"evicted_links\":0}\n"));
         let doc = s.to_json();

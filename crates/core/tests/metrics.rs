@@ -4,7 +4,7 @@
 
 use marea_core::metrics::MetricsConfig;
 use marea_core::scenario::corpus;
-use marea_core::ProtoDuration;
+use marea_core::{ContainerStats, LatencySummary, ProtoDuration, Stat};
 
 fn timeline_of(name: &str, seed: u64) -> (String, String, u64) {
     let mut chaos =
@@ -49,4 +49,38 @@ fn corpus_timeline_carries_per_node_activity() {
     assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"node\"")), "node frames present");
     assert!(jsonl.lines().last().unwrap().starts_with("{\"kind\":\"summary\""));
     assert!(json.contains("\"frames\":"), "document form renders");
+}
+
+/// `ContainerStats` is the frame schema: every counter it declares —
+/// nested groups and histograms included — is a key of every node
+/// frame, so a counter added to `stats.rs` cannot miss the timeline.
+#[test]
+fn every_container_counter_is_a_key_of_a_node_frame() {
+    let (jsonl, _, _) = timeline_of("publisher_failover", 7);
+    let frame = jsonl.lines().find(|l| l.contains("\"kind\":\"node\"")).expect("a node frame");
+    let mut keys = Vec::new();
+    ContainerStats::<LatencySummary>::default().walk("", &mut |prefix, name, value| match value {
+        Stat::Scalar(_) => keys.push(format!("{prefix}{name}")),
+        Stat::Latency(_) => {
+            keys.extend(["count", "p50_us", "p99_us", "p999_us"].map(|q| format!("{name}.{q}")))
+        }
+    });
+    for key in &keys {
+        assert!(frame.contains(&format!("\"{key}\":")), "`{key}` missing from {frame}");
+    }
+    for expected in [
+        "ticks",
+        "catalogue_pulls",
+        "queue_peak",
+        "call_errors",
+        "old_samples_dropped",
+        "services_failed",
+        "file_bypass_deliveries",
+        "type_mismatches.vars",
+        "qos.stale_drops",
+        "fec.recovered",
+        "rto_recovery.p99_us",
+    ] {
+        assert!(keys.iter().any(|k| k == expected), "`{expected}` is not in the schema walk");
+    }
 }

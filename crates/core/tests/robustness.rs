@@ -724,3 +724,65 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     h.run_for(ProtoDuration::from_secs(3));
     assert_eq!(pulls(&h), [0, 0, 1, 0], "one pull repaired it for good");
 }
+
+/// §3: on malfunction "the containers are able to clear and update
+/// their caches". A publisher forgets a subscriber node it declared
+/// dead — the remote-subscriber sets go with the link and the directory
+/// entry — so nothing more is addressed to it; the node's next life
+/// subscribes afresh.
+#[test]
+fn a_dead_subscriber_node_leaves_the_publishers_caches() {
+    let mut h = SimHarness::new(lan(3));
+    h.add_container(ContainerConfig::new("pub", NodeId(1)));
+    h.add_container(ContainerConfig::new("sub", NodeId(2)));
+
+    let beat = EventPort::<u64>::new("p/beat");
+    let mut b = ServiceDescriptor::builder("p");
+    b.provides_event(&beat);
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(100), Some(ProtoDuration::from_millis(100)));
+    }));
+    let mut k = 0u64;
+    publisher.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.emit_to(&beat, k);
+    }));
+    h.add_service(NodeId(1), Box::new(publisher));
+
+    let log = obs_log();
+    let sink_log = log.clone();
+    h.add_service_factory(NodeId(2), move || {
+        let descriptor =
+            ServiceDescriptor::builder("s").subscribe_event("p/beat", EventQos::default()).build();
+        Box::new(Recorder::new(descriptor, sink_log.clone())) as Box<dyn marea_core::Service>
+    });
+    let events = |log: &common::ObsLog| {
+        observations(log).iter().filter(|(_, o)| matches!(o, Obs::Event(..))).count()
+    };
+    h.start_all();
+    h.run_for_millis(1_000);
+    let before = events(&log);
+    assert!(before >= 5, "flowing before the crash: {before}");
+    assert_eq!(h.container(NodeId(1)).unwrap().occupancy().remote_subscribers, 1);
+
+    h.crash_node(NodeId(2));
+    h.run_for_millis(3_000); // node timeout passes
+    let publisher = h.container(NodeId(1)).unwrap();
+    assert!(!publisher.directory().node_alive(NodeId(2)));
+    let occupancy = publisher.occupancy();
+    assert_eq!((occupancy.remote_subscribers, occupancy.links), (0, 0), "{occupancy:?}");
+
+    // The publisher keeps emitting; none of it goes anywhere.
+    let (published, arq) = (publisher.stats().events_published, publisher.arq_stats());
+    h.run_for_millis(3_000);
+    let publisher = h.container(NodeId(1)).unwrap();
+    assert!(publisher.stats().events_published >= published + 25);
+    assert_eq!(publisher.arq_stats(), arq, "no reliable traffic towards a dead node");
+    assert_eq!(publisher.occupancy().links, 0, "and no link re-opened for it");
+
+    assert!(h.restart_node(NodeId(2)), "blueprint restart");
+    h.run_for_millis(2_000);
+    assert_eq!(h.container(NodeId(1)).unwrap().occupancy().remote_subscribers, 1);
+    assert!(events(&log) >= before + 10, "the new life subscribed and is served");
+}

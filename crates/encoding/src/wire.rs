@@ -246,15 +246,6 @@ impl<'a> WireReader<'a> {
         Ok(zigzag_decode(self.get_varint()?))
     }
 
-    /// Reads `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::UnexpectedEof`] if fewer than `n` bytes remain.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.take(n)
-    }
-
     /// Reads a varint length prefix then that many bytes, enforcing `limit`.
     ///
     /// # Errors

@@ -58,11 +58,6 @@ impl Kinematics {
         self.target_alt_m = alt_m;
     }
 
-    /// Commands a new airspeed.
-    pub fn set_speed(&mut self, speed_mps: f64) {
-        self.state.speed_mps = speed_mps.max(0.0);
-    }
-
     /// Advances the model by `dt_s` seconds.
     pub fn step(&mut self, dt_s: f64) {
         // Turn towards the commanded heading along the short way.

@@ -1,8 +1,8 @@
-//! Noisy sensor models: GPS, barometric altimeter, IMU heading.
+//! Noisy sensor model: GPS.
 //!
 //! All noise is drawn from one seeded PRNG per sensor, so runs are
 //! reproducible. Noise magnitudes follow typical hobby-grade hardware of
-//! the paper's era (few-metre GPS error, sub-metre baro, ~1° heading).
+//! the paper's era (few-metre GPS error).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -76,50 +76,6 @@ impl GpsSensor {
     }
 }
 
-/// Barometric altimeter: altitude with slow drift plus white noise.
-#[derive(Debug, Clone)]
-pub struct Barometer {
-    rng: SmallRng,
-    drift_m: f64,
-    /// 1-sigma white noise, metres.
-    pub sigma_m: f64,
-}
-
-impl Barometer {
-    /// Creates an altimeter with a noise seed.
-    pub fn new(seed: u64) -> Self {
-        Barometer { rng: SmallRng::seed_from_u64(seed), drift_m: 0.0, sigma_m: 0.4 }
-    }
-
-    /// Samples pressure altitude from the true state.
-    pub fn sample(&mut self, truth: &UavState) -> f64 {
-        // Random-walk drift, bounded.
-        self.drift_m = (self.drift_m + self.rng.gen_range(-0.02f64..0.02)).clamp(-5.0, 5.0);
-        truth.position.alt + self.drift_m + self.rng.gen_range(-self.sigma_m..self.sigma_m)
-    }
-}
-
-/// Magnetometer/IMU heading sensor.
-#[derive(Debug, Clone)]
-pub struct HeadingSensor {
-    rng: SmallRng,
-    /// 1-sigma heading error, radians.
-    pub sigma_rad: f64,
-}
-
-impl HeadingSensor {
-    /// Creates a heading sensor with a noise seed.
-    pub fn new(seed: u64) -> Self {
-        HeadingSensor { rng: SmallRng::seed_from_u64(seed), sigma_rad: 0.02 }
-    }
-
-    /// Samples heading from the true state.
-    pub fn sample(&mut self, truth: &UavState) -> f64 {
-        (truth.heading_rad + self.rng.gen_range(-self.sigma_rad..self.sigma_rad))
-            .rem_euclid(std::f64::consts::TAU)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,26 +109,5 @@ mod tests {
         g.set_outage_until(10.0);
         assert!(g.sample(&truth(), 5.0).is_none());
         assert!(g.sample(&truth(), 10.0).is_some());
-    }
-
-    #[test]
-    fn barometer_tracks_altitude() {
-        let mut b = Barometer::new(2);
-        let t = truth();
-        for _ in 0..1000 {
-            let alt = b.sample(&t);
-            assert!((alt - 120.0).abs() < 7.0, "drift + noise bounded: {alt}");
-        }
-    }
-
-    #[test]
-    fn heading_wraps_correctly() {
-        let mut h = HeadingSensor::new(3);
-        let mut t = truth();
-        t.heading_rad = 0.001; // near wrap
-        for _ in 0..100 {
-            let v = h.sample(&t);
-            assert!((0.0..std::f64::consts::TAU).contains(&v));
-        }
     }
 }

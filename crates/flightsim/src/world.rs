@@ -101,14 +101,6 @@ impl World {
         let m_per_px = footprint_m / f64::from(width);
         self.terrain.render(self.state().position, width, height, m_per_px)
     }
-
-    /// Ground truth for the current camera view.
-    pub fn targets_in_current_view(&self, width: u32, height: u32) -> usize {
-        let alt = self.state().position.alt.max(10.0);
-        let footprint_m = 2.0 * alt * (30f64.to_radians()).tan() * 2.0;
-        let m_per_px = footprint_m / f64::from(width);
-        self.terrain.targets_in_view(self.state().position, width, height, m_per_px).len()
-    }
 }
 
 #[cfg(test)]

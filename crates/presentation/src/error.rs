@@ -184,33 +184,6 @@ impl fmt::Display for TypeError {
 
 impl Error for TypeError {}
 
-/// Error returned when parsing or applying a [`ValuePath`](crate::ValuePath).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathError {
-    /// The textual path could not be parsed.
-    Syntax {
-        /// Byte offset of the first offending character.
-        at: usize,
-        /// Description of the problem.
-        reason: &'static str,
-    },
-    /// The path is syntactically valid but empty.
-    Empty,
-}
-
-impl fmt::Display for PathError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PathError::Syntax { at, reason } => {
-                write!(f, "invalid value path at byte {at}: {reason}")
-            }
-            PathError::Empty => write!(f, "empty value path"),
-        }
-    }
-}
-
-impl Error for PathError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

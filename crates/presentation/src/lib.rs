@@ -36,7 +36,8 @@
 //!     .build()?;
 //!
 //! fix.conforms_to(&position_ty)?;
-//! assert_eq!(fix.at("lat").and_then(Value::as_f64), Some(41.27641));
+//! let lat = fix.as_struct().and_then(|s| s.get("lat"));
+//! assert_eq!(lat.and_then(Value::as_f64), Some(41.27641));
 //! # Ok(())
 //! # }
 //! ```
@@ -51,9 +52,7 @@
 mod convert;
 mod error;
 mod name;
-mod path;
 mod record;
-mod schema;
 #[cfg(feature = "testkit")]
 pub mod testkit;
 mod types;
@@ -63,11 +62,9 @@ pub use convert::{
     ArgsCodec, ArgsSchema, EventPayload, FnRet, FromArgs, FromValue, HasDataType, IntoArgs,
     IntoValue, TypeMismatch, ValueCodec,
 };
-pub use error::{InvalidNameError, PathError, TypeError, TypeErrorKind};
+pub use error::{InvalidNameError, TypeError, TypeErrorKind};
 pub use name::Name;
-pub use path::{PathSegment, ValuePath};
 #[doc(hidden)]
 pub use record::RecordFields as __RecordFields;
-pub use schema::{Schema, SchemaRegistry};
 pub use types::{DataType, FieldDef, StructType, TypeKind, UnionType, VectorType};
 pub use value::{StructBuilder, StructValue, UnionValue, Value, VectorValue};

@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::error::{InvalidNameError, TypeError, TypeErrorKind};
 use crate::name::Name;
-use crate::path::{PathSegment, ValuePath};
 use crate::types::{DataType, StructType, TypeKind, UnionType, VectorType};
 
 /// A homogeneous sequence of values.
@@ -461,37 +460,6 @@ impl Value {
         uv.value().conforms(alt.ty(), positional).map_err(|e| e.in_field(uv.alternative().as_str()))
     }
 
-    /// Navigates into the value along a textual path such as
-    /// `waypoints[2].lat`. Returns `None` when the path does not resolve.
-    ///
-    /// This is a parser, not an accessor: every call parses `path` into a
-    /// fresh [`ValuePath`] (a vector of segments and a string per field
-    /// name) before walking it. It is meant for ad-hoc inspection — a
-    /// ground-station display, a test. For one field of a struct use
-    /// [`StructValue::get`]; in a loop parse the [`ValuePath`] once and use
-    /// [`Value::at_path`]; for a whole typed record use
-    /// [`record!`](crate::record), whose `FromValue` allocates nothing.
-    pub fn at(&self, path: &str) -> Option<&Value> {
-        let parsed = ValuePath::parse(path).ok()?;
-        self.at_path(&parsed)
-    }
-
-    /// Navigates into the value along a pre-parsed [`ValuePath`].
-    pub fn at_path(&self, path: &ValuePath) -> Option<&Value> {
-        let mut current = self;
-        for seg in path.segments() {
-            current = match (seg, current) {
-                (PathSegment::Field(name), Value::Struct(s)) => s.get(name)?,
-                (PathSegment::Field(name), Value::Union(u)) if u.alternative() == name.as_str() => {
-                    u.value()
-                }
-                (PathSegment::Index(i), Value::Vector(v)) => v.items().get(*i)?,
-                _ => return None,
-            };
-        }
-        Some(current)
-    }
-
     /// Returns the boolean payload, if this is a `Bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -893,18 +861,21 @@ mod tests {
             .field("name", "survey-A")
             .build()
             .unwrap();
-        assert_eq!(wp.at("waypoints[1].lat").and_then(Value::as_f64), Some(41.3));
-        assert_eq!(wp.at("name").and_then(Value::as_str), Some("survey-A"));
-        assert!(wp.at("waypoints[9].lat").is_none());
-        assert!(wp.at("bogus").is_none());
+        let plan = wp.as_struct().unwrap();
+        let waypoints = plan.get("waypoints").and_then(Value::as_vector).unwrap().items();
+        let lat = waypoints[1].as_struct().and_then(|p| p.get("lat"));
+        assert_eq!(lat.and_then(Value::as_f64), Some(41.3));
+        assert_eq!(plan.get("name").and_then(Value::as_str), Some("survey-A"));
+        assert!(waypoints.get(9).is_none());
+        assert!(plan.get("bogus").is_none());
     }
 
     #[test]
     fn union_path_navigation() {
         let ty = UnionType::new("Alarm").with_alternative("engine", DataType::U8).unwrap();
         let v = Value::Union(UnionValue::for_type(&ty, "engine", 3u8).unwrap());
-        assert_eq!(v.at("engine").and_then(|x| x.as_u64()), Some(3));
-        assert!(v.at("link_loss").is_none());
+        let alarm = v.as_union().unwrap();
+        assert_eq!((alarm.alternative().as_str(), alarm.value().as_u64()), ("engine", Some(3)));
     }
 
     #[test]

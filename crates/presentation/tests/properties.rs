@@ -1,7 +1,7 @@
 //! Property tests for the presentation-layer invariants.
 
 use marea_presentation::testkit::{arb_data_type, arb_typed_value, arb_value_of};
-use marea_presentation::{DataType, Value, ValuePath};
+use marea_presentation::{DataType, Value};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,31 +51,12 @@ proptest! {
         prop_assert!(v.size_hint() >= len);
     }
 
-    /// Path parsing and display round-trip.
-    #[test]
-    fn path_display_roundtrip(segs in proptest::collection::vec(
-        prop_oneof![
-            "[a-z][a-z0-9_]{0,6}".prop_map(|s| format!(".{s}")),
-            (0usize..100).prop_map(|i| format!("[{i}]")),
-        ],
-        1..6,
-    )) {
-        // Assemble a syntactically valid path: must start with a field.
-        let mut text = String::from("root");
-        for s in &segs {
-            text.push_str(s);
-        }
-        let parsed = ValuePath::parse(&text).expect("constructed path is valid");
-        let reparsed = ValuePath::parse(&parsed.to_string()).unwrap();
-        prop_assert_eq!(parsed, reparsed);
-    }
-
     /// Navigating a generated struct by its own field names always succeeds.
     #[test]
     fn struct_fields_navigable((ty, value) in arb_typed_value(2)) {
         if let (DataType::Struct(_), Value::Struct(sv)) = (&ty, &value) {
             for (name, expected) in sv.fields() {
-                let got = value.at(name.as_str());
+                let got = sv.get(name.as_str());
                 prop_assert_eq!(got, Some(expected));
             }
         }

@@ -52,11 +52,6 @@ impl LossEstimator {
     pub fn loss_permille(&self) -> u16 {
         ((self.scaled >> EWMA_SHIFT).min(1000)) as u16
     }
-
-    /// Groups folded in so far.
-    pub fn groups_observed(&self) -> u64 {
-        self.groups
-    }
 }
 
 /// Loss thresholds (permille) above which each rate engages, weakest

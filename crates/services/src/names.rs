@@ -10,7 +10,7 @@
 //! type error in every service it affects.
 
 use marea_core::{EventPort, FnPort, VarPort};
-use marea_presentation::{record, DataType, FromValue, HasDataType, IntoValue, Value};
+use marea_presentation::record;
 
 /// `gps/position` — the high-rate position variable (paper §5).
 pub const VAR_POSITION: &str = "gps/position";
@@ -153,50 +153,10 @@ pub fn telemetry_port() -> VarPort<String> {
     VarPort::new(VAR_TELEMETRY)
 }
 
-// ---- dynamic compatibility helpers --------------------------------------
-
-/// Schema of [`VAR_POSITION`] (prefer [`Position`]'s
-/// [`HasDataType`] impl).
-pub fn position_type() -> DataType {
-    Position::data_type()
-}
-
-/// Builds a [`VAR_POSITION`] sample (prefer constructing a [`Position`]).
-pub fn position_value(lat: f64, lon: f64, alt: f64, heading: f64, speed: f64) -> Value {
-    Position { lat, lon, alt, heading, speed }.into_value()
-}
-
-/// Parses a [`VAR_POSITION`] sample into `(lat, lon, alt, heading, speed)`
-/// (prefer [`Position::from_value`]).
-pub fn parse_position(v: &Value) -> Option<(f64, f64, f64, f64, f64)> {
-    Position::from_value(v).ok().map(|p| (p.lat, p.lon, p.alt, p.heading, p.speed))
-}
-
-/// Schema of [`EVT_TARGET_DETECTED`] / [`EVT_TARGET_ALERT`] payloads
-/// (prefer [`Detection`]).
-pub fn detection_type() -> DataType {
-    Detection::data_type()
-}
-
-/// Builds a detection payload (prefer constructing a [`Detection`]).
-pub fn detection_value(revision: u32, count: u32) -> Value {
-    Detection { revision, count }.into_value()
-}
-
-/// Parses a detection payload into `(revision, count)` (prefer
-/// [`Detection::from_value`]).
-pub fn parse_detection(v: &Value) -> Option<(u32, u32)> {
-    Detection::from_value(v).ok().map(|d| (d.revision, d.count))
-}
-
-/// Schema of [`VAR_MC_STATUS`] (prefer [`McStatus`]).
-pub fn mc_status_type() -> DataType {
-    McStatus::data_type()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marea_presentation::{FromValue, HasDataType, IntoValue, Value};
 
     #[test]
     fn position_roundtrip() {
@@ -204,7 +164,6 @@ mod tests {
         let v = p.into_value();
         v.conforms_to(&Position::data_type()).unwrap();
         assert_eq!(Position::from_value(&v).unwrap(), p);
-        assert_eq!(parse_position(&v), Some((41.2, 1.9, 120.0, 1.5, 22.0)));
     }
 
     #[test]
@@ -213,7 +172,6 @@ mod tests {
         let v = d.into_value();
         v.conforms_to(&Detection::data_type()).unwrap();
         assert_eq!(Detection::from_value(&v).unwrap(), d);
-        assert_eq!(parse_detection(&v), Some((3, 2)));
     }
 
     #[test]
@@ -227,7 +185,6 @@ mod tests {
     #[test]
     fn parse_rejects_wrong_shapes() {
         assert!(Position::from_value(&Value::Bool(true)).is_err());
-        assert!(parse_position(&Value::Bool(true)).is_none());
         let pos = Position::default().into_value();
         let err = Detection::from_value(&pos).unwrap_err();
         assert!(err.to_string().contains("revision"), "{err}");
@@ -240,14 +197,5 @@ mod tests {
         assert_eq!(storage_store_port().name(), FN_STORAGE_STORE);
         assert_eq!(target_detected_port().name(), EVT_TARGET_DETECTED);
         assert_eq!(telemetry_port().name(), VAR_TELEMETRY);
-    }
-
-    #[test]
-    fn typed_schema_matches_legacy_schema() {
-        // The typed ports must stay wire-compatible with the historical
-        // dynamic declarations.
-        assert_eq!(position_type(), Position::data_type());
-        assert_eq!(detection_type(), Detection::data_type());
-        assert_eq!(mc_status_type(), McStatus::data_type());
     }
 }

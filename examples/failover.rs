@@ -117,7 +117,7 @@ fn main() {
     }
     println!(
         "\nfailovers performed: {}  (errors surfaced: {})",
-        client.stats().call_failovers,
+        client.stats().qos.retries,
         client.stats().call_errors
     );
     assert!(backup_fs.len() > 10, "backup took over");
