@@ -727,7 +727,9 @@ impl ServiceContainer {
     fn handle_message(&mut self, src: NodeId, msg: Message, now: Micros) {
         match msg {
             Message::Hello { container, incarnation, fec_cap } => {
-                self.directory.apply_hello(src, container, incarnation, fec_cap, now);
+                if !self.directory.apply_hello(src, container, incarnation, fec_cap, now) {
+                    return; // from a life the node has left behind
+                }
                 let cap = self.peer_cap(src);
                 self.links.renegotiate(src, cap);
                 self.subs_dirty = true;

@@ -17,6 +17,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::sync::OnceLock;
 
 use marea_presentation::Name;
 use marea_protocol::messages::{
@@ -93,6 +94,13 @@ pub enum BeaconOutcome {
     },
 }
 
+/// The container name filed for a node heard before its `Hello`: one
+/// shared allocation, however many such nodes a large fleet's bring-up has.
+fn unknown_container() -> Option<Name> {
+    static UNKNOWN: OnceLock<Option<Name>> = OnceLock::new();
+    UNKNOWN.get_or_init(|| Name::new("unknown").ok()).clone()
+}
+
 /// The per-container name directory / proxy cache.
 #[derive(Debug, Default)]
 pub struct Directory {
@@ -129,7 +137,10 @@ impl Directory {
         Directory { local: Some(local), ..Directory::default() }
     }
 
-    /// Records a node `Hello` (new or rebooted container).
+    /// Records a node `Hello` (new or rebooted container) and answers
+    /// `true` — or ignores it and answers `false` when it comes from a life
+    /// older than the one known: a frame that sat in a slow link's queue
+    /// across the node's restart says nothing about the node as it is now.
     ///
     /// A higher incarnation than previously known wipes the node's cached
     /// provisions: they belong to the previous life.
@@ -140,18 +151,18 @@ impl Directory {
         incarnation: u64,
         fec_cap: u8,
         now: Micros,
-    ) {
-        let stale = self.nodes.get(&node).map(|n| n.incarnation < incarnation).unwrap_or(false);
-        if stale {
-            self.purge_node(node);
-        }
+    ) -> bool {
         // A re-Hello at the same incarnation keeps the catalogue (and its
         // digest); a new life starts with no catalogue known.
-        let catalogue_digest = self
-            .nodes
-            .get(&node)
-            .filter(|n| n.incarnation == incarnation)
-            .and_then(|n| n.catalogue_digest);
+        let catalogue_digest = match self.nodes.get(&node) {
+            Some(known) if known.incarnation > incarnation => return false,
+            Some(known) if known.incarnation == incarnation => known.catalogue_digest,
+            Some(_) => {
+                self.purge_node(node);
+                None
+            }
+            None => None,
+        };
         self.nodes.insert(
             node,
             NodeInfo {
@@ -164,6 +175,7 @@ impl Directory {
             },
         );
         self.schedule_expiry(node, now);
+        true
     }
 
     /// Records a beacon. The steady state — same life, same capability,
@@ -203,7 +215,7 @@ impl Directory {
         };
         let outcome =
             if previous.is_some() { BeaconOutcome::NewLife } else { BeaconOutcome::Unknown };
-        let Ok(container) = previous.map_or_else(|| Name::new("unknown"), Ok) else {
+        let Some(container) = previous.or_else(unknown_container) else {
             return outcome;
         };
         self.purge_node(node);
@@ -253,11 +265,17 @@ impl Directory {
             info.catalogue_digest = Some(digest);
             debug_assert!(self.expiry_queued(node));
         }
-        let mut names: Vec<Name> = Vec::new();
+        // Exact capacities: most names have one provider and most nodes a
+        // handful of names, where `Vec`'s first growth step would reserve
+        // four times what the list holds — a third of a large fleet's heap.
+        let mut names: Vec<Name> =
+            Vec::with_capacity(entries.iter().map(|e| e.provides.len()).sum());
         for entry in entries {
             for provision in &entry.provides {
                 let name = provision.name().clone();
-                self.providers.entry(name.clone()).or_default().push(ProviderInfo {
+                let list =
+                    self.providers.entry(name.clone()).or_insert_with(|| Vec::with_capacity(1));
+                list.push(ProviderInfo {
                     service: ServiceId::new(node, entry.service_seq),
                     service_name: entry.name.clone(),
                     state: entry.state,
@@ -274,6 +292,7 @@ impl Directory {
         }
         names.sort_unstable();
         names.dedup();
+        names.shrink_to_fit();
         if names.is_empty() {
             self.node_provides.remove(&node);
         } else {
@@ -748,8 +767,11 @@ mod tests {
                 let node = NodeId(node);
                 match op {
                     0 => {
-                        d.apply_hello(node, name("n"), incarnation, 4, now);
-                        model.insert(node, (incarnation, now));
+                        let newest = model.get(&node).is_none_or(|&(known, _)| known <= incarnation);
+                        prop_assert_eq!(d.apply_hello(node, name("n"), incarnation, 4, now), newest);
+                        if newest {
+                            model.insert(node, (incarnation, now));
+                        }
                     }
                     1 => {
                         beat(&mut d, node, incarnation, 0, 4, now);
@@ -906,6 +928,56 @@ mod tests {
         assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest), (250, 3, None));
         let later = Micros(60) + ProtoDuration::from_secs(2);
         assert!(d.expire(later, ProtoDuration::from_secs(2)).contains(&NodeId(9)));
+    }
+
+    /// A `Hello` that sat in a slow link's queue across its sender's
+    /// restart must not roll the record back: the live node's next beacon
+    /// would read as a new life and purge the catalogue it just announced.
+    #[test]
+    fn a_hello_from_an_older_life_is_ignored() {
+        let n2 = NodeId(2);
+        let mut d = Directory::new();
+        assert!(d.apply_hello(n2, name("n2"), 2, 4, Micros(0)));
+        let digest = d.apply_announce(n2, 2, &[announce_storage(1)], Micros(1));
+
+        assert!(!d.apply_hello(n2, name("n2-old"), 1, 0, Micros(2)));
+        let info = d.node(n2).unwrap();
+        assert_eq!((info.incarnation, &info.container, info.fec_cap), (2, &name("n2"), 4));
+        assert_eq!((info.catalogue_digest, info.last_seen), (Some(digest), Micros(1)));
+        assert_eq!(d.providers("storage/store").count(), 1);
+        assert_eq!(d.apply_beacon(n2, 2, 0, 4, digest, Micros(3)), BeaconOutcome::Refreshed);
+        assert_eq!(d.providers("storage/store").count(), 1);
+
+        // The same life again and a newer one are both applied.
+        assert!(d.apply_hello(n2, name("n2"), 2, 4, Micros(4)));
+        assert_eq!(d.node(n2).unwrap().catalogue_digest, Some(digest));
+        assert!(d.apply_hello(n2, name("n2"), 3, 4, Micros(5)));
+        assert_eq!(d.node(n2).unwrap().catalogue_digest, None);
+        assert_eq!(d.providers("storage/store").count(), 0);
+    }
+
+    /// Most names have one provider and most nodes few names: neither
+    /// list may hold room for more than it lists.
+    #[test]
+    fn one_provision_announces_allocate_what_they_list() {
+        let mut d = Directory::new();
+        for node in 1..=256u32 {
+            let entry = AnnounceEntry {
+                provides: vec![Provision::Event {
+                    name: name(&format!("node{node}/alarm")),
+                    ty: None,
+                }],
+                ..announce_storage(1)
+            };
+            d.apply_announce(NodeId(node), 1, &[entry], Micros(0));
+        }
+        let providers = d.providers.values().map(|l| (l.len(), l.capacity()));
+        let provided = d.node_provides.values().map(|l| (l.len(), l.capacity()));
+        let sizes = providers.chain(provided).fold((0, 0), |(l, c), (len, cap)| (l + len, c + cap));
+        assert_eq!(sizes, (512, 512), "256 provider lists + 256 node_provides lists, all full");
+        // Every one of them was heard before its `Hello`: one shared name.
+        let unknown = d.node(NodeId(1)).unwrap().container.as_str();
+        assert!(d.nodes.values().all(|n| std::ptr::eq(n.container.as_str(), unknown)));
     }
 
     #[test]

@@ -564,6 +564,76 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
 }
 
 #[test]
+fn a_hello_delayed_across_a_restart_changes_nothing() {
+    // Regression: a `Hello` of life 1 arriving after life 2 was known (it
+    // sat in a slow link's queue across the restart) rolled the record
+    // back, so life 2's next beacon read as a new life: catalogue purged,
+    // every subscription re-planned, the catalogue pulled again.
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::{
+        announce_hash, AnnounceEntry, Message, Provision, ServiceState,
+    };
+    use marea_protocol::{frames, GroupId, Micros};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    probe.join(GroupId::CONTROL.0);
+    let mut cfg = ContainerConfig::new("uav", NodeId(1));
+    cfg.announce_period = ProtoDuration::from_millis(200);
+    let quiet = cfg.announce_period.as_micros() * 2;
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    c.start(Micros(0));
+
+    let hello = |incarnation| Message::Hello {
+        container: Name::new("peer").unwrap(),
+        incarnation,
+        fec_cap: 0,
+    };
+    let entries = vec![AnnounceEntry {
+        service_seq: 1,
+        name: Name::new("gps").unwrap(),
+        state: ServiceState::Running,
+        provides: vec![Provision::Event { name: Name::new("gps/fix-lost").unwrap(), ty: None }],
+    }];
+    let digest = (announce_hash(2, &entries), entries.len() as u32);
+    let send = |probe: &mut dyn Transport, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
+    };
+    send(&mut probe, hello(2));
+    send(&mut probe, Message::Announce { incarnation: 2, entries });
+    // Past the debounce window, so that a re-announce would go out at once.
+    for at in (0..=quiet).step_by(10_000) {
+        c.tick(Micros(at));
+    }
+    while probe.recv().is_some() {}
+    assert!(c.directory().resolve_event("gps/fix-lost").is_some());
+
+    send(&mut probe, hello(1));
+    let (catalogue_hash, entry_count) = digest;
+    let beacon = Message::Beacon {
+        incarnation: 2,
+        load_permille: 0,
+        fec_cap: 0,
+        entry_count,
+        catalogue_hash,
+    };
+    send(&mut probe, beacon);
+    c.tick(Micros(quiet + 1_000));
+    let info = c.directory().node(NodeId(2)).unwrap();
+    assert_eq!((info.incarnation, info.catalogue_digest), (2, Some(digest)));
+    assert!(c.directory().resolve_event("gps/fix-lost").is_some());
+    assert_eq!(c.stats().catalogue_pulls, 0);
+    while let Some((_, datagram)) = probe.recv() {
+        for frame in frames(&datagram) {
+            let sent = Message::from_frame(&frame.unwrap()).unwrap();
+            assert!(matches!(sent, Message::Beacon { .. }), "answered a dead life with {sent:?}");
+        }
+    }
+}
+
+#[test]
 fn any_valid_frame_from_a_known_node_is_proof_of_life() {
     // A peer whose beacons are all lost but whose data keeps arriving is
     // alive. Probe transport, explicit clock: nothing here is random.

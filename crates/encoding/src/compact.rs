@@ -75,7 +75,7 @@ impl CompactCodec {
                 }
             }
             (DataType::Struct(st), Value::Struct(sv)) => {
-                for (def, (_, field_value)) in st.fields().iter().zip(sv.fields()) {
+                for (def, field_value) in st.fields().iter().zip(sv.values()) {
                     Self::encode_into(field_value, def.ty(), w, depth + 1)?;
                 }
             }
@@ -378,8 +378,22 @@ mod tests {
         let back = codec().decode(&bytes, &ty).unwrap();
         let sv = back.as_struct().unwrap();
         assert_eq!(sv.type_name(), st.name());
-        for ((name, _), def) in sv.fields().iter().zip(st.fields()) {
+        for ((name, _), def) in sv.fields().zip(st.fields()) {
             assert_eq!(name, def.name());
+        }
+    }
+
+    proptest::proptest! {
+        /// A value that shares its schema's name blocks and the same value
+        /// rebuilt field by field are one value on the wire.
+        #[test]
+        fn both_forms_of_a_value_encode_alike(
+            (ty, shared) in marea_presentation::testkit::arb_typed_value(3),
+        ) {
+            let rebuilt = marea_presentation::testkit::by_name(&shared);
+            let bytes = codec().encode_to_vec(&shared, &ty).unwrap();
+            proptest::prop_assert_eq!(&codec().encode_to_vec(&rebuilt, &ty).unwrap(), &bytes);
+            proptest::prop_assert_eq!(codec().decode(&bytes, &ty).unwrap(), rebuilt);
         }
     }
 

@@ -1,16 +1,16 @@
 //! [`record!`](crate::record): typed records generated from one struct
 //! declaration.
 
-use std::marker::PhantomData;
-
-use crate::convert::{FromValue, HasDataType, TypeMismatch};
+use crate::convert::{FromValue, TypeMismatch};
 use crate::name::Name;
-use crate::value::{StructValue, Value};
+use crate::types::{DataType, StructType};
+use crate::value::Value;
 
 /// Declares a struct that travels as a MAREA struct value: the one
 /// declaration expands into the struct itself plus its
-/// [`HasDataType`], [`IntoValue`](crate::IntoValue) and [`FromValue`]
-/// implementations, so the schema and both conversions cannot drift apart.
+/// [`HasDataType`](crate::HasDataType), [`IntoValue`](crate::IntoValue)
+/// and [`FromValue`] implementations, so the schema and both conversions
+/// cannot drift apart.
 ///
 /// Attributes, derives, visibility and field docs pass through unchanged.
 /// Every field type must itself implement the three traits — scalars,
@@ -18,19 +18,22 @@ use crate::value::{StructValue, Value};
 ///
 /// # Contract
 ///
-/// * **Schema.** [`HasDataType::data_type`] is a struct type named after
-///   the Rust struct whose fields are the Rust fields, in declaration
-///   order, each of its own type's `data_type()`. It is built once per
+/// * **Schema.** [`data_type`](crate::HasDataType::data_type) is a struct
+///   type named after the Rust struct whose fields are the Rust fields, in
+///   declaration order, each of its own type's `data_type()`. It is built once per
 ///   process and cloned afterwards. The struct and field identifiers must
 ///   be valid [`Name`]s (no leading underscore, no raw identifiers) — the
 ///   first use panics otherwise.
 /// * **Names are the schema's.** `into_value` builds the value through
-///   [`StructValue::for_type`]: one allocation (the field vector), field
-///   names cloned from the cached schema, nothing parsed or validated per
-///   sample.
-/// * **`from_value` matches by name and exact kind.** Each field is looked
-///   up at its declaration index first and by name otherwise, so reordered
-///   or extra fields still convert; it then goes through its own type's
+///   [`StructValue::for_type`](crate::StructValue::for_type): one
+///   allocation (the value vector) and one reference to the cached
+///   schema's name block, nothing parsed, validated or copied per sample.
+/// * **`from_value` matches by name and exact kind.** A value that holds
+///   the record's own name block (made by `into_value` or decoded against
+///   `data_type()`) is read index by index with no name compared; in any
+///   other value each field is looked up at its declaration index first
+///   and by name otherwise, so reordered or extra fields still convert.
+///   The field then goes through its own type's
 ///   `from_value`, which accepts exactly that type's kind (an `f64` field
 ///   does not widen an `F32` value). A non-struct value, a missing field or
 ///   a field of the wrong kind is a [`TypeMismatch`] carrying the record's
@@ -122,7 +125,7 @@ macro_rules! record {
                 fn from_value(
                     value: &$crate::Value,
                 ) -> ::std::result::Result<Self, $crate::TypeMismatch> {
-                    let mut fields = $crate::__RecordFields::<Self>::of(value);
+                    let mut fields = $crate::__RecordFields::of(schema(), value);
                     // Struct-literal fields evaluate in the order written:
                     // declaration order, which `__RecordFields` counts on.
                     Ok($name { $( $field: fields.next(stringify!($field))? ),* })
@@ -135,18 +138,26 @@ macro_rules! record {
 /// The runtime half of [`record!`](crate::record)'s `FromValue`: hands out
 /// the fields of a struct value in the record's declaration order.
 #[doc(hidden)]
-pub struct RecordFields<'a, R> {
+pub struct RecordFields<'a> {
+    schema: &'a StructType,
     value: &'a Value,
-    fields: &'a [(Name, Value)],
+    names: &'a [Name],
+    values: &'a [Value],
     index: usize,
-    record: PhantomData<R>,
+    /// The value holds the schema's own name block: the field declared at
+    /// an index is the value at that index, no name compared.
+    positional: bool,
 }
 
-impl<'a, R: HasDataType> RecordFields<'a, R> {
-    /// Starts reading `value` as an `R`; a non-struct value has no fields.
-    pub fn of(value: &'a Value) -> Self {
-        let fields = value.as_struct().map_or(&[][..], StructValue::fields);
-        RecordFields { value, fields, index: 0, record: PhantomData }
+impl<'a> RecordFields<'a> {
+    /// Starts reading `value` as the record `schema` describes; a
+    /// non-struct value has no fields.
+    pub fn of(schema: &'a StructType, value: &'a Value) -> Self {
+        let (names, values, positional) = match value.as_struct() {
+            Some(sv) => (sv.names(), sv.values(), sv.shares_names(schema.names())),
+            None => (&[][..], &[][..], false),
+        };
+        RecordFields { schema, value, names, values, index: 0, positional }
     }
 
     /// Converts the next declared field, `name`: the value at the
@@ -157,14 +168,16 @@ impl<'a, R: HasDataType> RecordFields<'a, R> {
     /// The record-level [`TypeMismatch`] when the field is absent or its
     /// own conversion fails.
     pub fn next<T: FromValue>(&mut self, name: &str) -> Result<T, TypeMismatch> {
-        let at_index = self.fields.get(self.index).filter(|(n, _)| n == name);
+        let at = self.index;
         self.index += 1;
-        at_index
-            .or_else(|| self.fields.iter().find(|(n, _)| n == name))
-            .and_then(|(_, v)| T::from_value(v).ok())
-            .ok_or_else(|| {
-                TypeMismatch::new(R::data_type(), self.value.kind())
-                    .with_detail(format!("field `{name}`"))
-            })
+        let found = if self.positional || self.names.get(at).is_some_and(|n| n == name) {
+            self.values.get(at)
+        } else {
+            self.names.iter().position(|n| n == name).map(|i| &self.values[i])
+        };
+        found.and_then(|v| T::from_value(v).ok()).ok_or_else(|| {
+            TypeMismatch::new(DataType::Struct(self.schema.clone()), self.value.kind())
+                .with_detail(format!("field `{name}`"))
+        })
     }
 }

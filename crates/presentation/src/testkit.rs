@@ -6,9 +6,8 @@
 
 use proptest::prelude::*;
 
-use crate::name::Name;
 use crate::types::{DataType, StructType, UnionType, VectorType};
-use crate::value::{UnionValue, Value, VectorValue};
+use crate::value::{StructBuilder, StructValue, UnionValue, Value, VectorValue};
 
 /// Strategy for valid MAREA names (short, lowercase).
 pub fn arb_name() -> impl Strategy<Value = String> {
@@ -74,7 +73,9 @@ pub fn arb_data_type(depth: u32) -> BoxedStrategy<DataType> {
         .boxed()
 }
 
-/// Strategy for values conforming to a given data type.
+/// Strategy for values conforming to a given data type. Struct values
+/// share their schema's names ([`StructValue::for_type`]), as decoded and
+/// `record!` values do; [`by_name`] gives the other form.
 pub fn arb_value_of(ty: &DataType) -> BoxedStrategy<Value> {
     match ty {
         DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
@@ -108,17 +109,11 @@ pub fn arb_value_of(ty: &DataType) -> BoxedStrategy<Value> {
                 .boxed()
         }
         DataType::Struct(st) => {
-            let names: Vec<Name> = st.fields().iter().map(|f| f.name().clone()).collect();
+            let st = st.clone();
             let field_strategies: Vec<BoxedStrategy<Value>> =
                 st.fields().iter().map(|f| arb_value_of(f.ty())).collect();
             field_strategies
-                .prop_map(move |values| {
-                    let mut b = crate::value::StructBuilder::anonymous();
-                    for (name, value) in names.iter().zip(values) {
-                        b = b.field(name.as_str(), value);
-                    }
-                    b.build().expect("valid field names")
-                })
+                .prop_map(move |values| Value::Struct(StructValue::for_type(&st, values)))
                 .boxed()
         }
         DataType::Union(ut) => {
@@ -147,4 +142,26 @@ pub fn arb_typed_value(depth: u32) -> BoxedStrategy<(DataType, Value)> {
             (Just(ty), value)
         })
         .boxed()
+}
+
+/// `value` with every struct in it rebuilt field by field through
+/// [`StructBuilder`]: equal to `value`, but no struct shares a name block
+/// with a schema.
+pub fn by_name(value: &Value) -> Value {
+    match value {
+        Value::Struct(sv) => sv
+            .fields()
+            .fold(StructBuilder::anonymous(), |b, (name, v)| b.field(name.as_str(), by_name(v)))
+            .build()
+            .expect("names of a struct value are valid and unique"),
+        Value::Vector(vv) => Value::Vector(
+            VectorValue::new(vv.elem_ty().clone(), vv.iter().map(by_name).collect())
+                .expect("rebuilt elements conform as the originals did"),
+        ),
+        Value::Union(uv) => Value::Union(
+            UnionValue::new(uv.discriminant(), uv.alternative(), by_name(uv.value()))
+                .expect("alternative of a union value is a valid name"),
+        ),
+        scalar => scalar.clone(),
+    }
 }

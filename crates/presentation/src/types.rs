@@ -6,6 +6,7 @@
 //! length), structs (ordered named fields) and unions (tagged alternatives).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{InvalidNameError, TypeError, TypeErrorKind};
 use crate::name::Name;
@@ -158,6 +159,23 @@ impl VectorType {
     }
 }
 
+/// The names of a struct: its documentation type name and its field
+/// names in declaration order.
+///
+/// A [`StructType`] builds one block and every value made from that type
+/// ([`StructValue::for_type`](crate::StructValue::for_type), `record!`,
+/// the compact decoder) holds the same allocation, so two parties that
+/// share a block agree on every name by comparing one pointer. A block
+/// that is shared is never written: both [`StructType::with_field`] and
+/// [`StructValue::set`](crate::StructValue::set) extend it through
+/// [`Arc::make_mut`], which copies it first unless they are its only
+/// holder.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct StructNames {
+    pub(crate) type_name: Option<Name>,
+    pub(crate) fields: Vec<Name>,
+}
+
 /// An ordered sequence of named, typed fields.
 ///
 /// Field order is significant: the compact codec encodes structs
@@ -165,7 +183,8 @@ impl VectorType {
 /// names are unique.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructType {
-    name: Option<Name>,
+    /// Type name and field names; `names.fields[i] == fields[i].name()`.
+    names: Arc<StructNames>,
     fields: Vec<FieldDef>,
 }
 
@@ -179,18 +198,21 @@ impl StructType {
     /// [`StructType::anonymous`] + [`StructType::with_field`] with runtime
     /// names if the name is not a literal.
     pub fn new(name: &str) -> Self {
+        let name = Name::new(name).expect("struct type name must be a valid name literal");
         StructType {
-            name: Some(Name::new(name).expect("struct type name must be a valid name literal")),
+            names: Arc::new(StructNames { type_name: Some(name), fields: Vec::new() }),
             fields: Vec::new(),
         }
     }
 
     /// Creates an empty anonymous struct type.
     pub fn anonymous() -> Self {
-        StructType { name: None, fields: Vec::new() }
+        StructType { names: Arc::default(), fields: Vec::new() }
     }
 
     /// Appends a field, consuming and returning the type (builder style).
+    /// Values already made from the type (or from a clone of it) keep the
+    /// names they have.
     ///
     /// # Errors
     ///
@@ -204,13 +226,19 @@ impl StructType {
                 reason: "duplicate field name in struct type",
             });
         }
+        Arc::make_mut(&mut self.names).fields.push(def.name().clone());
         self.fields.push(def);
         Ok(self)
     }
 
     /// Documentation name of the struct, if any.
     pub fn name(&self) -> Option<&Name> {
-        self.name.as_ref()
+        self.names.type_name.as_ref()
+    }
+
+    /// The name block values of this type share.
+    pub(crate) fn names(&self) -> &Arc<StructNames> {
+        &self.names
     }
 
     /// Fields in declaration order.

@@ -1,19 +1,21 @@
 //! Dynamically-typed values exchanged between services.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{InvalidNameError, TypeError, TypeErrorKind};
 use crate::name::Name;
-use crate::types::{DataType, StructType, TypeKind, UnionType, VectorType};
+use crate::types::{DataType, StructNames, StructType, TypeKind, UnionType, VectorType};
 
 /// A homogeneous sequence of values.
 ///
 /// The element type is carried explicitly so that *empty* vectors still know
 /// what they contain — required both for type checking and for the compact
-/// codec.
+/// codec. It is boxed: inline it would widen every [`Value`], scalars
+/// included, by the size of a [`DataType`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorValue {
-    elem_ty: DataType,
+    elem_ty: Box<DataType>,
     items: Vec<Value>,
 }
 
@@ -27,12 +29,12 @@ impl VectorValue {
         for (i, item) in items.iter().enumerate() {
             item.conforms_to(&elem_ty).map_err(|e| e.at_index(i))?;
         }
-        Ok(VectorValue { elem_ty, items })
+        Ok(VectorValue { elem_ty: Box::new(elem_ty), items })
     }
 
     /// Creates an empty vector of `elem_ty`.
     pub fn empty(elem_ty: DataType) -> Self {
-        VectorValue { elem_ty, items: Vec::new() }
+        VectorValue { elem_ty: Box::new(elem_ty), items: Vec::new() }
     }
 
     /// Element type of the vector.
@@ -84,18 +86,34 @@ impl<'a> IntoIterator for &'a VectorValue {
 
 /// An ordered collection of named values (a struct instance).
 ///
+/// The names live in a block shared with the [`StructType`] the value was
+/// made from (or owned by the value alone when it was built field by
+/// field); the value itself holds only its field values, index by index
+/// under the block's first [`len`](Self::len) names.
+///
 /// The optional `type_name` is documentation-only: it never travels on the
 /// wire and is deliberately excluded from equality, so a decoded struct
 /// compares equal to the one that was encoded.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct StructValue {
-    type_name: Option<Name>,
-    fields: Vec<(Name, Value)>,
+    /// `values.len() <= names.fields.len()`, always.
+    names: Arc<StructNames>,
+    values: Vec<Value>,
 }
 
 impl PartialEq for StructValue {
     fn eq(&self, other: &Self) -> bool {
-        self.fields == other.fields
+        self.values == other.values
+            && (self.shares_names(&other.names) || self.names() == other.names())
+    }
+}
+
+impl fmt::Debug for StructValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StructValue")
+            .field("type_name", &self.type_name())
+            .field("fields", &self.fields().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -109,63 +127,96 @@ impl StructValue {
     /// declaration order.
     ///
     /// Field names (and the documentation type name) are the schema's own
-    /// [`Name`]s, cloned — a reference-count bump each, nothing to validate
-    /// or allocate, since [`StructType::with_field`] already guarantees
-    /// them valid and unique. One allocation: the field vector.
+    /// name block, shared: one reference-count bump for all of them,
+    /// nothing to validate or allocate, since [`StructType::with_field`]
+    /// already guarantees them valid and unique. One allocation: the value
+    /// vector.
     ///
     /// Values are paired with fields up to the shorter of the two; the
     /// values themselves are not checked here. [`Value::conforms_to`]
     /// reports a short list as a missing field and a wrong value as a kind
     /// mismatch, as for any other struct value.
     pub fn for_type(ty: &StructType, values: impl IntoIterator<Item = Value>) -> Self {
-        let mut fields = Vec::with_capacity(ty.fields().len());
-        fields.extend(ty.fields().iter().zip(values).map(|(def, v)| (def.name().clone(), v)));
-        StructValue { type_name: ty.name().cloned(), fields }
+        let declared = ty.fields().len();
+        let mut held = Vec::with_capacity(declared);
+        held.extend(values.into_iter().take(declared));
+        StructValue { names: Arc::clone(ty.names()), values: held }
     }
 
     /// Documentation type name attached at construction, if any.
     pub fn type_name(&self) -> Option<&Name> {
-        self.type_name.as_ref()
+        self.names.type_name.as_ref()
+    }
+
+    /// Field names in insertion order.
+    pub fn names(&self) -> &[Name] {
+        &self.names.fields[..self.values.len()]
+    }
+
+    /// Field values in insertion order, index by index under
+    /// [`names`](Self::names).
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Fields in insertion order.
-    pub fn fields(&self) -> &[(Name, Value)] {
-        &self.fields
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (&Name, &Value)> {
+        self.names().iter().zip(&self.values)
+    }
+
+    /// `true` when this value's names are the first [`len`](Self::len) of
+    /// `block` because it holds that very allocation — no name compared.
+    pub(crate) fn shares_names(&self, block: &Arc<StructNames>) -> bool {
+        Arc::ptr_eq(&self.names, block)
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.names().iter().position(|n| n == name)
     }
 
     /// Looks up a field by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.position(name).map(|i| &self.values[i])
     }
 
     /// Mutable lookup by name.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.position(name).map(|i| &mut self.values[i])
     }
 
     /// Sets a field, replacing any existing value under the same name.
+    ///
+    /// A new name is added to this value alone: a name block shared with a
+    /// schema or with other values is copied first.
     ///
     /// # Errors
     ///
     /// Returns [`InvalidNameError`] if `name` is not a valid [`Name`].
     pub fn set(&mut self, name: &str, value: impl Into<Value>) -> Result<(), InvalidNameError> {
-        let name = Name::new(name)?;
-        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value.into();
-        } else {
-            self.fields.push((name, value.into()));
+        match self.position(name) {
+            Some(i) => self.values[i] = value.into(),
+            None => self.push(Name::new(name)?, value.into()),
         }
         Ok(())
     }
 
+    /// Appends a field whose name the caller has checked to be new.
+    fn push(&mut self, name: Name, value: Value) {
+        let names = Arc::make_mut(&mut self.names);
+        // A short value of a longer schema: its names end where it does.
+        names.fields.truncate(self.values.len());
+        names.fields.push(name);
+        self.values.push(value);
+    }
+
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.values.len()
     }
 
     /// `true` if the struct has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.values.is_empty()
     }
 }
 
@@ -328,24 +379,24 @@ impl Value {
     /// Panics if `type_name` is not a valid [`Name`] literal; use
     /// [`StructBuilder::anonymous`] for runtime names.
     pub fn struct_of(type_name: &str) -> StructBuilder {
+        let type_name =
+            Name::new(type_name).expect("struct type name must be a valid name literal");
+        let names = StructNames { type_name: Some(type_name), fields: Vec::new() };
         StructBuilder {
-            inner: StructValue {
-                type_name: Some(
-                    Name::new(type_name).expect("struct type name must be a valid name literal"),
-                ),
-                fields: Vec::new(),
-            },
+            inner: StructValue { names: Arc::new(names), values: Vec::new() },
             error: None,
         }
     }
 
     /// Checks this value against `ty`, locating the first mismatch.
     ///
-    /// A struct value whose field names equal the schema's, index by index
-    /// — every value built by [`StructValue::for_type`], a decoder or
-    /// [`record!`](crate::record) — is checked in one pass over the field
-    /// types. Any other arrangement takes the diagnostic path, which names
-    /// the duplicate, missing, unknown or out-of-order field.
+    /// A struct value that carries the schema's names, index by index —
+    /// every value built by [`StructValue::for_type`], a decoder or
+    /// [`record!`](crate::record), recognised by the name block it shares
+    /// with the schema, and any other value whose names compare equal — is
+    /// checked in one pass over the field types. Any other arrangement
+    /// takes the diagnostic path, which names the duplicate, missing,
+    /// unknown or out-of-order field.
     ///
     /// # Errors
     ///
@@ -365,7 +416,7 @@ impl Value {
             (DataType::Vector(vt), Value::Vector(vv)) => Self::check_vector(vt, vv, positional),
             (DataType::Struct(st), Value::Struct(sv)) => {
                 if positional && Self::names_match(st, sv) {
-                    return st.fields().iter().zip(sv.fields()).try_for_each(|(def, (_, v))| {
+                    return st.fields().iter().zip(sv.values()).try_for_each(|(def, v)| {
                         v.conforms(def.ty(), true).map_err(|e| e.in_field(def.name().as_str()))
                     });
                 }
@@ -378,12 +429,13 @@ impl Value {
     }
 
     /// `true` when `sv` carries exactly `st`'s field names in declaration
-    /// order. Schema names are unique, so such a value has no duplicate,
-    /// missing, unknown or misplaced field: only the field values are
-    /// left to check.
+    /// order: it holds `st`'s own name block, or names that compare equal
+    /// one by one. Schema names are unique, so such a value has no
+    /// duplicate, missing, unknown or misplaced field: only the field
+    /// values are left to check.
     fn names_match(st: &StructType, sv: &StructValue) -> bool {
         st.fields().len() == sv.len()
-            && st.fields().iter().zip(sv.fields()).all(|(def, (name, _))| def.name() == name)
+            && (sv.shares_names(st.names()) || *sv.names() == st.names().fields[..])
     }
 
     fn check_vector(vt: &VectorType, vv: &VectorValue, positional: bool) -> Result<(), TypeError> {
@@ -409,8 +461,8 @@ impl Value {
 
     fn check_struct(st: &StructType, sv: &StructValue, positional: bool) -> Result<(), TypeError> {
         // Detect duplicates first so the error is precise.
-        for (i, (name, _)) in sv.fields().iter().enumerate() {
-            if sv.fields()[..i].iter().any(|(n, _)| n == name) {
+        for (i, name) in sv.names().iter().enumerate() {
+            if sv.names()[..i].contains(name) {
                 return Err(TypeError::new(TypeErrorKind::DuplicateField {
                     field: name.to_string(),
                 }));
@@ -428,7 +480,7 @@ impl Value {
                 }
             }
         }
-        for (name, _) in sv.fields() {
+        for name in sv.names() {
             if st.field(name.as_str()).is_none() {
                 return Err(TypeError::new(TypeErrorKind::UnknownField {
                     field: name.to_string(),
@@ -436,8 +488,8 @@ impl Value {
             }
         }
         // Positional (compact) encoding requires declaration order.
-        for (i, (name, _)) in sv.fields().iter().enumerate() {
-            if st.fields()[i].name() != name {
+        for (def, name) in st.fields().iter().zip(sv.names()) {
+            if def.name() != name {
                 return Err(TypeError::new(TypeErrorKind::FieldOrder { field: name.to_string() }));
             }
         }
@@ -560,9 +612,7 @@ impl Value {
             Value::Str(s) => s.len() + 8,
             Value::Bytes(b) => b.len() + 8,
             Value::Vector(v) => v.iter().map(Value::size_hint).sum::<usize>() + 8,
-            Value::Struct(s) => {
-                s.fields().iter().map(|(n, v)| n.len() + v.size_hint()).sum::<usize>() + 8
-            }
+            Value::Struct(s) => s.fields().map(|(n, v)| n.len() + v.size_hint()).sum::<usize>() + 8,
             Value::Union(u) => u.value().size_hint() + u.alternative().len() + 8,
         }
     }
@@ -597,7 +647,7 @@ impl fmt::Display for Value {
             }
             Value::Struct(s) => {
                 write!(f, "{{ ")?;
-                for (i, (name, v)) in s.fields().iter().enumerate() {
+                for (i, (name, v)) in s.fields().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -699,13 +749,13 @@ impl StructBuilder {
         }
         match Name::new(name) {
             Ok(n) => {
-                if self.inner.fields.iter().any(|(existing, _)| *existing == n) {
+                if self.inner.names().contains(&n) {
                     self.error = Some(InvalidNameError {
                         offending: name.to_owned(),
                         reason: "duplicate field name in struct value",
                     });
                 } else {
-                    self.inner.fields.push((n, value.into()));
+                    self.inner.push(n, value.into());
                 }
             }
             Err(e) => self.error = Some(e),
@@ -804,7 +854,7 @@ mod tests {
         if let Value::Struct(s) = &mut items[1] {
             *s.get_mut("alt").unwrap() = Value::Bool(true);
         }
-        vv = VectorValue { elem_ty: vv.elem_ty().clone(), items };
+        vv = VectorValue { elem_ty: Box::new(vv.elem_ty().clone()), items };
         let err = Value::Vector(vv).conforms_to(&wp_ty).unwrap_err();
         assert_eq!(err.location(), "[1].alt");
     }
@@ -925,14 +975,74 @@ mod tests {
     fn for_type_takes_names_from_the_schema() {
         let DataType::Struct(st) = position_ty() else { unreachable!() };
         let built = StructValue::for_type(&st, [41.3.into(), 2.1.into(), 120.0f32.into()]);
+        assert!(built.shares_names(st.names()));
         assert_eq!(Value::Struct(built.clone()), position_val());
         assert_eq!(built.type_name(), st.name());
         Value::Struct(built).conforms_to(&position_ty()).unwrap();
 
         // Too few values: a struct `conforms_to` reports as incomplete.
-        let short = Value::Struct(StructValue::for_type(&st, [41.3.into()]));
-        let err = short.conforms_to(&position_ty()).unwrap_err();
+        let short = StructValue::for_type(&st, [41.3.into()]);
+        assert_eq!((short.len(), short.names().len(), short.fields().len()), (1, 1, 1));
+        let err = Value::Struct(short).conforms_to(&position_ty()).unwrap_err();
         assert_eq!(err.kind(), &TypeErrorKind::MissingField { field: "lon".into() });
+
+        // Too many: the surplus has no name to go under.
+        let long = StructValue::for_type(&st, (0..5).map(|i| Value::F64(f64::from(i))));
+        assert_eq!(long.len(), 3);
+    }
+
+    #[test]
+    fn set_adds_a_field_to_this_value_alone() {
+        let DataType::Struct(st) = position_ty() else { unreachable!() };
+        let sibling = StructValue::for_type(&st, [1.0.into(), 2.0.into(), 3.0f32.into()]);
+        let mut grown = sibling.clone();
+        grown.set("lat", 9.0).unwrap();
+        assert!(grown.shares_names(st.names()), "replacing a value leaves the names shared");
+        grown.set("speed", 4.5).unwrap();
+
+        let names = |sv: &StructValue| sv.names().iter().map(Name::to_string).collect::<Vec<_>>();
+        assert_eq!(names(&grown), ["lat", "lon", "alt", "speed"]);
+        assert_eq!(grown.get("speed"), Some(&Value::F64(4.5)));
+        assert_eq!(grown.type_name(), st.name());
+        assert_eq!(names(&sibling), ["lat", "lon", "alt"]);
+        assert_eq!(sibling.get("lat"), Some(&Value::F64(1.0)));
+        assert_eq!(st.fields().len(), 3);
+        assert_eq!(st.names().fields.len(), 3);
+        let err = Value::Struct(grown).conforms_to(&position_ty()).unwrap_err();
+        assert_eq!(err.kind(), &TypeErrorKind::UnknownField { field: "speed".into() });
+        Value::Struct(sibling).conforms_to(&position_ty()).unwrap();
+
+        // A short value's names end where it does, whatever the schema
+        // declares after them.
+        let mut short = StructValue::for_type(&st, [1.0.into()]);
+        short.set("alt", 7.0f32).unwrap();
+        assert_eq!(names(&short), ["lat", "alt"]);
+        assert_eq!(short.get("lon"), None);
+    }
+
+    #[test]
+    fn with_field_after_values_does_not_rename_them() {
+        let DataType::Struct(st) = position_ty() else { unreachable!() };
+        let before = StructValue::for_type(&st, [1.0.into(), 2.0.into(), 3.0f32.into()]);
+        let wider = st.clone().with_field("speed", DataType::F64).unwrap();
+        assert_eq!(st.fields().len(), 3, "a clone of the type is not extended either");
+        assert_eq!(before.names().len(), 3);
+        assert!(before.shares_names(st.names()) && !before.shares_names(wider.names()));
+
+        let after = StructValue::for_type(&wider, (0..4).map(|i| Value::F64(f64::from(i))));
+        assert_eq!(after.names().last().map(Name::as_str), Some("speed"));
+        let err = Value::Struct(before).conforms_to(&DataType::Struct(wider)).unwrap_err();
+        assert_eq!(err.kind(), &TypeErrorKind::MissingField { field: "speed".into() });
+    }
+
+    /// `Struct`, `Vector` and `Union` set the size: each is 32 bytes of
+    /// payload (a name-block handle or boxed element type beside one
+    /// `Vec<Value>`; a discriminant, a `Name` and a box) plus the tag.
+    /// `Str`/`Bytes` are 24. A composite variant that holds more than a
+    /// handle and a vector inline widens every scalar in every sample.
+    #[test]
+    fn value_is_forty_bytes() {
+        assert!(std::mem::size_of::<Value>() <= 40, "{}", std::mem::size_of::<Value>());
     }
 
     #[test]
@@ -963,7 +1073,7 @@ mod tests {
         use proptest::prelude::*;
 
         use super::super::*;
-        use crate::testkit::arb_typed_value;
+        use crate::testkit::{arb_typed_value, by_name};
 
         fn other_kind(v: &Value) -> Value {
             if matches!(v, Value::Bool(_)) {
@@ -980,17 +1090,36 @@ mod tests {
         fn mutate(v: &mut Value, dice: &mut impl Iterator<Item = usize>) {
             let (Some(choice), Some(pick)) = (dice.next(), dice.next()) else { return };
             match v {
-                Value::Struct(sv) if !sv.fields.is_empty() => {
-                    let n = sv.fields.len();
+                Value::Struct(sv) if !sv.is_empty() => {
+                    let n = sv.len();
                     let i = pick % n;
                     match choice % 7 {
-                        0 => mutate(&mut sv.fields[i].1, dice),
-                        1 => sv.fields.push(sv.fields[i].clone()),
-                        2 => drop(sv.fields.remove(i)),
-                        3 => sv.fields.push((Name::new("zz-unknown").unwrap(), Value::U8(1))),
-                        4 => sv.fields.swap(i, (i + 1) % n),
-                        5 => sv.fields[i].1 = other_kind(&sv.fields[i].1),
-                        _ => sv.fields[i].0 = Name::new("zz-renamed").unwrap(),
+                        0 => mutate(&mut sv.values[i], dice),
+                        1 => sv.values[i] = other_kind(&sv.values[i]),
+                        // The rest change names: on a copy of a shared block.
+                        edit => {
+                            let names = &mut Arc::make_mut(&mut sv.names).fields;
+                            let values = &mut sv.values;
+                            match edit {
+                                2 => {
+                                    names.push(names[i].clone());
+                                    values.push(values[i].clone());
+                                }
+                                3 => {
+                                    names.remove(i);
+                                    values.remove(i);
+                                }
+                                4 => {
+                                    names.push(Name::new("zz-unknown").unwrap());
+                                    values.push(Value::U8(1));
+                                }
+                                5 => {
+                                    names.swap(i, (i + 1) % n);
+                                    values.swap(i, (i + 1) % n);
+                                }
+                                _ => names[i] = Name::new("zz-renamed").unwrap(),
+                            }
+                        }
                     }
                 }
                 Value::Vector(vv) => match choice % 5 {
@@ -1004,7 +1133,7 @@ mod tests {
                         let i = pick % vv.items.len();
                         vv.items[i] = other_kind(&vv.items[i]);
                     }
-                    _ => vv.elem_ty = DataType::Char,
+                    _ => *vv.elem_ty = DataType::Char,
                 },
                 Value::Union(uv) => match choice % 3 {
                     0 => mutate(&mut uv.value, dice),
@@ -1023,12 +1152,22 @@ mod tests {
                 (ty, value) in arb_typed_value(3),
                 dice in proptest::collection::vec(0usize..64, 0..10),
             ) {
-                prop_assert_eq!(value.conforms(&ty, true), Ok(()));
-                prop_assert_eq!(value.conforms(&ty, false), Ok(()));
+                // Both forms of one value: sharing the schema's name blocks
+                // (as generated), and rebuilt field by field.
+                let (mut shared, mut rebuilt) = (value.clone(), by_name(&value));
+                prop_assert_eq!(&shared, &rebuilt);
+                for form in [&shared, &rebuilt] {
+                    prop_assert_eq!(form.conforms(&ty, true), Ok(()));
+                    prop_assert_eq!(form.conforms(&ty, false), Ok(()));
+                }
 
-                let mut mutated = value;
-                mutate(&mut mutated, &mut dice.into_iter());
-                prop_assert_eq!(mutated.conforms(&ty, true), mutated.conforms(&ty, false));
+                mutate(&mut shared, &mut dice.iter().copied());
+                mutate(&mut rebuilt, &mut dice.into_iter());
+                prop_assert_eq!(&shared, &rebuilt);
+                let reference = shared.conforms(&ty, false);
+                prop_assert_eq!(shared.conforms(&ty, true), reference.clone());
+                prop_assert_eq!(rebuilt.conforms(&ty, true), reference.clone());
+                prop_assert_eq!(rebuilt.conforms(&ty, false), reference);
             }
         }
     }

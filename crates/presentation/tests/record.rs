@@ -4,7 +4,7 @@
 //! `TypeMismatch` that names the field.
 
 use marea_presentation::{
-    record, DataType, FromValue, HasDataType, IntoValue, StructType, TypeKind, Value,
+    record, DataType, FromValue, HasDataType, IntoValue, StructType, StructValue, TypeKind, Value,
 };
 use proptest::prelude::*;
 
@@ -75,7 +75,7 @@ fn reading() -> Reading {
 /// The fields of a struct value, to rebuild it in another arrangement.
 fn fields_of(value: &Value) -> Vec<(String, Value)> {
     let sv = value.as_struct().expect("records are struct values");
-    sv.fields().iter().map(|(n, v)| (n.to_string(), v.clone())).collect()
+    sv.fields().map(|(n, v)| (n.to_string(), v.clone())).collect()
 }
 
 fn struct_from(fields: &[(String, Value)]) -> Value {
@@ -137,7 +137,7 @@ fn value_names_are_the_schema_s() {
     let value = reading().into_value();
     let sv = value.as_struct().unwrap();
     assert_eq!(sv.type_name(), st.name());
-    let names: Vec<_> = sv.fields().iter().map(|(n, _)| n).collect();
+    let names: Vec<_> = sv.fields().map(|(n, _)| n).collect();
     assert_eq!(names, st.fields().iter().map(|f| f.name()).collect::<Vec<_>>());
 }
 
@@ -169,6 +169,27 @@ fn fields_convert_by_exact_kind() {
     fields[1].1 = Value::F32(2.5);
     let err = Reading::from_value(&struct_from(&fields)).unwrap_err();
     assert_eq!(err.detail(), Some("field `level`"));
+}
+
+/// A value that holds the record's own name block is read by position;
+/// what that path refuses, it refuses as the by-name path does.
+#[test]
+fn a_value_sharing_the_record_s_names_reports_the_same_mismatches() {
+    let DataType::Struct(own) = Reading::data_type() else { panic!("records are structs") };
+    let DataType::Struct(hand_built) = reading_type() else { unreachable!() };
+    let values = || fields_of(&reading().into_value()).into_iter().map(|(_, v)| v);
+    for st in [&own, &hand_built] {
+        let of = |values: Vec<Value>| Value::Struct(StructValue::for_type(st, values));
+        assert_eq!(Reading::from_value(&of(values().collect())).ok(), Some(reading()));
+
+        let short = of(values().take(2).collect());
+        assert_eq!(Reading::from_value(&short).unwrap_err().detail(), Some("field `gain`"));
+
+        let mut wrong = values().collect::<Vec<_>>();
+        wrong[3] = Value::U8(1); // `ok` is declared bool
+        let err = Reading::from_value(&of(wrong)).unwrap_err();
+        assert_eq!((err.found(), err.detail()), (Some(TypeKind::Struct), Some("field `ok`")));
+    }
 }
 
 #[test]
