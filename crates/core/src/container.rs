@@ -869,7 +869,7 @@ impl ServiceContainer {
                         };
                         return self.tasks.fan_out(Priority::VARIABLE, services, deliver);
                     }
-                    Err(SampleDrop::Unsubscribed) => return,
+                    Err(SampleDrop::Unsubscribed | SampleDrop::Unbound) => return,
                     Err(SampleDrop::Mismatch) => {
                         let line = format!("sample of `{name}` violates announced schema; dropped");
                         return self.log_line(now, line);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use marea_encoding::{Codec, CodecRegistry};
+use marea_encoding::{Codec, CodecId, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::{GroupId, Micros, NodeId, ServiceId};
@@ -20,6 +20,28 @@ use crate::stats::{ContainerStats, Occupancy, VarChannelView, VarSubscriptionSta
 /// Stable group id for a variable's multicast group.
 pub(crate) fn var_group(name: &Name) -> GroupId {
     GroupId(1 + (fnv1a(name.as_str().as_bytes()) & 0x3FFF_FFFE))
+}
+
+/// `true` when `value` holds no storage whose size `ty` leaves open — no
+/// string, blob or variable-length vector at any depth — so keeping it as
+/// a spare costs at most the schema's fixed size.
+fn fixed_size(ty: &DataType, value: &Value) -> bool {
+    match (ty, value) {
+        (DataType::Str | DataType::Bytes, _) => false,
+        (DataType::Vector(vt), Value::Vector(vv)) => {
+            vt.fixed_len() == Some(vv.len()) && vv.iter().all(|item| fixed_size(vt.elem(), item))
+        }
+        (DataType::Struct(st), Value::Struct(sv)) => {
+            let mut fields = st.fields().iter().zip(sv.values());
+            st.fields().len() == sv.len() && fields.all(|(def, v)| fixed_size(def.ty(), v))
+        }
+        (DataType::Union(ut), Value::Union(uv)) => {
+            let alt = ut.alternatives().get(uv.discriminant() as usize);
+            alt.is_some_and(|alt| fixed_size(alt.ty(), uv.value()))
+        }
+        // A scalar; a composite here is of another kind than `ty`.
+        (ty, value) => ty.kind() == value.kind(),
+    }
 }
 
 /// Publisher-side state of one declared variable.
@@ -70,6 +92,10 @@ struct SubscribedVar {
     /// value is the allocation its deliveries hold: a sample is decoded
     /// once and shared, never copied.
     history: VecDeque<(Micros, Arc<Value>)>,
+    /// A sample the ring evicted that nothing else held and whose value
+    /// has a fixed size: the next sample is written into its allocation
+    /// instead of a new one (see [`record`](Self::record)).
+    spare: Option<Arc<Value>>,
     /// Loss deadlines missed on this subscription.
     deadline_misses: u64,
     /// Stale samples dropped on this subscription.
@@ -105,6 +131,7 @@ impl SubscribedVar {
             deadline_periods: qos.deadline_periods,
             history_cap: qos.history.max(1),
             history: VecDeque::new(),
+            spare: None,
             deadline_misses: 0,
             stale_drops: 0,
             provider: None,
@@ -177,12 +204,43 @@ impl SubscribedVar {
     }
 
     /// Retains an accepted sample in the history ring (oldest evicted at
-    /// capacity).
+    /// capacity). An evicted sample becomes the spare when this ring held
+    /// it alone — no queued delivery still reads it — and its value has a
+    /// fixed size under the bound schema; any other is freed.
     fn record(&mut self, stamp: Micros, value: Arc<Value>) {
         while self.history.len() >= self.history_cap {
-            self.history.pop_front();
+            let Some((_, mut evicted)) = self.history.pop_front() else { break };
+            let ty = self.ty.as_ref();
+            if Arc::get_mut(&mut evicted).is_some_and(|v| ty.is_some_and(|ty| fixed_size(ty, v))) {
+                self.spare = Some(evicted);
+            }
         }
         self.history.push_back((stamp, value));
+    }
+
+    /// `value` in the spare's allocation when one is kept, else in a new
+    /// one.
+    fn share(&mut self, value: Value) -> Arc<Value> {
+        if let Some(mut spare) = self.spare.take() {
+            if let Some(slot) = Arc::get_mut(&mut spare) {
+                *slot = value;
+                return spare;
+            }
+        }
+        Arc::new(value)
+    }
+
+    /// Decodes a received payload against the bound schema: into the
+    /// spare when one is kept, otherwise fresh (see [`decode_payload`]).
+    /// `None` when it does not decode; the spare is dropped then.
+    fn decode(&mut self, codecs: &CodecRegistry, codec: u8, payload: &[u8]) -> Option<Arc<Value>> {
+        if let (Some(ty), Some(mut spare)) = (&self.ty, self.spare.take()) {
+            if let Some(slot) = Arc::get_mut(&mut spare) {
+                let decoded = codecs.get(CodecId(codec))?.decode_into(payload, ty, slot);
+                return decoded.is_ok().then_some(spare);
+            }
+        }
+        decode_payload(codecs, self.ty.as_ref(), codec, payload).map(Arc::new)
     }
 
     /// Resets provider binding (provider lost); subscription will be
@@ -236,6 +294,11 @@ pub(crate) enum SampleDrop {
     Stale,
     /// Sequence regression or duplicate.
     Old,
+    /// The subscription has no bound schema (its provider was lost) and
+    /// the codec is not self-describing: nothing to read the sample with.
+    /// Not a contract violation — the publisher may be healthy and still
+    /// reach this node's multicast group.
+    Unbound,
     /// Does not decode against the announced schema: a publisher/subscriber
     /// contract violation, counted as a mismatch.
     Mismatch,
@@ -331,7 +394,7 @@ impl VarEngine {
         if !sub.accept(seq, now) {
             return None;
         }
-        let value = Arc::new(value);
+        let value = sub.share(value);
         sub.record(now, Arc::clone(&value));
         Self::arm(&mut self.deadline_heap, name, sub);
         Some((value, &sub.services))
@@ -358,14 +421,16 @@ impl VarEngine {
             sub.stale_drops += 1;
             return Err(SampleDrop::Stale);
         }
+        if sub.ty.is_none() && CodecId(codec) != CodecId::SELF_DESCRIBING {
+            return Err(SampleDrop::Unbound);
+        }
         if !sub.accept(seq, now) {
             return Err(SampleDrop::Old);
         }
-        let Some(value) = decode_payload(codecs, sub.ty.as_ref(), codec, payload) else {
+        let Some(value) = sub.decode(codecs, codec, payload) else {
             self.type_mismatches += 1;
             return Err(SampleDrop::Mismatch);
         };
-        let value = Arc::new(value);
         sub.record(stamp, Arc::clone(&value));
         Self::arm(&mut self.deadline_heap, name, sub);
         Ok((value, &sub.services))
@@ -544,6 +609,7 @@ impl VarEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marea_presentation::{StructType, StructValue, VectorType, VectorValue};
 
     /// Test stand-in for the arming every bind / accepted sample does.
     fn arm_deadline(e: &mut VarEngine, name: &Name) {
@@ -670,6 +736,193 @@ mod tests {
             var_state: Some(&e),
         };
         assert_eq!(ctx.history(&port), [(Micros(4), 40), (Micros(5), 50), (Micros(6), 60)]);
+    }
+
+    /// `Fix { lat: f64, lon: f64 }`: a fixed-size schema.
+    fn fix_ty() -> DataType {
+        let st = StructType::new("Fix").with_field("lat", DataType::F64).unwrap();
+        DataType::Struct(st.with_field("lon", DataType::F64).unwrap())
+    }
+
+    fn fix(ty: &DataType, k: u64) -> Value {
+        let DataType::Struct(st) = ty else { unreachable!() };
+        let k = k as f64;
+        Value::Struct(StructValue::for_type(st, [k.into(), (-k).into()]))
+    }
+
+    /// An engine with one local subscriber of `v` (history 1), bound to a
+    /// provider of `ty`.
+    fn bound_to(ty: &DataType) -> (VarEngine, Name) {
+        let port = crate::ports::VarPort::<u64>::new("v");
+        let mut b = ServiceDescriptor::builder("s");
+        b.subscribe_to_var(&port, VarQos::default());
+        let mut e = VarEngine::default();
+        e.register(1, &b.build());
+        let name = port.name().clone();
+        let provider = ServiceId::new(NodeId(2), 1);
+        e.subscribed.get_mut(&name).unwrap().bind(provider, 0, 0, ty.clone(), Micros::ZERO);
+        (e, name)
+    }
+
+    /// Feeds `value` as sample `seq` (compact codec); answers the shared
+    /// value or the drop.
+    fn feed(e: &mut VarEngine, name: &Name, seq: u64, value: &Value, ty: &DataType) -> Arc<Value> {
+        let codecs = CodecRegistry::new();
+        let payload = codecs.default_codec().encode_to_vec(value, ty).unwrap();
+        let now = Micros(seq);
+        e.on_sample(name, seq, now, 0, 0, &payload, &codecs, now).unwrap().0
+    }
+
+    fn spare(e: &VarEngine, name: &Name) -> Option<*const Value> {
+        e.subscribed[name].spare.as_ref().map(Arc::as_ptr)
+    }
+
+    /// A sample a queued delivery still holds when the ring evicts it is
+    /// freed by its last holder, never kept as the spare; once deliveries
+    /// let go, the evicted sample's allocation takes the next one.
+    #[test]
+    fn only_a_sample_the_ring_held_alone_becomes_the_spare() {
+        let ty = fix_ty();
+        let (mut e, name) = bound_to(&ty);
+        let queued: Vec<Arc<Value>> =
+            (1..=4).map(|k| feed(&mut e, &name, k, &fix(&ty, k), &ty)).collect();
+        assert_eq!(spare(&e, &name), None, "every evicted sample is still queued");
+        for (k, value) in (1..).zip(&queued) {
+            assert_eq!(**value, fix(&ty, k), "a queued sample keeps its value");
+        }
+        let reused = Arc::as_ptr(&queued[3]);
+        drop(queued);
+        drop(feed(&mut e, &name, 5, &fix(&ty, 5), &ty));
+        assert_eq!(spare(&e, &name), Some(reused), "held by the ring alone: kept");
+        let sixth = feed(&mut e, &name, 6, &fix(&ty, 6), &ty);
+        assert_eq!(Arc::as_ptr(&sixth), reused, "decoded into the spare's allocation");
+        assert_eq!(*sixth, fix(&ty, 6));
+        assert_eq!(e.history(&name).map(|(_, v)| v.clone()).collect::<Vec<_>>(), [fix(&ty, 6)]);
+
+        // The same-container path moves its value into the spare's box.
+        let kept = spare(&e, &name).unwrap();
+        let (local, _) = e.accept_local(&name, 7, fix(&ty, 7), Micros(7)).unwrap();
+        assert_eq!((Arc::as_ptr(&local), &*local), (kept, &fix(&ty, 7)));
+    }
+
+    /// A payload that does not decode drops only the spare: the ring, the
+    /// drop reason and the mismatch count are what they always were.
+    #[test]
+    fn a_mismatching_sample_leaves_the_history_as_it_was() {
+        let ty = fix_ty();
+        let (mut e, name) = bound_to(&ty);
+        let ring =
+            |e: &VarEngine| e.history(&name).map(|(t, v)| (t, v.clone())).collect::<Vec<_>>();
+        let codecs = CodecRegistry::new();
+        let good = codecs.default_codec().encode_to_vec(&fix(&ty, 9), &ty).unwrap();
+        let (truncated, trailing) = (good[..15].to_vec(), [&good[..], &[0]].concat());
+        // Samples 1, 2, bad 3; then 4, 5, bad 6.
+        for (seq, bad) in [(1, truncated), (4, trailing)] {
+            feed(&mut e, &name, seq, &fix(&ty, seq), &ty);
+            feed(&mut e, &name, seq + 1, &fix(&ty, seq + 1), &ty);
+            assert!(spare(&e, &name).is_some());
+            let before = ring(&e);
+            let now = Micros(seq + 2);
+            let dropped = e.on_sample(&name, seq + 2, now, 0, 0, &bad, &codecs, now);
+            assert_eq!(dropped.err(), Some(SampleDrop::Mismatch));
+            assert_eq!(ring(&e), before);
+            assert_eq!(spare(&e, &name), None, "the half-written spare is gone");
+        }
+        assert_eq!(e.type_mismatches, 2);
+        assert_eq!(*feed(&mut e, &name, 7, &fix(&ty, 7), &ty), fix(&ty, 7), "decodes fresh");
+    }
+
+    /// Strings and blobs are of the size the last sample gave them: such a
+    /// sample is never kept, at any depth. A fixed vector of scalars is.
+    #[test]
+    fn only_fixed_size_values_are_kept_as_spares() {
+        let tagged = StructType::new("Tagged").with_field("k", DataType::U64).unwrap();
+        let cases = [
+            (DataType::Str, Value::Str("abc".into()), false),
+            (DataType::Bytes, Value::Bytes(vec![1; 64]), false),
+            (
+                DataType::Struct(tagged.clone().with_field("tag", DataType::Str).unwrap()),
+                Value::struct_of("Tagged").field("k", 1u64).field("tag", "x").build().unwrap(),
+                false,
+            ),
+            (
+                DataType::Vector(VectorType::of(DataType::U8)),
+                Value::Vector(VectorValue::new(DataType::U8, vec![]).unwrap()),
+                false,
+            ),
+            (
+                DataType::Vector(VectorType::fixed(DataType::F64, 2)),
+                Value::Vector(
+                    VectorValue::new(DataType::F64, vec![1.0.into(), 2.0.into()]).unwrap(),
+                ),
+                true,
+            ),
+            (DataType::U64, Value::U64(7), true),
+        ];
+        for (ty, value, kept) in cases {
+            let (mut e, name) = bound_to(&ty);
+            for seq in 1..=3 {
+                feed(&mut e, &name, seq, &value, &ty);
+            }
+            assert_eq!(spare(&e, &name).is_some(), kept, "{ty}");
+        }
+    }
+
+    /// A new provider with another schema: the spare holds a value of the
+    /// old one, so the sample is decoded fresh and moved into its box.
+    #[test]
+    fn a_rebind_to_another_schema_decodes_fresh_into_the_old_spare() {
+        let ty = fix_ty();
+        let (mut e, name) = bound_to(&ty);
+        for k in 1..=3 {
+            feed(&mut e, &name, k, &fix(&ty, k), &ty);
+        }
+        let old = spare(&e, &name).unwrap();
+        let wider = DataType::Struct(
+            StructType::new("Fix3")
+                .with_field("lat", DataType::F64)
+                .unwrap()
+                .with_field("lon", DataType::F64)
+                .unwrap()
+                .with_field("alt", DataType::F32)
+                .unwrap(),
+        );
+        let other = ServiceId::new(NodeId(3), 1);
+        e.subscribed.get_mut(&name).unwrap().bind(other, 0, 0, wider.clone(), Micros(4));
+        let DataType::Struct(st) = &wider else { unreachable!() };
+        for k in 1..=3u64 {
+            let v = Value::Struct(StructValue::for_type(
+                st,
+                [(k as f64).into(), 0.5.into(), 2.5f32.into()],
+            ));
+            let got = feed(&mut e, &name, k, &v, &wider);
+            assert_eq!(*got, v);
+            got.conforms_to(&wider).unwrap();
+            if k == 1 {
+                assert_eq!(Arc::as_ptr(&got), old, "the old spare's box");
+            }
+        }
+    }
+
+    /// After its provider is lost, a subscription has no schema: a compact
+    /// sample is dropped as `Unbound` before it moves the sequence or the
+    /// mismatch count; a self-describing one still decodes.
+    #[test]
+    fn an_unbound_subscription_drops_compact_samples_uncounted() {
+        let (mut e, name) = bound_to(&DataType::U64);
+        feed(&mut e, &name, 1, &Value::U64(1), &DataType::U64);
+        e.subscribed.get_mut(&name).unwrap().unbind();
+        let codecs = CodecRegistry::new();
+        let compact = codecs.default_codec().encode_to_vec(&Value::U64(2), &DataType::U64).unwrap();
+        let dropped = e.on_sample(&name, 2, Micros(2), 0, 0, &compact, &codecs, Micros(2));
+        assert_eq!(dropped.err(), Some(SampleDrop::Unbound));
+        assert_eq!((e.type_mismatches, e.subscribed[&name].last_seq), (0, Some(1)));
+
+        let selfdesc = codecs.get(CodecId::SELF_DESCRIBING).unwrap();
+        let payload = selfdesc.encode_to_vec(&Value::U64(3), &DataType::U64).unwrap();
+        let (value, _) =
+            e.on_sample(&name, 3, Micros(3), 0, 1, &payload, &codecs, Micros(3)).unwrap();
+        assert_eq!(*value, Value::U64(3));
     }
 
     #[test]

@@ -84,6 +84,88 @@ fn history_contract_retains_last_samples_for_handlers() {
     assert_eq!(qos.history_len, 5);
 }
 
+marea_presentation::record! {
+    /// A fixed-size sample that names its own production stamp.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Stamped {
+        stamp_us: u64,
+        k: u64,
+    }
+}
+
+/// Records `(delivery stamp, value)` for every sample it is handed.
+struct StampSink {
+    name: &'static str,
+    port: VarPort<Stamped>,
+    seen: Arc<Mutex<Vec<(u64, Stamped)>>>,
+}
+
+impl marea_core::Service for StampSink {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder(self.name);
+        b.subscribe_to_var(&self.port, VarQos::default());
+        b.build()
+    }
+
+    fn on_variable(
+        &mut self,
+        _ctx: &mut marea_core::ServiceContext<'_>,
+        _name: &marea_presentation::Name,
+        value: &Value,
+        stamp: marea_core::Micros,
+    ) {
+        let sample = <Stamped as marea_presentation::FromValue>::from_value(value).unwrap();
+        self.seen.lock().unwrap().push((stamp.as_micros(), sample));
+    }
+}
+
+/// A subscriber that runs one task per tick falls ever further behind a
+/// 1 kHz publisher: every sample its history ring evicts is still held by
+/// queued deliveries to its two services. Such a sample is never the
+/// storage the next one is decoded into, so each handler sees every
+/// sample exactly as it was sent, stamp and value agreeing.
+#[test]
+fn queued_deliveries_keep_their_samples_under_a_slow_consumer() {
+    let mut h = SimHarness::new(lan(66));
+    h.add_container(ContainerConfig::new("pub", NodeId(1)));
+    let mut slow = ContainerConfig::new("slow", NodeId(2));
+    slow.tick_budget = 1;
+    h.add_container(slow);
+
+    let port = VarPort::<Stamped>::new("slow/v");
+    let mut b = ServiceDescriptor::builder("pub");
+    let qos = VarQos::periodic(ProtoDuration::from_millis(1), ProtoDuration::from_secs(10));
+    b.provides_var(&port, qos);
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(1), Some(ProtoDuration::from_millis(1)));
+    }));
+    let (mut k, publish) = (0u64, port.clone());
+    publisher.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.publish_to(&publish, Stamped { stamp_us: ctx.now().as_micros(), k });
+    }));
+    h.add_service(NodeId(1), Box::new(publisher));
+    let logs = [Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new()))];
+    for (name, seen) in ["one", "two"].into_iter().zip(&logs) {
+        let sink = StampSink { name, port: port.clone(), seen: seen.clone() };
+        h.add_service(NodeId(2), Box::new(sink));
+    }
+    h.start_all();
+    h.run_for_millis(300);
+
+    let backlog = h.container(NodeId(2)).unwrap().stats().queue_peak;
+    assert!(backlog > 50, "the consumer fell behind: peak queue {backlog}");
+    let [one, two] = logs.map(|seen| seen.lock().unwrap().clone());
+    assert!(one.len() > 50, "samples were delivered: {}", one.len());
+    for seen in [&one, &two] {
+        assert!(seen.iter().all(|(stamp, s)| *stamp == s.stamp_us), "a value that is not its own");
+        assert!(seen.windows(2).all(|w| w[1].1.k == w[0].1.k + 1), "each sample once, in order");
+    }
+    let common = one.len().min(two.len());
+    assert_eq!(one[..common], two[..common], "both services see the same samples");
+}
+
 // ---------------------------------------------------------------------------
 // Events: bounded inboxes, drop policies, per-subscription priority
 // ---------------------------------------------------------------------------

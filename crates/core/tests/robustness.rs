@@ -180,6 +180,63 @@ fn partition_heals_and_traffic_resumes() {
     assert!(notices.iter().any(|p| p.contains("VariableUnavailable")), "{notices:?}");
 }
 
+/// Node 2 loses its provider in a partition while node 3 keeps it: the
+/// subscription unbinds but node 2 stays in the variable's multicast
+/// group, so the healthy publisher's samples that reach it before it
+/// re-binds have no schema to be read with. They are dropped, not counted
+/// or logged as schema violations.
+#[test]
+fn samples_reaching_an_unbound_subscription_are_not_schema_violations() {
+    let mut h = SimHarness::new(lan(24));
+    for (name, node) in [("pub", 1), ("sub2", 2), ("sub3", 3)] {
+        h.add_container(ContainerConfig::new(name, NodeId(node)));
+    }
+    let pv = VarPort::<u64>::new("p/v");
+    let mut b = ServiceDescriptor::builder("p");
+    b.provides_var(
+        &pv,
+        VarQos::periodic(ProtoDuration::from_millis(20), ProtoDuration::from_millis(100)),
+    );
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(20), Some(ProtoDuration::from_millis(20)));
+    }));
+    let mut k = 0u64;
+    publisher.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.publish_to(&pv, k);
+    }));
+    h.add_service(NodeId(1), Box::new(publisher));
+    let logs = [obs_log(), obs_log()];
+    for (node, log) in [(2, &logs[0]), (3, &logs[1])] {
+        let descriptor =
+            ServiceDescriptor::builder("s").subscribe_variable("p/v", VarQos::default()).build();
+        h.add_service(NodeId(node), Box::new(Recorder::new(descriptor, log.clone())));
+    }
+    h.start_all();
+    h.run_for_millis(1_000);
+    h.network().set_partition(1, 2, true);
+    h.run_for_millis(4_000);
+    h.network().set_partition(1, 2, false);
+    h.run_for_millis(5_000);
+
+    for (node, log) in [(2, &logs[0]), (3, &logs[1])] {
+        let c = h.container(NodeId(node)).unwrap();
+        assert_eq!(c.stats().type_mismatches.vars, 0, "node {node}");
+        let violations = c.log_lines().filter(|(_, l)| l.contains("violates")).count();
+        assert_eq!(violations, 0, "node {node}: {:?}", c.log_lines().collect::<Vec<_>>());
+        let samples: Vec<u64> = observations(log)
+            .into_iter()
+            .filter_map(|(_, o)| match o {
+                Obs::Var(_, v) => v.as_u64(),
+                _ => None,
+            })
+            .collect();
+        assert!(samples.windows(2).all(|w| w[0] < w[1]), "node {node}: in order, no repeats");
+        assert!(samples.last() > Some(&450), "node {node} follows the publisher after the heal");
+    }
+}
+
 #[test]
 fn sustained_10_percent_loss_mission_keeps_its_guarantees() {
     // A longer soak: variables keep flowing (some lost, fine), every event

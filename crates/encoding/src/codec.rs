@@ -59,6 +59,25 @@ pub trait Codec: Send + Sync + fmt::Debug {
     /// Any [`DecodeError`] on malformed, truncated or trailing input.
     fn decode(&self, bytes: &[u8], ty: &DataType) -> Result<Value, DecodeError>;
 
+    /// Decodes like [`Codec::decode`] into `target`, whose storage the
+    /// codec may reuse: on success `target` equals what `decode` answers.
+    /// The default decodes a fresh value and assigns it.
+    ///
+    /// # Errors
+    ///
+    /// The error `decode` gives for the same input; `target` is then left
+    /// holding some value of no meaning, fit only to be overwritten or
+    /// dropped.
+    fn decode_into(
+        &self,
+        bytes: &[u8],
+        ty: &DataType,
+        target: &mut Value,
+    ) -> Result<(), DecodeError> {
+        *target = self.decode(bytes, ty)?;
+        Ok(())
+    }
+
     /// Convenience wrapper over [`Codec::encode`] returning a fresh vector.
     ///
     /// # Errors

@@ -178,6 +178,34 @@ impl CompactCodec {
             }
         })
     }
+
+    /// [`decode_from`](Self::decode_from) into `target`: a whole struct
+    /// value of `ty` in the schema-sharing form is overwritten field by
+    /// field, in place; every other node is decoded fresh by `decode_from`
+    /// and assigned. The same reads in the same order, so the same checks
+    /// and the same first error.
+    fn decode_in_place(
+        r: &mut WireReader<'_>,
+        ty: &DataType,
+        target: &mut Value,
+        depth: usize,
+    ) -> Result<(), DecodeError> {
+        let fields = match (ty, &mut *target) {
+            (DataType::Struct(st), Value::Struct(sv)) => sv.values_mut_for(st).map(|v| (st, v)),
+            _ => None,
+        };
+        let Some((st, values)) = fields else {
+            *target = Self::decode_from(r, ty, depth)?;
+            return Ok(());
+        };
+        if depth > MAX_DEPTH {
+            return Err(DecodeError::TooDeep { limit: MAX_DEPTH });
+        }
+        for (def, slot) in st.fields().iter().zip(values) {
+            Self::decode_in_place(r, def.ty(), slot, depth + 1)?;
+        }
+        Ok(())
+    }
 }
 
 impl Codec for CompactCodec {
@@ -202,6 +230,20 @@ impl Codec for CompactCodec {
             return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
         }
         Ok(v)
+    }
+
+    fn decode_into(
+        &self,
+        bytes: &[u8],
+        ty: &DataType,
+        target: &mut Value,
+    ) -> Result<(), DecodeError> {
+        let mut r = WireReader::new(bytes);
+        Self::decode_in_place(&mut r, ty, target, 0)?;
+        if !r.is_empty() {
+            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
+        }
+        Ok(())
     }
 }
 
@@ -395,6 +437,115 @@ mod tests {
             proptest::prop_assert_eq!(&codec().encode_to_vec(&rebuilt, &ty).unwrap(), &bytes);
             proptest::prop_assert_eq!(codec().decode(&bytes, &ty).unwrap(), rebuilt);
         }
+    }
+
+    /// Two values of one random schema, `a` and `b`.
+    fn arb_two_values() -> impl proptest::strategy::Strategy<Value = (DataType, Value, Value)> {
+        use marea_presentation::testkit::{arb_data_type, arb_value_of};
+        use proptest::strategy::{Just, Strategy};
+        arb_data_type(3).prop_flat_map(|ty| {
+            let (a, b) = (arb_value_of(&ty), arb_value_of(&ty));
+            (Just(ty), a, b)
+        })
+    }
+
+    /// `decode_into` over `target` and `decode`, on the same bytes.
+    fn both_decodes(
+        bytes: &[u8],
+        ty: &DataType,
+        mut target: Value,
+    ) -> (Result<Value, DecodeError>, Result<Value, DecodeError>) {
+        let into = codec().decode_into(bytes, ty, &mut target).map(|()| target);
+        (into, codec().decode(bytes, ty))
+    }
+
+    proptest::proptest! {
+        /// Decoding `b` over a decoded `a` — reused in place, or rebuilt by
+        /// name and so replaced — answers what decoding `b` fresh answers,
+        /// and it re-encodes to `b`'s bytes.
+        #[test]
+        fn decode_into_equals_a_fresh_decode((ty, a, b) in arb_two_values()) {
+            let (a_bytes, b_bytes) =
+                (codec().encode_to_vec(&a, &ty).unwrap(), codec().encode_to_vec(&b, &ty).unwrap());
+            let shared = codec().decode(&a_bytes, &ty).unwrap();
+            for target in [marea_presentation::testkit::by_name(&shared), shared] {
+                let (into, fresh) = both_decodes(&b_bytes, &ty, target);
+                let into = into.unwrap();
+                proptest::prop_assert_eq!(&into, &fresh.unwrap());
+                proptest::prop_assert_eq!(&codec().encode_to_vec(&into, &ty).unwrap(), &b_bytes);
+            }
+        }
+
+        /// Every truncation of `b`, and `b` with a byte too many, fails
+        /// `decode_into` with `decode`'s error, whatever the target holds.
+        #[test]
+        fn decode_into_fails_as_decode_does((ty, a, b) in arb_two_values(), extra in 0u8..=255) {
+            let target = codec().decode(&codec().encode_to_vec(&a, &ty).unwrap(), &ty).unwrap();
+            let mut bytes = codec().encode_to_vec(&b, &ty).unwrap();
+            for cut in 0..bytes.len() {
+                let (into, fresh) = both_decodes(&bytes[..cut], &ty, target.clone());
+                proptest::prop_assert!(fresh.is_err());
+                proptest::prop_assert_eq!(into.unwrap_err(), fresh.unwrap_err());
+            }
+            bytes.push(extra);
+            let (into, fresh) = both_decodes(&bytes, &ty, target);
+            proptest::prop_assert_eq!(into.unwrap_err(), fresh.unwrap_err());
+        }
+    }
+
+    /// A struct target in the schema-sharing form keeps its field vector:
+    /// the in-place walker writes the values where they are.
+    #[test]
+    fn decode_into_reuses_a_shared_struct_s_storage() {
+        let fix = StructType::new("Fix")
+            .with_field("lat", DataType::F64)
+            .unwrap()
+            .with_field("lon", DataType::F64)
+            .unwrap();
+        let ty = DataType::Struct(fix.clone());
+        let one = Value::Struct(StructValue::for_type(&fix, [1.0.into(), 2.0.into()]));
+        let two = Value::Struct(StructValue::for_type(&fix, [3.0.into(), 4.0.into()]));
+        let mut target = one;
+        let before = target.as_struct().unwrap().values().as_ptr();
+        codec().decode_into(&codec().encode_to_vec(&two, &ty).unwrap(), &ty, &mut target).unwrap();
+        assert_eq!(target, two);
+        assert_eq!(target.as_struct().unwrap().values().as_ptr(), before, "same field vector");
+
+        // Another schema: the target is replaced by a fresh decode.
+        let track_bytes = codec().encode_to_vec(&track_val(), &track_ty()).unwrap();
+        codec().decode_into(&track_bytes, &track_ty(), &mut target).unwrap();
+        assert_eq!(target, track_val());
+    }
+
+    /// Over-deep and out-of-range input met *inside* a reused struct gives
+    /// the error `decode` gives.
+    #[test]
+    fn decode_into_in_place_errors_are_decode_s() {
+        // 33 levels of one-field structs around a u8, each value sharing
+        // its level's block: the in-place walk reaches the depth limit.
+        let (mut ty, mut value) = (DataType::U8, Value::U8(1));
+        for _ in 0..33 {
+            let st = StructType::anonymous().with_field("f", ty).unwrap();
+            value = Value::Struct(StructValue::for_type(&st, [value]));
+            ty = DataType::Struct(st);
+        }
+        let (into, fresh) = both_decodes(&[1], &ty, value);
+        assert_eq!(into, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
+        assert_eq!(fresh, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
+
+        let st = StructType::new("S")
+            .with_field("a", DataType::U8)
+            .unwrap()
+            .with_field("b", DataType::U16)
+            .unwrap();
+        let ty = DataType::Struct(st.clone());
+        let target = Value::Struct(StructValue::for_type(&st, [1u8.into(), 2u16.into()]));
+        let mut buf = BytesMut::new();
+        WireWriter::new(&mut buf).put_u8(7);
+        WireWriter::new(&mut buf).put_varint(70_000);
+        let (into, fresh) = both_decodes(&buf, &ty, target);
+        assert_eq!(into, Err(DecodeError::VarintOverflow));
+        assert_eq!(fresh, Err(DecodeError::VarintOverflow));
     }
 
     /// Hostile input deep inside a composite fails with the error the

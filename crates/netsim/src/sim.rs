@@ -121,8 +121,9 @@ struct InFlight {
     payload: Bytes,
     /// First target; a unicast (or a jittered replica) is only this.
     first: Slot,
-    /// Further targets in send order (an empty box does not allocate).
-    rest: Box<[Slot]>,
+    /// Further targets in send order (an empty list does not allocate; a
+    /// non-empty one comes from, and goes back to, the [`ListPool`]).
+    rest: Vec<Slot>,
     /// Replicas already delivered by single-stepping.
     done: usize,
 }
@@ -159,6 +160,37 @@ impl Ord for InFlight {
     }
 }
 
+/// The target lists of fully delivered runs, kept for the next run with
+/// more than one target: a steady multicast stream reuses a handful of
+/// lists instead of allocating one per datagram.
+///
+/// Lists are never freed, so with nothing in flight every list ever
+/// allocated is on `free`.
+#[derive(Debug, Default)]
+struct ListPool {
+    free: Vec<Vec<Slot>>,
+}
+
+impl ListPool {
+    /// A list holding `targets`; empty ones allocate nothing.
+    fn take(&mut self, targets: &[Slot]) -> Vec<Slot> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        let mut list = self.free.pop().unwrap_or_default();
+        list.extend_from_slice(targets);
+        list
+    }
+
+    /// Takes back the list of a run that has nothing left to deliver.
+    fn give(&mut self, mut list: Vec<Slot>) {
+        if list.capacity() > 0 {
+            list.clear();
+            self.free.push(list);
+        }
+    }
+}
+
 /// Position of node `id` in a slot list kept in ascending id order.
 fn position_by_id(list: &[Slot], slots: &[NodeState], id: u32) -> Result<usize, usize> {
     list.binary_search_by_key(&id, |&s| slots[s].id)
@@ -185,6 +217,8 @@ struct SimNetInner {
     next_seq: u64,
     /// Scratch for the run `send` is assembling (allocation reuse).
     run: Vec<Slot>,
+    /// Target lists for the runs `send` pushes.
+    lists: ListPool,
     /// Nodes that received since the last [`SimNet::drain_woken`].
     woken: Vec<Slot>,
     /// The scalar counters; the two maps stay empty here and are folded
@@ -328,14 +362,16 @@ impl SimNetInner {
             let seq = self.next_seq;
             self.next_seq += 1;
             if self.run.is_empty() || deliver_at != run_at {
-                flush_run(&mut self.inflight, &mut self.run, run_at, run_seq, src_id, &payload);
+                let (inflight, lists) = (&mut self.inflight, &mut self.lists);
+                flush_run(inflight, lists, &mut self.run, run_at, run_seq, src_id, &payload);
                 run_at = deliver_at;
                 run_seq = seq;
             }
             self.run.push(dst);
             self.inflight_replicas += 1;
         }
-        flush_run(&mut self.inflight, &mut self.run, run_at, run_seq, src_id, &payload);
+        let (inflight, lists) = (&mut self.inflight, &mut self.lists);
+        flush_run(inflight, lists, &mut self.run, run_at, run_seq, src_id, &payload);
         Ok(())
     }
 
@@ -374,7 +410,8 @@ impl SimNetInner {
         // The key `(deliver_at, first seq)` is untouched, so a partly
         // delivered run keeps its place at the top of the heap.
         if run.done == run.len() {
-            PeekMut::pop(top);
+            let Reverse(delivered) = PeekMut::pop(top);
+            self.lists.give(delivered.rest);
         } else {
             drop(top);
         }
@@ -392,6 +429,7 @@ impl SimNetInner {
                 // Cheap refcount bump; replicas share the buffer.
                 self.deliver(run.target(i), run.src, run.payload.clone());
             }
+            self.lists.give(run.rest);
         }
         self.now_us = self.now_us.max(t_us);
     }
@@ -415,9 +453,11 @@ impl SimNetInner {
     }
 }
 
-/// Pushes the run assembled in `run` (if any) as one heap entry.
+/// Pushes the run assembled in `run` (if any) as one heap entry, its
+/// further targets in a list from `lists`.
 fn flush_run(
     inflight: &mut BinaryHeap<Reverse<InFlight>>,
+    lists: &mut ListPool,
     run: &mut Vec<Slot>,
     deliver_at: u64,
     seq: u64,
@@ -431,7 +471,7 @@ fn flush_run(
         src,
         payload: payload.clone(),
         first,
-        rest: rest.into(),
+        rest: lists.take(rest),
         done: 0,
     }));
     run.clear();
@@ -464,6 +504,7 @@ impl SimNet {
                 inflight_replicas: 0,
                 next_seq: 0,
                 run: Vec::new(),
+                lists: ListPool::default(),
                 woken: Vec::new(),
                 totals: NetStats::default(),
             })),
@@ -1185,6 +1226,39 @@ mod tests {
         socks[0].send(Destination::Broadcast, Bytes::from_static(b"j")).unwrap();
         assert_eq!(net.inflight_replicas(), 8);
         assert!(net.inflight_entries() >= 7, "{} entries", net.inflight_entries());
+    }
+
+    /// A steady multicast stream, delivered by both `step` and
+    /// `advance_to`, reuses the target lists of delivered runs: after the
+    /// first round no send opens a new one.
+    #[test]
+    fn steady_multicast_reuses_its_target_lists() {
+        let net = quiet_net(43);
+        let socks: Vec<_> = (1..=5).map(|i| net.socket(i)).collect();
+        for s in &socks[1..] {
+            s.join(7);
+        }
+        // Nothing is in flight between rounds: every list opened is free.
+        let opened = || net.inner.lock().lists.free.len();
+        let round = |t: u64| {
+            // Two runs in flight at once: the first (four replicas)
+            // delivered replica by replica, the second in one sweep.
+            socks[0].send(Destination::Multicast(7), Bytes::from_static(b"a")).unwrap();
+            socks[1].send(Destination::Multicast(7), Bytes::from_static(b"b")).unwrap();
+            for _ in 0..4 {
+                net.step();
+            }
+            assert_eq!(net.inflight_entries(), 1, "the stepped run is done");
+            net.advance_to(t);
+        };
+        round(1_000);
+        let warm = opened();
+        assert_eq!(warm, 2, "one list per run in flight");
+        for i in 2..50 {
+            round(i * 1_000);
+        }
+        assert_eq!(opened(), warm, "no new list after warm-up");
+        assert_eq!(net.stats().datagrams_delivered, 49 * (4 + 3), "every member but the sender");
     }
 
     #[test]

@@ -164,6 +164,19 @@ impl StructValue {
         self.names().iter().zip(&self.values)
     }
 
+    /// The field values, writable in place, when this value is a whole
+    /// value of `ty` in the schema-sharing form: it holds `ty`'s own name
+    /// block and a value under every field. `None` for any other value —
+    /// one built field by field, a short one, or one of another type.
+    ///
+    /// The names stay read-only, so whatever is written here, the value
+    /// keeps `ty`'s field names in declaration order; the values are not
+    /// checked ([`Value::conforms_to`] does that, as for any value).
+    pub fn values_mut_for(&mut self, ty: &StructType) -> Option<&mut [Value]> {
+        let whole = self.shares_names(ty.names()) && self.values.len() == ty.fields().len();
+        whole.then_some(&mut self.values[..])
+    }
+
     /// `true` when this value's names are the first [`len`](Self::len) of
     /// `block` because it holds that very allocation — no name compared.
     pub(crate) fn shares_names(&self, block: &Arc<StructNames>) -> bool {
@@ -1018,6 +1031,22 @@ mod tests {
         short.set("alt", 7.0f32).unwrap();
         assert_eq!(names(&short), ["lat", "alt"]);
         assert_eq!(short.get("lon"), None);
+    }
+
+    #[test]
+    fn values_mut_for_needs_the_schema_s_block_and_every_field() {
+        let DataType::Struct(st) = position_ty() else { unreachable!() };
+        let mut shared = StructValue::for_type(&st, [1.0.into(), 2.0.into(), 3.0f32.into()]);
+        shared.values_mut_for(&st).unwrap()[1] = Value::F64(9.0);
+        assert_eq!(shared.get("lon"), Some(&Value::F64(9.0)));
+        assert!(shared.shares_names(st.names()), "writing values leaves the names shared");
+
+        let DataType::Struct(twin) = position_ty() else { unreachable!() };
+        assert!(shared.values_mut_for(&twin).is_none(), "an equal schema is another block");
+        let Value::Struct(mut by_name) = position_val() else { unreachable!() };
+        assert!(by_name.values_mut_for(&st).is_none(), "built field by field");
+        let mut short = StructValue::for_type(&st, [1.0.into()]);
+        assert!(short.values_mut_for(&st).is_none(), "a short value is not a whole one");
     }
 
     #[test]
