@@ -27,7 +27,6 @@
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
@@ -38,6 +37,7 @@ use marea_protocol::fragment::Reassembler;
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
     frames, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
+    LOAN_KEEP_BYTES,
 };
 use marea_transport::{Transport, TransportDestination};
 
@@ -77,6 +77,16 @@ const TAGGED_KEEP_BYTES: usize = 1024;
 /// Bound on [`Occupancy::scratch_bytes`] whenever the container is not
 /// inside a call: eight vectors and the tagged-encode buffer.
 pub const SCRATCH_CAP_BYTES: usize = 8 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
+
+/// Bound on [`Occupancy::loan_bytes`] of a container with `links` reliable
+/// links: the outbox's loan, the transport's and one spare envelope per
+/// link, each at most [`LOAN_KEEP_BYTES`].
+pub const fn loan_cap_bytes(links: usize) -> usize {
+    (2 + links) * LOAN_KEEP_BYTES
+}
+
+// One cap for every loan, on both sides of the protocol/transport boundary.
+const _: () = assert!(LOAN_KEEP_BYTES == marea_transport::LOAN_KEEP_BYTES);
 
 /// Where discovery, liveness and lifecycle traffic goes.
 const CONTROL: TransportDestination = TransportDestination::Group(GroupId::CONTROL.0);
@@ -187,16 +197,22 @@ impl TaskQueue {
         self.scheduler.push(Task { priority, enqueued_seq: self.next_seq, service_seq, payload });
     }
 
-    /// Queues one `payload()` per service, in the order given.
-    fn fan_out(
+    /// Queues one `payload(parts)` per service, in the order given: the
+    /// last service's task gets `parts` itself, every other one a clone.
+    fn fan_out<T: Clone>(
         &mut self,
         priority: Priority,
         services: impl IntoIterator<Item = impl Borrow<u32>>,
-        mut payload: impl FnMut() -> TaskPayload,
+        parts: T,
+        payload: impl Fn(T) -> TaskPayload,
     ) {
-        for svc in services {
-            self.push(priority, *svc.borrow(), payload());
+        let mut services = services.into_iter();
+        let Some(mut svc) = services.next() else { return };
+        for next in services {
+            self.push(priority, *svc.borrow(), payload(parts.clone()));
+            svc = next;
         }
+        self.push(priority, *svc.borrow(), payload(parts));
     }
 }
 
@@ -248,39 +264,33 @@ fn recycle<T>(buf: &mut Vec<T>) {
     }
 }
 
-/// What `execute_task` still needs of a payload once its handler has
-/// consumed it: the variant, and the scalars its accounting records.
+/// What `execute_task` still needs of a payload once its handler has run:
+/// the variant, the fields its accounting records — the payload's own
+/// name, moved on after the handler borrowed it — and a call's result.
 enum Ran {
     Start,
     Stop,
-    Variable { name: Name, stamp: Micros, seq: u64, trace: TraceId },
-    Event { name: Name, stamp: Micros, seq: u64, trace: TraceId },
-    Call { request: RequestId, caller: NodeId, function: Name, trace: TraceId },
+    Variable {
+        name: Name,
+        stamp: Micros,
+        seq: u64,
+        trace: TraceId,
+    },
+    Event {
+        name: Name,
+        stamp: Micros,
+        seq: u64,
+        trace: TraceId,
+    },
+    Call {
+        request: RequestId,
+        caller: NodeId,
+        function: Name,
+        trace: TraceId,
+        result: Result<Value, String>,
+    },
     FileBypass,
     Other,
-}
-
-impl Ran {
-    fn of(payload: &TaskPayload) -> Self {
-        match payload {
-            TaskPayload::Start => Ran::Start,
-            TaskPayload::Stop => Ran::Stop,
-            TaskPayload::DeliverVariable { name, stamp, seq, trace, .. } => {
-                Ran::Variable { name: name.clone(), stamp: *stamp, seq: *seq, trace: *trace }
-            }
-            TaskPayload::DeliverEvent { name, stamp, seq, trace, .. } => {
-                Ran::Event { name: name.clone(), stamp: *stamp, seq: *seq, trace: *trace }
-            }
-            TaskPayload::ExecuteCall { request, caller, function, trace, .. } => Ran::Call {
-                request: *request,
-                caller: *caller,
-                function: function.clone(),
-                trace: *trace,
-            },
-            TaskPayload::FileBypass { .. } => Ran::FileBypass,
-            _ => Ran::Other,
-        }
-    }
 }
 
 /// Which pub/sub primitive a subscription-maintenance pass re-resolves.
@@ -436,6 +446,9 @@ impl ServiceContainer {
             timers: self.timers.len(),
             queued_tasks: self.tasks.scheduler.len(),
             scratch_bytes: self.scratch.retained_bytes(),
+            loan_bytes: self.outbox.loan_bytes()
+                + self.transport.loan_bytes()
+                + self.links.spare_bytes(),
             ..Occupancy::default()
         };
         self.vars.fill_occupancy(&mut occupancy);
@@ -580,8 +593,8 @@ impl ServiceContainer {
         let hello = self.hello();
         self.send_message(CONTROL, &hello);
         self.broadcast_announce(self.announce_entries(), now);
-        self.tasks
-            .fan_out(Priority::LIFECYCLE, self.slots.iter().map(|s| s.seq), || TaskPayload::Start);
+        let starting = self.slots.iter().map(|s| s.seq);
+        self.tasks.fan_out(Priority::LIFECYCLE, starting, (), |()| TaskPayload::Start);
         self.flush();
     }
 
@@ -591,7 +604,7 @@ impl ServiceContainer {
             return;
         }
         let stopping = self.slots.iter().filter(|s| s.accepts_work()).map(|s| s.seq);
-        self.tasks.fan_out(Priority::LIFECYCLE, stopping, || TaskPayload::Stop);
+        self.tasks.fan_out(Priority::LIFECYCLE, stopping, (), |()| TaskPayload::Stop);
         while let Some(task) = self.tasks.scheduler.pop() {
             self.execute_task(task, now);
         }
@@ -656,9 +669,9 @@ impl ServiceContainer {
         }
         for name in self.vars.sweep_deadlines(now) {
             self.tracer.record(now, TraceKind::VarTimeout, TraceId::NONE, None, 0, Some(&name));
-            self.tasks.fan_out(Priority::VARIABLE, self.vars.subscribers(&name), || {
-                TaskPayload::VariableTimeout { name: name.clone() }
-            });
+            let services = self.vars.subscribers(&name);
+            let timeout = |name| TaskPayload::VariableTimeout { name };
+            self.tasks.fan_out(Priority::VARIABLE, services, name, timeout);
         }
         for id in self.rpc.expired(now) {
             self.failover_call(id, now);
@@ -860,14 +873,19 @@ impl ServiceContainer {
                 );
                 let dropped = match sample {
                     Ok((value, services)) => {
-                        let deliver = || TaskPayload::DeliverVariable {
-                            name: name.clone(),
-                            value: Arc::clone(&value),
+                        let deliver = |(name, value)| TaskPayload::DeliverVariable {
+                            name,
+                            value,
                             stamp,
                             seq,
                             trace,
                         };
-                        return self.tasks.fan_out(Priority::VARIABLE, services, deliver);
+                        return self.tasks.fan_out(
+                            Priority::VARIABLE,
+                            services,
+                            (name, value),
+                            deliver,
+                        );
                     }
                     Err(SampleDrop::Unsubscribed | SampleDrop::Unbound) => return,
                     Err(SampleDrop::Mismatch) => {
@@ -988,10 +1006,10 @@ impl ServiceContainer {
                     return;
                 };
                 self.stats.files_received += 1;
-                self.tasks.fan_out(Priority::FILE, services, || {
-                    let (resource, data) = (resource.clone(), data.clone());
+                let received = |(resource, data)| {
                     TaskPayload::File(FileEvent::Received { resource, revision, data })
-                });
+                };
+                self.tasks.fan_out(Priority::FILE, services, (resource.clone(), data), received);
                 if let Some(publisher) = publisher {
                     let ack = Message::FileAck { transfer, revision, subscriber: self.config.node };
                     self.send_reliable(publisher, &ack, now);
@@ -1122,13 +1140,10 @@ impl ServiceContainer {
                 let subscribe =
                     Message::FileSubscribe { transfer: *transfer, subscriber: self.config.node };
                 self.send_reliable(src, &subscribe, now);
-                self.tasks.fan_out(Priority::FILE, services, || {
-                    TaskPayload::File(FileEvent::Announced {
-                        resource: resource.clone(),
-                        revision: *revision,
-                        size: *size,
-                    })
-                });
+                let (revision, size) = (*revision, *size);
+                let announced =
+                    |resource| TaskPayload::File(FileEvent::Announced { resource, revision, size });
+                self.tasks.fan_out(Priority::FILE, services, resource.clone(), announced);
             }
         }
     }
@@ -1170,8 +1185,12 @@ impl ServiceContainer {
                 self.log_line(now, format!("required function `{name}` has no provider"));
                 ProviderNotice::FunctionUnavailable(name.clone())
             };
-            let payload = || TaskPayload::Provider(notice.clone());
-            self.tasks.fan_out(Priority::CALL, self.rpc.requirers(&name), payload);
+            self.tasks.fan_out(
+                Priority::CALL,
+                self.rpc.requirers(&name),
+                notice,
+                TaskPayload::Provider,
+            );
         }
         // File interests that heard an announce before subscribing.
         for (src, announce) in self.files.waiting_announces() {
@@ -1215,14 +1234,20 @@ impl ServiceContainer {
                 Rebind::Bound { fresh: true, .. } => channel.notice(&name, true),
                 Rebind::Lost => channel.notice(&name, false),
             };
-            let payload = || TaskPayload::Provider(notice.clone());
+            let payload = TaskPayload::Provider;
             match channel {
-                Channel::Variable => {
-                    self.tasks.fan_out(Priority::CALL, self.vars.subscribers(&name), payload)
-                }
-                Channel::Event => {
-                    self.tasks.fan_out(Priority::CALL, self.events.subscribers(&name), payload)
-                }
+                Channel::Variable => self.tasks.fan_out(
+                    Priority::CALL,
+                    self.vars.subscribers(&name),
+                    notice,
+                    payload,
+                ),
+                Channel::Event => self.tasks.fan_out(
+                    Priority::CALL,
+                    self.events.subscribers(&name),
+                    notice,
+                    payload,
+                ),
             }
         }
     }
@@ -1489,60 +1514,77 @@ impl ServiceContainer {
         }
         let idx = (task.service_seq as usize).wrapping_sub(1);
         let payload = task.payload;
-        let ran = Ran::of(&payload);
 
-        // Phase 1: extract the service from its slot.
-        let (mut service, service_name, seq) = {
-            let Some(slot) = self.slots.get_mut(idx) else { return };
-            if !matches!(ran, Ran::Start | Ran::Stop) && !slot.accepts_work() {
-                return;
-            }
-            let Some(service) = slot.service.take() else { return };
-            (service, slot.descriptor.name().clone(), slot.seq)
-        };
+        // Phase 1: extract the service from its slot; the context borrows
+        // the slot's name.
+        let Some(slot) = self.slots.get_mut(idx) else { return };
+        let lifecycle = matches!(payload, TaskPayload::Start | TaskPayload::Stop);
+        if !lifecycle && !slot.accepts_work() {
+            return;
+        }
+        let Some(mut service) = slot.service.take() else { return };
+        let seq = slot.seq;
 
         // Phase 2: run the handler with a fresh context. It consumes the
-        // payload — a reply's value moves into `on_reply`, never copied;
-        // only `on_call` yields something (the result to reply with).
+        // payload — a reply's value moves into `on_reply`, never copied —
+        // and answers what the accounting needs, names moved out of it.
         let mut effects = std::mem::take(&mut self.scratch.effects);
         let mut ctx = ServiceContext {
             now,
             node: self.config.node,
-            service_name: &service_name,
+            service_name: slot.descriptor.name(),
             service_seq: seq,
             effects: &mut effects,
             next_request_id: &mut self.next_request_id,
             next_timer_id: self.timers.ids(),
             var_state: Some(&self.vars),
         };
-        let unwind = catch_unwind(AssertUnwindSafe(|| {
-            match payload {
-                TaskPayload::Start => service.on_start(&mut ctx),
-                TaskPayload::Stop => service.on_stop(&mut ctx),
-                TaskPayload::DeliverVariable { name, value, stamp, .. } => {
-                    service.on_variable(&mut ctx, &name, &value, stamp)
-                }
-                TaskPayload::VariableTimeout { name } => {
-                    service.on_variable_timeout(&mut ctx, &name)
-                }
-                TaskPayload::DeliverEvent { name, value, stamp, .. } => {
-                    service.on_event(&mut ctx, &name, value.as_ref(), stamp)
-                }
-                TaskPayload::ExecuteCall { function, args, .. } => {
-                    return Some(service.on_call(&mut ctx, &function, &args));
-                }
-                TaskPayload::DeliverReply { request, result } => {
-                    service.on_reply(&mut ctx, CallHandle(request), result)
-                }
-                TaskPayload::File(ev) => service.on_file_event(&mut ctx, &ev),
-                TaskPayload::FileBypass { resource, revision, data } => {
-                    let received = FileEvent::Received { resource, revision, data };
-                    service.on_file_event(&mut ctx, &received)
-                }
-                TaskPayload::Provider(notice) => service.on_provider_change(&mut ctx, &notice),
-                TaskPayload::Timer { id } => service.on_timer(&mut ctx, id),
+        let unwind = catch_unwind(AssertUnwindSafe(|| match payload {
+            TaskPayload::Start => {
+                service.on_start(&mut ctx);
+                Ran::Start
             }
-            None
+            TaskPayload::Stop => {
+                service.on_stop(&mut ctx);
+                Ran::Stop
+            }
+            TaskPayload::DeliverVariable { name, value, stamp, seq, trace } => {
+                service.on_variable(&mut ctx, &name, &value, stamp);
+                Ran::Variable { name, stamp, seq, trace }
+            }
+            TaskPayload::VariableTimeout { name } => {
+                service.on_variable_timeout(&mut ctx, &name);
+                Ran::Other
+            }
+            TaskPayload::DeliverEvent { name, value, seq, stamp, trace } => {
+                service.on_event(&mut ctx, &name, value.as_ref(), stamp);
+                Ran::Event { name, stamp, seq, trace }
+            }
+            TaskPayload::ExecuteCall { request, caller, function, args, trace } => {
+                let result = service.on_call(&mut ctx, &function, &args);
+                Ran::Call { request, caller, function, trace, result }
+            }
+            TaskPayload::DeliverReply { request, result } => {
+                service.on_reply(&mut ctx, CallHandle(request), result);
+                Ran::Other
+            }
+            TaskPayload::File(ev) => {
+                service.on_file_event(&mut ctx, &ev);
+                Ran::Other
+            }
+            TaskPayload::FileBypass { resource, revision, data } => {
+                let received = FileEvent::Received { resource, revision, data };
+                service.on_file_event(&mut ctx, &received);
+                Ran::FileBypass
+            }
+            TaskPayload::Provider(notice) => {
+                service.on_provider_change(&mut ctx, &notice);
+                Ran::Other
+            }
+            TaskPayload::Timer { id } => {
+                service.on_timer(&mut ctx, id);
+                Ran::Other
+            }
         }));
 
         // Phase 3: restore the service.
@@ -1551,12 +1593,15 @@ impl ServiceContainer {
         }
 
         // Phase 4: accounting and follow-up.
-        let Ok(call_result) = unwind else {
+        let Ok(ran) = unwind else {
             // Watchdog: a panicking service is marked failed and the fleet
             // is told (§3: the container watches "for their correct
             // operation and notif[ies] the rest of containers").
             self.stats.services_failed += 1;
-            self.log_line(now, format!("service `{service_name}` panicked; marked failed"));
+            if let Some(slot) = self.slots.get(idx) {
+                let line = format!("service `{}` panicked; marked failed", slot.descriptor.name());
+                self.log_line(now, line);
+            }
             return self.set_service_state(seq, ServiceState::Failed);
         };
         match ran {
@@ -1579,11 +1624,9 @@ impl ServiceContainer {
                 self.tracer.record_event_latency(latency);
                 self.tracer.record(now, TraceKind::EventDeliver, trace, None, n, Some(&name));
             }
-            Ran::Call { request, caller, function, trace } => {
+            Ran::Call { request, caller, function, trace, result } => {
                 self.stats.calls_served += 1;
-                if let Some(result) = call_result {
-                    self.finish_call(request, caller, &function, result, trace, now);
-                }
+                self.finish_call(request, caller, &function, result, trace, now);
             }
             Ran::FileBypass => self.stats.file_bypass_deliveries += 1,
             Ran::Start | Ran::Other => {}
@@ -1663,13 +1706,14 @@ impl ServiceContainer {
 
         // Local delivery (Fig. 2 in-container path).
         if let Some((value, services)) = self.vars.accept_local(&name, sample.seq, value, now) {
-            self.tasks.fan_out(Priority::VARIABLE, services, || TaskPayload::DeliverVariable {
-                name: name.clone(),
-                value: Arc::clone(&value),
+            let deliver = |(name, value)| TaskPayload::DeliverVariable {
+                name,
+                value,
                 stamp: now,
                 seq: sample.seq,
                 trace,
-            });
+            };
+            self.tasks.fan_out(Priority::VARIABLE, services, (name.clone(), value), deliver);
         }
 
         let msg = Message::VarSample {
@@ -1792,11 +1836,8 @@ impl ServiceContainer {
 
     fn local_file_bypass(&mut self, resource: &Name) {
         let Some((revision, data, services)) = self.files.local_bypass(resource) else { return };
-        self.tasks.fan_out(Priority::FILE, services, || TaskPayload::FileBypass {
-            resource: resource.clone(),
-            revision,
-            data: data.clone(),
-        });
+        let bypass = |(resource, data)| TaskPayload::FileBypass { resource, revision, data };
+        self.tasks.fan_out(Priority::FILE, services, (resource.clone(), data), bypass);
     }
 
     // ---- output helpers -----------------------------------------------------
@@ -1861,6 +1902,7 @@ mod tests {
     use crate::harness::SimHarness;
     use crate::TimerId;
     use marea_netsim::NetConfig;
+    use std::sync::Arc;
 
     /// Degrades itself on its first timer and panics on its second.
     struct Fragile {

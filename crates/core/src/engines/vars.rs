@@ -558,10 +558,12 @@ impl VarEngine {
                 sub.timed_out = true;
                 sub.deadline_misses += 1;
                 out.push(name);
-            } else {
+            } else if let Some(due) = sub.deadline_due() {
                 // A sample (or rebind) moved the anchor since this entry
-                // was queued: re-arm at the pushed-back deadline.
-                Self::arm(&mut self.deadline_heap, &name, sub);
+                // was queued: re-arm at the pushed-back deadline, under the
+                // name just popped.
+                sub.deadline_armed = true;
+                self.deadline_heap.push(Reverse((due, name)));
             }
         }
         out.sort();

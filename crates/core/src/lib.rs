@@ -103,7 +103,9 @@ mod timers;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use container::{ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES};
+pub use container::{
+    loan_cap_bytes, ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES,
+};
 pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
 pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};

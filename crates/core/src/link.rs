@@ -554,6 +554,12 @@ impl LinkTable {
         true
     }
 
+    /// Capacity of the spare envelope storage every link's ARQ sender
+    /// keeps.
+    pub fn spare_bytes(&self) -> usize {
+        self.by_peer.values().map(|link| link.tx.spare_bytes()).sum()
+    }
+
     /// The earliest [`next_poll_due`](ReliableLink::next_poll_due) of an
     /// active link.
     pub fn next_due(&self) -> Option<Micros> {

@@ -20,12 +20,16 @@
 //! The datagram is the only storage a frame gets here. The reliable links
 //! write into it through [`Outbox::to`], a [`WireSink`]: a message is framed
 //! and dropped, a parity shard is framed from the FEC encoder's own lane.
+//! The outbox keeps a handle on the last datagram it drained, its *loan*:
+//! once the transport and every receiver that read it have dropped theirs
+//! (`Bytes::try_into_mut` succeeds), the next datagram it opens is written
+//! into that storage instead of a new one.
 
 use bytes::{Bytes, BytesMut};
 
 use marea_protocol::fragment::fragment_shared;
 use marea_protocol::{Appended, FrameBody, Message, MessageKind, NodeId, ShardRef, WireSink};
-use marea_transport::TransportDestination;
+use marea_transport::{Loan, TransportDestination};
 
 use crate::stats::ContainerStats;
 
@@ -48,11 +52,20 @@ pub(crate) struct Outbox {
     last_msg_id: u64,
     frames_out: u64,
     bytes_out: u64,
+    /// The last datagram drained within the loan cap.
+    loan: Loan,
 }
 
 impl Outbox {
     pub fn new(src: NodeId) -> Self {
-        Outbox { src, datagrams: Vec::new(), last_msg_id: 0, frames_out: 0, bytes_out: 0 }
+        Outbox {
+            src,
+            datagrams: Vec::new(),
+            last_msg_id: 0,
+            frames_out: 0,
+            bytes_out: 0,
+            loan: Loan::default(),
+        }
     }
 
     /// Stages `body` for `dest`, for a transport whose datagrams hold `mtu`
@@ -101,23 +114,18 @@ impl Outbox {
             .rev()
             .find(|d| d.dest == dest)
             .filter(|d| !(shard && d.has_shard));
-        let mut fresh = BytesMut::new();
-        let appended = match open {
-            Some(open) => match body.append_frame(self.src, &mut open.wire, mtu) {
-                Appended::Frame(len) => {
-                    open.has_shard |= shard;
-                    return Ok(len);
-                }
-                no_room => no_room,
-            },
-            None => body.append_frame(self.src, &mut fresh, mtu),
-        };
-        // Whatever did not join an open datagram opens the next one.
-        let wire = match appended {
-            Appended::Frame(_) => fresh,
-            Appended::Spilled(alone) => alone,
-            Appended::Oversize(tagged) => return Err(tagged),
-        };
+        if let Some(open) = open {
+            if let Appended::Frame(len) = body.append_frame(self.src, &mut open.wire, mtu) {
+                open.has_shard |= shard;
+                return Ok(len);
+            }
+        }
+        // Whatever did not join an open datagram opens the next one, which
+        // has room for any frame that fits the MTU.
+        let mut wire = self.loan.reclaim();
+        if let Appended::Oversize(tagged) = body.append_frame(self.src, &mut wire, mtu) {
+            return Err(tagged);
+        }
         let len = wire.len();
         self.datagrams.push(Datagram { dest, wire, has_shard: shard });
         Ok(len)
@@ -134,9 +142,16 @@ impl Outbox {
     }
 
     /// Hands out every staged datagram in sending order and leaves the
-    /// outbox empty (its table keeps its capacity for the next tick).
+    /// outbox empty (its table keeps its capacity for the next tick). The
+    /// last one within the loan cap becomes the loan.
     pub fn drain(&mut self) -> impl Iterator<Item = (TransportDestination, Bytes)> + '_ {
-        self.datagrams.drain(..).map(|d| (d.dest, d.wire.freeze()))
+        let loan = &mut self.loan;
+        self.datagrams.drain(..).map(|d| (d.dest, loan.keep(d.wire)))
+    }
+
+    /// Capacity of the loan's storage while nothing else holds it.
+    pub fn loan_bytes(&self) -> usize {
+        self.loan.bytes()
     }
 
     /// Writes the counters the outbox owns.
@@ -269,5 +284,98 @@ mod tests {
         assert_eq!(tagged, big.encode_tagged());
         let sent: Vec<_> = outbox.drain().map(|(_, wire)| kinds(&wire)).collect();
         assert_eq!(sent, [vec![MessageKind::RelAck]]);
+    }
+
+    /// A transport that drops each datagram once sent: every later one is
+    /// written into the first one's storage — even with an allocation of
+    /// the same size made in between, which would take that storage had it
+    /// been freed.
+    #[test]
+    fn a_dropped_datagram_is_the_storage_of_the_next() {
+        let mut outbox = Outbox::new(NodeId(1));
+        let (mut storage, mut decoys) = (None, Vec::new());
+        for i in 0..10 {
+            outbox.stage(A, &reply(100), MTU).expect("fits");
+            let sent: Vec<_> = outbox.drain().collect();
+            let [(_, wire)] = &sent[..] else { panic!("{} datagrams", sent.len()) };
+            assert_eq!(*storage.get_or_insert(wire.as_ptr()), wire.as_ptr(), "datagram {i}");
+            assert_eq!(outbox.loan_bytes(), 0, "a datagram the transport holds is no loan");
+            drop(sent);
+            let kept = outbox.loan_bytes();
+            assert!(kept > 0 && kept <= marea_transport::LOAN_KEEP_BYTES, "{kept}");
+            decoys.push(Vec::<u8>::with_capacity(kept));
+        }
+    }
+
+    /// Stages `seed`'s script of acks, shards, replies up to three MTUs
+    /// (fragmented) and bare frames for two destinations, a tick at a
+    /// time, handing every drained datagram to `transport`.
+    fn mixed_script(seed: u64, ticks: usize, mut transport: impl FnMut(Bytes)) {
+        let mut outbox = Outbox::new(NodeId(1));
+        let mut rng = seed | 1;
+        for _ in 0..ticks {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            for i in 0..=rng % 4 {
+                let draw = rng >> (8 * i + 8);
+                let dest = if draw & 1 == 0 { A } else { B };
+                let msg = match (draw >> 1) % 4 {
+                    0 => ack(draw),
+                    1 => shard(i as u8, (draw >> 3) as usize % 120),
+                    2 => reply((draw >> 3) as usize % (3 * MTU)),
+                    _ => Message::Bye,
+                };
+                outbox.send(dest, &msg, MTU);
+            }
+            outbox.drain().for_each(|(_, wire)| transport(wire));
+        }
+    }
+
+    /// Reusing storage changes no byte sent, and never touches a datagram
+    /// something still holds: a transport that keeps every datagram finds
+    /// each as it was sent, at an address of its own.
+    #[test]
+    fn a_kept_datagram_is_never_written_and_reuse_sends_the_same_bytes() {
+        let mut dropped = Vec::new();
+        mixed_script(0x5EED_1107, 400, |wire| dropped.push(wire.to_vec()));
+        let mut kept = Vec::new();
+        mixed_script(0x5EED_1107, 400, |wire| kept.push(wire));
+        assert!(dropped.len() > 400, "{} datagrams", dropped.len());
+        assert_eq!(kept.iter().map(|w| w.to_vec()).collect::<Vec<_>>(), dropped);
+        let mut storage: Vec<_> = kept.iter().map(|w| w.as_ptr()).collect();
+        storage.sort();
+        storage.dedup();
+        assert_eq!(storage.len(), kept.len(), "two kept datagrams share storage");
+    }
+
+    /// A receiver keeps windows onto a datagram — a fragment waiting for
+    /// its siblings, an out-of-order `RelData` — after the datagram itself
+    /// is dropped; the sender's next hundred datagrams leave them alone.
+    #[test]
+    fn held_windows_read_the_same_after_a_hundred_more_datagrams() {
+        let mut outbox = Outbox::new(NodeId(1));
+        let data = Message::RelData { channel: 0, seq: 9, payload: Bytes::from(vec![0xD7; 60]) };
+        outbox.send(A, &data, MTU);
+        outbox.send(A, &reply(2 * MTU), MTU);
+        let mut held = Vec::new();
+        for (_, wire) in outbox.drain() {
+            for frame in frames(&wire) {
+                match Message::from_frame(&frame.expect("valid")).expect("parses") {
+                    Message::RelData { payload, .. } | Message::Fragment { payload, .. } => {
+                        held.push((payload.to_vec(), payload));
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
+        assert!(held.len() > 2, "{} windows", held.len());
+        for i in 0..100 {
+            outbox.send(A, &shard(i, 150), MTU);
+            assert_eq!(outbox.drain().count(), 1);
+        }
+        for (was, window) in &held {
+            assert_eq!(window.as_ref(), was.as_slice(), "a held window was written over");
+        }
     }
 }

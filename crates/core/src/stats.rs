@@ -38,6 +38,11 @@ pub struct Occupancy {
     /// message and link-event vectors): capacity, not contents. At most
     /// [`SCRATCH_CAP_BYTES`](crate::SCRATCH_CAP_BYTES).
     pub scratch_bytes: usize,
+    /// Bytes of wire storage kept for reuse that no reader holds right now
+    /// — the outbox's last datagram, the transport's last received one and
+    /// each reliable link's spare envelope: capacity, not contents. At most
+    /// [`loan_cap_bytes`](crate::loan_cap_bytes)`(links)`.
+    pub loan_bytes: usize,
 }
 
 /// Declares a counter struct once. Each field names its kind — `sum`

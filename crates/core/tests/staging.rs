@@ -10,16 +10,19 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use marea_core::{
-    ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration, Service,
-    ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort, VarQos,
-    SCRATCH_CAP_BYTES,
+    loan_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration,
+    Service, ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort,
+    VarQos, SCRATCH_CAP_BYTES,
 };
 use marea_encoding::WireWriter;
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
 use marea_presentation::{Name, Value};
 use marea_protocol::fec::PARITY_INDEX_BIT;
 use marea_protocol::{frames, Frame, Message, MessageKind};
-use marea_transport::{SimLanTransport, Transport, TransportDestination, TransportError};
+use marea_transport::{
+    SimLanTransport, Transport, TransportDestination, TransportError, UdpTransport,
+    UdpTransportConfig,
+};
 
 const TICK_US: u64 = 500;
 const NODES: u32 = 3;
@@ -441,6 +444,65 @@ fn retained_scratch_returns_under_its_cap_after_large_messages() {
     let sender = h.container(NodeId(1)).expect("sender");
     assert_eq!(sender.directory().provision_count(), 202, "the catalogue is the large one");
     assert!(sender.stats().frames_out > 1_000 + 64 * 1024 / 1_500);
+}
+
+/// Emits one 16 KiB event every 100 ms from its first second on.
+struct BigEvents;
+
+impl Service for BigEvents {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::builder("big-events").provides_event(&big_port()).build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_secs(1), Some(ProtoDuration::from_millis(100)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        ctx.emit_to(&big_port(), vec![0xB6; 16 * 1024]);
+    }
+}
+
+/// The storage the wire path keeps for reuse is bounded: over real UDP
+/// sockets — so the transport copies every datagram it receives — a
+/// 16 KiB reliable event every 100 ms (fragments, FEC shards, acks), then a
+/// 60 KiB datagram from a socket that is no peer. Every millisecond, each
+/// container keeps at most its cap of loans.
+#[test]
+fn loans_stay_under_their_cap_on_a_udp_pair() {
+    let bind = |node| UdpTransport::bind(UdpTransportConfig::new(node, "127.0.0.1:0")).unwrap();
+    let (mut ta, mut tb) = (bind(1), bind(2));
+    let (addr_a, addr_b) = (ta.local_addr().unwrap(), tb.local_addr().unwrap());
+    ta.add_peer(2, addr_b);
+    tb.add_peer(1, addr_a);
+    let mut a = ServiceContainer::new(ContainerConfig::new("a", NodeId(1)), Box::new(ta));
+    let mut b = ServiceContainer::new(ContainerConfig::new("b", NodeId(2)), Box::new(tb));
+    a.add_service(Box::new(BigEvents)).unwrap();
+    b.add_service(Box::new(HeavyListener)).unwrap();
+    a.start(Micros::ZERO);
+    b.start(Micros::ZERO);
+
+    let mut peak = 0;
+    let mut run_ms = |a: &mut ServiceContainer, b: &mut ServiceContainer, from: u64, to: u64| {
+        for ms in from..to {
+            for c in [&mut *a, &mut *b] {
+                c.tick(Micros::from_millis(ms));
+                let o = c.occupancy();
+                assert!(o.loan_bytes <= loan_cap_bytes(o.links), "{} at {ms} ms: {o:?}", c.node());
+                peak = peak.max(o.loan_bytes);
+            }
+        }
+    };
+    run_ms(&mut a, &mut b, 1, 3_000);
+    let delivered = b.stats().events_delivered;
+    assert!(delivered >= 10, "{delivered} 16 KiB events delivered");
+    assert!(a.occupancy().links == 1 && a.stats().frames_out > 10 * 16 * 1024 / 1_400);
+
+    let before = b.stats();
+    let raw = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    raw.send_to(&vec![0x5A; 60 * 1024], addr_b).unwrap();
+    run_ms(&mut a, &mut b, 3_000, 3_100);
+    let after = b.stats();
+    assert_eq!(after.frames_rejected, before.frames_rejected + 1, "the 60 KiB datagram arrived");
+    assert!(peak > 0, "the gauge never saw a loan");
 }
 
 /// Names in received frames are shared with the ones the engines hold, and

@@ -21,6 +21,9 @@
 //! `RelData` [`Envelope`] it builds when the window admits it, and keeps
 //! that in flight; the first transmission and every retransmission — bare,
 //! or as the payload of an FEC data shard — are windows onto those bytes.
+//! Once an acknowledgement takes an envelope out of the window and nothing
+//! else holds it, its storage is kept (up to [`LOAN_KEEP_BYTES`]) and the
+//! next envelope is written into it.
 //! The receiver's out-of-order buffer holds windows onto the datagrams the
 //! messages arrived in. Operations that produce several things append them
 //! to a buffer their caller owns; [`ArqSender::send`] and
@@ -29,9 +32,10 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::error::ProtocolError;
+use crate::frame::LOAN_KEEP_BYTES;
 use crate::messages::Message;
 use crate::time::{Micros, ProtoDuration};
 
@@ -121,6 +125,10 @@ pub struct ArqSender {
     next_seq: u64,
     inflight: BTreeMap<u64, InFlight>,
     stats: ArqStats,
+    /// The emptied storage of an acknowledged envelope nothing else held
+    /// (at most [`LOAN_KEEP_BYTES`] of capacity; none when empty): the next
+    /// admitted message's envelope is written into it.
+    spare: BytesMut,
 }
 
 impl ArqSender {
@@ -132,6 +140,7 @@ impl ArqSender {
             next_seq: 0,
             inflight: BTreeMap::new(),
             stats: ArqStats::default(),
+            spare: BytesMut::new(),
         }
     }
 
@@ -155,9 +164,14 @@ impl ArqSender {
         self.stats
     }
 
+    /// Capacity of the spare envelope storage kept for the next message.
+    pub fn spare_bytes(&self) -> usize {
+        self.spare.capacity()
+    }
+
     /// Accepts the tagged message `inner` into the window: builds its
-    /// envelope, keeps it in flight and returns it for the first
-    /// transmission.
+    /// envelope — in the spare an acknowledgement left, if any — keeps it
+    /// in flight and returns it for the first transmission.
     ///
     /// # Errors
     ///
@@ -171,7 +185,8 @@ impl ArqSender {
         self.next_seq += 1;
         self.stats.sent += 1;
         self.stats.payload_bytes += inner.len() as u64;
-        let (tagged, body) = Message::rel_data_envelope(self.channel, seq, inner);
+        let spare = std::mem::take(&mut self.spare);
+        let (tagged, body) = Message::rel_data_envelope(self.channel, seq, inner, spare);
         let envelope = Envelope { channel: self.channel, seq, tagged, body };
         self.inflight.insert(
             seq,
@@ -196,20 +211,25 @@ impl ArqSender {
     }
 
     /// Processes an acknowledgement; returns how many messages left the
-    /// window.
+    /// window. Without a spare, the first acknowledged envelope that
+    /// nothing else holds any more — no transmission still queued, no
+    /// receiver's window onto it — and that is no larger than
+    /// [`LOAN_KEEP_BYTES`] becomes it.
     pub fn on_ack(&mut self, cumulative: u64, sack: u64) -> usize {
         let before = self.inflight.len();
-        self.inflight.retain(|&seq, _| {
-            if seq < cumulative {
-                return false;
-            }
-            if seq > cumulative {
-                let offset = seq - cumulative - 1;
-                if offset < 64 && (sack >> offset) & 1 == 1 {
-                    return false;
+        let spare = &mut self.spare;
+        self.inflight.retain(|&seq, entry| {
+            let acked = acknowledges(cumulative, sack, seq);
+            if acked && spare.capacity() == 0 {
+                let tagged = std::mem::take(&mut entry.envelope.tagged);
+                if let Ok(mut storage) = tagged.try_into_mut() {
+                    if storage.capacity() <= LOAN_KEEP_BYTES {
+                        storage.clear();
+                        *spare = storage;
+                    }
                 }
             }
-            true
+            !acked
         });
         let acked = before - self.inflight.len();
         self.stats.acked += acked as u64;
@@ -255,6 +275,18 @@ impl ArqSender {
     pub fn next_deadline(&self) -> Option<Micros> {
         self.inflight.values().map(|e| e.next_retx).min()
     }
+}
+
+/// `true` when the acknowledgement `(cumulative, sack)` covers `seq`.
+fn acknowledges(cumulative: u64, sack: u64, seq: u64) -> bool {
+    if seq < cumulative {
+        return true;
+    }
+    if seq > cumulative {
+        let offset = seq - cumulative - 1;
+        return offset < 64 && (sack >> offset) & 1 == 1;
+    }
+    false
 }
 
 /// Receiving half of a reliable channel.
@@ -530,6 +562,53 @@ mod tests {
         let got = rx.on_data(0, payload(0));
         assert_eq!(got.len(), 3, "seq 3 was dropped, run stops at 2");
         assert_eq!(rx.next_expected(), 3);
+    }
+
+    #[test]
+    fn an_acknowledged_envelope_nothing_holds_is_written_again() {
+        let mut tx = ArqSender::new(1, cfg());
+        let first = tx.admit(&[1, 2, 3], Micros::ZERO).unwrap();
+        let storage = first.tagged().as_ptr();
+        drop(first);
+        assert_eq!(tx.spare_bytes(), 0);
+        tx.on_ack(1, 0);
+        assert!(tx.spare_bytes() > 0, "the acknowledged envelope became the spare");
+        let second = tx.admit(&[4, 5, 6], Micros::ZERO).unwrap();
+        assert_eq!(second.tagged().as_ptr(), storage, "the next envelope was written elsewhere");
+        let msg = Message::RelData { channel: 1, seq: 1, payload: Bytes::from_static(&[4, 5, 6]) };
+        assert_eq!(second.tagged(), &msg.encode_tagged());
+        // Still held (by `second`), then too large to keep: no spare.
+        let big = tx.admit(&vec![7; 16 * 1024], Micros::ZERO).unwrap();
+        drop(big);
+        tx.on_ack(3, 0);
+        assert_eq!(tx.spare_bytes(), 0, "a held or oversized envelope was kept");
+        assert_eq!(second.tagged(), &msg.encode_tagged());
+    }
+
+    /// The receiver's out-of-order buffer holds a window onto an envelope
+    /// the sender has seen acknowledged; a hundred more messages through
+    /// the sender's spare leave it as it was.
+    #[test]
+    fn a_held_out_of_order_window_survives_a_hundred_more_sends() {
+        let mut tx = ArqSender::new(1, cfg());
+        let mut rx = ArqReceiver::new(1, 64);
+        let lost = tx.send(payload(0), Micros::ZERO).unwrap();
+        let Message::RelData { seq, payload: held, .. } =
+            tx.send(payload(1), Micros::ZERO).unwrap()
+        else {
+            panic!("not data")
+        };
+        assert!(rx.on_data(seq, held).is_empty(), "seq 1 waits for seq 0");
+        for _ in 0..100 {
+            let Message::RelData { seq, .. } = tx.send(payload(0xEE), Micros::ZERO).unwrap() else {
+                panic!("not data")
+            };
+            tx.on_ack(seq + 1, 0);
+        }
+        assert!(tx.spare_bytes() > 0, "the sender reused storage meanwhile");
+        let Message::RelData { payload: first, .. } = lost else { panic!("not data") };
+        let released = rx.on_data(0, first);
+        assert_eq!(released, [payload(0), payload(1)], "a held window was written over");
     }
 
     #[test]

@@ -56,6 +56,14 @@ const CRC_OFFSET: usize = 12;
 /// fragmented (see [`crate::fragment`]).
 pub const MAX_FRAME_PAYLOAD: usize = 4 * 1024 * 1024;
 
+/// Most capacity [`ArqSender`](crate::arq::ArqSender) keeps of an
+/// acknowledged `RelData` envelope, to write the next one into once nothing
+/// else holds it (`Bytes::try_into_mut`). A larger one is dropped, so a
+/// rare large message pins nothing. `marea-transport` declares the same
+/// value as the cap of its datagram `Loan`; the two crates share no
+/// dependency, and `marea-core` asserts they agree.
+pub const LOAN_KEEP_BYTES: usize = 2 * 1024;
+
 /// Parsed frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {

@@ -562,9 +562,10 @@ pub enum Message {
 pub enum Appended {
     /// The datagram grew by one complete wire frame of this many bytes.
     Frame(usize),
-    /// The frame fits a datagram but not the room left in this one: here
-    /// it is, complete, as the start of the next datagram.
-    Spilled(BytesMut),
+    /// The datagram already holds a frame and this one would pass the MTU
+    /// behind it: append it to an empty datagram instead, where it is a
+    /// `Frame` or `Oversize`.
+    NoRoom,
     /// The message fits no datagram: its [`Message::encode_tagged`] bytes,
     /// to be split with [`fragment_shared`](crate::fragment::fragment_shared).
     Oversize(Bytes),
@@ -592,16 +593,18 @@ pub trait FrameBody {
     /// encoded size tells the three outcomes apart:
     ///
     /// * it fits the room left: [`Appended::Frame`];
-    /// * it fits `mtu` but not the room left: `datagram` keeps what it held
-    ///   and the frame comes back in a buffer of its own,
-    ///   [`Appended::Spilled`]. A message whose names and blobs alone
-    ///   overrun the room is encoded there directly; one that only shows
-    ///   the overrun once encoded is encoded a second time, never copied;
-    /// * it does not fit `mtu` at all: [`Appended::Oversize`] carries its
-    ///   [`Message::encode_tagged`] form for the sender to fragment — cut
-    ///   from the same bytes, because the body sits behind a 16-byte
-    ///   header either way and the tagged form is those bytes from the
-    ///   header's last byte on, with the kind byte dropped there.
+    /// * `datagram` holds frames and this one would pass `mtu` behind
+    ///   them: [`Appended::NoRoom`], and `datagram` keeps what it held. A
+    ///   message whose names and blobs alone overrun the room is not
+    ///   encoded at all; one that only shows the overrun once encoded is
+    ///   cut off again. The caller appends it to an empty datagram, the
+    ///   buffer it owns for the next one;
+    /// * `datagram` is empty and the message does not fit `mtu`:
+    ///   [`Appended::Oversize`] carries its [`Message::encode_tagged`] form
+    ///   for the sender to fragment — cut from the same bytes, because the
+    ///   body sits behind a 16-byte header either way and the tagged form
+    ///   is those bytes from the header's last byte on, with the kind byte
+    ///   dropped there.
     ///
     /// # Panics
     ///
@@ -609,12 +612,12 @@ pub trait FrameBody {
     fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
         let start = datagram.len();
         if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
-            return frame_alone(self, src, mtu);
+            return Appended::NoRoom;
         }
         write_frame(self, src, datagram);
         if start > 0 && datagram.len() > mtu {
             datagram.truncate(start);
-            return frame_alone(self, src, mtu);
+            return Appended::NoRoom;
         }
         let len = datagram.len() - start;
         if len > mtu {
@@ -624,17 +627,6 @@ pub trait FrameBody {
         }
         frame::finish_wire(datagram, start);
         Appended::Frame(len)
-    }
-}
-
-/// [`FrameBody::append_frame`] for a body that overruns the room left in
-/// its datagram: the frame in a buffer of its own, or its tagged form when
-/// that overruns `mtu` too.
-fn frame_alone<B: FrameBody + ?Sized>(body: &B, src: NodeId, mtu: usize) -> Appended {
-    let mut alone = BytesMut::new();
-    match body.append_frame(src, &mut alone, mtu) {
-        Appended::Frame(_) => Appended::Spilled(alone),
-        oversize => oversize,
     }
 }
 
@@ -811,10 +803,21 @@ impl Message {
     /// The [`Message::encode_tagged`] form of `RelData { channel, seq,
     /// payload: inner }`, written once around `inner`, and the offset at
     /// which `inner` sits in it: the envelope a reliable message travels
-    /// in, bare or as an FEC data shard, on every transmission.
-    pub fn rel_data_envelope(channel: u16, seq: u64, inner: &[u8]) -> (Bytes, usize) {
+    /// in, bare or as an FEC data shard, on every transmission. It is
+    /// written over `buf` — the storage of an envelope the sender no longer
+    /// needs, or a new `BytesMut` — when that has room for it, else into a
+    /// buffer of exactly its size: grown, `buf` would carry the slack into
+    /// every envelope written into it after this one.
+    pub fn rel_data_envelope(
+        channel: u16,
+        seq: u64,
+        inner: &[u8],
+        buf: BytesMut,
+    ) -> (Bytes, usize) {
         // Kind byte, channel, and both varints at their widest.
-        let mut buf = BytesMut::with_capacity(1 + 2 + 10 + 5 + inner.len());
+        let room = 1 + 2 + 10 + 5 + inner.len();
+        let mut buf = if buf.capacity() < room { BytesMut::with_capacity(room) } else { buf };
+        buf.clear();
         buf.extend_from_slice(&[MessageKind::RelData.wire_tag()]);
         write_rel_data(&mut WireWriter::new(&mut buf), channel, seq, inner);
         let body = buf.len() - inner.len();

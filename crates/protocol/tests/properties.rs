@@ -677,9 +677,10 @@ proptest! {
             prop_assert_eq!(Message::decode_tagged_shared(&tagged).unwrap(), msg.clone());
 
             // A message appended to a datagram is its frame behind what the
-            // datagram held when that fits, its frame alone when only the
-            // room left is short, its tagged form when no datagram holds it
-            // — and the datagram keeps what it held in every case.
+            // datagram held when that fits, no room when only the room left
+            // is short — and then its frame alone in an empty datagram — and
+            // its tagged form when no datagram holds it; a datagram that
+            // held frames keeps them in every case.
             for held in [Bytes::new(), Message::Bye.encode_frame(src)] {
                 let both = held.len() + wire.len();
                 let mut datagram = BytesMut::from(held.to_vec());
@@ -694,15 +695,25 @@ proptest! {
                 if held.is_empty() {
                     prop_assert_eq!(short, Appended::Oversize(tagged.clone()));
                 } else {
-                    prop_assert_eq!(short, Appended::Spilled(BytesMut::from(wire.to_vec())));
+                    prop_assert_eq!(short, Appended::NoRoom);
+                    let mut alone = BytesMut::new();
+                    let again = msg.append_frame(src, &mut alone, both - 1);
+                    prop_assert_eq!(again, Appended::Frame(wire.len()));
+                    prop_assert_eq!(&alone[..], wire.as_ref());
                 }
                 prop_assert_eq!(&datagram[..], held.as_ref());
 
                 let mut datagram = BytesMut::from(held.to_vec());
-                prop_assert_eq!(
-                    msg.append_frame(src, &mut datagram, wire.len() - 1),
-                    Appended::Oversize(tagged.clone())
-                );
+                let oversize = msg.append_frame(src, &mut datagram, wire.len() - 1);
+                if held.is_empty() {
+                    prop_assert_eq!(oversize, Appended::Oversize(tagged.clone()));
+                } else {
+                    prop_assert_eq!(oversize, Appended::NoRoom);
+                    let mut alone = BytesMut::new();
+                    let again = msg.append_frame(src, &mut alone, wire.len() - 1);
+                    prop_assert_eq!(again, Appended::Oversize(tagged.clone()));
+                    prop_assert!(alone.is_empty());
+                }
                 prop_assert_eq!(&datagram[..], held.as_ref());
             }
         }
@@ -1064,7 +1075,11 @@ fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
     for seq in around(&EDGES) {
         for &len in &lens {
             let inner = inner_of(len);
-            let (envelope, body) = Message::rel_data_envelope(9, seq, &inner);
+            // Written into a new buffer, or over what a reused one held.
+            let (envelope, body) = Message::rel_data_envelope(9, seq, &inner, BytesMut::new());
+            let stale = BytesMut::from(vec![0xAB; 40]);
+            let (rewritten, at) = Message::rel_data_envelope(9, seq, &inner, stale);
+            assert_eq!((&rewritten, at), (&envelope, body), "seq {seq} len {len}");
             let msg = Message::RelData { channel: 9, seq, payload: Bytes::from(inner.clone()) };
             assert_eq!(envelope, msg.encode_tagged(), "seq {seq} len {len}");
             assert_eq!(&envelope[body..], inner.as_slice(), "seq {seq} len {len}");

@@ -26,11 +26,13 @@
 #![warn(missing_docs)]
 
 mod inproc;
+mod loan;
 mod sim;
 mod traits;
 mod udp;
 
 pub use inproc::{InProcHub, InProcTransport};
+pub use loan::{Loan, LOAN_KEEP_BYTES};
 pub use sim::SimLanTransport;
 pub use traits::{Transport, TransportDestination, TransportError};
 pub use udp::{UdpTransport, UdpTransportConfig};

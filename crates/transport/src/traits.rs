@@ -81,6 +81,14 @@ pub trait Transport: Send + fmt::Debug {
     /// exactly as it was handed to the sender's `send`.
     fn recv(&mut self) -> Option<(u32, Bytes)>;
 
+    /// Capacity of received-datagram storage this transport keeps to copy
+    /// the next datagram into, while no reader holds it (at most
+    /// [`LOAN_KEEP_BYTES`](crate::LOAN_KEEP_BYTES)). Zero for a transport
+    /// that hands on the sender's own bytes.
+    fn loan_bytes(&self) -> usize {
+        0
+    }
+
     /// Joins a multicast group.
     fn join(&mut self, group: u32);
 

@@ -17,6 +17,7 @@ use std::net::{SocketAddr, UdpSocket};
 
 use bytes::Bytes;
 
+use crate::loan::Loan;
 use crate::traits::{Transport, TransportDestination, TransportError};
 
 /// Configuration for a [`UdpTransport`].
@@ -66,6 +67,9 @@ pub struct UdpTransport {
     addr_to_node: HashMap<SocketAddr, u32>,
     mtu: usize,
     buf: Vec<u8>,
+    /// The datagram `recv` returned last: the next one is copied into its
+    /// storage once every reader has dropped it.
+    loan: Loan,
 }
 
 impl UdpTransport {
@@ -85,6 +89,7 @@ impl UdpTransport {
             addr_to_node,
             mtu: config.mtu,
             buf: vec![0u8; 64 * 1024],
+            loan: Loan::default(),
         })
     }
 
@@ -141,11 +146,17 @@ impl Transport for UdpTransport {
                 // u32::MAX; the protocol layer reads the true node id from
                 // the frame header anyway.
                 let node = self.addr_to_node.get(&from).copied().unwrap_or(u32::MAX);
-                Some((node, Bytes::copy_from_slice(&self.buf[..n])))
+                let mut datagram = self.loan.reclaim();
+                datagram.extend_from_slice(&self.buf[..n]);
+                Some((node, self.loan.keep(datagram)))
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => None,
             Err(_) => None,
         }
+    }
+
+    fn loan_bytes(&self) -> usize {
+        self.loan.bytes()
     }
 
     fn join(&mut self, _group: u32) {
@@ -158,6 +169,7 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LOAN_KEEP_BYTES;
     use std::time::{Duration, Instant};
 
     fn recv_within(t: &mut UdpTransport, timeout: Duration) -> Option<(u32, Bytes)> {
@@ -213,6 +225,50 @@ mod tests {
             let (_, payload) = recv_within(&mut live, Duration::from_secs(2)).expect("delivery");
             assert_eq!(payload.as_ref(), b"all", "{dest:?}");
         }
+    }
+
+    fn pair() -> (UdpTransport, UdpTransport) {
+        let mut a = UdpTransport::bind(UdpTransportConfig::new(1, "127.0.0.1:0")).unwrap();
+        let b = UdpTransport::bind(UdpTransportConfig::new(2, "127.0.0.1:0")).unwrap();
+        a.add_peer(2, b.local_addr().unwrap());
+        (a, b)
+    }
+
+    /// A dropped datagram's storage takes the next one; one still held is
+    /// never written, however many follow it.
+    #[test]
+    fn recv_reuses_a_returned_datagram_and_never_a_held_one() {
+        let (mut a, mut b) = pair();
+        let mut next = |i: u8| {
+            a.send(TransportDestination::Node(2), Bytes::from(vec![i; 300])).unwrap();
+            recv_within(&mut b, Duration::from_secs(2)).expect("delivery").1
+        };
+        let first = next(1);
+        let storage = first.as_ptr();
+        drop(first);
+        let second = next(2);
+        assert_eq!(second.as_ptr(), storage, "a returned datagram's storage was not reused");
+        let held = second.slice(10..20);
+        drop(second);
+        for i in 0..100 {
+            let other = next(100 + i);
+            assert_ne!(other.as_ptr(), storage, "a held datagram was written over");
+        }
+        assert_eq!(held.as_ref(), &[2u8; 10]);
+        assert!(b.loan_bytes() > 0 && b.loan_bytes() <= LOAN_KEEP_BYTES, "{}", b.loan_bytes());
+    }
+
+    /// A datagram larger than the cap — here 60 KiB from a socket that is
+    /// no peer — is handed on and not kept.
+    #[test]
+    fn a_large_datagram_is_not_kept() {
+        let (_, mut b) = pair();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.send_to(&vec![0x5A; 60 * 1024], b.local_addr().unwrap()).unwrap();
+        let (node, big) = recv_within(&mut b, Duration::from_secs(2)).expect("delivery");
+        assert_eq!((node, big.len()), (u32::MAX, 60 * 1024));
+        drop(big);
+        assert_eq!(b.loan_bytes(), 0, "a 60 KiB buffer was kept");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! behaviour of this subset matches the real crate, and so do the costs
 //! the middleware relies on: `clone`/`slice` are O(1) and share storage,
 //! [`BytesMut::freeze`] and `Bytes::from(Vec<u8>)` take the vector over
-//! without copying it, and [`Bytes::new`]/[`Bytes::from_static`] do not
-//! allocate. What differs is the representation (an `Arc<Vec<u8>>`, one
+//! without copying it, [`Bytes::new`]/[`Bytes::from_static`] do not
+//! allocate, and [`Bytes::try_into_mut`] hands storage nothing else holds
+//! back to be written again. What differs is the representation (an `Arc<Vec<u8>>`, one
 //! pointer hop more than upstream's vtable design — no `unsafe` here) and
 //! that a frozen buffer keeps its spare capacity. Swap the path
 //! dependency for the upstream crate when networked builds are available.
@@ -90,6 +91,41 @@ impl Bytes {
     /// Copies self into a new `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
+    }
+
+    /// `true` when no other handle (clone or slice) shares this storage —
+    /// what [`Bytes::try_into_mut`] needs to succeed. Always `false` for
+    /// static bytes.
+    pub fn is_unique(&self) -> bool {
+        match &self.data {
+            Storage::Static(_) => false,
+            Storage::Shared(v) => Arc::strong_count(v) == 1 && Arc::weak_count(v) == 0,
+        }
+    }
+
+    /// The storage back as a writable buffer holding this window's bytes,
+    /// when nothing else shares it ([`Bytes::is_unique`]); `self`
+    /// unchanged otherwise, and always for static bytes. O(1) for a window
+    /// that starts at the front. The vector keeps its capacity, and the
+    /// buffer keeps the emptied reference-count box, which
+    /// [`BytesMut::freeze`] fills again instead of allocating one.
+    ///
+    /// # Errors
+    ///
+    /// `self`, when the storage is static or shared.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        let mut shell = match data {
+            Storage::Shared(shell) => shell,
+            data => return Err(Bytes { data, start, end }),
+        };
+        let Some(vec) = Arc::get_mut(&mut shell) else {
+            return Err(Bytes { data: Storage::Shared(shell), start, end });
+        };
+        let mut data = std::mem::take(vec);
+        data.truncate(end);
+        data.drain(..start);
+        Ok(BytesMut { data, shell: Some(shell) })
     }
 }
 
@@ -222,20 +258,25 @@ impl fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer, frozen into [`Bytes`] when complete.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Equality, `Debug` and `Clone` see the bytes only: a buffer reclaimed by
+/// [`Bytes::try_into_mut`] also holds an emptied reference-count box for
+/// [`freeze`](Self::freeze) to reuse, and a clone does not share it.
+#[derive(Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    shell: Option<Arc<Vec<u8>>>,
 }
 
 impl BytesMut {
     /// Creates an empty buffer.
     pub fn new() -> Self {
-        BytesMut { data: Vec::new() }
+        BytesMut { data: Vec::new(), shell: None }
     }
 
     /// Creates an empty buffer with `capacity` reserved.
     pub fn with_capacity(capacity: usize) -> Self {
-        BytesMut { data: Vec::with_capacity(capacity) }
+        BytesMut { data: Vec::with_capacity(capacity), shell: None }
     }
 
     /// Number of bytes written.
@@ -274,9 +315,38 @@ impl BytesMut {
         self.data.extend_from_slice(extend);
     }
 
-    /// Converts into an immutable [`Bytes`] (O(1), the buffer is moved).
+    /// Converts into an immutable [`Bytes`] (O(1), the buffer is moved —
+    /// into the reference-count box it was reclaimed with, if any).
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        let BytesMut { data, shell } = self;
+        if let Some(mut shell) = shell.filter(|_| !data.is_empty()) {
+            if let Some(slot) = Arc::get_mut(&mut shell) {
+                let end = data.len();
+                *slot = data;
+                return Bytes { data: Storage::Shared(shell), start: 0, end };
+            }
+        }
+        Bytes::from(data)
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut::from(self.data.clone())
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for BytesMut {}
+
+impl fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BytesMut").field("data", &self.data).finish()
     }
 }
 
@@ -302,7 +372,7 @@ impl AsRef<[u8]> for BytesMut {
 
 impl From<Vec<u8>> for BytesMut {
     fn from(data: Vec<u8>) -> Self {
-        BytesMut { data }
+        BytesMut { data, shell: None }
     }
 }
 
@@ -442,6 +512,65 @@ mod tests {
         let b = Bytes::from(vec![1, 2]);
         assert_eq!(a, b);
         assert_eq!(a, vec![1u8, 2]);
+    }
+
+    fn arc_of(b: &Bytes) -> *const Vec<u8> {
+        match &b.data {
+            Storage::Shared(v) => Arc::as_ptr(v),
+            Storage::Static(_) => std::ptr::null(),
+        }
+    }
+
+    #[test]
+    fn shared_and_static_bytes_are_not_reclaimed() {
+        let b = Bytes::from(vec![1, 2, 3, 4]);
+        let clone = b.clone();
+        assert!(!b.is_unique());
+        let b = b.try_into_mut().expect_err("a clone shares it");
+        let slice = clone.slice(1..3);
+        drop(clone);
+        assert!(!slice.is_unique());
+        let slice = slice.try_into_mut().expect_err("the whole buffer still shares it");
+        assert_eq!(slice.as_ref(), &[2, 3], "a refused handle is handed back as it was");
+        assert_eq!(b.as_ref(), &[1, 2, 3, 4]);
+        for fixed in [Bytes::new(), Bytes::from_static(b"fixed")] {
+            assert!(!fixed.is_unique());
+            assert!(fixed.try_into_mut().is_err(), "static bytes are never writable");
+        }
+    }
+
+    #[test]
+    fn a_unique_window_comes_back_as_its_own_bytes() {
+        let whole = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let window = whole.slice(1..4);
+        drop(whole);
+        assert!(window.is_unique());
+        let m = window.try_into_mut().expect("nothing else holds it");
+        assert_eq!(m.as_ref(), &[2, 3, 4]);
+        assert!(m.capacity() >= 5, "the vector keeps its capacity");
+    }
+
+    #[test]
+    fn freeze_after_reclaim_reuses_the_vector_and_its_box() {
+        let b = Bytes::from(vec![9u8; 64]);
+        let (data, arc) = (b.as_ptr(), arc_of(&b));
+        let mut m = b.try_into_mut().expect("unique");
+        m.clear();
+        m.extend_from_slice(b"again");
+        let again = m.freeze();
+        assert_eq!(again.as_ref(), b"again");
+        assert_eq!(again.as_ptr(), data, "the vector was reallocated");
+        assert_eq!(arc_of(&again), arc, "a new reference-count box was allocated");
+    }
+
+    #[test]
+    fn equality_and_clone_ignore_the_reclaimed_box() {
+        let mut m = Bytes::from(vec![1, 2]).try_into_mut().expect("unique");
+        assert_eq!(m, BytesMut::from(vec![1, 2]));
+        let copy = m.clone();
+        m.put_u8(3);
+        assert_eq!(copy.freeze().as_ref(), &[1, 2], "a clone is its own buffer");
+        assert_eq!(format!("{m:?}"), "BytesMut { data: [1, 2, 3] }");
     }
 
     #[test]
