@@ -27,8 +27,8 @@
 //! datagram with [`frames`]: each frame goes through the same validator a
 //! lone frame does, and the walk **stops at the first invalid frame** —
 //! once a length field cannot be trusted, neither can anything behind it.
-//! [`Frame::decode`] and [`Frame::decode_shared`] stay strict: exactly one
-//! frame, a trailing byte is a [`FrameError::LengthMismatch`].
+//! [`Frame::decode`] stays strict: exactly one frame, a trailing byte is a
+//! [`FrameError::LengthMismatch`].
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -152,7 +152,8 @@ impl Frame {
 
     /// Parses a frame from raw bytes, verifying magic, version, kind, length
     /// and CRC. The payload is copied out of `input`; a caller that holds
-    /// the datagram as [`Bytes`] uses [`Frame::decode_shared`] instead.
+    /// the datagram as [`Bytes`] walks it with [`frames`] instead, which
+    /// cuts every payload out of it.
     ///
     /// # Errors
     ///
@@ -160,21 +161,6 @@ impl Frame {
     pub fn decode(input: &[u8]) -> Result<Frame, FrameError> {
         let header = verify(input, Extent::Whole)?;
         Ok(Frame { header, payload: Bytes::copy_from_slice(&input[FRAME_HEADER_LEN..]) })
-    }
-
-    /// [`Frame::decode`] for a datagram already held as [`Bytes`]: the same
-    /// checks, but the payload is an O(1) window onto `datagram` instead of
-    /// a copy (and so are the blob fields [`Message::from_frame`] reads out
-    /// of it).
-    ///
-    /// [`Message::from_frame`]: crate::Message::from_frame
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Frame::decode`].
-    pub fn decode_shared(datagram: &Bytes) -> Result<Frame, FrameError> {
-        let header = verify(datagram, Extent::Whole)?;
-        Ok(Frame { header, payload: datagram.slice(FRAME_HEADER_LEN..) })
     }
 
     /// The payload as shared storage (what [`Frame::payload`] borrows).
@@ -185,11 +171,16 @@ impl Frame {
 
 /// Walks a datagram of one or more whole frames, front to back.
 ///
-/// Every frame passes the checks of [`Frame::decode_shared`] (magic,
-/// version, kind, length, CRC) and its payload is an O(1) window onto
-/// `datagram`. The first frame that fails them is yielded as its error and
-/// ends the walk: nothing behind a frame whose length field cannot be
-/// trusted is looked at. An empty datagram yields nothing.
+/// Every frame passes the checks of [`Frame::decode`] (magic, version,
+/// kind, length, CRC) and its payload is an O(1) window onto `datagram`
+/// (and so are the blob fields [`Message::from_frame`] reads out of it).
+/// The first frame that fails them is yielded as its error and ends the
+/// walk: nothing behind a frame whose length field cannot be trusted is
+/// looked at. An empty datagram yields nothing. A datagram of one frame is
+/// the shared form of [`Frame::decode`], except that the walk leaves what
+/// follows the frame to the next step instead of refusing it.
+///
+/// [`Message::from_frame`]: crate::Message::from_frame
 ///
 /// # Examples
 ///
@@ -201,7 +192,7 @@ impl Frame {
 /// let datagram: bytes::Bytes = [beat.encode(), bye.encode()].concat().into();
 /// let walked: Vec<Frame> = frames(&datagram).collect::<Result<_, _>>().unwrap();
 /// assert_eq!(walked, [beat, bye]);
-/// assert!(Frame::decode_shared(&datagram).is_err(), "strict decode takes one frame");
+/// assert!(Frame::decode(&datagram).is_err(), "strict decode takes one frame");
 /// ```
 pub fn frames(datagram: &Bytes) -> Frames<'_> {
     Frames { datagram, at: 0 }
@@ -415,7 +406,8 @@ mod tests {
             let mut w = wire.clone();
             w[byte] ^= mask;
             let err = Frame::decode(&w).expect_err("flipped frame accepted");
-            assert_eq!(Frame::decode_shared(&Bytes::from(w.clone())), Err(err.clone()));
+            let walked: Vec<_> = frames(&Bytes::from(w.clone())).collect();
+            assert!(matches!(walked[..], [Err(_)]), "walk took a flipped frame");
             // Source id, CRC field and payload carry no structure of
             // their own; only the checksum guards them.
             if !(4..8).contains(&byte) && byte < 12 {

@@ -85,6 +85,26 @@ impl fmt::Display for GroupId {
     }
 }
 
+/// Each id converts to and from the integer it wraps, which is how the
+/// wire messages carry it.
+macro_rules! wraps {
+    ($($id:ident($int:ty)),*) => {$(
+        impl From<$id> for $int {
+            fn from(id: $id) -> $int {
+                id.0
+            }
+        }
+
+        impl From<$int> for $id {
+            fn from(v: $int) -> $id {
+                $id(v)
+            }
+        }
+    )*};
+}
+
+wraps!(NodeId(u32), RequestId(u64), TransferId(u64), GroupId(u32));
+
 #[cfg(test)]
 mod tests {
     use super::*;

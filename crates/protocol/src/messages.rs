@@ -5,6 +5,11 @@
 //! control plane (§3): discovery, announcements, service status
 //! notifications and the one periodic frame, the [`Message::Beacon`]
 //! (liveness, load, FEC capability and catalogue digest).
+//!
+//! Each message is one row of the message table below: its wire tag, and
+//! for each field its type and wire form, in wire order. That row is the
+//! only statement of the message's layout. [`MessageKind`], [`Message`],
+//! the writer, the reader and the size floor are all generated from it.
 
 use bytes::{Bytes, BytesMut};
 
@@ -20,16 +25,126 @@ const MAX_EMBEDDED: usize = crate::frame::MAX_FRAME_PAYLOAD;
 /// Maximum entries accepted in announcement/nack lists.
 const MAX_LIST: usize = 4096;
 
-macro_rules! message_kinds {
-    ($($(#[$doc:meta])* $variant:ident = $tag:expr),* $(,)?) => {
+/// The wire forms of the message table's fields: how a field is written
+/// (`put`), read (`get`, with the `backing` and `names` of `read`),
+/// borrowed for writing (`view`) and counted in the size floor (`len`). An
+/// id travels as the integer it wraps (`From` both ways); a `u32` read from
+/// a varint that overflows it is `VarintOverflow`. `entries` and `runs` are
+/// the two hand-written codecs: a catalogue's entries and a nack's
+/// missing-chunk runs.
+macro_rules! form {
+    (put varint, $w:ident, $v:ident) => {
+        $w.put_varint((*$v).into())
+    };
+    (put le16, $w:ident, $v:ident) => {
+        $w.put_u16_le(*$v)
+    };
+    (put le32, $w:ident, $v:ident) => {
+        $w.put_u32_le((*$v).into())
+    };
+    (put le64, $w:ident, $v:ident) => {
+        $w.put_u64_le(*$v)
+    };
+    (put byte, $w:ident, $v:ident) => {
+        $w.put_u8(*$v)
+    };
+    (put bool, $w:ident, $v:ident) => {
+        $w.put_bool(*$v)
+    };
+    (put name, $w:ident, $v:ident) => {
+        $w.put_str($v.as_str())
+    };
+    (put blob, $w:ident, $v:ident) => {
+        $w.put_len_prefixed($v)
+    };
+    (put tag, $w:ident, $v:ident) => {
+        $w.put_u8($v.wire_tag())
+    };
+    (put entries, $w:ident, $v:ident) => {
+        write_entries($w, $v)
+    };
+    (put runs, $w:ident, $v:ident) => {
+        write_runs($w, $v)
+    };
+
+    (get varint, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        <$ty>::try_from($r.get_varint()?).map_err(|_| DecodeError::VarintOverflow)?
+    };
+    (get le16, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        $r.get_u16_le()?
+    };
+    (get le32, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        <$ty>::from($r.get_u32_le()?)
+    };
+    (get le64, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        $r.get_u64_le()?
+    };
+    (get byte, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        $r.get_u8()?
+    };
+    (get bool, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        $r.get_bool()?
+    };
+    (get name, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        read_name($r, $names)?
+    };
+    (get blob, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        read_blob($r, $backing)?
+    };
+    (get tag, $r:ident, $backing:ident, $names:ident, $ty:ty) => {{
+        let tag = $r.get_u8()?;
+        <$ty>::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?
+    }};
+    (get entries, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        read_entries($r, $names)?
+    };
+    (get runs, $r:ident, $backing:ident, $names:ident, $ty:ty) => {
+        read_runs($r)?
+    };
+
+    (view blob, $ty:ty) => {
+        [u8]
+    };
+    (view entries, $ty:ty) => {
+        [AnnounceEntry]
+    };
+    (view $form:ident, $ty:ty) => {
+        $ty
+    };
+
+    (len name, $v:ident) => {
+        $v.as_str().len()
+    };
+    (len blob, $v:ident) => {
+        $v.len()
+    };
+    (len $form:ident, $v:ident) => {
+        0
+    };
+}
+
+/// Expands the message table into [`MessageKind`] (a row's tag and doc),
+/// [`Message`] (its doc, fields and field docs), `Message::kind`, the
+/// borrowed `Body` with the one writer and the size floor, and the one
+/// reader, `Message::read_body`. Every match over the variants is here.
+macro_rules! messages {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $tag:literal $({
+            $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty = $form:ident,)*
+        })?
+    )*) => {
         /// Wire tag identifying the message carried by a frame.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         #[repr(u8)]
         pub enum MessageKind {
-            $($(#[$doc])* $variant = $tag,)*
+            $($(#[doc = $doc])* $variant = $tag,)*
         }
 
         impl MessageKind {
+            /// Every kind, for exhaustive tests.
+            pub const ALL: &'static [MessageKind] = &[$(MessageKind::$variant,)*];
+
             /// Stable wire tag.
             pub fn wire_tag(self) -> u8 {
                 self as u8
@@ -42,67 +157,91 @@ macro_rules! message_kinds {
                     _ => None,
                 }
             }
+        }
 
-            /// Every kind, for exhaustive tests.
-            pub const ALL: &'static [MessageKind] = &[$(MessageKind::$variant,)*];
+        /// A typed middleware message.
+        ///
+        /// Serialization is generated from the message table over
+        /// [`WireWriter`]/[`WireReader`]: message payloads are
+        /// middleware-internal and never go through the presentation-layer
+        /// codecs (which are reserved for *application* data).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $($(#[doc = $doc])* $variant $({ $($(#[doc = $fdoc])* $field: $ty,)* })?,)*
+        }
+
+        /// A message's fields, borrowed for writing: a blob as the bytes it
+        /// holds, a catalogue as a slice. An FEC shard still borrowing its
+        /// encoder's lane, a `RelData` envelope around a borrowed inner
+        /// message and a catalogue being hashed write through their rows
+        /// this way.
+        #[derive(Clone, Copy)]
+        enum Body<'a> {
+            $($variant $({ $($field: &'a form!(view $form, $ty),)* })?,)*
+        }
+
+        impl Message {
+            /// The wire kind of this message.
+            pub fn kind(&self) -> MessageKind {
+                match self {
+                    $(Message::$variant { .. } => MessageKind::$variant,)*
+                }
+            }
+
+            /// The message's fields, borrowed.
+            fn body(&self) -> Body<'_> {
+                match self {
+                    $(Message::$variant { $($($field),*)? } => {
+                        Body::$variant { $($($field),*)? }
+                    })*
+                }
+            }
+
+            /// Reads the fields of a `kind` body from `r`, in wire order:
+            /// see [`read`] for `backing` and `names`.
+            fn read_body(
+                kind: MessageKind,
+                r: &mut WireReader<'_>,
+                backing: Option<&Bytes>,
+                names: Option<NameLookup<'_>>,
+            ) -> Result<Message, DecodeError> {
+                Ok(match kind {
+                    $(MessageKind::$variant => Message::$variant {
+                        $($($field: form!(get $form, r, backing, names, $ty),)*)?
+                    },)*
+                })
+            }
+        }
+
+        impl Body<'_> {
+            fn kind(self) -> MessageKind {
+                match self {
+                    $(Body::$variant { .. } => MessageKind::$variant,)*
+                }
+            }
+
+            /// Serializes the body (no kind byte, no frame header).
+            fn write(self, w: &mut WireWriter<'_>) {
+                match self {
+                    $(Body::$variant { $($($field),*)? } => {
+                        $($(form!(put $form, w, $field);)*)?
+                    })*
+                }
+            }
+
+            /// The bytes of its names and blobs: see
+            /// [`FrameBody::verbatim_len`]. Every field is bound; only
+            /// those two forms count.
+            #[allow(unused_variables)]
+            fn verbatim_len(self) -> usize {
+                match self {
+                    $(Body::$variant { $($($field),*)? } => {
+                        0 $($(+ form!(len $form, $field))*)?
+                    })*
+                }
+            }
         }
     };
-}
-
-message_kinds! {
-    /// Container start-up announcement (control group).
-    Hello = 0,
-    /// Periodic liveness-and-catalogue beacon (control group).
-    Beacon = 1,
-    /// Graceful shutdown notice (control group).
-    Bye = 2,
-    /// Full catalogue of services and provisions hosted by a node.
-    Announce = 3,
-    /// Single service state-change notification.
-    ServiceStatus = 4,
-    /// Variable subscription request (unicast to provider).
-    SubscribeVar = 5,
-    /// Variable unsubscription (unicast to provider).
-    UnsubscribeVar = 6,
-    /// Best-effort variable sample (multicast).
-    VarSample = 7,
-    /// Event publication (rides the reliable channel).
-    EventData = 8,
-    /// Remote invocation request (rides the reliable channel).
-    CallRequest = 9,
-    /// Remote invocation reply (rides the reliable channel).
-    CallReply = 10,
-    /// File transfer announcement (multicast).
-    FileAnnounce = 11,
-    /// File transfer subscription (unicast to publisher).
-    FileSubscribe = 12,
-    /// One file chunk (multicast).
-    FileChunk = 13,
-    /// Completion-status query (multicast).
-    FileQuery = 14,
-    /// Subscriber has every chunk (unicast to publisher).
-    FileAck = 15,
-    /// Subscriber is missing chunk runs (unicast to publisher).
-    FileNack = 16,
-    /// Publisher aborts a transfer.
-    FileCancel = 17,
-    /// Fragment of a larger logical payload.
-    Fragment = 18,
-    /// Reliable-channel data envelope (ARQ).
-    RelData = 19,
-    /// Reliable-channel acknowledgement (ARQ).
-    RelAck = 20,
-    /// Event subscription request (unicast to provider).
-    SubscribeEvent = 21,
-    /// Event unsubscription (unicast to provider).
-    UnsubscribeEvent = 22,
-    /// FEC shard: a coded slice of the reliable channel (below ARQ).
-    FecShard = 23,
-    // 24 was the separate catalogue-digest frame, folded into `Beacon`:
-    // retired, never reused.
-    /// Unicast request for a full catalogue `Announce` (a beacon's digest
-    /// disagrees with the catalogue held).
-    AnnounceRequest = 25,
 }
 
 /// Lifecycle state of a service instance as broadcast to other containers.
@@ -272,288 +411,289 @@ impl CallStatus {
     }
 }
 
-/// A typed middleware message.
-///
-/// Serialization is hand-rolled over [`WireWriter`]/[`WireReader`]: message
-/// payloads are middleware-internal and never go through the
-/// presentation-layer codecs (which are reserved for *application* data).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Container start-up announcement.
-    Hello {
+messages! {
+    /// Container start-up announcement (control group).
+    Hello = 0 {
         /// Human-readable container name.
-        container: Name,
+        container: Name = name,
         /// Monotonic restart counter, used to detect node reboots.
-        incarnation: u64,
+        incarnation: u64 = varint,
         /// Strongest FEC code rate this node can run on its reliable
         /// links ([`FecRate`](crate::fec::FecRate) wire tag; 0 = none).
         /// Each link runs the weaker of the two ends' capabilities.
-        fec_cap: u8,
-    },
-    /// The one periodic control frame: proof of life, load, FEC capability
-    /// and the digest of the sender's catalogue as it stands. A receiver
-    /// holding the same digest does nothing more; one that does not pulls
-    /// the catalogue with a unicast [`Message::AnnounceRequest`], so the
-    /// steady-state control plane is O(nodes), not O(nodes × catalogue).
-    Beacon {
+        fec_cap: u8 = byte,
+    }
+    /// The one periodic control frame (control group): proof of life,
+    /// load, FEC capability and the digest of the sender's catalogue as it
+    /// stands. A receiver holding the same digest does nothing more; one
+    /// that does not pulls the catalogue with a unicast
+    /// [`Message::AnnounceRequest`], so the steady-state control plane is
+    /// O(nodes), not O(nodes × catalogue).
+    Beacon = 1 {
         /// Restart counter matching the last `Hello`/`Announce`.
-        incarnation: u64,
+        incarnation: u64 = varint,
         /// Scheduler load in permille (0-1000), used for dynamic remote
         /// invocation load balancing (paper §4.3).
-        load_permille: u16,
+        load_permille: u16 = le16,
         /// FEC capability refresh (same encoding as `Hello::fec_cap`): a
         /// node that missed the peer's `Hello` — attached late, lossy
         /// bring-up — still converges on the advertised cap within one
         /// beacon period instead of running uncoded forever.
-        fec_cap: u8,
+        fec_cap: u8 = byte,
         /// Number of catalogue entries the digest summarizes.
-        entry_count: u32,
+        entry_count: u32 = varint,
         /// [`announce_hash`] over the full announce body.
-        catalogue_hash: u32,
-    },
-    /// Graceful shutdown notice.
-    Bye,
-    /// Full service catalogue of the sending node.
-    Announce {
+        catalogue_hash: u32 = le32,
+    }
+    /// Graceful shutdown notice (control group).
+    Bye = 2
+    /// Full catalogue of services and provisions hosted by the sending
+    /// node.
+    Announce = 3 {
         /// Restart counter.
-        incarnation: u64,
+        incarnation: u64 = varint,
         /// Hosted services and their provisions.
-        entries: Vec<AnnounceEntry>,
-    },
+        entries: Vec<AnnounceEntry> = entries,
+    }
     /// Single service state change.
-    ServiceStatus {
+    ServiceStatus = 4 {
         /// Instance sequence on the sending node.
-        service_seq: u32,
+        service_seq: u32 = varint,
         /// Service name.
-        name: Name,
+        name: Name = name,
         /// New state.
-        state: ServiceState,
-    },
-    /// Variable subscription request.
-    SubscribeVar {
+        state: ServiceState = tag,
+    }
+    /// Variable subscription request (unicast to provider).
+    SubscribeVar = 5 {
         /// Variable name.
-        name: Name,
+        name: Name = name,
         /// Subscribing node (for initial-value unicast).
-        subscriber: NodeId,
+        subscriber: NodeId = le32,
         /// Request the current value immediately (paper §4.1: "a mechanism
         /// that guarantees an initial exact value").
-        need_initial: bool,
-    },
-    /// Variable unsubscription.
-    UnsubscribeVar {
+        need_initial: bool = bool,
+    }
+    /// Variable unsubscription (unicast to provider).
+    UnsubscribeVar = 6 {
         /// Variable name.
-        name: Name,
+        name: Name = name,
         /// Unsubscribing node.
-        subscriber: NodeId,
-    },
-    /// Best-effort variable sample.
-    VarSample {
+        subscriber: NodeId = le32,
+    }
+    /// Best-effort variable sample (multicast).
+    VarSample = 7 {
         /// Variable name.
-        name: Name,
+        name: Name = name,
         /// Per-variable monotonically increasing sample number.
-        seq: u64,
+        seq: u64 = varint,
         /// Production timestamp (µs since publisher epoch).
-        stamp_us: u64,
+        stamp_us: u64 = varint,
         /// Validity window of this sample in µs.
-        validity_us: u64,
+        validity_us: u64 = varint,
         /// Mint counter of the causal trace id stamped by the
         /// publisher's flight recorder (0 = untraced). Only the counter
         /// travels — the origin node is the frame's `src`, so traced
         /// frames stay 1-3 varint bytes heavier instead of 5-6.
-        trace: u64,
+        trace: u64 = varint,
         /// Codec id of the payload.
-        codec: u8,
+        codec: u8 = byte,
         /// Encoded sample.
-        payload: Bytes,
-    },
-    /// Event publication.
-    EventData {
+        payload: Bytes = blob,
+    }
+    /// Event publication (rides the reliable channel).
+    EventData = 8 {
         /// Event name.
-        name: Name,
+        name: Name = name,
         /// Per-event-channel sequence number.
-        seq: u64,
+        seq: u64 = varint,
         /// Production timestamp (µs since publisher epoch).
-        stamp_us: u64,
+        stamp_us: u64 = varint,
         /// Mint counter of the emitter's causal trace id (0 =
         /// untraced); the origin node is the frame's `src`.
-        trace: u64,
+        trace: u64 = varint,
         /// Codec id of the payload (ignored when `payload` is empty).
-        codec: u8,
+        codec: u8 = byte,
         /// Encoded associated data; empty for bare events.
-        payload: Bytes,
-    },
-    /// Remote invocation request.
-    CallRequest {
+        payload: Bytes = blob,
+    }
+    /// Remote invocation request (rides the reliable channel).
+    CallRequest = 9 {
         /// Correlation id, unique per calling node.
-        request: RequestId,
+        request: RequestId = varint,
         /// Function name.
-        function: Name,
+        function: Name = name,
         /// Target service instance sequence on the destination node.
-        target_seq: u32,
+        target_seq: u32 = varint,
         /// Mint counter of the caller's causal trace id (0 =
         /// untraced); the origin node is the frame's `src`.
-        trace: u64,
+        trace: u64 = varint,
         /// Codec id of the argument payload.
-        codec: u8,
+        codec: u8 = byte,
         /// Encoded argument list.
-        payload: Bytes,
-    },
-    /// Remote invocation reply.
-    CallReply {
+        payload: Bytes = blob,
+    }
+    /// Remote invocation reply (rides the reliable channel).
+    CallReply = 10 {
         /// Correlation id from the request.
-        request: RequestId,
+        request: RequestId = varint,
         /// Outcome.
-        status: CallStatus,
+        status: CallStatus = tag,
         /// Mint counter echoed from the request, so the caller's chain
         /// closes without a correlation lookup (0 = untraced); the
         /// origin is the caller itself, which minted the id.
-        trace: u64,
+        trace: u64 = varint,
         /// Codec id of the result payload.
-        codec: u8,
+        codec: u8 = byte,
         /// Encoded return value, or UTF-8 error text for `AppError`.
-        payload: Bytes,
-    },
-    /// File transfer announcement (start of the *announce* phase, §4.4).
-    FileAnnounce {
+        payload: Bytes = blob,
+    }
+    /// File transfer announcement (multicast; start of the *announce*
+    /// phase, §4.4).
+    FileAnnounce = 11 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Resource name.
-        resource: Name,
+        resource: Name = name,
         /// Resource revision ("revision numbers identify different versions
         /// of the same resource").
-        revision: u32,
+        revision: u32 = varint,
         /// Total size in bytes.
-        size: u64,
+        size: u64 = varint,
         /// Chunk size in bytes (all chunks equal except the last).
-        chunk_size: u32,
+        chunk_size: u32 = varint,
         /// Multicast group the chunks will travel on.
-        group: GroupId,
-    },
-    /// Subscription to an announced transfer.
-    FileSubscribe {
+        group: GroupId = le32,
+    }
+    /// Subscription to an announced transfer (unicast to publisher).
+    FileSubscribe = 12 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Subscribing node.
-        subscriber: NodeId,
-    },
-    /// One chunk of file content.
-    FileChunk {
+        subscriber: NodeId = le32,
+    }
+    /// One chunk of file content (multicast).
+    FileChunk = 13 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Revision the chunk belongs to.
-        revision: u32,
+        revision: u32 = varint,
         /// Chunk index (0-based).
-        index: u32,
+        index: u32 = varint,
         /// Chunk bytes.
-        payload: Bytes,
-    },
-    /// Completion-status query (start of the *completion* phase).
-    FileQuery {
+        payload: Bytes = blob,
+    }
+    /// Completion-status query (multicast; start of the *completion*
+    /// phase).
+    FileQuery = 14 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Revision being queried.
-        revision: u32,
-    },
-    /// Subscriber holds every chunk of the revision.
-    FileAck {
+        revision: u32 = varint,
+    }
+    /// Subscriber holds every chunk of the revision (unicast to
+    /// publisher).
+    FileAck = 15 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Completed revision.
-        revision: u32,
+        revision: u32 = varint,
         /// Acknowledging node.
-        subscriber: NodeId,
-    },
+        subscriber: NodeId = le32,
+    }
     /// Subscriber misses the listed chunk runs ("a NACK with a compressed
-    /// list of the chunks it lacks").
-    FileNack {
+    /// list of the chunks it lacks"; unicast to publisher).
+    FileNack = 16 {
         /// Transfer session id.
-        transfer: TransferId,
+        transfer: TransferId = varint,
         /// Revision being completed.
-        revision: u32,
+        revision: u32 = varint,
         /// Nacking node.
-        subscriber: NodeId,
+        subscriber: NodeId = le32,
         /// Missing chunk runs as `(first_index, run_length)` pairs.
-        runs: Vec<(u32, u32)>,
-    },
+        runs: Vec<(u32, u32)> = runs,
+    }
     /// Publisher aborts the transfer.
-    FileCancel {
+    FileCancel = 17 {
         /// Transfer session id.
-        transfer: TransferId,
-    },
+        transfer: TransferId = varint,
+    }
     /// Fragment of a larger logical payload (see [`crate::fragment`]).
-    Fragment {
+    Fragment = 18 {
         /// Id of the fragmented logical message (unique per source node).
-        msg_id: u64,
+        msg_id: u64 = varint,
         /// Fragment index (0-based).
-        index: u32,
+        index: u32 = varint,
         /// Total number of fragments.
-        count: u32,
+        count: u32 = varint,
         /// Fragment bytes.
-        payload: Bytes,
-    },
-    /// Reliable-channel data envelope; `payload` is a complete serialized
-    /// inner message (kind byte + body).
-    RelData {
+        payload: Bytes = blob,
+    }
+    /// Reliable-channel data envelope (ARQ); `payload` is a complete
+    /// serialized inner message (kind byte + body).
+    RelData = 19 {
         /// Channel id (one per destination link).
-        channel: u16,
+        channel: u16 = le16,
         /// Channel sequence number.
-        seq: u64,
+        seq: u64 = varint,
         /// Serialized inner message.
-        payload: Bytes,
-    },
-    /// Reliable-channel acknowledgement.
-    RelAck {
+        payload: Bytes = blob,
+    }
+    /// Reliable-channel acknowledgement (ARQ).
+    RelAck = 20 {
         /// Channel id.
-        channel: u16,
+        channel: u16 = le16,
         /// Receiver's next expected sequence: every `seq < cumulative` has
         /// been delivered.
-        cumulative: u64,
+        cumulative: u64 = le64,
         /// Selective-acknowledgement bitmap: bit `i` set means sequence
         /// `cumulative + 1 + i` was received out of order.
-        sack: u64,
+        sack: u64 = le64,
         /// Receiver's smoothed FEC shard-loss estimate in permille —
         /// the piggybacked feedback that drives the sender's adaptive
         /// code-rate controller (0 when the receiver runs no FEC).
-        loss_permille: u16,
-    },
-    /// Event subscription request.
-    SubscribeEvent {
+        loss_permille: u16 = le16,
+    }
+    /// Event subscription request (unicast to provider).
+    SubscribeEvent = 21 {
         /// Event name.
-        name: Name,
+        name: Name = name,
         /// Subscribing node.
-        subscriber: NodeId,
-    },
-    /// Event unsubscription.
-    UnsubscribeEvent {
+        subscriber: NodeId = le32,
+    }
+    /// Event unsubscription (unicast to provider).
+    UnsubscribeEvent = 22 {
         /// Event name.
-        name: Name,
+        name: Name = name,
         /// Unsubscribing node.
-        subscriber: NodeId,
-    },
+        subscriber: NodeId = le32,
+    }
     /// One shard of an FEC group protecting the reliable channel (sits
     /// *below* ARQ: the payload of a data shard is a complete serialized
     /// `RelData`/`RelAck` message, parity shards carry XOR lane content).
-    FecShard {
+    FecShard = 23 {
         /// Reliable-channel id the group belongs to.
-        channel: u16,
+        channel: u16 = le16,
         /// Group id, strictly increasing per link sender.
-        group: u64,
+        group: u64 = varint,
         /// Shard index: `0..k` for data shards;
         /// [`PARITY_INDEX_BIT`](crate::fec::PARITY_INDEX_BIT)` | lane`
         /// for parity shards.
-        index: u8,
+        index: u8 = byte,
         /// Data-shard count: the geometry ceiling on data shards, the
         /// group's final count on parity shards (groups may flush short).
-        k: u8,
+        k: u8 = byte,
         /// Parity lane count of the group.
-        r: u8,
+        r: u8 = byte,
         /// Tagged inner message (data) or XOR lane payload (parity).
-        payload: Bytes,
-    },
+        payload: Bytes = blob,
+    }
+    // 24 was the separate catalogue-digest frame, folded into `Beacon`:
+    // retired, never reused.
     /// Unicast request that the receiver re-send its full catalogue
     /// (sent when a beacon's digest disagrees with the catalogue held, or
     /// none is held).
-    AnnounceRequest,
+    AnnounceRequest = 25
 }
 
 /// What [`FrameBody::append_frame`] did with a message. Only `Frame`
@@ -608,7 +748,8 @@ pub trait FrameBody {
     ///
     /// # Panics
     ///
-    /// As [`Message::encode_frame`], when the body fits `mtu`.
+    /// Panics, like [`Frame::new`], if the body fits `mtu` but exceeds
+    /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD).
     fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
         let start = datagram.len();
         if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
@@ -674,24 +815,25 @@ impl ShardRef<'_> {
         let ShardRef { channel, group, index, k, r, payload } = *self;
         Message::FecShard { channel, group, index, k, r, payload: Bytes::copy_from_slice(payload) }
     }
+
+    /// The `FecShard` row's fields, borrowed.
+    fn body(&self) -> Body<'_> {
+        let ShardRef { channel, group, index, k, r, payload } = self;
+        Body::FecShard { channel, group, index, k, r, payload }
+    }
 }
 
 impl FrameBody for ShardRef<'_> {
     fn kind(&self) -> MessageKind {
-        MessageKind::FecShard
+        self.body().kind()
     }
 
     fn verbatim_len(&self) -> usize {
-        self.payload.len()
+        self.body().verbatim_len()
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {
-        w.put_u16_le(self.channel);
-        w.put_varint(self.group);
-        w.put_u8(self.index);
-        w.put_u8(self.k);
-        w.put_u8(self.r);
-        w.put_len_prefixed(self.payload);
+        self.body().write(w);
     }
 }
 
@@ -725,58 +867,15 @@ impl FrameBody for Message {
     }
 
     fn verbatim_len(&self) -> usize {
-        match self {
-            Message::VarSample { name, payload, .. }
-            | Message::EventData { name, payload, .. }
-            | Message::CallRequest { function: name, payload, .. } => {
-                name.as_str().len() + payload.len()
-            }
-            Message::CallReply { payload, .. }
-            | Message::FileChunk { payload, .. }
-            | Message::Fragment { payload, .. }
-            | Message::RelData { payload, .. }
-            | Message::FecShard { payload, .. } => payload.len(),
-            _ => 0,
-        }
+        self.body().verbatim_len()
     }
 
     fn write_body(&self, w: &mut WireWriter<'_>) {
-        Message::write_body(self, w);
+        self.body().write(w);
     }
 }
 
 impl Message {
-    /// The wire kind of this message.
-    pub fn kind(&self) -> MessageKind {
-        match self {
-            Message::Hello { .. } => MessageKind::Hello,
-            Message::Beacon { .. } => MessageKind::Beacon,
-            Message::Bye => MessageKind::Bye,
-            Message::Announce { .. } => MessageKind::Announce,
-            Message::ServiceStatus { .. } => MessageKind::ServiceStatus,
-            Message::SubscribeVar { .. } => MessageKind::SubscribeVar,
-            Message::UnsubscribeVar { .. } => MessageKind::UnsubscribeVar,
-            Message::VarSample { .. } => MessageKind::VarSample,
-            Message::EventData { .. } => MessageKind::EventData,
-            Message::CallRequest { .. } => MessageKind::CallRequest,
-            Message::CallReply { .. } => MessageKind::CallReply,
-            Message::FileAnnounce { .. } => MessageKind::FileAnnounce,
-            Message::FileSubscribe { .. } => MessageKind::FileSubscribe,
-            Message::FileChunk { .. } => MessageKind::FileChunk,
-            Message::FileQuery { .. } => MessageKind::FileQuery,
-            Message::FileAck { .. } => MessageKind::FileAck,
-            Message::FileNack { .. } => MessageKind::FileNack,
-            Message::FileCancel { .. } => MessageKind::FileCancel,
-            Message::Fragment { .. } => MessageKind::Fragment,
-            Message::RelData { .. } => MessageKind::RelData,
-            Message::RelAck { .. } => MessageKind::RelAck,
-            Message::SubscribeEvent { .. } => MessageKind::SubscribeEvent,
-            Message::UnsubscribeEvent { .. } => MessageKind::UnsubscribeEvent,
-            Message::FecShard { .. } => MessageKind::FecShard,
-            Message::AnnounceRequest => MessageKind::AnnounceRequest,
-        }
-    }
-
     /// Serializes the message body (without frame header).
     pub fn encode_payload(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(encoded_len_hint(self.verbatim_len()));
@@ -818,26 +917,11 @@ impl Message {
         let room = 1 + 2 + 10 + 5 + inner.len();
         let mut buf = if buf.capacity() < room { BytesMut::with_capacity(room) } else { buf };
         buf.clear();
-        buf.extend_from_slice(&[MessageKind::RelData.wire_tag()]);
-        write_rel_data(&mut WireWriter::new(&mut buf), channel, seq, inner);
-        let body = buf.len() - inner.len();
-        (buf.freeze(), body)
-    }
-
-    /// Serializes the message as one complete wire frame from `src` —
-    /// byte for byte `self.clone().into_frame(src).encode()`, but header
-    /// and body go into a single buffer that is checksummed in place, so
-    /// the body is written once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body exceeds
-    /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD), like [`Frame::new`].
-    pub fn encode_frame(&self, src: NodeId) -> Bytes {
-        let mut buf = BytesMut::new();
-        write_frame(self, src, &mut buf);
-        frame::finish_wire(&mut buf, 0);
-        buf.freeze()
+        let body = Body::RelData { channel: &channel, seq: &seq, payload: inner };
+        buf.extend_from_slice(&[body.kind().wire_tag()]);
+        body.write(&mut WireWriter::new(&mut buf));
+        let at = buf.len() - inner.len();
+        (buf.freeze(), at)
     }
 
     /// Inverse of [`Message::encode_tagged`]. Blob fields are copied out
@@ -847,7 +931,7 @@ impl Message {
     ///
     /// [`DecodeError`] on malformed input.
     pub fn decode_tagged(bytes: &[u8]) -> Result<Message, DecodeError> {
-        Self::read_tagged(bytes, None, None)
+        read(None, bytes, None, None)
     }
 
     /// [`Message::decode_tagged`] for input already held as [`Bytes`]: the
@@ -858,7 +942,7 @@ impl Message {
     ///
     /// Exactly those of [`Message::decode_tagged`].
     pub fn decode_tagged_shared(bytes: &Bytes) -> Result<Message, DecodeError> {
-        Self::read_tagged(bytes, Some(bytes), None)
+        read(None, bytes, Some(bytes), None)
     }
 
     /// [`Message::decode_tagged_shared`] that asks `names` for every name
@@ -872,16 +956,7 @@ impl Message {
         bytes: &Bytes,
         names: NameLookup<'_>,
     ) -> Result<Message, DecodeError> {
-        Self::read_tagged(bytes, Some(bytes), Some(names))
-    }
-
-    /// Deserializes a message of known `kind` from a frame payload.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed or trailing input.
-    pub fn decode_payload(kind: MessageKind, bytes: &[u8]) -> Result<Message, DecodeError> {
-        Self::read_to_end(kind, WireReader::new(bytes), None, None)
+        read(None, bytes, Some(bytes), Some(names))
     }
 
     /// Wraps the message in a [`Frame`] from `src`.
@@ -897,7 +972,7 @@ impl Message {
     /// [`DecodeError`] if the payload does not parse as the header's kind.
     pub fn from_frame(frame: &Frame) -> Result<Message, DecodeError> {
         let payload = frame.payload_bytes();
-        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload), None)
+        read(Some(frame.header().kind), payload, Some(payload), None)
     }
 
     /// [`Message::from_frame`] that asks `names` for every name it reads
@@ -911,385 +986,96 @@ impl Message {
         names: NameLookup<'_>,
     ) -> Result<Message, DecodeError> {
         let payload = frame.payload_bytes();
-        Self::read_to_end(frame.header().kind, WireReader::new(payload), Some(payload), Some(names))
+        read(Some(frame.header().kind), payload, Some(payload), Some(names))
     }
+}
 
-    /// `backing`, when given, is the storage `bytes` borrows from.
-    fn read_tagged(
-        bytes: &[u8],
-        backing: Option<&Bytes>,
-        names: Option<NameLookup<'_>>,
-    ) -> Result<Message, DecodeError> {
-        let mut r = WireReader::new(bytes);
-        let tag = r.get_u8()?;
-        let kind = MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-        Self::read_to_end(kind, r, backing, names)
-    }
-
-    /// Reads one `kind` body and insists that it is all `r` had left.
-    /// `backing`, when given, is the storage `r` reads from.
-    fn read_to_end(
-        kind: MessageKind,
-        mut r: WireReader<'_>,
-        backing: Option<&Bytes>,
-        names: Option<NameLookup<'_>>,
-    ) -> Result<Message, DecodeError> {
-        let msg = Self::read_body(kind, &mut r, backing, names)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
+/// The one reader behind every decode entry: a `kind` body — behind its
+/// kind byte when `kind` is `None` — that must be all of `bytes`.
+/// `backing`, when given, is the storage `bytes` borrows from: blob fields
+/// are then cut out of it instead of copied. `names`, when given, is asked
+/// for every name before one is made.
+fn read(
+    kind: Option<MessageKind>,
+    bytes: &[u8],
+    backing: Option<&Bytes>,
+    names: Option<NameLookup<'_>>,
+) -> Result<Message, DecodeError> {
+    let mut r = WireReader::new(bytes);
+    let kind = match kind {
+        Some(kind) => kind,
+        None => {
+            let tag = r.get_u8()?;
+            MessageKind::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?
         }
-        Ok(msg)
+    };
+    let msg = Message::read_body(kind, &mut r, backing, names)?;
+    if !r.is_empty() {
+        return Err(DecodeError::TrailingBytes { remaining: r.remaining() });
     }
+    Ok(msg)
+}
 
-    fn write_body(&self, w: &mut WireWriter<'_>) {
-        match self {
-            Message::Hello { container, incarnation, fec_cap } => {
-                w.put_str(container.as_str());
-                w.put_varint(*incarnation);
-                w.put_u8(*fec_cap);
-            }
-            Message::Beacon {
-                incarnation,
-                load_permille,
-                fec_cap,
-                entry_count,
-                catalogue_hash,
-            } => {
-                w.put_varint(*incarnation);
-                w.put_u16_le(*load_permille);
-                w.put_u8(*fec_cap);
-                w.put_varint(u64::from(*entry_count));
-                w.put_u32_le(*catalogue_hash);
-            }
-            Message::Bye => {}
-            Message::Announce { incarnation, entries } => {
-                write_announce_body(w, *incarnation, entries);
-            }
-            Message::ServiceStatus { service_seq, name, state } => {
-                w.put_varint(u64::from(*service_seq));
-                w.put_str(name.as_str());
-                w.put_u8(state.wire_tag());
-            }
-            Message::SubscribeVar { name, subscriber, need_initial } => {
-                w.put_str(name.as_str());
-                w.put_u32_le(subscriber.0);
-                w.put_bool(*need_initial);
-            }
-            Message::UnsubscribeVar { name, subscriber } => {
-                w.put_str(name.as_str());
-                w.put_u32_le(subscriber.0);
-            }
-            Message::VarSample { name, seq, stamp_us, validity_us, trace, codec, payload } => {
-                w.put_str(name.as_str());
-                w.put_varint(*seq);
-                w.put_varint(*stamp_us);
-                w.put_varint(*validity_us);
-                w.put_varint(*trace);
-                w.put_u8(*codec);
-                w.put_len_prefixed(payload);
-            }
-            Message::EventData { name, seq, stamp_us, trace, codec, payload } => {
-                w.put_str(name.as_str());
-                w.put_varint(*seq);
-                w.put_varint(*stamp_us);
-                w.put_varint(*trace);
-                w.put_u8(*codec);
-                w.put_len_prefixed(payload);
-            }
-            Message::CallRequest { request, function, target_seq, trace, codec, payload } => {
-                w.put_varint(request.0);
-                w.put_str(function.as_str());
-                w.put_varint(u64::from(*target_seq));
-                w.put_varint(*trace);
-                w.put_u8(*codec);
-                w.put_len_prefixed(payload);
-            }
-            Message::CallReply { request, status, trace, codec, payload } => {
-                w.put_varint(request.0);
-                w.put_u8(status.wire_tag());
-                w.put_varint(*trace);
-                w.put_u8(*codec);
-                w.put_len_prefixed(payload);
-            }
-            Message::FileAnnounce { transfer, resource, revision, size, chunk_size, group } => {
-                w.put_varint(transfer.0);
-                w.put_str(resource.as_str());
-                w.put_varint(u64::from(*revision));
-                w.put_varint(*size);
-                w.put_varint(u64::from(*chunk_size));
-                w.put_u32_le(group.0);
-            }
-            Message::FileSubscribe { transfer, subscriber } => {
-                w.put_varint(transfer.0);
-                w.put_u32_le(subscriber.0);
-            }
-            Message::FileChunk { transfer, revision, index, payload } => {
-                w.put_varint(transfer.0);
-                w.put_varint(u64::from(*revision));
-                w.put_varint(u64::from(*index));
-                w.put_len_prefixed(payload);
-            }
-            Message::FileQuery { transfer, revision } => {
-                w.put_varint(transfer.0);
-                w.put_varint(u64::from(*revision));
-            }
-            Message::FileAck { transfer, revision, subscriber } => {
-                w.put_varint(transfer.0);
-                w.put_varint(u64::from(*revision));
-                w.put_u32_le(subscriber.0);
-            }
-            Message::FileNack { transfer, revision, subscriber, runs } => {
-                w.put_varint(transfer.0);
-                w.put_varint(u64::from(*revision));
-                w.put_u32_le(subscriber.0);
-                w.put_varint(runs.len() as u64);
-                for (start, len) in runs {
-                    w.put_varint(u64::from(*start));
-                    w.put_varint(u64::from(*len));
-                }
-            }
-            Message::FileCancel { transfer } => {
-                w.put_varint(transfer.0);
-            }
-            Message::Fragment { msg_id, index, count, payload } => {
-                w.put_varint(*msg_id);
-                w.put_varint(u64::from(*index));
-                w.put_varint(u64::from(*count));
-                w.put_len_prefixed(payload);
-            }
-            Message::RelData { channel, seq, payload } => {
-                write_rel_data(w, *channel, *seq, payload)
-            }
-            Message::RelAck { channel, cumulative, sack, loss_permille } => {
-                w.put_u16_le(*channel);
-                w.put_u64_le(*cumulative);
-                w.put_u64_le(*sack);
-                w.put_u16_le(*loss_permille);
-            }
-            Message::SubscribeEvent { name, subscriber }
-            | Message::UnsubscribeEvent { name, subscriber } => {
-                w.put_str(name.as_str());
-                w.put_u32_le(subscriber.0);
-            }
-            Message::FecShard { channel, group, index, k, r, payload } => {
-                let (channel, group, index, k, r) = (*channel, *group, *index, *k, *r);
-                ShardRef { channel, group, index, k, r, payload }.write_body(w);
-            }
-            Message::AnnounceRequest => {}
-        }
-    }
-
-    /// `backing`, when given, is the storage `r` reads from: blob fields
-    /// are then cut out of it instead of copied. `names`, when given, is
-    /// asked for every name before one is made.
-    fn read_body(
-        kind: MessageKind,
-        r: &mut WireReader<'_>,
-        backing: Option<&Bytes>,
-        names: Option<NameLookup<'_>>,
-    ) -> Result<Message, DecodeError> {
-        Ok(match kind {
-            MessageKind::Hello => Message::Hello {
-                container: read_name(r, names)?,
-                incarnation: r.get_varint()?,
-                fec_cap: r.get_u8()?,
-            },
-            MessageKind::Beacon => Message::Beacon {
-                incarnation: r.get_varint()?,
-                load_permille: r.get_u16_le()?,
-                fec_cap: r.get_u8()?,
-                entry_count: read_u32(r)?,
-                catalogue_hash: r.get_u32_le()?,
-            },
-            MessageKind::Bye => Message::Bye,
-            MessageKind::Announce => {
-                let incarnation = r.get_varint()?;
-                let n = checked_len(r.get_varint()?, MAX_LIST)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let service_seq = read_u32(r)?;
-                    let name = read_name(r, names)?;
-                    let state_tag = r.get_u8()?;
-                    let state = ServiceState::from_wire_tag(state_tag)
-                        .ok_or(DecodeError::InvalidTag(state_tag))?;
-                    let np = checked_len(r.get_varint()?, MAX_LIST)?;
-                    let mut provides = Vec::with_capacity(np);
-                    for _ in 0..np {
-                        let ptag = r.get_u8()?;
-                        let pname = read_name(r, names)?;
-                        provides.push(match ptag {
-                            0 => Provision::Variable {
-                                name: pname,
-                                ty: read_typedesc(r)?,
-                                period_us: r.get_varint()?,
-                                validity_us: r.get_varint()?,
-                            },
-                            1 => Provision::Event {
-                                name: pname,
-                                ty: if r.get_bool()? { Some(read_typedesc(r)?) } else { None },
-                            },
-                            2 => {
-                                let nparams = checked_len(r.get_varint()?, MAX_LIST)?;
-                                let mut params = Vec::with_capacity(nparams);
-                                for _ in 0..nparams {
-                                    params.push(read_typedesc(r)?);
-                                }
-                                let returns =
-                                    if r.get_bool()? { Some(read_typedesc(r)?) } else { None };
-                                Provision::Function {
-                                    name: pname,
-                                    sig: FunctionSig { params, returns },
-                                }
-                            }
-                            3 => Provision::FileResource { name: pname },
-                            other => return Err(DecodeError::InvalidTag(other)),
-                        });
+/// The catalogue codec's reader (its writer is [`write_entries`]).
+fn read_entries(
+    r: &mut WireReader<'_>,
+    names: Option<NameLookup<'_>>,
+) -> Result<Vec<AnnounceEntry>, DecodeError> {
+    let n = checked_len(r.get_varint()?, MAX_LIST)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let service_seq = read_u32(r)?;
+        let name = read_name(r, names)?;
+        let state_tag = r.get_u8()?;
+        let state =
+            ServiceState::from_wire_tag(state_tag).ok_or(DecodeError::InvalidTag(state_tag))?;
+        let np = checked_len(r.get_varint()?, MAX_LIST)?;
+        let mut provides = Vec::with_capacity(np);
+        for _ in 0..np {
+            let ptag = r.get_u8()?;
+            let pname = read_name(r, names)?;
+            provides.push(match ptag {
+                0 => Provision::Variable {
+                    name: pname,
+                    ty: read_typedesc(r)?,
+                    period_us: r.get_varint()?,
+                    validity_us: r.get_varint()?,
+                },
+                1 => Provision::Event {
+                    name: pname,
+                    ty: if r.get_bool()? { Some(read_typedesc(r)?) } else { None },
+                },
+                2 => {
+                    let nparams = checked_len(r.get_varint()?, MAX_LIST)?;
+                    let mut params = Vec::with_capacity(nparams);
+                    for _ in 0..nparams {
+                        params.push(read_typedesc(r)?);
                     }
-                    entries.push(AnnounceEntry { service_seq, name, state, provides });
+                    let returns = if r.get_bool()? { Some(read_typedesc(r)?) } else { None };
+                    Provision::Function { name: pname, sig: FunctionSig { params, returns } }
                 }
-                Message::Announce { incarnation, entries }
-            }
-            MessageKind::ServiceStatus => {
-                let service_seq = read_u32(r)?;
-                let name = read_name(r, names)?;
-                let tag = r.get_u8()?;
-                let state = ServiceState::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-                Message::ServiceStatus { service_seq, name, state }
-            }
-            MessageKind::SubscribeVar => Message::SubscribeVar {
-                name: read_name(r, names)?,
-                subscriber: NodeId(r.get_u32_le()?),
-                need_initial: r.get_bool()?,
-            },
-            MessageKind::UnsubscribeVar => Message::UnsubscribeVar {
-                name: read_name(r, names)?,
-                subscriber: NodeId(r.get_u32_le()?),
-            },
-            MessageKind::VarSample => Message::VarSample {
-                name: read_name(r, names)?,
-                seq: r.get_varint()?,
-                stamp_us: r.get_varint()?,
-                validity_us: r.get_varint()?,
-                trace: r.get_varint()?,
-                codec: r.get_u8()?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::EventData => Message::EventData {
-                name: read_name(r, names)?,
-                seq: r.get_varint()?,
-                stamp_us: r.get_varint()?,
-                trace: r.get_varint()?,
-                codec: r.get_u8()?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::CallRequest => Message::CallRequest {
-                request: RequestId(r.get_varint()?),
-                function: read_name(r, names)?,
-                target_seq: read_u32(r)?,
-                trace: r.get_varint()?,
-                codec: r.get_u8()?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::CallReply => {
-                let request = RequestId(r.get_varint()?);
-                let tag = r.get_u8()?;
-                let status = CallStatus::from_wire_tag(tag).ok_or(DecodeError::InvalidTag(tag))?;
-                Message::CallReply {
-                    request,
-                    status,
-                    trace: r.get_varint()?,
-                    codec: r.get_u8()?,
-                    payload: read_blob(r, backing)?,
-                }
-            }
-            MessageKind::FileAnnounce => Message::FileAnnounce {
-                transfer: TransferId(r.get_varint()?),
-                resource: read_name(r, names)?,
-                revision: read_u32(r)?,
-                size: r.get_varint()?,
-                chunk_size: read_u32(r)?,
-                group: GroupId(r.get_u32_le()?),
-            },
-            MessageKind::FileSubscribe => Message::FileSubscribe {
-                transfer: TransferId(r.get_varint()?),
-                subscriber: NodeId(r.get_u32_le()?),
-            },
-            MessageKind::FileChunk => Message::FileChunk {
-                transfer: TransferId(r.get_varint()?),
-                revision: read_u32(r)?,
-                index: read_u32(r)?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::FileQuery => {
-                Message::FileQuery { transfer: TransferId(r.get_varint()?), revision: read_u32(r)? }
-            }
-            MessageKind::FileAck => Message::FileAck {
-                transfer: TransferId(r.get_varint()?),
-                revision: read_u32(r)?,
-                subscriber: NodeId(r.get_u32_le()?),
-            },
-            MessageKind::FileNack => {
-                let transfer = TransferId(r.get_varint()?);
-                let revision = read_u32(r)?;
-                let subscriber = NodeId(r.get_u32_le()?);
-                let n = checked_len(r.get_varint()?, MAX_LIST)?;
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    runs.push((read_u32(r)?, read_u32(r)?));
-                }
-                Message::FileNack { transfer, revision, subscriber, runs }
-            }
-            MessageKind::FileCancel => {
-                Message::FileCancel { transfer: TransferId(r.get_varint()?) }
-            }
-            MessageKind::Fragment => Message::Fragment {
-                msg_id: r.get_varint()?,
-                index: read_u32(r)?,
-                count: read_u32(r)?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::RelData => Message::RelData {
-                channel: r.get_u16_le()?,
-                seq: r.get_varint()?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::RelAck => Message::RelAck {
-                channel: r.get_u16_le()?,
-                cumulative: r.get_u64_le()?,
-                sack: r.get_u64_le()?,
-                loss_permille: r.get_u16_le()?,
-            },
-            MessageKind::SubscribeEvent => Message::SubscribeEvent {
-                name: read_name(r, names)?,
-                subscriber: NodeId(r.get_u32_le()?),
-            },
-            MessageKind::UnsubscribeEvent => Message::UnsubscribeEvent {
-                name: read_name(r, names)?,
-                subscriber: NodeId(r.get_u32_le()?),
-            },
-            MessageKind::FecShard => Message::FecShard {
-                channel: r.get_u16_le()?,
-                group: r.get_varint()?,
-                index: r.get_u8()?,
-                k: r.get_u8()?,
-                r: r.get_u8()?,
-                payload: read_blob(r, backing)?,
-            },
-            MessageKind::AnnounceRequest => Message::AnnounceRequest,
-        })
+                3 => Provision::FileResource { name: pname },
+                other => return Err(DecodeError::InvalidTag(other)),
+            });
+        }
+        entries.push(AnnounceEntry { service_seq, name, state, provides });
     }
+    Ok(entries)
 }
 
-/// The `RelData` body — the one layout behind [`Message::write_body`]
-/// and [`Message::rel_data_envelope`].
-fn write_rel_data(w: &mut WireWriter<'_>, channel: u16, seq: u64, payload: &[u8]) {
-    w.put_u16_le(channel);
-    w.put_varint(seq);
-    w.put_len_prefixed(payload);
+/// The nack codec's reader (its writer is [`write_runs`]).
+fn read_runs(r: &mut WireReader<'_>) -> Result<Vec<(u32, u32)>, DecodeError> {
+    let n = checked_len(r.get_varint()?, MAX_LIST)?;
+    let mut runs = Vec::with_capacity(n);
+    for _ in 0..n {
+        runs.push((read_u32(r)?, read_u32(r)?));
+    }
+    Ok(runs)
 }
 
-fn write_announce_body(w: &mut WireWriter<'_>, incarnation: u64, entries: &[AnnounceEntry]) {
-    w.put_varint(incarnation);
+/// The catalogue codec: a count, then per entry its sequence, name, state
+/// and provisions, each with its tag, name and kind-specific tail.
+fn write_entries(w: &mut WireWriter<'_>, entries: &[AnnounceEntry]) {
     w.put_varint(entries.len() as u64);
     for e in entries {
         w.put_varint(u64::from(e.service_seq));
@@ -1331,6 +1117,15 @@ fn write_announce_body(w: &mut WireWriter<'_>, incarnation: u64, entries: &[Anno
     }
 }
 
+/// The nack codec: a count, then each run's first index and length.
+fn write_runs(w: &mut WireWriter<'_>, runs: &[(u32, u32)]) {
+    w.put_varint(runs.len() as u64);
+    for (start, len) in runs {
+        w.put_varint(u64::from(*start));
+        w.put_varint(u64::from(*len));
+    }
+}
+
 /// Canonical digest of a full catalogue announce: FNV-1a over the exact
 /// `Announce` body encoding of `(incarnation, entries)`.
 ///
@@ -1340,8 +1135,7 @@ fn write_announce_body(w: &mut WireWriter<'_>, incarnation: u64, entries: &[Anno
 /// computed it (the wire encoding is canonical).
 pub fn announce_hash(incarnation: u64, entries: &[AnnounceEntry]) -> u32 {
     let mut buf = BytesMut::new();
-    let mut w = WireWriter::new(&mut buf);
-    write_announce_body(&mut w, incarnation, entries);
+    Body::Announce { incarnation: &incarnation, entries }.write(&mut WireWriter::new(&mut buf));
     let mut h: u32 = 0x811c_9dc5;
     for &b in buf.iter() {
         h ^= u32::from(b);
@@ -1397,6 +1191,11 @@ mod tests {
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
+    }
+
+    /// A `kind` body as a frame payload, read back.
+    fn decode(kind: MessageKind, body: &[u8]) -> Result<Message, DecodeError> {
+        Message::from_frame(&Frame::new(NodeId(0), kind, Bytes::copy_from_slice(body)))
     }
 
     fn sample_messages() -> Vec<Message> {
@@ -1540,7 +1339,7 @@ mod tests {
     fn every_message_roundtrips_via_payload() {
         for msg in sample_messages() {
             let bytes = msg.encode_payload();
-            let back = Message::decode_payload(msg.kind(), &bytes).unwrap();
+            let back = decode(msg.kind(), &bytes).unwrap();
             assert_eq!(back, msg);
         }
     }
@@ -1608,10 +1407,7 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut bytes = Message::Bye.encode_payload().to_vec();
         bytes.push(1);
-        assert!(matches!(
-            Message::decode_payload(MessageKind::Bye, &bytes),
-            Err(DecodeError::TrailingBytes { .. })
-        ));
+        assert!(matches!(decode(MessageKind::Bye, &bytes), Err(DecodeError::TrailingBytes { .. })));
     }
 
     #[test]
@@ -1623,11 +1419,7 @@ mod tests {
             }
             // Cutting the last byte must fail (every encoding is minimal).
             let cut = &bytes[..bytes.len() - 1];
-            assert!(
-                Message::decode_payload(msg.kind(), cut).is_err(),
-                "truncated {:?} decoded",
-                msg.kind()
-            );
+            assert!(decode(msg.kind(), cut).is_err(), "truncated {:?} decoded", msg.kind());
         }
     }
 
@@ -1638,10 +1430,7 @@ mod tests {
         let mut w = WireWriter::new(&mut buf);
         w.put_str("9bad name");
         w.put_varint(0);
-        assert_eq!(
-            Message::decode_payload(MessageKind::Hello, &buf),
-            Err(DecodeError::InvalidName)
-        );
+        assert_eq!(decode(MessageKind::Hello, &buf), Err(DecodeError::InvalidName));
     }
 
     #[test]
@@ -1656,7 +1445,7 @@ mod tests {
         // must digest equal.
         let wire = Message::Announce { incarnation, entries: entries.clone() }.encode_payload();
         let Ok(Message::Announce { incarnation: inc2, entries: decoded }) =
-            Message::decode_payload(MessageKind::Announce, &wire)
+            decode(MessageKind::Announce, &wire)
         else {
             panic!("announce roundtrips");
         };
@@ -1673,7 +1462,7 @@ mod tests {
         w.put_varint(1); // incarnation
         w.put_varint(1_000_000); // entry count over limit
         assert!(matches!(
-            Message::decode_payload(MessageKind::Announce, &buf),
+            decode(MessageKind::Announce, &buf),
             Err(DecodeError::LengthOverflow { .. })
         ));
     }

@@ -17,7 +17,7 @@ use marea_protocol::messages::{AnnounceEntry, CallStatus, FunctionSig, Provision
 use marea_protocol::mftp::{FileReceiver, FileSender, RevisionPolicy};
 use marea_protocol::{
     frames, Appended, Frame, FrameBody, FrameError, GroupId, Message, MessageKind, Micros, NodeId,
-    ProtoDuration, RequestId, TransferId, FRAME_HEADER_LEN,
+    ProtoDuration, RequestId, ShardRef, TransferId, FRAME_HEADER_LEN,
 };
 
 proptest! {
@@ -647,12 +647,20 @@ fn unhex(digits: &str) -> Vec<u8> {
         .collect()
 }
 
+/// The one frame of a one-frame datagram, as the receive path walks it:
+/// its payload a window onto `datagram`.
+fn walk_one(datagram: &Bytes) -> Frame {
+    let walked: Vec<_> = frames(datagram).collect();
+    assert_eq!(walked.len(), 1, "one frame expected");
+    walked[0].clone().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// For every `Message` variant: decode-from-`Bytes` == decode-from-
     /// `&[u8]` == the original, on the frame path and on the tagged path;
-    /// the one-buffer writers emit exactly the two-step writers' bytes.
+    /// the one-buffer writer emits exactly the two-step writer's bytes.
     #[test]
     fn shared_decode_equals_copying_decode_for_every_variant(
         seed in any::<u64>(),
@@ -664,13 +672,11 @@ proptest! {
             let src = NodeId((seed % 1000) as u32);
 
             let wire = msg.clone().into_frame(src).encode();
-            prop_assert_eq!(&msg.encode_frame(src), &wire, "encode-once writer, {:?}", kind);
             let copied = Frame::decode(&wire).unwrap();
-            let shared = Frame::decode_shared(&wire).unwrap();
+            let shared = walk_one(&wire);
             prop_assert_eq!(&shared, &copied);
             prop_assert_eq!(Message::from_frame(&shared).unwrap(), msg.clone());
             prop_assert_eq!(Message::from_frame(&copied).unwrap(), msg.clone());
-            prop_assert_eq!(Message::decode_payload(kind, copied.payload()).unwrap(), msg.clone());
 
             let tagged = msg.encode_tagged();
             prop_assert_eq!(Message::decode_tagged(&tagged).unwrap(), msg.clone());
@@ -681,7 +687,7 @@ proptest! {
             // is short — and then its frame alone in an empty datagram — and
             // its tagged form when no datagram holds it; a datagram that
             // held frames keeps them in every case.
-            for held in [Bytes::new(), Message::Bye.encode_frame(src)] {
+            for held in [Bytes::new(), Message::Bye.into_frame(src).encode()] {
                 let both = held.len() + wire.len();
                 let mut datagram = BytesMut::from(held.to_vec());
                 prop_assert_eq!(
@@ -719,15 +725,50 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes meet the same verdict from both frame decoders and
-    /// both tagged-message decoders — the shared entries have no validator
-    /// of their own.
+    /// `verbatim_len` is a floor on the encoded body, for every kind and
+    /// for a borrowed shard: `append_frame` answers `NoRoom` on it alone,
+    /// before encoding, which is right only if no body is ever shorter. The
+    /// shard's frame is its owned message's frame.
+    #[test]
+    fn verbatim_len_never_exceeds_the_encoded_body(
+        seed in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        for &kind in MessageKind::ALL {
+            let msg = instance(kind, seed, &blob);
+            prop_assert!(msg.verbatim_len() <= msg.encode_payload().len(), "{:?}", kind);
+        }
+        let shard = ShardRef {
+            channel: seed as u16,
+            group: seed,
+            index: (seed % 200) as u8,
+            k: 4,
+            r: 1,
+            payload: &blob,
+        };
+        let mut datagram = BytesMut::new();
+        let appended = shard.append_frame(NodeId(1), &mut datagram, usize::MAX);
+        prop_assert_eq!(appended, Appended::Frame(datagram.len()));
+        prop_assert!(shard.verbatim_len() <= datagram.len() - FRAME_HEADER_LEN);
+        prop_assert_eq!(&datagram[..], &shard.to_message().into_frame(NodeId(1)).encode()[..]);
+    }
+
+    /// Arbitrary bytes meet the same verdict from the strict frame decoder
+    /// and the datagram walk's first step, and from both tagged-message
+    /// decoders — the shared entries have no validator of their own. The
+    /// walk differs only where it should: it takes a frame that something
+    /// follows, and it yields nothing for an empty datagram.
     #[test]
     fn shared_and_copying_decoders_agree_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let shared = Bytes::from(bytes.clone());
-        prop_assert_eq!(Frame::decode_shared(&shared), Frame::decode(&bytes));
+        let first = frames(&shared).next();
+        match Frame::decode(&bytes) {
+            _ if bytes.is_empty() => prop_assert!(first.is_none()),
+            Err(FrameError::LengthMismatch { declared, actual }) if (declared as usize) < actual => {}
+            strict => prop_assert_eq!(first, Some(strict)),
+        }
         prop_assert_eq!(Message::decode_tagged_shared(&shared), Message::decode_tagged(&bytes));
     }
 
@@ -813,8 +854,7 @@ proptest! {
             prop_assert_eq!(Message::from_frame(frame), Message::from_frame(sent));
         }
         prop_assert_eq!(frames(&Bytes::new()).count(), 0);
-        let strict = Frame::decode_shared(&datagram);
-        prop_assert_eq!(&strict, &Frame::decode(&datagram));
+        let strict = Frame::decode(&datagram);
         if n == 1 {
             prop_assert_eq!(strict.as_ref(), Ok(&sent[0]));
             let mut trailing = datagram.to_vec();
@@ -959,14 +999,12 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
             hostile.extend(varint(*declared));
             hostile.resize(hostile.len() + *present, 0xEE);
 
-            let copying = Message::decode_payload(kind, &hostile);
-            let frame = Frame::new(NodeId(1), kind, Bytes::from(hostile.clone()));
-            assert_eq!(copying, Err(expected.clone()), "{kind:?} declares {declared}");
-            assert_eq!(Message::from_frame(&frame), copying, "{kind:?} declares {declared}");
-
             let mut tagged = vec![kind.wire_tag()];
             tagged.extend(&hostile);
-            assert_eq!(Message::decode_tagged(&tagged), copying);
+            let copying = Message::decode_tagged(&tagged);
+            let frame = Frame::new(NodeId(1), kind, Bytes::from(hostile));
+            assert_eq!(copying, Err(expected.clone()), "{kind:?} declares {declared}");
+            assert_eq!(Message::from_frame(&frame), copying, "{kind:?} declares {declared}");
             assert_eq!(Message::decode_tagged_shared(&Bytes::from(tagged)), copying);
         }
     }
@@ -980,7 +1018,6 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
     assert_eq!(MessageKind::from_wire_tag(24), None);
     let retired = unhex("4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00");
     assert_eq!(Frame::decode(&retired), Err(FrameError::BadKind(24)));
-    assert_eq!(Frame::decode_shared(&Bytes::from(retired.clone())), Err(FrameError::BadKind(24)));
     let walked: Vec<_> = frames(&Bytes::from(retired.clone())).collect();
     assert_eq!(walked, vec![Err(FrameError::BadKind(24))]);
     let mut tagged = vec![24u8];
@@ -992,15 +1029,60 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
     );
 }
 
+/// Every decoder meets a damaged body with the same outcome, and that
+/// outcome is pinned. The body of one `instance` per kind is cut at every
+/// offset, has each byte set to 0x00 and to 0xFF, and has each run of five
+/// bytes set to 0xFF (a varint that no longer fits a `u32` field); the
+/// tagged, shared, interned (the lookup holds every name) and frame
+/// decoders must agree on each variant — the decoded message or the exact
+/// `DecodeError` — and a digest of all the outcomes must be the one the
+/// hand-written reader gave before the message table replaced it.
+#[test]
+fn every_decoder_meets_damaged_bodies_with_the_pinned_outcome() {
+    const OUTCOMES: (usize, u64) = (1876, 0xa527_767b_969d_0d58);
+    let every_name = |s: &str| Name::new(s).ok();
+    let mut outcomes = String::new();
+    let mut count = 0;
+    for &kind in MessageKind::ALL {
+        let body = instance(kind, 0x5EED_1107, b"\x00\x01\xfe\xff").encode_payload();
+        let cuts = (0..body.len()).map(|cut| body[..cut].to_vec());
+        let set = |at: usize, len: usize, byte: u8| {
+            let mut set = body.to_vec();
+            set[at..(at + len).min(body.len())].fill(byte);
+            set
+        };
+        let bytes = (0..body.len()).flat_map(|i| [set(i, 1, 0x00), set(i, 1, 0xFF)]);
+        let runs = (0..body.len()).map(|i| set(i, 5, 0xFF));
+        for variant in cuts.chain(bytes).chain(runs) {
+            let tagged = Bytes::from([&[kind.wire_tag()], &variant[..]].concat());
+            let outcome = Message::decode_tagged(&tagged);
+            let frame = Frame::new(NodeId(7), kind, Bytes::from(variant));
+            assert_eq!(Message::decode_tagged_shared(&tagged), outcome, "{kind:?} {tagged:?}");
+            assert_eq!(
+                Message::decode_tagged_interned(&tagged, &every_name),
+                outcome,
+                "{kind:?} {tagged:?}"
+            );
+            assert_eq!(Message::from_frame(&frame), outcome, "{kind:?} {tagged:?}");
+            outcomes.push_str(&format!("{outcome:?}\n"));
+            count += 1;
+        }
+    }
+    let digest = outcomes
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert_eq!((count, digest), OUTCOMES, "digest {digest:#018x}");
+}
+
 /// Decoded blobs are windows onto the datagram, not copies: the receive
 /// path's "no copy before the handler" is a property of the pointers.
 #[test]
 fn shared_decode_cuts_blobs_out_of_the_datagram() {
     let blob: Vec<u8> = (0..1400u32).map(|i| (i * 7) as u8).collect();
     for kind in BLOB_KINDS {
-        let datagram = instance(kind, 42, &blob).encode_frame(NodeId(3));
+        let datagram = instance(kind, 42, &blob).into_frame(NodeId(3)).encode();
         let range = datagram.as_ptr_range();
-        let frame = Frame::decode_shared(&datagram).unwrap();
+        let frame = walk_one(&datagram);
         let inside = |b: &Bytes| range.contains(&b.as_ptr()) && b.as_ref() == blob.as_slice();
         let msg = Message::from_frame(&frame).unwrap();
         let (Message::VarSample { payload, .. }
@@ -1036,7 +1118,7 @@ fn interned_decode_shares_held_names_and_falls_back_for_the_rest() {
     for (sent, shared) in [(name("held/name".into()), true), (name("other/name".into()), false)] {
         let msg = event(sent);
         let tagged = msg.encode_tagged();
-        let frame = Frame::decode_shared(&msg.encode_frame(NodeId(3))).unwrap();
+        let frame = walk_one(&msg.clone().into_frame(NodeId(3)).encode());
         let decoded = [
             Message::decode_tagged_interned(&tagged, &lookup).unwrap(),
             Message::from_frame_interned(&frame, &lookup).unwrap(),
@@ -1130,9 +1212,10 @@ fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
 }
 
 /// Wire golden: the bytes of one fixed message per `MessageKind`, framed
-/// from node 7, as they were before the encode-once writer existed. Both
-/// writers must keep producing them — the BENCH files pin byte *counts*,
-/// this pins the bytes.
+/// from node 7, as they were before the encode-once writer and the message
+/// table existed. The BENCH files pin byte *counts*, this pins the bytes
+/// (`shared_decode_equals_copying_decode_for_every_variant` holds the
+/// encode-once writer to them).
 #[test]
 fn wire_golden_pins_every_kind() {
     const GOLDEN: &[(MessageKind, &str)] = &[
@@ -1166,7 +1249,6 @@ fn wire_golden_pins_every_kind() {
     for (&kind, (golden_kind, golden)) in MessageKind::ALL.iter().zip(GOLDEN) {
         assert_eq!(kind, *golden_kind);
         let msg = instance(kind, 0x5EED_1107, b"\x00\x01\xfe\xff");
-        assert_eq!(hex(&msg.clone().into_frame(NodeId(7)).encode()), *golden, "{kind:?}");
-        assert_eq!(hex(&msg.encode_frame(NodeId(7))), *golden, "{kind:?} (encode_frame)");
+        assert_eq!(hex(&msg.into_frame(NodeId(7)).encode()), *golden, "{kind:?}");
     }
 }
