@@ -24,6 +24,7 @@ use std::fmt::Display;
 
 use marea_bench::*;
 use marea_core::SchedulerKind;
+use marea_protocol::FecRate;
 
 /// One measured quantity of a row, stated once: its table column
 /// (header, width, text), its JSON member (key, value), or both — the
@@ -472,7 +473,7 @@ fn c3_arq_vs_tcp() -> Outcome {
     [0.0, 0.001, 0.01, 0.05, 0.10]
         .iter()
         .map(|&loss| {
-            let arq = bench_arq_under_loss(loss, 100, 64, 20_000, 500);
+            let arq = bench_link_under_loss(FecRate::Off, loss, 100, 64, 20_000, 500);
             let tcp = bench_tcp_under_loss(loss, 100, 64, 20_000, 500);
             vec![
                 cell("loss", 8, "loss", loss, format!("{:.1}%", loss * 100.0)).left(),

@@ -23,13 +23,13 @@ use bytes::Bytes;
 
 use marea_core::{
     CallError, CallHandle, CallOptions, ContainerConfig, ContainerStats, EventPort, EventQos,
-    FnPort, Micros, NodeId, ProtoDuration, SchedulerKind, Service, ServiceContext,
-    ServiceDescriptor, SimHarness, TimerId, TraceConfig, VarDistribution, VarPort, VarQos,
+    FnPort, LinkEvents, Micros, NodeId, ProtoDuration, ReliableLink, SchedulerKind, Service,
+    ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarDistribution, VarPort, VarQos,
 };
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
 use marea_presentation::{Name, Value};
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, Envelope};
-use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
+use marea_protocol::arq::ArqConfig;
+use marea_protocol::fec::FecRate;
 use marea_protocol::Message;
 
 use fixtures::{Echo, Emit, ReceiptLog, RttLog, Sink, Source};
@@ -230,10 +230,22 @@ impl ReliableRunCost {
     }
 }
 
-/// C3a: `n` event-sized messages, one every `interval_us`, over the
-/// middleware's ARQ channel. Events are *sporadic* (the paper's use case:
-/// "punctual and important facts"), so per-message latency is the metric.
-pub fn bench_arq_under_loss(
+/// C3a / C9: `n` messages of `msg_len` bytes, one every `interval_us`
+/// (0: as fast as the window admits), between a pair of the container's
+/// own [`ReliableLink`]s over a lossy link. `fec` is the sender's
+/// negotiated cap: [`FecRate::Off`] is plain ARQ, whose per-message
+/// latency is the C3 metric (events are *sporadic*, "punctual and
+/// important facts"); [`FecRate::Max`] threads the adaptive FEC layer
+/// below it — erased shards rebuilt from parity instead of waiting out a
+/// retransmission timer, the receiver's loss estimate riding back on the
+/// acks to drive the code rate.
+///
+/// Each 1 ms tick drives the links as a container does: the sender takes
+/// the next message while its ARQ window has room, both ends are polled
+/// (retransmissions, the FEC age flush, the batched ack) and what each
+/// one hears is handed to it.
+pub fn bench_link_under_loss(
+    fec: FecRate,
     loss: f64,
     n: u32,
     msg_len: usize,
@@ -241,154 +253,59 @@ pub fn bench_arq_under_loss(
     seed: u64,
 ) -> ReliableRunCost {
     let net = SimNet::new(lossy_net(seed, loss));
-    let a = net.socket(1);
-    let b = net.socket(2);
-    let mut tx = ArqSender::new(0, ArqConfig::default());
-    let mut rx = ArqReceiver::new(0, 256);
+    let (a, b) = (net.socket(1), net.socket(2));
+    let window = ArqConfig::default().window;
+    let mut tx = ReliableLink::new(NodeId(2), ArqConfig::default());
+    let mut rx = ReliableLink::new(NodeId(1), ArqConfig::default());
+    tx.negotiate_fec(fec);
+    let (mut wire, mut inner, mut released) = (Vec::new(), Vec::new(), Vec::new());
     let mut send_times: Vec<u64> = Vec::new();
     let mut latencies: Vec<u64> = Vec::new();
-    let mut sent = 0u32;
-    let mut delivered = 0u32;
-    let mut retx = 0u64;
     let mut now_us = 0u64;
-    while delivered < n && now_us < 600_000_000 {
-        // Produce the next sporadic event when due.
-        if sent < n && now_us >= u64::from(sent) * interval_us && tx.can_send() {
+    while latencies.len() < n as usize && now_us < 600_000_000 {
+        let (now, mut events) = (Micros(now_us), LinkEvents::default());
+        let sent = send_times.len() as u32;
+        if sent < n && now_us >= u64::from(sent) * interval_us && tx.inflight_len() < window {
             let mut v = vec![0u8; msg_len];
             v[0] = sent as u8;
             send_times.push(now_us);
-            sent += 1;
-            let envelope = tx.admit(&v, Micros(now_us)).unwrap();
-            let _ = a.send(Destination::Unicast(2), envelope.tagged().clone());
+            tx.send_into(&v, now, &mut wire);
         }
-        let retransmit = |envelope: Envelope| {
-            retx += 1;
-            let _ = a.send(Destination::Unicast(2), envelope.tagged().clone());
-        };
-        tx.poll(Micros(now_us), retransmit, &mut Vec::new());
-        net.advance_to(now_us);
-        let mut got_any = false;
-        while let Some((_, frame)) = b.recv() {
-            if let Ok(Message::RelData { seq, payload, .. }) = Message::decode_tagged(&frame) {
-                for _ in rx.on_data(seq, payload) {
-                    latencies.push(now_us - send_times[delivered as usize]);
-                    delivered += 1;
-                }
-                got_any = true;
-            }
-        }
-        if got_any {
-            let _ = b.send(Destination::Unicast(1), rx.make_ack().encode_tagged());
-        }
-        while let Some((_, frame)) = a.recv() {
-            if let Ok(Message::RelAck { cumulative, sack, .. }) = Message::decode_tagged(&frame) {
-                tx.on_ack(cumulative, sack);
-            }
-        }
-        now_us += 1_000;
-    }
-    let s = net.stats();
-    ReliableRunCost {
-        latency: LatencyResult::from_samples(&latencies),
-        completion_us: now_us,
-        wire_bytes: s.bytes_sent,
-        datagrams: s.datagrams_sent,
-        retransmissions: retx,
-    }
-}
-
-/// C9: the C3a workload with the adaptive FEC layer threaded below ARQ —
-/// `RelData` wrapped into XOR parity groups, erased shards rebuilt from
-/// parity instead of waiting out a retransmission timer, the receiver's
-/// loss estimate riding back on the acks to drive the code rate. Same
-/// tick structure and socket discipline as [`bench_arq_under_loss`] so
-/// the two are directly comparable.
-pub fn bench_arq_fec_under_loss(
-    loss: f64,
-    n: u32,
-    msg_len: usize,
-    interval_us: u64,
-    seed: u64,
-) -> ReliableRunCost {
-    /// Mirror of `ReliableLink`'s partial-group age budget.
-    const FLUSH_AFTER_US: u64 = 5_000;
-    let net = SimNet::new(lossy_net(seed, loss));
-    let a = net.socket(1);
-    let b = net.socket(2);
-    let mut tx = ArqSender::new(0, ArqConfig::default());
-    let mut rx = ArqReceiver::new(0, 256);
-    let mut fec_tx = FecSender::new(0, FecRate::Max);
-    let mut fec_rx = FecReceiver::new();
-    let mut group_opened_us: Option<u64> = None;
-    let mut send_times: Vec<u64> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut sent = 0u32;
-    let mut delivered = 0u32;
-    let mut retx = 0u64;
-    let mut now_us = 0u64;
-    while delivered < n && now_us < 600_000_000 {
-        let mut wire: Vec<Message> = Vec::new();
-        if sent < n && now_us >= u64::from(sent) * interval_us && tx.can_send() {
-            let mut v = vec![0u8; msg_len];
-            v[0] = sent as u8;
-            send_times.push(now_us);
-            sent += 1;
-            let envelope = tx.admit(&v, Micros(now_us)).unwrap();
-            fec_tx.wrap_envelope(envelope, &mut wire);
-        }
-        let retransmit = |envelope: Envelope| {
-            retx += 1;
-            fec_tx.wrap_envelope(envelope, &mut wire);
-        };
-        tx.poll(Micros(now_us), retransmit, &mut Vec::new());
-        // Age out a partial group so sporadic traffic still gets repair
-        // shards within a bounded window.
-        if fec_tx.has_open_group() {
-            match group_opened_us {
-                Some(opened) if now_us.saturating_sub(opened) >= FLUSH_AFTER_US => {
-                    fec_tx.flush(&mut wire);
-                    group_opened_us = None;
-                }
-                Some(_) => {}
-                None => group_opened_us = Some(now_us),
-            }
-        } else {
-            group_opened_us = None;
-        }
-        for m in wire {
+        tx.poll_into(now, &mut wire, &mut events);
+        for m in wire.drain(..) {
             let _ = a.send(Destination::Unicast(2), m.encode_tagged());
         }
         net.advance_to(now_us);
-        let mut got_any = false;
         while let Some((_, frame)) = b.recv() {
-            if let Ok(Message::FecShard { group, index, k, r, payload, .. }) =
-                Message::decode_tagged(&frame)
-            {
-                let mut inner = Vec::new();
-                fec_rx.on_shard(group, index, k, r, &payload, &mut inner);
-                for tagged in inner {
-                    if let Ok(Message::RelData { seq, payload, .. }) =
-                        Message::decode_tagged(&tagged)
-                    {
-                        for _ in rx.on_data(seq, payload) {
-                            latencies.push(now_us - send_times[delivered as usize]);
-                            delivered += 1;
+            match Message::decode_tagged(&frame) {
+                Ok(Message::RelData { seq, payload, .. }) => {
+                    rx.on_data_into(seq, payload, &mut released);
+                }
+                Ok(Message::FecShard { group, index, k, r, payload, .. }) => {
+                    rx.on_fec_shard_into(group, index, k, r, &payload, &mut inner);
+                    for tagged in inner.drain(..) {
+                        if let Ok(Message::RelData { seq, payload, .. }) =
+                            Message::decode_tagged(&tagged)
+                        {
+                            rx.on_data_into(seq, payload, &mut released);
                         }
-                        got_any = true;
                     }
                 }
+                _ => {}
             }
         }
-        if got_any {
-            let ack = rx.make_ack_with_loss(fec_rx.loss_permille());
-            let _ = b.send(Destination::Unicast(1), ack.encode_tagged());
+        for _ in released.drain(..) {
+            latencies.push(now_us - send_times[latencies.len()]);
+        }
+        rx.poll_into(now, &mut wire, &mut events);
+        for m in wire.drain(..) {
+            let _ = b.send(Destination::Unicast(1), m.encode_tagged());
         }
         while let Some((_, frame)) = a.recv() {
             if let Ok(Message::RelAck { cumulative, sack, loss_permille, .. }) =
                 Message::decode_tagged(&frame)
             {
-                fec_tx.on_loss_report(loss_permille);
-                tx.on_ack(cumulative, sack);
+                tx.on_ack_into(cumulative, sack, loss_permille, now, &mut wire, &mut events);
             }
         }
         now_us += 1_000;
@@ -399,7 +316,7 @@ pub fn bench_arq_fec_under_loss(
         completion_us: now_us,
         wire_bytes: s.bytes_sent,
         datagrams: s.datagrams_sent,
-        retransmissions: retx,
+        retransmissions: tx.stats().retransmitted,
     }
 }
 
@@ -456,11 +373,13 @@ pub fn bench_fec_loss_sweep(n: u32, msg_len: usize, seed: u64) -> Vec<FecLossRow
             loss_permille: (loss * 1000.0) as u32,
             payload_bytes: RUNS * u64::from(n) * msg_len as u64,
             arq: merge_runs(
-                &seeds().map(|s| bench_arq_under_loss(loss, n, msg_len, 0, s)).collect::<Vec<_>>(),
+                &seeds()
+                    .map(|s| bench_link_under_loss(FecRate::Off, loss, n, msg_len, 0, s))
+                    .collect::<Vec<_>>(),
             ),
             arq_fec: merge_runs(
                 &seeds()
-                    .map(|s| bench_arq_fec_under_loss(loss, n, msg_len, 0, s))
+                    .map(|s| bench_link_under_loss(FecRate::Max, loss, n, msg_len, 0, s))
                     .collect::<Vec<_>>(),
             ),
             tcp: merge_runs(
@@ -677,10 +596,11 @@ impl Service for LoadedPublisher {
 /// The C5/C10 loaded flood: a background var storm plus sparse critical
 /// events from node 1 to a consumer on node 2 whose tick budget is
 /// deliberately small, so queued work spans ticks and ordering matters.
-/// Returns the harness after the run.
+/// `traced = false` turns both flight recorders off. Returns the harness
+/// after the run.
 fn run_loaded_flood(
     kind: SchedulerKind,
-    trace: TraceConfig,
+    traced: bool,
     bg_per_tick: u32,
     n_events: u32,
     seed: u64,
@@ -688,12 +608,14 @@ fn run_loaded_flood(
     let mut h = SimHarness::new(NetConfig::default().with_seed(seed));
     h.set_tick_us(500);
     let mut pub_cfg = ContainerConfig::new("pub", NodeId(1));
-    pub_cfg.trace = trace;
-    h.add_container(pub_cfg);
     let mut sub_cfg = ContainerConfig::new("sub", NodeId(2));
     sub_cfg.scheduler = kind;
     sub_cfg.tick_budget = 64;
-    sub_cfg.trace = trace;
+    if !traced {
+        pub_cfg.trace_capacity = 0;
+        sub_cfg.trace_capacity = 0;
+    }
+    h.add_container(pub_cfg);
     h.add_container(sub_cfg);
     let publisher = LoadedPublisher {
         service: "loaded",
@@ -723,7 +645,7 @@ pub fn bench_scheduler_latency(
     n_events: u32,
     seed: u64,
 ) -> LatencyResult {
-    let h = run_loaded_flood(kind, TraceConfig::default(), bg_per_tick, n_events, seed);
+    let h = run_loaded_flood(kind, true, bg_per_tick, n_events, seed);
     LatencyResult::of_events(&h.container(NodeId(2)).unwrap().stats())
 }
 
@@ -850,7 +772,7 @@ pub fn bench_qos_priority(
 
 /// One leg of the C10 comparison: the C5 loaded flood (background var
 /// storm plus sparse critical events across the LAN) with the flight
-/// recorder either on (default [`TraceConfig`]) or off.
+/// recorder either on (the default capacity) or off (capacity 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceOverheadRun {
     /// Critical-event latency distribution (virtual time).
@@ -879,8 +801,7 @@ pub fn bench_trace_overhead_run(
     n_events: u32,
     seed: u64,
 ) -> TraceOverheadRun {
-    let trace = if traced { TraceConfig::default() } else { TraceConfig::disabled() };
-    let h = run_loaded_flood(SchedulerKind::Priority, trace, bg_per_tick, n_events, seed);
+    let h = run_loaded_flood(SchedulerKind::Priority, traced, bg_per_tick, n_events, seed);
     let s = h.container(NodeId(2)).unwrap().stats();
     let trace_events =
         h.trace_rings().iter().map(|(_, r)| r.len() as u64 + r.evicted()).sum::<u64>();
@@ -1259,7 +1180,7 @@ mod tests {
     #[test]
     fn arq_beats_tcp_under_loss() {
         // Sporadic events, one every 20 ms, 5% loss.
-        let arq = bench_arq_under_loss(0.05, 50, 64, 20_000, 3);
+        let arq = bench_link_under_loss(FecRate::Off, 0.05, 50, 64, 20_000, 3);
         let tcp = bench_tcp_under_loss(0.05, 50, 64, 20_000, 3);
         assert_eq!(arq.latency.count, 50);
         assert_eq!(tcp.latency.count, 50);

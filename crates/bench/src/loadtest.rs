@@ -20,7 +20,7 @@ use marea_core::metrics::MetricsConfig;
 use marea_core::trace::LatencyHistogram;
 use marea_core::{
     ContainerConfig, EventPort, FnPort, LatencySummary, NodeId, ProtoDuration, Service, SimHarness,
-    TraceConfig, VarPort,
+    VarPort,
 };
 use marea_netsim::NetConfig;
 
@@ -194,7 +194,7 @@ struct Fleet {
 
 fn load_container(name: &str, node: NodeId) -> ContainerConfig {
     let mut cfg = ContainerConfig::new(name, node);
-    cfg.trace = TraceConfig::with_capacity(128);
+    cfg.trace_capacity = 128;
     cfg
 }
 

@@ -1,21 +1,12 @@
-//! Time sources for driving containers.
+//! The wall clock of the real-time driver.
 //!
 //! The container itself is clock-free (`tick(now)`), so "what time is it"
-//! lives behind [`Clock`] only in the drivers: the simulation harness uses
-//! the network's virtual clock, the real-time driver uses the OS monotonic
-//! clock, and tests can use a manually advanced one.
+//! is answered only by the drivers: the simulation harness uses the
+//! network's virtual clock, the real-time driver this OS monotonic one.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use marea_protocol::Micros;
-
-/// A monotonic microsecond clock.
-pub trait Clock: Send + std::fmt::Debug {
-    /// Current time.
-    fn now(&self) -> Micros;
-}
 
 /// OS monotonic clock, microseconds since construction.
 #[derive(Debug, Clone)]
@@ -29,6 +20,11 @@ impl SystemClock {
         // marea-lint: allow(D2): SystemClock *is* the real-time boundary; drivers opt in explicitly
         SystemClock { epoch: Instant::now() }
     }
+
+    /// Current time.
+    pub fn now(&self) -> Micros {
+        Micros(self.epoch.elapsed().as_micros() as u64)
+    }
 }
 
 impl Default for SystemClock {
@@ -37,55 +33,9 @@ impl Default for SystemClock {
     }
 }
 
-impl Clock for SystemClock {
-    fn now(&self) -> Micros {
-        Micros(self.epoch.elapsed().as_micros() as u64)
-    }
-}
-
-/// Manually advanced clock for unit tests.
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    now: Arc<AtomicU64>,
-}
-
-impl ManualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Moves the clock to `t` (never backwards).
-    pub fn set(&self, t: Micros) {
-        self.now.fetch_max(t.0, Ordering::SeqCst);
-    }
-
-    /// Advances the clock by `us` microseconds.
-    pub fn advance_us(&self, us: u64) {
-        self.now.fetch_add(us, Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Micros {
-        Micros(self.now.load(Ordering::SeqCst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_moves_forward_only() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), Micros(0));
-        c.set(Micros(100));
-        c.set(Micros(50));
-        assert_eq!(c.now(), Micros(100));
-        c.advance_us(5);
-        assert_eq!(c.now(), Micros(105));
-    }
 
     #[test]
     fn system_clock_monotonic() {

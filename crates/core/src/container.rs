@@ -32,12 +32,11 @@ use bytes::{Bytes, BytesMut};
 
 use marea_encoding::{CodecId, CodecRegistry};
 use marea_presentation::{Name, Value};
-use marea_protocol::fec::FecConfig;
 use marea_protocol::fragment::Reassembler;
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
-    frames, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
-    LOAN_KEEP_BYTES,
+    frames, FecRate, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
+    ServiceId, LOAN_KEEP_BYTES,
 };
 use marea_transport::{Transport, TransportDestination};
 
@@ -58,7 +57,7 @@ use crate::service::{
 };
 use crate::stats::{ContainerStats, EventSubscriptionStats, Occupancy, VarSubscriptionStats};
 use crate::timers::Timers;
-use crate::trace::{TraceConfig, TraceId, TraceKind, TraceRing, Tracer};
+use crate::trace::{TraceId, TraceKind, TraceRing, Tracer};
 
 /// Container log ring capacity.
 const LOG_CAPACITY: usize = 1024;
@@ -66,6 +65,10 @@ const LOG_CAPACITY: usize = 1024;
 /// Providers tried before a call fails, unless the caller's
 /// [`CallOptions::retry_budget`] says otherwise.
 const DEFAULT_CALL_ATTEMPTS: u32 = 3;
+
+/// Reply deadline of one call attempt (800 ms), unless the caller's
+/// [`CallOptions::deadline`] says otherwise.
+const DEFAULT_CALL_TIMEOUT: ProtoDuration = ProtoDuration(800_000);
 
 /// Most bytes each scratch vector keeps between uses, and the tagged-encode
 /// buffer keeps of its own: what a one-off burst or large message grew past
@@ -125,20 +128,18 @@ pub struct ContainerConfig {
     pub scheduler: SchedulerKind,
     /// Maximum handler invocations per tick (soft real-time budget).
     pub tick_budget: usize,
-    /// Forward-error-correction layer below the reliable channel
-    /// (enabled by default; each link runs the weaker of the two ends'
-    /// advertised capabilities).
-    pub fec: FecConfig,
-    /// Remote invocation reply deadline per attempt.
-    pub call_timeout: ProtoDuration,
-    /// Gap between completion queries of an idle transfer.
-    pub file_query_interval: ProtoDuration,
+    /// Strongest forward-error-correction rate this node runs below the
+    /// reliable channel, advertised in `Hello` and beacons: each link runs
+    /// the weaker of the two ends' caps, and [`FecRate::Off`] means plain
+    /// ARQ.
+    pub fec_cap: FecRate,
     /// Variable sample distribution mode.
     pub var_distribution: VarDistribution,
     /// Payload codec for application data.
     pub codec: CodecId,
-    /// Flight-recorder switch and ring sizing (DESIGN.md §8).
-    pub trace: TraceConfig,
+    /// Flight-recorder ring capacity in events (DESIGN.md §8); zero turns
+    /// the recorder off.
+    pub trace_capacity: usize,
 }
 
 impl ContainerConfig {
@@ -157,12 +158,11 @@ impl ContainerConfig {
             node_timeout: ProtoDuration::from_secs(2),
             scheduler: SchedulerKind::Priority,
             tick_budget: 256,
-            fec: FecConfig::default(),
-            call_timeout: ProtoDuration::from_millis(800),
-            file_query_interval: ProtoDuration::from_millis(100),
+            fec_cap: FecRate::Max,
             var_distribution: VarDistribution::Multicast,
             codec: CodecId::COMPACT,
-            trace: TraceConfig::default(),
+            // The log ring's size: a few seconds of busy traffic.
+            trace_capacity: 1024,
         }
     }
 }
@@ -366,13 +366,13 @@ impl ServiceContainer {
             scratch: Scratch::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
-            links: LinkTable::new(config.fec.advertised_cap()),
+            links: LinkTable::new(config.fec_cap),
             gossip: Gossip::new(config.heartbeat_period, config.announce_period),
             timers: Timers::default(),
             vars: VarEngine::default(),
             events: EventEngine::default(),
             rpc: RpcEngine::default(),
-            files: FileEngine::new(config.node, config.file_query_interval),
+            files: FileEngine::new(config.node),
             reassembler: Reassembler::new(ProtoDuration::from_secs(5)),
             next_request_id: 0,
             incarnation: 1,
@@ -381,7 +381,7 @@ impl ServiceContainer {
             advertised_load: 0,
             stats: ContainerStats::default(),
             log: VecDeque::new(),
-            tracer: Tracer::new(config.node, config.trace),
+            tracer: Tracer::new(config.node, config.trace_capacity),
             config,
         }
     }
@@ -457,8 +457,8 @@ impl ServiceContainer {
         occupancy
     }
 
-    /// The flight-recorder ring of this life (oldest first; see
-    /// [`TraceConfig`] for sizing and the disable switch).
+    /// The flight-recorder ring of this life (oldest first; sized by
+    /// [`ContainerConfig::trace_capacity`]).
     pub fn trace_ring(&self) -> &TraceRing {
         self.tracer.ring()
     }
@@ -587,7 +587,7 @@ impl ServiceContainer {
             self.config.node,
             self.config.name.clone(),
             self.incarnation,
-            self.config.fec.advertised_cap().wire_tag(),
+            self.config.fec_cap.wire_tag(),
             now,
         );
         let hello = self.hello();
@@ -798,8 +798,9 @@ impl ServiceContainer {
                 }
             }
             Message::Bye => {
-                self.directory.apply_bye(src);
-                self.handle_node_death(src, now);
+                if self.directory.apply_bye(src) {
+                    self.handle_node_death(src, now);
+                }
             }
             Message::Announce { incarnation, entries } => {
                 self.trace_link(now, TraceKind::DirAnnounce, src, entries.len() as u64);
@@ -1457,7 +1458,7 @@ impl ServiceContainer {
         let msg = Message::Beacon {
             incarnation: self.incarnation,
             load_permille: self.load_permille(),
-            fec_cap: self.config.fec.advertised_cap().wire_tag(),
+            fec_cap: self.config.fec_cap.wire_tag(),
             entry_count,
             catalogue_hash,
         };
@@ -1486,7 +1487,7 @@ impl ServiceContainer {
         Message::Hello {
             container: self.config.name.clone(),
             incarnation: self.incarnation,
-            fec_cap: self.config.fec.advertised_cap().wire_tag(),
+            fec_cap: self.config.fec_cap.wire_tag(),
         }
     }
 
@@ -1815,7 +1816,7 @@ impl ServiceContainer {
         );
         // The caller's contract, resolved against the container defaults,
         // travels with the pending call from here on.
-        let attempt_timeout = options.deadline.unwrap_or(self.config.call_timeout);
+        let attempt_timeout = options.deadline.unwrap_or(DEFAULT_CALL_TIMEOUT);
         let call = PendingCall {
             caller_seq: seq,
             function,
@@ -1911,9 +1912,9 @@ mod tests {
 
     impl Service for Fragile {
         fn descriptor(&self) -> ServiceDescriptor {
-            let mut b = ServiceDescriptor::builder("fragile");
-            b.function::<(), ()>("fragile/f");
-            b.build()
+            ServiceDescriptor::builder("fragile")
+                .provides_fn(&crate::FnPort::<(), ()>::new("fragile/f"))
+                .build()
         }
 
         fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {

@@ -314,9 +314,13 @@ impl Directory {
         }
     }
 
-    /// Handles a graceful `Bye`: immediate purge.
-    pub fn apply_bye(&mut self, node: NodeId) {
-        self.purge_node(node);
+    /// Handles a graceful `Bye`: immediate purge. `false` when the node
+    /// was not known — a stranger, or one already expired — so nothing
+    /// left.
+    pub fn apply_bye(&mut self, node: NodeId) -> bool {
+        let known = self.nodes.remove(&node).is_some();
+        self.purge_node_providers(node);
+        known
     }
 
     /// Drops nodes silent for longer than `timeout`; returns who died.
@@ -661,9 +665,11 @@ mod tests {
     #[test]
     fn bye_is_immediate_purge() {
         let mut d = dir_with_two_storages();
-        d.apply_bye(NodeId(2));
+        assert!(d.apply_bye(NodeId(2)));
         assert!(!d.node_alive(NodeId(2)));
         assert_eq!(d.providers("storage/store").count(), 1);
+        assert!(!d.apply_bye(NodeId(2)), "gone already");
+        assert!(!d.apply_bye(NodeId(9)), "never known");
     }
 
     #[test]

@@ -24,6 +24,10 @@ const CHUNK_SIZE: u32 = 1024;
 /// File chunks pumped per tick per transfer.
 const BURST: usize = 32;
 
+/// Gap between completion queries of an idle transfer, and between
+/// retries of interests still waiting for a usable announce (100 ms).
+const QUERY_INTERVAL: ProtoDuration = ProtoDuration(100_000);
+
 /// Stable group id for a file resource's multicast group.
 pub(crate) fn file_group(name: &Name) -> GroupId {
     GroupId(0x4000_0000 | (fnv1a(name.as_str().as_bytes()) & 0x3FFF_FFFF))
@@ -106,9 +110,6 @@ pub(crate) struct Pumped {
 #[derive(Debug)]
 pub(crate) struct FileEngine {
     node: NodeId,
-    /// Gap between completion queries of an idle transfer, and between
-    /// retries of interests still waiting for a usable announce.
-    query_interval: ProtoDuration,
     /// File resources local services declared, with their owner.
     declared: HashMap<Name, u32>,
     /// Resources published from / wanted by this node. Ordered: sweeps
@@ -134,10 +135,9 @@ pub(crate) struct FileEngine {
 }
 
 impl FileEngine {
-    pub fn new(node: NodeId, query_interval: ProtoDuration) -> Self {
+    pub fn new(node: NodeId) -> Self {
         FileEngine {
             node,
-            query_interval,
             declared: HashMap::new(),
             outgoing: BTreeMap::new(),
             interests: BTreeMap::new(),
@@ -145,7 +145,7 @@ impl FileEngine {
             transfer_index: HashMap::new(),
             next_transfer: 0,
             type_mismatches: 0,
-            interest_retry: Cadence::every(query_interval),
+            interest_retry: Cadence::every(QUERY_INTERVAL),
         }
     }
 
@@ -202,7 +202,7 @@ impl FileEngine {
             OutgoingFile {
                 sender,
                 owner_seq,
-                query: Cadence::every(self.query_interval),
+                query: Cadence::every(QUERY_INTERVAL),
                 complete_notified: false,
             },
         );
@@ -428,7 +428,7 @@ mod tests {
     }
 
     fn engine(node: u32) -> FileEngine {
-        FileEngine::new(NodeId(node), ProtoDuration::from_millis(100))
+        FileEngine::new(NodeId(node))
     }
 
     fn publisher(node: u32, resource: &str) -> (FileEngine, Message) {

@@ -7,51 +7,14 @@ use marea_netsim::{NetConfig, SimNet};
 use marea_protocol::{Micros, NodeId, ProtoDuration};
 use marea_transport::SimLanTransport;
 
-use crate::clock::{Clock, SystemClock};
+use crate::clock::SystemClock;
 use crate::container::{ContainerConfig, ServiceContainer};
 use crate::metrics::{MetricsConfig, MetricsSampler};
 use crate::service::Service;
 use crate::trace::{TraceEvent, TraceId, TraceKind, TraceRing};
 
-/// Recreates a service instance for a restarted container.
-///
-/// [`SimHarness::restart_node`] rebuilds a crashed (or stopped) node from
-/// its blueprint: the original [`ContainerConfig`] plus one factory per
-/// service registered through
-/// [`add_service_factory`](SimHarness::add_service_factory). Closures work
-/// directly:
-///
-/// ```
-/// use marea_core::{ContainerConfig, Service, SimHarness};
-/// use marea_netsim::NetConfig;
-/// use marea_protocol::NodeId;
-/// # struct Noop;
-/// # impl Service for Noop {
-/// #     fn descriptor(&self) -> marea_core::ServiceDescriptor {
-/// #         marea_core::ServiceDescriptor::builder("noop").build()
-/// #     }
-/// # }
-///
-/// let mut h = SimHarness::new(NetConfig::default());
-/// h.add_container(ContainerConfig::new("fcs", NodeId(1)));
-/// h.add_service_factory(NodeId(1), || Box::new(Noop) as Box<dyn Service>);
-/// h.start_all();
-/// h.crash_node(NodeId(1));
-/// assert!(h.restart_node(NodeId(1)), "rebuilt from the blueprint");
-/// ```
-pub trait ServiceFactory: Send {
-    /// Builds a fresh service instance.
-    fn create(&self) -> Box<dyn Service>;
-}
-
-impl<F> ServiceFactory for F
-where
-    F: Fn() -> Box<dyn Service> + Send,
-{
-    fn create(&self) -> Box<dyn Service> {
-        self()
-    }
-}
+/// Rebuilds one service of a restarted node.
+type Factory = Box<dyn Fn() -> Box<dyn Service> + Send>;
 
 /// Per-node clock-skew state: a piecewise-linear local clock that drifts
 /// against virtual time by `ppm` parts per million from `base_real` on.
@@ -114,7 +77,7 @@ pub struct SimHarness {
     configs: HashMap<NodeId, ContainerConfig>,
     /// Restart blueprints: service factories per node (only services added
     /// through [`SimHarness::add_service_factory`] survive a restart).
-    factories: HashMap<NodeId, Vec<Box<dyn ServiceFactory>>>,
+    factories: HashMap<NodeId, Vec<Factory>>,
     /// Lives per node: the incarnation the *next* restart announces.
     incarnations: HashMap<NodeId, u64>,
     /// Per-node clock skew (chaos: drifting avionics clocks).
@@ -226,17 +189,38 @@ impl SimHarness {
 
     /// Adds a service *and* remembers how to rebuild it: the factory is
     /// invoked once now and again on every
-    /// [`restart_node`](Self::restart_node). Services added with the plain
+    /// [`restart_node`](Self::restart_node), which rebuilds a crashed (or
+    /// stopped) node from its blueprint — the original [`ContainerConfig`]
+    /// plus these factories. Services added with the plain
     /// [`add_service`](Self::add_service) do not come back after a restart.
+    ///
+    /// ```
+    /// use marea_core::{ContainerConfig, Service, SimHarness};
+    /// use marea_netsim::NetConfig;
+    /// use marea_protocol::NodeId;
+    /// # struct Noop;
+    /// # impl Service for Noop {
+    /// #     fn descriptor(&self) -> marea_core::ServiceDescriptor {
+    /// #         marea_core::ServiceDescriptor::builder("noop").build()
+    /// #     }
+    /// # }
+    ///
+    /// let mut h = SimHarness::new(NetConfig::default());
+    /// h.add_container(ContainerConfig::new("fcs", NodeId(1)));
+    /// h.add_service_factory(NodeId(1), || Box::new(Noop) as Box<dyn Service>);
+    /// h.start_all();
+    /// h.crash_node(NodeId(1));
+    /// assert!(h.restart_node(NodeId(1)), "rebuilt from the blueprint");
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics like [`add_service`](Self::add_service) on wiring errors.
     pub fn add_service_factory<F>(&mut self, node: NodeId, factory: F)
     where
-        F: ServiceFactory + 'static,
+        F: Fn() -> Box<dyn Service> + Send + 'static,
     {
-        self.add_service(node, factory.create());
+        self.add_service(node, factory());
         self.factories.entry(node).or_default().push(Box::new(factory));
     }
 
@@ -320,7 +304,7 @@ impl SimHarness {
     /// can bring the node back later.
     pub fn crash_node(&mut self, node: NodeId) {
         if let Some(mut container) = self.unregister(node) {
-            if self.configs.get(&node).is_some_and(|c| c.trace.enabled) {
+            if self.configs.get(&node).is_some_and(|c| c.trace_capacity > 0) {
                 let incarnation = container.incarnation();
                 let mut ring = container.take_trace_ring();
                 ring.push(TraceEvent {
@@ -364,17 +348,15 @@ impl SimHarness {
         // Socket rebind: `SimNet::socket` re-registers the removed node
         // with a fresh, empty inbox.
         let transport = SimLanTransport::attach(&self.net, node.0);
-        let tracing = config.trace;
+        let capacity = config.trace_capacity;
         let restart_at = Micros(self.local_time(node));
         let mut container = ServiceContainer::new(config, Box::new(transport));
         container.set_incarnation(incarnation);
-        if tracing.enabled {
+        if capacity > 0 {
             // Black-box continuity: the previous lives' tail (if any) plus
             // a restart marker precede everything the new life records.
-            let mut older = self
-                .stashed_rings
-                .remove(&node)
-                .unwrap_or_else(|| TraceRing::new(tracing.capacity));
+            let mut older =
+                self.stashed_rings.remove(&node).unwrap_or_else(|| TraceRing::new(capacity));
             older.push(TraceEvent {
                 at: restart_at,
                 incarnation,
@@ -388,7 +370,7 @@ impl SimHarness {
         }
         if let Some(factories) = self.factories.get(&node) {
             for factory in factories {
-                container.add_service(factory.create()).expect("factory service registration");
+                container.add_service(factory()).expect("factory service registration");
             }
         }
         container.start(restart_at);

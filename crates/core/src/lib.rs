@@ -102,13 +102,13 @@ mod stats;
 mod timers;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, SystemClock};
+pub use clock::SystemClock;
 pub use container::{
     loan_cap_bytes, ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES,
 };
 pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
-pub use harness::{RealtimeDriver, ServiceFactory, SimHarness};
+pub use harness::{RealtimeDriver, SimHarness};
 pub use link::{LinkEvents, ReliableLink};
 pub use metrics::{LinkFrame, MetricsConfig, MetricsFrame, MetricsSampler};
 pub use ports::{EventPort, FnPort, TypedCallHandle, VarPort};
@@ -124,7 +124,7 @@ pub use stats::{
     ContainerStats, EventSubscriptionStats, FecStats, LatencySummary, Occupancy, QosStats, Stat,
     TypeMismatchStats, VarChannelView, VarSubscriptionStats,
 };
-pub use trace::{LatencyHistogram, TraceConfig, TraceEvent, TraceId, TraceKind, TraceRing};
+pub use trace::{LatencyHistogram, TraceEvent, TraceId, TraceKind, TraceRing};
 
 // Re-exports that appear in this crate's public API, for downstream
 // convenience.

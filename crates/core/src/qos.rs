@@ -158,13 +158,6 @@ impl VarQos {
         self
     }
 
-    /// Sets the initial-value flag explicitly.
-    #[must_use]
-    pub fn with_need_initial(mut self, need_initial: bool) -> Self {
-        self.need_initial = need_initial;
-        self
-    }
-
     /// Checks the profile is a satisfiable contract.
     ///
     /// # Errors
@@ -281,9 +274,10 @@ impl EventQos {
 /// The caller-visible invocation contract (paper §4.3): per-attempt reply
 /// deadline, how many providers to try, and how the provider is chosen.
 ///
-/// `None` fields fall back to the container-wide defaults
-/// ([`ContainerConfig::call_timeout`]; three providers tried), so
+/// `None` fields fall back to the container-wide defaults (an 800 ms
+/// deadline per attempt; three providers tried), so
 /// `CallOptions::default()` reproduces the pre-profile behaviour exactly.
+/// A deadline is stated here, per call, and nowhere else.
 ///
 /// ```
 /// use marea_core::{CallOptions, NodeId, ProtoDuration};
@@ -294,8 +288,6 @@ impl EventQos {
 ///     .pinned(NodeId(3));
 /// opts.validate().unwrap();
 /// ```
-///
-/// [`ContainerConfig::call_timeout`]: crate::ContainerConfig::call_timeout
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CallOptions {
     /// Reply deadline per attempt; a missed deadline triggers failover to
@@ -322,13 +314,6 @@ impl CallOptions {
     #[must_use]
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = Some(budget);
-        self
-    }
-
-    /// Overrides the provider-selection policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: CallPolicy) -> Self {
-        self.policy = policy;
         self
     }
 

@@ -5,8 +5,9 @@
 //! turns that claim into an executable, *seed-reproducible* test surface:
 //!
 //! * a [`FaultSchedule`] scripts timed faults — [`FaultEvent::Crash`],
-//!   [`FaultEvent::Restart`] (full container rebuild via
-//!   [`ServiceFactory`](crate::ServiceFactory)), partitions and heals,
+//!   [`FaultEvent::Restart`] (full container rebuild from the factories of
+//!   [`add_service_factory`](SimHarness::add_service_factory)), partitions
+//!   and heals,
 //!   [`FaultEvent::LinkRamp`] degradation windows and
 //!   [`FaultEvent::ClockSkew`] drifts;
 //! * [`Invariant`] checkers run on a cadence while the schedule executes —

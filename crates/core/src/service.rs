@@ -199,14 +199,12 @@ impl ServiceDescriptor {
 
 /// Builder for [`ServiceDescriptor`].
 ///
-/// Declarations are **typed**: [`variable`](Self::variable),
-/// [`event`](Self::event) and [`function`](Self::function) derive the wire
-/// schema from a Rust type and hand back a port
-/// ([`VarPort`]/[`EventPort`]/[`FnPort`]) the service stores and later
-/// passes to the typed [`ServiceContext`] methods. Ports shared through a
-/// vocabulary module (one port constructor used by producer and consumers
-/// alike) are declared with the `provides_*` / `subscribe_to_*` /
-/// [`requires_fn`](Self::requires_fn) methods instead. Every variable and
+/// Declarations are **typed**: a port ([`VarPort`]/[`EventPort`]/
+/// [`FnPort`]) derives the wire schema from a Rust type, the service
+/// stores it and passes it both to the `provides_*` / `subscribe_to_*` /
+/// [`requires_fn`](Self::requires_fn) methods here and later to the typed
+/// [`ServiceContext`] methods. A port shared through a vocabulary module is
+/// one constructor used by producer and consumers alike. Every variable and
 /// event declaration takes its QoS contract as a typed profile
 /// ([`VarQos`] / [`EventQos`]); `Default` profiles reproduce the
 /// historical behaviour.
@@ -243,47 +241,22 @@ impl ServiceDescriptorBuilder {
 
     // ---- typed declarations ---------------------------------------------
 
-    /// Declares a published variable whose schema derives from `T`,
-    /// returning the typed port to publish through.
+    /// Declares a published variable through a port; `qos.period` and
+    /// `qos.validity` are announced on the wire.
     ///
     /// ```
-    /// # use marea_core::{ServiceDescriptor, VarQos};
+    /// # use marea_core::{ServiceDescriptor, VarPort, VarQos};
     /// # use marea_protocol::ProtoDuration;
-    /// let mut b = ServiceDescriptor::builder("beacon");
-    /// let count = b.variable::<u64>(
-    ///     "beacon/count",
-    ///     VarQos::periodic(ProtoDuration::from_millis(10), ProtoDuration::from_millis(100)),
-    /// );
-    /// let descriptor = b.build();
+    /// let count = VarPort::<u64>::new("beacon/count");
+    /// let descriptor = ServiceDescriptor::builder("beacon")
+    ///     .provides_var(
+    ///         &count,
+    ///         VarQos::periodic(ProtoDuration::from_millis(10), ProtoDuration::from_millis(100)),
+    ///     )
+    ///     .build();
     /// # assert_eq!(count.name(), "beacon/count");
     /// # assert_eq!(descriptor.provides().len(), 1);
     /// ```
-    pub fn variable<T: ValueCodec>(&mut self, name: &str, qos: VarQos) -> VarPort<T> {
-        let port = VarPort::new(name);
-        self.provides_var(&port, qos);
-        port
-    }
-
-    /// Declares a published event channel with payload `P` (`()` for bare
-    /// channels, `Option<T>` for optional payloads), returning the typed
-    /// port to emit through.
-    pub fn event<P: EventPayload>(&mut self, name: &str) -> EventPort<P> {
-        let port = EventPort::new(name);
-        self.provides_event(&port);
-        port
-    }
-
-    /// Declares a callable function with the signature derived from the
-    /// argument tuple `A` and return type `R`, returning the typed port
-    /// the provider uses to decode arguments and encode results.
-    pub fn function<A: ArgsCodec, R: FnRet>(&mut self, name: &str) -> FnPort<A, R> {
-        let port = FnPort::new(name);
-        self.provides_fn(&port);
-        port
-    }
-
-    /// Declares a published variable through an existing (shared) port;
-    /// `qos.period` and `qos.validity` are announced on the wire.
     pub fn provides_var<T: ValueCodec>(&mut self, port: &VarPort<T>, qos: VarQos) -> &mut Self {
         let qos = Self::checked_var_qos(port.name(), qos);
         self.inner.provides.push(Provision::Variable {
@@ -295,7 +268,8 @@ impl ServiceDescriptorBuilder {
         self
     }
 
-    /// Declares a published event channel through an existing port.
+    /// Declares a published event channel through a port: payload `P`,
+    /// `()` for bare channels, `Option<T>` for optional payloads.
     pub fn provides_event<P: EventPayload>(&mut self, port: &EventPort<P>) -> &mut Self {
         self.inner
             .provides
@@ -303,7 +277,8 @@ impl ServiceDescriptorBuilder {
         self
     }
 
-    /// Declares a callable function through an existing port.
+    /// Declares a callable function through a port: the signature derives
+    /// from the argument tuple `A` and the return type `R`.
     pub fn provides_fn<A: ArgsCodec, R: FnRet>(&mut self, port: &FnPort<A, R>) -> &mut Self {
         self.inner
             .provides
@@ -669,18 +644,21 @@ mod tests {
 
     #[test]
     fn descriptor_builder_collects_declarations() {
+        let status = VarPort::<u8>::new("camera/status");
+        let taken = EventPort::<u32>::new("camera/photo-taken");
+        let prepare = FnPort::<(String,), bool>::new("camera/prepare");
         let mut b = ServiceDescriptor::builder("camera");
-        let status = b.variable::<u8>(
-            "camera/status",
+        b.provides_var(
+            &status,
             VarQos::periodic(ProtoDuration::from_millis(100), ProtoDuration::from_millis(500)),
-        );
-        let taken = b.event::<u32>("camera/photo-taken");
-        let prepare = b.function::<(String,), bool>("camera/prepare");
-        b.file_resource("camera/image")
-            .subscribe_variable("gps/position", VarQos::default().with_initial())
-            .subscribe_event("mc/photo-now", EventQos::default())
-            .subscribe_file("mc/flight-plan")
-            .requires_function("storage/store");
+        )
+        .provides_event(&taken)
+        .provides_fn(&prepare)
+        .file_resource("camera/image")
+        .subscribe_variable("gps/position", VarQos::default().with_initial())
+        .subscribe_event("mc/photo-now", EventQos::default())
+        .subscribe_file("mc/flight-plan")
+        .requires_function("storage/store");
         let d = b.build();
         assert_eq!(d.name(), "camera");
         assert_eq!(d.provides().len(), 4);
@@ -735,7 +713,8 @@ mod tests {
     #[should_panic(expected = "invalid VarQos")]
     fn builder_rejects_zero_validity() {
         let mut b = ServiceDescriptor::builder("bad");
-        b.variable::<u64>("bad/v", VarQos::default().with_validity(ProtoDuration::ZERO));
+        let v = VarPort::<u64>::new("bad/v");
+        b.provides_var(&v, VarQos::default().with_validity(ProtoDuration::ZERO));
     }
 
     #[test]

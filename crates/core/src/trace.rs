@@ -196,36 +196,6 @@ pub struct TraceEvent {
     pub name: Option<Name>,
 }
 
-/// Flight-recorder sizing and switch, per container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record anything at all. Off = every record call is one branch.
-    pub enabled: bool,
-    /// Ring capacity in events; oldest are evicted once full.
-    pub capacity: usize,
-}
-
-impl TraceConfig {
-    /// Tracing off: the recorder keeps nothing and costs one branch per
-    /// record point (the `bench_trace_overhead` baseline).
-    pub fn disabled() -> TraceConfig {
-        TraceConfig { enabled: false, capacity: 0 }
-    }
-
-    /// Tracing on with a custom ring capacity.
-    pub fn with_capacity(capacity: usize) -> TraceConfig {
-        TraceConfig { enabled: true, capacity }
-    }
-}
-
-impl Default for TraceConfig {
-    /// On, 1024 events — the same order of magnitude as the container
-    /// log ring, a few seconds of busy traffic.
-    fn default() -> TraceConfig {
-        TraceConfig { enabled: true, capacity: 1024 }
-    }
-}
-
 /// Bounded event ring: oldest evicted first, capacity respected, an
 /// eviction counter so dumps can say how much history fell off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -418,14 +388,16 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A recorder for `node` under `config`.
-    pub fn new(node: NodeId, config: TraceConfig) -> Tracer {
+    /// A recorder for `node` keeping the last `capacity` events. Zero
+    /// turns it off: it keeps nothing, mints [`TraceId::NONE`] and costs
+    /// one branch per record point (the `bench_trace_overhead` baseline).
+    pub fn new(node: NodeId, capacity: usize) -> Tracer {
         Tracer {
-            enabled: config.enabled,
+            enabled: capacity > 0,
             node,
             incarnation: 1,
             next_mint: 0,
-            ring: TraceRing::new(if config.enabled { config.capacity } else { 0 }),
+            ring: TraceRing::new(capacity),
             publish_to_deliver: LatencyHistogram::default(),
             event_to_deliver: LatencyHistogram::default(),
             call_rtt: LatencyHistogram::default(),
@@ -749,7 +721,7 @@ mod tests {
 
     #[test]
     fn tracer_disabled_records_nothing_and_mints_none() {
-        let mut t = Tracer::new(NodeId(1), TraceConfig::disabled());
+        let mut t = Tracer::new(NodeId(1), 0);
         assert!(!t.enabled());
         assert_eq!(t.mint(), TraceId::NONE);
         t.record(Micros(5), TraceKind::VarPublish, TraceId::NONE, None, 1, None);
@@ -760,7 +732,7 @@ mod tests {
 
     #[test]
     fn tracer_mints_dense_node_scoped_ids() {
-        let mut t = Tracer::new(NodeId(3), TraceConfig::default());
+        let mut t = Tracer::new(NodeId(3), 1024);
         let a = t.mint();
         let b = t.mint();
         assert_eq!(a, TraceId::new(NodeId(3), 1));

@@ -12,6 +12,7 @@ use marea_core::{
 };
 use marea_netsim::{LinkConfig, NetConfig};
 use marea_presentation::Value;
+use marea_protocol::FecRate;
 
 fn lan(seed: u64) -> NetConfig {
     NetConfig::default().with_seed(seed)
@@ -246,9 +247,9 @@ fn events_are_delivered_exactly_once_in_order_under_loss() {
     // the erasure-coding layer otherwise short-circuits at this loss rate
     // (see fec_repairs_erasures_without_retransmit below).
     let mut pub_cfg = ContainerConfig::new("pub", NodeId(1));
-    pub_cfg.fec.enabled = false;
+    pub_cfg.fec_cap = FecRate::Off;
     let mut sub_cfg = ContainerConfig::new("sub", NodeId(2));
-    sub_cfg.fec.enabled = false;
+    sub_cfg.fec_cap = FecRate::Off;
     h.add_container(pub_cfg);
     h.add_container(sub_cfg);
 
@@ -867,7 +868,7 @@ fn panicking_service_is_quarantined_and_fleet_notified() {
     h.add_container(ContainerConfig::new("b", NodeId(2)));
 
     let mut bomb_b = ServiceDescriptor::builder("bomb");
-    bomb_b.function::<(), ()>("bomb/arm");
+    bomb_b.provides_fn(&FnPort::<(), ()>::new("bomb/arm"));
     let mut bomb = Scripted::new(bomb_b.build());
     bomb.on_start = Some(Box::new(|ctx| {
         ctx.set_timer(ProtoDuration::from_millis(50), None);
@@ -896,7 +897,7 @@ fn graceful_bye_purges_remote_caches_immediately() {
     h.add_container(ContainerConfig::new("a", NodeId(1)));
     h.add_container(ContainerConfig::new("b", NodeId(2)));
     let mut xb = ServiceDescriptor::builder("x");
-    xb.function::<(), ()>("x/f");
+    xb.provides_fn(&FnPort::<(), ()>::new("x/f"));
     h.add_service(NodeId(2), Box::new(Scripted::new(xb.build())));
     h.start_all();
     h.run_for_millis(50);
@@ -1086,7 +1087,7 @@ fn required_function_availability_notices() {
 
     // Provider appears later.
     let mut late_b = ServiceDescriptor::builder("late");
-    late_b.function::<(), ()>("late/fn");
+    late_b.provides_fn(&FnPort::<(), ()>::new("late/fn"));
     h.container_mut(NodeId(2))
         .unwrap()
         .add_service(Box::new(Scripted::new(late_b.build())))
@@ -1293,8 +1294,8 @@ mod typed {
         // The descriptor declares `bad/value` as U64; the service then
         // publishes through a port of the same name typed F64.
         let mut b = ServiceDescriptor::builder("badpub");
-        b.variable::<u64>(
-            "bad/value",
+        b.provides_var(
+            &VarPort::<u64>::new("bad/value"),
             VarQos::periodic(ProtoDuration::from_millis(10), ProtoDuration::from_millis(100)),
         );
         let mut publisher = Scripted::new(b.build());
@@ -1339,8 +1340,8 @@ mod typed {
 
         // Provider: event channel declared U32, function (U32) -> U32.
         let mut b = ServiceDescriptor::builder("provider");
-        b.event::<u32>("p/ev");
-        b.function::<(u32,), u32>("p/fn");
+        b.provides_event(&EventPort::<u32>::new("p/ev"));
+        b.provides_fn(&FnPort::<(u32,), u32>::new("p/fn"));
         h.add_service(NodeId(2), Box::new(Scripted::new(b.build())));
 
         // Abuser: emits a Str on its own U32 channel, a U32 on its own bare
@@ -1348,8 +1349,8 @@ mod typed {
         // the declared names but the wrong types — and publishes an
         // undeclared file resource.
         let mut b = ServiceDescriptor::builder("abuser");
-        b.event::<u32>("a/ev");
-        b.event::<()>("a/bare");
+        b.provides_event(&EventPort::<u32>::new("a/ev"));
+        b.provides_event(&EventPort::<()>::new("a/bare"));
         b.requires_function("p/fn");
         let mut abuser = Scripted::new(b.build());
         abuser.on_start = Some(Box::new(|ctx| {

@@ -25,10 +25,10 @@ use bytes::Bytes;
 use common::{obs_log, observations, Obs, ObsLog};
 use marea_core::scenario::corpus;
 use marea_core::{
-    CallError, CallHandle, ContainerConfig, ContainerStats, EventPort, EventQos, FileEvent, FnPort,
-    LinkFrame, MetricsConfig, MetricsFrame, Micros, NodeId, Occupancy, ProtoDuration, Service,
-    ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, TraceRing, VarPort,
-    VarQos,
+    CallError, CallHandle, CallOptions, ContainerConfig, ContainerStats, EventPort, EventQos,
+    FileEvent, FnPort, LinkFrame, MetricsConfig, MetricsFrame, Micros, NodeId, Occupancy,
+    ProtoDuration, Service, ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness,
+    TimerId, TraceRing, VarPort, VarQos,
 };
 use marea_netsim::{LinkConfig, NetConfig, NetStats, SimNet, SimSocket};
 use marea_presentation::{Name, Value};
@@ -140,7 +140,10 @@ impl Service for Actor {
             Action::Publish(v) => ctx.publish_to(&var_port(self.node), v),
             Action::Emit(v) => ctx.emit_to(&event_port(self.node), v),
             Action::Call(target, v) => {
-                ctx.call_fn(&fn_port(target), (v,));
+                // A short attempt deadline, so that a sub-second run
+                // crosses the failover wake-up.
+                let options = CallOptions::default().with_deadline(ProtoDuration::from_millis(60));
+                ctx.call_fn_with(&fn_port(target), (v,), options);
             }
             Action::File(len) => {
                 let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ (self.node as u8)).collect();
@@ -223,14 +226,12 @@ fn net_config(script: &Script) -> NetConfig {
 }
 
 /// Short failure-detection timings so a sub-second run crosses heartbeat,
-/// announce-digest, node-timeout and interest-retry cadences.
+/// announce-digest and node-timeout cadences.
 fn container_config(node: u32) -> ContainerConfig {
     let mut c = ContainerConfig::new("actor", NodeId(node));
     c.heartbeat_period = ProtoDuration::from_millis(50);
     c.announce_period = ProtoDuration::from_millis(120);
     c.node_timeout = ProtoDuration::from_millis(300);
-    c.call_timeout = ProtoDuration::from_millis(60);
-    c.file_query_interval = ProtoDuration::from_millis(30);
     c
 }
 

@@ -421,6 +421,45 @@ fn crashed_node_is_deregistered_from_the_netsim() {
     assert_eq!(after, before, "a crashed node receives nothing more");
 }
 
+/// A node whose recorder is off (`trace_capacity` 0) has no black box:
+/// its crash stashes nothing and its restart adopts nothing, while a
+/// traced node beside it keeps its tail across the same crash.
+#[test]
+fn a_node_without_a_recorder_leaves_no_black_box_across_a_restart() {
+    use marea_core::TraceKind;
+
+    let mut h = SimHarness::new(lan(28));
+    let mut quiet = ContainerConfig::new("quiet", NodeId(1));
+    quiet.trace_capacity = 0;
+    h.add_container(quiet);
+    h.add_container(ContainerConfig::new("traced", NodeId(2)));
+    for node in [NodeId(1), NodeId(2)] {
+        let blank = ServiceDescriptor::builder("s").build();
+        h.add_service_factory(node, move || Box::new(Scripted::new(blank.clone())) as _);
+    }
+    h.start_all();
+    h.run_for_millis(100);
+    for node in [NodeId(1), NodeId(2)] {
+        h.crash_node(node);
+    }
+    assert!(h.trace_ring(NodeId(1)).is_none(), "a black box stashed for a node with no recorder");
+    let crashed =
+        |ring: &marea_core::TraceRing| ring.events().any(|e| e.kind == TraceKind::NodeCrash);
+    assert!(h.trace_ring(NodeId(2)).is_some_and(crashed));
+
+    h.run_for_millis(100);
+    for node in [NodeId(1), NodeId(2)] {
+        assert!(h.restart_node(node));
+    }
+    h.run_for_millis(100);
+    let quiet = h.trace_ring(NodeId(1)).unwrap();
+    assert!(quiet.is_empty() && quiet.evicted() == 0, "{quiet:?}");
+    let traced: Vec<TraceKind> =
+        h.trace_ring(NodeId(2)).unwrap().events().map(|e| e.kind).collect();
+    assert!(traced.contains(&TraceKind::NodeCrash) && traced.contains(&TraceKind::NodeRestart));
+    assert_eq!(h.container(NodeId(1)).unwrap().incarnation(), 2, "the node itself did restart");
+}
+
 #[test]
 fn publisher_restart_resumes_fresh_samples_within_rto() {
     // Crash a publisher, restart it from its factory blueprint, and
@@ -912,4 +951,46 @@ fn a_dead_subscriber_node_leaves_the_publishers_caches() {
     h.run_for_millis(2_000);
     assert_eq!(h.container(NodeId(1)).unwrap().occupancy().remote_subscribers, 1);
     assert!(events(&log) >= before + 10, "the new life subscribed and is served");
+}
+
+#[test]
+fn a_bye_from_a_node_the_directory_does_not_hold_declares_no_death() {
+    // Regression: the `Bye` arm declared its sender dead whether or not the
+    // directory held it, so a stranger's `Bye` — or a second one — logged
+    // a death, recorded a `DirExpire` and forced a maintenance sweep.
+    // Probe transport, explicit clock: nothing here is random.
+    use marea_core::{ServiceContainer, TraceKind};
+    use marea_presentation::Name;
+    use marea_protocol::messages::Message;
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    let cfg = ContainerConfig::new("uav", NodeId(1));
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    c.start(Micros(0));
+    let mut send = |from: u32, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
+    };
+    let deaths = |c: &ServiceContainer| {
+        let logged = c.log_lines().filter(|(_, line)| line.contains("declared dead")).count();
+        let expired = c.trace_ring().events().filter(|e| e.kind == TraceKind::DirExpire).count();
+        (logged, expired)
+    };
+
+    send(3, Message::Bye);
+    c.tick(Micros(1_000));
+    assert_eq!(deaths(&c), (0, 0), "a stranger's Bye");
+
+    let hello =
+        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
+    send(2, hello);
+    c.tick(Micros(2_000));
+    assert!(c.directory().node_alive(NodeId(2)));
+    send(2, Message::Bye);
+    send(2, Message::Bye);
+    c.tick(Micros(3_000));
+    assert!(!c.directory().node_alive(NodeId(2)));
+    assert_eq!(deaths(&c), (1, 1), "a known node's Bye, delivered twice");
 }

@@ -155,9 +155,10 @@ impl Service for Actor {
 }
 
 /// Runs the three-node script for `run_ms` on a loss-free LAN, ticking
-/// every container on every grid step; answers every send, in order, and
-/// the containers as they ended.
-fn run(seed: u64, run_ms: u64) -> (Vec<Sent>, Vec<ServiceContainer>) {
+/// every container on every grid step, with the flight recorder of node
+/// `untraced` (if any) off; answers every send, in order, and the
+/// containers as they ended.
+fn run(seed: u64, run_ms: u64, untraced: Option<u32>) -> (Vec<Sent>, Vec<ServiceContainer>) {
     let net = SimNet::new(NetConfig::default().with_seed(seed));
     let clock = Arc::new(AtomicU64::new(0));
     let sent = Arc::new(Mutex::new(Vec::new()));
@@ -168,7 +169,10 @@ fn run(seed: u64, run_ms: u64) -> (Vec<Sent>, Vec<ServiceContainer>) {
                 clock: clock.clone(),
                 sent: sent.clone(),
             };
-            let config = ContainerConfig::new("actor", NodeId(n));
+            let mut config = ContainerConfig::new("actor", NodeId(n));
+            if untraced == Some(n) {
+                config.trace_capacity = 0;
+            }
             let mut c = ServiceContainer::new(config, Box::new(transport));
             let rng = seed ^ u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             c.add_service(Box::new(Actor { node: n, rng })).unwrap();
@@ -200,7 +204,7 @@ fn messages(datagram: &Bytes) -> Vec<Message> {
 
 #[test]
 fn every_datagram_obeys_the_staging_rules() {
-    let (sent, nodes) = run(0x5EED_1107, 600);
+    let (sent, nodes) = run(0x5EED_1107, 600, None);
     let mtu = 1500;
 
     let mut frame_count = 0usize;
@@ -292,12 +296,69 @@ fn every_datagram_obeys_the_staging_rules() {
 
 #[test]
 fn same_seed_sends_the_same_datagrams() {
-    let (first, _) = run(0x5EED_2903, 300);
-    let (second, _) = run(0x5EED_2903, 300);
+    let (first, _) = run(0x5EED_2903, 300, None);
+    let (second, _) = run(0x5EED_2903, 300, None);
     assert!(first.len() > 500, "{} datagrams", first.len());
     assert_eq!(first, second);
-    let (other, _) = run(0x5EED_2904, 300);
+    let (other, _) = run(0x5EED_2904, 300, None);
     assert_ne!(first, other, "the seed does not reach the script");
+}
+
+/// The trace counters a datagram carries, by message kind: on samples,
+/// events and requests, and on every one a reliable envelope or a data
+/// shard wraps. A reply's counter is the caller's, so replies are left out.
+fn trace_counters(datagram: &Bytes) -> Vec<(MessageKind, u64)> {
+    fn walk(m: Message, out: &mut Vec<(MessageKind, u64)>) {
+        let kind = m.kind();
+        match m {
+            Message::VarSample { trace, .. }
+            | Message::EventData { trace, .. }
+            | Message::CallRequest { trace, .. } => out.push((kind, trace)),
+            Message::RelData { payload, .. } => {
+                walk(Message::decode_tagged(&payload).unwrap(), out)
+            }
+            Message::FecShard { index, payload, .. } if index & PARITY_INDEX_BIT == 0 => {
+                walk(Message::decode_tagged(&payload).unwrap(), out)
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    for m in messages(datagram) {
+        walk(m, &mut out);
+    }
+    out
+}
+
+/// A container whose recorder is off (`trace_capacity` 0) stamps trace
+/// counter 0 on everything it originates and records nothing — no ring,
+/// no latency histogram — while its traced peers do both.
+#[test]
+fn a_node_without_a_recorder_sends_no_trace_ids_and_records_nothing() {
+    let (sent, nodes) = run(0x5EED_1107, 300, Some(1));
+    let mut counters: BTreeMap<(u32, MessageKind), (usize, usize)> = BTreeMap::new();
+    for s in &sent {
+        for (kind, trace) in trace_counters(&s.datagram) {
+            let (all, untraced) = counters.entry((s.node, kind)).or_default();
+            *all += 1;
+            *untraced += usize::from(trace == 0);
+        }
+    }
+    for kind in [MessageKind::VarSample, MessageKind::EventData, MessageKind::CallRequest] {
+        let (all, untraced) = counters[&(1, kind)];
+        assert!(all > 0 && untraced == all, "node 1 {kind:?}: {untraced} of {all} untraced");
+        let (all, untraced) = counters[&(2, kind)];
+        assert!(all > 0 && untraced == 0, "node 2 {kind:?}: {untraced} of {all} untraced");
+    }
+    let [quiet, traced, _] = [0, 1, 2].map(|i| (nodes[i].trace_ring(), nodes[i].stats()));
+    assert!(quiet.0.is_empty() && quiet.0.evicted() == 0, "{:?}", quiet.0);
+    assert!(!traced.0.is_empty());
+    let histograms = |s: &marea_core::ContainerStats| {
+        [s.publish_to_deliver, s.event_to_deliver, s.call_rtt].map(|h| h.count())
+    };
+    assert_eq!(histograms(&quiet.1), [0; 3]);
+    assert!(histograms(&traced.1).iter().all(|n| *n > 0), "{:?}", histograms(&traced.1));
+    assert!(quiet.1.var_samples_delivered > 0 && quiet.1.calls_made > 0, "{:?}", quiet.1);
 }
 
 /// Emits a burst of events every 5 ms: several data shards for the one

@@ -55,34 +55,6 @@ pub const MAX_SHARD_LEN: usize = 1200;
 /// retired (and their losses accounted) as new groups arrive.
 pub const DECODER_RING: usize = 4;
 
-/// Per-link FEC configuration (carried into the container config).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FecConfig {
-    /// Master switch; `false` behaves exactly like the pre-FEC stack.
-    pub enabled: bool,
-    /// Strongest rate this node is willing to run (advertised in `Hello`
-    /// as the capability; the negotiated rate is the weaker of the two
-    /// ends).
-    pub cap: FecRate,
-}
-
-impl Default for FecConfig {
-    fn default() -> Self {
-        FecConfig { enabled: true, cap: FecRate::Max }
-    }
-}
-
-impl FecConfig {
-    /// The capability advertised on the wire: `Off` when disabled.
-    pub fn advertised_cap(&self) -> FecRate {
-        if self.enabled {
-            self.cap
-        } else {
-            FecRate::Off
-        }
-    }
-}
-
 /// Sender-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FecTxStats {

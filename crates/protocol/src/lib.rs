@@ -43,7 +43,7 @@ mod time;
 
 pub use crc::crc32;
 pub use error::{FrameError, ProtocolError};
-pub use fec::{FecConfig, FecRate};
+pub use fec::FecRate;
 pub use frame::{
     frames, Frame, FrameHeader, Frames, FRAME_HEADER_LEN, LOAN_KEEP_BYTES, MAX_FRAME_PAYLOAD,
     PROTOCOL_VERSION,

@@ -12,6 +12,12 @@ use marea_flightsim::World;
 
 use crate::names::{self, Position};
 
+/// Publication period of `gps/position` (20 Hz).
+const PERIOD: ProtoDuration = ProtoDuration(50_000);
+
+/// How long a published fix stays valid.
+const VALIDITY: ProtoDuration = ProtoDuration(200_000);
+
 /// The simulated world shared by the airframe-facing services (GPS drives
 /// it forward; the camera reads it).
 pub type SharedWorld = Arc<Mutex<World>>;
@@ -26,8 +32,6 @@ pub type SharedWorld = Arc<Mutex<World>>;
 pub struct GpsService {
     world: SharedWorld,
     sensor: GpsSensor,
-    period: ProtoDuration,
-    validity: ProtoDuration,
     in_outage: bool,
     position: VarPort<Position>,
     fix_lost: EventPort<()>,
@@ -39,19 +43,10 @@ impl GpsService {
         GpsService {
             world,
             sensor: GpsSensor::new(seed),
-            period: ProtoDuration::from_millis(50), // 20 Hz
-            validity: ProtoDuration::from_millis(200),
             in_outage: false,
             position: names::position_port(),
             fix_lost: names::fix_lost_port(),
         }
-    }
-
-    /// Overrides the publication period (builder style).
-    #[must_use]
-    pub fn with_period(mut self, period: ProtoDuration) -> Self {
-        self.period = period;
-        self
     }
 
     /// A restart factory over the same shared world, for
@@ -61,23 +56,18 @@ impl GpsService {
     pub fn factory(world: SharedWorld, seed: u64) -> impl Fn() -> Box<dyn Service> + Send {
         move || Box::new(GpsService::new(world.clone(), seed)) as Box<dyn Service>
     }
-
-    /// Direct sensor access (tests inject outages).
-    pub fn sensor_mut(&mut self) -> &mut GpsSensor {
-        &mut self.sensor
-    }
 }
 
 impl Service for GpsService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("gps")
-            .provides_var(&self.position, VarQos::periodic(self.period, self.validity))
+            .provides_var(&self.position, VarQos::periodic(PERIOD, VALIDITY))
             .provides_event(&self.fix_lost)
             .build()
     }
 
     fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
-        ctx.set_timer(self.period, Some(self.period));
+        ctx.set_timer(PERIOD, Some(PERIOD));
         ctx.log("gps: started");
     }
 

@@ -11,6 +11,10 @@ use marea_presentation::{Name, Value};
 
 use crate::names::{self, Detection, McStatus, Position};
 
+/// Display one position line out of every `DECIMATE` fixes (20 Hz
+/// telemetry would scroll a real console unreadably).
+const DECIMATE: u64 = 20;
+
 /// The operator's console feed: a shareable, append-only line buffer.
 pub type Display = Arc<Mutex<Vec<String>>>;
 
@@ -23,9 +27,6 @@ pub type Display = Arc<Mutex<Vec<String>>>;
 pub struct GroundStationService {
     display: Display,
     positions_seen: u64,
-    /// Display one position line out of every `decimate` fixes (20 Hz
-    /// telemetry would scroll a real console unreadably).
-    decimate: u64,
     position: VarPort<Position>,
     mc_status: VarPort<McStatus>,
     photo_request: EventPort<u32>,
@@ -41,7 +42,6 @@ impl GroundStationService {
         GroundStationService {
             display,
             positions_seen: 0,
-            decimate: 20,
             position: names::position_port(),
             mc_status: names::mc_status_port(),
             photo_request: names::photo_request_port(),
@@ -56,13 +56,6 @@ impl GroundStationService {
     /// resumes the terminal feed where the operator left off.
     pub fn factory(display: Display) -> impl Fn() -> Box<dyn Service> + Send {
         move || Box::new(GroundStationService::new(display.clone())) as Box<dyn Service>
-    }
-
-    /// Shows every n-th position (builder style).
-    #[must_use]
-    pub fn with_decimation(mut self, decimate: u64) -> Self {
-        self.decimate = decimate.max(1);
-        self
     }
 
     fn show(&self, now: Micros, line: impl AsRef<str>) {
@@ -100,7 +93,7 @@ impl Service for GroundStationService {
     ) {
         if self.position.matches(name) {
             self.positions_seen += 1;
-            if self.positions_seen.is_multiple_of(self.decimate) {
+            if self.positions_seen.is_multiple_of(DECIMATE) {
                 if let Ok(Position { lat, lon, alt, heading, speed }) = self.position.decode(value)
                 {
                     self.show(

@@ -6,6 +6,11 @@ use marea_flightsim::Frame;
 use crate::detect::detect_blobs;
 use crate::names::{self, Detection};
 
+/// Detection tuning for the synthetic terrain's hot targets: pixels
+/// brighter than `THRESHOLD`, in regions of at least `MIN_PIXELS`.
+const THRESHOLD: u8 = 200;
+const MIN_PIXELS: u32 = 4;
+
 /// Runs target detection on every photo revision it receives and emits
 /// `video/target-detected` when something is found.
 ///
@@ -14,32 +19,17 @@ use crate::names::{self, Detection};
 /// > characteristics in the image it can notify the GS and MC."* — paper §5
 #[derive(Debug)]
 pub struct VideoProcessingService {
-    threshold: u8,
-    min_pixels: u32,
     frames_processed: u32,
-    detections: u32,
     target_detected: EventPort<Detection>,
 }
 
 impl VideoProcessingService {
-    /// Creates a detector with the default tuning for the synthetic
-    /// terrain's hot targets.
+    /// Creates the detector.
     pub fn new() -> Self {
         VideoProcessingService {
-            threshold: 200,
-            min_pixels: 4,
             frames_processed: 0,
-            detections: 0,
             target_detected: names::target_detected_port(),
         }
-    }
-
-    /// Overrides detection tuning (builder style).
-    #[must_use]
-    pub fn with_tuning(mut self, threshold: u8, min_pixels: u32) -> Self {
-        self.threshold = threshold;
-        self.min_pixels = min_pixels;
-        self
     }
 
     /// Frames processed so far.
@@ -69,10 +59,9 @@ impl Service for VideoProcessingService {
             return;
         };
         self.frames_processed += 1;
-        let blobs = detect_blobs(&frame, self.threshold, self.min_pixels);
+        let blobs = detect_blobs(&frame, THRESHOLD, MIN_PIXELS);
         ctx.log(format!("video: rev {} processed, {} target(s) found", revision, blobs.len()));
         if !blobs.is_empty() {
-            self.detections += 1;
             ctx.emit_to(
                 &self.target_detected,
                 Detection { revision: *revision, count: blobs.len() as u32 },
@@ -87,7 +76,7 @@ mod tests {
 
     #[test]
     fn descriptor_subscribes_to_photos() {
-        let v = VideoProcessingService::new().with_tuning(180, 2);
+        let v = VideoProcessingService::new();
         let d = v.descriptor();
         assert!(d.file_interests().iter().any(|i| i == names::FILE_PHOTO));
         assert!(d.provides().iter().any(|p| p.name() == names::EVT_TARGET_DETECTED));

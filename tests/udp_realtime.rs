@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use marea::core::{
-    CallError, CallHandle, Clock, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId,
+    CallError, CallHandle, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId,
     ProtoDuration, ProviderNotice, Service, ServiceContainer, ServiceContext, ServiceDescriptor,
     SystemClock, TimerId, TypedCallHandle, VarPort, VarQos,
 };
