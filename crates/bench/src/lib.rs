@@ -17,7 +17,7 @@ mod fixtures;
 pub mod loadtest;
 mod tcpish;
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use bytes::Bytes;
 
@@ -664,13 +664,8 @@ pub struct QosPriorityResult {
     pub queue_drops: u64,
 }
 
-fn bulk_event_port() -> EventPort<u32> {
-    EventPort::new("bench/bulk")
-}
-
-fn critical_event_port() -> EventPort<u64> {
-    EventPort::new("bench/critical")
-}
+static BULK: LazyLock<EventPort<u32>> = LazyLock::new(|| EventPort::new("bench/bulk"));
+static CRITICAL: LazyLock<EventPort<u64>> = LazyLock::new(|| EventPort::new("bench/critical"));
 
 /// Subscribes to both channels; the bulk subscription's contract is the
 /// experiment variable.
@@ -678,15 +673,13 @@ struct QosSink {
     bulk_qos: EventQos,
     critical_latencies: Arc<Mutex<Vec<u64>>>,
     bulk_seen: Arc<Mutex<u64>>,
-    bulk: EventPort<u32>,
-    critical: EventPort<u64>,
 }
 
 impl Service for QosSink {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("qos-sink")
-            .subscribe_to_event(&self.bulk, self.bulk_qos)
-            .subscribe_to_event(&self.critical, EventQos::default())
+            .subscribe_to_event(&BULK, self.bulk_qos)
+            .subscribe_to_event(&CRITICAL, EventQos::default())
             .build()
     }
     fn on_event(
@@ -696,12 +689,12 @@ impl Service for QosSink {
         _value: Option<&Value>,
         stamp: Micros,
     ) {
-        if self.critical.matches(name) {
+        if CRITICAL.matches(name) {
             self.critical_latencies
                 .lock()
                 .unwrap()
                 .push(ctx.now().saturating_since(stamp).as_micros());
-        } else if self.bulk.matches(name) {
+        } else if BULK.matches(name) {
             *self.bulk_seen.lock().unwrap() += 1;
         }
     }
@@ -731,9 +724,9 @@ pub fn bench_qos_priority(
         NodeId(1),
         Box::new(LoadedPublisher {
             service: "qos-loaded",
-            storm: Storm::Events(bulk_event_port()),
+            storm: Storm::Events(BULK.clone()),
             per_tick: bulk_per_tick,
-            critical: critical_event_port(),
+            critical: CRITICAL.clone(),
             remaining: n_critical,
         }),
     );
@@ -745,8 +738,6 @@ pub fn bench_qos_priority(
             bulk_qos,
             critical_latencies: critical_latencies.clone(),
             bulk_seen: bulk_seen.clone(),
-            bulk: bulk_event_port(),
-            critical: critical_event_port(),
         }),
     );
     h.start_all();
@@ -830,33 +821,24 @@ pub struct FailoverResult {
     pub failovers: u64,
 }
 
-/// The port both sides of the C6 contract are built from.
-fn who_port() -> FnPort<(), u32> {
-    FnPort::new("bench/who")
-}
+/// The port both sides of the C6 contract declare.
+static WHO: LazyLock<FnPort<(), u32>> = LazyLock::new(|| FnPort::new("bench/who"));
 
 type FailoverOutcomes = Arc<Mutex<Vec<(u64, Result<u32, String>)>>>;
 
 struct FailoverCaller {
     outcomes: FailoverOutcomes,
-    who: FnPort<(), u32>,
-}
-
-impl FailoverCaller {
-    fn new(outcomes: FailoverOutcomes) -> Self {
-        FailoverCaller { outcomes, who: who_port() }
-    }
 }
 
 impl Service for FailoverCaller {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("focaller").requires_fn(&self.who).build()
+        ServiceDescriptor::builder("focaller").requires_fn(&WHO).build()
     }
     fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
         ctx.set_timer(ProtoDuration::from_millis(50), Some(ProtoDuration::from_millis(50)));
     }
     fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
-        ctx.call_fn_with(&self.who, (), CallOptions::default().pinned(NodeId(2)));
+        ctx.call_fn_with(&WHO, (), CallOptions::default().pinned(NodeId(2)));
     }
     fn on_reply(
         &mut self,
@@ -873,18 +855,11 @@ impl Service for FailoverCaller {
 
 struct WhoAmI {
     node: u32,
-    port: FnPort<(), u32>,
-}
-
-impl WhoAmI {
-    fn new(node: u32) -> Self {
-        WhoAmI { node, port: who_port() }
-    }
 }
 
 impl Service for WhoAmI {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("who").provides_fn(&self.port).build()
+        ServiceDescriptor::builder("who").provides_fn(&WHO).build()
     }
     fn on_call(
         &mut self,
@@ -892,7 +867,7 @@ impl Service for WhoAmI {
         _f: &Name,
         _a: &[Value],
     ) -> Result<Value, String> {
-        Ok(self.port.encode_ret(self.node))
+        Ok(WHO.encode_ret(self.node))
     }
 }
 
@@ -903,9 +878,9 @@ pub fn bench_failover(seed: u64) -> FailoverResult {
     h.add_container(ContainerConfig::new("primary", NodeId(2)));
     h.add_container(ContainerConfig::new("backup", NodeId(3)));
     let outcomes = Arc::new(Mutex::new(Vec::new()));
-    h.add_service(NodeId(1), Box::new(FailoverCaller::new(outcomes.clone())));
-    h.add_service(NodeId(2), Box::new(WhoAmI::new(2)));
-    h.add_service(NodeId(3), Box::new(WhoAmI::new(3)));
+    h.add_service(NodeId(1), Box::new(FailoverCaller { outcomes: outcomes.clone() }));
+    h.add_service(NodeId(2), Box::new(WhoAmI { node: 2 }));
+    h.add_service(NodeId(3), Box::new(WhoAmI { node: 3 }));
     h.start_all();
     h.run_for_millis(2_000);
     let crash_at = h.now().as_millis();

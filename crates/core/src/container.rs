@@ -289,7 +289,6 @@ enum Ran {
         trace: TraceId,
         result: Result<Value, String>,
     },
-    FileBypass,
     Other,
 }
 
@@ -1573,11 +1572,6 @@ impl ServiceContainer {
                 service.on_file_event(&mut ctx, &ev);
                 Ran::Other
             }
-            TaskPayload::FileBypass { resource, revision, data } => {
-                let received = FileEvent::Received { resource, revision, data };
-                service.on_file_event(&mut ctx, &received);
-                Ran::FileBypass
-            }
             TaskPayload::Provider(notice) => {
                 service.on_provider_change(&mut ctx, &notice);
                 Ran::Other
@@ -1629,7 +1623,6 @@ impl ServiceContainer {
                 self.stats.calls_served += 1;
                 self.finish_call(request, caller, &function, result, trace, now);
             }
-            Ran::FileBypass => self.stats.file_bypass_deliveries += 1,
             Ran::Start | Ran::Other => {}
         }
         self.apply_effects(seq, &mut effects, now);
@@ -1835,10 +1828,15 @@ impl ServiceContainer {
         self.rpc.track(handle.0, call);
     }
 
+    /// Hands the revision just published to the same node's subscribers
+    /// as received, without the network; each one queued counts as a
+    /// bypass delivery.
     fn local_file_bypass(&mut self, resource: &Name) {
         let Some((revision, data, services)) = self.files.local_bypass(resource) else { return };
-        let bypass = |(resource, data)| TaskPayload::FileBypass { resource, revision, data };
-        self.tasks.fan_out(Priority::FILE, services, (resource.clone(), data), bypass);
+        self.stats.file_bypass_deliveries += services.len() as u64;
+        let received =
+            |(resource, data)| TaskPayload::File(FileEvent::Received { resource, revision, data });
+        self.tasks.fan_out(Priority::FILE, services, (resource.clone(), data), received);
     }
 
     // ---- output helpers -----------------------------------------------------

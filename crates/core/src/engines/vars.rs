@@ -838,13 +838,17 @@ mod tests {
     /// sample is never kept, at any depth. A fixed vector of scalars is.
     #[test]
     fn only_fixed_size_values_are_kept_as_spares() {
-        let tagged = StructType::new("Tagged").with_field("k", DataType::U64).unwrap();
+        let tagged = StructType::new("Tagged")
+            .with_field("k", DataType::U64)
+            .unwrap()
+            .with_field("tag", DataType::Str)
+            .unwrap();
         let cases = [
             (DataType::Str, Value::Str("abc".into()), false),
             (DataType::Bytes, Value::Bytes(vec![1; 64]), false),
             (
-                DataType::Struct(tagged.clone().with_field("tag", DataType::Str).unwrap()),
-                Value::struct_of("Tagged").field("k", 1u64).field("tag", "x").build().unwrap(),
+                DataType::Struct(tagged.clone()),
+                Value::Struct(StructValue::for_type(&tagged, [1u64.into(), "x".into()])),
                 false,
             ),
             (

@@ -21,8 +21,8 @@
 //! * nodes are visited in sorted `NodeId` order and links in sorted
 //!   `(src, dst)` order, so the same seed reproduces the same timeline
 //!   byte for byte;
-//! * rendering ([`MetricsSampler::to_jsonl`] / [`to_json`]) happens at
-//!   dump time, never at sample time, and formats integers only.
+//! * rendering ([`MetricsSampler::to_jsonl`], the one export form) happens
+//!   at dump time, never at sample time, and formats integers only.
 //!
 //! A frame is `{at, sample, node}` plus [`ContainerStats::since`] the
 //! node's previous sample — the counter list in `stats.rs` is the frame
@@ -33,8 +33,6 @@
 //! p50/p99/p999 bounds of the latency observed **within the sample
 //! window** (bucket-wise difference). The timeline is bounded: once
 //! `capacity` frames are held, the oldest are evicted and counted.
-//!
-//! [`to_json`]: MetricsSampler::to_json
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -253,36 +251,6 @@ impl MetricsSampler {
         out.push('\n');
         out
     }
-
-    /// Renders the timeline as one JSON document with `frames`,
-    /// `links` and eviction counters. Byte-deterministic.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.frames.len() * 256 + self.links.len() * 96 + 128);
-        out.push_str("{\n  \"frames\": [\n");
-        for (i, f) in self.frames.iter().enumerate() {
-            out.push_str("    ");
-            frame_json(&mut out, f);
-            if i + 1 < self.frames.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"links\": [\n");
-        for (i, l) in self.links.iter().enumerate() {
-            out.push_str("    ");
-            link_json(&mut out, l);
-            if i + 1 < self.links.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"samples\": {},\n  \"evicted_frames\": {},\n  \"evicted_links\": {}\n}}\n",
-            self.sample, self.evicted_frames, self.evicted_links,
-        );
-        out
-    }
 }
 
 /// One member per counter the [`ContainerStats`] schema walks, keyed
@@ -405,8 +373,5 @@ mod tests {
         assert!(a.contains("\"call_rtt.p999_us\":null"));
         assert!(a.contains("\"kind\":\"link\""));
         assert!(a.ends_with("\"evicted_links\":0}\n"));
-        let doc = s.to_json();
-        assert!(doc.contains("\"frames\": ["));
-        assert!(doc.contains("\"samples\": 1"));
     }
 }

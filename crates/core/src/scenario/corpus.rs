@@ -16,7 +16,7 @@
 //! exercise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use marea_netsim::{LinkConfig, NetConfig};
 use marea_presentation::{Name, Value};
@@ -144,9 +144,9 @@ impl ChaosRun {
 
 // ---- probe services -------------------------------------------------------
 
-const TELEMETRY: &str = "chaos/telemetry";
-const BULK: &str = "chaos/bulk";
-const ECHO: &str = "chaos/echo";
+static TELEMETRY: LazyLock<VarPort<u64>> = LazyLock::new(|| VarPort::new("chaos/telemetry"));
+static BULK: LazyLock<EventPort<u64>> = LazyLock::new(|| EventPort::new("chaos/bulk"));
+static ECHO: LazyLock<FnPort<(u64,), u64>> = LazyLock::new(|| FnPort::new("chaos/echo"));
 const VAR_PERIOD_MS: u64 = 20;
 const VAR_VALIDITY_MS: u64 = 100;
 
@@ -158,20 +158,14 @@ fn telemetry_qos() -> VarQos {
 }
 
 /// Publishes `chaos/telemetry` every 20 ms.
+#[derive(Default)]
 struct Beacon {
-    port: VarPort<u64>,
     count: u64,
-}
-
-impl Beacon {
-    fn new() -> Self {
-        Beacon { port: VarPort::new(TELEMETRY), count: 0 }
-    }
 }
 
 impl Service for Beacon {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("beacon").provides_var(&self.port, telemetry_qos()).build()
+        ServiceDescriptor::builder("beacon").provides_var(&TELEMETRY, telemetry_qos()).build()
     }
     fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
         let p = ProtoDuration::from_millis(VAR_PERIOD_MS);
@@ -179,7 +173,7 @@ impl Service for Beacon {
     }
     fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
         self.count += 1;
-        ctx.publish_to(&self.port, self.count);
+        ctx.publish_to(&TELEMETRY, self.count);
     }
 }
 
@@ -187,21 +181,14 @@ impl Service for Beacon {
 struct Sink {
     probes: ChaosProbes,
     bulk: bool,
-    port: VarPort<u64>,
-}
-
-impl Sink {
-    fn new(probes: ChaosProbes, bulk: bool) -> Self {
-        Sink { probes, bulk, port: VarPort::new(TELEMETRY) }
-    }
 }
 
 impl Service for Sink {
     fn descriptor(&self) -> ServiceDescriptor {
         let mut b = ServiceDescriptor::builder("sink");
-        b.subscribe_to_var(&self.port, telemetry_qos().with_initial());
+        b.subscribe_to_var(&TELEMETRY, telemetry_qos().with_initial());
         if self.bulk {
-            b.subscribe_event(BULK, EventQos::bulk().with_queue_bound(32));
+            b.subscribe_to_event(&BULK, EventQos::bulk().with_queue_bound(32));
         }
         b.build()
     }
@@ -223,18 +210,11 @@ impl Service for Sink {
 /// Answers `chaos/echo(x) = x + node` so callers can tell providers apart.
 struct Echo {
     node: u64,
-    port: FnPort<(u64,), u64>,
-}
-
-impl Echo {
-    fn new(node: u64) -> Self {
-        Echo { node, port: FnPort::new(ECHO) }
-    }
 }
 
 impl Service for Echo {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("echo").provides_fn(&self.port).build()
+        ServiceDescriptor::builder("echo").provides_fn(&ECHO).build()
     }
     fn on_call(
         &mut self,
@@ -243,28 +223,27 @@ impl Service for Echo {
         args: &[Value],
     ) -> Result<Value, String> {
         let x = args.first().and_then(Value::as_u64).unwrap_or(0);
-        Ok(self.port.encode_ret(x + self.node))
+        Ok(ECHO.encode_ret(x + self.node))
     }
 }
 
 /// Calls `chaos/echo` every 100 ms once a provider is resolvable.
 struct Caller {
     probes: ChaosProbes,
-    port: FnPort<(u64,), u64>,
     armed: bool,
     n: u64,
 }
 
 impl Caller {
     fn new(probes: ChaosProbes) -> Self {
-        Caller { probes, port: FnPort::new(ECHO), armed: false, n: 0 }
+        Caller { probes, armed: false, n: 0 }
     }
 }
 
 impl Service for Caller {
     fn descriptor(&self) -> ServiceDescriptor {
         let mut b = ServiceDescriptor::builder("caller");
-        b.requires_fn(&self.port);
+        b.requires_fn(&ECHO);
         b.build()
     }
     fn on_provider_change(&mut self, ctx: &mut ServiceContext<'_>, notice: &ProviderNotice) {
@@ -276,7 +255,7 @@ impl Service for Caller {
     }
     fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
         self.n += 1;
-        ctx.call_fn(&self.port, (self.n,));
+        ctx.call_fn(&ECHO, (self.n,));
     }
     fn on_reply(
         &mut self,
@@ -297,20 +276,14 @@ impl Service for Caller {
 }
 
 /// Emits a burst of bulk events every 10 ms.
+#[derive(Default)]
 struct Flooder {
-    port: EventPort<u64>,
     k: u64,
-}
-
-impl Flooder {
-    fn new() -> Self {
-        Flooder { port: EventPort::new(BULK), k: 0 }
-    }
 }
 
 impl Service for Flooder {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("flooder").provides_event(&self.port).build()
+        ServiceDescriptor::builder("flooder").provides_event(&BULK).build()
     }
     fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
         let p = ProtoDuration::from_millis(10);
@@ -319,7 +292,7 @@ impl Service for Flooder {
     fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
         for _ in 0..8 {
             self.k += 1;
-            ctx.emit_to(&self.port, self.k);
+            ctx.emit_to(&BULK, self.k);
         }
     }
 }
@@ -351,9 +324,9 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             h.add_container(cfg.container("uav", NodeId(2)));
             let p = probes.clone();
             h.add_service_factory(NodeId(1), move || {
-                Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
             });
-            h.add_service_factory(NodeId(2), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(2), || Box::new(Beacon::default()) as Box<dyn Service>);
             h.start_all();
             let schedule = FaultSchedule::new()
                 .partition(ProtoDuration::from_millis(hold), NodeId(1), NodeId(2))
@@ -371,11 +344,11 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             for i in 1..=4u32 {
                 h.add_container(cfg.container("swarm", NodeId(i)));
             }
-            h.add_service_factory(NodeId(1), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(1), || Box::new(Beacon::default()) as Box<dyn Service>);
             for i in [2u32, 3, 4] {
                 let p = probes.clone();
                 h.add_service_factory(NodeId(i), move || {
-                    Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                    Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
                 });
             }
             h.start_all();
@@ -397,11 +370,11 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             for i in 1..=16u32 {
                 h.add_container(cfg.container("swarm", NodeId(i)));
             }
-            h.add_service_factory(NodeId(1), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(1), || Box::new(Beacon::default()) as Box<dyn Service>);
             for i in 2..=16u32 {
                 let p = probes.clone();
                 h.add_service_factory(NodeId(i), move || {
-                    Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                    Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
                 });
             }
             h.start_all();
@@ -427,9 +400,9 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             h.add_container(cfg.container("uav", NodeId(2)));
             let p = probes.clone();
             h.add_service_factory(NodeId(1), move || {
-                Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
             });
-            h.add_service_factory(NodeId(2), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(2), || Box::new(Beacon::default()) as Box<dyn Service>);
             h.start_all();
             let calm = LinkConfig::default();
             let storm =
@@ -457,12 +430,12 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             });
             let p = probes.clone();
             h.add_service_factory(NodeId(1), move || {
-                Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
             });
-            h.add_service_factory(NodeId(2), || Box::new(Echo::new(2)) as Box<dyn Service>);
-            h.add_service_factory(NodeId(2), || Box::new(Beacon::new()) as Box<dyn Service>);
-            h.add_service_factory(NodeId(3), || Box::new(Echo::new(3)) as Box<dyn Service>);
-            h.add_service_factory(NodeId(3), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(2), || Box::new(Echo { node: 2 }) as Box<dyn Service>);
+            h.add_service_factory(NodeId(2), || Box::new(Beacon::default()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(3), || Box::new(Echo { node: 3 }) as Box<dyn Service>);
+            h.add_service_factory(NodeId(3), || Box::new(Beacon::default()) as Box<dyn Service>);
             h.start_all();
             let schedule = FaultSchedule::new()
                 .crash(ProtoDuration::from_millis(2 * hold), NodeId(2))
@@ -497,10 +470,10 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             h.add_container(cfg.container("relay", NodeId(3)));
             let p = probes.clone();
             h.add_service_factory(NodeId(1), move || {
-                Box::new(Sink::new(p.clone(), true)) as Box<dyn Service>
+                Box::new(Sink { probes: p.clone(), bulk: true }) as Box<dyn Service>
             });
-            h.add_service_factory(NodeId(2), || Box::new(Flooder::new()) as Box<dyn Service>);
-            h.add_service_factory(NodeId(3), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(2), || Box::new(Flooder::default()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(3), || Box::new(Beacon::default()) as Box<dyn Service>);
             h.start_all();
             let schedule = FaultSchedule::new()
                 .partition(ProtoDuration::from_millis(hold), NodeId(1), NodeId(2))
@@ -529,11 +502,11 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             for i in 1..=1024u32 {
                 h.add_container(swarm.container("swarm", NodeId(i)));
             }
-            h.add_service_factory(NodeId(1), || Box::new(Beacon::new()) as Box<dyn Service>);
+            h.add_service_factory(NodeId(1), || Box::new(Beacon::default()) as Box<dyn Service>);
             for i in 2..=9u32 {
                 let p = probes.clone();
                 h.add_service_factory(NodeId(i), move || {
-                    Box::new(Sink::new(p.clone(), false)) as Box<dyn Service>
+                    Box::new(Sink { probes: p.clone(), bulk: false }) as Box<dyn Service>
                 });
             }
             h.start_all();

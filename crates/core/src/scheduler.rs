@@ -16,8 +16,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use marea_presentation::{Name, Value};
 use marea_protocol::{Micros, NodeId, RequestId};
 
@@ -130,16 +128,6 @@ pub enum TaskPayload {
     Timer {
         /// The timer that fired.
         id: TimerId,
-    },
-    /// Deliver raw bytes of a completed same-node file bypass (kept as a
-    /// separate variant so the bypass path is observable in tests).
-    FileBypass {
-        /// Resource name.
-        resource: Name,
-        /// Revision delivered.
-        revision: u32,
-        /// File content.
-        data: Bytes,
     },
 }
 

@@ -6,7 +6,7 @@ use marea_core::metrics::MetricsConfig;
 use marea_core::scenario::corpus;
 use marea_core::{ContainerStats, LatencySummary, ProtoDuration, Stat};
 
-fn timeline_of(name: &str, seed: u64) -> (String, String, u64) {
+fn timeline_of(name: &str, seed: u64) -> (String, u64) {
     let mut chaos =
         corpus::build(name, &corpus::ScenarioConfig::quick(seed)).expect("known corpus scenario");
     chaos
@@ -17,22 +17,20 @@ fn timeline_of(name: &str, seed: u64) -> (String, String, u64) {
     assert!(report.passed(), "`{name}`: {:#?}", report.violations);
     let h = chaos.runner.into_harness();
     let sampler = h.metrics().expect("sampler enabled");
-    (sampler.to_jsonl(), sampler.to_json(), sampler.samples())
+    (sampler.to_jsonl(), sampler.samples())
 }
 
-/// Same seed ⇒ byte-identical timeline, for both renderings, on two
-/// corpus scenarios with very different failure modes (a clean loss
-/// ramp and a crash/failover script).
+/// Same seed ⇒ byte-identical timeline on two corpus scenarios with very
+/// different failure modes (a clean loss ramp and a crash/failover script).
 #[test]
 fn same_seed_timeline_is_byte_identical_across_corpus_scenarios() {
     let mut timelines = Vec::new();
     for name in ["radio_degradation_ramp", "publisher_failover"] {
-        let (jsonl_a, json_a, samples_a) = timeline_of(name, 42);
-        let (jsonl_b, json_b, samples_b) = timeline_of(name, 42);
+        let (jsonl_a, samples_a) = timeline_of(name, 42);
+        let (jsonl_b, samples_b) = timeline_of(name, 42);
         assert!(samples_a > 0, "`{name}`: the sampler must have fired");
         assert_eq!(samples_a, samples_b, "`{name}`: same sample count");
         assert_eq!(jsonl_a, jsonl_b, "`{name}`: same seed, same JSONL bytes");
-        assert_eq!(json_a, json_b, "`{name}`: same seed, same JSON bytes");
         timelines.push(jsonl_a);
     }
     // The two scenarios produce genuinely different timelines, so the
@@ -44,11 +42,10 @@ fn same_seed_timeline_is_byte_identical_across_corpus_scenarios() {
 /// frames for every container and non-zero delivery deltas somewhere.
 #[test]
 fn corpus_timeline_carries_per_node_activity() {
-    let (jsonl, json, _) = timeline_of("publisher_failover", 7);
+    let (jsonl, _) = timeline_of("publisher_failover", 7);
     assert!(jsonl.lines().count() > 3, "timeline has frames:\n{jsonl}");
     assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"node\"")), "node frames present");
     assert!(jsonl.lines().last().unwrap().starts_with("{\"kind\":\"summary\""));
-    assert!(json.contains("\"frames\":"), "document form renders");
 }
 
 /// `ContainerStats` is the frame schema: every counter it declares —
@@ -56,7 +53,7 @@ fn corpus_timeline_carries_per_node_activity() {
 /// frame, so a counter added to `stats.rs` cannot miss the timeline.
 #[test]
 fn every_container_counter_is_a_key_of_a_node_frame() {
-    let (jsonl, _, _) = timeline_of("publisher_failover", 7);
+    let (jsonl, _) = timeline_of("publisher_failover", 7);
     let frame = jsonl.lines().find(|l| l.contains("\"kind\":\"node\"")).expect("a node frame");
     let mut keys = Vec::new();
     ContainerStats::<LatencySummary>::default().walk("", &mut |prefix, name, value| match value {

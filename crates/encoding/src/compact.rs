@@ -286,14 +286,13 @@ mod tests {
 
     #[test]
     fn struct_encoding_is_positional_and_tight() {
-        let ty = DataType::Struct(
-            StructType::new("Fix")
-                .with_field("lat", DataType::F64)
-                .unwrap()
-                .with_field("lon", DataType::F64)
-                .unwrap(),
-        );
-        let v = Value::struct_of("Fix").field("lat", 1.0).field("lon", 2.0).build().unwrap();
+        let fix = StructType::new("Fix")
+            .with_field("lat", DataType::F64)
+            .unwrap()
+            .with_field("lon", DataType::F64)
+            .unwrap();
+        let v = Value::Struct(StructValue::for_type(&fix, [1.0.into(), 2.0.into()]));
+        let ty = DataType::Struct(fix);
         let bytes = codec().encode_to_vec(&v, &ty).unwrap();
         assert_eq!(bytes.len(), 16, "no tags, no names: exactly two f64");
         assert_eq!(roundtrip(&v, &ty), v);
@@ -322,7 +321,7 @@ mod tests {
             .with_alternative("msg", DataType::Str)
             .unwrap();
         let ty = DataType::Union(ut.clone());
-        let v = Value::Union(UnionValue::for_type(&ut, "msg", "low fuel").unwrap());
+        let v = Value::Union(UnionValue::for_discriminant(&ut, 1, "low fuel").unwrap());
         assert_eq!(roundtrip(&v, &ty), v);
     }
 
@@ -345,8 +344,9 @@ mod tests {
 
     #[test]
     fn truncated_input_is_rejected() {
-        let ty = DataType::Struct(StructType::new("P").with_field("x", DataType::F64).unwrap());
-        let v = Value::struct_of("P").field("x", 9.0).build().unwrap();
+        let p = StructType::new("P").with_field("x", DataType::F64).unwrap();
+        let v = Value::Struct(StructValue::for_type(&p, [9.0.into()]));
+        let ty = DataType::Struct(p);
         let bytes = codec().encode_to_vec(&v, &ty).unwrap();
         assert!(matches!(codec().decode(&bytes[..4], &ty), Err(DecodeError::UnexpectedEof { .. })));
     }
@@ -391,8 +391,8 @@ mod tests {
             Value::Struct(StructValue::for_type(&fix, [lat.into(), tag.into()]))
         };
         let items = vec![
-            fix_val(1.5, UnionValue::for_type(&alarm, "engine", 9u8).unwrap()),
-            fix_val(-2.5, UnionValue::for_type(&alarm, "msg", "low fuel").unwrap()),
+            fix_val(1.5, UnionValue::for_discriminant(&alarm, 0, 9u8).unwrap()),
+            fix_val(-2.5, UnionValue::for_discriminant(&alarm, 1, "low fuel").unwrap()),
         ];
         let fixes = VectorValue::new(fixes.elem().clone(), items).unwrap();
         Value::Struct(StructValue::for_type(&track, [7u16.into(), fixes.into()]))
@@ -427,12 +427,13 @@ mod tests {
 
     proptest::proptest! {
         /// A value that shares its schema's name blocks and the same value
-        /// rebuilt field by field are one value on the wire.
+        /// made from equal types of its own are one value on the wire.
         #[test]
         fn both_forms_of_a_value_encode_alike(
             (ty, shared) in marea_presentation::testkit::arb_typed_value(3),
         ) {
-            let rebuilt = marea_presentation::testkit::by_name(&shared);
+            let rebuilt = marea_presentation::testkit::unshared(&ty, &shared);
+            proptest::prop_assert!(!marea_presentation::testkit::shares_a_block(&ty, &rebuilt));
             let bytes = codec().encode_to_vec(&shared, &ty).unwrap();
             proptest::prop_assert_eq!(&codec().encode_to_vec(&rebuilt, &ty).unwrap(), &bytes);
             proptest::prop_assert_eq!(codec().decode(&bytes, &ty).unwrap(), rebuilt);
@@ -460,15 +461,15 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Decoding `b` over a decoded `a` — reused in place, or rebuilt by
-        /// name and so replaced — answers what decoding `b` fresh answers,
+        /// Decoding `b` over a decoded `a` — reused in place, or made from
+        /// equal types of its own and so replaced — answers what decoding `b` fresh answers,
         /// and it re-encodes to `b`'s bytes.
         #[test]
         fn decode_into_equals_a_fresh_decode((ty, a, b) in arb_two_values()) {
             let (a_bytes, b_bytes) =
                 (codec().encode_to_vec(&a, &ty).unwrap(), codec().encode_to_vec(&b, &ty).unwrap());
             let shared = codec().decode(&a_bytes, &ty).unwrap();
-            for target in [marea_presentation::testkit::by_name(&shared), shared] {
+            for target in [marea_presentation::testkit::unshared(&ty, &shared), shared] {
                 let (into, fresh) = both_decodes(&b_bytes, &ty, target);
                 let into = into.unwrap();
                 proptest::prop_assert_eq!(&into, &fresh.unwrap());

@@ -23,13 +23,15 @@
 //!
 //! ```
 //! use marea_encoding::{Codec, CompactCodec};
-//! use marea_presentation::{DataType, StructType, Value};
+//! use marea_presentation::{record, HasDataType, IntoValue};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let ty = DataType::Struct(StructType::new("Fix")
-//!     .with_field("lat", DataType::F64)?
-//!     .with_field("lon", DataType::F64)?);
-//! let v = Value::struct_of("Fix").field("lat", 41.3).field("lon", 2.1).build()?;
+//! record! {
+//!     /// A geodetic fix: its schema and its values come from this one
+//!     /// declaration.
+//!     pub struct Fix { pub lat: f64, pub lon: f64 }
+//! }
+//! let (ty, v) = (Fix::data_type(), Fix { lat: 41.3, lon: 2.1 }.into_value());
 //!
 //! let codec = CompactCodec;
 //! let bytes = codec.encode_to_vec(&v, &ty)?;

@@ -85,7 +85,7 @@ impl Codec for SelfDescribingCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marea_presentation::StructType;
+    use marea_presentation::{StructType, StructValue};
 
     fn fix_ty() -> DataType {
         DataType::Struct(
@@ -98,7 +98,8 @@ mod tests {
     }
 
     fn fix_val() -> Value {
-        Value::struct_of("Fix").field("lat", 41.3).field("lon", 2.1).build().unwrap()
+        let DataType::Struct(fix) = fix_ty() else { unreachable!() };
+        Value::Struct(StructValue::for_type(&fix, [41.3.into(), 2.1.into()]))
     }
 
     #[test]

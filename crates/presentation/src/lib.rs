@@ -20,24 +20,22 @@
 //! ## Example
 //!
 //! ```
-//! use marea_presentation::{DataType, StructType, Value};
+//! use marea_presentation::{DataType, StructType, StructValue, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Schema of the GPS `position` variable from the paper's Fig. 3 scenario.
-//! let position_ty = DataType::Struct(StructType::new("Position")
+//! let position = StructType::new("Position")
 //!     .with_field("lat", DataType::F64)?
 //!     .with_field("lon", DataType::F64)?
-//!     .with_field("alt", DataType::F32)?);
+//!     .with_field("alt", DataType::F32)?;
 //!
-//! let fix = Value::struct_of("Position")
-//!     .field("lat", 41.27641)
-//!     .field("lon", 1.98720)
-//!     .field("alt", 320.5f32)
-//!     .build()?;
+//! // A value is made from its schema: its field names are the schema's own.
+//! let values = [41.27641.into(), 1.98720.into(), 320.5f32.into()];
+//! let fix = Value::Struct(StructValue::for_type(&position, values));
 //!
-//! fix.conforms_to(&position_ty)?;
+//! fix.conforms_to(&DataType::Struct(position))?;
 //! let lat = fix.as_struct().and_then(|s| s.get("lat"));
-//! assert_eq!(lat.and_then(Value::as_f64), Some(41.27641));
+//! assert_eq!(lat, Some(&Value::F64(41.27641)));
 //! # Ok(())
 //! # }
 //! ```
@@ -67,4 +65,4 @@ pub use name::Name;
 #[doc(hidden)]
 pub use record::RecordFields as __RecordFields;
 pub use types::{DataType, FieldDef, StructType, TypeKind, UnionType, VectorType};
-pub use value::{StructBuilder, StructValue, UnionValue, Value, VectorValue};
+pub use value::{StructValue, UnionValue, Value, VectorValue};

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use crate::types::{DataType, StructType, UnionType, VectorType};
-use crate::value::{StructBuilder, StructValue, UnionValue, Value, VectorValue};
+use crate::value::{StructValue, UnionValue, Value, VectorValue};
 
 /// Strategy for valid MAREA names (short, lowercase).
 pub fn arb_name() -> impl Strategy<Value = String> {
@@ -74,8 +74,8 @@ pub fn arb_data_type(depth: u32) -> BoxedStrategy<DataType> {
 }
 
 /// Strategy for values conforming to a given data type. Struct values
-/// share their schema's names ([`StructValue::for_type`]), as decoded and
-/// `record!` values do; [`by_name`] gives the other form.
+/// share their schema's names ([`StructValue::for_type`]), as compact
+/// decoded and `record!` values do; [`unshared`] gives the other form.
 pub fn arb_value_of(ty: &DataType) -> BoxedStrategy<Value> {
     match ty {
         DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
@@ -117,16 +117,14 @@ pub fn arb_value_of(ty: &DataType) -> BoxedStrategy<Value> {
                 .boxed()
         }
         DataType::Union(ut) => {
-            let alts = ut.alternatives().to_vec();
-            assert!(!alts.is_empty(), "generated unions always have alternatives");
-            (0..alts.len())
+            let ut = ut.clone();
+            assert!(!ut.alternatives().is_empty(), "generated unions always have alternatives");
+            (0..ut.alternatives().len() as u32)
                 .prop_flat_map(move |i| {
-                    let alt = alts[i].clone();
-                    arb_value_of(alt.ty()).prop_map(move |v| {
-                        Value::Union(
-                            UnionValue::new(i as u32, alt.name().as_str(), v)
-                                .expect("valid alternative name"),
-                        )
+                    let ut = ut.clone();
+                    arb_value_of(ut.alternatives()[i as usize].ty()).prop_map(move |v| {
+                        let uv = UnionValue::for_discriminant(&ut, i, v);
+                        Value::Union(uv.expect("a declared alternative"))
                     })
                 })
                 .boxed()
@@ -144,24 +142,53 @@ pub fn arb_typed_value(depth: u32) -> BoxedStrategy<(DataType, Value)> {
         .boxed()
 }
 
-/// `value` with every struct in it rebuilt field by field through
-/// [`StructBuilder`]: equal to `value`, but no struct shares a name block
-/// with a schema.
-pub fn by_name(value: &Value) -> Value {
-    match value {
-        Value::Struct(sv) => sv
-            .fields()
-            .fold(StructBuilder::anonymous(), |b, (name, v)| b.field(name.as_str(), by_name(v)))
-            .build()
-            .expect("names of a struct value are valid and unique"),
-        Value::Vector(vv) => Value::Vector(
-            VectorValue::new(vv.elem_ty().clone(), vv.iter().map(by_name).collect())
-                .expect("rebuilt elements conform as the originals did"),
+/// `value`, a value of `ty`, in the form a self-describing decode gives:
+/// every struct type in `ty` rebuilt as an equal type with a name block of
+/// its own, and every struct in `value` made from its rebuilt type through
+/// [`StructValue::for_type`]. Equal to `value`, and no struct in it holds
+/// its schema's block ([`shares_a_block`] is `false`).
+pub fn unshared(ty: &DataType, value: &Value) -> Value {
+    match (ty, value) {
+        (DataType::Struct(st), Value::Struct(sv)) => {
+            let own = st.name().map_or_else(StructType::anonymous, |n| StructType::new(n.as_str()));
+            let own = st.fields().iter().fold(own, |own, f| {
+                own.with_field(f.name().as_str(), f.ty().clone()).expect("a schema's names")
+            });
+            let values = st.fields().iter().zip(sv.values()).map(|(f, v)| unshared(f.ty(), v));
+            Value::Struct(StructValue::for_type(&own, values))
+        }
+        (DataType::Vector(vt), Value::Vector(vv)) => Value::Vector(
+            VectorValue::new(
+                vv.elem_ty().clone(),
+                vv.iter().map(|v| unshared(vt.elem(), v)).collect(),
+            )
+            .expect("rebuilt elements conform as the originals did"),
         ),
-        Value::Union(uv) => Value::Union(
-            UnionValue::new(uv.discriminant(), uv.alternative(), by_name(uv.value()))
-                .expect("alternative of a union value is a valid name"),
-        ),
-        scalar => scalar.clone(),
+        (DataType::Union(ut), Value::Union(uv)) => {
+            let alt = &ut.alternatives()[uv.discriminant() as usize];
+            let uv =
+                UnionValue::for_discriminant(ut, uv.discriminant(), unshared(alt.ty(), uv.value()));
+            Value::Union(uv.expect("a declared alternative"))
+        }
+        (_, scalar) => scalar.clone(),
+    }
+}
+
+/// `true` when some struct in `value`, a value of `ty`, holds the name
+/// block of its type in `ty`.
+pub fn shares_a_block(ty: &DataType, value: &Value) -> bool {
+    match (ty, value) {
+        (DataType::Struct(st), Value::Struct(sv)) => {
+            sv.shares_names(st.names())
+                || st.fields().iter().zip(sv.values()).any(|(f, v)| shares_a_block(f.ty(), v))
+        }
+        (DataType::Vector(vt), Value::Vector(vv)) => {
+            vv.iter().any(|v| shares_a_block(vt.elem(), v))
+        }
+        (DataType::Union(ut), Value::Union(uv)) => ut
+            .alternatives()
+            .get(uv.discriminant() as usize)
+            .is_some_and(|alt| shares_a_block(alt.ty(), uv.value())),
+        _ => false,
     }
 }

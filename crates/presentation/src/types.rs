@@ -166,10 +166,9 @@ impl VectorType {
 /// ([`StructValue::for_type`](crate::StructValue::for_type), `record!`,
 /// the compact decoder) holds the same allocation, so two parties that
 /// share a block agree on every name by comparing one pointer. A block
-/// that is shared is never written: both [`StructType::with_field`] and
-/// [`StructValue::set`](crate::StructValue::set) extend it through
-/// [`Arc::make_mut`], which copies it first unless they are its only
-/// holder.
+/// that is shared is never written: [`StructType::with_field`] extends it
+/// through [`Arc::make_mut`], which copies it first unless the type is its
+/// only holder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct StructNames {
     pub(crate) type_name: Option<Name>,
@@ -249,11 +248,6 @@ impl StructType {
     /// Looks up a field by name.
     pub fn field(&self, name: &str) -> Option<&FieldDef> {
         self.fields.iter().find(|f| f.name() == name)
-    }
-
-    /// Index of a field in declaration order.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name() == name)
     }
 }
 

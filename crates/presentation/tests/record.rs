@@ -72,18 +72,22 @@ fn reading() -> Reading {
     Reading { id: 7, level: 2.5, gain: 0.5, ok: true, label: "pitot".into(), raw: vec![1, 2, 3] }
 }
 
-/// The fields of a struct value, to rebuild it in another arrangement.
-fn fields_of(value: &Value) -> Vec<(String, Value)> {
+/// The fields of a `Reading` value with their declared types, to rebuild
+/// it in another arrangement.
+fn fields_of(value: &Value) -> Vec<(String, DataType, Value)> {
+    let DataType::Struct(st) = reading_type() else { unreachable!() };
     let sv = value.as_struct().expect("records are struct values");
-    sv.fields().map(|(n, v)| (n.to_string(), v.clone())).collect()
+    let types = st.fields().iter().map(|f| f.ty().clone());
+    sv.fields().zip(types).map(|((n, v), ty)| (n.to_string(), ty, v.clone())).collect()
 }
 
-fn struct_from(fields: &[(String, Value)]) -> Value {
-    let mut b = Value::struct_of("Reading");
-    for (name, value) in fields {
-        b = b.field(name, value.clone());
-    }
-    b.build().unwrap()
+/// A struct value made from a schema of these fields, in this order: its
+/// names are not the record's block, so `from_value` looks them up.
+fn struct_from(fields: &[(String, DataType, Value)]) -> Value {
+    let st = fields.iter().fold(StructType::new("Reading"), |st, (name, ty, _)| {
+        st.with_field(name, ty.clone()).unwrap()
+    });
+    Value::Struct(StructValue::for_type(&st, fields.iter().map(|(_, _, v)| v.clone())))
 }
 
 proptest! {
@@ -112,7 +116,7 @@ proptest! {
         let mut fields = fields_of(&x.clone().into_value());
         fields.rotate_left(shift);
         if extra {
-            fields.insert(shift, ("surplus".to_owned(), Value::U8(1)));
+            fields.insert(shift, ("surplus".to_owned(), DataType::U8, Value::U8(1)));
         }
         prop_assert_eq!(Reading::from_value(&struct_from(&fields)).ok(), Some(x));
     }
@@ -144,7 +148,7 @@ fn value_names_are_the_schema_s() {
 #[test]
 fn missing_field_is_a_mismatch_naming_it() {
     let mut fields = fields_of(&reading().into_value());
-    fields.retain(|(n, _)| n != "ok");
+    fields.retain(|(n, _, _)| n != "ok");
     let value = struct_from(&fields);
     let err = Reading::from_value(&value).unwrap_err();
     assert_eq!(err.expected(), Some(&reading_type()));
@@ -155,7 +159,7 @@ fn missing_field_is_a_mismatch_naming_it() {
 #[test]
 fn wrong_kind_is_a_mismatch_naming_the_field() {
     let mut fields = fields_of(&reading().into_value());
-    fields[0].1 = Value::U64(7); // `id` is declared u32
+    fields[0] = ("id".to_owned(), DataType::U64, Value::U64(7)); // `id` is declared u32
     let err = Reading::from_value(&struct_from(&fields)).unwrap_err();
     assert_eq!(err.found(), Some(TypeKind::Struct));
     assert_eq!(err.detail(), Some("field `id`"));
@@ -166,7 +170,7 @@ fn fields_convert_by_exact_kind() {
     // An `f64` field does not widen an `F32` value: each field goes through
     // its own type's `FromValue`.
     let mut fields = fields_of(&reading().into_value());
-    fields[1].1 = Value::F32(2.5);
+    fields[1] = ("level".to_owned(), DataType::F32, Value::F32(2.5));
     let err = Reading::from_value(&struct_from(&fields)).unwrap_err();
     assert_eq!(err.detail(), Some("field `level`"));
 }
@@ -177,7 +181,7 @@ fn fields_convert_by_exact_kind() {
 fn a_value_sharing_the_record_s_names_reports_the_same_mismatches() {
     let DataType::Struct(own) = Reading::data_type() else { panic!("records are structs") };
     let DataType::Struct(hand_built) = reading_type() else { unreachable!() };
-    let values = || fields_of(&reading().into_value()).into_iter().map(|(_, v)| v);
+    let values = || fields_of(&reading().into_value()).into_iter().map(|(_, _, v)| v);
     for st in [&own, &hand_built] {
         let of = |values: Vec<Value>| Value::Struct(StructValue::for_type(st, values));
         assert_eq!(Reading::from_value(&of(values().collect())).ok(), Some(reading()));
@@ -202,11 +206,12 @@ fn non_struct_value_is_a_mismatch_at_the_first_field() {
 
 #[test]
 fn nested_mismatch_is_reported_at_the_outer_field() {
-    let broken = Value::struct_of("Envelope")
-        .field("seq", 1u64)
-        .field("reading", Value::Bool(false))
-        .build()
+    let envelope = StructType::new("Envelope")
+        .with_field("seq", DataType::U64)
+        .unwrap()
+        .with_field("reading", DataType::Bool)
         .unwrap();
+    let broken = Value::Struct(StructValue::for_type(&envelope, [1u64.into(), false.into()]));
     let err = Envelope::from_value(&broken).unwrap_err();
     assert_eq!(err.expected(), Some(&Envelope::data_type()));
     assert_eq!(err.detail(), Some("field `reading`"));

@@ -21,6 +21,14 @@ use crate::time::{Micros, ProtoDuration};
 /// Upper bound on fragments per logical message.
 pub const MAX_FRAGMENTS: u32 = 64 * 1024;
 
+/// Upper bound on fragment slots reserved by incomplete sets, all sources
+/// together. A set reserves one slot (an `Option<Bytes>`, 40 bytes) per
+/// fragment its header declares as soon as its first fragment arrives, so
+/// a header's count is memory; the cap holds that reservation to 2.5 MiB
+/// however many sources forged headers name. One set of the largest count
+/// fits; a 16 KiB sample takes about 12 slots.
+const MAX_RESERVED_SLOTS: usize = MAX_FRAGMENTS as usize;
+
 /// Upper bound on concurrently reassembling messages per source.
 const MAX_PENDING_PER_SOURCE: usize = 64;
 
@@ -94,6 +102,8 @@ struct Pending {
 #[derive(Debug)]
 pub struct Reassembler {
     pending: HashMap<(NodeId, u64), Pending>,
+    /// Slots the pending sets hold: the sum of their declared counts.
+    reserved: usize,
     timeout: ProtoDuration,
     /// Lower bound on the oldest `first_seen` in `pending` (`None` when
     /// nothing is pending; exact again after every [`expire`](Self::expire)
@@ -105,7 +115,7 @@ pub struct Reassembler {
 impl Reassembler {
     /// Creates a reassembler that drops incomplete messages after `timeout`.
     pub fn new(timeout: ProtoDuration) -> Self {
-        Reassembler { pending: HashMap::new(), timeout, oldest: None }
+        Reassembler { pending: HashMap::new(), reserved: 0, timeout, oldest: None }
     }
 
     /// No incomplete set can expire before this instant (`None` when
@@ -127,8 +137,9 @@ impl Reassembler {
     /// # Errors
     ///
     /// [`ProtocolError::BadFragment`] on inconsistent metadata (index out of
-    /// range, count mismatch, zero count, over-limit counts or per-source
-    /// buffer exhaustion).
+    /// range, count mismatch, zero count, over-limit counts, per-source
+    /// buffer exhaustion, or a new set whose slots would take the reserved
+    /// total past its cap).
     pub fn offer(
         &mut self,
         src: NodeId,
@@ -158,6 +169,10 @@ impl Reassembler {
             if per_source >= MAX_PENDING_PER_SOURCE {
                 return Err(ProtocolError::BadFragment("too many pending messages from source"));
             }
+            if self.reserved + count as usize > MAX_RESERVED_SLOTS {
+                return Err(ProtocolError::BadFragment("fragment slots over the reassembly cap"));
+            }
+            self.reserved += count as usize;
             self.oldest = Some(self.oldest.map_or(now, |t| t.min(now)));
         }
         let entry = self.pending.entry(key).or_insert_with(|| Pending {
@@ -191,6 +206,7 @@ impl Reassembler {
 
     fn remove(&mut self, key: &(NodeId, u64)) -> Option<Pending> {
         let entry = self.pending.remove(key);
+        self.reserved -= entry.as_ref().map_or(0, |p| p.parts.len());
         if self.pending.is_empty() {
             self.oldest = None;
         }
@@ -206,10 +222,13 @@ impl Reassembler {
         }
         let before = self.pending.len();
         let mut oldest: Option<Micros> = None;
+        let reserved = &mut self.reserved;
         self.pending.retain(|_, p| {
             let keep = now.saturating_since(p.first_seen) < timeout;
             if keep {
                 oldest = Some(oldest.map_or(p.first_seen, |t| t.min(p.first_seen)));
+            } else {
+                *reserved -= p.parts.len();
             }
             keep
         });
@@ -356,6 +375,33 @@ mod tests {
         assert!(r.offer(NodeId(1), 999, 0, 2, Bytes::new(), Micros::ZERO).is_err());
         // A different source is unaffected.
         assert!(r.offer(NodeId(2), 999, 0, 2, Bytes::new(), Micros::ZERO).is_ok());
+    }
+
+    /// A header's count is memory: sets forged from many sources reserve
+    /// no more slots than the cap, and once they expire a real set fits.
+    #[test]
+    fn forged_counts_stay_under_the_slot_cap() {
+        assert!(std::mem::size_of::<Option<Bytes>>() <= 40, "the slot size the cap assumes");
+        let mut r = Reassembler::new(ProtoDuration::from_millis(100));
+        let admitted = (1..=64)
+            .filter(|&src| {
+                r.offer(NodeId(src), 1, 0, MAX_FRAGMENTS, Bytes::new(), Micros::ZERO).is_ok()
+            })
+            .count();
+        assert_eq!(admitted, MAX_RESERVED_SLOTS / MAX_FRAGMENTS as usize);
+        assert!(r.reserved <= MAX_RESERVED_SLOTS);
+
+        let real = parts_of(&fragment_payload(9, &[7u8; 16 * 1024], 1400).unwrap());
+        let (id, idx, cnt, bytes) = real[0].clone();
+        assert!(r.offer(NodeId(99), id, idx, cnt, bytes, Micros::ZERO).is_err(), "no room yet");
+        assert_eq!(r.expire(Micros::from_millis(100)), admitted);
+        assert_eq!(r.reserved, 0);
+        let mut done = None;
+        for (id, idx, cnt, bytes) in real {
+            done = r.offer(NodeId(99), id, idx, cnt, bytes, Micros::from_millis(100)).unwrap();
+        }
+        assert_eq!(done.map(|full| full.len()), Some(16 * 1024));
+        assert_eq!(r.reserved, 0, "a completed set gives its slots back");
     }
 
     #[test]

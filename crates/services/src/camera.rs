@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 
-use marea_core::{EventPort, EventQos, FnPort, Micros, Service, ServiceContext, ServiceDescriptor};
+use marea_core::{EventQos, Micros, Service, ServiceContext, ServiceDescriptor};
 use marea_presentation::{Name, Value};
 
 use crate::gps::SharedWorld;
@@ -23,25 +23,13 @@ pub struct CameraService {
     height: u32,
     ready: bool,
     shots: u32,
-    prepare: FnPort<(String,), bool>,
-    photo_taken: EventPort<u32>,
-    photo_request: EventPort<u32>,
 }
 
 impl CameraService {
     /// Creates a camera over the shared world with a default 256×256
     /// sensor.
     pub fn new(world: SharedWorld) -> Self {
-        CameraService {
-            world,
-            width: 256,
-            height: 256,
-            ready: false,
-            shots: 0,
-            prepare: names::camera_prepare_port(),
-            photo_taken: names::photo_taken_port(),
-            photo_request: names::photo_request_port(),
-        }
+        CameraService { world, width: 256, height: 256, ready: false, shots: 0 }
     }
 
     /// Overrides the sensor resolution (builder style).
@@ -61,10 +49,10 @@ impl CameraService {
 impl Service for CameraService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("camera")
-            .provides_fn(&self.prepare)
+            .provides_fn(&names::CAMERA_PREPARE)
             .file_resource(names::FILE_PHOTO)
-            .provides_event(&self.photo_taken)
-            .subscribe_to_event(&self.photo_request, EventQos::default())
+            .provides_event(&names::PHOTO_TAKEN)
+            .subscribe_to_event(&names::PHOTO_REQUEST, EventQos::default())
             .build()
     }
 
@@ -74,13 +62,13 @@ impl Service for CameraService {
         function: &Name,
         args: &[Value],
     ) -> Result<Value, String> {
-        if !self.prepare.matches(function) {
+        if !names::CAMERA_PREPARE.matches(function) {
             return Err(format!("unknown function `{function}`"));
         }
-        let (mission,) = self.prepare.decode_args(args).map_err(|e| e.to_string())?;
+        let (mission,) = names::CAMERA_PREPARE.decode_args(args).map_err(|e| e.to_string())?;
         self.ready = true;
         ctx.log(format!("camera: prepared for mission `{mission}`"));
-        Ok(self.prepare.encode_ret(true))
+        Ok(names::CAMERA_PREPARE.encode_ret(true))
     }
 
     fn on_event(
@@ -90,7 +78,7 @@ impl Service for CameraService {
         _value: Option<&Value>,
         _stamp: Micros,
     ) {
-        if !self.photo_request.matches(name) {
+        if !names::PHOTO_REQUEST.matches(name) {
             return;
         }
         if !self.ready {
@@ -111,7 +99,7 @@ impl Service for CameraService {
         // middleware's revision mechanism (§4.4) carries it to every
         // subscriber.
         ctx.publish_file(names::FILE_PHOTO, bytes);
-        ctx.emit_to(&self.photo_taken, self.shots);
+        ctx.emit_to(&names::PHOTO_TAKEN, self.shots);
     }
 }
 
@@ -133,9 +121,9 @@ mod tests {
         )));
         let cam = CameraService::new(world).with_resolution(64, 64);
         let d = cam.descriptor();
-        assert!(d.provides().iter().any(|p| p.name() == names::FN_CAMERA_PREPARE));
+        assert!(d.provides().iter().any(|p| p.name() == names::CAMERA_PREPARE.name()));
         assert!(d.provides().iter().any(|p| p.name() == names::FILE_PHOTO));
-        assert!(d.event_subscriptions().iter().any(|e| e.name == names::EVT_PHOTO_REQUEST));
+        assert!(d.event_subscriptions().iter().any(|e| &e.name == names::PHOTO_REQUEST.name()));
         assert_eq!(cam.shots(), 0);
     }
 }

@@ -4,9 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use marea_core::{
-    EventPort, ProtoDuration, Service, ServiceContext, ServiceDescriptor, TimerId, VarPort, VarQos,
-};
+use marea_core::{ProtoDuration, Service, ServiceContext, ServiceDescriptor, TimerId, VarQos};
 use marea_flightsim::sensors::GpsSensor;
 use marea_flightsim::World;
 
@@ -33,20 +31,12 @@ pub struct GpsService {
     world: SharedWorld,
     sensor: GpsSensor,
     in_outage: bool,
-    position: VarPort<Position>,
-    fix_lost: EventPort<()>,
 }
 
 impl GpsService {
     /// Creates the service over a shared world; `seed` drives sensor noise.
     pub fn new(world: SharedWorld, seed: u64) -> Self {
-        GpsService {
-            world,
-            sensor: GpsSensor::new(seed),
-            in_outage: false,
-            position: names::position_port(),
-            fix_lost: names::fix_lost_port(),
-        }
+        GpsService { world, sensor: GpsSensor::new(seed), in_outage: false }
     }
 
     /// A restart factory over the same shared world, for
@@ -61,8 +51,8 @@ impl GpsService {
 impl Service for GpsService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("gps")
-            .provides_var(&self.position, VarQos::periodic(PERIOD, VALIDITY))
-            .provides_event(&self.fix_lost)
+            .provides_var(&names::POSITION, VarQos::periodic(PERIOD, VALIDITY))
+            .provides_event(&names::FIX_LOST)
             .build()
     }
 
@@ -86,7 +76,7 @@ impl Service for GpsService {
                     ctx.log("gps: fix re-acquired");
                 }
                 ctx.publish_to(
-                    &self.position,
+                    &names::POSITION,
                     Position {
                         lat: fix.position.lat,
                         lon: fix.position.lon,
@@ -99,7 +89,7 @@ impl Service for GpsService {
             None => {
                 if !self.in_outage {
                     self.in_outage = true;
-                    ctx.emit_to(&self.fix_lost, ());
+                    ctx.emit_to(&names::FIX_LOST, ());
                     ctx.log(format!(
                         "gps: fix lost at ({:.5}, {:.5})",
                         state.position.lat, state.position.lon
@@ -127,7 +117,7 @@ mod tests {
         let svc = GpsService::new(world, 1);
         let d = svc.descriptor();
         assert_eq!(d.name(), "gps");
-        assert!(d.provides().iter().any(|p| p.name() == names::VAR_POSITION));
-        assert!(d.provides().iter().any(|p| p.name() == names::EVT_FIX_LOST));
+        assert!(d.provides().iter().any(|p| p.name() == names::POSITION.name()));
+        assert!(d.provides().iter().any(|p| p.name() == names::FIX_LOST.name()));
     }
 }

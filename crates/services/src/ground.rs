@@ -4,12 +4,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use marea_core::{
-    EventPort, EventQos, Micros, Service, ServiceContext, ServiceDescriptor, VarPort, VarQos,
-};
+use marea_core::{EventQos, Micros, Service, ServiceContext, ServiceDescriptor, VarQos};
 use marea_presentation::{Name, Value};
 
-use crate::names::{self, Detection, McStatus, Position};
+use crate::names::{self, Detection, Position};
 
 /// Display one position line out of every `DECIMATE` fixes (20 Hz
 /// telemetry would scroll a real console unreadably).
@@ -27,29 +25,12 @@ pub type Display = Arc<Mutex<Vec<String>>>;
 pub struct GroundStationService {
     display: Display,
     positions_seen: u64,
-    position: VarPort<Position>,
-    mc_status: VarPort<McStatus>,
-    photo_request: EventPort<u32>,
-    photo_taken: EventPort<u32>,
-    mission_complete: EventPort<()>,
-    target_alert: EventPort<Detection>,
-    fix_lost: EventPort<()>,
 }
 
 impl GroundStationService {
     /// Creates a ground station writing into `display`.
     pub fn new(display: Display) -> Self {
-        GroundStationService {
-            display,
-            positions_seen: 0,
-            position: names::position_port(),
-            mc_status: names::mc_status_port(),
-            photo_request: names::photo_request_port(),
-            photo_taken: names::photo_taken_port(),
-            mission_complete: names::mission_complete_port(),
-            target_alert: names::target_alert_port(),
-            fix_lost: names::fix_lost_port(),
-        }
+        GroundStationService { display, positions_seen: 0 }
     }
 
     /// A restart factory over the same display log: a chaos `Restart`
@@ -70,13 +51,13 @@ impl GroundStationService {
 impl Service for GroundStationService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("ground-station")
-            .subscribe_to_var(&self.position, VarQos::default())
-            .subscribe_to_var(&self.mc_status, VarQos::default().with_initial())
-            .subscribe_to_event(&self.photo_request, EventQos::default())
-            .subscribe_to_event(&self.photo_taken, EventQos::default())
-            .subscribe_to_event(&self.mission_complete, EventQos::default())
-            .subscribe_to_event(&self.target_alert, EventQos::default())
-            .subscribe_to_event(&self.fix_lost, EventQos::default())
+            .subscribe_to_var(&names::POSITION, VarQos::default())
+            .subscribe_to_var(&names::MC_STATUS, VarQos::default().with_initial())
+            .subscribe_to_event(&names::PHOTO_REQUEST, EventQos::default())
+            .subscribe_to_event(&names::PHOTO_TAKEN, EventQos::default())
+            .subscribe_to_event(&names::MISSION_COMPLETE, EventQos::default())
+            .subscribe_to_event(&names::TARGET_ALERT, EventQos::default())
+            .subscribe_to_event(&names::FIX_LOST, EventQos::default())
             .build()
     }
 
@@ -91,10 +72,11 @@ impl Service for GroundStationService {
         value: &Value,
         _stamp: Micros,
     ) {
-        if self.position.matches(name) {
+        if names::POSITION.matches(name) {
             self.positions_seen += 1;
             if self.positions_seen.is_multiple_of(DECIMATE) {
-                if let Ok(Position { lat, lon, alt, heading, speed }) = self.position.decode(value)
+                if let Ok(Position { lat, lon, alt, heading, speed }) =
+                    names::POSITION.decode(value)
                 {
                     self.show(
                         ctx.now(),
@@ -105,8 +87,8 @@ impl Service for GroundStationService {
                     );
                 }
             }
-        } else if self.mc_status.matches(name) {
-            match self.mc_status.decode(value) {
+        } else if names::MC_STATUS.matches(name) {
+            match names::MC_STATUS.decode(value) {
                 Ok(s) => self.show(
                     ctx.now(),
                     format!(
@@ -130,20 +112,23 @@ impl Service for GroundStationService {
         value: Option<&Value>,
         _stamp: Micros,
     ) {
-        let line = if self.photo_request.matches(name) {
-            format!("photo requested at waypoint {}", self.photo_request.decode(value).unwrap_or(0))
-        } else if self.photo_taken.matches(name) {
-            format!("photo {} taken", self.photo_taken.decode(value).unwrap_or(0))
-        } else if self.mission_complete.matches(name) {
+        let line = if names::PHOTO_REQUEST.matches(name) {
+            format!(
+                "photo requested at waypoint {}",
+                names::PHOTO_REQUEST.decode(value).unwrap_or(0)
+            )
+        } else if names::PHOTO_TAKEN.matches(name) {
+            format!("photo {} taken", names::PHOTO_TAKEN.decode(value).unwrap_or(0))
+        } else if names::MISSION_COMPLETE.matches(name) {
             "MISSION COMPLETE".to_owned()
-        } else if self.target_alert.matches(name) {
-            match self.target_alert.decode(value) {
+        } else if names::TARGET_ALERT.matches(name) {
+            match names::TARGET_ALERT.decode(value) {
                 Ok(Detection { revision, count }) => {
                     format!("TARGET ALERT: {count} target(s) in photo {revision}")
                 }
                 Err(_) => "TARGET ALERT".to_owned(),
             }
-        } else if self.fix_lost.matches(name) {
+        } else if names::FIX_LOST.matches(name) {
             "WARNING: gps fix lost".to_owned()
         } else {
             format!("event `{name}`")

@@ -1,13 +1,13 @@
 //! Mission control: the orchestrator of the Fig. 3 scenario.
 
 use marea_core::{
-    CallError, CallHandle, EventPort, EventQos, FnPort, Micros, ProtoDuration, Service,
-    ServiceContext, ServiceDescriptor, TypedCallHandle, VarPort, VarQos,
+    CallError, CallHandle, EventQos, Micros, ProtoDuration, Service, ServiceContext,
+    ServiceDescriptor, TypedCallHandle, VarQos,
 };
 use marea_flightsim::{FlightPlan, GeoPoint, WaypointAction};
 use marea_presentation::{Name, Value};
 
-use crate::names::{self, Detection, McStatus, Position};
+use crate::names::{self, McStatus, Position};
 
 /// Follows the flight plan and orchestrates the payload services.
 ///
@@ -33,16 +33,6 @@ pub struct MissionControlService {
     complete_reported: bool,
     prepare_handle: Option<TypedCallHandle<bool>>,
     camera_ready: bool,
-    // Provided ports.
-    status: VarPort<McStatus>,
-    photo_request: EventPort<u32>,
-    mission_complete: EventPort<()>,
-    target_alert: EventPort<Detection>,
-    // Consumed ports.
-    position: VarPort<Position>,
-    target_detected: EventPort<Detection>,
-    camera_prepare: FnPort<(String,), bool>,
-    storage_store: FnPort<(String, Vec<u8>), bool>,
 }
 
 impl MissionControlService {
@@ -55,20 +45,12 @@ impl MissionControlService {
             complete_reported: false,
             prepare_handle: None,
             camera_ready: false,
-            status: names::mc_status_port(),
-            photo_request: names::photo_request_port(),
-            mission_complete: names::mission_complete_port(),
-            target_alert: names::target_alert_port(),
-            position: names::position_port(),
-            target_detected: names::target_detected_port(),
-            camera_prepare: names::camera_prepare_port(),
-            storage_store: names::storage_store_port(),
         }
     }
 
     fn publish_status(&self, ctx: &mut ServiceContext<'_>) {
         ctx.publish_to(
-            &self.status,
+            &names::MC_STATUS,
             McStatus {
                 next_waypoint: self.next_wp as u32,
                 photos: self.photos_requested,
@@ -81,14 +63,14 @@ impl MissionControlService {
 impl Service for MissionControlService {
     fn descriptor(&self) -> ServiceDescriptor {
         let mut b = ServiceDescriptor::builder("mission-control");
-        b.provides_var(&self.status, VarQos::aperiodic(ProtoDuration::from_secs(5)))
-            .provides_event(&self.photo_request)
-            .provides_event(&self.mission_complete)
-            .provides_event(&self.target_alert)
-            .subscribe_to_var(&self.position, VarQos::default().with_initial())
-            .subscribe_to_event(&self.target_detected, EventQos::default())
-            .requires_fn(&self.camera_prepare)
-            .requires_fn(&self.storage_store);
+        b.provides_var(&names::MC_STATUS, VarQos::aperiodic(ProtoDuration::from_secs(5)))
+            .provides_event(&names::PHOTO_REQUEST)
+            .provides_event(&names::MISSION_COMPLETE)
+            .provides_event(&names::TARGET_ALERT)
+            .subscribe_to_var(&names::POSITION, VarQos::default().with_initial())
+            .subscribe_to_event(&names::TARGET_DETECTED, EventQos::default())
+            .requires_fn(&names::CAMERA_PREPARE)
+            .requires_fn(&names::STORAGE_STORE);
         b.build()
     }
 
@@ -105,9 +87,9 @@ impl Service for MissionControlService {
         // Initialize the camera as soon as its function appears ("all these
         // initialization have remote call semantics", §5).
         if let marea_core::ProviderNotice::FunctionAvailable(name) = notice {
-            if self.camera_prepare.matches(name) && self.prepare_handle.is_none() {
+            if names::CAMERA_PREPARE.matches(name) && self.prepare_handle.is_none() {
                 self.prepare_handle =
-                    Some(ctx.call_fn(&self.camera_prepare, ("mission".to_owned(),)));
+                    Some(ctx.call_fn(&names::CAMERA_PREPARE, ("mission".to_owned(),)));
                 ctx.log("mc: preparing camera");
             }
         }
@@ -146,10 +128,10 @@ impl Service for MissionControlService {
         value: &Value,
         _stamp: Micros,
     ) {
-        if !self.position.matches(name) {
+        if !names::POSITION.matches(name) {
             return;
         }
-        let here = match self.position.decode(value) {
+        let here = match names::POSITION.decode(value) {
             Ok(Position { lat, lon, alt, .. }) => GeoPoint::new(lat, lon, alt),
             Err(e) => {
                 ctx.log(format!("mc: bad position sample: {e}"));
@@ -163,7 +145,7 @@ impl Service for MissionControlService {
             }
             if wp.action == WaypointAction::TakePhoto {
                 if self.camera_ready {
-                    ctx.emit_to(&self.photo_request, self.next_wp as u32);
+                    ctx.emit_to(&names::PHOTO_REQUEST, self.next_wp as u32);
                     self.photos_requested += 1;
                     ctx.log(format!("mc: photo requested at waypoint {}", self.next_wp));
                 } else {
@@ -180,7 +162,7 @@ impl Service for MissionControlService {
             self.publish_status(ctx);
             if self.next_wp >= self.plan.len() && !self.complete_reported {
                 self.complete_reported = true;
-                ctx.emit_to(&self.mission_complete, ());
+                ctx.emit_to(&names::MISSION_COMPLETE, ());
                 ctx.log("mc: mission complete");
             }
         }
@@ -193,12 +175,12 @@ impl Service for MissionControlService {
         value: Option<&Value>,
         _stamp: Micros,
     ) {
-        if self.target_detected.matches(name) {
+        if names::TARGET_DETECTED.matches(name) {
             // Relay to the ground station channel ("it can notify the GS
             // and MC", §5).
-            match self.target_detected.decode(value) {
+            match names::TARGET_DETECTED.decode(value) {
                 Ok(detection) => {
-                    ctx.emit_to(&self.target_alert, detection);
+                    ctx.emit_to(&names::TARGET_ALERT, detection);
                     ctx.log(format!(
                         "mc: target alert relayed (photo {}, {} targets)",
                         detection.revision, detection.count
@@ -218,10 +200,10 @@ mod tests {
     fn descriptor_wires_all_four_primitives() {
         let mc = MissionControlService::new(FlightPlan::default());
         let d = mc.descriptor();
-        assert!(d.provides().iter().any(|p| p.name() == names::VAR_MC_STATUS));
-        assert!(d.provides().iter().any(|p| p.name() == names::EVT_PHOTO_REQUEST));
-        assert!(d.var_subscriptions().iter().any(|s| s.name == names::VAR_POSITION));
-        assert!(d.required_functions().iter().any(|f| f == names::FN_CAMERA_PREPARE));
-        assert!(d.event_subscriptions().iter().any(|e| e.name == names::EVT_TARGET_DETECTED));
+        assert!(d.provides().iter().any(|p| p.name() == names::MC_STATUS.name()));
+        assert!(d.provides().iter().any(|p| p.name() == names::PHOTO_REQUEST.name()));
+        assert!(d.var_subscriptions().iter().any(|s| &s.name == names::POSITION.name()));
+        assert!(d.required_functions().iter().any(|f| f == names::CAMERA_PREPARE.name()));
+        assert!(d.event_subscriptions().iter().any(|e| &e.name == names::TARGET_DETECTED.name()));
     }
 }

@@ -1,51 +1,28 @@
-//! The mission vocabulary: names, schemas and **typed ports** shared by
-//! the standard services.
+//! The mission vocabulary: the typed contracts, and the records they
+//! carry, shared by the standard services.
 //!
 //! Keeping the contract here (instead of inside each service) is what lets
 //! "all the services \[be\] generic enough to be reutilized in most of the
 //! UAV missions" (paper §5) — a mission recombines services purely by
-//! name. The typed port constructors make that contract compile-time
-//! checked on *both* sides: the producer declares through the same port
-//! the consumers subscribe and decode through, so a schema change is a
-//! type error in every service it affects.
+//! name. Each contract is declared once, as a static port that carries its
+//! name and its payload type together: the producer declares through the
+//! same static the consumers subscribe and decode through, so a schema
+//! change is a type error in every service it affects and a name is
+//! spelled in one place. Read a contract's name as `POSITION.name()`.
+
+use std::sync::LazyLock;
 
 use marea_core::{EventPort, FnPort, VarPort};
 use marea_presentation::record;
 
-/// `gps/position` — the high-rate position variable (paper §5).
-pub const VAR_POSITION: &str = "gps/position";
-/// `gps/fix-lost` — bare event emitted when the receiver loses its fix.
-pub const EVT_FIX_LOST: &str = "gps/fix-lost";
-/// `mc/status` — mission progress variable.
-pub const VAR_MC_STATUS: &str = "mc/status";
-/// `mc/photo-request` — event carrying the waypoint index to photograph.
-pub const EVT_PHOTO_REQUEST: &str = "mc/photo-request";
-/// `mc/mission-complete` — bare event at end of plan.
-pub const EVT_MISSION_COMPLETE: &str = "mc/mission-complete";
-/// `mc/target-alert` — relayed detection alert for the ground station.
-pub const EVT_TARGET_ALERT: &str = "mc/target-alert";
-/// `camera/prepare` — remote function arming the camera.
-pub const FN_CAMERA_PREPARE: &str = "camera/prepare";
 /// `camera/photo` — the file resource carrying photos (one revision per
-/// shot).
+/// shot). File resources have no payload type, so no port.
 pub const FILE_PHOTO: &str = "camera/photo";
-/// `camera/photo-taken` — event carrying the new photo revision.
-pub const EVT_PHOTO_TAKEN: &str = "camera/photo-taken";
-/// `storage/store` — remote function storing a named blob.
-pub const FN_STORAGE_STORE: &str = "storage/store";
-/// `storage/get` — remote function fetching a named blob.
-pub const FN_STORAGE_GET: &str = "storage/get";
-/// `storage/list` — remote function listing stored paths.
-pub const FN_STORAGE_LIST: &str = "storage/list";
-/// `video/target-detected` — event carrying detection results.
-pub const EVT_TARGET_DETECTED: &str = "video/target-detected";
-/// `telemetry/fg` — FlightGear-style telemetry line variable.
-pub const VAR_TELEMETRY: &str = "telemetry/fg";
 
 // ---- typed records ------------------------------------------------------
 
 record! {
-    /// A GPS fix: the payload of [`VAR_POSITION`].
+    /// A GPS fix: the payload of [`POSITION`].
     #[derive(Debug, Clone, Copy, PartialEq, Default)]
     pub struct Position {
         /// Latitude in degrees.
@@ -62,8 +39,8 @@ record! {
 }
 
 record! {
-    /// A detection report: the payload of [`EVT_TARGET_DETECTED`] and
-    /// [`EVT_TARGET_ALERT`].
+    /// A detection report: the payload of [`TARGET_DETECTED`] and
+    /// [`TARGET_ALERT`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct Detection {
         /// Photo revision the detection ran on.
@@ -74,7 +51,7 @@ record! {
 }
 
 record! {
-    /// Mission progress: the payload of [`VAR_MC_STATUS`].
+    /// Mission progress: the payload of [`MC_STATUS`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct McStatus {
         /// Index of the next waypoint to reach.
@@ -86,72 +63,59 @@ record! {
     }
 }
 
-// ---- typed ports --------------------------------------------------------
+// ---- typed contracts ----------------------------------------------------
 
-/// Typed port for [`VAR_POSITION`].
-pub fn position_port() -> VarPort<Position> {
-    VarPort::new(VAR_POSITION)
-}
+/// `gps/position` — the high-rate position variable (paper §5).
+pub static POSITION: LazyLock<VarPort<Position>> = LazyLock::new(|| VarPort::new("gps/position"));
 
-/// Typed port for [`EVT_FIX_LOST`] (bare).
-pub fn fix_lost_port() -> EventPort<()> {
-    EventPort::new(EVT_FIX_LOST)
-}
+/// `gps/fix-lost` — bare event emitted when the receiver loses its fix.
+pub static FIX_LOST: LazyLock<EventPort<()>> = LazyLock::new(|| EventPort::new("gps/fix-lost"));
 
-/// Typed port for [`VAR_MC_STATUS`].
-pub fn mc_status_port() -> VarPort<McStatus> {
-    VarPort::new(VAR_MC_STATUS)
-}
+/// `mc/status` — mission progress variable.
+pub static MC_STATUS: LazyLock<VarPort<McStatus>> = LazyLock::new(|| VarPort::new("mc/status"));
 
-/// Typed port for [`EVT_PHOTO_REQUEST`] (payload: waypoint index).
-pub fn photo_request_port() -> EventPort<u32> {
-    EventPort::new(EVT_PHOTO_REQUEST)
-}
+/// `mc/photo-request` — event carrying the waypoint index to photograph.
+pub static PHOTO_REQUEST: LazyLock<EventPort<u32>> =
+    LazyLock::new(|| EventPort::new("mc/photo-request"));
 
-/// Typed port for [`EVT_MISSION_COMPLETE`] (bare).
-pub fn mission_complete_port() -> EventPort<()> {
-    EventPort::new(EVT_MISSION_COMPLETE)
-}
+/// `mc/mission-complete` — bare event at end of plan.
+pub static MISSION_COMPLETE: LazyLock<EventPort<()>> =
+    LazyLock::new(|| EventPort::new("mc/mission-complete"));
 
-/// Typed port for [`EVT_TARGET_ALERT`].
-pub fn target_alert_port() -> EventPort<Detection> {
-    EventPort::new(EVT_TARGET_ALERT)
-}
+/// `mc/target-alert` — relayed detection alert for the ground station.
+pub static TARGET_ALERT: LazyLock<EventPort<Detection>> =
+    LazyLock::new(|| EventPort::new("mc/target-alert"));
 
-/// Typed port for [`FN_CAMERA_PREPARE`]: `(mission name) -> armed`.
-pub fn camera_prepare_port() -> FnPort<(String,), bool> {
-    FnPort::new(FN_CAMERA_PREPARE)
-}
+/// `camera/prepare` — remote function arming the camera:
+/// `(mission name) -> armed`.
+pub static CAMERA_PREPARE: LazyLock<FnPort<(String,), bool>> =
+    LazyLock::new(|| FnPort::new("camera/prepare"));
 
-/// Typed port for [`EVT_PHOTO_TAKEN`] (payload: shot number).
-pub fn photo_taken_port() -> EventPort<u32> {
-    EventPort::new(EVT_PHOTO_TAKEN)
-}
+/// `camera/photo-taken` — event carrying the new photo revision (the shot
+/// number).
+pub static PHOTO_TAKEN: LazyLock<EventPort<u32>> =
+    LazyLock::new(|| EventPort::new("camera/photo-taken"));
 
-/// Typed port for [`FN_STORAGE_STORE`]: `(path, data) -> stored`.
-pub fn storage_store_port() -> FnPort<(String, Vec<u8>), bool> {
-    FnPort::new(FN_STORAGE_STORE)
-}
+/// `storage/store` — remote function storing a named blob:
+/// `(path, data) -> stored`.
+pub static STORAGE_STORE: LazyLock<FnPort<(String, Vec<u8>), bool>> =
+    LazyLock::new(|| FnPort::new("storage/store"));
 
-/// Typed port for [`FN_STORAGE_GET`]: `(path) -> data`.
-pub fn storage_get_port() -> FnPort<(String,), Vec<u8>> {
-    FnPort::new(FN_STORAGE_GET)
-}
+/// `storage/get` — remote function fetching a named blob: `(path) -> data`.
+pub static STORAGE_GET: LazyLock<FnPort<(String,), Vec<u8>>> =
+    LazyLock::new(|| FnPort::new("storage/get"));
 
-/// Typed port for [`FN_STORAGE_LIST`]: `(prefix) -> newline-joined paths`.
-pub fn storage_list_port() -> FnPort<(String,), String> {
-    FnPort::new(FN_STORAGE_LIST)
-}
+/// `storage/list` — remote function listing stored paths:
+/// `(prefix) -> newline-joined paths`.
+pub static STORAGE_LIST: LazyLock<FnPort<(String,), String>> =
+    LazyLock::new(|| FnPort::new("storage/list"));
 
-/// Typed port for [`EVT_TARGET_DETECTED`].
-pub fn target_detected_port() -> EventPort<Detection> {
-    EventPort::new(EVT_TARGET_DETECTED)
-}
+/// `video/target-detected` — event carrying detection results.
+pub static TARGET_DETECTED: LazyLock<EventPort<Detection>> =
+    LazyLock::new(|| EventPort::new("video/target-detected"));
 
-/// Typed port for [`VAR_TELEMETRY`].
-pub fn telemetry_port() -> VarPort<String> {
-    VarPort::new(VAR_TELEMETRY)
-}
+/// `telemetry/fg` — FlightGear-style telemetry line variable.
+pub static TELEMETRY: LazyLock<VarPort<String>> = LazyLock::new(|| VarPort::new("telemetry/fg"));
 
 #[cfg(test)]
 mod tests {
@@ -190,12 +154,25 @@ mod tests {
         assert!(err.to_string().contains("revision"), "{err}");
     }
 
+    /// The names are on the wire: a contract keeps the one it has.
     #[test]
     fn ports_match_declared_names() {
-        assert_eq!(position_port().name(), VAR_POSITION);
-        assert_eq!(camera_prepare_port().name(), FN_CAMERA_PREPARE);
-        assert_eq!(storage_store_port().name(), FN_STORAGE_STORE);
-        assert_eq!(target_detected_port().name(), EVT_TARGET_DETECTED);
-        assert_eq!(telemetry_port().name(), VAR_TELEMETRY);
+        for (name, wire) in [
+            (POSITION.name(), "gps/position"),
+            (FIX_LOST.name(), "gps/fix-lost"),
+            (MC_STATUS.name(), "mc/status"),
+            (PHOTO_REQUEST.name(), "mc/photo-request"),
+            (MISSION_COMPLETE.name(), "mc/mission-complete"),
+            (TARGET_ALERT.name(), "mc/target-alert"),
+            (CAMERA_PREPARE.name(), "camera/prepare"),
+            (PHOTO_TAKEN.name(), "camera/photo-taken"),
+            (STORAGE_STORE.name(), "storage/store"),
+            (STORAGE_GET.name(), "storage/get"),
+            (STORAGE_LIST.name(), "storage/list"),
+            (TARGET_DETECTED.name(), "video/target-detected"),
+            (TELEMETRY.name(), "telemetry/fg"),
+        ] {
+            assert_eq!(name, wire);
+        }
     }
 }

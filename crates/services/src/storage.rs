@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 
-use marea_core::{FileEvent, FnPort, Service, ServiceContext, ServiceDescriptor};
+use marea_core::{FileEvent, Service, ServiceContext, ServiceDescriptor};
 use marea_presentation::{Name, Value};
 
 use crate::fs::MemFs;
@@ -17,21 +17,13 @@ use crate::names;
 #[derive(Debug)]
 pub struct StorageService {
     fs: MemFs,
-    store: FnPort<(String, Vec<u8>), bool>,
-    get: FnPort<(String,), Vec<u8>>,
-    list: FnPort<(String,), String>,
 }
 
 impl StorageService {
     /// Creates a storage service over `fs` (clone the [`MemFs`] to inspect
     /// stored content from tests).
     pub fn new(fs: MemFs) -> Self {
-        StorageService {
-            fs,
-            store: names::storage_store_port(),
-            get: names::storage_get_port(),
-            list: names::storage_list_port(),
-        }
+        StorageService { fs }
     }
 
     /// A restart factory over the same shared filesystem: a chaos
@@ -45,9 +37,9 @@ impl StorageService {
 impl Service for StorageService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("storage")
-            .provides_fn(&self.store)
-            .provides_fn(&self.get)
-            .provides_fn(&self.list)
+            .provides_fn(&names::STORAGE_STORE)
+            .provides_fn(&names::STORAGE_GET)
+            .provides_fn(&names::STORAGE_LIST)
             .subscribe_file(names::FILE_PHOTO)
             .build()
     }
@@ -58,20 +50,20 @@ impl Service for StorageService {
         function: &Name,
         args: &[Value],
     ) -> Result<Value, String> {
-        if self.store.matches(function) {
-            let (path, data) = self.store.decode_args(args).map_err(|e| e.to_string())?;
+        if names::STORAGE_STORE.matches(function) {
+            let (path, data) = names::STORAGE_STORE.decode_args(args).map_err(|e| e.to_string())?;
             ctx.log(format!("storage: stored `{path}` ({} bytes)", data.len()));
             self.fs.write(path, Bytes::from(data));
-            Ok(self.store.encode_ret(true))
-        } else if self.get.matches(function) {
-            let (path,) = self.get.decode_args(args).map_err(|e| e.to_string())?;
+            Ok(names::STORAGE_STORE.encode_ret(true))
+        } else if names::STORAGE_GET.matches(function) {
+            let (path,) = names::STORAGE_GET.decode_args(args).map_err(|e| e.to_string())?;
             match self.fs.read(&path) {
-                Some(data) => Ok(self.get.encode_ret(data.to_vec())),
+                Some(data) => Ok(names::STORAGE_GET.encode_ret(data.to_vec())),
                 None => Err(format!("no such file `{path}`")),
             }
-        } else if self.list.matches(function) {
-            let (prefix,) = self.list.decode_args(args).map_err(|e| e.to_string())?;
-            Ok(self.list.encode_ret(self.fs.list(&prefix).join("\n")))
+        } else if names::STORAGE_LIST.matches(function) {
+            let (prefix,) = names::STORAGE_LIST.decode_args(args).map_err(|e| e.to_string())?;
+            Ok(names::STORAGE_LIST.encode_ret(self.fs.list(&prefix).join("\n")))
         } else {
             Err(format!("unknown function `{function}`"))
         }
@@ -94,7 +86,9 @@ mod tests {
     fn descriptor_exposes_fs_functions() {
         let s = StorageService::new(MemFs::new());
         let d = s.descriptor();
-        for f in [names::FN_STORAGE_STORE, names::FN_STORAGE_GET, names::FN_STORAGE_LIST] {
+        for f in
+            [names::STORAGE_STORE.name(), names::STORAGE_GET.name(), names::STORAGE_LIST.name()]
+        {
             assert!(d.provides().iter().any(|p| p.name() == f), "{f}");
         }
         assert!(d.file_interests().iter().any(|i| i == names::FILE_PHOTO));

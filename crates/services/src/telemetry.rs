@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use marea_core::{
-    Micros, ProtoDuration, Service, ServiceContext, ServiceDescriptor, VarPort, VarQos,
-};
+use marea_core::{Micros, ProtoDuration, Service, ServiceContext, ServiceDescriptor, VarQos};
 use marea_presentation::{Name, Value};
 
 use crate::names::{self, Position};
@@ -27,19 +25,12 @@ pub type TelemetryLog = Arc<Mutex<Vec<String>>>;
 pub struct TelemetryBridge {
     sink: TelemetryLog,
     lines_emitted: u64,
-    telemetry: VarPort<String>,
-    position: VarPort<Position>,
 }
 
 impl TelemetryBridge {
     /// Creates a bridge writing formatted lines into `sink`.
     pub fn new(sink: TelemetryLog) -> Self {
-        TelemetryBridge {
-            sink,
-            lines_emitted: 0,
-            telemetry: names::telemetry_port(),
-            position: names::position_port(),
-        }
+        TelemetryBridge { sink, lines_emitted: 0 }
     }
 
     /// Formats one FlightGear generic-protocol line.
@@ -72,10 +63,10 @@ impl Service for TelemetryBridge {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("telemetry")
             .provides_var(
-                &self.telemetry,
+                &names::TELEMETRY,
                 VarQos::periodic(ProtoDuration::from_millis(200), ProtoDuration::from_secs(1)),
             )
-            .subscribe_to_var(&self.position, VarQos::default().with_initial())
+            .subscribe_to_var(&names::POSITION, VarQos::default().with_initial())
             .build()
     }
 
@@ -86,15 +77,15 @@ impl Service for TelemetryBridge {
         value: &Value,
         _stamp: Micros,
     ) {
-        if !self.position.matches(name) {
+        if !names::POSITION.matches(name) {
             return;
         }
-        let Ok(Position { lat, lon, alt, heading, speed }) = self.position.decode(value) else {
+        let Ok(Position { lat, lon, alt, heading, speed }) = names::POSITION.decode(value) else {
             return;
         };
         let fg = Self::fg_line(lat, lon, alt, heading, speed);
         let nmea = Self::gpgga(lat, lon, alt);
-        ctx.publish_to(&self.telemetry, fg.clone());
+        ctx.publish_to(&names::TELEMETRY, fg.clone());
         self.lines_emitted += 1;
         let mut sink = self.sink.lock();
         sink.push(fg);

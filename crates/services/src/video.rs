@@ -1,6 +1,6 @@
 //! The on-board video processing service.
 
-use marea_core::{EventPort, FileEvent, Service, ServiceContext, ServiceDescriptor};
+use marea_core::{FileEvent, Service, ServiceContext, ServiceDescriptor};
 use marea_flightsim::Frame;
 
 use crate::detect::detect_blobs;
@@ -17,19 +17,15 @@ const MIN_PIXELS: u32 = 4;
 /// > *"At the same time, the video processing module is told to process the
 /// > same file resource ... If the video process detects the pre-programmed
 /// > characteristics in the image it can notify the GS and MC."* — paper §5
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct VideoProcessingService {
     frames_processed: u32,
-    target_detected: EventPort<Detection>,
 }
 
 impl VideoProcessingService {
     /// Creates the detector.
     pub fn new() -> Self {
-        VideoProcessingService {
-            frames_processed: 0,
-            target_detected: names::target_detected_port(),
-        }
+        VideoProcessingService::default()
     }
 
     /// Frames processed so far.
@@ -38,16 +34,10 @@ impl VideoProcessingService {
     }
 }
 
-impl Default for VideoProcessingService {
-    fn default() -> Self {
-        VideoProcessingService::new()
-    }
-}
-
 impl Service for VideoProcessingService {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("video")
-            .provides_event(&self.target_detected)
+            .provides_event(&names::TARGET_DETECTED)
             .subscribe_file(names::FILE_PHOTO)
             .build()
     }
@@ -63,7 +53,7 @@ impl Service for VideoProcessingService {
         ctx.log(format!("video: rev {} processed, {} target(s) found", revision, blobs.len()));
         if !blobs.is_empty() {
             ctx.emit_to(
-                &self.target_detected,
+                &names::TARGET_DETECTED,
                 Detection { revision: *revision, count: blobs.len() as u32 },
             );
         }
@@ -79,7 +69,7 @@ mod tests {
         let v = VideoProcessingService::new();
         let d = v.descriptor();
         assert!(d.file_interests().iter().any(|i| i == names::FILE_PHOTO));
-        assert!(d.provides().iter().any(|p| p.name() == names::EVT_TARGET_DETECTED));
+        assert!(d.provides().iter().any(|p| p.name() == names::TARGET_DETECTED.name()));
         assert_eq!(v.frames_processed(), 0);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use marea::core::{
-    CallError, CallHandle, CallOptions, ContainerConfig, FnPort, NodeId, ProtoDuration, Service,
+    CallError, CallHandle, CallOptions, ContainerConfig, NodeId, ProtoDuration, Service,
     ServiceContext, ServiceDescriptor, SimHarness, TimerId,
 };
 use marea::netsim::NetConfig;
@@ -26,18 +26,11 @@ type Outcomes = Arc<Mutex<Vec<(u64, Result<String, String>)>>>;
 struct PeriodicWriter {
     outcomes: Outcomes,
     n: u32,
-    store: FnPort<(String, Vec<u8>), bool>,
-}
-
-impl PeriodicWriter {
-    fn new(outcomes: Outcomes) -> Self {
-        PeriodicWriter { outcomes, n: 0, store: names::storage_store_port() }
-    }
 }
 
 impl Service for PeriodicWriter {
     fn descriptor(&self) -> ServiceDescriptor {
-        ServiceDescriptor::builder("writer").requires_fn(&self.store).build()
+        ServiceDescriptor::builder("writer").requires_fn(&names::STORAGE_STORE).build()
     }
 
     fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
@@ -51,7 +44,7 @@ impl Service for PeriodicWriter {
         // per-attempt deadline, up to 3 providers tried. The argument
         // tuple is checked against the port's signature at compile time.
         ctx.call_fn_with(
-            &self.store,
+            &names::STORAGE_STORE,
             (format!("track/fix-{:03}", self.n), vec![0xAB; 64]),
             CallOptions::default()
                 .pinned(NodeId(2))
@@ -80,7 +73,7 @@ fn main() {
     h.add_container(ContainerConfig::new("backup", NodeId(3)));
 
     let outcomes = Arc::new(Mutex::new(Vec::new()));
-    h.add_service(NodeId(1), Box::new(PeriodicWriter::new(outcomes.clone())));
+    h.add_service(NodeId(1), Box::new(PeriodicWriter { outcomes: outcomes.clone(), n: 0 }));
     let primary_fs = MemFs::new();
     h.add_service(NodeId(2), Box::new(StorageService::new(primary_fs.clone())));
     let backup_fs = MemFs::new();

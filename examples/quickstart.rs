@@ -7,6 +7,8 @@
 //! subscribes to both. The whole thing runs on the deterministic simulated
 //! LAN, so the output is identical on every machine.
 
+use std::sync::LazyLock;
+
 use marea::core::{
     ContainerConfig, EventPort, EventQos, Micros, NodeId, ProtoDuration, Service, ServiceContext,
     ServiceDescriptor, SimHarness, TimerId, VarPort, VarQos,
@@ -14,37 +16,25 @@ use marea::core::{
 use marea::netsim::NetConfig;
 use marea::prelude::*;
 
-/// The example's shared vocabulary: both services build their ports from
-/// these constructors, so publisher and subscriber agree by construction.
-fn count_port() -> VarPort<u64> {
-    VarPort::new("beacon/count")
-}
-
-fn decade_port() -> EventPort<u64> {
-    EventPort::new("beacon/decade")
-}
+/// The example's shared vocabulary: both services declare, send and
+/// decode through these two ports, so publisher and subscriber agree by
+/// construction.
+static COUNT: LazyLock<VarPort<u64>> = LazyLock::new(|| VarPort::new("beacon/count"));
+static DECADE: LazyLock<EventPort<u64>> = LazyLock::new(|| EventPort::new("beacon/decade"));
 
 /// Publishes `beacon/count` and emits `beacon/decade` every 10 counts.
 struct Beacon {
     count: u64,
-    count_port: VarPort<u64>,
-    decade: EventPort<u64>,
-}
-
-impl Beacon {
-    fn new() -> Self {
-        Beacon { count: 0, count_port: count_port(), decade: decade_port() }
-    }
 }
 
 impl Service for Beacon {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("beacon")
             .provides_var(
-                &self.count_port,
+                &COUNT,
                 VarQos::periodic(ProtoDuration::from_millis(50), ProtoDuration::from_millis(200)),
             )
-            .provides_event(&self.decade)
+            .provides_event(&DECADE)
             .build()
     }
 
@@ -55,32 +45,23 @@ impl Service for Beacon {
     fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
         self.count += 1;
         // Typed publish: only a u64 compiles here.
-        ctx.publish_to(&self.count_port, self.count);
+        ctx.publish_to(&COUNT, self.count);
         if self.count.is_multiple_of(10) {
-            ctx.emit_to(&self.decade, self.count);
+            ctx.emit_to(&DECADE, self.count);
         }
     }
 }
 
 /// Prints what it receives.
-struct Display {
-    count_port: VarPort<u64>,
-    decade: EventPort<u64>,
-}
-
-impl Display {
-    fn new() -> Self {
-        Display { count_port: count_port(), decade: decade_port() }
-    }
-}
+struct Display;
 
 impl Service for Display {
     fn descriptor(&self) -> ServiceDescriptor {
         ServiceDescriptor::builder("display")
             // The subscription contract: guaranteed initial value and a
             // short history ring readable via ctx.history().
-            .subscribe_to_var(&self.count_port, VarQos::default().with_initial().with_history(5))
-            .subscribe_to_event(&self.decade, EventQos::default())
+            .subscribe_to_var(&COUNT, VarQos::default().with_initial().with_history(5))
+            .subscribe_to_event(&DECADE, EventQos::default())
             .build()
     }
 
@@ -91,7 +72,7 @@ impl Service for Display {
         value: &Value,
         _stamp: Micros,
     ) {
-        if let Ok(n) = self.count_port.decode(value) {
+        if let Ok(n) = COUNT.decode(value) {
             if n % 5 == 0 {
                 println!("[{}] variable {name} = {n}", ctx.now());
             }
@@ -108,11 +89,11 @@ impl Service for Display {
         let latency_us = ctx.now().saturating_since(stamp).as_micros();
         // The declared history contract keeps the last few samples
         // readable without storing them in the service.
-        let recent: Vec<u64> = ctx.history(&self.count_port).into_iter().map(|(_, n)| n).collect();
+        let recent: Vec<u64> = ctx.history(&COUNT).into_iter().map(|(_, n)| n).collect();
         println!(
             "[{}] EVENT {name} {:?} (delivered {latency_us} µs after production; recent counts {recent:?})",
             ctx.now(),
-            self.decade.decode(value).ok()
+            DECADE.decode(value).ok()
         );
     }
 }
@@ -121,8 +102,8 @@ fn main() {
     let mut harness = SimHarness::new(NetConfig::default());
     harness.add_container(ContainerConfig::new("flight-node", NodeId(1)));
     harness.add_container(ContainerConfig::new("ground-node", NodeId(2)));
-    harness.add_service(NodeId(1), Box::new(Beacon::new()));
-    harness.add_service(NodeId(2), Box::new(Display::new()));
+    harness.add_service(NodeId(1), Box::new(Beacon { count: 0 }));
+    harness.add_service(NodeId(2), Box::new(Display));
 
     harness.start_all();
     harness.run_for_millis(2_000);
