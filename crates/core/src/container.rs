@@ -82,10 +82,11 @@ const TAGGED_KEEP_BYTES: usize = 1024;
 pub const SCRATCH_CAP_BYTES: usize = 8 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
 
 /// Bound on [`Occupancy::loan_bytes`] of a container with `links` reliable
-/// links: the outbox's loan, the transport's and one spare envelope per
-/// link, each at most [`LOAN_KEEP_BYTES`].
+/// links: the outbox's loan, the transport's, the call path's marshalling
+/// buffer, its argument spare and one spare envelope per link, each at
+/// most [`LOAN_KEEP_BYTES`].
 pub const fn loan_cap_bytes(links: usize) -> usize {
-    (2 + links) * LOAN_KEEP_BYTES
+    (4 + links) * LOAN_KEEP_BYTES
 }
 
 // One cap for every loan, on both sides of the protocol/transport boundary.
@@ -266,7 +267,8 @@ fn recycle<T>(buf: &mut Vec<T>) {
 
 /// What `execute_task` still needs of a payload once its handler has run:
 /// the variant, the fields its accounting records — the payload's own
-/// name, moved on after the handler borrowed it — and a call's result.
+/// name, moved on after the handler borrowed it — and a call's result and
+/// the arguments it ran with, which go back to the engine.
 enum Ran {
     Start,
     Stop,
@@ -288,6 +290,7 @@ enum Ran {
         function: Name,
         trace: TraceId,
         result: Result<Value, String>,
+        args: Vec<Value>,
     },
     Other,
 }
@@ -447,6 +450,7 @@ impl ServiceContainer {
             scratch_bytes: self.scratch.retained_bytes(),
             loan_bytes: self.outbox.loan_bytes()
                 + self.transport.loan_bytes()
+                + self.rpc.loan_bytes()
                 + self.links.spare_bytes(),
             ..Occupancy::default()
         };
@@ -973,7 +977,7 @@ impl ServiceContainer {
                 // A reply's trace was minted by the caller — us — so the
                 // implied origin is this node, not the frame's src.
                 let trace = TraceId::from_wire(self.config.node, trace);
-                let Some(call) = self.rpc.take(request) else { return };
+                let Some(call) = self.rpc.take_answered(request, src, status) else { return };
                 let result = match status {
                     CallStatus::Ok => {
                         self.rpc.unmarshal_reply(&call, codec, &payload, &self.codecs)
@@ -1298,6 +1302,10 @@ impl ServiceContainer {
         }
     }
 
+    /// Sends `call`'s marshalled arguments to its target, or queues the
+    /// call here. `payload` is the engine's loaned buffer either way:
+    /// dropping it — unsent, or once `send_reliable` has copied it — hands
+    /// its storage back for the next payload.
     fn dispatch_call(&mut self, id: RequestId, call: &PendingCall, payload: Bytes, now: Micros) {
         if call.target.node == self.config.node {
             // In-container invocation: no network, straight to the
@@ -1353,7 +1361,9 @@ impl ServiceContainer {
         self.tasks.push(Priority::CALL, caller_seq, TaskPayload::DeliverReply { request, result });
     }
 
-    /// A local service's handler returned from `on_call`.
+    /// A local service's handler returned from `on_call`. A remote
+    /// caller's reply payload is the engine's loaned buffer, handed back
+    /// when the sent reply is dropped.
     fn finish_call(
         &mut self,
         request: RequestId,
@@ -1562,7 +1572,7 @@ impl ServiceContainer {
             }
             TaskPayload::ExecuteCall { request, caller, function, args, trace } => {
                 let result = service.on_call(&mut ctx, &function, &args);
-                Ran::Call { request, caller, function, trace, result }
+                Ran::Call { request, caller, function, trace, result, args }
             }
             TaskPayload::DeliverReply { request, result } => {
                 service.on_reply(&mut ctx, CallHandle(request), result);
@@ -1619,8 +1629,9 @@ impl ServiceContainer {
                 self.tracer.record_event_latency(latency);
                 self.tracer.record(now, TraceKind::EventDeliver, trace, None, n, Some(&name));
             }
-            Ran::Call { request, caller, function, trace, result } => {
+            Ran::Call { request, caller, function, trace, result, args } => {
                 self.stats.calls_served += 1;
+                self.rpc.recycle_args(args);
                 self.finish_call(request, caller, &function, result, trace, now);
             }
             Ran::Start | Ran::Other => {}

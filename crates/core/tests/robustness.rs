@@ -994,3 +994,86 @@ fn a_bye_from_a_node_the_directory_does_not_hold_declares_no_death() {
     assert!(!c.directory().node_alive(NodeId(2)));
     assert_eq!(deaths(&c), (1, 1), "a known node's Bye, delivered twice");
 }
+
+#[test]
+fn a_refusal_from_a_node_the_call_is_not_aimed_at_leaves_the_call_alone() {
+    // Regression: the `CallReply` arm looked the call up by request id
+    // alone, so a `ServiceUnavailable` from any node failed the call over —
+    // here to no other provider, an error for the caller — and the genuine
+    // reply of the node it was aimed at was then dropped as unknown.
+    // Probe transport, explicit clock: nothing here is random.
+    use std::sync::{Arc, Mutex};
+
+    use marea_core::{CallError, RequestId, ServiceContainer};
+    use marea_protocol::messages::{CallStatus, Message};
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut forger = hub.attach(3);
+    let node = |name, n| {
+        ServiceContainer::new(ContainerConfig::new(name, NodeId(n)), Box::new(hub.attach(n)))
+    };
+    let (mut caller, mut provider) = (node("caller", 1), node("provider", 2));
+    let echo = FnPort::<(u64,), u64>::new("echo/inc");
+
+    let mut b = ServiceDescriptor::builder("inc");
+    b.provides_fn(&echo);
+    let mut inc = Scripted::new(b.build());
+    let port = echo.clone();
+    inc.on_call = Some(Box::new(move |_, _, args| {
+        let (v,) = port.decode_args(args).map_err(|e| e.to_string())?;
+        Ok(port.encode_ret(v + 1))
+    }));
+    provider.add_service(Box::new(inc)).unwrap();
+
+    let issued: Arc<Mutex<Option<RequestId>>> = Arc::default();
+    type Replies = Mutex<Vec<(RequestId, Result<Value, CallError>)>>;
+    let replies: Arc<Replies> = Arc::default();
+    let mut b = ServiceDescriptor::builder("client");
+    b.requires_fn(&echo);
+    let mut client = Scripted::new(b.build());
+    client.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(100), None);
+    }));
+    let (port, out) = (echo.clone(), issued.clone());
+    client.on_timer = Some(Box::new(move |ctx, _| {
+        *out.lock().unwrap() = Some(ctx.call_fn(&port, (41,)).handle().0);
+    }));
+    let out = replies.clone();
+    client.on_reply = Some(Box::new(move |_, handle, result| {
+        out.lock().unwrap().push((handle.0, result));
+    }));
+    caller.add_service(Box::new(client)).unwrap();
+
+    caller.start(Micros(0));
+    provider.start(Micros(0));
+    let mut ms = 0;
+    // Until the call leaves for node 2, which has not read it yet.
+    let request = loop {
+        ms += 1;
+        caller.tick(Micros::from_millis(ms));
+        if let Some(request) = *issued.lock().unwrap() {
+            break request;
+        }
+        provider.tick(Micros::from_millis(ms));
+        assert!(ms < 1_000, "the call was never issued");
+    };
+    let forged = Message::CallReply {
+        request,
+        status: CallStatus::ServiceUnavailable,
+        trace: 0,
+        codec: 0,
+        payload: Bytes::new(),
+    };
+    forger.send(TransportDestination::Node(1), forged.into_frame(NodeId(3)).encode()).unwrap();
+    caller.tick(Micros::from_millis(ms + 1));
+    for later in ms + 1..ms + 100 {
+        provider.tick(Micros::from_millis(later));
+        caller.tick(Micros::from_millis(later + 1));
+    }
+
+    assert_eq!(*replies.lock().unwrap(), [(request, Ok(Value::U64(42)))], "delivered once");
+    let stats = caller.stats();
+    assert_eq!((stats.qos.retries, stats.call_errors), (0, 0), "{stats:?}");
+}

@@ -566,6 +566,97 @@ fn loans_stay_under_their_cap_on_a_udp_pair() {
     assert!(peak > 0, "the gauge never saw a loan");
 }
 
+fn echo_port() -> FnPort<(Vec<u8>,), Vec<u8>> {
+    FnPort::new("echo/bytes")
+}
+
+/// Arguments of the echo calls made at `ms`: 256 B, 16 KiB from 1.5 s,
+/// 256 B again from 2.5 s.
+fn echo_arg_len(ms: u64) -> usize {
+    if (1_500..2_500).contains(&ms) {
+        16 * 1024
+    } else {
+        256
+    }
+}
+
+/// Calls the echo function every 10 ms from its first second on and counts
+/// the replies that came back with the bytes sent, per argument size.
+struct EchoCaller(Arc<Mutex<BTreeMap<usize, u64>>>);
+
+impl Service for EchoCaller {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::builder("echo-caller").requires_fn(&echo_port()).build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_secs(1), Some(ProtoDuration::from_millis(10)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        let len = echo_arg_len(ctx.now().as_micros() / 1_000);
+        ctx.call_fn(&echo_port(), (vec![len as u8; len],));
+    }
+    fn on_reply(
+        &mut self,
+        _ctx: &mut ServiceContext<'_>,
+        _handle: marea_core::CallHandle,
+        result: Result<Value, marea_core::CallError>,
+    ) {
+        let echoed = result.expect("echo call failed");
+        let echoed = echoed.as_bytes().expect("bytes back");
+        assert!(echoed.iter().all(|&b| b == echoed.len() as u8), "echo corrupted");
+        *self.0.lock().unwrap().entry(echoed.len()).or_default() += 1;
+    }
+}
+
+struct Echo;
+
+impl Service for Echo {
+    fn descriptor(&self) -> ServiceDescriptor {
+        ServiceDescriptor::builder("echo").provides_fn(&echo_port()).build()
+    }
+    fn on_call(
+        &mut self,
+        _ctx: &mut ServiceContext<'_>,
+        _function: &Name,
+        args: &[Value],
+    ) -> Result<Value, String> {
+        let (data,) = echo_port().decode_args(args).map_err(|e| e.to_string())?;
+        Ok(echo_port().encode_ret(data))
+    }
+}
+
+/// The call path's two slots — the marshalling buffer and the argument
+/// spare — are bounded state: over a UDP pair, echo calls with 256 B, then
+/// 16 KiB, then 256 B arguments keep each container at most at its cap of
+/// loans every millisecond, the 16 KiB ones included.
+#[test]
+fn call_path_loans_stay_under_their_cap_across_a_large_call() {
+    let bind = |node| UdpTransport::bind(UdpTransportConfig::new(node, "127.0.0.1:0")).unwrap();
+    let (mut ta, mut tb) = (bind(1), bind(2));
+    ta.add_peer(2, tb.local_addr().unwrap());
+    tb.add_peer(1, ta.local_addr().unwrap());
+    let mut a = ServiceContainer::new(ContainerConfig::new("a", NodeId(1)), Box::new(ta));
+    let mut b = ServiceContainer::new(ContainerConfig::new("b", NodeId(2)), Box::new(tb));
+    let replies = Arc::new(Mutex::new(BTreeMap::new()));
+    a.add_service(Box::new(EchoCaller(replies.clone()))).unwrap();
+    b.add_service(Box::new(Echo)).unwrap();
+    a.start(Micros::ZERO);
+    b.start(Micros::ZERO);
+
+    let mut peak = 0;
+    for ms in 1..3_000 {
+        for c in [&mut a, &mut b] {
+            c.tick(Micros::from_millis(ms));
+            let o = c.occupancy();
+            assert!(o.loan_bytes <= loan_cap_bytes(o.links), "{} at {ms} ms: {o:?}", c.node());
+            peak = peak.max(o.loan_bytes);
+        }
+    }
+    let replies = replies.lock().unwrap().clone();
+    assert!(replies[&256] >= 80 && replies[&(16 * 1024)] >= 80, "{replies:?}");
+    assert!(peak > 0, "the gauge never saw a loan");
+}
+
 /// Names in received frames are shared with the ones the engines hold, and
 /// that changes nothing about what is accepted: a name nobody here holds
 /// still decodes (and the frame is simply not for us), an invalid one is

@@ -181,29 +181,43 @@ impl CompactCodec {
 
     /// [`decode_from`](Self::decode_from) into `target`: a whole struct
     /// value of `ty` in the schema-sharing form is overwritten field by
-    /// field, in place; every other node is decoded fresh by `decode_from`
-    /// and assigned. The same reads in the same order, so the same checks
-    /// and the same first error.
+    /// field, and a string or byte vector is cleared and refilled, in
+    /// place; every other node is decoded fresh by `decode_from` and
+    /// assigned. The same reads in the same order, so the same checks and
+    /// the same first error.
     fn decode_in_place(
         r: &mut WireReader<'_>,
         ty: &DataType,
         target: &mut Value,
         depth: usize,
     ) -> Result<(), DecodeError> {
-        let fields = match (ty, &mut *target) {
-            (DataType::Struct(st), Value::Struct(sv)) => sv.values_mut_for(st).map(|v| (st, v)),
-            _ => None,
-        };
-        let Some((st, values)) = fields else {
-            *target = Self::decode_from(r, ty, depth)?;
-            return Ok(());
-        };
         if depth > MAX_DEPTH {
             return Err(DecodeError::TooDeep { limit: MAX_DEPTH });
         }
-        for (def, slot) in st.fields().iter().zip(values) {
-            Self::decode_in_place(r, def.ty(), slot, depth + 1)?;
+        match (ty, &mut *target) {
+            (DataType::Str, Value::Str(s)) => {
+                let read = r.get_str(MAX_COMPONENT_LEN)?;
+                s.clear();
+                s.push_str(read);
+                return Ok(());
+            }
+            (DataType::Bytes, Value::Bytes(b)) => {
+                let read = r.get_len_prefixed(MAX_COMPONENT_LEN)?;
+                b.clear();
+                b.extend_from_slice(read);
+                return Ok(());
+            }
+            (DataType::Struct(st), Value::Struct(sv)) => {
+                if let Some(values) = sv.values_mut_for(st) {
+                    for (def, slot) in st.fields().iter().zip(values) {
+                        Self::decode_in_place(r, def.ty(), slot, depth + 1)?;
+                    }
+                    return Ok(());
+                }
+            }
+            _ => {}
         }
+        *target = Self::decode_from(r, ty, depth)?;
         Ok(())
     }
 }
@@ -450,6 +464,41 @@ mod tests {
         })
     }
 
+    /// A string, a byte vector, or a struct of both, and two values of it
+    /// whose strings and byte vectors have other lengths — shorter,
+    /// longer, empty — so the in-place arms meet storage of every size.
+    fn arb_two_texts() -> impl proptest::strategy::Strategy<Value = (DataType, Value, Value)> {
+        use proptest::strategy::{Just, Strategy};
+        let len = || proptest::prop_oneof![Just(0usize), 1usize..16, 16usize..300];
+        (0..3u8, len(), len(), len(), len()).prop_map(|(shape, a_str, a_bytes, b_str, b_bytes)| {
+            let text = |n: usize| -> Value {
+                Value::Str((0..n).map(|i| if i % 7 == 3 { 'λ' } else { 'a' }).collect())
+            };
+            let blob = |n: usize| Value::Bytes((0..n).map(|i| i as u8).collect());
+            match shape {
+                0 => (DataType::Str, text(a_str), text(b_str)),
+                1 => (DataType::Bytes, blob(a_bytes), blob(b_bytes)),
+                _ => {
+                    let st = StructType::new("Note")
+                        .with_field("text", DataType::Str)
+                        .unwrap()
+                        .with_field("blob", DataType::Bytes)
+                        .unwrap();
+                    let note = |s, b| Value::Struct(StructValue::for_type(&st, [s, b]));
+                    let (a, b) =
+                        (note(text(a_str), blob(a_bytes)), note(text(b_str), blob(b_bytes)));
+                    (DataType::Struct(st), a, b)
+                }
+            }
+        })
+    }
+
+    /// Random schemas, and the string and byte shapes the in-place arms
+    /// write into.
+    fn arb_pairs() -> impl proptest::strategy::Strategy<Value = (DataType, Value, Value)> {
+        proptest::prop_oneof![arb_two_values(), arb_two_texts()]
+    }
+
     /// `decode_into` over `target` and `decode`, on the same bytes.
     fn both_decodes(
         bytes: &[u8],
@@ -465,7 +514,7 @@ mod tests {
         /// equal types of its own and so replaced — answers what decoding `b` fresh answers,
         /// and it re-encodes to `b`'s bytes.
         #[test]
-        fn decode_into_equals_a_fresh_decode((ty, a, b) in arb_two_values()) {
+        fn decode_into_equals_a_fresh_decode((ty, a, b) in arb_pairs()) {
             let (a_bytes, b_bytes) =
                 (codec().encode_to_vec(&a, &ty).unwrap(), codec().encode_to_vec(&b, &ty).unwrap());
             let shared = codec().decode(&a_bytes, &ty).unwrap();
@@ -480,7 +529,7 @@ mod tests {
         /// Every truncation of `b`, and `b` with a byte too many, fails
         /// `decode_into` with `decode`'s error, whatever the target holds.
         #[test]
-        fn decode_into_fails_as_decode_does((ty, a, b) in arb_two_values(), extra in 0u8..=255) {
+        fn decode_into_fails_as_decode_does((ty, a, b) in arb_pairs(), extra in 0u8..=255) {
             let target = codec().decode(&codec().encode_to_vec(&a, &ty).unwrap(), &ty).unwrap();
             let mut bytes = codec().encode_to_vec(&b, &ty).unwrap();
             for cut in 0..bytes.len() {
@@ -518,21 +567,60 @@ mod tests {
         assert_eq!(target, track_val());
     }
 
+    /// A string or byte vector with room for the decoded one is written in
+    /// its own storage, at the top level and inside a reused struct; one
+    /// without room grows.
+    #[test]
+    fn decode_into_writes_strings_and_bytes_where_they_are() {
+        let mut text = Value::Str("a long enough string".into());
+        let before = text.as_str().unwrap().as_ptr();
+        let short = codec().encode_to_vec(&Value::Str("short".into()), &DataType::Str).unwrap();
+        codec().decode_into(&short, &DataType::Str, &mut text).unwrap();
+        assert_eq!(text, Value::Str("short".into()));
+        assert_eq!(text.as_str().unwrap().as_ptr(), before, "same string storage");
+
+        let st = StructType::new("Note")
+            .with_field("text", DataType::Str)
+            .unwrap()
+            .with_field("blob", DataType::Bytes)
+            .unwrap();
+        let ty = DataType::Struct(st.clone());
+        let note =
+            |s: &str, b: &[u8]| Value::Struct(StructValue::for_type(&st, [s.into(), b.into()]));
+        let blob_ptr = |v: &Value| v.as_struct().unwrap().values()[1].as_bytes().unwrap().as_ptr();
+        let mut target = note("sixteen bytes!!!", &[9; 64]);
+        let before = blob_ptr(&target);
+        for (s, b) in [("", &[][..]), ("mid", &[1, 2, 3][..]), ("sixteen bytes!!!", &[5; 64][..])] {
+            let bytes = codec().encode_to_vec(&note(s, b), &ty).unwrap();
+            codec().decode_into(&bytes, &ty, &mut target).unwrap();
+            assert_eq!(target, note(s, b));
+            assert_eq!(blob_ptr(&target), before, "same byte storage for {s:?}");
+        }
+        let longer = codec().encode_to_vec(&note("x", &[7; 65]), &ty).unwrap();
+        codec().decode_into(&longer, &ty, &mut target).unwrap();
+        assert_eq!(target, note("x", &[7; 65]));
+    }
+
     /// Over-deep and out-of-range input met *inside* a reused struct gives
     /// the error `decode` gives.
     #[test]
     fn decode_into_in_place_errors_are_decode_s() {
-        // 33 levels of one-field structs around a u8, each value sharing
-        // its level's block: the in-place walk reaches the depth limit.
-        let (mut ty, mut value) = (DataType::U8, Value::U8(1));
-        for _ in 0..33 {
-            let st = StructType::anonymous().with_field("f", ty).unwrap();
-            value = Value::Struct(StructValue::for_type(&st, [value]));
-            ty = DataType::Struct(st);
+        // 33 levels of one-field structs around a u8 or a string, each
+        // value sharing its level's block: the in-place walk reaches the
+        // depth limit before it reads the bottom.
+        for (mut ty, mut value, bytes) in [
+            (DataType::U8, Value::U8(1), &[1][..]),
+            (DataType::Str, Value::Str("a".into()), &[1, b'a'][..]),
+        ] {
+            for _ in 0..33 {
+                let st = StructType::anonymous().with_field("f", ty).unwrap();
+                value = Value::Struct(StructValue::for_type(&st, [value]));
+                ty = DataType::Struct(st);
+            }
+            let (into, fresh) = both_decodes(bytes, &ty, value);
+            assert_eq!(into, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
+            assert_eq!(fresh, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
         }
-        let (into, fresh) = both_decodes(&[1], &ty, value);
-        assert_eq!(into, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
-        assert_eq!(fresh, Err(DecodeError::TooDeep { limit: MAX_DEPTH }));
 
         let st = StructType::new("S")
             .with_field("a", DataType::U8)
