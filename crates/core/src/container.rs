@@ -36,7 +36,7 @@ use marea_protocol::fragment::Reassembler;
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
     frames, FecRate, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
-    ServiceId, LOAN_KEEP_BYTES,
+    ServiceId, Unchecked, LOAN_KEEP_BYTES,
 };
 use marea_transport::{Transport, TransportDestination};
 
@@ -633,7 +633,19 @@ impl ServiceContainer {
 
         while let Some((_, datagram)) = self.transport.recv() {
             self.stats.datagrams_in += 1;
-            for frame in frames(&datagram) {
+            let mut walk = frames(&datagram);
+            loop {
+                // A beacon byte-identical to the last one that refreshed
+                // its sender's record is that checked frame again: it
+                // proves life, and applied again it would move nothing else.
+                let wire = walk.peek();
+                if wire.is_some_and(|frame| self.directory.repeat_beacon(frame, now)) {
+                    self.stats.frames_in += 1;
+                    self.stats.beacon_repeats += 1;
+                    walk.step_over();
+                    continue;
+                }
+                let Some(frame) = walk.next() else { break };
                 self.stats.frames_in += 1;
                 // A corrupt frame (CRC) is dropped with whatever followed
                 // it in its datagram: the walk ends there.
@@ -651,7 +663,7 @@ impl ServiceContainer {
                     self.directory.touch(src, now);
                 }
                 match Message::from_frame_interned(&frame, &|s| self.held_name(s)) {
-                    Ok(msg) => self.handle_message(src, msg, now),
+                    Ok(msg) => self.handle_message(src, msg, wire, now),
                     Err(_) => self.stats.frames_rejected += 1,
                 }
             }
@@ -740,7 +752,15 @@ impl ServiceContainer {
 
     // ---- frame input -----------------------------------------------------
 
-    fn handle_message(&mut self, src: NodeId, msg: Message, now: Micros) {
+    /// Applies `msg` from `src`; `wire` is the checked frame it was read
+    /// from, `None` for one that travelled inside another message.
+    fn handle_message(
+        &mut self,
+        src: NodeId,
+        msg: Message,
+        wire: Option<Unchecked<'_>>,
+        now: Micros,
+    ) {
         match msg {
             Message::Hello { container, incarnation, fec_cap } => {
                 if !self.directory.apply_hello(src, container, incarnation, fec_cap, now) {
@@ -770,8 +790,15 @@ impl ServiceContainer {
                     now,
                 );
                 let (relink, pull) = match outcome {
-                    // The steady state ends here, one directory lookup in.
-                    BeaconOutcome::Refreshed | BeaconOutcome::OlderLife => return,
+                    // The steady state ends here, one directory lookup in,
+                    // and a repeat of this frame before its check.
+                    BeaconOutcome::Refreshed => {
+                        if let Some(frame) = wire {
+                            self.directory.keep_beacon(frame);
+                        }
+                        return;
+                    }
+                    BeaconOutcome::OlderLife => return,
                     BeaconOutcome::Differs { cap, digest } => (cap, digest),
                     BeaconOutcome::NewLife => (true, true),
                     BeaconOutcome::Unknown => {
@@ -1039,7 +1066,7 @@ impl ServiceContainer {
                     if let Ok(inner) =
                         Message::decode_tagged_interned(&full, &|s| self.held_name(s))
                     {
-                        self.handle_message(src, inner, now);
+                        self.handle_message(src, inner, None, now);
                     }
                 }
             }
@@ -1063,7 +1090,7 @@ impl ServiceContainer {
         }
         for tagged in inner.drain(..) {
             if let Ok(msg) = Message::decode_tagged_interned(&tagged, &|s| self.held_name(s)) {
-                self.handle_message(src, msg, now);
+                self.handle_message(src, msg, None, now);
             }
         }
         recycle(inner);
@@ -1395,11 +1422,10 @@ impl ServiceContainer {
     // ---- per-tick pumps ---------------------------------------------------
 
     fn poll_links(&mut self, now: Micros) {
-        let mtu = self.transport.mtu();
         let mut swept = None;
         while let Some(peer) = self.links.next_active(swept) {
             swept = Some(peer);
-            let mut sink = self.outbox.to(TransportDestination::Node(peer.0), mtu);
+            let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
             let events = &mut self.scratch.link_events;
             self.links.poll(peer, now, &mut sink, events);
             for seq in events.retransmitted.drain(..) {
@@ -2076,7 +2102,7 @@ mod tests {
                 })
                 .last();
             assert_eq!(heard, Some(fresh), "{what}: the last beacon on the wire");
-            let held = h.container(b).and_then(|c| c.directory.node(a)?.catalogue_digest);
+            let held = h.container(b).and_then(|c| c.directory.node(a)?.catalogue_digest());
             assert_eq!(held, Some(fresh), "{what}: node b's copy");
             assert_eq!(h.container(b).map(|c| c.stats.catalogue_pulls), Some(0), "{what}");
         };

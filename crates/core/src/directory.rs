@@ -17,13 +17,18 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::num::NonZeroU32;
 use std::sync::OnceLock;
 
+use bytes::BytesMut;
+use marea_encoding::WireWriter;
 use marea_presentation::Name;
 use marea_protocol::messages::{
     announce_hash, AnnounceEntry, FunctionSig, Provision, ServiceState,
 };
-use marea_protocol::{Micros, NodeId, ProtoDuration, ServiceId};
+use marea_protocol::{
+    FrameBody, Message, MessageKind, Micros, NodeId, ProtoDuration, ServiceId, Unchecked,
+};
 
 use crate::service::CallPolicy;
 
@@ -50,8 +55,10 @@ impl ProviderInfo {
     }
 }
 
-/// Liveness record of a remote (or the local) node.
-#[derive(Debug, Clone)]
+/// Liveness record of a remote (or the local) node. One is kept per node
+/// of the fleet, so its size is a large fleet's heap: 48 bytes, pinned by
+/// `a_record_is_forty_eight_bytes`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
     /// Container name advertised in `Hello`.
     pub container: Name,
@@ -63,11 +70,58 @@ pub struct NodeInfo {
     pub load_permille: u16,
     /// FEC capability wire tag advertised in `Hello` (0 = FEC off).
     pub fec_cap: u8,
+    /// `digest` holds an applied catalogue's digest (a pair and a flag,
+    /// not an `Option`: its tag would cost the record 8 bytes).
+    digest_known: bool,
+    /// See [`NodeInfo::catalogue_digest`].
+    digest: (u32, u32),
+    /// The CRC field of the last beacon frame that left this record as it
+    /// is ([`BeaconOutcome::Refreshed`]), kept only while the record says
+    /// exactly what that beacon said: every other write clears it. A CRC
+    /// of 0 is never kept. See [`Directory::repeat_beacon`].
+    beacon_crc: Option<NonZeroU32>,
+}
+
+impl NodeInfo {
+    fn new(
+        container: Name,
+        incarnation: u64,
+        now: Micros,
+        load_permille: u16,
+        fec_cap: u8,
+    ) -> Self {
+        NodeInfo {
+            container,
+            incarnation,
+            last_seen: now,
+            load_permille,
+            fec_cap,
+            digest_known: false,
+            digest: (0, 0),
+            beacon_crc: None,
+        }
+    }
+
     /// Digest of the node's last applied full catalogue announce:
     /// `(announce_hash, entry_count)`. `None` until an announce is seen —
     /// a beacon received in that state always mismatches, which is what
     /// pulls the catalogue.
-    pub catalogue_digest: Option<(u32, u32)>,
+    pub fn catalogue_digest(&self) -> Option<(u32, u32)> {
+        self.digest_known.then_some(self.digest)
+    }
+
+    /// The beacon this record says the node sends: every field is one the
+    /// record holds, so none can be built before a catalogue is applied.
+    fn beacon(&self) -> Option<Message> {
+        let (catalogue_hash, entry_count) = self.catalogue_digest()?;
+        Some(Message::Beacon {
+            incarnation: self.incarnation,
+            load_permille: self.load_permille,
+            fec_cap: self.fec_cap,
+            entry_count,
+            catalogue_hash,
+        })
+    }
 }
 
 /// What a beacon changed, beyond refreshing its sender's liveness and
@@ -123,6 +177,18 @@ pub struct Directory {
     /// container does not time itself out — so its own liveness needs no
     /// per-tick refresh.
     local: Option<NodeId>,
+    /// Where a record's beacon body is written to be compared with a
+    /// received one's: kept, so the comparison allocates nothing.
+    beacon_body: BytesMut,
+}
+
+/// `info`'s beacon body, written over `buf` by the message table's writer;
+/// `None` while no catalogue is applied.
+fn beacon_body<'b>(buf: &'b mut BytesMut, info: &NodeInfo) -> Option<&'b [u8]> {
+    let beacon = info.beacon()?;
+    buf.clear();
+    beacon.write_body(&mut WireWriter::new(buf));
+    Some(&buf[..])
 }
 
 impl Directory {
@@ -156,24 +222,18 @@ impl Directory {
         // digest); a new life starts with no catalogue known.
         let catalogue_digest = match self.nodes.get(&node) {
             Some(known) if known.incarnation > incarnation => return false,
-            Some(known) if known.incarnation == incarnation => known.catalogue_digest,
+            Some(known) if known.incarnation == incarnation => known.catalogue_digest(),
             Some(_) => {
                 self.purge_node(node);
                 None
             }
             None => None,
         };
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                container,
-                incarnation,
-                last_seen: now,
-                load_permille: 0,
-                fec_cap,
-                catalogue_digest,
-            },
-        );
+        let mut info = NodeInfo::new(container, incarnation, now, 0, fec_cap);
+        if let Some(digest) = catalogue_digest {
+            (info.digest_known, info.digest) = (true, digest);
+        }
+        self.nodes.insert(node, info);
         self.schedule_expiry(node, now);
         true
     }
@@ -197,8 +257,9 @@ impl Directory {
             Some(info) if info.incarnation == incarnation => {
                 info.last_seen = now;
                 info.load_permille = load_permille;
+                info.beacon_crc = None;
                 let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
-                let digest = info.catalogue_digest != Some(digest);
+                let digest = info.catalogue_digest() != Some(digest);
                 debug_assert!(self.expiry_queued(node));
                 return if cap || digest {
                     BeaconOutcome::Differs { cap, digest }
@@ -219,19 +280,46 @@ impl Directory {
             return outcome;
         };
         self.purge_node(node);
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                container,
-                incarnation,
-                last_seen: now,
-                load_permille,
-                fec_cap,
-                catalogue_digest: None,
-            },
-        );
+        self.nodes.insert(node, NodeInfo::new(container, incarnation, now, load_permille, fec_cap));
         self.schedule_expiry(node, now);
         outcome
+    }
+
+    /// Keeps the CRC of `frame` — a beacon from its `src` that passed the
+    /// frame check and that [`apply_beacon`](Self::apply_beacon) has just
+    /// answered [`BeaconOutcome::Refreshed`] — so that a byte-identical
+    /// repeat is a [`repeat_beacon`](Self::repeat_beacon). Nothing is kept
+    /// unless the frame's payload is the record's own beacon encoding.
+    pub(crate) fn keep_beacon(&mut self, frame: Unchecked<'_>) {
+        let Some(info) = self.nodes.get_mut(&frame.src()) else { return };
+        if frame.is(MessageKind::Beacon)
+            && beacon_body(&mut self.beacon_body, info) == Some(frame.payload())
+        {
+            info.beacon_crc = NonZeroU32::new(frame.crc());
+        }
+    }
+
+    /// Takes `frame` — a received frame's bytes, **not checked** — as a
+    /// repeat when it is byte for byte the beacon whose CRC its sender's
+    /// record keeps: magic, version and kind byte are a beacon's, the CRC
+    /// field is the one kept, and length and payload are the record's own
+    /// beacon encoding. That frame passed the frame check once, and
+    /// applying it again would answer `Refreshed` and move nothing but
+    /// `last_seen`: a repeat moves that, and its caller skips the check,
+    /// the decode and [`apply_beacon`](Self::apply_beacon). Anything else
+    /// answers `false` and changes nothing.
+    pub(crate) fn repeat_beacon(&mut self, frame: Unchecked<'_>, now: Micros) -> bool {
+        if !frame.is(MessageKind::Beacon) {
+            return false;
+        }
+        let Some(info) = self.nodes.get_mut(&frame.src()) else { return false };
+        if info.beacon_crc.map(NonZeroU32::get) != Some(frame.crc())
+            || beacon_body(&mut self.beacon_body, info) != Some(frame.payload())
+        {
+            return false;
+        }
+        info.last_seen = now;
+        true
     }
 
     /// The owning container's load figure moved (its own record takes no
@@ -239,6 +327,7 @@ impl Directory {
     pub fn set_load(&mut self, node: NodeId, load_permille: u16) {
         if let Some(info) = self.nodes.get_mut(&node) {
             info.load_permille = load_permille;
+            info.beacon_crc = None;
         }
     }
 
@@ -262,7 +351,8 @@ impl Directory {
         let digest = (announce_hash(incarnation, entries), entries.len() as u32);
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
-            info.catalogue_digest = Some(digest);
+            (info.digest_known, info.digest) = (true, digest);
+            info.beacon_crc = None;
             debug_assert!(self.expiry_queued(node));
         }
         // Exact capacities: most names have one provider and most nodes a
@@ -491,7 +581,9 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use marea_presentation::DataType;
+    use marea_protocol::frames;
     use marea_protocol::messages::FunctionSig;
     use proptest::prelude::*;
 
@@ -876,7 +968,7 @@ mod tests {
         let digest = d.apply_announce(NodeId(2), 3, &[announce_storage(1)], Micros(5));
         let info = d.node(NodeId(2)).expect("known from its announce");
         assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (3, Micros(5), 0));
-        assert_eq!(info.catalogue_digest, Some(digest));
+        assert_eq!(info.catalogue_digest(), Some(digest));
         assert_eq!(d.providers("storage/store").count(), 1, "and its catalogue resolves");
         // The beacon behind it has only the capability to add.
         let cap_only = BeaconOutcome::Differs { cap: true, digest: false };
@@ -892,7 +984,7 @@ mod tests {
         use BeaconOutcome::*;
         let n2 = NodeId(2);
         let mut d = dir_with_two_storages();
-        let digest = d.node(n2).unwrap().catalogue_digest.unwrap();
+        let digest = d.node(n2).unwrap().catalogue_digest().unwrap();
 
         // The steady state: liveness and load move, nothing else.
         assert_eq!(d.apply_beacon(n2, 1, 300, 4, digest, Micros(10)), Refreshed);
@@ -906,7 +998,7 @@ mod tests {
         assert_eq!(d.apply_beacon(n2, 4, 999, 1, (0, 0), Micros(30)), OlderLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (5, Micros(20), 0));
-        assert_eq!((info.fec_cap, info.catalogue_digest), (4, Some(digest)));
+        assert_eq!((info.fec_cap, info.catalogue_digest()), (4, Some(digest)));
 
         // A cap change is applied and reported, with and without a
         // digest mismatch riding along.
@@ -917,7 +1009,7 @@ mod tests {
         assert_eq!(d.apply_beacon(n2, 5, 0, 3, (digest.0 ^ 1, 1), Micros(41)), both);
         assert_eq!(d.node(n2).unwrap().fec_cap, 3);
         // A mismatch leaves the held catalogue alone: the pull replaces it.
-        assert_eq!(d.node(n2).unwrap().catalogue_digest, Some(digest));
+        assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
         assert_eq!(d.node(n2).unwrap().last_seen, Micros(41));
         assert_eq!(d.providers("storage/store").count(), 2);
 
@@ -925,13 +1017,13 @@ mod tests {
         assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), NewLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (6, Micros(50), 70));
-        assert_eq!((&info.container, info.catalogue_digest), (&name("n2"), None));
+        assert_eq!((&info.container, info.catalogue_digest()), (&name("n2"), None));
         assert_eq!(d.providers("storage/store").count(), 1, "node 3's only");
 
         // An unknown node gets a minimal record, queued for expiry.
         assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), Unknown);
         let info = d.node(NodeId(9)).unwrap();
-        assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest), (250, 3, None));
+        assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest()), (250, 3, None));
         let later = Micros(60) + ProtoDuration::from_secs(2);
         assert!(d.expire(later, ProtoDuration::from_secs(2)).contains(&NodeId(9)));
     }
@@ -949,16 +1041,16 @@ mod tests {
         assert!(!d.apply_hello(n2, name("n2-old"), 1, 0, Micros(2)));
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, &info.container, info.fec_cap), (2, &name("n2"), 4));
-        assert_eq!((info.catalogue_digest, info.last_seen), (Some(digest), Micros(1)));
+        assert_eq!((info.catalogue_digest(), info.last_seen), (Some(digest), Micros(1)));
         assert_eq!(d.providers("storage/store").count(), 1);
         assert_eq!(d.apply_beacon(n2, 2, 0, 4, digest, Micros(3)), BeaconOutcome::Refreshed);
         assert_eq!(d.providers("storage/store").count(), 1);
 
         // The same life again and a newer one are both applied.
         assert!(d.apply_hello(n2, name("n2"), 2, 4, Micros(4)));
-        assert_eq!(d.node(n2).unwrap().catalogue_digest, Some(digest));
+        assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
         assert!(d.apply_hello(n2, name("n2"), 3, 4, Micros(5)));
-        assert_eq!(d.node(n2).unwrap().catalogue_digest, None);
+        assert_eq!(d.node(n2).unwrap().catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 0);
     }
 
@@ -1052,5 +1144,204 @@ mod tests {
         assert!(d.resolve_file("gps/almanac").is_some());
         assert!(d.resolve_function("gps/position", CallPolicy::Dynamic, None).is_none());
         assert_eq!(d.provision_count(), 3);
+    }
+
+    /// A large fleet holds one record per node in every directory.
+    #[test]
+    fn a_record_is_forty_eight_bytes() {
+        assert!(std::mem::size_of::<NodeInfo>() <= 48, "{}", std::mem::size_of::<NodeInfo>());
+    }
+
+    fn beacon_wire(
+        node: NodeId,
+        incarnation: u64,
+        load: u16,
+        cap: u8,
+        digest: (u32, u32),
+    ) -> Bytes {
+        let (catalogue_hash, entry_count) = digest;
+        let beacon = Message::Beacon {
+            incarnation,
+            load_permille: load,
+            fec_cap: cap,
+            entry_count,
+            catalogue_hash,
+        };
+        beacon.into_frame(node).encode()
+    }
+
+    /// What the container makes of a datagram of one frame without the
+    /// repeat check: the frame check and the decode, then a `touch` for
+    /// another kind, or `apply_beacon` — and `keep_beacon` on `Refreshed` —
+    /// for a beacon.
+    fn full_path(d: &mut Directory, wire: &Bytes, now: Micros) -> Option<BeaconOutcome> {
+        let mut walk = frames(wire);
+        let unchecked = walk.peek()?;
+        let frame = walk.next()?.ok()?;
+        let src = frame.header().src;
+        let Ok(Message::Beacon {
+            incarnation,
+            load_permille,
+            fec_cap,
+            entry_count,
+            catalogue_hash,
+        }) = Message::from_frame(&frame)
+        else {
+            if frame.header().kind != MessageKind::Beacon {
+                d.touch(src, now);
+            }
+            return None;
+        };
+        let digest = (catalogue_hash, entry_count);
+        let outcome = d.apply_beacon(src, incarnation, load_permille, fec_cap, digest, now);
+        if outcome == BeaconOutcome::Refreshed {
+            d.keep_beacon(unchecked);
+        }
+        Some(outcome)
+    }
+
+    fn repeat(d: &mut Directory, wire: &Bytes, now: Micros) -> bool {
+        frames(wire).peek().is_some_and(|frame| d.repeat_beacon(frame, now))
+    }
+
+    #[test]
+    fn a_beacon_repeats_while_its_record_says_what_it_said() {
+        let n2 = NodeId(2);
+        let mut d = Directory::new();
+        d.apply_hello(n2, name("n2"), 1, 4, Micros(0));
+        assert!(!repeat(&mut d, &beacon_wire(n2, 1, 0, 4, (0, 0)), Micros(1)), "no catalogue");
+        let digest = d.apply_announce(n2, 1, &[announce_storage(1)], Micros(0));
+        let first = beacon_wire(n2, 1, 0, 4, digest);
+        assert!(!repeat(&mut d, &first, Micros(1)), "nothing kept before a Refreshed");
+        assert_eq!(full_path(&mut d, &first, Micros(1)), Some(BeaconOutcome::Refreshed));
+        assert!(repeat(&mut d, &first, Micros(2)));
+        assert_eq!(d.node(n2).unwrap().last_seen, Micros(2));
+
+        // A load change is a new beacon: it is checked and kept in turn,
+        // and the old one is no longer a repeat.
+        let loaded = beacon_wire(n2, 1, 300, 4, digest);
+        assert!(!repeat(&mut d, &loaded, Micros(3)));
+        assert_eq!(full_path(&mut d, &loaded, Micros(3)), Some(BeaconOutcome::Refreshed));
+        assert!(!repeat(&mut d, &first, Micros(4)));
+        assert!(repeat(&mut d, &loaded, Micros(5)));
+
+        // Any other write to the record forgets the CRC.
+        d.apply_announce(n2, 1, &[announce_storage(1)], Micros(6));
+        assert!(!repeat(&mut d, &loaded, Micros(7)), "announce");
+        assert_eq!(full_path(&mut d, &loaded, Micros(7)), Some(BeaconOutcome::Refreshed));
+        d.apply_hello(n2, name("n2"), 1, 4, Micros(8));
+        assert!(!repeat(&mut d, &loaded, Micros(9)), "hello");
+
+        // A CRC of 0 is never kept (the keep trusts its caller's check).
+        let mut zero = first.to_vec();
+        zero[12..16].fill(0);
+        let zero = Bytes::from(zero);
+        d.keep_beacon(frames(&zero).peek().unwrap());
+        assert!(!repeat(&mut d, &zero, Micros(10)));
+        assert_eq!(d.node(n2).unwrap().last_seen, Micros(8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Two directories take the same control traffic; one of them
+        /// tries every received frame as a repeat first. A repeat is
+        /// answered only where the full path answers `Refreshed`, and it
+        /// leaves every record field for field as the full path does — the
+        /// kept CRC included. The frames are the senders' own, replays of
+        /// earlier ones, replays with a bit flipped, the source rewritten
+        /// or the kind byte rewritten, and the record's own beacon under
+        /// an earlier frame's CRC.
+        #[test]
+        fn a_repeat_is_what_the_full_path_makes_of_the_frame(
+            ops in proptest::collection::vec(
+                (0u8..11, 1u32..4, 1u64..3, any::<u16>(), 0u64..900),
+                1..160,
+            ),
+        ) {
+            let (mut fast, mut full) = (Directory::new(), Directory::new());
+            let mut sent: Vec<Bytes> = Vec::new();
+            let mut now = Micros::ZERO;
+            for (op, node_id, incarnation, pick, dt_ms) in ops {
+                now += ProtoDuration::from_millis(dt_ms);
+                let node = NodeId(node_id);
+                let replayed = sent.get(usize::from(pick) % sent.len().max(1)).map(|w| w.to_vec());
+                let received = match op {
+                    0 => {
+                        let cap = if pick % 2 == 0 { 4 } else { 0 };
+                        fast.apply_hello(node, name("n"), incarnation, cap, now);
+                        full.apply_hello(node, name("n"), incarnation, cap, now);
+                        None
+                    }
+                    1 => {
+                        let entries = [announce_storage(1 + u32::from(pick % 2))];
+                        fast.apply_announce(node, incarnation, &entries, now);
+                        full.apply_announce(node, incarnation, &entries, now);
+                        None
+                    }
+                    2 => {
+                        // Mostly what the record holds, so `Refreshed` is
+                        // common; now and then anything.
+                        let held = full.node(node);
+                        let (life, digest) = match held {
+                            Some(i) if pick % 4 != 0 => {
+                                (i.incarnation, i.catalogue_digest().unwrap_or((0, 0)))
+                            }
+                            _ => (incarnation, (u32::from(pick), 1)),
+                        };
+                        let load = if pick & 0x10 == 0 { 0 } else { 500 };
+                        let cap = if pick & 0x20 == 0 { held.map_or(4, |i| i.fec_cap) } else { 0 };
+                        let wire = beacon_wire(node, life, load, cap, digest);
+                        sent.push(wire.clone());
+                        Some(wire)
+                    }
+                    3 => replayed.map(Bytes::from),
+                    4 => replayed.map(|mut w| {
+                        let at = usize::from(pick >> 3) % w.len();
+                        w[at] ^= 1 << (pick % 8);
+                        Bytes::from(w)
+                    }),
+                    5 => replayed.map(|mut w| {
+                        w[4..8].copy_from_slice(&node_id.to_le_bytes());
+                        Bytes::from(w)
+                    }),
+                    6 => replayed.map(|mut w| {
+                        w[3] = (pick % 26) as u8;
+                        Bytes::from(w)
+                    }),
+                    7 => {
+                        fast.touch(node, now);
+                        full.touch(node, now);
+                        None
+                    }
+                    8 => {
+                        let timeout = ProtoDuration::from_millis(2_000);
+                        prop_assert_eq!(fast.expire(now, timeout), full.expire(now, timeout));
+                        None
+                    }
+                    // What the record says now under an earlier frame's
+                    // CRC field: checked once only if that CRC is this
+                    // body's.
+                    9 => full.node(node).and_then(NodeInfo::beacon).zip(replayed).map(|(b, old)| {
+                        let mut w = b.into_frame(node).encode().to_vec();
+                        w[12..16].copy_from_slice(&old[12..16]);
+                        Bytes::from(w)
+                    }),
+                    _ => {
+                        prop_assert_eq!(fast.apply_bye(node), full.apply_bye(node));
+                        None
+                    }
+                };
+                if let Some(wire) = received {
+                    let outcome = full_path(&mut full, &wire, now);
+                    if repeat(&mut fast, &wire, now) {
+                        prop_assert_eq!(outcome, Some(BeaconOutcome::Refreshed), "{:02x?}", &wire[..]);
+                    } else {
+                        full_path(&mut fast, &wire, now);
+                    }
+                }
+                prop_assert_eq!(&fast.nodes, &full.nodes);
+            }
+        }
     }
 }

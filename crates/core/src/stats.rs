@@ -182,6 +182,11 @@ counters! {
         sum datagrams_in: u64,
         /// Frames read out of received datagrams, valid or not.
         sum frames_in: u64,
+        /// Of those, beacons taken as repeats: byte-identical to the last
+        /// beacon that refreshed their sender's record while the record
+        /// still says what it said, so neither checked, decoded nor applied
+        /// again — only their sender's `last_seen` moves.
+        sum beacon_repeats: u64,
         /// Received frames discarded unread: one bump for a frame that fails
         /// its length or CRC check — together with whatever followed it in
         /// its datagram, where the walk ends — and one for a frame whose

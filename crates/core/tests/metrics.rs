@@ -68,6 +68,7 @@ fn every_container_counter_is_a_key_of_a_node_frame() {
     for expected in [
         "ticks",
         "catalogue_pulls",
+        "beacon_repeats",
         "queue_peak",
         "call_errors",
         "old_samples_dropped",

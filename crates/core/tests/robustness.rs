@@ -718,7 +718,7 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     send(&mut probe, beacon);
     c.tick(Micros(quiet + 1_000));
     let info = c.directory().node(NodeId(2)).unwrap();
-    assert_eq!((info.incarnation, info.catalogue_digest), (2, Some(digest)));
+    assert_eq!((info.incarnation, info.catalogue_digest()), (2, Some(digest)));
     assert!(c.directory().resolve_event("gps/fix-lost").is_some());
     assert_eq!(c.stats().catalogue_pulls, 0);
     while let Some((_, datagram)) = probe.recv() {
@@ -832,7 +832,7 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
         let own = h.container(NodeId(1)).unwrap().directory().node(NodeId(1)).unwrap();
         h.nodes().iter().all(|n| {
             let d = h.container(*n).unwrap().directory();
-            d.node(NodeId(1)).is_some_and(|i| i.catalogue_digest == own.catalogue_digest)
+            d.node(NodeId(1)).is_some_and(|i| i.catalogue_digest() == own.catalogue_digest())
                 && d.resolve_event("fragile/e").is_some_and(|p| p.state == state)
         })
     };
@@ -850,7 +850,7 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     // SetDegraded on a running service: the next beacon slot re-floods.
     h.run_until_us(1_400_000);
     let held = h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap();
-    assert_eq!(held.catalogue_digest, settled.catalogue_digest, "not before its slot");
+    assert_eq!(held.catalogue_digest(), settled.catalogue_digest(), "not before its slot");
     h.run_until_us(1_200_000 + beacon.as_micros());
     assert!(converged(&h, ServiceState::Degraded), "within one beacon period of the change");
     assert_eq!(pulls(&h), [0, 0, 0], "a re-flood that arrives leaves nothing to pull");
@@ -1076,4 +1076,170 @@ fn a_refusal_from_a_node_the_call_is_not_aimed_at_leaves_the_call_alone() {
     assert_eq!(*replies.lock().unwrap(), [(request, Ok(Value::U64(42)))], "delivered once");
     let stats = caller.stats();
     assert_eq!((stats.qos.retries, stats.call_errors), (0, 0), "{stats:?}");
+}
+
+/// Node 1's container after nodes 2 and 3 said `Hello`, announced the same
+/// catalogue and beaconed once each: both records keep their beacon's CRC,
+/// and a second copy of node 2's beacon was taken as a repeat. Returns the
+/// container, the probe that speaks for nodes 2 and 3, node 2's beacon
+/// frame and the catalogue. Probe transport, explicit clock.
+fn refreshed_by_their_beacons() -> (
+    marea_core::ServiceContainer,
+    marea_transport::InProcTransport,
+    Bytes,
+    Vec<marea_protocol::messages::AnnounceEntry>,
+) {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::{AnnounceEntry, Message, Provision, ServiceState};
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    let cfg = ContainerConfig::new("uav", NodeId(1));
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    c.start(Micros(0));
+    let entries = vec![AnnounceEntry {
+        service_seq: 1,
+        name: Name::new("gps").unwrap(),
+        state: ServiceState::Running,
+        provides: vec![Provision::Event { name: Name::new("gps/fix-lost").unwrap(), ty: None }],
+    }];
+    let hello =
+        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
+    let announce = Message::Announce { incarnation: 1, entries: entries.clone() };
+    for node in [2, 3] {
+        for msg in [&hello, &announce] {
+            let frame = msg.clone().into_frame(NodeId(node)).encode();
+            probe.send(TransportDestination::Node(1), frame).unwrap();
+        }
+        let beacon = beacon_from(node, &entries, 0);
+        probe.send(TransportDestination::Node(1), beacon).unwrap();
+    }
+    c.tick(Micros(1_000));
+    let beacon = beacon_from(2, &entries, 0);
+    probe.send(TransportDestination::Node(1), beacon.clone()).unwrap();
+    c.tick(Micros(2_000));
+    while probe.recv().is_some() {}
+    let stats = c.stats();
+    assert_eq!((stats.beacon_repeats, stats.frames_rejected, stats.catalogue_pulls), (1, 0, 0));
+    assert_eq!(c.directory().node(NodeId(2)).unwrap().last_seen, Micros(2_000));
+    (c, probe, beacon, entries)
+}
+
+/// The beacon frame `node` sends while it holds `entries` at `load`.
+fn beacon_from(
+    node: u32,
+    entries: &[marea_protocol::messages::AnnounceEntry],
+    load_permille: u16,
+) -> Bytes {
+    use marea_protocol::messages::{announce_hash, Message};
+    let beacon = Message::Beacon {
+        incarnation: 1,
+        load_permille,
+        fec_cap: 0,
+        entry_count: entries.len() as u32,
+        catalogue_hash: announce_hash(1, entries),
+    };
+    beacon.into_frame(NodeId(node)).encode()
+}
+
+/// Hands `datagram` to node 1 at `at` ms and answers how many frames it
+/// rejected, took as beacon repeats and pulled a catalogue for, and
+/// whether nodes 2's and 3's records came out exactly as they went in.
+fn offer(
+    c: &mut marea_core::ServiceContainer,
+    probe: &mut marea_transport::InProcTransport,
+    datagram: Vec<u8>,
+    at: u64,
+) -> ((u64, u64, u64), bool) {
+    use marea_protocol::Micros;
+    use marea_transport::{Transport, TransportDestination};
+
+    let records =
+        |c: &marea_core::ServiceContainer| [2, 3].map(|n| c.directory().node(NodeId(n)).cloned());
+    let (before, held) = (c.stats(), records(c));
+    probe.send(TransportDestination::Node(1), Bytes::from(datagram)).unwrap();
+    c.tick(Micros::from_millis(at));
+    while probe.recv().is_some() {}
+    let after = c.stats();
+    let moved = (
+        after.frames_rejected - before.frames_rejected,
+        after.beacon_repeats - before.beacon_repeats,
+        after.catalogue_pulls - before.catalogue_pulls,
+    );
+    (moved, records(c) == held)
+}
+
+// A beacon byte-identical to the one that refreshed its sender's record
+// skips the frame check. Anything that differs from it by one bit, by its
+// source or by its kind is checked, and rejected, exactly as before; each
+// case below starts from that refreshed record.
+
+/// (a) One body bit flipped, the CRC field intact, a valid frame behind it
+/// in the same datagram: rejected, and the walk ends there — the frame
+/// behind it, node 2 at load 500, would have moved the record.
+#[test]
+fn a_beacon_repeat_with_a_body_bit_flipped_is_rejected_with_what_follows() {
+    let (mut c, mut probe, beacon, entries) = refreshed_by_their_beacons();
+    let mut damaged = beacon.to_vec();
+    damaged[marea_protocol::FRAME_HEADER_LEN] ^= 0x01;
+    damaged.extend_from_slice(&beacon_from(2, &entries, 500));
+    assert_eq!(offer(&mut c, &mut probe, damaged, 3), ((1, 0, 0), true));
+    // The untouched bytes are still a repeat.
+    assert_eq!(offer(&mut c, &mut probe, beacon.to_vec(), 4), ((0, 1, 0), false));
+}
+
+/// (b) The CRC field flipped, the body intact: the same.
+#[test]
+fn a_beacon_repeat_with_its_crc_flipped_is_rejected_with_what_follows() {
+    let (mut c, mut probe, beacon, entries) = refreshed_by_their_beacons();
+    let mut damaged = beacon.to_vec();
+    damaged[12] ^= 0x80;
+    damaged.extend_from_slice(&beacon_from(2, &entries, 500));
+    assert_eq!(offer(&mut c, &mut probe, damaged, 3), ((1, 0, 0), true));
+}
+
+/// (c) The same bytes under node 3's id: node 3's own beacon has this very
+/// body, but not this CRC.
+#[test]
+fn a_beacon_repeat_under_another_source_is_rejected() {
+    let (mut c, mut probe, beacon, _) = refreshed_by_their_beacons();
+    let mut forged = beacon.to_vec();
+    forged[4..8].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(offer(&mut c, &mut probe, forged, 3), ((1, 0, 0), true));
+}
+
+/// (d) Node 2 announces a changed catalogue. Its new beacon's body under
+/// the old beacon's CRC field is no frame that was ever checked. The old
+/// bytes replayed are a checked frame, but no longer what the record says:
+/// the full path finds the digest differs and pulls.
+#[test]
+fn a_beacon_repeat_after_its_catalogue_changed_is_checked_and_pulls() {
+    use marea_protocol::messages::{Message, ServiceState};
+    use marea_protocol::FRAME_HEADER_LEN;
+
+    let (mut c, mut probe, beacon, mut entries) = refreshed_by_their_beacons();
+    entries[0].state = ServiceState::Degraded;
+    let announce = Message::Announce { incarnation: 1, entries: entries.clone() };
+    let announce = announce.into_frame(NodeId(2)).encode().to_vec();
+    assert_eq!(offer(&mut c, &mut probe, announce, 3), ((0, 0, 0), false));
+    let mut forged = beacon_from(2, &entries, 0).to_vec();
+    forged[12..FRAME_HEADER_LEN].copy_from_slice(&beacon[12..FRAME_HEADER_LEN]);
+    assert_eq!(offer(&mut c, &mut probe, forged, 4), ((1, 0, 0), true), "new body, old CRC");
+    assert_eq!(offer(&mut c, &mut probe, beacon.to_vec(), 5), ((0, 0, 1), false), "replay");
+}
+
+/// (e) The kind byte rewritten to every other valid tag.
+#[test]
+fn a_beacon_repeat_under_another_kind_is_rejected() {
+    use marea_protocol::MessageKind;
+
+    let (mut c, mut probe, beacon, _) = refreshed_by_their_beacons();
+    for kind in MessageKind::ALL.iter().filter(|&&k| k != MessageKind::Beacon) {
+        let mut forged = beacon.to_vec();
+        forged[3] = kind.wire_tag();
+        assert_eq!(offer(&mut c, &mut probe, forged, 3), ((1, 0, 0), true), "{kind:?}");
+    }
 }

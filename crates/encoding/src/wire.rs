@@ -14,7 +14,9 @@ pub(crate) const MAX_VARINT_LEN: usize = 10;
 /// Append-only wire writer over a [`BytesMut`].
 ///
 /// All multi-byte scalars are little-endian; unsigned integers use LEB128
-/// varints via [`WireWriter::put_varint`].
+/// varints via [`WireWriter::put_varint`]. The puts are `#[inline]`: a
+/// message writer makes one per field, and a call into this crate for each
+/// costs more than the bytes it writes.
 #[derive(Debug)]
 pub struct WireWriter<'a> {
     buf: &'a mut BytesMut,
@@ -22,51 +24,61 @@ pub struct WireWriter<'a> {
 
 impl<'a> WireWriter<'a> {
     /// Wraps a buffer for writing.
+    #[inline]
     pub fn new(buf: &'a mut BytesMut) -> Self {
         WireWriter { buf }
     }
 
     /// Bytes written so far (over the whole underlying buffer).
+    #[inline]
     pub fn written(&self) -> usize {
         self.buf.len()
     }
 
     /// Writes a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Writes a bool as one byte (0 or 1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.put_u8(u8::from(v));
     }
 
     /// Writes a little-endian `u16`.
+    #[inline]
     pub fn put_u16_le(&mut self, v: u16) {
         self.buf.put_u16_le(v);
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn put_u32_le(&mut self, v: u32) {
         self.buf.put_u32_le(v);
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn put_u64_le(&mut self, v: u64) {
         self.buf.put_u64_le(v);
     }
 
     /// Writes a little-endian IEEE-754 `f32`.
+    #[inline]
     pub fn put_f32_le(&mut self, v: f32) {
         self.buf.put_f32_le(v);
     }
 
     /// Writes a little-endian IEEE-754 `f64`.
+    #[inline]
     pub fn put_f64_le(&mut self, v: f64) {
         self.buf.put_f64_le(v);
     }
 
     /// Writes an unsigned LEB128 varint.
+    #[inline]
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
@@ -80,22 +92,26 @@ impl<'a> WireWriter<'a> {
     }
 
     /// Writes a signed integer as a zigzag-transformed varint.
+    #[inline]
     pub fn put_signed_varint(&mut self, v: i64) {
         self.put_varint(zigzag_encode(v));
     }
 
     /// Writes raw bytes with no length prefix.
+    #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
 
     /// Writes a varint length prefix followed by the bytes.
+    #[inline]
     pub fn put_len_prefixed(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
         self.put_raw(bytes);
     }
 
     /// Writes a varint length prefix followed by UTF-8 string bytes.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_len_prefixed(s.as_bytes());
     }

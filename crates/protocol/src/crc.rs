@@ -6,12 +6,18 @@
 //! every MAREA port.
 //!
 //! Every frame in and out is checked byte for byte, so this loop bounds
-//! bulk delivery (MFTP chunks, fragments). A step folds sixteen input bytes
-//! through sixteen 256-entry tables (Intel's "slicing-by-N"): the lookups
-//! of a step are independent of one another, where the classic one-table
-//! loop serialises a load behind every input byte. `TABLES[0]` is that
-//! classic table for the reflected polynomial 0xEDB88320; `TABLES[k][i]` is
-//! the CRC of byte `i` followed by `k` zero bytes.
+//! bulk delivery (MFTP chunks, fragments). One received frame skips it: a
+//! beacon byte-identical to the last one that refreshed its sender's
+//! directory record, which keeps that beacon's CRC. It is that checked
+//! frame again ([`Frames::peek`](crate::Frames::peek)); nothing else skips
+//! the check.
+//!
+//! A step folds sixteen input bytes through sixteen 256-entry tables
+//! (Intel's "slicing-by-N"): the lookups of a step are independent of one
+//! another, where the classic one-table loop serialises a load behind every
+//! input byte. `TABLES[0]` is that classic table for the reflected
+//! polynomial 0xEDB88320; `TABLES[k][i]` is the CRC of byte `i` followed by
+//! `k` zero bytes.
 //!
 //! # Why one chain waits
 //!

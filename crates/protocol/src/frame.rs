@@ -29,6 +29,11 @@
 //! once a length field cannot be trusted, neither can anything behind it.
 //! [`Frame::decode`] stays strict: exactly one frame, a trailing byte is a
 //! [`FrameError::LengthMismatch`].
+//!
+//! One frame may go unchecked: a receiver that kept the CRC of a frame that
+//! passed the checks may [`Frames::peek`] at the next frame's bytes and,
+//! where they equal that frame's byte for byte, [`Frames::step_over`] them —
+//! they are that frame again. Nothing else is read without the checks.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -205,6 +210,68 @@ pub struct Frames<'a> {
     /// Where the next frame starts; the datagram's end once the walk is
     /// over, which the first invalid frame makes it.
     at: usize,
+}
+
+impl<'a> Frames<'a> {
+    /// The next frame's bytes as its length field bounds them, **before any
+    /// check**: `None` once the walk is over, or when the bytes left are
+    /// fewer than a header and the payload it declares (the walk's next
+    /// step yields that error). Nothing in them is trusted. A caller acts
+    /// on them only where they equal, byte for byte, a frame that passed
+    /// the checks — then it [`step_over`](Self::step_over)s them; every
+    /// other frame is taken with [`Iterator::next`].
+    #[inline]
+    pub fn peek(&self) -> Option<Unchecked<'a>> {
+        let rest: &'a [u8] = &self.datagram[self.at..];
+        let len = rest.get(LEN_OFFSET..CRC_OFFSET)?;
+        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+        rest.get(..FRAME_HEADER_LEN.checked_add(len)?).map(Unchecked)
+    }
+
+    /// Steps over the frame [`peek`](Self::peek) shows without checking
+    /// it; ends the walk when it shows none.
+    #[inline]
+    pub fn step_over(&mut self) {
+        self.at = match self.peek() {
+            Some(Unchecked(wire)) => self.at + wire.len(),
+            None => self.datagram.len(),
+        };
+    }
+}
+
+/// One frame's bytes as its own length field bounds them, not checked:
+/// what [`Frames::peek`] shows. The accessors read the fields where the
+/// layout puts them and vouch for nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unchecked<'a>(&'a [u8]);
+
+impl<'a> Unchecked<'a> {
+    /// `true` when magic, version and kind byte are those of a `kind`
+    /// frame.
+    #[inline]
+    pub fn is(self, kind: MessageKind) -> bool {
+        let [m0, m1] = FRAME_MAGIC.to_le_bytes();
+        self.0[..4] == [m0, m1, PROTOCOL_VERSION, kind.wire_tag()]
+    }
+
+    /// The source node field.
+    #[inline]
+    pub fn src(self) -> NodeId {
+        NodeId(u32::from_le_bytes([self.0[4], self.0[5], self.0[6], self.0[7]]))
+    }
+
+    /// The CRC field as it stands.
+    #[inline]
+    pub fn crc(self) -> u32 {
+        let w = self.0;
+        u32::from_le_bytes([w[CRC_OFFSET], w[CRC_OFFSET + 1], w[CRC_OFFSET + 2], w[CRC_OFFSET + 3]])
+    }
+
+    /// The payload, as long as the length field says.
+    #[inline]
+    pub fn payload(self) -> &'a [u8] {
+        &self.0[FRAME_HEADER_LEN..]
+    }
 }
 
 impl Iterator for Frames<'_> {
@@ -421,6 +488,37 @@ mod tests {
             assert_eq!(computed == good_crc, (12..16).contains(&byte));
             assert_eq!(stored == good_crc, !(12..16).contains(&byte));
         }
+    }
+
+    /// `peek` shows the bytes `next` would check, damaged or not, and
+    /// `step_over` lands where `next` would: on the frame behind.
+    #[test]
+    fn peek_shows_what_next_checks_and_step_over_lands_behind_it() {
+        let first = sample().encode();
+        let bye = Frame::new(NodeId(4), MessageKind::Bye, Bytes::new());
+        let mut damaged = first.to_vec();
+        damaged[17] ^= 0x01;
+        let datagram = Bytes::from([&damaged[..], &bye.encode()].concat());
+        let mut walk = frames(&datagram);
+        let peeked = walk.peek().expect("a whole frame's worth of bytes");
+        assert!(peeked.is(MessageKind::VarSample) && !peeked.is(MessageKind::Bye));
+        assert_eq!((peeked.src(), peeked.payload()), (NodeId(9), &damaged[16..]));
+        assert_eq!(peeked.crc(), u32::from_le_bytes([first[12], first[13], first[14], first[15]]));
+        assert!(matches!(walk.clone().next(), Some(Err(FrameError::BadCrc { .. }))));
+        walk.step_over();
+        assert_eq!(walk.peek().map(Unchecked::src), Some(NodeId(4)));
+        assert_eq!(walk.next(), Some(Ok(bye)));
+        assert_eq!(walk.peek(), None);
+
+        // A length field that promises more than is left shows nothing,
+        // and stepping over it ends the walk.
+        let cut = datagram.slice(..datagram.len() - 1);
+        let mut walk = frames(&cut);
+        walk.step_over();
+        assert_eq!(walk.peek(), None);
+        assert!(matches!(walk.clone().next(), Some(Err(FrameError::TooShort { .. }))));
+        walk.step_over();
+        assert_eq!(walk.next(), None);
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use crc::crc32;
 pub use error::{FrameError, ProtocolError};
 pub use fec::FecRate;
 pub use frame::{
-    frames, Frame, FrameHeader, Frames, FRAME_HEADER_LEN, LOAN_KEEP_BYTES, MAX_FRAME_PAYLOAD,
-    PROTOCOL_VERSION,
+    frames, Frame, FrameHeader, Frames, Unchecked, FRAME_HEADER_LEN, LOAN_KEEP_BYTES,
+    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use ids::{GroupId, NodeId, RequestId, ServiceId, TransferId};
 pub use messages::{Appended, FrameBody, Message, MessageKind, NameLookup, ShardRef, WireSink};

@@ -413,6 +413,9 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    /// Inlined, as every scalar put lands here with a length the caller's
+    /// code knows.
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
