@@ -673,10 +673,8 @@ impl ServiceContainer {
             self.handle_node_death(node, now);
         }
         // Maintenance only runs when something that feeds name resolution
-        // actually changed (`subs_dirty`), plus the files' cadence fallback
-        // that keeps waiting interests re-trying their seen announces.
-        let retry = self.files.retry_due(now);
-        if std::mem::take(&mut self.subs_dirty) || retry {
+        // or a waiting file interest actually changed (`subs_dirty`).
+        if std::mem::take(&mut self.subs_dirty) {
             self.maintain_subscriptions(now);
         }
         while let Some((seq, id)) = self.timers.pop_due(now) {
@@ -713,9 +711,9 @@ impl ServiceContainer {
     /// The answer is the minimum over the components' own `next_due()`,
     /// each read from the very field its tick phase compares `now`
     /// against: timers, directory expiry, variable and call deadlines,
-    /// reassembly expiry, file completion queries and interest retries,
-    /// the beacon cadence and the re-announce debounce, each active link's next
-    /// retransmission or FEC flush. State whose next step is not one
+    /// reassembly expiry, file completion queries, the beacon cadence and
+    /// the re-announce debounce, each active link's next retransmission or
+    /// FEC flush. State whose next step is not one
     /// date — a dirty subscription table, queued handler invocations, an
     /// acknowledgement owed, file chunks waiting for their burst —
     /// answers *now* ([`Micros::ZERO`]): early is always sound,
@@ -1016,7 +1014,7 @@ impl ServiceContainer {
                     CallStatus::ServiceUnavailable | CallStatus::Timeout => {
                         // Provider-side refusal: try another provider before
                         // giving up (degraded-mode continuation, §4.3).
-                        self.rpc.track(request, call);
+                        self.rpc.retrack(request, call);
                         return self.failover_call(request, now);
                     }
                 };
@@ -1323,7 +1321,7 @@ impl ServiceContainer {
             Ok(payload) => {
                 self.log_line(now, format!("call {id} redirected to redundant provider {target}"));
                 self.dispatch_call(id, &call, payload, now);
-                self.rpc.track(id, call);
+                self.rpc.retrack(id, call);
             }
             Err(e) => self.deliver_reply(call.caller_seq, id, Err(e)),
         }

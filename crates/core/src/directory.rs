@@ -15,8 +15,7 @@
 //! everything learned from that node — the cache invalidation the paper
 //! describes.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU32;
 use std::sync::OnceLock;
 
@@ -31,6 +30,7 @@ use marea_protocol::{
 };
 
 use crate::service::CallPolicy;
+use crate::timers::DueQueue;
 
 /// One provider of a named provision.
 #[derive(Debug, Clone)]
@@ -166,13 +166,10 @@ pub struct Directory {
     /// keeps announce application O(own catalogue) instead of a walk over
     /// every name known fleet-wide.
     node_provides: HashMap<NodeId, Vec<Name>>,
-    /// Lazy expiry heap over `(last_seen, node)`. At most one live entry
-    /// per node (`expiry_scheduled` tracks membership): a popped entry
-    /// whose node has been refreshed since re-arms itself at the fresher
-    /// `last_seen`, so the per-tick failure-detection sweep peeks one heap
-    /// entry instead of sorting every known node.
-    expiry: BinaryHeap<Reverse<(Micros, NodeId)>>,
-    expiry_scheduled: HashSet<NodeId>,
+    /// Every remote node's expiry, kept in `last_seen` time (a node is due
+    /// `node_timeout` after it, a shift the sweep applies to `now`): the
+    /// per-tick failure-detection sweep looks at one entry, not every node.
+    expiry: DueQueue<NodeId>,
     /// The owning container's node. It is never queued for expiry — a
     /// container does not time itself out — so its own liveness needs no
     /// per-tick refresh.
@@ -233,8 +230,9 @@ impl Directory {
         if let Some(digest) = catalogue_digest {
             (info.digest_known, info.digest) = (true, digest);
         }
-        self.nodes.insert(node, info);
-        self.schedule_expiry(node, now);
+        if self.nodes.insert(node, info).is_none() {
+            self.schedule_expiry(node, now);
+        }
         true
     }
 
@@ -260,7 +258,6 @@ impl Directory {
                 info.beacon_crc = None;
                 let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
                 let digest = info.catalogue_digest() != Some(digest);
-                debug_assert!(self.expiry_queued(node));
                 return if cap || digest {
                     BeaconOutcome::Differs { cap, digest }
                 } else {
@@ -353,7 +350,6 @@ impl Directory {
             info.last_seen = now;
             (info.digest_known, info.digest) = (true, digest);
             info.beacon_crc = None;
-            debug_assert!(self.expiry_queued(node));
         }
         // Exact capacities: most names have one provider and most nodes a
         // handful of names, where `Vec`'s first growth step would reserve
@@ -419,27 +415,16 @@ impl Directory {
     /// provisions were purged ("the containers are able to clear and update
     /// their caches").
     pub fn expire(&mut self, now: Micros, timeout: ProtoDuration) -> Vec<NodeId> {
-        let mut dead: Vec<NodeId> = Vec::new();
-        while let Some(&Reverse((seen, node))) = self.expiry.peek() {
-            if now.saturating_since(seen) < timeout {
-                break;
-            }
-            self.expiry.pop();
-            match self.nodes.get(&node) {
-                Some(info) if info.last_seen > seen => {
-                    // Refreshed since queued: re-arm at the fresher deadline.
-                    self.expiry.push(Reverse((info.last_seen, node)));
-                }
-                Some(_) => {
-                    self.expiry_scheduled.remove(&node);
-                    dead.push(node);
-                    self.purge_node(node);
-                }
-                None => {
-                    // Left via `Bye` while still queued: drop the entry.
-                    self.expiry_scheduled.remove(&node);
-                }
-            }
+        // Silent for `timeout` at `now` = last seen no later than this.
+        let Some(seen_by) = now.as_micros().checked_sub(timeout.as_micros()) else {
+            return Vec::new();
+        };
+        let mut dead = Vec::new();
+        while let Some(node) =
+            self.expiry.pop_due(Micros(seen_by), |node| self.nodes.get(node).map(|n| n.last_seen))
+        {
+            dead.push(node);
+            self.purge_node(node);
         }
         // Stable order: callers react to each death with sends/failovers,
         // which must not depend on heap pop order among equal deadlines.
@@ -448,12 +433,12 @@ impl Directory {
     }
 
     /// The earliest instant at which [`expire`](Self::expire) can have
-    /// work under `timeout`: the head of the expiry heap. The head may
-    /// belong to a node refreshed since it was queued (the sweep then just
-    /// re-arms it), so this can be early — never late. `None` while no
-    /// remote node is tracked.
+    /// work under `timeout`: the expiry queue's head. It may belong to a
+    /// node refreshed since it was queued (the sweep then puts it back),
+    /// so this can be early — never late. `None` while no remote node is
+    /// tracked.
     pub fn next_expiry(&self, timeout: ProtoDuration) -> Option<Micros> {
-        self.expiry.peek().map(|&Reverse((seen, _))| seen + timeout)
+        self.expiry.next_due().map(|seen| seen + timeout)
     }
 
     fn purge_node(&mut self, node: NodeId) {
@@ -473,24 +458,21 @@ impl Directory {
         }
     }
 
-    /// Queues `node` on the expiry heap if it is not already there (a
-    /// `Bye` leaves the entry behind, and a rejoin reuses it). Called
-    /// wherever a [`NodeInfo`] is created and nowhere else: the heap holds
-    /// at most one entry per node, and a refresh of `last_seen` is absorbed
-    /// by the re-arm-on-pop in [`Directory::expire`], so it has nothing to
-    /// queue — see [`Directory::expiry_queued`].
+    /// Queues a newly tracked `node`'s expiry at `last_seen` (a refresh only
+    /// moves it later). Every other tracked remote node has one entry, so a
+    /// queue that long holds none for `node`; a longer one holds what a
+    /// `Bye` left behind, perhaps `node`'s own, which `arm` finds.
     fn schedule_expiry(&mut self, node: NodeId, last_seen: Micros) {
-        if self.local != Some(node) && self.expiry_scheduled.insert(node) {
-            self.expiry.push(Reverse((last_seen, node)));
+        if self.local == Some(node) {
+            return;
         }
-    }
-
-    /// The invariant the refresh paths lean on: every tracked remote node
-    /// has its heap entry. A node leaves `expiry_scheduled` only when
-    /// [`Directory::expire`] finds it gone from (or removes it from)
-    /// `nodes`.
-    fn expiry_queued(&self, node: NodeId) -> bool {
-        self.local == Some(node) || self.expiry_scheduled.contains(&node)
+        let local = self.local.is_some_and(|local| self.nodes.contains_key(&local));
+        let others = self.nodes.len() - 1 - usize::from(local);
+        if self.expiry.len() == others {
+            self.expiry.push(node, last_seen);
+        } else {
+            self.expiry.arm(node, last_seen);
+        }
     }
 
     /// Refreshes a known `node`'s liveness: any CRC-valid frame from it
@@ -498,7 +480,6 @@ impl Directory {
     pub fn touch(&mut self, node: NodeId, now: Micros) {
         if let Some(info) = self.nodes.get_mut(&node) {
             info.last_seen = now;
-            debug_assert!(self.expiry_queued(node));
         }
     }
 
@@ -847,7 +828,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Only record creation queues a node for expiry. Over random
-        /// control traffic, every tracked remote node keeps its heap entry
+        /// control traffic, every tracked remote node keeps its one entry
         /// and `expire` names exactly the nodes a plain `last_seen` table
         /// — which needs no queue to keep — says have been silent too long.
         #[test]
@@ -909,8 +890,12 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(d.nodes(), model.keys().copied().collect::<Vec<_>>());
+                for n in (1..6).map(NodeId) {
+                    prop_assert!(d.expiry.entries(&n) <= 1, "{:?} queued twice", n);
+                }
                 for n in d.nodes() {
-                    prop_assert!(d.expiry_queued(n), "{:?} tracked but not queued", n);
+                    let queued = n == local || d.expiry.entries(&n) == 1;
+                    prop_assert!(queued, "{:?} tracked but not queued", n);
                     prop_assert_eq!(d.node(n).map(|i| i.last_seen), model.get(&n).map(|e| e.1));
                 }
             }
@@ -1026,6 +1011,29 @@ mod tests {
         assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest()), (250, 3, None));
         let later = Micros(60) + ProtoDuration::from_secs(2);
         assert!(d.expire(later, ProtoDuration::from_secs(2)).contains(&NodeId(9)));
+    }
+
+    /// A peer that leaves and rejoins 10 000 times inside one
+    /// `node_timeout` keeps one expiry entry: a `Bye` leaves its entry
+    /// behind, and each rejoin's is no earlier, so it arms nothing new.
+    #[test]
+    fn bye_hello_churn_keeps_one_expiry_entry() {
+        let timeout = ProtoDuration::from_secs(2);
+        let mut d = Directory::for_node(NodeId(1));
+        for i in 0..10_000 {
+            assert!(d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(i * 100)));
+            assert!(d.apply_bye(NodeId(2)));
+        }
+        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros::from_secs(1));
+        assert_eq!(d.expiry.entries(&NodeId(2)), 1);
+        assert_eq!(
+            d.next_expiry(timeout),
+            Some(Micros::from_secs(2)),
+            "the first life's entry, early"
+        );
+        assert!(d.expire(Micros::from_millis(2999), timeout).is_empty(), "the rejoin's is live");
+        assert_eq!(d.expire(Micros::from_secs(3), timeout), vec![NodeId(2)]);
+        assert_eq!(d.expiry.entries(&NodeId(2)), 0);
     }
 
     /// A `Hello` that sat in a slow link's queue across its sender's

@@ -24,8 +24,7 @@ const CHUNK_SIZE: u32 = 1024;
 /// File chunks pumped per tick per transfer.
 const BURST: usize = 32;
 
-/// Gap between completion queries of an idle transfer, and between
-/// retries of interests still waiting for a usable announce (100 ms).
+/// Gap between completion queries of an idle transfer (100 ms).
 const QUERY_INTERVAL: ProtoDuration = ProtoDuration(100_000);
 
 /// Stable group id for a file resource's multicast group.
@@ -129,9 +128,6 @@ pub(crate) struct FileEngine {
     /// Publications referencing undeclared resources (see
     /// [`TypeMismatchStats::files`](crate::stats::TypeMismatchStats)).
     type_mismatches: u64,
-    /// The fallback that re-tries waiting interests against the announces
-    /// heard so far without a directory change to trigger it.
-    interest_retry: Cadence,
 }
 
 impl FileEngine {
@@ -145,7 +141,6 @@ impl FileEngine {
             transfer_index: HashMap::new(),
             next_transfer: 0,
             type_mismatches: 0,
-            interest_retry: Cadence::every(QUERY_INTERVAL),
         }
     }
 
@@ -346,12 +341,6 @@ impl FileEngine {
         self.seen_announces.retain(|_, (src, _)| *src != node);
     }
 
-    /// `true` (and the retry is taken) when the waiting interests are due
-    /// another look at the announces heard so far.
-    pub fn retry_due(&mut self, now: Micros) -> bool {
-        !self.interests.is_empty() && self.interest_retry.take(now)
-    }
-
     /// The cached `(publisher, announce)` of every interest that has
     /// services waiting, no receiver yet and no local publisher (the
     /// bypass path serves those), in resource order.
@@ -392,17 +381,17 @@ impl FileEngine {
 
     /// When the engine next has work of its own: at once while an
     /// unfinished transfer has chunks queued, else at the earliest
-    /// completion query or interest retry.
+    /// completion query.
     pub fn next_due(&self) -> Option<Micros> {
-        let pumps = self.outgoing.values().filter(|out| !out.sender.is_complete()).map(|out| {
+        let unfinished = self.outgoing.values().filter(|out| !out.sender.is_complete());
+        let due = |out: &OutgoingFile| {
             if out.sender.has_pending_chunks() {
                 Micros::ZERO
             } else {
                 out.query.next_due()
             }
-        });
-        let retry = (!self.interests.is_empty()).then(|| self.interest_retry.next_due());
-        pumps.chain(retry).min()
+        };
+        unfinished.map(due).min()
     }
 
     /// Writes the counters this engine owns.

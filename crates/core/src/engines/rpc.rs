@@ -1,7 +1,6 @@
 //! Remote invocation bookkeeping and argument marshalling (paper §4.3).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 
@@ -15,6 +14,7 @@ use crate::directory::Directory;
 use crate::error::CallError;
 use crate::service::{CallPolicy, ServiceDescriptor};
 use crate::stats::ContainerStats;
+use crate::timers::DueQueue;
 use crate::trace::TraceId;
 
 /// Upper bound for one marshalled call argument.
@@ -88,11 +88,9 @@ pub(crate) struct RpcEngine {
     /// Re-dispatches per function name (the per-subscription breakdown
     /// behind [`ServiceContainer::fn_retries`](crate::ServiceContainer::fn_retries)).
     retry_counts: HashMap<Name, u64>,
-    /// Due-date heap over `(deadline, request)`: the per-tick timeout
-    /// sweep peeks the earliest entry instead of walking every pending
-    /// call. Entries go stale when a failover re-arms the call with a
-    /// later deadline; the sweep re-checks against `pending` on pop.
-    deadline_heap: BinaryHeap<Reverse<(Micros, RequestId)>>,
+    /// Every pending call's reply deadline: the per-tick timeout sweep
+    /// looks at the earliest entry instead of walking every pending call.
+    deadlines: DueQueue<RequestId>,
     /// The last argument or result payload this engine marshalled: once
     /// the message that carried it has been sent and dropped, the next
     /// payload is written into its storage.
@@ -161,9 +159,16 @@ impl RpcEngine {
         Ok(self.loan.keep(buf))
     }
 
-    /// (Re-)registers a pending call and queues its reply deadline.
+    /// Registers a new call and queues its reply deadline.
     pub fn track(&mut self, id: RequestId, call: PendingCall) {
-        self.deadline_heap.push(Reverse((call.deadline, id)));
+        self.deadlines.push(id, call.deadline);
+        self.pending.insert(id, call);
+    }
+
+    /// Registers again a call a failover took out: armed, since its entry
+    /// may be queued (a refusal, a dead provider) or not (it expired).
+    pub fn retrack(&mut self, id: RequestId, call: PendingCall) {
+        self.deadlines.arm(id, call.deadline);
         self.pending.insert(id, call);
     }
 
@@ -208,31 +213,20 @@ impl RpcEngine {
     }
 
     /// The earliest instant [`expired`](Self::expired) can have work: the
-    /// heap head (possibly stale, hence early — never late).
+    /// queue's head (early after a failover, never late).
     pub fn next_due(&self) -> Option<Micros> {
-        self.deadline_heap.peek().map(|&Reverse((deadline, _))| deadline)
+        self.deadlines.next_due()
     }
 
     /// Pending calls whose deadline has passed at `now`.
     pub fn expired(&mut self, now: Micros) -> Vec<RequestId> {
-        let mut out: Vec<RequestId> = Vec::new();
-        while let Some(&Reverse((deadline, id))) = self.deadline_heap.peek() {
-            if deadline > now {
-                break;
-            }
-            self.deadline_heap.pop();
-            match self.pending.get(&id) {
-                Some(call) if call.deadline > now => {
-                    // Re-dispatched since this entry was queued: re-arm at
-                    // the fresher deadline.
-                    self.deadline_heap.push(Reverse((call.deadline, id)));
-                }
-                Some(_) => out.push(id),
-                None => {} // reply landed (or call failed) while queued
-            }
+        let mut out = Vec::new();
+        while let Some(id) =
+            self.deadlines.pop_due(now, |id| self.pending.get(id).map(|call| call.deadline))
+        {
+            out.push(id);
         }
         out.sort();
-        out.dedup();
         out
     }
 
@@ -685,7 +679,7 @@ mod tests {
         }
         assert_eq!(e.pending_count(), 1, "left pending");
         let call = e.take_answered(RequestId(1), NodeId(2), CallStatus::Timeout).unwrap();
-        e.track(RequestId(1), call);
+        e.retrack(RequestId(1), call);
         // A result wins from anywhere: the call ran there.
         assert!(e.take_answered(RequestId(1), NodeId(3), CallStatus::AppError).is_some());
         assert!(e.take_answered(RequestId(1), NodeId(2), CallStatus::Ok).is_none(), "gone");
@@ -698,11 +692,11 @@ mod tests {
         e.track(RequestId(2), pending("g", 3, 500, None));
         assert_eq!(e.expired(Micros(200)), vec![RequestId(1)]);
         assert_eq!(e.sorted_targeting(|t| t.node == NodeId(3)), vec![RequestId(2)]);
-        // A failover re-tracks the call with a later deadline: the stale
-        // heap entry must not expire it early.
+        // A failover re-tracks the call with a later deadline: the entry
+        // queued for the first one must not expire it early.
         let mut call = e.pending.remove(&RequestId(2)).unwrap();
         call.deadline = Micros(900);
-        e.track(RequestId(2), call);
+        e.retrack(RequestId(2), call);
         assert!(e.expired(Micros(600)).is_empty(), "stale entry re-arms, no early expiry");
         assert_eq!(e.expired(Micros(1000)), vec![RequestId(2)]);
     }

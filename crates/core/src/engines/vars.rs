@@ -1,7 +1,6 @@
 //! Variable primitive bookkeeping (paper §4.1).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,6 +15,7 @@ use crate::directory::Directory;
 use crate::qos::VarQos;
 use crate::service::ServiceDescriptor;
 use crate::stats::{ContainerStats, Occupancy, VarChannelView, VarSubscriptionStats};
+use crate::timers::DueQueue;
 
 /// Stable group id for a variable's multicast group.
 pub(crate) fn var_group(name: &Name) -> GroupId {
@@ -119,8 +119,6 @@ struct SubscribedVar {
     timed_out: bool,
     /// SubscribeVar was sent to the current provider.
     subscribe_sent: bool,
-    /// This channel has a live entry on the engine's deadline heap.
-    deadline_armed: bool,
 }
 
 impl SubscribedVar {
@@ -143,7 +141,6 @@ impl SubscribedVar {
             last_seq: None,
             timed_out: false,
             subscribe_sent: false,
-            deadline_armed: false,
         }
     }
 
@@ -184,23 +181,18 @@ impl SubscribedVar {
         Some(Micros(anchor.as_micros().saturating_add(deadline).saturating_add(1)))
     }
 
-    /// Checks whether the deadline has been missed at `now`.
-    fn deadline_missed(&self, now: Micros) -> bool {
-        self.deadline_due().is_some_and(|due| due <= now)
-    }
-
-    /// Records a sample arrival; returns `false` when the sample must be
-    /// dropped as old (sequence regression / duplicate).
-    fn accept(&mut self, seq: u64, now: Micros) -> bool {
+    /// Records a sample arrival: `None` when the sample must be dropped as
+    /// old (sequence regression / duplicate), else whether it ended a
+    /// timeout warning.
+    fn accept(&mut self, seq: u64, now: Micros) -> Option<bool> {
         if let Some(last) = self.last_seq {
             if seq <= last {
-                return false;
+                return None;
             }
         }
         self.last_seq = Some(seq);
         self.last_rx = Some(now);
-        self.timed_out = false;
-        true
+        Some(std::mem::replace(&mut self.timed_out, false))
     }
 
     /// Retains an accepted sample in the history ring (oldest evicted at
@@ -312,12 +304,10 @@ pub(crate) struct VarEngine {
     /// Samples whose value disagreed with the declared schema (see
     /// [`TypeMismatchStats::vars`](crate::stats::TypeMismatchStats)).
     type_mismatches: u64,
-    /// Due-date heap over `(deadline_due, name)`: the per-tick deadline
-    /// sweep peeks the earliest entry instead of walking every channel.
-    /// At most one live entry per channel ([`SubscribedVar::deadline_armed`]);
-    /// a popped entry whose channel got a sample since re-arms at the
-    /// pushed-back deadline.
-    deadline_heap: BinaryHeap<Reverse<(Micros, Name)>>,
+    /// Every channel's [`deadline_due`](SubscribedVar::deadline_due), armed
+    /// where it can be left with no entry or an earlier date: a bind, a
+    /// tighter contract, the first sample after a warning.
+    deadlines: DueQueue<Name>,
 }
 
 impl VarEngine {
@@ -349,6 +339,7 @@ impl VarEngine {
                 .or_insert_with(|| SubscribedVar::new(&sub.qos));
             entry.services.push(seq);
             entry.merge_qos(&sub.qos);
+            Self::arm(&mut self.deadlines, &sub.name, entry);
         }
     }
 
@@ -391,12 +382,11 @@ impl VarEngine {
         now: Micros,
     ) -> Option<(Arc<Value>, &[u32])> {
         let sub = self.subscribed.get_mut(name)?;
-        if !sub.accept(seq, now) {
-            return None;
+        if sub.accept(seq, now)? {
+            Self::arm(&mut self.deadlines, name, sub);
         }
         let value = sub.share(value);
         sub.record(now, Arc::clone(&value));
-        Self::arm(&mut self.deadline_heap, name, sub);
         Some((value, &sub.services))
     }
 
@@ -424,15 +414,14 @@ impl VarEngine {
         if sub.ty.is_none() && CodecId(codec) != CodecId::SELF_DESCRIBING {
             return Err(SampleDrop::Unbound);
         }
-        if !sub.accept(seq, now) {
-            return Err(SampleDrop::Old);
+        if sub.accept(seq, now).ok_or(SampleDrop::Old)? {
+            Self::arm(&mut self.deadlines, name, sub);
         }
         let Some(value) = sub.decode(codecs, codec, payload) else {
             self.type_mismatches += 1;
             return Err(SampleDrop::Mismatch);
         };
         sub.record(stamp, Arc::clone(&value));
-        Self::arm(&mut self.deadline_heap, name, sub);
         Ok((value, &sub.services))
     }
 
@@ -494,7 +483,7 @@ impl VarEngine {
                     let fresh = sub.provider.is_none();
                     sub.bind(provider, period_us, validity_us, ty.clone(), now);
                     sub.subscribe_sent = true;
-                    Self::arm(&mut self.deadline_heap, name, sub);
+                    Self::arm(&mut self.deadlines, name, sub);
                     Rebind::Bound { provider, fresh }
                 }
                 None if sub.subscribe_sent || sub.provider.is_some() => {
@@ -525,46 +514,32 @@ impl VarEngine {
         ring.map(|(stamp, value)| (*stamp, &**value))
     }
 
-    /// Queues `sub`'s loss deadline after an event that (re)started its
-    /// clock: a bind or an accepted sample. Idempotent while armed.
-    fn arm(heap: &mut BinaryHeap<Reverse<(Micros, Name)>>, name: &Name, sub: &mut SubscribedVar) {
-        if sub.deadline_armed {
-            return;
-        }
+    /// Arms `sub`'s loss deadline, if it has one; a rebind (a shorter period)
+    /// or a tighter contract can move it earlier than the channel's entry.
+    fn arm(deadlines: &mut DueQueue<Name>, name: &Name, sub: &SubscribedVar) {
         if let Some(due) = sub.deadline_due() {
-            sub.deadline_armed = true;
-            heap.push(Reverse((due, name.clone())));
+            deadlines.arm(name.clone(), due);
         }
     }
 
     /// The earliest instant [`sweep_deadlines`](Self::sweep_deadlines) can
-    /// have work: the heap head (possibly stale, hence early — never late).
+    /// have work (early when a sample came since, never late).
     pub fn next_due(&self) -> Option<Micros> {
-        self.deadline_heap.peek().map(|Reverse((due, _))| *due)
+        self.deadlines.next_due()
     }
 
     /// Variables whose deadline has been missed at `now` (marks them
     /// warned and counts the miss against the subscription's contract).
     pub fn sweep_deadlines(&mut self, now: Micros) -> Vec<Name> {
         let mut out = Vec::new();
-        while let Some(Reverse((due, _))) = self.deadline_heap.peek() {
-            if *due > now {
-                break;
-            }
-            let Some(Reverse((_, name))) = self.deadline_heap.pop() else { break };
-            let Some(sub) = self.subscribed.get_mut(&name) else { continue };
-            sub.deadline_armed = false;
-            if sub.deadline_missed(now) {
+        while let Some(name) =
+            self.deadlines.pop_due(now, |name| self.subscribed.get(name)?.deadline_due())
+        {
+            if let Some(sub) = self.subscribed.get_mut(&name) {
                 sub.timed_out = true;
                 sub.deadline_misses += 1;
-                out.push(name);
-            } else if let Some(due) = sub.deadline_due() {
-                // A sample (or rebind) moved the anchor since this entry
-                // was queued: re-arm at the pushed-back deadline, under the
-                // name just popped.
-                sub.deadline_armed = true;
-                self.deadline_heap.push(Reverse((due, name)));
             }
+            out.push(name);
         }
         out.sort();
         out
@@ -613,9 +588,16 @@ mod tests {
     use super::*;
     use marea_presentation::{StructType, StructValue, VectorType, VectorValue};
 
-    /// Test stand-in for the arming every bind / accepted sample does.
+    /// Test stand-in for the arming a bind does.
     fn arm_deadline(e: &mut VarEngine, name: &Name) {
-        VarEngine::arm(&mut e.deadline_heap, name, e.subscribed.get_mut(name).unwrap());
+        VarEngine::arm(&mut e.deadlines, name, &e.subscribed[name]);
+    }
+
+    impl SubscribedVar {
+        /// Whether the deadline has been missed at `now`.
+        fn deadline_missed(&self, now: Micros) -> bool {
+            self.deadline_due().is_some_and(|due| due <= now)
+        }
     }
 
     fn sub() -> SubscribedVar {
@@ -627,10 +609,10 @@ mod tests {
     #[test]
     fn sequence_regression_dropped() {
         let mut s = sub();
-        assert!(s.accept(5, Micros(1)));
-        assert!(!s.accept(5, Micros(2)), "duplicate");
-        assert!(!s.accept(3, Micros(3)), "regression");
-        assert!(s.accept(6, Micros(4)));
+        assert_eq!(s.accept(5, Micros(1)), Some(false));
+        assert_eq!(s.accept(5, Micros(2)), None, "duplicate");
+        assert_eq!(s.accept(3, Micros(3)), None, "regression");
+        assert_eq!(s.accept(6, Micros(4)), Some(false));
     }
 
     #[test]
@@ -641,7 +623,7 @@ mod tests {
         s.timed_out = true;
         assert!(!s.deadline_missed(Micros(300_000)), "warn once");
         // A new sample resets the warning.
-        assert!(s.accept(1, Micros(300_000)));
+        assert_eq!(s.accept(1, Micros(300_000)), Some(true), "and says so");
         assert!(!s.timed_out);
 
         // A tighter contract shortens the deadline.
@@ -937,7 +919,7 @@ mod tests {
         s.accept(100, Micros(1));
         s.unbind();
         s.bind(ServiceId::new(NodeId(3), 1), 50_000, 200_000, DataType::F64, Micros(2));
-        assert!(s.accept(1, Micros(3)), "new provider numbers from scratch");
+        assert!(s.accept(1, Micros(3)).is_some(), "new provider numbers from scratch");
     }
 
     #[test]
@@ -984,14 +966,63 @@ mod tests {
         let n = Name::new("v").unwrap();
         e.subscribed.insert(n.clone(), a);
         arm_deadline(&mut e, &n);
-        assert!(e.subscribed[&n].deadline_armed);
+        assert_eq!(e.deadlines.entries(&n), 1);
         // A sample at 90ms makes the t=0 heap entry (due ~150ms: 3 nominal
         // periods of 50ms) stale.
         e.subscribed.get_mut(&n).unwrap().accept(1, Micros(90_000));
         assert!(e.sweep_deadlines(Micros(160_000)).is_empty(), "refreshed: no miss");
-        assert!(e.subscribed[&n].deadline_armed, "stale entry re-armed itself");
+        assert_eq!(e.deadlines.entries(&n), 1, "stale entry re-armed itself");
         // Silent since 90ms: the re-armed entry fires (deadline 240ms).
         assert_eq!(e.sweep_deadlines(Micros(250_000)), vec![n.clone()]);
-        assert!(!e.subscribed[&n].deadline_armed, "warned channels leave the heap");
+        assert_eq!(e.deadlines.entries(&n), 0, "warned channels leave the queue");
+        // The first sample after the warning arms the channel again.
+        assert!(e.accept_local(&n, 2, Value::F64(1.0), Micros(300_000)).is_some());
+        assert_eq!(e.deadlines.entries(&n), 1);
+        assert!(e.sweep_deadlines(Micros(450_000)).is_empty());
+        assert_eq!(e.sweep_deadlines(Micros(450_001)), vec![n.clone()]);
+    }
+
+    /// A rebind to a provider with a shorter period moves the deadline
+    /// earlier than the entry the channel holds: the new one is anchored
+    /// at the last sample of the provider before, and it is the one that
+    /// fires.
+    #[test]
+    fn a_rebind_to_a_faster_provider_warns_on_the_new_deadline() {
+        let mut e = VarEngine::default();
+        let n = Name::new("v").unwrap();
+        let mut s = SubscribedVar::new(&VarQos::default());
+        s.bind(ServiceId::new(NodeId(2), 1), 1_000_000, 0, DataType::F64, Micros::ZERO);
+        e.subscribed.insert(n.clone(), s);
+        arm_deadline(&mut e, &n);
+        assert!(e.accept_local(&n, 1, Value::F64(1.0), Micros(5_002_000)).is_some());
+        assert!(e.sweep_deadlines(Micros(7_000_000)).is_empty());
+        let rebind = e.subscribed.get_mut(&n).unwrap();
+        rebind.bind(ServiceId::new(NodeId(3), 1), 100_000, 0, DataType::F64, Micros(7_002_000));
+        arm_deadline(&mut e, &n);
+        assert_eq!(e.next_due(), Some(Micros(5_302_001)), "last sample + 3 × 100 ms");
+        assert_eq!(e.sweep_deadlines(Micros(7_002_000)), vec![n.clone()]);
+    }
+
+    /// A second service that asks for a tighter loss deadline on a bound
+    /// channel (added while the container runs) moves the channel's entry
+    /// earlier: the warning comes on the tighter deadline.
+    #[test]
+    fn a_tighter_contract_on_a_bound_channel_arms_the_earlier_deadline() {
+        let descriptor = |name: &str, qos: VarQos| {
+            let mut b = ServiceDescriptor::builder(name);
+            b.subscribe_variable("v", qos);
+            b.build()
+        };
+        let mut e = VarEngine::default();
+        e.register(1, &descriptor("a", VarQos::default()));
+        let n = Name::new("v").unwrap();
+        let provider = ServiceId::new(NodeId(2), 1);
+        e.subscribed.get_mut(&n).unwrap().bind(provider, 100_000, 0, DataType::F64, Micros::ZERO);
+        arm_deadline(&mut e, &n);
+        assert_eq!(e.next_due(), Some(Micros(300_001)), "3 periods");
+        e.register(2, &descriptor("b", VarQos::default().with_deadline_periods(1)));
+        assert_eq!(e.next_due(), Some(Micros(100_001)), "1 period");
+        assert_eq!(e.deadlines.entries(&n), 1);
+        assert_eq!(e.sweep_deadlines(Micros(100_001)), vec![n.clone()]);
     }
 }

@@ -29,7 +29,7 @@ pub struct Occupancy {
     pub files_receiving: usize,
     /// Partially reassembled fragmented messages.
     pub reassembling: usize,
-    /// Armed timers (cancelled ones included until they come due).
+    /// Armed timers.
     pub timers: usize,
     /// Handler invocations queued in the scheduler.
     pub queued_tasks: usize,

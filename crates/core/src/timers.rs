@@ -1,7 +1,7 @@
-//! The [`Cadence`] every periodic duty is measured with, and the service
-//! [`Timers`]. Both answer "when next?" from the very field their tick
-//! step compares against, so the phase that fires a due date and
-//! [`ServiceContainer::next_due`](crate::ServiceContainer::next_due)
+//! The [`Cadence`] of one periodic duty, the [`DueQueue`] of a due date
+//! per key, and the service [`Timers`]. All answer "when next?" from the
+//! very field their tick step compares against, so the phase that fires a
+//! due date and [`ServiceContainer::next_due`](crate::ServiceContainer::next_due)
 //! cannot drift apart.
 
 use std::cmp::Reverse;
@@ -54,19 +54,91 @@ impl Cadence {
     }
 }
 
+/// The due dates of an owner's records: a lazy min-heap of `(due, key)`;
+/// the owner keeps each date in its own record and hands the sweep a
+/// `due_of` over it. The rules, for every owner: an entry may be early,
+/// never late (a date that moves earlier — a variable rebound to a faster
+/// provider — arms, one that moves later needs nothing); a key has at most
+/// one entry; [`pop_due`](Self::pop_due) re-checks every entry first.
+#[derive(Debug)]
+pub(crate) struct DueQueue<K> {
+    heap: BinaryHeap<Reverse<(Micros, K)>>,
+}
+
+impl<K> Default for DueQueue<K> {
+    fn default() -> Self {
+        DueQueue { heap: BinaryHeap::new() }
+    }
+}
+
+impl<K: Ord + Clone> DueQueue<K> {
+    /// Makes `key` surface no later than `due`: a key with no entry gets
+    /// one, a later entry moves there, an earlier one stays. A walk over
+    /// the heap, for where the owner cannot tell whether the key has an
+    /// entry (a bind, a rejoin); a key known to have none is `push`ed.
+    pub fn arm(&mut self, key: K, due: Micros) {
+        let entry = self.heap.iter().find(|Reverse((_, queued))| *queued == key);
+        match entry {
+            Some(Reverse((at, _))) if *at <= due => return,
+            Some(_) => self.heap.retain(|Reverse((_, queued))| *queued != key),
+            None => {}
+        }
+        self.heap.push(Reverse((due, key)));
+    }
+
+    /// Queues `key`, which has no entry: a fresh id, or a key
+    /// [`pop_due`](Self::pop_due) returned and nothing armed since.
+    pub fn push(&mut self, key: K, due: Micros) {
+        debug_assert!(!self.heap.iter().any(|Reverse((_, queued))| *queued == key));
+        self.heap.push(Reverse((due, key)));
+    }
+
+    /// Entries queued, current or left behind by keys their owner dropped.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The earliest entry's date: early, never late.
+    #[inline]
+    pub fn next_due(&self) -> Option<Micros> {
+        self.heap.peek().map(|Reverse((due, _))| *due)
+    }
+
+    /// The next key due at `now`, taken out of the queue; `None` once no
+    /// entry is due. Each surfacing key is re-checked against `due_of`: one
+    /// its owner no longer has (`None`) is dropped, one whose date moved
+    /// past `now` goes back in at that date, any other is returned.
+    #[inline]
+    pub fn pop_due(
+        &mut self,
+        now: Micros,
+        mut due_of: impl FnMut(&K) -> Option<Micros>,
+    ) -> Option<K> {
+        while self.next_due().is_some_and(|due| due <= now) {
+            let Reverse((_, key)) = self.heap.pop()?;
+            match due_of(&key) {
+                Some(due) if due > now => self.heap.push(Reverse((due, key))),
+                Some(_) => return Some(key),
+                None => {}
+            }
+        }
+        None
+    }
+}
+
 #[derive(Debug)]
 struct TimerInfo {
     service_seq: u32,
+    due: Micros,
     period: Option<ProtoDuration>,
-    cancelled: bool,
 }
 
-/// One-shot and periodic service timers: a due-date heap over timer ids,
-/// the per-id record, and the id counter services draw from.
+/// One-shot and periodic service timers: the per-id record, the due-date
+/// queue over the ids, and the id counter services draw from.
 #[derive(Debug, Default)]
 pub(crate) struct Timers {
-    heap: BinaryHeap<Reverse<(Micros, u64)>>,
     info: HashMap<u64, TimerInfo>,
+    queue: DueQueue<u64>,
     next_id: u64,
 }
 
@@ -84,57 +156,47 @@ impl Timers {
         due: Micros,
         period: Option<ProtoDuration>,
     ) {
-        self.info.insert(id.0, TimerInfo { service_seq, period, cancelled: false });
-        self.heap.push(Reverse((due, id.0)));
+        self.info.insert(id.0, TimerInfo { service_seq, due, period });
+        self.queue.push(id.0, due);
     }
 
-    /// Cancels `id`; its heap entry is discarded when it surfaces.
+    /// Cancels `id`; its queue entry is dropped when it surfaces.
     pub fn cancel(&mut self, id: TimerId) {
-        if let Some(info) = self.info.get_mut(&id.0) {
-            info.cancelled = true;
-        }
+        self.info.remove(&id.0);
     }
 
     /// The earliest due date (a cancelled timer's still counts: early is
-    /// sound, and the pop discards it).
+    /// sound, and the pop drops it).
     pub fn next_due(&self) -> Option<Micros> {
-        self.heap.peek().map(|&Reverse((due, _))| due)
+        self.queue.next_due()
     }
 
     /// Pops the next timer due at `now` as `(service_seq, id)`, re-arming
-    /// it when periodic; `None` once nothing more is due.
+    /// it one period on when periodic; `None` once nothing more is due.
     pub fn pop_due(&mut self, now: Micros) -> Option<(u32, TimerId)> {
-        while let Some(&Reverse((due, tid))) = self.heap.peek() {
-            if due > now {
-                break;
-            }
-            self.heap.pop();
-            let Some(info) = self.info.get(&tid) else { continue };
-            if info.cancelled {
-                self.info.remove(&tid);
-                continue;
-            }
-            let seq = info.service_seq;
-            match info.period {
-                Some(p) => self.heap.push(Reverse((due + p, tid))),
-                None => {
-                    self.info.remove(&tid);
-                }
-            }
-            return Some((seq, TimerId(tid)));
+        let id = self.queue.pop_due(now, |id| self.info.get(id).map(|t| t.due))?;
+        let timer = self.info.get_mut(&id)?;
+        let seq = timer.service_seq;
+        if let Some(period) = timer.period {
+            timer.due += period;
+            self.queue.push(id, timer.due);
+        } else {
+            self.info.remove(&id);
         }
-        None
+        Some((seq, TimerId(id)))
     }
 
-    /// Heap entries (armed timers plus cancelled ones not yet surfaced).
+    /// Armed timers.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.info.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn cadence_is_due_exactly_from_next_due_on() {
@@ -166,5 +228,99 @@ mod tests {
         assert_eq!(fired, vec![(8, TimerId(2)), (8, TimerId(2)), (7, TimerId(1))]);
         assert_eq!(t.next_due(), Some(Micros(400)), "only the periodic timer is left");
         assert_eq!(t.len(), 1);
+    }
+
+    impl<K: Ord + Clone> DueQueue<K> {
+        /// How many heap entries `key` has.
+        pub(crate) fn entries(&self, key: &K) -> usize {
+            self.heap.iter().filter(|Reverse((_, queued))| queued == key).count()
+        }
+    }
+
+    /// The rebind case: an owner whose due date moved earlier arms again,
+    /// and its key surfaces at the earlier date, not at the queued one.
+    #[test]
+    fn an_earlier_arm_takes_effect_and_a_later_one_changes_nothing() {
+        let mut q = DueQueue::default();
+        let mut due = BTreeMap::from([(1u8, Micros(8_000)), (2, Micros(9_000))]);
+        q.arm(1, Micros(8_000));
+        q.arm(2, Micros(9_000));
+        q.arm(2, Micros(9_500));
+        assert_eq!(
+            (q.entries(&2), q.next_due()),
+            (1, Some(Micros(8_000))),
+            "a later arm: no entry"
+        );
+        due.insert(2, Micros(7_000));
+        q.arm(2, Micros(7_000));
+        assert_eq!((q.entries(&2), q.next_due()), (1, Some(Micros(7_000))), "moved, not added");
+        assert_eq!(q.pop_due(Micros(7_000), |k| due.get(k).copied()), Some(2));
+        assert_eq!(q.pop_due(Micros(7_999), |k| due.get(k).copied()), None);
+        assert_eq!(q.next_due(), Some(Micros(8_000)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a reference table of each key's due date, over random
+        /// arms (fresh, earlier and later ones), refreshes that move a
+        /// date later without an arm (as `Directory::touch` does), owners
+        /// dropping keys, and sweeps whose fired keys are dropped or, for
+        /// even keys, pushed again one period on (as a periodic timer is):
+        /// every sweep returns exactly the keys due by then — never late,
+        /// never early — `next_due` bounds every due date from below, and
+        /// no key ever has two entries.
+        #[test]
+        fn a_sweep_returns_exactly_the_due_keys(
+            ops in proptest::collection::vec((0u8..4, 0u8..8, 0u64..400), 1..300),
+        ) {
+            let mut q = DueQueue::default();
+            let mut due: BTreeMap<u8, Micros> = BTreeMap::new();
+            let mut now = Micros::ZERO;
+            for (op, key, dt) in ops {
+                match op {
+                    0 => {
+                        due.insert(key, now + ProtoDuration::from_micros(dt));
+                        q.arm(key, due[&key]);
+                    }
+                    1 => {
+                        if let Some(at) = due.get_mut(&key) {
+                            *at = (*at).max(now + ProtoDuration::from_micros(dt));
+                        }
+                    }
+                    2 => {
+                        due.remove(&key);
+                    }
+                    _ => {
+                        now += ProtoDuration::from_micros(dt);
+                        let expected: Vec<u8> =
+                            due.iter().filter(|(_, at)| **at <= now).map(|(k, _)| *k).collect();
+                        let mut fired = Vec::new();
+                        while let Some(k) = q.pop_due(now, |k| due.get(k).copied()) {
+                            prop_assert!(due[&k] <= now, "{} fired early at {:?}", k, now);
+                            fired.push(k);
+                            if k % 2 == 0 {
+                                let next = now + ProtoDuration::from_micros(1 + u64::from(k));
+                                due.insert(k, next);
+                                q.push(k, next);
+                            } else {
+                                due.remove(&k);
+                            }
+                        }
+                        fired.sort_unstable();
+                        prop_assert_eq!(fired, expected, "sweep at {:?}", now);
+                    }
+                }
+                if let Some(earliest) = due.values().min() {
+                    prop_assert!(q.next_due().is_some_and(|at| at <= *earliest));
+                }
+                for k in 0..8u8 {
+                    prop_assert!(q.entries(&k) <= 1, "{} has {} entries", k, q.entries(&k));
+                    if due.contains_key(&k) {
+                        prop_assert_eq!(q.entries(&k), 1, "{} has a date and no entry", k);
+                    }
+                }
+            }
+        }
     }
 }

@@ -740,6 +740,47 @@ fn two_file_publishers_do_not_cross_route() {
     );
 }
 
+/// A publisher with no subscribers announces its resource once. An
+/// interest declared at run time after that announce went by subscribes
+/// from the copy the node cached: declaring it marks the subscription
+/// table, and the maintenance pass that follows takes the announce up.
+#[test]
+fn a_file_interest_declared_after_the_announce_subscribes_from_the_cache() {
+    let mut h = SimHarness::new(lan(16));
+    h.add_container(ContainerConfig::new("cam", NodeId(1)));
+    h.add_container(ContainerConfig::new("store", NodeId(2)));
+
+    let image = Bytes::from(vec![5u8; 20_000]);
+    let mut camera =
+        Scripted::new(ServiceDescriptor::builder("camera").file_resource("camera/late").build());
+    let img = image.clone();
+    camera.on_start = Some(Box::new(move |ctx| ctx.publish_file("camera/late", img.clone())));
+    h.add_service(NodeId(1), Box::new(camera));
+
+    let log = obs_log();
+    let mut storage = Scripted::new(ServiceDescriptor::builder("storage").build());
+    storage.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(500), None);
+    }));
+    storage.on_timer = Some(Box::new(|ctx, _| ctx.subscribe_file("camera/late")));
+    let sink = log.clone();
+    storage.on_file_event = Some(Box::new(move |ctx, event| {
+        if let FileEvent::Received { resource, revision, data } = event {
+            let obs = Obs::FileData(resource.to_string(), *revision, data.clone());
+            sink.lock().unwrap().push((ctx.now(), obs));
+        }
+    }));
+    h.add_service(NodeId(2), Box::new(storage));
+    h.start_all();
+    h.run_for_millis(1_000);
+
+    let got = observations(&log);
+    assert_eq!(got.len(), 1, "{got:?}");
+    let (at, obs) = &got[0];
+    assert_eq!(obs, &Obs::FileData("camera/late".into(), 1, image));
+    assert!((500..600).contains(&at.as_millis()), "taken up at once: {at:?}");
+}
+
 #[test]
 fn same_node_file_subscription_bypasses_the_network() {
     let mut h = SimHarness::new(lan(13));

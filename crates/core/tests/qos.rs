@@ -166,6 +166,65 @@ fn queued_deliveries_keep_their_samples_under_a_slow_consumer() {
     assert_eq!(one[..common], two[..common], "both services see the same samples");
 }
 
+/// The subscriber on node 1 is bound to node 2's 1 s variable (loss
+/// deadline 3 s). Node 2's last sample lands at ≈ 5.002 s and node 2
+/// crashes at 5.05 s; at ≈ 7.002 s node 1 declares it dead and rebinds to
+/// node 3, which declares a 100 ms period and publishes nothing. The new
+/// deadline is anchored at that last sample, so the channel is 2 s past
+/// it at the rebind: the warning is due at once, not at the old
+/// provider's 8.002 s, and the channel is never silently stale.
+#[test]
+fn a_rebind_to_a_faster_provider_warns_on_the_new_deadline() {
+    use marea_core::scenario::{FaultSchedule, NoSilentStaleness, Scenario, ScenarioRunner};
+
+    let mut h = SimHarness::new(lan(5));
+    for (name, node) in [("sub", 1), ("slow", 2), ("fast", 3)] {
+        h.add_container(ContainerConfig::new(name, NodeId(node)));
+    }
+    let port = VarPort::<u64>::new("rebind/v");
+    for (node, period_ms) in [(2, 1_000), (3, 100)] {
+        let mut b = ServiceDescriptor::builder("pub");
+        let (period, validity) =
+            (ProtoDuration::from_millis(period_ms), ProtoDuration::from_millis(2 * period_ms));
+        b.provides_var(&port, VarQos::periodic(period, validity));
+        let mut publisher = Scripted::new(b.build());
+        if node == 2 {
+            publisher.on_start = Some(Box::new(move |ctx| {
+                ctx.set_timer(period, Some(period));
+            }));
+            let (mut n, publish) = (0u64, port.clone());
+            publisher.on_timer = Some(Box::new(move |ctx, _| {
+                n += 1;
+                ctx.publish_to(&publish, n);
+            }));
+        }
+        h.add_service(NodeId(node), Box::new(publisher));
+    }
+    let log = obs_log();
+    let mut sb = ServiceDescriptor::builder("sub");
+    sb.subscribe_to_var(&port, VarQos::default());
+    h.add_service(NodeId(1), Box::new(Recorder::new(sb.build(), log.clone())));
+    h.start_all();
+
+    let mut runner = ScenarioRunner::new(h);
+    runner.add_invariant(Box::new(NoSilentStaleness::new(ProtoDuration::from_millis(50))));
+    let crash = FaultSchedule::new().crash(ProtoDuration::from_millis(5_050), NodeId(2));
+    let report = runner.run(&Scenario::new("rebind", crash, ProtoDuration::from_secs(9)));
+    assert!(report.passed(), "{:#?}", report.violations);
+
+    let obs = observations(&log);
+    let last_sample = obs.iter().rfind(|(_, o)| matches!(o, Obs::Var(..))).unwrap().0;
+    assert!(last_sample.as_millis() >= 5_000, "node 2 published until its crash");
+    let warnings: Vec<u64> = obs
+        .iter()
+        .filter(|(at, o)| matches!(o, Obs::VarTimeout(_)) && *at > last_sample)
+        .map(|(at, _)| at.as_micros())
+        .collect();
+    let first = *warnings.first().expect("the silence is warned");
+    assert!(first > 7_000_000, "node 2 was the provider until its expiry: {warnings:?}");
+    assert!(first <= 7_310_000, "within one new deadline of the rebind: {warnings:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Events: bounded inboxes, drop policies, per-subscription priority
 // ---------------------------------------------------------------------------

@@ -1078,6 +1078,54 @@ fn a_refusal_from_a_node_the_call_is_not_aimed_at_leaves_the_call_alone() {
     assert_eq!((stats.qos.retries, stats.call_errors), (0, 0), "{stats:?}");
 }
 
+/// A download its publisher cancels goes back to waiting, and is taken
+/// up again from the announce the subscriber cached: the `FileCancel`
+/// marks the subscription table, and the maintenance pass in the same
+/// tick subscribes afresh. Each `Announced` notice is one subscription.
+/// Probe transport, explicit clock.
+#[test]
+fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::Message;
+    use marea_protocol::{GroupId, Micros, TransferId};
+    use marea_transport::{InProcHub, InProcTransport, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut publisher = hub.attach(2);
+    let cfg = ContainerConfig::new("sub", NodeId(1));
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    let log = obs_log();
+    let sink = ServiceDescriptor::builder("sink").subscribe_file("fp/blob").build();
+    c.add_service(Box::new(Recorder::new(sink, log.clone()))).unwrap();
+    c.start(Micros(0));
+
+    let send = |publisher: &mut InProcTransport, msg: Message| {
+        publisher.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
+    };
+    let announced = || {
+        let announced = Obs::File("announced:fp/blob".into());
+        observations(&log).iter().filter(|(_, o)| *o == announced).count()
+    };
+    let hello = Message::Hello { container: Name::new("pub").unwrap(), incarnation: 1, fec_cap: 0 };
+    send(&mut publisher, hello);
+    let announce = Message::FileAnnounce {
+        transfer: TransferId(1),
+        resource: Name::new("fp/blob").unwrap(),
+        revision: 1,
+        size: 4_096,
+        chunk_size: 1_024,
+        group: GroupId(0x4000_0001),
+    };
+    send(&mut publisher, announce);
+    c.tick(Micros::from_millis(1));
+    assert_eq!(announced(), 1, "subscribed on the announce");
+    send(&mut publisher, Message::FileCancel { transfer: TransferId(1) });
+    c.tick(Micros::from_millis(2));
+    assert_eq!(announced(), 2, "subscribed again from the cache, in the cancel's tick");
+    assert_eq!(c.stats().files_received, 0);
+}
+
 /// Node 1's container after nodes 2 and 3 said `Hello`, announced the same
 /// catalogue and beaconed once each: both records keep their beacon's CRC,
 /// and a second copy of node 2's beacon was taken as a repeat. Returns the
