@@ -40,7 +40,7 @@ use marea_protocol::{
 };
 use marea_transport::{Transport, TransportDestination};
 
-use crate::directory::{BeaconOutcome, Directory};
+use crate::directory::{BeaconOutcome, Directory, Life, NodeInfo};
 use crate::engines::events::{Admission, EventEngine};
 use crate::engines::files::{file_group, FileEngine, Heard};
 use crate::engines::rpc::{PendingCall, RpcEngine};
@@ -586,13 +586,8 @@ impl ServiceContainer {
         self.subs_dirty = true;
         self.tracer.record(now, TraceKind::NodeStart, TraceId::NONE, None, self.incarnation, None);
         self.transport.join(GroupId::CONTROL.0);
-        self.directory.apply_hello(
-            self.config.node,
-            self.config.name.clone(),
-            self.incarnation,
-            self.config.fec_cap.wire_tag(),
-            now,
-        );
+        let (node, cap) = (self.config.node, self.config.fec_cap.wire_tag());
+        self.directory.apply_hello(node, self.incarnation, cap, now);
         let hello = self.hello();
         self.send_message(CONTROL, &hello);
         self.broadcast_announce(self.announce_entries(), now);
@@ -760,9 +755,11 @@ impl ServiceContainer {
         now: Micros,
     ) {
         match msg {
-            Message::Hello { container, incarnation, fec_cap } => {
-                if !self.directory.apply_hello(src, container, incarnation, fec_cap, now) {
-                    return; // from a life the node has left behind
+            Message::Hello { incarnation, fec_cap, .. } => {
+                match self.directory.apply_hello(src, incarnation, fec_cap, now) {
+                    Life::Older => return, // from a life the node has left behind
+                    Life::New { ended: true } => self.handle_node_death(src, now),
+                    Life::Same | Life::New { ended: false } => {}
                 }
                 let cap = self.peer_cap(src);
                 self.links.renegotiate(src, cap);
@@ -798,13 +795,16 @@ impl ServiceContainer {
                     }
                     BeaconOutcome::OlderLife => return,
                     BeaconOutcome::Differs { cap, digest } => (cap, digest),
-                    BeaconOutcome::NewLife => (true, true),
-                    BeaconOutcome::Unknown => {
-                        // A node we have no catalogue for (its Hello/Announce was
-                        // lost): introduce ourselves unicast — which makes it
-                        // reply with its catalogue — and hand it ours the same
-                        // way. Both legs are unicast so a partition heal cannot
-                        // storm the control group with full-catalogue broadcasts.
+                    BeaconOutcome::New { ended } => {
+                        if ended {
+                            self.handle_node_death(src, now);
+                        }
+                        // A life we have no catalogue for (its Hello/Announce
+                        // was lost): introduce ourselves unicast — which makes
+                        // it reply with its catalogue — and hand it ours the
+                        // same way. Both legs are unicast so a partition heal
+                        // cannot storm the control group with full-catalogue
+                        // broadcasts.
                         let hello = self.hello();
                         self.send_message(TransportDestination::Node(src.0), &hello);
                         self.send_catalogue_to(src);
@@ -832,7 +832,11 @@ impl ServiceContainer {
             }
             Message::Announce { incarnation, entries } => {
                 self.trace_link(now, TraceKind::DirAnnounce, src, entries.len() as u64);
-                self.directory.apply_announce(src, incarnation, &entries, now);
+                match self.directory.apply_announce(src, incarnation, &entries, now) {
+                    Life::Older => return,
+                    Life::New { ended: true } => self.handle_node_death(src, now),
+                    Life::Same | Life::New { ended: false } => {}
+                }
                 self.subs_dirty = true;
             }
             Message::AnnounceRequest => self.send_catalogue_to(src),
@@ -1503,9 +1507,12 @@ impl ServiceContainer {
     }
 
     fn broadcast_announce(&mut self, entries: Vec<AnnounceEntry>, now: Micros) {
-        let digest =
-            self.directory.apply_announce(self.config.node, self.incarnation, &entries, now);
-        self.gossip.broadcast(digest);
+        let node = self.config.node;
+        self.directory.apply_announce(node, self.incarnation, &entries, now);
+        // This node's own record holds the digest just filed.
+        if let Some(digest) = self.directory.node(node).and_then(NodeInfo::catalogue_digest) {
+            self.gossip.broadcast(digest);
+        }
         let msg = Message::Announce { incarnation: self.incarnation, entries };
         self.send_message(CONTROL, &msg);
     }

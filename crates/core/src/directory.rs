@@ -11,13 +11,12 @@
 //!
 //! Every container owns a [`Directory`] fed by `Hello`/`Announce`/
 //! `ServiceStatus`/`Beacon`/`Bye` traffic. Lookups resolve provision
-//! names to live providers; node death (silence timeout or `Bye`) purges
-//! everything learned from that node — the cache invalidation the paper
-//! describes.
+//! names to live providers; the end of a node's life (silence timeout,
+//! `Bye` or a newer incarnation) purges everything learned from that
+//! life — the cache invalidation the paper describes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU32;
-use std::sync::OnceLock;
 
 use bytes::BytesMut;
 use marea_encoding::WireWriter;
@@ -37,8 +36,6 @@ use crate::timers::DueQueue;
 pub struct ProviderInfo {
     /// The providing service instance.
     pub service: ServiceId,
-    /// The providing service's name.
-    pub service_name: Name,
     /// Lifecycle state last advertised.
     pub state: ServiceState,
     /// The provision as announced (schema, QoS, signature).
@@ -55,14 +52,13 @@ impl ProviderInfo {
     }
 }
 
-/// Liveness record of a remote (or the local) node. One is kept per node
-/// of the fleet, so its size is a large fleet's heap: 48 bytes, pinned by
-/// `a_record_is_forty_eight_bytes`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Liveness record of a remote (or the local) node: what resolution and
+/// the beacon comparison read, nothing else. One is kept per node of the
+/// fleet, so its size is a large fleet's heap: 32 bytes, pinned by
+/// `a_record_is_thirty_two_bytes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeInfo {
-    /// Container name advertised in `Hello`.
-    pub container: Name,
-    /// Restart counter.
+    /// Restart counter: the life this record describes.
     pub incarnation: u64,
     /// Receive time of the node's last CRC-valid frame of any kind.
     pub last_seen: Micros,
@@ -83,15 +79,8 @@ pub struct NodeInfo {
 }
 
 impl NodeInfo {
-    fn new(
-        container: Name,
-        incarnation: u64,
-        now: Micros,
-        load_permille: u16,
-        fec_cap: u8,
-    ) -> Self {
+    fn new(incarnation: u64, now: Micros, load_permille: u16, fec_cap: u8) -> Self {
         NodeInfo {
-            container,
             incarnation,
             last_seen: now,
             load_permille,
@@ -124,6 +113,27 @@ impl NodeInfo {
     }
 }
 
+/// Where a frame's incarnation stands against the life on record for its
+/// sender: the one life check every frame that carries an incarnation
+/// passes (`Hello`, beacon, `Announce`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Life {
+    /// From a life older than the one on record: the frame was ignored. A
+    /// frame that sat in a slow link's queue across its sender's restart
+    /// says nothing about the node as it is now.
+    Older,
+    /// From the life on record, which the frame refreshed.
+    Same,
+    /// From a life not on record: a fresh record was filed for it. `ended`
+    /// says it took the place of another life's record, whose cached
+    /// provisions went with it; the container sees that life out through
+    /// the death path, as it does a silent or departed node.
+    New {
+        /// A record of another life was replaced.
+        ended: bool,
+    },
+}
+
 /// What a beacon changed, beyond refreshing its sender's liveness and
 /// load ([`Directory::apply_beacon`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,12 +143,12 @@ pub enum BeaconOutcome {
     Refreshed,
     /// From a life older than the one known: ignored.
     OlderLife,
-    /// No record of the node (its `Hello` was lost): a minimal one was
-    /// created, with no catalogue.
-    Unknown,
-    /// A newer life (its `Hello` was lost): the record was reset and
-    /// everything cached from the old life dropped.
-    NewLife,
+    /// A life not on record (its `Hello` was lost): a fresh record was
+    /// filed, with no catalogue ([`Life::New`]).
+    New {
+        /// A record of another life was replaced.
+        ended: bool,
+    },
     /// Same life, but what is held differs (no catalogue differs from any).
     Differs {
         /// The FEC capability changed; the record now holds the new one.
@@ -148,15 +158,8 @@ pub enum BeaconOutcome {
     },
 }
 
-/// The container name filed for a node heard before its `Hello`: one
-/// shared allocation, however many such nodes a large fleet's bring-up has.
-fn unknown_container() -> Option<Name> {
-    static UNKNOWN: OnceLock<Option<Name>> = OnceLock::new();
-    UNKNOWN.get_or_init(|| Name::new("unknown").ok()).clone()
-}
-
 /// The per-container name directory / proxy cache.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Directory {
     providers: BTreeMap<Name, Vec<ProviderInfo>>,
     /// Ordered: [`Directory::nodes`] hands the ids to callers that send
@@ -173,7 +176,7 @@ pub struct Directory {
     /// The owning container's node. It is never queued for expiry — a
     /// container does not time itself out — so its own liveness needs no
     /// per-tick refresh.
-    local: Option<NodeId>,
+    local: NodeId,
     /// Where a record's beacon body is written to be compared with a
     /// received one's: kept, so the comparison allocates nothing.
     beacon_body: BytesMut,
@@ -189,51 +192,52 @@ fn beacon_body<'b>(buf: &'b mut BytesMut, info: &NodeInfo) -> Option<&'b [u8]> {
 }
 
 impl Directory {
-    /// Creates an empty directory.
-    pub fn new() -> Self {
-        Directory::default()
-    }
-
     /// Creates the directory of the container on `local`: that node's own
     /// record is exempt from heartbeat-timeout expiry.
     pub fn for_node(local: NodeId) -> Self {
-        Directory { local: Some(local), ..Directory::default() }
+        Directory {
+            providers: BTreeMap::new(),
+            nodes: BTreeMap::new(),
+            node_provides: HashMap::new(),
+            expiry: DueQueue::default(),
+            local,
+            beacon_body: BytesMut::new(),
+        }
     }
 
-    /// Records a node `Hello` (new or rebooted container) and answers
-    /// `true` — or ignores it and answers `false` when it comes from a life
-    /// older than the one known: a frame that sat in a slow link's queue
-    /// across the node's restart says nothing about the node as it is now.
-    ///
-    /// A higher incarnation than previously known wipes the node's cached
-    /// provisions: they belong to the previous life.
+    /// The one life check. A frame from a life older than the one on
+    /// record changes nothing. One from the life on record hands that
+    /// record to `same`, in the one lookup the steady-state beacon makes.
+    /// Any other files `fresh`, the record of the frame's life, and ends
+    /// the life that was on record: everything cached from it goes.
+    fn life(&mut self, node: NodeId, fresh: NodeInfo, same: impl FnOnce(&mut NodeInfo)) -> Life {
+        let ended = match self.nodes.get_mut(&node) {
+            Some(known) if known.incarnation > fresh.incarnation => return Life::Older,
+            Some(known) if known.incarnation == fresh.incarnation => {
+                same(known);
+                return Life::Same;
+            }
+            known => known.is_some(),
+        };
+        self.purge_node_providers(node);
+        self.nodes.insert(node, fresh);
+        self.schedule_expiry(node, fresh.last_seen);
+        Life::New { ended }
+    }
+
+    /// Records a node `Hello` (new or rebooted container). A re-`Hello` of
+    /// the life on record keeps the catalogue held for it, and its digest.
     pub fn apply_hello(
         &mut self,
         node: NodeId,
-        container: Name,
         incarnation: u64,
         fec_cap: u8,
         now: Micros,
-    ) -> bool {
-        // A re-Hello at the same incarnation keeps the catalogue (and its
-        // digest); a new life starts with no catalogue known.
-        let catalogue_digest = match self.nodes.get(&node) {
-            Some(known) if known.incarnation > incarnation => return false,
-            Some(known) if known.incarnation == incarnation => known.catalogue_digest(),
-            Some(_) => {
-                self.purge_node(node);
-                None
-            }
-            None => None,
-        };
-        let mut info = NodeInfo::new(container, incarnation, now, 0, fec_cap);
-        if let Some(digest) = catalogue_digest {
-            (info.digest_known, info.digest) = (true, digest);
-        }
-        if self.nodes.insert(node, info).is_none() {
-            self.schedule_expiry(node, now);
-        }
-        true
+    ) -> Life {
+        let fresh = NodeInfo::new(incarnation, now, 0, fec_cap);
+        self.life(node, fresh, |known| {
+            *known = NodeInfo { digest_known: known.digest_known, digest: known.digest, ..fresh };
+        })
     }
 
     /// Records a beacon. The steady state — same life, same capability,
@@ -251,35 +255,21 @@ impl Directory {
         digest: (u32, u32),
         now: Micros,
     ) -> BeaconOutcome {
-        let previous = match self.nodes.get_mut(&node) {
-            Some(info) if info.incarnation == incarnation => {
-                info.last_seen = now;
-                info.load_permille = load_permille;
-                info.beacon_crc = None;
-                let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
-                let digest = info.catalogue_digest() != Some(digest);
-                return if cap || digest {
-                    BeaconOutcome::Differs { cap, digest }
-                } else {
-                    BeaconOutcome::Refreshed
-                };
-            }
-            Some(info) if info.incarnation > incarnation => return BeaconOutcome::OlderLife,
-            // Missed the Hello of a reboot: resync, under the name known.
-            Some(info) => Some(info.container.clone()),
-            // Beacon before Hello (lost datagram): a minimal record so
-            // liveness tracking works; an Announce will fill it.
-            None => None,
-        };
-        let outcome =
-            if previous.is_some() { BeaconOutcome::NewLife } else { BeaconOutcome::Unknown };
-        let Some(container) = previous.or_else(unknown_container) else {
-            return outcome;
-        };
-        self.purge_node(node);
-        self.nodes.insert(node, NodeInfo::new(container, incarnation, now, load_permille, fec_cap));
-        self.schedule_expiry(node, now);
-        outcome
+        let fresh = NodeInfo::new(incarnation, now, load_permille, fec_cap);
+        let mut differs = (false, false);
+        let life = self.life(node, fresh, |info| {
+            info.last_seen = now;
+            info.load_permille = load_permille;
+            info.beacon_crc = None;
+            let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
+            differs = (cap, info.catalogue_digest() != Some(digest));
+        });
+        match (life, differs) {
+            (Life::Older, _) => BeaconOutcome::OlderLife,
+            (Life::New { ended }, _) => BeaconOutcome::New { ended },
+            (Life::Same, (false, false)) => BeaconOutcome::Refreshed,
+            (Life::Same, (cap, digest)) => BeaconOutcome::Differs { cap, digest },
+        }
     }
 
     /// Keeps the CRC of `frame` — a beacon from its `src` that passed the
@@ -328,29 +318,31 @@ impl Directory {
         }
     }
 
-    /// Replaces everything known about `node`'s services with the announce
-    /// of its life `incarnation`, and answers the digest now held for it.
+    /// Replaces everything known about `node`'s services with the
+    /// catalogue of its life `incarnation`. A catalogue from a life not on
+    /// record (its `Hello` was lost, or came behind it) files the record a
+    /// beacon would — no load, FEC off until a frame says what the node
+    /// can do — so that the digest has a record to be filed under and a
+    /// lifetime; one from an older life is ignored.
     pub fn apply_announce(
         &mut self,
         node: NodeId,
         incarnation: u64,
         entries: &[AnnounceEntry],
         now: Micros,
-    ) -> (u32, u32) {
-        if !self.nodes.contains_key(&node) {
-            // Announce before Hello (lost datagram): the record a beacon
-            // from an unknown node creates — no load, FEC off until a real
-            // one says what the node can do — so that the catalogue has a
-            // digest to be filed under and a lifetime.
-            self.apply_beacon(node, incarnation, 0, 0, (0, 0), now);
-        }
-        self.purge_node_providers(node);
+    ) -> Life {
         let digest = (announce_hash(incarnation, entries), entries.len() as u32);
-        if let Some(info) = self.nodes.get_mut(&node) {
+        let fresh =
+            NodeInfo { digest_known: true, digest, ..NodeInfo::new(incarnation, now, 0, 0) };
+        let life = self.life(node, fresh, |info| {
             info.last_seen = now;
             (info.digest_known, info.digest) = (true, digest);
             info.beacon_crc = None;
+        });
+        if life == Life::Older {
+            return life;
         }
+        self.purge_node_providers(node);
         // Exact capacities: most names have one provider and most nodes a
         // handful of names, where `Vec`'s first growth step would reserve
         // four times what the list holds — a third of a large fleet's heap.
@@ -363,7 +355,6 @@ impl Directory {
                     self.providers.entry(name.clone()).or_insert_with(|| Vec::with_capacity(1));
                 list.push(ProviderInfo {
                     service: ServiceId::new(node, entry.service_seq),
-                    service_name: entry.name.clone(),
                     state: entry.state,
                     provision: provision.clone(),
                 });
@@ -384,7 +375,7 @@ impl Directory {
         } else {
             self.node_provides.insert(node, names);
         }
-        digest
+        life
     }
 
     /// Applies a single service state change: under the names `node`
@@ -400,13 +391,12 @@ impl Directory {
         }
     }
 
-    /// Handles a graceful `Bye`: immediate purge. `false` when the node
-    /// was not known — a stranger, or one already expired — so nothing
-    /// left.
+    /// Handles a graceful `Bye`: immediate purge of the node's record and
+    /// catalogue. `false` when the node was not known — a stranger, or one
+    /// already expired — so nothing left.
     pub fn apply_bye(&mut self, node: NodeId) -> bool {
-        let known = self.nodes.remove(&node).is_some();
         self.purge_node_providers(node);
-        known
+        self.nodes.remove(&node).is_some()
     }
 
     /// Drops nodes silent for longer than `timeout`; returns who died.
@@ -424,7 +414,7 @@ impl Directory {
             self.expiry.pop_due(Micros(seen_by), |node| self.nodes.get(node).map(|n| n.last_seen))
         {
             dead.push(node);
-            self.purge_node(node);
+            self.apply_bye(node); // the purge a `Bye` makes
         }
         // Stable order: callers react to each death with sends/failovers,
         // which must not depend on heap pop order among equal deadlines.
@@ -441,11 +431,6 @@ impl Directory {
         self.expiry.next_due().map(|seen| seen + timeout)
     }
 
-    fn purge_node(&mut self, node: NodeId) {
-        self.nodes.remove(&node);
-        self.purge_node_providers(node);
-    }
-
     fn purge_node_providers(&mut self, node: NodeId) {
         let Some(names) = self.node_provides.remove(&node) else { return };
         for name in names {
@@ -458,15 +443,16 @@ impl Directory {
         }
     }
 
-    /// Queues a newly tracked `node`'s expiry at `last_seen` (a refresh only
+    /// Queues a newly filed `node`'s expiry at `last_seen` (a refresh only
     /// moves it later). Every other tracked remote node has one entry, so a
     /// queue that long holds none for `node`; a longer one holds what a
-    /// `Bye` left behind, perhaps `node`'s own, which `arm` finds.
+    /// `Bye` or an ended life left behind, perhaps `node`'s own, which
+    /// `arm` finds.
     fn schedule_expiry(&mut self, node: NodeId, last_seen: Micros) {
-        if self.local == Some(node) {
+        if self.local == node {
             return;
         }
-        let local = self.local.is_some_and(|local| self.nodes.contains_key(&local));
+        let local = self.nodes.contains_key(&self.local);
         let others = self.nodes.len() - 1 - usize::from(local);
         if self.expiry.len() == others {
             self.expiry.push(node, last_seen);
@@ -572,6 +558,24 @@ mod tests {
         Name::new(s).unwrap()
     }
 
+    /// A directory whose owner the test never names: every node it hears
+    /// of is remote.
+    fn remote_only() -> Directory {
+        Directory::for_node(NodeId(0))
+    }
+
+    /// Applies `node`'s catalogue and answers the digest now on record.
+    fn announce(
+        d: &mut Directory,
+        node: NodeId,
+        incarnation: u64,
+        entries: &[AnnounceEntry],
+        now: Micros,
+    ) -> (u32, u32) {
+        d.apply_announce(node, incarnation, entries, now);
+        d.node(node).and_then(NodeInfo::catalogue_digest).expect("a catalogue on record")
+    }
+
     /// A beacon for its liveness half: what it says of the catalogue is
     /// beside the point of the test.
     fn beat(d: &mut Directory, node: NodeId, incarnation: u64, load: u16, cap: u8, now: Micros) {
@@ -591,9 +595,9 @@ mod tests {
     }
 
     fn dir_with_two_storages() -> Directory {
-        let mut d = Directory::new();
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
-        d.apply_hello(NodeId(3), name("n3"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(NodeId(2), 1, 4, Micros(0));
+        d.apply_hello(NodeId(3), 1, 4, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(3), 1, &[announce_storage(1)], Micros(0));
         d
@@ -636,8 +640,8 @@ mod tests {
     #[test]
     fn resolution_order_and_choice_match_the_collected_list() {
         let mut d = dir_with_two_storages();
-        d.apply_hello(NodeId(4), name("n4"), 1, 4, Micros(0));
-        d.apply_hello(NodeId(5), name("n5"), 1, 4, Micros(0));
+        d.apply_hello(NodeId(4), 1, 4, Micros(0));
+        d.apply_hello(NodeId(5), 1, 4, Micros(0));
         // Node 4 offers the name twice, once as a variable; node 5's
         // service is stopped.
         let variable = Provision::Variable {
@@ -718,10 +722,10 @@ mod tests {
     #[test]
     fn local_node_never_expires_and_next_expiry_tracks_the_heap_head() {
         let mut d = Directory::for_node(NodeId(1));
-        d.apply_hello(NodeId(1), name("n1"), 1, 4, Micros(0));
+        d.apply_hello(NodeId(1), 1, 4, Micros(0));
         let timeout = ProtoDuration::from_secs(2);
         assert_eq!(d.next_expiry(timeout), None, "only the local node known");
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros::from_millis(300));
+        d.apply_hello(NodeId(2), 1, 4, Micros::from_millis(300));
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         // Refreshed peers leave a stale head: the bound is early, and the
         // sweep at that instant re-arms instead of expiring.
@@ -762,14 +766,24 @@ mod tests {
         let mut d = dir_with_two_storages();
         assert_eq!(d.providers("storage/store").count(), 2);
         // Node 2 reboots with incarnation 2 and announces nothing yet.
-        d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(100));
+        assert_eq!(d.apply_hello(NodeId(2), 2, 4, Micros(100)), Life::New { ended: true });
         assert_eq!(d.providers("storage/store").count(), 1);
         assert!(d.node_alive(NodeId(2)));
+        // Node 3's next life is heard first through its catalogue: that
+        // ends the old life too, and files the catalogue under the new one.
+        let ended = d.apply_announce(NodeId(3), 2, &[announce_storage(4)], Micros(200));
+        assert_eq!(ended, Life::New { ended: true });
+        let info = d.node(NodeId(3)).unwrap();
+        assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (2, Micros(200), 0));
+        let digest = (announce_hash(2, &[announce_storage(4)]), 1);
+        assert_eq!(info.catalogue_digest(), Some(digest));
+        let listed: Vec<ServiceId> = d.providers("storage/store").map(|p| p.service).collect();
+        assert_eq!(listed, [ServiceId::new(NodeId(3), 4)], "the new life's service alone");
     }
 
     #[test]
     fn heartbeat_before_hello_creates_record() {
-        let mut d = Directory::new();
+        let mut d = remote_only();
         beat(&mut d, NodeId(9), 1, 250, 3, Micros(5));
         assert!(d.node_alive(NodeId(9)));
         assert_eq!(d.node(NodeId(9)).unwrap().load_permille, 250);
@@ -780,8 +794,8 @@ mod tests {
 
     #[test]
     fn heartbeat_refreshes_fec_cap() {
-        let mut d = Directory::new();
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(NodeId(2), 1, 4, Micros(0));
         beat(&mut d, NodeId(2), 1, 0, 2, Micros(1));
         assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 2, "heartbeat downgrades");
         beat(&mut d, NodeId(2), 1, 0, 4, Micros(2));
@@ -790,8 +804,8 @@ mod tests {
 
     #[test]
     fn re_announce_replaces_not_duplicates() {
-        let mut d = Directory::new();
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(NodeId(2), 1, 4, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(1));
         assert_eq!(d.providers("storage/store").count(), 1);
@@ -817,11 +831,38 @@ mod tests {
     fn rejoin_after_bye_is_tracked_again() {
         let mut d = dir_with_two_storages();
         d.apply_bye(NodeId(3));
-        d.apply_hello(NodeId(3), name("n3"), 2, 4, Micros::from_millis(100));
+        d.apply_hello(NodeId(3), 2, 4, Micros::from_millis(100));
         // Silent after the rejoin: must still expire.
         beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
+    }
+
+    /// The life rule over a plain `node -> (incarnation, last_seen)` table:
+    /// what the directory must answer for a frame of life `incarnation`,
+    /// with the table updated as the directory's records must be.
+    fn judge(
+        model: &mut BTreeMap<NodeId, (u64, Micros)>,
+        node: NodeId,
+        incarnation: u64,
+        now: Micros,
+    ) -> Life {
+        let life = match model.get(&node) {
+            Some(&(known, _)) if known > incarnation => return Life::Older,
+            Some(&(known, _)) if known == incarnation => Life::Same,
+            known => Life::New { ended: known.is_some() },
+        };
+        model.insert(node, (incarnation, now));
+        life
+    }
+
+    /// The life half of a beacon's outcome.
+    fn beacon_life(outcome: BeaconOutcome) -> Life {
+        match outcome {
+            BeaconOutcome::OlderLife => Life::Older,
+            BeaconOutcome::New { ended } => Life::New { ended },
+            BeaconOutcome::Refreshed | BeaconOutcome::Differs { .. } => Life::Same,
+        }
     }
 
     proptest! {
@@ -846,21 +887,16 @@ mod tests {
                 let node = NodeId(node);
                 match op {
                     0 => {
-                        let newest = model.get(&node).is_none_or(|&(known, _)| known <= incarnation);
-                        prop_assert_eq!(d.apply_hello(node, name("n"), incarnation, 4, now), newest);
-                        if newest {
-                            model.insert(node, (incarnation, now));
-                        }
+                        let life = d.apply_hello(node, incarnation, 4, now);
+                        prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     1 => {
-                        beat(&mut d, node, incarnation, 0, 4, now);
-                        if model.get(&node).is_none_or(|&(known, _)| known <= incarnation) {
-                            model.insert(node, (incarnation, now));
-                        }
+                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, 4, (0, 0), now));
+                        prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     2 => {
-                        d.apply_announce(node, incarnation, &[announce_storage(1)], now);
-                        model.entry(node).and_modify(|e| e.1 = now).or_insert((incarnation, now));
+                        let life = d.apply_announce(node, incarnation, &[announce_storage(1)], now);
+                        prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     3 => {
                         d.touch(node, now);
@@ -871,12 +907,10 @@ mod tests {
                         model.remove(&node);
                     }
                     5 => {
-                        // Same liveness rule as the heartbeat half it
-                        // wraps, whatever the digest says.
-                        d.apply_beacon(node, incarnation, 0, 4, (dt_ms as u32 % 2, 1), now);
-                        if model.get(&node).is_none_or(|&(known, _)| known <= incarnation) {
-                            model.insert(node, (incarnation, now));
-                        }
+                        // The same life rule, whatever the digest says.
+                        let digest = (dt_ms as u32 % 2, 1);
+                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, 4, digest, now));
+                        prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     _ => {
                         let silent = |seen: Micros| now.saturating_since(seen) >= timeout;
@@ -904,10 +938,10 @@ mod tests {
 
     #[test]
     fn nodes_come_back_ascending_whatever_the_learning_order() {
-        let mut d = Directory::new();
+        let mut d = remote_only();
         assert!(d.nodes().is_empty());
         for id in [9u32, 3, 7, 1, 8] {
-            d.apply_hello(NodeId(id), name("n"), 1, 4, Micros(0));
+            d.apply_hello(NodeId(id), 1, 4, Micros(0));
         }
         let ascending = [1u32, 3, 7, 8, 9].map(NodeId).to_vec();
         assert_eq!(d.nodes(), ascending);
@@ -918,7 +952,7 @@ mod tests {
         }
         assert_eq!(d.expire(Micros::from_secs(3), ProtoDuration::from_secs(2)), vec![NodeId(7)]);
         assert_eq!(d.nodes(), [1u32, 3, 8, 9].map(NodeId).to_vec());
-        d.apply_hello(NodeId(7), name("n"), 2, 4, Micros::from_secs(3));
+        d.apply_hello(NodeId(7), 2, 4, Micros::from_secs(3));
         assert_eq!(d.nodes(), ascending);
     }
 
@@ -926,31 +960,31 @@ mod tests {
     fn catalogue_digest_matches_only_applied_catalogue() {
         use BeaconOutcome::{Differs, Refreshed};
         let pull = Differs { cap: false, digest: true };
-        let mut d = Directory::new();
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(NodeId(2), 1, 4, Micros(0));
         let beacon = |d: &mut Directory, life, digest| {
             d.apply_beacon(NodeId(2), life, 0, 4, digest, Micros(80))
         };
         assert_eq!(beacon(&mut d, 1, (0xAB, 1)), pull, "no announce applied yet");
-        let (hash, count) = d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
+        let (hash, count) = announce(&mut d, NodeId(2), 1, &[announce_storage(1)], Micros(0));
         assert_eq!((hash, count), (announce_hash(1, &[announce_storage(1)]), 1));
         assert_eq!(beacon(&mut d, 1, (hash, 1)), Refreshed);
         assert_eq!(beacon(&mut d, 1, (hash ^ 1, 1)), pull, "hash mismatch");
         assert_eq!(beacon(&mut d, 1, (hash, 2)), pull, "entry count mismatch");
         // A reboot wipes the digest along with the catalogue.
-        d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(50));
+        d.apply_hello(NodeId(2), 2, 4, Micros(50));
         assert_eq!(beacon(&mut d, 2, (hash, 1)), pull);
         // A re-Hello at the same incarnation keeps it.
-        let held = d.apply_announce(NodeId(2), 2, &[announce_storage(1)], Micros(60));
+        let held = announce(&mut d, NodeId(2), 2, &[announce_storage(1)], Micros(60));
         assert_ne!(held, (hash, 1), "the digest covers the incarnation");
-        d.apply_hello(NodeId(2), name("n2"), 2, 4, Micros(70));
+        d.apply_hello(NodeId(2), 2, 4, Micros(70));
         assert_eq!(beacon(&mut d, 2, held), Refreshed);
     }
 
     #[test]
     fn announce_before_hello_creates_the_record_its_digest_is_filed_under() {
         let mut d = Directory::for_node(NodeId(1));
-        let digest = d.apply_announce(NodeId(2), 3, &[announce_storage(1)], Micros(5));
+        let digest = announce(&mut d, NodeId(2), 3, &[announce_storage(1)], Micros(5));
         let info = d.node(NodeId(2)).expect("known from its announce");
         assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (3, Micros(5), 0));
         assert_eq!(info.catalogue_digest(), Some(digest));
@@ -978,8 +1012,8 @@ mod tests {
         assert_eq!(d.providers("storage/store").count(), 2);
 
         // An older life is ignored outright: not even proof of life.
-        d.apply_hello(n2, name("n2"), 5, 4, Micros(20));
-        let digest = d.apply_announce(n2, 5, &[announce_storage(1)], Micros(20));
+        d.apply_hello(n2, 5, 4, Micros(20));
+        let digest = announce(&mut d, n2, 5, &[announce_storage(1)], Micros(20));
         assert_eq!(d.apply_beacon(n2, 4, 999, 1, (0, 0), Micros(30)), OlderLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (5, Micros(20), 0));
@@ -998,15 +1032,15 @@ mod tests {
         assert_eq!(d.node(n2).unwrap().last_seen, Micros(41));
         assert_eq!(d.providers("storage/store").count(), 2);
 
-        // A newer life drops everything cached from the old one.
-        assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), NewLife);
+        // A newer life ends the old one: everything cached from it goes.
+        assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), New { ended: true });
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (6, Micros(50), 70));
-        assert_eq!((&info.container, info.catalogue_digest()), (&name("n2"), None));
+        assert_eq!(info.catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 1, "node 3's only");
 
         // An unknown node gets a minimal record, queued for expiry.
-        assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), Unknown);
+        assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), New { ended: false });
         let info = d.node(NodeId(9)).unwrap();
         assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest()), (250, 3, None));
         let later = Micros(60) + ProtoDuration::from_secs(2);
@@ -1021,10 +1055,10 @@ mod tests {
         let timeout = ProtoDuration::from_secs(2);
         let mut d = Directory::for_node(NodeId(1));
         for i in 0..10_000 {
-            assert!(d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(i * 100)));
+            assert_eq!(d.apply_hello(NodeId(2), 1, 4, Micros(i * 100)), Life::New { ended: false });
             assert!(d.apply_bye(NodeId(2)));
         }
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros::from_secs(1));
+        d.apply_hello(NodeId(2), 1, 4, Micros::from_secs(1));
         assert_eq!(d.expiry.entries(&NodeId(2)), 1);
         assert_eq!(
             d.next_expiry(timeout),
@@ -1042,22 +1076,22 @@ mod tests {
     #[test]
     fn a_hello_from_an_older_life_is_ignored() {
         let n2 = NodeId(2);
-        let mut d = Directory::new();
-        assert!(d.apply_hello(n2, name("n2"), 2, 4, Micros(0)));
-        let digest = d.apply_announce(n2, 2, &[announce_storage(1)], Micros(1));
+        let mut d = remote_only();
+        assert_eq!(d.apply_hello(n2, 2, 4, Micros(0)), Life::New { ended: false });
+        let digest = announce(&mut d, n2, 2, &[announce_storage(1)], Micros(1));
 
-        assert!(!d.apply_hello(n2, name("n2-old"), 1, 0, Micros(2)));
+        assert_eq!(d.apply_hello(n2, 1, 0, Micros(2)), Life::Older);
         let info = d.node(n2).unwrap();
-        assert_eq!((info.incarnation, &info.container, info.fec_cap), (2, &name("n2"), 4));
+        assert_eq!((info.incarnation, info.fec_cap), (2, 4));
         assert_eq!((info.catalogue_digest(), info.last_seen), (Some(digest), Micros(1)));
         assert_eq!(d.providers("storage/store").count(), 1);
         assert_eq!(d.apply_beacon(n2, 2, 0, 4, digest, Micros(3)), BeaconOutcome::Refreshed);
         assert_eq!(d.providers("storage/store").count(), 1);
 
         // The same life again and a newer one are both applied.
-        assert!(d.apply_hello(n2, name("n2"), 2, 4, Micros(4)));
+        assert_eq!(d.apply_hello(n2, 2, 4, Micros(4)), Life::Same);
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
-        assert!(d.apply_hello(n2, name("n2"), 3, 4, Micros(5)));
+        assert_eq!(d.apply_hello(n2, 3, 4, Micros(5)), Life::New { ended: true });
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 0);
     }
@@ -1066,7 +1100,7 @@ mod tests {
     /// list may hold room for more than it lists.
     #[test]
     fn one_provision_announces_allocate_what_they_list() {
-        let mut d = Directory::new();
+        let mut d = remote_only();
         for node in 1..=256u32 {
             let entry = AnnounceEntry {
                 provides: vec![Provision::Event {
@@ -1081,9 +1115,6 @@ mod tests {
         let provided = d.node_provides.values().map(|l| (l.len(), l.capacity()));
         let sizes = providers.chain(provided).fold((0, 0), |(l, c), (len, cap)| (l + len, c + cap));
         assert_eq!(sizes, (512, 512), "256 provider lists + 256 node_provides lists, all full");
-        // Every one of them was heard before its `Hello`: one shared name.
-        let unknown = d.node(NodeId(1)).unwrap().container.as_str();
-        assert!(d.nodes.values().all(|n| std::ptr::eq(n.container.as_str(), unknown)));
     }
 
     #[test]
@@ -1095,9 +1126,9 @@ mod tests {
             ],
             ..announce_storage(seq)
         };
-        let mut d = Directory::new();
+        let mut d = remote_only();
         for node in [NodeId(2), NodeId(3)] {
-            d.apply_hello(node, name("n"), 1, 4, Micros(0));
+            d.apply_hello(node, 1, 4, Micros(0));
             d.apply_announce(node, 1, &[two_names(1), announce_storage(2)], Micros(0));
         }
         let states = |d: &Directory| -> Vec<(Name, ServiceId, ServiceState)> {
@@ -1117,7 +1148,7 @@ mod tests {
 
         // A node with no catalogue provides nothing a status could change.
         let before = states(&d);
-        d.apply_hello(NodeId(4), name("n4"), 1, 4, Micros(0));
+        d.apply_hello(NodeId(4), 1, 4, Micros(0));
         d.apply_status(NodeId(4), 1, ServiceState::Failed);
         d.apply_status(NodeId(7), 1, ServiceState::Failed);
         assert_eq!(states(&d), before);
@@ -1125,8 +1156,8 @@ mod tests {
 
     #[test]
     fn kind_filters_apply() {
-        let mut d = Directory::new();
-        d.apply_hello(NodeId(2), name("n2"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(NodeId(2), 1, 4, Micros(0));
         d.apply_announce(
             NodeId(2),
             1,
@@ -1156,8 +1187,8 @@ mod tests {
 
     /// A large fleet holds one record per node in every directory.
     #[test]
-    fn a_record_is_forty_eight_bytes() {
-        assert!(std::mem::size_of::<NodeInfo>() <= 48, "{}", std::mem::size_of::<NodeInfo>());
+    fn a_record_is_thirty_two_bytes() {
+        assert!(std::mem::size_of::<NodeInfo>() <= 32, "{}", std::mem::size_of::<NodeInfo>());
     }
 
     fn beacon_wire(
@@ -1215,10 +1246,10 @@ mod tests {
     #[test]
     fn a_beacon_repeats_while_its_record_says_what_it_said() {
         let n2 = NodeId(2);
-        let mut d = Directory::new();
-        d.apply_hello(n2, name("n2"), 1, 4, Micros(0));
+        let mut d = remote_only();
+        d.apply_hello(n2, 1, 4, Micros(0));
         assert!(!repeat(&mut d, &beacon_wire(n2, 1, 0, 4, (0, 0)), Micros(1)), "no catalogue");
-        let digest = d.apply_announce(n2, 1, &[announce_storage(1)], Micros(0));
+        let digest = announce(&mut d, n2, 1, &[announce_storage(1)], Micros(0));
         let first = beacon_wire(n2, 1, 0, 4, digest);
         assert!(!repeat(&mut d, &first, Micros(1)), "nothing kept before a Refreshed");
         assert_eq!(full_path(&mut d, &first, Micros(1)), Some(BeaconOutcome::Refreshed));
@@ -1237,7 +1268,7 @@ mod tests {
         d.apply_announce(n2, 1, &[announce_storage(1)], Micros(6));
         assert!(!repeat(&mut d, &loaded, Micros(7)), "announce");
         assert_eq!(full_path(&mut d, &loaded, Micros(7)), Some(BeaconOutcome::Refreshed));
-        d.apply_hello(n2, name("n2"), 1, 4, Micros(8));
+        d.apply_hello(n2, 1, 4, Micros(8));
         assert!(!repeat(&mut d, &loaded, Micros(9)), "hello");
 
         // A CRC of 0 is never kept (the keep trusts its caller's check).
@@ -1267,7 +1298,7 @@ mod tests {
                 1..160,
             ),
         ) {
-            let (mut fast, mut full) = (Directory::new(), Directory::new());
+            let (mut fast, mut full) = (remote_only(), remote_only());
             let mut sent: Vec<Bytes> = Vec::new();
             let mut now = Micros::ZERO;
             for (op, node_id, incarnation, pick, dt_ms) in ops {
@@ -1277,8 +1308,8 @@ mod tests {
                 let received = match op {
                     0 => {
                         let cap = if pick % 2 == 0 { 4 } else { 0 };
-                        fast.apply_hello(node, name("n"), incarnation, cap, now);
-                        full.apply_hello(node, name("n"), incarnation, cap, now);
+                        fast.apply_hello(node, incarnation, cap, now);
+                        full.apply_hello(node, incarnation, cap, now);
                         None
                     }
                     1 => {

@@ -12,12 +12,6 @@ pub enum ContainerError {
     DuplicateService(Name),
     /// A provision name is already provided by another local service.
     DuplicateProvision(Name),
-    /// The container was asked to operate before `start` or after `stop`.
-    NotRunning,
-    /// An effect referenced a provision the acting service never declared.
-    UndeclaredProvision(Name),
-    /// A published value did not conform to the declared schema.
-    SchemaViolation(String),
 }
 
 impl fmt::Display for ContainerError {
@@ -27,11 +21,6 @@ impl fmt::Display for ContainerError {
             ContainerError::DuplicateProvision(n) => {
                 write!(f, "provision `{n}` already provided locally")
             }
-            ContainerError::NotRunning => write!(f, "container is not running"),
-            ContainerError::UndeclaredProvision(n) => {
-                write!(f, "provision `{n}` was not declared by this service")
-            }
-            ContainerError::SchemaViolation(e) => write!(f, "schema violation: {e}"),
         }
     }
 }

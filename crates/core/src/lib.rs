@@ -106,7 +106,7 @@ pub use clock::SystemClock;
 pub use container::{
     loan_cap_bytes, ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES,
 };
-pub use directory::{BeaconOutcome, Directory, NodeInfo, ProviderInfo};
+pub use directory::{BeaconOutcome, Directory, Life, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};
 pub use harness::{RealtimeDriver, SimHarness};
 pub use link::{LinkEvents, ReliableLink};

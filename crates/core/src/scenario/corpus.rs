@@ -36,7 +36,7 @@ use crate::service::{
 };
 
 /// Every corpus scenario name, in a stable order.
-pub const NAMES: [&str; 7] = [
+pub const NAMES: [&str; 8] = [
     "ground_link_flap",
     "split_brain_heal",
     "rolling_restart_swarm16",
@@ -44,6 +44,7 @@ pub const NAMES: [&str; 7] = [
     "publisher_failover",
     "bulk_flood_under_partition",
     "swarm_1024",
+    "reboot_inside_timeout",
 ];
 
 /// Seed + timing profile for a corpus run.
@@ -309,9 +310,27 @@ fn standard_invariants(runner: &mut ScenarioRunner, cfg: &ScenarioConfig) {
     runner.add_invariant(Box::new(QueueBound::new(4096)));
 }
 
+/// Adds the recovery objective `label`: a call must succeed strictly
+/// after each fault `trigger` matches, within `rto`. The measured
+/// recoveries go to `probes.recoveries_us`.
+fn add_call_rto(
+    runner: &mut ScenarioRunner,
+    probes: &mut ChaosProbes,
+    label: &str,
+    rto: ProtoDuration,
+    trigger: impl Fn(&FaultEvent) -> bool + Send + 'static,
+) {
+    let ok_at = probes.last_ok_at_us.clone();
+    let recovered =
+        move |_: &SimHarness, armed: Micros| ok_at.load(Ordering::Relaxed) > armed.as_micros();
+    let rto = RtoRecovery::new(label, rto, trigger, recovered);
+    probes.recoveries_us = rto.recoveries();
+    runner.add_invariant(Box::new(rto));
+}
+
 /// Builds a corpus entry by name (see [`NAMES`]); `None` for unknown names.
 pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
-    let probes = ChaosProbes::default();
+    let mut probes = ChaosProbes::default();
     let mut h = SimHarness::new(NetConfig::default().with_seed(cfg.seed));
     let hold = ms(cfg.hold);
     let settle = ms(cfg.grace) + hold;
@@ -445,21 +464,33 @@ pub fn build(name: &str, cfg: &ScenarioConfig) -> Option<ChaosRun> {
             standard_invariants(&mut runner, cfg);
             // RTO: a call must succeed strictly after the crash within the
             // objective — the §4.3 transparent-failover promise, measured.
-            let ok_at = probes.last_ok_at_us.clone();
-            let rto = RtoRecovery::new(
-                "failover-rto",
-                cfg.rto,
-                |ev| matches!(ev, FaultEvent::Crash(NodeId(2))),
-                move |_h, armed| ok_at.load(Ordering::Relaxed) > armed.as_micros(),
-            );
-            let mut probes = probes.clone();
-            probes.recoveries_us = rto.recoveries();
-            runner.add_invariant(Box::new(rto));
-            return Some(ChaosRun {
-                runner,
-                scenario: Scenario::new(name, schedule, duration),
-                probes,
+            let crash = |ev: &FaultEvent| matches!(ev, FaultEvent::Crash(NodeId(2)));
+            add_call_rto(&mut runner, &mut probes, "failover-rto", cfg.rto, crash);
+            (schedule, duration, runner)
+        }
+        "reboot_inside_timeout" => {
+            // The only provider (node 2) reboots in place, far faster than
+            // `node_timeout`: the client must see the old life out and
+            // call the new one within the RTO, over a reliable channel
+            // that starts afresh on both sides.
+            h.add_container(cfg.container("client", NodeId(1)));
+            h.add_container(cfg.container("provider", NodeId(2)));
+            let p = probes.clone();
+            h.add_service_factory(NodeId(1), move || {
+                Box::new(Caller::new(p.clone())) as Box<dyn Service>
             });
+            h.add_service_factory(NodeId(2), || Box::new(Echo { node: 2 }) as Box<dyn Service>);
+            h.start_all();
+            let schedule =
+                FaultSchedule::new().restart(ProtoDuration::from_millis(2 * hold), NodeId(2));
+            // Past the objective, so that a recovery that never comes is
+            // reported, then calm enough for the convergence check.
+            let duration = ProtoDuration::from_millis(2 * hold + ms(cfg.rto) + settle);
+            let mut runner = ScenarioRunner::new(h);
+            standard_invariants(&mut runner, cfg);
+            let restart = |ev: &FaultEvent| matches!(ev, FaultEvent::Restart(NodeId(2)));
+            add_call_rto(&mut runner, &mut probes, "reboot-rto", cfg.rto, restart);
+            (schedule, duration, runner)
         }
         "bulk_flood_under_partition" => {
             // A bulk event flood rides through a partition: the bounded

@@ -36,8 +36,8 @@ fn containers_discover_each_other() {
         ProtoDuration::from_secs(2),
     );
     assert!(discovered, "mutual discovery within budget");
-    let a = h.container(NodeId(1)).unwrap();
-    assert_eq!(a.directory().node(NodeId(2)).unwrap().container.as_str(), "beta");
+    let (a, b) = (h.container(NodeId(1)).unwrap(), h.container(NodeId(2)).unwrap());
+    assert_eq!(a.directory().node(NodeId(2)).unwrap().incarnation, b.incarnation());
 }
 
 #[test]

@@ -664,7 +664,8 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     // Regression: a `Hello` of life 1 arriving after life 2 was known (it
     // sat in a slow link's queue across the restart) rolled the record
     // back, so life 2's next beacon read as a new life: catalogue purged,
-    // every subscription re-planned, the catalogue pulled again.
+    // every subscription re-planned, the catalogue pulled again. And life
+    // 1's delayed catalogue replaced life 2's, digest included.
     use marea_core::ServiceContainer;
     use marea_presentation::Name;
     use marea_protocol::messages::{
@@ -687,12 +688,15 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
         incarnation,
         fec_cap: 0,
     };
-    let entries = vec![AnnounceEntry {
-        service_seq: 1,
-        name: Name::new("gps").unwrap(),
-        state: ServiceState::Running,
-        provides: vec![Provision::Event { name: Name::new("gps/fix-lost").unwrap(), ty: None }],
-    }];
+    let catalogue = |provides: &str| {
+        vec![AnnounceEntry {
+            service_seq: 1,
+            name: Name::new("gps").unwrap(),
+            state: ServiceState::Running,
+            provides: vec![Provision::Event { name: Name::new(provides).unwrap(), ty: None }],
+        }]
+    };
+    let entries = catalogue("gps/fix-lost");
     let digest = (announce_hash(2, &entries), entries.len() as u32);
     let send = |probe: &mut dyn Transport, msg: Message| {
         probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
@@ -707,6 +711,7 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     assert!(c.directory().resolve_event("gps/fix-lost").is_some());
 
     send(&mut probe, hello(1));
+    send(&mut probe, Message::Announce { incarnation: 1, entries: catalogue("gps/old-fix") });
     let (catalogue_hash, entry_count) = digest;
     let beacon = Message::Beacon {
         incarnation: 2,
@@ -720,6 +725,7 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     let info = c.directory().node(NodeId(2)).unwrap();
     assert_eq!((info.incarnation, info.catalogue_digest()), (2, Some(digest)));
     assert!(c.directory().resolve_event("gps/fix-lost").is_some());
+    assert!(c.directory().resolve_event("gps/old-fix").is_none(), "life 1's catalogue");
     assert_eq!(c.stats().catalogue_pulls, 0);
     while let Some((_, datagram)) = probe.recv() {
         for frame in frames(&datagram) {
@@ -845,7 +851,7 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     h.run_until_us(1_100_000);
     assert!(converged(&h, ServiceState::Running));
     assert_eq!(pulls(&h), [0, 0, 0]);
-    let settled = h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap().clone();
+    let settled = *h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap();
 
     // SetDegraded on a running service: the next beacon slot re-floods.
     h.run_until_us(1_400_000);
@@ -951,6 +957,111 @@ fn a_dead_subscriber_node_leaves_the_publishers_caches() {
     h.run_for_millis(2_000);
     assert_eq!(h.container(NodeId(1)).unwrap().occupancy().remote_subscribers, 1);
     assert!(events(&log) >= before + 10, "the new life subscribed and is served");
+}
+
+/// A node that reboots faster than its peers' `node_timeout` is a new
+/// life all the same. Its first frame of the new life (`Hello`, beacon or
+/// catalogue) ends the old one at the peer through the death path — link,
+/// remote subscriptions, pending calls — so the new life's reliable
+/// channel starts from scratch on both sides. Node 2 reboots 100 ms after
+/// a crash, and then once more in place; after each restart it is served
+/// the publisher's reliable events again, in order and each once, and
+/// answers calls again as the only provider, both within one
+/// `node_timeout`.
+#[test]
+fn a_node_rebooted_inside_node_timeout_is_served_and_answers_again() {
+    use std::sync::{Arc, Mutex};
+
+    use marea_core::Micros;
+
+    let mut h = SimHarness::new(lan(3));
+    h.add_container(ContainerConfig::new("pub", NodeId(1)));
+    h.add_container(ContainerConfig::new("sub", NodeId(2)));
+    let node_timeout = ContainerConfig::new("x", NodeId(1)).node_timeout;
+    let every = ProtoDuration::from_millis(100);
+
+    let beat = EventPort::<u64>::new("p/beat");
+    let echo = FnPort::<(u64,), u64>::new("echo/inc");
+    let mut b = ServiceDescriptor::builder("p");
+    b.provides_event(&beat).requires_fn(&echo);
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start = Some(Box::new(move |ctx| {
+        ctx.set_timer(every, Some(every));
+    }));
+    let mut k = 0u64;
+    let port = echo.clone();
+    publisher.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.emit_to(&beat, k);
+        ctx.call_fn(&port, (k,));
+    }));
+    let replies: Arc<Mutex<Vec<(Micros, bool)>>> = Arc::default();
+    let out = replies.clone();
+    publisher.on_reply = Some(Box::new(move |ctx, _, result| {
+        out.lock().unwrap().push((ctx.now(), result.is_ok()));
+    }));
+    h.add_service(NodeId(1), Box::new(publisher));
+
+    let log = obs_log();
+    let sink_log = log.clone();
+    h.add_service_factory(NodeId(2), move || {
+        let descriptor =
+            ServiceDescriptor::builder("s").subscribe_event("p/beat", EventQos::default()).build();
+        Box::new(Recorder::new(descriptor, sink_log.clone())) as Box<dyn marea_core::Service>
+    });
+    h.add_service_factory(NodeId(2), move || {
+        let mut b = ServiceDescriptor::builder("inc");
+        b.provides_fn(&echo);
+        let mut inc = Scripted::new(b.build());
+        let port = echo.clone();
+        inc.on_call = Some(Box::new(move |_, _, args| {
+            let (v,) = port.decode_args(args).map_err(|e| e.to_string())?;
+            Ok(port.encode_ret(v + 1))
+        }));
+        Box::new(inc) as Box<dyn marea_core::Service>
+    });
+
+    // Every event value node 2 received after `from`, with its arrival.
+    let events_after = |from: Micros| -> Vec<(Micros, u64)> {
+        let values = observations(&log).into_iter().filter_map(|(at, o)| match o {
+            Obs::Event(_, Some(Value::U64(k))) if at > from => Some((at, k)),
+            _ => None,
+        });
+        values.collect()
+    };
+    let window = ProtoDuration::from_secs(3);
+    let check = |what: &str, restarted: Micros| {
+        let served = events_after(restarted);
+        let (first, _) = *served.first().unwrap_or_else(|| panic!("{what}: no event served"));
+        assert!(first <= restarted + node_timeout, "{what}: first event at {first:?}");
+        let values: Vec<u64> = served.iter().map(|&(_, k)| k).collect();
+        let in_order = values.windows(2).all(|w| w[1] == w[0] + 1);
+        assert!(in_order, "{what}: in order, each once: {values:?}");
+        assert!(values.len() >= 20, "{what}: served to the end: {values:?}");
+        let answered = replies
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|&(at, ok)| ok && at > restarted && at <= restarted + node_timeout);
+        assert!(answered, "{what}: no call answered within node_timeout");
+    };
+
+    h.start_all();
+    h.run_for_millis(1_000);
+    assert!(events_after(Micros::ZERO).len() >= 5, "flowing before the crash");
+
+    h.crash_node(NodeId(2));
+    h.run_for_millis(100);
+    assert!(h.restart_node(NodeId(2)), "blueprint restart");
+    let restarted = h.now();
+    h.run_for(window);
+    check("after a crash", restarted);
+
+    assert!(h.restart_node(NodeId(2)), "in-place restart");
+    let restarted = h.now();
+    h.run_for(window);
+    check("in place", restarted);
+    assert_eq!(h.container(NodeId(2)).unwrap().incarnation(), 3);
 }
 
 #[test]

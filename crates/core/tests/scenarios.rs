@@ -40,6 +40,7 @@ fn corpus_covers_the_advertised_scenarios() {
         "publisher_failover",
         "bulk_flood_under_partition",
         "swarm_1024",
+        "reboot_inside_timeout",
     ] {
         assert!(corpus::NAMES.contains(&name), "missing corpus entry `{name}`");
         assert!(corpus::build(name, &quick(1)).is_some());
@@ -150,6 +151,24 @@ fn publisher_failover_measures_and_meets_its_rto() {
     }
     // The primary's second life announces a higher incarnation.
     assert!(h.container(NodeId(2)).unwrap().incarnation() >= 2);
+}
+
+/// The only provider reboots in place, inside `node_timeout`: under both
+/// timing profiles the client's calls reach the new life within the
+/// objective, and not one of them fails.
+#[test]
+fn reboot_inside_timeout_meets_its_rto_without_a_call_error() {
+    for cfg in [quick(11), corpus::ScenarioConfig::full(11)] {
+        let mut chaos = corpus::build("reboot_inside_timeout", &cfg).expect("known");
+        let report = chaos.run();
+        assert!(report.passed(), "{:#?}", report.violations);
+        let recoveries = chaos.probes.recoveries_us.lock().unwrap().clone();
+        assert_eq!(recoveries.len(), 1, "one restart, one recovery: {cfg:?}");
+        assert_eq!(chaos.probes.calls_err.load(Ordering::Relaxed), 0, "{cfg:?}");
+        assert!(chaos.probes.calls_ok.load(Ordering::Relaxed) > 30, "{cfg:?}");
+        let h = chaos.runner.into_harness();
+        assert_eq!(h.container(NodeId(2)).unwrap().incarnation(), 2);
+    }
 }
 
 #[test]

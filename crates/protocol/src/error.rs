@@ -70,17 +70,8 @@ pub enum ProtocolError {
         /// Configured window size.
         window: usize,
     },
-    /// Reliable delivery gave up after the configured retry budget.
-    DeliveryFailed {
-        /// Sequence number of the abandoned message.
-        seq: u64,
-        /// Number of transmissions attempted.
-        attempts: u32,
-    },
     /// A fragment set exceeded limits or was internally inconsistent.
     BadFragment(&'static str),
-    /// A file-transfer message referenced an unknown transfer/revision.
-    UnknownTransfer,
     /// A file-transfer message was inconsistent with the announced metadata.
     BadTransfer(&'static str),
 }
@@ -93,11 +84,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::WindowFull { window } => {
                 write!(f, "reliable send window of {window} messages is full")
             }
-            ProtocolError::DeliveryFailed { seq, attempts } => {
-                write!(f, "delivery of seq {seq} abandoned after {attempts} attempts")
-            }
             ProtocolError::BadFragment(why) => write!(f, "bad fragment: {why}"),
-            ProtocolError::UnknownTransfer => write!(f, "unknown file transfer"),
             ProtocolError::BadTransfer(why) => write!(f, "inconsistent file transfer: {why}"),
         }
     }

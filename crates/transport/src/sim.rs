@@ -36,15 +36,6 @@ impl SimLanTransport {
     pub fn network(&self) -> &SimNet {
         self.socket.network()
     }
-
-    /// Re-registers this node with the network after it was removed
-    /// (e.g. by a simulated crash) — the simulated analogue of rebinding a
-    /// UDP socket when an avionics box reboots. A no-op while the node is
-    /// still attached; a fresh, empty inbox when it is not.
-    pub fn rebind(&mut self) {
-        let net = self.socket.network().clone();
-        self.socket = net.socket(self.socket.node());
-    }
 }
 
 impl Transport for SimLanTransport {
@@ -122,20 +113,5 @@ mod tests {
         net.remove_node(1);
         let err = a.send(TransportDestination::Broadcast, Bytes::new()).unwrap_err();
         assert_eq!(err, TransportError::Closed);
-    }
-
-    #[test]
-    fn rebind_restores_send_and_receive() {
-        let net = SimNet::new(NetConfig::default());
-        let mut a = SimLanTransport::attach(&net, 1);
-        let mut b = SimLanTransport::attach(&net, 2);
-        net.remove_node(1);
-        assert!(a.send(TransportDestination::Node(2), Bytes::from_static(b"x")).is_err());
-        a.rebind();
-        a.send(TransportDestination::Node(2), Bytes::from_static(b"y")).unwrap();
-        b.send(TransportDestination::Node(1), Bytes::from_static(b"z")).unwrap();
-        net.run_until_idle();
-        assert_eq!(b.recv().unwrap().1.as_ref(), b"y");
-        assert_eq!(a.recv().unwrap().1.as_ref(), b"z");
     }
 }
