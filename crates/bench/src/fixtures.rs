@@ -3,10 +3,9 @@
 //! One [`Source`] and one [`Sink`] cover all four primitives, shared by
 //! the experiment scenarios in the crate root and the
 //! [`loadtest`](crate::loadtest) workload engine. Service, port and
-//! channel names are constructor arguments: they travel in
-//! Hello/Announce frames, so each scenario keeping the names it always
-//! had is what keeps the wire-byte counts in the checked-in
-//! `BENCH_*.json` files stable.
+//! channel names are constructor arguments: they travel in `Announce`
+//! frames, so each scenario keeping the names it always had is what keeps
+//! the wire-byte counts in the checked-in `BENCH_*.json` files stable.
 
 use std::sync::{Arc, Mutex};
 

@@ -111,7 +111,8 @@ pub enum VarDistribution {
 /// Static configuration of a container.
 #[derive(Debug, Clone)]
 pub struct ContainerConfig {
-    /// Container name (appears in `Hello`).
+    /// Container name, for the application's own use
+    /// ([`ServiceContainer::name`]): no frame carries it.
     pub name: Name,
     /// This node's id.
     pub node: NodeId,
@@ -120,8 +121,9 @@ pub struct ContainerConfig {
     /// catalogue when that changed since the last beacon.
     pub heartbeat_period: ProtoDuration,
     /// Debounce window of forced full-catalogue re-announcements: a burst
-    /// of `Hello`s draws one `Announce` at once and one more when it
-    /// closes. Nothing is announced *every* such period.
+    /// of new peer lives (start-up, a partition heal) draws one `Announce`
+    /// at once and one more when it closes. Nothing is announced *every*
+    /// such period.
     pub announce_period: ProtoDuration,
     /// Silence after which a peer node is declared dead.
     pub node_timeout: ProtoDuration,
@@ -130,9 +132,8 @@ pub struct ContainerConfig {
     /// Maximum handler invocations per tick (soft real-time budget).
     pub tick_budget: usize,
     /// Strongest forward-error-correction rate this node runs below the
-    /// reliable channel, advertised in `Hello` and beacons: each link runs
-    /// the weaker of the two ends' caps, and [`FecRate::Off`] means plain
-    /// ARQ.
+    /// reliable channel, advertised in every beacon: each link runs the
+    /// weaker of the two ends' caps, and [`FecRate::Off`] means plain ARQ.
     pub fec_cap: FecRate,
     /// Variable sample distribution mode.
     pub var_distribution: VarDistribution,
@@ -398,7 +399,7 @@ impl ServiceContainer {
         &self.config.name
     }
 
-    /// This container's incarnation (restart counter carried in `Hello`
+    /// This container's incarnation (restart counter carried in `Announce`
     /// and beacons; peers purge cached provisions from older lives).
     pub fn incarnation(&self) -> u64 {
         self.incarnation
@@ -411,7 +412,7 @@ impl ServiceContainer {
     /// # Panics
     ///
     /// Panics if the container is already running — the incarnation is
-    /// part of the identity the `Hello` broadcast establishes.
+    /// part of the identity the start-up `Announce` establishes.
     pub fn set_incarnation(&mut self, incarnation: u64) {
         assert!(!self.running, "incarnation must be set before start");
         self.incarnation = incarnation;
@@ -586,10 +587,7 @@ impl ServiceContainer {
         self.subs_dirty = true;
         self.tracer.record(now, TraceKind::NodeStart, TraceId::NONE, None, self.incarnation, None);
         self.transport.join(GroupId::CONTROL.0);
-        let (node, cap) = (self.config.node, self.config.fec_cap.wire_tag());
-        self.directory.apply_hello(node, self.incarnation, cap, now);
-        let hello = self.hello();
-        self.send_message(CONTROL, &hello);
+        // Files this node's own record too.
         self.broadcast_announce(self.announce_entries(), now);
         let starting = self.slots.iter().map(|s| s.seq);
         self.tasks.fan_out(Priority::LIFECYCLE, starting, (), |()| TaskPayload::Start);
@@ -755,19 +753,6 @@ impl ServiceContainer {
         now: Micros,
     ) {
         match msg {
-            Message::Hello { incarnation, fec_cap, .. } => {
-                match self.directory.apply_hello(src, incarnation, fec_cap, now) {
-                    Life::Older => return, // from a life the node has left behind
-                    Life::New { ended: true } => self.handle_node_death(src, now),
-                    Life::Same | Life::New { ended: false } => {}
-                }
-                let cap = self.peer_cap(src);
-                self.links.renegotiate(src, cap);
-                self.subs_dirty = true;
-                if self.gossip.request_reannounce(now) {
-                    self.broadcast_announce(self.announce_entries(), now);
-                }
-            }
             Message::Beacon {
                 incarnation,
                 load_permille,
@@ -795,20 +780,11 @@ impl ServiceContainer {
                     }
                     BeaconOutcome::OlderLife => return,
                     BeaconOutcome::Differs { cap, digest } => (cap, digest),
+                    // A life we hold no catalogue for (its start-up
+                    // `Announce` was lost): pulled at once, below.
                     BeaconOutcome::New { ended } => {
-                        if ended {
-                            self.handle_node_death(src, now);
-                        }
-                        // A life we have no catalogue for (its Hello/Announce
-                        // was lost): introduce ourselves unicast — which makes
-                        // it reply with its catalogue — and hand it ours the
-                        // same way. Both legs are unicast so a partition heal
-                        // cannot storm the control group with full-catalogue
-                        // broadcasts.
-                        let hello = self.hello();
-                        self.send_message(TransportDestination::Node(src.0), &hello);
-                        self.send_catalogue_to(src);
-                        (true, false)
+                        self.new_life(src, ended, now);
+                        (true, true)
                     }
                 };
                 if relink {
@@ -833,13 +809,17 @@ impl ServiceContainer {
             Message::Announce { incarnation, entries } => {
                 self.trace_link(now, TraceKind::DirAnnounce, src, entries.len() as u64);
                 match self.directory.apply_announce(src, incarnation, &entries, now) {
-                    Life::Older => return,
-                    Life::New { ended: true } => self.handle_node_death(src, now),
-                    Life::Same | Life::New { ended: false } => {}
+                    Life::Older => return, // from a life the node has left behind
+                    Life::New { ended } => self.new_life(src, ended, now),
+                    Life::Same => {}
                 }
                 self.subs_dirty = true;
             }
-            Message::AnnounceRequest => self.send_catalogue_to(src),
+            Message::AnnounceRequest => {
+                let entries = self.announce_entries();
+                let msg = Message::Announce { incarnation: self.incarnation, entries };
+                self.send_message(TransportDestination::Node(src.0), &msg);
+            }
             Message::ServiceStatus { service_seq, state, .. } => {
                 self.directory.apply_status(src, service_seq, state);
                 self.subs_dirty = true;
@@ -1517,17 +1497,16 @@ impl ServiceContainer {
         self.send_message(CONTROL, &msg);
     }
 
-    fn send_catalogue_to(&mut self, peer: NodeId) {
-        let msg =
-            Message::Announce { incarnation: self.incarnation, entries: self.announce_entries() };
-        self.send_message(TransportDestination::Node(peer.0), &msg);
-    }
-
-    fn hello(&self) -> Message {
-        Message::Hello {
-            container: self.config.name.clone(),
-            incarnation: self.incarnation,
-            fec_cap: self.config.fec_cap.wire_tag(),
+    /// `src` showed a life not on record, by its `Announce` or its
+    /// beacon. A life that `ended` in its place is seen out through the
+    /// death path; the new one lacks our catalogue, which goes to the
+    /// control group — at once, or when the debounce window closes.
+    fn new_life(&mut self, src: NodeId, ended: bool, now: Micros) {
+        if ended {
+            self.handle_node_death(src, now);
+        }
+        if self.gossip.request_reannounce(now) {
+            self.broadcast_announce(self.announce_entries(), now);
         }
     }
 
@@ -1888,8 +1867,8 @@ impl ServiceContainer {
         self.tracer.record(now, kind, TraceId::NONE, Some(peer), aux, None);
     }
 
-    /// The FEC capability tag `peer` advertised, if its `Hello` or a
-    /// beacon was heard.
+    /// The FEC capability tag of `peer`'s last beacon: 0 while only its
+    /// `Announce` was heard, `None` for a node not on record.
     fn peer_cap(&self, peer: NodeId) -> Option<u8> {
         self.directory.node(peer).map(|n| n.fec_cap)
     }

@@ -9,11 +9,15 @@
 //! the Service Container acts as a proxy cache for the services it
 //! contains."*
 //!
-//! Every container owns a [`Directory`] fed by `Hello`/`Announce`/
-//! `ServiceStatus`/`Beacon`/`Bye` traffic. Lookups resolve provision
-//! names to live providers; the end of a node's life (silence timeout,
-//! `Bye` or a newer incarnation) purges everything learned from that
-//! life — the cache invalidation the paper describes.
+//! Every container owns a [`Directory`] fed by `Beacon`/`Announce`/
+//! `ServiceStatus`/`Bye` traffic. A node's first beacon or `Announce`
+//! files its record, whichever arrives first; the life check
+//! ([`Life`]) reports a life not on record, which the container answers
+//! with its own catalogue (and a pull of the peer's, when a beacon
+//! revealed it). Lookups resolve provision names to live providers; the
+//! end of a node's life (silence timeout, `Bye` or a newer incarnation)
+//! purges everything learned from that life — the cache invalidation the
+//! paper describes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroU32;
@@ -64,7 +68,8 @@ pub struct NodeInfo {
     pub last_seen: Micros,
     /// Advertised scheduler load (permille).
     pub load_permille: u16,
-    /// FEC capability wire tag advertised in `Hello` (0 = FEC off).
+    /// FEC capability wire tag of the node's last beacon (0 = FEC off,
+    /// and until a beacon says otherwise).
     pub fec_cap: u8,
     /// `digest` holds an applied catalogue's digest (a pair and a flag,
     /// not an `Option`: its tag would cost the record 8 bytes).
@@ -115,7 +120,7 @@ impl NodeInfo {
 
 /// Where a frame's incarnation stands against the life on record for its
 /// sender: the one life check every frame that carries an incarnation
-/// passes (`Hello`, beacon, `Announce`).
+/// passes (beacon, `Announce`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Life {
     /// From a life older than the one on record: the frame was ignored. A
@@ -143,8 +148,9 @@ pub enum BeaconOutcome {
     Refreshed,
     /// From a life older than the one known: ignored.
     OlderLife,
-    /// A life not on record (its `Hello` was lost): a fresh record was
-    /// filed, with no catalogue ([`Life::New`]).
+    /// A life not on record (its start-up `Announce` was lost, or is
+    /// still on its way): a fresh record was filed, with no catalogue
+    /// ([`Life::New`]), which the container pulls at once.
     New {
         /// A record of another life was replaced.
         ended: bool,
@@ -225,27 +231,11 @@ impl Directory {
         Life::New { ended }
     }
 
-    /// Records a node `Hello` (new or rebooted container). A re-`Hello` of
-    /// the life on record keeps the catalogue held for it, and its digest.
-    pub fn apply_hello(
-        &mut self,
-        node: NodeId,
-        incarnation: u64,
-        fec_cap: u8,
-        now: Micros,
-    ) -> Life {
-        let fresh = NodeInfo::new(incarnation, now, 0, fec_cap);
-        self.life(node, fresh, |known| {
-            *known = NodeInfo { digest_known: known.digest_known, digest: known.digest, ..fresh };
-        })
-    }
-
     /// Records a beacon. The steady state — same life, same capability,
     /// same digest: nothing but `last_seen` and the load moves — is
-    /// answered from the one lookup. A beacon refreshes the FEC capability
-    /// too (it carries the same claim as `Hello`), so a node that missed
-    /// the peer's `Hello` — attached late, lossy bring-up — converges on
-    /// the advertised cap within one beacon period.
+    /// answered from the one lookup. The FEC capability is the beacon's
+    /// alone to say: a record filed by an `Announce` runs FEC off until
+    /// the node's first beacon, and follows every change after it.
     pub fn apply_beacon(
         &mut self,
         node: NodeId,
@@ -320,10 +310,10 @@ impl Directory {
 
     /// Replaces everything known about `node`'s services with the
     /// catalogue of its life `incarnation`. A catalogue from a life not on
-    /// record (its `Hello` was lost, or came behind it) files the record a
-    /// beacon would — no load, FEC off until a frame says what the node
-    /// can do — so that the digest has a record to be filed under and a
-    /// lifetime; one from an older life is ignored.
+    /// record — a node's start-up `Announce`, typically — files that
+    /// life's record, with no load and FEC off until its first beacon says
+    /// what the node can do, so that the digest has a record to be filed
+    /// under and a lifetime; one from an older life is ignored.
     pub fn apply_announce(
         &mut self,
         node: NodeId,
@@ -596,8 +586,8 @@ mod tests {
 
     fn dir_with_two_storages() -> Directory {
         let mut d = remote_only();
-        d.apply_hello(NodeId(2), 1, 4, Micros(0));
-        d.apply_hello(NodeId(3), 1, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(3), 1, 0, 4, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(3), 1, &[announce_storage(1)], Micros(0));
         d
@@ -640,8 +630,8 @@ mod tests {
     #[test]
     fn resolution_order_and_choice_match_the_collected_list() {
         let mut d = dir_with_two_storages();
-        d.apply_hello(NodeId(4), 1, 4, Micros(0));
-        d.apply_hello(NodeId(5), 1, 4, Micros(0));
+        beat(&mut d, NodeId(4), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(5), 1, 0, 4, Micros(0));
         // Node 4 offers the name twice, once as a variable; node 5's
         // service is stopped.
         let variable = Provision::Variable {
@@ -722,10 +712,10 @@ mod tests {
     #[test]
     fn local_node_never_expires_and_next_expiry_tracks_the_heap_head() {
         let mut d = Directory::for_node(NodeId(1));
-        d.apply_hello(NodeId(1), 1, 4, Micros(0));
+        beat(&mut d, NodeId(1), 1, 0, 4, Micros(0));
         let timeout = ProtoDuration::from_secs(2);
         assert_eq!(d.next_expiry(timeout), None, "only the local node known");
-        d.apply_hello(NodeId(2), 1, 4, Micros::from_millis(300));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(300));
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         // Refreshed peers leave a stale head: the bound is early, and the
         // sweep at that instant re-arms instead of expiring.
@@ -765,8 +755,9 @@ mod tests {
     fn reboot_wipes_previous_incarnation() {
         let mut d = dir_with_two_storages();
         assert_eq!(d.providers("storage/store").count(), 2);
-        // Node 2 reboots with incarnation 2 and announces nothing yet.
-        assert_eq!(d.apply_hello(NodeId(2), 2, 4, Micros(100)), Life::New { ended: true });
+        // Node 2's next life is heard first through its beacon.
+        let rebooted = d.apply_beacon(NodeId(2), 2, 0, 4, (0, 0), Micros(100));
+        assert_eq!(rebooted, BeaconOutcome::New { ended: true });
         assert_eq!(d.providers("storage/store").count(), 1);
         assert!(d.node_alive(NodeId(2)));
         // Node 3's next life is heard first through its catalogue: that
@@ -787,15 +778,15 @@ mod tests {
         beat(&mut d, NodeId(9), 1, 250, 3, Micros(5));
         assert!(d.node_alive(NodeId(9)));
         assert_eq!(d.node(NodeId(9)).unwrap().load_permille, 250);
-        // The heartbeat carries the FEC capability, so a missed Hello
-        // does not leave the link stuck uncoded.
+        // The heartbeat carries the FEC capability, so a record it files
+        // runs the node's cap from the first frame on.
         assert_eq!(d.node(NodeId(9)).unwrap().fec_cap, 3);
     }
 
     #[test]
     fn heartbeat_refreshes_fec_cap() {
         let mut d = remote_only();
-        d.apply_hello(NodeId(2), 1, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
         beat(&mut d, NodeId(2), 1, 0, 2, Micros(1));
         assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 2, "heartbeat downgrades");
         beat(&mut d, NodeId(2), 1, 0, 4, Micros(2));
@@ -805,7 +796,7 @@ mod tests {
     #[test]
     fn re_announce_replaces_not_duplicates() {
         let mut d = remote_only();
-        d.apply_hello(NodeId(2), 1, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(1));
         assert_eq!(d.providers("storage/store").count(), 1);
@@ -831,7 +822,7 @@ mod tests {
     fn rejoin_after_bye_is_tracked_again() {
         let mut d = dir_with_two_storages();
         d.apply_bye(NodeId(3));
-        d.apply_hello(NodeId(3), 2, 4, Micros::from_millis(100));
+        beat(&mut d, NodeId(3), 2, 0, 4, Micros::from_millis(100));
         // Silent after the rejoin: must still expire.
         beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
@@ -887,7 +878,7 @@ mod tests {
                 let node = NodeId(node);
                 match op {
                     0 => {
-                        let life = d.apply_hello(node, incarnation, 4, now);
+                        let life = d.apply_announce(node, incarnation, &[], now);
                         prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     1 => {
@@ -941,7 +932,7 @@ mod tests {
         let mut d = remote_only();
         assert!(d.nodes().is_empty());
         for id in [9u32, 3, 7, 1, 8] {
-            d.apply_hello(NodeId(id), 1, 4, Micros(0));
+            beat(&mut d, NodeId(id), 1, 0, 4, Micros(0));
         }
         let ascending = [1u32, 3, 7, 8, 9].map(NodeId).to_vec();
         assert_eq!(d.nodes(), ascending);
@@ -952,7 +943,7 @@ mod tests {
         }
         assert_eq!(d.expire(Micros::from_secs(3), ProtoDuration::from_secs(2)), vec![NodeId(7)]);
         assert_eq!(d.nodes(), [1u32, 3, 8, 9].map(NodeId).to_vec());
-        d.apply_hello(NodeId(7), 2, 4, Micros::from_secs(3));
+        beat(&mut d, NodeId(7), 2, 0, 4, Micros::from_secs(3));
         assert_eq!(d.nodes(), ascending);
     }
 
@@ -961,7 +952,7 @@ mod tests {
         use BeaconOutcome::{Differs, Refreshed};
         let pull = Differs { cap: false, digest: true };
         let mut d = remote_only();
-        d.apply_hello(NodeId(2), 1, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
         let beacon = |d: &mut Directory, life, digest| {
             d.apply_beacon(NodeId(2), life, 0, 4, digest, Micros(80))
         };
@@ -972,12 +963,13 @@ mod tests {
         assert_eq!(beacon(&mut d, 1, (hash ^ 1, 1)), pull, "hash mismatch");
         assert_eq!(beacon(&mut d, 1, (hash, 2)), pull, "entry count mismatch");
         // A reboot wipes the digest along with the catalogue.
-        d.apply_hello(NodeId(2), 2, 4, Micros(50));
+        beat(&mut d, NodeId(2), 2, 0, 4, Micros(50));
         assert_eq!(beacon(&mut d, 2, (hash, 1)), pull);
-        // A re-Hello at the same incarnation keeps it.
+        // A same-life beacon that disagrees leaves it held: the pull
+        // replaces it.
         let held = announce(&mut d, NodeId(2), 2, &[announce_storage(1)], Micros(60));
         assert_ne!(held, (hash, 1), "the digest covers the incarnation");
-        d.apply_hello(NodeId(2), 2, 4, Micros(70));
+        beat(&mut d, NodeId(2), 2, 0, 4, Micros(70));
         assert_eq!(beacon(&mut d, 2, held), Refreshed);
     }
 
@@ -1012,7 +1004,7 @@ mod tests {
         assert_eq!(d.providers("storage/store").count(), 2);
 
         // An older life is ignored outright: not even proof of life.
-        d.apply_hello(n2, 5, 4, Micros(20));
+        beat(&mut d, n2, 5, 0, 4, Micros(20));
         let digest = announce(&mut d, n2, 5, &[announce_storage(1)], Micros(20));
         assert_eq!(d.apply_beacon(n2, 4, 999, 1, (0, 0), Micros(30)), OlderLife);
         let info = d.node(n2).unwrap();
@@ -1055,10 +1047,11 @@ mod tests {
         let timeout = ProtoDuration::from_secs(2);
         let mut d = Directory::for_node(NodeId(1));
         for i in 0..10_000 {
-            assert_eq!(d.apply_hello(NodeId(2), 1, 4, Micros(i * 100)), Life::New { ended: false });
+            let rejoined = d.apply_beacon(NodeId(2), 1, 0, 4, (0, 0), Micros(i * 100));
+            assert_eq!(rejoined, BeaconOutcome::New { ended: false });
             assert!(d.apply_bye(NodeId(2)));
         }
-        d.apply_hello(NodeId(2), 1, 4, Micros::from_secs(1));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_secs(1));
         assert_eq!(d.expiry.entries(&NodeId(2)), 1);
         assert_eq!(
             d.next_expiry(timeout),
@@ -1070,17 +1063,19 @@ mod tests {
         assert_eq!(d.expiry.entries(&NodeId(2)), 0);
     }
 
-    /// A `Hello` that sat in a slow link's queue across its sender's
+    /// A beacon that sat in a slow link's queue across its sender's
     /// restart must not roll the record back: the live node's next beacon
     /// would read as a new life and purge the catalogue it just announced.
     #[test]
     fn a_hello_from_an_older_life_is_ignored() {
         let n2 = NodeId(2);
         let mut d = remote_only();
-        assert_eq!(d.apply_hello(n2, 2, 4, Micros(0)), Life::New { ended: false });
+        let first = d.apply_beacon(n2, 2, 0, 4, (0, 0), Micros(0));
+        assert_eq!(first, BeaconOutcome::New { ended: false });
         let digest = announce(&mut d, n2, 2, &[announce_storage(1)], Micros(1));
 
-        assert_eq!(d.apply_hello(n2, 1, 0, Micros(2)), Life::Older);
+        let delayed = d.apply_beacon(n2, 1, 0, 0, (0, 0), Micros(2));
+        assert_eq!(delayed, BeaconOutcome::OlderLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.fec_cap), (2, 4));
         assert_eq!((info.catalogue_digest(), info.last_seen), (Some(digest), Micros(1)));
@@ -1089,9 +1084,10 @@ mod tests {
         assert_eq!(d.providers("storage/store").count(), 1);
 
         // The same life again and a newer one are both applied.
-        assert_eq!(d.apply_hello(n2, 2, 4, Micros(4)), Life::Same);
+        assert_eq!(d.apply_announce(n2, 2, &[announce_storage(1)], Micros(4)), Life::Same);
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
-        assert_eq!(d.apply_hello(n2, 3, 4, Micros(5)), Life::New { ended: true });
+        let rebooted = d.apply_beacon(n2, 3, 0, 4, digest, Micros(5));
+        assert_eq!(rebooted, BeaconOutcome::New { ended: true });
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 0);
     }
@@ -1128,7 +1124,7 @@ mod tests {
         };
         let mut d = remote_only();
         for node in [NodeId(2), NodeId(3)] {
-            d.apply_hello(node, 1, 4, Micros(0));
+            beat(&mut d, node, 1, 0, 4, Micros(0));
             d.apply_announce(node, 1, &[two_names(1), announce_storage(2)], Micros(0));
         }
         let states = |d: &Directory| -> Vec<(Name, ServiceId, ServiceState)> {
@@ -1148,7 +1144,7 @@ mod tests {
 
         // A node with no catalogue provides nothing a status could change.
         let before = states(&d);
-        d.apply_hello(NodeId(4), 1, 4, Micros(0));
+        beat(&mut d, NodeId(4), 1, 0, 4, Micros(0));
         d.apply_status(NodeId(4), 1, ServiceState::Failed);
         d.apply_status(NodeId(7), 1, ServiceState::Failed);
         assert_eq!(states(&d), before);
@@ -1157,7 +1153,7 @@ mod tests {
     #[test]
     fn kind_filters_apply() {
         let mut d = remote_only();
-        d.apply_hello(NodeId(2), 1, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
         d.apply_announce(
             NodeId(2),
             1,
@@ -1247,7 +1243,7 @@ mod tests {
     fn a_beacon_repeats_while_its_record_says_what_it_said() {
         let n2 = NodeId(2);
         let mut d = remote_only();
-        d.apply_hello(n2, 1, 4, Micros(0));
+        beat(&mut d, n2, 1, 0, 4, Micros(0));
         assert!(!repeat(&mut d, &beacon_wire(n2, 1, 0, 4, (0, 0)), Micros(1)), "no catalogue");
         let digest = announce(&mut d, n2, 1, &[announce_storage(1)], Micros(0));
         let first = beacon_wire(n2, 1, 0, 4, digest);
@@ -1268,8 +1264,8 @@ mod tests {
         d.apply_announce(n2, 1, &[announce_storage(1)], Micros(6));
         assert!(!repeat(&mut d, &loaded, Micros(7)), "announce");
         assert_eq!(full_path(&mut d, &loaded, Micros(7)), Some(BeaconOutcome::Refreshed));
-        d.apply_hello(n2, 1, 4, Micros(8));
-        assert!(!repeat(&mut d, &loaded, Micros(9)), "hello");
+        beat(&mut d, n2, 1, 0, 4, Micros(8));
+        assert!(!repeat(&mut d, &loaded, Micros(9)), "a beacon that disagrees");
 
         // A CRC of 0 is never kept (the keep trusts its caller's check).
         let mut zero = first.to_vec();
@@ -1306,10 +1302,11 @@ mod tests {
                 let node = NodeId(node_id);
                 let replayed = sent.get(usize::from(pick) % sent.len().max(1)).map(|w| w.to_vec());
                 let received = match op {
+                    // A beacon applied without its frame: nothing kept.
                     0 => {
                         let cap = if pick % 2 == 0 { 4 } else { 0 };
-                        fast.apply_hello(node, incarnation, cap, now);
-                        full.apply_hello(node, incarnation, cap, now);
+                        fast.apply_beacon(node, incarnation, 0, cap, (0, 0), now);
+                        full.apply_beacon(node, incarnation, 0, cap, (0, 0), now);
                         None
                     }
                     1 => {

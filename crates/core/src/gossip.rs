@@ -54,12 +54,13 @@ impl Gossip {
         due
     }
 
-    /// A peer signalled it lacks our catalogue (its `Hello`, typically).
-    /// `true`: re-broadcast the full catalogue now, so discovery converges
-    /// fast. Repeats inside one window collapse into one pending
-    /// re-announce that [`reannounce_due`](Self::reannounce_due) releases
-    /// when it closes — a burst of `Hello`s cannot flood the control group
-    /// with full-catalogue broadcasts.
+    /// A peer lacks our catalogue: its `Announce` or beacon showed a life
+    /// not on record. `true`: re-broadcast the full catalogue now, so
+    /// discovery converges fast. Repeats inside one window collapse into
+    /// one pending re-announce that [`reannounce_due`](Self::reannounce_due)
+    /// releases when it closes — a burst of new lives (start-up, a
+    /// partition heal) cannot flood the control group with full-catalogue
+    /// broadcasts.
     pub fn request_reannounce(&mut self, now: Micros) -> bool {
         let allowed = self.forced.take(now);
         self.pending = !allowed;

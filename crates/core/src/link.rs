@@ -436,8 +436,8 @@ impl LinkTable {
     }
 
     /// The peer's capability was (re)heard: an established link follows —
-    /// upgrading one opened before the peer's `Hello` was seen (late
-    /// attach, lossy bring-up).
+    /// upgrading one opened before the peer's first beacon was seen (a
+    /// record filed by its `Announce`, lossy bring-up).
     pub fn renegotiate(&mut self, peer: NodeId, peer_cap: Option<u8>) {
         let cap = self.negotiated(peer_cap);
         self.on(peer, |link| link.negotiate_fec(cap));

@@ -363,9 +363,9 @@ fn fec_repairs_erasures_without_retransmit() {
     assert!(rx.recovered > 0, "at 10% loss some erasure must be parity-repaired: {rx:?}");
 
     // Negotiation must converge on BOTH ends, even though the subscriber
-    // attached after the publisher's startup Hello had already been
-    // broadcast (the heartbeat-borne capability refresh covers that) —
-    // a one-sided cap would leave the late node sending uncoded forever.
+    // attached after the publisher's start-up frames had already been
+    // broadcast (the beacon-borne capability covers that) — a one-sided
+    // cap would leave the late node sending uncoded forever.
     assert!(tx.negotiated_rate_max >= 1, "publisher negotiated a live rate: {tx:?}");
     assert!(rx.negotiated_rate_max >= 1, "subscriber negotiated a live rate: {rx:?}");
 }

@@ -593,13 +593,12 @@ fn service_added_and_stopped_at_runtime() {
 #[test]
 fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     // Regression: frames from a rediscovered node used to reset the
-    // announce clock unconditionally, so a burst of Hellos (flapping
+    // announce clock unconditionally, so a burst of new lives (flapping
     // radio, partition heal) forced one full-catalogue broadcast *per
     // frame*. The forced re-announce is now debounced to at most one
     // immediate broadcast plus one pending flush per announce period, and
     // the one periodic frame, the beacon, carries a digest, not the catalogue.
     use marea_core::ServiceContainer;
-    use marea_presentation::Name;
     use marea_protocol::messages::{announce_hash, Message};
     use marea_protocol::{frames, GroupId, Micros, NodeId};
     use marea_transport::{InProcHub, Transport, TransportDestination};
@@ -616,12 +615,22 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     c.tick(Micros(0));
     while probe.recv().is_some() {} // drop startup traffic
 
-    // Burst: five Hellos from the same peer inside one announce period.
-    for i in 0..5u64 {
-        let hello =
-            Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
-        probe.send(TransportDestination::Node(1), hello.into_frame(NodeId(2)).encode()).unwrap();
-        c.tick(Micros(1_000 * (i + 1)));
+    // Burst: five new lives inside one announce period, nodes 2 to 6, each
+    // heard first through its beacon or its catalogue.
+    for node in 2..=6u32 {
+        let first = if node % 2 == 0 {
+            Message::Beacon {
+                incarnation: 1,
+                load_permille: 0,
+                fec_cap: 0,
+                entry_count: 0,
+                catalogue_hash: 0,
+            }
+        } else {
+            Message::Announce { incarnation: 1, entries: Vec::new() }
+        };
+        probe.send(TransportDestination::Node(1), first.into_frame(NodeId(node)).encode()).unwrap();
+        c.tick(Micros(1_000 * u64::from(node - 1)));
     }
     let mut in_burst = 0usize;
     while let Some((_, datagram)) = probe.recv() {
@@ -631,7 +640,7 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
             }
         }
     }
-    assert_eq!(in_burst, 1, "only the first Hello forces an immediate re-announce");
+    assert_eq!(in_burst, 1, "only the first new life forces an immediate re-announce");
 
     // The collapsed repeats flush as exactly one more full announce once
     // the window closes. Afterwards, while nothing changes, no catalogue
@@ -661,11 +670,12 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
 
 #[test]
 fn a_hello_delayed_across_a_restart_changes_nothing() {
-    // Regression: a `Hello` of life 1 arriving after life 2 was known (it
-    // sat in a slow link's queue across the restart) rolled the record
-    // back, so life 2's next beacon read as a new life: catalogue purged,
-    // every subscription re-planned, the catalogue pulled again. And life
-    // 1's delayed catalogue replaced life 2's, digest included.
+    // Regression: a beacon of life 1 arriving after life 2 was known (it
+    // sat in a slow link's queue across the restart) must not roll the
+    // record back, or life 2's next beacon would read as a new life:
+    // catalogue purged, every subscription re-planned, the catalogue
+    // pulled again. And life 1's delayed catalogue replaced life 2's,
+    // digest included.
     use marea_core::ServiceContainer;
     use marea_presentation::Name;
     use marea_protocol::messages::{
@@ -683,11 +693,6 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
     c.start(Micros(0));
 
-    let hello = |incarnation| Message::Hello {
-        container: Name::new("peer").unwrap(),
-        incarnation,
-        fec_cap: 0,
-    };
     let catalogue = |provides: &str| {
         vec![AnnounceEntry {
             service_seq: 1,
@@ -701,7 +706,6 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     let send = |probe: &mut dyn Transport, msg: Message| {
         probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
     };
-    send(&mut probe, hello(2));
     send(&mut probe, Message::Announce { incarnation: 2, entries });
     // Past the debounce window, so that a re-announce would go out at once.
     for at in (0..=quiet).step_by(10_000) {
@@ -710,17 +714,17 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     while probe.recv().is_some() {}
     assert!(c.directory().resolve_event("gps/fix-lost").is_some());
 
-    send(&mut probe, hello(1));
-    send(&mut probe, Message::Announce { incarnation: 1, entries: catalogue("gps/old-fix") });
     let (catalogue_hash, entry_count) = digest;
-    let beacon = Message::Beacon {
-        incarnation: 2,
+    let beacon = |incarnation| Message::Beacon {
+        incarnation,
         load_permille: 0,
         fec_cap: 0,
         entry_count,
         catalogue_hash,
     };
-    send(&mut probe, beacon);
+    send(&mut probe, beacon(1));
+    send(&mut probe, Message::Announce { incarnation: 1, entries: catalogue("gps/old-fix") });
+    send(&mut probe, beacon(2));
     c.tick(Micros(quiet + 1_000));
     let info = c.directory().node(NodeId(2)).unwrap();
     assert_eq!((info.incarnation, info.catalogue_digest()), (2, Some(digest)));
@@ -773,9 +777,7 @@ fn any_valid_frame_from_a_known_node_is_proof_of_life() {
         probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
     };
 
-    let hello =
-        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
-    send(2, hello);
+    send(2, Message::Announce { incarnation: 1, entries: Vec::new() });
     c.tick(Micros(0));
     assert!(c.directory().node_alive(NodeId(2)));
 
@@ -844,10 +846,11 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     };
 
     // Discovery. `start_all` starts the nodes one after another, so node 3
-    // joins the control group after node 2's `Hello` and start-up
-    // `Announce` went out, and first hears of node 2 through the `Announce`
-    // node 2 re-broadcasts for node 3's own `Hello`: that announce creates
-    // the record its digest is filed under, so node 2's beacons agree.
+    // joins the control group after node 2's start-up `Announce` went out,
+    // and first hears of node 2 through the `Announce` node 2 re-broadcasts
+    // for the new life node 3's own start-up `Announce` showed it: that
+    // announce creates the record its digest is filed under, so node 2's
+    // beacons agree.
     h.run_until_us(1_100_000);
     assert!(converged(&h, ServiceState::Running));
     assert_eq!(pulls(&h), [0, 0, 0]);
@@ -861,9 +864,11 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     assert!(converged(&h, ServiceState::Degraded), "within one beacon period of the change");
     assert_eq!(pulls(&h), [0, 0, 0], "a re-flood that arrives leaves nothing to pull");
 
-    // A late joiner whose Hello and Announce are lost is found by its
-    // beacon and served unicast (Hello + catalogue, both ways); what it was
-    // handed is what every later beacon says, so it never pulls.
+    // A late joiner whose start-up Announce is lost is found by its beacon,
+    // and finds each peer by its beacon: a beacon that shows a new life is
+    // one pull, so each peer pulls once and the joiner three times. What
+    // each was handed is what every later beacon says, so nobody pulls
+    // again.
     h.add_container(ContainerConfig::new("n4", NodeId(4)));
     for peer in 1..=3 {
         h.network().set_partition(4, peer, true);
@@ -878,23 +883,62 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     assert!(converged(&h, ServiceState::Degraded), "the joiner included");
     let four = h.container(NodeId(4)).unwrap();
     assert_eq!(four.directory().node_count(), 4);
-    assert_eq!(pulls(&h), [0, 0, 0, 0]);
+    assert_eq!(pulls(&h), [1, 1, 1, 3]);
 
-    // The recovery's re-flood (beacon slot 3.5 s) is lost towards node 3
-    // alone: it pulls exactly once, at the following beacon, and holds the
-    // catalogue within two beacon periods of the change.
-    h.run_until_us(3_400_000);
-    h.network().set_partition(1, 3, true);
-    h.run_until_us(3_600_000);
-    h.network().set_partition(1, 3, false);
-    h.run_until_us(3_990_000);
-    assert!(!converged(&h, ServiceState::Running), "node 3 missed the re-flood");
-    assert_eq!(pulls(&h), [0, 0, 0, 0], "and cannot know before the next beacon");
-    h.run_until_us(3_200_000 + 2 * beacon.as_micros());
+    // The recovery at 3.2 s re-floods to all. The degradation after it
+    // (5.2 s; node 1's debounce flush for the joiner went at 4 s) re-floods
+    // in the 5.5 s slot, lost towards node 3 alone: it pulls exactly once,
+    // at the following beacon, and holds the catalogue within two beacon
+    // periods of the change.
+    h.run_until_us(3_200_000 + beacon.as_micros());
     assert!(converged(&h, ServiceState::Running));
-    assert_eq!(pulls(&h), [0, 0, 1, 0]);
+    assert_eq!(pulls(&h), [1, 1, 1, 3]);
+    h.run_until_us(5_400_000);
+    h.network().set_partition(1, 3, true);
+    h.run_until_us(5_600_000);
+    h.network().set_partition(1, 3, false);
+    h.run_until_us(5_990_000);
+    assert!(!converged(&h, ServiceState::Degraded), "node 3 missed the re-flood");
+    assert_eq!(pulls(&h), [1, 1, 1, 3], "and cannot know before the next beacon");
+    h.run_until_us(5_200_000 + 2 * beacon.as_micros());
+    assert!(converged(&h, ServiceState::Degraded));
+    assert_eq!(pulls(&h), [1, 1, 2, 3]);
     h.run_for(ProtoDuration::from_secs(3));
-    assert_eq!(pulls(&h), [0, 0, 1, 0], "one pull repaired it for good");
+    assert_eq!(pulls(&h), [1, 1, 2, 3], "one pull repaired it for good");
+}
+
+/// A node that joins a settled fleet holds every peer's catalogue, and
+/// every peer holds its, within one beacon period on a clean network: its
+/// start-up `Announce` shows each peer a new life, and each peer's next
+/// beacon shows the joiner one, which it pulls at once. Neither waits for
+/// a debounce window that start-up closed. Fifteen nodes with one
+/// provision each settle; the sixteenth starts 250 ms after a beacon slot.
+#[test]
+fn a_late_joiner_holds_every_catalogue_within_one_beacon_period() {
+    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
+    let mut h = SimHarness::new(lan(36));
+    let join = |h: &mut SimHarness, id: u32| {
+        h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
+        let mut b = ServiceDescriptor::builder(&format!("s{id}"));
+        b.provides_event(&EventPort::<u8>::new(&format!("n{id}/alarm")));
+        h.add_service(NodeId(id), Box::new(Scripted::new(b.build())));
+        h.start_all();
+    };
+    let everyone_holds = |h: &SimHarness, provisions: usize| {
+        let held = |node| h.container(node).unwrap().directory().provision_count();
+        h.nodes().into_iter().all(|node| held(node) == provisions)
+    };
+    for id in 1..=15 {
+        join(&mut h, id);
+    }
+    h.run_until_us(3_250_000);
+    assert!(everyone_holds(&h, 15), "settled");
+
+    join(&mut h, 16);
+    let joined = h.now();
+    assert!(h.run_until(|h| everyone_holds(h, 16), ProtoDuration::from_secs(5)));
+    let took = h.now().saturating_since(joined);
+    assert!(took <= beacon, "every catalogue held {} ms after the join", took.as_micros() / 1_000);
 }
 
 /// §3: on malfunction "the containers are able to clear and update
@@ -960,7 +1004,7 @@ fn a_dead_subscriber_node_leaves_the_publishers_caches() {
 }
 
 /// A node that reboots faster than its peers' `node_timeout` is a new
-/// life all the same. Its first frame of the new life (`Hello`, beacon or
+/// life all the same. Its first frame of the new life (beacon or
 /// catalogue) ends the old one at the peer through the death path — link,
 /// remote subscriptions, pending calls — so the new life's reliable
 /// channel starts from scratch on both sides. Node 2 reboots 100 ms after
@@ -1071,7 +1115,6 @@ fn a_bye_from_a_node_the_directory_does_not_hold_declares_no_death() {
     // a death, recorded a `DirExpire` and forced a maintenance sweep.
     // Probe transport, explicit clock: nothing here is random.
     use marea_core::{ServiceContainer, TraceKind};
-    use marea_presentation::Name;
     use marea_protocol::messages::Message;
     use marea_protocol::Micros;
     use marea_transport::{InProcHub, Transport, TransportDestination};
@@ -1094,9 +1137,7 @@ fn a_bye_from_a_node_the_directory_does_not_hold_declares_no_death() {
     c.tick(Micros(1_000));
     assert_eq!(deaths(&c), (0, 0), "a stranger's Bye");
 
-    let hello =
-        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
-    send(2, hello);
+    send(2, Message::Announce { incarnation: 1, entries: Vec::new() });
     c.tick(Micros(2_000));
     assert!(c.directory().node_alive(NodeId(2)));
     send(2, Message::Bye);
@@ -1218,8 +1259,7 @@ fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
         let announced = Obs::File("announced:fp/blob".into());
         observations(&log).iter().filter(|(_, o)| *o == announced).count()
     };
-    let hello = Message::Hello { container: Name::new("pub").unwrap(), incarnation: 1, fec_cap: 0 };
-    send(&mut publisher, hello);
+    send(&mut publisher, Message::Announce { incarnation: 1, entries: Vec::new() });
     let announce = Message::FileAnnounce {
         transfer: TransferId(1),
         resource: Name::new("fp/blob").unwrap(),
@@ -1237,8 +1277,8 @@ fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
     assert_eq!(c.stats().files_received, 0);
 }
 
-/// Node 1's container after nodes 2 and 3 said `Hello`, announced the same
-/// catalogue and beaconed once each: both records keep their beacon's CRC,
+/// Node 1's container after nodes 2 and 3 announced the same catalogue
+/// and beaconed once each: both records keep their beacon's CRC,
 /// and a second copy of node 2's beacon was taken as a repeat. Returns the
 /// container, the probe that speaks for nodes 2 and 3, node 2's beacon
 /// frame and the catalogue. Probe transport, explicit clock.
@@ -1265,14 +1305,10 @@ fn refreshed_by_their_beacons() -> (
         state: ServiceState::Running,
         provides: vec![Provision::Event { name: Name::new("gps/fix-lost").unwrap(), ty: None }],
     }];
-    let hello =
-        Message::Hello { container: Name::new("peer").unwrap(), incarnation: 1, fec_cap: 0 };
     let announce = Message::Announce { incarnation: 1, entries: entries.clone() };
     for node in [2, 3] {
-        for msg in [&hello, &announce] {
-            let frame = msg.clone().into_frame(NodeId(node)).encode();
-            probe.send(TransportDestination::Node(1), frame).unwrap();
-        }
+        let frame = announce.clone().into_frame(NodeId(node)).encode();
+        probe.send(TransportDestination::Node(1), frame).unwrap();
         let beacon = beacon_from(node, &entries, 0);
         probe.send(TransportDestination::Node(1), beacon).unwrap();
     }

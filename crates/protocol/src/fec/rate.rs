@@ -47,7 +47,8 @@ impl FecRate {
         }
     }
 
-    /// Stable wire tag (carried as the `fec_cap` capability in `Hello`).
+    /// Stable wire tag (carried as the `fec_cap` capability in every
+    /// beacon).
     pub fn wire_tag(self) -> u8 {
         match self {
             FecRate::Off => 0,

@@ -412,17 +412,8 @@ impl CallStatus {
 }
 
 messages! {
-    /// Container start-up announcement (control group).
-    Hello = 0 {
-        /// Human-readable container name.
-        container: Name = name,
-        /// Monotonic restart counter, used to detect node reboots.
-        incarnation: u64 = varint,
-        /// Strongest FEC code rate this node can run on its reliable
-        /// links ([`FecRate`](crate::fec::FecRate) wire tag; 0 = none).
-        /// Each link runs the weaker of the two ends' capabilities.
-        fec_cap: u8 = byte,
-    }
+    // 0 was the start-up introduction (name, incarnation, FEC cap), whose
+    // claims every beacon and `Announce` carry: retired, never reused.
     /// The one periodic control frame (control group): proof of life,
     /// load, FEC capability and the digest of the sender's catalogue as it
     /// stands. A receiver holding the same digest does nothing more; one
@@ -430,15 +421,16 @@ messages! {
     /// [`Message::AnnounceRequest`], so the steady-state control plane is
     /// O(nodes), not O(nodes × catalogue).
     Beacon = 1 {
-        /// Restart counter matching the last `Hello`/`Announce`.
+        /// Monotonic restart counter, used to detect node reboots; the
+        /// one the sender's `Announce` carries.
         incarnation: u64 = varint,
         /// Scheduler load in permille (0-1000), used for dynamic remote
         /// invocation load balancing (paper §4.3).
         load_permille: u16 = le16,
-        /// FEC capability refresh (same encoding as `Hello::fec_cap`): a
-        /// node that missed the peer's `Hello` — attached late, lossy
-        /// bring-up — still converges on the advertised cap within one
-        /// beacon period instead of running uncoded forever.
+        /// Strongest FEC code rate this node can run on its reliable
+        /// links ([`FecRate`](crate::fec::FecRate) wire tag; 0 = none).
+        /// Each link runs the weaker of the two ends' capabilities; a
+        /// receiver learns the cap from the first beacon it hears.
         fec_cap: u8 = byte,
         /// Number of catalogue entries the digest summarizes.
         entry_count: u32 = varint,
@@ -1207,7 +1199,6 @@ mod tests {
                 .unwrap(),
         );
         vec![
-            Message::Hello { container: name("fcs-node"), incarnation: 3, fec_cap: 4 },
             Message::Beacon {
                 incarnation: 3,
                 load_permille: 250,
@@ -1377,6 +1368,9 @@ mod tests {
             assert_eq!(MessageKind::from_wire_tag(k.wire_tag()), Some(k));
         }
         assert_eq!(MessageKind::from_wire_tag(0xFF), None);
+        // Retired tags stay unknown kinds.
+        assert_eq!(MessageKind::from_wire_tag(0), None);
+        assert_eq!(MessageKind::from_wire_tag(24), None);
     }
 
     #[test]
@@ -1425,12 +1419,13 @@ mod tests {
 
     #[test]
     fn invalid_names_rejected() {
-        // Hand-craft a Hello with a bad name.
+        // Hand-craft a SubscribeVar with a bad name.
         let mut buf = BytesMut::new();
         let mut w = WireWriter::new(&mut buf);
         w.put_str("9bad name");
-        w.put_varint(0);
-        assert_eq!(decode(MessageKind::Hello, &buf), Err(DecodeError::InvalidName));
+        w.put_u32_le(2);
+        w.put_u8(0);
+        assert_eq!(decode(MessageKind::SubscribeVar, &buf), Err(DecodeError::InvalidName));
     }
 
     #[test]

@@ -501,11 +501,6 @@ fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
     let node = NodeId(small + 1);
     let transfer = TransferId(seed >> 3);
     match kind {
-        MessageKind::Hello => Message::Hello {
-            container: name(format!("node{small}")),
-            incarnation: seed,
-            fec_cap: (seed % 5) as u8,
-        },
         MessageKind::Beacon => Message::Beacon {
             incarnation: seed,
             load_permille: (seed % 1001) as u16,
@@ -1011,22 +1006,30 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
     // An empty tagged input has no kind byte to read, on either path.
     assert_eq!(Message::decode_tagged(&[]), Err(eof(1)));
     assert_eq!(Message::decode_tagged_shared(&Bytes::new()), Err(eof(1)));
-    // Tag 24 carried the catalogue digest until it moved into the beacon.
-    // It is retired: a CRC-valid frame of that kind (the old golden) is an
-    // unknown kind, and its body behind a tag byte an unknown tag, on
-    // every decoder — not a panic, and not a `Beacon`.
-    assert_eq!(MessageKind::from_wire_tag(24), None);
-    let retired = unhex("4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00");
-    assert_eq!(Frame::decode(&retired), Err(FrameError::BadKind(24)));
-    let walked: Vec<_> = frames(&Bytes::from(retired.clone())).collect();
-    assert_eq!(walked, vec![Err(FrameError::BadKind(24))]);
-    let mut tagged = vec![24u8];
-    tagged.extend(&retired[16..]);
-    assert_eq!(Message::decode_tagged(&tagged), Err(DecodeError::InvalidTag(24)));
-    assert_eq!(
-        Message::decode_tagged_shared(&Bytes::from(tagged)),
-        Err(DecodeError::InvalidTag(24))
-    );
+    // Tag 0 carried the start-up introduction until the beacon and the
+    // `Announce` carried all it said, and tag 24 the catalogue digest until
+    // it moved into the beacon. Both are retired: a CRC-valid frame of
+    // either kind (its old golden) is an unknown kind, and its body behind
+    // a tag byte an unknown tag, on every decoder — not a panic, and not
+    // another message.
+    let retired = [
+        (0u8, "4d410100070000000e00000074848e94076e6f646531393787a2b4f70500"),
+        (24, "4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00"),
+    ];
+    for (tag, golden) in retired {
+        assert_eq!(MessageKind::from_wire_tag(tag), None);
+        let retired = unhex(golden);
+        assert_eq!(Frame::decode(&retired), Err(FrameError::BadKind(tag)));
+        let walked: Vec<_> = frames(&Bytes::from(retired.clone())).collect();
+        assert_eq!(walked, vec![Err(FrameError::BadKind(tag))]);
+        let mut tagged = vec![tag];
+        tagged.extend(&retired[16..]);
+        assert_eq!(Message::decode_tagged(&tagged), Err(DecodeError::InvalidTag(tag)));
+        assert_eq!(
+            Message::decode_tagged_shared(&Bytes::from(tagged)),
+            Err(DecodeError::InvalidTag(tag))
+        );
+    }
 }
 
 /// Every decoder meets a damaged body with the same outcome, and that
@@ -1039,7 +1042,7 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
 /// hand-written reader gave before the message table replaced it.
 #[test]
 fn every_decoder_meets_damaged_bodies_with_the_pinned_outcome() {
-    const OUTCOMES: (usize, u64) = (1876, 0xa527_767b_969d_0d58);
+    const OUTCOMES: (usize, u64) = (1820, 0xef41_f0d1_28e9_f23b);
     let every_name = |s: &str| Name::new(s).ok();
     let mut outcomes = String::new();
     let mut count = 0;
@@ -1219,7 +1222,6 @@ fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
 #[test]
 fn wire_golden_pins_every_kind() {
     const GOLDEN: &[(MessageKind, &str)] = &[
-        (MessageKind::Hello, "4d410100070000000e00000074848e94076e6f646531393787a2b4f70500"),
         (MessageKind::Beacon, "4d410101070000000e000000efb7728587a2b4f705b40200c501a2dd0b00"),
         (MessageKind::Bye, "4d4101020700000000000000fffc2e09"),
         (MessageKind::Announce, "4d41010307000000690000002a5bde1287a2b4f70501c50104737663360105000c737663362f6974656d313937010ae7e30587a624010c737663362f6974656d313937010105010c737663362f6974656d31393700020c737663362f6974656d313937020107010d010100030c737663362f6974656d313937"),
