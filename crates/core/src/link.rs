@@ -41,7 +41,9 @@ use marea_protocol::{Message, Micros, NodeId, ProtoDuration, WireSink};
 use crate::stats::FecStats;
 
 /// Partial FEC groups older than this are flushed (parity emitted) so
-/// sparse reliable traffic still gets repair shards with bounded delay.
+/// sparse reliable traffic still gets repair shards with bounded delay. A
+/// calm link's flush emits nothing, so it runs late instead of asking
+/// for a wake (see `LinkFec::settle`).
 const FEC_FLUSH_AFTER: ProtoDuration = ProtoDuration(5_000);
 
 /// The FEC endpoint of one link: coder pair plus the flush timer.
@@ -59,8 +61,11 @@ struct LinkFec {
 impl LinkFec {
     /// Sends one envelope — a first transmission or a retransmission —
     /// through the FEC sender: a data shard (and the parity of a group it
-    /// fills) on a coded link, the bare `RelData` otherwise.
+    /// fills) on a coded link, the bare `RelData` otherwise. A calm link's
+    /// overdue flush runs first, so the envelope starts a group of its
+    /// own.
     fn wrap(&mut self, envelope: Envelope, now: Micros, sink: &mut impl WireSink) {
+        self.settle(now, sink);
         let had_open = self.tx.has_open_group();
         self.tx.wrap_envelope(envelope, sink);
         if !had_open && self.tx.has_open_group() {
@@ -68,6 +73,31 @@ impl LinkFec {
         } else if !self.tx.has_open_group() {
             self.group_opened_at = None;
         }
+    }
+
+    /// Runs a calm link's age flush if it is overdue. That flush sends
+    /// nothing, so it asks for no wake and runs late: at a poll, or before
+    /// anything that could add to the group or end calm. When it runs
+    /// then changes nothing, however often the link is polled.
+    fn settle(&mut self, now: Micros, sink: &mut impl WireSink) {
+        if self.tx.is_calm() {
+            self.flush_aged(now, sink);
+        }
+    }
+
+    /// Closes the open group once it is past [`FEC_FLUSH_AFTER`].
+    fn flush_aged(&mut self, now: Micros, sink: &mut impl WireSink) {
+        if self.group_opened_at.is_some_and(|at| now.saturating_since(at) >= FEC_FLUSH_AFTER) {
+            self.tx.flush(sink);
+            self.group_opened_at = None;
+        }
+    }
+
+    /// When the open group's age flush needs a poll: never on a calm
+    /// link, whose flush emits nothing.
+    fn flush_due(&self) -> Option<Micros> {
+        let opened = self.group_opened_at.filter(|_| !self.tx.is_calm())?;
+        Some(opened + FEC_FLUSH_AFTER)
     }
 }
 
@@ -232,6 +262,7 @@ impl ReliableLink {
         sink: &mut impl WireSink,
         events: &mut LinkEvents,
     ) {
+        self.fec.settle(now, sink); // before the report can end calm
         self.fec.tx.on_loss_report(loss_permille);
         self.tx.on_ack(cumulative, sack);
         // Retransmitted seqs the cumulative ack just covered have
@@ -279,19 +310,16 @@ impl ReliableLink {
         let retransmit = |envelope: Envelope| {
             retransmitted.push(envelope.seq());
             retx_pending.entry(envelope.seq()).or_insert(now);
+            // Calm ends after the wrap, whose settle runs the silent flush.
             fec.wrap(envelope, now, sink);
+            fec.tx.on_retransmit();
         };
         self.tx.poll(now, retransmit, &mut events.abandoned);
         for seq in &events.abandoned[abandoned_from..] {
             self.retx_pending.remove(seq);
         }
         self.drain_backlog(now, sink);
-        if let Some(opened) = self.fec.group_opened_at {
-            if now.saturating_since(opened) >= FEC_FLUSH_AFTER {
-                self.fec.tx.flush(sink);
-                self.fec.group_opened_at = None;
-            }
-        }
+        self.fec.flush_aged(now, sink);
         if self.ack_due {
             self.ack_due = false;
             sink.message(self.rx.make_ack_with_loss(self.fec.rx.loss_permille()));
@@ -328,25 +356,26 @@ impl ReliableLink {
 
     /// `true` while [`ReliableLink::poll`] could still produce output:
     /// traffic queued, in flight, or awaiting ack emission — or a partial
-    /// FEC group whose age-triggered parity flush is pending. A link that
-    /// does not need polling can be left out of the per-tick poll sweep
-    /// entirely; every input that re-activates it (send, data, ack)
-    /// re-registers it with the container's active set.
+    /// FEC group whose age-triggered parity flush is pending. On a calm
+    /// link that flush emits nothing, so an open group alone does not
+    /// count: the group closes silently at the next send, ack or poll
+    /// past its age. A link that does not need polling can be left out of
+    /// the per-tick poll sweep entirely; every input that re-activates it
+    /// (send, data, ack) re-registers it with the container's active set.
     pub fn needs_poll(&self) -> bool {
-        !self.is_quiescent() || self.fec.group_opened_at.is_some()
+        !self.is_quiescent() || self.fec.flush_due().is_some()
     }
 
     /// The earliest instant at which [`ReliableLink::poll`] has output:
     /// at once ([`Micros::ZERO`]) with an ack owed or a backlog the window
     /// has room for, else the earlier of the next retransmission deadline
-    /// and the open FEC group's age flush. `None` exactly when
-    /// [`needs_poll`](Self::needs_poll) is false.
+    /// and the open FEC group's age flush (none on a calm link). `None`
+    /// exactly when [`needs_poll`](Self::needs_poll) is false.
     pub fn next_poll_due(&self) -> Option<Micros> {
         if self.ack_due || (!self.backlog.is_empty() && self.tx.can_send()) {
             return Some(Micros::ZERO);
         }
-        let flush = self.fec.group_opened_at.map(|opened| opened + FEC_FLUSH_AFTER);
-        [self.tx.next_deadline(), flush].into_iter().flatten().min()
+        [self.tx.next_deadline(), self.fec.flush_due()].into_iter().flatten().min()
     }
 }
 
@@ -426,6 +455,7 @@ impl LinkTable {
         let after = link.fec_tx_stats();
         self.fec.data_shards_out += after.data_shards - before.data_shards;
         self.fec.parity_shards_out += after.parity_shards - before.parity_shards;
+        self.fec.quiet_groups += after.quiet_groups - before.quiet_groups;
         self.changed = true;
         if link.needs_poll() {
             self.active.insert(peer);
@@ -655,6 +685,78 @@ mod tests {
         assert!(out.iter().any(|m| matches!(m, Message::FecShard { .. })));
         assert!(!l.needs_poll(), "flushed: the link may leave the poll sweep");
         assert_eq!(l.next_poll_due(), None);
+    }
+
+    #[test]
+    fn a_calm_link_closes_its_partial_group_without_a_wake() {
+        let mut l = link(2);
+        l.negotiate_fec(FecRate::Light);
+        let parity = |out: &[Message]| {
+            out.iter()
+                .filter(|m| matches!(m, Message::FecShard { index, .. } if index & 0x80 != 0))
+                .count()
+        };
+        // Eight one-message groups, each acked at 0‰ and flushed with parity.
+        let mut now = Micros::ZERO;
+        for seq in 0..8u64 {
+            assert!(!l.fec.tx.is_calm());
+            l.send(Bytes::from_static(b"solo"), now);
+            l.on_ack(seq + 1, 0, 0, now + ProtoDuration::from_millis(1));
+            assert_eq!(l.next_poll_due(), Some(now + FEC_FLUSH_AFTER));
+            let (out, _) = l.poll(now + FEC_FLUSH_AFTER);
+            assert_eq!(parity(&out), 1, "group {seq} closes with its parity");
+            now += ProtoDuration::from_millis(50);
+        }
+        let out = l.send(Bytes::from_static(b"solo"), now);
+        assert_eq!(out.len(), 1);
+        l.on_ack(9, 0, 0, now + ProtoDuration::from_millis(1));
+        assert!(l.is_quiescent());
+        assert!(!l.needs_poll(), "calm: the open group wants no wake");
+        assert_eq!(l.next_poll_due(), None);
+        let (out, _) = l.poll(now + FEC_FLUSH_AFTER);
+        assert!(out.is_empty(), "a calm flush sends nothing: {out:?}");
+        // The next send past the age closes the open group silently.
+        l.send(Bytes::from_static(b"late"), now + FEC_FLUSH_AFTER);
+        now += ProtoDuration::from_millis(50);
+        let out = l.send(Bytes::from_static(b"next"), now);
+        let Message::FecShard { group, index: 0, .. } = out[0] else { panic!("{out:?}") };
+        assert_eq!((out.len(), group), (1, 10), "a group of its own, no parity before it");
+        let stats = l.fec_tx_stats();
+        assert_eq!((stats.parity_shards, stats.quiet_groups), (8, 2));
+    }
+
+    /// A calm link's silent flush runs late, so how often the link is
+    /// polled must not change what it sends: polled every millisecond or
+    /// only when `next_poll_due` says so, the link sends the same frames
+    /// through a fade (retransmissions end calm) and a nonzero loss report
+    /// that arrives after the open group's age (which ends calm again).
+    #[test]
+    fn a_calm_link_sends_the_same_however_often_it_is_polled() {
+        let run = |every_ms: bool| {
+            let mut l = link(2);
+            l.negotiate_fec(FecRate::Light);
+            let (mut wire, mut events, mut sent) = (Vec::new(), LinkEvents::default(), 0);
+            for ms in 0..2_000u64 {
+                let now = Micros(ms * 1_000);
+                if ms % 50 == 0 {
+                    l.send_into(b"tick", now, &mut wire);
+                    sent += 1;
+                }
+                // The peer acks 10 ms after each send, none in the fade.
+                if ms % 50 == 10 && !(1_000..1_150).contains(&ms) {
+                    let loss = if ms == 1_810 { 40 } else { 0 };
+                    l.on_ack_into(sent, 0, loss, now, &mut wire, &mut events);
+                }
+                if every_ms || l.next_poll_due().is_some_and(|due| due <= now) {
+                    l.poll_into(now, &mut wire, &mut events);
+                }
+            }
+            (wire, l.fec_tx_stats(), events.retransmitted.len())
+        };
+        let (swept, due) = (run(true), run(false));
+        let (_, stats, retransmitted) = &swept;
+        assert!(stats.quiet_groups > 10 && *retransmitted > 0, "{stats:?}");
+        assert_eq!(swept, due);
     }
 
     #[test]

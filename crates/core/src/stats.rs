@@ -284,6 +284,9 @@ counters! {
         sum data_shards_out: u64,
         /// Parity shards sent (pure overhead buying retransmit-free repair).
         sum parity_shards_out: u64,
+        /// Partial groups a calm link closed without parity (each one a
+        /// parity shard not sent).
+        sum quiet_groups: u64,
         /// Shards received (data and parity).
         sum shards_in: u64,
         /// Erased frames rebuilt from parity without a retransmission RTT.

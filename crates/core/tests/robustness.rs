@@ -180,6 +180,76 @@ fn partition_heals_and_traffic_resumes() {
     assert!(notices.iter().any(|p| p.contains("VariableUnavailable")), "{notices:?}");
 }
 
+/// Reliable events every 50 ms over a clean link: once eight groups have
+/// closed with their parity over 0‰ reports, the link is calm and its
+/// one-event groups close without parity. When the link fades to 20 %
+/// loss, the first retransmission ends calm — parity is back within one
+/// RTO and repairs erasures again — and every event still arrives once
+/// and in order.
+#[test]
+fn a_calm_link_that_fades_brings_its_parity_back_at_the_first_retransmission() {
+    let mut h = SimHarness::new(lan(37));
+    h.add_container(ContainerConfig::new("pub", NodeId(1)));
+    h.add_container(ContainerConfig::new("sub", NodeId(2)));
+
+    let tick = EventPort::<u64>::new("calm/tick");
+    let mut b = ServiceDescriptor::builder("calm");
+    b.provides_event(&tick);
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(50), Some(ProtoDuration::from_millis(50)));
+    }));
+    let (port, mut n) = (tick.clone(), 0u64);
+    publisher.on_timer = Some(Box::new(move |ctx, _| {
+        n += 1;
+        ctx.emit_to(&port, n);
+    }));
+    h.add_service(NodeId(1), Box::new(publisher));
+    let log = obs_log();
+    h.add_service(
+        NodeId(2),
+        Box::new(Recorder::new(
+            ServiceDescriptor::builder("sink")
+                .subscribe_event("calm/tick", EventQos::default())
+                .build(),
+            log.clone(),
+        )),
+    );
+    h.start_all();
+    let sent = |h: &SimHarness| h.container(NodeId(1)).unwrap().stats().fec;
+
+    h.run_for_millis(2_000);
+    let calm = sent(&h);
+    assert!(calm.parity_shards_out >= 8 && calm.quiet_groups > 0, "calm by now: {calm:?}");
+    h.run_for_millis(2_000);
+    let faded = sent(&h);
+    assert_eq!(faded.parity_shards_out, calm.parity_shards_out, "no parity while calm");
+    assert!(faded.quiet_groups >= calm.quiet_groups + 39, "{calm:?} then {faded:?}");
+
+    h.network().set_link(1, 2, LinkConfig::default().with_loss(0.2));
+    let retransmitted = |h: &SimHarness| h.container(NodeId(1)).unwrap().arq_stats().retransmitted;
+    assert!(h.run_until(|h| retransmitted(h) > 0, ProtoDuration::from_secs(5)));
+    let parity_back = |h: &SimHarness| sent(h).parity_shards_out > faded.parity_shards_out;
+    assert!(
+        h.run_until(parity_back, ProtoDuration::from_millis(50)),
+        "parity within one RTO of the first retransmission"
+    );
+    h.run_for_millis(4_000);
+    let repaired = h.container(NodeId(2)).unwrap().stats().fec.recovered;
+    assert!(repaired > 0, "parity repairs erasures again");
+
+    let seqs: Vec<u64> = observations(&log)
+        .into_iter()
+        .filter_map(|(_, o)| match o {
+            Obs::Event(_, Some(v)) => v.as_u64(),
+            _ => None,
+        })
+        .collect();
+    let first = seqs[0];
+    assert!(first <= 10 && seqs.len() > 150, "{seqs:?}");
+    assert_eq!(seqs, (first..first + seqs.len() as u64).collect::<Vec<_>>(), "once, in order");
+}
+
 /// Node 2 loses its provider in a partition while node 3 keeps it: the
 /// subscription unbinds but node 2 stays in the variable's multicast
 /// group, so the healthy publisher's samples that reach it before it

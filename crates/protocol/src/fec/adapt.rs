@@ -5,9 +5,11 @@
 //! into a fixed-point EWMA. The estimate rides back to the sender
 //! piggybacked on `RelAck`, where the controller maps it onto the
 //! [`FecRate`] table with hysteresis: tighten immediately when loss
-//! crosses a threshold, relax only after a sustained calm streak. Both
-//! pieces are pure integer state machines — no clocks, no floats on the
-//! estimate path — so the whole loop is deterministic under the sim.
+//! crosses a threshold, relax only after a sustained calm streak. The
+//! controller also says when the link is *calm* — long loss-free, so a
+//! partial group closed by age may go without parity. Both pieces are
+//! pure integer state machines — no clocks, no floats on the estimate
+//! path — so the whole loop is deterministic under the sim.
 
 use super::rate::FecRate;
 
@@ -61,7 +63,9 @@ const TIGHTEN_AT: &[(u16, FecRate)] =
     &[(180, FecRate::Max), (80, FecRate::Strong), (20, FecRate::Medium)];
 
 /// Consecutive below-threshold updates required before stepping one rate
-/// down (slow relax guards against loss/rate oscillation).
+/// down (slow relax guards against loss/rate oscillation), and
+/// consecutive parity-bearing groups over a loss-free link before it is
+/// calm.
 const RELAX_AFTER: u32 = 8;
 
 /// Maps the loss estimate onto the rate table with hysteresis.
@@ -70,6 +74,9 @@ pub struct RateController {
     cap: FecRate,
     current: FecRate,
     calm_streak: u32,
+    /// Groups closed with their parity since the last nonzero loss report
+    /// or retransmission, saturating at `RELAX_AFTER`.
+    parity_streak: u32,
 }
 
 impl RateController {
@@ -77,7 +84,7 @@ impl RateController {
     /// lightest active rate.
     pub fn new(cap: FecRate) -> Self {
         let floor = if cap == FecRate::Off { FecRate::Off } else { FecRate::Light };
-        RateController { cap, current: floor, calm_streak: 0 }
+        RateController { cap, current: floor, calm_streak: 0, parity_streak: 0 }
     }
 
     /// The rate currently in force.
@@ -109,6 +116,9 @@ impl RateController {
     /// reports, so a brief lull inside a loss ramp does not whipsaw the
     /// geometry.
     pub fn update(&mut self, loss_permille: u16) -> FecRate {
+        if loss_permille != 0 {
+            self.parity_streak = 0;
+        }
         if self.cap == FecRate::Off {
             return FecRate::Off;
         }
@@ -126,6 +136,27 @@ impl RateController {
             self.calm_streak = 0;
         }
         self.current
+    }
+
+    /// `true` once `RELAX_AFTER` groups in a row closed with their parity
+    /// while every loss report read 0‰ and the link retransmitted nothing.
+    /// On a calm link a partial group closed by age goes without parity (a
+    /// full group keeps it); any loss ends calm at once, and parity returns
+    /// for at least `RELAX_AFTER` groups, so the receiver's estimator sees
+    /// the loss again.
+    pub fn is_calm(&self) -> bool {
+        self.parity_streak >= RELAX_AFTER
+    }
+
+    /// A group closed with its parity.
+    pub fn on_parity_group(&mut self) {
+        self.parity_streak = (self.parity_streak + 1).min(RELAX_AFTER);
+    }
+
+    /// The link retransmitted: a loss the estimator may never see (a
+    /// quiet group lost whole), so calm ends here too.
+    pub fn on_retransmit(&mut self) {
+        self.parity_streak = 0;
     }
 }
 
@@ -206,6 +237,49 @@ mod tests {
         assert_eq!(c.update(999), FecRate::Medium);
         let mut off = RateController::new(FecRate::Off);
         assert_eq!(off.update(999), FecRate::Off);
+    }
+
+    #[test]
+    fn calm_takes_eight_parity_groups_of_zero_reports() {
+        let mut c = RateController::new(FecRate::Max);
+        c.update(0);
+        assert!(!c.is_calm(), "one zero report is not enough");
+        for _ in 0..RELAX_AFTER - 1 {
+            c.on_parity_group();
+            c.update(0);
+        }
+        assert!(!c.is_calm(), "seven parity groups are not enough");
+        c.on_parity_group();
+        assert!(c.is_calm());
+        c.update(0);
+        assert!(c.is_calm(), "a zero report keeps calm");
+    }
+
+    #[test]
+    fn any_loss_ends_calm_for_eight_parity_groups() {
+        let calm = || {
+            let mut c = RateController::new(FecRate::Max);
+            (0..RELAX_AFTER).for_each(|_| c.on_parity_group());
+            assert!(c.is_calm());
+            c
+        };
+        let mut reported = calm();
+        reported.update(1);
+        let mut retransmitted = calm();
+        retransmitted.on_retransmit();
+        for mut c in [reported, retransmitted] {
+            for _ in 0..RELAX_AFTER {
+                assert!(!c.is_calm(), "parity returns for eight groups");
+                c.on_parity_group();
+            }
+            assert!(c.is_calm());
+        }
+        let mut c = calm();
+        c.on_retransmit();
+        (0..RELAX_AFTER - 1).for_each(|_| c.on_parity_group());
+        c.update(3);
+        c.on_parity_group();
+        assert!(!c.is_calm(), "a report inside the streak starts it over");
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! locally — no round-trip — while an observed-loss estimator drives the
 //! rate up and down as the link degrades and heals ([`adapt`]).
 //!
+//! A group closes with its parity when it fills, or when the link flushes
+//! it by age. On a *calm* link (see [`RateController::is_calm`]) that
+//! age flush closes the group without parity: sparse traffic over a
+//! loss-free link would otherwise send every message twice, once as its
+//! data shard and once as the parity of a one-shard group. The group id
+//! still advances, so the peer's decoder ring counts the group as
+//! one-of-one, not as loss.
+//!
 //! Layering (wire order):
 //!
 //! ```text
@@ -66,6 +74,8 @@ pub struct FecTxStats {
     pub bypassed: u64,
     /// Groups closed (full or flushed).
     pub groups: u64,
+    /// Partial groups a calm link closed without parity.
+    pub quiet_groups: u64,
 }
 
 /// Receiver-side counters.
@@ -129,10 +139,12 @@ impl FecSender {
     /// keeps group ids monotonic so the peer's decoder ring stays sane.
     /// Any open group is abandoned without parity — its data shards are
     /// already out and remain decodable (systematic code, ARQ backstop).
+    /// On a calm link that counts as a quiet group: the link may simply
+    /// not have run its silent age flush yet.
     pub fn set_cap(&mut self, cap: FecRate) {
-        if self.open.take().is_some() {
-            self.stats.groups += 1;
-            self.next_group += 1;
+        if self.open.is_some() {
+            self.stats.quiet_groups += u64::from(self.controller.is_calm());
+            self.end_group();
         }
         self.controller = RateController::new(cap);
     }
@@ -140,6 +152,16 @@ impl FecSender {
     /// Feeds the peer's piggybacked loss estimate into the controller.
     pub fn on_loss_report(&mut self, loss_permille: u16) {
         self.controller.update(loss_permille);
+    }
+
+    /// The link retransmitted: calm ends (see [`RateController::is_calm`]).
+    pub fn on_retransmit(&mut self) {
+        self.controller.on_retransmit();
+    }
+
+    /// `true` while a flush closes a partial group without parity.
+    pub fn is_calm(&self) -> bool {
+        self.controller.is_calm()
     }
 
     /// `true` when a started group is still waiting for more shards.
@@ -207,19 +229,23 @@ impl FecSender {
         }
     }
 
-    /// Closes the open group if any shards are pending, emitting its
-    /// parity. Called by the link on tick boundaries so sparse traffic
-    /// still gets repair shards with bounded delay.
+    /// Closes the open group if any shards are pending: with its parity,
+    /// so sparse traffic still gets repair shards with bounded delay, or
+    /// without on a calm link. Called by the link once the group is past
+    /// its age budget.
     pub fn flush(&mut self, sink: &mut impl WireSink) {
-        if self.open.is_some() && self.encoder.pushed() > 0 {
-            self.close_group(sink);
-        } else {
+        if self.open.is_none() || self.encoder.pushed() == 0 {
             self.open = None;
+        } else if self.controller.is_calm() {
+            self.stats.quiet_groups += 1;
+            self.end_group();
+        } else {
+            self.close_group(sink);
         }
     }
 
     fn close_group(&mut self, sink: &mut impl WireSink) {
-        let Some((_, r)) = self.open.take() else { return };
+        let Some((_, r)) = self.open else { return };
         let k_actual = self.encoder.pushed();
         for lane in 0..self.encoder.parity_lanes() {
             sink.shard(ShardRef {
@@ -232,6 +258,13 @@ impl FecSender {
             });
             self.stats.parity_shards += 1;
         }
+        self.controller.on_parity_group();
+        self.end_group();
+    }
+
+    /// Closes the open group; the next one takes the next id.
+    fn end_group(&mut self) {
+        self.open = None;
         self.stats.groups += 1;
         self.next_group += 1;
     }
@@ -501,6 +534,89 @@ mod tests {
         }
         assert!(rx.loss_permille() > 300, "estimator must see the bleed: {}", rx.loss_permille());
         assert!(rx.stats().unrecoverable_groups > 0);
+    }
+
+    /// A Light sender that closed eight one-shard groups with their
+    /// parity over a link reporting 0‰: calm.
+    fn calm_sender(wire: &mut Vec<Message>) -> FecSender {
+        let mut tx = FecSender::new(0, FecRate::Light);
+        for seq in 0..8 {
+            assert!(!tx.is_calm(), "calm after {seq} parity groups");
+            tx.wrap(inner(seq), wire);
+            tx.flush(wire);
+            tx.on_loss_report(0);
+        }
+        assert!(tx.is_calm());
+        assert_eq!(tx.stats().parity_shards, 8);
+        tx
+    }
+
+    fn group_of(m: &Message) -> u64 {
+        let Message::FecShard { group, .. } = m else { panic!("coded: {m:?}") };
+        *group
+    }
+
+    #[test]
+    fn a_calm_flush_emits_nothing_and_advances_the_group() {
+        let mut wire = Vec::new();
+        let mut tx = calm_sender(&mut wire);
+        let mut out = Vec::new();
+        tx.wrap(inner(8), &mut out);
+        tx.flush(&mut out);
+        assert_eq!(out.len(), 1, "the data shard alone: {out:?}");
+        tx.wrap(inner(9), &mut out);
+        assert_eq!((group_of(&out[0]), group_of(&out[1])), (8, 9), "each message its own group");
+        let stats = tx.stats();
+        assert_eq!((stats.quiet_groups, stats.groups, stats.parity_shards), (1, 9, 8));
+        // The receiver counts a quiet group as one of one: no loss.
+        let mut rx = FecReceiver::new();
+        let mut delivered = Vec::new();
+        tx.flush(&mut out);
+        for seq in 10..16 {
+            tx.wrap(inner(seq), &mut out);
+            tx.flush(&mut out);
+        }
+        for m in wire.iter().chain(&out) {
+            let Message::FecShard { group, index, k, r, payload, .. } = m else { unreachable!() };
+            rx.on_shard(*group, *index, *k, *r, payload, &mut delivered);
+        }
+        assert_eq!(delivered.len(), 16);
+        assert_eq!((rx.loss_permille(), rx.stats().unrecoverable_groups), (0, 0));
+    }
+
+    #[test]
+    fn a_full_group_on_a_calm_link_keeps_its_parity() {
+        let mut wire = Vec::new();
+        let mut tx = calm_sender(&mut wire);
+        let mut out = Vec::new();
+        for seq in 8..16 {
+            tx.wrap(inner(seq), &mut out);
+        }
+        let parity = out.iter().filter(
+            |m| matches!(m, Message::FecShard { index, .. } if index & PARITY_INDEX_BIT != 0),
+        );
+        assert_eq!(parity.count(), 1, "Light (8, 1): eight data shards and their parity");
+        assert_eq!(tx.stats().quiet_groups, 0);
+        assert!(tx.is_calm());
+    }
+
+    #[test]
+    fn a_retransmission_brings_parity_back_for_eight_groups() {
+        let mut wire = Vec::new();
+        let mut tx = calm_sender(&mut wire);
+        tx.on_retransmit();
+        let mut out = Vec::new();
+        for seq in 8..16 {
+            tx.wrap(inner(seq), &mut out);
+            tx.flush(&mut out);
+        }
+        assert_eq!(out.len(), 16, "every one-shard group with its parity again: {out:?}");
+        assert!(tx.is_calm());
+        tx.on_loss_report(5);
+        out.clear();
+        tx.wrap(inner(16), &mut out);
+        tx.flush(&mut out);
+        assert_eq!(out.len(), 2, "a nonzero report ends calm at once");
     }
 
     #[test]

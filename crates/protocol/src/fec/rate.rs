@@ -95,7 +95,11 @@ impl FecRate {
     /// The next weaker rate; never drops below [`FecRate::Light`] — once a
     /// link runs FEC, the lightest geometry stays on so the loss signal
     /// keeps flowing (`Off` is a negotiation outcome, not a controller
-    /// state).
+    /// state). A calm link (see
+    /// [`RateController::is_calm`](crate::fec::RateController::is_calm))
+    /// still sends parity with every full group, and any loss report or
+    /// retransmission puts it back on every group, so the signal
+    /// survives calm too.
     pub fn weaker(self) -> FecRate {
         match self {
             FecRate::Off | FecRate::Light | FecRate::Medium => FecRate::Light,
