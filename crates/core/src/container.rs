@@ -296,25 +296,6 @@ enum Ran {
     Other,
 }
 
-/// Which pub/sub primitive a subscription-maintenance pass re-resolves.
-#[derive(Debug, Clone, Copy)]
-enum Channel {
-    Variable,
-    Event,
-}
-
-impl Channel {
-    fn notice(self, name: &Name, available: bool) -> ProviderNotice {
-        let name = name.clone();
-        match (self, available) {
-            (Channel::Variable, true) => ProviderNotice::VariableAvailable(name),
-            (Channel::Variable, false) => ProviderNotice::VariableUnavailable(name),
-            (Channel::Event, true) => ProviderNotice::EventAvailable(name),
-            (Channel::Event, false) => ProviderNotice::EventUnavailable(name),
-        }
-    }
-}
-
 /// The per-node service container (paper §3).
 ///
 /// See the crate-level docs for a complete walk-through; the
@@ -876,6 +857,7 @@ impl ServiceContainer {
                 let (stamp, codecs) = (Micros(stamp_us), &self.codecs);
                 let sample = self.vars.on_sample(
                     &name,
+                    src,
                     seq,
                     stamp,
                     validity_us,
@@ -900,7 +882,9 @@ impl ServiceContainer {
                             deliver,
                         );
                     }
-                    Err(SampleDrop::Unsubscribed | SampleDrop::Unbound) => return,
+                    Err(SampleDrop::Unsubscribed | SampleDrop::Unbound | SampleDrop::Foreign) => {
+                        return
+                    }
                     Err(SampleDrop::Mismatch) => {
                         let line = format!("sample of `{name}` violates announced schema; dropped");
                         return self.log_line(now, line);
@@ -940,7 +924,7 @@ impl ServiceContainer {
             }
             Message::EventData { name, seq, stamp_us, trace, codec, payload } => {
                 let Some((value, violates)) =
-                    self.events.on_data(&name, codec, &payload, &self.codecs)
+                    self.events.on_data(&name, src, codec, &payload, &self.codecs)
                 else {
                     return;
                 };
@@ -1037,9 +1021,6 @@ impl ServiceContainer {
                 if let Some((owner, done)) = self.files.on_subscriber_message(&msg) {
                     self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
                 }
-            }
-            Message::FileCancel { transfer } => {
-                self.subs_dirty |= self.files.on_cancel(src, transfer);
             }
             Message::Fragment { msg_id, index, count, payload } => {
                 if let Ok(Some(full)) =
@@ -1189,8 +1170,34 @@ impl ServiceContainer {
     /// ascending order, because it may send subscription wiring or queue
     /// notices and send order must be seed-reproducible.
     fn maintain_subscriptions(&mut self, now: Micros) {
-        self.rebind_channels(Channel::Variable, now);
-        self.rebind_channels(Channel::Event, now);
+        let subscriber = self.config.node;
+        let multicast = self.config.var_distribution == VarDistribution::Multicast;
+        for (name, rebind) in self.vars.rebind_all(&self.directory, now) {
+            if multicast && rebind.bound.is_some_and(|p| p.node != subscriber) {
+                self.transport.join(var_group(&name).0);
+            }
+            let need_initial = self.vars.need_initial(&name);
+            let wire = [
+                Message::SubscribeVar { name: name.clone(), subscriber, need_initial },
+                Message::UnsubscribeVar { name: name.clone(), subscriber },
+            ];
+            let notices = [ProviderNotice::VariableAvailable, ProviderNotice::VariableUnavailable];
+            if let Some(notice) = self.rewire(&name, rebind, wire, notices, now) {
+                let services = self.vars.subscribers(&name);
+                self.tasks.fan_out(Priority::CALL, services, notice, TaskPayload::Provider);
+            }
+        }
+        for (name, rebind) in self.events.rebind_all(&self.directory) {
+            let wire = [
+                Message::SubscribeEvent { name: name.clone(), subscriber },
+                Message::UnsubscribeEvent { name: name.clone(), subscriber },
+            ];
+            let notices = [ProviderNotice::EventAvailable, ProviderNotice::EventUnavailable];
+            if let Some(notice) = self.rewire(&name, rebind, wire, notices, now) {
+                let services = self.events.subscribers(&name);
+                self.tasks.fan_out(Priority::CALL, services, notice, TaskPayload::Provider);
+            }
+        }
         for (name, available) in self.rpc.recheck_required(&self.directory) {
             let notice = if available {
                 ProviderNotice::FunctionAvailable(name.clone())
@@ -1213,56 +1220,31 @@ impl ServiceContainer {
         }
     }
 
-    /// Re-resolves every subscribed variable or event channel: wires this
-    /// node in at the provider the directory resolves (over the reliable
-    /// channel, so a lost datagram cannot silently orphan the
-    /// subscription) and tells the subscribers when a channel gains or
-    /// loses its provider.
-    fn rebind_channels(&mut self, channel: Channel, now: Micros) {
-        let rebinds = match channel {
-            Channel::Variable => self.vars.rebind_all(&self.directory, now),
-            Channel::Event => self.events.rebind_all(&self.directory),
-        };
-        for (name, rebind) in rebinds {
-            let subscriber = self.config.node;
-            match (rebind, channel) {
-                (Rebind::Bound { provider, .. }, _) if provider.node == subscriber => {}
-                (Rebind::Bound { provider, .. }, Channel::Variable) => {
-                    if self.config.var_distribution == VarDistribution::Multicast {
-                        self.transport.join(var_group(&name).0);
-                    }
-                    let need_initial = self.vars.need_initial(&name);
-                    let msg =
-                        Message::SubscribeVar { name: name.clone(), subscriber, need_initial };
-                    self.send_reliable(provider.node, &msg, now);
-                }
-                (Rebind::Bound { provider, .. }, Channel::Event) => {
-                    let msg = Message::SubscribeEvent { name: name.clone(), subscriber };
-                    self.send_reliable(provider.node, &msg, now);
-                }
-                (Rebind::Lost, _) => {}
-            }
-            let notice = match rebind {
-                Rebind::Bound { fresh: false, .. } => continue,
-                Rebind::Bound { fresh: true, .. } => channel.notice(&name, true),
-                Rebind::Lost => channel.notice(&name, false),
-            };
-            let payload = TaskPayload::Provider;
-            match channel {
-                Channel::Variable => self.tasks.fan_out(
-                    Priority::CALL,
-                    self.vars.subscribers(&name),
-                    notice,
-                    payload,
-                ),
-                Channel::Event => self.tasks.fan_out(
-                    Priority::CALL,
-                    self.events.subscribers(&name),
-                    notice,
-                    payload,
-                ),
-            }
+    /// Sends what a changed channel binding owes its providers, both over
+    /// the reliable channel so a lost datagram cannot silently orphan the
+    /// subscription or leave the provider serving a node that left it:
+    /// `subscribe` to the node bound, `unsubscribe` to the node left while
+    /// the directory still holds it — never to this node, nor to the node
+    /// bound. Answers the notice for the channel's subscribers, made by
+    /// `gained` or `lost` as the channel gained or lost its provider; none
+    /// on a re-wire.
+    fn rewire(
+        &mut self,
+        name: &Name,
+        rebind: Rebind,
+        [subscribe, unsubscribe]: [Message; 2],
+        [gained, lost]: [fn(Name) -> ProviderNotice; 2],
+        now: Micros,
+    ) -> Option<ProviderNotice> {
+        let (node, bound) = (self.config.node, rebind.bound.map(|p| p.node));
+        if let Some(provider) = bound.filter(|&p| p != node) {
+            self.send_reliable(provider, &subscribe, now);
         }
+        let left = rebind.left.map(|p| p.node).filter(|&l| l != node && Some(l) != bound);
+        if let Some(left) = left.filter(|&l| self.directory.node_alive(l)) {
+            self.send_reliable(left, &unsubscribe, now);
+        }
+        rebind.available().map(|up| (if up { gained } else { lost })(name.clone()))
     }
 
     // ---- remote invocation ------------------------------------------------
@@ -1720,7 +1702,8 @@ impl ServiceContainer {
         self.tracer.record(now, TraceKind::VarPublish, trace, None, sample.seq, Some(&name));
 
         // Local delivery (Fig. 2 in-container path).
-        if let Some((value, services)) = self.vars.accept_local(&name, sample.seq, value, now) {
+        let local = self.vars.accept_local(&name, self.config.node, sample.seq, value, now);
+        if let Some((value, services)) = local {
             let deliver = |(name, value)| TaskPayload::DeliverVariable {
                 name,
                 value,
@@ -1774,7 +1757,9 @@ impl ServiceContainer {
         // exactly what remote subscribers get: a dropped payload is
         // dropped here too.
         let local = value.filter(|_| !emitted.payload_dropped);
-        self.deliver_event(&name, local, emitted.seq, now, trace, now);
+        if self.events.hears(&name, self.config.node) {
+            self.deliver_event(&name, local, emitted.seq, now, trace, now);
+        }
         // Remote delivery over the reliable links.
         let mut remote = std::mem::take(&mut self.scratch.remote);
         remote.extend(self.events.remote_subscribers(&name));

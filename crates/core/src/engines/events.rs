@@ -7,9 +7,9 @@ use bytes::Bytes;
 use marea_encoding::{Codec, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
-use marea_protocol::{NodeId, ServiceId};
+use marea_protocol::NodeId;
 
-use super::{decode_payload, encode_payload, Rebind};
+use super::{encode_payload, Binding, Rebind};
 use crate::directory::Directory;
 use crate::qos::{DropPolicy, EventQos};
 use crate::scheduler::Priority;
@@ -56,12 +56,8 @@ impl EventSubscriber {
 struct SubscribedEvent {
     /// Local subscribers with their contracts.
     subscribers: Vec<EventSubscriber>,
-    /// Resolved provider.
-    provider: Option<ServiceId>,
-    /// Payload schema learned from the announcement.
-    ty: Option<DataType>,
-    /// SubscribeEvent was sent to the current provider.
-    subscribe_sent: bool,
+    /// The provider and the payload schema.
+    binding: Binding,
 }
 
 impl SubscribedEvent {
@@ -85,13 +81,6 @@ impl SubscribedEvent {
     /// Highest inbox depth observed on any subscriber.
     fn inbox_peak(&self) -> usize {
         self.subscribers.iter().map(|s| s.inbox_peak).max().unwrap_or(0)
-    }
-
-    /// Drops the provider binding for re-resolution.
-    fn unbind(&mut self) {
-        self.provider = None;
-        self.subscribe_sent = false;
-        self.ty = None;
     }
 }
 
@@ -191,25 +180,36 @@ impl EventEngine {
         Ok(Emitted { payload, seq: pe.seq, payload_dropped })
     }
 
-    /// Subscriber side of a received `EventData`: the decoded payload
-    /// (`None`: bare) and whether one arrived that does not decode against
-    /// the announced schema — counted, and delivered bare so subscribers
-    /// still see the occurrence. `None` when nobody here subscribes.
+    /// Subscriber side of an `EventData` received from `src`: the decoded
+    /// payload (`None`: bare) and whether one arrived that does not decode
+    /// against the announced schema — counted, and delivered bare so
+    /// subscribers still see the occurrence. `None` when nobody here
+    /// subscribes or the channel does not hear `src`.
     pub fn on_data(
         &mut self,
         name: &Name,
+        src: NodeId,
         codec: u8,
         payload: &[u8],
         codecs: &CodecRegistry,
     ) -> Option<(Option<Value>, bool)> {
-        let sub = self.subscribed.get(name)?;
+        let sub = self.subscribed.get_mut(name)?;
+        if !sub.binding.hears(src) {
+            return None;
+        }
         if payload.is_empty() {
             return Some((None, false));
         }
-        let value = decode_payload(codecs, sub.ty.as_ref(), codec, payload);
+        let value = sub.binding.decode(codecs, codec, payload);
         let violates = value.is_none();
         self.type_mismatches += u64::from(violates);
         Some((value, violates))
+    }
+
+    /// Whether the channel `name` takes an event emitted on `node` (see
+    /// [`Binding::hears`]); one nobody here subscribes takes none.
+    pub fn hears(&mut self, name: &Name, node: NodeId) -> bool {
+        self.subscribed.get_mut(name).is_some_and(|sub| sub.binding.hears(node))
     }
 
     /// Offers one event to every local subscriber of `name` under its
@@ -280,26 +280,9 @@ impl EventEngine {
     pub fn rebind_all(&mut self, directory: &Directory) -> Vec<(Name, Rebind)> {
         let mut changed = Vec::new();
         for (name, sub) in &mut self.subscribed {
-            let announced =
-                directory.resolve_event(name.as_str()).and_then(|p| match &p.provision {
-                    Provision::Event { ty, .. } => Some((p.service, ty)),
-                    _ => None,
-                });
-            let rebind = match announced {
-                Some((provider, ty)) if sub.provider != Some(provider) || !sub.subscribe_sent => {
-                    let fresh = sub.provider.is_none();
-                    sub.provider = Some(provider);
-                    sub.ty = ty.clone();
-                    sub.subscribe_sent = true;
-                    Rebind::Bound { provider, fresh }
-                }
-                None if sub.subscribe_sent || sub.provider.is_some() => {
-                    sub.unbind();
-                    Rebind::Lost
-                }
-                _ => continue,
-            };
-            changed.push((name.clone(), rebind));
+            if let Some(rebind) = sub.binding.rebind(directory.resolve_event(name.as_str())) {
+                changed.push((name.clone(), rebind));
+            }
         }
         changed
     }
@@ -313,6 +296,8 @@ impl EventEngine {
     pub fn fill_stats(&self, stats: &mut ContainerStats) {
         stats.type_mismatches.events = self.type_mismatches;
         stats.qos.queue_drops = self.subscribed.values().map(|s| s.total_drops()).sum();
+        stats.foreign_drops +=
+            self.subscribed.values().map(|s| s.binding.foreign_drops).sum::<u64>();
     }
 
     /// Writes the gauges this engine owns.
@@ -333,18 +318,47 @@ impl EventEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::ProviderInfo;
+    use marea_protocol::messages::ServiceState;
+    use marea_protocol::ServiceId;
 
     #[test]
     fn subscribe_lifecycle() {
         let mut s = SubscribedEvent::default();
-        assert!(s.provider.is_none());
-        s.provider = Some(ServiceId::new(NodeId(1), 1));
-        s.subscribe_sent = true;
-        s.ty = Some(DataType::U8);
-        s.unbind();
-        assert!(s.provider.is_none());
-        assert!(!s.subscribe_sent);
-        assert!(s.ty.is_none());
+        assert!(s.binding.provider.is_none());
+        let service = ServiceId::new(NodeId(1), 1);
+        let name = Name::new("e").unwrap();
+        let provision = Provision::Event { name, ty: Some(DataType::U8) };
+        let announced = ProviderInfo { service, state: ServiceState::Running, provision };
+        let bound = s.binding.rebind(Some(&announced));
+        assert_eq!(bound, Some(Rebind { bound: Some(service), left: None }));
+        assert_eq!(s.binding.ty, Some(DataType::U8));
+        assert_eq!(s.binding.rebind(None), Some(Rebind { bound: None, left: Some(service) }));
+        assert!(s.binding.provider.is_none());
+        assert!(s.binding.ty.is_none());
+    }
+
+    /// A bound channel takes an event from its provider's node only, on
+    /// the wire and on this node's own path alike; each one turned away is
+    /// counted, and none is decoded.
+    #[test]
+    fn an_event_from_another_node_is_turned_away() {
+        let name = Name::new("e").unwrap();
+        let mut e = EventEngine::default();
+        e.subscribed.insert(name.clone(), SubscribedEvent::default());
+        let codecs = CodecRegistry::new();
+        let bare = |e: &mut EventEngine, src| e.on_data(&name, src, 0, &[], &codecs);
+        assert!(bare(&mut e, NodeId(3)).is_some() && e.hears(&name, NodeId(1)), "unbound");
+        let service = ServiceId::new(NodeId(2), 1);
+        let provision = Provision::Event { name: name.clone(), ty: Some(DataType::U8) };
+        let announced = ProviderInfo { service, state: ServiceState::Running, provision };
+        e.subscribed.get_mut(&name).unwrap().binding.rebind(Some(&announced));
+        assert!(bare(&mut e, NodeId(2)).is_some() && e.hears(&name, NodeId(2)));
+        assert_eq!(e.on_data(&name, NodeId(3), 0, &[0xFF, 0xFF], &codecs), None);
+        assert!(!e.hears(&name, NodeId(1)));
+        let mut stats = ContainerStats::default();
+        e.fill_stats(&mut stats);
+        assert_eq!((stats.foreign_drops, stats.type_mismatches.events), (2, 0));
     }
 
     #[test]

@@ -320,15 +320,6 @@ impl FileEngine {
         interest.receiver.as_ref()?.on_query(revision)
     }
 
-    /// `src` withdrew its transfer; `true` when an interest went back to
-    /// waiting for an announce.
-    pub fn on_cancel(&mut self, src: NodeId, transfer: TransferId) -> bool {
-        let Some((_, interest)) = self.incoming_mut(src, transfer) else { return false };
-        interest.receiver = None;
-        interest.publisher = None;
-        true
-    }
-
     /// `node` died: downloads it fed go back to waiting, and its cached
     /// announces are forgotten.
     pub fn drop_peer(&mut self, node: NodeId) {

@@ -7,12 +7,20 @@
 //! those answers into frames, tasks and trace records — engines never
 //! touch the transport, the scheduler or the tracer, which keeps them
 //! unit-testable in isolation.
+//!
+//! Variables and events consume a name the same way: each subscribed
+//! channel of either keeps one [`Binding`], re-resolved by one rule
+//! ([`Binding::rebind`]) and applied on receipt by one filter
+//! ([`Binding::hears`]).
 
 use bytes::{Bytes, BytesMut};
 
 use marea_encoding::{Codec, CodecId, CodecRegistry, EncodeError, SelfDescribingCodec};
 use marea_presentation::{DataType, Value};
-use marea_protocol::ServiceId;
+use marea_protocol::messages::Provision;
+use marea_protocol::{NodeId, ServiceId};
+
+use crate::directory::ProviderInfo;
 
 pub(crate) mod events;
 pub(crate) mod files;
@@ -20,14 +28,75 @@ pub(crate) mod rpc;
 pub(crate) mod vars;
 
 /// What re-resolving a subscribed channel against the directory did to
-/// its provider binding (name management, paper §3).
+/// its provider binding (name management, paper §3): it `left` one
+/// provider (`None`: it was unbound) and is `bound` to another (`None`:
+/// no provider resolves any more). The two always differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Rebind {
-    /// Bound to `provider`, newly or re-wired to another instance; only
-    /// the `fresh` transition from unbound is told to subscribers.
-    Bound { provider: ServiceId, fresh: bool },
-    /// No provider resolves any more.
-    Lost,
+pub(crate) struct Rebind {
+    pub bound: Option<ServiceId>,
+    pub left: Option<ServiceId>,
+}
+
+impl Rebind {
+    /// What the channel's subscribers are told: that it gained a provider
+    /// (`Some(true)`, bound from unbound) or lost it (`Some(false)`); a
+    /// re-wire from one provider to another is not told.
+    pub fn available(self) -> Option<bool> {
+        match (self.left, self.bound) {
+            (None, _) => Some(true),
+            (_, None) => Some(false),
+            _ => None,
+        }
+    }
+}
+
+/// A subscribed channel's provider binding: the provider the directory
+/// resolved and the schema learned from its announcement.
+#[derive(Debug, Default)]
+struct Binding {
+    provider: Option<ServiceId>,
+    ty: Option<DataType>,
+    /// Samples or events turned away as another node's.
+    foreign_drops: u64,
+}
+
+impl Binding {
+    /// Binds to `resolved`, the provider the directory resolves now (`None`
+    /// when none does), and learns the schema it announced; answers the
+    /// change, `None` when the provider stays the same.
+    fn rebind(&mut self, resolved: Option<&ProviderInfo>) -> Option<Rebind> {
+        let (left, bound) = (self.provider, resolved.map(|p| p.service));
+        if bound == left {
+            return None;
+        }
+        self.provider = bound;
+        self.ty = match resolved.map(|p| &p.provision) {
+            Some(Provision::Variable { ty, .. }) => Some(ty.clone()),
+            Some(Provision::Event { ty, .. }) => ty.clone(),
+            _ => None,
+        };
+        Some(Rebind { bound, left })
+    }
+
+    /// Whether a sample or event from `src` is this channel's to take:
+    /// from its provider's node, or from any node while unbound. One
+    /// turned away is counted.
+    fn hears(&mut self, src: NodeId) -> bool {
+        let heard = self.provider.is_none_or(|p| p.node == src);
+        self.foreign_drops += u64::from(!heard);
+        heard
+    }
+
+    /// Decodes a sample or event payload against the bound schema; without
+    /// one, only the self-describing codec can be read. `None`: the payload
+    /// does not decode.
+    fn decode(&self, codecs: &CodecRegistry, codec: u8, payload: &[u8]) -> Option<Value> {
+        match (&self.ty, CodecId(codec)) {
+            (Some(ty), id) => codecs.get(id)?.decode(payload, ty).ok(),
+            (None, CodecId(1)) => SelfDescribingCodec::decode_any(payload).ok().map(|(_, v)| v),
+            _ => None,
+        }
+    }
 }
 
 /// Encodes a published value into the buffer that goes on the wire: one
@@ -39,23 +108,69 @@ fn encode_payload(codec: &dyn Codec, value: &Value, ty: &DataType) -> Result<Byt
     Ok(buf.freeze())
 }
 
-/// Decodes a sample or event payload against the schema its subscription
-/// learned from the provider's announcement; without one, only the
-/// self-describing codec can be read. `None`: the payload does not decode.
-fn decode_payload(
-    codecs: &CodecRegistry,
-    ty: Option<&DataType>,
-    codec: u8,
-    payload: &[u8],
-) -> Option<Value> {
-    match (ty, CodecId(codec)) {
-        (Some(ty), id) => codecs.get(id)?.decode(payload, ty).ok(),
-        (None, CodecId(1)) => SelfDescribingCodec::decode_any(payload).ok().map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 /// FNV-1a, the hash behind the stable multicast group ids.
 fn fnv1a(bytes: &[u8]) -> u32 {
     bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marea_protocol::messages::ServiceState;
+
+    fn provider(node: u32) -> ServiceId {
+        ServiceId::new(NodeId(node), 1)
+    }
+
+    /// Node `node`'s announcement of an event channel of payload `ty`.
+    fn event(node: u32, ty: Option<DataType>) -> ProviderInfo {
+        let name = marea_presentation::Name::new("e").unwrap();
+        let provision = Provision::Event { name, ty };
+        ProviderInfo { service: provider(node), state: ServiceState::Running, provision }
+    }
+
+    #[test]
+    fn a_fresh_bind_reports_no_provider_left_and_learns_the_schema() {
+        let mut b = Binding::default();
+        let bound = b.rebind(Some(&event(1, Some(DataType::U8))));
+        assert_eq!(bound, Some(Rebind { bound: Some(provider(1)), left: None }));
+        assert_eq!(bound.unwrap().available(), Some(true), "told as a gain");
+        assert_eq!((b.provider, b.ty.clone()), (Some(provider(1)), Some(DataType::U8)));
+        assert_eq!(b.rebind(Some(&event(1, Some(DataType::U8)))), None, "unchanged");
+    }
+
+    #[test]
+    fn a_rewire_reports_the_provider_it_left() {
+        let mut b = Binding::default();
+        b.rebind(Some(&event(1, Some(DataType::U8))));
+        let rewired = b.rebind(Some(&event(2, None)));
+        assert_eq!(rewired, Some(Rebind { bound: Some(provider(2)), left: Some(provider(1)) }));
+        assert_eq!(rewired.unwrap().available(), None, "not told");
+        assert_eq!((b.provider, b.ty.clone()), (Some(provider(2)), None), "the new schema");
+    }
+
+    #[test]
+    fn a_lost_provider_is_reported_once() {
+        let mut b = Binding::default();
+        assert_eq!(b.rebind(None), None, "never bound");
+        b.rebind(Some(&event(1, Some(DataType::U8))));
+        let lost = b.rebind(None);
+        assert_eq!(lost, Some(Rebind { bound: None, left: Some(provider(1)) }));
+        assert_eq!(lost.unwrap().available(), Some(false), "told as a loss");
+        assert_eq!((b.provider, b.ty.clone()), (None, None));
+        assert_eq!(b.rebind(None), None, "once");
+    }
+
+    #[test]
+    fn a_bound_channel_hears_its_providers_node_and_an_unbound_one_every_node() {
+        let mut b = Binding::default();
+        assert!((1..=3).all(|node| b.hears(NodeId(node))), "unbound");
+        b.rebind(Some(&event(2, None)));
+        assert!(b.hears(NodeId(2)));
+        assert!(!b.hears(NodeId(1)) && !b.hears(NodeId(3)));
+        assert_eq!(b.foreign_drops, 2, "each one turned away is counted");
+        b.rebind(None);
+        assert!(b.hears(NodeId(1)), "unbound again");
+        assert_eq!(b.foreign_drops, 2);
+    }
 }

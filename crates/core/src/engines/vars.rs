@@ -8,10 +8,10 @@ use bytes::Bytes;
 use marea_encoding::{Codec, CodecId, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
-use marea_protocol::{GroupId, Micros, NodeId, ServiceId};
+use marea_protocol::{GroupId, Micros, NodeId};
 
-use super::{decode_payload, encode_payload, fnv1a, Rebind};
-use crate::directory::Directory;
+use super::{encode_payload, fnv1a, Binding, Rebind};
+use crate::directory::{Directory, ProviderInfo};
 use crate::qos::VarQos;
 use crate::service::ServiceDescriptor;
 use crate::stats::{ContainerStats, Occupancy, VarChannelView, VarSubscriptionStats};
@@ -100,14 +100,12 @@ struct SubscribedVar {
     deadline_misses: u64,
     /// Stale samples dropped on this subscription.
     stale_drops: u64,
-    /// Resolved provider, if discovery succeeded.
-    provider: Option<ServiceId>,
+    /// The provider and the sample schema.
+    binding: Binding,
     /// Expected period learned from the provider's announcement (µs).
     period_us: u64,
     /// Validity window learned from the announcement (µs).
     validity_us: u64,
-    /// Sample schema learned from the announcement.
-    ty: Option<DataType>,
     /// Last sample receive time.
     last_rx: Option<Micros>,
     /// Time the subscription was wired (deadline baseline before the first
@@ -117,8 +115,6 @@ struct SubscribedVar {
     last_seq: Option<u64>,
     /// A timeout warning has been raised and no sample seen since.
     timed_out: bool,
-    /// SubscribeVar was sent to the current provider.
-    subscribe_sent: bool,
 }
 
 impl SubscribedVar {
@@ -132,15 +128,13 @@ impl SubscribedVar {
             spare: None,
             deadline_misses: 0,
             stale_drops: 0,
-            provider: None,
+            binding: Binding::default(),
             period_us: 0,
             validity_us: 0,
-            ty: None,
             last_rx: None,
             since: None,
             last_seq: None,
             timed_out: false,
-            subscribe_sent: false,
         }
     }
 
@@ -169,7 +163,7 @@ impl SubscribedVar {
     /// the bind, before any), hence the +1µs. `None` while no deadline
     /// applies — unbound, already warned, or aperiodic.
     fn deadline_due(&self) -> Option<Micros> {
-        if self.timed_out || self.provider.is_none() {
+        if self.timed_out || self.binding.provider.is_none() {
             return None;
         }
         let deadline = self.deadline_us()?;
@@ -202,7 +196,7 @@ impl SubscribedVar {
     fn record(&mut self, stamp: Micros, value: Arc<Value>) {
         while self.history.len() >= self.history_cap {
             let Some((_, mut evicted)) = self.history.pop_front() else { break };
-            let ty = self.ty.as_ref();
+            let ty = self.binding.ty.as_ref();
             if Arc::get_mut(&mut evicted).is_some_and(|v| ty.is_some_and(|ty| fixed_size(ty, v))) {
                 self.spare = Some(evicted);
             }
@@ -223,49 +217,34 @@ impl SubscribedVar {
     }
 
     /// Decodes a received payload against the bound schema: into the
-    /// spare when one is kept, otherwise fresh (see [`decode_payload`]).
+    /// spare when one is kept, otherwise fresh (see [`Binding::decode`]).
     /// `None` when it does not decode; the spare is dropped then.
     fn decode(&mut self, codecs: &CodecRegistry, codec: u8, payload: &[u8]) -> Option<Arc<Value>> {
-        if let (Some(ty), Some(mut spare)) = (&self.ty, self.spare.take()) {
+        if let (Some(ty), Some(mut spare)) = (&self.binding.ty, self.spare.take()) {
             if let Some(slot) = Arc::get_mut(&mut spare) {
                 let decoded = codecs.get(CodecId(codec))?.decode_into(payload, ty, slot);
                 return decoded.is_ok().then_some(spare);
             }
         }
-        decode_payload(codecs, self.ty.as_ref(), codec, payload).map(Arc::new)
+        self.binding.decode(codecs, codec, payload).map(Arc::new)
     }
 
-    /// Resets provider binding (provider lost); subscription will be
-    /// re-resolved against the directory.
-    fn unbind(&mut self) {
-        self.provider = None;
-        self.subscribe_sent = false;
-        self.ty = None;
-        // Do not clear last_seq: a *new* provider instance restarts
-        // numbering, so clear it after rebinding instead. The history ring
-        // survives rebinds on purpose — retained samples stay readable
-        // while the provider fails over.
-    }
-
-    /// Binds to a (new) provider.
-    fn bind(
-        &mut self,
-        provider: ServiceId,
-        period_us: u64,
-        validity_us: u64,
-        ty: DataType,
-        now: Micros,
-    ) {
-        let changed = self.provider != Some(provider);
-        self.provider = Some(provider);
-        self.period_us = period_us;
-        self.validity_us = validity_us;
-        self.ty = Some(ty);
-        self.since = Some(now);
-        self.timed_out = false;
-        if changed {
-            self.last_seq = None; // new publisher numbers from scratch
+    /// [`Binding::rebind`] to `resolved`, taking a new provider's period
+    /// and validity: it numbers its samples from scratch, and the loss
+    /// deadline counts from `now`. The history ring survives, so retained
+    /// samples stay readable while the provider fails over.
+    fn rebind(&mut self, resolved: Option<&ProviderInfo>, now: Micros) -> Option<Rebind> {
+        let rebind = self.binding.rebind(resolved)?;
+        if let Some(Provision::Variable { period_us, validity_us, .. }) =
+            resolved.map(|p| &p.provision)
+        {
+            self.period_us = *period_us;
+            self.validity_us = *validity_us;
+            self.since = Some(now);
+            self.timed_out = false;
+            self.last_seq = None;
         }
+        Some(rebind)
     }
 }
 
@@ -286,6 +265,8 @@ pub(crate) enum SampleDrop {
     Stale,
     /// Sequence regression or duplicate.
     Old,
+    /// From another node than the bound provider's.
+    Foreign,
     /// The subscription has no bound schema (its provider was lost) and
     /// the codec is not self-describing: nothing to read the sample with.
     /// Not a contract violation — the publisher may be healthy and still
@@ -371,17 +352,21 @@ impl VarEngine {
         Ok(Sample { payload, seq: pv.seq, validity_us: pv.validity_us })
     }
 
-    /// Subscriber side of a same-container publish (Fig. 2 in-container
-    /// path): the shared value and the services to deliver it to, if the
-    /// sample is fresh.
+    /// Subscriber side of a publish on this container's `node` (Fig. 2
+    /// in-container path): the shared value and the services to deliver
+    /// it to, if the channel hears `node` and the sample is fresh.
     pub fn accept_local(
         &mut self,
         name: &Name,
+        node: NodeId,
         seq: u64,
         value: Value,
         now: Micros,
     ) -> Option<(Arc<Value>, &[u32])> {
         let sub = self.subscribed.get_mut(name)?;
+        if !sub.binding.hears(node) {
+            return None;
+        }
         if sub.accept(seq, now)? {
             Self::arm(&mut self.deadlines, name, sub);
         }
@@ -390,14 +375,15 @@ impl VarEngine {
         Some((value, &sub.services))
     }
 
-    /// Subscriber side of a received `VarSample`: validity and sequence
-    /// filtering, decode, history, deadline. Answers the value — decoded
-    /// once, shared with the history ring — and the services to deliver it
-    /// to.
+    /// Subscriber side of a `VarSample` received from `src`: provider,
+    /// validity and sequence filtering, decode, history, deadline. Answers
+    /// the value — decoded once, shared with the history ring — and the
+    /// services to deliver it to.
     #[allow(clippy::too_many_arguments)]
     pub fn on_sample(
         &mut self,
         name: &Name,
+        src: NodeId,
         seq: u64,
         stamp: Micros,
         validity_us: u64,
@@ -407,11 +393,14 @@ impl VarEngine {
         now: Micros,
     ) -> Result<(Arc<Value>, &[u32]), SampleDrop> {
         let sub = self.subscribed.get_mut(name).ok_or(SampleDrop::Unsubscribed)?;
+        if !sub.binding.hears(src) {
+            return Err(SampleDrop::Foreign);
+        }
         if validity_us > 0 && now.saturating_since(stamp).as_micros() > validity_us {
             sub.stale_drops += 1;
             return Err(SampleDrop::Stale);
         }
-        if sub.ty.is_none() && CodecId(codec) != CodecId::SELF_DESCRIBING {
+        if sub.binding.ty.is_none() && CodecId(codec) != CodecId::SELF_DESCRIBING {
             return Err(SampleDrop::Unbound);
         }
         if sub.accept(seq, now).ok_or(SampleDrop::Old)? {
@@ -469,30 +458,10 @@ impl VarEngine {
     pub fn rebind_all(&mut self, directory: &Directory, now: Micros) -> Vec<(Name, Rebind)> {
         let mut changed = Vec::new();
         for (name, sub) in &mut self.subscribed {
-            let announced =
-                directory.resolve_variable(name.as_str()).and_then(|p| match &p.provision {
-                    Provision::Variable { period_us, validity_us, ty, .. } => {
-                        Some((p.service, *period_us, *validity_us, ty))
-                    }
-                    _ => None,
-                });
-            let rebind = match announced {
-                Some((provider, period_us, validity_us, ty))
-                    if sub.provider != Some(provider) || !sub.subscribe_sent =>
-                {
-                    let fresh = sub.provider.is_none();
-                    sub.bind(provider, period_us, validity_us, ty.clone(), now);
-                    sub.subscribe_sent = true;
-                    Self::arm(&mut self.deadlines, name, sub);
-                    Rebind::Bound { provider, fresh }
-                }
-                None if sub.subscribe_sent || sub.provider.is_some() => {
-                    sub.unbind();
-                    Rebind::Lost
-                }
-                _ => continue,
-            };
-            changed.push((name.clone(), rebind));
+            if let Some(rebind) = sub.rebind(directory.resolve_variable(name.as_str()), now) {
+                Self::arm(&mut self.deadlines, name, sub);
+                changed.push((name.clone(), rebind));
+            }
         }
         changed
     }
@@ -550,11 +519,14 @@ impl VarEngine {
         stats.type_mismatches.vars = self.type_mismatches;
         stats.qos.deadline_misses = self.subscribed.values().map(|s| s.deadline_misses).sum();
         stats.qos.stale_drops = self.subscribed.values().map(|s| s.stale_drops).sum();
+        stats.foreign_drops +=
+            self.subscribed.values().map(|s| s.binding.foreign_drops).sum::<u64>();
     }
 
     /// Writes the gauges this engine owns.
     pub fn fill_occupancy(&self, occupancy: &mut Occupancy) {
-        occupancy.vars_bound = self.subscribed.values().filter(|s| s.provider.is_some()).count();
+        occupancy.vars_bound =
+            self.subscribed.values().filter(|s| s.binding.provider.is_some()).count();
         occupancy.remote_subscribers +=
             self.published.values().map(|p| p.remote_subscribers.len()).sum::<usize>();
     }
@@ -571,7 +543,7 @@ impl VarEngine {
     /// Freshness snapshot of every subscribed channel, in name order.
     pub fn channels(&self) -> Vec<(Name, VarChannelView)> {
         let view = |s: &SubscribedVar| VarChannelView {
-            bound: s.provider.is_some(),
+            bound: s.binding.provider.is_some(),
             period_us: s.period_us,
             validity_us: s.validity_us,
             deadline_us: s.deadline_us(),
@@ -587,6 +559,8 @@ impl VarEngine {
 mod tests {
     use super::*;
     use marea_presentation::{StructType, StructValue, VectorType, VectorValue};
+    use marea_protocol::messages::ServiceState;
+    use marea_protocol::ServiceId;
 
     /// Test stand-in for the arming a bind does.
     fn arm_deadline(e: &mut VarEngine, name: &Name) {
@@ -600,9 +574,25 @@ mod tests {
         }
     }
 
+    /// `provider`'s announcement of `v`, every `period_us`, valid for
+    /// `validity_us`, of schema `ty`.
+    fn announced(
+        provider: ServiceId,
+        period_us: u64,
+        validity_us: u64,
+        ty: DataType,
+    ) -> ProviderInfo {
+        let provision =
+            Provision::Variable { name: Name::new("v").unwrap(), ty, period_us, validity_us };
+        ProviderInfo { service: provider, state: ServiceState::Running, provision }
+    }
+
     fn sub() -> SubscribedVar {
         let mut s = SubscribedVar::new(&VarQos::default().with_initial());
-        s.bind(ServiceId::new(NodeId(2), 1), 50_000, 200_000, DataType::F64, Micros::ZERO);
+        s.rebind(
+            Some(&announced(ServiceId::new(NodeId(2), 1), 50_000, 200_000, DataType::F64)),
+            Micros::ZERO,
+        );
         s
     }
 
@@ -628,7 +618,10 @@ mod tests {
 
         // A tighter contract shortens the deadline.
         let mut tight = SubscribedVar::new(&VarQos::default().with_deadline_periods(1));
-        tight.bind(ServiceId::new(NodeId(2), 1), 50_000, 200_000, DataType::F64, Micros::ZERO);
+        tight.rebind(
+            Some(&announced(ServiceId::new(NodeId(2), 1), 50_000, 200_000, DataType::F64)),
+            Micros::ZERO,
+        );
         assert_eq!(tight.deadline_us(), Some(50_000));
         assert!(tight.deadline_missed(Micros(60_000)), "1 period + slack: missed");
     }
@@ -636,7 +629,10 @@ mod tests {
     #[test]
     fn aperiodic_has_no_deadline() {
         let mut s = SubscribedVar::new(&VarQos::default());
-        s.bind(ServiceId::new(NodeId(2), 1), 0, 0, DataType::Bool, Micros::ZERO);
+        s.rebind(
+            Some(&announced(ServiceId::new(NodeId(2), 1), 0, 0, DataType::Bool)),
+            Micros::ZERO,
+        );
         assert_eq!(s.deadline_us(), None);
         assert!(!s.deadline_missed(Micros::from_secs(100)));
     }
@@ -684,7 +680,10 @@ mod tests {
         e.register(2, &descriptor("two", VarQos::default().with_history(3)));
         let name = port.name().clone();
         let provider = ServiceId::new(NodeId(2), 1);
-        e.subscribed.get_mut(&name).unwrap().bind(provider, 0, 0, DataType::U64, Micros::ZERO);
+        e.subscribed
+            .get_mut(&name)
+            .unwrap()
+            .rebind(Some(&announced(provider, 0, 0, DataType::U64)), Micros::ZERO);
 
         let codecs = CodecRegistry::new();
         for seq in 1..=5u64 {
@@ -692,7 +691,17 @@ mod tests {
                 codecs.default_codec().encode_to_vec(&Value::U64(seq * 10), &DataType::U64);
             let stamp = Micros(seq);
             let (value, services) = e
-                .on_sample(&name, seq, stamp, 0, 0, &payload.unwrap(), &codecs, Micros(seq))
+                .on_sample(
+                    &name,
+                    NodeId(2),
+                    seq,
+                    stamp,
+                    0,
+                    0,
+                    &payload.unwrap(),
+                    &codecs,
+                    Micros(seq),
+                )
                 .unwrap();
             assert_eq!(*value, Value::U64(seq * 10));
             assert_eq!(services, [1, 2], "both subscribers get every sample");
@@ -702,7 +711,8 @@ mod tests {
         }
 
         // The same-container path shares the same way.
-        let (value, services) = e.accept_local(&name, 6, Value::U64(60), Micros(6)).unwrap();
+        let (value, services) =
+            e.accept_local(&name, NodeId(2), 6, Value::U64(60), Micros(6)).unwrap();
         assert_eq!(services, [1, 2]);
         assert!(Arc::ptr_eq(&value, &e.subscribed[&name].history.back().unwrap().1));
 
@@ -744,17 +754,20 @@ mod tests {
         e.register(1, &b.build());
         let name = port.name().clone();
         let provider = ServiceId::new(NodeId(2), 1);
-        e.subscribed.get_mut(&name).unwrap().bind(provider, 0, 0, ty.clone(), Micros::ZERO);
+        e.subscribed
+            .get_mut(&name)
+            .unwrap()
+            .rebind(Some(&announced(provider, 0, 0, ty.clone())), Micros::ZERO);
         (e, name)
     }
 
-    /// Feeds `value` as sample `seq` (compact codec); answers the shared
-    /// value or the drop.
+    /// Feeds `value` as sample `seq` (compact codec) from the bound
+    /// provider's node; answers the shared value.
     fn feed(e: &mut VarEngine, name: &Name, seq: u64, value: &Value, ty: &DataType) -> Arc<Value> {
         let codecs = CodecRegistry::new();
         let payload = codecs.default_codec().encode_to_vec(value, ty).unwrap();
-        let now = Micros(seq);
-        e.on_sample(name, seq, now, 0, 0, &payload, &codecs, now).unwrap().0
+        let (now, src) = (Micros(seq), e.subscribed[name].binding.provider.unwrap().node);
+        e.on_sample(name, src, seq, now, 0, 0, &payload, &codecs, now).unwrap().0
     }
 
     fn spare(e: &VarEngine, name: &Name) -> Option<*const Value> {
@@ -785,7 +798,7 @@ mod tests {
 
         // The same-container path moves its value into the spare's box.
         let kept = spare(&e, &name).unwrap();
-        let (local, _) = e.accept_local(&name, 7, fix(&ty, 7), Micros(7)).unwrap();
+        let (local, _) = e.accept_local(&name, NodeId(2), 7, fix(&ty, 7), Micros(7)).unwrap();
         assert_eq!((Arc::as_ptr(&local), &*local), (kept, &fix(&ty, 7)));
     }
 
@@ -807,7 +820,7 @@ mod tests {
             assert!(spare(&e, &name).is_some());
             let before = ring(&e);
             let now = Micros(seq + 2);
-            let dropped = e.on_sample(&name, seq + 2, now, 0, 0, &bad, &codecs, now);
+            let dropped = e.on_sample(&name, NodeId(2), seq + 2, now, 0, 0, &bad, &codecs, now);
             assert_eq!(dropped.err(), Some(SampleDrop::Mismatch));
             assert_eq!(ring(&e), before);
             assert_eq!(spare(&e, &name), None, "the half-written spare is gone");
@@ -876,7 +889,10 @@ mod tests {
                 .unwrap(),
         );
         let other = ServiceId::new(NodeId(3), 1);
-        e.subscribed.get_mut(&name).unwrap().bind(other, 0, 0, wider.clone(), Micros(4));
+        e.subscribed
+            .get_mut(&name)
+            .unwrap()
+            .rebind(Some(&announced(other, 0, 0, wider.clone())), Micros(4));
         let DataType::Struct(st) = &wider else { unreachable!() };
         for k in 1..=3u64 {
             let v = Value::Struct(StructValue::for_type(
@@ -899,26 +915,49 @@ mod tests {
     fn an_unbound_subscription_drops_compact_samples_uncounted() {
         let (mut e, name) = bound_to(&DataType::U64);
         feed(&mut e, &name, 1, &Value::U64(1), &DataType::U64);
-        e.subscribed.get_mut(&name).unwrap().unbind();
+        e.subscribed.get_mut(&name).unwrap().rebind(None, Micros(2));
         let codecs = CodecRegistry::new();
         let compact = codecs.default_codec().encode_to_vec(&Value::U64(2), &DataType::U64).unwrap();
-        let dropped = e.on_sample(&name, 2, Micros(2), 0, 0, &compact, &codecs, Micros(2));
+        let dropped =
+            e.on_sample(&name, NodeId(2), 2, Micros(2), 0, 0, &compact, &codecs, Micros(2));
         assert_eq!(dropped.err(), Some(SampleDrop::Unbound));
         assert_eq!((e.type_mismatches, e.subscribed[&name].last_seq), (0, Some(1)));
 
         let selfdesc = codecs.get(CodecId::SELF_DESCRIBING).unwrap();
         let payload = selfdesc.encode_to_vec(&Value::U64(3), &DataType::U64).unwrap();
-        let (value, _) =
-            e.on_sample(&name, 3, Micros(3), 0, 1, &payload, &codecs, Micros(3)).unwrap();
+        let (value, _) = e
+            .on_sample(&name, NodeId(2), 3, Micros(3), 0, 1, &payload, &codecs, Micros(3))
+            .unwrap();
         assert_eq!(*value, Value::U64(3));
+    }
+
+    /// A bound channel turns away a sample from another node, on either
+    /// path, before it reaches the sequence check; each one is counted.
+    #[test]
+    fn a_sample_from_another_node_is_dropped_before_the_sequence_check() {
+        let (mut e, name) = bound_to(&DataType::U64);
+        let codecs = CodecRegistry::new();
+        let payload = codecs.default_codec().encode_to_vec(&Value::U64(9), &DataType::U64).unwrap();
+        let foreign =
+            e.on_sample(&name, NodeId(3), 9, Micros(1), 0, 0, &payload, &codecs, Micros(1));
+        assert_eq!(foreign.err(), Some(SampleDrop::Foreign));
+        assert!(e.accept_local(&name, NodeId(1), 10, Value::U64(10), Micros(2)).is_none());
+        assert_eq!(e.subscribed[&name].last_seq, None, "the sequence did not move");
+        assert_eq!(*feed(&mut e, &name, 1, &Value::U64(1), &DataType::U64), Value::U64(1));
+        let mut stats = ContainerStats::default();
+        e.fill_stats(&mut stats);
+        assert_eq!(stats.foreign_drops, 2);
     }
 
     #[test]
     fn rebind_resets_sequence_tracking() {
         let mut s = sub();
         s.accept(100, Micros(1));
-        s.unbind();
-        s.bind(ServiceId::new(NodeId(3), 1), 50_000, 200_000, DataType::F64, Micros(2));
+        s.rebind(None, Micros(2));
+        s.rebind(
+            Some(&announced(ServiceId::new(NodeId(3), 1), 50_000, 200_000, DataType::F64)),
+            Micros(2),
+        );
         assert!(s.accept(1, Micros(3)).is_some(), "new provider numbers from scratch");
     }
 
@@ -976,7 +1015,7 @@ mod tests {
         assert_eq!(e.sweep_deadlines(Micros(250_000)), vec![n.clone()]);
         assert_eq!(e.deadlines.entries(&n), 0, "warned channels leave the queue");
         // The first sample after the warning arms the channel again.
-        assert!(e.accept_local(&n, 2, Value::F64(1.0), Micros(300_000)).is_some());
+        assert!(e.accept_local(&n, NodeId(2), 2, Value::F64(1.0), Micros(300_000)).is_some());
         assert_eq!(e.deadlines.entries(&n), 1);
         assert!(e.sweep_deadlines(Micros(450_000)).is_empty());
         assert_eq!(e.sweep_deadlines(Micros(450_001)), vec![n.clone()]);
@@ -991,13 +1030,19 @@ mod tests {
         let mut e = VarEngine::default();
         let n = Name::new("v").unwrap();
         let mut s = SubscribedVar::new(&VarQos::default());
-        s.bind(ServiceId::new(NodeId(2), 1), 1_000_000, 0, DataType::F64, Micros::ZERO);
+        s.rebind(
+            Some(&announced(ServiceId::new(NodeId(2), 1), 1_000_000, 0, DataType::F64)),
+            Micros::ZERO,
+        );
         e.subscribed.insert(n.clone(), s);
         arm_deadline(&mut e, &n);
-        assert!(e.accept_local(&n, 1, Value::F64(1.0), Micros(5_002_000)).is_some());
+        assert!(e.accept_local(&n, NodeId(2), 1, Value::F64(1.0), Micros(5_002_000)).is_some());
         assert!(e.sweep_deadlines(Micros(7_000_000)).is_empty());
-        let rebind = e.subscribed.get_mut(&n).unwrap();
-        rebind.bind(ServiceId::new(NodeId(3), 1), 100_000, 0, DataType::F64, Micros(7_002_000));
+        let sub = e.subscribed.get_mut(&n).unwrap();
+        sub.rebind(
+            Some(&announced(ServiceId::new(NodeId(3), 1), 100_000, 0, DataType::F64)),
+            Micros(7_002_000),
+        );
         arm_deadline(&mut e, &n);
         assert_eq!(e.next_due(), Some(Micros(5_302_001)), "last sample + 3 × 100 ms");
         assert_eq!(e.sweep_deadlines(Micros(7_002_000)), vec![n.clone()]);
@@ -1017,7 +1062,10 @@ mod tests {
         e.register(1, &descriptor("a", VarQos::default()));
         let n = Name::new("v").unwrap();
         let provider = ServiceId::new(NodeId(2), 1);
-        e.subscribed.get_mut(&n).unwrap().bind(provider, 100_000, 0, DataType::F64, Micros::ZERO);
+        e.subscribed
+            .get_mut(&n)
+            .unwrap()
+            .rebind(Some(&announced(provider, 100_000, 0, DataType::F64)), Micros::ZERO);
         arm_deadline(&mut e, &n);
         assert_eq!(e.next_due(), Some(Micros(300_001)), "3 periods");
         e.register(2, &descriptor("b", VarQos::default().with_deadline_periods(1)));

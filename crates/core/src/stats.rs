@@ -216,6 +216,10 @@ counters! {
         /// (Samples that outlived their validity window are
         /// [`QosStats::stale_drops`].)
         sum old_samples_dropped: u64,
+        /// Samples and events a bound channel turned away because they came
+        /// from another node than its provider's (a redundant provider it
+        /// is not bound to, or the one it left).
+        sum foreign_drops: u64,
         /// Events published by local services.
         sum events_published: u64,
         /// Events delivered to local handlers.

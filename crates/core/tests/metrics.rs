@@ -72,6 +72,7 @@ fn every_container_counter_is_a_key_of_a_node_frame() {
         "queue_peak",
         "call_errors",
         "old_samples_dropped",
+        "foreign_drops",
         "services_failed",
         "file_bypass_deliveries",
         "type_mismatches.vars",

@@ -1300,21 +1300,21 @@ fn a_refusal_from_a_node_the_call_is_not_aimed_at_leaves_the_call_alone() {
     assert_eq!((stats.qos.retries, stats.call_errors), (0, 0), "{stats:?}");
 }
 
-/// A download its publisher cancels goes back to waiting, and is taken
-/// up again from the announce the subscriber cached: the `FileCancel`
-/// marks the subscription table, and the maintenance pass in the same
-/// tick subscribes afresh. Each `Announced` notice is one subscription.
-/// Probe transport, explicit clock.
+/// A download whose publisher dies goes back to waiting, and is taken up
+/// again from the announce the subscriber cached from another publisher of
+/// the resource: the death marks the subscription table, and the
+/// maintenance pass in the same tick subscribes afresh. Each `Announced`
+/// notice is one subscription. Probe transport, explicit clock.
 #[test]
-fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
+fn a_download_whose_publisher_dies_subscribes_again_from_the_cached_announce() {
     use marea_core::ServiceContainer;
     use marea_presentation::Name;
     use marea_protocol::messages::Message;
     use marea_protocol::{GroupId, Micros, TransferId};
-    use marea_transport::{InProcHub, InProcTransport, Transport, TransportDestination};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
 
     let hub = InProcHub::new();
-    let mut publisher = hub.attach(2);
+    let mut probe = hub.attach(2);
     let cfg = ContainerConfig::new("sub", NodeId(1));
     let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
     let log = obs_log();
@@ -1322,14 +1322,13 @@ fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
     c.add_service(Box::new(Recorder::new(sink, log.clone()))).unwrap();
     c.start(Micros(0));
 
-    let send = |publisher: &mut InProcTransport, msg: Message| {
-        publisher.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
+    let mut send = |from: u32, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
     };
     let announced = || {
         let announced = Obs::File("announced:fp/blob".into());
         observations(&log).iter().filter(|(_, o)| *o == announced).count()
     };
-    send(&mut publisher, Message::Announce { incarnation: 1, entries: Vec::new() });
     let announce = Message::FileAnnounce {
         transfer: TransferId(1),
         resource: Name::new("fp/blob").unwrap(),
@@ -1338,12 +1337,15 @@ fn a_cancelled_download_subscribes_again_from_the_cached_announce() {
         chunk_size: 1_024,
         group: GroupId(0x4000_0001),
     };
-    send(&mut publisher, announce);
+    for publisher in [2, 3] {
+        send(publisher, Message::Announce { incarnation: 1, entries: Vec::new() });
+        send(publisher, announce.clone());
+    }
     c.tick(Micros::from_millis(1));
-    assert_eq!(announced(), 1, "subscribed on the announce");
-    send(&mut publisher, Message::FileCancel { transfer: TransferId(1) });
+    assert_eq!(announced(), 1, "subscribed to node 2; node 3's announce is cached");
+    send(2, Message::Bye);
     c.tick(Micros::from_millis(2));
-    assert_eq!(announced(), 2, "subscribed again from the cache, in the cancel's tick");
+    assert_eq!(announced(), 2, "subscribed again from the cache, in the death's tick");
     assert_eq!(c.stats().files_received, 0);
 }
 
@@ -1506,5 +1508,95 @@ fn a_beacon_repeat_under_another_kind_is_rejected() {
         let mut forged = beacon.to_vec();
         forged[3] = kind.wire_tag();
         assert_eq!(offer(&mut c, &mut probe, forged, 3), ((1, 0, 0), true), "{kind:?}");
+    }
+}
+
+/// Two providers of `r/v` and `r/e`, on nodes 1 and 2, every 20 ms, and
+/// a subscriber on nodes 2 and 3 each, both bound to node 1. Node 1
+/// crashes at 2 s and restarts at 6 s: the subscribers fail over to node
+/// 2, then back to node 1. A bound channel hears only its provider — on
+/// the wire and on its own node's path alike — so node 2's samples do not
+/// hide node 1's silence (the loss warning comes before node 1 expires),
+/// and after the failback every sample and every event is node 1's, each
+/// once. Leaving a provider unsubscribes from it: node 2 ends with no
+/// remote subscriber. Eight seeds.
+#[test]
+fn a_channel_hears_only_its_provider_and_unsubscribes_from_the_one_it_leaves() {
+    use marea_core::Micros;
+
+    let every = ProtoDuration::from_millis(20);
+    let provider = move |node: u64| {
+        move || {
+            let (pv, pe) = (VarPort::<u64>::new("r/v"), EventPort::<u64>::new("r/e"));
+            let mut b = ServiceDescriptor::builder("r");
+            b.provides_var(&pv, VarQos::periodic(every, ProtoDuration::from_millis(100)));
+            b.provides_event(&pe);
+            let mut publisher = Scripted::new(b.build());
+            publisher.on_start = Some(Box::new(move |ctx| {
+                ctx.set_timer(every, Some(every));
+            }));
+            let mut k = 0u64;
+            publisher.on_timer = Some(Box::new(move |ctx, _| {
+                k += 1;
+                ctx.publish_to(&pv, node * 1_000_000 + k);
+                ctx.emit_to(&pe, node * 1_000_000 + k);
+            }));
+            Box::new(publisher) as Box<dyn marea_core::Service>
+        }
+    };
+    let node_timeout = ContainerConfig::new("x", NodeId(3)).node_timeout;
+    for seed in 1..=8 {
+        let mut h = SimHarness::new(lan(seed));
+        for (name, node) in [("one", 1), ("two", 2), ("three", 3)] {
+            h.add_container(ContainerConfig::new(name, NodeId(node)));
+        }
+        h.add_service_factory(NodeId(1), provider(1));
+        h.add_service_factory(NodeId(2), provider(2));
+        let logs = [2, 3].map(|node| {
+            let log = obs_log();
+            let descriptor = ServiceDescriptor::builder("s")
+                .subscribe_variable("r/v", VarQos::default())
+                .subscribe_event("r/e", EventQos::default())
+                .build();
+            h.add_service(NodeId(node), Box::new(Recorder::new(descriptor, log.clone())));
+            (node, log)
+        });
+        h.start_all();
+        h.run_until_us(2_000_000);
+        let bound = h.container(NodeId(3)).unwrap().directory().resolve_variable("r/v");
+        assert_eq!(bound.map(|p| p.service.node), Some(NodeId(1)), "seed {seed}");
+
+        h.crash_node(NodeId(1));
+        h.run_until_us(6_000_000);
+        assert!(h.restart_node(NodeId(1)));
+        h.run_until_us(9_000_000);
+        let failback = logs.each_ref().map(|(_, log)| observations(log).len());
+        h.run_until_us(11_000_000);
+
+        for ((node, log), failback) in logs.iter().zip(failback) {
+            let obs = observations(log);
+            let warned = obs.iter().any(|(t, o)| {
+                matches!(o, Obs::VarTimeout(_))
+                    && (Micros(2_000_000)..Micros(2_000_000) + node_timeout).contains(t)
+            });
+            assert!(warned, "seed {seed}, node {node}: no VarTimeout before node 1 expired");
+
+            let (mut samples, mut events) = (Vec::new(), Vec::new());
+            for (_, o) in &obs[failback..] {
+                match o {
+                    Obs::Var(_, v) => samples.push(v.as_u64().unwrap()),
+                    Obs::Event(_, Some(v)) => events.push(v.as_u64().unwrap()),
+                    _ => {}
+                }
+            }
+            for (kind, got) in [("samples", &samples), ("events", &events)] {
+                let at = format!("seed {seed}, node {node}: {} {kind}", got.len());
+                assert!(got.len() >= 95, "{at} after the failback");
+                assert!(got.iter().all(|v| v / 1_000_000 == 1), "{at}: {got:?}");
+                assert!(got.windows(2).all(|w| w[1] == w[0] + 1), "{at}: {got:?}");
+            }
+        }
+        let two = h.container(NodeId(2)).unwrap().occupancy();
+        assert_eq!(two.remote_subscribers, 0, "seed {seed}: node 2 still serves node 3");
     }
 }

@@ -605,11 +605,8 @@ messages! {
         /// Missing chunk runs as `(first_index, run_length)` pairs.
         runs: Vec<(u32, u32)> = runs,
     }
-    /// Publisher aborts the transfer.
-    FileCancel = 17 {
-        /// Transfer session id.
-        transfer: TransferId = varint,
-    }
+    // 17 was the publisher's cancel of a transfer, which no node sent:
+    // retired, never reused.
     /// Fragment of a larger logical payload (see [`crate::fragment`]).
     Fragment = 18 {
         /// Id of the fragmented logical message (unique per source node).
@@ -1303,7 +1300,6 @@ mod tests {
                 subscriber: NodeId(2),
                 runs: vec![(0, 3), (17, 1), (100, 24)],
             },
-            Message::FileCancel { transfer: TransferId(5) },
             Message::Fragment {
                 msg_id: 88,
                 index: 1,
@@ -1370,6 +1366,7 @@ mod tests {
         assert_eq!(MessageKind::from_wire_tag(0xFF), None);
         // Retired tags stay unknown kinds.
         assert_eq!(MessageKind::from_wire_tag(0), None);
+        assert_eq!(MessageKind::from_wire_tag(17), None);
         assert_eq!(MessageKind::from_wire_tag(24), None);
     }
 

@@ -594,7 +594,6 @@ fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
             subscriber: node,
             runs: vec![(0, 1 + small), (small * 2 + 9, 4)],
         },
-        MessageKind::FileCancel => Message::FileCancel { transfer },
         MessageKind::Fragment => {
             Message::Fragment { msg_id: seed, index: small, count: small + 1, payload }
         }
@@ -1007,13 +1006,15 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
     assert_eq!(Message::decode_tagged(&[]), Err(eof(1)));
     assert_eq!(Message::decode_tagged_shared(&Bytes::new()), Err(eof(1)));
     // Tag 0 carried the start-up introduction until the beacon and the
-    // `Announce` carried all it said, and tag 24 the catalogue digest until
-    // it moved into the beacon. Both are retired: a CRC-valid frame of
-    // either kind (its old golden) is an unknown kind, and its body behind
+    // `Announce` carried all it said, tag 17 a publisher's cancel of a file
+    // transfer that no node sent, and tag 24 the catalogue digest until it
+    // moved into the beacon. All three are retired: a CRC-valid frame of
+    // any of them (its old golden) is an unknown kind, and its body behind
     // a tag byte an unknown tag, on every decoder — not a panic, and not
     // another message.
     let retired = [
         (0u8, "4d410100070000000e00000074848e94076e6f646531393787a2b4f70500"),
+        (17, "4d41011107000000040000006e3b3ba9a0c4f65e"),
         (24, "4d410118070000000b000000aaf07cfb87a2b4f705c501a2dd0b00"),
     ];
     for (tag, golden) in retired {
@@ -1042,7 +1043,7 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
 /// hand-written reader gave before the message table replaced it.
 #[test]
 fn every_decoder_meets_damaged_bodies_with_the_pinned_outcome() {
-    const OUTCOMES: (usize, u64) = (1820, 0xef41_f0d1_28e9_f23b);
+    const OUTCOMES: (usize, u64) = (1804, 0x4e3c_d766_f69e_1d61);
     let every_name = |s: &str| Name::new(s).ok();
     let mut outcomes = String::new();
     let mut count = 0;
@@ -1238,7 +1239,6 @@ fn wire_golden_pins_every_kind() {
         (MessageKind::FileQuery, "4d41010e0700000006000000bb8b39dea0c4f65ec501"),
         (MessageKind::FileAck, "4d41010f070000000a000000203089c7a0c4f65ec501c6000000"),
         (MessageKind::FileNack, "4d4101100700000011000000cc8b14a9a0c4f65ec501c60000000200c601930304"),
-        (MessageKind::FileCancel, "4d41011107000000040000006e3b3ba9a0c4f65e"),
         (MessageKind::Fragment, "4d410112070000000e0000002746de5187a2b4f705c501c601040001feff"),
         (MessageKind::RelData, "4d410113070000000c000000c13065b6c50087a2b4f705040001feff"),
         (MessageKind::RelAck, "4d4101140700000014000000b855e14ec5000711ed5e00000000000e22dabd000000b402"),
