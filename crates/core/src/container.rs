@@ -237,6 +237,8 @@ struct Scratch {
     released: Vec<Bytes>,
     /// What the link operation under way observed.
     link_events: LinkEvents,
+    /// The chunk burst or query one file transfer is sending.
+    file_group: Vec<Message>,
 }
 
 impl Scratch {
@@ -253,6 +255,7 @@ impl Scratch {
             + of(&events.retransmitted)
             + of(&events.abandoned)
             + of(&events.recovered_us)
+            + of(&self.file_group)
     }
 }
 
@@ -1410,19 +1413,22 @@ impl ServiceContainer {
 
     fn pump_files(&mut self, now: Micros) {
         let mut swept: Option<Name> = None;
-        while let Some(pumped) = self.files.pump_after(swept.as_ref(), now) {
+        let mut sent = std::mem::take(&mut self.scratch.file_group);
+        while let Some(pumped) = self.files.pump_after(swept.as_ref(), now, &mut sent) {
             if let Some(announce) = &pumped.control {
                 self.send_message(CONTROL, announce);
             }
             let group = TransportDestination::Group(file_group(&pumped.resource).0);
-            for chunk in &pumped.group {
-                self.send_message(group, chunk);
+            for chunk in sent.drain(..) {
+                self.send_message(group, &chunk);
             }
             if let Some((owner, done)) = pumped.done {
                 self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
             }
             swept = Some(pumped.resource);
         }
+        recycle(&mut sent);
+        self.scratch.file_group = sent;
     }
 
     fn emit_periodics(&mut self, now: Micros) {

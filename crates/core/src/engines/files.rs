@@ -99,8 +99,6 @@ pub(crate) struct Pumped {
     /// For the control group: the re-announce that opens a query round,
     /// so late joiners can subscribe mid-transfer (§4.4 phase overlap).
     pub control: Option<Message>,
-    /// For the resource's own group: a chunk burst, or the round's query.
-    pub group: Vec<Message>,
     /// The owner's notice, when this step served the last subscriber.
     pub done: Option<(u32, FileEvent)>,
 }
@@ -350,22 +348,30 @@ impl FileEngine {
     /// Pumps the first unfinished transfer after resource `after`, in
     /// name order, that has output at `now`: its next chunk burst, or —
     /// queue drained, query interval passed — a re-announce plus
-    /// completion query. `None` ends the sweep.
-    pub fn pump_after(&mut self, after: Option<&Name>, now: Micros) -> Option<Pumped> {
+    /// completion query. What goes to the resource's own group (the burst,
+    /// or the query) is appended to `group`. `None` ends the sweep.
+    pub fn pump_after(
+        &mut self,
+        after: Option<&Name>,
+        now: Micros,
+        group: &mut Vec<Message>,
+    ) -> Option<Pumped> {
         let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
         for (resource, out) in self.outgoing.range_mut::<Name, _>((lower, Bound::Unbounded)) {
             if out.sender.is_complete() {
                 continue;
             }
-            let (control, group) = if out.sender.has_pending_chunks() {
-                (None, out.sender.next_chunks(BURST))
+            let control = if out.sender.has_pending_chunks() {
+                out.sender.next_chunks_into(BURST, group);
+                None
             } else if out.query.take(now) {
-                (Some(out.sender.announce()), vec![out.sender.query()])
+                group.push(out.sender.query());
+                Some(out.sender.announce())
             } else {
                 continue;
             };
             let done = out.take_completion(resource);
-            return Some(Pumped { resource: resource.clone(), control, group, done });
+            return Some(Pumped { resource: resource.clone(), control, done });
         }
         None
     }

@@ -312,6 +312,45 @@ mod tests {
         assert_eq!(roundtrip(&v, &ty), v);
     }
 
+    /// `Value::size_hint` is what a publisher sizes the payload buffer by:
+    /// no scalar at either end of its range, and no struct or vector of
+    /// them, encodes to more, so the buffer never grows.
+    #[test]
+    fn no_scalar_at_its_extremes_encodes_past_its_size_hint() {
+        let scalars = [
+            (Value::Bool(true), DataType::Bool),
+            (Value::I8(i8::MIN), DataType::I8),
+            (Value::I16(i16::MIN), DataType::I16),
+            (Value::I16(i16::MAX), DataType::I16),
+            (Value::I32(i32::MIN), DataType::I32),
+            (Value::I32(i32::MAX), DataType::I32),
+            (Value::I64(i64::MIN), DataType::I64),
+            (Value::I64(i64::MAX), DataType::I64),
+            (Value::U8(u8::MAX), DataType::U8),
+            (Value::U16(u16::MAX), DataType::U16),
+            (Value::U32(u32::MAX), DataType::U32),
+            (Value::U64(u64::MAX), DataType::U64),
+            (Value::F32(f32::MIN), DataType::F32),
+            (Value::F64(f64::MAX), DataType::F64),
+            (Value::Char(char::MAX), DataType::Char),
+        ];
+        let fits = |value: &Value, ty: &DataType| {
+            let len = codec().encode_to_vec(value, ty).unwrap().len();
+            assert!(len <= value.size_hint(), "{ty}: {len} bytes, hint {}", value.size_hint());
+        };
+        let mut record = StructType::new("Extremes");
+        for (i, (value, ty)) in scalars.iter().enumerate() {
+            fits(value, ty);
+            let items = vec![value.clone(); 3];
+            let vector = Value::Vector(VectorValue::new(ty.clone(), items).unwrap());
+            fits(&vector, &DataType::Vector(VectorType::of(ty.clone())));
+            record = record.with_field(&format!("f{i}"), ty.clone()).unwrap();
+        }
+        let values = scalars.iter().map(|(value, _)| value.clone());
+        let value = Value::Struct(StructValue::for_type(&record, values));
+        fits(&value, &DataType::Struct(record));
+    }
+
     #[test]
     fn fixed_vectors_have_no_length_prefix() {
         let fixed = DataType::Vector(VectorType::fixed(DataType::U8, 4));

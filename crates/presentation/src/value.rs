@@ -455,14 +455,18 @@ impl Value {
         }
     }
 
-    /// Rough in-memory size in bytes, used by the container's resource
-    /// accounting (paper §3, *resource management*).
+    /// Size in bytes of a buffer that holds the value's compact encoding
+    /// without growing: each scalar at its widest varint, a length prefix
+    /// of up to 8 bytes per string, blob and container (paper §3,
+    /// *resource management*).
     pub fn size_hint(&self) -> usize {
         match self {
             Value::Bool(_) | Value::I8(_) | Value::U8(_) => 1,
-            Value::I16(_) | Value::U16(_) => 2,
-            Value::I32(_) | Value::U32(_) | Value::F32(_) | Value::Char(_) => 4,
-            Value::I64(_) | Value::U64(_) | Value::F64(_) => 8,
+            Value::I16(_) | Value::U16(_) => 3,
+            Value::F32(_) => 4,
+            Value::I32(_) | Value::U32(_) | Value::Char(_) => 5,
+            Value::F64(_) => 8,
+            Value::I64(_) | Value::U64(_) => 10,
             Value::Str(s) => s.len() + 8,
             Value::Bytes(b) => b.len() + 8,
             Value::Vector(v) => v.iter().map(Value::size_hint).sum::<usize>() + 8,

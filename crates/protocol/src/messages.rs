@@ -686,14 +686,15 @@ messages! {
 }
 
 /// What [`FrameBody::append_frame`] did with a message. Only `Frame`
-/// changes the datagram; after the other two it is as it was.
+/// changes the buffer; after the other two it is as it was.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Appended {
-    /// The datagram grew by one complete wire frame of this many bytes.
+    /// The open datagram grew by one complete wire frame of this many bytes.
     Frame(usize),
-    /// The datagram already holds a frame and this one would pass the MTU
-    /// behind it: append it to an empty datagram instead, where it is a
-    /// `Frame` or `Oversize`.
+    /// The buffer already holds bytes and this frame would pass the MTU in
+    /// the open datagram: open the next datagram for it, behind this one
+    /// (a `Frame`, or `NoRoom` again) or in an empty buffer (a `Frame` or
+    /// `Oversize`).
     NoRoom,
     /// The message fits no datagram: its [`Message::encode_tagged`] bytes,
     /// to be split with [`fragment_shared`](crate::fragment::fragment_shared).
@@ -715,47 +716,52 @@ pub trait FrameBody {
     /// Serializes the body (no kind byte, no frame header).
     fn write_body(&self, w: &mut WireWriter<'_>);
 
-    /// Encodes the body as the next frame of `datagram` — a buffer of
-    /// zero or more whole frames bound for a transport whose datagrams hold
-    /// `mtu` bytes. The frame is written straight behind the ones already
-    /// there (no buffer of its own) and checksummed in place. Only the
-    /// encoded size tells the three outcomes apart:
+    /// Encodes the body as the next frame of the open datagram: the tail of
+    /// `buf` from offset `open` on, zero or more whole frames bound for a
+    /// transport whose datagrams hold `mtu` bytes. What `buf` holds before
+    /// `open` is closed datagrams, left as they are. The frame is written
+    /// straight behind the bytes already there (no buffer of its own) and
+    /// checksummed in place. Only the encoded size tells the three outcomes
+    /// apart:
     ///
-    /// * it fits the room left: [`Appended::Frame`];
-    /// * `datagram` holds frames and this one would pass `mtu` behind
-    ///   them: [`Appended::NoRoom`], and `datagram` keeps what it held. A
+    /// * it fits the room the open datagram has left: [`Appended::Frame`];
+    /// * `buf` holds bytes and this frame would pass `mtu` in the open
+    ///   datagram: [`Appended::NoRoom`], and `buf` keeps what it held. A
     ///   message whose names and blobs alone overrun the room is not
     ///   encoded at all; one that only shows the overrun once encoded is
-    ///   cut off again. The caller appends it to an empty datagram, the
-    ///   buffer it owns for the next one;
-    /// * `datagram` is empty and the message does not fit `mtu`:
+    ///   cut off again. The caller opens the next datagram for it: behind
+    ///   this one (`open` = `buf.len()`), or in an empty buffer of its own;
+    /// * `buf` is empty and the message does not fit `mtu`:
     ///   [`Appended::Oversize`] carries its [`Message::encode_tagged`] form
     ///   for the sender to fragment — cut from the same bytes, because the
     ///   body sits behind a 16-byte header either way and the tagged form
     ///   is those bytes from the header's last byte on, with the kind byte
-    ///   dropped there.
+    ///   dropped there. Only an empty buffer hands its storage over this
+    ///   way, so a message that must be fragmented is written into a buffer
+    ///   of its own, never behind other datagrams.
     ///
     /// # Panics
     ///
-    /// Panics, like [`Frame::new`], if the body fits `mtu` but exceeds
+    /// Panics if `open` is past the end of `buf`, and, like [`Frame::new`],
+    /// if the body fits `mtu` but exceeds
     /// [`MAX_FRAME_PAYLOAD`](crate::MAX_FRAME_PAYLOAD).
-    fn append_frame(&self, src: NodeId, datagram: &mut BytesMut, mtu: usize) -> Appended {
-        let start = datagram.len();
-        if start > 0 && start + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
+    fn append_frame(&self, src: NodeId, buf: &mut BytesMut, open: usize, mtu: usize) -> Appended {
+        let (start, held) = (buf.len(), buf[open..].len());
+        if start > 0 && held + FRAME_HEADER_LEN + self.verbatim_len() > mtu {
             return Appended::NoRoom;
         }
-        write_frame(self, src, datagram);
-        if start > 0 && datagram.len() > mtu {
-            datagram.truncate(start);
+        write_frame(self, src, buf);
+        if start > 0 && buf.len() - open > mtu {
+            buf.truncate(start);
             return Appended::NoRoom;
         }
-        let len = datagram.len() - start;
+        let len = buf.len() - start;
         if len > mtu {
             let tag_at = FRAME_HEADER_LEN - 1;
-            datagram[tag_at] = self.kind().wire_tag();
-            return Appended::Oversize(std::mem::take(datagram).freeze().slice(tag_at..));
+            buf[tag_at] = self.kind().wire_tag();
+            return Appended::Oversize(std::mem::take(buf).freeze().slice(tag_at..));
         }
-        frame::finish_wire(datagram, start);
+        frame::finish_wire(buf, start);
         Appended::Frame(len)
     }
 }

@@ -85,6 +85,23 @@ impl ChunkBitmap {
         true
     }
 
+    /// Marks chunk `index` missing again; returns `true` if it was set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= total`, like [`ChunkBitmap::set`].
+    pub fn clear(&mut self, index: u32) -> bool {
+        assert!(index < self.total, "chunk index {index} out of range {}", self.total);
+        let (w, b) = (index as usize / 64, index % 64);
+        let mask = 1u64 << b;
+        if self.words[w] & mask == 0 {
+            return false;
+        }
+        self.words[w] &= !mask;
+        self.set_count -= 1;
+        true
+    }
+
     /// `true` if chunk `index` has been received.
     pub fn contains(&self, index: u32) -> bool {
         if index >= self.total {
@@ -144,9 +161,10 @@ pub struct FileSender {
     total_chunks: u32,
     group: GroupId,
     subscribers: BTreeSet<NodeId>,
-    /// Chunk indices queued for the current round (deduplicated).
+    /// Chunk indices queued for the current round, in sending order.
     queue: VecDeque<u32>,
-    queued: BTreeSet<u32>,
+    /// The same indices as a set, so none is queued twice.
+    queued: ChunkBitmap,
     /// Rounds a subscriber has survived without acking, for eviction.
     stale_rounds: BTreeMap<NodeId, u32>,
     max_stale_rounds: u32,
@@ -185,7 +203,7 @@ impl FileSender {
             group,
             subscribers: BTreeSet::new(),
             queue: VecDeque::new(),
-            queued: BTreeSet::new(),
+            queued: ChunkBitmap::new(total_chunks),
             stale_rounds: BTreeMap::new(),
             max_stale_rounds: 8,
             stats: SenderStats::default(),
@@ -255,7 +273,7 @@ impl FileSender {
     }
 
     fn enqueue(&mut self, index: u32) {
-        if self.queued.insert(index) {
+        if self.queued.set(index) {
             self.queue.push_back(index);
         }
     }
@@ -265,9 +283,17 @@ impl FileSender {
     /// [`FileSender::query`].
     pub fn next_chunks(&mut self, budget: usize) -> Vec<Message> {
         let mut out = Vec::new();
-        while out.len() < budget {
+        self.next_chunks_into(budget, &mut out);
+        out
+    }
+
+    /// [`next_chunks`](Self::next_chunks), appended to `out`: up to
+    /// `budget` chunk messages, room for all of them reserved at once.
+    pub fn next_chunks_into(&mut self, budget: usize, out: &mut Vec<Message>) {
+        out.reserve(budget.min(self.queue.len()));
+        for _ in 0..budget {
             let Some(index) = self.queue.pop_front() else { break };
-            self.queued.remove(&index);
+            self.queued.clear(index);
             let start = index as usize * self.chunk_size as usize;
             let end = usize::min(start + self.chunk_size as usize, self.data.len());
             let payload = self.data.slice(start..end);
@@ -280,7 +306,6 @@ impl FileSender {
                 payload,
             });
         }
-        out
     }
 
     /// `true` while chunks remain queued in the current round.
@@ -373,9 +398,13 @@ impl FileSender {
             u32::try_from(total).map_err(|_| ProtocolError::BadTransfer("too many chunks"))?;
         self.revision += 1;
         self.data = data;
+        for index in self.queue.drain(..) {
+            self.queued.clear(index);
+        }
+        if total_chunks != self.total_chunks {
+            self.queued = ChunkBitmap::new(total_chunks);
+        }
         self.total_chunks = total_chunks;
-        self.queue.clear();
-        self.queued.clear();
         for rounds in self.stale_rounds.values_mut() {
             *rounds = 0;
         }
@@ -723,6 +752,48 @@ mod tests {
         // Repair rounds resend only missing chunks: strictly fewer chunk
         // sends than two full passes.
         assert!(s.stats().chunks_sent < 2 * u64::from(s.total_chunks()) + 40);
+    }
+
+    #[test]
+    fn bitmap_clear_undoes_only_a_set() {
+        let mut b = ChunkBitmap::new(70);
+        assert!(!b.clear(65), "nothing to clear");
+        assert!(b.set(65) && b.set(3));
+        assert!(b.clear(65));
+        assert!(!b.contains(65) && b.contains(3));
+        assert_eq!(b.set_count(), 1);
+        assert!(!b.clear(65), "cleared once");
+        assert!(b.set(65), "set again after a clear");
+    }
+
+    /// The queue is a set: a chunk queued twice goes once, a chunk already
+    /// sent this round can be queued again, and `next_chunks_into` appends
+    /// what `next_chunks` returns.
+    #[test]
+    fn queued_chunks_go_once_and_sent_ones_can_be_queued_again() {
+        let data = vec![3u8; 4096];
+        let mut s = sender(&data, 512); // 8 chunks
+        s.on_subscribe(NodeId(2));
+        s.on_nack(NodeId(2), 1, &[(0, 8)]).unwrap();
+        let mut out = vec![Message::AnnounceRequest];
+        s.next_chunks_into(3, &mut out);
+        let index = |m: &Message| match m {
+            Message::FileChunk { index, .. } => *index,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(out[1..].iter().map(index).collect::<Vec<_>>(), [0, 1, 2]);
+        s.on_nack(NodeId(2), 1, &[(0, 2), (4, 1)]).unwrap();
+        let rest: Vec<u32> = s.next_chunks(usize::MAX).iter().map(index).collect();
+        assert_eq!(rest, [3, 4, 5, 6, 7, 0, 1]);
+        assert!(!s.has_pending_chunks());
+        // A new revision of another size starts from an empty queue.
+        s.bump_revision(Bytes::from(vec![4u8; 1024])).unwrap();
+        s.on_nack(NodeId(2), 2, &[(1, 1)]).unwrap();
+        assert_eq!(s.next_chunks(usize::MAX).iter().map(index).collect::<Vec<_>>(), [0, 1]);
+        // One of the same size, bumped mid-round, too.
+        s.on_nack(NodeId(2), 2, &[(1, 1)]).unwrap();
+        s.bump_revision(Bytes::from(vec![5u8; 1024])).unwrap();
+        assert_eq!(s.next_chunks(usize::MAX).iter().map(index).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]

@@ -685,36 +685,53 @@ proptest! {
                 let both = held.len() + wire.len();
                 let mut datagram = BytesMut::from(held.to_vec());
                 prop_assert_eq!(
-                    msg.append_frame(src, &mut datagram, both),
+                    msg.append_frame(src, &mut datagram, 0, both),
                     Appended::Frame(wire.len())
                 );
                 prop_assert_eq!(&datagram[..], &[held.as_ref(), wire.as_ref()].concat()[..]);
 
                 let mut datagram = BytesMut::from(held.to_vec());
-                let short = msg.append_frame(src, &mut datagram, both - 1);
+                let short = msg.append_frame(src, &mut datagram, 0, both - 1);
                 if held.is_empty() {
                     prop_assert_eq!(short, Appended::Oversize(tagged.clone()));
                 } else {
                     prop_assert_eq!(short, Appended::NoRoom);
                     let mut alone = BytesMut::new();
-                    let again = msg.append_frame(src, &mut alone, both - 1);
+                    let again = msg.append_frame(src, &mut alone, 0, both - 1);
                     prop_assert_eq!(again, Appended::Frame(wire.len()));
                     prop_assert_eq!(&alone[..], wire.as_ref());
                 }
                 prop_assert_eq!(&datagram[..], held.as_ref());
 
                 let mut datagram = BytesMut::from(held.to_vec());
-                let oversize = msg.append_frame(src, &mut datagram, wire.len() - 1);
+                let oversize = msg.append_frame(src, &mut datagram, 0, wire.len() - 1);
                 if held.is_empty() {
                     prop_assert_eq!(oversize, Appended::Oversize(tagged.clone()));
                 } else {
                     prop_assert_eq!(oversize, Appended::NoRoom);
                     let mut alone = BytesMut::new();
-                    let again = msg.append_frame(src, &mut alone, wire.len() - 1);
+                    let again = msg.append_frame(src, &mut alone, 0, wire.len() - 1);
                     prop_assert_eq!(again, Appended::Oversize(tagged.clone()));
                     prop_assert!(alone.is_empty());
                 }
                 prop_assert_eq!(&datagram[..], held.as_ref());
+
+                // As the next datagram behind the held one, in its buffer,
+                // the frame is what it is alone when it fits the MTU; when
+                // it does not, only an empty buffer hands its bytes over as
+                // the tagged form, and a full one is left as it was.
+                let mut buffer = BytesMut::from(held.to_vec());
+                let behind = msg.append_frame(src, &mut buffer, held.len(), wire.len());
+                prop_assert_eq!(behind, Appended::Frame(wire.len()));
+                prop_assert_eq!(&buffer[..], &[held.as_ref(), wire.as_ref()].concat()[..]);
+                let mut buffer = BytesMut::from(held.to_vec());
+                let behind = msg.append_frame(src, &mut buffer, held.len(), wire.len() - 1);
+                if held.is_empty() {
+                    prop_assert_eq!(behind, Appended::Oversize(tagged.clone()));
+                } else {
+                    prop_assert_eq!(behind, Appended::NoRoom);
+                    prop_assert_eq!(&buffer[..], held.as_ref());
+                }
             }
         }
     }
@@ -741,7 +758,7 @@ proptest! {
             payload: &blob,
         };
         let mut datagram = BytesMut::new();
-        let appended = shard.append_frame(NodeId(1), &mut datagram, usize::MAX);
+        let appended = shard.append_frame(NodeId(1), &mut datagram, 0, usize::MAX);
         prop_assert_eq!(appended, Appended::Frame(datagram.len()));
         prop_assert!(shard.verbatim_len() <= datagram.len() - FRAME_HEADER_LEN);
         prop_assert_eq!(&datagram[..], &shard.to_message().into_frame(NodeId(1)).encode()[..]);
