@@ -15,7 +15,7 @@
 //!    bounded by a per-tick budget, applying the effects services queue.
 //!
 //! The container itself is wiring. State lives in owned components — the
-//! [`Directory`], the link table, the gossip cadences, the timers and one
+//! [`Directory`], the peer table, the gossip cadences, the timers and one
 //! engine per primitive — each of which decides over its own fields and
 //! answers `next_due()` from them. What is left here is what crosses
 //! components: frame dispatch, scheduler pushes, transport sends, tracer
@@ -48,7 +48,7 @@ use crate::engines::vars::{var_group, SampleDrop, VarEngine};
 use crate::engines::Rebind;
 use crate::error::{CallError, ContainerError};
 use crate::gossip::Gossip;
-use crate::link::{LinkEvents, LinkTable, Received};
+use crate::link::{LinkEvents, PeerTable, Received};
 use crate::outbox::Outbox;
 use crate::qos::CallOptions;
 use crate::scheduler::{Priority, Scheduler, SchedulerKind, Task, TaskPayload};
@@ -78,8 +78,8 @@ const SCRATCH_KEEP_BYTES: usize = 384;
 const TAGGED_KEEP_BYTES: usize = 1024;
 
 /// Bound on [`Occupancy::scratch_bytes`] whenever the container is not
-/// inside a call: eight vectors and the tagged-encode buffer.
-pub const SCRATCH_CAP_BYTES: usize = 8 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
+/// inside a call: seven vectors and the tagged-encode buffer.
+pub const SCRATCH_CAP_BYTES: usize = 7 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
 
 /// Bound on [`Occupancy::loan_bytes`] of a container with `links` reliable
 /// links: the outbox's loan, the transport's, the call path's marshalling
@@ -227,8 +227,6 @@ struct Scratch {
     tagged: BytesMut,
     /// Effects of the handler that just ran.
     effects: Vec<Effect>,
-    /// Remote subscribers of the event or variable being published.
-    remote: Vec<NodeId>,
     /// Tagged messages one `FecShard` carried or rebuilt. Not the buffer
     /// below: a shard releases a `RelData` that releases inner messages,
     /// so the two are in use at once.
@@ -249,7 +247,6 @@ impl Scratch {
         let events = &self.link_events;
         self.tagged.capacity()
             + of(&self.effects)
-            + of(&self.remote)
             + of(&self.shard_inner)
             + of(&self.released)
             + of(&events.retransmitted)
@@ -315,7 +312,7 @@ pub struct ServiceContainer {
     slots: Vec<ServiceSlot>,
     directory: Directory,
     tasks: TaskQueue,
-    links: LinkTable,
+    peers: PeerTable,
     gossip: Gossip,
     timers: Timers,
     vars: VarEngine,
@@ -353,7 +350,7 @@ impl ServiceContainer {
             scratch: Scratch::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
-            links: LinkTable::new(config.fec_cap),
+            peers: PeerTable::new(config.fec_cap),
             gossip: Gossip::new(config.heartbeat_period, config.announce_period),
             timers: Timers::default(),
             vars: VarEngine::default(),
@@ -405,7 +402,7 @@ impl ServiceContainer {
 
     /// Counter snapshot: the container's own counters plus the ones each
     /// component keeps for itself (mismatches and QoS on the engines, FEC
-    /// on the link table, latency histograms on the tracer).
+    /// on the peer table, latency histograms on the tracer).
     pub fn stats(&self) -> ContainerStats {
         let mut stats = self.stats;
         self.vars.fill_stats(&mut stats);
@@ -413,7 +410,7 @@ impl ServiceContainer {
         self.rpc.fill_stats(&mut stats);
         self.files.fill_stats(&mut stats);
         self.outbox.fill_stats(&mut stats);
-        stats.fec = self.links.fec_stats();
+        stats.fec = self.peers.fec_stats();
         stats.publish_to_deliver = self.tracer.publish_to_deliver;
         stats.event_to_deliver = self.tracer.event_to_deliver;
         stats.call_rtt = self.tracer.call_rtt;
@@ -426,8 +423,9 @@ impl ServiceContainer {
         let mut occupancy = Occupancy {
             directory_nodes: self.directory.node_count(),
             directory_provisions: self.directory.provision_count(),
-            links: self.links.len(),
-            active_links: self.links.active_len(),
+            links: self.peers.len(),
+            active_links: self.peers.active_len(),
+            remote_subscribers: self.peers.subscriber_count(),
             pending_calls: self.rpc.pending_count(),
             reassembling: self.reassembler.pending_count(),
             timers: self.timers.len(),
@@ -436,11 +434,10 @@ impl ServiceContainer {
             loan_bytes: self.outbox.loan_bytes()
                 + self.transport.loan_bytes()
                 + self.rpc.loan_bytes()
-                + self.links.spare_bytes(),
+                + self.peers.spare_bytes(),
             ..Occupancy::default()
         };
         self.vars.fill_occupancy(&mut occupancy);
-        self.events.fill_occupancy(&mut occupancy);
         self.files.fill_occupancy(&mut occupancy);
         occupancy
     }
@@ -507,7 +504,7 @@ impl ServiceContainer {
     /// Aggregated ARQ statistics over all reliable links, alive or dropped
     /// with their peer: monotone over the container's life.
     pub fn arq_stats(&self) -> marea_protocol::arq::ArqStats {
-        self.links.arq_stats()
+        self.peers.arq_stats()
     }
 
     /// Recent container log lines (oldest first).
@@ -531,14 +528,17 @@ impl ServiceContainer {
         if self.slots.iter().any(|s| s.descriptor.name() == descriptor.name().as_str()) {
             return Err(ContainerError::DuplicateService(descriptor.name().clone()));
         }
-        for p in descriptor.provides() {
-            let name = p.name();
-            let taken =
-                self.slots.iter().any(|s| s.descriptor.find_provision(name.as_str()).is_some());
-            if taken {
-                return Err(ContainerError::DuplicateProvision(name.clone()));
+        // A name is one provision per node, whatever its kind: the peer
+        // table keys its subscribers by name alone.
+        let provides = descriptor.provides();
+        for (i, p) in provides.iter().enumerate() {
+            let name = p.name().as_str();
+            let twice = provides[..i].iter().any(|q| q.name() == name);
+            if twice || self.slots.iter().any(|s| s.descriptor.find_provision(name).is_some()) {
+                return Err(ContainerError::DuplicateProvision(p.name().clone()));
             }
         }
+        self.peers.provide(provides);
         let seq = self.slots.len() as u32 + 1;
         self.vars.register(seq, &descriptor);
         self.events.register(seq, &descriptor);
@@ -713,7 +713,7 @@ impl ServiceContainer {
             self.reassembler.next_expiry(),
             self.files.next_due(),
             Some(self.gossip.next_due()),
-            self.links.next_due(),
+            self.peers.next_due(),
         ]
         .into_iter()
         .flatten()
@@ -772,7 +772,7 @@ impl ServiceContainer {
                     }
                 };
                 if relink {
-                    self.links.renegotiate(src, Some(fec_cap));
+                    self.peers.renegotiate(src, Some(fec_cap));
                 }
                 // A node or a life not seen before: availability may have
                 // shifted. A cap or digest difference alone re-plans nothing.
@@ -815,11 +815,9 @@ impl ServiceContainer {
                 }
             }
             Message::SubscribeVar { name, subscriber, need_initial } => {
-                let Some((sample, stamp)) =
-                    self.vars.on_subscribe(&name, subscriber, need_initial, now)
-                else {
-                    return;
-                };
+                self.peers.set_subscriber(&name, subscriber, true);
+                let initial = self.vars.on_subscribe(&name, need_initial, now);
+                let Some((sample, stamp)) = initial else { return };
                 // The resend gets a fresh causal id: it is this container
                 // re-publishing the retained sample towards one subscriber.
                 let trace = self.tracer.mint();
@@ -843,16 +841,14 @@ impl ServiceContainer {
                 };
                 // The initial exact value is *guaranteed* (§4.1), so unlike the
                 // periodic samples it travels on the reliable channel.
-                self.send_reliable(subscriber, &msg, now);
-            }
-            Message::UnsubscribeVar { name, subscriber } => {
-                self.vars.on_unsubscribe(&name, subscriber);
+                self.send_reliable(subscriber, None, &msg, now);
             }
             Message::SubscribeEvent { name, subscriber } => {
-                self.events.set_remote_subscriber(&name, subscriber, true);
+                self.peers.set_subscriber(&name, subscriber, true);
             }
-            Message::UnsubscribeEvent { name, subscriber } => {
-                self.events.set_remote_subscriber(&name, subscriber, false);
+            Message::UnsubscribeVar { name, subscriber }
+            | Message::UnsubscribeEvent { name, subscriber } => {
+                self.peers.set_subscriber(&name, subscriber, false);
             }
             Message::VarSample { name, seq, stamp_us, validity_us, trace, codec, payload } => {
                 let trace = TraceId::from_wire(src, trace);
@@ -903,7 +899,7 @@ impl ServiceContainer {
             Message::RelData { seq, payload, .. } => {
                 let cap = self.peer_cap(src);
                 let mut released = std::mem::take(&mut self.scratch.released);
-                let received = self.links.on_data(src, cap, seq, payload, &mut released);
+                let received = self.peers.on_data(src, cap, seq, payload, &mut released);
                 self.deliver_inner(src, received, &mut released, now);
                 self.scratch.released = released;
             }
@@ -911,7 +907,7 @@ impl ServiceContainer {
                 let cap = self.peer_cap(src);
                 let mut inner = std::mem::take(&mut self.scratch.shard_inner);
                 let received =
-                    self.links.on_shard(src, cap, group, index, k, r, &payload, &mut inner);
+                    self.peers.on_shard(src, cap, group, index, k, r, &payload, &mut inner);
                 self.deliver_inner(src, received, &mut inner, now);
                 self.scratch.shard_inner = inner;
             }
@@ -919,7 +915,7 @@ impl ServiceContainer {
                 let mut sink =
                     self.outbox.to(TransportDestination::Node(src.0), self.transport.mtu());
                 let events = &mut self.scratch.link_events;
-                self.links.on_ack(src, cumulative, sack, loss_permille, now, &mut sink, events);
+                self.peers.on_ack(src, cumulative, sack, loss_permille, now, &mut sink, events);
                 for us in events.recovered_us.drain(..) {
                     self.tracer.record_rto_recovery(us);
                 }
@@ -965,7 +961,7 @@ impl ServiceContainer {
                             codec,
                             payload: Bytes::new(),
                         };
-                        self.send_reliable(src, &refusal, now);
+                        self.send_reliable(src, None, &refusal, now);
                     }
                 }
             }
@@ -1012,12 +1008,12 @@ impl ServiceContainer {
                 self.tasks.fan_out(Priority::FILE, services, (resource.clone(), data), received);
                 if let Some(publisher) = publisher {
                     let ack = Message::FileAck { transfer, revision, subscriber: self.config.node };
-                    self.send_reliable(publisher, &ack, now);
+                    self.send_reliable(publisher, None, &ack, now);
                 }
             }
             Message::FileQuery { transfer, revision } => {
                 if let Some(response) = self.files.on_query(src, transfer, revision) {
-                    self.send_reliable(src, &response, now);
+                    self.send_reliable(src, None, &response, now);
                 }
             }
             Message::FileSubscribe { .. } | Message::FileAck { .. } | Message::FileNack { .. } => {
@@ -1136,7 +1132,7 @@ impl ServiceContainer {
                 }
                 let subscribe =
                     Message::FileSubscribe { transfer: *transfer, subscriber: self.config.node };
-                self.send_reliable(src, &subscribe, now);
+                self.send_reliable(src, None, &subscribe, now);
                 let (revision, size) = (*revision, *size);
                 let announced =
                     |resource| TaskPayload::File(FileEvent::Announced { resource, revision, size });
@@ -1150,10 +1146,12 @@ impl ServiceContainer {
     fn handle_node_death(&mut self, node: NodeId, now: Micros) {
         self.log_line(now, format!("node {node} declared dead; purging name cache"));
         self.subs_dirty = true;
-        if self.links.drop_peer(node) {
+        if self.peers.end(node) {
             self.trace_link(now, TraceKind::LinkDown, node, 0);
         }
         self.trace_link(now, TraceKind::DirExpire, node, 0);
+        // The next life numbers its fragmented messages afresh.
+        self.reassembler.forget(node);
         // Variable/event subscriptions bound to the dead node are *not*
         // unbound here: the directory purge makes their resolution fail,
         // and maintain_subscriptions turns that into the unbind + the
@@ -1161,10 +1159,6 @@ impl ServiceContainer {
         for id in self.rpc.sorted_targeting(|target| target.node == node) {
             self.failover_call(id, now);
         }
-        // Nothing more is published towards the dead node: a reliable send
-        // would re-open the link just dropped and retransmit into the void.
-        self.vars.drop_peer(node);
-        self.events.drop_peer(node);
         self.files.drop_peer(node);
     }
 
@@ -1241,11 +1235,11 @@ impl ServiceContainer {
     ) -> Option<ProviderNotice> {
         let (node, bound) = (self.config.node, rebind.bound.map(|p| p.node));
         if let Some(provider) = bound.filter(|&p| p != node) {
-            self.send_reliable(provider, &subscribe, now);
+            self.send_reliable(provider, None, &subscribe, now);
         }
         let left = rebind.left.map(|p| p.node).filter(|&l| l != node && Some(l) != bound);
         if let Some(left) = left.filter(|&l| self.directory.node_alive(l)) {
-            self.send_reliable(left, &unsubscribe, now);
+            self.send_reliable(left, None, &unsubscribe, now);
         }
         rebind.available().map(|up| (if up { gained } else { lost })(name.clone()))
     }
@@ -1324,7 +1318,7 @@ impl ServiceContainer {
                 codec: self.codecs.default_id().0,
                 payload,
             };
-            self.send_reliable(call.target.node, &msg, now);
+            self.send_reliable(call.target.node, None, &msg, now);
         }
     }
 
@@ -1382,7 +1376,7 @@ impl ServiceContainer {
                 codec: codec.id().0,
                 payload,
             };
-            self.send_reliable(caller, &reply, now);
+            self.send_reliable(caller, None, &reply, now);
         }
     }
 
@@ -1390,11 +1384,11 @@ impl ServiceContainer {
 
     fn poll_links(&mut self, now: Micros) {
         let mut swept = None;
-        while let Some(peer) = self.links.next_active(swept) {
+        while let Some(peer) = self.peers.next_active(swept) {
             swept = Some(peer);
             let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
             let events = &mut self.scratch.link_events;
-            self.links.poll(peer, now, &mut sink, events);
+            self.peers.poll(peer, now, &mut sink, events);
             for seq in events.retransmitted.drain(..) {
                 let kind = TraceKind::RelRetransmit;
                 self.tracer.record(now, kind, TraceId::NONE, Some(peer), seq, None);
@@ -1734,13 +1728,11 @@ impl ServiceContainer {
                 self.send_message(TransportDestination::Group(var_group(&name).0), &msg);
             }
             VarDistribution::UnicastFanout => {
-                let mut remote = std::mem::take(&mut self.scratch.remote);
-                remote.extend(self.vars.remote_subscribers(&name));
-                for node in &remote {
+                let mut after = None;
+                while let Some(node) = self.peers.next_subscriber(&name, after) {
+                    after = Some(node);
                     self.send_message(TransportDestination::Node(node.0), &msg);
                 }
-                recycle(&mut remote);
-                self.scratch.remote = remote;
             }
         }
     }
@@ -1766,22 +1758,18 @@ impl ServiceContainer {
         if self.events.hears(&name, self.config.node) {
             self.deliver_event(&name, local, emitted.seq, now, trace, now);
         }
-        // Remote delivery over the reliable links.
-        let mut remote = std::mem::take(&mut self.scratch.remote);
-        remote.extend(self.events.remote_subscribers(&name));
+        // Remote delivery over the reliable links: encoded once, the same
+        // tagged bytes to every subscriber's link.
+        let Some(first) = self.peers.next_subscriber(&name, None) else { return };
         let msg = Message::EventData {
-            name,
+            name: name.clone(),
             seq: emitted.seq,
             stamp_us: now.as_micros(),
             trace: trace.wire(),
             codec,
             payload: emitted.payload,
         };
-        for node in &remote {
-            self.send_reliable(*node, &msg, now);
-        }
-        recycle(&mut remote);
-        self.scratch.remote = remote;
+        self.send_reliable(first, Some(&name), &msg, now);
     }
 
     fn effect_call(
@@ -1864,20 +1852,24 @@ impl ServiceContainer {
         self.directory.node(peer).map(|n| n.fec_cap)
     }
 
-    /// Sends `msg` to `peer` over the reliable link: encoded once, into
-    /// the scratch buffer; what the link releases now is staged at once.
-    fn send_reliable(&mut self, peer: NodeId, msg: &Message, now: Micros) {
-        let cap = self.peer_cap(peer);
-        let tagged = &mut self.scratch.tagged;
-        tagged.clear();
-        msg.encode_tagged_into(tagged);
-        let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
-        let fresh = self.links.send(peer, cap, tagged, now, &mut sink);
-        if tagged.capacity() > TAGGED_KEEP_BYTES {
-            *tagged = BytesMut::new();
+    /// Sends `msg` over the reliable link to `peer` and, given a name `of`,
+    /// to each subscriber of it after `peer` in node order: encoded once,
+    /// into the scratch buffer, and every link gets the same tagged bytes;
+    /// what a link releases now is staged at once.
+    fn send_reliable(&mut self, peer: NodeId, of: Option<&Name>, msg: &Message, now: Micros) {
+        self.scratch.tagged.clear();
+        msg.encode_tagged_into(&mut self.scratch.tagged);
+        let mut to = Some(peer);
+        while let Some(peer) = to {
+            let cap = self.peer_cap(peer);
+            let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
+            if self.peers.send(peer, cap, &self.scratch.tagged, now, &mut sink) {
+                self.trace_link(now, TraceKind::LinkUp, peer, 0);
+            }
+            to = of.and_then(|name| self.peers.next_subscriber(name, Some(peer)));
         }
-        if fresh {
-            self.trace_link(now, TraceKind::LinkUp, peer, 0);
+        if self.scratch.tagged.capacity() > TAGGED_KEEP_BYTES {
+            self.scratch.tagged = BytesMut::new();
         }
     }
 
@@ -1937,6 +1929,44 @@ mod tests {
             assert!(self.timers_seen < 2, "deliberate test panic");
             ctx.set_degraded(true);
         }
+    }
+
+    /// A service that only declares.
+    struct Declares(ServiceDescriptor);
+
+    impl Service for Declares {
+        fn descriptor(&self) -> ServiceDescriptor {
+            self.0.clone()
+        }
+    }
+
+    /// A name is one provision per node, whatever its kind: a descriptor
+    /// that provides one twice is refused, as is one that provides what
+    /// another local service does, and the peer table files the name once.
+    #[test]
+    fn a_name_is_one_provision_per_node_across_kinds() {
+        use crate::{EventPort, VarPort, VarQos};
+        let hub = marea_transport::InProcHub::new();
+        let config = ContainerConfig::new("uav", NodeId(1));
+        let mut c = ServiceContainer::new(config, Box::new(hub.attach(1)));
+        let (var, event) = (VarPort::<u8>::new("cam/scan"), EventPort::<u8>::new("cam/scan"));
+        let refused = Err(ContainerError::DuplicateProvision(Name::new("cam/scan").unwrap()));
+
+        let mut both = ServiceDescriptor::builder("both");
+        both.provides_var(&var, VarQos::default()).provides_event(&event);
+        assert_eq!(c.add_service(Box::new(Declares(both.build()))), refused);
+        c.peers.set_subscriber(var.name(), NodeId(2), true);
+        assert_eq!(c.occupancy().remote_subscribers, 0, "a refused service publishes nothing");
+
+        let mut publisher = ServiceDescriptor::builder("publisher");
+        publisher.provides_var(&var, VarQos::default());
+        assert!(c.add_service(Box::new(Declares(publisher.build()))).is_ok());
+        let mut emitter = ServiceDescriptor::builder("emitter");
+        emitter.provides_event(&event);
+        assert_eq!(c.add_service(Box::new(Declares(emitter.build()))), refused);
+        assert_eq!(c.slots.len(), 1, "only the publisher is hosted");
+        c.peers.set_subscriber(var.name(), NodeId(2), true);
+        assert_eq!(c.occupancy().remote_subscribers, 1);
     }
 
     fn burst_port() -> crate::EventPort<Vec<u8>> {

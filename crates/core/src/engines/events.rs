@@ -1,6 +1,6 @@
 //! Event primitive bookkeeping (paper §4.2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -14,7 +14,7 @@ use crate::directory::Directory;
 use crate::qos::{DropPolicy, EventQos};
 use crate::scheduler::Priority;
 use crate::service::ServiceDescriptor;
-use crate::stats::{ContainerStats, EventSubscriptionStats, Occupancy};
+use crate::stats::{ContainerStats, EventSubscriptionStats};
 
 /// Publisher-side state of one declared event channel.
 #[derive(Debug)]
@@ -25,9 +25,6 @@ struct PublishedEvent {
     ty: Option<DataType>,
     /// Next event sequence number on this channel.
     seq: u64,
-    /// Remote nodes with at least one subscriber; each gets a reliable
-    /// copy of every event.
-    remote_subscribers: BTreeSet<NodeId>,
 }
 
 /// One local subscriber of an event channel and its declared contract.
@@ -123,12 +120,7 @@ impl EventEngine {
     pub fn register(&mut self, seq: u32, descriptor: &ServiceDescriptor) {
         for p in descriptor.provides() {
             let Provision::Event { name, ty } = p else { continue };
-            let channel = PublishedEvent {
-                owner_seq: seq,
-                ty: ty.clone(),
-                seq: 0,
-                remote_subscribers: BTreeSet::new(),
-            };
+            let channel = PublishedEvent { owner_seq: seq, ty: ty.clone(), seq: 0 };
             self.published.insert(name.clone(), channel);
         }
         for sub in descriptor.event_subscriptions() {
@@ -251,30 +243,6 @@ impl EventEngine {
         }
     }
 
-    /// Adds (`subscribed`) or forgets a remote subscriber of a channel.
-    pub fn set_remote_subscriber(&mut self, name: &Name, node: NodeId, subscribed: bool) {
-        let Some(pe) = self.published.get_mut(name) else { return };
-        if subscribed {
-            pe.remote_subscribers.insert(node);
-        } else {
-            pe.remote_subscribers.remove(&node);
-        }
-    }
-
-    /// `node` died: it subscribes to nothing any more (a restarted node
-    /// subscribes afresh when it binds).
-    pub fn drop_peer(&mut self, node: NodeId) {
-        for pe in self.published.values_mut() {
-            pe.remote_subscribers.remove(&node);
-        }
-    }
-
-    /// Remote subscriber nodes of a published channel, in node order;
-    /// each gets a reliable copy of every event.
-    pub fn remote_subscribers(&self, name: &Name) -> impl Iterator<Item = NodeId> + '_ {
-        self.published.get(name).into_iter().flat_map(|pe| pe.remote_subscribers.iter().copied())
-    }
-
     /// Re-resolves every subscription against `directory`; answers the
     /// bindings that changed, in name order.
     pub fn rebind_all(&mut self, directory: &Directory) -> Vec<(Name, Rebind)> {
@@ -298,12 +266,6 @@ impl EventEngine {
         stats.qos.queue_drops = self.subscribed.values().map(|s| s.total_drops()).sum();
         stats.foreign_drops +=
             self.subscribed.values().map(|s| s.binding.foreign_drops).sum::<u64>();
-    }
-
-    /// Writes the gauges this engine owns.
-    pub fn fill_occupancy(&self, occupancy: &mut Occupancy) {
-        occupancy.remote_subscribers +=
-            self.published.values().map(|p| p.remote_subscribers.len()).sum::<usize>();
     }
 
     /// QoS counters of one subscribed channel.

@@ -1,6 +1,6 @@
 //! Variable primitive bookkeeping (paper §4.1).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -59,9 +59,6 @@ struct PublishedVar {
     /// to new subscribers as the guaranteed initial value while still
     /// valid.
     last: Option<(Bytes, Micros)>,
-    /// Remote nodes that subscribed (bookkeeping/diagnostics only; samples
-    /// go to the multicast group regardless).
-    remote_subscribers: BTreeSet<NodeId>,
 }
 
 impl PublishedVar {
@@ -309,7 +306,6 @@ impl VarEngine {
                 validity_us: *validity_us,
                 seq: 0,
                 last: None,
-                remote_subscribers: BTreeSet::new(),
             };
             self.published.insert(name.clone(), var);
         }
@@ -414,43 +410,21 @@ impl VarEngine {
         Ok((value, &sub.services))
     }
 
-    /// Registers a remote subscriber; answers the retained sample and its
-    /// production stamp if it asked for the initial value and that is
-    /// still valid.
+    /// A remote subscription to `name`: the retained sample and its
+    /// production stamp, if the subscriber asked for the initial value and
+    /// that is still valid.
     pub fn on_subscribe(
-        &mut self,
+        &self,
         name: &Name,
-        subscriber: NodeId,
         need_initial: bool,
         now: Micros,
     ) -> Option<(Sample, Micros)> {
-        let pv = self.published.get_mut(name)?;
-        pv.remote_subscribers.insert(subscriber);
+        let pv = self.published.get(name)?;
         if !(need_initial && pv.last_is_valid(now)) {
             return None;
         }
         let (payload, stamp) = pv.last.clone()?;
         Some((Sample { payload, seq: pv.seq, validity_us: pv.validity_us }, stamp))
-    }
-
-    /// Forgets a remote subscriber.
-    pub fn on_unsubscribe(&mut self, name: &Name, subscriber: NodeId) {
-        if let Some(pv) = self.published.get_mut(name) {
-            pv.remote_subscribers.remove(&subscriber);
-        }
-    }
-
-    /// `node` died: it subscribes to nothing any more (a restarted node
-    /// subscribes afresh when it binds).
-    pub fn drop_peer(&mut self, node: NodeId) {
-        for pv in self.published.values_mut() {
-            pv.remote_subscribers.remove(&node);
-        }
-    }
-
-    /// Remote subscriber nodes of a published variable, in node order.
-    pub fn remote_subscribers(&self, name: &Name) -> impl Iterator<Item = NodeId> + '_ {
-        self.published.get(name).into_iter().flat_map(|pv| pv.remote_subscribers.iter().copied())
     }
 
     /// Re-resolves every subscription against `directory`; answers the
@@ -527,8 +501,6 @@ impl VarEngine {
     pub fn fill_occupancy(&self, occupancy: &mut Occupancy) {
         occupancy.vars_bound =
             self.subscribed.values().filter(|s| s.binding.provider.is_some()).count();
-        occupancy.remote_subscribers +=
-            self.published.values().map(|p| p.remote_subscribers.len()).sum::<usize>();
     }
 
     /// QoS counters of one subscribed variable.
@@ -969,7 +941,6 @@ mod tests {
             validity_us: 100_000,
             seq: 0,
             last: None,
-            remote_subscribers: BTreeSet::new(),
         };
         assert!(!p.last_is_valid(Micros::ZERO));
         p.last = Some((Bytes::from_static(b"x"), Micros(50_000)));

@@ -11,8 +11,10 @@
 //! data is bound for the same peer that tick — an RPC reply travels with
 //! the ack of its request, the next request with the ack of that reply —
 //! and costs a `Transport::send` of its own only when nothing else is.
-//! The container's `LinkTable` creates links on first use, negotiates their
-//! code rate and knows which ones a poll sweep must visit.
+//! The container's `PeerTable` creates links on first use, negotiates their
+//! code rate and knows which ones a poll sweep must visit; it also holds
+//! which peers subscribe to what this node publishes, so a peer's session
+//! ends in one call.
 //!
 //! A link stores a message once — the ARQ sender's envelope, or a copy in
 //! the backlog while the window is full — and returns no buffers. Every
@@ -34,8 +36,10 @@ use std::ops::Bound;
 
 use bytes::Bytes;
 
+use marea_presentation::Name;
 use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, ArqStats, Envelope};
 use marea_protocol::fec::{FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats};
+use marea_protocol::messages::Provision;
 use marea_protocol::{Message, Micros, NodeId, ProtoDuration, WireSink};
 
 use crate::stats::FecStats;
@@ -396,15 +400,18 @@ pub(crate) struct Received {
     pub repaired: u64,
 }
 
-/// Every reliable link of one container, by peer.
+/// Every peer's session with one container: the reliable link to it, and
+/// its subscriptions to the variables and event channels this node
+/// publishes. [`end`](Self::end) closes both, so a session cannot be
+/// half-ended.
 ///
 /// `active` holds exactly the peers whose link
 /// [`needs_poll`](ReliableLink::needs_poll), after every operation
-/// ([`LinkTable::on`] is the one place that keeps it so). The poll sweep
+/// ([`PeerTable::on`] is the one place that keeps it so). The poll sweep
 /// and [`next_due`](Self::next_due) read that set: a quiescent link costs
 /// nothing per tick, and no link with output pending can be forgotten.
 #[derive(Debug, Default)]
-pub(crate) struct LinkTable {
+pub(crate) struct PeerTable {
     /// This node's advertised FEC capability (`Off` when disabled); each
     /// link runs the weaker of it and what its peer advertised.
     local_cap: FecRate,
@@ -413,19 +420,23 @@ pub(crate) struct LinkTable {
     /// link is ~0.5 KiB, and a B-tree node reserves room for eleven.
     by_peer: BTreeMap<NodeId, Box<ReliableLink>>,
     active: BTreeSet<NodeId>,
+    /// Peers subscribed to each variable and event channel this node
+    /// publishes ([`provide`](Self::provide)), by name, each set in node
+    /// order. Sized to fit: a B-tree node reserves room for eleven.
+    subscribers: Vec<(Name, BTreeSet<NodeId>)>,
     /// Some link was touched since `negotiated_rate_max` was last derived.
     changed: bool,
     /// Shard counters — per event, because links die with their peers and
     /// the counters must survive that — and the rate gauge.
     fec: FecStats,
-    /// ARQ sender counters of the links dropped so far: what
+    /// ARQ sender counters of the links ended so far: what
     /// [`arq_stats`](Self::arq_stats) reports never runs backwards.
     retired: ArqStats,
 }
 
-impl LinkTable {
+impl PeerTable {
     pub fn new(local_cap: FecRate) -> Self {
-        LinkTable { local_cap, ..Default::default() }
+        PeerTable { local_cap, ..Default::default() }
     }
 
     /// The code rate towards a peer that advertised tag `peer_cap`.
@@ -575,8 +586,55 @@ impl LinkTable {
         self.on(peer, |link| link.poll_into(now, sink, events));
     }
 
-    /// `peer` died: its link goes with it. `true` if there was one.
-    pub fn drop_peer(&mut self, peer: NodeId) -> bool {
+    /// This node publishes the variables and event channels among
+    /// `provisions`: peers may subscribe to them.
+    pub fn provide(&mut self, provisions: &[Provision]) {
+        for p in provisions {
+            if let Provision::Variable { name, .. } | Provision::Event { name, .. } = p {
+                if let Err(at) = self.filed(name) {
+                    self.subscribers.reserve_exact(1);
+                    self.subscribers.insert(at, (name.clone(), BTreeSet::new()));
+                }
+            }
+        }
+    }
+
+    /// Where `name` is filed, or would be.
+    fn filed(&self, name: &Name) -> Result<usize, usize> {
+        self.subscribers.binary_search_by(|(filed, _)| filed.cmp(name))
+    }
+
+    /// Files (`subscribed`) or forgets `peer` as a subscriber of `name`;
+    /// a name this node does not publish takes none.
+    pub fn set_subscriber(&mut self, name: &Name, peer: NodeId, subscribed: bool) {
+        let Ok(at) = self.filed(name) else { return };
+        let peers = &mut self.subscribers[at].1;
+        if subscribed {
+            peers.insert(peer);
+        } else {
+            peers.remove(&peer);
+        }
+    }
+
+    /// The next subscriber of `name` after peer `after`, in node order:
+    /// a publication walks its subscribers by this cursor.
+    pub fn next_subscriber(&self, name: &Name, after: Option<NodeId>) -> Option<NodeId> {
+        let at = self.filed(name).ok()?;
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.subscribers[at].1.range((lower, Bound::Unbounded)).next().copied()
+    }
+
+    /// Subscribers summed over every published name.
+    pub fn subscriber_count(&self) -> usize {
+        self.subscribers.iter().map(|(_, peers)| peers.len()).sum()
+    }
+
+    /// `peer`'s life ended: its link and its subscriptions go with it (a
+    /// new life subscribes afresh when it binds). `true` if it had a link.
+    pub fn end(&mut self, peer: NodeId) -> bool {
+        for (_, peers) in &mut self.subscribers {
+            peers.remove(&peer);
+        }
         self.changed = true;
         self.active.remove(&peer);
         let Some(link) = self.by_peer.remove(&peer) else { return false };
@@ -608,7 +666,7 @@ impl LinkTable {
         self.fec
     }
 
-    /// ARQ sender counters summed over every link, alive or dropped.
+    /// ARQ sender counters summed over every link, alive or ended.
     pub fn arq_stats(&self) -> ArqStats {
         let mut total = self.retired;
         for link in self.by_peer.values() {
@@ -621,6 +679,7 @@ impl LinkTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marea_presentation::DataType;
     use marea_protocol::ProtoDuration;
 
     fn link(peer: u32) -> ReliableLink {
@@ -941,21 +1000,35 @@ mod tests {
         );
     }
 
-    /// Random traffic between a [`LinkTable`] and four simulated peers
-    /// (each a bare [`ReliableLink`] behind a lossy pipe): after every
-    /// operation the active set is exactly the links that need polling,
-    /// and no poll sweep produces output before `next_due()` said so.
-    /// The table runs the buffer-taking operations; a shadow link per peer
-    /// is fed the same inputs through the vector-returning ones and must
-    /// answer the same messages — they are one path.
+    /// Random traffic between a [`PeerTable`] and four simulated peers
+    /// (each a bare [`ReliableLink`] behind a lossy pipe), which also
+    /// subscribe to and leave the table's names and have their sessions
+    /// ended: after every operation the active set is exactly the links
+    /// that need polling, each name's subscriber walk is exactly the
+    /// subscriptions filed for it, and no poll sweep produces output before
+    /// `next_due()` said so. An ended peer is in no link, no active set
+    /// and no subscriber set. The table runs the buffer-taking operations;
+    /// a shadow link per peer is fed the same inputs through the
+    /// vector-returning ones and must answer the same messages — they are
+    /// one path.
     #[test]
     fn link_table_keeps_its_active_set_and_due_date_exact_under_random_ops() {
         const PEERS: u32 = 4;
-        fn check(table: &LinkTable) {
+        fn check(table: &PeerTable, subscribed: &BTreeMap<Name, BTreeSet<NodeId>>) {
             let needs_poll: BTreeSet<NodeId> =
                 table.by_peer.iter().filter(|(_, l)| l.needs_poll()).map(|(p, _)| *p).collect();
             assert_eq!(table.active, needs_poll);
+            for (name, expected) in subscribed {
+                let walked = std::iter::successors(table.next_subscriber(name, None), |&p| {
+                    table.next_subscriber(name, Some(p))
+                });
+                assert_eq!(&walked.collect::<BTreeSet<_>>(), expected, "{name}");
+            }
+            let count = subscribed.values().map(BTreeSet::len).sum::<usize>();
+            assert_eq!(table.subscriber_count(), count);
         }
+        // Two published names and one this node does not publish.
+        let names = ["v", "e", "other"].map(|n| Name::new(n).expect("valid"));
         for seed in 1..=6u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut draw = |n: u64| {
@@ -964,7 +1037,14 @@ mod tests {
                 rng ^= rng << 17;
                 rng % n
             };
-            let mut table = LinkTable::new(FecRate::Max);
+            let mut table = PeerTable::new(FecRate::Max);
+            let (v, e) = (names[0].clone(), names[1].clone());
+            table.provide(&[
+                Provision::Variable { name: v, ty: DataType::U8, period_us: 0, validity_us: 0 },
+                Provision::Event { name: e, ty: None },
+            ]);
+            let mut subscribed: BTreeMap<Name, BTreeSet<NodeId>> =
+                names[..2].iter().map(|name| (name.clone(), BTreeSet::new())).collect();
             let mut shadows: Vec<Option<ReliableLink>> = (0..PEERS).map(|_| None).collect();
             let mut events = LinkEvents::default();
             let mut peers: Vec<ReliableLink> = (0..PEERS).map(|_| link(1)).collect();
@@ -980,7 +1060,7 @@ mod tests {
                 let (peer, cap) = (NodeId(i as u32 + 2), Some(draw(5) as u8));
                 // The shadow of the table's link to this peer, opened as the
                 // table opens its own: at the first send or frame heard.
-                let opened = |shadow: &mut Option<ReliableLink>, table: &LinkTable| {
+                let opened = |shadow: &mut Option<ReliableLink>, table: &PeerTable| {
                     shadow.get_or_insert_with(|| {
                         let mut l = ReliableLink::new(peer, ArqConfig::default());
                         l.negotiate_fec(table.negotiated(cap));
@@ -995,7 +1075,7 @@ mod tests {
                             .map(|(_, m)| m),
                     );
                 };
-                match draw(9) {
+                match draw(10) {
                     0 => now += ProtoDuration::from_micros(draw(4_000)),
                     1 => {
                         let (payload, mut out) = (vec![step as u8; 40], Vec::new());
@@ -1018,8 +1098,16 @@ mod tests {
                         }
                     }
                     5 if draw(40) == 0 => {
-                        table.drop_peer(peer);
+                        table.end(peer);
                         shadows[i] = None;
+                        for peers in subscribed.values_mut() {
+                            peers.remove(&peer);
+                        }
+                        let filed = table.subscribers.iter().any(|(_, s)| s.contains(&peer));
+                        assert!(
+                            !table.by_peer.contains_key(&peer) && !table.active.contains(&peer)
+                        );
+                        assert!(!filed, "seed {seed} step {step}: {peer} still subscribes");
                     }
                     5 | 6 => {
                         // The table hears the next message from this peer.
@@ -1091,6 +1179,18 @@ mod tests {
                         }
                         _ => {}
                     },
+                    8 => {
+                        // The peer subscribes to, or leaves, one of the names.
+                        let (name, on) = (&names[draw(3) as usize], draw(3) != 0);
+                        table.set_subscriber(name, peer, on);
+                        if let Some(peers) = subscribed.get_mut(name) {
+                            if on {
+                                peers.insert(peer);
+                            } else {
+                                peers.remove(&peer);
+                            }
+                        }
+                    }
                     _ => {
                         let due = table.next_due();
                         let mut swept = None;
@@ -1102,7 +1202,7 @@ mod tests {
                             let shadow = shadows[(polled.0 - 2) as usize].as_mut();
                             let (shadow_out, shadow_abandoned) = shadow.expect("polled").poll(now);
                             assert_eq!((&out, &events.abandoned), (&shadow_out, &shadow_abandoned));
-                            check(&table);
+                            check(&table, &subscribed);
                             if !out.is_empty() {
                                 assert!(
                                     due.is_some_and(|d| d <= now),
@@ -1113,14 +1213,14 @@ mod tests {
                         }
                     }
                 }
-                check(&table);
+                check(&table, &subscribed);
             }
             let moved = table.arq_stats();
             assert!(
                 moved.acked > 30 && moved.retransmitted > 0,
                 "seed {seed}: the run must move traffic: {moved:?}"
             );
-            // Dropped links included: every retransmission a sweep reported is counted.
+            // Ended links included: every retransmission a sweep reported is counted.
             assert_eq!(moved.retransmitted, events.retransmitted.len() as u64);
             assert!(!events.recovered_us.is_empty(), "seed {seed}: some retransmit was acked");
         }
@@ -1128,7 +1228,7 @@ mod tests {
 
     #[test]
     fn link_table_arq_stats_survive_a_dropped_link() {
-        let mut table = LinkTable::new(FecRate::Off);
+        let mut table = PeerTable::new(FecRate::Off);
         let (peer, mut out, mut events) = (NodeId(2), Vec::new(), LinkEvents::default());
         let mut now = Micros::ZERO;
         // One message acknowledged, one retransmitted until abandoned.
@@ -1143,8 +1243,8 @@ mod tests {
         }
         let live = table.arq_stats();
         assert!(live.sent == 2 && live.acked == 1 && live.failed == 1 && live.retransmitted > 0);
-        assert!(table.drop_peer(peer));
-        assert_eq!(table.arq_stats(), live, "the dropped link's counters are kept");
+        assert!(table.end(peer));
+        assert_eq!(table.arq_stats(), live, "the ended link's counters are kept");
         table.send(peer, None, b"third", now, &mut out);
         snapshots.push(table.arq_stats());
         assert_eq!(table.arq_stats().sent, 3);

@@ -34,8 +34,8 @@ pub struct Occupancy {
     /// Handler invocations queued in the scheduler.
     pub queued_tasks: usize,
     /// Bytes of scratch storage the container keeps between calls for its
-    /// reliable path (tagged-encode buffer, effect, subscriber, released-
-    /// message and link-event vectors): capacity, not contents. At most
+    /// reliable path (tagged-encode buffer, effect, released-message and
+    /// link-event vectors): capacity, not contents. At most
     /// [`SCRATCH_CAP_BYTES`](crate::SCRATCH_CAP_BYTES).
     pub scratch_bytes: usize,
     /// Bytes of wire storage kept for reuse that no reader holds right now

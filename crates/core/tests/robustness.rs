@@ -1600,3 +1600,113 @@ fn a_channel_hears_only_its_provider_and_unsubscribes_from_the_one_it_leaves() {
         assert_eq!(two.remote_subscribers, 0, "seed {seed}: node 2 still serves node 3");
     }
 }
+
+/// A publisher whose life ends half way through sending a fragmented
+/// sample leaves those fragments behind at its subscriber. Its next life
+/// numbers its messages from 1 again, so its first sample's last fragment
+/// would complete the old set: one sample spliced from two lives. However
+/// the life ended — a newer `Announce`, a `Bye`, or silence past
+/// `node_timeout` — its fragment sets go with it, and the new life's
+/// sample arrives whole once its own fragments are in. Probe transport,
+/// explicit clock: nothing here is random.
+#[test]
+fn an_ended_lifes_fragments_never_complete_the_next_lifes_sample() {
+    use marea_core::ServiceContainer;
+    use marea_encoding::{Codec, CodecId, CompactCodec};
+    use marea_presentation::{DataType, Name};
+    use marea_protocol::fragment::fragment_payload;
+    use marea_protocol::messages::{AnnounceEntry, Message, Provision, ServiceState};
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    const SIZE: usize = 3_000;
+    let name = Name::new("cam/scan").unwrap();
+    let announce = |incarnation| Message::Announce {
+        incarnation,
+        entries: vec![AnnounceEntry {
+            service_seq: 1,
+            name: Name::new("cam").unwrap(),
+            state: ServiceState::Running,
+            provides: vec![Provision::Variable {
+                name: name.clone(),
+                ty: DataType::Bytes,
+                period_us: 0,
+                validity_us: 10_000_000,
+            }],
+        }],
+    };
+    // The three fragments of a life's first sample, every byte `fill`.
+    let first_sample = |fill: u8, at: Micros| -> Vec<Message> {
+        let value = Value::Bytes(vec![fill; SIZE]);
+        let payload = CompactCodec.encode_to_vec(&value, &DataType::Bytes).unwrap();
+        let sample = Message::VarSample {
+            name: name.clone(),
+            seq: 1,
+            stamp_us: at.as_micros(),
+            validity_us: 10_000_000,
+            trace: 0,
+            codec: CodecId::COMPACT.0,
+            payload: Bytes::from(payload),
+        };
+        let tagged = sample.encode_tagged();
+        let fragments = fragment_payload(1, &tagged, tagged.len().div_ceil(3)).unwrap();
+        assert_eq!(fragments.len(), 3);
+        fragments
+    };
+
+    for ending in ["a newer Announce", "Bye", "silence"] {
+        let hub = InProcHub::new();
+        let mut probe = hub.attach(2);
+        let log = obs_log();
+        let descriptor = ServiceDescriptor::builder("s")
+            .subscribe_variable("cam/scan", VarQos::default())
+            .build();
+        let mut c =
+            ServiceContainer::new(ContainerConfig::new("uav", NodeId(1)), Box::new(hub.attach(1)));
+        c.add_service(Box::new(Recorder::new(descriptor, log.clone()))).unwrap();
+        c.start(Micros(0));
+        // Node 2 sends `msgs`, and node 1 ticks at `ms`.
+        let mut offer = |c: &mut ServiceContainer, msgs: &[Message], ms: u64| {
+            for msg in msgs {
+                let frame = msg.clone().into_frame(NodeId(2)).encode();
+                probe.send(TransportDestination::Node(1), frame).unwrap();
+            }
+            c.tick(Micros::from_millis(ms));
+            while probe.recv().is_some() {}
+            Micros::from_millis(ms)
+        };
+        let samples = || -> Vec<Vec<u8>> {
+            let obs = observations(&log).into_iter();
+            obs.filter_map(|(_, o)| match o {
+                Obs::Var(_, Value::Bytes(bytes)) => Some(bytes),
+                _ => None,
+            })
+            .collect()
+        };
+
+        let now = offer(&mut c, &[announce(1)], 1);
+        let old = first_sample(0xAA, now);
+        offer(&mut c, &old[..2], 2);
+        assert_eq!(c.occupancy().reassembling, 1, "{ending}: the old life's set is pending");
+        match ending {
+            "Bye" => drop(offer(&mut c, &[Message::Bye], 3)),
+            "silence" => drop(offer(&mut c, &[], 2_600)),
+            _ => {}
+        }
+        if ending != "a newer Announce" {
+            assert!(!c.directory().node_alive(NodeId(2)), "{ending}: the old life ended");
+            assert_eq!(c.occupancy().reassembling, 0, "{ending}: its set went with it");
+        }
+
+        let now = offer(&mut c, &[announce(2)], 3_000);
+        assert_eq!(c.occupancy().reassembling, 0, "{ending}: no set outlives its life");
+        let new = first_sample(0xBB, now);
+        offer(&mut c, &new[2..], 3_001);
+        let spliced: Vec<usize> =
+            samples().iter().map(|s| s.iter().filter(|&&b| b == 0xAA).count()).collect();
+        assert!(spliced.is_empty(), "{ending}: samples with {spliced:?} bytes of the old life");
+        offer(&mut c, &new[..2], 3_002);
+        assert_eq!(samples(), vec![vec![0xBB; SIZE]], "{ending}: the new life's sample, whole");
+        assert_eq!(c.occupancy().reassembling, 0);
+    }
+}

@@ -220,17 +220,29 @@ impl Reassembler {
         if self.oldest.is_none_or(|t| now.saturating_since(t) < timeout) {
             return 0;
         }
+        self.evict(|_, p| now.saturating_since(p.first_seen) >= timeout)
+    }
+
+    /// Drops every incomplete set from `src`, whose life ended: the next
+    /// life numbers its messages afresh, so an old fragment must not
+    /// complete a new message. Returns how many were dropped.
+    pub fn forget(&mut self, src: NodeId) -> usize {
+        self.evict(|&(from, _), _| from == src)
+    }
+
+    /// Drops the sets `doomed` picks, giving their slots back, and makes
+    /// `oldest` exact over the rest; returns how many went.
+    fn evict(&mut self, mut doomed: impl FnMut(&(NodeId, u64), &Pending) -> bool) -> usize {
         let before = self.pending.len();
         let mut oldest: Option<Micros> = None;
         let reserved = &mut self.reserved;
-        self.pending.retain(|_, p| {
-            let keep = now.saturating_since(p.first_seen) < timeout;
-            if keep {
-                oldest = Some(oldest.map_or(p.first_seen, |t| t.min(p.first_seen)));
-            } else {
+        self.pending.retain(|key, p| {
+            if doomed(key, p) {
                 *reserved -= p.parts.len();
+                return false;
             }
-            keep
+            oldest = Some(oldest.map_or(p.first_seen, |t| t.min(p.first_seen)));
+            true
         });
         self.oldest = oldest;
         before - self.pending.len()
@@ -402,6 +414,37 @@ mod tests {
         }
         assert_eq!(done.map(|full| full.len()), Some(16 * 1024));
         assert_eq!(r.reserved, 0, "a completed set gives its slots back");
+    }
+
+    /// An ended life's sets go, slots and all: a set the cap refused
+    /// before fits after, and other sources' sets and the expiry bound
+    /// stay as they were.
+    #[test]
+    fn forgetting_a_source_gives_its_slots_back_and_leaves_the_others() {
+        let mut r = Reassembler::new(ProtoDuration::from_millis(100));
+        let other = parts_of(&fragment_payload(3, &[5u8; 3000], 1000).unwrap());
+        let (id, idx, cnt, bytes) = other[0].clone();
+        r.offer(NodeId(2), id, idx, cnt, bytes, Micros::from_millis(10)).unwrap();
+        let big = MAX_FRAGMENTS - 10;
+        for msg_id in [1, 2] {
+            let count = if msg_id == 1 { big } else { 4 };
+            r.offer(NodeId(1), msg_id, 0, count, Bytes::new(), Micros::from_millis(20)).unwrap();
+        }
+        let refused = r.offer(NodeId(3), 1, 0, 8, Bytes::new(), Micros::from_millis(30));
+        assert!(refused.is_err(), "the cap is full");
+        let (pending, expiry) = (r.pending_count(), r.next_expiry());
+
+        assert_eq!(r.forget(NodeId(1)), 2);
+        assert_eq!((r.pending_count(), r.reserved), (pending - 2, 3));
+        assert_eq!(r.next_expiry(), expiry, "node 2's set is still the oldest");
+        assert_eq!(r.forget(NodeId(1)), 0, "nothing left of it");
+        assert!(r.offer(NodeId(3), 1, 0, 8, Bytes::new(), Micros::from_millis(30)).is_ok());
+        let mut done = None;
+        for (id, idx, cnt, bytes) in other.into_iter().skip(1) {
+            done = r.offer(NodeId(2), id, idx, cnt, bytes, Micros::from_millis(40)).unwrap();
+        }
+        assert_eq!(done.map(|full| full.len()), Some(3000), "node 2's set completes whole");
+        assert_eq!((r.pending_count(), r.reserved), (1, 8));
     }
 
     #[test]
