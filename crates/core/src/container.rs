@@ -38,7 +38,7 @@ use marea_protocol::{
     frames, FecRate, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
     ServiceId, Unchecked, LOAN_KEEP_BYTES,
 };
-use marea_transport::{Transport, TransportDestination};
+use marea_transport::{Loan, Transport, TransportDestination};
 
 use crate::directory::{BeaconOutcome, Directory, Life, NodeInfo};
 use crate::engines::events::{Admission, EventEngine};
@@ -82,9 +82,9 @@ const TAGGED_KEEP_BYTES: usize = 1024;
 pub const SCRATCH_CAP_BYTES: usize = 7 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
 
 /// Bound on [`Occupancy::loan_bytes`] of a container with `links` reliable
-/// links: the outbox's loan, the transport's, the call path's marshalling
-/// buffer, its argument spare and one spare envelope per link, each at
-/// most [`LOAN_KEEP_BYTES`].
+/// links: the outbox's loan, the transport's, the payload loan (variable,
+/// event, argument and result payloads), the call path's argument spare
+/// and one spare envelope per link, each at most [`LOAN_KEEP_BYTES`].
 pub const fn loan_cap_bytes(links: usize) -> usize {
     (4 + links) * LOAN_KEEP_BYTES
 }
@@ -308,6 +308,10 @@ pub struct ServiceContainer {
     /// the public `&mut self` calls.
     outbox: Outbox,
     scratch: Scratch,
+    /// The variable, event, argument and result payloads encoded here: once
+    /// the messages that carried them are dropped, the next ones are
+    /// written into their storage.
+    payloads: Loan,
     codecs: CodecRegistry,
     slots: Vec<ServiceSlot>,
     directory: Directory,
@@ -348,6 +352,7 @@ impl ServiceContainer {
             transport,
             outbox: Outbox::new(config.node),
             scratch: Scratch::default(),
+            payloads: Loan::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
             peers: PeerTable::new(config.fec_cap),
@@ -433,7 +438,8 @@ impl ServiceContainer {
             scratch_bytes: self.scratch.retained_bytes(),
             loan_bytes: self.outbox.loan_bytes()
                 + self.transport.loan_bytes()
-                + self.rpc.loan_bytes()
+                + self.payloads.bytes()
+                + self.rpc.spare_bytes()
                 + self.peers.spare_bytes(),
             ..Occupancy::default()
         };
@@ -1269,7 +1275,7 @@ impl ServiceContainer {
             return self.deliver_reply(call.caller_seq, id, Err(CallError::ServiceUnavailable));
         };
         let codec = self.codecs.default_codec();
-        let marshalled = self.rpc.marshal(&call.args, sig, codec.as_ref());
+        let marshalled = self.rpc.marshal(&mut self.payloads, &call.args, sig, codec.as_ref());
         let returns = sig.returns.clone();
         self.rpc.redirect(&mut call, target, returns, now);
         self.tracer.record(
@@ -1291,7 +1297,7 @@ impl ServiceContainer {
     }
 
     /// Sends `call`'s marshalled arguments to its target, or queues the
-    /// call here. `payload` is the engine's loaned buffer either way:
+    /// call here. `payload` is on the payload loan either way:
     /// dropping it — unsent, or once `send_reliable` has copied it — hands
     /// its storage back for the next payload.
     fn dispatch_call(&mut self, id: RequestId, call: &PendingCall, payload: Bytes, now: Micros) {
@@ -1350,8 +1356,8 @@ impl ServiceContainer {
     }
 
     /// A local service's handler returned from `on_call`. A remote
-    /// caller's reply payload is the engine's loaned buffer, handed back
-    /// when the sent reply is dropped.
+    /// caller's reply payload is on the payload loan, handed back when the
+    /// sent reply is dropped.
     fn finish_call(
         &mut self,
         request: RequestId,
@@ -1368,7 +1374,8 @@ impl ServiceContainer {
             self.complete_call(request, call, result.map_err(CallError::App), trace, None, now);
         } else {
             let codec = self.codecs.default_codec();
-            let (status, payload) = self.rpc.marshal_reply(function, result, codec.as_ref());
+            let (status, payload) =
+                self.rpc.marshal_reply(&mut self.payloads, function, result, codec.as_ref());
             let reply = Message::CallReply {
                 request,
                 status,
@@ -1692,7 +1699,9 @@ impl ServiceContainer {
 
     fn effect_publish(&mut self, seq: u32, name: Name, value: Value, now: Micros) {
         let codec = self.codecs.default_codec();
-        let sample = match self.vars.publish(seq, &name, &value, codec.as_ref(), now) {
+        let published =
+            self.vars.publish(&mut self.payloads, seq, &name, &value, codec.as_ref(), now);
+        let sample = match published {
             Ok(sample) => sample,
             Err(line) => return self.log_line(now, line),
         };
@@ -1739,7 +1748,9 @@ impl ServiceContainer {
 
     fn effect_emit(&mut self, seq: u32, name: Name, value: Option<Value>, now: Micros) {
         let codec = self.codecs.default_codec();
-        let emitted = match self.events.emit(seq, &name, value.as_ref(), codec.as_ref()) {
+        let emitted =
+            self.events.emit(&mut self.payloads, seq, &name, value.as_ref(), codec.as_ref());
+        let emitted = match emitted {
             Ok(emitted) => emitted,
             Err(line) => return self.log_line(now, line),
         };
@@ -1792,7 +1803,7 @@ impl ServiceContainer {
         // Marshalled against the directory's own copy of the signature;
         // only the return type outlives this call.
         let codec = self.codecs.default_codec();
-        let marshalled = self.rpc.marshal(&args, sig, codec.as_ref());
+        let marshalled = self.rpc.marshal(&mut self.payloads, &args, sig, codec.as_ref());
         let returns = sig.returns.clone();
         let payload = match marshalled {
             Ok(payload) => payload,

@@ -8,6 +8,7 @@ use marea_encoding::{Codec, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::NodeId;
+use marea_transport::Loan;
 
 use super::{encode_payload, Binding, Rebind};
 use crate::directory::Directory;
@@ -139,10 +140,11 @@ impl EventEngine {
     }
 
     /// Publisher side of an `emit`: checks ownership and the payload
-    /// against the declaration, numbers the event. The error is the log
-    /// line saying why it was dropped.
+    /// against the declaration, encodes it into the payload `loan`, numbers
+    /// the event. The error is the log line saying why it was dropped.
     pub fn emit(
         &mut self,
+        loan: &mut Loan,
         owner_seq: u32,
         name: &Name,
         value: Option<&Value>,
@@ -155,7 +157,7 @@ impl EventEngine {
             return Err(format!("emit on foreign event `{name}` dropped"));
         }
         let (payload, payload_dropped) = match (&pe.ty, value) {
-            (Some(ty), Some(v)) => match encode_payload(codec, v, ty) {
+            (Some(ty), Some(v)) => match encode_payload(loan, codec, v, ty) {
                 Ok(payload) => (payload, false),
                 Err(e) => {
                     self.type_mismatches += 1;

@@ -13,12 +13,13 @@
 //! ([`Binding::rebind`]) and applied on receipt by one filter
 //! ([`Binding::hears`]).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use marea_encoding::{Codec, CodecId, CodecRegistry, EncodeError, SelfDescribingCodec};
 use marea_presentation::{DataType, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::{NodeId, ServiceId};
+use marea_transport::Loan;
 
 use crate::directory::ProviderInfo;
 
@@ -99,13 +100,22 @@ impl Binding {
     }
 }
 
-/// Encodes a published value into the buffer that goes on the wire: one
-/// `BytesMut` sized from the value, frozen in place — the payload is
-/// written once and never copied on its way to the frame.
-fn encode_payload(codec: &dyn Codec, value: &Value, ty: &DataType) -> Result<Bytes, EncodeError> {
-    let mut buf = BytesMut::with_capacity(value.size_hint());
+/// Encodes a published value or a call's result into the buffer that goes
+/// on the wire: one of the container's payload `loan`, sized up for the
+/// value when it is short, frozen in place — the payload is written once
+/// and never copied on its way to the frame, and its storage is written
+/// again once the message that carried it, and a variable's initial-value
+/// copy, are dropped.
+fn encode_payload(
+    loan: &mut Loan,
+    codec: &dyn Codec,
+    value: &Value,
+    ty: &DataType,
+) -> Result<Bytes, EncodeError> {
+    let mut buf = loan.reclaim();
+    buf.reserve(value.size_hint());
     codec.encode(value, ty, &mut buf)?;
-    Ok(buf.freeze())
+    Ok(loan.keep(buf))
 }
 
 /// FNV-1a, the hash behind the stable multicast group ids.
@@ -159,6 +169,58 @@ mod tests {
         assert_eq!(lost.unwrap().available(), Some(false), "told as a loss");
         assert_eq!((b.provider, b.ty.clone()), (None, None));
         assert_eq!(b.rebind(None), None, "once");
+    }
+
+    /// Variables and events are encoded into the one payload loan: an
+    /// event emitted once the previous event's message has left is written
+    /// into that message's storage, and a variable's last sample — a late
+    /// subscriber's initial value — is never written over, neither while it
+    /// is the last nor while a subscriber still holds it.
+    #[test]
+    fn payloads_are_written_into_the_storage_of_messages_that_left() {
+        use crate::ports::{EventPort, VarPort};
+        use crate::qos::VarQos;
+        use crate::service::ServiceDescriptor;
+        use events::EventEngine;
+        use marea_encoding::CompactCodec;
+        use marea_protocol::Micros;
+        use vars::VarEngine;
+
+        let (var, event) = (VarPort::<u64>::new("v"), EventPort::<u64>::new("e"));
+        let mut b = ServiceDescriptor::builder("s");
+        b.provides_var(&var, VarQos::default()).provides_event(&event);
+        let descriptor = b.build();
+        let (mut vars, mut events) = (VarEngine::default(), EventEngine::default());
+        vars.register(1, &descriptor);
+        events.register(1, &descriptor);
+        let mut loan = Loan::default();
+        let mut emit = |loan: &mut Loan, v: u64| {
+            events.emit(loan, 1, event.name(), Some(&Value::U64(v)), &CompactCodec).unwrap().payload
+        };
+
+        let first = emit(&mut loan, 7);
+        let storage = first.as_ptr();
+        drop(first);
+        assert!(loan.bytes() > 0, "the storage of the message that left is on loan");
+        let second = emit(&mut loan, 8);
+        assert_eq!(second.as_ptr(), storage, "written into the storage of the message that left");
+        assert_eq!(loan.bytes(), 0, "written into, not beside it");
+        drop(second);
+
+        let mut publish = |loan: &mut Loan, v: u64| {
+            let value = Value::U64(v);
+            drop(vars.publish(loan, 1, var.name(), &value, &CompactCodec, Micros(v)).unwrap());
+            let (last, _) = vars.on_subscribe(var.name(), true, Micros(v)).unwrap();
+            last.payload
+        };
+        let initial = publish(&mut loan, 1);
+        let held = initial.to_vec();
+        for v in 2..=101 {
+            let last = publish(&mut loan, v);
+            let decoded = CompactCodec.decode(&last, &DataType::U64).unwrap();
+            assert_eq!(decoded, Value::U64(v), "the last sample after {v} publishes");
+        }
+        assert_eq!(initial.as_ref(), &held[..], "a held initial value was written over");
     }
 
     #[test]

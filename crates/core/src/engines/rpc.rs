@@ -10,6 +10,7 @@ use marea_protocol::messages::{CallStatus, FunctionSig, Provision};
 use marea_protocol::{Micros, NodeId, ProtoDuration, RequestId, ServiceId};
 use marea_transport::{Loan, LOAN_KEEP_BYTES};
 
+use super::encode_payload;
 use crate::directory::Directory;
 use crate::error::CallError;
 use crate::service::{CallPolicy, ServiceDescriptor};
@@ -91,10 +92,6 @@ pub(crate) struct RpcEngine {
     /// Every pending call's reply deadline: the per-tick timeout sweep
     /// looks at the earliest entry instead of walking every pending call.
     deadlines: DueQueue<RequestId>,
-    /// The last argument or result payload this engine marshalled: once
-    /// the message that carried it has been sent and dropped, the next
-    /// payload is written into its storage.
-    loan: Loan,
     /// The argument vector of the last call a local handler ran, which
     /// the next request's arguments are decoded into (see
     /// [`recycle_args`](Self::recycle_args)).
@@ -121,15 +118,16 @@ impl RpcEngine {
         self.functions.get_key_value(s).map(|(name, _)| name.clone())
     }
 
-    /// Marshals `args` against the provider's `sig` into the engine's
-    /// loaned buffer; a failure (the two sides' `FnPort`s disagree on
-    /// argument types) counts as a mismatch.
+    /// Marshals `args` against the provider's `sig` into a buffer of the
+    /// container's payload `loan`; a failure (the two sides' `FnPort`s
+    /// disagree on argument types) counts as a mismatch.
     ///
     /// Each argument is encoded with `codec` against its declared
     /// parameter type and length-prefixed, so the callee can re-slice
     /// without knowing value sizes.
     pub fn marshal(
         &mut self,
+        loan: &mut Loan,
         args: &[Value],
         sig: &FunctionSig,
         codec: &dyn Codec,
@@ -141,7 +139,7 @@ impl RpcEngine {
                 "expected {expected} arguments, got {got}"
             )));
         }
-        let mut buf = self.loan.reclaim();
+        let mut buf = loan.reclaim();
         buf.reserve(args.iter().map(|a| a.size_hint() + 4).sum());
         for (arg, ty) in args.iter().zip(&sig.params) {
             // Encoded once: the body first, then its length appended and
@@ -156,7 +154,7 @@ impl RpcEngine {
             let prefix = buf.len() - end;
             buf[start..].rotate_right(prefix);
         }
-        Ok(self.loan.keep(buf))
+        Ok(loan.keep(buf))
     }
 
     /// Registers a new call and queues its reply deadline.
@@ -280,11 +278,12 @@ impl RpcEngine {
     }
 
     /// Provider side of a finished call: the reply status and payload for
-    /// what `function`'s handler returned, a result written into the
-    /// loaned buffer. A value violating its own declared return schema
-    /// counts as a mismatch and an `AppError`.
+    /// what `function`'s handler returned, a result written into a buffer
+    /// of the payload `loan`. A value violating its own declared return
+    /// schema counts as a mismatch and an `AppError`.
     pub fn marshal_reply(
         &mut self,
+        loan: &mut Loan,
         function: &Name,
         result: Result<Value, String>,
         codec: &dyn Codec,
@@ -292,17 +291,13 @@ impl RpcEngine {
         let returns = self.functions.get(function).and_then(|f| f.sig.returns.as_ref());
         let refused = match (result, returns) {
             (Ok(_), None) => return (CallStatus::Ok, Bytes::new()),
-            (Ok(value), Some(ty)) => {
-                let mut buf = self.loan.reclaim();
-                buf.reserve(value.size_hint());
-                match codec.encode(&value, ty, &mut buf) {
-                    Ok(()) => return (CallStatus::Ok, self.loan.keep(buf)),
-                    Err(e) => {
-                        self.type_mismatches += 1;
-                        CallError::BadArguments(e.to_string()).to_string()
-                    }
+            (Ok(value), Some(ty)) => match encode_payload(loan, codec, &value, ty) {
+                Ok(payload) => return (CallStatus::Ok, payload),
+                Err(e) => {
+                    self.type_mismatches += 1;
+                    CallError::BadArguments(e.to_string()).to_string()
                 }
-            }
+            },
             (Err(e), _) => e,
         };
         (CallStatus::AppError, Bytes::from(refused.into_bytes()))
@@ -363,11 +358,10 @@ impl RpcEngine {
         self.pending.len()
     }
 
-    /// What the loaned buffer and the argument spare keep while nothing
-    /// else holds them.
-    pub fn loan_bytes(&self) -> usize {
+    /// What the argument spare keeps while no handler runs with it.
+    pub fn spare_bytes(&self) -> usize {
         // The spare only ever holds a vector `recycle_args` could measure.
-        self.loan.bytes() + retained_bytes(&self.spare_args).unwrap_or(0)
+        retained_bytes(&self.spare_args).unwrap_or(0)
     }
 }
 
@@ -467,41 +461,46 @@ mod tests {
 
     #[test]
     fn args_roundtrip() {
+        let mut loan = Loan::default();
         let (mut e, f) = provider(sig());
         let args = vec![Value::Str("photo-01".into()), Value::U32(3)];
-        let bytes = e.marshal(&args, &sig(), &CompactCodec).unwrap();
+        let bytes = e.marshal(&mut loan, &args, &sig(), &CompactCodec).unwrap();
         assert_eq!(admit(&mut e, &f, &bytes).unwrap(), args);
         assert_eq!(e.type_mismatches, 0);
     }
 
     #[test]
     fn arity_checked() {
+        let mut loan = Loan::default();
         let mut e = RpcEngine::default();
-        let err = e.marshal(&[Value::U32(1)], &sig(), &CompactCodec).unwrap_err();
+        let err = e.marshal(&mut loan, &[Value::U32(1)], &sig(), &CompactCodec).unwrap_err();
         assert!(matches!(err, CallError::BadArguments(_)));
         assert_eq!(e.type_mismatches, 1);
     }
 
     #[test]
     fn type_checked() {
+        let mut loan = Loan::default();
         let mut e = RpcEngine::default();
-        let err =
-            e.marshal(&[Value::Bool(true), Value::U32(1)], &sig(), &CompactCodec).unwrap_err();
+        let err = e
+            .marshal(&mut loan, &[Value::Bool(true), Value::U32(1)], &sig(), &CompactCodec)
+            .unwrap_err();
         assert!(matches!(err, CallError::BadArguments(_)));
         assert_eq!(e.type_mismatches, 1);
     }
 
     #[test]
     fn result_roundtrip_and_void() {
+        let mut loan = Loan::default();
         let codecs = CodecRegistry::new();
         let (mut e, f) = provider(sig());
-        let (status, bytes) = e.marshal_reply(&f, Ok(Value::Bool(true)), &CompactCodec);
+        let (status, bytes) = e.marshal_reply(&mut loan, &f, Ok(Value::Bool(true)), &CompactCodec);
         assert_eq!(status, CallStatus::Ok);
         let call = pending("f", 2, 100, Some(DataType::Bool));
         assert_eq!(e.unmarshal_reply(&call, 0, &bytes, &codecs).unwrap(), Value::Bool(true));
 
         let (mut e, f) = provider(FunctionSig { params: vec![], returns: None });
-        let (status, empty) = e.marshal_reply(&f, Ok(Value::Bool(false)), &CompactCodec);
+        let (status, empty) = e.marshal_reply(&mut loan, &f, Ok(Value::Bool(false)), &CompactCodec);
         assert_eq!(status, CallStatus::Ok);
         assert!(empty.is_empty());
         let call = pending("f", 2, 100, None);
@@ -510,7 +509,7 @@ mod tests {
         // A result violating its own declared schema is refused, with the
         // text the refusal always carried.
         let (mut e, f) = provider(sig());
-        let (status, text) = e.marshal_reply(&f, Ok(Value::U8(1)), &CompactCodec);
+        let (status, text) = e.marshal_reply(&mut loan, &f, Ok(Value::U8(1)), &CompactCodec);
         assert_eq!(status, CallStatus::AppError);
         assert!(std::str::from_utf8(&text).unwrap().starts_with("bad arguments: "));
         assert_eq!(e.type_mismatches, 1);
@@ -518,9 +517,10 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
+        let mut loan = Loan::default();
         let (mut e, f) = provider(sig());
         let args = vec![Value::Str("x".into()), Value::U32(1)];
-        let mut bytes = e.marshal(&args, &sig(), &CompactCodec).unwrap().to_vec();
+        let mut bytes = e.marshal(&mut loan, &args, &sig(), &CompactCodec).unwrap().to_vec();
         bytes.push(7);
         assert_eq!(admit(&mut e, &f, &bytes), Err(CallStatus::AppError));
         assert_eq!(e.type_mismatches, 1);
@@ -582,25 +582,26 @@ mod tests {
         let long_sig =
             FunctionSig { params: vec![DataType::Bytes], returns: Some(DataType::Bytes) };
         for (sig, args, result, args_hex, result_hex) in golden() {
+            let mut loan = Loan::default();
             let (mut e, f) = provider(sig.clone());
-            assert_eq!(hex(&e.marshal(&args, &sig, &CompactCodec).unwrap()), args_hex);
-            let (status, reply) = e.marshal_reply(&f, Ok(result.clone()), &CompactCodec);
+            assert_eq!(hex(&e.marshal(&mut loan, &args, &sig, &CompactCodec).unwrap()), args_hex);
+            let (status, reply) = e.marshal_reply(&mut loan, &f, Ok(result.clone()), &CompactCodec);
             assert_eq!((status, hex(&reply).as_str()), (CallStatus::Ok, result_hex));
             assert_eq!(admit(&mut e, &f, &unhex(args_hex)).unwrap(), args);
 
             let long = [Value::Bytes(vec![0xEE; 600])];
-            let earlier = e.marshal(&long, &long_sig, &CompactCodec).unwrap();
+            let earlier = e.marshal(&mut loan, &long, &long_sig, &CompactCodec).unwrap();
             let storage = earlier.as_ptr();
             drop(earlier);
-            let again = e.marshal(&args, &sig, &CompactCodec).unwrap();
+            let again = e.marshal(&mut loan, &args, &sig, &CompactCodec).unwrap();
             assert_eq!(hex(&again), args_hex);
             if !again.is_empty() {
                 assert_eq!(again.as_ptr(), storage, "written into the loaned storage");
             }
             drop(again);
-            let earlier = e.marshal(&long, &long_sig, &CompactCodec).unwrap();
+            let earlier = e.marshal(&mut loan, &long, &long_sig, &CompactCodec).unwrap();
             drop(earlier);
-            let (_, reply) = e.marshal_reply(&f, Ok(result), &CompactCodec);
+            let (_, reply) = e.marshal_reply(&mut loan, &f, Ok(result), &CompactCodec);
             assert_eq!(hex(&reply), result_hex);
         }
     }
@@ -617,17 +618,20 @@ mod tests {
     /// room.
     #[test]
     fn requests_are_decoded_into_the_recycled_arguments() {
+        let mut loan = Loan::default();
         let bytes_sig = FunctionSig { params: vec![DataType::Bytes], returns: None };
         let (mut e, f) = provider(bytes_sig.clone());
         let codec = CompactCodec;
-        let payload = |e: &mut RpcEngine, len: usize| {
-            e.marshal(&[Value::Bytes(vec![len as u8; len])], &bytes_sig, &codec).unwrap().to_vec()
+        let mut payload = |e: &mut RpcEngine, len: usize| {
+            e.marshal(&mut loan, &[Value::Bytes(vec![len as u8; len])], &bytes_sig, &codec)
+                .unwrap()
+                .to_vec()
         };
         let p256 = payload(&mut e, 256);
         let args = admit(&mut e, &f, &p256).unwrap();
         let (slots, storage) = (args.as_ptr(), args[0].as_bytes().unwrap().as_ptr());
         e.recycle_args(args);
-        assert!(e.loan_bytes() >= 256 + std::mem::size_of::<Value>());
+        assert!(e.spare_bytes() >= 256 + std::mem::size_of::<Value>());
         for len in [100, 0, 256] {
             let p = payload(&mut e, len);
             let args = admit(&mut e, &f, &p).unwrap();
@@ -645,22 +649,25 @@ mod tests {
     /// again afterwards.
     #[test]
     fn the_loan_and_the_spare_keep_nothing_above_their_cap() {
+        let mut loan = Loan::default();
         let bytes_sig =
             FunctionSig { params: vec![DataType::Bytes], returns: Some(DataType::Bytes) };
         let (mut e, f) = provider(bytes_sig.clone());
         let codec = CompactCodec;
         for len in [256, 16 * 1024, 256] {
             let arg = Value::Bytes(vec![7; len]);
-            let payload = e.marshal(std::slice::from_ref(&arg), &bytes_sig, &codec).unwrap();
+            let payload =
+                e.marshal(&mut loan, std::slice::from_ref(&arg), &bytes_sig, &codec).unwrap();
             let args = admit(&mut e, &f, &payload).unwrap();
             drop(payload);
-            assert!(e.loan.bytes() <= LOAN_KEEP_BYTES, "{len}: buffer {}", e.loan.bytes());
-            let (_, reply) = e.marshal_reply(&f, Ok(arg), &codec);
+            assert!(loan.bytes() <= LOAN_KEEP_BYTES, "{len}: buffer {}", loan.bytes());
+            let (_, reply) = e.marshal_reply(&mut loan, &f, Ok(arg), &codec);
             drop(reply);
             e.recycle_args(args);
             let spare = retained_bytes(&e.spare_args).unwrap();
             assert!(spare <= LOAN_KEEP_BYTES, "{len}: spare {spare}");
-            assert_eq!(e.loan_bytes() > 0, len < LOAN_KEEP_BYTES, "{len}: {}", e.loan_bytes());
+            let kept = loan.bytes() + e.spare_bytes();
+            assert_eq!(kept > 0, len < LOAN_KEEP_BYTES, "{len}: {kept}");
         }
         // A struct argument holds storage the spare cannot count: not kept.
         let spare = e.spare_args.as_ptr();

@@ -9,6 +9,7 @@ use marea_encoding::{Codec, CodecId, CodecRegistry};
 use marea_presentation::{DataType, Name, Value};
 use marea_protocol::messages::Provision;
 use marea_protocol::{GroupId, Micros, NodeId};
+use marea_transport::Loan;
 
 use super::{encode_payload, fnv1a, Binding, Rebind};
 use crate::directory::{Directory, ProviderInfo};
@@ -320,11 +321,13 @@ impl VarEngine {
         }
     }
 
-    /// Publisher side of a `publish`: checks ownership and schema, numbers
-    /// the sample and retains it as the initial value for late subscribers.
-    /// The error is the log line saying why it was dropped.
+    /// Publisher side of a `publish`: checks ownership and schema, encodes
+    /// the value into the payload `loan`, numbers the sample and retains it
+    /// as the initial value for late subscribers. The error is the log
+    /// line saying why it was dropped.
     pub fn publish(
         &mut self,
+        loan: &mut Loan,
         owner_seq: u32,
         name: &Name,
         value: &Value,
@@ -341,7 +344,7 @@ impl VarEngine {
             self.type_mismatches += 1;
             return Err(format!("publish to `{name}` violates schema: {e}"));
         }
-        let payload = encode_payload(codec, value, &pv.ty)
+        let payload = encode_payload(loan, codec, value, &pv.ty)
             .map_err(|e| format!("publish to `{name}` does not encode: {e}"))?;
         pv.seq += 1;
         pv.last = Some((payload.clone(), now));

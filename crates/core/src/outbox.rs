@@ -25,10 +25,11 @@
 //! file round's chunks, a large message's fragments — is one buffer,
 //! frozen once at [`drain`](Outbox::drain) and handed out as a window per
 //! datagram. Every other datagram opens a buffer of its own. The outbox
-//! keeps a handle on the last such datagram it drained, its *loan*: once
-//! the transport and every receiver that read it have dropped theirs
-//! (`Bytes::try_into_mut` succeeds), the next buffer it opens is that
-//! storage instead of a new one.
+//! keeps a handle on each such datagram it drained, newest last, while
+//! their capacities sum to at most 2 KiB — its *loan*: the next buffer it
+//! opens is the storage of the oldest one that the transport and every
+//! receiver that read it have dropped (`Bytes::try_into_mut` succeeds),
+//! instead of a new one.
 
 use bytes::{Bytes, BytesMut};
 
@@ -81,8 +82,8 @@ pub(crate) struct Outbox {
     last_msg_id: u64,
     frames_out: u64,
     bytes_out: u64,
-    /// The last datagram with a buffer of its own drained within the loan
-    /// cap.
+    /// The datagrams with a buffer of their own drained, newest last,
+    /// within the loan cap.
     loan: Loan,
 }
 
@@ -191,7 +192,7 @@ impl Outbox {
     /// Hands out every staged datagram in sending order and leaves the
     /// outbox empty (its table keeps its capacity for the next tick). A
     /// burst's datagrams are windows onto its buffer, frozen once; of the
-    /// others, the last one within the loan cap becomes the loan.
+    /// others, each one within the loan cap joins the loan.
     pub fn drain(&mut self) -> impl Iterator<Item = (TransportDestination, Bytes)> + '_ {
         self.seal_bursts();
         let loan = &mut self.loan;
@@ -231,7 +232,7 @@ impl Outbox {
         }
     }
 
-    /// Capacity of the loan's storage while nothing else holds it.
+    /// Capacity of the loan's storage nothing else holds.
     pub fn loan_bytes(&self) -> usize {
         self.loan.bytes()
     }

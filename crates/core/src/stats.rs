@@ -39,8 +39,10 @@ pub struct Occupancy {
     /// [`SCRATCH_CAP_BYTES`](crate::SCRATCH_CAP_BYTES).
     pub scratch_bytes: usize,
     /// Bytes of wire storage kept for reuse that no reader holds right now
-    /// — the outbox's last datagram, the transport's last received one and
-    /// each reliable link's spare envelope: capacity, not contents. At most
+    /// — the datagrams the outbox drained and the transport received, the
+    /// payloads encoded for variables, events and calls (each writer's
+    /// within 2 KiB), the call path's argument spare and each reliable
+    /// link's spare envelope: capacity, not contents. At most
     /// [`loan_cap_bytes`](crate::loan_cap_bytes)`(links)`.
     pub loan_bytes: usize,
 }

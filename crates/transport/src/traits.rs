@@ -82,9 +82,9 @@ pub trait Transport: Send + fmt::Debug {
     fn recv(&mut self) -> Option<(u32, Bytes)>;
 
     /// Capacity of received-datagram storage this transport keeps to copy
-    /// the next datagram into, while no reader holds it (at most
-    /// [`LOAN_KEEP_BYTES`](crate::LOAN_KEEP_BYTES)). Zero for a transport
-    /// that hands on the sender's own bytes.
+    /// the next datagrams into, while no reader holds it (at most
+    /// [`LOAN_KEEP_BYTES`](crate::LOAN_KEEP_BYTES) in all). Zero for a
+    /// transport that hands on the sender's own bytes.
     fn loan_bytes(&self) -> usize {
         0
     }

@@ -67,8 +67,8 @@ pub struct UdpTransport {
     addr_to_node: HashMap<SocketAddr, u32>,
     mtu: usize,
     buf: Vec<u8>,
-    /// The datagram `recv` returned last: the next one is copied into its
-    /// storage once every reader has dropped it.
+    /// The datagrams `recv` returned, newest last: the next one is copied
+    /// into the storage of the oldest that every reader has dropped.
     loan: Loan,
 }
 
@@ -256,6 +256,28 @@ mod tests {
         }
         assert_eq!(held.as_ref(), &[2u8; 10]);
         assert!(b.loan_bytes() > 0 && b.loan_bytes() <= LOAN_KEEP_BYTES, "{}", b.loan_bytes());
+    }
+
+    /// Every datagram within the cap stays on loan, not only the last: with
+    /// A and B received and held, A dropped, C is copied into A's storage
+    /// and B reads as it did.
+    #[test]
+    fn recv_reuses_the_oldest_returned_datagram_behind_a_held_one() {
+        let (mut a, mut b) = pair();
+        let mut next = |b: &mut UdpTransport, i: u8| {
+            a.send(TransportDestination::Node(2), Bytes::from(vec![i; 300])).unwrap();
+            recv_within(b, Duration::from_secs(2)).expect("delivery").1
+        };
+        let first = next(&mut b, 1);
+        let second = next(&mut b, 2);
+        let storage = first.as_ptr();
+        drop(first);
+        assert!(b.loan_bytes() >= 300, "A's storage is not on loan behind B");
+        let third = next(&mut b, 3);
+        assert_eq!(third.as_ptr(), storage, "C did not land in A's storage");
+        assert_eq!(b.loan_bytes(), 0, "B and C are held");
+        assert_eq!(third.as_ref(), &[3u8; 300]);
+        assert_eq!(second.as_ref(), &[2u8; 300]);
     }
 
     /// A datagram larger than the cap — here 60 KiB from a socket that is
