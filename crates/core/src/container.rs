@@ -32,6 +32,7 @@ use bytes::{Bytes, BytesMut};
 
 use marea_encoding::{CodecId, CodecRegistry};
 use marea_presentation::{Name, Value};
+use marea_protocol::fec::{DECODER_RING, MAX_SHARD_LEN};
 use marea_protocol::fragment::Reassembler;
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
@@ -87,6 +88,14 @@ pub const SCRATCH_CAP_BYTES: usize = 7 * SCRATCH_KEEP_BYTES + TAGGED_KEEP_BYTES;
 /// and one spare envelope per link, each at most [`LOAN_KEEP_BYTES`].
 pub const fn loan_cap_bytes(links: usize) -> usize {
     (4 + links) * LOAN_KEEP_BYTES
+}
+
+/// Bound on [`Occupancy::fec_bytes`] of a container with `links` reliable
+/// links: per link, the encoder's two lanes and two per decoder in the
+/// ring, each at most a [`MAX_SHARD_LEN`] shard behind its 2-byte length
+/// prefix.
+pub const fn fec_cap_bytes(links: usize) -> usize {
+    links * (2 + 2 * DECODER_RING) * (MAX_SHARD_LEN + 2)
 }
 
 // One cap for every loan, on both sides of the protocol/transport boundary.
@@ -441,6 +450,7 @@ impl ServiceContainer {
                 + self.payloads.bytes()
                 + self.rpc.spare_bytes()
                 + self.peers.spare_bytes(),
+            fec_bytes: self.peers.fec_bytes(),
             ..Occupancy::default()
         };
         self.vars.fill_occupancy(&mut occupancy);

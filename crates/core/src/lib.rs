@@ -104,7 +104,8 @@ pub mod trace;
 
 pub use clock::SystemClock;
 pub use container::{
-    loan_cap_bytes, ContainerConfig, ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES,
+    fec_cap_bytes, loan_cap_bytes, ContainerConfig, ServiceContainer, VarDistribution,
+    SCRATCH_CAP_BYTES,
 };
 pub use directory::{BeaconOutcome, Directory, Life, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};

@@ -183,6 +183,11 @@ impl ReliableLink {
         self.fec.rx.stats()
     }
 
+    /// Bytes of FEC lane storage the link's encoder and decoder ring hold.
+    pub fn fec_bytes(&self) -> usize {
+        self.fec.tx.lane_bytes() + self.fec.rx.lane_bytes()
+    }
+
     /// Queues the tagged message `inner` for reliable delivery; `sink`
     /// gets the wire messages ready to send now (none if the window is
     /// full: the message then waits, copied, in the backlog).
@@ -646,6 +651,11 @@ impl PeerTable {
     /// keeps.
     pub fn spare_bytes(&self) -> usize {
         self.by_peer.values().map(|link| link.tx.spare_bytes()).sum()
+    }
+
+    /// Bytes of FEC lane storage every link holds.
+    pub fn fec_bytes(&self) -> usize {
+        self.by_peer.values().map(|link| link.fec_bytes()).sum()
     }
 
     /// The earliest [`next_poll_due`](ReliableLink::next_poll_due) of an

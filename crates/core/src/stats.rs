@@ -45,6 +45,11 @@ pub struct Occupancy {
     /// link's spare envelope: capacity, not contents. At most
     /// [`loan_cap_bytes`](crate::loan_cap_bytes)`(links)`.
     pub loan_bytes: usize,
+    /// Bytes of FEC lane storage over every link's encoder and decoder
+    /// ring: capacity, not contents. A lane grows to the longest shard its
+    /// link carried, so at most
+    /// [`fec_cap_bytes`](crate::fec_cap_bytes)`(links)`.
+    pub fec_bytes: usize,
 }
 
 /// Declares a counter struct once. Each field names its kind — `sum`

@@ -10,9 +10,9 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use marea_core::{
-    loan_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration,
-    Service, ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort,
-    VarQos, SCRATCH_CAP_BYTES,
+    fec_cap_bytes, loan_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId,
+    ProtoDuration, Service, ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness,
+    TimerId, VarPort, VarQos, SCRATCH_CAP_BYTES,
 };
 use marea_encoding::WireWriter;
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
@@ -564,6 +564,123 @@ fn loans_stay_under_their_cap_on_a_udp_pair() {
     let after = b.stats();
     assert_eq!(after.frames_rejected, before.frames_rejected + 1, "the 60 KiB datagram arrived");
     assert!(peak > 0, "the gauge never saw a loan");
+}
+
+/// Publishes its own variable every 10 ms and subscribes to every other
+/// node's: the only reliable messages are the subscriptions.
+struct Reporter {
+    node: u32,
+    nodes: u32,
+}
+
+impl Service for Reporter {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder(&format!("reporter{}", self.node));
+        b.provides_var(&var_port(self.node), VarQos::default());
+        for other in (1..=self.nodes).filter(|n| *n != self.node) {
+            b.subscribe_to_var(&var_port(other), VarQos::default());
+        }
+        b.build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_millis(10), Some(ProtoDuration::from_millis(10)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        ctx.publish_to(&var_port(self.node), ctx.now().as_micros());
+    }
+}
+
+/// A link's FEC lanes hold the shards it carried: in a fleet whose
+/// reliable traffic is its subscriptions, each link keeps a few dozen
+/// bytes of them, where lanes sized for the largest shard kept
+/// 10 × 1 202 bytes per link.
+#[test]
+fn fec_lanes_of_a_subscription_fleet_hold_what_it_carried() {
+    const NODES: u32 = 6;
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107));
+    for n in 1..=NODES {
+        h.add_container(ContainerConfig::new("reporter", NodeId(n)));
+        h.add_service(NodeId(n), Box::new(Reporter { node: n, nodes: NODES }));
+    }
+    h.start_all();
+    h.run_for(ProtoDuration::from_secs(3));
+    for n in 1..=NODES {
+        let c = h.container(NodeId(n)).expect("container");
+        let o = c.occupancy();
+        assert_eq!(o.links, NODES as usize - 1, "node {n}: {o:?}");
+        assert_eq!(o.vars_bound, NODES as usize - 1, "node {n}: {o:?}");
+        assert!(c.stats().fec.data_shards_out > 0, "the subscriptions went uncoded");
+        assert!(o.fec_bytes <= fec_cap_bytes(o.links), "node {n}: {o:?}");
+        assert_eq!(o.fec_bytes / o.links, 64, "node {n}: {o:?}");
+    }
+}
+
+/// Emits three small events every 5 ms and one of 1 100 bytes — nearly the
+/// largest shard FEC codes — every 50 ms; subscribes to every other
+/// node's.
+struct Mixer {
+    node: u32,
+    nodes: u32,
+    timers_seen: u32,
+}
+
+fn mixer_port(node: u32) -> EventPort<Vec<u8>> {
+    EventPort::new(&format!("n{node}/mix"))
+}
+
+impl Service for Mixer {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder(&format!("mixer{}", self.node));
+        b.provides_event(&event_port(self.node)).provides_event(&mixer_port(self.node));
+        for other in (1..=self.nodes).filter(|n| *n != self.node) {
+            b.subscribe_to_event(&event_port(other), EventQos::default());
+            b.subscribe_to_event(&mixer_port(other), EventQos::default());
+        }
+        b.build()
+    }
+    fn on_start(&mut self, ctx: &mut ServiceContext<'_>) {
+        ctx.set_timer(ProtoDuration::from_millis(5), Some(ProtoDuration::from_millis(5)));
+    }
+    fn on_timer(&mut self, ctx: &mut ServiceContext<'_>, _id: TimerId) {
+        self.timers_seen += 1;
+        for i in 0..3 {
+            ctx.emit_to(&event_port(self.node), ctx.now().as_micros() + i);
+        }
+        if self.timers_seen.is_multiple_of(10) {
+            ctx.emit_to(&mixer_port(self.node), vec![self.node as u8; 1_100]);
+        }
+    }
+}
+
+/// On 10 %-loss links, where parity flows and decoders rotate through
+/// their ring, every container's FEC lanes stay within their cap every
+/// millisecond, and the large events do grow them.
+#[test]
+fn fec_lanes_stay_under_their_cap_on_lossy_links() {
+    const NODES: u32 = 3;
+    let link = LinkConfig::default().with_loss(0.10);
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107).with_default_link(link));
+    for n in 1..=NODES {
+        let mut config = ContainerConfig::new("mixer", NodeId(n));
+        // Loss must not also cost the directory its peer (ROADMAP item 1).
+        config.node_timeout = ProtoDuration::from_secs(30);
+        h.add_container(config);
+        h.add_service(NodeId(n), Box::new(Mixer { node: n, nodes: NODES, timers_seen: 0 }));
+    }
+    h.start_all();
+    let mut peak = 0;
+    for ms in 0..5_000 {
+        h.run_for(ProtoDuration::from_millis(1));
+        for n in 1..=NODES {
+            let o = h.container(NodeId(n)).expect("container").occupancy();
+            assert!(o.fec_bytes <= fec_cap_bytes(o.links), "node {n} at {ms} ms: {o:?}");
+            peak = peak.max(o.fec_bytes);
+        }
+    }
+    let c = h.container(NodeId(1)).expect("container");
+    assert!(c.stats().fec.recovered > 0, "parity repaired nothing: {:?}", c.stats().fec);
+    assert!(c.stats().events_delivered > 2 * 2_000, "{:?}", c.stats());
+    assert!(peak > 2 * 1_100, "the large events grew no lane: {peak}");
 }
 
 fn echo_port() -> FnPort<(Vec<u8>,), Vec<u8>> {

@@ -8,10 +8,16 @@
 //! the code is systematic, intact data shards are usable immediately and
 //! the whole layer adds zero latency on the no-loss path.
 //!
-//! Everything here is allocation-free after construction, in the spirit
-//! of labrador-ldpc: both encoder and decoder XOR into lane buffers
-//! preallocated for the link's maximum shard size, and recovery hands the
-//! caller a borrowed slice of the lane accumulator.
+//! Both encoder and decoder XOR into lane buffers, in the spirit of
+//! labrador-ldpc, and recovery hands the caller a borrowed slice of the
+//! lane accumulator. A lane starts empty and grows by doubling to hold
+//! the longest virtual shard it has absorbed, never past the link's
+//! maximum shard size plus the prefix; a reset keeps what it grew. A link
+//! that carries a few small messages therefore holds a few small lanes,
+//! and once its lanes have seen its longest shard, coding is
+//! allocation-free. Doubling, not growing to the exact size, matters:
+//! shards lengthen a byte at a time as sequence varints widen, and each
+//! of those bytes would otherwise be one more allocation.
 
 /// Length of the virtual-shard length prefix.
 const LEN_PREFIX: usize = 2;
@@ -31,14 +37,18 @@ fn xor_into(acc: &mut [u8], src: &[u8]) {
 /// One XOR lane: an accumulator plus the length of its longest member.
 #[derive(Debug)]
 struct Lane {
+    /// Zero past `len`; as long as the longest shard absorbed since the
+    /// lane was made, rounded up to a power of two and clamped to `cap`.
     acc: Vec<u8>,
+    /// Longest virtual shard the lane accepts.
+    cap: usize,
     len: usize,
     members: u8,
 }
 
 impl Lane {
-    fn with_capacity(cap: usize) -> Self {
-        Lane { acc: vec![0; cap], len: 0, members: 0 }
+    fn new(cap: usize) -> Self {
+        Lane { acc: Vec::new(), cap, len: 0, members: 0 }
     }
 
     fn reset(&mut self) {
@@ -47,13 +57,23 @@ impl Lane {
         self.members = 0;
     }
 
+    /// Makes the accumulator at least `n` bytes long, `n <= cap`.
+    fn grow_to(&mut self, n: usize) {
+        if n > self.acc.len() {
+            let len = n.next_power_of_two().min(self.cap);
+            self.acc.reserve_exact(len - self.acc.len());
+            self.acc.resize(len, 0);
+        }
+    }
+
     /// XORs the virtual shard `[len_le16 | data]` into the accumulator.
     /// Returns `false` (lane untouched) when the shard does not fit.
     fn absorb_virtual(&mut self, data: &[u8]) -> bool {
         let vlen = LEN_PREFIX + data.len();
-        if vlen > self.acc.len() || data.len() > u16::MAX as usize {
+        if vlen > self.cap || data.len() > u16::MAX as usize {
             return false;
         }
+        self.grow_to(vlen);
         let len_le = (data.len() as u16).to_le_bytes();
         self.acc[0] ^= len_le[0];
         self.acc[1] ^= len_le[1];
@@ -65,9 +85,10 @@ impl Lane {
 
     /// XORs a raw parity payload into the accumulator.
     fn absorb_raw(&mut self, payload: &[u8]) -> bool {
-        if payload.len() > self.acc.len() {
+        if payload.len() > self.cap {
             return false;
         }
+        self.grow_to(payload.len());
         xor_into(&mut self.acc[..payload.len()], payload);
         self.len = self.len.max(payload.len());
         true
@@ -86,6 +107,11 @@ impl Lane {
     }
 }
 
+/// Bytes of lane storage `lanes` hold: capacity, not contents.
+fn lane_bytes(lanes: &[Lane]) -> usize {
+    lanes.iter().map(|lane| lane.acc.capacity()).sum()
+}
+
 /// Builds parity for one group at a time, reusing its lane buffers across
 /// groups.
 #[derive(Debug)]
@@ -99,11 +125,12 @@ pub struct GroupEncoder {
 
 impl GroupEncoder {
     /// An encoder able to serve geometries up to `max_r` lanes and shards
-    /// up to `max_shard` bytes. All buffers are allocated here, once.
+    /// up to `max_shard` bytes. Its lanes start empty and grow with the
+    /// shards they absorb.
     pub fn new(max_shard: usize, max_r: u8) -> Self {
         let cap = max_shard + LEN_PREFIX;
         GroupEncoder {
-            lanes: (0..max_r.max(1)).map(|_| Lane::with_capacity(cap)).collect(),
+            lanes: (0..max_r.max(1)).map(|_| Lane::new(cap)).collect(),
             max_shard,
             k: 0,
             r: 0,
@@ -112,7 +139,7 @@ impl GroupEncoder {
     }
 
     /// Starts a fresh group with geometry `(k, r)`. Clamps to the
-    /// encoder's preallocated capacity and the bitmap-imposed
+    /// encoder's lane count and the bitmap-imposed
     /// [`MAX_GROUP_DATA`].
     pub fn begin(&mut self, k: u8, r: u8) {
         for lane in &mut self.lanes {
@@ -128,6 +155,11 @@ impl GroupEncoder {
         self.max_shard
     }
 
+    /// Bytes of lane storage held: capacity, not contents.
+    pub fn lane_bytes(&self) -> usize {
+        lane_bytes(&self.lanes)
+    }
+
     /// Data shards absorbed into the current group.
     pub fn pushed(&self) -> u8 {
         self.pushed
@@ -140,7 +172,7 @@ impl GroupEncoder {
 
     /// Absorbs the next data shard and returns its index within the
     /// group, or `None` when the shard cannot be coded (group full,
-    /// geometry off, or shard larger than the preallocated lanes) — the
+    /// geometry off, or shard larger than `max_shard`) — the
     /// caller then sends the message bare, outside any group.
     pub fn push(&mut self, data: &[u8]) -> Option<u8> {
         if self.r == 0 || self.pushed >= self.k || data.len() > self.max_shard {
@@ -209,13 +241,14 @@ pub struct GroupDecoder {
 
 impl GroupDecoder {
     /// A decoder with lanes for up to `max_r` parity lanes of
-    /// `max_shard`-byte shards. Allocated once; reused via
+    /// `max_shard`-byte shards. Its lanes start empty, grow with the
+    /// shards they absorb and keep that storage across
     /// [`GroupDecoder::reset`].
     pub fn new(max_shard: usize, max_r: u8) -> Self {
         let cap = max_shard + LEN_PREFIX;
         GroupDecoder {
             group: 0,
-            lanes: (0..max_r.max(1)).map(|_| Lane::with_capacity(cap)).collect(),
+            lanes: (0..max_r.max(1)).map(|_| Lane::new(cap)).collect(),
             received: 0,
             recovered: 0,
             parity_seen: 0,
@@ -239,6 +272,11 @@ impl GroupDecoder {
         self.k_floor = 0;
         self.r = 0;
         self.in_use = true;
+    }
+
+    /// Bytes of lane storage held: capacity, not contents.
+    pub fn lane_bytes(&self) -> usize {
+        lane_bytes(&self.lanes)
     }
 
     /// `true` while the decoder is bound to a live group.
@@ -495,6 +533,114 @@ mod tests {
             let rec = decode_with_erasures(&shards, &[victim], 6, 2);
             assert_eq!(rec, vec![(victim, payloads[victim as usize].clone())]);
         }
+    }
+
+    use crate::fec::MAX_SHARD_LEN;
+
+    /// Where each lane's storage is and how much of it there is.
+    fn storage(lanes: &[Lane]) -> Vec<(*const u8, usize)> {
+        lanes.iter().map(|lane| (lane.acc.as_ptr(), lane.acc.capacity())).collect()
+    }
+
+    #[test]
+    fn fresh_coders_hold_no_lane_storage() {
+        let mut enc = GroupEncoder::new(MAX_SHARD_LEN, 2);
+        let mut dec = GroupDecoder::new(MAX_SHARD_LEN, 2);
+        assert_eq!((enc.lane_bytes(), dec.lane_bytes()), (0, 0));
+        enc.begin(4, 2);
+        dec.reset(1);
+        assert_eq!((enc.lane_bytes(), dec.lane_bytes()), (0, 0), "a group opened grows nothing");
+    }
+
+    /// After one group of shards of up to `L` bytes, a thousand more such
+    /// groups — coded, decoded with an erasure, recovered — leave every
+    /// lane of both ends where it was, no larger.
+    #[test]
+    fn lanes_stay_put_once_they_held_the_longest_shard() {
+        const L: usize = 300;
+        let mut enc = GroupEncoder::new(MAX_SHARD_LEN, 2);
+        let mut dec = GroupDecoder::new(MAX_SHARD_LEN, 2);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut pinned = None;
+        for group in 0..=1_000u64 {
+            let payloads: Vec<Vec<u8>> = (0..4)
+                .map(|_| {
+                    let len = if group == 0 { L } else { 1 + draw() as usize % L };
+                    (0..len).map(|_| draw() as u8).collect()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let shards = encode_group(&mut enc, &refs, 4, 2);
+            let victim = (group % 4) as u8;
+            dec.reset(group);
+            for (idx, payload) in shards.iter().filter(|(idx, _)| *idx != victim) {
+                let outcome = if idx & PARITY_INDEX_BIT != 0 {
+                    dec.on_parity(idx & !PARITY_INDEX_BIT, 4, 2, payload)
+                } else {
+                    dec.on_data(*idx, 2, payload)
+                };
+                assert_eq!(outcome, Absorb::Fresh);
+            }
+            let (index, data) = dec.recover().expect("one erasure per lane is recoverable");
+            assert_eq!((index, data), (victim, payloads[usize::from(victim)].as_slice()));
+            let now = (storage(&enc.lanes), storage(&dec.lanes));
+            assert_eq!(*pinned.get_or_insert_with(|| now.clone()), now, "group {group}");
+        }
+        assert!(enc.lane_bytes() >= 2 * (L + LEN_PREFIX) && enc.lane_bytes() < 4 * L);
+    }
+
+    /// Shards that lengthen a byte at a time — as a sequence varint widens
+    /// — grow a lane a handful of times, not once per byte.
+    #[test]
+    fn lanes_grow_by_doubling_as_shards_lengthen() {
+        let mut enc = GroupEncoder::new(MAX_SHARD_LEN, 1);
+        let mut grown = 0;
+        let mut held = enc.lane_bytes();
+        for len in 1..=MAX_SHARD_LEN {
+            enc.begin(1, 1);
+            enc.push(&vec![0x5A; len]).expect("every length up to the cap is coded");
+            grown += usize::from(enc.lane_bytes() != held);
+            held = enc.lane_bytes();
+        }
+        assert_eq!(held, MAX_SHARD_LEN + LEN_PREFIX, "clamped to the cap");
+        assert!(grown <= 12, "{grown} growths for {MAX_SHARD_LEN} lengths");
+    }
+
+    /// The cap, not what a lane holds so far, decides what is coded: a
+    /// shard of exactly `MAX_SHARD_LEN` on a fresh link goes into the group
+    /// and comes back out of parity.
+    #[test]
+    fn a_max_size_shard_is_coded_and_recovered_on_fresh_lanes() {
+        let big: Vec<u8> = (0..MAX_SHARD_LEN).map(|i| (i * 7) as u8).collect();
+        let mut enc = GroupEncoder::new(MAX_SHARD_LEN, 2);
+        let shards = encode_group(&mut enc, &[&big, b"small"], 2, 1);
+        assert_eq!(enc.lane_bytes(), MAX_SHARD_LEN + LEN_PREFIX);
+        let mut dec = GroupDecoder::new(MAX_SHARD_LEN, 2);
+        dec.reset(1);
+        assert_eq!(dec.on_data(1, 1, b"small"), Absorb::Fresh);
+        assert_eq!(dec.on_parity(0, 2, 1, &shards[2].1), Absorb::Fresh);
+        let (index, data) = dec.recover().expect("the big shard is rebuilt");
+        assert_eq!((index, data), (0, big.as_slice()));
+    }
+
+    #[test]
+    fn an_oversize_payload_is_rejected_and_grows_nothing() {
+        let mut dec = GroupDecoder::new(MAX_SHARD_LEN, 2);
+        dec.reset(1);
+        let parity = vec![0xA5; MAX_SHARD_LEN + LEN_PREFIX + 1];
+        assert_eq!(dec.on_parity(0, 2, 2, &parity), Absorb::Rejected);
+        assert_eq!(dec.on_data(1, 2, &parity[..MAX_SHARD_LEN + 1]), Absorb::Rejected);
+        assert_eq!(dec.lane_bytes(), 0);
+        let mut enc = GroupEncoder::new(MAX_SHARD_LEN, 2);
+        enc.begin(2, 2);
+        assert_eq!(enc.push(&parity[..MAX_SHARD_LEN + 1]), None);
+        assert_eq!(enc.lane_bytes(), 0);
     }
 
     #[test]

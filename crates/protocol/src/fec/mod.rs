@@ -164,6 +164,11 @@ impl FecSender {
         self.controller.is_calm()
     }
 
+    /// Bytes of lane storage the encoder holds (see [`block`]).
+    pub fn lane_bytes(&self) -> usize {
+        self.encoder.lane_bytes()
+    }
+
     /// `true` when a started group is still waiting for more shards.
     pub fn has_open_group(&self) -> bool {
         self.open.is_some()
@@ -288,7 +293,8 @@ impl Default for FecReceiver {
 }
 
 impl FecReceiver {
-    /// A receiver with a preallocated [`DECODER_RING`]-deep group ring.
+    /// A receiver with a [`DECODER_RING`]-deep group ring. Its decoders'
+    /// lanes start empty and grow with the shards they absorb.
     pub fn new() -> Self {
         FecReceiver {
             ring: (0..DECODER_RING).map(|_| GroupDecoder::new(MAX_SHARD_LEN, 2)).collect(),
@@ -301,6 +307,11 @@ impl FecReceiver {
     /// Receiver counters.
     pub fn stats(&self) -> FecRxStats {
         self.stats
+    }
+
+    /// Bytes of lane storage the decoder ring holds (see [`block`]).
+    pub fn lane_bytes(&self) -> usize {
+        self.ring.iter().map(GroupDecoder::lane_bytes).sum()
     }
 
     /// The smoothed shard-loss estimate, ready to piggyback on `RelAck`.
