@@ -150,7 +150,7 @@ fn event_json(node: NodeId, ev: &TraceEvent) -> String {
 fn all_events(h: &SimHarness) -> Vec<(NodeId, TraceEvent)> {
     let mut out: Vec<(NodeId, TraceEvent)> = Vec::new();
     for (node, ring) in h.trace_rings() {
-        out.extend(ring.events().map(|ev| (node, ev.clone())));
+        out.extend(ring.events().map(|ev| (node, ev)));
     }
     out.sort_by_key(|(node, ev)| (ev.at, *node, ev.incarnation, ev.kind, ev.seq));
     out

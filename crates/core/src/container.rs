@@ -58,7 +58,9 @@ use crate::service::{
 };
 use crate::stats::{ContainerStats, EventSubscriptionStats, Occupancy, VarSubscriptionStats};
 use crate::timers::Timers;
-use crate::trace::{TraceId, TraceKind, TraceRing, Tracer};
+use crate::trace::{
+    context_limit, TraceId, TraceKind, TraceRing, Tracer, CONTEXT_BYTES, SLOT_BYTES,
+};
 
 /// Container log ring capacity.
 const LOG_CAPACITY: usize = 1024;
@@ -96,6 +98,14 @@ pub const fn loan_cap_bytes(links: usize) -> usize {
 /// prefix.
 pub const fn fec_cap_bytes(links: usize) -> usize {
     links * (2 + 2 * DECODER_RING) * (MAX_SHARD_LEN + 2)
+}
+
+/// Bound on [`Occupancy::trace_bytes`] of a container whose flight recorder
+/// holds `capacity` records: a 32-byte slot per record, plus the context
+/// table, which is compacted before it holds more than twice `capacity`
+/// (at least 64, at most `u16::MAX`) entries.
+pub const fn trace_cap_bytes(capacity: usize) -> usize {
+    capacity * SLOT_BYTES + context_limit(capacity) * CONTEXT_BYTES
 }
 
 // One cap for every loan, on both sides of the protocol/transport boundary.
@@ -451,6 +461,7 @@ impl ServiceContainer {
                 + self.rpc.spare_bytes()
                 + self.peers.spare_bytes(),
             fec_bytes: self.peers.fec_bytes(),
+            trace_bytes: self.tracer.ring().bytes(),
             ..Occupancy::default()
         };
         self.vars.fill_occupancy(&mut occupancy);

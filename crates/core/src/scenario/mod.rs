@@ -67,12 +67,13 @@ fn breach_evidence(
 ) -> (Vec<String>, Vec<String>) {
     let Some(node) = node else { return (Vec::new(), Vec::new()) };
     let Some(ring) = harness.trace_ring(node) else { return (Vec::new(), Vec::new()) };
-    let all: Vec<&crate::trace::TraceEvent> = ring.events().collect();
+    let all: Vec<crate::trace::TraceEvent> = ring.events().collect();
     let relevant: Vec<&crate::trace::TraceEvent> = match channel {
-        Some(ch) => all.iter().copied().filter(|e| e.name.as_ref() == Some(ch)).collect(),
+        Some(ch) => all.iter().filter(|e| e.name.as_ref() == Some(ch)).collect(),
         None => Vec::new(),
     };
-    let source: &[&crate::trace::TraceEvent] = if relevant.is_empty() { &all } else { &relevant };
+    let source: Vec<&crate::trace::TraceEvent> =
+        if relevant.is_empty() { all.iter().collect() } else { relevant };
     let skip = source.len().saturating_sub(VIOLATION_TRACE_TAIL);
     let tail: Vec<String> = source[skip..].iter().map(|e| render_event(node, e)).collect();
     let offending =

@@ -50,6 +50,10 @@ pub struct Occupancy {
     /// link carried, so at most
     /// [`fec_cap_bytes`](crate::fec_cap_bytes)`(links)`.
     pub fec_bytes: usize,
+    /// Bytes of flight-recorder storage: the ring's slots (32 bytes each)
+    /// and its context table, capacity, not contents. At most
+    /// [`trace_cap_bytes`](crate::trace_cap_bytes)`(trace_capacity)`.
+    pub trace_bytes: usize,
 }
 
 /// Declares a counter struct once. Each field names its kind — `sum`

@@ -8,10 +8,14 @@
 //! FEC recovery, link and directory lifecycle, node crash / restart —
 //! each stamped with **sim event-time and node incarnation**. There is
 //! no wall-clock read anywhere in this module (lint rule D2) and no
-//! string allocation on the record path (lint rule O1): an event is
-//! seven fixed-size fields plus an interned [`Name`] handle; rendering
-//! happens only in the dump layer ([`render_event`], the `marea-trace`
-//! CLI).
+//! string allocation on the record path (lint rule O1). The ring holds
+//! each record as a 32-byte `Copy` slot — time, trace id, seq, peer, kind
+//! — plus a 16-bit index into its own context table, where a record's
+//! incarnation and name are interned together: a name's `Arc` is cloned
+//! once, when its context is first used, and recording or evicting after
+//! that touches no reference count. [`TraceRing::events`] rebuilds the
+//! public [`TraceEvent`]s from slot plus context; rendering happens only
+//! in the dump layer ([`render_event`], the `marea-trace` CLI).
 //!
 //! Causality crosses the wire as a compact [`TraceId`] — origin node in
 //! the high 32 bits, a per-container mint counter in the low 32 —
@@ -174,8 +178,9 @@ impl TraceKind {
     }
 }
 
-/// One flight-recorder record: fixed-size fields only (plus an interned
-/// name handle), so recording never allocates on the hot path.
+/// One flight-recorder record, as [`TraceRing::events`] hands it out: the
+/// ring stores it as a slot plus an interned context, so recording never
+/// allocates on the hot path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Sim event-time of the action (node-local clock).
@@ -196,11 +201,68 @@ pub struct TraceEvent {
     pub name: Option<Name>,
 }
 
+/// One held record: a [`TraceEvent`]'s fixed-size fields, with its
+/// incarnation and name folded into `ctx`, an index into the ring's
+/// context table. `Copy`, so recording and evicting touch no reference
+/// count.
+#[derive(Clone, Copy)]
+struct Slot {
+    at: u64,
+    trace: u64,
+    seq: u64,
+    peer: u32,
+    /// Whether `peer` names a node: keeps `Some(NodeId(0))` apart from `None`.
+    has_peer: bool,
+    kind: TraceKind,
+    ctx: u16,
+}
+
+/// Bytes one slot occupies.
+pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+impl Slot {
+    fn new(at: Micros, kind: TraceKind, trace: TraceId, peer: Option<NodeId>, seq: u64) -> Slot {
+        let (peer, has_peer) = match peer {
+            Some(p) => (p.0, true),
+            None => (0, false),
+        };
+        Slot { at: at.0, trace: trace.0, seq, peer, has_peer, kind, ctx: 0 }
+    }
+}
+
+/// A record's context: the incarnation that recorded it and the channel or
+/// function it names. One table entry serves every record that shares both.
+type Context = (u64, Option<Name>);
+
+/// Bytes one context-table entry occupies.
+pub(crate) const CONTEXT_BYTES: usize = std::mem::size_of::<Context>();
+
+/// Contexts a ring of `capacity` slots keeps before it compacts its table
+/// to the ones its held slots name: twice the capacity, so a compaction
+/// follows at least `capacity` new contexts, and never more than a `u16`
+/// index reaches.
+pub(crate) const fn context_limit(capacity: usize) -> usize {
+    let limit = if capacity < 32 { 64 } else { 2 * capacity };
+    if limit < u16::MAX as usize {
+        limit
+    } else {
+        u16::MAX as usize
+    }
+}
+
 /// Bounded event ring: oldest evicted first, capacity respected, an
 /// eviction counter so dumps can say how much history fell off.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// It holds 32-byte slots, not [`TraceEvent`]s: a slot's incarnation and
+/// name live once in the ring's context table, which holds only contexts
+/// its own records named and is compacted to the held slots' contexts
+/// before it outgrows [`context_limit`].
+#[derive(Clone, Default)]
 pub struct TraceRing {
-    buf: VecDeque<TraceEvent>,
+    slots: VecDeque<Slot>,
+    contexts: Vec<Context>,
     capacity: usize,
     evicted: u64,
 }
@@ -208,34 +270,112 @@ pub struct TraceRing {
 impl TraceRing {
     /// An empty ring holding at most `capacity` events.
     pub fn new(capacity: usize) -> TraceRing {
-        TraceRing { buf: VecDeque::with_capacity(capacity.min(4096)), capacity, evicted: 0 }
+        TraceRing {
+            slots: VecDeque::with_capacity(capacity.min(4096)),
+            contexts: Vec::new(),
+            capacity,
+            evicted: 0,
+        }
     }
 
     /// Appends `ev`, evicting the oldest record if the ring is full.
     pub fn push(&mut self, ev: TraceEvent) {
+        let slot = Slot::new(ev.at, ev.kind, ev.trace, ev.peer, ev.seq);
+        self.write(slot, ev.incarnation, ev.name.as_ref());
+    }
+
+    /// Appends `slot` under the context (`incarnation`, `name`), evicting
+    /// the oldest record if the ring is full.
+    fn write(&mut self, mut slot: Slot, incarnation: u64, name: Option<&Name>) {
         if self.capacity == 0 {
             return;
         }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+        if self.slots.len() == self.capacity {
+            self.slots.pop_front();
             self.evicted += 1;
+        } else if self.slots.len() == self.slots.capacity() {
+            // Past the preallocated 4 096: double, but never past `capacity`.
+            let len = self.slots.len();
+            self.slots.reserve_exact(len.max(1).min(self.capacity - len));
         }
-        self.buf.push_back(ev);
+        slot.ctx = self.intern(incarnation, name);
+        self.slots.push_back(slot);
+    }
+
+    /// The index of context (`incarnation`, `name`), added if new. Names
+    /// compare by value, so equal names in distinct allocations share one
+    /// entry; the name is cloned only when its entry is added.
+    fn intern(&mut self, incarnation: u64, name: Option<&Name>) -> u16 {
+        let held = self.contexts.iter().rposition(|(i, n)| *i == incarnation && n.as_ref() == name);
+        if let Some(ctx) = held {
+            return ctx as u16;
+        }
+        let limit = context_limit(self.capacity);
+        if self.contexts.len() >= limit {
+            // Only a ring of more than `u16::MAX` slots can hold that many
+            // distinct contexts: it gives up its oldest records early
+            // rather than show one under another's context.
+            let excess = (self.slots.len() + 1).saturating_sub(limit);
+            self.slots.drain(..excess);
+            self.evicted += excess as u64;
+            self.compact();
+        }
+        if self.contexts.len() == self.contexts.capacity() {
+            let len = self.contexts.len();
+            self.contexts.reserve_exact(len.max(4).min(limit - len));
+        }
+        self.contexts.push((incarnation, name.cloned()));
+        (self.contexts.len() - 1) as u16
+    }
+
+    /// Rebuilds the context table from the held slots: a context no held
+    /// slot names is dropped, the rest keep their order.
+    fn compact(&mut self) {
+        const GONE: u16 = u16::MAX;
+        let mut moved = vec![GONE; self.contexts.len()];
+        for slot in &self.slots {
+            moved[usize::from(slot.ctx)] = 0;
+        }
+        let mut kept = 0;
+        for to in moved.iter_mut().filter(|to| **to != GONE) {
+            *to = kept;
+            kept += 1;
+        }
+        let old = std::mem::replace(&mut self.contexts, Vec::with_capacity(usize::from(kept)));
+        let held = old.into_iter().zip(&moved).filter(|(_, to)| **to != GONE);
+        self.contexts.extend(held.map(|(context, _)| context));
+        for slot in &mut self.slots {
+            slot.ctx = moved[usize::from(slot.ctx)];
+        }
+    }
+
+    /// The record `slot` stands for.
+    fn event(&self, slot: &Slot) -> TraceEvent {
+        let (incarnation, name) = &self.contexts[usize::from(slot.ctx)];
+        TraceEvent {
+            at: Micros(slot.at),
+            incarnation: *incarnation,
+            kind: slot.kind,
+            trace: TraceId(slot.trace),
+            peer: slot.has_peer.then_some(NodeId(slot.peer)),
+            seq: slot.seq,
+            name: name.clone(),
+        }
     }
 
     /// Records currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.slots.iter().map(|slot| self.event(slot))
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.slots.len()
     }
 
     /// True when nothing has been recorded (or everything evicted).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.slots.is_empty()
     }
 
     /// Maximum records held.
@@ -248,20 +388,58 @@ impl TraceRing {
         self.evicted
     }
 
+    /// Entries in the context table: the distinct (incarnation, name)
+    /// pairs this ring's records named since it was last compacted.
+    pub fn contexts(&self) -> usize {
+        self.contexts.len()
+    }
+
+    /// Bytes of slot and context-table storage: capacity, not contents.
+    /// At most [`trace_cap_bytes`](crate::trace_cap_bytes)`(capacity)`.
+    pub fn bytes(&self) -> usize {
+        self.slots.capacity() * SLOT_BYTES + self.contexts.capacity() * CONTEXT_BYTES
+    }
+
     /// Absorbs a ring stashed across a crash/restart: the stashed
     /// history is replayed into this ring (oldest first), so the new
     /// incarnation's recorder starts with its predecessor's tail and
-    /// this ring's own capacity still bounds the total.
+    /// this ring's own capacity still bounds the total. Only the slots
+    /// that stay held are re-interned.
     pub fn adopt(&mut self, older: TraceRing) {
         let mut merged = TraceRing::new(self.capacity);
         merged.evicted = self.evicted + older.evicted;
-        for ev in older.buf {
-            merged.push(ev);
-        }
-        for ev in self.buf.drain(..) {
-            merged.push(ev);
+        if self.capacity > 0 {
+            let overflow = (older.len() + self.len()).saturating_sub(self.capacity);
+            merged.evicted += overflow as u64;
+            let held = older.slots.iter().map(|s| (&older, s));
+            for (ring, slot) in held.chain(self.slots.iter().map(|s| (&*self, s))).skip(overflow) {
+                let (incarnation, name) = &ring.contexts[usize::from(slot.ctx)];
+                merged.write(*slot, *incarnation, name.as_ref());
+            }
         }
         *self = merged;
+    }
+}
+
+impl PartialEq for TraceRing {
+    /// Same capacity, same eviction count and the same events: how each
+    /// ring laid out its context table does not matter.
+    fn eq(&self, other: &TraceRing) -> bool {
+        self.capacity == other.capacity
+            && self.evicted == other.evicted
+            && self.events().eq(other.events())
+    }
+}
+
+impl Eq for TraceRing {}
+
+impl std::fmt::Debug for TraceRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceRing")
+            .field("capacity", &self.capacity)
+            .field("evicted", &self.evicted)
+            .field("events", &self.events().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -431,7 +609,9 @@ impl Tracer {
     }
 
     /// Records one event. No-op (one branch) when disabled; the name is
-    /// an interned handle, so this path never allocates a string.
+    /// interned in the ring's context table, so this path never allocates
+    /// a string and, once the name's context exists, touches no reference
+    /// count.
     pub fn record(
         &mut self,
         at: Micros,
@@ -444,15 +624,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.ring.push(TraceEvent {
-            at,
-            incarnation: self.incarnation,
-            kind,
-            trace,
-            peer,
-            seq,
-            name: name.cloned(),
-        });
+        self.ring.write(Slot::new(at, kind, trace, peer, seq), self.incarnation, name);
     }
 
     /// Records a publish→deliver latency sample (µs).
@@ -510,10 +682,8 @@ pub fn assemble_chain(rings: &[(NodeId, &TraceRing)], trace: TraceId) -> Vec<(No
         return out;
     }
     for (node, ring) in rings {
-        for ev in ring.events() {
-            if ev.trace == trace {
-                out.push((*node, ev.clone()));
-            }
+        for slot in ring.slots.iter().filter(|slot| slot.trace == trace.0) {
+            out.push((*node, ring.event(slot)));
         }
     }
     out.sort_by_key(|(node, ev)| (ev.at, *node, ev.incarnation, ev.kind, ev.seq));
@@ -595,6 +765,211 @@ mod tests {
         let ats: Vec<u64> = fresh.events().map(|e| e.at.0).collect();
         assert_eq!(ats, vec![2, 10, 11, 12], "tail of old history + all new, capped");
         assert_eq!(ats.len(), fresh.capacity());
+    }
+
+    /// The ring as it was before slots: a deque of whole events, and the
+    /// distinct contexts (incarnation, name by value) its records named.
+    #[derive(Debug, Clone, Default)]
+    struct Model {
+        buf: VecDeque<TraceEvent>,
+        capacity: usize,
+        evicted: u64,
+        named: std::collections::BTreeSet<(u64, Option<String>)>,
+    }
+
+    impl Model {
+        fn new(capacity: usize) -> Model {
+            Model { capacity, ..Model::default() }
+        }
+
+        fn push(&mut self, ev: TraceEvent) {
+            if self.capacity == 0 {
+                return;
+            }
+            if self.buf.len() == self.capacity {
+                self.buf.pop_front();
+                self.evicted += 1;
+            }
+            self.named.insert((ev.incarnation, ev.name.as_ref().map(|n| n.to_string())));
+            self.buf.push_back(ev);
+        }
+
+        fn adopt(&mut self, older: Model) {
+            let mut merged = Model::new(self.capacity);
+            merged.evicted = self.evicted + older.evicted;
+            for ev in older.buf.into_iter().chain(self.buf.drain(..)) {
+                merged.push(ev);
+            }
+            *self = merged;
+        }
+
+        /// A ring holding the model's events, built afresh.
+        fn ring(&self) -> TraceRing {
+            let mut ring = TraceRing::new(self.capacity);
+            for ev in &self.buf {
+                ring.push(ev.clone());
+            }
+            ring.evicted = self.evicted;
+            ring
+        }
+    }
+
+    fn agree(ring: &TraceRing, model: &Model, at: &str) {
+        let events: Vec<TraceEvent> = ring.events().collect();
+        assert_eq!(events, Vec::from(model.buf.clone()), "{at}: events");
+        assert_eq!(ring.len(), model.buf.len(), "{at}: len");
+        assert_eq!(ring.evicted(), model.evicted, "{at}: evicted");
+        assert!(ring.contexts() <= model.named.len().max(1), "{at}: {ring:?}");
+        let rebuilt = model.ring();
+        assert_eq!(*ring, rebuilt, "{at}: == compares events, not table layout");
+        if let Some(last) = model.buf.back() {
+            let mut other = model.clone();
+            other.buf.back_mut().unwrap().incarnation = last.incarnation + 1;
+            assert_ne!(*ring, other.ring(), "{at}: == sees an incarnation");
+        }
+    }
+
+    /// Random records, crashes (the ring taken, a marker pushed, the older
+    /// stash adopted) and restarts (the stash adopted back), as the harness
+    /// does them, against the model at every step. The inputs hold
+    /// `Some(NodeId(0))` next to `None`, every name under two incarnations
+    /// and every name in two distinct allocations; with the 100-name pool
+    /// and a crash every 200 steps or so, the tables are compacted.
+    #[test]
+    fn slots_and_contexts_agree_with_a_ring_of_whole_events() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % below
+        };
+        let kinds = [TraceKind::VarPublish, TraceKind::VarDeliver, TraceKind::CallStart];
+        for (names, churn) in [(3, 20), (100, 20), (100, 200)] {
+            let pool: Vec<[Name; 2]> = (0..names)
+                .map(|i| {
+                    let name = format!("chan/{i}");
+                    [Name::new(&name).unwrap(), Name::new(&name).unwrap()]
+                })
+                .collect();
+            for capacity in [0, 1, 3, 8, 64] {
+                let mut tracer = Tracer::new(NodeId(1), capacity);
+                let mut live = Model::new(capacity);
+                let mut stash: Option<(TraceRing, Model)> = None;
+                let mut incarnation = 1;
+                for step in 0..3_000u64 {
+                    let at =
+                        format!("{names} names, churn {churn}, capacity {capacity}, step {step}");
+                    let marker = |kind, incarnation| TraceEvent {
+                        at: Micros(step),
+                        incarnation,
+                        kind,
+                        trace: TraceId::NONE,
+                        peer: None,
+                        seq: 0,
+                        name: None,
+                    };
+                    match next(churn) {
+                        0 => {
+                            let mut ring = tracer.take_ring();
+                            let mut model = std::mem::replace(&mut live, Model::new(capacity));
+                            ring.push(marker(TraceKind::NodeCrash, incarnation));
+                            model.push(marker(TraceKind::NodeCrash, incarnation));
+                            if let Some((older, older_model)) = stash.take() {
+                                ring.adopt(older);
+                                model.adopt(older_model);
+                            }
+                            agree(&ring, &model, &at);
+                            stash = Some((ring, model));
+                        }
+                        1 => {
+                            let (mut older, mut model) = stash.take().unwrap_or_else(|| {
+                                (TraceRing::new(capacity), Model::new(capacity))
+                            });
+                            incarnation += 1;
+                            older.push(marker(TraceKind::NodeRestart, incarnation));
+                            model.push(marker(TraceKind::NodeRestart, incarnation));
+                            tracer.adopt_ring(older);
+                            live.adopt(model);
+                        }
+                        _ => {
+                            // One name, two lives: records alternate between
+                            // this incarnation and the one before it.
+                            let recorded = incarnation - next(2).min(incarnation - 1);
+                            tracer.set_incarnation(recorded);
+                            let peer = match next(4) {
+                                0 => None,
+                                p => Some(NodeId(p as u32 - 1)),
+                            };
+                            let name = match next(pool.len() as u64 + 1) as usize {
+                                0 => None,
+                                i => Some(&pool[i - 1][next(2) as usize]),
+                            };
+                            let ev = TraceEvent {
+                                at: Micros(step),
+                                incarnation: recorded,
+                                kind: kinds[next(3) as usize],
+                                trace: TraceId(next(4)),
+                                peer,
+                                seq: next(1_000),
+                                name: name.cloned(),
+                            };
+                            tracer.record(ev.at, ev.kind, ev.trace, ev.peer, ev.seq, name);
+                            live.push(ev);
+                        }
+                    }
+                    agree(tracer.ring(), &live, &at);
+                }
+            }
+        }
+    }
+
+    /// However often a channel records, and in however many copies of its
+    /// name, its records share one context.
+    #[test]
+    fn ten_thousand_records_of_one_channel_leave_one_context() {
+        let mut tracer = Tracer::new(NodeId(1), 1024);
+        let name = Name::new("gps/position").unwrap();
+        for seq in 0..10_000u64 {
+            let copy = Name::new("gps/position").unwrap();
+            let name = if seq % 2 == 0 { &name } else { &copy };
+            tracer.record(Micros(seq), TraceKind::VarPublish, TraceId::NONE, None, seq, Some(name));
+        }
+        assert_eq!(tracer.ring().contexts(), 1);
+        assert_eq!(tracer.ring().len(), 1024);
+    }
+
+    /// A table fed more distinct names than a `u16` indexes is compacted
+    /// to the held slots' contexts: it stays bounded, and every held
+    /// record keeps its own name and incarnation.
+    #[test]
+    fn seventy_thousand_names_leave_a_bounded_table_and_the_right_events() {
+        let mut ring = TraceRing::new(1024);
+        let mut model = Model::new(1024);
+        for i in 0..70_000u64 {
+            let ev = TraceEvent {
+                at: Micros(i),
+                incarnation: 1 + i % 3,
+                kind: TraceKind::EventEmit,
+                trace: TraceId::NONE,
+                peer: Some(NodeId(i as u32 % 2)),
+                seq: i,
+                name: Some(Name::new(format!("n/{i}")).unwrap()),
+            };
+            ring.push(ev.clone());
+            model.buf.push_back(ev);
+            if model.buf.len() > 1024 {
+                model.buf.pop_front();
+                model.evicted += 1;
+            }
+            assert!(ring.contexts() <= usize::from(u16::MAX), "{i}: {}", ring.contexts());
+            assert!(ring.bytes() <= crate::trace_cap_bytes(1024), "{i}: {}", ring.bytes());
+            if i % 7_919 == 0 {
+                assert!(ring.events().eq(model.buf.iter().cloned()), "{i}");
+            }
+        }
+        assert!(ring.events().eq(model.buf.iter().cloned()));
+        assert_eq!(ring.evicted(), model.evicted);
     }
 
     #[test]

@@ -1710,3 +1710,79 @@ fn an_ended_lifes_fragments_never_complete_the_next_lifes_sample() {
         assert_eq!(c.occupancy().reassembling, 0);
     }
 }
+
+/// The flight recorder's context table holds only what its own container
+/// recorded: a peer's subscriptions, samples and events naming channels the
+/// node neither provides nor subscribes to add no entry, however many
+/// names they carry.
+#[test]
+fn frames_naming_foreign_channels_add_no_trace_context() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::{DataType, Name};
+    use marea_protocol::messages::{AnnounceEntry, Message, Provision, ServiceState};
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    let mut b = ServiceDescriptor::builder("uav");
+    b.provides_var(&VarPort::<u64>::new("uav/pos"), VarQos::default());
+    b.subscribe_variable("gs/cmd", VarQos::default());
+    b.subscribe_event("gs/alarm", EventQos::default());
+    let mut c =
+        ServiceContainer::new(ContainerConfig::new("uav", NodeId(1)), Box::new(hub.attach(1)));
+    c.add_service(Box::new(Recorder::new(b.build(), obs_log()))).unwrap();
+    c.start(Micros(0));
+    let mut offer = |c: &mut ServiceContainer, msg: Message, ms: u64| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
+        c.tick(Micros::from_millis(ms));
+        while probe.recv().is_some() {}
+    };
+    let announce = Message::Announce {
+        incarnation: 1,
+        entries: vec![AnnounceEntry {
+            service_seq: 1,
+            name: Name::new("gs").unwrap(),
+            state: ServiceState::Running,
+            provides: vec![
+                Provision::Variable {
+                    name: Name::new("gs/cmd").unwrap(),
+                    ty: DataType::U64,
+                    period_us: 0,
+                    validity_us: 10_000_000,
+                },
+                Provision::Event { name: Name::new("gs/alarm").unwrap(), ty: None },
+            ],
+        }],
+    };
+    offer(&mut c, announce, 1);
+    let (contexts, rejected) = (c.trace_ring().contexts(), c.stats().frames_rejected);
+    assert!(contexts >= 1, "the node's own start is recorded");
+
+    for i in 0..1_000u64 {
+        let name = Name::new(format!("foreign/{i}")).unwrap();
+        let msg = match i % 3 {
+            0 => Message::SubscribeVar { name, subscriber: NodeId(2), need_initial: true },
+            1 => Message::VarSample {
+                name,
+                seq: i,
+                stamp_us: i * 1_000,
+                validity_us: 10_000_000,
+                trace: i,
+                codec: 0,
+                payload: Bytes::from_static(&[1]),
+            },
+            _ => Message::EventData {
+                name,
+                seq: i,
+                stamp_us: i * 1_000,
+                trace: i,
+                codec: 0,
+                payload: Bytes::new(),
+            },
+        };
+        offer(&mut c, msg, 2 + i);
+    }
+    assert_eq!(c.stats().frames_rejected, rejected, "every frame was taken in");
+    assert_eq!(c.trace_ring().contexts(), contexts, "{:?}", c.trace_ring());
+}

@@ -260,7 +260,7 @@ fn same_seed_reproduces_identical_trace_rings_and_histograms() {
             let rings: Vec<(NodeId, Vec<String>)> = h
                 .trace_rings()
                 .into_iter()
-                .map(|(n, ring)| (n, ring.events().map(|e| render_event(n, e)).collect()))
+                .map(|(n, ring)| (n, ring.events().map(|e| render_event(n, &e)).collect()))
                 .collect();
             let hists: Vec<_> = h
                 .nodes()

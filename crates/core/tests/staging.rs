@@ -10,9 +10,9 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use marea_core::{
-    fec_cap_bytes, loan_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort, Micros, NodeId,
-    ProtoDuration, Service, ServiceContainer, ServiceContext, ServiceDescriptor, SimHarness,
-    TimerId, VarPort, VarQos, SCRATCH_CAP_BYTES,
+    fec_cap_bytes, loan_cap_bytes, trace_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort,
+    Micros, NodeId, ProtoDuration, Service, ServiceContainer, ServiceContext, ServiceDescriptor,
+    SimHarness, TimerId, VarPort, VarQos, SCRATCH_CAP_BYTES,
 };
 use marea_encoding::WireWriter;
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
@@ -612,6 +612,36 @@ fn fec_lanes_of_a_subscription_fleet_hold_what_it_carried() {
         assert!(c.stats().fec.data_shards_out > 0, "the subscriptions went uncoded");
         assert!(o.fec_bytes <= fec_cap_bytes(o.links), "node {n}: {o:?}");
         assert_eq!(o.fec_bytes / o.links, 64, "node {n}: {o:?}");
+    }
+}
+
+/// A flight recorder at the default 1 024 records holds 32-byte slots and
+/// a context table of a few entries: at most 33 KiB per node once every
+/// ring has filled, where whole 64-byte events took 64 KiB for the slots
+/// alone.
+#[test]
+fn a_full_flight_recorder_holds_32_bytes_a_record() {
+    const NODES: u32 = 6;
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107));
+    for n in 1..=NODES {
+        h.add_container(ContainerConfig::new("reporter", NodeId(n)));
+        h.add_service(NodeId(n), Box::new(Reporter { node: n, nodes: NODES }));
+    }
+    h.start_all();
+    for ms in (100..=3_000).step_by(100) {
+        h.run_until_us(ms * 1_000);
+        for n in 1..=NODES {
+            let c = h.container(NodeId(n)).expect("container");
+            let capacity = ContainerConfig::new("reporter", NodeId(n)).trace_capacity;
+            let o = c.occupancy();
+            assert!(o.trace_bytes <= trace_cap_bytes(capacity), "node {n} at {ms} ms: {o:?}");
+            assert!(o.trace_bytes <= 33 * 1024, "node {n} at {ms} ms: {o:?}");
+        }
+    }
+    for n in 1..=NODES {
+        let ring = h.container(NodeId(n)).expect("container").trace_ring();
+        assert_eq!(ring.len(), 1024, "node {n}: the ring filled");
+        assert!(ring.contexts() <= 2 * NODES as usize, "node {n}: {} contexts", ring.contexts());
     }
 }
 
