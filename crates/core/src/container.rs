@@ -41,7 +41,10 @@ use marea_protocol::{
 };
 use marea_transport::{Loan, Transport, TransportDestination};
 
-use crate::directory::{BeaconOutcome, Directory, Life, NodeInfo};
+use crate::directory::{
+    BeaconOutcome, Directory, Life, NodeInfo, EXPIRY_BYTES, NAME_BYTES, PAIR_BYTES, RECORD_BYTES,
+    WHOLE_BYTES,
+};
 use crate::engines::events::{Admission, EventEngine};
 use crate::engines::files::{file_group, FileEngine, Heard};
 use crate::engines::rpc::{PendingCall, RpcEngine};
@@ -106,6 +109,20 @@ pub const fn fec_cap_bytes(links: usize) -> usize {
 /// (at least 64, at most `u16::MAX`) entries.
 pub const fn trace_cap_bytes(capacity: usize) -> usize {
     capacity * SLOT_BYTES + context_limit(capacity) * CONTEXT_BYTES
+}
+
+/// Bound on [`Occupancy::directory_bytes`] of a directory that has held at
+/// most `nodes` node records (a departed node's until its expiry entry is
+/// swept), `pairs` pairs and `whole` whole entries (names kept whole and
+/// the providers listed under them) at once. Every store grows by
+/// doubling from at most four, so it has room for at most twice what it
+/// held plus four; each whole name is at most 128 bytes behind its
+/// reference counts.
+pub const fn directory_cap_bytes(nodes: usize, pairs: usize, whole: usize) -> usize {
+    (2 * nodes + 4) * (RECORD_BYTES + EXPIRY_BYTES)
+        + (2 * pairs + 4) * PAIR_BYTES
+        + (2 * whole + 4) * WHOLE_BYTES
+        + whole * NAME_BYTES
 }
 
 // One cap for every loan, on both sides of the protocol/transport boundary.
@@ -447,6 +464,9 @@ impl ServiceContainer {
         let mut occupancy = Occupancy {
             directory_nodes: self.directory.node_count(),
             directory_provisions: self.directory.provision_count(),
+            directory_pairs: self.directory.pair_count(),
+            directory_whole: self.directory.whole_count(),
+            directory_bytes: self.directory.bytes(),
             links: self.peers.len(),
             active_links: self.peers.active_len(),
             remote_subscribers: self.peers.subscriber_count(),
@@ -518,6 +538,16 @@ impl ServiceContainer {
         &self.directory
     }
 
+    /// Keeps every provision of `name` whole in the directory, as a local
+    /// service's subscription to it does, so that the directory resolves
+    /// it: for a tool or test that reads the directory for a name no local
+    /// service uses. A node that offered the name under a pair is asked
+    /// for its catalogue again.
+    pub fn use_name(&mut self, name: &Name) {
+        self.want(name);
+        self.flush();
+    }
+
     /// Queued handler invocations.
     pub fn scheduler_len(&self) -> usize {
         self.tasks.scheduler.len()
@@ -566,6 +596,15 @@ impl ServiceContainer {
             }
         }
         self.peers.provide(provides);
+        let used = (descriptor.var_subscriptions().iter().map(|s| &s.name))
+            .chain(descriptor.event_subscriptions().iter().map(|s| &s.name))
+            .chain(descriptor.file_interests());
+        for name in used {
+            self.want(name);
+        }
+        // A re-pull the interests sent leaves now: no call stages frames
+        // past its return.
+        self.flush();
         let seq = self.slots.len() as u32 + 1;
         self.vars.register(seq, &descriptor);
         self.events.register(seq, &descriptor);
@@ -1492,6 +1531,16 @@ impl ServiceContainer {
         self.send_message(CONTROL, &msg);
     }
 
+    /// A local service uses `name`: the directory keeps its provisions
+    /// whole from now on, and each node that offered it under a pair is
+    /// asked for its catalogue again, to be filed whole.
+    fn want(&mut self, name: &Name) {
+        for node in self.directory.add_interest(name) {
+            self.stats.catalogue_pulls += 1;
+            self.send_message(TransportDestination::Node(node.0), &Message::AnnounceRequest);
+        }
+    }
+
     fn catalogue_digest(&self, entries: &[AnnounceEntry]) -> (u32, u32) {
         (announce_hash(self.incarnation, entries), entries.len() as u32)
     }
@@ -1698,6 +1747,7 @@ impl ServiceContainer {
                     }
                 }
                 Effect::SubscribeFile { resource } => {
+                    self.want(&resource);
                     self.files.add_interest(&resource, seq);
                     self.subs_dirty = true;
                     self.local_file_bypass(&resource);

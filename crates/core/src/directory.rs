@@ -18,18 +18,42 @@
 //! end of a node's life (silence timeout, `Bye` or a newer incarnation)
 //! purges everything learned from that life — the cache invalidation the
 //! paper describes.
+//!
+//! **A node keeps whole only the provisions it uses.** Every catalogue is
+//! applied, and its digest goes into the sender's [`NodeInfo`], so the
+//! repeat-beacon fast path and the digest pull see every catalogue as
+//! before. But a provision's full [`ProviderInfo`] is kept only where a
+//! lookup can ask for it:
+//! - every function, because a handler may call any function by name at
+//!   run time, with no declaration beforehand;
+//! - every name a local service uses: the variables and events it
+//!   subscribes to and the files it is interested in, registered with
+//!   [`Directory::add_interest`];
+//! - this node's own catalogue, which costs nothing per peer.
+//!
+//! Every other provision is one 8-byte pair: its name's CRC-32 and its
+//! provider's node. A pair says only that the node offers some name of
+//! that hash. When a local service takes an interest in a name later,
+//! `add_interest` answers the nodes whose pairs match the name's hash, and
+//! the container pulls their catalogues again with `AnnounceRequest`; the
+//! answer is applied with the name now in use, so it is kept whole, in its
+//! current state. A pair keeps no state, so a `ServiceStatus` for it
+//! changes nothing. The cost per peer is its liveness record, its expiry
+//! entry and a pair per provision it offers — not the 225–290 bytes of a
+//! cached provision in every directory of the fleet, of which a node reads
+//! the few it uses.
 
-use std::collections::{BTreeMap, HashMap};
+use std::mem::size_of;
 use std::num::NonZeroU32;
 
 use bytes::BytesMut;
 use marea_encoding::WireWriter;
-use marea_presentation::Name;
+use marea_presentation::{InvalidNameError, Name};
 use marea_protocol::messages::{
     announce_hash, AnnounceEntry, FunctionSig, Provision, ServiceState,
 };
 use marea_protocol::{
-    FrameBody, Message, MessageKind, Micros, NodeId, ProtoDuration, ServiceId, Unchecked,
+    crc32, FrameBody, Message, MessageKind, Micros, NodeId, ProtoDuration, ServiceId, Unchecked,
 };
 
 use crate::service::CallPolicy;
@@ -164,17 +188,55 @@ pub enum BeaconOutcome {
     },
 }
 
+/// A name kept whole: the full [`ProviderInfo`] of every provider that is
+/// kept whole under it.
+#[derive(Debug)]
+struct Whole {
+    name: Name,
+    /// A local service uses the name: kept while no node provides it, and
+    /// every provision of the name is kept whole.
+    in_use: bool,
+    /// In `(node, service)` order.
+    providers: Vec<ProviderInfo>,
+}
+
+/// Bytes of one liveness record, as the directory stores it: its id and
+/// its record in two vectors, with no padding between them.
+pub(crate) const RECORD_BYTES: usize = size_of::<NodeId>() + size_of::<NodeInfo>();
+/// Bytes of one expiry-queue entry.
+pub(crate) const EXPIRY_BYTES: usize = DueQueue::<NodeId>::ENTRY_BYTES;
+/// Bytes of one pair: a provision kept as its name hash and provider.
+pub(crate) const PAIR_BYTES: usize = size_of::<(u32, NodeId)>();
+/// Bytes of one whole entry and of one provider listed under it.
+pub(crate) const WHOLE_BYTES: usize = size_of::<Whole>() + size_of::<ProviderInfo>();
+/// Heap bytes of the longest name: its text behind the two reference
+/// counts of its shared allocation.
+pub(crate) const NAME_BYTES: usize = 2 * size_of::<usize>() + InvalidNameError::MAX_LEN;
+
+/// The hash a pair keeps of a provision's name: the CRC-32 of its bytes,
+/// the same on every node and in every run.
+fn name_hash(name: &str) -> u32 {
+    crc32(name.as_bytes())
+}
+
 /// The per-container name directory / proxy cache.
 #[derive(Debug)]
 pub struct Directory {
-    providers: BTreeMap<Name, Vec<ProviderInfo>>,
-    /// Ordered: [`Directory::nodes`] hands the ids to callers that send
-    /// per node, so the walk order must not depend on a hasher.
-    nodes: BTreeMap<NodeId, NodeInfo>,
-    /// Provision names each node currently offers — the purge index that
-    /// keeps announce application O(own catalogue) instead of a walk over
-    /// every name known fleet-wide.
-    node_provides: HashMap<NodeId, Vec<Name>>,
+    /// Names kept whole, in name order: every function, every name a local
+    /// service uses, and this node's own provisions. The only index by
+    /// name.
+    whole: Vec<Whole>,
+    /// Every other provision as `(name hash, provider node)`, in that
+    /// order: a name's providers are one range, so a new interest finds
+    /// them by one search and the names heard are counted in one pass.
+    pairs: Vec<(u32, NodeId)>,
+    /// The ids of the liveness records, ascending: [`Directory::nodes`]
+    /// hands them to callers that send per node, so the walk order must
+    /// not depend on a hasher.
+    ids: Vec<NodeId>,
+    /// `records[i]` is node `ids[i]`'s: two vectors, so that a record costs
+    /// no padding beside its id.
+    records: Vec<NodeInfo>,
     /// Every remote node's expiry, kept in `last_seen` time (a node is due
     /// `node_timeout` after it, a shift the sweep applies to `now`): the
     /// per-tick failure-detection sweep looks at one entry, not every node.
@@ -202,13 +264,27 @@ impl Directory {
     /// record is exempt from heartbeat-timeout expiry.
     pub fn for_node(local: NodeId) -> Self {
         Directory {
-            providers: BTreeMap::new(),
-            nodes: BTreeMap::new(),
-            node_provides: HashMap::new(),
+            whole: Vec::new(),
+            pairs: Vec::new(),
+            ids: Vec::new(),
+            records: Vec::new(),
             expiry: DueQueue::default(),
             local,
             beacon_body: BytesMut::new(),
         }
+    }
+
+    fn record_at(&self, node: NodeId) -> Result<usize, usize> {
+        self.ids.binary_search(&node)
+    }
+
+    fn record_mut(&mut self, node: NodeId) -> Option<&mut NodeInfo> {
+        let at = self.record_at(node).ok()?;
+        Some(&mut self.records[at])
+    }
+
+    fn whole_at(&self, name: &str) -> Result<usize, usize> {
+        self.whole.binary_search_by(|w| w.name.as_str().cmp(name))
     }
 
     /// The one life check. A frame from a life older than the one on
@@ -217,18 +293,27 @@ impl Directory {
     /// Any other files `fresh`, the record of the frame's life, and ends
     /// the life that was on record: everything cached from it goes.
     fn life(&mut self, node: NodeId, fresh: NodeInfo, same: impl FnOnce(&mut NodeInfo)) -> Life {
-        let ended = match self.nodes.get_mut(&node) {
-            Some(known) if known.incarnation > fresh.incarnation => return Life::Older,
-            Some(known) if known.incarnation == fresh.incarnation => {
+        let at = self.record_at(node);
+        if let Ok(i) = at {
+            let known = &mut self.records[i];
+            if known.incarnation > fresh.incarnation {
+                return Life::Older;
+            }
+            if known.incarnation == fresh.incarnation {
                 same(known);
                 return Life::Same;
             }
-            known => known.is_some(),
-        };
-        self.purge_node_providers(node);
-        self.nodes.insert(node, fresh);
+        }
+        self.purge(node);
+        match at {
+            Ok(i) => self.records[i] = fresh,
+            Err(i) => {
+                self.ids.insert(i, node);
+                self.records.insert(i, fresh);
+            }
+        }
         self.schedule_expiry(node, fresh.last_seen);
-        Life::New { ended }
+        Life::New { ended: at.is_ok() }
     }
 
     /// Records a beacon. The steady state — same life, same capability,
@@ -268,7 +353,8 @@ impl Directory {
     /// repeat is a [`repeat_beacon`](Self::repeat_beacon). Nothing is kept
     /// unless the frame's payload is the record's own beacon encoding.
     pub(crate) fn keep_beacon(&mut self, frame: Unchecked<'_>) {
-        let Some(info) = self.nodes.get_mut(&frame.src()) else { return };
+        let Ok(at) = self.record_at(frame.src()) else { return };
+        let info = &mut self.records[at];
         if frame.is(MessageKind::Beacon)
             && beacon_body(&mut self.beacon_body, info) == Some(frame.payload())
         {
@@ -289,7 +375,8 @@ impl Directory {
         if !frame.is(MessageKind::Beacon) {
             return false;
         }
-        let Some(info) = self.nodes.get_mut(&frame.src()) else { return false };
+        let Ok(at) = self.record_at(frame.src()) else { return false };
+        let info = &mut self.records[at];
         if info.beacon_crc.map(NonZeroU32::get) != Some(frame.crc())
             || beacon_body(&mut self.beacon_body, info) != Some(frame.payload())
         {
@@ -302,7 +389,7 @@ impl Directory {
     /// The owning container's load figure moved (its own record takes no
     /// beacons).
     pub fn set_load(&mut self, node: NodeId, load_permille: u16) {
-        if let Some(info) = self.nodes.get_mut(&node) {
+        if let Some(info) = self.record_mut(node) {
             info.load_permille = load_permille;
             info.beacon_crc = None;
         }
@@ -313,7 +400,9 @@ impl Directory {
     /// record — a node's start-up `Announce`, typically — files that
     /// life's record, with no load and FEC off until its first beacon says
     /// what the node can do, so that the digest has a record to be filed
-    /// under and a lifetime; one from an older life is ignored.
+    /// under and a lifetime; one from an older life is ignored. Functions,
+    /// names in use and this node's own provisions are filed whole, every
+    /// other provision as a pair.
     pub fn apply_announce(
         &mut self,
         node: NodeId,
@@ -332,51 +421,58 @@ impl Directory {
         if life == Life::Older {
             return life;
         }
-        self.purge_node_providers(node);
-        // Exact capacities: most names have one provider and most nodes a
-        // handful of names, where `Vec`'s first growth step would reserve
-        // four times what the list holds — a third of a large fleet's heap.
-        let mut names: Vec<Name> =
-            Vec::with_capacity(entries.iter().map(|e| e.provides.len()).sum());
+        self.purge(node);
+        // This node's own catalogue is whole: it costs nothing per peer,
+        // and its provisions resolve before a local service uses them.
+        let own = node == self.local;
         for entry in entries {
             for provision in &entry.provides {
-                let name = provision.name().clone();
-                let list =
-                    self.providers.entry(name.clone()).or_insert_with(|| Vec::with_capacity(1));
-                list.push(ProviderInfo {
+                let name = provision.name();
+                let whole = own || matches!(provision, Provision::Function { .. });
+                let at = match self.whole_at(name.as_str()) {
+                    Ok(at) if whole || self.whole[at].in_use => at,
+                    Err(at) if whole => {
+                        let whole =
+                            Whole { name: name.clone(), in_use: false, providers: Vec::new() };
+                        self.whole.insert(at, whole);
+                        at
+                    }
+                    _ => {
+                        let pair = (name_hash(name.as_str()), node);
+                        let at = self.pairs.partition_point(|&p| p < pair);
+                        self.pairs.insert(at, pair);
+                        continue;
+                    }
+                };
+                // Deterministic resolution order: after the providers of a
+                // lower or equal `(node, service)`.
+                let key = (node, entry.service_seq);
+                let list = &mut self.whole[at].providers;
+                if list.capacity() == 0 {
+                    // Exact: most names have one provider, where `Vec`'s
+                    // first growth step would reserve room for four.
+                    list.reserve_exact(1);
+                }
+                let after = list.partition_point(|p| (p.service.node, p.service.seq) <= key);
+                let info = ProviderInfo {
                     service: ServiceId::new(node, entry.service_seq),
                     state: entry.state,
                     provision: provision.clone(),
-                });
-                names.push(name);
+                };
+                list.insert(after, info);
             }
-        }
-        // Deterministic resolution order — only the touched lists re-sort.
-        for name in &names {
-            if let Some(list) = self.providers.get_mut(name) {
-                list.sort_by_key(|p| (p.service.node, p.service.seq));
-            }
-        }
-        names.sort_unstable();
-        names.dedup();
-        names.shrink_to_fit();
-        if names.is_empty() {
-            self.node_provides.remove(&node);
-        } else {
-            self.node_provides.insert(node, names);
         }
         life
     }
 
-    /// Applies a single service state change: under the names `node`
-    /// provides, not under every name known fleet-wide.
+    /// Applies a single service state change to the providers kept whole:
+    /// a pair keeps no state, and the catalogue a re-pull brings carries
+    /// the current one.
     pub fn apply_status(&mut self, node: NodeId, service_seq: u32, state: ServiceState) {
         let id = ServiceId::new(node, service_seq);
-        for name in self.node_provides.get(&node).into_iter().flatten() {
-            for p in self.providers.get_mut(name).into_iter().flatten() {
-                if p.service == id {
-                    p.state = state;
-                }
+        for whole in &mut self.whole {
+            for p in whole.providers.iter_mut().filter(|p| p.service == id) {
+                p.state = state;
             }
         }
     }
@@ -385,8 +481,11 @@ impl Directory {
     /// catalogue. `false` when the node was not known — a stranger, or one
     /// already expired — so nothing left.
     pub fn apply_bye(&mut self, node: NodeId) -> bool {
-        self.purge_node_providers(node);
-        self.nodes.remove(&node).is_some()
+        self.purge(node);
+        let Ok(at) = self.record_at(node) else { return false };
+        self.ids.remove(at);
+        self.records.remove(at);
+        true
     }
 
     /// Drops nodes silent for longer than `timeout`; returns who died.
@@ -400,9 +499,10 @@ impl Directory {
             return Vec::new();
         };
         let mut dead = Vec::new();
-        while let Some(node) =
-            self.expiry.pop_due(Micros(seen_by), |node| self.nodes.get(node).map(|n| n.last_seen))
-        {
+        while let Some(node) = self.expiry.pop_due(Micros(seen_by), |node| {
+            let at = self.ids.binary_search(node).ok()?;
+            Some(self.records[at].last_seen)
+        }) {
             dead.push(node);
             self.apply_bye(node); // the purge a `Bye` makes
         }
@@ -421,16 +521,15 @@ impl Directory {
         self.expiry.next_due().map(|seen| seen + timeout)
     }
 
-    fn purge_node_providers(&mut self, node: NodeId) {
-        let Some(names) = self.node_provides.remove(&node) else { return };
-        for name in names {
-            if let Some(list) = self.providers.get_mut(&name) {
-                list.retain(|p| p.service.node != node);
-                if list.is_empty() {
-                    self.providers.remove(&name);
-                }
-            }
-        }
+    /// Forgets every provision of `node`: its pairs, and its providers
+    /// under the names kept whole (a name no longer provided and not in use
+    /// goes with them).
+    fn purge(&mut self, node: NodeId) {
+        self.pairs.retain(|&(_, n)| n != node);
+        self.whole.retain_mut(|whole| {
+            whole.providers.retain(|p| p.service.node != node);
+            whole.in_use || !whole.providers.is_empty()
+        });
     }
 
     /// Queues a newly filed `node`'s expiry at `last_seen` (a refresh only
@@ -442,8 +541,8 @@ impl Directory {
         if self.local == node {
             return;
         }
-        let local = self.nodes.contains_key(&self.local);
-        let others = self.nodes.len() - 1 - usize::from(local);
+        let local = self.record_at(self.local).is_ok();
+        let others = self.ids.len() - 1 - usize::from(local);
         if self.expiry.len() == others {
             self.expiry.push(node, last_seen);
         } else {
@@ -451,38 +550,64 @@ impl Directory {
         }
     }
 
+    /// A local service uses `name`: from now on every provision of the
+    /// name is kept whole. Answers the remote nodes holding a pair under
+    /// the name's hash, in id order — each may provide it, and its
+    /// catalogue must be pulled again for the provision to be kept whole.
+    /// Nothing for a name already in use.
+    pub fn add_interest(&mut self, name: &Name) -> Vec<NodeId> {
+        match self.whole_at(name.as_str()) {
+            Ok(at) if self.whole[at].in_use => return Vec::new(),
+            Ok(at) => self.whole[at].in_use = true,
+            Err(at) => {
+                let whole = Whole { name: name.clone(), in_use: true, providers: Vec::new() };
+                self.whole.insert(at, whole);
+            }
+        }
+        let hash = name_hash(name.as_str());
+        let from = self.pairs.partition_point(|&(h, _)| h < hash);
+        let matching = self.pairs[from..].iter().take_while(|&&(h, _)| h == hash);
+        let mut holders: Vec<NodeId> =
+            matching.map(|&(_, node)| node).filter(|&node| node != self.local).collect();
+        holders.dedup();
+        holders
+    }
+
     /// Refreshes a known `node`'s liveness: any CRC-valid frame from it
     /// is proof of life. An unknown node stays unknown.
     pub fn touch(&mut self, node: NodeId, now: Micros) {
-        if let Some(info) = self.nodes.get_mut(&node) {
+        if let Some(info) = self.record_mut(node) {
             info.last_seen = now;
         }
     }
 
     /// `true` while the node is considered alive.
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.nodes.contains_key(&node)
+        self.record_at(node).is_ok()
     }
 
     /// Liveness record for a node.
     pub fn node(&self, node: NodeId) -> Option<&NodeInfo> {
-        self.nodes.get(&node)
+        let at = self.record_at(node).ok()?;
+        Some(&self.records[at])
     }
 
     /// All known nodes in id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Number of known nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// Every *available* provider of `name` (any provision kind), in
-    /// deterministic order.
+    /// deterministic order. Only a name kept whole — a function, a name a
+    /// local service uses, this node's own provision — lists any.
     pub fn providers<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a ProviderInfo> {
-        let listed = self.providers.get(name).into_iter().flatten();
+        let whole = self.whole_at(name).ok().map(|at| &self.whole[at]);
+        let listed = whole.into_iter().flat_map(|w| &w.providers);
         listed.filter(|p| p.state.is_available() && self.node_alive(p.service.node))
     }
 
@@ -509,7 +634,7 @@ impl Directory {
             }
         }
         candidates().min_by_key(|p| {
-            let load = self.nodes.get(&p.service.node).map(|n| n.load_permille).unwrap_or(0);
+            let load = self.node(p.service.node).map(|n| n.load_permille).unwrap_or(0);
             (load, p.service.node, p.service.seq)
         })
     }
@@ -529,9 +654,48 @@ impl Directory {
         self.providers(name).find(|p| matches!(p.provision, Provision::FileResource { .. }))
     }
 
-    /// Number of distinct provision names known.
+    /// Number of distinct provision names heard, kept whole or as pairs
+    /// (a paired name is told apart by its hash): one pass over the pairs.
     pub fn provision_count(&self) -> usize {
-        self.providers.len()
+        let paired = self.pairs.windows(2).filter(|w| w[0].0 != w[1].0).count()
+            + usize::from(!self.pairs.is_empty());
+        let paired_too = |name: &Name| {
+            let hash = name_hash(name.as_str());
+            self.pairs.binary_search_by_key(&hash, |&(h, _)| h).is_ok()
+        };
+        let whole = self.whole.iter().filter(|w| !w.providers.is_empty() && !paired_too(&w.name));
+        paired + whole.count()
+    }
+
+    /// Provisions kept as pairs.
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Whole entries: the names kept whole and the providers listed under
+    /// them.
+    pub fn whole_count(&self) -> usize {
+        self.whole.len() + self.whole.iter().map(|w| w.providers.len()).sum::<usize>()
+    }
+
+    /// Bytes of directory storage: capacity, not contents, of the records,
+    /// the expiry queue, the pairs, the hash counts and the whole entries
+    /// with their provider lists and names (a provision's schema beyond
+    /// its inline size is not counted). At most
+    /// [`directory_cap_bytes`](crate::directory_cap_bytes).
+    pub fn bytes(&self) -> usize {
+        let whole: usize = (self.whole.iter())
+            .map(|w| {
+                let name = 2 * size_of::<usize>() + w.name.as_str().len();
+                name + w.providers.capacity() * size_of::<ProviderInfo>()
+            })
+            .sum();
+        self.ids.capacity() * size_of::<NodeId>()
+            + self.records.capacity() * size_of::<NodeInfo>()
+            + self.expiry.capacity() * EXPIRY_BYTES
+            + self.pairs.capacity() * PAIR_BYTES
+            + self.whole.capacity() * size_of::<Whole>()
+            + whole
     }
 }
 
@@ -543,6 +707,7 @@ mod tests {
     use marea_protocol::frames;
     use marea_protocol::messages::FunctionSig;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
@@ -630,6 +795,8 @@ mod tests {
     #[test]
     fn resolution_order_and_choice_match_the_collected_list() {
         let mut d = dir_with_two_storages();
+        // The variable below is listed only under a name in use.
+        assert!(d.add_interest(&name("storage/store")).is_empty(), "no pair under the name");
         beat(&mut d, NodeId(4), 1, 0, 4, Micros(0));
         beat(&mut d, NodeId(5), 1, 0, 4, Micros(0));
         // Node 4 offers the name twice, once as a variable; node 5's
@@ -1092,11 +1259,14 @@ mod tests {
         assert_eq!(d.providers("storage/store").count(), 0);
     }
 
-    /// Most names have one provider and most nodes few names: neither
-    /// list may hold room for more than it lists.
+    /// Most names have one provider: a whole entry's list may hold no
+    /// room for more than it lists.
     #[test]
     fn one_provision_announces_allocate_what_they_list() {
         let mut d = remote_only();
+        for node in 1..=256u32 {
+            d.add_interest(&name(&format!("node{node}/alarm")));
+        }
         for node in 1..=256u32 {
             let entry = AnnounceEntry {
                 provides: vec![Provision::Event {
@@ -1107,10 +1277,10 @@ mod tests {
             };
             d.apply_announce(NodeId(node), 1, &[entry], Micros(0));
         }
-        let providers = d.providers.values().map(|l| (l.len(), l.capacity()));
-        let provided = d.node_provides.values().map(|l| (l.len(), l.capacity()));
-        let sizes = providers.chain(provided).fold((0, 0), |(l, c), (len, cap)| (l + len, c + cap));
-        assert_eq!(sizes, (512, 512), "256 provider lists + 256 node_provides lists, all full");
+        let providers = d.whole.iter().map(|w| (w.providers.len(), w.providers.capacity()));
+        let sizes = providers.fold((0, 0), |(l, c), (len, cap)| (l + len, c + cap));
+        assert_eq!(sizes, (256, 256), "256 provider lists, all full");
+        assert_eq!(d.pair_count(), 0);
     }
 
     #[test]
@@ -1123,12 +1293,13 @@ mod tests {
             ..announce_storage(seq)
         };
         let mut d = remote_only();
+        d.add_interest(&name("storage/full"));
         for node in [NodeId(2), NodeId(3)] {
             beat(&mut d, node, 1, 0, 4, Micros(0));
             d.apply_announce(node, 1, &[two_names(1), announce_storage(2)], Micros(0));
         }
         let states = |d: &Directory| -> Vec<(Name, ServiceId, ServiceState)> {
-            let listed = d.providers.iter();
+            let listed = d.whole.iter().map(|w| (&w.name, &w.providers));
             listed.flat_map(|(n, l)| l.iter().map(|p| (n.clone(), p.service, p.state))).collect()
         };
         let before = states(&d);
@@ -1153,6 +1324,9 @@ mod tests {
     #[test]
     fn kind_filters_apply() {
         let mut d = remote_only();
+        for used in ["gps/position", "gps/fix-lost", "gps/almanac"] {
+            d.add_interest(&name(used));
+        }
         beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
         d.apply_announce(
             NodeId(2),
@@ -1179,6 +1353,45 @@ mod tests {
         assert!(d.resolve_file("gps/almanac").is_some());
         assert!(d.resolve_function("gps/position", CallPolicy::Dynamic, None).is_none());
         assert_eq!(d.provision_count(), 3);
+    }
+
+    /// A provision no local service uses is a pair: counted among the
+    /// names heard, resolved by nothing. An interest in its name answers
+    /// the remote nodes holding a pair under its hash, in id order, and
+    /// their catalogues applied again file it whole. A name shared by two
+    /// providers is heard until the last of them goes.
+    #[test]
+    fn a_provision_not_in_use_is_a_pair_until_its_name_is() {
+        let alarm = |seq| AnnounceEntry {
+            provides: vec![Provision::Event { name: name("fleet/alarm"), ty: None }],
+            ..announce_storage(seq)
+        };
+        let mut d = Directory::for_node(NodeId(1));
+        for node in [3, 1, 2].map(NodeId) {
+            d.apply_announce(node, 1, &[alarm(1)], Micros(0));
+        }
+        assert_eq!((d.provision_count(), d.pair_count()), (1, 2), "this node's own is whole");
+        assert_eq!(
+            d.providers("fleet/alarm").map(|p| p.service.node).collect::<Vec<_>>(),
+            [NodeId(1)]
+        );
+
+        assert_eq!(d.add_interest(&name("fleet/alarm")), [NodeId(2), NodeId(3)]);
+        assert!(d.add_interest(&name("fleet/alarm")).is_empty(), "in use already");
+        assert!(d.add_interest(&name("fleet/other")).is_empty(), "no pair under its hash");
+        for node in [2, 3].map(NodeId) {
+            d.apply_announce(node, 1, &[alarm(1)], Micros(1));
+        }
+        let listed: Vec<NodeId> = d.providers("fleet/alarm").map(|p| p.service.node).collect();
+        assert_eq!(listed, [1, 2, 3].map(NodeId));
+        assert_eq!((d.provision_count(), d.pair_count()), (1, 0));
+
+        d.apply_bye(NodeId(2));
+        d.apply_bye(NodeId(3));
+        assert_eq!(d.provision_count(), 1, "node 1 still provides it");
+        d.apply_announce(NodeId(1), 1, &[], Micros(2));
+        assert_eq!(d.provision_count(), 0);
+        assert_eq!(d.whole_count(), 2, "both names in use stay, with no provider");
     }
 
     /// A large fleet holds one record per node in every directory.
@@ -1376,7 +1589,7 @@ mod tests {
                         full_path(&mut fast, &wire, now);
                     }
                 }
-                prop_assert_eq!(&fast.nodes, &full.nodes);
+                prop_assert_eq!((&fast.ids, &fast.records), (&full.ids, &full.records));
             }
         }
     }

@@ -60,8 +60,9 @@ impl Skew {
 pub struct SimHarness {
     net: SimNet,
     /// Live containers in tick order: registration order, a restarted
-    /// node re-registering at the back.
-    slots: Vec<ServiceContainer>,
+    /// node re-registering at the back. Boxed: a container is some 4 KiB
+    /// inline, and the vector's growth slack would hold that per empty slot.
+    slots: Vec<Box<ServiceContainer>>,
     /// Wake-time column, parallel to `slots`: the local-clock instant from
     /// which the container must be ticked — its
     /// [`next_due`](ServiceContainer::next_due) as of its last tick
@@ -98,7 +99,7 @@ pub struct SimHarness {
 
 impl fmt::Debug for SimHarness {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let order: Vec<NodeId> = self.slots.iter().map(ServiceContainer::node).collect();
+        let order: Vec<NodeId> = self.slots.iter().map(|c| c.node()).collect();
         f.debug_struct("SimHarness")
             .field("now_us", &self.now_us)
             .field("tick_us", &self.tick_us)
@@ -132,7 +133,7 @@ impl SimHarness {
     /// Appends a live container to the tick order, due at once.
     fn register(&mut self, node: NodeId, container: ServiceContainer) {
         self.index.insert(node, self.slots.len());
-        self.slots.push(container);
+        self.slots.push(Box::new(container));
         self.wake.push(0);
     }
 
@@ -143,7 +144,7 @@ impl SimHarness {
             *later -= 1;
         }
         self.wake.remove(at);
-        Some(self.slots.remove(at))
+        Some(*self.slots.remove(at))
     }
 
     /// Changes the container tick cadence (default 1 ms).
@@ -262,7 +263,7 @@ impl SimHarness {
 
     /// Immutable access to a container.
     pub fn container(&self, node: NodeId) -> Option<&ServiceContainer> {
-        self.index.get(&node).map(|&i| &self.slots[i])
+        self.index.get(&node).map(|&i| &*self.slots[i])
     }
 
     /// The flight-recorder ring of `node`: the live container's, or the
@@ -294,7 +295,7 @@ impl SimHarness {
     pub fn container_mut(&mut self, node: NodeId) -> Option<&mut ServiceContainer> {
         let &i = self.index.get(&node)?;
         self.wake[i] = 0;
-        Some(&mut self.slots[i])
+        Some(&mut *self.slots[i])
     }
 
     /// Crashes a node: the container disappears without a `Bye` and its
@@ -440,7 +441,7 @@ impl SimHarness {
         self.slots_visited += self.slots.len() as u64;
         if let Some(sampler) = self.metrics.as_mut() {
             if sampler.due(Micros(self.now_us)) {
-                let fleet = self.index.values().map(|&i| &self.slots[i]);
+                let fleet = self.index.values().map(|&i| &*self.slots[i]);
                 sampler.sample_fleet(Micros(self.now_us), fleet, &self.net);
             }
         }

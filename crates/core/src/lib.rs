@@ -104,8 +104,8 @@ pub mod trace;
 
 pub use clock::SystemClock;
 pub use container::{
-    fec_cap_bytes, loan_cap_bytes, trace_cap_bytes, ContainerConfig, ServiceContainer,
-    VarDistribution, SCRATCH_CAP_BYTES,
+    directory_cap_bytes, fec_cap_bytes, loan_cap_bytes, trace_cap_bytes, ContainerConfig,
+    ServiceContainer, VarDistribution, SCRATCH_CAP_BYTES,
 };
 pub use directory::{BeaconOutcome, Directory, Life, NodeInfo, ProviderInfo};
 pub use error::{CallError, ContainerError};

@@ -11,8 +11,20 @@ use crate::trace::LatencyHistogram;
 pub struct Occupancy {
     /// Nodes in the directory (this one included).
     pub directory_nodes: usize,
-    /// Distinct provision names in the directory.
+    /// Distinct provision names in the directory, kept whole or as pairs.
     pub directory_provisions: usize,
+    /// Provisions the directory keeps as `(name hash, node)` pairs: every
+    /// remote one that is not a function and whose name no local service
+    /// uses.
+    pub directory_pairs: usize,
+    /// Whole entries in the directory: names kept whole (functions, names
+    /// in use, this node's own) and the providers listed under them.
+    pub directory_whole: usize,
+    /// Bytes of directory storage: node records, expiry entries, pairs and
+    /// whole entries with their names — capacity, not contents. At most
+    /// [`directory_cap_bytes`](crate::directory_cap_bytes)`(directory_nodes,
+    /// directory_pairs, directory_whole)` while no node has left.
+    pub directory_bytes: usize,
     /// Reliable links to peers.
     pub links: usize,
     /// Links with traffic queued, in flight or unacknowledged.

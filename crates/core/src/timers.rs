@@ -71,6 +71,16 @@ impl<K> Default for DueQueue<K> {
     }
 }
 
+impl<K> DueQueue<K> {
+    /// Bytes of one queued entry.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Reverse<(Micros, K)>>();
+
+    /// Entries the queue has room for.
+    pub fn capacity(&self) -> usize {
+        self.heap.capacity()
+    }
+}
+
 impl<K: Ord + Clone> DueQueue<K> {
     /// Makes `key` surface no later than `due`: a key with no entry gets
     /// one, a later entry moves there, an earlier one stays. A walk over

@@ -761,6 +761,12 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     cfg.announce_period = ProtoDuration::from_millis(200);
     let quiet = cfg.announce_period.as_micros() * 2;
     let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    // The node resolves both names below: one of its services uses them.
+    let uses = ServiceDescriptor::builder("watch")
+        .subscribe_event("gps/fix-lost", EventQos::default())
+        .subscribe_event("gps/old-fix", EventQos::default())
+        .build();
+    c.add_service(Box::new(Scripted::new(uses))).unwrap();
     c.start(Micros(0));
 
     let catalogue = |provides: &str| {
@@ -882,9 +888,19 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
 
     let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
     let mut h = SimHarness::new(lan(31));
+    // Every node but the provider resolves the event: one of its services
+    // subscribes to it.
+    let watch = |h: &mut SimHarness, id: u32| {
+        let uses = ServiceDescriptor::builder("watch")
+            .subscribe_event("fragile/e", EventQos::default())
+            .build();
+        h.add_service(NodeId(id), Box::new(Scripted::new(uses)));
+    };
     for id in 1..=3 {
         h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
     }
+    watch(&mut h, 2);
+    watch(&mut h, 3);
     // Node 1's service degrades at 1.2 s and recovers at 3.2 s, both
     // between two beacon slots (which fall on multiples of 500 ms).
     let mut b = ServiceDescriptor::builder("fragile");
@@ -940,6 +956,11 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     // each was handed is what every later beacon says, so nobody pulls
     // again.
     h.add_container(ContainerConfig::new("n4", NodeId(4)));
+    // The joiner resolves the event too, but keeps its empty catalogue: a
+    // service's start would change it, and the re-flood that follows
+    // would reach its peers ahead of the beacon whose pull is counted.
+    let used = marea_presentation::Name::new("fragile/e").unwrap();
+    h.container_mut(NodeId(4)).unwrap().use_name(&used);
     for peer in 1..=3 {
         h.network().set_partition(4, peer, true);
     }
@@ -1785,4 +1806,218 @@ fn frames_naming_foreign_channels_add_no_trace_context() {
     }
     assert_eq!(c.stats().frames_rejected, rejected, "every frame was taken in");
     assert_eq!(c.trace_ring().contexts(), contexts, "{:?}", c.trace_ring());
+}
+
+// ---- a node keeps whole only the provisions it uses --------------------
+
+/// A service added after discovery subscribes to an event its node holds
+/// only as a pair: the node pulls the provider's catalogue again at once,
+/// and the subscription binds and delivers within one beacon period.
+#[test]
+fn a_service_added_after_discovery_binds_through_the_re_pull() {
+    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
+    let mut h = SimHarness::new(lan(46));
+    for id in 1..=3 {
+        h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
+    }
+    let port = EventPort::<u64>::new("late/e");
+    let mut b = ServiceDescriptor::builder("late");
+    b.provides_event(&port);
+    let mut source = Scripted::new(b.build());
+    source.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(20), Some(ProtoDuration::from_millis(20)));
+    }));
+    let mut k = 0u64;
+    source.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.emit_to(&port, k);
+    }));
+    h.add_service(NodeId(2), Box::new(source));
+    h.start_all();
+    h.run_until_us(2_000_000);
+    let c = h.container(NodeId(3)).unwrap();
+    assert!(c.directory().resolve_event("late/e").is_none(), "held as a pair");
+    assert_eq!((c.directory().provision_count(), c.directory().pair_count()), (1, 1));
+    let pulls = c.stats().catalogue_pulls;
+
+    let log = obs_log();
+    let uses =
+        ServiceDescriptor::builder("watch").subscribe_event("late/e", EventQos::default()).build();
+    h.add_service(NodeId(3), Box::new(Recorder::new(uses, log.clone())));
+    let c = h.container(NodeId(3)).unwrap();
+    assert_eq!(c.stats().catalogue_pulls, pulls + 1, "one pull, of the one node paired");
+    let delivered = |log: &common::ObsLog| {
+        observations(log).iter().any(|(_, o)| matches!(o, Obs::Event(name, _) if name == "late/e"))
+    };
+    assert!(h.run_until(|_| delivered(&log), beacon), "bound within one beacon period");
+    let c = h.container(NodeId(3)).unwrap();
+    let provider = c.directory().resolve_event("late/e").map(|p| p.service.node);
+    assert_eq!(provider, Some(NodeId(2)));
+    assert_eq!((c.directory().provision_count(), c.directory().pair_count()), (1, 0));
+    h.run_for(ProtoDuration::from_secs(2));
+    let c = h.container(NodeId(3)).unwrap();
+    assert_eq!(c.stats().catalogue_pulls, pulls + 1, "the beacons agree with what was pulled");
+}
+
+/// Every function is kept whole: a handler may call one that no
+/// descriptor on its node declared, and the call resolves at once.
+#[test]
+fn a_call_to_a_function_no_descriptor_declared_resolves_at_once() {
+    use std::sync::{Arc, Mutex};
+
+    let double = FnPort::<(u64,), u64>::new("calc/double");
+    let mut h = SimHarness::new(lan(47));
+    for id in 1..=2 {
+        h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
+    }
+    let mut b = ServiceDescriptor::builder("calc");
+    b.provides_fn(&double);
+    let mut calc = Scripted::new(b.build());
+    let port = double.clone();
+    calc.on_call = Some(Box::new(move |_, _, args| {
+        let (x,) = port.decode_args(args).map_err(|e| e.to_string())?;
+        Ok(port.encode_ret(2 * x))
+    }));
+    h.add_service(NodeId(2), Box::new(calc));
+
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let mut caller = Scripted::new(ServiceDescriptor::builder("caller").build());
+    caller.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(1_500), None);
+    }));
+    let port = double.clone();
+    caller.on_timer = Some(Box::new(move |ctx, _| {
+        ctx.call_fn(&port, (21,));
+    }));
+    let seen = replies.clone();
+    caller.on_reply = Some(Box::new(move |_, _, result| seen.lock().unwrap().push(result)));
+    h.add_service(NodeId(1), Box::new(caller));
+    h.start_all();
+    h.run_until_us(2_000_000);
+
+    let replies = replies.lock().unwrap();
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert!(matches!(&replies[0], Ok(v) if *v == double.encode_ret(42)), "{replies:?}");
+    let c = h.container(NodeId(1)).unwrap();
+    assert_eq!((c.stats().call_errors, c.directory().pair_count()), (0, 0));
+}
+
+/// A provision no local service uses is a pair, and a pair goes with its
+/// provider's life: a `Bye`, a newer life and silence each drop it, and
+/// the names heard fall with it.
+#[test]
+fn a_paired_providers_end_drops_its_pairs() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::{AnnounceEntry, Message, Provision, ServiceState};
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    let cfg = ContainerConfig::new("uav", NodeId(1));
+    let timeout = cfg.node_timeout.as_micros();
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    c.start(Micros(0));
+    let mut send = |from: u32, msg: Message| {
+        let wire = msg.into_frame(NodeId(from)).encode();
+        probe.send(TransportDestination::Node(1), wire).unwrap();
+    };
+    for node in 2..=4 {
+        let entries = vec![AnnounceEntry {
+            service_seq: 1,
+            name: Name::new("alarm").unwrap(),
+            state: ServiceState::Running,
+            provides: vec![Provision::Event {
+                name: Name::new(format!("n{node}/alarm")).unwrap(),
+                ty: None,
+            }],
+        }];
+        send(node, Message::Announce { incarnation: 1, entries });
+    }
+    c.tick(Micros(10_000));
+    let held = |c: &ServiceContainer| {
+        let d = c.directory();
+        (d.node_count(), d.provision_count(), d.pair_count())
+    };
+    assert_eq!(held(&c), (4, 3, 3));
+    assert!(c.directory().resolve_event("n2/alarm").is_none(), "not in use");
+
+    send(2, Message::Bye);
+    c.tick(Micros(20_000));
+    assert_eq!(held(&c), (3, 2, 2), "a Bye");
+
+    let beacon = Message::Beacon {
+        incarnation: 2,
+        load_permille: 0,
+        fec_cap: 0,
+        entry_count: 1,
+        catalogue_hash: 0,
+    };
+    send(3, beacon);
+    c.tick(Micros(30_000));
+    assert_eq!(held(&c), (3, 1, 1), "a newer life, whose catalogue is not held yet");
+
+    // Node 4 fell silent at 10 ms; node 3's new life at 30 ms.
+    c.tick(Micros(10_000 + timeout));
+    assert_eq!(held(&c), (2, 0, 0), "silence");
+}
+
+/// A pair keeps no state, so a `ServiceStatus` for it changes nothing.
+/// Once a local service uses the name, the re-pull brings the provision
+/// whole, in the state its provider holds now.
+#[test]
+fn a_status_for_a_paired_provision_waits_for_the_re_pull() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::{AnnounceEntry, Message, Provision, ServiceState};
+    use marea_protocol::{frames, Micros};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    let mut c =
+        ServiceContainer::new(ContainerConfig::new("uav", NodeId(1)), Box::new(hub.attach(1)));
+    c.start(Micros(0));
+    let send = |probe: &mut dyn Transport, msg: Message| {
+        let wire = msg.into_frame(NodeId(2)).encode();
+        probe.send(TransportDestination::Node(1), wire).unwrap();
+    };
+    let catalogue = |state| {
+        let provides = vec![Provision::Event { name: Name::new("n2/e").unwrap(), ty: None }];
+        let name = Name::new("svc").unwrap();
+        vec![AnnounceEntry { service_seq: 1, name, state, provides }]
+    };
+    send(
+        &mut probe,
+        Message::Announce { incarnation: 1, entries: catalogue(ServiceState::Running) },
+    );
+    c.tick(Micros(10_000));
+    let directory = |c: &ServiceContainer| {
+        let o = c.occupancy();
+        (o.directory_provisions, o.directory_pairs, o.directory_whole, o.directory_bytes)
+    };
+    let before = directory(&c);
+    assert_eq!(before.1, 1, "held as a pair");
+
+    let name = Name::new("svc").unwrap();
+    let status = Message::ServiceStatus { service_seq: 1, name, state: ServiceState::Degraded };
+    send(&mut probe, status);
+    c.tick(Micros(20_000));
+    assert_eq!(directory(&c), before, "a pair keeps no state");
+    assert!(c.directory().resolve_event("n2/e").is_none());
+
+    while probe.recv().is_some() {}
+    c.use_name(&Name::new("n2/e").unwrap());
+    assert_eq!(c.stats().catalogue_pulls, 1);
+    let (_, datagram) = probe.recv().expect("the re-pull");
+    let pulled = frames(&datagram).map(|f| Message::from_frame(&f.unwrap()).unwrap());
+    assert!(pulled.into_iter().any(|m| matches!(m, Message::AnnounceRequest)));
+
+    let entries = catalogue(ServiceState::Degraded);
+    send(&mut probe, Message::Announce { incarnation: 1, entries });
+    c.tick(Micros(30_000));
+    let state = c.directory().resolve_event("n2/e").map(|p| p.state);
+    assert_eq!(state, Some(ServiceState::Degraded), "the state the provider holds now");
+    assert_eq!(c.directory().pair_count(), 0);
 }

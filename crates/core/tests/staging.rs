@@ -10,9 +10,9 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use marea_core::{
-    fec_cap_bytes, loan_cap_bytes, trace_cap_bytes, ContainerConfig, EventPort, EventQos, FnPort,
-    Micros, NodeId, ProtoDuration, Service, ServiceContainer, ServiceContext, ServiceDescriptor,
-    SimHarness, TimerId, VarPort, VarQos, SCRATCH_CAP_BYTES,
+    directory_cap_bytes, fec_cap_bytes, loan_cap_bytes, trace_cap_bytes, ContainerConfig,
+    EventPort, EventQos, FnPort, Micros, NodeId, ProtoDuration, Service, ServiceContainer,
+    ServiceContext, ServiceDescriptor, SimHarness, TimerId, VarPort, VarQos, SCRATCH_CAP_BYTES,
 };
 use marea_encoding::WireWriter;
 use marea_netsim::{Destination, LinkConfig, NetConfig, SimNet};
@@ -642,6 +642,60 @@ fn a_full_flight_recorder_holds_32_bytes_a_record() {
         let ring = h.container(NodeId(n)).expect("container").trace_ring();
         assert_eq!(ring.len(), 1024, "node {n}: the ring filled");
         assert!(ring.contexts() <= 2 * NODES as usize, "node {n}: {} contexts", ring.contexts());
+    }
+}
+
+/// Provides one event that no node uses.
+struct Alarm(u32);
+
+impl Service for Alarm {
+    fn descriptor(&self) -> ServiceDescriptor {
+        let mut b = ServiceDescriptor::builder("alarm");
+        b.provides_event(&EventPort::<u64>::new(&format!("n{}/alarm", self.0)));
+        b.build()
+    }
+}
+
+/// Node 1's directory bytes once it holds every node of a `nodes`-node
+/// fleet, each with an [`Alarm`] when `alarm` is set.
+fn directory_bytes(nodes: u32, alarm: bool) -> usize {
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107));
+    for n in 1..=nodes {
+        let mut cfg = ContainerConfig::new("peer", NodeId(n));
+        cfg.trace_capacity = 0;
+        h.add_container(cfg);
+        if alarm {
+            h.add_service(NodeId(n), Box::new(Alarm(n)));
+        }
+    }
+    h.start_all();
+    let names = if alarm { nodes as usize } else { 0 };
+    let settled = |h: &SimHarness| {
+        let o = h.container(NodeId(1)).expect("container").occupancy();
+        o.directory_nodes == nodes as usize && o.directory_provisions == names
+    };
+    assert!(h.run_until(settled, ProtoDuration::from_secs(5)), "{nodes} nodes settle");
+    let o = h.container(NodeId(1)).expect("container").occupancy();
+    let cap = directory_cap_bytes(o.directory_nodes, o.directory_pairs, o.directory_whole);
+    assert!(o.directory_bytes <= cap, "{nodes} nodes: {o:?} over {cap}");
+    assert_eq!(o.directory_pairs, names.saturating_sub(1), "all but its own");
+    o.directory_bytes
+}
+
+/// What one more peer costs every directory of the fleet, over 64, 128
+/// and 256 nodes: a peer with no catalogue is its liveness record and
+/// expiry entry, at most 64 bytes; a peer offering one event that no node
+/// uses adds a pair and a name-hash count, at most 100 bytes — not the
+/// event's full provider entry.
+#[test]
+fn a_peer_costs_every_directory_its_record_and_a_pair_per_provision() {
+    for (alarm, limit) in [(false, 64), (true, 100)] {
+        let bytes = [64, 128, 256].map(|nodes| directory_bytes(nodes, alarm));
+        for (i, pair) in bytes.windows(2).enumerate() {
+            let peers = 64 << i;
+            let per_peer = (pair[1] - pair[0]) / peers;
+            assert!(per_peer <= limit, "alarm {alarm}: {per_peer} B a peer over {bytes:?}");
+        }
     }
 }
 

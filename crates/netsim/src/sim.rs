@@ -122,8 +122,10 @@ struct InFlight {
     /// First target; a unicast (or a jittered replica) is only this.
     first: Slot,
     /// Further targets in send order (an empty list does not allocate; a
-    /// non-empty one comes from, and goes back to, the [`ListPool`]).
-    rest: Vec<Slot>,
+    /// non-empty one comes from, and goes back to, the [`ListPool`]). Slots
+    /// as `u32`: every node's multicast of one instant is in flight at
+    /// once, so the pool holds about a fleet's size squared of them.
+    rest: Vec<u32>,
     /// Replicas already delivered by single-stepping.
     done: usize,
 }
@@ -137,7 +139,7 @@ impl InFlight {
         if i == 0 {
             self.first
         } else {
-            self.rest[i - 1]
+            self.rest[i - 1] as Slot
         }
     }
 }
@@ -168,22 +170,22 @@ impl Ord for InFlight {
 /// allocated is on `free`.
 #[derive(Debug, Default)]
 struct ListPool {
-    free: Vec<Vec<Slot>>,
+    free: Vec<Vec<u32>>,
 }
 
 impl ListPool {
     /// A list holding `targets`; empty ones allocate nothing.
-    fn take(&mut self, targets: &[Slot]) -> Vec<Slot> {
+    fn take(&mut self, targets: &[Slot]) -> Vec<u32> {
         if targets.is_empty() {
             return Vec::new();
         }
         let mut list = self.free.pop().unwrap_or_default();
-        list.extend_from_slice(targets);
+        list.extend(targets.iter().map(|&slot| slot as u32));
         list
     }
 
     /// Takes back the list of a run that has nothing left to deliver.
-    fn give(&mut self, mut list: Vec<Slot>) {
+    fn give(&mut self, mut list: Vec<u32>) {
         if list.capacity() > 0 {
             list.clear();
             self.free.push(list);
