@@ -538,11 +538,11 @@ impl ServiceContainer {
         &self.directory
     }
 
-    /// Keeps every provision of `name` whole in the directory, as a local
-    /// service's subscription to it does, so that the directory resolves
-    /// it: for a tool or test that reads the directory for a name no local
-    /// service uses. A node that offered the name under a pair is asked
-    /// for its catalogue again.
+    /// A test hook, not part of the API: keeps every provision of `name`
+    /// whole in the directory, as a local service's subscription to it
+    /// does, on a node whose catalogue a service would change. A node that
+    /// offered the name under a pair is asked for its catalogue again.
+    #[doc(hidden)]
     pub fn use_name(&mut self, name: &Name) {
         self.want(name);
         self.flush();
@@ -596,9 +596,10 @@ impl ServiceContainer {
             }
         }
         self.peers.provide(provides);
+        // What the directory resolves for the service. File interests are
+        // not among them: the file engine finds its sources by query.
         let used = (descriptor.var_subscriptions().iter().map(|s| &s.name))
-            .chain(descriptor.event_subscriptions().iter().map(|s| &s.name))
-            .chain(descriptor.file_interests());
+            .chain(descriptor.event_subscriptions().iter().map(|s| &s.name));
         for name in used {
             self.want(name);
         }
@@ -1747,7 +1748,6 @@ impl ServiceContainer {
                     }
                 }
                 Effect::SubscribeFile { resource } => {
-                    self.want(&resource);
                     self.files.add_interest(&resource, seq);
                     self.subs_dirty = true;
                     self.local_file_bypass(&resource);

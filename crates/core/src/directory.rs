@@ -27,8 +27,8 @@
 //! - every function, because a handler may call any function by name at
 //!   run time, with no declaration beforehand;
 //! - every name a local service uses: the variables and events it
-//!   subscribes to and the files it is interested in, registered with
-//!   [`Directory::add_interest`];
+//!   subscribes to, registered with [`Directory::add_interest`] (files
+//!   are not: the file engine finds its sources by query, not here);
 //! - this node's own catalogue, which costs nothing per peer.
 //!
 //! Every other provision is one 8-byte pair: its name's CRC-32 and its
@@ -37,7 +37,9 @@
 //! `add_interest` answers the nodes whose pairs match the name's hash, and
 //! the container pulls their catalogues again with `AnnounceRequest`; the
 //! answer is applied with the name now in use, so it is kept whole, in its
-//! current state. A pair keeps no state, so a `ServiceStatus` for it
+//! current state. Their catalogue digests are forgotten until then, so a
+//! lost request or answer is pulled again at the node's next beacon. A
+//! pair keeps no state, so a `ServiceStatus` for it
 //! changes nothing. The cost per peer is its liveness record, its expiry
 //! entry and a pair per provision it offers — not the 225–290 bytes of a
 //! cached provision in every directory of the fleet, of which a node reads
@@ -121,7 +123,9 @@ impl NodeInfo {
     }
 
     /// Digest of the node's last applied full catalogue announce:
-    /// `(announce_hash, entry_count)`. `None` until an announce is seen —
+    /// `(announce_hash, entry_count)`. `None` until an announce is seen,
+    /// and again from a new interest in a name the node offered as a pair
+    /// until its catalogue is applied again ([`Directory::add_interest`]) —
     /// a beacon received in that state always mismatches, which is what
     /// pulls the catalogue.
     pub fn catalogue_digest(&self) -> Option<(u32, u32)> {
@@ -304,9 +308,11 @@ impl Directory {
                 return Life::Same;
             }
         }
-        self.purge(node);
         match at {
-            Ok(i) => self.records[i] = fresh,
+            Ok(i) => {
+                self.purge(node);
+                self.records[i] = fresh;
+            }
             Err(i) => {
                 self.ids.insert(i, node);
                 self.records.insert(i, fresh);
@@ -418,10 +424,13 @@ impl Directory {
             (info.digest_known, info.digest) = (true, digest);
             info.beacon_crc = None;
         });
-        if life == Life::Older {
-            return life;
+        match life {
+            Life::Older => return life,
+            // The catalogue on record goes; a new life's went with the
+            // life it ended, and a first contact had none.
+            Life::Same => self.purge(node),
+            Life::New { .. } => {}
         }
-        self.purge(node);
         // This node's own catalogue is whole: it costs nothing per peer,
         // and its provisions resolve before a local service uses them.
         let own = node == self.local;
@@ -481,8 +490,8 @@ impl Directory {
     /// catalogue. `false` when the node was not known — a stranger, or one
     /// already expired — so nothing left.
     pub fn apply_bye(&mut self, node: NodeId) -> bool {
-        self.purge(node);
         let Ok(at) = self.record_at(node) else { return false };
+        self.purge(node);
         self.ids.remove(at);
         self.records.remove(at);
         true
@@ -523,7 +532,10 @@ impl Directory {
 
     /// Forgets every provision of `node`: its pairs, and its providers
     /// under the names kept whole (a name no longer provided and not in use
-    /// goes with them).
+    /// goes with them). One pass over every pair and whole entry, so it is
+    /// made only where a record holds a catalogue: an ended life, a `Bye`,
+    /// an expiry, a catalogue replaced within a life. Nothing is ever filed
+    /// for a node without a record, so a first contact has nothing to purge.
     fn purge(&mut self, node: NodeId) {
         self.pairs.retain(|&(_, n)| n != node);
         self.whole.retain_mut(|whole| {
@@ -554,7 +566,11 @@ impl Directory {
     /// name is kept whole. Answers the remote nodes holding a pair under
     /// the name's hash, in id order — each may provide it, and its
     /// catalogue must be pulled again for the provision to be kept whole.
-    /// Nothing for a name already in use.
+    /// Each of them has its catalogue digest forgotten, so that until a
+    /// catalogue of theirs is applied again every beacon of theirs differs
+    /// ([`BeaconOutcome::Differs`]) and pulls it: a lost request or answer
+    /// is repeated by the next beacon, as any lost pull is. Nothing for a
+    /// name already in use.
     pub fn add_interest(&mut self, name: &Name) -> Vec<NodeId> {
         match self.whole_at(name.as_str()) {
             Ok(at) if self.whole[at].in_use => return Vec::new(),
@@ -570,6 +586,12 @@ impl Directory {
         let mut holders: Vec<NodeId> =
             matching.map(|&(_, node)| node).filter(|&node| node != self.local).collect();
         holders.dedup();
+        for &node in &holders {
+            if let Some(info) = self.record_mut(node) {
+                info.digest_known = false;
+                info.beacon_crc = None;
+            }
+        }
         holders
     }
 
@@ -655,7 +677,8 @@ impl Directory {
     }
 
     /// Number of distinct provision names heard, kept whole or as pairs
-    /// (a paired name is told apart by its hash): one pass over the pairs.
+    /// (a paired name is told apart by its hash, so two paired names that
+    /// share a CRC-32 count once): one pass over the pairs.
     pub fn provision_count(&self) -> usize {
         let paired = self.pairs.windows(2).filter(|w| w[0].0 != w[1].0).count()
             + usize::from(!self.pairs.is_empty());
@@ -679,8 +702,8 @@ impl Directory {
     }
 
     /// Bytes of directory storage: capacity, not contents, of the records,
-    /// the expiry queue, the pairs, the hash counts and the whole entries
-    /// with their provider lists and names (a provision's schema beyond
+    /// the expiry queue, the pairs and the whole entries with their
+    /// provider lists and names (a provision's schema beyond
     /// its inline size is not counted). At most
     /// [`directory_cap_bytes`](crate::directory_cap_bytes).
     pub fn bytes(&self) -> usize {
@@ -1358,8 +1381,9 @@ mod tests {
     /// A provision no local service uses is a pair: counted among the
     /// names heard, resolved by nothing. An interest in its name answers
     /// the remote nodes holding a pair under its hash, in id order, and
-    /// their catalogues applied again file it whole. A name shared by two
-    /// providers is heard until the last of them goes.
+    /// forgets their catalogue digests, so their beacons pull until their
+    /// catalogues are applied again, which files it whole. A name shared by
+    /// two providers is heard until the last of them goes.
     #[test]
     fn a_provision_not_in_use_is_a_pair_until_its_name_is() {
         let alarm = |seq| AnnounceEntry {
@@ -1376,12 +1400,19 @@ mod tests {
             [NodeId(1)]
         );
 
+        let digest = |d: &Directory, node| d.node(NodeId(node)).unwrap().catalogue_digest();
+        let held = digest(&d, 2);
         assert_eq!(d.add_interest(&name("fleet/alarm")), [NodeId(2), NodeId(3)]);
         assert!(d.add_interest(&name("fleet/alarm")).is_empty(), "in use already");
         assert!(d.add_interest(&name("fleet/other")).is_empty(), "no pair under its hash");
+        assert_eq!((digest(&d, 2), digest(&d, 3)), (None, None), "a beacon pulls again");
+        assert!(digest(&d, 1).is_some(), "this node's own stays");
+        let pull = BeaconOutcome::Differs { cap: false, digest: true };
+        assert_eq!(d.apply_beacon(NodeId(2), 1, 0, 0, held.unwrap(), Micros(1)), pull);
         for node in [2, 3].map(NodeId) {
             d.apply_announce(node, 1, &[alarm(1)], Micros(1));
         }
+        assert_eq!(digest(&d, 2), held);
         let listed: Vec<NodeId> = d.providers("fleet/alarm").map(|p| p.service.node).collect();
         assert_eq!(listed, [1, 2, 3].map(NodeId));
         assert_eq!((d.provision_count(), d.pair_count()), (1, 0));

@@ -12,6 +12,8 @@ pub struct Occupancy {
     /// Nodes in the directory (this one included).
     pub directory_nodes: usize,
     /// Distinct provision names in the directory, kept whole or as pairs.
+    /// A paired name is known only by its CRC-32, so two paired names that
+    /// share one count once.
     pub directory_provisions: usize,
     /// Provisions the directory keeps as `(name hash, node)` pairs: every
     /// remote one that is not a function and whose name no local service

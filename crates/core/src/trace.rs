@@ -258,7 +258,7 @@ pub(crate) const fn context_limit(capacity: usize) -> usize {
 /// It holds 32-byte slots, not [`TraceEvent`]s: a slot's incarnation and
 /// name live once in the ring's context table, which holds only contexts
 /// its own records named and is compacted to the held slots' contexts
-/// before it outgrows [`context_limit`].
+/// before it outgrows `context_limit` of its capacity.
 #[derive(Clone, Default)]
 pub struct TraceRing {
     slots: VecDeque<Slot>,

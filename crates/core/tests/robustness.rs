@@ -1810,13 +1810,10 @@ fn frames_naming_foreign_channels_add_no_trace_context() {
 
 // ---- a node keeps whole only the provisions it uses --------------------
 
-/// A service added after discovery subscribes to an event its node holds
-/// only as a pair: the node pulls the provider's catalogue again at once,
-/// and the subscription binds and delivers within one beacon period.
-#[test]
-fn a_service_added_after_discovery_binds_through_the_re_pull() {
-    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
-    let mut h = SimHarness::new(lan(46));
+/// Three nodes, discovered: node 2 emits `late/e` every 20 ms, which no
+/// service uses yet.
+fn late_event_fleet(seed: u64) -> SimHarness {
+    let mut h = SimHarness::new(lan(seed));
     for id in 1..=3 {
         h.add_container(ContainerConfig::new(&format!("n{id}"), NodeId(id)));
     }
@@ -1835,6 +1832,16 @@ fn a_service_added_after_discovery_binds_through_the_re_pull() {
     h.add_service(NodeId(2), Box::new(source));
     h.start_all();
     h.run_until_us(2_000_000);
+    h
+}
+
+/// A service added after discovery subscribes to an event its node holds
+/// only as a pair: the node pulls the provider's catalogue again at once,
+/// and the subscription binds and delivers within one beacon period.
+#[test]
+fn a_service_added_after_discovery_binds_through_the_re_pull() {
+    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
+    let mut h = late_event_fleet(46);
     let c = h.container(NodeId(3)).unwrap();
     assert!(c.directory().resolve_event("late/e").is_none(), "held as a pair");
     assert_eq!((c.directory().provision_count(), c.directory().pair_count()), (1, 1));
@@ -1857,6 +1864,42 @@ fn a_service_added_after_discovery_binds_through_the_re_pull() {
     h.run_for(ProtoDuration::from_secs(2));
     let c = h.container(NodeId(3)).unwrap();
     assert_eq!(c.stats().catalogue_pulls, pulls + 1, "the beacons agree with what was pulled");
+}
+
+/// The re-pull a new interest sends is lost: the provider's next beacon
+/// differs from the catalogue its record holds, pulls it again, and the
+/// subscription binds all the same.
+#[test]
+fn a_lost_re_pull_is_repeated_by_the_next_beacon() {
+    let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
+    let mut h = late_event_fleet(48);
+    let pulls = h.container(NodeId(3)).unwrap().stats().catalogue_pulls;
+
+    // The request leaves while node 3 cannot reach node 2.
+    h.network().set_partition(2, 3, true);
+    let log = obs_log();
+    let uses =
+        ServiceDescriptor::builder("watch").subscribe_event("late/e", EventQos::default()).build();
+    h.add_service(NodeId(3), Box::new(Recorder::new(uses, log.clone())));
+    assert_eq!(h.container(NodeId(3)).unwrap().stats().catalogue_pulls, pulls + 1);
+    h.run_for(ProtoDuration::from_millis(50));
+    h.network().set_partition(2, 3, false);
+    let c = h.container(NodeId(3)).unwrap();
+    assert!(c.directory().resolve_event("late/e").is_none(), "the request was lost");
+    assert_eq!(c.directory().node(NodeId(2)).and_then(|i| i.catalogue_digest()), None);
+
+    let delivered = |log: &common::ObsLog| {
+        observations(log).iter().any(|(_, o)| matches!(o, Obs::Event(name, _) if name == "late/e"))
+    };
+    let two_beacons = ProtoDuration::from_micros(2 * beacon.as_micros());
+    assert!(h.run_until(|_| delivered(&log), two_beacons), "bound after the next beacon");
+    let c = h.container(NodeId(3)).unwrap();
+    let provider = c.directory().resolve_event("late/e").map(|p| p.service.node);
+    assert_eq!(provider, Some(NodeId(2)));
+    assert_eq!(c.stats().catalogue_pulls, pulls + 2, "the beacon's pull");
+    h.run_for(ProtoDuration::from_secs(2));
+    let c = h.container(NodeId(3)).unwrap();
+    assert_eq!(c.stats().catalogue_pulls, pulls + 2, "the beacons agree with what was pulled");
 }
 
 /// Every function is kept whole: a handler may call one that no
@@ -2008,11 +2051,15 @@ fn a_status_for_a_paired_provision_waits_for_the_re_pull() {
     assert!(c.directory().resolve_event("n2/e").is_none());
 
     while probe.recv().is_some() {}
-    c.use_name(&Name::new("n2/e").unwrap());
+    let uses =
+        ServiceDescriptor::builder("watch").subscribe_event("n2/e", EventQos::default()).build();
+    c.add_service(Box::new(Scripted::new(uses))).unwrap();
     assert_eq!(c.stats().catalogue_pulls, 1);
-    let (_, datagram) = probe.recv().expect("the re-pull");
-    let pulled = frames(&datagram).map(|f| Message::from_frame(&f.unwrap()).unwrap());
-    assert!(pulled.into_iter().any(|m| matches!(m, Message::AnnounceRequest)));
+    let mut sent = Vec::new();
+    while let Some((_, datagram)) = probe.recv() {
+        sent.extend(frames(&datagram).map(|f| Message::from_frame(&f.unwrap()).unwrap()));
+    }
+    assert!(sent.iter().any(|m| matches!(m, Message::AnnounceRequest)), "the re-pull");
 
     let entries = catalogue(ServiceState::Degraded);
     send(&mut probe, Message::Announce { incarnation: 1, entries });

@@ -685,7 +685,7 @@ fn directory_bytes(nodes: u32, alarm: bool) -> usize {
 /// What one more peer costs every directory of the fleet, over 64, 128
 /// and 256 nodes: a peer with no catalogue is its liveness record and
 /// expiry entry, at most 64 bytes; a peer offering one event that no node
-/// uses adds a pair and a name-hash count, at most 100 bytes — not the
+/// uses adds a pair, at most 100 bytes — not the
 /// event's full provider entry.
 #[test]
 fn a_peer_costs_every_directory_its_record_and_a_pair_per_provision() {
