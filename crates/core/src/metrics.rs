@@ -154,8 +154,9 @@ impl MetricsSampler {
     /// This is the hot path the O1 lint rule guards: no string
     /// allocation, no wall-clock reads, integer math only. The only
     /// heap activity is amortized growth of the pre-sized frame
-    /// buffers and the per-node last-snapshot map (first sample of a
-    /// node only).
+    /// buffers and the last-snapshot maps (first sample of a node or a
+    /// link only); the link rows are read in place
+    /// ([`SimNet::for_each_link`]).
     pub fn sample_fleet<'a>(
         &mut self,
         at: Micros,
@@ -170,22 +171,20 @@ impl MetricsSampler {
             self.sample_node(at, container.node(), &container.stats());
         }
         let sample = self.sample;
-        net.with_stats(|s| {
-            for (&(src, dst), observed) in &s.per_link {
-                let (prev_attempts, prev_lost) =
-                    self.last_links.get(&(src, dst)).copied().unwrap_or((0, 0));
-                let attempts = observed.attempts.saturating_sub(prev_attempts);
-                let lost = observed.lost.saturating_sub(prev_lost);
-                self.last_links.insert((src, dst), (observed.attempts, observed.lost));
-                if attempts == 0 && lost == 0 {
-                    continue;
-                }
-                if self.links.len() >= self.capacity {
-                    self.links.pop_front();
-                    self.evicted_links += 1;
-                }
-                self.links.push_back(LinkFrame { at, sample, src, dst, attempts, lost });
+        net.for_each_link(|src, dst, observed| {
+            let (prev_attempts, prev_lost) =
+                self.last_links.get(&(src, dst)).copied().unwrap_or((0, 0));
+            let attempts = observed.attempts.saturating_sub(prev_attempts);
+            let lost = observed.lost.saturating_sub(prev_lost);
+            self.last_links.insert((src, dst), (observed.attempts, observed.lost));
+            if attempts == 0 && lost == 0 {
+                return;
             }
+            if self.links.len() >= self.capacity {
+                self.links.pop_front();
+                self.evicted_links += 1;
+            }
+            self.links.push_back(LinkFrame { at, sample, src, dst, attempts, lost });
         });
     }
 

@@ -8,6 +8,13 @@
 //! per-slot arrays folded into [`NetStats`] only when somebody asks, and
 //! the surviving replicas of one send that share an arrival time ride
 //! **one** heap entry (see [`InFlight`]).
+//!
+//! Memory follows datagrams, not replicas: a delivered datagram is held
+//! once, in a slot of [`HeldSlab`], and each inbox it reached lists only
+//! the slot's 4-byte handle; a link's loss row is two `u32`s. On a ring
+//! where every node multicasts at the same instant, the one term still
+//! quadratic in the node count is the target lists of the runs in flight
+//! (4 bytes a target).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -75,7 +82,8 @@ struct NodeState {
     /// `false` between `remove_node` and the next `socket(id)`; exactly
     /// the attached nodes are listed in `SimNetInner::everyone`.
     attached: bool,
-    inbox: VecDeque<(u32, Bytes)>,
+    /// Handles into `SimNetInner::held`, oldest first.
+    inbox: VecDeque<u32>,
     /// Groups joined (mirror of the member lists, so removal finds them
     /// without walking every group).
     groups: Vec<u32>,
@@ -87,7 +95,7 @@ struct NodeState {
     counters: NodeStats,
     /// This node's rows of `NetStats::per_link`, indexed by destination
     /// slot (sized on first use).
-    links_out: Vec<LinkObserved>,
+    links_out: Vec<LinkRow>,
 }
 
 impl NodeState {
@@ -102,6 +110,92 @@ impl NodeState {
             counters: NodeStats::default(),
             links_out: Vec::new(),
         }
+    }
+}
+
+/// One directed link's loss accounting, half the width of the public
+/// [`LinkObserved`]: both counters saturate at `u32::MAX` (four billion
+/// replicas on one link) instead of wrapping, and
+/// [`observed`](LinkRow::observed) widens them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LinkRow {
+    attempts: u32,
+    lost: u32,
+}
+
+impl LinkRow {
+    fn observed(self) -> LinkObserved {
+        LinkObserved { attempts: self.attempts.into(), lost: self.lost.into() }
+    }
+}
+
+/// A delivered datagram, held once for every inbox that lists it.
+#[derive(Debug)]
+struct Held {
+    src: u32,
+    /// Inboxes that still list this slot; 0 on a free slot.
+    readers: u32,
+    /// The empty (static, unallocated) `Bytes` on a free slot.
+    payload: Bytes,
+}
+
+/// The delivered datagrams inboxes refer to, by `u32` handle. A slot is
+/// freed when its last reader takes the payload (or its last inbox is
+/// dropped) and reused by the next delivery, so steady traffic allocates
+/// nothing here.
+#[derive(Debug, Default)]
+struct HeldSlab {
+    slots: Vec<Held>,
+    free: Vec<u32>,
+}
+
+impl HeldSlab {
+    /// Holds `payload` for one inbox and returns its handle.
+    fn file(&mut self, src: u32, payload: Bytes) -> u32 {
+        let held = Held { src, readers: 1, payload };
+        match self.free.pop() {
+            Some(handle) => {
+                self.slots[handle as usize] = held;
+                handle
+            }
+            None => {
+                self.slots.push(held);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// One more inbox lists `handle`.
+    fn add_reader(&mut self, handle: u32) {
+        self.slots[handle as usize].readers += 1;
+    }
+
+    /// One reader's copy of the datagram. The last reader takes the
+    /// payload itself, so once the other readers have dropped theirs it
+    /// holds the only reference.
+    fn read(&mut self, handle: u32) -> (u32, Bytes) {
+        let held = &mut self.slots[handle as usize];
+        held.readers -= 1;
+        if held.readers > 0 {
+            return (held.src, held.payload.clone());
+        }
+        self.free.push(handle);
+        (held.src, std::mem::take(&mut held.payload))
+    }
+
+    /// An inbox listing `handle` is dropped unread.
+    fn release(&mut self, handle: u32) {
+        let held = &mut self.slots[handle as usize];
+        held.readers -= 1;
+        if held.readers == 0 {
+            held.payload = Bytes::new();
+            self.free.push(handle);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Held>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -191,6 +285,15 @@ impl ListPool {
             self.free.push(list);
         }
     }
+
+    fn bytes(&self) -> usize {
+        self.free.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self.free.iter().map(list_bytes).sum::<usize>()
+    }
+}
+
+fn list_bytes(list: &Vec<u32>) -> usize {
+    list.capacity() * std::mem::size_of::<u32>()
 }
 
 /// Position of node `id` in a slot list kept in ascending id order.
@@ -206,7 +309,9 @@ struct SimNetInner {
     links: HashMap<(u32, u32), LinkConfig>,
     partitions: HashSet<(u32, u32)>,
     slots: Vec<NodeState>,
-    slot_of: HashMap<u32, Slot>,
+    /// Every slot, attached or not, in ascending id order: the `id →
+    /// slot` index, and the order [`SimNet::for_each_link`] walks.
+    by_id: Vec<Slot>,
     /// Attached nodes in ascending id order: the broadcast target list.
     /// Replica order decides how the RNG stream maps onto datagrams, so
     /// it is node-id order regardless of attach order.
@@ -221,6 +326,8 @@ struct SimNetInner {
     run: Vec<Slot>,
     /// Target lists for the runs `send` pushes.
     lists: ListPool,
+    /// The delivered datagrams the inboxes list.
+    held: HeldSlab,
     /// Nodes that received since the last [`SimNet::drain_woken`].
     woken: Vec<Slot>,
     /// The scalar counters; the two maps stay empty here and are folded
@@ -229,13 +336,18 @@ struct SimNetInner {
 }
 
 impl SimNetInner {
+    /// The slot node `id` was given on its first attach.
+    fn slot_of(&self, id: u32) -> Option<Slot> {
+        position_by_id(&self.by_id, &self.slots, id).ok().map(|at| self.by_id[at])
+    }
+
     /// Registers node `id` (or re-attaches it with a fresh inbox).
     fn attach(&mut self, id: u32) -> Slot {
-        let slot = match self.slot_of.get(&id) {
-            Some(&slot) => slot,
-            None => {
+        let slot = match position_by_id(&self.by_id, &self.slots, id) {
+            Ok(at) => self.by_id[at],
+            Err(at) => {
                 self.slots.push(NodeState::detached(id));
-                self.slot_of.insert(id, self.slots.len() - 1);
+                self.by_id.insert(at, self.slots.len() - 1);
                 self.slots.len() - 1
             }
         };
@@ -246,8 +358,9 @@ impl SimNetInner {
         slot
     }
 
+    /// Detaches node `id`; its unread inbox vanishes, counted.
     fn detach(&mut self, id: u32) {
-        let Some(&slot) = self.slot_of.get(&id) else { return };
+        let Some(slot) = self.slot_of(id) else { return };
         let Ok(at) = position_by_id(&self.everyone, &self.slots, id) else { return };
         self.everyone.remove(at);
         let groups = std::mem::take(&mut self.slots[slot].groups);
@@ -256,8 +369,12 @@ impl SimNetInner {
         }
         let node = &mut self.slots[slot];
         node.attached = false;
-        node.inbox = VecDeque::new();
         node.tx_busy_until = 0;
+        let inbox = std::mem::take(&mut node.inbox);
+        self.totals.vanished += inbox.len() as u64;
+        for handle in inbox {
+            self.held.release(handle);
+        }
     }
 
     fn join(&mut self, slot: Slot, group: u32) {
@@ -309,7 +426,7 @@ impl SimNetInner {
         let unicast;
         let (targets, skip): (&[Slot], Option<Slot>) = match dest {
             Destination::Unicast(dst) => {
-                unicast = self.slot_of.get(&dst).copied().filter(|&d| self.slots[d].attached);
+                unicast = self.slot_of(dst).filter(|&d| self.slots[d].attached);
                 (unicast.as_slice(), None)
             }
             Destination::Multicast(group) => {
@@ -328,7 +445,7 @@ impl SimNetInner {
         // time extend the current run instead of opening a heap entry.
         if self.slots[src].links_out.len() < self.slots.len() {
             let width = self.slots.len();
-            self.slots[src].links_out.resize(width, LinkObserved::default());
+            self.slots[src].links_out.resize(width, LinkRow::default());
         }
         let partitioned = !self.partitions.is_empty();
         let mut run_at = 0u64;
@@ -351,10 +468,10 @@ impl SimNetInner {
             } else {
                 self.links.get(&(src_id, dst_id)).copied().unwrap_or(self.default_link)
             };
-            let observed = &mut self.slots[src].links_out[dst];
-            observed.attempts += 1;
+            let row = &mut self.slots[src].links_out[dst];
+            row.attempts = row.attempts.saturating_add(1);
             if self.rng.gen::<f64>() < link.loss {
-                observed.lost += 1;
+                row.lost = row.lost.saturating_add(1);
                 self.totals.dropped_loss += 1;
                 continue;
             }
@@ -383,53 +500,75 @@ impl SimNetInner {
         self.links.get(&(src, src)).map(|l| l.mtu).unwrap_or(self.default_link.mtu)
     }
 
-    /// Puts one replica into `dst`'s inbox. A replica to a node that is
-    /// detached right now vanishes uncounted.
-    fn deliver(&mut self, dst: Slot, src: u32, payload: Bytes) {
+    /// Counts one replica of `len` bytes arriving at `dst` and wakes the
+    /// node; `false` when `dst` is detached right now and the replica
+    /// vanishes instead. The caller lists the datagram in the inbox.
+    fn arrive(&mut self, dst: Slot, len: usize) -> bool {
         self.inflight_replicas -= 1;
         let node = &mut self.slots[dst];
         if !node.attached {
-            return;
+            self.totals.vanished += 1;
+            return false;
         }
         self.totals.datagrams_delivered += 1;
-        self.totals.bytes_delivered += payload.len() as u64;
+        self.totals.bytes_delivered += len as u64;
         node.counters.delivered += 1;
-        node.counters.delivered_bytes += payload.len() as u64;
-        node.inbox.push_back((src, payload));
+        node.counters.delivered_bytes += len as u64;
         if !node.woken {
             node.woken = true;
             self.woken.push(dst);
         }
+        true
     }
 
     /// Delivers the next single replica.
     fn step(&mut self) -> Option<u64> {
         let mut top = self.inflight.peek_mut()?;
         let run = &mut top.0;
-        let at = run.deliver_at;
-        let (dst, src, payload) = (run.target(run.done), run.src, run.payload.clone());
+        let (at, src, dst) = (run.deliver_at, run.src, run.target(run.done));
         run.done += 1;
         // The key `(deliver_at, first seq)` is untouched, so a partly
-        // delivered run keeps its place at the top of the heap.
-        if run.done == run.len() {
+        // delivered run keeps its place at the top of the heap; the last
+        // replica takes the run's payload.
+        let payload = if run.done == run.len() {
             let Reverse(delivered) = PeekMut::pop(top);
             self.lists.give(delivered.rest);
+            delivered.payload
         } else {
+            let payload = run.payload.clone();
             drop(top);
-        }
+            payload
+        };
         self.now_us = self.now_us.max(at);
-        self.deliver(dst, src, payload);
+        if self.arrive(dst, payload.len()) {
+            let handle = self.held.file(src, payload);
+            self.slots[dst].inbox.push_back(handle);
+        }
         Some(self.now_us)
     }
 
-    /// Delivers every run due at or before `t_us`, whole.
+    /// Delivers every run due at or before `t_us`, whole: its payload is
+    /// held once, and every attached target's inbox lists its handle.
     fn advance_to(&mut self, t_us: u64) {
         while self.inflight.peek().is_some_and(|Reverse(run)| run.deliver_at <= t_us) {
-            let Some(Reverse(run)) = self.inflight.pop() else { break };
+            let Some(Reverse(mut run)) = self.inflight.pop() else { break };
             self.now_us = self.now_us.max(run.deliver_at);
+            let len = run.payload.len();
+            let mut handle = None;
             for i in run.done..run.len() {
-                // Cheap refcount bump; replicas share the buffer.
-                self.deliver(run.target(i), run.src, run.payload.clone());
+                let dst = run.target(i);
+                if !self.arrive(dst, len) {
+                    continue;
+                }
+                let h = match handle {
+                    Some(h) => {
+                        self.held.add_reader(h);
+                        h
+                    }
+                    None => self.held.file(run.src, std::mem::take(&mut run.payload)),
+                };
+                handle = Some(h);
+                self.slots[dst].inbox.push_back(h);
             }
             self.lists.give(run.rest);
         }
@@ -445,13 +584,24 @@ impl SimNetInner {
             if node.counters != NodeStats::default() {
                 stats.per_node.insert(node.id, node.counters);
             }
-            for (dst, observed) in node.links_out.iter().enumerate() {
-                if observed.attempts > 0 {
-                    stats.per_link.insert((node.id, self.slots[dst].id), *observed);
+        }
+        self.each_link(|src, dst, observed| {
+            stats.per_link.insert((src, dst), observed);
+        });
+        stats
+    }
+
+    /// Calls `f(src, dst, observed)` for every link row that counted an
+    /// attempt, in ascending `(src, dst)` id order.
+    fn each_link(&self, mut f: impl FnMut(u32, u32, LinkObserved)) {
+        for &src in &self.by_id {
+            let node = &self.slots[src];
+            for &dst in &self.by_id {
+                if let Some(row) = node.links_out.get(dst).filter(|row| row.attempts > 0) {
+                    f(node.id, self.slots[dst].id, row.observed());
                 }
             }
         }
-        stats
     }
 }
 
@@ -499,7 +649,7 @@ impl SimNet {
                 links: HashMap::new(),
                 partitions: HashSet::new(),
                 slots: Vec::new(),
-                slot_of: HashMap::new(),
+                by_id: Vec::new(),
                 everyone: Vec::new(),
                 groups: HashMap::new(),
                 inflight: BinaryHeap::new(),
@@ -507,6 +657,7 @@ impl SimNet {
                 next_seq: 0,
                 run: Vec::new(),
                 lists: ListPool::default(),
+                held: HeldSlab::default(),
                 woken: Vec::new(),
                 totals: NetStats::default(),
             })),
@@ -519,9 +670,10 @@ impl SimNet {
         SimSocket { net: self.clone(), node: id, slot }
     }
 
-    /// Removes a node: pending deliveries to it vanish (counted as
-    /// delivered to nobody), and subsequent sends from it fail. Models a
-    /// crashed avionics box for the failover experiments.
+    /// Removes a node: its unread inbox and replicas that arrive while it
+    /// stays removed vanish (counted in [`NetStats::vanished`]), and
+    /// subsequent sends from it fail. Models a crashed avionics box for the
+    /// failover experiments.
     pub fn remove_node(&self, id: u32) {
         self.inner.lock().detach(id);
     }
@@ -529,7 +681,7 @@ impl SimNet {
     /// `true` if the node is registered.
     pub fn has_node(&self, id: u32) -> bool {
         let inner = self.inner.lock();
-        inner.slot_of.get(&id).is_some_and(|&slot| inner.slots[slot].attached)
+        inner.slot_of(id).is_some_and(|slot| inner.slots[slot].attached)
     }
 
     /// Installs a directed link override between two nodes.
@@ -629,6 +781,37 @@ impl SimNet {
         f(&stats)
     }
 
+    /// Calls `f(src, dst, observed)` for every row of
+    /// [`NetStats::per_link`], in the same ascending `(src, dst)` order,
+    /// read in place: nothing is allocated. The network is locked during
+    /// the walk, so `f` must not call back into it.
+    pub fn for_each_link(&self, f: impl FnMut(u32, u32, LinkObserved)) {
+        self.inner.lock().each_link(f);
+    }
+
+    /// Heap bytes netsim holds for traffic, by capacity, not contents:
+    /// inboxes, link rows, in-flight entries, target lists and held
+    /// datagram slots. Payload buffers, the node table, group lists and
+    /// link overrides are not counted.
+    pub fn bytes(&self) -> usize {
+        let inner = self.inner.lock();
+        let nodes: usize = inner
+            .slots
+            .iter()
+            .map(|node| {
+                node.inbox.capacity() * std::mem::size_of::<u32>()
+                    + node.links_out.capacity() * std::mem::size_of::<LinkRow>()
+            })
+            .sum();
+        let inflight = inner.inflight.capacity() * std::mem::size_of::<Reverse<InFlight>>()
+            + inner.inflight.iter().map(|Reverse(run)| list_bytes(&run.rest)).sum::<usize>();
+        nodes
+            + inflight
+            + inner.run.capacity() * std::mem::size_of::<Slot>()
+            + inner.lists.bytes()
+            + inner.held.bytes()
+    }
+
     /// Resets the counters (not the clock or state); benches call this
     /// between phases.
     pub fn reset_stats(&self) {
@@ -636,7 +819,7 @@ impl SimNet {
         inner.totals = NetStats::default();
         for node in &mut inner.slots {
             node.counters = NodeStats::default();
-            node.links_out.fill(LinkObserved::default());
+            node.links_out.fill(LinkRow::default());
         }
     }
 }
@@ -672,8 +855,11 @@ impl SimSocket {
 
     /// Pops the next delivered datagram, if any.
     pub fn recv(&self) -> Option<(u32, Bytes)> {
+        let mut inner = self.net.inner.lock();
+        let inner = &mut *inner;
         // A removed node's inbox is empty, so a stale socket reads `None`.
-        self.net.inner.lock().slots[self.slot].inbox.pop_front()
+        let handle = inner.slots[self.slot].inbox.pop_front()?;
+        Some(inner.held.read(handle))
     }
 
     /// Number of datagrams waiting in the inbox.
@@ -980,7 +1166,7 @@ mod tests {
     }
 
     #[test]
-    fn replica_to_a_node_that_stays_removed_vanishes_uncounted() {
+    fn replica_to_a_node_that_stays_removed_vanishes() {
         let net = quiet_net(31);
         let a = net.socket(1);
         let _b = net.socket(2);
@@ -995,6 +1181,29 @@ mod tests {
         assert_eq!(s.node(2), crate::stats::NodeStats::default());
         assert_eq!(s.total_dropped(), 0, "vanished, not dropped");
         assert_eq!(s.link_observed(1, 2).attempts, 1, "the loss roll happened at send time");
+        assert_eq!(s.vanished, 1);
+    }
+
+    #[test]
+    fn an_unread_inbox_dropped_by_remove_node_vanishes() {
+        let net = quiet_net(34);
+        let a = net.socket(1);
+        let b = net.socket(2);
+        let c = net.socket(3);
+        a.send(Destination::Unicast(2), Bytes::from_static(b"u")).unwrap();
+        a.send(Destination::Broadcast, Bytes::from(vec![7u8; 4])).unwrap();
+        net.run_until_idle();
+        assert_eq!((b.pending(), c.pending()), (2, 1));
+        net.remove_node(2);
+        let s = net.stats();
+        assert_eq!(s.vanished, 2, "both unread replicas");
+        assert_eq!(s.total_dropped(), 0, "vanished, not dropped");
+        assert_eq!((s.datagrams_delivered, s.node(2).delivered), (3, 2), "they were delivered");
+        // The broadcast is still held for node 3, and only for it.
+        assert_eq!(c.recv().map(|(src, p)| (src, p.to_vec())), Some((1, vec![7u8; 4])));
+        let inner = net.inner.lock();
+        assert!(inner.held.slots.iter().all(|held| held.readers == 0));
+        assert_eq!(inner.held.free.len(), inner.held.slots.len());
     }
 
     #[test]
@@ -1300,6 +1509,168 @@ mod tests {
         assert_eq!(net.stats(), NetStats::default());
         a.send(Destination::Unicast(2), Bytes::from_static(b"x")).unwrap();
         assert_eq!(net.stats().per_node.keys().copied().collect::<Vec<_>>(), vec![1]);
+    }
+
+    /// A ring where every node multicasts at the same instant, as the
+    /// swarm's beacons do: every inbox fills to a fan-in of `n - 1` and
+    /// every node's run is in flight at once. Per node pair netsim keeps
+    /// a 4-byte handle, an 8-byte link row and a 4-byte target; each
+    /// datagram is held once.
+    #[test]
+    fn netsim_keeps_at_most_24_bytes_a_node_pair_on_a_beacon_ring() {
+        for n in [64u32, 128, 256] {
+            let net = quiet_net(44);
+            let socks: Vec<_> = (1..=n).map(|i| net.socket(i)).collect();
+            for s in &socks {
+                s.join(7);
+            }
+            for round in 1..=3u64 {
+                for s in &socks {
+                    s.send(Destination::Multicast(7), Bytes::from(vec![round as u8; 40])).unwrap();
+                }
+                net.advance_to(round * 10_000);
+                assert!(socks.iter().all(|s| s.pending() == n as usize - 1));
+                for s in &socks {
+                    while s.recv().is_some() {}
+                }
+            }
+            let per_pair = net.bytes() as f64 / f64::from(n * n);
+            assert!(per_pair <= 24.0, "{n} nodes: {per_pair:.1} bytes a node pair");
+        }
+    }
+
+    /// The last reader of a multicast, delivered whole or replica by
+    /// replica, gets the only reference to the payload once the earlier
+    /// readers have dropped theirs: a transport may reuse the buffer.
+    #[test]
+    fn the_last_reader_of_a_multicast_holds_its_payload_alone() {
+        let net = quiet_net(45);
+        let socks: Vec<_> = (1..=4).map(|i| net.socket(i)).collect();
+        for s in &socks[1..] {
+            s.join(7);
+        }
+        for whole in [true, false] {
+            socks[0].send(Destination::Multicast(7), Bytes::from(vec![1u8; 64])).unwrap();
+            if whole {
+                net.advance_to(net.now_us() + 1_000);
+            } else {
+                net.run_until_idle();
+            }
+            let first = socks[1].recv().unwrap().1;
+            assert!(!first.is_unique(), "two more readers");
+            drop(first);
+            let second = socks[2].recv().unwrap().1;
+            let last = socks[3].recv().unwrap().1;
+            assert!(!last.is_unique(), "the second reader still holds a copy");
+            drop(second);
+            assert!(last.is_unique());
+        }
+    }
+
+    /// Random sends, deliveries (whole and stepped), reads, removals and
+    /// re-attaches over a lossy, sometimes jittered LAN. Every replica
+    /// that passed the loss roll is read, vanishes on arrival or is
+    /// dropped unread with its node; once every inbox is drained and
+    /// nothing is in flight every held slot is free and holds no payload.
+    #[test]
+    fn held_datagrams_are_freed_by_their_last_reader_under_random_ops() {
+        let net = SimNet::new(
+            NetConfig::default()
+                .with_seed(46)
+                .with_default_link(LinkConfig::default().with_loss(0.2).with_bandwidth_bps(None)),
+        );
+        let mut rng = SmallRng::seed_from_u64(46);
+        let mut socks: Vec<SimSocket> = (1..=6).map(|i| net.socket(i)).collect();
+        for s in &socks {
+            s.join(1 + s.node() % 2);
+        }
+        let (mut reads, mut dropped_unread) = (0u64, 0u64);
+        let check_slab = |net: &SimNet| {
+            let inner = net.inner.lock();
+            let listed: usize = inner.slots.iter().map(|node| node.inbox.len()).sum();
+            let readers: usize = inner.held.slots.iter().map(|held| held.readers as usize).sum();
+            assert_eq!(listed, readers, "each listing is one reader");
+            for &free in &inner.held.free {
+                let held = &inner.held.slots[free as usize];
+                assert_eq!((held.readers, held.payload.len()), (0, 0));
+            }
+        };
+        for op in 0..4_000 {
+            if op == 2_000 {
+                net.set_default_link(
+                    LinkConfig::default()
+                        .with_loss(0.2)
+                        .with_jitter_us(300)
+                        .with_bandwidth_bps(None),
+                );
+            }
+            let sock = &socks[rng.gen_range(0..socks.len())];
+            match rng.gen_range(0..10) {
+                0..=2 => {
+                    let dest = match rng.gen_range(0..3) {
+                        0 => Destination::Unicast(rng.gen_range(1..=7)),
+                        1 => Destination::Multicast(rng.gen_range(1..=2)),
+                        _ => Destination::Broadcast,
+                    };
+                    let _ = sock.send(dest, Bytes::from(vec![op as u8; 1 + op % 32]));
+                }
+                3 => {
+                    net.step();
+                }
+                4 => net.advance_to(net.now_us() + rng.gen_range(0..200u64)),
+                5..=7 => reads += u64::from(sock.recv().is_some()),
+                8 if rng.gen_range(0..8) == 0 => {
+                    dropped_unread += sock.pending() as u64;
+                    net.remove_node(sock.node());
+                }
+                _ if !net.has_node(sock.node()) => {
+                    let id = sock.node();
+                    let fresh = net.socket(id);
+                    fresh.join(1 + id % 2);
+                    socks[(id - 1) as usize] = fresh;
+                }
+                _ => {}
+            }
+            check_slab(&net);
+        }
+        net.run_until_idle();
+        for s in &socks {
+            while s.recv().is_some() {
+                reads += 1;
+            }
+        }
+        check_slab(&net);
+        let s = net.stats();
+        let survived: u64 = s.per_link.values().map(|o| o.attempts - o.lost).sum();
+        assert_eq!(survived, s.datagrams_delivered + s.vanished - dropped_unread);
+        assert_eq!(s.datagrams_delivered, reads + dropped_unread);
+        assert!(reads > 1_000 && dropped_unread > 0 && s.vanished > dropped_unread, "{s:?}");
+        let inner = net.inner.lock();
+        assert_eq!(inner.held.free.len(), inner.held.slots.len(), "every slot is free");
+        assert!(inner.held.slots.iter().all(|held| held.readers == 0 && held.payload.is_empty()));
+    }
+
+    #[test]
+    fn for_each_link_reads_the_per_link_rows_in_order() {
+        let net = SimNet::new(
+            NetConfig::default()
+                .with_seed(47)
+                .with_default_link(LinkConfig::default().with_loss(0.3)),
+        );
+        // Attach out of id order; node 9 leaves with its rows still counted.
+        let socks: Vec<_> = [5u32, 2, 9, 1].iter().map(|&i| net.socket(i)).collect();
+        for s in &socks {
+            for _ in 0..5 {
+                s.send(Destination::Broadcast, Bytes::from_static(b"l")).unwrap();
+            }
+        }
+        net.remove_node(9);
+        socks[1].send(Destination::Broadcast, Bytes::from_static(b"l")).unwrap();
+        let mut rows = Vec::new();
+        net.for_each_link(|src, dst, observed| rows.push(((src, dst), observed)));
+        let folded: Vec<_> = net.stats().per_link.into_iter().collect();
+        assert_eq!(rows, folded);
+        assert_eq!(rows.len(), 12);
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub struct NetStats {
     pub dropped_partition: u64,
     /// Sends addressed to a group/destination with no (other) member.
     pub no_receiver: u64,
+    /// Replicas discarded at a removed node: those that arrived while it
+    /// was detached, and those unread in its inbox when it was removed.
+    /// Not part of [`total_dropped`](NetStats::total_dropped).
+    pub vanished: u64,
     /// Per-node breakdown.
     pub per_node: BTreeMap<u32, NodeStats>,
     /// Per-directed-link `(src, dst)` loss accounting.
@@ -68,7 +72,9 @@ impl NetStats {
         self.per_node.get(&id).copied().unwrap_or_default()
     }
 
-    /// Total replicas dropped for any reason.
+    /// Replicas dropped by loss or a partition, plus sends refused for
+    /// exceeding the MTU. Replicas that [vanished](NetStats::vanished) at
+    /// a removed node are not included.
     pub fn total_dropped(&self) -> u64 {
         self.dropped_loss + self.dropped_mtu + self.dropped_partition
     }
