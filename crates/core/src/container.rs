@@ -62,7 +62,7 @@ use crate::service::{
 use crate::stats::{ContainerStats, EventSubscriptionStats, Occupancy, VarSubscriptionStats};
 use crate::timers::Timers;
 use crate::trace::{
-    context_limit, TraceId, TraceKind, TraceRing, Tracer, CONTEXT_BYTES, SLOT_BYTES,
+    context_limit, ring_cap_bytes, TraceId, TraceKind, TraceRing, Tracer, CONTEXT_BYTES,
 };
 
 /// Container log ring capacity.
@@ -104,11 +104,15 @@ pub const fn fec_cap_bytes(links: usize) -> usize {
 }
 
 /// Bound on [`Occupancy::trace_bytes`] of a container whose flight recorder
-/// holds `capacity` records: a 32-byte slot per record, plus the context
-/// table, which is compacted before it holds more than twice `capacity`
-/// (at least 64, at most `u16::MAX`) entries.
+/// holds `capacity` records: the record buffer at its widest, 38 bytes a
+/// record (every field at its longest varint) and two 45-byte write spans,
+/// plus the context table, which is compacted before it holds more than
+/// twice `capacity` (at least 64, at most `u16::MAX`) entries. The worst
+/// case thus passes the 32 bytes a record of whole fixed-width fields,
+/// while a typical record takes 5-9 bytes and a ring reserves 10 a record
+/// up front, about a third of that.
 pub const fn trace_cap_bytes(capacity: usize) -> usize {
-    capacity * SLOT_BYTES + context_limit(capacity) * CONTEXT_BYTES
+    ring_cap_bytes(capacity) + context_limit(capacity) * CONTEXT_BYTES
 }
 
 /// Bound on [`Occupancy::directory_bytes`] of a directory that has held at

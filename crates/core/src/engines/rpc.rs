@@ -1,6 +1,8 @@
 //! Remote invocation bookkeeping and argument marshalling (paper §4.3).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use bytes::Bytes;
 
@@ -74,11 +76,17 @@ struct RequiredFn {
     checked: bool,
 }
 
+/// A hash map with one fixed seed: its keys are names and request ids this
+/// container holds or minted, so a per-process random seed guards against
+/// nothing, and a fixed one lays the map out, and orders its walks, the
+/// same in every run of a seed.
+type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
 /// All invocation state of one container.
 #[derive(Debug, Default)]
 pub(crate) struct RpcEngine {
-    functions: HashMap<Name, LocalFunction>,
-    pending: HashMap<RequestId, PendingCall>,
+    functions: FixedMap<Name, LocalFunction>,
+    pending: FixedMap<RequestId, PendingCall>,
     required: BTreeMap<Name, RequiredFn>,
     /// Marshalling failures against declared signatures (see
     /// [`TypeMismatchStats::calls`](crate::stats::TypeMismatchStats)).
@@ -88,7 +96,7 @@ pub(crate) struct RpcEngine {
     retries: u64,
     /// Re-dispatches per function name (the per-subscription breakdown
     /// behind [`ServiceContainer::fn_retries`](crate::ServiceContainer::fn_retries)).
-    retry_counts: HashMap<Name, u64>,
+    retry_counts: FixedMap<Name, u64>,
     /// Every pending call's reply deadline: the per-tick timeout sweep
     /// looks at the earliest entry instead of walking every pending call.
     deadlines: DueQueue<RequestId>,

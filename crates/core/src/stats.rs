@@ -64,8 +64,9 @@ pub struct Occupancy {
     /// link carried, so at most
     /// [`fec_cap_bytes`](crate::fec_cap_bytes)`(links)`.
     pub fec_bytes: usize,
-    /// Bytes of flight-recorder storage: the ring's slots (32 bytes each)
-    /// and its context table, capacity, not contents. At most
+    /// Bytes of flight-recorder storage: the ring's record buffer (about
+    /// 10 bytes a record, 38 at worst) and its context table, capacity,
+    /// not contents. At most
     /// [`trace_cap_bytes`](crate::trace_cap_bytes)`(trace_capacity)`.
     pub trace_bytes: usize,
 }

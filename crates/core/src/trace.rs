@@ -9,13 +9,16 @@
 //! each stamped with **sim event-time and node incarnation**. There is
 //! no wall-clock read anywhere in this module (lint rule D2) and no
 //! string allocation on the record path (lint rule O1). The ring holds
-//! each record as a 32-byte `Copy` slot — time, trace id, seq, peer, kind
-//! — plus a 16-bit index into its own context table, where a record's
-//! incarnation and name are interned together: a name's `Arc` is cloned
-//! once, when its context is first used, and recording or evicting after
-//! that touches no reference count. [`TraceRing::events`] rebuilds the
-//! public [`TraceEvent`]s from slot plus context; rendering happens only
-//! in the dump layer ([`render_event`], the `marea-trace` CLI).
+//! each record encoded in one preallocated byte buffer, about 10 bytes
+//! where a record's fields take 32: a tag byte (kind, how the trace
+//! origin is written, whether there is a peer), then prefix varints for
+//! the time and seq as deltas from the record before, the trace counter,
+//! the peer and a 16-bit index into the ring's own context table, where a
+//! record's incarnation and name are interned together. A name's `Arc` is
+//! cloned once, when its context is first used, and recording or evicting
+//! after that touches no reference count. [`TraceRing::events`] decodes
+//! the public [`TraceEvent`]s from record plus context; rendering happens
+//! only in the dump layer ([`render_event`], the `marea-trace` CLI).
 //!
 //! Causality crosses the wire as a compact [`TraceId`] — origin node in
 //! the high 32 bits, a per-container mint counter in the low 32 —
@@ -33,8 +36,6 @@
 //! Everything here is deterministic: the same seed reproduces the same
 //! ring contents and the same histogram, byte for byte (asserted by the
 //! scenario corpus).
-
-use std::collections::VecDeque;
 
 use marea_presentation::Name;
 use marea_protocol::{Micros, NodeId};
@@ -179,7 +180,7 @@ impl TraceKind {
 }
 
 /// One flight-recorder record, as [`TraceRing::events`] hands it out: the
-/// ring stores it as a slot plus an interned context, so recording never
+/// ring stores it encoded, with an interned context, so recording never
 /// allocates on the hot path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -203,33 +204,151 @@ pub struct TraceEvent {
 
 /// One held record: a [`TraceEvent`]'s fixed-size fields, with its
 /// incarnation and name folded into `ctx`, an index into the ring's
-/// context table. `Copy`, so recording and evicting touch no reference
-/// count.
+/// context table. The ring keeps it encoded and decodes it only to hand
+/// it out.
 #[derive(Clone, Copy)]
-struct Slot {
+struct Record {
     at: u64,
     trace: u64,
     seq: u64,
-    peer: u32,
-    /// Whether `peer` names a node: keeps `Some(NodeId(0))` apart from `None`.
-    has_peer: bool,
+    peer: Option<NodeId>,
     kind: TraceKind,
     ctx: u16,
 }
 
-/// Bytes one slot occupies.
-pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+/// Every kind, at the index its tag bits hold.
+const KINDS: [TraceKind; 20] = [
+    TraceKind::VarPublish,
+    TraceKind::VarDeliver,
+    TraceKind::VarStaleDrop,
+    TraceKind::VarOldDrop,
+    TraceKind::VarTimeout,
+    TraceKind::EventEmit,
+    TraceKind::EventDeliver,
+    TraceKind::EventDrop,
+    TraceKind::CallStart,
+    TraceKind::CallReply,
+    TraceKind::CallRetry,
+    TraceKind::RelRetransmit,
+    TraceKind::FecRecover,
+    TraceKind::LinkUp,
+    TraceKind::LinkDown,
+    TraceKind::DirAnnounce,
+    TraceKind::DirExpire,
+    TraceKind::NodeStart,
+    TraceKind::NodeCrash,
+    TraceKind::NodeRestart,
+];
 
-const _: () = assert!(std::mem::size_of::<Slot>() == 32);
-
-impl Slot {
-    fn new(at: Micros, kind: TraceKind, trace: TraceId, peer: Option<NodeId>, seq: u64) -> Slot {
-        let (peer, has_peer) = match peer {
-            Some(p) => (p.0, true),
-            None => (0, false),
-        };
-        Slot { at: at.0, trace: trace.0, seq, peer, has_peer, kind, ctx: 0 }
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i] as usize == i);
+        i += 1;
     }
+    assert!(KINDS.len() <= 32, "a kind is 5 bits of the tag");
+};
+
+/// Bits of a record's tag above its kind: whether it has a trace, whether
+/// the trace's origin is written out (it is the ring's own node if not),
+/// and whether it has a peer.
+const TRACED: u8 = 0x20;
+const FROM_OTHER: u8 = 0x40;
+const HAS_PEER: u8 = 0x80;
+
+/// Bits of a record's first byte: its width, and whether its time and its
+/// seq repeat the record before it (then that delta is left out).
+const WIDTH_BITS: u8 = 0x3f;
+const SAME_AT: u8 = 0x40;
+const SAME_SEQ: u8 = 0x80;
+
+/// Bytes one encoded record takes at most: its width and its tag, the
+/// time and seq deltas, the trace counter, an origin, the peer and the
+/// context.
+const RECORD_MAX_BYTES: usize =
+    2 + 2 * varint_len(u64::MAX) + 3 * varint_len(u32::MAX as u64) + varint_len(u16::MAX as u64);
+
+/// Bytes the writer and the reader touch from a record's start: a varint
+/// is stored and loaded as one 8-byte word, so the last field's word may
+/// reach 7 bytes past the record.
+const RECORD_SPAN: usize = RECORD_MAX_BYTES + 7;
+
+const _: () = assert!(RECORD_MAX_BYTES == 38 && RECORD_MAX_BYTES <= WIDTH_BITS as usize);
+
+/// Bytes a record is reserved up front: records of the benchmark's
+/// workloads average 5-9, so a full ring of them never grows.
+const RESERVED_RECORD_BYTES: usize = 10;
+
+/// Bytes of record storage a ring of `capacity` records never outgrows:
+/// `capacity - 1` records of the widest kind held while the next one
+/// looks for [`RECORD_SPAN`] free bytes, behind at most a span's worth
+/// left unused at the end of the buffer when the writer wrapped.
+pub(crate) const fn ring_cap_bytes(capacity: usize) -> usize {
+    capacity.saturating_mul(RECORD_MAX_BYTES).saturating_add(2 * RECORD_SPAN)
+}
+
+/// Bytes of the varint that holds `v`: one per 7 bits up to 56, then 9
+/// (the formula's 10 for 64 bits, capped).
+#[inline(always)]
+const fn varint_len(v: u64) -> usize {
+    let bits = 64 - v.leading_zeros() as usize;
+    let n = (bits * 9 + 64) >> 6;
+    if n > 9 {
+        9
+    } else {
+        n
+    }
+}
+
+/// Writes `v` at `out[at..]` as a prefix varint and returns its width.
+/// The first byte's trailing zeros say how many more bytes follow
+/// (`n - 1` zeros under a 1 for an `n`-byte varint, 7 value bits a byte);
+/// a zero byte means 8 whole bytes follow. One byte store writes a value
+/// below 128 and one 8-byte store any below 2^56, so the reader needs no
+/// loop either.
+#[inline(always)]
+fn put_varint(out: &mut [u8], at: usize, v: u64) -> usize {
+    if v < 0x80 {
+        out[at] = (v << 1 | 1) as u8;
+        return 1;
+    }
+    let n = varint_len(v);
+    if n == 9 {
+        out[at] = 0;
+        out[at + 1..at + 9].copy_from_slice(&v.to_le_bytes());
+    } else {
+        let word = ((v << 1) | 1) << (n - 1);
+        out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    }
+    n
+}
+
+/// Reads the varint at `bytes[at..]` and returns it with its width.
+fn get_varint(bytes: &[u8], at: usize) -> (u64, usize) {
+    let n = (u32::from(bytes[at]) | 0x100).trailing_zeros() as usize + 1;
+    if n == 9 {
+        let word = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().expect("8 bytes"));
+        return (word, 9);
+    }
+    let word = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    ((word >> n) & (u64::MAX >> (64 - 7 * n)), n)
+}
+
+/// A signed difference as an unsigned varint's value: small either way.
+#[inline(always)]
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+/// [`zigzag`] for a 32-bit difference.
+#[inline(always)]
+fn zigzag32(delta: u32) -> u32 {
+    (delta << 1) ^ ((delta as i32 >> 31) as u32)
+}
+
+/// The difference [`zigzag`] or, cut to 32 bits, [`zigzag32`] wrote.
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// A record's context: the incarnation that recorded it and the channel or
@@ -239,10 +358,10 @@ type Context = (u64, Option<Name>);
 /// Bytes one context-table entry occupies.
 pub(crate) const CONTEXT_BYTES: usize = std::mem::size_of::<Context>();
 
-/// Contexts a ring of `capacity` slots keeps before it compacts its table
-/// to the ones its held slots name: twice the capacity, so a compaction
-/// follows at least `capacity` new contexts, and never more than a `u16`
-/// index reaches.
+/// Contexts a ring of `capacity` records keeps before it compacts its
+/// table to the ones its held records name: twice the capacity, so a
+/// compaction follows at least `capacity` new contexts, and never more
+/// than a `u16` index reaches.
 pub(crate) const fn context_limit(capacity: usize) -> usize {
     let limit = if capacity < 32 { 64 } else { 2 * capacity };
     if limit < u16::MAX as usize {
@@ -255,13 +374,46 @@ pub(crate) const fn context_limit(capacity: usize) -> usize {
 /// Bounded event ring: oldest evicted first, capacity respected, an
 /// eviction counter so dumps can say how much history fell off.
 ///
-/// It holds 32-byte slots, not [`TraceEvent`]s: a slot's incarnation and
-/// name live once in the ring's context table, which holds only contexts
-/// its own records named and is compacted to the held slots' contexts
-/// before it outgrows `context_limit` of its capacity.
+/// It holds records encoded into one byte buffer, not [`TraceEvent`]s. A
+/// record is its width (with a bit each for a time and a seq that repeat
+/// the record before), a tag byte (kind, whether there is a trace, whether
+/// its origin is another node than the ring's own, whether there is a
+/// peer) and prefix varints: the time and seq as zigzag deltas from the
+/// record before it, the trace counter as one from the trace before it,
+/// that other origin, the peer, and the index of the record's
+/// incarnation and name in the ring's context table. That is 4-9 bytes
+/// for a typical record, [`RECORD_MAX_BYTES`] at worst. The ring keeps
+/// the newest values the deltas run to, so evicting the oldest record
+/// only steps over its width; readers sum the held deltas back from the
+/// newest. A record never wraps: one that would pass the end of the
+/// buffer starts at 0. The buffer is sized for `RESERVED_RECORD_BYTES` a
+/// record up front and grows, up to [`ring_cap_bytes`], only when its
+/// records are wider.
+///
+/// The context table holds only contexts its own records named and is
+/// compacted, and the records re-encoded, before it outgrows
+/// `context_limit` of the capacity.
 #[derive(Clone, Default)]
 pub struct TraceRing {
-    slots: VecDeque<Slot>,
+    /// Encoded records: `head..tail`, or `head..wrap` then `0..tail` while
+    /// the writer has wrapped (`tail < head`). A record that ends at `wrap`
+    /// is followed at 0: `wrap` is within a span of the buffer's end, so
+    /// the writer wraps behind any record that ends there.
+    bytes: Vec<u8>,
+    head: usize,
+    tail: usize,
+    wrap: usize,
+    /// A record may start at or below this without a look at `head`: it
+    /// only moves up as records are evicted.
+    open_until: usize,
+    len: usize,
+    /// The newest record's time and seq, and the newest trace's counter,
+    /// which the next record's deltas start from.
+    last_at: u64,
+    last_seq: u64,
+    last_counter: u32,
+    /// The node whose recorder this is: a trace it minted costs no origin.
+    node: u32,
     contexts: Vec<Context>,
     capacity: usize,
     evicted: u64,
@@ -270,54 +422,275 @@ pub struct TraceRing {
 impl TraceRing {
     /// An empty ring holding at most `capacity` events.
     pub fn new(capacity: usize) -> TraceRing {
-        TraceRing {
-            slots: VecDeque::with_capacity(capacity.min(4096)),
-            contexts: Vec::new(),
-            capacity,
-            evicted: 0,
-        }
+        TraceRing::of_node(NodeId(0), capacity)
+    }
+
+    /// An empty ring for `node`'s recorder.
+    fn of_node(node: NodeId, capacity: usize) -> TraceRing {
+        let reserved = capacity.min(4096) * RESERVED_RECORD_BYTES + 2 * RECORD_SPAN;
+        let size = if capacity == 0 { 0 } else { reserved.min(ring_cap_bytes(capacity)) };
+        TraceRing { bytes: vec![0; size], node: node.0, capacity, ..TraceRing::default() }
     }
 
     /// Appends `ev`, evicting the oldest record if the ring is full.
     pub fn push(&mut self, ev: TraceEvent) {
-        let slot = Slot::new(ev.at, ev.kind, ev.trace, ev.peer, ev.seq);
-        self.write(slot, ev.incarnation, ev.name.as_ref());
+        let record = Record {
+            at: ev.at.0,
+            trace: ev.trace.0,
+            seq: ev.seq,
+            peer: ev.peer,
+            kind: ev.kind,
+            ctx: 0,
+        };
+        self.write(record, ev.incarnation, ev.name.as_ref());
     }
 
-    /// Appends `slot` under the context (`incarnation`, `name`), evicting
+    /// Appends `record` under the context (`incarnation`, `name`), evicting
     /// the oldest record if the ring is full.
-    fn write(&mut self, mut slot: Slot, incarnation: u64, name: Option<&Name>) {
+    #[inline]
+    fn write(&mut self, mut record: Record, incarnation: u64, name: Option<&Name>) {
         if self.capacity == 0 {
             return;
         }
-        if self.slots.len() == self.capacity {
-            self.slots.pop_front();
-            self.evicted += 1;
-        } else if self.slots.len() == self.slots.capacity() {
-            // Past the preallocated 4 096: double, but never past `capacity`.
-            let len = self.slots.len();
-            self.slots.reserve_exact(len.max(1).min(self.capacity - len));
+        if self.len == self.capacity {
+            self.evict_oldest();
         }
-        slot.ctx = self.intern(incarnation, name);
-        self.slots.push_back(slot);
+        record.ctx = self.intern(incarnation, name);
+        self.append(&record);
+    }
+
+    /// Encodes `record` behind the newest one.
+    #[inline(always)]
+    fn append(&mut self, record: &Record) {
+        let at = self.room();
+        self.tail = self.encode(at, record);
+        self.len += 1;
+        self.last_at = record.at;
+        self.last_seq = record.seq;
+        if record.trace != 0 {
+            self.last_counter = record.trace as u32;
+        }
+    }
+
+    /// Steps over the oldest record.
+    #[inline]
+    fn evict_oldest(&mut self) {
+        self.head = self.step(self.head + self.width(self.head));
+        self.len -= 1;
+        self.evicted += 1;
+        if self.len == 0 {
+            self.clear();
+        }
+    }
+
+    /// Where a record ending at `end` is followed by the next one: at 0
+    /// once the records above the writer's wrap are done.
+    #[inline]
+    fn step(&self, end: usize) -> usize {
+        if end == self.wrap {
+            0
+        } else {
+            end
+        }
+    }
+
+    /// Where the next record starts: [`RECORD_SPAN`] free bytes behind the
+    /// newest record, or at 0 when the end of the buffer is nearer than
+    /// that. The buffer grows when neither place has room.
+    #[inline(always)]
+    fn room(&mut self) -> usize {
+        if self.tail <= self.open_until {
+            self.tail
+        } else {
+            self.make_room()
+        }
+    }
+
+    /// [`room`](Self::room) past `open_until`: finds the place and how far
+    /// the writer may go from there before it looks again.
+    #[cold]
+    fn make_room(&mut self) -> usize {
+        loop {
+            if self.tail < self.head {
+                if self.tail + RECORD_SPAN <= self.head {
+                    self.open_until = self.head - RECORD_SPAN;
+                    return self.tail;
+                }
+            } else if self.tail + RECORD_SPAN <= self.bytes.len() {
+                self.open_until = self.bytes.len() - RECORD_SPAN;
+                return self.tail;
+            } else if RECORD_SPAN <= self.head {
+                self.wrap = self.tail;
+                self.tail = 0;
+                self.open_until = self.head - RECORD_SPAN;
+                return 0;
+            }
+            self.grow();
+        }
+    }
+
+    /// Forgets every record: the next one starts at 0.
+    fn clear(&mut self) {
+        (self.head, self.tail, self.wrap, self.len) = (0, 0, 0, 0);
+        self.open_until = self.bytes.len().saturating_sub(RECORD_SPAN);
+    }
+
+    /// Doubles the buffer, up to [`ring_cap_bytes`], and moves the held
+    /// records to its start.
+    #[cold]
+    fn grow(&mut self) {
+        let size = (2 * self.bytes.len()).min(ring_cap_bytes(self.capacity));
+        assert!(size > self.bytes.len(), "a ring at its cap always has room");
+        let mut bytes = vec![0; size];
+        let (upper, lower) = if self.tail < self.head {
+            (self.head..self.wrap, 0..self.tail)
+        } else {
+            (self.head..self.tail, 0..0)
+        };
+        let split = upper.len();
+        bytes[..split].copy_from_slice(&self.bytes[upper]);
+        bytes[split..split + lower.len()].copy_from_slice(&self.bytes[lower.clone()]);
+        self.bytes = bytes;
+        (self.head, self.tail, self.wrap) = (0, split + lower.len(), 0);
+    }
+
+    /// Writes `record` at `at` and returns where it ends.
+    #[inline(always)]
+    fn encode(&mut self, at: usize, record: &Record) -> usize {
+        let origin = (record.trace >> 32) as u32;
+        let traced = record.trace != 0;
+        let other = traced && origin != self.node;
+        let at_delta = zigzag(record.at.wrapping_sub(self.last_at));
+        let seq_delta = zigzag(record.seq.wrapping_sub(self.last_seq));
+        let counter_delta = (record.trace as u32).wrapping_sub(self.last_counter);
+        let out = &mut self.bytes[at..at + RECORD_SPAN];
+        let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+        let tag = record.kind as u8
+            | flag(traced, TRACED)
+            | flag(other, FROM_OTHER)
+            | flag(record.peer.is_some(), HAS_PEER);
+        let mut end = 2;
+        if at_delta != 0 {
+            end += put_varint(out, end, at_delta);
+        }
+        if seq_delta != 0 {
+            end += put_varint(out, end, seq_delta);
+        }
+        if traced {
+            end += put_varint(out, end, u64::from(zigzag32(counter_delta)));
+        }
+        if other {
+            end += put_varint(out, end, u64::from(origin));
+        }
+        if let Some(peer) = record.peer {
+            end += put_varint(out, end, u64::from(peer.0));
+        }
+        end += put_varint(out, end, u64::from(record.ctx));
+        let first = end as u8 | flag(at_delta == 0, SAME_AT) | flag(seq_delta == 0, SAME_SEQ);
+        out[..2].copy_from_slice(&[first, tag]);
+        at + end
+    }
+
+    /// Bytes of the record at `at`, from its first byte.
+    #[inline(always)]
+    fn width(&self, at: usize) -> usize {
+        usize::from(self.bytes[at] & WIDTH_BITS)
+    }
+
+    /// The record at `at`, its time and seq still the deltas from the
+    /// record before it and its trace counter the delta from the trace
+    /// before it, and whether it has a trace.
+    fn decode(&self, at: usize) -> (Record, bool) {
+        let bytes = &self.bytes[..];
+        let (first, tag) = (bytes[at], bytes[at + 1]);
+        let mut end = at + 2;
+        let mut field = |present: bool| {
+            if !present {
+                return 0;
+            }
+            let (v, n) = get_varint(bytes, end);
+            end += n;
+            v
+        };
+        let at_delta = field(first & SAME_AT == 0);
+        let seq_delta = field(first & SAME_SEQ == 0);
+        let counter = unzigzag(field(tag & TRACED != 0)) as u32;
+        let origin = if tag & FROM_OTHER != 0 { field(true) as u32 } else { self.node };
+        let peer = (tag & HAS_PEER != 0).then(|| NodeId(field(true) as u32));
+        let ctx = field(true) as u16;
+        let record = Record {
+            at: unzigzag(at_delta),
+            trace: if tag & TRACED == 0 { 0 } else { u64::from(origin) << 32 | u64::from(counter) },
+            seq: unzigzag(seq_delta),
+            peer,
+            kind: KINDS[usize::from(tag & 31)],
+            ctx,
+        };
+        (record, tag & TRACED != 0)
+    }
+
+    /// The held records, oldest first, with their time, seq and trace
+    /// counter made whole: the newest values less every held delta give
+    /// the point the oldest one's delta starts from.
+    fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let deltas = || {
+            let mut at = self.head;
+            (0..self.len).map(move |_| {
+                let decoded = self.decode(at);
+                at = self.step(at + self.width(at));
+                decoded
+            })
+        };
+        let newest = (self.last_at, self.last_seq, self.last_counter);
+        let (mut at, mut seq, mut counter) =
+            deltas().fold(newest, |(at, seq, counter), (r, traced)| {
+                let counter = if traced { counter.wrapping_sub(r.trace as u32) } else { counter };
+                (at.wrapping_sub(r.at), seq.wrapping_sub(r.seq), counter)
+            });
+        deltas().map(move |(mut record, traced)| {
+            at = at.wrapping_add(record.at);
+            seq = seq.wrapping_add(record.seq);
+            (record.at, record.seq) = (at, seq);
+            if traced {
+                counter = counter.wrapping_add(record.trace as u32);
+                record.trace = record.trace >> 32 << 32 | u64::from(counter);
+            }
+            record
+        })
     }
 
     /// The index of context (`incarnation`, `name`), added if new. Names
     /// compare by value, so equal names in distinct allocations share one
-    /// entry; the name is cloned only when its entry is added.
+    /// entry; the name is cloned only when its entry is added. A name is
+    /// first looked for as the very allocation an entry holds, which is
+    /// how a channel records, and compared byte by byte only if none does.
+    #[inline]
     fn intern(&mut self, incarnation: u64, name: Option<&Name>) -> u16 {
-        let held = self.contexts.iter().rposition(|(i, n)| *i == incarnation && n.as_ref() == name);
-        if let Some(ctx) = held {
+        let key = name.map(|n| n.as_str().as_ptr());
+        let same =
+            |(i, n): &Context| *i == incarnation && n.as_ref().map(|n| n.as_str().as_ptr()) == key;
+        if let Some(ctx) = self.contexts.iter().rposition(same) {
             return ctx as u16;
         }
+        let equal = |(i, n): &Context| *i == incarnation && n.as_ref() == name;
+        if let Some(ctx) = self.contexts.iter().rposition(equal) {
+            return ctx as u16;
+        }
+        self.add_context(incarnation, name)
+    }
+
+    /// Adds context (`incarnation`, `name`) to the table, compacting it
+    /// first if it is full, and returns its index.
+    #[cold]
+    fn add_context(&mut self, incarnation: u64, name: Option<&Name>) -> u16 {
         let limit = context_limit(self.capacity);
         if self.contexts.len() >= limit {
-            // Only a ring of more than `u16::MAX` slots can hold that many
-            // distinct contexts: it gives up its oldest records early
+            // Only a ring of more than `u16::MAX` records can hold that
+            // many distinct contexts: it gives up its oldest records early
             // rather than show one under another's context.
-            let excess = (self.slots.len() + 1).saturating_sub(limit);
-            self.slots.drain(..excess);
-            self.evicted += excess as u64;
+            for _ in limit..=self.len {
+                self.evict_oldest();
+            }
             self.compact();
         }
         if self.contexts.len() == self.contexts.capacity() {
@@ -328,13 +701,15 @@ impl TraceRing {
         (self.contexts.len() - 1) as u16
     }
 
-    /// Rebuilds the context table from the held slots: a context no held
-    /// slot names is dropped, the rest keep their order.
+    /// Rebuilds the context table from the held records and re-encodes
+    /// them: a context no held record names is dropped, the rest keep
+    /// their order.
     fn compact(&mut self) {
         const GONE: u16 = u16::MAX;
+        let records: Vec<Record> = self.records().collect();
         let mut moved = vec![GONE; self.contexts.len()];
-        for slot in &self.slots {
-            moved[usize::from(slot.ctx)] = 0;
+        for record in &records {
+            moved[usize::from(record.ctx)] = 0;
         }
         let mut kept = 0;
         for to in moved.iter_mut().filter(|to| **to != GONE) {
@@ -344,38 +719,40 @@ impl TraceRing {
         let old = std::mem::replace(&mut self.contexts, Vec::with_capacity(usize::from(kept)));
         let held = old.into_iter().zip(&moved).filter(|(_, to)| **to != GONE);
         self.contexts.extend(held.map(|(context, _)| context));
-        for slot in &mut self.slots {
-            slot.ctx = moved[usize::from(slot.ctx)];
+        self.clear();
+        for mut record in records {
+            record.ctx = moved[usize::from(record.ctx)];
+            self.append(&record);
         }
     }
 
-    /// The record `slot` stands for.
-    fn event(&self, slot: &Slot) -> TraceEvent {
-        let (incarnation, name) = &self.contexts[usize::from(slot.ctx)];
+    /// The event `record` stands for.
+    fn event(&self, record: &Record) -> TraceEvent {
+        let (incarnation, name) = &self.contexts[usize::from(record.ctx)];
         TraceEvent {
-            at: Micros(slot.at),
+            at: Micros(record.at),
             incarnation: *incarnation,
-            kind: slot.kind,
-            trace: TraceId(slot.trace),
-            peer: slot.has_peer.then_some(NodeId(slot.peer)),
-            seq: slot.seq,
+            kind: record.kind,
+            trace: TraceId(record.trace),
+            peer: record.peer,
+            seq: record.seq,
             name: name.clone(),
         }
     }
 
     /// Records currently held, oldest first.
     pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.slots.iter().map(|slot| self.event(slot))
+        self.records().map(|record| self.event(&record))
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// True when nothing has been recorded (or everything evicted).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Maximum records held.
@@ -394,27 +771,28 @@ impl TraceRing {
         self.contexts.len()
     }
 
-    /// Bytes of slot and context-table storage: capacity, not contents.
+    /// Bytes of record and context-table storage: capacity, not contents.
     /// At most [`trace_cap_bytes`](crate::trace_cap_bytes)`(capacity)`.
     pub fn bytes(&self) -> usize {
-        self.slots.capacity() * SLOT_BYTES + self.contexts.capacity() * CONTEXT_BYTES
+        self.bytes.capacity() + self.contexts.capacity() * CONTEXT_BYTES
     }
 
     /// Absorbs a ring stashed across a crash/restart: the stashed
     /// history is replayed into this ring (oldest first), so the new
     /// incarnation's recorder starts with its predecessor's tail and
-    /// this ring's own capacity still bounds the total. Only the slots
-    /// that stay held are re-interned.
+    /// this ring's own capacity still bounds the total. Only the records
+    /// that stay held are re-interned and re-encoded.
     pub fn adopt(&mut self, older: TraceRing) {
-        let mut merged = TraceRing::new(self.capacity);
+        let mut merged = TraceRing::of_node(NodeId(self.node), self.capacity);
         merged.evicted = self.evicted + older.evicted;
         if self.capacity > 0 {
             let overflow = (older.len() + self.len()).saturating_sub(self.capacity);
             merged.evicted += overflow as u64;
-            let held = older.slots.iter().map(|s| (&older, s));
-            for (ring, slot) in held.chain(self.slots.iter().map(|s| (&*self, s))).skip(overflow) {
-                let (incarnation, name) = &ring.contexts[usize::from(slot.ctx)];
-                merged.write(*slot, *incarnation, name.as_ref());
+            let held = older.records().map(|r| (&older, r));
+            let own = self.records().map(|r| (&*self, r));
+            for (ring, record) in held.chain(own).skip(overflow) {
+                let (incarnation, name) = &ring.contexts[usize::from(record.ctx)];
+                merged.write(record, *incarnation, name.as_ref());
             }
         }
         *self = merged;
@@ -423,7 +801,7 @@ impl TraceRing {
 
 impl PartialEq for TraceRing {
     /// Same capacity, same eviction count and the same events: how each
-    /// ring laid out its context table does not matter.
+    /// ring laid out its bytes and its context table does not matter.
     fn eq(&self, other: &TraceRing) -> bool {
         self.capacity == other.capacity
             && self.evicted == other.evicted
@@ -575,7 +953,7 @@ impl Tracer {
             node,
             incarnation: 1,
             next_mint: 0,
-            ring: TraceRing::new(capacity),
+            ring: TraceRing::of_node(node, capacity),
             publish_to_deliver: LatencyHistogram::default(),
             event_to_deliver: LatencyHistogram::default(),
             call_rtt: LatencyHistogram::default(),
@@ -624,7 +1002,8 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.ring.write(Slot::new(at, kind, trace, peer, seq), self.incarnation, name);
+        let record = Record { at: at.0, trace: trace.0, seq, peer, kind, ctx: 0 };
+        self.ring.write(record, self.incarnation, name);
     }
 
     /// Records a publish→deliver latency sample (µs).
@@ -663,7 +1042,7 @@ impl Tracer {
     /// Takes the ring out (crash stash), leaving an empty one.
     pub fn take_ring(&mut self) -> TraceRing {
         let capacity = self.ring.capacity();
-        std::mem::replace(&mut self.ring, TraceRing::new(capacity))
+        std::mem::replace(&mut self.ring, TraceRing::of_node(self.node, capacity))
     }
 
     /// Re-adopts a ring stashed across a crash/restart.
@@ -682,8 +1061,8 @@ pub fn assemble_chain(rings: &[(NodeId, &TraceRing)], trace: TraceId) -> Vec<(No
         return out;
     }
     for (node, ring) in rings {
-        for slot in ring.slots.iter().filter(|slot| slot.trace == trace.0) {
-            out.push((*node, ring.event(slot)));
+        for record in ring.records().filter(|record| record.trace == trace.0) {
+            out.push((*node, ring.event(&record)));
         }
     }
     out.sort_by_key(|(node, ev)| (ev.at, *node, ev.incarnation, ev.kind, ev.seq));
@@ -714,6 +1093,10 @@ pub fn render_event(node: NodeId, ev: &TraceEvent) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ev(at: u64, kind: TraceKind, trace: TraceId) -> TraceEvent {
@@ -922,6 +1305,246 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every held record's width, oldest first.
+    fn widths(ring: &TraceRing) -> Vec<usize> {
+        let mut at = ring.head;
+        (0..ring.len)
+            .map(|_| {
+                let width = ring.width(at);
+                at = ring.step(at + width);
+                width
+            })
+            .collect()
+    }
+
+    /// `agree`, plus the codec's own bounds: no record wider than
+    /// [`RECORD_MAX_BYTES`], no buffer past [`ring_cap_bytes`].
+    fn agree_within_bounds(ring: &TraceRing, model: &Model, at: &str) {
+        agree(ring, model, at);
+        let widths = widths(ring);
+        assert!(widths.iter().all(|w| (3..=RECORD_MAX_BYTES).contains(w)), "{at}: {widths:?}");
+        assert!(ring.bytes.len() <= ring_cap_bytes(ring.capacity), "{at}: {}", ring.bytes.len());
+        assert!(ring.bytes() <= crate::trace_cap_bytes(ring.capacity), "{at}: {}", ring.bytes());
+    }
+
+    /// A value at a varint's edges: 0, a power of two or one below it,
+    /// `u64::MAX`, or anything.
+    fn edgy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            (0..64u32).prop_map(|b| 1u64 << b),
+            (1..=64u32).prop_map(|b| u64::MAX >> (64 - b)),
+            any::<u64>(),
+        ]
+    }
+
+    /// One step of a recorder's life: a record, a crash or a restart.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Record {
+            at: u64,
+            kind: usize,
+            /// 0: no trace; 1: minted by the peer (by this node if there is
+            /// none); 2: by this node; 3: by `other`.
+            origin: u8,
+            counter: u32,
+            other: u32,
+            peer: Option<u32>,
+            seq: u64,
+            /// 0: no name; else one of two copies of a name of the pool.
+            name: usize,
+            copy: usize,
+            older_life: bool,
+        },
+        Crash,
+        Restart,
+    }
+
+    const POOL: usize = 150;
+
+    fn step() -> impl Strategy<Value = Step> {
+        let small = || prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>(), 0..300u32];
+        let peer = prop_oneof![Just(None), Just(Some(0)), small().prop_map(Some)];
+        let record = (
+            (edgy(), 0..KINDS.len(), 0u8..4, small(), small()),
+            (peer, edgy(), 0..=POOL, 0..2usize, any::<bool>()),
+        )
+            .prop_map(
+                |((at, kind, origin, counter, other), (peer, seq, name, copy, older))| {
+                    Step::Record {
+                        at,
+                        kind,
+                        origin,
+                        counter,
+                        other,
+                        peer,
+                        seq,
+                        name,
+                        copy,
+                        older_life: older,
+                    }
+                },
+            );
+        (0u8..32, record).prop_map(|(roll, record)| match roll {
+            0 => Step::Crash,
+            1 => Step::Restart,
+            _ => record,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Hostile records against the ring of whole events, through the
+        /// codec's every path: `u64::MAX` and backward-running times and
+        /// seqs (deltas of every width, the 9-byte form among them),
+        /// `Some(NodeId(0))` against `None`, origins that are the peer, the
+        /// ring's node (0 and `u32::MAX` among them) or neither, a counter
+        /// of 0 under a non-zero origin, all 20 kinds, records that find
+        /// too little room before the buffer's end and start at 0, buffers
+        /// that grow, a 150-name pool that fills and compacts the context
+        /// table, and crashes and restarts that take the ring and adopt it
+        /// back. After every step the events agree and no record or buffer
+        /// passes its bound.
+        #[test]
+        fn hostile_records_round_trip_through_the_codec(
+            node in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+            capacity in prop_oneof![1..48usize, Just(300usize)],
+            steps in proptest::collection::vec(step(), 1..400),
+        ) {
+            let pool: Vec<[Name; 2]> = (0..POOL)
+                .map(|i| {
+                    let name = format!("hostile/{i}");
+                    [Name::new(&name).unwrap(), Name::new(&name).unwrap()]
+                })
+                .collect();
+            let mut tracer = Tracer::new(NodeId(node), capacity);
+            let mut live = Model::new(capacity);
+            let mut stash: Option<(TraceRing, Model)> = None;
+            let mut incarnation = 1u64;
+            for (i, step) in steps.into_iter().enumerate() {
+                let at = format!("node {node}, capacity {capacity}, step {i}: {step:?}");
+                let marker = |kind, incarnation| TraceEvent {
+                    at: Micros(i as u64),
+                    incarnation,
+                    kind,
+                    trace: TraceId::NONE,
+                    peer: None,
+                    seq: 0,
+                    name: None,
+                };
+                match step {
+                    Step::Crash => {
+                        let mut ring = tracer.take_ring();
+                        let mut model = std::mem::replace(&mut live, Model::new(capacity));
+                        ring.push(marker(TraceKind::NodeCrash, incarnation));
+                        model.push(marker(TraceKind::NodeCrash, incarnation));
+                        if let Some((older, older_model)) = stash.take() {
+                            ring.adopt(older);
+                            model.adopt(older_model);
+                        }
+                        agree_within_bounds(&ring, &model, &at);
+                        stash = Some((ring, model));
+                    }
+                    Step::Restart => {
+                        let (mut older, mut model) = stash
+                            .take()
+                            .unwrap_or_else(|| (TraceRing::new(capacity), Model::new(capacity)));
+                        incarnation += 1;
+                        older.push(marker(TraceKind::NodeRestart, incarnation));
+                        model.push(marker(TraceKind::NodeRestart, incarnation));
+                        tracer.set_incarnation(incarnation);
+                        tracer.adopt_ring(older);
+                        live.adopt(model);
+                    }
+                    Step::Record { at: time, kind, origin, counter, other, peer, seq, name, copy, older_life } => {
+                        let recorded = if older_life { incarnation.max(2) - 1 } else { incarnation };
+                        tracer.set_incarnation(recorded);
+                        let peer = peer.map(NodeId);
+                        let origin = match origin {
+                            0 => None,
+                            1 => Some(peer.map_or(node, |p| p.0)),
+                            2 => Some(node),
+                            _ => Some(other),
+                        };
+                        let trace = origin
+                            .map_or(TraceId::NONE, |o| TraceId(u64::from(o) << 32 | u64::from(counter)));
+                        let name = (name > 0).then(|| &pool[name - 1][copy]);
+                        let ev = TraceEvent {
+                            at: Micros(time),
+                            incarnation: recorded,
+                            kind: KINDS[kind],
+                            trace,
+                            peer,
+                            seq,
+                            name: name.cloned(),
+                        };
+                        tracer.record(ev.at, ev.kind, ev.trace, ev.peer, ev.seq, name);
+                        live.push(ev);
+                    }
+                }
+                agree_within_bounds(tracer.ring(), &live, &at);
+            }
+        }
+    }
+
+    /// A record that finds fewer than `RECORD_SPAN` bytes before the
+    /// buffer's end starts at 0, never across the end; readers follow it
+    /// there, and eviction steps back to the top.
+    #[test]
+    fn a_record_that_would_pass_the_end_starts_at_zero() {
+        let mut ring = TraceRing::new(4);
+        let mut model = Model::new(4);
+        let mut wrapped = 0;
+        for i in 0..200u64 {
+            let ev = TraceEvent {
+                at: Micros(i * i * 977),
+                incarnation: 1,
+                kind: KINDS[i as usize % KINDS.len()],
+                trace: TraceId::new(NodeId(i as u32), (i * 7_919) as u32),
+                peer: (i % 3 != 0).then_some(NodeId(i as u32 * 1_000)),
+                seq: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                name: None,
+            };
+            ring.push(ev.clone());
+            model.push(ev);
+            if ring.tail < ring.head {
+                wrapped += 1;
+                assert!(ring.wrap + RECORD_SPAN > ring.bytes.len(), "wrapped with room left");
+            }
+            agree_within_bounds(&ring, &model, &format!("record {i}"));
+        }
+        assert!(wrapped > 20, "the writer wrapped {wrapped} times");
+    }
+
+    /// Records wider than the reserve grow the buffer, by doubling, up to
+    /// its cap and no further, and stay whole across each growth.
+    #[test]
+    fn wide_records_grow_the_buffer_to_its_cap() {
+        let mut ring = TraceRing::new(64);
+        let mut model = Model::new(64);
+        let reserved = ring.bytes.len();
+        for i in 0..1_000u64 {
+            // Deltas of ±2^63: the widest zigzag, the 9-byte form.
+            let wide = if i % 2 == 0 { 1 << 63 } else { 0 };
+            let ev = TraceEvent {
+                at: Micros(wide ^ i),
+                incarnation: 1,
+                kind: TraceKind::CallReply,
+                trace: TraceId(u64::MAX - i),
+                peer: Some(NodeId(u32::MAX)),
+                seq: (wide ^ 1 << 63) + i,
+                name: None,
+            };
+            ring.push(ev.clone());
+            model.push(ev);
+            agree_within_bounds(&ring, &model, &format!("record {i}"));
+        }
+        assert!(ring.bytes.len() > 2 * reserved, "{} of {reserved}", ring.bytes.len());
+        assert_eq!(ring.bytes.len(), ring_cap_bytes(64).min(4 * reserved));
     }
 
     /// However often a channel records, and in however many copies of its

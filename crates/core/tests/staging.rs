@@ -645,6 +645,30 @@ fn a_full_flight_recorder_holds_32_bytes_a_record() {
     }
 }
 
+/// The same fleet's recorders hold encoded records of about 10 bytes: at
+/// most 12 KiB per node once every ring has filled.
+#[test]
+fn a_full_flight_recorder_holds_about_10_bytes_a_record() {
+    const NODES: u32 = 6;
+    let mut h = SimHarness::new(NetConfig::default().with_seed(1107));
+    for n in 1..=NODES {
+        h.add_container(ContainerConfig::new("reporter", NodeId(n)));
+        h.add_service(NodeId(n), Box::new(Reporter { node: n, nodes: NODES }));
+    }
+    h.start_all();
+    for ms in (100..=3_000).step_by(100) {
+        h.run_until_us(ms * 1_000);
+        for n in 1..=NODES {
+            let o = h.container(NodeId(n)).expect("container").occupancy();
+            assert!(o.trace_bytes <= 12 * 1024, "node {n} at {ms} ms: {o:?}");
+        }
+    }
+    for n in 1..=NODES {
+        let ring = h.container(NodeId(n)).expect("container").trace_ring();
+        assert_eq!(ring.len(), 1024, "node {n}: the ring filled");
+    }
+}
+
 /// Provides one event that no node uses.
 struct Alarm(u32);
 
