@@ -10,9 +10,10 @@
 //! 3. maintains subscriptions against the directory (name management);
 //! 4. fires timers and variable-loss deadlines;
 //! 5. polls the reliable links (retransmissions) and pumps file transfers;
-//! 6. emits the beacon, behind any announcement it owes;
-//! 7. executes queued handler invocations through the pluggable scheduler,
-//!    bounded by a per-tick budget, applying the effects services queue.
+//! 6. executes queued handler invocations through the pluggable scheduler,
+//!    bounded by a per-tick budget, applying the effects services queue;
+//! 7. floods its catalogue, when one is owed or it changed, and emits the
+//!    beacon behind it.
 //!
 //! The container itself is wiring. State lives in owned components — the
 //! [`Directory`], the peer table, the gossip cadences, the timers and one
@@ -621,12 +622,10 @@ impl ServiceContainer {
             descriptor,
             state: ServiceState::Starting,
         });
+        // The end of the next tick floods the grown catalogue.
         self.gossip.catalogue_changed();
         if self.running {
             self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Start);
-            // The beacon slot is due at once, and its digest check sends
-            // the full catalogue ahead of the beacon.
-            self.gossip.announce_at_once();
             self.subs_dirty = true;
         }
         Ok(ServiceId::new(self.config.node, seq))
@@ -739,13 +738,24 @@ impl ServiceContainer {
         }
         self.poll_links(now);
         self.pump_files(now);
-        self.emit_periodics(now);
         for _ in 0..self.config.tick_budget {
             let Some(task) = self.tasks.scheduler.pop() else { break };
             self.execute_task(task, now);
         }
         self.stats.queue_peak = self.stats.queue_peak.max(self.tasks.scheduler.len());
         self.reassembler.expire(now);
+        // The one place a running container floods its catalogue, at most
+        // once a tick: owed to a peer's new life, or changed this tick
+        // (services changed state, one joined) and hashing differently
+        // from the last flood. The beacon goes behind it, so a receiver
+        // never meets a digest before the catalogue it describes.
+        if let Some(forced) = self.gossip.flood_due(now) {
+            let entries = self.announce_entries();
+            if forced || self.gossip.digest() != Some(self.catalogue_digest(&entries)) {
+                self.broadcast_announce(entries, now);
+            }
+        }
+        self.emit_periodics(now);
         self.flush();
     }
 
@@ -866,7 +876,18 @@ impl ServiceContainer {
                 match self.directory.apply_announce(src, incarnation, &entries, now) {
                     Life::Older => return, // from a life the node has left behind
                     Life::New { ended } => self.new_life(src, ended, now),
-                    Life::Same => {}
+                    Life::Same => {
+                        // A call aimed at a service of the node that its
+                        // catalogue no longer lists as available goes to
+                        // another provider (§4.3).
+                        let listed = |seq| {
+                            entries.iter().any(|e| e.service_seq == seq && e.state.is_available())
+                        };
+                        let gone = |target: ServiceId| target.node == src && !listed(target.seq);
+                        for id in self.rpc.sorted_targeting(gone) {
+                            self.failover_call(id, now);
+                        }
+                    }
                 }
                 self.subs_dirty = true;
             }
@@ -874,16 +895,6 @@ impl ServiceContainer {
                 let entries = self.announce_entries();
                 let msg = Message::Announce { incarnation: self.incarnation, entries };
                 self.send_message(TransportDestination::Node(src.0), &msg);
-            }
-            Message::ServiceStatus { service_seq, state, .. } => {
-                self.directory.apply_status(src, service_seq, state);
-                self.subs_dirty = true;
-                if !state.is_available() {
-                    let failed = ServiceId::new(src, service_seq);
-                    for id in self.rpc.sorted_targeting(|target| target == failed) {
-                        self.failover_call(id, now);
-                    }
-                }
             }
             Message::SubscribeVar { name, subscriber, need_initial } => {
                 self.peers.set_subscriber(&name, subscriber, true);
@@ -1498,34 +1509,21 @@ impl ServiceContainer {
     }
 
     fn emit_periodics(&mut self, now: Micros) {
-        if self.gossip.reannounce_due(now) {
-            self.broadcast_announce(self.announce_entries(), now);
-        }
         if !self.gossip.beacon_due(now) {
             return;
         }
         // The beacon carries the digest of the catalogue as it stands, so
         // it agrees with every catalogue this node hands out, unicast
-        // replies included. One that changed since the last beacon is
-        // rehashed here and flooded in full ahead of it; receivers whose
-        // copy still disagrees (that flood was lost) pull it unicast with
-        // `AnnounceRequest`. The steady-state control plane carries
-        // digests, not catalogues — and costs no rebuild of the catalogue
-        // to learn that nothing touched it.
-        let (catalogue_hash, entry_count) = match self.gossip.digest() {
-            Some(digest) => {
-                debug_assert_eq!(digest, self.catalogue_digest(&self.announce_entries()));
-                digest
-            }
-            None => {
-                let entries = self.announce_entries();
-                let digest = self.catalogue_digest(&entries);
-                if !self.gossip.digest_unchanged(digest) {
-                    self.broadcast_announce(entries, now);
-                }
-                digest
-            }
-        };
+        // replies included: a changed one was flooded just ahead of it.
+        // Receivers whose copy still disagrees (that flood was lost) pull
+        // it unicast with `AnnounceRequest`. The steady-state control
+        // plane carries digests, not catalogues — and costs no rebuild of
+        // the catalogue to learn that nothing touched it.
+        let Some((catalogue_hash, entry_count)) = self.gossip.digest() else { return };
+        debug_assert_eq!(
+            (catalogue_hash, entry_count),
+            self.catalogue_digest(&self.announce_entries())
+        );
         let msg = Message::Beacon {
             incarnation: self.incarnation,
             load_permille: self.load_permille(),
@@ -1564,14 +1562,13 @@ impl ServiceContainer {
     /// `src` showed a life not on record, by its `Announce` or its
     /// beacon. A life that `ended` in its place is seen out through the
     /// death path; the new one lacks our catalogue, which goes to the
-    /// control group — at once, or when the debounce window closes.
+    /// control group — at the end of this tick, or when the debounce
+    /// window closes.
     fn new_life(&mut self, src: NodeId, ended: bool, now: Micros) {
         if ended {
             self.handle_node_death(src, now);
         }
-        if self.gossip.request_reannounce(now) {
-            self.broadcast_announce(self.announce_entries(), now);
-        }
+        self.gossip.request_reannounce(now);
     }
 
     fn announce_entries(&self) -> Vec<AnnounceEntry> {
@@ -1681,15 +1678,15 @@ impl ServiceContainer {
                 let line = format!("service `{}` panicked; marked failed", slot.descriptor.name());
                 self.log_line(now, line);
             }
-            return self.set_service_state(seq, ServiceState::Failed);
+            return self.set_service_state(seq, ServiceState::Failed, now);
         };
         match ran {
             Ran::Start
                 if self.slots.get(idx).is_some_and(|s| s.state == ServiceState::Starting) =>
             {
-                self.set_service_state(seq, ServiceState::Running);
+                self.set_service_state(seq, ServiceState::Running, now);
             }
-            Ran::Stop => self.set_service_state(seq, ServiceState::Stopped),
+            Ran::Stop => self.set_service_state(seq, ServiceState::Stopped, now),
             Ran::Variable { name, stamp, seq: n, trace } => {
                 self.stats.var_samples_delivered += 1;
                 self.tracer.record_var_latency(now.saturating_since(stamp).as_micros());
@@ -1714,20 +1711,18 @@ impl ServiceContainer {
         self.scratch.effects = effects;
     }
 
-    fn set_service_state(&mut self, seq: u32, state: ServiceState) {
-        let name = {
-            let Some(slot) = self.slots.iter_mut().find(|s| s.seq == seq) else { return };
-            if slot.state == state {
-                return;
-            }
-            slot.state = state;
-            slot.descriptor.name().clone()
-        };
+    /// Sends nothing: the end of the tick floods the changed catalogue.
+    /// This node's own record takes the new state at once.
+    fn set_service_state(&mut self, seq: u32, state: ServiceState, now: Micros) {
+        let Some(slot) = self.slots.iter_mut().find(|s| s.seq == seq) else { return };
+        if slot.state == state {
+            return;
+        }
+        slot.state = state;
         self.gossip.catalogue_changed();
-        self.directory.apply_status(self.config.node, seq, state);
+        let entries = self.announce_entries();
+        self.directory.apply_announce(self.config.node, self.incarnation, &entries, now);
         self.subs_dirty = true;
-        let msg = Message::ServiceStatus { service_seq: seq, name, state };
-        self.send_message(CONTROL, &msg);
     }
 
     // ---- effects ---------------------------------------------------------------
@@ -1764,7 +1759,7 @@ impl ServiceContainer {
                 Effect::SetDegraded { degraded } => {
                     let state =
                         if degraded { ServiceState::Degraded } else { ServiceState::Running };
-                    self.set_service_state(seq, state);
+                    self.set_service_state(seq, state, now);
                 }
                 Effect::StopSelf => self.tasks.push(Priority::LIFECYCLE, seq, TaskPayload::Stop),
             }

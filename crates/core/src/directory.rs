@@ -9,15 +9,17 @@
 //! the Service Container acts as a proxy cache for the services it
 //! contains."*
 //!
-//! Every container owns a [`Directory`] fed by `Beacon`/`Announce`/
-//! `ServiceStatus`/`Bye` traffic. A node's first beacon or `Announce`
-//! files its record, whichever arrives first; the life check
-//! ([`Life`]) reports a life not on record, which the container answers
-//! with its own catalogue (and a pull of the peer's, when a beacon
-//! revealed it). Lookups resolve provision names to live providers; the
-//! end of a node's life (silence timeout, `Bye` or a newer incarnation)
-//! purges everything learned from that life — the cache invalidation the
-//! paper describes.
+//! Every container owns a [`Directory`] fed by `Beacon`/`Announce`/`Bye`
+//! traffic. A node's catalogue is the only statement of its services'
+//! states: a state change arrives as a catalogue of the same life, and a
+//! catalogue with the digest already on record is not filed again. A
+//! node's first beacon or `Announce` files its record, whichever arrives
+//! first; the life check ([`Life`]) reports a life not on record, which
+//! the container answers with its own catalogue (and a pull of the
+//! peer's, when a beacon revealed it). Lookups resolve provision names to
+//! live providers; the end of a node's life (silence timeout, `Bye` or a
+//! newer incarnation) purges everything learned from that life — the
+//! cache invalidation the paper describes.
 //!
 //! **A node keeps whole only the provisions it uses.** Every catalogue is
 //! applied, and its digest goes into the sender's [`NodeInfo`], so the
@@ -39,11 +41,11 @@
 //! answer is applied with the name now in use, so it is kept whole, in its
 //! current state. Their catalogue digests are forgotten until then, so a
 //! lost request or answer is pulled again at the node's next beacon. A
-//! pair keeps no state, so a `ServiceStatus` for it
-//! changes nothing. The cost per peer is its liveness record, its expiry
-//! entry and a pair per provision it offers — not the 225–290 bytes of a
-//! cached provision in every directory of the fleet, of which a node reads
-//! the few it uses.
+//! pair keeps no state, so a catalogue that changes only its service's
+//! state files the same pair. The cost per peer is its liveness record,
+//! its expiry entry and a pair per provision it offers — not the 225–290
+//! bytes of a cached provision in every directory of the fleet, of which
+//! a node reads the few it uses.
 
 use std::mem::size_of;
 use std::num::NonZeroU32;
@@ -406,9 +408,10 @@ impl Directory {
     /// record — a node's start-up `Announce`, typically — files that
     /// life's record, with no load and FEC off until its first beacon says
     /// what the node can do, so that the digest has a record to be filed
-    /// under and a lifetime; one from an older life is ignored. Functions,
-    /// names in use and this node's own provisions are filed whole, every
-    /// other provision as a pair.
+    /// under and a lifetime; one from an older life is ignored, and one
+    /// with the digest already on record is that catalogue again, not
+    /// re-filed. Functions, names in use and this node's own provisions are
+    /// filed whole, every other provision as a pair.
     pub fn apply_announce(
         &mut self,
         node: NodeId,
@@ -419,13 +422,19 @@ impl Directory {
         let digest = (announce_hash(incarnation, entries), entries.len() as u32);
         let fresh =
             NodeInfo { digest_known: true, digest, ..NodeInfo::new(incarnation, now, 0, 0) };
+        let mut on_record = false;
         let life = self.life(node, fresh, |info| {
             info.last_seen = now;
+            on_record = info.catalogue_digest() == Some(digest);
             (info.digest_known, info.digest) = (true, digest);
             info.beacon_crc = None;
         });
         match life {
+            // From a life the node has left behind, or the catalogue on
+            // record: its digest is known, and no new interest has asked
+            // for it to be filed whole again (that forgets the digest).
             Life::Older => return life,
+            Life::Same if on_record => return life,
             // The catalogue on record goes; a new life's went with the
             // life it ended, and a first contact had none.
             Life::Same => self.purge(node),
@@ -472,18 +481,6 @@ impl Directory {
             }
         }
         life
-    }
-
-    /// Applies a single service state change to the providers kept whole:
-    /// a pair keeps no state, and the catalogue a re-pull brings carries
-    /// the current one.
-    pub fn apply_status(&mut self, node: NodeId, service_seq: u32, state: ServiceState) {
-        let id = ServiceId::new(node, service_seq);
-        for whole in &mut self.whole {
-            for p in whole.providers.iter_mut().filter(|p| p.service == id) {
-                p.state = state;
-            }
-        }
     }
 
     /// Handles a graceful `Bye`: immediate purge of the node's record and
@@ -772,6 +769,11 @@ mod tests {
         }
     }
 
+    /// The storage catalogue of a node whose service `seq` is in `state`.
+    fn storage_in(seq: u32, state: ServiceState) -> AnnounceEntry {
+        AnnounceEntry { state, ..announce_storage(seq) }
+    }
+
     fn dir_with_two_storages() -> Directory {
         let mut d = remote_only();
         beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
@@ -834,7 +836,7 @@ mod tests {
         twice.provides.insert(0, variable);
         d.apply_announce(NodeId(4), 1, &[twice], Micros(0));
         d.apply_announce(NodeId(5), 1, &[announce_storage(1)], Micros(0));
-        d.apply_status(NodeId(5), 1, ServiceState::Stopped);
+        d.apply_announce(NodeId(5), 1, &[storage_in(1, ServiceState::Stopped)], Micros(0));
         beat(&mut d, NodeId(2), 1, 300, 4, Micros(1));
         beat(&mut d, NodeId(3), 1, 300, 4, Micros(1));
         beat(&mut d, NodeId(4), 1, 100, 4, Micros(1));
@@ -932,13 +934,19 @@ mod tests {
     #[test]
     fn status_change_hides_provider() {
         let mut d = dir_with_two_storages();
-        d.apply_status(NodeId(2), 1, ServiceState::Failed);
+        let failed = [storage_in(1, ServiceState::Failed)];
+        assert_eq!(d.apply_announce(NodeId(2), 1, &failed, Micros(1)), Life::Same);
         let ps: Vec<_> = d.providers("storage/store").collect();
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].service.node, NodeId(3));
         // Degraded still counts as available (degraded mode, §4.3).
-        d.apply_status(NodeId(3), 1, ServiceState::Degraded);
+        let degraded = [storage_in(1, ServiceState::Degraded)];
+        assert_eq!(d.apply_announce(NodeId(3), 1, &degraded, Micros(1)), Life::Same);
         assert_eq!(d.providers("storage/store").count(), 1);
+        // The catalogue on record again changes nothing.
+        assert_eq!(d.apply_announce(NodeId(2), 1, &failed, Micros(2)), Life::Same);
+        assert_eq!(d.providers("storage/store").count(), 1);
+        assert_eq!(d.node(NodeId(2)).unwrap().last_seen, Micros(2), "but proves life");
     }
 
     #[test]
@@ -1304,44 +1312,6 @@ mod tests {
         let sizes = providers.fold((0, 0), |(l, c), (len, cap)| (l + len, c + cap));
         assert_eq!(sizes, (256, 256), "256 provider lists, all full");
         assert_eq!(d.pair_count(), 0);
-    }
-
-    #[test]
-    fn status_reaches_exactly_one_service_under_every_name_it_provides() {
-        let two_names = |seq| AnnounceEntry {
-            provides: vec![
-                announce_storage(seq).provides[0].clone(),
-                Provision::Event { name: name("storage/full"), ty: None },
-            ],
-            ..announce_storage(seq)
-        };
-        let mut d = remote_only();
-        d.add_interest(&name("storage/full"));
-        for node in [NodeId(2), NodeId(3)] {
-            beat(&mut d, node, 1, 0, 4, Micros(0));
-            d.apply_announce(node, 1, &[two_names(1), announce_storage(2)], Micros(0));
-        }
-        let states = |d: &Directory| -> Vec<(Name, ServiceId, ServiceState)> {
-            let listed = d.whole.iter().map(|w| (&w.name, &w.providers));
-            listed.flat_map(|(n, l)| l.iter().map(|p| (n.clone(), p.service, p.state))).collect()
-        };
-        let before = states(&d);
-        assert_eq!(before.len(), 6, "two nodes x (seq 1 under two names + seq 2 under one)");
-
-        d.apply_status(NodeId(2), 1, ServiceState::Failed);
-        let target = ServiceId::new(NodeId(2), 1);
-        for (after, before) in states(&d).iter().zip(&before) {
-            let expected = if after.1 == target { ServiceState::Failed } else { before.2 };
-            assert_eq!(*after, (before.0.clone(), before.1, expected));
-        }
-        assert_eq!(states(&d).iter().filter(|s| s.2 == ServiceState::Failed).count(), 2);
-
-        // A node with no catalogue provides nothing a status could change.
-        let before = states(&d);
-        beat(&mut d, NodeId(4), 1, 0, 4, Micros(0));
-        d.apply_status(NodeId(4), 1, ServiceState::Failed);
-        d.apply_status(NodeId(7), 1, ServiceState::Failed);
-        assert_eq!(states(&d), before);
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! The control plane's clockwork: when this node next sends its beacon —
 //! the one periodic control frame: alive, load, FEC capability and the
-//! digest of its catalogue — and when a forced full `Announce` the
-//! debounce held back is released. [`Gossip`] decides when and which; the
-//! container builds and sends the messages.
+//! digest of its catalogue — and when its full catalogue is flooded.
+//! [`Gossip`] decides when; the container builds and sends the messages.
+//!
+//! The catalogue is flooded from one place, the end of a tick, ahead of
+//! that tick's beacon, and at most once a tick: when a forced re-announce
+//! is owed (a peer showed a life not on record; the debounce window holds
+//! a burst of those to one flood), or when the catalogue changed (a
+//! service changed state or joined a running container) and no longer
+//! hashes to the digest last broadcast. A service's state travels only
+//! in that catalogue, and the beacon's digest says which one is current.
 
 use marea_protocol::{Micros, ProtoDuration};
 
@@ -18,14 +25,14 @@ pub(crate) struct Gossip {
     /// A forced re-announce arrived inside the window and waits for it to
     /// close.
     pending: bool,
+    /// A forced re-announce is owed at the end of this tick.
+    owed: bool,
+    /// The catalogue changed since the last flood: the end of the tick
+    /// rehashes it and floods it if its digest moved.
+    changed: bool,
     /// Digest `(hash, entry_count)` of the last full catalogue broadcast —
     /// what every beacon since has carried.
     digest: Option<(u32, u32)>,
-    /// The catalogue was touched since `digest` was last compared with
-    /// it: the next beacon slot must rebuild and rehash it. While this is
-    /// clear, `digest` *is* the catalogue's digest and nothing needs
-    /// recomputing to learn that it did not change.
-    stale: bool,
 }
 
 impl Gossip {
@@ -34,8 +41,9 @@ impl Gossip {
             beacon: Cadence::every(beacon_period),
             forced: Cadence::every(debounce_window),
             pending: false,
+            owed: false,
+            changed: false,
             digest: None,
-            stale: false,
         }
     }
 
@@ -44,67 +52,53 @@ impl Gossip {
         self.beacon.take(now)
     }
 
-    /// `true`, once, when the debounce window of a held-back forced
-    /// re-announce has closed: the full catalogue is owed at `now`.
-    pub fn reannounce_due(&mut self, now: Micros) -> bool {
-        let due = self.pending && self.forced.take(now);
-        if due {
-            self.pending = false;
-        }
-        due
-    }
-
     /// A peer lacks our catalogue: its `Announce` or beacon showed a life
-    /// not on record. `true`: re-broadcast the full catalogue now, so
-    /// discovery converges fast. Repeats inside one window collapse into
-    /// one pending re-announce that [`reannounce_due`](Self::reannounce_due)
-    /// releases when it closes — a burst of new lives (start-up, a
-    /// partition heal) cannot flood the control group with full-catalogue
-    /// broadcasts.
-    pub fn request_reannounce(&mut self, now: Micros) -> bool {
+    /// not on record. The full catalogue is owed at the end of this tick,
+    /// so discovery converges fast — unless the debounce window is open:
+    /// repeats inside one window collapse into one pending re-announce,
+    /// owed when it closes. A burst of new lives (start-up, a partition
+    /// heal) cannot flood the control group with full catalogues.
+    pub fn request_reannounce(&mut self, now: Micros) {
         let allowed = self.forced.take(now);
+        self.owed |= allowed;
         self.pending = !allowed;
-        allowed
     }
 
-    /// The digest a beacon carries while nothing touched the catalogue
-    /// since the fleet was last told. `None`: the catalogue must be
-    /// rehashed and put to [`digest_unchanged`](Self::digest_unchanged).
-    pub fn digest(&self) -> Option<(u32, u32)> {
-        self.digest.filter(|_| !self.stale)
+    /// The catalogue changed: a service changed state or was added.
+    pub fn catalogue_changed(&mut self) {
+        self.changed = true;
     }
 
-    /// `true` when the catalogue, just rehashed to `digest`, still hashes
-    /// to what the fleet was last told; otherwise it must be broadcast
-    /// ahead of the beacon that carries `digest`.
-    pub fn digest_unchanged(&mut self, digest: (u32, u32)) -> bool {
-        let unchanged = self.digest == Some(digest);
-        if unchanged {
-            self.stale = false;
+    /// What the end of the tick at `now` floods, taken: `Some(true)` when
+    /// a forced re-announce is owed (one allowed this tick, or a held-back
+    /// one whose window closed), `Some(false)` when the catalogue only
+    /// changed — flooded if it no longer hashes to [`digest`](Self::digest)
+    /// — and `None` when nothing is owed.
+    pub fn flood_due(&mut self, now: Micros) -> Option<bool> {
+        if self.pending && self.forced.take(now) {
+            self.pending = false;
+            self.owed = true;
         }
-        unchanged
+        let forced = std::mem::take(&mut self.owed);
+        (std::mem::take(&mut self.changed) || forced).then_some(forced)
+    }
+
+    /// The digest of the last full catalogue broadcast: what a beacon
+    /// carries. The end of the tick floods a changed catalogue before the
+    /// beacon is staged, so this is the catalogue's digest as it stands.
+    pub fn digest(&self) -> Option<(u32, u32)> {
+        self.digest
     }
 
     /// The full catalogue, hashing to `digest`, was broadcast.
     pub fn broadcast(&mut self, digest: (u32, u32)) {
         self.digest = Some(digest);
-        self.stale = false;
-    }
-
-    /// A service was added or changed state: the last broadcast digest may
-    /// no longer hold. (The incarnation it also covers is fixed between
-    /// `start` and `stop`, and `start` always broadcasts.)
-    pub fn catalogue_changed(&mut self) {
-        self.stale = true;
-    }
-
-    /// The catalogue changed out of cadence (a service joined a running
-    /// container): the beacon slot, which re-floods it, is due at once.
-    pub fn announce_at_once(&mut self) {
-        self.beacon.reset();
+        self.changed = false;
     }
 
     /// The earliest instant a beacon or a held-back re-announce is owed.
+    /// (A change is flooded at the end of the tick that made it, or, for
+    /// a service added between ticks, of the tick that runs its start.)
     pub fn next_due(&self) -> Micros {
         if self.pending {
             self.beacon.next_due().min(self.forced.next_due())
@@ -132,39 +126,39 @@ mod tests {
         assert!(!g.beacon_due(Micros(50_999)));
         assert_eq!(g.next_due(), Micros(51_000), "the next beacon, whatever was broadcast when");
         assert!(g.beacon_due(Micros(51_000)));
-        assert_eq!(g.digest(), Some((7, 2)), "untouched: the kept digest, no rehash");
-        assert!(!g.reannounce_due(Micros(10_000_000)), "no catalogue slot of its own");
+        assert_eq!(g.digest(), Some((7, 2)));
+        assert_eq!(g.flood_due(Micros(10_000_000)), None, "no catalogue slot of its own");
         g.catalogue_changed();
-        assert_eq!(g.digest(), None, "touched: rehash");
-        assert!(g.digest_unchanged((7, 2)), "changed and changed back");
-        assert_eq!(g.digest(), Some((7, 2)), "compared: trusted again");
+        assert_eq!(g.flood_due(Micros(60_000)), Some(false), "changed: rehash and compare");
+        assert_eq!(g.flood_due(Micros(60_000)), None, "taken");
+        assert_eq!(g.digest(), Some((7, 2)), "changed and changed back: nothing broadcast");
         g.catalogue_changed();
-        assert!(!g.digest_unchanged((8, 3)), "changed: full catalogue ahead of the beacon");
-        assert_eq!(g.digest(), None, "still stale until that broadcast happened");
         g.broadcast((8, 3));
+        assert_eq!(g.flood_due(Micros(60_000)), None, "the broadcast covered the change");
         assert_eq!(g.digest(), Some((8, 3)));
         assert_eq!(g.next_due(), Micros(101_000));
-        g.announce_at_once();
-        assert_eq!(g.next_due(), Micros::ZERO, "the beacon slot is due at once");
-        assert!(g.beacon_due(Micros(60_000)));
     }
 
     #[test]
     fn forced_reannounce_is_debounced_to_one_pending_flush() {
         let mut g = gossip();
         g.broadcast((1, 1));
-        assert!(g.request_reannounce(Micros(10_000)), "first trigger goes out at once");
-        assert!(!g.request_reannounce(Micros(20_000)), "inside the window: deferred");
-        assert!(!g.request_reannounce(Micros(30_000)));
+        g.request_reannounce(Micros(10_000));
+        assert_eq!(g.flood_due(Micros(10_000)), Some(true), "first trigger goes out at once");
+        g.request_reannounce(Micros(20_000));
+        assert_eq!(g.flood_due(Micros(20_000)), None, "inside the window: deferred");
+        g.request_reannounce(Micros(30_000));
         assert!(g.beacon_due(Micros(30_000)));
         assert_eq!(g.next_due(), Micros(80_000), "beacon before the flush");
         assert!(g.beacon_due(Micros(180_000)));
         assert_eq!(g.next_due(), Micros(210_000), "the flush before the next beacon");
-        assert!(!g.reannounce_due(Micros(209_999)));
-        assert!(g.reannounce_due(Micros(210_000)), "window closed");
-        assert!(!g.reannounce_due(Micros(210_000)), "flushed once");
+        assert_eq!(g.flood_due(Micros(209_999)), None);
+        g.catalogue_changed();
+        assert_eq!(g.flood_due(Micros(210_000)), Some(true), "window closed: one flood for both");
+        assert_eq!(g.flood_due(Micros(210_000)), None, "flushed once");
         assert_eq!(g.next_due(), Micros(230_000), "only the beacon is left");
-        assert!(!g.request_reannounce(Micros(300_000)), "the flush opened a new window");
-        assert!(g.reannounce_due(Micros(410_000)));
+        g.request_reannounce(Micros(300_000));
+        assert_eq!(g.flood_due(Micros(300_000)), None, "the flush opened a new window");
+        assert_eq!(g.flood_due(Micros(410_000)), Some(true));
     }
 }

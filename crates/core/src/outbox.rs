@@ -335,15 +335,14 @@ mod tests {
         let mut outbox = Outbox::new(NodeId(1));
         outbox.stage(A, &reply(120), MTU).expect("fits");
         outbox.stage(A, &ack(1), MTU).expect("fits");
-        // A ServiceStatus carries no blob, so only encoding it shows that it
-        // overruns the room left; the reply behind it overruns by its
-        // payload alone.
-        let status = Message::ServiceStatus {
-            service_seq: 1,
+        // An UnsubscribeEvent carries no blob, so only encoding it shows
+        // that it overruns the room left; the reply behind it overruns by
+        // its payload alone.
+        let unsubscribe = Message::UnsubscribeEvent {
             name: marea_presentation::Name::new("a/rather/long/container/name").unwrap(),
-            state: marea_protocol::messages::ServiceState::Running,
+            subscriber: NodeId(2),
         };
-        outbox.stage(A, &status, MTU).expect("fits a datagram of its own");
+        outbox.stage(A, &unsubscribe, MTU).expect("fits a datagram of its own");
         outbox.stage(A, &reply(140), MTU).expect("fits a datagram of its own");
         outbox.stage(A, &ack(2), MTU).expect("fits");
         let sent: Vec<_> = outbox.drain().map(|(_, wire)| wire).collect();
@@ -353,7 +352,7 @@ mod tests {
             sent,
             [
                 vec![MessageKind::CallReply, MessageKind::RelAck],
-                vec![MessageKind::ServiceStatus],
+                vec![MessageKind::UnsubscribeEvent],
                 vec![MessageKind::CallReply, MessageKind::RelAck]
             ]
         );

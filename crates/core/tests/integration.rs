@@ -618,6 +618,84 @@ fn calls_fail_over_to_redundant_provider() {
     assert_eq!(client.fn_retries("no/such"), 0);
 }
 
+/// A provider whose handler panics on a call is marked `Failed` by its
+/// watchdog and never answers; the catalogue its node floods at the end
+/// of that tick says so, and the caller moves the call to the redundant
+/// provider at once — within one link latency and a tick of the failure,
+/// not after the call's deadline.
+#[test]
+fn a_call_to_a_provider_that_fails_on_it_is_answered_by_the_backup() {
+    let mut h = SimHarness::new(lan(12));
+    h.add_container(ContainerConfig::new("client", NodeId(1)));
+    h.add_container(ContainerConfig::new("primary", NodeId(2)));
+    h.add_container(ContainerConfig::new("backup", NodeId(3)));
+
+    let where_fn = FnPort::<(), u32>::new("storage/where");
+    let failed_at = obs_log();
+    for node in [NodeId(2), NodeId(3)] {
+        let mut b = ServiceDescriptor::builder("storage");
+        b.provides_fn(&where_fn);
+        let mut server = Scripted::new(b.build());
+        let failed_at = failed_at.clone();
+        server.on_call = Some(Box::new(move |ctx, _f, _a| {
+            if node == NodeId(2) {
+                failed_at.lock().unwrap().push((ctx.now(), Obs::Started));
+                panic!("deliberate test panic");
+            }
+            Ok(Value::U32(node.0))
+        }));
+        h.add_service(node, Box::new(server));
+    }
+
+    let log = obs_log();
+    let mut client = Scripted::new(ServiceDescriptor::builder("consumer").build());
+    client.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(300), None);
+    }));
+    let cport = where_fn.clone();
+    client.on_timer = Some(Box::new(move |ctx, _| {
+        ctx.call_fn_with(&cport, (), CallOptions::default().pinned(NodeId(2)));
+    }));
+    let reply_log = log.clone();
+    client.on_reply = Some(Box::new(move |ctx, handle, result| {
+        reply_log
+            .lock()
+            .unwrap()
+            .push((ctx.now(), Obs::Reply(handle.0 .0, result.map_err(|e| e.to_string()))));
+    }));
+    h.add_service(NodeId(1), Box::new(client));
+    h.start_all();
+
+    // Silence the default panic hook for the expected panic.
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    h.run_for_millis(1_500);
+    std::panic::set_hook(prev_hook);
+
+    let primary = h.container(NodeId(2)).unwrap();
+    assert_eq!(primary.service_state("storage"), Some(marea_core::ServiceState::Failed));
+    let failed_at = observations(&failed_at);
+    assert_eq!(failed_at.len(), 1, "the primary met the call once");
+    let failed_at = failed_at[0].0;
+
+    let client = h.container(NodeId(1)).unwrap();
+    let (redirected, _) = (client.log_lines())
+        .find(|(_, line)| line.contains("redirected to redundant provider"))
+        .expect("the call was redirected");
+    let (latency, tick) = (LinkConfig::default().latency_us, 1_000);
+    assert!(
+        redirected.as_micros() <= failed_at.as_micros() + latency + tick,
+        "redirected at {redirected:?}, the primary failed at {failed_at:?}"
+    );
+    let replies = observations(&log);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let (answered, reply) = &replies[0];
+    assert_eq!(*reply, Obs::Reply(1, Ok(Value::U32(3))), "answered by the backup");
+    let waited = answered.as_micros() - failed_at.as_micros();
+    assert!(waited <= 3 * (latency + tick), "answered {waited} µs after the failure");
+    assert!(client.stats().qos.retries >= 1, "{:?}", client.stats().qos);
+}
+
 #[test]
 fn file_distribution_to_multiple_nodes_is_bit_exact() {
     let mut h = SimHarness::new(lossy(12, 0.02));
@@ -930,6 +1008,52 @@ fn panicking_service_is_quarantined_and_fleet_notified() {
     // The other container no longer sees the function as available.
     let b = h.container(NodeId(2)).unwrap();
     assert!(b.directory().resolve_function("bomb/arm", CallPolicy::Dynamic, None).is_none());
+}
+
+/// A service that fails leaves this node's own directory record at once,
+/// not at the end of the tick: a call made later in the same tick finds
+/// no provider instead of being queued for the failed one until its
+/// deadline.
+#[test]
+fn a_provider_failed_earlier_in_the_tick_is_not_called_locally() {
+    let mut h = SimHarness::new(lan(16));
+    h.add_container(ContainerConfig::new("a", NodeId(1)));
+    let arm = FnPort::<(), ()>::new("bomb/arm");
+    let mut bomb_b = ServiceDescriptor::builder("bomb");
+    bomb_b.provides_fn(&arm);
+    let mut bomb = Scripted::new(bomb_b.build());
+    bomb.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(50), None);
+    }));
+    bomb.on_timer = Some(Box::new(|_ctx, _| panic!("deliberate test panic")));
+    h.add_service(NodeId(1), Box::new(bomb));
+
+    // Its timer falls due with the bomb's and fires after it.
+    let log = obs_log();
+    let mut caller = Scripted::new(ServiceDescriptor::builder("caller").build());
+    caller.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(50), None);
+    }));
+    caller.on_timer = Some(Box::new(move |ctx, _| {
+        ctx.call_fn(&arm, ());
+    }));
+    let reply_log = log.clone();
+    caller.on_reply = Some(Box::new(move |ctx, handle, result| {
+        let result = result.map_err(|e| e.to_string());
+        reply_log.lock().unwrap().push((ctx.now(), Obs::Reply(handle.0 .0, result)));
+    }));
+    h.add_service(NodeId(1), Box::new(caller));
+    h.start_all();
+
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    h.run_for_millis(300);
+    std::panic::set_hook(prev_hook);
+
+    let replies = observations(&log);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let (at, Obs::Reply(_, Err(_))) = &replies[0] else { panic!("{replies:?}") };
+    assert!(at.as_micros() <= 52_000, "refused at {at:?}, not after a deadline");
 }
 
 #[test]

@@ -881,9 +881,10 @@ fn any_valid_frame_from_a_known_node_is_proof_of_life() {
 #[test]
 fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     // The beacon carries the digest of the catalogue as it stands, and a
-    // changed catalogue is re-flooded in the slot of the beacon that first
-    // says so. On a clean link nobody therefore ever pulls; a pull is the
-    // repair of a lost re-flood, and one beacon period is its retry.
+    // changed catalogue is re-flooded at the end of the tick that changed
+    // it, ahead of any beacon that says so. On a clean link nobody
+    // therefore ever pulls; a pull is the repair of a lost re-flood, and
+    // one beacon period is its retry.
     use marea_protocol::messages::ServiceState;
 
     let beacon = ContainerConfig::new("x", NodeId(1)).heartbeat_period;
@@ -940,14 +941,10 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     h.run_until_us(1_100_000);
     assert!(converged(&h, ServiceState::Running));
     assert_eq!(pulls(&h), [0, 0, 0]);
-    let settled = *h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap();
 
-    // SetDegraded on a running service: the next beacon slot re-floods.
-    h.run_until_us(1_400_000);
-    let held = h.container(NodeId(2)).unwrap().directory().node(NodeId(1)).unwrap();
-    assert_eq!(held.catalogue_digest(), settled.catalogue_digest(), "not before its slot");
-    h.run_until_us(1_200_000 + beacon.as_micros());
-    assert!(converged(&h, ServiceState::Degraded), "within one beacon period of the change");
+    // SetDegraded on a running service: the end of its tick re-floods.
+    h.run_until_us(1_250_000);
+    assert!(converged(&h, ServiceState::Degraded), "within 50 ms of the change");
     assert_eq!(pulls(&h), [0, 0, 0], "a re-flood that arrives leaves nothing to pull");
 
     // A late joiner whose start-up Announce is lost is found by its beacon,
@@ -977,21 +974,20 @@ fn beacon_agrees_with_every_catalogue_its_node_hands_out() {
     assert_eq!(pulls(&h), [1, 1, 1, 3]);
 
     // The recovery at 3.2 s re-floods to all. The degradation after it
-    // (5.2 s; node 1's debounce flush for the joiner went at 4 s) re-floods
-    // in the 5.5 s slot, lost towards node 3 alone: it pulls exactly once,
-    // at the following beacon, and holds the catalogue within two beacon
-    // periods of the change.
-    h.run_until_us(3_200_000 + beacon.as_micros());
+    // (5.2 s) re-floods at once, lost towards node 3 alone: it pulls
+    // exactly once, at the next beacon (5.5 s), and holds the catalogue
+    // within one beacon period of the change.
+    h.run_until_us(3_250_000);
     assert!(converged(&h, ServiceState::Running));
     assert_eq!(pulls(&h), [1, 1, 1, 3]);
-    h.run_until_us(5_400_000);
+    h.run_until_us(5_100_000);
     h.network().set_partition(1, 3, true);
-    h.run_until_us(5_600_000);
+    h.run_until_us(5_300_000);
     h.network().set_partition(1, 3, false);
-    h.run_until_us(5_990_000);
+    h.run_until_us(5_490_000);
     assert!(!converged(&h, ServiceState::Degraded), "node 3 missed the re-flood");
     assert_eq!(pulls(&h), [1, 1, 1, 3], "and cannot know before the next beacon");
-    h.run_until_us(5_200_000 + 2 * beacon.as_micros());
+    h.run_until_us(5_200_000 + beacon.as_micros());
     assert!(converged(&h, ServiceState::Degraded));
     assert_eq!(pulls(&h), [1, 1, 2, 3]);
     h.run_for(ProtoDuration::from_secs(3));
@@ -2006,9 +2002,10 @@ fn a_paired_providers_end_drops_its_pairs() {
     assert_eq!(held(&c), (2, 0, 0), "silence");
 }
 
-/// A pair keeps no state, so a `ServiceStatus` for it changes nothing.
-/// Once a local service uses the name, the re-pull brings the provision
-/// whole, in the state its provider holds now.
+/// A pair keeps no state, so a same-life catalogue that changes only the
+/// state of a paired provision's service files it as the same pair. Once a
+/// local service uses the name, the re-pull brings the provision whole, in
+/// the state its provider holds now.
 #[test]
 fn a_status_for_a_paired_provision_waits_for_the_re_pull() {
     use marea_core::ServiceContainer;
@@ -2043,9 +2040,8 @@ fn a_status_for_a_paired_provision_waits_for_the_re_pull() {
     let before = directory(&c);
     assert_eq!(before.1, 1, "held as a pair");
 
-    let name = Name::new("svc").unwrap();
-    let status = Message::ServiceStatus { service_seq: 1, name, state: ServiceState::Degraded };
-    send(&mut probe, status);
+    let entries = catalogue(ServiceState::Degraded);
+    send(&mut probe, Message::Announce { incarnation: 1, entries });
     c.tick(Micros(20_000));
     assert_eq!(directory(&c), before, "a pair keeps no state");
     assert!(c.directory().resolve_event("n2/e").is_none());

@@ -447,15 +447,8 @@ messages! {
         /// Hosted services and their provisions.
         entries: Vec<AnnounceEntry> = entries,
     }
-    /// Single service state change.
-    ServiceStatus = 4 {
-        /// Instance sequence on the sending node.
-        service_seq: u32 = varint,
-        /// Service name.
-        name: Name = name,
-        /// New state.
-        state: ServiceState = tag,
-    }
+    // 4 was a single service's state change, which the sender's catalogue
+    // carries: retired, never reused.
     /// Variable subscription request (unicast to provider).
     SubscribeVar = 5 {
         /// Variable name.
@@ -1240,11 +1233,6 @@ mod tests {
                     ],
                 }],
             },
-            Message::ServiceStatus {
-                service_seq: 1,
-                name: name("gps"),
-                state: ServiceState::Degraded,
-            },
             Message::SubscribeVar {
                 name: name("gps/position"),
                 subscriber: NodeId(4),
@@ -1372,6 +1360,7 @@ mod tests {
         assert_eq!(MessageKind::from_wire_tag(0xFF), None);
         // Retired tags stay unknown kinds.
         assert_eq!(MessageKind::from_wire_tag(0), None);
+        assert_eq!(MessageKind::from_wire_tag(4), None);
         assert_eq!(MessageKind::from_wire_tag(17), None);
         assert_eq!(MessageKind::from_wire_tag(24), None);
     }
