@@ -896,22 +896,17 @@ impl ServiceContainer {
                 let msg = Message::Announce { incarnation: self.incarnation, entries };
                 self.send_message(TransportDestination::Node(src.0), &msg);
             }
-            Message::SubscribeVar { name, subscriber, need_initial } => {
-                self.peers.set_subscriber(&name, subscriber, true);
+            Message::Subscribe { name, need_initial } => {
+                self.peers.set_subscriber(&name, src, true);
+                // `None` for an event name: this node publishes no
+                // variable by it.
                 let initial = self.vars.on_subscribe(&name, need_initial, now);
                 let Some((sample, stamp)) = initial else { return };
                 // The resend gets a fresh causal id: it is this container
                 // re-publishing the retained sample towards one subscriber.
                 let trace = self.tracer.mint();
                 let seq = sample.seq;
-                self.tracer.record(
-                    now,
-                    TraceKind::VarPublish,
-                    trace,
-                    Some(subscriber),
-                    seq,
-                    Some(&name),
-                );
+                self.tracer.record(now, TraceKind::VarPublish, trace, Some(src), seq, Some(&name));
                 let msg = Message::VarSample {
                     name,
                     seq,
@@ -923,15 +918,9 @@ impl ServiceContainer {
                 };
                 // The initial exact value is *guaranteed* (§4.1), so unlike the
                 // periodic samples it travels on the reliable channel.
-                self.send_reliable(subscriber, None, &msg, now);
+                self.send_reliable(src, None, &msg, now);
             }
-            Message::SubscribeEvent { name, subscriber } => {
-                self.peers.set_subscriber(&name, subscriber, true);
-            }
-            Message::UnsubscribeVar { name, subscriber }
-            | Message::UnsubscribeEvent { name, subscriber } => {
-                self.peers.set_subscriber(&name, subscriber, false);
-            }
+            Message::Unsubscribe { name } => self.peers.set_subscriber(&name, src, false),
             Message::VarSample { name, seq, stamp_us, validity_us, trace, codec, payload } => {
                 let trace = TraceId::from_wire(src, trace);
                 let peer = (!trace.is_none()).then(|| trace.origin());
@@ -1099,8 +1088,12 @@ impl ServiceContainer {
                 }
             }
             Message::FileSubscribe { .. } | Message::FileAck { .. } | Message::FileNack { .. } => {
-                if let Some((owner, done)) = self.files.on_subscriber_message(&msg) {
-                    self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
+                match self.files.on_subscriber_message(src, &msg) {
+                    Ok(Some((owner, done))) => {
+                        self.tasks.push(Priority::FILE, owner, TaskPayload::File(done));
+                    }
+                    Ok(None) => {}
+                    Err(()) => self.stats.frames_rejected += 1,
                 }
             }
             Message::Fragment { msg_id, index, count, payload } => {
@@ -1249,30 +1242,21 @@ impl ServiceContainer {
     /// ascending order, because it may send subscription wiring or queue
     /// notices and send order must be seed-reproducible.
     fn maintain_subscriptions(&mut self, now: Micros) {
-        let subscriber = self.config.node;
         let multicast = self.config.var_distribution == VarDistribution::Multicast;
         for (name, rebind) in self.vars.rebind_all(&self.directory, now) {
-            if multicast && rebind.bound.is_some_and(|p| p.node != subscriber) {
+            if multicast && rebind.bound.is_some_and(|p| p.node != self.config.node) {
                 self.transport.join(var_group(&name).0);
             }
             let need_initial = self.vars.need_initial(&name);
-            let wire = [
-                Message::SubscribeVar { name: name.clone(), subscriber, need_initial },
-                Message::UnsubscribeVar { name: name.clone(), subscriber },
-            ];
             let notices = [ProviderNotice::VariableAvailable, ProviderNotice::VariableUnavailable];
-            if let Some(notice) = self.rewire(&name, rebind, wire, notices, now) {
+            if let Some(notice) = self.rewire(&name, rebind, need_initial, notices, now) {
                 let services = self.vars.subscribers(&name);
                 self.tasks.fan_out(Priority::CALL, services, notice, TaskPayload::Provider);
             }
         }
         for (name, rebind) in self.events.rebind_all(&self.directory) {
-            let wire = [
-                Message::SubscribeEvent { name: name.clone(), subscriber },
-                Message::UnsubscribeEvent { name: name.clone(), subscriber },
-            ];
             let notices = [ProviderNotice::EventAvailable, ProviderNotice::EventUnavailable];
-            if let Some(notice) = self.rewire(&name, rebind, wire, notices, now) {
+            if let Some(notice) = self.rewire(&name, rebind, false, notices, now) {
                 let services = self.events.subscribers(&name);
                 self.tasks.fan_out(Priority::CALL, services, notice, TaskPayload::Provider);
             }
@@ -1299,29 +1283,32 @@ impl ServiceContainer {
         }
     }
 
-    /// Sends what a changed channel binding owes its providers, both over
-    /// the reliable channel so a lost datagram cannot silently orphan the
-    /// subscription or leave the provider serving a node that left it:
-    /// `subscribe` to the node bound, `unsubscribe` to the node left while
-    /// the directory still holds it — never to this node, nor to the node
-    /// bound. Answers the notice for the channel's subscribers, made by
-    /// `gained` or `lost` as the channel gained or lost its provider; none
-    /// on a re-wire.
+    /// Sends what a changed binding of the variable or event channel
+    /// `name` owes its providers, both over the reliable channel so a lost
+    /// datagram cannot silently orphan the subscription or leave the
+    /// provider serving a node that left it: a `Subscribe` (asking for the
+    /// initial value if `need_initial`) to the node bound, an
+    /// `Unsubscribe` to the node left while the directory still holds it —
+    /// never to this node, nor to the node bound. Neither names this node:
+    /// the provider files the frame's sender. Answers the notice for the
+    /// channel's subscribers, made by `gained` or `lost` as the channel
+    /// gained or lost its provider; none on a re-wire.
     fn rewire(
         &mut self,
         name: &Name,
         rebind: Rebind,
-        [subscribe, unsubscribe]: [Message; 2],
+        need_initial: bool,
         [gained, lost]: [fn(Name) -> ProviderNotice; 2],
         now: Micros,
     ) -> Option<ProviderNotice> {
         let (node, bound) = (self.config.node, rebind.bound.map(|p| p.node));
         if let Some(provider) = bound.filter(|&p| p != node) {
+            let subscribe = Message::Subscribe { name: name.clone(), need_initial };
             self.send_reliable(provider, None, &subscribe, now);
         }
         let left = rebind.left.map(|p| p.node).filter(|&l| l != node && Some(l) != bound);
         if let Some(left) = left.filter(|&l| self.directory.node_alive(l)) {
-            self.send_reliable(left, None, &unsubscribe, now);
+            self.send_reliable(left, None, &Message::Unsubscribe { name: name.clone() }, now);
         }
         rebind.available().map(|up| (if up { gained } else { lost })(name.clone()))
     }

@@ -250,31 +250,42 @@ impl FileEngine {
         Heard::Subscribe { join, services: interest.services.clone() }
     }
 
-    /// A subscriber's `FileSubscribe`, `FileAck` or `FileNack` about one of
-    /// this node's own transfers; answers the owner's
+    /// A subscriber's `FileSubscribe`, `FileAck` or `FileNack` from `src`
+    /// about one of this node's own transfers; answers the owner's
     /// `DistributionComplete` notice when an ack was the last one awaited.
-    pub fn on_subscriber_message(&mut self, msg: &Message) -> Option<(u32, FileEvent)> {
-        let (Message::FileSubscribe { transfer, .. }
-        | Message::FileAck { transfer, .. }
-        | Message::FileNack { transfer, .. }) = msg
+    /// A message that names another node than `src` as its subscriber is
+    /// refused (`Err`) and moves nothing: no node speaks for another.
+    pub fn on_subscriber_message(
+        &mut self,
+        src: NodeId,
+        msg: &Message,
+    ) -> Result<Option<(u32, FileEvent)>, ()> {
+        let (Message::FileSubscribe { transfer, subscriber }
+        | Message::FileAck { transfer, subscriber, .. }
+        | Message::FileNack { transfer, subscriber, .. }) = msg
         else {
-            return None;
+            return Ok(None);
         };
-        let resource = self.transfer_index.get(&(self.node, *transfer))?;
-        let out = self.outgoing.get_mut(resource)?;
+        if *subscriber != src {
+            return Err(());
+        }
+        let Some(resource) = self.transfer_index.get(&(self.node, *transfer)) else {
+            return Ok(None);
+        };
+        let Some(out) = self.outgoing.get_mut(resource) else { return Ok(None) };
         match msg {
-            Message::FileAck { revision, subscriber, .. } => {
-                out.sender.on_ack(*subscriber, *revision);
-                return out.take_completion(resource);
+            Message::FileAck { revision, .. } => {
+                out.sender.on_ack(src, *revision);
+                return Ok(out.take_completion(resource));
             }
-            Message::FileNack { revision, subscriber, runs, .. } => {
-                let _ = out.sender.on_nack(*subscriber, *revision, runs);
+            Message::FileNack { revision, runs, .. } => {
+                let _ = out.sender.on_nack(src, *revision, runs);
             }
-            Message::FileSubscribe { subscriber, .. } => out.sender.on_subscribe(*subscriber),
+            Message::FileSubscribe { .. } => out.sender.on_subscribe(src),
             _ => {}
         }
         out.complete_notified = false;
-        None
+        Ok(None)
     }
 
     /// The interest fed by `src`'s transfer `transfer`.
@@ -475,10 +486,13 @@ mod tests {
 
         // A subscriber naming transfer 1 means this node's own transfer.
         let subscribe = Message::FileSubscribe { transfer: t, subscriber: NodeId(9) };
-        assert_eq!(local.on_subscriber_message(&subscribe), None);
+        assert_eq!(local.on_subscriber_message(NodeId(9), &subscribe), Ok(None));
         assert!(!local.outgoing[&name("n3/file")].sender.is_complete());
         let ack = Message::FileAck { transfer: t, revision: 1, subscriber: NodeId(9) };
-        let (owner, event) = local.on_subscriber_message(&ack).expect("last subscriber served");
+        assert_eq!(local.on_subscriber_message(NodeId(8), &ack), Err(()), "node 8 speaks for 9");
+        assert!(!local.outgoing[&name("n3/file")].sender.is_complete());
+        let served = local.on_subscriber_message(NodeId(9), &ack).unwrap();
+        let (owner, event) = served.expect("last subscriber served");
         assert_eq!(owner, 1);
         assert!(matches!(event, FileEvent::DistributionComplete { subscribers: 1, .. }));
     }

@@ -335,12 +335,11 @@ mod tests {
         let mut outbox = Outbox::new(NodeId(1));
         outbox.stage(A, &reply(120), MTU).expect("fits");
         outbox.stage(A, &ack(1), MTU).expect("fits");
-        // An UnsubscribeEvent carries no blob, so only encoding it shows
-        // that it overruns the room left; the reply behind it overruns by
-        // its payload alone.
-        let unsubscribe = Message::UnsubscribeEvent {
-            name: marea_presentation::Name::new("a/rather/long/container/name").unwrap(),
-            subscriber: NodeId(2),
+        // An Unsubscribe carries no blob, so only encoding it shows that it
+        // overruns the room left; the reply behind it overruns by its
+        // payload alone.
+        let unsubscribe = Message::Unsubscribe {
+            name: marea_presentation::Name::new("a/rather/long/container/longname").unwrap(),
         };
         outbox.stage(A, &unsubscribe, MTU).expect("fits a datagram of its own");
         outbox.stage(A, &reply(140), MTU).expect("fits a datagram of its own");
@@ -352,7 +351,7 @@ mod tests {
             sent,
             [
                 vec![MessageKind::CallReply, MessageKind::RelAck],
-                vec![MessageKind::UnsubscribeEvent],
+                vec![MessageKind::Unsubscribe],
                 vec![MessageKind::CallReply, MessageKind::RelAck]
             ]
         );

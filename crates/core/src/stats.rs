@@ -215,8 +215,9 @@ counters! {
         sum beacon_repeats: u64,
         /// Received frames discarded unread: one bump for a frame that fails
         /// its length or CRC check — together with whatever followed it in
-        /// its datagram, where the walk ends — and one for a frame whose
-        /// body does not parse as its header's kind.
+        /// its datagram, where the walk ends — one for a frame whose body
+        /// does not parse as its header's kind, and one for a file message
+        /// that names another node than its sender as its subscriber.
         sum frames_rejected: u64,
         /// Datagrams handed to the transport: at most one per destination per
         /// MTU per tick, however many frames were bound there.

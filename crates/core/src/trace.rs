@@ -382,13 +382,14 @@ pub(crate) const fn context_limit(capacity: usize) -> usize {
 /// record before it, the trace counter as one from the trace before it,
 /// that other origin, the peer, and the index of the record's
 /// incarnation and name in the ring's context table. That is 4-9 bytes
-/// for a typical record, [`RECORD_MAX_BYTES`] at worst. The ring keeps
+/// for a typical record, `RECORD_MAX_BYTES` (38) at worst. The ring keeps
 /// the newest values the deltas run to, so evicting the oldest record
 /// only steps over its width; readers sum the held deltas back from the
 /// newest. A record never wraps: one that would pass the end of the
 /// buffer starts at 0. The buffer is sized for `RESERVED_RECORD_BYTES` a
-/// record up front and grows, up to [`ring_cap_bytes`], only when its
-/// records are wider.
+/// record up front and grows, up to `ring_cap_bytes` (the record part of
+/// [`trace_cap_bytes`](crate::trace_cap_bytes)), only when its records are
+/// wider.
 ///
 /// The context table holds only contexts its own records named and is
 /// compacted, and the records re-encoded, before it outgrows

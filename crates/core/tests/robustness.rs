@@ -846,8 +846,7 @@ fn any_valid_frame_from_a_known_node_is_proof_of_life() {
     let reliable = |seq| Message::RelData {
         channel: 0,
         seq,
-        payload: Message::UnsubscribeEvent { name: name.clone(), subscriber: NodeId(2) }
-            .encode_tagged(),
+        payload: Message::Unsubscribe { name: name.clone() }.encode_tagged(),
     };
     let mut send = |from: u32, msg: Message| {
         probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
@@ -876,6 +875,185 @@ fn any_valid_frame_from_a_known_node_is_proof_of_life() {
     assert!(c.directory().node_alive(NodeId(2)));
     c.tick(Micros(last + timeout));
     assert!(!c.directory().node_alive(NodeId(2)));
+}
+
+/// The messages one probe node read since the last call, with every
+/// reliable envelope opened (and acknowledged, so nothing is sent twice).
+fn read_and_ack(
+    probe: &mut marea_transport::InProcTransport,
+    node: u32,
+) -> Vec<marea_protocol::messages::Message> {
+    use marea_protocol::frames;
+    use marea_protocol::messages::Message;
+    use marea_transport::{Transport, TransportDestination};
+
+    let mut read = Vec::new();
+    while let Some((_, datagram)) = probe.recv() {
+        for frame in frames(&datagram) {
+            match Message::from_frame(&frame.unwrap()).unwrap() {
+                Message::RelData { channel, seq, payload } => {
+                    read.push(Message::decode_tagged(&payload).unwrap());
+                    let ack =
+                        Message::RelAck { channel, cumulative: seq + 1, sack: 0, loss_permille: 0 };
+                    let frame = ack.into_frame(NodeId(node)).encode();
+                    probe.send(TransportDestination::Node(1), frame).unwrap();
+                }
+                other => read.push(other),
+            }
+        }
+    }
+    read
+}
+
+/// A subscription is the frame's sender's: `Subscribe` and `Unsubscribe`
+/// name no node. Nodes 2 and 3 subscribe to one event channel and one
+/// variable of node 1; node 2 asks for the initial value and gets it alone,
+/// and when node 2 unsubscribes from the events only its entry goes and
+/// only node 3 keeps receiving them. Probe transport, explicit clock.
+#[test]
+fn the_subscriber_is_the_frames_sender() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::Message;
+    use marea_protocol::Micros;
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probes = [(2, hub.attach(2)), (3, hub.attach(3))];
+    let cfg = ContainerConfig::new("source", NodeId(1));
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    let (event, var) = (EventPort::<u64>::new("s/e"), VarPort::<u64>::new("s/v"));
+    let mut b = ServiceDescriptor::builder("source");
+    b.provides_event(&event).provides_var(&var, VarQos::default());
+    let mut source = Scripted::new(b.build());
+    source.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(10), Some(ProtoDuration::from_millis(10)));
+    }));
+    let mut k = 0u64;
+    source.on_timer = Some(Box::new(move |ctx, _| {
+        k += 1;
+        ctx.emit_to(&event, k);
+        ctx.publish_to(&var, k);
+    }));
+    c.add_service(Box::new(source)).unwrap();
+    c.start(Micros(0));
+
+    let (e, v) = (Name::new("s/e").unwrap(), Name::new("s/v").unwrap());
+    let mut ms = 0;
+    let mut run = |c: &mut ServiceContainer, probes: &mut [(u32, _); 2], until: u64| {
+        let mut read = [Vec::new(), Vec::new()];
+        while ms < until {
+            ms += 1;
+            c.tick(Micros::from_millis(ms));
+            for ((node, probe), read) in probes.iter_mut().zip(&mut read) {
+                read.extend(read_and_ack(probe, *node));
+            }
+        }
+        read
+    };
+    let events = |read: &[Message]| {
+        read.iter().filter(|m| matches!(m, Message::EventData { name, .. } if *name == e)).count()
+    };
+    for (node, probe) in &mut probes {
+        let announce = Message::Announce { incarnation: 1, entries: Vec::new() };
+        probe
+            .send(TransportDestination::Node(1), announce.into_frame(NodeId(*node)).encode())
+            .unwrap();
+    }
+    run(&mut c, &mut probes, 50);
+
+    // Node 3 subscribes first, so an initial value sent to every
+    // subscriber of the name would reach it as well.
+    let mut read = [Vec::new(), Vec::new()];
+    for (at, i) in [(55, 1), (100, 0)] {
+        let (node, probe) = &mut probes[i];
+        let need_initial = *node == 2;
+        for msg in [
+            Message::Subscribe { name: v.clone(), need_initial },
+            Message::Subscribe { name: e.clone(), need_initial: false },
+        ] {
+            probe
+                .send(TransportDestination::Node(1), msg.into_frame(NodeId(*node)).encode())
+                .unwrap();
+        }
+        for (all, more) in read.iter_mut().zip(run(&mut c, &mut probes, at)) {
+            all.extend(more);
+        }
+    }
+    assert_eq!(c.occupancy().remote_subscribers, 4);
+    let initial = |read: &[Message]| {
+        read.iter().filter(|m| matches!(m, Message::VarSample { name, .. } if *name == v)).count()
+    };
+    assert_eq!(read.each_ref().map(|r| initial(r)), [1, 0], "the initial value goes to node 2");
+    assert!(read.iter().all(|r| events(r) >= 4), "both subscribers hear the events");
+
+    let unsubscribe = Message::Unsubscribe { name: e.clone() }.into_frame(NodeId(2)).encode();
+    probes[0].1.send(TransportDestination::Node(1), unsubscribe).unwrap();
+    run(&mut c, &mut probes, 105);
+    assert_eq!(c.occupancy().remote_subscribers, 3);
+    let read = run(&mut c, &mut probes, 200);
+    assert_eq!(events(&read[0]), 0, "node 2 left the event channel");
+    assert!(events(&read[1]) >= 9, "node 3 still subscribes: {}", events(&read[1]));
+}
+
+/// A file subscriber's `FileSubscribe`, `FileAck` and `FileNack` speak for
+/// their sender only: an ack from node 3 that names node 2 neither takes
+/// node 2 off the publisher's list nor reports the distribution complete
+/// while node 2 still lacks the file; it is rejected as a frame. Node 2's
+/// own ack completes it. Probe transport, explicit clock.
+#[test]
+fn a_file_ack_that_names_another_node_is_rejected() {
+    use marea_core::{FileEvent, ServiceContainer};
+    use marea_protocol::messages::Message;
+    use marea_protocol::{GroupId, Micros};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    probe.join(GroupId::CONTROL.0);
+    let cfg = ContainerConfig::new("pub", NodeId(1));
+    let mut c = ServiceContainer::new(cfg, Box::new(hub.attach(1)));
+    let mut b = ServiceDescriptor::builder("publisher");
+    b.file_resource("fp/blob");
+    let mut publisher = Scripted::new(b.build());
+    publisher.on_start =
+        Some(Box::new(|ctx| ctx.publish_file("fp/blob", Bytes::from(vec![7u8; 4_096]))));
+    let completions = obs_log();
+    let log = completions.clone();
+    publisher.on_file_event = Some(Box::new(move |ctx, event| {
+        if let FileEvent::DistributionComplete { subscribers, .. } = event {
+            log.lock().unwrap().push((ctx.now(), Obs::File(format!("served {subscribers}"))));
+        }
+    }));
+    c.add_service(Box::new(publisher)).unwrap();
+    c.start(Micros(0));
+
+    let send = |probe: &mut dyn Transport, from: u32, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(from)).encode()).unwrap();
+    };
+    let distributed = || observations(&completions).into_iter().map(|(_, o)| o).collect::<Vec<_>>();
+    for node in [2, 3] {
+        send(&mut probe, node, Message::Announce { incarnation: 1, entries: Vec::new() });
+    }
+    c.tick(Micros::from_millis(1));
+    let announced = read_and_ack(&mut probe, 2).into_iter().find_map(|m| match m {
+        Message::FileAnnounce { transfer, revision, .. } => Some((transfer, revision)),
+        _ => None,
+    });
+    let (transfer, revision) = announced.expect("the publisher announced its file");
+
+    send(&mut probe, 2, Message::FileSubscribe { transfer, subscriber: NodeId(2) });
+    c.tick(Micros::from_millis(2));
+    let rejected = c.stats().frames_rejected;
+    send(&mut probe, 3, Message::FileAck { transfer, revision, subscriber: NodeId(2) });
+    c.tick(Micros::from_millis(3));
+    assert_eq!(distributed(), [], "node 3 completed node 2's download");
+    assert_eq!(c.stats().frames_rejected, rejected + 1);
+
+    send(&mut probe, 2, Message::FileAck { transfer, revision, subscriber: NodeId(2) });
+    c.tick(Micros::from_millis(4));
+    assert_eq!(distributed(), [Obs::File("served 1".into())], "node 2's own ack completes it");
+    assert_eq!(c.stats().frames_rejected, rejected + 1);
 }
 
 #[test]
@@ -1779,7 +1957,7 @@ fn frames_naming_foreign_channels_add_no_trace_context() {
     for i in 0..1_000u64 {
         let name = Name::new(format!("foreign/{i}")).unwrap();
         let msg = match i % 3 {
-            0 => Message::SubscribeVar { name, subscriber: NodeId(2), need_initial: true },
+            0 => Message::Subscribe { name, need_initial: true },
             1 => Message::VarSample {
                 name,
                 seq: i,

@@ -449,22 +449,21 @@ messages! {
     }
     // 4 was a single service's state change, which the sender's catalogue
     // carries: retired, never reused.
-    /// Variable subscription request (unicast to provider).
-    SubscribeVar = 5 {
-        /// Variable name.
+    /// Subscription to a variable or event channel (unicast to its
+    /// provider). The subscriber is the frame's `src`.
+    Subscribe = 5 {
+        /// Variable or event name.
         name: Name = name,
-        /// Subscribing node (for initial-value unicast).
-        subscriber: NodeId = le32,
         /// Request the current value immediately (paper §4.1: "a mechanism
-        /// that guarantees an initial exact value").
+        /// that guarantees an initial exact value"); an event channel has
+        /// none.
         need_initial: bool = bool,
     }
-    /// Variable unsubscription (unicast to provider).
-    UnsubscribeVar = 6 {
-        /// Variable name.
+    /// Unsubscription from a variable or event channel (unicast to its
+    /// provider). The subscriber is the frame's `src`.
+    Unsubscribe = 6 {
+        /// Variable or event name.
         name: Name = name,
-        /// Unsubscribing node.
-        subscriber: NodeId = le32,
     }
     /// Best-effort variable sample (multicast).
     VarSample = 7 {
@@ -636,20 +635,9 @@ messages! {
         /// code-rate controller (0 when the receiver runs no FEC).
         loss_permille: u16 = le16,
     }
-    /// Event subscription request (unicast to provider).
-    SubscribeEvent = 21 {
-        /// Event name.
-        name: Name = name,
-        /// Subscribing node.
-        subscriber: NodeId = le32,
-    }
-    /// Event unsubscription (unicast to provider).
-    UnsubscribeEvent = 22 {
-        /// Event name.
-        name: Name = name,
-        /// Unsubscribing node.
-        subscriber: NodeId = le32,
-    }
+    // 21 and 22 were the event channel's own subscription and
+    // unsubscription, which `Subscribe` and `Unsubscribe` carry: retired,
+    // never reused.
     /// One shard of an FEC group protecting the reliable channel (sits
     /// *below* ARQ: the payload of a data shard is a complete serialized
     /// `RelData`/`RelAck` message, parity shards carry XOR lane content).
@@ -1233,12 +1221,8 @@ mod tests {
                     ],
                 }],
             },
-            Message::SubscribeVar {
-                name: name("gps/position"),
-                subscriber: NodeId(4),
-                need_initial: true,
-            },
-            Message::UnsubscribeVar { name: name("gps/position"), subscriber: NodeId(4) },
+            Message::Subscribe { name: name("gps/position"), need_initial: true },
+            Message::Unsubscribe { name: name("gps/position") },
             Message::VarSample {
                 name: name("gps/position"),
                 seq: 991,
@@ -1302,8 +1286,6 @@ mod tests {
             },
             Message::RelData { channel: 2, seq: 10, payload: Bytes::from_static(b"inner") },
             Message::RelAck { channel: 2, cumulative: 9, sack: 0b101, loss_permille: 125 },
-            Message::SubscribeEvent { name: name("mc/photo-now"), subscriber: NodeId(3) },
-            Message::UnsubscribeEvent { name: name("mc/photo-now"), subscriber: NodeId(3) },
             Message::FecShard {
                 channel: 2,
                 group: 40,
@@ -1362,6 +1344,8 @@ mod tests {
         assert_eq!(MessageKind::from_wire_tag(0), None);
         assert_eq!(MessageKind::from_wire_tag(4), None);
         assert_eq!(MessageKind::from_wire_tag(17), None);
+        assert_eq!(MessageKind::from_wire_tag(21), None);
+        assert_eq!(MessageKind::from_wire_tag(22), None);
         assert_eq!(MessageKind::from_wire_tag(24), None);
     }
 
@@ -1411,13 +1395,12 @@ mod tests {
 
     #[test]
     fn invalid_names_rejected() {
-        // Hand-craft a SubscribeVar with a bad name.
+        // Hand-craft a Subscribe with a bad name.
         let mut buf = BytesMut::new();
         let mut w = WireWriter::new(&mut buf);
         w.put_str("9bad name");
-        w.put_u32_le(2);
         w.put_u8(0);
-        assert_eq!(decode(MessageKind::SubscribeVar, &buf), Err(DecodeError::InvalidName));
+        assert_eq!(decode(MessageKind::Subscribe, &buf), Err(DecodeError::InvalidName));
     }
 
     #[test]
