@@ -37,7 +37,7 @@ use std::ops::Bound;
 use bytes::Bytes;
 
 use marea_presentation::Name;
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, ArqStats, Envelope};
+use marea_protocol::arq::{acknowledges, ArqConfig, ArqReceiver, ArqSender, ArqStats, Envelope};
 use marea_protocol::fec::{FecRate, FecReceiver, FecRxStats, FecSender, FecTxStats};
 use marea_protocol::messages::Provision;
 use marea_protocol::{Message, Micros, NodeId, ProtoDuration, WireSink};
@@ -94,6 +94,18 @@ impl LinkFec {
         if self.group_opened_at.is_some_and(|at| now.saturating_since(at) >= FEC_FLUSH_AFTER) {
             self.tx.flush(sink);
             self.group_opened_at = None;
+        }
+    }
+
+    /// The longest the peer may wait for the parity that rebuilds an
+    /// erased data shard — the age flush — on a coded link; zero
+    /// otherwise. The ARQ timer waits this much beyond the round trip, so
+    /// it does not resend what the parity is about to repair.
+    fn repair(&self) -> ProtoDuration {
+        if self.tx.cap() == FecRate::Off {
+            ProtoDuration::ZERO
+        } else {
+            FEC_FLUSH_AFTER
         }
     }
 
@@ -193,7 +205,7 @@ impl ReliableLink {
     /// full: the message then waits, copied, in the backlog).
     pub fn send_into(&mut self, inner: &[u8], now: Micros, sink: &mut impl WireSink) {
         if self.backlog.is_empty() {
-            if let Ok(envelope) = self.tx.admit(inner, now) {
+            if let Ok(envelope) = self.tx.admit(inner, now, self.fec.repair()) {
                 return self.fec.wrap(envelope, now, sink);
             }
         }
@@ -211,7 +223,7 @@ impl ReliableLink {
     fn drain_backlog(&mut self, now: Micros, sink: &mut impl WireSink) {
         while self.tx.can_send() {
             let Some(inner) = self.backlog.pop_front() else { break };
-            let Ok(envelope) = self.tx.admit(&inner, now) else { break }; // cannot fail: can_send checked
+            let Ok(envelope) = self.tx.admit(&inner, now, self.fec.repair()) else { break }; // cannot fail: can_send checked
             self.fec.wrap(envelope, now, sink);
         }
     }
@@ -273,15 +285,16 @@ impl ReliableLink {
     ) {
         self.fec.settle(now, sink); // before the report can end calm
         self.fec.tx.on_loss_report(loss_permille);
-        self.tx.on_ack(cumulative, sack);
-        // Retransmitted seqs the cumulative ack just covered have
-        // recovered: close their first-retransmit→ACK timing.
-        while let Some(oldest) = self.retx_pending.first_entry() {
-            if *oldest.key() >= cumulative {
-                break;
+        self.tx.on_ack_at(cumulative, sack, now);
+        // Retransmitted seqs the ack covers, cumulatively or selectively,
+        // have recovered: close their first-retransmit→ACK timing.
+        self.retx_pending.retain(|&seq, &mut first_retx| {
+            let covered = acknowledges(cumulative, sack, seq);
+            if covered {
+                events.recovered_us.push(now.saturating_since(first_retx).as_micros());
             }
-            events.recovered_us.push(now.saturating_since(oldest.remove()).as_micros());
-        }
+            !covered
+        });
         // Window may have opened.
         self.drain_backlog(now, sink);
     }
@@ -948,6 +961,58 @@ mod tests {
         l.on_ack_into(1, 0, 0, Micros(26_000), &mut out, &mut events);
         assert_eq!(events.recovered_us, vec![5_000]);
         assert!(events.abandoned.is_empty());
+    }
+
+    /// Seq 1 is resent, then selectively acknowledged while seq 0 is
+    /// still missing: its recovery ends at that ack, not when the gap
+    /// ahead of it closes.
+    #[test]
+    fn a_selectively_acknowledged_resend_stops_its_recovery_clock() {
+        let mut l = link(2);
+        let (mut out, mut events) = (Vec::new(), LinkEvents::default());
+        l.send_into(b"a", Micros::ZERO, &mut out);
+        l.send_into(b"b", Micros(5_000), &mut out);
+        l.poll_into(Micros(10_000), &mut out, &mut events);
+        l.poll_into(Micros(15_000), &mut out, &mut events);
+        assert_eq!(events.retransmitted, vec![0, 1]);
+        l.on_ack_into(0, 0b1, 0, Micros(20_000), &mut out, &mut events);
+        assert_eq!(events.recovered_us, vec![5_000], "seq 1 recovered at its SACK");
+        l.on_ack_into(2, 0, 0, Micros(30_000), &mut out, &mut events);
+        assert_eq!(events.recovered_us, vec![5_000, 20_000], "each seq timed once");
+    }
+
+    /// Under total loss a message is abandoned after its tenth
+    /// transmission times out — never within the default node timeout,
+    /// however short the measured round trip made its first timer (the
+    /// floor gives 10, 30, 70, …, 3 270 ms and abandons at 4.27 s), so a
+    /// fade the peer table outlives is not reported as a failed delivery.
+    #[test]
+    fn nothing_is_abandoned_within_the_node_timeout_whatever_the_estimate() {
+        let node_timeout = crate::ContainerConfig::new("n", NodeId(1)).node_timeout;
+        for (rtt_ms, coded) in [(0, false), (0, true), (1, false), (5, true), (40, false)] {
+            let mut l = ReliableLink::new(NodeId(2), ArqConfig::default());
+            if coded {
+                l.negotiate_fec(FecRate::Medium);
+            }
+            let (mut out, mut events) = (Vec::new(), LinkEvents::default());
+            let mut now = Micros::ZERO;
+            for seq in 0..50 {
+                l.send_into(b"x", now, &mut out);
+                now += ProtoDuration::from_millis(rtt_ms);
+                l.on_ack_into(seq + 1, 0, 0, now, &mut out, &mut events);
+            }
+            let faded = now;
+            l.send_into(b"x", now, &mut out);
+            while events.abandoned.is_empty() {
+                now += ProtoDuration(500);
+                l.poll_into(now, &mut out, &mut events);
+            }
+            let held = now.saturating_since(faded);
+            assert!(held >= node_timeout, "abandoned after {held} (round trip {rtt_ms} ms)");
+            if rtt_ms == 0 && !coded {
+                assert_eq!(held, ProtoDuration::from_millis(4_270), "at the floor");
+            }
+        }
     }
 
     /// One frame, three messages: a parity shard rebuilds the `RelData`

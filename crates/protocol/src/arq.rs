@@ -7,6 +7,18 @@
 //! that mechanism: a per-link, message-oriented sliding window with
 //! cumulative + selective acknowledgements and exponential backoff.
 //!
+//! The retransmission timer follows the link's measured round trip (RFC
+//! 6298). Each acknowledgement that [`ArqSender::on_ack_at`] processes
+//! yields at most one sample: the send-to-ack time of the newest message
+//! it newly acknowledges that was sent only once (Karn's rule: a resent
+//! message's ack says nothing about which transmission it answers). The
+//! smoothed round trip and its deviation set the first timer of every
+//! message admitted afterwards, `srtt + max(G, 4·rttvar) + repair`, within
+//! [`MIN_RTO`] and `max_rto`; `repair` is the longest a coded link's
+//! receiver may wait for the parity that rebuilds an erasure, so the timer
+//! does not race the FEC. Until the first sample a message gets
+//! [`ArqConfig::initial_rto`]. A message's timer doubles at every resend.
+//!
 //! Unlike TCP there is no connection setup, no in-order byte stream head-of-
 //! line blocking across *channels*, and acks piggyback one 64-bit selective
 //! bitmap — the `arq_vs_tcp` bench (experiment C3) quantifies the payoff.
@@ -44,7 +56,9 @@ use crate::time::{Micros, ProtoDuration};
 pub struct ArqConfig {
     /// Maximum unacknowledged messages in flight.
     pub window: usize,
-    /// First retransmission timeout.
+    /// The timer before the first round-trip sample: until an
+    /// acknowledgement has been timed, every message's first
+    /// retransmission waits this long.
     pub initial_rto: ProtoDuration,
     /// Upper bound for the exponential backoff.
     pub max_rto: ProtoDuration,
@@ -62,6 +76,19 @@ impl Default for ArqConfig {
         }
     }
 }
+
+/// The least the timer allows beyond the smoothed round trip: one
+/// container tick, the longest a receiver holds its acknowledgement (RFC
+/// 6298's clock granularity `G`).
+const RTO_GRANULARITY: ProtoDuration = ProtoDuration(500);
+
+/// The floor of a measured timer: RFC 6298 §2.4's one second, scaled down
+/// to a LAN. It also keeps the give-up horizon under total loss (ten
+/// transmissions, 4.27 s at the default `max_rto`) above a node timeout.
+pub const MIN_RTO: ProtoDuration = ProtoDuration(10_000);
+
+/// `srtt` before the first sample.
+const UNSAMPLED: u32 = u32::MAX;
 
 /// Counters exposed for the benchmarks and the container's health report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,6 +156,10 @@ pub struct ArqSender {
     /// (at most [`LOAN_KEEP_BYTES`] of capacity; none when empty): the next
     /// admitted message's envelope is written into it.
     spare: BytesMut,
+    /// Smoothed round trip, µs ([`UNSAMPLED`] before the first sample).
+    srtt: u32,
+    /// Its smoothed mean deviation, µs.
+    rttvar: u32,
 }
 
 impl ArqSender {
@@ -141,6 +172,8 @@ impl ArqSender {
             inflight: BTreeMap::new(),
             stats: ArqStats::default(),
             spare: BytesMut::new(),
+            srtt: UNSAMPLED,
+            rttvar: 0,
         }
     }
 
@@ -169,15 +202,53 @@ impl ArqSender {
         self.spare.capacity()
     }
 
+    /// The smoothed round trip, once an acknowledgement has been timed.
+    pub fn srtt(&self) -> Option<ProtoDuration> {
+        (self.srtt != UNSAMPLED).then_some(ProtoDuration(u64::from(self.srtt)))
+    }
+
+    /// The first retransmission timer a message admitted now gets, on a
+    /// link whose receiver may wait up to `repair` for the parity that
+    /// rebuilds an erasure (zero without FEC): [`ArqConfig::initial_rto`]
+    /// before the first sample, else `srtt + max(G, 4·rttvar) + repair`
+    /// within [`MIN_RTO`] and `max_rto` (`max_rto` wins if it is lower).
+    pub fn rto(&self, repair: ProtoDuration) -> ProtoDuration {
+        if self.srtt == UNSAMPLED {
+            return self.config.initial_rto;
+        }
+        let spread = (4 * u64::from(self.rttvar)).max(RTO_GRANULARITY.0);
+        let rto = ProtoDuration(u64::from(self.srtt) + spread + repair.0);
+        rto.max(MIN_RTO).min(self.config.max_rto)
+    }
+
+    /// Folds one round-trip sample into the estimate (RFC 6298 §2).
+    fn sample(&mut self, rtt: ProtoDuration) {
+        let r = rtt.0.min(u64::from(UNSAMPLED - 1));
+        if self.srtt == UNSAMPLED {
+            self.srtt = r as u32;
+            self.rttvar = (r / 2) as u32;
+            return;
+        }
+        let (srtt, rttvar) = (u64::from(self.srtt), u64::from(self.rttvar));
+        self.rttvar = ((3 * rttvar + srtt.abs_diff(r)) / 4) as u32;
+        self.srtt = ((7 * srtt + r) / 8) as u32;
+    }
+
     /// Accepts the tagged message `inner` into the window: builds its
     /// envelope — in the spare an acknowledgement left, if any — keeps it
-    /// in flight and returns it for the first transmission.
+    /// in flight with the timer [`ArqSender::rto`]`(repair)` and returns it
+    /// for the first transmission.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::WindowFull`] when the window has no room; the caller
     /// queues and retries after the next acknowledgement.
-    pub fn admit(&mut self, inner: &[u8], now: Micros) -> Result<Envelope, ProtocolError> {
+    pub fn admit(
+        &mut self,
+        inner: &[u8],
+        now: Micros,
+        repair: ProtoDuration,
+    ) -> Result<Envelope, ProtocolError> {
         if !self.can_send() {
             return Err(ProtocolError::WindowFull { window: self.config.window });
         }
@@ -188,38 +259,50 @@ impl ArqSender {
         let spare = std::mem::take(&mut self.spare);
         let (tagged, body) = Message::rel_data_envelope(self.channel, seq, inner, spare);
         let envelope = Envelope { channel: self.channel, seq, tagged, body };
+        let rto = self.rto(repair);
         self.inflight.insert(
             seq,
-            InFlight {
-                envelope: envelope.clone(),
-                attempts: 1,
-                rto: self.config.initial_rto,
-                next_retx: now + self.config.initial_rto,
-            },
+            InFlight { envelope: envelope.clone(), attempts: 1, rto, next_retx: now + rto },
         );
         Ok(envelope)
     }
 
-    /// [`ArqSender::admit`] for a caller that holds the message as `Bytes`
-    /// and wants the bare wire message.
+    /// [`ArqSender::admit`] on a link without FEC, for a caller that holds
+    /// the message as `Bytes` and wants the bare wire message.
     ///
     /// # Errors
     ///
     /// Those of [`ArqSender::admit`].
     pub fn send(&mut self, payload: Bytes, now: Micros) -> Result<Message, ProtocolError> {
-        self.admit(&payload, now).map(Envelope::into_message)
+        self.admit(&payload, now, ProtoDuration::ZERO).map(Envelope::into_message)
     }
 
-    /// Processes an acknowledgement; returns how many messages left the
-    /// window. Without a spare, the first acknowledged envelope that
-    /// nothing else holds any more — no transmission still queued, no
-    /// receiver's window onto it — and that is no larger than
-    /// [`LOAN_KEEP_BYTES`] becomes it.
+    /// Processes an acknowledgement that arrived at `now`; returns how many
+    /// messages left the window. The newest of them that was sent only
+    /// once gives the round-trip sample. Without a spare, the first
+    /// acknowledged envelope that nothing else holds any more — no
+    /// transmission still queued, no receiver's window onto it — and that
+    /// is no larger than [`LOAN_KEEP_BYTES`] becomes it.
+    pub fn on_ack_at(&mut self, cumulative: u64, sack: u64, now: Micros) -> usize {
+        self.ack(cumulative, sack, Some(now))
+    }
+
+    /// [`ArqSender::on_ack_at`] for a caller with no clock: the
+    /// acknowledgement is not timed.
     pub fn on_ack(&mut self, cumulative: u64, sack: u64) -> usize {
+        self.ack(cumulative, sack, None)
+    }
+
+    fn ack(&mut self, cumulative: u64, sack: u64, now: Option<Micros>) -> usize {
         let before = self.inflight.len();
         let spare = &mut self.spare;
+        // A first transmission went out `rto` before its `next_retx`.
+        let mut sent_once_at = None;
         self.inflight.retain(|&seq, entry| {
             let acked = acknowledges(cumulative, sack, seq);
+            if acked && entry.attempts == 1 {
+                sent_once_at = Some(entry.next_retx.0 - entry.rto.0);
+            }
             if acked && spare.capacity() == 0 {
                 let tagged = std::mem::take(&mut entry.envelope.tagged);
                 if let Ok(mut storage) = tagged.try_into_mut() {
@@ -231,6 +314,9 @@ impl ArqSender {
             }
             !acked
         });
+        if let (Some(now), Some(sent)) = (now, sent_once_at) {
+            self.sample(now.saturating_since(Micros(sent)));
+        }
         let acked = before - self.inflight.len();
         self.stats.acked += acked as u64;
         acked
@@ -278,7 +364,7 @@ impl ArqSender {
 }
 
 /// `true` when the acknowledgement `(cumulative, sack)` covers `seq`.
-fn acknowledges(cumulative: u64, sack: u64, seq: u64) -> bool {
+pub fn acknowledges(cumulative: u64, sack: u64, seq: u64) -> bool {
     if seq < cumulative {
         return true;
     }
@@ -567,18 +653,18 @@ mod tests {
     #[test]
     fn an_acknowledged_envelope_nothing_holds_is_written_again() {
         let mut tx = ArqSender::new(1, cfg());
-        let first = tx.admit(&[1, 2, 3], Micros::ZERO).unwrap();
+        let first = tx.admit(&[1, 2, 3], Micros::ZERO, ProtoDuration::ZERO).unwrap();
         let storage = first.tagged().as_ptr();
         drop(first);
         assert_eq!(tx.spare_bytes(), 0);
         tx.on_ack(1, 0);
         assert!(tx.spare_bytes() > 0, "the acknowledged envelope became the spare");
-        let second = tx.admit(&[4, 5, 6], Micros::ZERO).unwrap();
+        let second = tx.admit(&[4, 5, 6], Micros::ZERO, ProtoDuration::ZERO).unwrap();
         assert_eq!(second.tagged().as_ptr(), storage, "the next envelope was written elsewhere");
         let msg = Message::RelData { channel: 1, seq: 1, payload: Bytes::from_static(&[4, 5, 6]) };
         assert_eq!(second.tagged(), &msg.encode_tagged());
         // Still held (by `second`), then too large to keep: no spare.
-        let big = tx.admit(&vec![7; 16 * 1024], Micros::ZERO).unwrap();
+        let big = tx.admit(&vec![7; 16 * 1024], Micros::ZERO, ProtoDuration::ZERO).unwrap();
         drop(big);
         tx.on_ack(3, 0);
         assert_eq!(tx.spare_bytes(), 0, "a held or oversized envelope was kept");
@@ -609,6 +695,103 @@ mod tests {
         let Message::RelData { payload: first, .. } = lost else { panic!("not data") };
         let released = rx.on_data(0, first);
         assert_eq!(released, [payload(0), payload(1)], "a held window was written over");
+    }
+
+    /// A link never acknowledged in time keeps the fixed timer: under total
+    /// loss, sends at 0, 50, 150, … ms and abandonment at 6.55 s.
+    #[test]
+    fn before_any_sample_the_timer_is_initial_rto_doubling() {
+        let mut tx = ArqSender::new(1, ArqConfig::default());
+        tx.send(payload(0), Micros::ZERO).unwrap();
+        tx.on_ack(1, 0); // untimed: no sample
+        assert_eq!(tx.srtt(), None);
+        assert_eq!(tx.rto(ProtoDuration::from_millis(5)), ArqConfig::default().initial_rto);
+        tx.send(payload(1), Micros::ZERO).unwrap();
+        let mut sends = vec![0];
+        let mut now = Micros::ZERO;
+        let abandoned = loop {
+            now += ProtoDuration::from_millis(1);
+            let (retx, failed) = poll(&mut tx, now);
+            sends.extend(retx.iter().map(|_| now.as_millis()));
+            if !failed.is_empty() {
+                break now.as_millis();
+            }
+        };
+        assert_eq!(sends, [0, 50, 150, 350, 750, 1_550, 2_550, 3_550, 4_550, 5_550]);
+        assert_eq!(abandoned, 6_550);
+    }
+
+    #[test]
+    fn an_ack_covering_a_resent_message_is_not_sampled() {
+        let mut tx = ArqSender::new(1, cfg());
+        tx.send(payload(0), Micros::ZERO).unwrap();
+        assert_eq!(poll(&mut tx, Micros::from_millis(10)).0.len(), 1);
+        tx.on_ack_at(1, 0, Micros::from_millis(12));
+        assert_eq!(tx.srtt(), None, "which transmission did the ack answer?");
+
+        tx.send(payload(1), Micros::from_millis(20)).unwrap();
+        tx.on_ack_at(2, 0, Micros::from_millis(24));
+        assert_eq!(tx.srtt(), Some(ProtoDuration::from_millis(4)));
+        let rto = tx.rto(ProtoDuration::ZERO);
+        tx.send(payload(2), Micros::from_millis(30)).unwrap();
+        assert_eq!(poll(&mut tx, Micros::from_millis(30) + rto).0.len(), 1);
+        tx.on_ack_at(3, 0, Micros::from_millis(70));
+        assert_eq!(tx.srtt(), Some(ProtoDuration::from_millis(4)), "Karn's rule");
+        assert_eq!(tx.rto(ProtoDuration::ZERO), rto);
+    }
+
+    #[test]
+    fn the_newest_message_sent_once_gives_the_sample() {
+        let mut tx = ArqSender::new(1, cfg());
+        tx.send(payload(0), Micros::ZERO).unwrap();
+        tx.send(payload(1), Micros::from_millis(3)).unwrap();
+        tx.send(payload(2), Micros::from_millis(4)).unwrap();
+        tx.on_ack_at(0, 0b11, Micros::from_millis(10)); // seqs 1 and 2
+        assert_eq!(tx.srtt(), Some(ProtoDuration::from_millis(6)));
+        tx.on_ack_at(3, 0, Micros::from_millis(10));
+        assert_eq!(tx.srtt(), Some(ProtoDuration(6_000 * 7 / 8 + 10_000 / 8)), "seq 0 sampled");
+    }
+
+    #[test]
+    fn a_steady_round_trip_sets_the_timer_to_it_plus_granularity_and_repair() {
+        let config = ArqConfig { max_rto: ProtoDuration::from_secs(1), ..cfg() };
+        for rtt_ms in [0, 1, 4, 12, 30] {
+            for repair_ms in [0, 5] {
+                let (rtt, repair) =
+                    (ProtoDuration::from_millis(rtt_ms), ProtoDuration::from_millis(repair_ms));
+                let mut tx = ArqSender::new(1, config);
+                let mut now = Micros::ZERO;
+                for seq in 0..100 {
+                    tx.admit(&[0], now, repair).unwrap();
+                    now += rtt;
+                    tx.on_ack_at(seq + 1, 0, now);
+                }
+                assert_eq!(tx.srtt(), Some(rtt));
+                let want = ProtoDuration(rtt.0 + RTO_GRANULARITY.0 + repair.0).max(MIN_RTO);
+                assert_eq!(tx.rto(repair), want, "round trip {rtt_ms} ms, repair {repair_ms} ms");
+                tx.admit(&[0], now, repair).unwrap();
+                assert_eq!(tx.next_deadline(), Some(now + want), "the admitted message's timer");
+            }
+        }
+    }
+
+    #[test]
+    fn the_timer_stays_within_its_floor_and_max_rto() {
+        let mut tx = ArqSender::new(1, cfg());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut now = Micros::ZERO;
+        for seq in 0..2_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            // Round trips from 0 to ~2 s, mostly short, some very long.
+            let rtt = ProtoDuration((state >> 33) % if seq % 7 == 0 { 2_000_000 } else { 20_000 });
+            tx.send(payload(0), now).unwrap();
+            now += rtt;
+            tx.on_ack_at(seq + 1, 0, now);
+            for repair in [ProtoDuration::ZERO, ProtoDuration::from_millis(5)] {
+                let rto = tx.rto(repair);
+                assert!(MIN_RTO <= rto && rto <= cfg().max_rto, "{rto} after a {rtt} round trip");
+            }
+        }
     }
 
     #[test]

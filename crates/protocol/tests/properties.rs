@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use marea_encoding::DecodeError;
 use marea_presentation::{DataType, Name};
-use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, Envelope};
+use marea_protocol::arq::{ArqConfig, ArqReceiver, ArqSender, Envelope, MIN_RTO};
 use marea_protocol::fec::{FecRate, FecReceiver, FecSender};
 use marea_protocol::fragment::{fragment_payload, fragment_shared, Reassembler};
 use marea_protocol::messages::{AnnounceEntry, CallStatus, FunctionSig, Provision, ServiceState};
@@ -75,11 +75,18 @@ proptest! {
                     }
                 }
             }
-            // Ack path (also lossy).
+            // Ack path (also lossy), timed: it lands a seeded 0–24 ms into
+            // the round, so the round-trip estimate and the timers it sets
+            // move from round to round.
+            let ack_delay = ProtoDuration::from_micros(u64::from(chance()) * 24);
             if chance() >= loss_permille {
                 if let Message::RelAck { cumulative, sack, .. } = rx.make_ack() {
-                    tx.on_ack(cumulative, sack);
+                    tx.on_ack_at(cumulative, sack, now + ack_delay);
                 }
+            }
+            if tx.srtt().is_some() {
+                let rto = tx.rto(ProtoDuration::ZERO);
+                prop_assert!(MIN_RTO <= rto && rto <= cfg.max_rto, "timer {rto} left its bounds");
             }
             now += ProtoDuration::from_millis(25);
             stalled_iters += 1;
@@ -400,8 +407,10 @@ proptest! {
                 }
             }
             // Lossless ack path: the lossy-ack case is ARQ's own property.
+            // Timed, a seeded 0–24 ms into the round, so the estimate moves.
+            let ack_delay = ProtoDuration::from_micros(u64::from(next() % 1000) * 24);
             if let Message::RelAck { cumulative, sack, .. } = arq_rx.make_ack() {
-                arq_tx.on_ack(cumulative, sack);
+                arq_tx.on_ack_at(cumulative, sack, now + ack_delay);
             }
             now += ProtoDuration::from_millis(25);
             rounds += 1;
@@ -1204,8 +1213,10 @@ fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
     };
     let mut tx = ArqSender::new(9, cfg);
     let mut fec_tx = FecSender::new(9, FecRate::Medium);
-    let first: Vec<Envelope> =
-        lens.iter().map(|&len| tx.admit(&inner_of(len), Micros::ZERO).unwrap()).collect();
+    let first: Vec<Envelope> = lens
+        .iter()
+        .map(|&len| tx.admit(&inner_of(len), Micros::ZERO, ProtoDuration::ZERO).unwrap())
+        .collect();
     for (seq, (envelope, &len)) in first.iter().zip(&lens).enumerate() {
         let msg =
             Message::RelData { channel: 9, seq: seq as u64, payload: Bytes::from(inner_of(len)) };
