@@ -233,7 +233,7 @@ impl ReliableRunCost {
 /// C3a / C9: `n` messages of `msg_len` bytes, one every `interval_us`
 /// (0: as fast as the window admits), between a pair of the container's
 /// own [`ReliableLink`]s over a lossy link. `fec` is the sender's
-/// negotiated cap: [`FecRate::Off`] is plain ARQ, whose per-message
+/// FEC ceiling: [`FecRate::Off`] is plain ARQ, whose per-message
 /// latency is the C3 metric (events are *sporadic*, "punctual and
 /// important facts"); [`FecRate::Max`] threads the adaptive FEC layer
 /// below it — erased shards rebuilt from parity instead of waiting out a

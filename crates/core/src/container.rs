@@ -37,8 +37,8 @@ use marea_protocol::fec::{DECODER_RING, MAX_SHARD_LEN};
 use marea_protocol::fragment::Reassembler;
 use marea_protocol::messages::{announce_hash, AnnounceEntry, CallStatus, ServiceState};
 use marea_protocol::{
-    frames, FecRate, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId,
-    ServiceId, Unchecked, LOAN_KEEP_BYTES,
+    frames, GroupId, Message, MessageKind, Micros, NodeId, ProtoDuration, RequestId, ServiceId,
+    Unchecked, LOAN_KEEP_BYTES,
 };
 use marea_transport::{Loan, Transport, TransportDestination};
 
@@ -157,9 +157,9 @@ pub struct ContainerConfig {
     pub name: Name,
     /// This node's id.
     pub node: NodeId,
-    /// Beacon period, the only periodic control cadence: alive, load, FEC
-    /// capability and catalogue digest in one frame, behind the full
-    /// catalogue when that changed since the last beacon.
+    /// Beacon period, the only periodic control cadence: alive, load and
+    /// catalogue digest in one frame, behind the full catalogue when that
+    /// changed since the last beacon.
     pub heartbeat_period: ProtoDuration,
     /// Debounce window of forced full-catalogue re-announcements: a burst
     /// of new peer lives (start-up, a partition heal) draws one `Announce`
@@ -172,10 +172,6 @@ pub struct ContainerConfig {
     pub scheduler: SchedulerKind,
     /// Maximum handler invocations per tick (soft real-time budget).
     pub tick_budget: usize,
-    /// Strongest forward-error-correction rate this node runs below the
-    /// reliable channel, advertised in every beacon: each link runs the
-    /// weaker of the two ends' caps, and [`FecRate::Off`] means plain ARQ.
-    pub fec_cap: FecRate,
     /// Variable sample distribution mode.
     pub var_distribution: VarDistribution,
     /// Payload codec for application data.
@@ -201,7 +197,6 @@ impl ContainerConfig {
             node_timeout: ProtoDuration::from_secs(2),
             scheduler: SchedulerKind::Priority,
             tick_budget: 256,
-            fec_cap: FecRate::Max,
             var_distribution: VarDistribution::Multicast,
             codec: CodecId::COMPACT,
             // The log ring's size: a few seconds of busy traffic.
@@ -396,7 +391,7 @@ impl ServiceContainer {
             payloads: Loan::default(),
             slots: Vec::new(),
             directory: Directory::for_node(config.node),
-            peers: PeerTable::new(config.fec_cap),
+            peers: PeerTable::default(),
             gossip: Gossip::new(config.heartbeat_period, config.announce_period),
             timers: Timers::default(),
             vars: VarEngine::default(),
@@ -818,23 +813,9 @@ impl ServiceContainer {
         now: Micros,
     ) {
         match msg {
-            Message::Beacon {
-                incarnation,
-                load_permille,
-                fec_cap,
-                entry_count,
-                catalogue_hash,
-            } => {
+            Message::Beacon { incarnation, load_permille, entry_count, catalogue_hash } => {
                 let digest = (catalogue_hash, entry_count);
-                let outcome = self.directory.apply_beacon(
-                    src,
-                    incarnation,
-                    load_permille,
-                    fec_cap,
-                    digest,
-                    now,
-                );
-                let (relink, pull) = match outcome {
+                match self.directory.apply_beacon(src, incarnation, load_permille, digest, now) {
                     // The steady state ends here, one directory lookup in,
                     // and a repeat of this frame before its check.
                     BeaconOutcome::Refreshed => {
@@ -844,27 +825,21 @@ impl ServiceContainer {
                         return;
                     }
                     BeaconOutcome::OlderLife => return,
-                    BeaconOutcome::Differs { cap, digest } => (cap, digest),
+                    // A digest difference alone re-plans nothing.
+                    BeaconOutcome::Differs => {}
                     // A life we hold no catalogue for (its start-up
-                    // `Announce` was lost): pulled at once, below.
+                    // `Announce` was lost): availability may have shifted,
+                    // and the catalogue is pulled at once, below.
                     BeaconOutcome::New { ended } => {
                         self.new_life(src, ended, now);
-                        (true, true)
+                        self.subs_dirty = true;
                     }
-                };
-                if relink {
-                    self.peers.renegotiate(src, Some(fec_cap));
                 }
-                // A node or a life not seen before: availability may have
-                // shifted. A cap or digest difference alone re-plans nothing.
-                self.subs_dirty |= !matches!(outcome, BeaconOutcome::Differs { .. });
-                if pull {
-                    // Our copy of the peer's catalogue disagrees (or we never
-                    // applied one): pull the full catalogue unicast. A lost
-                    // pull is repeated by the next beacon.
-                    self.stats.catalogue_pulls += 1;
-                    self.send_message(TransportDestination::Node(src.0), &Message::AnnounceRequest);
-                }
+                // Our copy of the peer's catalogue disagrees (or we never
+                // applied one): pull the full catalogue unicast. A lost pull
+                // is repeated by the next beacon.
+                self.stats.catalogue_pulls += 1;
+                self.send_message(TransportDestination::Node(src.0), &Message::AnnounceRequest);
             }
             Message::Bye => {
                 if self.directory.apply_bye(src) {
@@ -968,17 +943,14 @@ impl ServiceContainer {
                 self.tracer.record(now, dropped, trace, peer, seq, Some(&name));
             }
             Message::RelData { seq, payload, .. } => {
-                let cap = self.peer_cap(src);
                 let mut released = std::mem::take(&mut self.scratch.released);
-                let received = self.peers.on_data(src, cap, seq, payload, &mut released);
+                let received = self.peers.on_data(src, seq, payload, &mut released);
                 self.deliver_inner(src, received, &mut released, now);
                 self.scratch.released = released;
             }
             Message::FecShard { group, index, k, r, payload, .. } => {
-                let cap = self.peer_cap(src);
                 let mut inner = std::mem::take(&mut self.scratch.shard_inner);
-                let received =
-                    self.peers.on_shard(src, cap, group, index, k, r, &payload, &mut inner);
+                let received = self.peers.on_shard(src, group, index, k, r, &payload, &mut inner);
                 self.deliver_inner(src, received, &mut inner, now);
                 self.scratch.shard_inner = inner;
             }
@@ -1514,7 +1486,6 @@ impl ServiceContainer {
         let msg = Message::Beacon {
             incarnation: self.incarnation,
             load_permille: self.load_permille(),
-            fec_cap: self.config.fec_cap.wire_tag(),
             entry_count,
             catalogue_hash,
         };
@@ -1914,12 +1885,6 @@ impl ServiceContainer {
         self.tracer.record(now, kind, TraceId::NONE, Some(peer), aux, None);
     }
 
-    /// The FEC capability tag of `peer`'s last beacon: 0 while only its
-    /// `Announce` was heard, `None` for a node not on record.
-    fn peer_cap(&self, peer: NodeId) -> Option<u8> {
-        self.directory.node(peer).map(|n| n.fec_cap)
-    }
-
     /// Sends `msg` over the reliable link to `peer` and, given a name `of`,
     /// to each subscriber of it after `peer` in node order: encoded once,
     /// into the scratch buffer, and every link gets the same tagged bytes;
@@ -1929,9 +1894,8 @@ impl ServiceContainer {
         msg.encode_tagged_into(&mut self.scratch.tagged);
         let mut to = Some(peer);
         while let Some(peer) = to {
-            let cap = self.peer_cap(peer);
             let mut sink = self.outbox.to(TransportDestination::Node(peer.0), self.transport.mtu());
-            if self.peers.send(peer, cap, &self.scratch.tagged, now, &mut sink) {
+            if self.peers.send(peer, &self.scratch.tagged, now, &mut sink) {
                 self.trace_link(now, TraceKind::LinkUp, peer, 0);
             }
             to = of.and_then(|name| self.peers.next_subscriber(name, Some(peer)));

@@ -96,9 +96,6 @@ pub struct NodeInfo {
     pub last_seen: Micros,
     /// Advertised scheduler load (permille).
     pub load_permille: u16,
-    /// FEC capability wire tag of the node's last beacon (0 = FEC off,
-    /// and until a beacon says otherwise).
-    pub fec_cap: u8,
     /// `digest` holds an applied catalogue's digest (a pair and a flag,
     /// not an `Option`: its tag would cost the record 8 bytes).
     digest_known: bool,
@@ -112,12 +109,11 @@ pub struct NodeInfo {
 }
 
 impl NodeInfo {
-    fn new(incarnation: u64, now: Micros, load_permille: u16, fec_cap: u8) -> Self {
+    fn new(incarnation: u64, now: Micros, load_permille: u16) -> Self {
         NodeInfo {
             incarnation,
             last_seen: now,
             load_permille,
-            fec_cap,
             digest_known: false,
             digest: (0, 0),
             beacon_crc: None,
@@ -141,7 +137,6 @@ impl NodeInfo {
         Some(Message::Beacon {
             incarnation: self.incarnation,
             load_permille: self.load_permille,
-            fec_cap: self.fec_cap,
             entry_count,
             catalogue_hash,
         })
@@ -173,8 +168,8 @@ pub enum Life {
 /// load ([`Directory::apply_beacon`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeaconOutcome {
-    /// Same life, same FEC capability, same catalogue digest: the steady
-    /// state, nothing else to do.
+    /// Same life, same catalogue digest: the steady state, nothing else
+    /// to do.
     Refreshed,
     /// From a life older than the one known: ignored.
     OlderLife,
@@ -185,13 +180,9 @@ pub enum BeaconOutcome {
         /// A record of another life was replaced.
         ended: bool,
     },
-    /// Same life, but what is held differs (no catalogue differs from any).
-    Differs {
-        /// The FEC capability changed; the record now holds the new one.
-        cap: bool,
-        /// The catalogue held is not the one the node has.
-        digest: bool,
-    },
+    /// Same life, but the catalogue held is not the one the node has (no
+    /// catalogue differs from any): the container pulls it.
+    Differs,
 }
 
 /// A name kept whole: the full [`ProviderInfo`] of every provider that is
@@ -324,34 +315,30 @@ impl Directory {
         Life::New { ended: at.is_ok() }
     }
 
-    /// Records a beacon. The steady state — same life, same capability,
-    /// same digest: nothing but `last_seen` and the load moves — is
-    /// answered from the one lookup. The FEC capability is the beacon's
-    /// alone to say: a record filed by an `Announce` runs FEC off until
-    /// the node's first beacon, and follows every change after it.
+    /// Records a beacon. The steady state — same life, same digest:
+    /// nothing but `last_seen` and the load moves — is answered from the
+    /// one lookup.
     pub fn apply_beacon(
         &mut self,
         node: NodeId,
         incarnation: u64,
         load_permille: u16,
-        fec_cap: u8,
         digest: (u32, u32),
         now: Micros,
     ) -> BeaconOutcome {
-        let fresh = NodeInfo::new(incarnation, now, load_permille, fec_cap);
-        let mut differs = (false, false);
+        let fresh = NodeInfo::new(incarnation, now, load_permille);
+        let mut differs = false;
         let life = self.life(node, fresh, |info| {
             info.last_seen = now;
             info.load_permille = load_permille;
             info.beacon_crc = None;
-            let cap = std::mem::replace(&mut info.fec_cap, fec_cap) != fec_cap;
-            differs = (cap, info.catalogue_digest() != Some(digest));
+            differs = info.catalogue_digest() != Some(digest);
         });
         match (life, differs) {
             (Life::Older, _) => BeaconOutcome::OlderLife,
             (Life::New { ended }, _) => BeaconOutcome::New { ended },
-            (Life::Same, (false, false)) => BeaconOutcome::Refreshed,
-            (Life::Same, (cap, digest)) => BeaconOutcome::Differs { cap, digest },
+            (Life::Same, false) => BeaconOutcome::Refreshed,
+            (Life::Same, true) => BeaconOutcome::Differs,
         }
     }
 
@@ -406,12 +393,12 @@ impl Directory {
     /// Replaces everything known about `node`'s services with the
     /// catalogue of its life `incarnation`. A catalogue from a life not on
     /// record — a node's start-up `Announce`, typically — files that
-    /// life's record, with no load and FEC off until its first beacon says
-    /// what the node can do, so that the digest has a record to be filed
-    /// under and a lifetime; one from an older life is ignored, and one
-    /// with the digest already on record is that catalogue again, not
-    /// re-filed. Functions, names in use and this node's own provisions are
-    /// filed whole, every other provision as a pair.
+    /// life's record, with no load until its first beacon says it, so
+    /// that the digest has a record to be filed under and a lifetime; one
+    /// from an older life is ignored, and one with the digest already on
+    /// record is that catalogue again, not re-filed. Functions, names in
+    /// use and this node's own provisions are filed whole, every other
+    /// provision as a pair.
     pub fn apply_announce(
         &mut self,
         node: NodeId,
@@ -420,8 +407,7 @@ impl Directory {
         now: Micros,
     ) -> Life {
         let digest = (announce_hash(incarnation, entries), entries.len() as u32);
-        let fresh =
-            NodeInfo { digest_known: true, digest, ..NodeInfo::new(incarnation, now, 0, 0) };
+        let fresh = NodeInfo { digest_known: true, digest, ..NodeInfo::new(incarnation, now, 0) };
         let mut on_record = false;
         let life = self.life(node, fresh, |info| {
             info.last_seen = now;
@@ -753,8 +739,8 @@ mod tests {
 
     /// A beacon for its liveness half: what it says of the catalogue is
     /// beside the point of the test.
-    fn beat(d: &mut Directory, node: NodeId, incarnation: u64, load: u16, cap: u8, now: Micros) {
-        d.apply_beacon(node, incarnation, load, cap, (0, 0), now);
+    fn beat(d: &mut Directory, node: NodeId, incarnation: u64, load: u16, now: Micros) {
+        d.apply_beacon(node, incarnation, load, (0, 0), now);
     }
 
     fn announce_storage(seq: u32) -> AnnounceEntry {
@@ -776,8 +762,8 @@ mod tests {
 
     fn dir_with_two_storages() -> Directory {
         let mut d = remote_only();
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
-        beat(&mut d, NodeId(3), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, Micros(0));
+        beat(&mut d, NodeId(3), 1, 0, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(3), 1, &[announce_storage(1)], Micros(0));
         d
@@ -786,8 +772,8 @@ mod tests {
     #[test]
     fn resolve_prefers_low_load() {
         let mut d = dir_with_two_storages();
-        beat(&mut d, NodeId(2), 1, 800, 4, Micros(1));
-        beat(&mut d, NodeId(3), 1, 100, 4, Micros(1));
+        beat(&mut d, NodeId(2), 1, 800, Micros(1));
+        beat(&mut d, NodeId(3), 1, 100, Micros(1));
         let p = d.resolve_function("storage/store", CallPolicy::Dynamic, None).unwrap();
         assert_eq!(p.service.node, NodeId(3), "lower load wins");
     }
@@ -822,8 +808,8 @@ mod tests {
         let mut d = dir_with_two_storages();
         // The variable below is listed only under a name in use.
         assert!(d.add_interest(&name("storage/store")).is_empty(), "no pair under the name");
-        beat(&mut d, NodeId(4), 1, 0, 4, Micros(0));
-        beat(&mut d, NodeId(5), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(4), 1, 0, Micros(0));
+        beat(&mut d, NodeId(5), 1, 0, Micros(0));
         // Node 4 offers the name twice, once as a variable; node 5's
         // service is stopped.
         let variable = Provision::Variable {
@@ -837,9 +823,9 @@ mod tests {
         d.apply_announce(NodeId(4), 1, &[twice], Micros(0));
         d.apply_announce(NodeId(5), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(5), 1, &[storage_in(1, ServiceState::Stopped)], Micros(0));
-        beat(&mut d, NodeId(2), 1, 300, 4, Micros(1));
-        beat(&mut d, NodeId(3), 1, 300, 4, Micros(1));
-        beat(&mut d, NodeId(4), 1, 100, 4, Micros(1));
+        beat(&mut d, NodeId(2), 1, 300, Micros(1));
+        beat(&mut d, NodeId(3), 1, 300, Micros(1));
+        beat(&mut d, NodeId(4), 1, 100, Micros(1));
 
         let listed: Vec<&ProviderInfo> = d.providers("storage/store").collect();
         let ids: Vec<(u32, u32)> =
@@ -891,7 +877,7 @@ mod tests {
     #[test]
     fn heartbeat_timeout_purges_cache() {
         let mut d = dir_with_two_storages();
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(900));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_millis(900));
         // Node 3 silent since t=0; node 2 heartbeated at 900ms.
         let dead = d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
@@ -904,14 +890,14 @@ mod tests {
     #[test]
     fn local_node_never_expires_and_next_expiry_tracks_the_heap_head() {
         let mut d = Directory::for_node(NodeId(1));
-        beat(&mut d, NodeId(1), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(1), 1, 0, Micros(0));
         let timeout = ProtoDuration::from_secs(2);
         assert_eq!(d.next_expiry(timeout), None, "only the local node known");
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(300));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_millis(300));
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         // Refreshed peers leave a stale head: the bound is early, and the
         // sweep at that instant re-arms instead of expiring.
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(1000));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_millis(1000));
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(2300)));
         assert!(d.expire(Micros::from_millis(2300), timeout).is_empty());
         assert_eq!(d.next_expiry(timeout), Some(Micros::from_millis(3000)));
@@ -954,7 +940,7 @@ mod tests {
         let mut d = dir_with_two_storages();
         assert_eq!(d.providers("storage/store").count(), 2);
         // Node 2's next life is heard first through its beacon.
-        let rebooted = d.apply_beacon(NodeId(2), 2, 0, 4, (0, 0), Micros(100));
+        let rebooted = d.apply_beacon(NodeId(2), 2, 0, (0, 0), Micros(100));
         assert_eq!(rebooted, BeaconOutcome::New { ended: true });
         assert_eq!(d.providers("storage/store").count(), 1);
         assert!(d.node_alive(NodeId(2)));
@@ -963,7 +949,7 @@ mod tests {
         let ended = d.apply_announce(NodeId(3), 2, &[announce_storage(4)], Micros(200));
         assert_eq!(ended, Life::New { ended: true });
         let info = d.node(NodeId(3)).unwrap();
-        assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (2, Micros(200), 0));
+        assert_eq!((info.incarnation, info.last_seen), (2, Micros(200)));
         let digest = (announce_hash(2, &[announce_storage(4)]), 1);
         assert_eq!(info.catalogue_digest(), Some(digest));
         let listed: Vec<ServiceId> = d.providers("storage/store").map(|p| p.service).collect();
@@ -973,28 +959,15 @@ mod tests {
     #[test]
     fn heartbeat_before_hello_creates_record() {
         let mut d = remote_only();
-        beat(&mut d, NodeId(9), 1, 250, 3, Micros(5));
+        beat(&mut d, NodeId(9), 1, 250, Micros(5));
         assert!(d.node_alive(NodeId(9)));
         assert_eq!(d.node(NodeId(9)).unwrap().load_permille, 250);
-        // The heartbeat carries the FEC capability, so a record it files
-        // runs the node's cap from the first frame on.
-        assert_eq!(d.node(NodeId(9)).unwrap().fec_cap, 3);
-    }
-
-    #[test]
-    fn heartbeat_refreshes_fec_cap() {
-        let mut d = remote_only();
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
-        beat(&mut d, NodeId(2), 1, 0, 2, Micros(1));
-        assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 2, "heartbeat downgrades");
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(2));
-        assert_eq!(d.node(NodeId(2)).unwrap().fec_cap, 4, "heartbeat upgrades");
     }
 
     #[test]
     fn re_announce_replaces_not_duplicates() {
         let mut d = remote_only();
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(0));
         d.apply_announce(NodeId(2), 1, &[announce_storage(1)], Micros(1));
         assert_eq!(d.providers("storage/store").count(), 1);
@@ -1004,13 +977,13 @@ mod tests {
     fn expire_rearms_refreshed_nodes_and_catches_them_later() {
         let mut d = dir_with_two_storages();
         // Both nodes refresh; their original heap entries are stale.
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(1500));
-        beat(&mut d, NodeId(3), 1, 0, 4, Micros::from_millis(1800));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_millis(1500));
+        beat(&mut d, NodeId(3), 1, 0, Micros::from_millis(1800));
         // At 2.1s with a 2s timeout the t=0 entries pop but re-arm.
         assert!(d.expire(Micros::from_millis(2100), ProtoDuration::from_secs(2)).is_empty());
         assert!(d.node_alive(NodeId(2)) && d.node_alive(NodeId(3)));
         // Node 2 goes silent after 1.5s; the re-armed entry catches it.
-        beat(&mut d, NodeId(3), 1, 0, 4, Micros::from_millis(3000));
+        beat(&mut d, NodeId(3), 1, 0, Micros::from_millis(3000));
         let dead = d.expire(Micros::from_millis(3600), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(2)]);
         assert!(d.providers("storage/store").count() == 1);
@@ -1020,9 +993,9 @@ mod tests {
     fn rejoin_after_bye_is_tracked_again() {
         let mut d = dir_with_two_storages();
         d.apply_bye(NodeId(3));
-        beat(&mut d, NodeId(3), 2, 0, 4, Micros::from_millis(100));
+        beat(&mut d, NodeId(3), 2, 0, Micros::from_millis(100));
         // Silent after the rejoin: must still expire.
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_millis(2200));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_millis(2200));
         let dead = d.expire(Micros::from_millis(2300), ProtoDuration::from_secs(2));
         assert_eq!(dead, vec![NodeId(3)]);
     }
@@ -1050,7 +1023,7 @@ mod tests {
         match outcome {
             BeaconOutcome::OlderLife => Life::Older,
             BeaconOutcome::New { ended } => Life::New { ended },
-            BeaconOutcome::Refreshed | BeaconOutcome::Differs { .. } => Life::Same,
+            BeaconOutcome::Refreshed | BeaconOutcome::Differs => Life::Same,
         }
     }
 
@@ -1080,7 +1053,7 @@ mod tests {
                         prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     1 => {
-                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, 4, (0, 0), now));
+                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, (0, 0), now));
                         prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     2 => {
@@ -1098,7 +1071,7 @@ mod tests {
                     5 => {
                         // The same life rule, whatever the digest says.
                         let digest = (dt_ms as u32 % 2, 1);
-                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, 4, digest, now));
+                        let life = beacon_life(d.apply_beacon(node, incarnation, 0, digest, now));
                         prop_assert_eq!(life, judge(&mut model, node, incarnation, now));
                     }
                     _ => {
@@ -1130,29 +1103,29 @@ mod tests {
         let mut d = remote_only();
         assert!(d.nodes().is_empty());
         for id in [9u32, 3, 7, 1, 8] {
-            beat(&mut d, NodeId(id), 1, 0, 4, Micros(0));
+            beat(&mut d, NodeId(id), 1, 0, Micros(0));
         }
         let ascending = [1u32, 3, 7, 8, 9].map(NodeId).to_vec();
         assert_eq!(d.nodes(), ascending);
         assert_eq!(d.node_count(), 5);
         // Node 7 alone stays silent, expires, and rejoins last.
         for id in [9u32, 3, 1, 8] {
-            beat(&mut d, NodeId(id), 1, 0, 4, Micros::from_secs(2));
+            beat(&mut d, NodeId(id), 1, 0, Micros::from_secs(2));
         }
         assert_eq!(d.expire(Micros::from_secs(3), ProtoDuration::from_secs(2)), vec![NodeId(7)]);
         assert_eq!(d.nodes(), [1u32, 3, 8, 9].map(NodeId).to_vec());
-        beat(&mut d, NodeId(7), 2, 0, 4, Micros::from_secs(3));
+        beat(&mut d, NodeId(7), 2, 0, Micros::from_secs(3));
         assert_eq!(d.nodes(), ascending);
     }
 
     #[test]
     fn catalogue_digest_matches_only_applied_catalogue() {
         use BeaconOutcome::{Differs, Refreshed};
-        let pull = Differs { cap: false, digest: true };
+        let pull = Differs;
         let mut d = remote_only();
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, Micros(0));
         let beacon = |d: &mut Directory, life, digest| {
-            d.apply_beacon(NodeId(2), life, 0, 4, digest, Micros(80))
+            d.apply_beacon(NodeId(2), life, 0, digest, Micros(80))
         };
         assert_eq!(beacon(&mut d, 1, (0xAB, 1)), pull, "no announce applied yet");
         let (hash, count) = announce(&mut d, NodeId(2), 1, &[announce_storage(1)], Micros(0));
@@ -1161,13 +1134,13 @@ mod tests {
         assert_eq!(beacon(&mut d, 1, (hash ^ 1, 1)), pull, "hash mismatch");
         assert_eq!(beacon(&mut d, 1, (hash, 2)), pull, "entry count mismatch");
         // A reboot wipes the digest along with the catalogue.
-        beat(&mut d, NodeId(2), 2, 0, 4, Micros(50));
+        beat(&mut d, NodeId(2), 2, 0, Micros(50));
         assert_eq!(beacon(&mut d, 2, (hash, 1)), pull);
         // A same-life beacon that disagrees leaves it held: the pull
         // replaces it.
         let held = announce(&mut d, NodeId(2), 2, &[announce_storage(1)], Micros(60));
         assert_ne!(held, (hash, 1), "the digest covers the incarnation");
-        beat(&mut d, NodeId(2), 2, 0, 4, Micros(70));
+        beat(&mut d, NodeId(2), 2, 0, Micros(70));
         assert_eq!(beacon(&mut d, 2, held), Refreshed);
     }
 
@@ -1176,12 +1149,12 @@ mod tests {
         let mut d = Directory::for_node(NodeId(1));
         let digest = announce(&mut d, NodeId(2), 3, &[announce_storage(1)], Micros(5));
         let info = d.node(NodeId(2)).expect("known from its announce");
-        assert_eq!((info.incarnation, info.last_seen, info.fec_cap), (3, Micros(5), 0));
+        assert_eq!((info.incarnation, info.last_seen), (3, Micros(5)));
         assert_eq!(info.catalogue_digest(), Some(digest));
         assert_eq!(d.providers("storage/store").count(), 1, "and its catalogue resolves");
-        // The beacon behind it has only the capability to add.
-        let cap_only = BeaconOutcome::Differs { cap: true, digest: false };
-        assert_eq!(d.apply_beacon(NodeId(2), 3, 0, 4, digest, Micros(6)), cap_only);
+        // The beacon behind it has nothing to add.
+        let refreshed = d.apply_beacon(NodeId(2), 3, 0, digest, Micros(6));
+        assert_eq!(refreshed, BeaconOutcome::Refreshed);
         // Such a record has a lifetime like any other.
         let timeout = ProtoDuration::from_secs(2);
         assert_eq!(d.expire(Micros(6) + timeout, timeout), vec![NodeId(2)]);
@@ -1196,43 +1169,37 @@ mod tests {
         let digest = d.node(n2).unwrap().catalogue_digest().unwrap();
 
         // The steady state: liveness and load move, nothing else.
-        assert_eq!(d.apply_beacon(n2, 1, 300, 4, digest, Micros(10)), Refreshed);
+        assert_eq!(d.apply_beacon(n2, 1, 300, digest, Micros(10)), Refreshed);
         let info = d.node(n2).unwrap();
-        assert_eq!((info.last_seen, info.load_permille, info.fec_cap), (Micros(10), 300, 4));
+        assert_eq!((info.last_seen, info.load_permille), (Micros(10), 300));
         assert_eq!(d.providers("storage/store").count(), 2);
 
         // An older life is ignored outright: not even proof of life.
-        beat(&mut d, n2, 5, 0, 4, Micros(20));
+        beat(&mut d, n2, 5, 0, Micros(20));
         let digest = announce(&mut d, n2, 5, &[announce_storage(1)], Micros(20));
-        assert_eq!(d.apply_beacon(n2, 4, 999, 1, (0, 0), Micros(30)), OlderLife);
+        assert_eq!(d.apply_beacon(n2, 4, 999, (0, 0), Micros(30)), OlderLife);
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (5, Micros(20), 0));
-        assert_eq!((info.fec_cap, info.catalogue_digest()), (4, Some(digest)));
+        assert_eq!(info.catalogue_digest(), Some(digest));
 
-        // A cap change is applied and reported, with and without a
-        // digest mismatch riding along.
-        let cap_only = Differs { cap: true, digest: false };
-        assert_eq!(d.apply_beacon(n2, 5, 0, 2, digest, Micros(40)), cap_only);
-        assert_eq!(d.node(n2).unwrap().fec_cap, 2);
-        let both = Differs { cap: true, digest: true };
-        assert_eq!(d.apply_beacon(n2, 5, 0, 3, (digest.0 ^ 1, 1), Micros(41)), both);
-        assert_eq!(d.node(n2).unwrap().fec_cap, 3);
-        // A mismatch leaves the held catalogue alone: the pull replaces it.
+        // A digest mismatch is reported, and leaves the held catalogue
+        // alone: the pull replaces it.
+        assert_eq!(d.apply_beacon(n2, 5, 0, (digest.0 ^ 1, 1), Micros(41)), Differs);
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
         assert_eq!(d.node(n2).unwrap().last_seen, Micros(41));
         assert_eq!(d.providers("storage/store").count(), 2);
 
         // A newer life ends the old one: everything cached from it goes.
-        assert_eq!(d.apply_beacon(n2, 6, 70, 4, digest, Micros(50)), New { ended: true });
+        assert_eq!(d.apply_beacon(n2, 6, 70, digest, Micros(50)), New { ended: true });
         let info = d.node(n2).unwrap();
         assert_eq!((info.incarnation, info.last_seen, info.load_permille), (6, Micros(50), 70));
         assert_eq!(info.catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 1, "node 3's only");
 
         // An unknown node gets a minimal record, queued for expiry.
-        assert_eq!(d.apply_beacon(NodeId(9), 1, 250, 3, digest, Micros(60)), New { ended: false });
+        assert_eq!(d.apply_beacon(NodeId(9), 1, 250, digest, Micros(60)), New { ended: false });
         let info = d.node(NodeId(9)).unwrap();
-        assert_eq!((info.load_permille, info.fec_cap, info.catalogue_digest()), (250, 3, None));
+        assert_eq!((info.load_permille, info.catalogue_digest()), (250, None));
         let later = Micros(60) + ProtoDuration::from_secs(2);
         assert!(d.expire(later, ProtoDuration::from_secs(2)).contains(&NodeId(9)));
     }
@@ -1245,11 +1212,11 @@ mod tests {
         let timeout = ProtoDuration::from_secs(2);
         let mut d = Directory::for_node(NodeId(1));
         for i in 0..10_000 {
-            let rejoined = d.apply_beacon(NodeId(2), 1, 0, 4, (0, 0), Micros(i * 100));
+            let rejoined = d.apply_beacon(NodeId(2), 1, 0, (0, 0), Micros(i * 100));
             assert_eq!(rejoined, BeaconOutcome::New { ended: false });
             assert!(d.apply_bye(NodeId(2)));
         }
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros::from_secs(1));
+        beat(&mut d, NodeId(2), 1, 0, Micros::from_secs(1));
         assert_eq!(d.expiry.entries(&NodeId(2)), 1);
         assert_eq!(
             d.next_expiry(timeout),
@@ -1268,23 +1235,23 @@ mod tests {
     fn a_hello_from_an_older_life_is_ignored() {
         let n2 = NodeId(2);
         let mut d = remote_only();
-        let first = d.apply_beacon(n2, 2, 0, 4, (0, 0), Micros(0));
+        let first = d.apply_beacon(n2, 2, 0, (0, 0), Micros(0));
         assert_eq!(first, BeaconOutcome::New { ended: false });
         let digest = announce(&mut d, n2, 2, &[announce_storage(1)], Micros(1));
 
-        let delayed = d.apply_beacon(n2, 1, 0, 0, (0, 0), Micros(2));
+        let delayed = d.apply_beacon(n2, 1, 0, (0, 0), Micros(2));
         assert_eq!(delayed, BeaconOutcome::OlderLife);
         let info = d.node(n2).unwrap();
-        assert_eq!((info.incarnation, info.fec_cap), (2, 4));
+        assert_eq!(info.incarnation, 2);
         assert_eq!((info.catalogue_digest(), info.last_seen), (Some(digest), Micros(1)));
         assert_eq!(d.providers("storage/store").count(), 1);
-        assert_eq!(d.apply_beacon(n2, 2, 0, 4, digest, Micros(3)), BeaconOutcome::Refreshed);
+        assert_eq!(d.apply_beacon(n2, 2, 0, digest, Micros(3)), BeaconOutcome::Refreshed);
         assert_eq!(d.providers("storage/store").count(), 1);
 
         // The same life again and a newer one are both applied.
         assert_eq!(d.apply_announce(n2, 2, &[announce_storage(1)], Micros(4)), Life::Same);
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), Some(digest));
-        let rebooted = d.apply_beacon(n2, 3, 0, 4, digest, Micros(5));
+        let rebooted = d.apply_beacon(n2, 3, 0, digest, Micros(5));
         assert_eq!(rebooted, BeaconOutcome::New { ended: true });
         assert_eq!(d.node(n2).unwrap().catalogue_digest(), None);
         assert_eq!(d.providers("storage/store").count(), 0);
@@ -1320,7 +1287,7 @@ mod tests {
         for used in ["gps/position", "gps/fix-lost", "gps/almanac"] {
             d.add_interest(&name(used));
         }
-        beat(&mut d, NodeId(2), 1, 0, 4, Micros(0));
+        beat(&mut d, NodeId(2), 1, 0, Micros(0));
         d.apply_announce(
             NodeId(2),
             1,
@@ -1377,8 +1344,8 @@ mod tests {
         assert!(d.add_interest(&name("fleet/other")).is_empty(), "no pair under its hash");
         assert_eq!((digest(&d, 2), digest(&d, 3)), (None, None), "a beacon pulls again");
         assert!(digest(&d, 1).is_some(), "this node's own stays");
-        let pull = BeaconOutcome::Differs { cap: false, digest: true };
-        assert_eq!(d.apply_beacon(NodeId(2), 1, 0, 0, held.unwrap(), Micros(1)), pull);
+        let pull = BeaconOutcome::Differs;
+        assert_eq!(d.apply_beacon(NodeId(2), 1, 0, held.unwrap(), Micros(1)), pull);
         for node in [2, 3].map(NodeId) {
             d.apply_announce(node, 1, &[alarm(1)], Micros(1));
         }
@@ -1401,21 +1368,10 @@ mod tests {
         assert!(std::mem::size_of::<NodeInfo>() <= 32, "{}", std::mem::size_of::<NodeInfo>());
     }
 
-    fn beacon_wire(
-        node: NodeId,
-        incarnation: u64,
-        load: u16,
-        cap: u8,
-        digest: (u32, u32),
-    ) -> Bytes {
+    fn beacon_wire(node: NodeId, incarnation: u64, load: u16, digest: (u32, u32)) -> Bytes {
         let (catalogue_hash, entry_count) = digest;
-        let beacon = Message::Beacon {
-            incarnation,
-            load_permille: load,
-            fec_cap: cap,
-            entry_count,
-            catalogue_hash,
-        };
+        let beacon =
+            Message::Beacon { incarnation, load_permille: load, entry_count, catalogue_hash };
         beacon.into_frame(node).encode()
     }
 
@@ -1428,13 +1384,8 @@ mod tests {
         let unchecked = walk.peek()?;
         let frame = walk.next()?.ok()?;
         let src = frame.header().src;
-        let Ok(Message::Beacon {
-            incarnation,
-            load_permille,
-            fec_cap,
-            entry_count,
-            catalogue_hash,
-        }) = Message::from_frame(&frame)
+        let Ok(Message::Beacon { incarnation, load_permille, entry_count, catalogue_hash }) =
+            Message::from_frame(&frame)
         else {
             if frame.header().kind != MessageKind::Beacon {
                 d.touch(src, now);
@@ -1442,7 +1393,7 @@ mod tests {
             return None;
         };
         let digest = (catalogue_hash, entry_count);
-        let outcome = d.apply_beacon(src, incarnation, load_permille, fec_cap, digest, now);
+        let outcome = d.apply_beacon(src, incarnation, load_permille, digest, now);
         if outcome == BeaconOutcome::Refreshed {
             d.keep_beacon(unchecked);
         }
@@ -1457,10 +1408,10 @@ mod tests {
     fn a_beacon_repeats_while_its_record_says_what_it_said() {
         let n2 = NodeId(2);
         let mut d = remote_only();
-        beat(&mut d, n2, 1, 0, 4, Micros(0));
-        assert!(!repeat(&mut d, &beacon_wire(n2, 1, 0, 4, (0, 0)), Micros(1)), "no catalogue");
+        beat(&mut d, n2, 1, 0, Micros(0));
+        assert!(!repeat(&mut d, &beacon_wire(n2, 1, 0, (0, 0)), Micros(1)), "no catalogue");
         let digest = announce(&mut d, n2, 1, &[announce_storage(1)], Micros(0));
-        let first = beacon_wire(n2, 1, 0, 4, digest);
+        let first = beacon_wire(n2, 1, 0, digest);
         assert!(!repeat(&mut d, &first, Micros(1)), "nothing kept before a Refreshed");
         assert_eq!(full_path(&mut d, &first, Micros(1)), Some(BeaconOutcome::Refreshed));
         assert!(repeat(&mut d, &first, Micros(2)));
@@ -1468,7 +1419,7 @@ mod tests {
 
         // A load change is a new beacon: it is checked and kept in turn,
         // and the old one is no longer a repeat.
-        let loaded = beacon_wire(n2, 1, 300, 4, digest);
+        let loaded = beacon_wire(n2, 1, 300, digest);
         assert!(!repeat(&mut d, &loaded, Micros(3)));
         assert_eq!(full_path(&mut d, &loaded, Micros(3)), Some(BeaconOutcome::Refreshed));
         assert!(!repeat(&mut d, &first, Micros(4)));
@@ -1478,7 +1429,7 @@ mod tests {
         d.apply_announce(n2, 1, &[announce_storage(1)], Micros(6));
         assert!(!repeat(&mut d, &loaded, Micros(7)), "announce");
         assert_eq!(full_path(&mut d, &loaded, Micros(7)), Some(BeaconOutcome::Refreshed));
-        beat(&mut d, n2, 1, 0, 4, Micros(8));
+        beat(&mut d, n2, 1, 0, Micros(8));
         assert!(!repeat(&mut d, &loaded, Micros(9)), "a beacon that disagrees");
 
         // A CRC of 0 is never kept (the keep trusts its caller's check).
@@ -1518,9 +1469,9 @@ mod tests {
                 let received = match op {
                     // A beacon applied without its frame: nothing kept.
                     0 => {
-                        let cap = if pick % 2 == 0 { 4 } else { 0 };
-                        fast.apply_beacon(node, incarnation, 0, cap, (0, 0), now);
-                        full.apply_beacon(node, incarnation, 0, cap, (0, 0), now);
+                        let load = if pick % 2 == 0 { 0 } else { 500 };
+                        fast.apply_beacon(node, incarnation, load, (0, 0), now);
+                        full.apply_beacon(node, incarnation, load, (0, 0), now);
                         None
                     }
                     1 => {
@@ -1540,8 +1491,7 @@ mod tests {
                             _ => (incarnation, (u32::from(pick), 1)),
                         };
                         let load = if pick & 0x10 == 0 { 0 } else { 500 };
-                        let cap = if pick & 0x20 == 0 { held.map_or(4, |i| i.fec_cap) } else { 0 };
-                        let wire = beacon_wire(node, life, load, cap, digest);
+                        let wire = beacon_wire(node, life, load, digest);
                         sent.push(wire.clone());
                         Some(wire)
                     }

@@ -330,7 +330,7 @@ impl FileEngine {
     }
 
     /// `node` died: downloads it fed go back to waiting, and its cached
-    /// announces are forgotten.
+    /// announces and the transfers they filed are forgotten.
     pub fn drop_peer(&mut self, node: NodeId) {
         for interest in self.interests.values_mut() {
             if interest.publisher == Some(node) {
@@ -339,6 +339,7 @@ impl FileEngine {
             }
         }
         self.seen_announces.retain(|_, (src, _)| *src != node);
+        self.transfer_index.retain(|(src, _), _| *src != node);
     }
 
     /// The cached `(publisher, announce)` of every interest that has
@@ -495,5 +496,22 @@ mod tests {
         let (owner, event) = served.expect("last subscriber served");
         assert_eq!(owner, 1);
         assert!(matches!(event, FileEvent::DistributionComplete { subscribers: 1, .. }));
+    }
+
+    /// A dead publisher leaves nothing behind: not its cached announces,
+    /// and not the transfers they filed. This node's own transfers stay.
+    #[test]
+    fn a_dead_publisher_leaves_no_transfer_behind() {
+        let (mut local, _) = publisher(1, "n1/file");
+        for node in 2..=1_001 {
+            let (_, announce) = publisher(node, &format!("n{node}/file"));
+            assert_eq!(local.on_announce(NodeId(node), &announce), Heard::Ignored);
+        }
+        assert_eq!((local.transfer_index.len(), local.seen_announces.len()), (1_001, 1_000));
+        for node in 2..=1_001 {
+            local.drop_peer(NodeId(node));
+        }
+        assert_eq!((local.transfer_index.len(), local.seen_announces.len()), (1, 0));
+        assert_eq!(local.transfer_index.get(&(NodeId(1), TransferId(1))), Some(&name("n1/file")));
     }
 }

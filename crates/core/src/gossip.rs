@@ -1,6 +1,6 @@
 //! The control plane's clockwork: when this node next sends its beacon —
-//! the one periodic control frame: alive, load, FEC capability and the
-//! digest of its catalogue — and when its full catalogue is flooded.
+//! the one periodic control frame: alive, load and the digest of its
+//! catalogue — and when its full catalogue is flooded.
 //! [`Gossip`] decides when; the container builds and sends the messages.
 //!
 //! The catalogue is flooded from one place, the end of a tick, ahead of

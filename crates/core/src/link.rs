@@ -11,10 +11,10 @@
 //! data is bound for the same peer that tick — an RPC reply travels with
 //! the ack of its request, the next request with the ack of that reply —
 //! and costs a `Transport::send` of its own only when nothing else is.
-//! The container's `PeerTable` creates links on first use, negotiates their
-//! code rate and knows which ones a poll sweep must visit; it also holds
-//! which peers subscribe to what this node publishes, so a peer's session
-//! ends in one call.
+//! The container's `PeerTable` creates links on first use, every one coding
+//! from its first message, and knows which ones a poll sweep must visit;
+//! it also holds which peers subscribe to what this node publishes, so a
+//! peer's session ends in one call.
 //!
 //! A link stores a message once — the ARQ sender's envelope, or a copy in
 //! the backlog while the window is full — and returns no buffers. Every
@@ -53,8 +53,7 @@ const FEC_FLUSH_AFTER: ProtoDuration = ProtoDuration(5_000);
 /// The FEC endpoint of one link: coder pair plus the flush timer.
 ///
 /// The receiver half is always live (shards decode statelessly), the
-/// sender half only wraps once a peer capability above `Off` has been
-/// negotiated.
+/// sender half wraps under any ceiling above `Off`.
 #[derive(Debug)]
 struct LinkFec {
     tx: FecSender,
@@ -145,8 +144,8 @@ pub struct ReliableLink {
 }
 
 impl ReliableLink {
-    /// Creates the link to `peer`. FEC starts at [`FecRate::Off`] until
-    /// [`ReliableLink::negotiate_fec`] learns the peer's capability.
+    /// Creates the link to `peer`. FEC starts at [`FecRate::Off`], plain
+    /// ARQ, until [`ReliableLink::negotiate_fec`] sets a ceiling.
     pub fn new(peer: NodeId, config: ArqConfig) -> Self {
         ReliableLink {
             peer,
@@ -168,10 +167,11 @@ impl ReliableLink {
         self.peer
     }
 
-    /// Applies the negotiated FEC ceiling (the weaker of both ends'
-    /// advertised capabilities). Idempotent; raising or lowering the cap
-    /// rebuilds the sender's controller but keeps group ids monotonic so
-    /// the peer's decoder ring stays coherent.
+    /// Sets the link's FEC ceiling: the controller adapts from
+    /// [`FecRate::Light`] up to it, and [`FecRate::Off`] is plain ARQ.
+    /// Idempotent; raising or lowering the cap rebuilds the sender's
+    /// controller but keeps group ids monotonic so the peer's decoder ring
+    /// stays coherent.
     pub fn negotiate_fec(&mut self, cap: FecRate) {
         if self.fec.tx.cap() == cap {
             return;
@@ -430,9 +430,6 @@ pub(crate) struct Received {
 /// nothing per tick, and no link with output pending can be forgotten.
 #[derive(Debug, Default)]
 pub(crate) struct PeerTable {
-    /// This node's advertised FEC capability (`Off` when disabled); each
-    /// link runs the weaker of it and what its peer advertised.
-    local_cap: FecRate,
     /// Ordered, like `active`: sweeps walk peers in node order, which
     /// decides how the netsim RNG stream maps onto datagrams. Boxed: a
     /// link is ~0.5 KiB, and a B-tree node reserves room for eleven.
@@ -453,24 +450,17 @@ pub(crate) struct PeerTable {
 }
 
 impl PeerTable {
-    pub fn new(local_cap: FecRate) -> Self {
-        PeerTable { local_cap, ..Default::default() }
-    }
-
-    /// The code rate towards a peer that advertised tag `peer_cap`.
-    fn negotiated(&self, peer_cap: Option<u8>) -> FecRate {
-        self.local_cap.negotiate(peer_cap.map_or(FecRate::Off, FecRate::from_wire_tag))
-    }
-
     /// Creates the link to `peer` unless it exists — on the first reliable
-    /// send, or the first `RelData`/`FecShard` heard (with FEC on, a
-    /// conversation's first message arrives as a shard). `true` if created.
-    fn open(&mut self, peer: NodeId, peer_cap: Option<u8>) -> bool {
+    /// send, or the first `RelData`/`FecShard` heard (a conversation's
+    /// first message arrives as a shard). `true` if created. Every link
+    /// codes under [`FecRate::Max`]: its controller starts at
+    /// [`FecRate::Light`] and follows the loss the peer reports.
+    fn open(&mut self, peer: NodeId) -> bool {
         if self.by_peer.contains_key(&peer) {
             return false;
         }
         let mut link = ReliableLink::new(peer, ArqConfig::default());
-        link.negotiate_fec(self.negotiated(peer_cap));
+        link.negotiate_fec(FecRate::Max);
         self.by_peer.insert(peer, Box::new(link));
         true
     }
@@ -494,25 +484,16 @@ impl PeerTable {
         Some(result)
     }
 
-    /// The peer's capability was (re)heard: an established link follows —
-    /// upgrading one opened before the peer's first beacon was seen (a
-    /// record filed by its `Announce`, lossy bring-up).
-    pub fn renegotiate(&mut self, peer: NodeId, peer_cap: Option<u8>) {
-        let cap = self.negotiated(peer_cap);
-        self.on(peer, |link| link.negotiate_fec(cap));
-    }
-
     /// Queues the tagged message `inner` for `peer`; `sink` gets the wire
     /// messages to send now. `true` if this opened the link.
     pub fn send(
         &mut self,
         peer: NodeId,
-        peer_cap: Option<u8>,
         inner: &[u8],
         now: Micros,
         sink: &mut impl WireSink,
     ) -> bool {
-        let fresh = self.open(peer, peer_cap);
+        let fresh = self.open(peer);
         self.on(peer, |link| link.send_into(inner, now, sink));
         fresh
     }
@@ -522,12 +503,11 @@ impl PeerTable {
     pub fn on_data(
         &mut self,
         peer: NodeId,
-        peer_cap: Option<u8>,
         seq: u64,
         payload: Bytes,
         released: &mut Vec<Bytes>,
     ) -> Received {
-        let fresh = self.open(peer, peer_cap);
+        let fresh = self.open(peer);
         self.on(peer, |link| link.on_data_into(seq, payload, released));
         Received { fresh, repaired: 0 }
     }
@@ -538,7 +518,6 @@ impl PeerTable {
     pub fn on_shard(
         &mut self,
         peer: NodeId,
-        peer_cap: Option<u8>,
         group: u64,
         index: u8,
         k: u8,
@@ -546,7 +525,7 @@ impl PeerTable {
         payload: &Bytes,
         inner: &mut Vec<Bytes>,
     ) -> Received {
-        let fresh = self.open(peer, peer_cap);
+        let fresh = self.open(peer);
         let shard = |link: &mut ReliableLink| {
             let before = link.fec_rx_stats().recovered;
             link.on_fec_shard_into(group, index, k, r, payload, inner);
@@ -1112,7 +1091,7 @@ mod tests {
                 rng ^= rng << 17;
                 rng % n
             };
-            let mut table = PeerTable::new(FecRate::Max);
+            let mut table = PeerTable::default();
             let (v, e) = (names[0].clone(), names[1].clone());
             table.provide(&[
                 Provision::Variable { name: v, ty: DataType::U8, period_us: 0, validity_us: 0 },
@@ -1132,13 +1111,13 @@ mod tests {
             let mut now = Micros::ZERO;
             for step in 0..4_000u32 {
                 let i = draw(u64::from(PEERS)) as usize;
-                let (peer, cap) = (NodeId(i as u32 + 2), Some(draw(5) as u8));
+                let peer = NodeId(i as u32 + 2);
                 // The shadow of the table's link to this peer, opened as the
                 // table opens its own: at the first send or frame heard.
-                let opened = |shadow: &mut Option<ReliableLink>, table: &PeerTable| {
+                let opened = |shadow: &mut Option<ReliableLink>| {
                     shadow.get_or_insert_with(|| {
                         let mut l = ReliableLink::new(peer, ArqConfig::default());
-                        l.negotiate_fec(table.negotiated(cap));
+                        l.negotiate_fec(FecRate::Max);
                         l
                     });
                 };
@@ -1150,12 +1129,12 @@ mod tests {
                             .map(|(_, m)| m),
                     );
                 };
-                match draw(10) {
+                match draw(9) {
                     0 => now += ProtoDuration::from_micros(draw(4_000)),
                     1 => {
                         let (payload, mut out) = (vec![step as u8; 40], Vec::new());
-                        opened(&mut shadows[i], &table);
-                        table.send(peer, cap, &payload, now, &mut out);
+                        opened(&mut shadows[i]);
+                        table.send(peer, &payload, now, &mut out);
                         let shadow = shadows[i].as_mut().expect("opened");
                         assert_eq!(out, shadow.send(Bytes::from(payload), now));
                         lossy(out, &mut pipes[i][1], draw(u64::MAX));
@@ -1166,13 +1145,7 @@ mod tests {
                         draw(u64::MAX),
                     ),
                     3 => lossy(peers[i].poll(now).0, &mut pipes[i][0], draw(u64::MAX)),
-                    4 => {
-                        table.renegotiate(peer, cap);
-                        if let Some(shadow) = &mut shadows[i] {
-                            shadow.negotiate_fec(table.negotiated(cap));
-                        }
-                    }
-                    5 if draw(40) == 0 => {
+                    4 if draw(40) == 0 => {
                         table.end(peer);
                         shadows[i] = None;
                         for peers in subscribed.values_mut() {
@@ -1184,7 +1157,7 @@ mod tests {
                         );
                         assert!(!filed, "seed {seed} step {step}: {peer} still subscribes");
                     }
-                    5 | 6 => {
+                    4 | 5 => {
                         // The table hears the next message from this peer.
                         let (mut inner, mut released) = (Vec::new(), Vec::new());
                         match pipes[i][0].pop_front() {
@@ -1193,17 +1166,8 @@ mod tests {
                             }
                             Some(Message::FecShard { group, index, k, r, payload, .. }) => {
                                 let mut tagged = Vec::new();
-                                opened(&mut shadows[i], &table);
-                                table.on_shard(
-                                    peer,
-                                    cap,
-                                    group,
-                                    index,
-                                    k,
-                                    r,
-                                    &payload,
-                                    &mut tagged,
-                                );
+                                opened(&mut shadows[i]);
+                                table.on_shard(peer, group, index, k, r, &payload, &mut tagged);
                                 let shadow = shadows[i].as_mut().expect("opened");
                                 assert_eq!(
                                     tagged,
@@ -1224,14 +1188,14 @@ mod tests {
                         }
                         for msg in inner {
                             let Message::RelData { seq, payload, .. } = msg else { continue };
-                            opened(&mut shadows[i], &table);
-                            table.on_data(peer, cap, seq, payload.clone(), &mut released);
+                            opened(&mut shadows[i]);
+                            table.on_data(peer, seq, payload.clone(), &mut released);
                             let shadow = shadows[i].as_mut().expect("opened");
                             assert_eq!(released, shadow.on_data(seq, payload));
                             released.clear();
                         }
                     }
-                    7 => match pipes[i][1].pop_front() {
+                    6 => match pipes[i][1].pop_front() {
                         // The peer hears the next message from the table.
                         Some(Message::RelData { seq, payload, .. }) => {
                             drop(peers[i].on_data(seq, payload))
@@ -1254,7 +1218,7 @@ mod tests {
                         }
                         _ => {}
                     },
-                    8 => {
+                    7 => {
                         // The peer subscribes to, or leaves, one of the names.
                         let (name, on) = (&names[draw(3) as usize], draw(3) != 0);
                         table.set_subscriber(name, peer, on);
@@ -1303,13 +1267,13 @@ mod tests {
 
     #[test]
     fn link_table_arq_stats_survive_a_dropped_link() {
-        let mut table = PeerTable::new(FecRate::Off);
+        let mut table = PeerTable::default();
         let (peer, mut out, mut events) = (NodeId(2), Vec::new(), LinkEvents::default());
         let mut now = Micros::ZERO;
         // One message acknowledged, one retransmitted until abandoned.
-        table.send(peer, None, b"first", now, &mut out);
+        table.send(peer, b"first", now, &mut out);
         table.on_ack(peer, 1, 0, 0, now, &mut out, &mut events);
-        table.send(peer, None, b"second", now, &mut out);
+        table.send(peer, b"second", now, &mut out);
         let mut snapshots = vec![table.arq_stats()];
         while events.abandoned.is_empty() {
             now += ProtoDuration::from_millis(500);
@@ -1320,7 +1284,7 @@ mod tests {
         assert!(live.sent == 2 && live.acked == 1 && live.failed == 1 && live.retransmitted > 0);
         assert!(table.end(peer));
         assert_eq!(table.arq_stats(), live, "the ended link's counters are kept");
-        table.send(peer, None, b"third", now, &mut out);
+        table.send(peer, b"third", now, &mut out);
         snapshots.push(table.arq_stats());
         assert_eq!(table.arq_stats().sent, 3);
         for pair in snapshots.windows(2) {

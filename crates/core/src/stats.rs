@@ -322,8 +322,9 @@ counters! {
         sum shards_in: u64,
         /// Erased frames rebuilt from parity without a retransmission RTT.
         sum recovered: u64,
-        /// Strongest code rate negotiated on any live link this tick
-        /// ([`FecRate`](marea_protocol::fec::FecRate) wire tag; 0 = all off).
+        /// Strongest code rate any live link's controller runs this tick
+        /// ([`FecRate::wire_tag`](marea_protocol::fec::FecRate::wire_tag);
+        /// 0 = no link). The name is a metrics-timeline key.
         peak negotiated_rate_max: u8,
     }
 }

@@ -12,7 +12,6 @@ use marea_core::{
 };
 use marea_netsim::{LinkConfig, NetConfig};
 use marea_presentation::Value;
-use marea_protocol::FecRate;
 
 fn lan(seed: u64) -> NetConfig {
     NetConfig::default().with_seed(seed)
@@ -242,16 +241,12 @@ fn stale_samples_are_dropped_by_validity() {
 
 #[test]
 fn events_are_delivered_exactly_once_in_order_under_loss() {
+    // Coding is on, as on every link: enough events that loss still
+    // forces retransmissions past what parity repairs.
+    const EVENTS: u64 = 200;
     let mut h = SimHarness::new(lossy(6, 0.10));
-    // FEC off: this test exercises the ARQ retransmission machinery, which
-    // the erasure-coding layer otherwise short-circuits at this loss rate
-    // (see fec_repairs_erasures_without_retransmit below).
-    let mut pub_cfg = ContainerConfig::new("pub", NodeId(1));
-    pub_cfg.fec_cap = FecRate::Off;
-    let mut sub_cfg = ContainerConfig::new("sub", NodeId(2));
-    sub_cfg.fec_cap = FecRate::Off;
-    h.add_container(pub_cfg);
-    h.add_container(sub_cfg);
+    h.add_container(ContainerConfig::new("pub", NodeId(1)));
+    h.add_container(ContainerConfig::new("sub", NodeId(2)));
 
     let tick = EventPort::<u64>::new("alerter/tick");
     let mut b = ServiceDescriptor::builder("alerter");
@@ -266,7 +261,7 @@ fn events_are_delivered_exactly_once_in_order_under_loss() {
     let mut i = 0u64;
     let port = tick.clone();
     publisher.on_timer = Some(Box::new(move |ctx, _| {
-        if i < 50 {
+        if i < EVENTS {
             ctx.emit_to(&port, i);
             i += 1;
         }
@@ -285,10 +280,10 @@ fn events_are_delivered_exactly_once_in_order_under_loss() {
     );
     h.start_all();
     let all_arrived = h.run_until(
-        |h| h.container(NodeId(2)).unwrap().stats().events_delivered >= 50,
+        |h| h.container(NodeId(2)).unwrap().stats().events_delivered >= EVENTS,
         ProtoDuration::from_secs(2),
     );
-    assert!(all_arrived, "all 50 events within the loss budget");
+    assert!(all_arrived, "all {EVENTS} events within the loss budget");
 
     let got: Vec<u64> = observations(&log)
         .into_iter()
@@ -297,7 +292,7 @@ fn events_are_delivered_exactly_once_in_order_under_loss() {
             _ => None,
         })
         .collect();
-    assert_eq!(got, (0..50).collect::<Vec<u64>>(), "reliable, ordered, exactly once");
+    assert_eq!(got, (0..EVENTS).collect::<Vec<u64>>(), "reliable, ordered, exactly once");
     // Loss did force retransmissions.
     let arq = h.container(NodeId(1)).unwrap().arq_stats();
     assert!(arq.retransmitted > 0, "{arq:?}");
@@ -306,9 +301,9 @@ fn events_are_delivered_exactly_once_in_order_under_loss() {
 
 #[test]
 fn fec_repairs_erasures_without_retransmit() {
-    // Same shape as the test above but with FEC left on (the default):
-    // the erasure-coding layer below ARQ must rebuild lost frames from
-    // parity, and every event still arrives exactly once in order.
+    // Same shape as the test above, with fewer events: the erasure-coding
+    // layer below ARQ must rebuild lost frames from parity, and every
+    // event still arrives exactly once in order.
     let mut h = SimHarness::new(lossy(6, 0.10));
     h.add_container(ContainerConfig::new("pub", NodeId(1)));
     h.add_container(ContainerConfig::new("sub", NodeId(2)));
@@ -362,12 +357,10 @@ fn fec_repairs_erasures_without_retransmit() {
     let rx = h.container(NodeId(2)).unwrap().stats().fec;
     assert!(rx.recovered > 0, "at 10% loss some erasure must be parity-repaired: {rx:?}");
 
-    // Negotiation must converge on BOTH ends, even though the subscriber
-    // attached after the publisher's start-up frames had already been
-    // broadcast (the beacon-borne capability covers that) — a one-sided
-    // cap would leave the late node sending uncoded forever.
-    assert!(tx.negotiated_rate_max >= 1, "publisher negotiated a live rate: {tx:?}");
-    assert!(rx.negotiated_rate_max >= 1, "subscriber negotiated a live rate: {rx:?}");
+    // Both ends code, whatever each has heard of the other: every link
+    // runs a live rate from its first message.
+    assert!(tx.negotiated_rate_max >= 1, "publisher runs a live rate: {tx:?}");
+    assert!(rx.negotiated_rate_max >= 1, "subscriber runs a live rate: {rx:?}");
 }
 
 #[test]

@@ -251,7 +251,7 @@ fn a_calm_link_that_fades_brings_its_parity_back_at_the_first_retransmission() {
 }
 
 /// Two nodes on a 5 ms ± 2 ms link that loses 10 % of its datagrams, FEC
-/// negotiated, a reliable event every 2 ms for ten seconds. The ARQ timer
+/// on, a reliable event every 2 ms for ten seconds. The ARQ timer
 /// follows the measured round trip plus the parity's repair time, so a
 /// lost event is resent after ~20 ms, not after a fixed 50 ms: the 99th
 /// percentile of emit→deliver stays under 32 ms (a fixed 50 ms first timer
@@ -748,13 +748,7 @@ fn hello_bursts_are_debounced_to_one_pending_reannounce() {
     // heard first through its beacon or its catalogue.
     for node in 2..=6u32 {
         let first = if node % 2 == 0 {
-            Message::Beacon {
-                incarnation: 1,
-                load_permille: 0,
-                fec_cap: 0,
-                entry_count: 0,
-                catalogue_hash: 0,
-            }
+            Message::Beacon { incarnation: 1, load_permille: 0, entry_count: 0, catalogue_hash: 0 }
         } else {
             Message::Announce { incarnation: 1, entries: Vec::new() }
         };
@@ -853,7 +847,6 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
     let beacon = |incarnation| Message::Beacon {
         incarnation,
         load_permille: 0,
-        fec_cap: 0,
         entry_count,
         catalogue_hash,
     };
@@ -872,6 +865,60 @@ fn a_hello_delayed_across_a_restart_changes_nothing() {
             assert!(matches!(sent, Message::Beacon { .. }), "answered a dead life with {sent:?}");
         }
     }
+}
+
+/// A link codes from its first message, whatever its peer has said: node 1
+/// holds node 2 only through its `Announce` (node 2's beacons are all
+/// lost) and sends it a reliable event, which leaves as a data shard, not
+/// as a bare `RelData`. Probe transport, explicit clock.
+#[test]
+fn a_link_opened_before_any_beacon_codes_from_its_first_message() {
+    use marea_core::ServiceContainer;
+    use marea_presentation::Name;
+    use marea_protocol::messages::Message;
+    use marea_protocol::{frames, GroupId, Micros};
+    use marea_transport::{InProcHub, Transport, TransportDestination};
+
+    let hub = InProcHub::new();
+    let mut probe = hub.attach(2);
+    probe.join(GroupId::CONTROL.0);
+    let mut c =
+        ServiceContainer::new(ContainerConfig::new("uav", NodeId(1)), Box::new(hub.attach(1)));
+    let tick = EventPort::<u64>::new("alerter/tick");
+    let mut b = ServiceDescriptor::builder("alerter");
+    b.provides_event(&tick);
+    let mut alerter = Scripted::new(b.build());
+    alerter.on_start = Some(Box::new(|ctx| {
+        ctx.set_timer(ProtoDuration::from_millis(20), None);
+    }));
+    alerter.on_timer = Some(Box::new(move |ctx, _| ctx.emit_to(&tick, 7)));
+    c.add_service(Box::new(alerter)).unwrap();
+    c.start(Micros(0));
+
+    let send = |probe: &mut dyn Transport, msg: Message| {
+        probe.send(TransportDestination::Node(1), msg.into_frame(NodeId(2)).encode()).unwrap();
+    };
+    send(&mut probe, Message::Announce { incarnation: 1, entries: Vec::new() });
+    let name = Name::new("alerter/tick").unwrap();
+    send(&mut probe, Message::Subscribe { name, need_initial: false });
+    let (mut shards, mut bare) = (0, 0);
+    for at in (0..=40_000).step_by(5_000) {
+        c.tick(Micros(at));
+        while let Some((_, datagram)) = probe.recv() {
+            for frame in frames(&datagram) {
+                match Message::from_frame(&frame.unwrap()).unwrap() {
+                    Message::FecShard { .. } => shards += 1,
+                    Message::RelData { .. } => bare += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    let info = c.directory().node(NodeId(2)).expect("filed by the Announce");
+    assert!(info.catalogue_digest().is_some());
+    let fec = c.stats().fec;
+    assert!(fec.data_shards_out > 0, "the event was coded: {fec:?}");
+    assert!(shards > 0 && bare == 0, "{shards} shards, {bare} bare RelData");
 }
 
 #[test]
@@ -938,10 +985,13 @@ fn any_valid_frame_from_a_known_node_is_proof_of_life() {
 
 /// The messages one probe node read since the last call, with every
 /// reliable envelope opened (and acknowledged, so nothing is sent twice).
+/// Links code from their first message: an envelope arrives inside a data
+/// shard, and parity shards are dropped.
 fn read_and_ack(
     probe: &mut marea_transport::InProcTransport,
     node: u32,
 ) -> Vec<marea_protocol::messages::Message> {
+    use marea_protocol::fec::PARITY_INDEX_BIT;
     use marea_protocol::frames;
     use marea_protocol::messages::Message;
     use marea_transport::{Transport, TransportDestination};
@@ -949,7 +999,14 @@ fn read_and_ack(
     let mut read = Vec::new();
     while let Some((_, datagram)) = probe.recv() {
         for frame in frames(&datagram) {
-            match Message::from_frame(&frame.unwrap()).unwrap() {
+            let msg = match Message::from_frame(&frame.unwrap()).unwrap() {
+                Message::FecShard { index, payload, .. } if index & PARITY_INDEX_BIT == 0 => {
+                    Message::decode_tagged(&payload).unwrap()
+                }
+                Message::FecShard { .. } => continue,
+                other => other,
+            };
+            match msg {
                 Message::RelData { channel, seq, payload } => {
                     read.push(Message::decode_tagged(&payload).unwrap());
                     let ack =
@@ -1659,7 +1716,6 @@ fn beacon_from(
     let beacon = Message::Beacon {
         incarnation: 1,
         load_permille,
-        fec_cap: 0,
         entry_count: entries.len() as u32,
         catalogue_hash: announce_hash(1, entries),
     };
@@ -2223,13 +2279,8 @@ fn a_paired_providers_end_drops_its_pairs() {
     c.tick(Micros(20_000));
     assert_eq!(held(&c), (3, 2, 2), "a Bye");
 
-    let beacon = Message::Beacon {
-        incarnation: 2,
-        load_permille: 0,
-        fec_cap: 0,
-        entry_count: 1,
-        catalogue_hash: 0,
-    };
+    let beacon =
+        Message::Beacon { incarnation: 2, load_permille: 0, entry_count: 1, catalogue_hash: 0 };
     send(3, beacon);
     c.tick(Micros(30_000));
     assert_eq!(held(&c), (3, 1, 1), "a newer life, whose catalogue is not held yet");

@@ -80,8 +80,8 @@ pub struct RateController {
 }
 
 impl RateController {
-    /// A controller bounded by the negotiated `cap`, starting at the
-    /// lightest active rate.
+    /// A controller bounded by `cap`, starting at the lightest active
+    /// rate.
     pub fn new(cap: FecRate) -> Self {
         let floor = if cap == FecRate::Off { FecRate::Off } else { FecRate::Light };
         RateController { cap, current: floor, calm_streak: 0, parity_streak: 0 }
@@ -92,7 +92,7 @@ impl RateController {
         self.current
     }
 
-    /// The negotiated ceiling.
+    /// The ceiling.
     pub fn cap(&self) -> FecRate {
         self.cap
     }

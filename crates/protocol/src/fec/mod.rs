@@ -107,7 +107,7 @@ pub struct FecSender {
 }
 
 impl FecSender {
-    /// A sender bounded by the negotiated `cap`.
+    /// A sender bounded by `cap`.
     pub fn new(channel: u16, cap: FecRate) -> Self {
         FecSender {
             channel,
@@ -129,14 +129,14 @@ impl FecSender {
         self.controller.rate()
     }
 
-    /// The negotiated ceiling.
+    /// The ceiling.
     pub fn cap(&self) -> FecRate {
         self.controller.cap()
     }
 
-    /// Re-negotiates the ceiling (peer capability learned or changed).
-    /// Resets the controller to the lightest rate under the new cap but
-    /// keeps group ids monotonic so the peer's decoder ring stays sane.
+    /// Sets a new ceiling. Resets the controller to the lightest rate
+    /// under it but keeps group ids monotonic so the peer's decoder ring
+    /// stays sane.
     /// Any open group is abandoned without parity — its data shards are
     /// already out and remain decodable (systematic code, ARQ backstop).
     /// On a calm link that counts as a quiet group: the link may simply

@@ -9,12 +9,13 @@
 
 /// One operating point of the erasure code.
 ///
-/// Ordered weakest-to-strongest so negotiation is a plain `min` and the
+/// Ordered weakest-to-strongest so a ceiling is a plain `min` and the
 /// controller can step with `stronger`/`weaker`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum FecRate {
-    /// No FEC: data travels bare (the negotiation result with a peer that
-    /// advertises no FEC capability, and the disabled-config state).
+    /// No FEC: data travels bare. A link-level ceiling only (plain ARQ,
+    /// the baseline the benches compare against): every container link
+    /// runs under [`FecRate::Max`].
     #[default]
     Off,
     /// 8 data shards, 1 parity lane — 12.5% overhead, survives 1 erasure
@@ -47,8 +48,8 @@ impl FecRate {
         }
     }
 
-    /// Stable wire tag (carried as the `fec_cap` capability in every
-    /// beacon).
+    /// Stable number of the rate, weakest first: 0 for `Off` up to 4 for
+    /// `Max`, as the container's `negotiated_rate_max` gauge reports it.
     pub fn wire_tag(self) -> u8 {
         match self {
             FecRate::Off => 0,
@@ -56,19 +57,6 @@ impl FecRate {
             FecRate::Medium => 2,
             FecRate::Strong => 3,
             FecRate::Max => 4,
-        }
-    }
-
-    /// Inverse of [`FecRate::wire_tag`]. Unknown tags collapse to `Off`
-    /// (a peer advertising a capability we do not know is treated as
-    /// FEC-incapable rather than rejected — forward compatible).
-    pub fn from_wire_tag(tag: u8) -> FecRate {
-        match tag {
-            1 => FecRate::Light,
-            2 => FecRate::Medium,
-            3 => FecRate::Strong,
-            4 => FecRate::Max,
-            _ => FecRate::Off,
         }
     }
 
@@ -94,8 +82,7 @@ impl FecRate {
 
     /// The next weaker rate; never drops below [`FecRate::Light`] — once a
     /// link runs FEC, the lightest geometry stays on so the loss signal
-    /// keeps flowing (`Off` is a negotiation outcome, not a controller
-    /// state). A calm link (see
+    /// keeps flowing (`Off` is a link's ceiling, not a controller state). A calm link (see
     /// [`RateController::is_calm`](crate::fec::RateController::is_calm))
     /// still sends parity with every full group, and any loss report or
     /// retransmission puts it back on every group, so the signal
@@ -107,11 +94,6 @@ impl FecRate {
             FecRate::Max => FecRate::Strong,
         }
     }
-
-    /// The rate both ends can run: the weaker of the two capabilities.
-    pub fn negotiate(self, peer: FecRate) -> FecRate {
-        self.min(peer)
-    }
 }
 
 #[cfg(test)]
@@ -121,9 +103,8 @@ mod tests {
     #[test]
     fn tags_roundtrip() {
         for &r in FecRate::ALL {
-            assert_eq!(FecRate::from_wire_tag(r.wire_tag()), r);
+            assert_eq!(FecRate::ALL[usize::from(r.wire_tag())], r);
         }
-        assert_eq!(FecRate::from_wire_tag(200), FecRate::Off);
     }
 
     #[test]
@@ -150,12 +131,6 @@ mod tests {
             assert!(rate.overhead_permille() >= last);
             last = rate.overhead_permille();
         }
-    }
-
-    #[test]
-    fn negotiate_takes_the_weaker_end() {
-        assert_eq!(FecRate::Max.negotiate(FecRate::Medium), FecRate::Medium);
-        assert_eq!(FecRate::Off.negotiate(FecRate::Max), FecRate::Off);
     }
 
     #[test]

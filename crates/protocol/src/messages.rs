@@ -4,7 +4,7 @@
 //! communication primitives of the paper (§4) plus the container-to-container
 //! control plane (§3): discovery, announcements, service status
 //! notifications and the one periodic frame, the [`Message::Beacon`]
-//! (liveness, load, FEC capability and catalogue digest).
+//! (liveness, load and catalogue digest).
 //!
 //! Each message is one row of the message table below: its wire tag, and
 //! for each field its type and wire form, in wire order. That row is the
@@ -413,11 +413,12 @@ impl CallStatus {
 
 messages! {
     // 0 was the start-up introduction (name, incarnation, FEC cap), whose
-    // claims every beacon and `Announce` carry: retired, never reused.
+    // claims every beacon and `Announce` carry or, the cap, no longer
+    // exist: retired, never reused.
     /// The one periodic control frame (control group): proof of life,
-    /// load, FEC capability and the digest of the sender's catalogue as it
-    /// stands. A receiver holding the same digest does nothing more; one
-    /// that does not pulls the catalogue with a unicast
+    /// load and the digest of the sender's catalogue as it stands. A
+    /// receiver holding the same digest does nothing more; one that does
+    /// not pulls the catalogue with a unicast
     /// [`Message::AnnounceRequest`], so the steady-state control plane is
     /// O(nodes), not O(nodes × catalogue).
     Beacon = 1 {
@@ -427,11 +428,6 @@ messages! {
         /// Scheduler load in permille (0-1000), used for dynamic remote
         /// invocation load balancing (paper §4.3).
         load_permille: u16 = le16,
-        /// Strongest FEC code rate this node can run on its reliable
-        /// links ([`FecRate`](crate::fec::FecRate) wire tag; 0 = none).
-        /// Each link runs the weaker of the two ends' capabilities; a
-        /// receiver learns the cap from the first beacon it hears.
-        fec_cap: u8 = byte,
         /// Number of catalogue entries the digest summarizes.
         entry_count: u32 = varint,
         /// [`announce_hash`] over the full announce body.
@@ -1186,7 +1182,6 @@ mod tests {
             Message::Beacon {
                 incarnation: 3,
                 load_permille: 250,
-                fec_cap: 4,
                 entry_count: 1,
                 catalogue_hash: 0xDEAD_BEEF,
             },

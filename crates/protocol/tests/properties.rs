@@ -513,7 +513,6 @@ fn instance(kind: MessageKind, seed: u64, blob: &[u8]) -> Message {
         MessageKind::Beacon => Message::Beacon {
             incarnation: seed,
             load_permille: (seed % 1001) as u16,
-            fec_cap: (seed % 5) as u8,
             entry_count: small,
             catalogue_hash: (seed >> 11) as u32,
         },
@@ -1071,9 +1070,12 @@ fn hostile_blob_lengths_fail_identically_on_both_paths() {
 /// Since one `Subscribe`/`Unsubscribe` pair replaced the four subscription
 /// kinds it is re-pinned; skipping tags 5, 6, 21 and 22 before and tags 5
 /// and 6 after gives `(1464, 0xf506_f09d_fc1c_8bd9)` on both sides.
+/// Since the beacon lost its FEC capability byte it is re-pinned again;
+/// skipping tag 1 before and after gives `(1516, 0xd212_3e34_1cd7_c1a6)`
+/// on both sides.
 #[test]
 fn every_decoder_meets_damaged_bodies_with_the_pinned_outcome() {
-    const OUTCOMES: (usize, u64) = (1572, 0xd0a9_20d1_6820_97df);
+    const OUTCOMES: (usize, u64) = (1568, 0x1999_bac1_d10c_711b);
     let every_name = |s: &str| Name::new(s).ok();
     let mut outcomes = String::new();
     let mut count = 0;
@@ -1249,13 +1251,14 @@ fn arq_envelope_is_the_tagged_rel_data_and_every_transmission_is_it() {
 
 /// Wire golden: the bytes of one fixed message per `MessageKind`, framed
 /// from node 7, as they were before the encode-once writer and the message
-/// table existed. The BENCH files pin byte *counts*, this pins the bytes
+/// table existed (the beacon's as they are since it lost its FEC
+/// capability byte). The BENCH files pin byte *counts*, this pins the bytes
 /// (`shared_decode_equals_copying_decode_for_every_variant` holds the
 /// encode-once writer to them).
 #[test]
 fn wire_golden_pins_every_kind() {
     const GOLDEN: &[(MessageKind, &str)] = &[
-        (MessageKind::Beacon, "4d410101070000000e000000efb7728587a2b4f705b40200c501a2dd0b00"),
+        (MessageKind::Beacon, "4d410101070000000d0000007bff045687a2b4f705b402c501a2dd0b00"),
         (MessageKind::Bye, "4d4101020700000000000000fffc2e09"),
         (MessageKind::Announce, "4d41010307000000690000002a5bde1287a2b4f70501c50104737663360105000c737663362f6974656d313937010ae7e30587a624010c737663362f6974656d313937010105010c737663362f6974656d31393700020c737663362f6974656d313937020107010d010100030c737663362f6974656d313937"),
         (MessageKind::Subscribe, "4d410105070000000e000000afa4d3810c737663362f6974656d31393700"),
