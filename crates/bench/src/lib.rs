@@ -1082,7 +1082,10 @@ pub fn bench_swarm_virt_s_per_host_s(nodes: u32, seed: u64) -> f64 {
     let mut h = swarm_fleet(nodes, seed);
     h.start_all();
     h.run_for_millis(SWARM_SETTLE_MS);
-    // marea-lint: allow(D2): wall-clock bench — simulated s per host s is the quantity measured
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock bench — simulated s per host s is the quantity measured"
+    )]
     let t0 = std::time::Instant::now();
     h.run_for_millis(SWARM_WINDOW_MS);
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
@@ -1395,7 +1398,10 @@ mod tests {
     #[ignore = "wall-clock measurement; CI runs it in release"]
     fn trace_overhead_stays_within_five_percent() {
         assert_overhead_within_five_percent("C10 gate (tracing)", |traced, rep| {
-            // marea-lint: allow(D2): wall-clock gate — measuring the real cost of tracing is the point
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock gate — measuring the real cost of tracing is the point"
+            )]
             let t0 = std::time::Instant::now();
             let _ = bench_trace_overhead_run(traced, 800, 100, 700 + rep);
             t0.elapsed()

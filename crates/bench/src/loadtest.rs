@@ -583,7 +583,10 @@ mod tests {
         crate::tests::assert_overhead_within_five_percent(
             "metrics gate (sampling)",
             |sampled, rep| {
-                // marea-lint: allow(D2): wall-clock gate — measuring the real cost of sampling is the point
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock gate — measuring the real cost of sampling is the point"
+                )]
                 let t0 = std::time::Instant::now();
                 let _ = run_loadtest(&run_cfg(sampled, rep));
                 t0.elapsed()

@@ -16,8 +16,11 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// Creates a clock whose zero is now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SystemClock *is* the real-time boundary; drivers opt in explicitly"
+    )]
     pub fn new() -> Self {
-        // marea-lint: allow(D2): SystemClock *is* the real-time boundary; drivers opt in explicitly
         SystemClock { epoch: Instant::now() }
     }
 

@@ -25,6 +25,13 @@
 //! Services never see any of this machinery — only their
 //! [`ServiceContext`](crate::ServiceContext).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -189,7 +196,10 @@ impl ContainerConfig {
     /// Panics if `name` is not a valid [`Name`] literal.
     pub fn new(name: &str, node: NodeId) -> Self {
         ContainerConfig {
-            // marea-lint: allow(R1): construction-time check of a code literal (documented "# Panics"); never runs on the tick path
+            #[expect(
+                clippy::expect_used,
+                reason = "construction-time check of a code literal (documented \"# Panics\"); never runs on the tick path"
+            )]
             name: Name::new(name).expect("container name must be a valid name literal"),
             node,
             heartbeat_period: ProtoDuration::from_millis(500),

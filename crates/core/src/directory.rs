@@ -47,6 +47,13 @@
 //! bytes of a cached provision in every directory of the fleet, of which
 //! a node reads the few it uses.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use std::mem::size_of;
 use std::num::NonZeroU32;
 
@@ -652,11 +659,6 @@ impl Directory {
     /// Resolves the provider of an *event channel*.
     pub fn resolve_event(&self, name: &str) -> Option<&ProviderInfo> {
         self.providers(name).find(|p| matches!(p.provision, Provision::Event { .. }))
-    }
-
-    /// Resolves the provider of a *file resource*.
-    pub fn resolve_file(&self, name: &str) -> Option<&ProviderInfo> {
-        self.providers(name).find(|p| matches!(p.provision, Provision::FileResource { .. }))
     }
 
     /// Number of distinct provision names heard, kept whole or as pairs
@@ -1310,7 +1312,6 @@ mod tests {
         );
         assert!(d.resolve_variable("gps/position").is_some());
         assert!(d.resolve_event("gps/fix-lost").is_some());
-        assert!(d.resolve_file("gps/almanac").is_some());
         assert!(d.resolve_function("gps/position", CallPolicy::Dynamic, None).is_none());
         assert_eq!(d.provision_count(), 3);
     }

@@ -13,6 +13,13 @@
 //! ([`Binding::rebind`]) and applied on receipt by one filter
 //! ([`Binding::hears`]).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use bytes::Bytes;
 
 use marea_encoding::{Codec, CodecId, CodecRegistry, EncodeError, SelfDescribingCodec};

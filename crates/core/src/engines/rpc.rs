@@ -239,7 +239,10 @@ impl RpcEngine {
     /// Pending calls whose target satisfies `hit`, in request order: the
     /// ones to fail over at once when a node or service goes away.
     pub fn sorted_targeting(&self, hit: impl Fn(ServiceId) -> bool) -> Vec<RequestId> {
-        // marea-lint: allow(D1): ids are collected and sorted before anything is sent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ids are collected and sorted before anything is sent"
+        )]
         let hits = self.pending.iter().filter(|(_, c)| hit(c.target));
         let mut ids: Vec<RequestId> = hits.map(|(id, _)| *id).collect();
         ids.sort();

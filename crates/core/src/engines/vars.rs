@@ -378,7 +378,10 @@ impl VarEngine {
     /// validity and sequence filtering, decode, history, deadline. Answers
     /// the value — decoded once, shared with the history ring — and the
     /// services to deliver it to.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the sample's header fields arrive unpacked from the frame"
+    )]
     pub fn on_sample(
         &mut self,
         name: &Name,

@@ -11,6 +11,13 @@
 //! hashes to the digest last broadcast. A service's state travels only
 //! in that catalogue, and the beacon's digest says which one is current.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use marea_protocol::{Micros, ProtoDuration};
 
 use crate::timers::Cadence;

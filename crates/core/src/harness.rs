@@ -75,7 +75,7 @@ pub struct SimHarness {
     /// Node id → position in `slots`, in id order.
     index: BTreeMap<NodeId, usize>,
     /// Restart blueprints: the config every container was created with.
-    configs: HashMap<NodeId, ContainerConfig>,
+    configs: BTreeMap<NodeId, ContainerConfig>,
     /// Restart blueprints: service factories per node (only services added
     /// through [`SimHarness::add_service_factory`] survive a restart).
     factories: HashMap<NodeId, Vec<Factory>>,
@@ -116,7 +116,7 @@ impl SimHarness {
             slots: Vec::new(),
             wake: Vec::new(),
             index: BTreeMap::new(),
-            configs: HashMap::new(),
+            configs: BTreeMap::new(),
             factories: HashMap::new(),
             incarnations: HashMap::new(),
             skews: HashMap::new(),
@@ -279,9 +279,7 @@ impl SimHarness {
     /// order — the input [`assemble_chain`](crate::trace::assemble_chain)
     /// expects.
     pub fn trace_rings(&self) -> Vec<(NodeId, &TraceRing)> {
-        let mut nodes: Vec<NodeId> = self.configs.keys().copied().collect();
-        nodes.sort();
-        nodes.into_iter().filter_map(|n| self.trace_ring(n).map(|r| (n, r))).collect()
+        self.configs.keys().filter_map(|&n| self.trace_ring(n).map(|r| (n, r))).collect()
     }
 
     /// The cross-node causal chain of `trace`, assembled over every ring.
@@ -551,7 +549,10 @@ impl RealtimeDriver {
                 break;
             }
             self.container.tick(now);
-            // marea-lint: allow(D2): paces the wall-clock tick loop of the real-time driver
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "paces the wall-clock tick loop of the real-time driver"
+            )]
             std::thread::sleep(self.tick);
         }
     }

@@ -31,6 +31,13 @@
 //! [`on_data`]: ReliableLink::on_data
 //! [`on_fec_shard`]: ReliableLink::on_fec_shard
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 
@@ -169,9 +176,11 @@ impl ReliableLink {
 
     /// Sets the link's FEC ceiling: the controller adapts from
     /// [`FecRate::Light`] up to it, and [`FecRate::Off`] is plain ARQ.
-    /// Idempotent; raising or lowering the cap rebuilds the sender's
-    /// controller but keeps group ids monotonic so the peer's decoder ring
-    /// stays coherent.
+    /// Nothing is agreed with the peer — its decoder takes any group shape
+    /// a shard states — and every link the container opens runs under
+    /// [`FecRate::Max`]. Idempotent; raising or lowering the cap rebuilds
+    /// the sender's controller but keeps group ids monotonic so the peer's
+    /// decoder ring stays coherent.
     pub fn negotiate_fec(&mut self, cap: FecRate) {
         if self.fec.tx.cap() == cap {
             return;
@@ -439,7 +448,7 @@ pub(crate) struct PeerTable {
     /// publishes ([`provide`](Self::provide)), by name, each set in node
     /// order. Sized to fit: a B-tree node reserves room for eleven.
     subscribers: Vec<(Name, BTreeSet<NodeId>)>,
-    /// Some link was touched since `negotiated_rate_max` was last derived.
+    /// Some link was touched since `rate_max` was last derived.
     changed: bool,
     /// Shard counters — per event, because links die with their peers and
     /// the counters must survive that — and the rate gauge.
@@ -514,7 +523,10 @@ impl PeerTable {
 
     /// An incoming `FecShard` from `peer`; `inner` gets the tagged
     /// messages it carried or rebuilt.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the shard's header fields arrive unpacked from the frame"
+    )]
     pub fn on_shard(
         &mut self,
         peer: NodeId,
@@ -540,7 +552,7 @@ impl PeerTable {
     /// An incoming `RelAck` (ignored without a link: the peer was declared
     /// dead); `sink` gets the wire messages the opened window released,
     /// `events` the first-retransmit→ACK recovery times it closed.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the ack's fields arrive unpacked from the frame")]
     pub fn on_ack(
         &mut self,
         peer: NodeId,
@@ -557,7 +569,7 @@ impl PeerTable {
     /// The next stop of the per-tick poll sweep: the first active link
     /// after peer `after`, in node order (a quiescent link's poll is a
     /// no-op, so skipping those is output-equivalent). `None` ends the
-    /// sweep, re-deriving the `negotiated_rate_max` gauge if any link could
+    /// sweep, re-deriving the `rate_max` gauge if any link could
     /// have changed its rate — links die with their peers, so the maximum
     /// cannot be kept incrementally.
     pub fn next_active(&mut self, after: Option<NodeId>) -> Option<NodeId> {
@@ -565,7 +577,7 @@ impl PeerTable {
         let peer = self.active.range((lower, Bound::Unbounded)).next().copied();
         if peer.is_none() && std::mem::take(&mut self.changed) {
             let rates = self.by_peer.values().map(|l| l.fec_rate().wire_tag());
-            self.fec.negotiated_rate_max = rates.max().unwrap_or(0);
+            self.fec.rate_max = rates.max().unwrap_or(0);
         }
         peer
     }

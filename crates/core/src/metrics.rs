@@ -14,10 +14,11 @@
 //! in CI):
 //!
 //! * sampling is driven by virtual time only — no wall-clock reads
-//!   (lint rule D2 covers this file like any other);
-//! * the sample path allocates no strings and performs integer
-//!   arithmetic only (lint rule O1's scope includes this file; its
-//!   matchers cover the `fn sample_*` bodies and the frame literals);
+//!   (clippy's `disallowed_methods`, rule D2, covers this file like any
+//!   other);
+//! * the sample path allocates nothing in steady state and performs
+//!   integer arithmetic only (`tests/recorder_allocations.rs` counts it
+//!   under a 1 ms sampler);
 //! * nodes are visited in sorted `NodeId` order and links in sorted
 //!   `(src, dst)` order, so the same seed reproduces the same timeline
 //!   byte for byte;
@@ -151,7 +152,7 @@ impl MetricsSampler {
     /// Samples every container (handed over in ascending node order) and
     /// every active link once.
     ///
-    /// This is the hot path the O1 lint rule guards: no string
+    /// This is the hot path `tests/recorder_allocations.rs` counts: no
     /// allocation, no wall-clock reads, integer math only. The only
     /// heap activity is amortized growth of the pre-sized frame
     /// buffers and the last-snapshot maps (first sample of a node or a

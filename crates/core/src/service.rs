@@ -543,7 +543,7 @@ impl<'a> ServiceContext<'a> {
 /// All handlers default to no-ops so implementations override only what
 /// they use. Handlers run on the container's scheduler — keep them short;
 /// long work should be split across timers.
-#[allow(unused_variables)]
+#[allow(unused_variables, reason = "default handlers ignore their arguments")]
 pub trait Service: Send {
     /// Static declaration of provisions and subscriptions.
     fn descriptor(&self) -> ServiceDescriptor;

@@ -106,7 +106,7 @@ macro_rules! counters {
             /// value)`: `prefix` is `""` at the top level and `"qos."` for a
             /// struct that sits in field `qos` (groups nest one deep), so
             /// `prefix` + `name` is the counter's unique key.
-            #[allow(clippy::unnecessary_cast)]
+            #[allow(clippy::unnecessary_cast, reason = "the cast to u64 is a no-op for u64 counters")]
             pub fn walk(
                 &self,
                 prefix: &'static str,
@@ -325,7 +325,7 @@ counters! {
         /// Strongest code rate any live link's controller runs this tick
         /// ([`FecRate::wire_tag`](marea_protocol::fec::FecRate::wire_tag);
         /// 0 = no link). The name is a metrics-timeline key.
-        peak negotiated_rate_max: u8,
+        peak rate_max: u8,
     }
 }
 
@@ -460,17 +460,17 @@ mod tests {
         let mut earlier: ContainerStats = Default::default();
         (earlier.frames_in, earlier.queue_peak, earlier.event_latency_max_us) = (10, 9, 700);
         earlier.qos.retries = 2;
-        earlier.fec.negotiated_rate_max = 3;
+        earlier.fec.rate_max = 3;
         earlier.call_rtt.record(50);
         let mut later = earlier;
         later.frames_in = 25;
         later.qos.retries = 3;
-        later.fec.negotiated_rate_max = 1;
+        later.fec.rate_max = 1;
         later.call_rtt.record(900);
         let window = later.since(&earlier);
         assert_eq!((window.frames_in, window.qos.retries, window.ticks), (15, 1, 0));
         assert_eq!(
-            (window.queue_peak, window.event_latency_max_us, window.fec.negotiated_rate_max),
+            (window.queue_peak, window.event_latency_max_us, window.fec.rate_max),
             (9, 700, 1),
             "high-water marks and gauges read as they stand at the later snapshot"
         );

@@ -4,6 +4,13 @@
 //! due date and [`ServiceContainer::next_due`](crate::ServiceContainer::next_due)
 //! cannot drift apart.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: the tick path must not panic"
+)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 

@@ -7,8 +7,9 @@
 //! deliver, event emit / drop, call / reply / retry, ARQ retransmit,
 //! FEC recovery, link and directory lifecycle, node crash / restart —
 //! each stamped with **sim event-time and node incarnation**. There is
-//! no wall-clock read anywhere in this module (lint rule D2) and no
-//! string allocation on the record path (lint rule O1). The ring holds
+//! no wall-clock read anywhere in this module (clippy's
+//! `disallowed_methods`, rule D2) and no allocation on the record path in
+//! steady state (`tests/recorder_allocations.rs` counts it). The ring holds
 //! each record encoded in one preallocated byte buffer, about 10 bytes
 //! where a record's fields take 32: a tag byte (kind, how the trace
 //! origin is written, whether there is a peer), then prefix varints for
@@ -107,7 +108,7 @@ impl std::fmt::Display for TraceId {
 /// record path stores only this discriminant — prose lives in
 /// [`TraceKind::label`] and the dump layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // the variant names are the documentation
+#[allow(missing_docs, reason = "the variant names are the documentation")]
 pub enum TraceKind {
     /// A variable sample left the publisher (`seq` = sample seq).
     VarPublish,

@@ -12,7 +12,7 @@ use marea_presentation::{Name, Value};
 
 /// Everything a [`Recorder`] observes.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(dead_code)] // variants are matched per-test
+#[allow(dead_code, reason = "variants are matched per-test")]
 pub enum Obs {
     Started,
     Stopped,
@@ -132,7 +132,7 @@ impl Service for Recorder {
 
 /// A closure-driven service: descriptor plus per-hook callbacks supplied by
 /// the test. Only the hooks a test needs are set.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "one boxed closure type per hook")]
 pub struct Scripted {
     pub descriptor: ServiceDescriptor,
     pub on_start: Option<Box<dyn FnMut(&mut ServiceContext<'_>) + Send>>,

@@ -359,8 +359,8 @@ fn fec_repairs_erasures_without_retransmit() {
 
     // Both ends code, whatever each has heard of the other: every link
     // runs a live rate from its first message.
-    assert!(tx.negotiated_rate_max >= 1, "publisher runs a live rate: {tx:?}");
-    assert!(rx.negotiated_rate_max >= 1, "subscriber runs a live rate: {rx:?}");
+    assert!(tx.rate_max >= 1, "publisher runs a live rate: {tx:?}");
+    assert!(rx.rate_max >= 1, "subscriber runs a live rate: {rx:?}");
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!   wake-up source fails with the node, the instant and the state that
 //!   moved, not as a delivery count that is off by a few.
 
-#[allow(dead_code)] // only the observation log is used here
+#[allow(dead_code, reason = "only the observation log is used here")]
 mod common;
 
 use bytes::Bytes;

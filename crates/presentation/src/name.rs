@@ -58,7 +58,7 @@ impl Name {
     }
 
     /// Length of the name in bytes.
-    #[allow(clippy::len_without_is_empty)] // names are never empty by construction
+    #[allow(clippy::len_without_is_empty, reason = "names are never empty by construction")]
     pub fn len(&self) -> usize {
         self.0.len()
     }

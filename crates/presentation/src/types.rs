@@ -14,7 +14,7 @@ use crate::name::Name;
 /// Coarse classification of a type or value, used in error reporting and by
 /// the self-describing codec's wire tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // variants mirror DataType one-to-one
+#[allow(missing_docs, reason = "variants mirror DataType one-to-one")]
 pub enum TypeKind {
     Bool,
     I8,

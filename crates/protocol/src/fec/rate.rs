@@ -49,7 +49,9 @@ impl FecRate {
     }
 
     /// Stable number of the rate, weakest first: 0 for `Off` up to 4 for
-    /// `Max`, as the container's `negotiated_rate_max` gauge reports it.
+    /// `Max`, as the container's `fec.rate_max` gauge reports it. No frame
+    /// carries it: each side picks its own rate, and a shard says its group
+    /// shape itself.
     pub fn wire_tag(self) -> u8 {
         match self {
             FecRate::Off => 0,

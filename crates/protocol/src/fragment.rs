@@ -164,7 +164,10 @@ impl Reassembler {
         }
         let key = (src, msg_id);
         if !self.pending.contains_key(&key) {
-            // marea-lint: allow(D1): cardinality count; iteration order cannot affect the result
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "cardinality count; iteration order cannot affect the result"
+            )]
             let per_source = self.pending.keys().filter(|(s, _)| *s == src).count();
             if per_source >= MAX_PENDING_PER_SOURCE {
                 return Err(ProtocolError::BadFragment("too many pending messages from source"));

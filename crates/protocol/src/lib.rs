@@ -29,6 +29,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "R1: protocol code must not panic"
+)]
 
 pub mod arq;
 mod crc;

@@ -232,7 +232,7 @@ macro_rules! messages {
             /// The bytes of its names and blobs: see
             /// [`FrameBody::verbatim_len`]. Every field is bound; only
             /// those two forms count.
-            #[allow(unused_variables)]
+            #[allow(unused_variables, reason = "every field is bound; only names and blobs count")]
             fn verbatim_len(self) -> usize {
                 match self {
                     $(Body::$variant { $($($field),*)? } => {

@@ -6,7 +6,7 @@
 //! services in the same container or across the network) and the baseline
 //! for the local-vs-remote experiment (F2).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,8 +16,8 @@ use crate::traits::{Transport, TransportDestination, TransportError};
 
 #[derive(Debug, Default)]
 struct HubInner {
-    inboxes: HashMap<u32, VecDeque<(u32, Bytes)>>,
-    groups: HashMap<u32, HashSet<u32>>,
+    inboxes: BTreeMap<u32, VecDeque<(u32, Bytes)>>,
+    groups: BTreeMap<u32, BTreeSet<u32>>,
 }
 
 /// Shared rendezvous connecting every [`InProcTransport`] of a process.
@@ -77,32 +77,31 @@ impl Transport for InProcTransport {
         if frame.len() > self.mtu {
             return Err(TransportError::PayloadTooLarge { size: frame.len(), mtu: self.mtu });
         }
-        let mut inner = self.hub.inner.lock();
+        let inner = &mut *self.hub.inner.lock();
         if !inner.inboxes.contains_key(&self.node) {
             return Err(TransportError::Closed);
         }
-        let targets: Vec<u32> = match dest {
+        // Receivers in node order; a frame to an unknown node is dropped
+        // (datagram semantics).
+        let from = self.node;
+        let push = |q: &mut VecDeque<(u32, Bytes)>| q.push_back((from, frame.clone()));
+        match dest {
             TransportDestination::Node(n) => {
-                if inner.inboxes.contains_key(&n) {
-                    vec![n]
-                } else {
-                    Vec::new() // datagram semantics: silently dropped
+                if let Some(q) = inner.inboxes.get_mut(&n) {
+                    push(q);
                 }
             }
-            TransportDestination::Group(g) => inner
-                .groups
-                .get(&g)
-                .map(|m| m.iter().copied().filter(|id| *id != self.node).collect())
-                .unwrap_or_default(),
-            TransportDestination::Broadcast => {
-                inner.inboxes.keys().copied().filter(|id| *id != self.node).collect()
+            TransportDestination::Group(g) => {
+                for id in inner.groups.get(&g).into_iter().flatten().filter(|id| **id != from) {
+                    if let Some(q) = inner.inboxes.get_mut(id) {
+                        push(q);
+                    }
+                }
             }
-        };
-        let mut sorted = targets;
-        sorted.sort_unstable();
-        for t in sorted {
-            if let Some(q) = inner.inboxes.get_mut(&t) {
-                q.push_back((self.node, frame.clone()));
+            TransportDestination::Broadcast => {
+                for (_, q) in inner.inboxes.iter_mut().filter(|(id, _)| **id != from) {
+                    push(q);
+                }
             }
         }
         Ok(())

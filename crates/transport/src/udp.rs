@@ -172,6 +172,10 @@ mod tests {
     use crate::LOAN_KEEP_BYTES;
     use std::time::{Duration, Instant};
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real sockets deliver in host time: waits on the wall clock"
+    )]
     fn recv_within(t: &mut UdpTransport, timeout: Duration) -> Option<(u32, Bytes)> {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {

@@ -111,18 +111,27 @@ fn two_containers_over_real_udp_loopback() {
     let clock = SystemClock::new();
     c1.start(clock.now());
     c2.start(clock.now());
-    // marea-lint: allow(D2): real-time UDP smoke test; wall-clock pacing is the point
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real-time UDP smoke test; wall-clock pacing is the point"
+    )]
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
         let now = clock.now();
         c1.tick(now);
         c2.tick(now);
         let done = *vars.lock().unwrap() >= WANT_VARS && *events.lock().unwrap() >= WANT_EVENTS;
-        // marea-lint: allow(D2): real-time UDP smoke test; wall-clock pacing is the point
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real-time UDP smoke test; wall-clock pacing is the point"
+        )]
         if done || std::time::Instant::now() >= deadline {
             break;
         }
-        // marea-lint: allow(D2): yields the CPU between real ticks; virtual time does not apply
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "yields the CPU between real ticks; virtual time does not apply"
+        )]
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     c1.stop(clock.now());
